@@ -186,7 +186,7 @@ fn open_and_first_query(dir: &std::path::Path, tip: usize, per_edge: usize) -> f
     let cell = vec![(per_edge / 2) as i64];
     let (_, s) = timed(|| {
         let db = Dslog::open(dir).unwrap();
-        db.prov_query(&path, &[cell.clone()]).unwrap();
+        db.prov_query(&path, std::slice::from_ref(&cell)).unwrap();
     });
     s
 }

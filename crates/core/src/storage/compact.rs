@@ -36,9 +36,8 @@
 //! of tables no query touched.
 
 use super::persist::{
-    self, build_catalog_bytes, edge_shard, generations, manifest_file_name, parse_catalog,
-    segment_file_name, spared_set, sweep_stale_files, sync_dir, write_atomic, Catalog,
-    CATALOG_FILE,
+    self, edge_shard, manifest_file_name, segment_file_name, write_atomic, Catalog, CommitSession,
+    PlannedEdge, WrittenSlot,
 };
 use super::wal;
 use super::{FileRecord, StorageManager, TableSource};
@@ -321,38 +320,15 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
     let dir = dir
         .canonicalize()
         .map_err(|e| DslogError::io("canonicalize database dir", e))?;
-    // Same lock and rank as `commit`: compaction is a commit, and two
-    // interleaved writers would race the generation counter and sweeps.
-    let _commit_guard = storage.commit_lock.lock();
-    let bound = storage.binding.lock().clone();
-    if !matches!(&bound, Some(b) if b.dir == dir && b.gzip == gzip) {
+    // Same session as `commit`: compaction is a commit, under the same
+    // lock and rank, ending in the same log append and catalog rename.
+    let session = CommitSession::begin(storage, dir, gzip);
+    if !session.incremental {
         return Err(DslogError::NotBound);
     }
-    let (prior_gen, gen) = generations(&dir);
-
-    let (arc_policy, pending_ops, actor, retain) = {
-        let w = storage.wal.lock();
-        (
-            w.io_policy.clone(),
-            w.pending.clone(),
-            w.actor.clone(),
-            w.effective_retain(),
-        )
-    };
-    let policy = arc_policy.as_deref();
-    let n_pending = pending_ops.len();
-
+    let gen = session.gen;
     // What the previous catalog referenced = what this pass folds.
-    let files_folded = match std::fs::read(dir.join(CATALOG_FILE)) {
-        Ok(bytes) => parse_catalog(&bytes).map(|c| {
-            c.edges
-                .iter()
-                .flat_map(|e| e.files.iter().map(|f| f.name.clone()))
-                .collect::<HashSet<_>>()
-                .len()
-        })?,
-        Err(_) => 0,
-    };
+    let files_folded = session.live_files();
 
     // Gather every slot's bytes (sorted keys for deterministic layout)
     // and append each blob to its hash-assigned segment. Blobs are
@@ -361,11 +337,11 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
     let mut keys: Vec<&(String, String)> = storage.edges.keys().collect();
     keys.sort();
     let n_slots_max = keys.len() * 2;
-    let shards = (n_slots_max / 16 + 1).min(MAX_SEGMENTS).max(1);
+    let shards = (n_slots_max / 16 + 1).clamp(1, MAX_SEGMENTS);
     let mut segment_bufs: Vec<Vec<u8>> = (0..shards).map(|_| Vec::new()).collect();
     let mut entries: Vec<ManifestEntry> = Vec::new();
-    let mut planned: Vec<(&(String, String), u8, Vec<FileRecord>)> = Vec::with_capacity(keys.len());
-    let mut newly_clean: Vec<(&(String, String), Orientation, FileRecord)> = Vec::new();
+    let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(keys.len());
+    let mut written: Vec<WrittenSlot<'_>> = Vec::new();
     for key in &keys {
         let edge = &storage.edges[*key];
         let shard = edge_shard(&key.0, &key.1, shards);
@@ -407,7 +383,7 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
                 raw_len,
             });
             mask |= bit;
-            newly_clean.push((*key, orientation, record.clone()));
+            written.push((*key, orientation, record.clone()));
             records.push(record);
         }
         if mask == 0 {
@@ -440,100 +416,46 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
     // Write segments, then the manifest, each an atomic temp+sync+rename
     // and each a gated kill point for the crash sweep.
     let mut io_steps = 0usize;
-    let mut segments_written = 0usize;
     let mut bytes_written = 0u64;
     for (name, bytes) in &segments {
-        write_atomic(&dir.join(name), bytes, "write segment file", policy)?;
+        write_atomic(
+            &session.dir.join(name),
+            bytes,
+            "write segment file",
+            session.policy(),
+        )?;
         io_steps += 1;
-        segments_written += 1;
         bytes_written += bytes.len() as u64;
         crash_injection_point(io_steps);
     }
     let manifest = build_manifest_bytes(gen, &segments, &entries);
     write_atomic(
-        &dir.join(manifest_file_name(gen)),
+        &session.dir.join(manifest_file_name(gen)),
         &manifest,
         "write compaction manifest",
-        policy,
+        session.policy(),
     )?;
     io_steps += 1;
     crash_injection_point(io_steps);
 
-    let catalog = build_catalog_bytes(storage, gzip, gen, &planned)?;
-
-    // Make the segment + manifest renames durable BEFORE the log and
-    // catalog can commit — same ordering as `commit`.
-    sync_dir(&dir, policy)?;
-
-    let recovery = wal::recover(&dir, prior_gen);
-    let mut op_id = recovery.last_op_id;
-    let mut new_records: Vec<wal::OpRecord> = Vec::with_capacity(n_pending + 2);
-    for p in &pending_ops {
-        op_id += 1;
-        new_records.push(wal::OpRecord {
-            op_id,
-            timestamp_ms: p.timestamp_ms,
-            actor: p.actor.clone(),
-            gen_before: prior_gen,
-            gen_after: prior_gen,
-            kind: p.kind.clone(),
-        });
-    }
-    op_id += 1;
-    new_records.push(wal::OpRecord {
-        op_id,
-        timestamp_ms: wal::now_ms(),
-        actor: actor.clone(),
-        gen_before: prior_gen,
-        gen_after: prior_gen,
-        kind: wal::OpKind::Compact {
-            segments: segments_written as u64,
-            folded: files_folded as u64,
-            bytes: bytes_written,
-        },
-    });
-    op_id += 1;
-    new_records.push(wal::OpRecord {
-        op_id,
-        timestamp_ms: wal::now_ms(),
-        actor,
-        gen_before: prior_gen,
-        gen_after: gen,
-        kind: wal::OpKind::Commit {
-            catalog: catalog.clone(),
-        },
-    });
-    wal::append(&dir, recovery.clean_len, &new_records, policy)?;
-
-    // Commit point: the catalog rename, exactly as in `commit`.
-    write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
-    io_steps += 1;
-    crash_injection_point(io_steps);
-
-    sync_dir(&dir, policy)?;
-
-    // Sweep superseded generations with the shared sparing rule: the new
-    // segments/manifest, plus everything the retained WAL window (the
-    // last `retain` commit records) still names for `open_as_of`.
-    let referenced: HashSet<String> = segments.iter().map(|(name, _)| name.clone()).collect();
-    sweep_stale_files(
-        &dir,
-        &spared_set(&referenced, &recovery.records, Some(retain as usize)),
-    );
-
-    for (key, orientation, record) in newly_clean {
-        storage.edges[key].publish_committed(orientation, record, &dir, gzip);
-    }
-    *storage.binding.lock() = Some(super::PersistBinding {
-        dir,
-        gzip,
-        generation: gen,
-    });
-    storage.wal.lock().pending.drain(..n_pending);
+    // The shared commit tail: directory sync, buffered log records + this
+    // annotation + the commit record, catalog rename (the commit point,
+    // and the last kill point of the crash sweep), directory sync, and
+    // the sweep of superseded generations with the shared sparing rule —
+    // the new segments/manifest stay, plus everything the retention
+    // window still names for `open_as_of`.
+    let annotation = wal::OpKind::Compact {
+        segments: segments.len() as u64,
+        folded: files_folded as u64,
+        bytes: bytes_written,
+    };
+    session.finish(&planned, written, Some(annotation), || {
+        crash_injection_point(io_steps + 1)
+    })?;
 
     Ok(CompactReport {
         generation: gen,
-        segments_written,
+        segments_written: segments.len(),
         files_folded,
         ranges: entries.len(),
         bytes_written,
@@ -692,7 +614,7 @@ mod tests {
             add_edge(&mut s, tag);
             persist::commit(&s, &dir, false).unwrap();
         }
-        let (committed, _) = generations(&dir);
+        let committed = s.persist_binding().unwrap().2;
         compact(&s, &dir, false).unwrap();
 
         // Retained prior generations still resolve, with their content.
@@ -710,7 +632,7 @@ mod tests {
     fn unretained_generation_is_reclaimed_by_compaction() {
         let dir = temp_dir("reclaim");
         let s = multi_generation_db(&dir);
-        let (committed, _) = generations(&dir);
+        let committed = s.persist_binding().unwrap().2;
         compact(&s, &dir, false).unwrap();
         // Default retention = 0: the pre-compaction generation's files are
         // gone, so time travel to it reports GenerationNotRetained.

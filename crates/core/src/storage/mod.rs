@@ -169,6 +169,11 @@ pub(crate) struct PersistBinding {
     pub(crate) gzip: bool,
     /// Generation of the last committed catalog.
     pub(crate) generation: u64,
+    /// What the manager remembers of the directory's log and retained
+    /// files (see [`wal::LogTail`]). A commit takes it and puts the
+    /// advanced tail back on success, so `None` — after a failed commit —
+    /// makes the next commit rebuild it from the directory.
+    pub(crate) tail: Option<wal::LogTail>,
 }
 
 /// One stored lineage edge (input array → output array).

@@ -72,14 +72,14 @@
 //! files named `edge-<i>-<o>.tbl[.gz]`) remain fully readable; saving over
 //! one upgrades it to v2 in place.
 
-use super::wal::{self, IoPolicy};
+use super::wal::{self, IoPolicy, LogTail};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
 use crate::table::Orientation;
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const CATALOG_MAGIC_V1: &[u8; 8] = b"DSLGDB1\0";
@@ -168,29 +168,98 @@ pub(crate) fn parse_generation(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The directory's committed catalog generation (0 if none parses) and
-/// the generation the next commit must use: one past anything present —
+/// File names present in `dir` (none if it cannot be listed).
+pub(crate) fn list_dir(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter_map(|e| e.file_name().into_string().ok())
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// The live catalog, parsed, with its byte length (`None` if there is none
+/// or it does not parse).
+fn read_live_catalog(dir: &Path) -> Option<(Catalog, u64)> {
+    let bytes = std::fs::read(dir.join(CATALOG_FILE)).ok()?;
+    let catalog = parse_catalog(&bytes).ok()?;
+    Some((catalog, bytes.len() as u64))
+}
+
+/// The live catalog's generation and byte length from its header alone —
+/// an O(1) read, whatever the catalog's size (`None` for a missing, v1 or
+/// unrecognizable catalog).
+fn peek_catalog(dir: &Path) -> Option<(u64, u64)> {
+    use std::io::Read as _;
+    let f = std::fs::File::open(dir.join(CATALOG_FILE)).ok()?;
+    let len = f.metadata().ok()?.len();
+    // magic (8), gzip flag (1), generation uvarint (at most 10).
+    let mut head = Vec::with_capacity(19);
+    f.take(19).read_to_end(&mut head).ok()?;
+    if !head.starts_with(CATALOG_MAGIC_V2) && !head.starts_with(CATALOG_MAGIC_V3) {
+        return None;
+    }
+    let mut pos = 9usize;
+    let generation = read_uvarint(&head, &mut pos).ok()?;
+    Some((generation, len))
+}
+
+/// The data files a catalog references.
+fn referenced_names(catalog: &Catalog) -> HashSet<String> {
+    catalog
+        .edges
+        .iter()
+        .flat_map(|e| e.files.iter().map(|f| f.name.clone()))
+        .collect()
+}
+
+/// The generations below `live` that the log's commit records describe,
+/// oldest first, each with the data files its catalog references.
+fn logged_generations(records: &[wal::OpRecord], live: u64) -> VecDeque<(u64, HashSet<String>)> {
+    records
+        .iter()
+        .filter_map(|rec| match &rec.kind {
+            wal::OpKind::Commit { catalog } if rec.gen_after < live => {
+                let old = parse_catalog(catalog).ok()?;
+                Some((old.generation, referenced_names(&old)))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Rebuild what a manager remembers of `dir` ([`wal::LogTail`]) from the
+/// directory itself — the one routine behind [`open`]/[`open_lazy`] and
+/// behind a commit whose remembered tail is missing or stale. `live` is
+/// the parsed live catalog with its byte length, `names` the directory
+/// listing. Reconciles the log with the catalog (truncating a torn or
+/// unvouched tail), and keeps every generation the log still describes in
+/// the window: the next commit applies the retention policy and trims it.
+///
+/// The generation the next commit must use is one past anything present —
 /// both the catalog's recorded generation and every generation visible in
 /// file names (leftover higher-generation debris from a crashed save must
 /// not be reused while a concurrent reader might still stat it).
-pub(crate) fn generations(dir: &Path) -> (u64, u64) {
-    let mut committed = 0;
-    if let Ok(bytes) = std::fs::read(dir.join(CATALOG_FILE)) {
-        if let Ok(catalog) = parse_catalog(&bytes) {
-            committed = catalog.generation;
-        }
+pub(crate) fn load_tail(dir: &Path, live: Option<(&Catalog, u64)>, names: &[String]) -> LogTail {
+    let committed = live.map_or(0, |(c, _)| c.generation);
+    let recovery = wal::recover(dir, committed);
+    let mut window = logged_generations(&recovery.records, committed);
+    if let Some((catalog, _)) = live {
+        window.push_back((committed, referenced_names(catalog)));
     }
-    let mut max_gen = committed;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(name) = entry.file_name().to_str() {
-                if let Some(g) = parse_generation(name) {
-                    max_gen = max_gen.max(g);
-                }
-            }
-        }
+    let max_gen = names
+        .iter()
+        .filter_map(|n| parse_generation(n))
+        .fold(committed, u64::max);
+    LogTail {
+        clean_len: recovery.clean_len,
+        last_op_id: recovery.last_op_id,
+        next_gen: max_gen.saturating_add(1),
+        catalog_len: live.map_or(0, |(_, len)| len),
+        window,
     }
-    (committed, max_gen.saturating_add(1))
 }
 
 /// Flush directory metadata so preceding renames/unlinks in `dir` are
@@ -272,56 +341,37 @@ fn is_data_file(name: &str) -> bool {
     name.starts_with("edge-") || name.starts_with("segment-") || name.starts_with("manifest.")
 }
 
-/// Delete every data file (`edge-*`, `segment-*`, `manifest.*`) that
-/// `spared` does not name, plus any `*.tmp` debris. Deletion failures are
-/// ignored (opening a read-only snapshot must stay possible).
-pub(crate) fn sweep_stale_files(dir: &Path, spared: &HashSet<String>) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let stale = (is_data_file(name) && !spared.contains(name)) || name.ends_with(".tmp");
-            if stale {
-                let _ = std::fs::remove_file(entry.path());
-            }
+/// Delete, among the listed `names`, every data file (`edge-*`,
+/// `segment-*`, `manifest.*`) that `spared` does not name, plus any `*.tmp`
+/// debris. Deletion failures are ignored (opening a read-only snapshot
+/// must stay possible).
+pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], spared: &HashSet<String>) {
+    for name in names {
+        if (is_data_file(name) && !spared.contains(name)) || name.ends_with(".tmp") {
+            let _ = std::fs::remove_file(dir.join(name));
         }
     }
 }
 
 /// The single source of truth for what a sweep must leave alone — shared
-/// by [`commit`], [`super::compact::compact`], and [`open`]/[`open_lazy`],
-/// so no caller can invent its own (weaker) sparing rule and delete a file
+/// by [`CommitSession::finish`] (so by [`commit`] and
+/// [`super::compact::compact`]), [`open`]/[`open_lazy`] and [`verify`], so
+/// no caller can invent its own (weaker) sparing rule and delete a file
 /// the live catalog or the retained time-travel window still references.
 ///
-/// Spared: everything `referenced` names (the catalog being committed or
-/// opened), every file named by the last `keep` logged commit records
-/// (`None` keeps them all — opens defer trimming to the next commit, which
-/// applies the retention policy), and the manifest of every generation a
-/// spared segment belongs to (a segment can outlive its own commit's
-/// retention window while the live catalog still references ranges in it,
-/// and `verify` cross-checks those ranges against the manifest).
-pub(crate) fn spared_set(
-    referenced: &HashSet<String>,
-    records: &[wal::OpRecord],
-    keep: Option<usize>,
+/// Spared: everything the generations of `window` reference (the live
+/// catalog and the retained ones before it), each such generation's own
+/// compaction manifest, and the manifest of every generation a spared
+/// segment belongs to (a segment can outlive its own commit's retention
+/// window while the live catalog still references ranges in it, and
+/// `verify` cross-checks those ranges against the manifest).
+pub(crate) fn spared_set<'a>(
+    window: impl IntoIterator<Item = &'a (u64, HashSet<String>)>,
 ) -> HashSet<String> {
-    let mut spared = referenced.clone();
-    let commits: Vec<&wal::OpRecord> = records
-        .iter()
-        .filter(|r| matches!(r.kind, wal::OpKind::Commit { .. }))
-        .collect();
-    let keep = keep.unwrap_or(commits.len());
-    for rec in commits.iter().rev().take(keep) {
-        if let wal::OpKind::Commit { catalog } = &rec.kind {
-            if let Ok(old) = parse_catalog(catalog) {
-                for edge in &old.edges {
-                    for fref in &edge.files {
-                        spared.insert(fref.name.clone());
-                    }
-                }
-                spared.insert(manifest_file_name(old.generation));
-            }
-        }
+    let mut spared = HashSet::new();
+    for (generation, files) in window {
+        spared.extend(files.iter().cloned());
+        spared.insert(manifest_file_name(*generation));
     }
     let manifests: Vec<String> = spared
         .iter()
@@ -405,7 +455,7 @@ pub(crate) fn build_catalog_bytes(
     storage: &StorageManager,
     gzip: bool,
     gen: u64,
-    planned: &[(&(String, String), u8, Vec<FileRecord>)],
+    planned: &[PlannedEdge<'_>],
 ) -> Result<Vec<u8>> {
     let v3 = planned
         .iter()
@@ -446,6 +496,245 @@ pub(crate) fn build_catalog_bytes(
     Ok(catalog)
 }
 
+/// One edge of a commit plan: its key, orientation mask, and the catalog
+/// record of each stored orientation.
+pub(crate) type PlannedEdge<'a> = (&'a (String, String), u8, Vec<FileRecord>);
+
+/// A slot a commit wrote, to be marked clean once the catalog rename lands.
+pub(crate) type WrittenSlot<'a> = (&'a (String, String), Orientation, FileRecord);
+
+/// A commit in flight: everything [`commit`] and
+/// [`super::compact::compact`] share around the data files each writes in
+/// its own way. [`begin`](Self::begin) takes the manager's commit lock and
+/// the remembered log tail (rebuilding it from the directory when it
+/// cannot be trusted) and fixes the generation; [`finish`](Self::finish)
+/// is the one place that appends to `ops.log`, renames the catalog,
+/// sweeps, publishes clean slots and re-binds the manager.
+pub(crate) struct CommitSession<'a> {
+    storage: &'a StorageManager,
+    // Held for the whole commit: serializes concurrent commits on this
+    // manager (two interleaved writers would race the generation counter
+    // and each other's sweeps). The binding mutex itself is taken only
+    // briefly, so binding readers (service stats) never wait on IO.
+    _serialize: dslog_sync::MutexGuard<'a, ()>,
+    pub(crate) dir: PathBuf,
+    pub(crate) gzip: bool,
+    /// The target is the bound directory in its bound gzip mode: clean
+    /// slots' files can be reused.
+    pub(crate) incremental: bool,
+    /// Same directory, flipped gzip mode: an in-place conversion of the
+    /// bound database, not a replacement — its operation log carries over
+    /// (with a conversion record).
+    conversion: bool,
+    policy: Option<Arc<IoPolicy>>,
+    /// The buffered operations this commit flushes (operations arriving
+    /// concurrently from other epochs stay buffered for the next commit).
+    pending: Vec<wal::PendingOp>,
+    actor: String,
+    retain: usize,
+    tail: LogTail,
+    /// The tail was rebuilt from the directory for this commit, which may
+    /// therefore hold files the tail knows nothing about (a failed
+    /// commit's debris, the database a full save replaces): sweep by
+    /// listing instead of deleting the known-unreferenced files.
+    rebuilt: bool,
+    prior_gen: u64,
+    /// Generation this commit writes.
+    pub(crate) gen: u64,
+}
+
+impl<'a> CommitSession<'a> {
+    /// `dir` must be canonical (so `open("./db")` then `commit("db")`
+    /// still matches the binding).
+    pub(crate) fn begin(storage: &'a StorageManager, dir: PathBuf, gzip: bool) -> Self {
+        let serialize = storage.commit_lock.lock();
+        let (bound, tail) = {
+            let mut binding = storage.binding.lock();
+            let mut bound = binding.as_mut().filter(|b| b.dir == dir);
+            let tail = bound.as_mut().and_then(|b| b.tail.take());
+            (bound.map(|b| (b.gzip, b.generation)), tail)
+        };
+        let (policy, pending, actor, retain) = {
+            let w = storage.wal.lock();
+            (
+                w.io_policy.clone(),
+                w.pending.clone(),
+                w.actor.clone(),
+                w.effective_retain() as usize,
+            )
+        };
+        // The remembered tail stands while the directory still looks the
+        // way the tail left it: the log ends where it did, and the live
+        // catalog is the one this manager committed or opened.
+        let trusted = bound.zip(tail).filter(|((_, generation), tail)| {
+            let log_len =
+                std::fs::metadata(dir.join(wal::OPS_LOG_FILE)).map_or(0, |meta| meta.len());
+            log_len == tail.clean_len && peek_catalog(&dir) == Some((*generation, tail.catalog_len))
+        });
+        let (tail, prior_gen, rebuilt) = match trusted {
+            Some(((_, generation), tail)) => (tail, generation, false),
+            None => {
+                let live = read_live_catalog(&dir);
+                let live = live.as_ref().map(|(catalog, len)| (catalog, *len));
+                let mut tail = load_tail(&dir, live, &list_dir(&dir));
+                if bound.is_none() {
+                    // An unbound or foreign target starts a fresh log and
+                    // retains nothing: whatever history the directory
+                    // holds describes the database being replaced, not
+                    // this manager.
+                    tail = LogTail {
+                        next_gen: tail.next_gen,
+                        ..LogTail::default()
+                    };
+                }
+                (tail, live.map_or(0, |(c, _)| c.generation), true)
+            }
+        };
+        CommitSession {
+            storage,
+            _serialize: serialize,
+            incremental: matches!(bound, Some((g, _)) if g == gzip),
+            conversion: matches!(bound, Some((g, _)) if g != gzip),
+            dir,
+            gzip,
+            policy,
+            pending,
+            actor,
+            retain,
+            gen: tail.next_gen,
+            tail,
+            rebuilt,
+            prior_gen,
+        }
+    }
+
+    /// The fault-injection policy gating this commit's IO, if any.
+    pub(crate) fn policy(&self) -> Option<&IoPolicy> {
+        self.policy.as_deref()
+    }
+
+    /// How many distinct data files the live catalog references.
+    pub(crate) fn live_files(&self) -> usize {
+        self.tail.window.back().map_or(0, |(_, files)| files.len())
+    }
+
+    /// Commit `planned` — whose data files are already written and renamed
+    /// into place — as generation `self.gen`: directory sync, log append +
+    /// fdatasync, catalog rename (the commit point), directory sync,
+    /// delete. `annotation` is logged just before the commit record;
+    /// `after_rename` runs right after the catalog rename (a kill point
+    /// for the crash sweeps).
+    pub(crate) fn finish(
+        mut self,
+        planned: &[PlannedEdge<'_>],
+        written: Vec<WrittenSlot<'_>>,
+        annotation: Option<wal::OpKind>,
+        after_rename: impl FnOnce(),
+    ) -> Result<()> {
+        let (storage, gzip, gen, prior_gen) = (self.storage, self.gzip, self.gen, self.prior_gen);
+        let policy = self.policy.as_deref();
+        let dir = self.dir.as_path();
+        let catalog = build_catalog_bytes(storage, gzip, gen, planned)?;
+
+        // Make the data-file renames durable BEFORE the catalog can
+        // commit: directory entries have no ordering guarantee on power
+        // loss otherwise.
+        sync_dir(dir, policy)?;
+
+        // Flush the operation log — buffered mutations, the conversion
+        // marker if the gzip mode flipped in place, the caller's
+        // annotation, then a commit record embedding the exact catalog
+        // bytes about to be renamed live — and fdatasync it BEFORE the
+        // catalog rename, so the log is always at least as new as the
+        // catalog. Op ids continue past the remembered tail, and the
+        // append truncates whatever lies beyond it.
+        let mut op_id = self.tail.last_op_id;
+        let mut record = |timestamp_ms, actor: &str, gen_after, kind| {
+            op_id += 1;
+            wal::OpRecord {
+                op_id,
+                timestamp_ms,
+                actor: actor.to_string(),
+                gen_before: prior_gen,
+                gen_after,
+                kind,
+            }
+        };
+        let mut records: Vec<wal::OpRecord> = self
+            .pending
+            .iter()
+            .map(|p| record(p.timestamp_ms, &p.actor, prior_gen, p.kind.clone()))
+            .collect();
+        let conversion = self.conversion.then_some(wal::OpKind::ConvertGzip { gzip });
+        for kind in conversion.into_iter().chain(annotation) {
+            records.push(record(wal::now_ms(), &self.actor, prior_gen, kind));
+        }
+        records.push(record(
+            wal::now_ms(),
+            &self.actor,
+            gen,
+            wal::OpKind::Commit {
+                catalog: catalog.clone(),
+            },
+        ));
+        self.tail.clean_len = wal::append(dir, self.tail.clean_len, &records, policy)?;
+        self.tail.last_op_id = op_id;
+
+        // Commit point: once this rename lands, the new snapshot is live.
+        write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
+        after_rename();
+
+        // And make the commit itself durable before destroying old state.
+        sync_dir(dir, policy)?;
+
+        // The new generation enters the window; generations beyond the
+        // retention policy leave it, and what only they named goes:
+        // previous generations' files, and after a full save or a gzip
+        // flip the replaced database's. The sparing rule is the shared
+        // [`spared_set`], identical to the one open uses.
+        self.tail.catalog_len = catalog.len() as u64;
+        self.tail.next_gen = gen.saturating_add(1);
+        let referenced = planned
+            .iter()
+            .flat_map(|(_, _, records)| records.iter().map(|r| r.name.clone()))
+            .collect();
+        self.tail.window.push_back((gen, referenced));
+        let evict = self.tail.window.len().saturating_sub(self.retain + 1);
+        let evicted: Vec<_> = self.tail.window.drain(..evict).collect();
+        let spared = spared_set(&self.tail.window);
+        if self.rebuilt {
+            sweep_stale_files(dir, &list_dir(dir), &spared);
+        } else {
+            // `*.tmp` and orphan debris cannot appear behind a trusted
+            // tail; the open-time sweep deals with a crashed process's.
+            for name in spared_set(&evicted).difference(&spared) {
+                let _ = std::fs::remove_file(dir.join(name));
+            }
+        }
+
+        // Publish: mark the written slots clean (repointing lazy sources
+        // at their new files) and re-bind the manager with the advanced
+        // tail, so the next commit into this directory rewrites none of
+        // them and reads back nothing of this one.
+        for (key, orientation, record) in written {
+            storage.edges[key].publish_committed(orientation, record, dir, gzip);
+        }
+        // Only now — with the commit fully durable — drop the flushed
+        // records from the buffer. On any earlier error they stay pending
+        // and the tail stays dropped, so the next attempt reconciles the
+        // log with the catalog first and truncates whatever the failed
+        // append managed to write: nothing is lost or double-counted.
+        storage.wal.lock().pending.drain(..self.pending.len());
+        *storage.binding.lock() = Some(super::PersistBinding {
+            dir: self.dir,
+            gzip,
+            generation: gen,
+            tail: Some(self.tail),
+        });
+        Ok(())
+    }
+}
+
 /// Commit a storage manager into `dir` (created if missing). With `gzip`
 /// the table files use the ProvRC-GZip disk format — the configuration the
 /// paper recommends for long-term storage.
@@ -464,48 +753,17 @@ pub(crate) fn build_catalog_bytes(
 /// `gzip` flag — is safe and replaces it completely.
 pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CommitReport> {
     std::fs::create_dir_all(dir).map_err(|e| DslogError::io("create database dir", e))?;
-    // Canonical form so `open("./db")` then `commit("db")` still matches.
     let dir = dir
         .canonicalize()
         .map_err(|e| DslogError::io("canonicalize database dir", e))?;
-    // Held for the whole commit: serializes concurrent commits on this
-    // manager (two interleaved writers would race the generation counter
-    // and each other's sweeps). The binding mutex itself is taken only
-    // briefly, so binding readers (service stats) never wait on IO.
-    let _commit_guard = storage.commit_lock.lock();
-    let bound = storage.binding.lock().clone();
-    let incremental = matches!(&bound, Some(b) if b.dir == dir && b.gzip == gzip);
-    // Same directory, flipped gzip mode: an in-place conversion of the
-    // bound database, not a replacement — its operation log carries over
-    // (with a conversion record). Any other unbound/foreign target starts
-    // a fresh log: whatever history the directory holds describes the
-    // database being replaced, not this manager.
-    let same_dir = matches!(&bound, Some(b) if b.dir == dir);
-    let conversion = same_dir && !incremental;
-    let (prior_gen, gen) = generations(&dir);
-
-    // Snapshot the operation-log side once: the fault policy, the actor,
-    // retention, and how many buffered records this commit will flush
-    // (operations arriving concurrently from other epochs stay buffered
-    // for the next commit).
-    let (arc_policy, pending_ops, actor, retain) = {
-        let w = storage.wal.lock();
-        (
-            w.io_policy.clone(),
-            w.pending.clone(),
-            w.actor.clone(),
-            w.effective_retain(),
-        )
-    };
-    let policy = arc_policy.as_deref();
-    let n_pending = pending_ops.len();
+    let session = CommitSession::begin(storage, dir, gzip);
+    let (incremental, gen) = (session.incremental, session.gen);
 
     // Plan + write pass: edges sorted by (in, out) for determinism. Dirty
     // slots' files are fully written (and renamed into their generation-
     // unique names) before the catalog that references them is even
     // assembled — whether the catalog needs the v3 format (offset-bearing
     // records) is only known once every reused record has been seen.
-    let mut referenced: HashSet<String> = HashSet::new();
     let mut keys: Vec<&(String, String)> = storage.edges.keys().collect();
     keys.sort();
     let mut files_written = 0usize;
@@ -513,34 +771,19 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
     let mut bytes_written = 0u64;
     // Slots marked clean only AFTER the catalog rename lands: a crashed
     // commit must leave every dirty slot dirty.
-    let mut newly_clean: Vec<(&(String, String), Orientation, FileRecord)> = Vec::new();
-    let mut planned: Vec<(&(String, String), u8, Vec<FileRecord>)> = Vec::with_capacity(keys.len());
+    let mut written: Vec<WrittenSlot<'_>> = Vec::new();
+    let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(keys.len());
     for (idx, key) in keys.iter().enumerate() {
         let edge = &storage.edges[*key];
-        let mut plans = Vec::with_capacity(2);
+        let mut mask = 0u8;
+        let mut records = Vec::with_capacity(2);
         for (bit, orientation) in [(1u8, Orientation::Backward), (2u8, Orientation::Forward)] {
             let (source, persisted) = edge.snapshot(orientation);
-            plans.push((
-                bit,
-                orientation,
-                plan_slot(source, persisted, incremental, &dir)?,
-            ));
-        }
-        let mask = plans
-            .iter()
-            .filter(|(_, _, p)| !matches!(p, SlotPlan::Absent))
-            .fold(0u8, |m, (bit, _, _)| m | bit);
-        if mask == 0 {
-            return Err(DslogError::Corrupt("edge with no stored orientation"));
-        }
-        let mut records = Vec::with_capacity(2);
-        for (_, orientation, plan) in plans {
-            match plan {
-                SlotPlan::Absent => {}
+            let record = match plan_slot(source, persisted, incremental, &session.dir)? {
+                SlotPlan::Absent => continue,
                 SlotPlan::Reuse(record) => {
-                    referenced.insert(record.name.clone());
                     files_reused += 1;
-                    records.push(record);
+                    record
                 }
                 SlotPlan::Write(plain) => {
                     let raw_len = plain.len() as u64;
@@ -550,113 +793,36 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
                         plain
                     };
                     let name = edge_file_name(idx, orientation, gzip, gen);
-                    write_atomic(&dir.join(&name), &bytes, "write edge table", policy)?;
+                    write_atomic(
+                        &session.dir.join(&name),
+                        &bytes,
+                        "write edge table",
+                        session.policy(),
+                    )?;
                     files_written += 1;
                     crash_injection_point(files_written);
                     let record = FileRecord {
-                        name: name.clone(),
+                        name,
                         len: bytes.len() as u64,
                         crc: crc32(&bytes),
                         raw_len,
                         offset: None,
                     };
                     bytes_written += record.len;
-                    referenced.insert(name);
-                    newly_clean.push((key, orientation, record.clone()));
-                    records.push(record);
+                    written.push((key, orientation, record.clone()));
+                    record
                 }
-            }
+            };
+            mask |= bit;
+            records.push(record);
+        }
+        if mask == 0 {
+            return Err(DslogError::Corrupt("edge with no stored orientation"));
         }
         planned.push((key, mask, records));
     }
 
-    let catalog = build_catalog_bytes(storage, gzip, gen, &planned)?;
-
-    // Make the edge-file renames durable BEFORE the catalog can commit:
-    // directory entries have no ordering guarantee on power loss otherwise.
-    sync_dir(&dir, policy)?;
-
-    // Flush the operation log — buffered mutations, the conversion marker
-    // if the gzip mode flipped in place, then a commit record embedding
-    // the exact catalog bytes about to be renamed live — and fdatasync it
-    // BEFORE the catalog rename, so the log is always at least as new as
-    // the catalog. Reconciling against the *prior* generation first heals
-    // any torn tail and assigns fresh monotonic op ids past the survivors.
-    let recovery = if same_dir {
-        wal::recover(&dir, prior_gen)
-    } else {
-        wal::Recovery::default()
-    };
-    let mut op_id = recovery.last_op_id;
-    let mut new_records: Vec<wal::OpRecord> = Vec::with_capacity(n_pending + 2);
-    for p in &pending_ops {
-        op_id += 1;
-        new_records.push(wal::OpRecord {
-            op_id,
-            timestamp_ms: p.timestamp_ms,
-            actor: p.actor.clone(),
-            gen_before: prior_gen,
-            gen_after: prior_gen,
-            kind: p.kind.clone(),
-        });
-    }
-    if conversion {
-        op_id += 1;
-        new_records.push(wal::OpRecord {
-            op_id,
-            timestamp_ms: wal::now_ms(),
-            actor: actor.clone(),
-            gen_before: prior_gen,
-            gen_after: prior_gen,
-            kind: wal::OpKind::ConvertGzip { gzip },
-        });
-    }
-    op_id += 1;
-    new_records.push(wal::OpRecord {
-        op_id,
-        timestamp_ms: wal::now_ms(),
-        actor,
-        gen_before: prior_gen,
-        gen_after: gen,
-        kind: wal::OpKind::Commit {
-            catalog: catalog.clone(),
-        },
-    });
-    wal::append(&dir, recovery.clean_len, &new_records, policy)?;
-
-    // Commit point: once this rename lands, the new snapshot is live.
-    write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
-
-    // And make the commit itself durable before destroying old state.
-    sync_dir(&dir, policy)?;
-
-    // Sweep every data file the committed catalog does not reference:
-    // previous generations, v1-style names, opposite-compression
-    // leftovers, and `.tmp` debris from crashed commits — except files a
-    // retained prior generation (per the WAL retention policy) still
-    // names, which `open_as_of` may yet resolve. The sparing rule is the
-    // shared [`spared_set`], identical to the one compaction and open use.
-    sweep_stale_files(
-        &dir,
-        &spared_set(&referenced, &recovery.records, Some(retain as usize)),
-    );
-
-    // Publish: mark the written slots clean (repointing lazy sources at
-    // their new files) and re-bind the manager, so the next commit into
-    // this directory rewrites none of them.
-    for (key, orientation, record) in newly_clean {
-        storage.edges[key].publish_committed(orientation, record, &dir, gzip);
-    }
-    *storage.binding.lock() = Some(super::PersistBinding {
-        dir,
-        gzip,
-        generation: gen,
-    });
-    // Only now — with the commit fully durable — drop the flushed records
-    // from the buffer. On any earlier error they stay pending, and the
-    // next attempt's recovery pass truncates whatever the failed append
-    // managed to write, so nothing is lost or double-counted.
-    storage.wal.lock().pending.drain(..n_pending);
+    session.finish(&planned, written, None, || {})?;
     Ok(CommitReport {
         generation: gen,
         incremental,
@@ -992,12 +1158,7 @@ fn load_tables_sharded(
 }
 
 /// Load (or lazily reference) every table file a parsed catalog names.
-/// Returns the edge map plus the set of file names the catalog references.
-fn load_catalog_edges(
-    dir: &Path,
-    catalog: &Catalog,
-    lazy: bool,
-) -> Result<(EdgeMap, HashSet<String>)> {
+fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeMap> {
     // Everything to be decoded eagerly fans out across the scoped pool;
     // lazily referenced files are only stat'd (O(1) each) inline below.
     // v1 catalogs record no checksums, so their files always load eagerly
@@ -1012,7 +1173,6 @@ fn load_catalog_edges(
     let mut loaded = load_tables_sharded(dir, catalog, &eager_jobs)?;
 
     let mut edges = HashMap::new();
-    let mut referenced: HashSet<String> = HashSet::new();
     for (idx, entry) in catalog.edges.iter().enumerate() {
         let mut backward = Slot::default();
         let mut forward = Slot::default();
@@ -1062,7 +1222,6 @@ fn load_catalog_edges(
                 raw_len,
                 offset: fref.offset,
             });
-            referenced.insert(fref.name.clone());
             let slot = Slot {
                 source: Some(source),
                 persisted,
@@ -1080,7 +1239,7 @@ fn load_catalog_edges(
             Arc::new(Edge::new(backward, forward, out_shape, in_shape)),
         );
     }
-    Ok((edges, referenced))
+    Ok(edges)
 }
 
 /// A freshly built manager around a parsed catalog's arrays and edges;
@@ -1120,14 +1279,16 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
         std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
     let catalog = parse_catalog(&bytes)?;
 
-    // Reconcile the operation log with the committed catalog: scan it,
-    // truncate any torn tail and any record past the last commit this
-    // catalog vouches for (a crash between the log fdatasync and the
-    // catalog rename leaves such a dangling tail). Best-effort — a
-    // missing or pre-log directory yields an empty recovery.
-    let recovery = wal::recover(dir, catalog.generation);
+    // Rebuild the remembered tail: reconcile the operation log with the
+    // committed catalog — scan it, truncate any torn tail and any record
+    // past the last commit this catalog vouches for (a crash between the
+    // log fdatasync and the catalog rename leaves such a dangling tail) —
+    // and collect the retained generations. Best-effort — a missing or
+    // pre-log directory yields an empty log tail.
+    let names = list_dir(dir);
+    let tail = load_tail(dir, Some((&catalog, bytes.len() as u64)), &names);
 
-    let (edges, referenced) = load_catalog_edges(dir, &catalog, lazy)?;
+    let edges = load_catalog_edges(dir, &catalog, lazy)?;
 
     // A crashed process can leave `.tmp`/orphaned debris that a later
     // generation could collide with; opening a snapshot sweeps it
@@ -1136,7 +1297,7 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
     // record still names may belong to a retained generation `open_as_of`
     // can resolve, so an open spares them all and the next commit applies
     // the retention policy and trims them.
-    sweep_stale_files(dir, &spared_set(&referenced, &recovery.records, None));
+    sweep_stale_files(dir, &names, &spared_set(&tail.window));
 
     // Bind the manager to this directory so the next commit into it is
     // incremental (v1 catalogs bind at generation 0; every slot above
@@ -1145,6 +1306,7 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
         dir: dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()),
         gzip: catalog.gzip,
         generation: catalog.generation,
+        tail: Some(tail),
     };
 
     Ok(manager_from_parts(catalog.arrays, edges, Some(binding)))
@@ -1197,7 +1359,7 @@ pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
     // verification means a reclaimed-then-recreated name cannot bite
     // later. No sweep, no binding — opening history must never mutate
     // the live database.
-    let (edges, _referenced) = load_catalog_edges(dir, &catalog, false)?;
+    let edges = load_catalog_edges(dir, &catalog, false)?;
     Ok(manager_from_parts(catalog.arrays, edges, None))
 }
 
@@ -1285,26 +1447,22 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     // debris (the read here is torn-tail tolerant and side-effect free;
     // the classification rule is the same [`spared_set`] the sweeps use).
     let log_records = wal::history(dir).unwrap_or_default();
-    let retained = spared_set(&HashSet::new(), &log_records, None);
+    let retained = spared_set(&logged_generations(&log_records, u64::MAX));
 
     let mut stale_files = Vec::new();
     let mut retained_files = 0usize;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(name) = entry.file_name().to_str() {
-                if name.ends_with(".tmp") {
-                    stale_files.push(name.to_string());
-                } else if is_data_file(name)
-                    && !referenced.contains(name)
-                    && !(name.starts_with("manifest.")
-                        && parse_generation(name) == Some(catalog.generation))
-                {
-                    if retained.contains(name) {
-                        retained_files += 1;
-                    } else {
-                        stale_files.push(name.to_string());
-                    }
-                }
+    for name in list_dir(dir) {
+        if name.ends_with(".tmp") {
+            stale_files.push(name);
+        } else if is_data_file(&name)
+            && !referenced.contains(name.as_str())
+            && !(name.starts_with("manifest.")
+                && parse_generation(&name) == Some(catalog.generation))
+        {
+            if retained.contains(&name) {
+                retained_files += 1;
+            } else {
+                stale_files.push(name);
             }
         }
     }
@@ -1627,11 +1785,14 @@ mod tests {
         assert!(!dir.join("edge-0-b.g99.tbl").exists());
         assert!(!dir.join("catalog.dsl.tmp").exists());
 
-        // A successful commit also reclaims debris (no open needed).
+        // Debris planted behind a live manager's back is not a commit's
+        // business — it deletes exactly the files it un-referenced, never
+        // by listing the directory; the next open reclaims it.
         std::fs::write(dir.join("edge-0-b.g77.tbl"), b"junk again").unwrap();
         save(&s, &dir, false).unwrap();
+        assert_eq!(verify(&dir).unwrap().stale_files, ["edge-0-b.g77.tbl"]);
+        open(&dir).unwrap();
         assert!(verify(&dir).unwrap().stale_files.is_empty());
-        assert!(!dir.join("edge-0-b.g77.tbl").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

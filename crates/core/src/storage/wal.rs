@@ -45,6 +45,7 @@
 use crate::error::{DslogError, Result};
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
+use std::collections::{HashSet, VecDeque};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -603,16 +604,16 @@ fn wal_crash_hook(f: &mut std::fs::File, next_frame: Option<&[u8]>) {
     }
 }
 
-/// Append `records` at `clean_len`, then fdatasync. The file is first
-/// truncated to `clean_len`, dropping any torn tail a failed earlier
-/// append left behind. On error the log may hold a new torn tail past
-/// `clean_len`; the next [`recover`] removes it.
+/// Append `records` at `clean_len`, then fdatasync; returns the log's new
+/// clean length. The file is first truncated to `clean_len`, dropping any
+/// torn tail a failed earlier append left behind. On error the log may
+/// hold a new torn tail past `clean_len`; the next [`recover`] removes it.
 pub(crate) fn append(
     dir: &Path,
     clean_len: u64,
     records: &[OpRecord],
     policy: Option<&IoPolicy>,
-) -> Result<()> {
+) -> Result<u64> {
     let _io = dslog_sync::io_guard("wal::append");
     let path = dir.join(OPS_LOG_FILE);
     let mut f = std::fs::OpenOptions::new()
@@ -630,7 +631,8 @@ pub(crate) fn append(
         policy_write(&mut f, frame, "append ops.log record", policy)?;
         wal_crash_hook(&mut f, frames.get(i + 1).map(|n| n.as_slice()));
     }
-    policy_sync(&f, "sync ops.log", policy)
+    policy_sync(&f, "sync ops.log", policy)?;
+    Ok(clean_len + frames.iter().map(|f| f.len() as u64).sum::<u64>())
 }
 
 // ---------------------------------------------------------------------------
@@ -749,6 +751,29 @@ pub(crate) struct PendingOp {
     pub(crate) kind: OpKind,
     pub(crate) actor: String,
     pub(crate) timestamp_ms: u64,
+}
+
+/// What a manager remembers about the directory it is bound to, so a
+/// commit reads back nothing it wrote itself: where the log ends, and
+/// which files the generations it must spare name. Lives in the
+/// persistence binding (shared by epoch clones); built from the directory
+/// by `persist::load_tail`, advanced by every successful commit, and
+/// dropped — hence rebuilt by the next commit — whenever a commit fails or
+/// the directory no longer looks the way the tail left it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LogTail {
+    /// Byte length of the log's clean prefix: the append position.
+    pub(crate) clean_len: u64,
+    /// Highest op id in that prefix (0 for an empty log).
+    pub(crate) last_op_id: u64,
+    /// Generation the next commit uses: one past every generation a file
+    /// name in the directory carried when the tail was built or advanced.
+    pub(crate) next_gen: u64,
+    /// Byte length of the live catalog file.
+    pub(crate) catalog_len: u64,
+    /// Oldest first: each retained generation with the data files its
+    /// catalog references; the last entry is the live generation.
+    pub(crate) window: VecDeque<(u64, HashSet<String>)>,
 }
 
 /// Shared operation-log state of one storage manager (epoch clones share

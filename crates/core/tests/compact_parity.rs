@@ -103,7 +103,7 @@ impl Instance {
     fn apply(&mut self, op: &Op, defined: usize) {
         match op {
             Op::Ingest { k, seed } => {
-                let k = k % defined.max(1).min(MAX_EDGES);
+                let k = k % defined.clamp(1, MAX_EDGES);
                 for name in [format!("L{k}"), format!("L{}", k + 1)] {
                     if self.db.storage().array(&name).is_err() {
                         self.db.define_array(&name, &[DIM]).unwrap();

@@ -16,6 +16,14 @@
 //! on every run: each commit reuses all clean files, `verify` passes on
 //! the mixed-generation snapshot, and a reopen sees every appended edge.
 //!
+//! The **`commit_vs_history`** series holds the commit to "O(changed
+//! edges)" against the history behind it: one handle commits one tiny edge
+//! at a time, and at 10 / 100 / 1 000 committed edges the series records
+//! the commit p50 and how many bytes a commit adds to `ops.log`. The bin
+//! asserts the log bytes per commit at the last step are at most 2x the
+//! first step's (a commit record names its catalog, it does not embed
+//! it), and prints the numbers the parent commit gave beside them.
+//!
 //! Emits an aligned table on stdout and machine-readable
 //! `BENCH_persist.json` in the working directory.
 //!
@@ -271,6 +279,72 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
     }
 }
 
+/// One step of the `commit_vs_history` series.
+struct HistoryPoint {
+    /// Edges committed so far, one per commit.
+    edges: usize,
+    /// p50 of the last [`HISTORY_WINDOW`] commits up to this step.
+    commit_p50_s: f64,
+    /// Size of `ops.log` at this step.
+    log_bytes: u64,
+    /// Mean growth of `ops.log` over those commits.
+    log_bytes_per_commit: u64,
+}
+
+/// Commits each step of the history series is measured over.
+const HISTORY_WINDOW: usize = 7;
+
+/// The same series on the parent commit (2be27d8, where a commit re-read
+/// the whole log and its record embedded the whole catalog), `--scale 1`
+/// on the 2-vCPU reference box: `(edges, commit_p50_s, log_bytes,
+/// log_bytes_per_commit)`.
+const PARENT_HISTORY: [(usize, f64, u64, u64); 3] = [
+    (10, 0.001_66, 3_586, 413),
+    (100, 0.003_57, 236_000, 4_452),
+    (1000, 0.103_52, 24_976_393, 50_258),
+];
+
+fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
+    let dir = std::env::temp_dir().join(format!("dslog-persist-history-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = dir.join(dslog::storage::wal::OPS_LOG_FILE);
+    let log_len = || std::fs::metadata(&log).map_or(0, |m| m.len());
+    let mut db = Dslog::options().create(&dir).unwrap();
+    let mut points = Vec::with_capacity(steps.len());
+    let mut window: Vec<(f64, u64)> = Vec::new();
+    for edges in 1..=steps.last().copied().unwrap_or(0) {
+        let (x, y, t) = small_edge(edges);
+        db.define_array(&x, &[8]).unwrap();
+        db.define_array(&y, &[8]).unwrap();
+        db.add_lineage(&x, &y, &TableCapture::new(t)).unwrap();
+        let before = log_len();
+        let (report, commit_s) = timed(|| db.commit().unwrap());
+        assert_eq!(
+            (report.files_written, report.files_reused),
+            (1, edges - 1),
+            "one-edge commit rewrote clean files"
+        );
+        window.push((commit_s, log_len() - before));
+        if steps.contains(&edges) {
+            let recent = &window[window.len().saturating_sub(HISTORY_WINDOW)..];
+            let mut times: Vec<f64> = recent.iter().map(|(s, _)| *s).collect();
+            points.push(HistoryPoint {
+                edges,
+                commit_p50_s: p50(&mut times),
+                log_bytes: log_len(),
+                log_bytes_per_commit: recent.iter().map(|(_, b)| b).sum::<u64>()
+                    / recent.len() as u64,
+            });
+        }
+    }
+    assert!(dslog::storage::persist::verify(&dir)
+        .unwrap()
+        .stale_files
+        .is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+    points
+}
+
 fn main() {
     let (scale, _seed) = cli_scale_seed();
     println!("persist_scaling — save/open/commit costs on a scatter edge (scale {scale})");
@@ -383,6 +457,65 @@ fn main() {
         }
     }
 
+    // History axis: what a commit costs with 10 / 100 / 1 000 committed
+    // edges behind it (fewer in the drift gate).
+    let steps: &[usize] = if scale < 0.05 {
+        &[10, 30, 100]
+    } else {
+        &[10, 100, 1000]
+    };
+    let history = measure_history(steps);
+    let mut history_table = TextTable::new(&[
+        "committed edges",
+        "commit p50",
+        "ops.log bytes",
+        "log bytes/commit",
+    ]);
+    for pt in &history {
+        history_table.row(&[
+            pt.edges.to_string(),
+            secs(pt.commit_p50_s),
+            pt.log_bytes.to_string(),
+            pt.log_bytes_per_commit.to_string(),
+        ]);
+    }
+    for (edges, commit_p50_s, log_bytes, per_commit) in PARENT_HISTORY {
+        history_table.row(&[
+            format!("{edges} (parent)"),
+            secs(commit_p50_s),
+            log_bytes.to_string(),
+            per_commit.to_string(),
+        ]);
+    }
+    println!("{}", history_table.render());
+    let (first, last) = (&history[0], &history[history.len() - 1]);
+    assert!(
+        last.log_bytes_per_commit <= 2 * first.log_bytes_per_commit,
+        "a commit at {} edges logs {} bytes, over 2x the {} bytes at {} edges",
+        last.edges,
+        last.log_bytes_per_commit,
+        first.log_bytes_per_commit,
+        first.edges
+    );
+    let history_json = format!(
+        "{{\"window\":{HISTORY_WINDOW},\"steps\":[{}],\"parent\":{{\"sha\":\"2be27d8\",\"scale\":1,\"steps\":[{}]}}}}",
+        history
+            .iter()
+            .map(|pt| format!(
+                "{{\"edges\":{},\"commit_p50_s\":{:.9},\"log_bytes\":{},\"log_bytes_per_commit\":{}}}",
+                pt.edges, pt.commit_p50_s, pt.log_bytes, pt.log_bytes_per_commit
+            ))
+            .collect::<Vec<_>>()
+            .join(","),
+        PARENT_HISTORY
+            .iter()
+            .map(|(edges, commit_p50_s, log_bytes, per_commit)| format!(
+                "{{\"edges\":{edges},\"commit_p50_s\":{commit_p50_s:.9},\"log_bytes\":{log_bytes},\"log_bytes_per_commit\":{per_commit}}}"
+            ))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+
     let generations_json = format!(
         "{{\"g\":{},\"rows\":{},\"onegen_open_query_s\":{:.9},\
          \"multi_open_query_s\":{:.9},\"compacted_open_query_s\":{:.9},\
@@ -397,7 +530,7 @@ fn main() {
         gp.open_serial_s
     );
     let json = format!(
-        "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json}}}\n"
+        "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json},\"commit_vs_history\":{history_json}}}\n"
     );
     std::fs::write("BENCH_persist.json", &json).expect("write BENCH_persist.json");
     println!("wrote BENCH_persist.json");

@@ -51,12 +51,14 @@ non-zero on any damage. `--lazy` opens in O(catalog), loading and
 verifying each edge table on first use.
 
 Every mutating operation is also appended to a crc-framed operation
-log (`ops.log`) before the catalog rename. `db history` prints it
-(who did what, when, at which generation). `query --as-of GEN` runs
-against a retained historical generation reconstructed from the log
-(by default only files the current catalog references survive a
-commit; set DSLOG_WAL_RETAIN=N to keep the files of the last N prior
-generations queryable).
+log (`ops.log`) before the catalog rename; records are a few dozen
+bytes each (a commit record names its catalog by length and crc, it
+does not embed it). `db history` prints the log (who did what, when,
+at which generation). `query --as-of GEN` runs against a retained
+historical generation, read from the catalog kept for it as
+`catalog.g<GEN>.dsl` (by default only files the current catalog
+references survive a commit; set DSLOG_WAL_RETAIN=N to keep the
+catalogs and files of the last N prior generations queryable).
 
 `db compact` folds the one-file-per-edge-per-generation layout into a
 few consolidated segment files plus a checksummed manifest of live

@@ -113,8 +113,8 @@ impl OpenOptions {
     /// Defer table decode + checksum to first use (see the former
     /// `open_lazy`): the open costs O(catalog), ideal when a large
     /// database serves queries that touch few edges. Conflicts with
-    /// [`as_of`](Self::as_of) — time-travel snapshots are rebuilt from
-    /// the operation log and always decode eagerly.
+    /// [`as_of`](Self::as_of) — time-travel snapshots are read from a
+    /// retained generation's kept catalog and always decode eagerly.
     pub fn lazy(mut self, lazy: bool) -> Self {
         self.lazy = lazy;
         self
@@ -182,8 +182,8 @@ impl OpenOptions {
     fn validate(&self) -> Result<()> {
         if self.as_of.is_some() && self.lazy {
             return Err(DslogError::InvalidOptions(
-                "`as_of` snapshots are rebuilt from the operation log and always decode \
-                 eagerly; combining `as_of` with `lazy` is a conflict",
+                "`as_of` snapshots are read from a retained generation's catalog and always \
+                 decode eagerly; combining `as_of` with `lazy` is a conflict",
             ));
         }
         if self.as_of.is_some() && self.maintenance.auto_compact_generations.is_some() {
@@ -583,13 +583,13 @@ impl Dslog {
     }
 
     /// Open the database as it was at `generation` — time travel. The
-    /// operation log's commit record for that generation embeds the exact
-    /// catalog that was live, and the retention policy (see
-    /// [`set_wal_retention`](Self::set_wal_retention)) decides how long
-    /// its edge files stay on disk. The snapshot is unbound: committing
-    /// it is a full save into a fresh target, never a rewrite of history.
-    /// Returns [`DslogError::GenerationNotRetained`] for generations the
-    /// log does not record or whose files were already swept.
+    /// commit that superseded the generation kept the exact catalog that
+    /// was live as `catalog.g<generation>.dsl`, and the retention policy
+    /// (see [`set_wal_retention`](Self::set_wal_retention)) decides how
+    /// long it and the edge files it names stay on disk. The snapshot is
+    /// unbound: committing it is a full save into a fresh target, never a
+    /// rewrite of history. Returns [`DslogError::GenerationNotRetained`]
+    /// for generations never committed or already swept.
     ///
     /// Thin wrapper kept for existing callers — prefer
     /// [`Dslog::options()`](Self::options)`.as_of(generation).open(dir)`.

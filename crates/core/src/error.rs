@@ -48,8 +48,9 @@ pub enum DslogError {
     /// threads, leaked snapshot handles) still point at it. The service
     /// state is intact; retry after those references are gone.
     ServiceBusy(&'static str),
-    /// `open_as_of` asked for a generation the operation log does not
-    /// record, or whose edge files the retention sweep already reclaimed.
+    /// `open_as_of` asked for a generation that was never committed, or
+    /// whose kept catalog or edge files the retention sweep already
+    /// reclaimed.
     GenerationNotRetained(u64),
     /// An [`OpenOptions`](crate::api::OpenOptions) builder combined
     /// settings that contradict each other (e.g. `as_of` + `lazy`), or a
@@ -104,7 +105,7 @@ impl std::fmt::Display for DslogError {
             DslogError::ServiceBusy(what) => write!(f, "service busy: {what}"),
             DslogError::GenerationNotRetained(generation) => write!(
                 f,
-                "generation {generation} is not retained by the operation log"
+                "generation {generation} is not retained in the database directory"
             ),
             DslogError::InvalidOptions(what) => write!(f, "invalid options: {what}"),
         }

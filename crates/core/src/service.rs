@@ -482,11 +482,16 @@ impl DslogService {
         Ok(Self::new(options.open(dir)?, policy))
     }
 
-    /// Define (or idempotently re-define) a named array, published as a
-    /// new epoch.
+    /// Define a named array, published as a new epoch. Re-defining an
+    /// array with the shape it already has changes nothing and publishes
+    /// nothing.
     pub fn define_array(&self, name: &str, shape: &[usize]) -> Result<()> {
         let _excl = self.shared.writer.lock();
-        let mut next = self.shared.snapshot().clone_for_epoch();
+        let current = self.shared.snapshot();
+        if matches!(current.storage().array(name), Ok(meta) if meta.shape == shape) {
+            return Ok(());
+        }
+        let mut next = current.clone_for_epoch();
         next.define_array(name, shape)?;
         self.shared.publish(next);
         Ok(())
@@ -983,6 +988,23 @@ mod tests {
         let err = service.shutdown().unwrap_err();
         assert!(matches!(err, DslogError::ServiceBusy(_)), "{err}");
         drop(leaked);
+    }
+
+    #[test]
+    fn identical_redefine_publishes_no_epoch() {
+        let service = DslogService::new(Dslog::new(), AutoCommitPolicy::manual());
+        service.define_array("A", &[4]).unwrap();
+        let (epoch, snapshot) = (service.stats().epoch, service.shared.snapshot());
+        service.define_array("A", &[4]).unwrap();
+        assert_eq!(service.stats().epoch, epoch);
+        assert!(Arc::ptr_eq(&snapshot, &service.shared.snapshot()));
+        // A different shape is still a conflict, and a new name an epoch.
+        assert!(matches!(
+            service.define_array("A", &[5]),
+            Err(DslogError::ArrayShapeConflict(_))
+        ));
+        service.define_array("B", &[4]).unwrap();
+        assert_eq!(service.stats().epoch, epoch + 1);
     }
 
     #[test]

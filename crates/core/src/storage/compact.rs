@@ -21,7 +21,7 @@
 //! crash at any earlier step leaves the previous snapshot fully intact;
 //! a crash after the rename but before the sweep leaves only spared-or-
 //! stale debris that the next open/commit sweeps with the same shared
-//! sparing rule (`persist::spared_set`) — never a file the live
+//! sparing rule (`persist::is_spared`) — never a file the live
 //! catalog or the retained time-travel window still references.
 //!
 //! Deterministic crash injection: `DSLOG_COMPACT_CRASH_AFTER_WRITES=n`
@@ -673,7 +673,7 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        // The paired commit record embeds the compacted (v3) catalog.
+        // The paired commit record follows it in the same append.
         let last = records.last().unwrap();
         assert!(matches!(last.kind, wal::OpKind::Commit { .. }));
         assert_eq!(last.gen_after, report.generation);

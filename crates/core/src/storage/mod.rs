@@ -163,7 +163,7 @@ impl Slot {
 /// `persist::commit`. A commit into the bound directory with the same
 /// `gzip` mode is incremental (clean slots reuse their committed files);
 /// any other target gets a full save.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct PersistBinding {
     pub(crate) dir: PathBuf,
     pub(crate) gzip: bool,

@@ -14,6 +14,11 @@
 //!                             binary)
 //!   edge-<i>-b.g<g>.tbl[.gz]  backward table of edge i, snapshot gen g
 //!   edge-<i>-f.g<g>.tbl[.gz]  forward  table of edge i, snapshot gen g
+//!   ops.log                   the operation log (see [`super::wal`])
+//!   catalog.g<g>.dsl          the catalog generation g was live as, kept
+//!                             (a hard link made by the commit that
+//!                             superseded it) while the retention window
+//!                             keeps g
 //! ```
 //!
 //! ## Atomicity
@@ -22,14 +27,37 @@
 //! written to a `.tmp` sibling, fsynced, and `rename`d into place, edge
 //! files carry a fresh generation number so they never overwrite files the
 //! live catalog references, and the catalog rename is the single commit
-//! point (the directory is fsynced before the commit so edge renames
-//! cannot reorder after it, and again after it before old files are
-//! swept) — a crash at any earlier step leaves the previous snapshot fully
-//! intact (plus harmless debris that the next successful commit — or the
-//! next [`open`]/[`open_lazy`] — sweeps). After the commit, every `edge-*`
-//! file the new catalog does not reference is deleted, so shrinking the
-//! edge set, renumbering, or flipping the `gzip` flag cannot leave stale
-//! tables for a later `open` to trip over.
+//! point. The ordering is tables → directory sync → log append +
+//! fdatasync → catalog rename → directory sync → delete (the directory is
+//! synced before the commit so edge renames cannot reorder after it, and
+//! again after it before old files go) — a crash at any earlier step
+//! leaves the previous snapshot fully intact (plus harmless debris that
+//! the next [`open`]/[`open_lazy`] sweeps). After the commit, every file
+//! that only a generation leaving the retention window named is deleted,
+//! so shrinking the edge set, renumbering, or flipping the `gzip` flag
+//! cannot leave stale tables for a later `open` to trip over.
+//!
+//! ## The remembered tail
+//!
+//! A commit into the bound directory reads back nothing this manager
+//! wrote itself. The binding carries a `wal::LogTail` — the log's clean
+//! length and last op id, the generation the next commit takes, the live
+//! catalog's byte length, and the file sets of the live and retained
+//! generations — shared by every epoch clone, built once by
+//! [`open`]/[`open_lazy`] (or the first commit) through `load_tail`, and
+//! advanced by every successful [`commit`] and
+//! [`compact`](super::compact::compact). So a commit appends to the log
+//! without scanning it, takes its generation without listing the
+//! directory, and deletes exactly the files the generation leaving the
+//! window pinned, decided by the one sparing rule, `is_spared`. The tail
+//! is taken at the start of a commit and put back only on success, and it
+//! is believed only while `ops.log`'s on-disk length and the live
+//! catalog's header (generation) and length are what it remembers;
+//! otherwise — an unbound or foreign target, a failed commit, a directory
+//! changed from outside — the commit runs `load_tail` again, exactly as an
+//! open would, and sweeps by listing the directory when it is done. There
+//! is one commit path: "tail missing or stale" only decides where the
+//! tail comes from.
 //!
 //! ## Incremental commits
 //!
@@ -43,17 +71,19 @@
 //! names are generation-qualified and the catalog stores them verbatim).
 //! The catalog itself — O(edges), tiny — is always rewritten, and its
 //! rename remains the single commit point, so appending one edge to a
-//! 100k-edge-row database costs O(new edge), not O(database). A commit
-//! into any *other* directory (or with a flipped `gzip` flag) is a full
-//! save that then re-binds the manager to that target.
+//! 100k-edge-row database costs O(new edge), not O(database) — nor, with
+//! the remembered tail, O(history). A commit into any *other* directory
+//! (or with a flipped `gzip` flag) is a full save that then re-binds the
+//! manager to that target.
 //!
 //! Concurrent commits on one manager serialize on its commit lock.
 //! Across *processes*, a database directory supports one live process at
-//! a time: [`open`]/[`open_lazy`] sweep unreferenced `edge-*`/`*.tmp`
+//! a time: [`open`]/[`open_lazy`] sweep unreferenced data and `*.tmp`
 //! files (crashed-process debris), so an open racing another process's
 //! in-flight commit could delete files that commit is about to
-//! reference, and the generation scan likewise assumes no other live
-//! writer. Concurrent ingest/query/commit within one process is the
+//! reference, and the remembered tail likewise assumes no other live
+//! writer (it notices one only by the log's length or the catalog's
+//! generation having moved). Concurrent ingest/query/commit within one process is the
 //! supported mode — see [`crate::service`].
 //!
 //! ## What is persisted
@@ -72,13 +102,13 @@
 //! files named `edge-<i>-<o>.tbl[.gz]`) remain fully readable; saving over
 //! one upgrades it to v2 in place.
 
-use super::wal::{self, IoPolicy, LogTail};
+use super::wal::{self, Generation, IoPolicy, LogTail};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
 use crate::table::Orientation;
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -153,15 +183,22 @@ pub(crate) fn manifest_file_name(gen: u64) -> String {
     format!("manifest.g{gen}.dsl")
 }
 
+/// The catalog of generation `gen`, kept under this name from the commit
+/// that superseded it for as long as the retention window keeps `gen`.
+pub(crate) fn retained_catalog_name(gen: u64) -> String {
+    format!("catalog.g{gen}.dsl")
+}
+
 /// Extract the generation from a generation-qualified data file name —
-/// `edge-<i>-<o>.g<gen>.…`, `segment-<k>.g<gen>.seg`, or
-/// `manifest.g<gen>.dsl` (also matches leftover `.tmp` siblings). `None`
-/// for v1-style names.
+/// `edge-<i>-<o>.g<gen>.…`, `segment-<k>.g<gen>.seg`,
+/// `manifest.g<gen>.dsl`, or `catalog.g<gen>.dsl` (also matches leftover
+/// `.tmp` siblings). `None` for v1-style names and the live catalog.
 pub(crate) fn parse_generation(name: &str) -> Option<u64> {
     let rest = name
         .strip_prefix("edge-")
         .or_else(|| name.strip_prefix("segment-"))
-        .or_else(|| name.strip_prefix("manifest"))?;
+        .or_else(|| name.strip_prefix("manifest"))
+        .or_else(|| name.strip_prefix("catalog"))?;
     let gpos = rest.find(".g")?;
     let tail = &rest[gpos + 2..];
     let digits = &tail[..tail.find('.').unwrap_or(tail.len())];
@@ -178,14 +215,6 @@ pub(crate) fn list_dir(dir: &Path) -> Vec<String> {
                 .collect()
         })
         .unwrap_or_default()
-}
-
-/// The live catalog, parsed, with its byte length (`None` if there is none
-/// or it does not parse).
-fn read_live_catalog(dir: &Path) -> Option<(Catalog, u64)> {
-    let bytes = std::fs::read(dir.join(CATALOG_FILE)).ok()?;
-    let catalog = parse_catalog(&bytes).ok()?;
-    Some((catalog, bytes.len() as u64))
 }
 
 /// The live catalog's generation and byte length from its header alone —
@@ -215,39 +244,44 @@ fn referenced_names(catalog: &Catalog) -> HashSet<String> {
         .collect()
 }
 
-/// The generations below `live` that the log's commit records describe,
-/// oldest first, each with the data files its catalog references.
-fn logged_generations(records: &[wal::OpRecord], live: u64) -> VecDeque<(u64, HashSet<String>)> {
-    records
+/// The retained generations of `dir`, oldest first, each with the data
+/// files its catalog references: every `catalog.g<gen>.dsl` among `names`
+/// that is older than the `live` generation, parses, and records the
+/// generation its name claims.
+fn retained_window(dir: &Path, names: &[String], live: u64) -> Vec<Generation> {
+    let mut kept: Vec<Generation> = names
         .iter()
-        .filter_map(|rec| match &rec.kind {
-            wal::OpKind::Commit { catalog } if rec.gen_after < live => {
-                let old = parse_catalog(catalog).ok()?;
-                Some((old.generation, referenced_names(&old)))
+        .filter_map(|name| {
+            let generation = parse_generation(name).filter(|g| *g < live)?;
+            if *name != retained_catalog_name(generation) {
+                return None;
             }
-            _ => None,
+            let old = parse_catalog(&std::fs::read(dir.join(name)).ok()?).ok()?;
+            (old.generation == generation).then(|| (generation, referenced_names(&old)))
         })
-        .collect()
+        .collect();
+    kept.sort_by_key(|(generation, _)| *generation);
+    kept
 }
 
 /// Rebuild what a manager remembers of `dir` ([`wal::LogTail`]) from the
 /// directory itself — the one routine behind [`open`]/[`open_lazy`] and
 /// behind a commit whose remembered tail is missing or stale. `live` is
-/// the parsed live catalog with its byte length, `names` the directory
-/// listing. Reconciles the log with the catalog (truncating a torn or
-/// unvouched tail), and keeps every generation the log still describes in
-/// the window: the next commit applies the retention policy and trims it.
+/// the parsed live catalog, `names` the directory listing. Reconciles the log with the catalog (truncating a torn or
+/// unvouched tail), and keeps every generation whose catalog is still on
+/// disk in the window: the next commit applies the retention policy and
+/// trims it.
 ///
 /// The generation the next commit must use is one past anything present —
 /// both the catalog's recorded generation and every generation visible in
 /// file names (leftover higher-generation debris from a crashed save must
 /// not be reused while a concurrent reader might still stat it).
-pub(crate) fn load_tail(dir: &Path, live: Option<(&Catalog, u64)>, names: &[String]) -> LogTail {
-    let committed = live.map_or(0, |(c, _)| c.generation);
+pub(crate) fn load_tail(dir: &Path, live: Option<&Catalog>, names: &[String]) -> LogTail {
+    let committed = live.map_or(0, |c| c.generation);
     let recovery = wal::recover(dir, committed);
-    let mut window = logged_generations(&recovery.records, committed);
-    if let Some((catalog, _)) = live {
-        window.push_back((committed, referenced_names(catalog)));
+    let mut window = retained_window(dir, names, committed);
+    if let Some(catalog) = live {
+        window.push((committed, referenced_names(catalog)));
     }
     let max_gen = names
         .iter()
@@ -257,7 +291,7 @@ pub(crate) fn load_tail(dir: &Path, live: Option<(&Catalog, u64)>, names: &[Stri
         clean_len: recovery.clean_len,
         last_op_id: recovery.last_op_id,
         next_gen: max_gen.saturating_add(1),
-        catalog_len: live.map_or(0, |(_, len)| len),
+        catalog_len: live.map_or(0, |c| c.byte_len),
         window,
     }
 }
@@ -336,18 +370,21 @@ fn crash_injection_point(edge_files_written: usize) {
 }
 
 /// Whether a directory entry is one of ours and subject to sweeping:
-/// whole edge tables, compaction segments, and compaction manifests.
+/// whole edge tables, compaction segments, compaction manifests, and
+/// retained generations' catalogs (never the live `catalog.dsl`).
 fn is_data_file(name: &str) -> bool {
-    name.starts_with("edge-") || name.starts_with("segment-") || name.starts_with("manifest.")
+    ["edge-", "segment-", "manifest.", "catalog.g"]
+        .iter()
+        .any(|prefix| name.starts_with(prefix))
 }
 
 /// Delete, among the listed `names`, every data file (`edge-*`,
-/// `segment-*`, `manifest.*`) that `spared` does not name, plus any `*.tmp`
-/// debris. Deletion failures are ignored (opening a read-only snapshot
-/// must stay possible).
-pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], spared: &HashSet<String>) {
+/// `segment-*`, `manifest.*`, `catalog.g*`) that `window` does not spare,
+/// plus any `*.tmp` debris. Deletion failures are ignored (opening a
+/// read-only snapshot must stay possible).
+pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], window: &[Generation]) {
     for name in names {
-        if (is_data_file(name) && !spared.contains(name)) || name.ends_with(".tmp") {
+        if name.ends_with(".tmp") || (is_data_file(name) && !is_spared(window, name)) {
             let _ = std::fs::remove_file(dir.join(name));
         }
     }
@@ -359,28 +396,28 @@ pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], spared: &HashSet<S
 /// no caller can invent its own (weaker) sparing rule and delete a file
 /// the live catalog or the retained time-travel window still references.
 ///
-/// Spared: everything the generations of `window` reference (the live
-/// catalog and the retained ones before it), each such generation's own
-/// compaction manifest, and the manifest of every generation a spared
-/// segment belongs to (a segment can outlive its own commit's retention
-/// window while the live catalog still references ranges in it, and
-/// `verify` cross-checks those ranges against the manifest).
-pub(crate) fn spared_set<'a>(
-    window: impl IntoIterator<Item = &'a (u64, HashSet<String>)>,
-) -> HashSet<String> {
-    let mut spared = HashSet::new();
-    for (generation, files) in window {
-        spared.extend(files.iter().cloned());
-        spared.insert(manifest_file_name(*generation));
-    }
-    let manifests: Vec<String> = spared
-        .iter()
-        .filter(|n| n.starts_with("segment-"))
-        .filter_map(|n| parse_generation(n))
-        .map(manifest_file_name)
-        .collect();
-    spared.extend(manifests);
-    spared
+/// Spared: everything a generation of `window` references (the live
+/// catalog and the retained ones before it), each such generation's kept
+/// catalog and own compaction manifest, and the manifest of every
+/// generation a spared segment belongs to (a segment can outlive its own
+/// commit's retention window while the live catalog still references
+/// ranges in it, and `verify` cross-checks those ranges against the
+/// manifest).
+pub(crate) fn is_spared(window: &[Generation], name: &str) -> bool {
+    let manifest = name.starts_with("manifest.");
+    // Kept catalogs and manifests are named after the generation they
+    // belong to.
+    let own = (manifest || name.starts_with("catalog.g"))
+        .then(|| parse_generation(name))
+        .flatten();
+    window.iter().any(|(generation, files)| {
+        files.contains(name)
+            || own == Some(*generation)
+            || (manifest
+                && files
+                    .iter()
+                    .any(|f| f.starts_with("segment-") && parse_generation(f) == own))
+    })
 }
 
 /// How the commit planner decided to handle one orientation slot.
@@ -470,10 +507,10 @@ pub(crate) fn build_catalog_bytes(
     write_uvarint(&mut catalog, gen);
 
     // Arrays, sorted for deterministic bytes.
-    let names = storage.array_names();
-    write_uvarint(&mut catalog, names.len() as u64);
-    for name in &names {
-        let meta = storage.array(name)?;
+    let mut arrays: Vec<(&String, &ArrayMeta)> = storage.arrays.iter().collect();
+    arrays.sort_unstable_by_key(|(name, _)| *name);
+    write_uvarint(&mut catalog, arrays.len() as u64);
+    for (name, meta) in arrays {
         write_string(&mut catalog, name);
         write_uvarint(&mut catalog, meta.shape.len() as u64);
         for &d in &meta.shape {
@@ -574,9 +611,10 @@ impl<'a> CommitSession<'a> {
         let (tail, prior_gen, rebuilt) = match trusted {
             Some(((_, generation), tail)) => (tail, generation, false),
             None => {
-                let live = read_live_catalog(&dir);
-                let live = live.as_ref().map(|(catalog, len)| (catalog, *len));
-                let mut tail = load_tail(&dir, live, &list_dir(&dir));
+                let live = std::fs::read(dir.join(CATALOG_FILE))
+                    .ok()
+                    .and_then(|bytes| parse_catalog(&bytes).ok());
+                let mut tail = load_tail(&dir, live.as_ref(), &list_dir(&dir));
                 if bound.is_none() {
                     // An unbound or foreign target starts a fresh log and
                     // retains nothing: whatever history the directory
@@ -587,7 +625,7 @@ impl<'a> CommitSession<'a> {
                         ..LogTail::default()
                     };
                 }
-                (tail, live.map_or(0, |(c, _)| c.generation), true)
+                (tail, live.map_or(0, |c| c.generation), true)
             }
         };
         CommitSession {
@@ -615,7 +653,7 @@ impl<'a> CommitSession<'a> {
 
     /// How many distinct data files the live catalog references.
     pub(crate) fn live_files(&self) -> usize {
-        self.tail.window.back().map_or(0, |(_, files)| files.len())
+        self.tail.window.last().map_or(0, |(_, files)| files.len())
     }
 
     /// Commit `planned` — whose data files are already written and renamed
@@ -636,18 +674,34 @@ impl<'a> CommitSession<'a> {
         let dir = self.dir.as_path();
         let catalog = build_catalog_bytes(storage, gzip, gen, planned)?;
 
-        // Make the data-file renames durable BEFORE the catalog can
-        // commit: directory entries have no ordering guarantee on power
-        // loss otherwise.
+        // The live generation is about to become a retained one: keep its
+        // catalog under its generation-qualified name — a hard link, so
+        // the bytes are the ones already fsynced as `catalog.dsl` (where
+        // links are unsupported, a copy; should a crash tear it, that
+        // generation merely reads as not retained).
+        if let Some((live, _)) = self.tail.window.last().filter(|_| self.retain > 0) {
+            let (from, to) = (
+                dir.join(CATALOG_FILE),
+                dir.join(retained_catalog_name(*live)),
+            );
+            let _ = std::fs::remove_file(&to);
+            std::fs::hard_link(&from, &to)
+                .or_else(|_| std::fs::copy(&from, &to).map(drop))
+                .map_err(|e| DslogError::io("retain superseded catalog", e))?;
+        }
+
+        // Make the data-file renames (and that link) durable BEFORE the
+        // catalog can commit: directory entries have no ordering guarantee
+        // on power loss otherwise.
         sync_dir(dir, policy)?;
 
         // Flush the operation log — buffered mutations, the conversion
         // marker if the gzip mode flipped in place, the caller's
-        // annotation, then a commit record embedding the exact catalog
-        // bytes about to be renamed live — and fdatasync it BEFORE the
-        // catalog rename, so the log is always at least as new as the
-        // catalog. Op ids continue past the remembered tail, and the
-        // append truncates whatever lies beyond it.
+        // annotation, then a commit record naming the catalog about to be
+        // renamed live — and fdatasync it BEFORE the catalog rename, so
+        // the log is always at least as new as the catalog. Op ids
+        // continue past the remembered tail, and the append truncates
+        // whatever lies beyond it.
         let mut op_id = self.tail.last_op_id;
         let mut record = |timestamp_ms, actor: &str, gen_after, kind| {
             op_id += 1;
@@ -673,44 +727,59 @@ impl<'a> CommitSession<'a> {
             wal::now_ms(),
             &self.actor,
             gen,
-            wal::OpKind::Commit {
-                catalog: catalog.clone(),
-            },
+            wal::commit_of(&catalog),
         ));
         self.tail.clean_len = wal::append(dir, self.tail.clean_len, &records, policy)?;
         self.tail.last_op_id = op_id;
 
-        // Commit point: once this rename lands, the new snapshot is live.
+        // Commit point: once this rename lands, the new snapshot is live
+        // and vouches for the records just logged, so they leave the
+        // buffer here — should the directory sync below fail, a retry must
+        // not log them a second time. On any earlier error they stay
+        // pending and the tail stays dropped: the next attempt reconciles
+        // the log with the catalog first and truncates whatever the failed
+        // append managed to write, so nothing is lost or double-counted.
         write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
+        storage.wal.lock().pending.drain(..self.pending.len());
         after_rename();
 
         // And make the commit itself durable before destroying old state.
         sync_dir(dir, policy)?;
 
         // The new generation enters the window; generations beyond the
-        // retention policy leave it, and what only they named goes:
+        // retention policy leave it, and what only they pinned goes:
         // previous generations' files, and after a full save or a gzip
         // flip the replaced database's. The sparing rule is the shared
-        // [`spared_set`], identical to the one open uses.
+        // [`is_spared`], identical to the one open uses.
         self.tail.catalog_len = catalog.len() as u64;
         self.tail.next_gen = gen.saturating_add(1);
         let referenced = planned
             .iter()
             .flat_map(|(_, _, records)| records.iter().map(|r| r.name.clone()))
             .collect();
-        self.tail.window.push_back((gen, referenced));
+        self.tail.window.push((gen, referenced));
         let evict = self.tail.window.len().saturating_sub(self.retain + 1);
-        let evicted: Vec<_> = self.tail.window.drain(..evict).collect();
-        let spared = spared_set(&self.tail.window);
-        if self.rebuilt {
-            sweep_stale_files(dir, &list_dir(dir), &spared);
+        let evicted: Vec<Generation> = self.tail.window.drain(..evict).collect();
+        let names: Vec<String> = if self.rebuilt {
+            list_dir(dir)
         } else {
             // `*.tmp` and orphan debris cannot appear behind a trusted
-            // tail; the open-time sweep deals with a crashed process's.
-            for name in spared_set(&evicted).difference(&spared) {
-                let _ = std::fs::remove_file(dir.join(name));
-            }
-        }
+            // tail (the open-time sweep deals with a crashed process's):
+            // only what an evicted generation pinned can have gone stale.
+            let pinned = |(generation, files): Generation| {
+                let manifests: Vec<String> = files
+                    .iter()
+                    .filter(|f| f.starts_with("segment-"))
+                    .filter_map(|f| parse_generation(f))
+                    .chain([generation])
+                    .map(manifest_file_name)
+                    .collect();
+                let kept_catalog = retained_catalog_name(generation);
+                files.into_iter().chain([kept_catalog]).chain(manifests)
+            };
+            evicted.into_iter().flat_map(pinned).collect()
+        };
+        sweep_stale_files(dir, &names, &self.tail.window);
 
         // Publish: mark the written slots clean (repointing lazy sources
         // at their new files) and re-bind the manager with the advanced
@@ -719,12 +788,6 @@ impl<'a> CommitSession<'a> {
         for (key, orientation, record) in written {
             storage.edges[key].publish_committed(orientation, record, dir, gzip);
         }
-        // Only now — with the commit fully durable — drop the flushed
-        // records from the buffer. On any earlier error they stay pending
-        // and the tail stays dropped, so the next attempt reconciles the
-        // log with the catalog first and truncates whatever the failed
-        // append managed to write: nothing is lost or double-counted.
-        storage.wal.lock().pending.drain(..self.pending.len());
         *storage.binding.lock() = Some(super::PersistBinding {
             dir: self.dir,
             gzip,
@@ -861,6 +924,8 @@ pub(crate) struct CatalogEdge {
 
 /// A parsed (and structurally validated) catalog.
 pub(crate) struct Catalog {
+    /// Byte length of the catalog file this was parsed from.
+    pub(crate) byte_len: u64,
     pub(crate) version: u8,
     pub(crate) gzip: bool,
     /// Snapshot generation (0 for v1 catalogs); the next save uses a
@@ -871,6 +936,7 @@ pub(crate) struct Catalog {
 }
 
 pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
+    let byte_len = data.len() as u64;
     if data.len() < 9 {
         return Err(DslogError::Corrupt("catalog too short"));
     }
@@ -993,6 +1059,7 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
         });
     }
     Ok(Catalog {
+        byte_len,
         version,
         gzip,
         generation,
@@ -1286,18 +1353,18 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
     // and collect the retained generations. Best-effort — a missing or
     // pre-log directory yields an empty log tail.
     let names = list_dir(dir);
-    let tail = load_tail(dir, Some((&catalog, bytes.len() as u64)), &names);
+    let tail = load_tail(dir, Some(&catalog), &names);
 
     let edges = load_catalog_edges(dir, &catalog, lazy)?;
 
     // A crashed process can leave `.tmp`/orphaned debris that a later
     // generation could collide with; opening a snapshot sweeps it
     // (best-effort — a read-only directory still opens fine). The sparing
-    // rule is the shared [`spared_set`]: files any surviving log commit
-    // record still names may belong to a retained generation `open_as_of`
-    // can resolve, so an open spares them all and the next commit applies
-    // the retention policy and trims them.
-    sweep_stale_files(dir, &names, &spared_set(&tail.window));
+    // rule is the shared [`is_spared`]: whatever a generation whose
+    // catalog is still kept names, `open_as_of` can resolve, so an open
+    // spares them all and the next commit applies the retention policy
+    // and trims them.
+    sweep_stale_files(dir, &names, &tail.window);
 
     // Bind the manager to this directory so the next commit into it is
     // incremental (v1 catalogs bind at generation 0; every slot above
@@ -1312,18 +1379,17 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
     Ok(manager_from_parts(catalog.arrays, edges, Some(binding)))
 }
 
-/// Open the database as it was at generation `generation`, by replaying
-/// the operation log: the log's commit record for that generation embeds
-/// the exact catalog bytes that were live, and — when the retention
-/// policy kept them — the generation-named edge files it references are
-/// still on disk.
+/// Open the database as it was at generation `generation`: while the
+/// retention policy keeps a superseded generation, its catalog stays on
+/// disk as `catalog.g<generation>.dsl` — the exact bytes that were live —
+/// next to the generation-named edge files it references.
 ///
 /// The returned manager is a read-only style snapshot: it is *unbound*
 /// (no incremental-commit binding), so a commit from it is a full save
 /// into a fresh target rather than a rewrite of history. Requesting the
 /// directory's current generation is equivalent to [`open`]. A
-/// generation the log does not record, or whose files the sweep already
-/// reclaimed, yields [`DslogError::GenerationNotRetained`].
+/// generation whose catalog or files the sweep already reclaimed (or that
+/// never existed) yields [`DslogError::GenerationNotRetained`].
 pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
     let bytes =
         std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
@@ -1331,19 +1397,17 @@ pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
     if generation == current.generation {
         return open_impl(dir, false);
     }
-    let records = wal::history(dir)?;
-    let old = records
-        .iter()
-        .rev()
-        .find_map(|rec| match &rec.kind {
-            wal::OpKind::Commit { catalog } if rec.gen_after == generation => Some(catalog),
-            _ => None,
-        })
-        .ok_or(DslogError::GenerationNotRetained(generation))?;
-    let catalog = parse_catalog(old)?;
+    let old = match std::fs::read(dir.join(retained_catalog_name(generation))) {
+        Ok(old) => old,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(DslogError::GenerationNotRetained(generation));
+        }
+        Err(e) => return Err(DslogError::io("read retained catalog", e)),
+    };
+    let catalog = parse_catalog(&old)?;
     if catalog.generation != generation {
         return Err(DslogError::Corrupt(
-            "log commit record embeds a catalog of the wrong generation",
+            "retained catalog records another generation than its name",
         ));
     }
     // Fail up front (and precisely) if the sweep already reclaimed any of
@@ -1398,9 +1462,9 @@ pub struct VerifyReport {
     /// Cleanly framed records in the operation log (0 for pre-log
     /// directories).
     pub log_records: usize,
-    /// Data files on disk that are not referenced by the current catalog
-    /// but are named by a logged commit record — retained prior
-    /// generations `open_as_of` can resolve, not debris.
+    /// Data files on disk that the current catalog does not reference but
+    /// a retained generation does (its kept `catalog.g<gen>.dsl`
+    /// included) — history `open_as_of` can resolve, not debris.
     pub retained_files: usize,
     /// Compaction manifests found, crc-verified, and cross-checked
     /// against the live catalog's segment ranges.
@@ -1443,15 +1507,17 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         manifests_verified += 1;
     }
 
-    // Files named by logged commit records are retained history, not
-    // debris (the read here is torn-tail tolerant and side-effect free;
-    // the classification rule is the same [`spared_set`] the sweeps use).
+    // Retained generations' catalogs and the files they name are history,
+    // not debris (the classification rule is the same [`is_spared`] the
+    // sweeps use). The log read is torn-tail tolerant and side-effect
+    // free.
     let log_records = wal::history(dir).unwrap_or_default();
-    let retained = spared_set(&logged_generations(&log_records, u64::MAX));
+    let names = list_dir(dir);
+    let retained = retained_window(dir, &names, catalog.generation);
 
     let mut stale_files = Vec::new();
     let mut retained_files = 0usize;
-    for name in list_dir(dir) {
+    for name in names {
         if name.ends_with(".tmp") {
             stale_files.push(name);
         } else if is_data_file(&name)
@@ -1459,7 +1525,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
             && !(name.starts_with("manifest.")
                 && parse_generation(&name) == Some(catalog.generation))
         {
-            if retained.contains(&name) {
+            if is_spared(&retained, &name) {
                 retained_files += 1;
             } else {
                 stale_files.push(name);

@@ -15,9 +15,15 @@
 //!         gen_before:uvarint  gen_after:uvarint  kind:u8  payload
 //! ```
 //!
-//! `Commit` records embed the full catalog bytes they renamed into place,
-//! which is what makes any retained generation re-derivable (`open_as_of`,
-//! `db history`) without guessing at file-name conventions.
+//! Every record is O(1) in the size of the database: the log is an audit
+//! trail, not a copy of the data. A `Commit` record names the catalog it
+//! renamed into place by byte length and crc32 trailer only; a generation
+//! the retention window keeps has its catalog kept next to the log as
+//! `catalog.g<gen>.dsl` (see [`super::persist`]), which is what
+//! `open_as_of` and `verify` read. Logs written before this format embedded
+//! the whole catalog in each commit record; such a record still scans as a
+//! clean frame and decodes to the same variant — the length and crc
+//! trailer of the embedded bytes — but is never written again.
 //!
 //! ## Recovery rules
 //!
@@ -45,7 +51,7 @@
 use crate::error::{DslogError, Result};
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,11 +99,13 @@ pub enum OpKind {
         /// New gzip mode.
         gzip: bool,
     },
-    /// A commit renamed a new catalog into place. The record embeds the
-    /// full catalog bytes, making the generation re-derivable later.
+    /// A commit renamed a new catalog into place (`gen_after` is its
+    /// generation).
     Commit {
-        /// Verbatim catalog file contents (including its crc32 trailer).
-        catalog: Vec<u8>,
+        /// Byte length of the catalog file.
+        catalog_len: u64,
+        /// The catalog's crc32 trailer (the crc32 of everything before it).
+        catalog_crc: u32,
     },
     /// A compaction folded cold generation files into consolidated
     /// segments. Logical state is unchanged — the paired `Commit` record
@@ -142,7 +150,10 @@ impl OpKind {
             OpKind::ConvertGzip { gzip } => {
                 format!("convert to {}", if *gzip { "gzip" } else { "plain" })
             }
-            OpKind::Commit { catalog } => format!("commit ({} catalog bytes)", catalog.len()),
+            OpKind::Commit {
+                catalog_len,
+                catalog_crc,
+            } => format!("commit ({catalog_len} catalog bytes, crc {catalog_crc:08x})"),
             OpKind::Compact {
                 segments,
                 folded,
@@ -214,6 +225,17 @@ fn read_u32_le(data: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes(v))
 }
 
+/// The `Commit` record naming `catalog` (complete catalog file bytes,
+/// crc32 trailer included).
+pub(crate) fn commit_of(catalog: &[u8]) -> OpKind {
+    OpKind::Commit {
+        catalog_len: catalog.len() as u64,
+        catalog_crc: catalog
+            .last_chunk::<4>()
+            .map_or(0, |trailer| u32::from_le_bytes(*trailer)),
+    }
+}
+
 /// Encode one record as a complete frame (length prefix, body, crc32).
 pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
     let mut body = Vec::new();
@@ -255,10 +277,15 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
             body.push(3);
             body.push(u8::from(*gzip));
         }
-        OpKind::Commit { catalog } => {
-            body.push(4);
-            write_uvarint(&mut body, catalog.len() as u64);
-            body.extend_from_slice(catalog);
+        OpKind::Commit {
+            catalog_len,
+            catalog_crc,
+        } => {
+            // Kind 4 is the retired commit record that embedded the whole
+            // catalog; it is decoded, never written.
+            body.push(6);
+            write_uvarint(&mut body, *catalog_len);
+            body.extend_from_slice(&catalog_crc.to_le_bytes());
         }
         OpKind::Compact {
             segments,
@@ -347,9 +374,9 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
             if pos > data.len() || len > data.len() - pos {
                 return Err(DslogError::Corrupt("log record catalog runs past end"));
             }
-            let catalog = data[pos..pos + len].to_vec();
+            let kind = commit_of(&data[pos..pos + len]);
             pos += len;
-            OpKind::Commit { catalog }
+            kind
         }
         5 => {
             let segments = read_uvarint(data, &mut pos)?;
@@ -359,6 +386,14 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
                 segments,
                 folded,
                 bytes,
+            }
+        }
+        6 => {
+            let catalog_len = read_uvarint(data, &mut pos)?;
+            let catalog_crc = read_u32_le(data, &mut pos)?;
+            OpKind::Commit {
+                catalog_len,
+                catalog_crc,
             }
         }
         _ => return Err(DslogError::Corrupt("unknown log record kind")),
@@ -512,12 +547,11 @@ pub fn replay(records: &[OpRecord]) -> ReplayState {
 // ---------------------------------------------------------------------------
 
 /// Outcome of reconciling the on-disk log with the committed catalog.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Recovery {
-    /// Surviving records: clean frames up to and including the last commit
-    /// the catalog vouches for.
-    pub(crate) records: Vec<OpRecord>,
-    /// Byte length of the surviving prefix (the append position).
+    /// Byte length of the surviving prefix — clean frames up to and
+    /// including the last commit the catalog vouches for: the append
+    /// position.
     pub(crate) clean_len: u64,
     /// Highest surviving op id (0 for an empty log).
     pub(crate) last_op_id: u64,
@@ -539,19 +573,12 @@ pub(crate) fn recover(dir: &Path, catalog_generation: u64) -> Recovery {
     let frames = scan_frames(&bytes);
     // Keep everything up to the last commit the catalog vouches for; later
     // records describe work whose commit point was never reached.
-    let cut = frames
+    let (last_op_id, cut) = frames
         .iter()
-        .rposition(|(rec, _)| {
+        .rfind(|(rec, _)| {
             matches!(rec.kind, OpKind::Commit { .. }) && rec.gen_after <= catalog_generation
         })
-        .map(|i| frames[i].1)
-        .unwrap_or(0);
-    let records: Vec<OpRecord> = frames
-        .into_iter()
-        .take_while(|(_, end)| *end <= cut)
-        .map(|(rec, _)| rec)
-        .collect();
-    let last_op_id = records.last().map_or(0, |r| r.op_id);
+        .map_or((0, 0), |(rec, end)| (rec.op_id, *end));
     let clean_len = cut as u64;
     if bytes.len() as u64 > clean_len {
         if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
@@ -560,7 +587,6 @@ pub(crate) fn recover(dir: &Path, catalog_generation: u64) -> Recovery {
         }
     }
     Recovery {
-        records,
         clean_len,
         last_op_id,
     }
@@ -753,6 +779,10 @@ pub(crate) struct PendingOp {
     pub(crate) timestamp_ms: u64,
 }
 
+/// One generation a sweep must spare: its number and the data files its
+/// catalog references.
+pub(crate) type Generation = (u64, HashSet<String>);
+
 /// What a manager remembers about the directory it is bound to, so a
 /// commit reads back nothing it wrote itself: where the log ends, and
 /// which files the generations it must spare name. Lives in the
@@ -760,7 +790,7 @@ pub(crate) struct PendingOp {
 /// by `persist::load_tail`, advanced by every successful commit, and
 /// dropped — hence rebuilt by the next commit — whenever a commit fails or
 /// the directory no longer looks the way the tail left it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct LogTail {
     /// Byte length of the log's clean prefix: the append position.
     pub(crate) clean_len: u64,
@@ -771,9 +801,9 @@ pub(crate) struct LogTail {
     pub(crate) next_gen: u64,
     /// Byte length of the live catalog file.
     pub(crate) catalog_len: u64,
-    /// Oldest first: each retained generation with the data files its
-    /// catalog references; the last entry is the live generation.
-    pub(crate) window: VecDeque<(u64, HashSet<String>)>,
+    /// Oldest first: the retained generations; the last entry is the
+    /// live generation.
+    pub(crate) window: Vec<Generation>,
 }
 
 /// Shared operation-log state of one storage manager (epoch clones share
@@ -866,9 +896,7 @@ mod tests {
                 actor: "srv".into(),
                 gen_before: 0,
                 gen_after: 1,
-                kind: OpKind::Commit {
-                    catalog: vec![1, 2, 3, 4, 5],
-                },
+                kind: commit_of(&[1, 2, 3, 4, 5]),
             },
         ]
     }

@@ -37,8 +37,10 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
         ),
         proptest::collection::vec(arb_name(), 2..5).prop_map(|path| OpKind::Composite { path }),
         any::<bool>().prop_map(|gzip| OpKind::ConvertGzip { gzip }),
-        proptest::collection::vec(any::<u8>(), 0..128)
-            .prop_map(|catalog| OpKind::Commit { catalog }),
+        (any::<u64>(), any::<u32>()).prop_map(|(catalog_len, catalog_crc)| OpKind::Commit {
+            catalog_len,
+            catalog_crc,
+        }),
     ]
 }
 
@@ -78,8 +80,65 @@ fn build_log(parts: Vec<RecordParts>) -> (Vec<OpRecord>, Vec<u8>) {
     (records, log)
 }
 
+/// A commit record framed the way logs were written before commit records
+/// shrank to `{catalog_len, catalog_crc}`: kind 4, embedding the whole
+/// catalog.
+fn legacy_commit_frame(op_id: u64, actor: &str, generation: u64, catalog: &[u8]) -> Vec<u8> {
+    use dslog_codecs::varint::write_uvarint;
+    let mut body = vec![1u8]; // record version
+    write_uvarint(&mut body, op_id);
+    write_uvarint(&mut body, 1_700_000_000_000); // timestamp_ms
+    write_uvarint(&mut body, actor.len() as u64);
+    body.extend_from_slice(actor.as_bytes());
+    write_uvarint(&mut body, generation - 1); // gen_before
+    write_uvarint(&mut body, generation); // gen_after
+    body.push(4);
+    write_uvarint(&mut body, catalog.len() as u64);
+    body.extend_from_slice(catalog);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&dslog_codecs::crc32::crc32(&body).to_le_bytes());
+    frame
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A log written before the record change is not torn at its first
+    /// commit: an embedded-catalog frame scans clean and decodes to the
+    /// one `Commit` variant — length and crc trailer of the embedded bytes
+    /// — and today's records append behind it.
+    #[test]
+    fn legacy_embedded_catalog_commits_still_scan(
+        catalogs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 1..4),
+        parts in proptest::collection::vec(arb_record_parts(), 0..3),
+    ) {
+        let mut log = Vec::new();
+        let mut expected = Vec::new();
+        for (i, catalog) in catalogs.iter().enumerate() {
+            let generation = i as u64 + 1;
+            log.extend_from_slice(&legacy_commit_frame(generation, "old", generation, catalog));
+            let catalog_crc = catalog
+                .last_chunk::<4>()
+                .map_or(0, |trailer| u32::from_le_bytes(*trailer));
+            expected.push(OpKind::Commit { catalog_len: catalog.len() as u64, catalog_crc });
+        }
+        for (i, (timestamp_ms, actor, gen_before, gen_after, kind)) in parts.into_iter().enumerate() {
+            expected.push(kind.clone());
+            log.extend_from_slice(&wal::encode_record(&OpRecord {
+                op_id: (catalogs.len() + i) as u64 + 1,
+                timestamp_ms,
+                actor,
+                gen_before,
+                gen_after,
+                kind,
+            }));
+        }
+        let (parsed, clean_len) = wal::read_log(&log);
+        prop_assert_eq!(clean_len, log.len());
+        let kinds: Vec<OpKind> = parsed.into_iter().map(|r| r.kind).collect();
+        prop_assert_eq!(kinds, expected);
+    }
 
     /// encode → decode is the identity, per record and per log image.
     #[test]

@@ -7,6 +7,14 @@
 //! mixture. And `open_as_of` resolves every retained generation to the
 //! same answers as a directory copy taken when that generation was
 //! current.
+//!
+//! A manager that has committed before remembers where its log ends and
+//! which files its retained generations name, instead of reading them back
+//! on every commit. The sweeps therefore interrupt commits made *on top of
+//! earlier commits by the same handle* and retry on that handle, and two
+//! further tests pin that the remembered tail costs the same whatever the
+//! history behind it and is rebuilt whenever the directory stops matching
+//! it.
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::storage::persist;
@@ -40,7 +48,12 @@ fn first_edge_table() -> LineageTable {
     t
 }
 
-/// Save generation 1: arrays A, B and the A→B edge.
+/// Generations the seeded store holds before the commit under test.
+const SEED_GENERATIONS: u64 = 3;
+
+/// Commit three generations from one handle — arrays A, B and the A→B
+/// edge, then two unrelated links — so the commit under test runs on the
+/// tail that handle remembers, not on one freshly read from disk.
 fn seed_store(dir: &Path, gzip: bool) -> Dslog {
     let mut db = Dslog::new();
     db.define_array("A", &[6, 2]).unwrap();
@@ -48,14 +61,67 @@ fn seed_store(dir: &Path, gzip: bool) -> Dslog {
     db.add_lineage("A", "B", &TableCapture::new(first_edge_table()))
         .unwrap();
     db.save(dir, gzip).unwrap();
+    for (from, to) in [("P", "Q"), ("Q", "R")] {
+        db.define_array(from, &[6]).unwrap();
+        db.define_array(to, &[6]).unwrap();
+        db.add_lineage(from, to, &TableCapture::new(chain_table()))
+            .unwrap();
+        db.commit().unwrap();
+    }
+    assert_eq!(db.bound_database().unwrap().2, SEED_GENERATIONS);
     db
 }
 
-/// Stage the second generation in memory: array C and the B→C edge.
+/// Stage the next generation in memory: array C and the B→C edge.
 fn stage_second_edge(db: &mut Dslog) {
     db.define_array("C", &[6]).unwrap();
     db.add_lineage("B", "C", &TableCapture::new(chain_table()))
         .unwrap();
+}
+
+/// The log must hold exactly `expected` — every define and ingest once,
+/// in order, under contiguous op ids from 1 — whatever failed and was
+/// retried on the way.
+fn assert_history_is_exactly(dir: &Path, expected: &[String], context: &str) {
+    let records = wal::history(dir).unwrap();
+    let ids: Vec<u64> = records.iter().map(|r| r.op_id).collect();
+    assert_eq!(
+        ids,
+        (1..=records.len() as u64).collect::<Vec<_>>(),
+        "{context}"
+    );
+    let ops: Vec<String> = records
+        .iter()
+        .filter_map(|r| match &r.kind {
+            OpKind::DefineArray { name, .. } => Some(format!("define {name}")),
+            OpKind::IngestEdge {
+                in_array,
+                out_array,
+                ..
+            } => Some(format!("ingest {in_array}->{out_array}")),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ops, expected, "{context}");
+}
+
+/// What the log of a seeded store holds once the staged edge is committed
+/// (re-defining Q with the shape it has logs nothing).
+fn seeded_history() -> Vec<String> {
+    [
+        "define A",
+        "define B",
+        "ingest A->B",
+        "define P",
+        "define Q",
+        "ingest P->Q",
+        "define R",
+        "ingest Q->R",
+        "define C",
+        "ingest B->C",
+    ]
+    .map(String::from)
+    .to_vec()
 }
 
 /// Copy a flat database directory (no subdirectories are ever written).
@@ -67,9 +133,11 @@ fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// Kill a commit at every gated IO position, for every injectable fault,
-/// in both storage formats. Each kill point gets a fresh store; after the
-/// injected failure the directory must open, verify clean, and read as
-/// exactly generation 1 (pre-op) or generation 2 (post-op).
+/// in both storage formats. Each kill point gets a fresh three-generation
+/// store; after the injected failure a copy of the directory must open,
+/// verify clean, and read as exactly the pre-op or the post-op generation.
+/// Then the SAME handle retries: the store must hold both edges, and the
+/// log every operation exactly once.
 #[test]
 fn kill_point_sweep_leaves_store_openable() {
     for gzip in [false, true] {
@@ -92,39 +160,51 @@ fn kill_point_sweep_leaves_store_openable() {
             std::fs::remove_dir_all(&dir).unwrap();
 
             for n in 1..=total {
+                let context = format!("{fault:?} at IO {n} (gzip={gzip})");
                 let dir = temp_dir(&format!("kill-{gzip}-{fault:?}-{n}"));
                 let mut db = seed_store(&dir, gzip);
                 stage_second_edge(&mut db);
-                let policy = IoPolicy::fail_at(fault, n);
-                db.set_io_policy(Some(policy.clone()));
-                let outcome = db.commit();
-                assert!(outcome.is_err(), "{fault:?} at IO {n} did not surface");
-                drop(db);
+                db.set_io_policy(Some(IoPolicy::fail_at(fault, n)));
+                assert!(db.commit().is_err(), "{context} did not surface");
 
-                // The wounded store opens, verifies, and answers queries.
-                let re = Dslog::open(&dir)
-                    .unwrap_or_else(|e| panic!("{fault:?} at IO {n} broke open: {e}"));
-                persist::verify(&dir)
-                    .unwrap_or_else(|e| panic!("{fault:?} at IO {n} broke verify: {e}"));
+                // The wounded store — as a crash right here would leave it
+                // — opens, verifies, and answers queries.
+                let wounded = temp_dir(&format!("wounded-{gzip}-{fault:?}-{n}"));
+                copy_dir(&dir, &wounded);
+                let re =
+                    Dslog::open(&wounded).unwrap_or_else(|e| panic!("{context} broke open: {e}"));
+                persist::verify(&wounded).unwrap_or_else(|e| panic!("{context} broke verify: {e}"));
                 let generation = re.bound_database().unwrap().2;
                 let pre = re.prov_query(&["B", "A"], &[vec![1]]).unwrap();
-                assert!(pre.cells.contains_cell(&[1, 0]), "{fault:?} at IO {n}");
-                match generation {
+                assert!(pre.cells.contains_cell(&[1, 0]), "{context}");
+                if generation == SEED_GENERATIONS {
                     // Pre-op: the staged edge never became visible.
-                    1 => assert!(
+                    assert!(
                         re.prov_query(&["C", "B"], &[vec![1]]).is_err(),
-                        "{fault:?} at IO {n}: gen 1 store answers a gen 2 query"
-                    ),
+                        "{context}: pre-op store answers a post-op query"
+                    );
+                } else {
                     // Post-op: the commit point was passed before the fault.
-                    2 => {
-                        let post = re.prov_query(&["C", "B"], &[vec![1]]).unwrap();
-                        assert!(post.cells.contains_cell(&[1]), "{fault:?} at IO {n}");
-                    }
-                    g => panic!("{fault:?} at IO {n}: torn generation {g}"),
+                    assert_eq!(generation, SEED_GENERATIONS + 1, "{context}: torn");
+                    let post = re.prov_query(&["C", "B"], &[vec![1]]).unwrap();
+                    assert!(post.cells.contains_cell(&[1]), "{context}");
                 }
                 // History stays readable whatever the kill point.
-                wal::history(&dir)
-                    .unwrap_or_else(|e| panic!("{fault:?} at IO {n} broke history: {e}"));
+                wal::history(&wounded).unwrap_or_else(|e| panic!("{context} broke history: {e}"));
+                std::fs::remove_dir_all(&wounded).unwrap();
+
+                // The policy trips once: the same handle retries on a tail
+                // it has to rebuild, and lands everything exactly once.
+                db.commit()
+                    .unwrap_or_else(|e| panic!("{context}: retry failed: {e}"));
+                drop(db);
+                let re = Dslog::open(&dir).unwrap();
+                for path in [["C", "B"], ["R", "Q"]] {
+                    let r = re.prov_query(&path, &[vec![1]]).unwrap();
+                    assert!(r.cells.contains_cell(&[1]), "{context}: {path:?}");
+                }
+                persist::verify(&dir).unwrap_or_else(|e| panic!("{context}: {e}"));
+                assert_history_is_exactly(&dir, &seeded_history(), &context);
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }
@@ -146,7 +226,10 @@ fn failed_commit_retries_cleanly() {
         // the failed attempt reserves it — so only monotonicity is pinned.
         db.commit().unwrap();
         let committed = db.bound_database().unwrap().2;
-        assert!(committed >= 2, "retry landed at generation {committed}");
+        assert!(
+            committed > SEED_GENERATIONS,
+            "retry landed at generation {committed}"
+        );
 
         let re = Dslog::open(&dir).unwrap();
         let r = re.prov_query(&["C", "B"], &[vec![1]]).unwrap();
@@ -158,73 +241,139 @@ fn failed_commit_retries_cleanly() {
     }
 }
 
+/// Arrays of the as-of chain: A[6,2] → B → C → D → E, one link a generation.
+const CHAIN: [&str; 5] = ["A", "B", "C", "D", "E"];
+
+/// Add link `k` of the chain (`k = 0` is the A→B edge) to `db`, uncommitted.
+fn stage_chain_link(db: &mut Dslog, k: usize) {
+    let table = if k == 0 {
+        db.define_array("A", &[6, 2]).unwrap();
+        first_edge_table()
+    } else {
+        chain_table()
+    };
+    db.define_array(CHAIN[k + 1], &[6]).unwrap();
+    db.add_lineage(CHAIN[k], CHAIN[k + 1], &TableCapture::new(table))
+        .unwrap();
+}
+
+/// One run of the as-of parity check. Three chain links are committed by
+/// one handle, a directory copy taken while each generation is current;
+/// then the operation under test — the commit of a fourth link, or with
+/// `compacted` a compaction on top of it — runs with a short write (a
+/// failed sync, at sync sites) injected at gated IO `fail_at`, is retried
+/// on the same handle if it failed, and `open_as_of` must answer every
+/// generation copied so far exactly as its copy does. Returns how many
+/// gated IOs the operation under test performed.
+fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
+    let context = format!("gzip={gzip} compacted={compacted} fail_at={fail_at:?}");
+    let dir = temp_dir(&format!("asof-{gzip}-{compacted}-{}", fail_at.unwrap_or(0)));
+    let snap_of = |generation: u64| {
+        dir.with_file_name(format!(
+            "{}-snap{generation}",
+            dir.file_name().unwrap().to_string_lossy()
+        ))
+    };
+    // (generation, chain links it holds), a directory copy of each.
+    let mut generations: Vec<(u64, usize)> = Vec::new();
+    let mut snapshot = |db: &Dslog, links: usize| {
+        let generation = db.bound_database().unwrap().2;
+        copy_dir(&dir, &snap_of(generation));
+        generations.push((generation, links));
+    };
+
+    let mut db = Dslog::new();
+    db.set_wal_retention(8);
+    stage_chain_link(&mut db, 0);
+    db.save(&dir, gzip).unwrap();
+    snapshot(&db, 1);
+    let committed_links = if compacted { 4 } else { 3 };
+    for k in 1..committed_links {
+        stage_chain_link(&mut db, k);
+        db.commit().unwrap();
+        snapshot(&db, k + 1);
+    }
+
+    let policy = IoPolicy::fail_at(IoFault::ShortWrite, fail_at.unwrap_or(u64::MAX));
+    db.set_io_policy(Some(policy.clone()));
+    if !compacted {
+        stage_chain_link(&mut db, 3);
+    }
+    let run = |db: &Dslog| {
+        if compacted {
+            db.compact().map(drop)
+        } else {
+            db.commit().map(drop)
+        }
+    };
+    let first = run(&db);
+    let ios = policy.ios_seen();
+    if fail_at.is_some_and(|n| n <= ios) {
+        assert!(first.is_err(), "{context}: the fault did not surface");
+        run(&db).unwrap_or_else(|e| panic!("{context}: retry failed: {e}"));
+    } else {
+        first.unwrap_or_else(|e| panic!("{context}: {e}"));
+    }
+    snapshot(&db, 4);
+    drop(db);
+
+    for &(generation, links) in &generations {
+        let asof = Dslog::open_as_of(&dir, generation)
+            .unwrap_or_else(|e| panic!("{context}: as-of {generation} failed: {e}"));
+        let snap = Dslog::open(snap_of(generation)).unwrap();
+        for hops in 1..=links {
+            let path: Vec<&str> = CHAIN[..=hops].iter().rev().copied().collect();
+            for probe in [1i64, 3] {
+                let a = asof.prov_query(&path, &[vec![probe]]).unwrap();
+                let b = snap.prov_query(&path, &[vec![probe]]).unwrap();
+                assert_eq!(
+                    a.cells.cell_set(),
+                    b.cells.cell_set(),
+                    "{context}: as-of {generation} diverged from its copy on {path:?}"
+                );
+            }
+        }
+        // Arrays from later generations must not leak backwards.
+        if links < 4 {
+            let later: Vec<&str> = CHAIN[..=links + 1].iter().rev().copied().collect();
+            assert!(asof.prov_query(&later, &[vec![1]]).is_err(), "{context}");
+        }
+    }
+    assert!(Dslog::open_as_of(&dir, 99).is_err());
+    persist::verify(&dir).unwrap_or_else(|e| panic!("{context}: {e}"));
+    let expected: Vec<String> = ["define A", "define B", "ingest A->B"]
+        .into_iter()
+        .map(String::from)
+        .chain((1..4).flat_map(|k| {
+            [
+                format!("define {}", CHAIN[k + 1]),
+                format!("ingest {}->{}", CHAIN[k], CHAIN[k + 1]),
+            ]
+        }))
+        .collect();
+    assert_history_is_exactly(&dir, &expected, &context);
+
+    for (generation, _) in generations {
+        std::fs::remove_dir_all(snap_of(generation)).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    ios
+}
+
 /// `open_as_of` answers every retained generation exactly as a directory
-/// copy taken while that generation was current — plain and gzip.
+/// copy taken while that generation was current — plain and gzip, through
+/// a plain commit and through a compaction, and whichever gated IO of
+/// that last operation failed first and had to be retried.
 #[test]
 fn as_of_parity_with_snapshot_copies() {
     for gzip in [false, true] {
-        let dir = temp_dir(&format!("asof-{gzip}"));
-        let mut db = Dslog::new();
-        db.set_wal_retention(4);
-        db.define_array("A", &[6, 2]).unwrap();
-        db.define_array("B", &[6]).unwrap();
-        db.add_lineage("A", "B", &TableCapture::new(first_edge_table()))
-            .unwrap();
-        db.save(&dir, gzip).unwrap();
-
-        // Generations 2..4 each add one link to the chain; snapshot the
-        // directory while each generation is current.
-        let mut snaps: Vec<PathBuf> = vec![dir.with_file_name(format!(
-            "{}-snap1",
-            dir.file_name().unwrap().to_string_lossy()
-        ))];
-        copy_dir(&dir, &snaps[0]);
-        for (g, name) in [(2u64, "C"), (3, "D"), (4, "E")] {
-            let prev = ["B", "C", "D"][(g - 2) as usize];
-            db.define_array(name, &[6]).unwrap();
-            db.add_lineage(prev, name, &TableCapture::new(chain_table()))
-                .unwrap();
-            db.commit().unwrap();
-            let snap = dir.with_file_name(format!(
-                "{}-snap{g}",
-                dir.file_name().unwrap().to_string_lossy()
-            ));
-            copy_dir(&dir, &snap);
-            snaps.push(snap);
-        }
-
-        let chains: [&[&str]; 4] = [
-            &["B", "A"],
-            &["C", "B", "A"],
-            &["D", "C", "B", "A"],
-            &["E", "D", "C", "B", "A"],
-        ];
-        for g in 1..=4u64 {
-            let asof = Dslog::open_as_of(&dir, g)
-                .unwrap_or_else(|e| panic!("as-of {g} (gzip={gzip}) failed: {e}"));
-            let snap = Dslog::open(&snaps[(g - 1) as usize]).unwrap();
-            for path in &chains[..g as usize] {
-                for probe in [1i64, 3] {
-                    let a = asof.prov_query(path, &[vec![probe]]).unwrap();
-                    let b = snap.prov_query(path, &[vec![probe]]).unwrap();
-                    assert_eq!(
-                        a.cells.cell_set(),
-                        b.cells.cell_set(),
-                        "as-of {g} diverged from snapshot on {path:?} (gzip={gzip})"
-                    );
-                }
-            }
-            // Arrays from later generations must not leak backwards.
-            if (g as usize) < chains.len() {
-                assert!(asof.prov_query(chains[g as usize], &[vec![1]]).is_err());
+        for compacted in [false, true] {
+            let total = as_of_parity_case(gzip, compacted, None);
+            assert!(total >= 3, "only {total} gated IOs");
+            for n in 1..=total {
+                as_of_parity_case(gzip, compacted, Some(n));
             }
         }
-        assert!(Dslog::open_as_of(&dir, 99).is_err());
-
-        for snap in &snaps {
-            std::fs::remove_dir_all(snap).unwrap();
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -301,7 +450,168 @@ fn torn_log_tail_truncated_on_reopen() {
         .unwrap();
     re.commit().unwrap();
     let state = wal::replay(&wal::history(&dir).unwrap());
-    assert_eq!(state.generation, 3);
+    assert_eq!(state.generation, SEED_GENERATIONS + 2);
     assert!(state.edges.contains(&("C".to_string(), "D".to_string())));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Commit one more identity link `X{k:03} → Y{k:03}` (fixed-width names,
+/// so records differ in varint widths only).
+fn commit_link(db: &mut Dslog, k: usize) {
+    let (from, to) = (format!("X{k:03}"), format!("Y{k:03}"));
+    db.define_array(&from, &[6]).unwrap();
+    db.define_array(&to, &[6]).unwrap();
+    db.add_lineage(&from, &to, &TableCapture::new(chain_table()))
+        .unwrap();
+    db.commit().unwrap();
+}
+
+fn log_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(wal::OPS_LOG_FILE))
+        .unwrap()
+        .len()
+}
+
+/// A commit costs what it changes, not what came before it: after 200
+/// one-edge commits by one handle, the 200th performs the same gated IOs
+/// and grows the log by the same bytes as the 3rd, and the directory
+/// holds nothing but the catalog, the log, the live tables and the
+/// retained window — with and without retention.
+#[test]
+fn commit_cost_is_independent_of_history() {
+    const COMMITS: usize = 200;
+    for retain in [0u32, 3] {
+        let dir = temp_dir(&format!("flat-{retain}"));
+        let mut db = Dslog::options().wal_retention(retain).create(&dir).unwrap();
+        let probe = IoPolicy::fail_at(IoFault::WriteError, u64::MAX);
+        db.set_io_policy(Some(probe.clone()));
+        let mut cost = Vec::with_capacity(COMMITS);
+        for k in 0..COMMITS {
+            let before = (probe.ios_seen(), log_len(&dir));
+            commit_link(&mut db, k);
+            cost.push((probe.ios_seen() - before.0, log_len(&dir) - before.1));
+        }
+        let ((ios_early, log_early), (ios_late, log_late)) = (cost[2], cost[COMMITS - 1]);
+        assert_eq!(
+            ios_late, ios_early,
+            "gated IOs per commit (retain={retain})"
+        );
+        // Op ids, generations and the catalog length outgrow one varint
+        // byte between the 3rd commit and the 200th; nothing else may.
+        assert!(
+            log_late.abs_diff(log_early) <= 16,
+            "log bytes per commit went {log_early} -> {log_late} (retain={retain})"
+        );
+
+        let live = db.bound_database().unwrap().2;
+        let report = persist::verify(&dir).unwrap();
+        assert_eq!(report.files_verified, COMMITS);
+        assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| !n.starts_with("edge-"))
+            .collect();
+        names.sort();
+        let mut expected: Vec<String> = (live - u64::from(retain)..live)
+            .map(|g| format!("catalog.g{g}.dsl"))
+            .chain(["catalog.dsl".to_string(), wal::OPS_LOG_FILE.to_string()])
+            .collect();
+        expected.sort();
+        assert_eq!(names, expected, "retain={retain}");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            COMMITS + expected.len(),
+            "retain={retain}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The remembered tail cannot lie: when the log or the catalog changes
+/// behind a handle's back between two of its commits, the next commit
+/// notices, rebuilds the tail from the directory, and carries on — the
+/// log stays one clean, monotonic sequence ending in that commit, and the
+/// store verifies with every edge of the handle in it.
+#[test]
+fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
+    for tamper in ["truncate", "garbage", "delete", "newer-catalog"] {
+        let dir = temp_dir(&format!("lie-{tamper}"));
+        let mut db = Dslog::options().wal_retention(2).create(&dir).unwrap();
+        for k in 0..3 {
+            commit_link(&mut db, k);
+        }
+        let before = db.bound_database().unwrap().2;
+
+        let log_path = dir.join(wal::OPS_LOG_FILE);
+        let log = std::fs::read(&log_path).unwrap();
+        match tamper {
+            // Mid-frame: the last commit record is cut in half.
+            "truncate" => std::fs::write(&log_path, &log[..log.len() - 7]).unwrap(),
+            "garbage" => {
+                let mut longer = log.clone();
+                longer.extend_from_slice(b"\x2a\0\0\0not a frame at all");
+                std::fs::write(&log_path, longer).unwrap();
+            }
+            "delete" => std::fs::remove_file(&log_path).unwrap(),
+            // Another handle commits a generation on top (one more array),
+            // then the log is put back: the catalog alone is newer than
+            // the tail remembers.
+            _ => {
+                let mut other = Dslog::open(&dir).unwrap();
+                other.define_array("Z", &[6]).unwrap();
+                other.commit().unwrap();
+                std::fs::write(&log_path, &log).unwrap();
+            }
+        }
+
+        commit_link(&mut db, 3);
+        // …and the commit after that runs on the rebuilt tail.
+        commit_link(&mut db, 4);
+        let after = db.bound_database().unwrap().2;
+        assert!(
+            after >= before + 2 + u64::from(tamper == "newer-catalog"),
+            "{tamper}: {before} -> {after}"
+        );
+
+        let records = wal::history(&dir).unwrap();
+        assert!(
+            records.windows(2).all(|w| w[0].op_id < w[1].op_id),
+            "{tamper}"
+        );
+        let last = records.last().unwrap();
+        assert!(matches!(last.kind, OpKind::Commit { .. }), "{tamper}");
+        assert_eq!(last.gen_after, after, "{tamper}");
+        let image = std::fs::read(&log_path).unwrap();
+        assert_eq!(
+            wal::read_log(&image).1,
+            image.len(),
+            "{tamper}: torn bytes left in the log"
+        );
+        // Both post-tamper commits are in it, whole.
+        for k in [3, 4] {
+            let ingest = format!("X{k:03}");
+            assert!(
+                records.iter().any(|r| matches!(&r.kind,
+                    OpKind::IngestEdge { in_array, .. } if *in_array == ingest)),
+                "{tamper}: ingest of {ingest} missing from the log"
+            );
+        }
+
+        let report = persist::verify(&dir).unwrap_or_else(|e| panic!("{tamper}: {e}"));
+        assert!(
+            report.stale_files.is_empty(),
+            "{tamper}: {:?}",
+            report.stale_files
+        );
+        let re = Dslog::open(&dir).unwrap();
+        for k in 0..5 {
+            let path = [format!("Y{k:03}"), format!("X{k:03}")];
+            let r = re
+                .prov_query(&[path[0].as_str(), path[1].as_str()], &[vec![1]])
+                .unwrap();
+            assert!(r.cells.contains_cell(&[1]), "{tamper}: edge {k}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -134,8 +134,7 @@ fn orientation_ablation(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let mut db = Dslog::new();
-                    db.set_materialize(policy);
+                    let mut db = Dslog::options().materialize(policy).build().unwrap();
                     db.define_array("in", &[20_000]).unwrap();
                     db.define_array("out", &[20_000]).unwrap();
                     db.add_lineage("in", "out", &TableCapture::new(lineage.clone()))

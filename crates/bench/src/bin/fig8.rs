@@ -40,8 +40,10 @@ fn query_cells(p: &Pipeline, selectivity: f64, rng: &mut impl Rng) -> Vec<Vec<i6
 
 fn run_workflow(name: &str, p: &Pipeline, seed: u64) {
     println!("\n(Fig 8) {name} workflow — forward query latency");
-    let mut db = Dslog::new();
-    db.set_materialize(Materialize::Both);
+    let mut db = Dslog::options()
+        .materialize(Materialize::Both)
+        .build()
+        .unwrap();
     p.register_into(&mut db).unwrap();
     let path: Vec<&str> = p.main_path.iter().map(String::as_str).collect();
 

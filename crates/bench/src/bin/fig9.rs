@@ -78,8 +78,10 @@ fn run_experiment(
             n_ops,
             initial_cells,
         });
-        let mut db = Dslog::new();
-        db.set_materialize(Materialize::Both);
+        let mut db = Dslog::options()
+            .materialize(Materialize::Both)
+            .build()
+            .unwrap();
         p.register_into(&mut db).unwrap();
         let path: Vec<&str> = p.main_path.iter().map(String::as_str).collect();
 

@@ -100,8 +100,8 @@ fn measure(rows: usize, gzip: bool, reps: usize) -> Point {
 
     let (_, save_s) = timed(|| db.save(&dir, gzip).unwrap());
     let db_bytes = dir_bytes(&dir);
-    let (_, open_eager_s) = timed(|| Dslog::open(&dir).unwrap());
-    let (lazy, open_lazy_s) = timed(|| Dslog::open_lazy(&dir).unwrap());
+    let (_, open_eager_s) = timed(|| Dslog::options().open(&dir).unwrap());
+    let (lazy, open_lazy_s) = timed(|| Dslog::options().lazy(true).open(&dir).unwrap());
     // First hop through a lazily opened database: read + verify + decode +
     // index build for that one edge (of 32 — the rest stay on disk).
     let cell = vec![(per_edge / 2) as i64];
@@ -135,7 +135,7 @@ fn measure(rows: usize, gzip: bool, reps: usize) -> Point {
     assert_eq!(report.n_edges, CHAIN_EDGES + reps, "edge count mismatch");
     assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
     assert_eq!(
-        Dslog::open(&dir).unwrap().storage().n_edges(),
+        Dslog::options().open(&dir).unwrap().storage().n_edges(),
         CHAIN_EDGES + reps
     );
 
@@ -181,7 +181,7 @@ struct GenPoint {
     /// Segment files the compaction pass consolidated the chain into.
     segments: usize,
     /// Eager open of the accreted database, sharded vs forced serial
-    /// (`DSLOG_OPEN_THREADS=1`), p50.
+    /// (`open_threads(1)`), p50.
     open_parallel_s: f64,
     open_serial_s: f64,
 }
@@ -193,7 +193,7 @@ fn open_and_first_query(dir: &std::path::Path, tip: usize, per_edge: usize) -> f
     let path: Vec<&str> = names.iter().map(String::as_str).collect();
     let cell = vec![(per_edge / 2) as i64];
     let (_, s) = timed(|| {
-        let db = Dslog::open(dir).unwrap();
+        let db = Dslog::options().open(dir).unwrap();
         db.prov_query(&path, std::slice::from_ref(&cell)).unwrap();
     });
     s
@@ -245,16 +245,14 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
     for _ in 0..reps {
         onegen.push(open_and_first_query(&onegen_dir, generations, per_edge));
         multi.push(open_and_first_query(&dir, generations, per_edge));
-        let (_, par_s) = timed(|| Dslog::open(&dir).unwrap());
+        let (_, par_s) = timed(|| Dslog::options().open(&dir).unwrap());
         parallel.push(par_s);
-        std::env::set_var("DSLOG_OPEN_THREADS", "1");
-        let (_, ser_s) = timed(|| Dslog::open(&dir).unwrap());
-        std::env::remove_var("DSLOG_OPEN_THREADS");
+        let (_, ser_s) = timed(|| Dslog::options().open_threads(1).open(&dir).unwrap());
         serial.push(ser_s);
     }
 
     // Fold the accreted chain; reads after this hit segment ranges.
-    let report = Dslog::open(&dir).unwrap().compact().unwrap();
+    let report = Dslog::options().open(&dir).unwrap().compact().unwrap();
     assert_eq!(report.ranges, generations, "compaction lost a live slot");
     let mut compacted = Vec::with_capacity(reps);
     for _ in 0..reps {

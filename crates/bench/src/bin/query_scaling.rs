@@ -157,14 +157,16 @@ fn versus(reps: usize, mut fast: impl FnMut(), mut slow: impl FnMut()) -> Versus
 /// Planner (selective-first backpass) vs strict path order.
 fn measure_multi_hop(n: usize, reps: usize) -> (usize, Versus) {
     const HOPS: usize = 8;
-    let mut db = Dslog::new();
     // Reverse orientations materialized so the backpass is available;
     // composites disabled so this series isolates the reordering win.
-    db.storage_mut().set_materialize(Materialize::Both);
-    db.set_composite_policy(CompositePolicy {
-        enabled: false,
-        ..CompositePolicy::default()
-    });
+    let mut db = Dslog::options()
+        .materialize(Materialize::Both)
+        .composite_policy(CompositePolicy {
+            enabled: false,
+            ..CompositePolicy::default()
+        })
+        .build()
+        .unwrap();
     scatter_chain(&mut db, HOPS - 1, n);
     let support = (n / 1000).max(4);
     db.define_array(&format!("S{HOPS}"), &[n]).unwrap();
@@ -211,11 +213,13 @@ fn measure_multi_hop(n: usize, reps: usize) -> (usize, Versus) {
 /// repeatedly. Composite hit vs re-executing the path.
 fn measure_composite(n: usize, reps: usize) -> (usize, Versus) {
     const HOPS: usize = 8;
-    let mut db = Dslog::new();
-    db.set_composite_policy(CompositePolicy {
-        hit_threshold: 3,
-        ..CompositePolicy::default()
-    });
+    let mut db = Dslog::options()
+        .composite_policy(CompositePolicy {
+            hit_threshold: 3,
+            ..CompositePolicy::default()
+        })
+        .build()
+        .unwrap();
     let support = 256.min(n / 4).max(8);
     for i in 0..=HOPS {
         db.define_array(&format!("S{i}"), &[n]).unwrap();

@@ -18,10 +18,6 @@
 //! Criterion micro-benchmarks live under `benches/` (compression latency,
 //! query latency, ProvRC internals, and the merge/parallel ablations).
 //!
-//! Two diagnostic binaries support performance investigation: `debug_merge`
-//! (per-pipeline DSLog vs DSLog-NoMerge timing) and `debug_hops` (per-hop
-//! θ-join vs merge timing and box counts along one pipeline).
-//!
 //! All binaries accept `--scale <f>` to shrink/grow workload sizes and
 //! print machine-readable rows (aligned text) comparable against the
 //! paper's published tables/figures (see the README's benchmarks section

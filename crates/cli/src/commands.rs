@@ -2,12 +2,13 @@
 //! test suite can drive commands in-process.
 
 use crate::csv;
-use crate::opts::{parse_array_spec, parse_cells, Opts};
-use dslog::api::{Dslog, TableCapture};
-use dslog::net::{NetServer, ServeOptions};
+use crate::opts::Opts;
+use dslog::api::{Dslog, OpenOptions, TableCapture};
+use dslog::net::{parse_array_spec, parse_cells, NetServer, ServeOptions};
 use dslog::provrc;
 use dslog::service::{AutoCommitPolicy, DslogService, IngestJob, MaintenancePolicy};
 use dslog::storage::format as provrc_format;
+use dslog::storage::wal::{IoFault, IoPolicy};
 use dslog::table::Orientation;
 use dslog_baselines::all_formats;
 use std::fmt::Write as _;
@@ -20,17 +21,18 @@ dslog — fine-grained array lineage storage, compression, and querying
 
 USAGE:
   dslog ingest    --db DIR --in NAME:3x2 --out NAME:3 --csv FILE [--op NAME] [--gzip]
+                  [--retain N]
   dslog stats     --db DIR [--lazy]
   dslog query     --db DIR --path B,A --cells \"1;2;0\" [--no-merge] [--scan]
                   [--no-planner] [--stats] [--lazy] [--as-of GEN]
   dslog export    --db DIR --edge IN,OUT [--csv FILE]
   dslog db verify DIR
   dslog db history DIR
-  dslog db compact DIR
+  dslog db compact DIR [--retain N]
   dslog compress  --csv FILE --out-arity N [--no-fast]
   dslog serve     --db DIR [--gzip] [--lazy] [--auto-commit-edges N]
                   [--auto-commit-ms MS] [--compact-every-gens N]
-                  [--script FILE]
+                  [--retain N] [--script FILE]
                   [--listen ADDR [--addr-file FILE] [--net-workers N]
                    [--net-queue-depth N] [--max-line-bytes N]]
   dslog client    --addr HOST:PORT [--script FILE] [--stats]
@@ -57,8 +59,9 @@ does not embed it). `db history` prints the log (who did what, when,
 at which generation). `query --as-of GEN` runs against a retained
 historical generation, read from the catalog kept for it as
 `catalog.g<GEN>.dsl` (by default only files the current catalog
-references survive a commit; set DSLOG_WAL_RETAIN=N to keep the
-catalogs and files of the last N prior generations queryable).
+references survive a commit; `ingest`, `serve` and `db compact` take
+--retain N to keep the catalogs and files of the last N prior
+generations queryable — each commit applies the window it was given).
 
 `db compact` folds the one-file-per-edge-per-generation layout into a
 few consolidated segment files plus a checksummed manifest of live
@@ -130,6 +133,20 @@ fn open_db(opts: &Opts) -> Result<Dslog, String> {
     options.open(dir).map_err(|e| format!("open {dir}: {e}"))
 }
 
+/// The builder of a command that commits: its operation-log actor,
+/// `--retain N`, and the crash sweep's hidden `--crash-at-io N` (exit 86 at
+/// the N-th gated IO; see `scripts/crash_consistency.sh`).
+fn writer_options(opts: &Opts, actor: &str) -> Result<OpenOptions, String> {
+    let mut options = Dslog::options().wal_actor(actor);
+    if let Some(generations) = opts.optional_int("retain")? {
+        options = options.wal_retention(generations);
+    }
+    if let Some(n) = opts.optional_int("crash-at-io")? {
+        options = options.io_policy(IoPolicy::fail_at(IoFault::Crash, n));
+    }
+    Ok(options)
+}
+
 /// `dslog ingest`: add one CSV relation as an edge, creating or extending
 /// the database directory.
 pub fn ingest(args: &[String]) -> Result<String, String> {
@@ -149,12 +166,13 @@ pub fn ingest(args: &[String]) -> Result<String, String> {
     // no catalog exists — an IO error on an existing database must
     // propagate, not be shadowed by a new empty database whose save would
     // sweep the old snapshot's edge files.
+    let options = writer_options(&opts, "cli")?;
     let mut db = if database_exists(db_dir) {
-        Dslog::open(db_dir).map_err(|e| format!("open {db_dir}: {e}"))?
+        options.open(db_dir)
     } else {
-        Dslog::new()
-    };
-    db.set_wal_actor("cli");
+        options.build()
+    }
+    .map_err(|e| format!("open {db_dir}: {e}"))?;
     db.define_array(&in_name, &in_shape)
         .map_err(|e| e.to_string())?;
     db.define_array(&out_name, &out_shape)
@@ -307,18 +325,17 @@ pub fn export(args: &[String]) -> Result<String, String> {
 /// - `dslog db history <dir>` — print the operation log: one line per
 ///   recorded operation (id, timestamp, actor, kind, generations), plus
 ///   a replay summary.
+/// - `dslog db compact <dir> [--retain N]` — fold the directory's
+///   generations into consolidated segments.
 pub fn db(args: &[String]) -> Result<String, String> {
-    let Some(sub) = args.first() else {
+    let (Some(sub), Some(dir)) = (args.first(), args.get(1)) else {
         return Err("usage: dslog db <verify|history|compact> <dir>".to_string());
     };
     match sub.as_str() {
+        "verify" | "history" if args.len() > 2 => {
+            Err(format!("db {sub} takes exactly one directory"))
+        }
         "verify" => {
-            let dir = args
-                .get(1)
-                .ok_or_else(|| "usage: dslog db verify <dir>".to_string())?;
-            if args.len() > 2 {
-                return Err("db verify takes exactly one directory".to_string());
-            }
             let report = dslog::storage::persist::verify(std::path::Path::new(dir))
                 .map_err(|e| format!("verify {dir}: {e}"))?;
             let mut out = String::new();
@@ -360,12 +377,6 @@ pub fn db(args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         "history" => {
-            let dir = args
-                .get(1)
-                .ok_or_else(|| "usage: dslog db history <dir>".to_string())?;
-            if args.len() > 2 {
-                return Err("db history takes exactly one directory".to_string());
-            }
             let path = std::path::Path::new(dir);
             if !path.is_dir() {
                 return Err(format!("history {dir}: not a database directory"));
@@ -401,19 +412,13 @@ pub fn db(args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         "compact" => {
-            let dir = args
-                .get(1)
-                .ok_or_else(|| "usage: dslog db compact <dir>".to_string())?;
-            if args.len() > 2 {
-                return Err("db compact takes exactly one directory".to_string());
-            }
+            let opts = Opts::parse(&args[2..])?;
             // A lazy open binds the manager in O(catalog) without decoding
             // any table: compaction streams clean slots byte-for-byte.
-            let db = Dslog::options()
+            let db = writer_options(&opts, "cli")?
                 .lazy(true)
                 .open(dir)
                 .map_err(|e| format!("open {dir}: {e}"))?;
-            db.set_wal_actor("cli");
             let report = db.compact().map_err(|e| format!("compact {dir}: {e}"))?;
             Ok(format!(
                 "compacted to generation {}: {} edge file(s) folded into {} segment(s) \
@@ -441,21 +446,23 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     let db_dir = opts.required("db")?;
     let gzip = opts.switch("gzip");
     let lazy = opts.switch("lazy");
-    let parse_u64 = |key: &str| -> Result<Option<u64>, String> {
-        opts.optional(key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("flag --{key} must be an integer"))
-            })
-            .transpose()
-    };
     let policy = AutoCommitPolicy {
-        edge_threshold: parse_u64("auto-commit-edges")?,
-        interval: parse_u64("auto-commit-ms")?.map(Duration::from_millis),
+        edge_threshold: opts.optional_int("auto-commit-edges")?,
+        interval: opts
+            .optional_int("auto-commit-ms")?
+            .map(Duration::from_millis),
     };
     let maintenance = MaintenancePolicy {
-        auto_compact_generations: parse_u64("compact-every-gens")?,
+        auto_compact_generations: opts.optional_int("compact-every-gens")?,
     };
+    // Operation-log attribution: TCP sessions log their commands under
+    // their peer address; policy-triggered commits say "auto-commit".
+    let actor = if opts.optional("script").is_some() {
+        "script"
+    } else {
+        "cli"
+    };
+    let options = writer_options(&opts, actor)?.maintenance(maintenance);
 
     // Open an existing database, or initialize (and bind) an empty one so
     // commits have a target from the start. Fresh-init happens ONLY when
@@ -466,9 +473,8 @@ pub fn serve(args: &[String]) -> Result<String, String> {
         // --gzip is deliberately NOT passed to the builder here: for
         // `serve` it means "convert a plain database", not "insist the
         // catalog already is gzip" (which the builder would validate).
-        let db = Dslog::options()
+        let db = options
             .lazy(lazy)
-            .maintenance(maintenance)
             .open(db_dir)
             .map_err(|e| format!("open {db_dir}: {e}"))?;
         // An existing plain database with an explicit --gzip is converted
@@ -484,20 +490,11 @@ pub fn serve(args: &[String]) -> Result<String, String> {
         }
         db
     } else {
-        Dslog::options()
+        options
             .gzip(gzip)
-            .maintenance(maintenance)
             .create(db_dir)
             .map_err(|e| format!("initialize {db_dir}: {e}"))?
     };
-
-    // Operation-log attribution: TCP sessions override this with their
-    // peer address per command; the ticker tags its commits "auto-commit".
-    db.set_wal_actor(if opts.optional("script").is_some() {
-        "script"
-    } else {
-        "cli"
-    });
     let service = DslogService::new(db, policy);
     if let Some(listen) = opts.optional("listen") {
         return serve_listen(&opts, service, listen);
@@ -546,17 +543,17 @@ pub fn serve(args: &[String]) -> Result<String, String> {
 /// printed (and flushed) immediately — and optionally written to
 /// `--addr-file` — so scripts binding port 0 can discover the real port.
 fn serve_listen(opts: &Opts, service: DslogService, listen: &str) -> Result<String, String> {
-    let parse_usize = |key: &str, default: usize| -> Result<usize, String> {
-        opts.optional(key).map_or(Ok(default), |v| {
-            v.parse()
-                .map_err(|_| format!("flag --{key} must be an integer"))
-        })
-    };
     let defaults = ServeOptions::default();
     let net_opts = ServeOptions {
-        workers: parse_usize("net-workers", defaults.workers)?,
-        queue_depth: parse_usize("net-queue-depth", defaults.queue_depth)?,
-        max_line_bytes: parse_usize("max-line-bytes", defaults.max_line_bytes)?,
+        workers: opts
+            .optional_int("net-workers")?
+            .unwrap_or(defaults.workers),
+        queue_depth: opts
+            .optional_int("net-queue-depth")?
+            .unwrap_or(defaults.queue_depth),
+        max_line_bytes: opts
+            .optional_int("max-line-bytes")?
+            .unwrap_or(defaults.max_line_bytes),
         ..defaults
     };
     let service = std::sync::Arc::new(service);
@@ -619,14 +616,8 @@ pub fn client(args: &[String]) -> Result<String, String> {
     use std::io::{BufRead as _, Write as _};
     let opts = Opts::parse(args)?;
     let addr = opts.required("addr")?;
-    let parse_u64 = |key: &str, default: u64| -> Result<u64, String> {
-        opts.optional(key).map_or(Ok(default), |v| {
-            v.parse()
-                .map_err(|_| format!("flag --{key} must be an integer"))
-        })
-    };
-    let retries = parse_u64("retries", 0)?;
-    let retry_ms = parse_u64("retry-ms", 100)?;
+    let retries: u64 = opts.optional_int("retries")?.unwrap_or(0);
+    let retry_ms: u64 = opts.optional_int("retry-ms")?.unwrap_or(100);
     let want_stats = opts.switch("stats");
 
     type Conn = (std::io::BufReader<std::net::TcpStream>, std::net::TcpStream);

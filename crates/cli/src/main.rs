@@ -6,7 +6,7 @@
 //! to CSV, and compare storage formats on a relation.
 //!
 //! ```text
-//! dslog ingest  --db DIR --in A:3x2 --out B:3 --csv lineage.csv [--gzip]
+//! dslog ingest  --db DIR --in A:3x2 --out B:3 --csv lineage.csv [--gzip] [--retain N]
 //! dslog stats   --db DIR [--lazy]
 //! dslog query   --db DIR --path B,A --cells "1;2" [--lazy]
 //! dslog export  --db DIR --edge A,B [--csv out.csv]
@@ -518,9 +518,8 @@ mod tests {
     fn query_as_of_reaches_retained_generation() {
         let db = temp_db("asof");
         let csv = write_sum_csv("asof");
-        // Two generations under retention: gen 1 has only A->B, gen 2
-        // adds B->C.
-        std::env::set_var("DSLOG_WAL_RETAIN", "4");
+        // Two generations: gen 1 has only A->B, gen 2 adds B->C and —
+        // told to retain — keeps what gen 1 was.
         run(&s(&[
             "ingest", "--db", &db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
         ]))
@@ -537,9 +536,10 @@ mod tests {
             "C:3",
             "--csv",
             csv2.to_str().unwrap(),
+            "--retain",
+            "4",
         ]))
         .unwrap();
-        std::env::remove_var("DSLOG_WAL_RETAIN");
         // Current database answers the two-hop path...
         let now = run(&s(&[
             "query", "--db", &db, "--path", "C,B,A", "--cells", "1",
@@ -561,6 +561,14 @@ mod tests {
             "query", "--db", &db, "--path", "B,A", "--cells", "1", "--as-of", "99",
         ]))
         .is_err());
+        // A compaction keeps exactly the window it is told to retain.
+        let as_of_1 = s(&[
+            "query", "--db", &db, "--path", "B,A", "--cells", "1", "--as-of", "1",
+        ]);
+        run(&s(&["db", "compact", &db, "--retain", "4"])).unwrap();
+        assert_eq!(run(&as_of_1).unwrap(), old);
+        run(&s(&["db", "compact", &db])).unwrap();
+        assert!(run(&as_of_1).is_err());
         let _ = std::fs::remove_dir_all(&db);
         let _ = std::fs::remove_file(&csv);
         let _ = std::fs::remove_file(&csv2);

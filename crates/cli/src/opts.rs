@@ -72,39 +72,16 @@ impl Opts {
             .parse()
             .map_err(|_| format!("flag --{key} must be an integer"))
     }
-}
 
-/// Parse an `NAME:AxBxC` array spec into (name, shape).
-pub fn parse_array_spec(spec: &str) -> Result<(String, Vec<usize>), String> {
-    let (name, dims) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("array spec `{spec}` must look like NAME:3x2"))?;
-    if name.is_empty() {
-        return Err(format!("array spec `{spec}` has an empty name"));
+    /// An optional integer flag.
+    pub fn optional_int<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.optional(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("flag --{key} must be an integer"))
+            })
+            .transpose()
     }
-    let shape: Result<Vec<usize>, _> = dims.split('x').map(str::parse).collect();
-    let shape = shape.map_err(|_| format!("bad dimensions in array spec `{spec}`"))?;
-    if shape.is_empty() || shape.contains(&0) {
-        return Err(format!("array spec `{spec}` needs positive dimensions"));
-    }
-    Ok((name.to_string(), shape))
-}
-
-/// Parse a `;`-separated list of `,`-separated cell indices:
-/// `"1;2;0,1"` → `[[1], [2], [0, 1]]` (arity checked by the query layer).
-pub fn parse_cells(spec: &str) -> Result<Vec<Vec<i64>>, String> {
-    spec.split(';')
-        .filter(|s| !s.trim().is_empty())
-        .map(|cell| {
-            cell.split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse::<i64>()
-                        .map_err(|_| format!("bad cell index `{v}` in `{spec}`"))
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -130,29 +107,5 @@ mod tests {
         assert!(Opts::parse(&s(&["positional"])).is_err());
         assert!(Opts::parse(&s(&["--db", "a", "--db", "b"])).is_err());
         assert!(Opts::parse(&s(&["--db"])).is_err());
-    }
-
-    #[test]
-    fn array_specs() {
-        assert_eq!(
-            parse_array_spec("A:3x2").unwrap(),
-            ("A".to_string(), vec![3, 2])
-        );
-        assert_eq!(parse_array_spec("B:7").unwrap(), ("B".to_string(), vec![7]));
-        assert!(parse_array_spec("A").is_err());
-        assert!(parse_array_spec(":3").is_err());
-        assert!(parse_array_spec("A:0x2").is_err());
-        assert!(parse_array_spec("A:3xZ").is_err());
-    }
-
-    #[test]
-    fn cell_lists() {
-        assert_eq!(
-            parse_cells("1;2;0,1").unwrap(),
-            vec![vec![1], vec![2], vec![0, 1]]
-        );
-        assert_eq!(parse_cells(" 3 , 4 ").unwrap(), vec![vec![3, 4]]);
-        assert!(parse_cells("a").is_err());
-        assert!(parse_cells("").unwrap().is_empty());
     }
 }

@@ -6,8 +6,11 @@ use crate::provrc::CompressOptions;
 use crate::query::{QueryOptions, QueryStats};
 use crate::reuse::{ArgValue, CompositePolicy, Mapping, ReuseHit, ReuseManager, ReuseStats};
 use crate::service::MaintenancePolicy;
+use crate::storage::persist::{self, OpenMode};
+use crate::storage::wal::IoPolicy;
 use crate::storage::{Materialize, StorageManager};
 use crate::table::{BoxTable, LineageTable};
+use std::sync::Arc;
 
 /// A lineage capture method for one (input array, output array) pair.
 ///
@@ -74,21 +77,19 @@ pub struct QueryResult {
     pub stats: QueryStats,
 }
 
-/// Consolidated construction + configuration builder for [`Dslog`]
-/// (start with [`Dslog::options`]).
-///
-/// This is the one front door for every open-time decision that used to
-/// be spread across the `open`/`open_lazy`/`open_as_of` constructor trio
-/// and a pile of post-construction `set_*` calls. Settings accumulate on
-/// the builder; the terminal methods ([`open`](Self::open),
+/// The one way to configure a [`Dslog`] (start with [`Dslog::options`]):
+/// every open-time decision and every runtime setting accumulates on the
+/// builder, and the terminal methods ([`open`](Self::open),
 /// [`create`](Self::create), [`build`](Self::build)) validate the
-/// combination **before** any file IO and reject contradictions with
-/// [`DslogError::InvalidOptions`].
+/// combination **before** any file IO, rejecting contradictions with
+/// [`DslogError::InvalidOptions`]. A live handle reports what it runs
+/// with through [`Dslog::config`] and takes edits through
+/// [`Dslog::reconfigure`]; nothing else — no setter, no environment
+/// variable — configures a database.
 ///
 /// ```no_run
 /// use dslog::api::Dslog;
 ///
-/// // Before: Dslog::open_lazy(dir)? + db.set_wal_retention(8) + ...
 /// let db = Dslog::options()
 ///     .lazy(true)
 ///     .wal_retention(8)
@@ -98,35 +99,31 @@ pub struct QueryResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OpenOptions {
-    lazy: bool,
-    as_of: Option<u64>,
-    gzip: Option<bool>,
-    wal_actor: Option<String>,
-    wal_retention: Option<u32>,
-    compress: Option<CompressOptions>,
-    query: Option<QueryOptions>,
-    composite_policy: Option<CompositePolicy>,
-    maintenance: MaintenancePolicy,
+    /// What the builder has accumulated; `gzip` is the *requested* format
+    /// until a terminal method resolves it.
+    config: DslogConfig,
 }
 
 impl OpenOptions {
-    /// Defer table decode + checksum to first use (see the former
-    /// `open_lazy`): the open costs O(catalog), ideal when a large
-    /// database serves queries that touch few edges. Conflicts with
-    /// [`as_of`](Self::as_of) — time-travel snapshots are read from a
-    /// retained generation's kept catalog and always decode eagerly.
+    /// Defer table decode + checksum to first use: the open costs
+    /// O(catalog), ideal when a large database serves queries that touch
+    /// few edges. Conflicts with [`as_of`](Self::as_of) — time-travel
+    /// snapshots are read from a retained generation's kept catalog and
+    /// always decode eagerly.
     pub fn lazy(mut self, lazy: bool) -> Self {
-        self.lazy = lazy;
+        self.config.lazy = lazy;
         self
     }
 
-    /// Open the database as it was at `generation` — time travel (see the
-    /// former `open_as_of`). The snapshot is unbound and read-only with
-    /// respect to the source directory; it conflicts with
-    /// [`lazy`](Self::lazy) and with a background
+    /// Open the database as it was at `generation` — time travel, for as
+    /// long as [`wal_retention`](Self::wal_retention) kept that
+    /// generation's catalog and files
+    /// ([`DslogError::GenerationNotRetained`] otherwise). The snapshot is
+    /// unbound and read-only with respect to the source directory; it
+    /// conflicts with [`lazy`](Self::lazy) and with a background
     /// [`maintenance`](Self::maintenance) policy.
     pub fn as_of(mut self, generation: u64) -> Self {
-        self.as_of = Some(generation);
+        self.config.as_of = Some(generation);
         self
     }
 
@@ -135,107 +132,118 @@ impl OpenOptions {
     /// [`open`](Self::open) it is validated against what the catalog
     /// actually uses (omit it to accept either).
     pub fn gzip(mut self, gzip: bool) -> Self {
-        self.gzip = Some(gzip);
+        self.config.gzip = Some(gzip);
         self
     }
 
-    /// Actor label recorded on subsequent operation-log records.
+    /// Cap the worker threads an [`open`](Self::open) fans table decode +
+    /// crc across (`1` = serial; default: the machine's parallelism).
+    pub fn open_threads(mut self, threads: usize) -> Self {
+        self.config.open_threads = Some(threads);
+        self
+    }
+
+    /// Install a fault injector on every gated IO of the handle's commits
+    /// and compactions — a test API, see [`IoPolicy`]. One is installed
+    /// only here; keep the `Arc` to [`rearm`](IoPolicy::rearm) it later.
+    pub fn io_policy(mut self, policy: Arc<IoPolicy>) -> Self {
+        self.config.io_policy = Some(policy);
+        self
+    }
+
+    /// Actor label of the operation-log records this handle's `define`,
+    /// ingest and `commit` calls write (`"local"` by default).
     pub fn wal_actor(mut self, actor: impl Into<String>) -> Self {
-        self.wal_actor = Some(actor.into());
+        self.config.wal_actor = actor.into();
         self
     }
 
-    /// Keep the edge files of up to this many prior commits on disk so
-    /// [`as_of`](Self::as_of) opens can resolve them.
+    /// Keep the catalog and edge files of up to this many prior commits on
+    /// disk so [`as_of`](Self::as_of) opens can resolve them (default 0:
+    /// a commit sweeps everything its catalog does not reference).
     pub fn wal_retention(mut self, generations: u32) -> Self {
-        self.wal_retention = Some(generations);
+        self.config.wal_retention = generations;
         self
     }
 
-    /// ProvRC compression options for every capture-path compress.
+    /// Which orientations an ingest materializes (paper §IV.C; default:
+    /// backward only, forward derived on demand).
+    pub fn materialize(mut self, materialize: Materialize) -> Self {
+        self.config.materialize = materialize;
+        self
+    }
+
+    /// ProvRC compression options for every capture-path compress: ingest
+    /// and on-demand orientation derivation. `fast = false` selects the
+    /// row-of-structs ablation pipeline (bit-identical output, for
+    /// benchmarking).
     pub fn compress(mut self, opts: CompressOptions) -> Self {
-        self.compress = Some(opts);
+        self.config.compress = opts;
         self
     }
 
-    /// Default query-execution options.
+    /// Default query-execution options (merge step, interval index,
+    /// threading, planner — each an ablation switch; see [`QueryOptions`]).
     pub fn query(mut self, opts: QueryOptions) -> Self {
-        self.query = Some(opts);
+        self.config.query = opts;
         self
     }
 
-    /// Composite-edge materialization policy.
+    /// Composite-edge materialization policy (hit threshold and size
+    /// caps).
     pub fn composite_policy(mut self, policy: CompositePolicy) -> Self {
-        self.composite_policy = Some(policy);
+        self.config.composite_policy = policy;
         self
     }
 
     /// Background-compaction policy, honored by
     /// [`crate::service::DslogService`] after each successful commit.
     pub fn maintenance(mut self, policy: MaintenancePolicy) -> Self {
-        self.maintenance = policy;
+        self.config.maintenance = policy;
         self
     }
 
-    /// Reject combinations that contradict each other. Shared by every
-    /// terminal method so a bad bundle fails before any file IO.
-    fn validate(&self) -> Result<()> {
-        if self.as_of.is_some() && self.lazy {
+    /// Reject combinations that contradict each other and hand the bundle
+    /// over. Shared by every terminal method so a bad one fails before
+    /// any file IO; `existing` says the target is data already on disk.
+    fn validated(self, existing: bool) -> Result<DslogConfig> {
+        let c = self.config;
+        if c.as_of.is_some() && c.lazy {
             return Err(DslogError::InvalidOptions(
                 "`as_of` snapshots are read from a retained generation's catalog and always \
                  decode eagerly; combining `as_of` with `lazy` is a conflict",
             ));
         }
-        if self.as_of.is_some() && self.maintenance.auto_compact_generations.is_some() {
+        if c.as_of.is_some() && c.maintenance.auto_compact_generations.is_some() {
             return Err(DslogError::InvalidOptions(
                 "`as_of` snapshots are unbound and read-only; a background compaction \
                  policy cannot apply to them",
             ));
         }
-        Ok(())
+        if !existing && (c.as_of.is_some() || c.lazy) {
+            return Err(DslogError::InvalidOptions(
+                "`as_of` and `lazy` select how existing data is read; they cannot apply \
+                 to a freshly created or in-memory database",
+            ));
+        }
+        Ok(c)
     }
 
-    /// Copy the accumulated configuration onto a constructed handle.
-    fn configure(self, db: &mut Dslog) {
-        if let Some(actor) = &self.wal_actor {
-            db.set_wal_actor(actor);
-        }
-        if let Some(retention) = self.wal_retention {
-            db.set_wal_retention(retention);
-        }
-        if let Some(opts) = self.compress {
-            db.set_compress_options(opts);
-        }
-        if let Some(opts) = self.query {
-            db.set_query_options(opts);
-        }
-        if let Some(policy) = self.composite_policy {
-            db.set_composite_policy(policy);
-        }
-        db.maintenance = self.maintenance;
-    }
-
-    /// Open an existing database directory with this configuration.
-    /// Replaces the `open`/`open_lazy`/`open_as_of` trio: `lazy` and
-    /// `as_of` select the open mode, everything else is applied to the
-    /// handle before it is returned.
+    /// Open an existing database directory with this configuration:
+    /// `lazy` and `as_of` select how it is read, everything else is
+    /// applied to the handle before it is returned.
     pub fn open(self, dir: impl AsRef<std::path::Path>) -> Result<Dslog> {
-        self.validate()?;
-        let dir = dir.as_ref();
-        let storage = match self.as_of {
-            Some(generation) => crate::storage::persist::open_as_of(dir, generation)?,
-            None if self.lazy => crate::storage::persist::open_lazy(dir)?,
-            None => crate::storage::persist::open(dir)?,
+        let config = self.validated(true)?;
+        let mode = match config.as_of {
+            Some(generation) => OpenMode::AsOf(generation),
+            None if config.lazy => OpenMode::Lazy,
+            None => OpenMode::Eager,
         };
         let mut db = Dslog {
-            storage,
-            reuse: ReuseManager::default(),
-            query_options: QueryOptions::default(),
-            maintenance: MaintenancePolicy::default(),
-            opened_lazy: self.lazy,
-            opened_as_of: self.as_of,
+            storage: persist::open(dir.as_ref(), mode, config.open_threads)?,
+            ..Dslog::default()
         };
-        if let (Some(requested), Some((_, actual, _))) = (self.gzip, db.bound_database()) {
+        if let (Some(requested), Some((_, actual, _))) = (config.gzip, db.bound_database()) {
             if requested != actual {
                 return Err(DslogError::InvalidOptions(
                     "the database directory was written with the other gzip mode; omit \
@@ -243,7 +251,7 @@ impl OpenOptions {
                 ));
             }
         }
-        self.configure(&mut db);
+        db.apply(config);
         Ok(db)
     }
 
@@ -253,16 +261,10 @@ impl OpenOptions {
     /// [`commit`](Dslog::commit)s. Conflicts with [`as_of`](Self::as_of)
     /// and [`lazy`](Self::lazy), which describe *existing* data.
     pub fn create(self, dir: impl AsRef<std::path::Path>) -> Result<Dslog> {
-        self.validate()?;
-        if self.as_of.is_some() || self.lazy {
-            return Err(DslogError::InvalidOptions(
-                "`as_of` and `lazy` select how existing data is read; they cannot apply \
-                 to a freshly created database",
-            ));
-        }
-        let gzip = self.gzip.unwrap_or(false);
+        let config = self.validated(false)?;
+        let gzip = config.gzip.unwrap_or(false);
         let mut db = Dslog::new();
-        self.configure(&mut db);
+        db.apply(config);
         db.save(dir, gzip)?;
         Ok(db)
     }
@@ -271,38 +273,42 @@ impl OpenOptions {
     /// Settings that only mean something for a database directory
     /// (`lazy`, `as_of`, `gzip`) are rejected.
     pub fn build(self) -> Result<Dslog> {
-        self.validate()?;
-        if self.as_of.is_some() || self.lazy || self.gzip.is_some() {
+        let config = self.validated(false)?;
+        if config.gzip.is_some() {
             return Err(DslogError::InvalidOptions(
-                "`lazy`, `as_of`, and `gzip` describe a database directory; use \
-                 open(dir)/create(dir), or drop them to build in memory",
+                "`gzip` describes a database directory; use open(dir)/create(dir), or \
+                 drop it to build in memory",
             ));
         }
         let mut db = Dslog::new();
-        self.configure(&mut db);
+        db.apply(config);
         Ok(db)
     }
 }
 
 /// One snapshot of a [`Dslog`] handle's effective configuration
-/// ([`Dslog::config`] / [`Dslog::reconfigure`]). The service layer
-/// reports it over the net protocol as the stats `"config"` object.
+/// ([`Dslog::config`] / [`Dslog::reconfigure`]) — one field per
+/// [`OpenOptions`] method; the first five are fixed once the handle
+/// exists. The service layer reports it over the net protocol as the stats
+/// `"config"` object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DslogConfig {
-    /// Whether the handle was opened lazily (tables decoded on first
-    /// use). Fixed at open time.
+    /// Whether the handle was opened lazily (tables decoded on first use).
     pub lazy: bool,
     /// The time-travel generation this handle was opened as of, if any.
-    /// Fixed at open time.
     pub as_of: Option<u64>,
     /// The bound directory's on-disk format (`None` while unbound).
-    /// Fixed by the binding.
     pub gzip: Option<bool>,
-    /// Actor label on new operation-log records.
+    /// The decode-thread cap the handle was opened with, if any.
+    pub open_threads: Option<usize>,
+    /// The fault injector gating the handle's commit IO, if any.
+    pub io_policy: Option<Arc<IoPolicy>>,
+    /// Actor label on the handle's operation-log records.
     pub wal_actor: String,
-    /// Effective retention window (explicit override or the
-    /// `DSLOG_WAL_RETAIN` environment default).
+    /// Prior generations each commit keeps on disk for `as_of` opens.
     pub wal_retention: u32,
+    /// Orientations materialized at ingest.
+    pub materialize: Materialize,
     /// Capture-path compression options.
     pub compress: CompressOptions,
     /// Default query-execution options.
@@ -313,15 +319,23 @@ pub struct DslogConfig {
     pub maintenance: MaintenancePolicy,
 }
 
+impl Default for DslogConfig {
+    /// What a [`Dslog::new`] handle runs with.
+    fn default() -> Self {
+        Dslog::default().config()
+    }
+}
+
 /// Top-level DSLog handle: storage manager + reuse manager + query planner.
 #[derive(Debug, Default)]
 pub struct Dslog {
     storage: StorageManager,
     reuse: ReuseManager,
     query_options: QueryOptions,
-    maintenance: MaintenancePolicy,
-    opened_lazy: bool,
-    opened_as_of: Option<u64>,
+    pub(crate) maintenance: MaintenancePolicy,
+    lazy: bool,
+    as_of: Option<u64>,
+    open_threads: Option<usize>,
 }
 
 impl Dslog {
@@ -331,60 +345,62 @@ impl Dslog {
         Self::default()
     }
 
-    /// Start an [`OpenOptions`] builder — the consolidated front door for
-    /// opening, creating, or building a database with non-default
-    /// configuration. See the builder docs for the migration story from
-    /// the former constructor trio.
+    /// Start an [`OpenOptions`] builder — the front door for opening,
+    /// creating, or building a database with non-default configuration.
     pub fn options() -> OpenOptions {
         OpenOptions::default()
     }
 
     /// Snapshot the handle's effective configuration: open-time facts
-    /// (`lazy`, `as_of`, the binding's `gzip` mode) plus every runtime
-    /// knob, in one [`DslogConfig`] value.
+    /// (`lazy`, `as_of`, `open_threads`, `io_policy`, the binding's `gzip`
+    /// mode) plus every runtime setting, in one [`DslogConfig`] value.
     pub fn config(&self) -> DslogConfig {
+        let s = &self.storage;
         DslogConfig {
-            lazy: self.opened_lazy,
-            as_of: self.opened_as_of,
+            lazy: self.lazy,
+            as_of: self.as_of,
             gzip: self.storage.persist_binding().map(|(_, gzip, _)| gzip),
-            wal_actor: self.storage.wal_actor(),
-            wal_retention: self.storage.wal_retention(),
-            compress: self.storage.compress_options(),
+            open_threads: self.open_threads,
+            io_policy: s.io_policy.clone(),
+            wal_actor: s.actor.clone(),
+            wal_retention: s.retain,
+            materialize: s.materialize,
+            compress: s.compress,
             query: self.query_options,
-            composite_policy: self.storage.composite_policy(),
+            composite_policy: s.composite_policy,
             maintenance: self.maintenance,
         }
     }
 
-    /// Apply a (typically [`config`](Self::config)-derived, then edited)
-    /// configuration snapshot to this handle. The open-time facts
-    /// (`lazy`, `as_of`, `gzip`) cannot be changed here — pass them back
-    /// unmodified or get [`DslogError::InvalidOptions`]; reopen through
-    /// [`Dslog::options`] to change how data is read.
-    pub fn reconfigure(&mut self, config: DslogConfig) -> Result<()> {
-        let current = self.config();
-        if config.lazy != current.lazy
-            || config.as_of != current.as_of
-            || config.gzip != current.gzip
-        {
-            return Err(DslogError::InvalidOptions(
-                "`lazy`, `as_of`, and `gzip` are fixed when a database is opened; reopen \
-                 through Dslog::options() to change them",
-            ));
-        }
-        self.set_wal_actor(&config.wal_actor);
-        self.set_wal_retention(config.wal_retention);
-        self.set_compress_options(config.compress);
-        self.set_query_options(config.query);
-        self.set_composite_policy(config.composite_policy);
-        self.maintenance = config.maintenance;
-        Ok(())
+    /// Copy a validated configuration onto the handle (`gzip` is the
+    /// binding's to keep).
+    fn apply(&mut self, c: DslogConfig) {
+        let s = &mut self.storage;
+        (s.materialize, s.compress, s.composite_policy) =
+            (c.materialize, c.compress, c.composite_policy);
+        (s.actor, s.retain, s.io_policy) = (c.wal_actor, c.wal_retention, c.io_policy);
+        self.query_options = c.query;
+        self.maintenance = c.maintenance;
+        (self.lazy, self.as_of, self.open_threads) = (c.lazy, c.as_of, c.open_threads);
     }
 
-    /// The background-compaction policy this handle carries (honored by
-    /// [`crate::service::DslogService`] after successful commits).
-    pub fn maintenance_policy(&self) -> MaintenancePolicy {
-        self.maintenance
+    /// Apply a (typically [`config`](Self::config)-derived, then edited)
+    /// configuration snapshot to this handle. The open-time facts
+    /// (`lazy`, `as_of`, `gzip`, `open_threads`, `io_policy`) cannot be
+    /// changed here — pass them back unmodified or get
+    /// [`DslogError::InvalidOptions`]; reopen through [`Dslog::options`] to
+    /// change how data is read.
+    pub fn reconfigure(&mut self, config: DslogConfig) -> Result<()> {
+        let fixed =
+            |c: &DslogConfig| (c.lazy, c.as_of, c.gzip, c.open_threads, c.io_policy.clone());
+        if fixed(&config) != fixed(&self.config()) {
+            return Err(DslogError::InvalidOptions(
+                "`lazy`, `as_of`, `gzip`, `open_threads` and `io_policy` are fixed when a \
+                 database is opened; reopen through Dslog::options() to change them",
+            ));
+        }
+        self.apply(config);
+        Ok(())
     }
 
     /// Fold the bound directory's cold generations into consolidated
@@ -392,83 +408,35 @@ impl Dslog {
     /// is re-referenced as a range of a shard-assigned segment, a
     /// crc32-trailed manifest records those ranges, and superseded
     /// generation files are swept — except those the operation-log
-    /// retention window (see
-    /// [`set_wal_retention`](Self::set_wal_retention)) still vouches for,
-    /// so time-travel opens inside the window keep working. The catalog
-    /// rename remains the single commit point; a crash at any earlier
-    /// step leaves the previous generation intact.
+    /// retention window (see [`OpenOptions::wal_retention`]) still vouches
+    /// for, so time-travel opens inside the window keep working. The
+    /// catalog rename remains the single commit point; a crash at any
+    /// earlier step leaves the previous generation intact.
     pub fn compact(&self) -> Result<crate::storage::compact::CompactReport> {
+        self.compact_as(None)
+    }
+
+    /// [`compact`](Self::compact), logged under `actor`.
+    pub(crate) fn compact_as(
+        &self,
+        actor: Option<&str>,
+    ) -> Result<crate::storage::compact::CompactReport> {
         let (dir, gzip, _) = self.storage.persist_binding().ok_or(DslogError::NotBound)?;
-        crate::storage::compact::compact(&self.storage, &dir, gzip)
+        crate::storage::compact::compact_as(&self.storage, &dir, gzip, actor)
     }
 
     /// Clone this database for epoch-snapshot publication (the
     /// [`crate::service`] write path): storage edges, the persistence
     /// binding, and the commit lock are *shared* with `self` (see
     /// `StorageManager::clone_for_epoch`); the reuse predictor state and
-    /// query options are value-cloned. Mutating the clone's array/edge
+    /// every setting are value-cloned. Mutating the clone's array/edge
     /// maps never disturbs readers of the original.
     pub(crate) fn clone_for_epoch(&self) -> Self {
         Self {
             storage: self.storage.clone_for_epoch(),
             reuse: self.reuse.clone(),
-            query_options: self.query_options,
-            maintenance: self.maintenance,
-            opened_lazy: self.opened_lazy,
-            opened_as_of: self.opened_as_of,
+            ..*self
         }
-    }
-
-    /// Override the orientation materialization policy.
-    pub fn set_materialize(&mut self, m: Materialize) {
-        self.storage.set_materialize(m);
-    }
-
-    /// Override the compression options used by every capture-path
-    /// compress: `add_lineage` / `register_operation` ingest and on-demand
-    /// orientation derivation. `fast = false` selects the row-of-structs
-    /// ablation pipeline (bit-identical output, for benchmarking).
-    pub fn set_compress_options(&mut self, opts: crate::provrc::CompressOptions) {
-        self.storage.set_compress_options(opts);
-    }
-
-    /// The compression options the capture path currently runs with.
-    pub fn compress_options(&self) -> crate::provrc::CompressOptions {
-        self.storage.compress_options()
-    }
-
-    /// Enable/disable the per-hop merge step (the `DSLog-NoMerge` ablation).
-    pub fn set_merge(&mut self, merge: bool) {
-        self.query_options.merge = merge;
-    }
-
-    /// Enable/disable the sorted interval index on the query path (the
-    /// scan-vs-probe ablation; `false` restores the nested-loop engine).
-    pub fn set_use_index(&mut self, use_index: bool) {
-        self.query_options.use_index = use_index;
-    }
-
-    /// Enable/disable multi-threaded hop execution.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.query_options.parallel = parallel;
-    }
-
-    /// Enable/disable the cost-based multi-hop planner (the planner
-    /// ablation; `false` restores the paper's strict path-order chain).
-    /// See [`crate::query::plan`].
-    pub fn set_use_planner(&mut self, use_planner: bool) {
-        self.query_options.use_planner = use_planner;
-    }
-
-    /// Override the composite-edge materialization policy (hit threshold
-    /// and size caps; see [`crate::reuse::CompositePolicy`]).
-    pub fn set_composite_policy(&mut self, policy: crate::reuse::CompositePolicy) {
-        self.storage.set_composite_policy(policy);
-    }
-
-    /// Replace the full default query-option set.
-    pub fn set_query_options(&mut self, opts: QueryOptions) {
-        self.query_options = opts;
     }
 
     /// The options `prov_query` currently runs with.
@@ -530,7 +498,7 @@ impl Dslog {
     /// tables are not persisted; they are re-learned per process (§VI.C
     /// re-validates mappings anyway).
     pub fn save(&self, dir: impl AsRef<std::path::Path>, gzip: bool) -> Result<()> {
-        crate::storage::persist::save(&self.storage, dir.as_ref(), gzip)
+        persist::save(&self.storage, dir.as_ref(), gzip)
     }
 
     /// Incrementally commit to the bound database directory: write only
@@ -540,15 +508,20 @@ impl Dslog {
     /// point. Appending one edge to a 100k-row database costs O(new
     /// edge), not O(database).
     ///
-    /// The binding is established by [`save`](Self::save),
-    /// [`open`](Self::open), or [`open_lazy`](Self::open_lazy); calling
-    /// `commit` on a never-persisted database returns
+    /// The binding is established by [`save`](Self::save) or by opening a
+    /// directory ([`OpenOptions::open`] / [`OpenOptions::create`]);
+    /// calling `commit` on a never-persisted database returns
     /// [`DslogError::NotBound`]. Callers running commits concurrently
     /// with saves on the same handle should serialize them (the
     /// [`crate::service`] layer does).
-    pub fn commit(&self) -> Result<crate::storage::persist::CommitReport> {
+    pub fn commit(&self) -> Result<persist::CommitReport> {
+        self.commit_as(None)
+    }
+
+    /// [`commit`](Self::commit), its commit record logged under `actor`.
+    pub(crate) fn commit_as(&self, actor: Option<&str>) -> Result<persist::CommitReport> {
         let (dir, gzip, _) = self.storage.persist_binding().ok_or(DslogError::NotBound)?;
-        crate::storage::persist::commit(&self.storage, &dir, gzip)
+        persist::commit_as(&self.storage, &dir, gzip, actor)
     }
 
     /// The database directory this handle is bound to for incremental
@@ -558,74 +531,12 @@ impl Dslog {
         self.storage.persist_binding()
     }
 
-    /// Open a database directory previously written by [`save`](Self::save),
-    /// eagerly decoding (and checksum-verifying) every table file.
-    ///
-    /// Thin wrapper kept for existing callers — prefer
-    /// [`Dslog::options()`](Self::options)`.open(dir)`, which takes the
-    /// same path and accepts the rest of the configuration too.
-    #[doc(hidden)]
-    pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self> {
-        Self::options().open(dir)
-    }
-
-    /// Open a database directory in O(catalog) time: table files are only
-    /// stat'd now and read, verified against the catalog's recorded
-    /// length + crc32, and decoded on the first query hop that needs them.
-    /// (Legacy v1 directories carry no checksums and fall back to an eager
-    /// open.)
-    ///
-    /// Thin wrapper kept for existing callers — prefer
-    /// [`Dslog::options()`](Self::options)`.lazy(true).open(dir)`.
-    #[doc(hidden)]
-    pub fn open_lazy(dir: impl AsRef<std::path::Path>) -> Result<Self> {
-        Self::options().lazy(true).open(dir)
-    }
-
-    /// Open the database as it was at `generation` — time travel. The
-    /// commit that superseded the generation kept the exact catalog that
-    /// was live as `catalog.g<generation>.dsl`, and the retention policy
-    /// (see [`set_wal_retention`](Self::set_wal_retention)) decides how
-    /// long it and the edge files it names stay on disk. The snapshot is
-    /// unbound: committing it is a full save into a fresh target, never a
-    /// rewrite of history. Returns [`DslogError::GenerationNotRetained`]
-    /// for generations never committed or already swept.
-    ///
-    /// Thin wrapper kept for existing callers — prefer
-    /// [`Dslog::options()`](Self::options)`.as_of(generation).open(dir)`.
-    #[doc(hidden)]
-    pub fn open_as_of(dir: impl AsRef<std::path::Path>, generation: u64) -> Result<Self> {
-        Self::options().as_of(generation).open(dir)
-    }
-
     /// Every cleanly framed record of the bound database's operation log,
     /// oldest first ([`DslogError::NotBound`] without a binding). The
     /// read is torn-tail tolerant and never mutates the log.
     pub fn history(&self) -> Result<Vec<crate::storage::wal::OpRecord>> {
         let (dir, _, _) = self.storage.persist_binding().ok_or(DslogError::NotBound)?;
         crate::storage::wal::history(&dir)
-    }
-
-    /// Set the actor label recorded on this handle's subsequent
-    /// operation-log records (`"local"` by default; the CLI and server
-    /// install `"cli"`, `"auto-commit"`, or the network peer address).
-    pub fn set_wal_actor(&self, actor: &str) {
-        self.storage.set_wal_actor(actor);
-    }
-
-    /// Keep the edge files of up to `generations` prior commits on disk
-    /// so [`open_as_of`](Self::open_as_of) can resolve them. Defaults to
-    /// 0 (identical sweep behavior to pre-log releases); the
-    /// `DSLOG_WAL_RETAIN` environment variable supplies a process-wide
-    /// default.
-    pub fn set_wal_retention(&self, generations: u32) {
-        self.storage.set_wal_retention(generations);
-    }
-
-    /// Install (or clear) a fault-injection policy for subsequent commits
-    /// — a test API; see [`crate::storage::wal::IoPolicy`].
-    pub fn set_io_policy(&self, policy: Option<std::sync::Arc<crate::storage::wal::IoPolicy>>) {
-        self.storage.set_io_policy(policy);
     }
 
     /// Define a named tracked array with a fixed shape (paper: `Array`).
@@ -1031,28 +942,21 @@ mod tests {
         ));
     }
 
+    /// Every builder method lands in `config()`, nothing is lost across a
+    /// `reconfigure(config())` round trip, runtime settings can be edited
+    /// on a live handle, and the open-time facts cannot.
     #[test]
     fn open_options_create_open_and_config_roundtrip() {
+        use crate::storage::wal::IoFault;
         let dir = std::env::temp_dir().join(format!("dslog-api-options-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut db = Dslog::options()
-            .gzip(true)
-            .wal_retention(5)
-            .wal_actor("builder-test")
-            .maintenance(MaintenancePolicy::every_generations(4))
-            .create(&dir)
-            .unwrap();
+        let mut db = Dslog::options().gzip(true).create(&dir).unwrap();
         db.define_array("A", &[3, 2]).unwrap();
         db.define_array("B", &[3]).unwrap();
         db.add_lineage("A", "B", &TableCapture::new(sum_lineage()))
             .unwrap();
-        db.commit().unwrap();
-
-        let cfg = db.config();
-        assert_eq!(cfg.gzip, Some(true));
-        assert_eq!(cfg.wal_retention, 5);
-        assert_eq!(cfg.wal_actor, "builder-test");
-        assert_eq!(cfg.maintenance.auto_compact_generations, Some(4));
+        let generation = db.commit().unwrap().generation;
+        assert_eq!(db.config().gzip, Some(true));
 
         // Requesting the wrong format at open time is a build-time error;
         // omitting gzip (or matching it) accepts the catalog's record.
@@ -1060,25 +964,97 @@ mod tests {
             Dslog::options().gzip(false).open(&dir),
             Err(DslogError::InvalidOptions(_))
         ));
-        let reopened = Dslog::options().gzip(true).lazy(true).open(&dir).unwrap();
-        assert!(reopened.config().lazy);
-        let r = reopened.prov_query(&["B", "A"], &[vec![1]]).unwrap();
+
+        let want = DslogConfig {
+            lazy: true,
+            as_of: None, // conflicts with `lazy`; covered below
+            gzip: Some(true),
+            open_threads: Some(1),
+            io_policy: Some(IoPolicy::fail_at(IoFault::WriteError, u64::MAX)),
+            wal_actor: "builder-test".to_string(),
+            wal_retention: 5,
+            materialize: Materialize::Both,
+            compress: CompressOptions {
+                fast: false,
+                ..CompressOptions::default()
+            },
+            query: QueryOptions {
+                merge: false,
+                ..QueryOptions::default()
+            },
+            composite_policy: CompositePolicy {
+                hit_threshold: 7,
+                ..CompositePolicy::default()
+            },
+            maintenance: MaintenancePolicy::every_generations(4),
+        };
+        let mut db = Dslog::options()
+            .lazy(want.lazy)
+            .gzip(true)
+            .open_threads(1)
+            .io_policy(want.io_policy.clone().unwrap())
+            .wal_actor("builder-test")
+            .wal_retention(want.wal_retention)
+            .materialize(want.materialize)
+            .compress(want.compress)
+            .query(want.query)
+            .composite_policy(want.composite_policy)
+            .maintenance(want.maintenance)
+            .open(&dir)
+            .unwrap();
+        assert_eq!(db.config(), want);
+        let default = DslogConfig::default();
+        for (field, differs) in [
+            ("lazy", want.lazy != default.lazy),
+            ("gzip", want.gzip != default.gzip),
+            ("open_threads", want.open_threads != default.open_threads),
+            ("io_policy", want.io_policy != default.io_policy),
+            ("wal_actor", want.wal_actor != default.wal_actor),
+            ("wal_retention", want.wal_retention != default.wal_retention),
+            ("materialize", want.materialize != default.materialize),
+            ("compress", want.compress != default.compress),
+            ("query", want.query != default.query),
+            (
+                "composite",
+                want.composite_policy != default.composite_policy,
+            ),
+            ("maintenance", want.maintenance != default.maintenance),
+        ] {
+            assert!(differs, "{field} was left at its default");
+        }
+        let r = db.prov_query(&["B", "A"], &[vec![1]]).unwrap();
         assert!(r.cells.contains_cell(&[1, 0]));
 
-        // reconfigure: runtime knobs change, open-time facts do not.
-        let mut db = reopened;
-        let mut cfg = db.config();
-        cfg.wal_retention = 9;
-        cfg.query.merge = false;
-        db.reconfigure(cfg).unwrap();
-        assert_eq!(db.config().wal_retention, 9);
-        assert!(!db.query_options().merge);
-        let mut bad = db.config();
-        bad.gzip = Some(false);
-        assert!(matches!(
-            db.reconfigure(bad),
-            Err(DslogError::InvalidOptions(_))
-        ));
+        // reconfigure: a round trip loses nothing, runtime settings
+        // change, open-time facts do not.
+        db.reconfigure(db.config()).unwrap();
+        assert_eq!(db.config(), want);
+        let mut edited = db.config();
+        edited.wal_retention = 9;
+        edited.query.merge = true;
+        db.reconfigure(edited.clone()).unwrap();
+        assert_eq!(db.config(), edited);
+        assert!(db.query_options().merge);
+        type Edit = fn(&mut DslogConfig);
+        let fixed: [(&str, Edit); 5] = [
+            ("lazy", |c| c.lazy = false),
+            ("as_of", |c| c.as_of = Some(1)),
+            ("gzip", |c| c.gzip = Some(false)),
+            ("open_threads", |c| c.open_threads = None),
+            ("io_policy", |c| c.io_policy = None),
+        ];
+        for (field, edit) in fixed {
+            let mut bad = db.config();
+            edit(&mut bad);
+            assert!(
+                matches!(db.reconfigure(bad), Err(DslogError::InvalidOptions(_))),
+                "editing {field} was accepted"
+            );
+        }
+        assert_eq!(db.config(), edited);
+
+        let old = Dslog::options().as_of(generation).open(&dir).unwrap();
+        assert_eq!(old.config().as_of, Some(generation));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

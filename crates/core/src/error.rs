@@ -48,7 +48,7 @@ pub enum DslogError {
     /// threads, leaked snapshot handles) still point at it. The service
     /// state is intact; retry after those references are gone.
     ServiceBusy(&'static str),
-    /// `open_as_of` asked for a generation that was never committed, or
+    /// An `as_of` open asked for a generation that was never committed, or
     /// whose kept catalog or edge files the retention sweep already
     /// reclaimed.
     GenerationNotRetained(u64),

@@ -518,25 +518,26 @@ fn writeln(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
 }
 
 /// Execute one request line against the service. Always returns a
-/// response (success or error JSON) plus what the session does next.
-/// Mutating commands install `actor` as the operation-log attribution
-/// before they run (last writer wins across concurrent sessions — the
-/// label is advisory, not a serialization point).
+/// response (success or error JSON) plus what the session does next. A
+/// mutating command is logged under `actor` — this request's, whatever
+/// other sessions are doing meanwhile.
 fn execute(service: &DslogService, line: &str, actor: &str) -> (String, SessionFlow) {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().unwrap_or_default();
     let args: Vec<&str> = parts.collect();
-    if matches!(cmd, "define" | "ingest" | "commit") {
-        service.set_actor(actor);
-    }
     let response = match (cmd, args.as_slice()) {
-        ("define", [spec]) => cmd_define(service, spec),
-        ("ingest", [in_name, out_name, rows]) => cmd_ingest(service, in_name, out_name, rows),
+        ("define", [spec]) => cmd_define(service, spec, actor),
+        ("ingest", [in_name, out_name, rows]) => {
+            cmd_ingest(service, in_name, out_name, rows, actor)
+        }
         ("query", [path, cells]) => cmd_query(service, path, cells, false),
         ("query", [path, cells, "stats"]) => cmd_query(service, path, cells, true),
         ("query_batch", [path, queries]) => cmd_query_batch(service, path, queries, false),
         ("query_batch", [path, queries, "stats"]) => cmd_query_batch(service, path, queries, true),
-        ("commit", []) => cmd_commit(service),
+        ("commit", []) => service
+            .commit_as(Some(actor))
+            .map(|report| render_commit(&report))
+            .map_err(|e| e.to_string()),
         ("stats", []) => Ok(render_stats(&service.stats())),
         ("history", []) => cmd_history(service),
         ("quit" | "exit", []) => {
@@ -561,10 +562,14 @@ fn execute(service: &DslogService, line: &str, actor: &str) -> (String, SessionF
     )
 }
 
-fn cmd_define(service: &DslogService, spec: &str) -> std::result::Result<String, String> {
+fn cmd_define(
+    service: &DslogService,
+    spec: &str,
+    actor: &str,
+) -> std::result::Result<String, String> {
     let (name, shape) = parse_array_spec(spec)?;
     service
-        .define_array(&name, &shape)
+        .define_array_as(&name, &shape, Some(actor))
         .map_err(|e| e.to_string())?;
     let dims: Vec<String> = shape.iter().map(usize::to_string).collect();
     Ok(format!(
@@ -579,6 +584,7 @@ fn cmd_ingest(
     in_name: &str,
     out_name: &str,
     rows: &str,
+    actor: &str,
 ) -> std::result::Result<String, String> {
     let (in_shape, out_shape) = service
         .with_db(|db| {
@@ -590,7 +596,7 @@ fn cmd_ingest(
         .map_err(|e| e.to_string())?;
     let table = parse_inline_rows(rows, out_shape.len(), in_shape.len())?;
     let report = service
-        .ingest_batch(vec![IngestJob::new(in_name, out_name, table)])
+        .ingest_batch_as(vec![IngestJob::new(in_name, out_name, table)], Some(actor))
         .map_err(|e| e.to_string())?;
     Ok(render_batch(&report))
 }
@@ -703,11 +709,6 @@ fn render_query_stats(stats: &QueryStats) -> String {
     }
     out.push_str("]}");
     out
-}
-
-fn cmd_commit(service: &DslogService) -> std::result::Result<String, String> {
-    let report = service.commit().map_err(|e| e.to_string())?;
-    Ok(render_commit(&report))
 }
 
 /// The bound directory's operation log, oldest record first.
@@ -843,8 +844,9 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// `NAME:3x2` → `("NAME", [3, 2])`. Scalar arrays use `NAME:1`.
-fn parse_array_spec(spec: &str) -> std::result::Result<(String, Vec<usize>), String> {
+/// `NAME:3x2` → `("NAME", [3, 2])`. Scalar arrays use `NAME:1`. The one
+/// array-spec parser: the wire protocol and the CLI's flags share it.
+pub fn parse_array_spec(spec: &str) -> std::result::Result<(String, Vec<usize>), String> {
     let (name, dims) = spec
         .split_once(':')
         .ok_or_else(|| format!("array spec `{spec}` must be NAME:3x2"))?;
@@ -863,8 +865,10 @@ fn parse_array_spec(spec: &str) -> std::result::Result<(String, Vec<usize>), Str
     Ok((name.to_string(), shape))
 }
 
-/// `1;2,3` → `[[1], [2, 3]]` (rows of `,`-separated indices).
-fn parse_cells(spec: &str) -> std::result::Result<Vec<Vec<i64>>, String> {
+/// `1;2,3` → `[[1], [2, 3]]` (rows of `,`-separated indices; arity is
+/// checked by the query layer). Shared with the CLI like
+/// [`parse_array_spec`].
+pub fn parse_cells(spec: &str) -> std::result::Result<Vec<Vec<i64>>, String> {
     spec.split(';')
         .filter(|cell| !cell.trim().is_empty())
         .map(|cell| {
@@ -1029,10 +1033,9 @@ mod tests {
     fn history_and_failure_fields_over_the_wire() {
         let dir = std::env::temp_dir().join(format!("dslog-net-hist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut db = Dslog::new();
+        let mut db = Dslog::options().create(&dir).unwrap();
         db.define_array("A", &[8]).unwrap();
         db.define_array("B", &[8]).unwrap();
-        db.save(&dir, false).unwrap();
         let service = Arc::new(DslogService::new(db, AutoCommitPolicy::manual()));
         let server = NetServer::spawn(
             Arc::clone(&service),
@@ -1061,6 +1064,29 @@ mod tests {
         server.stop();
         server.join();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn array_specs() {
+        assert_eq!(
+            parse_array_spec("A:3x2").unwrap(),
+            ("A".to_string(), vec![3, 2])
+        );
+        assert_eq!(parse_array_spec("B:7").unwrap(), ("B".to_string(), vec![7]));
+        for bad in ["A", ":3", "A:0x2", "A:3xZ", "A:"] {
+            assert!(parse_array_spec(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn cell_lists() {
+        assert_eq!(
+            parse_cells("1;2;0,1").unwrap(),
+            vec![vec![1], vec![2], vec![0, 1]]
+        );
+        assert_eq!(parse_cells(" 3 , 4 ").unwrap(), vec![vec![3, 4]]);
+        assert!(parse_cells("a").is_err());
+        assert!(parse_cells("").unwrap().is_empty());
     }
 
     #[test]

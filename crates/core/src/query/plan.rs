@@ -414,7 +414,7 @@ fn try_materialize(
     path: &[&str],
     key: &[String],
 ) -> Option<Arc<CompressedTable>> {
-    let policy = storage.composite_policy();
+    let policy = storage.composite_policy;
     let mut tables: Vec<Arc<CompressedTable>> = Vec::with_capacity(path.len() - 1);
     for hop in path.windows(2) {
         let peek = storage.peek_hop(hop[0], hop[1])?;
@@ -456,7 +456,7 @@ fn try_materialize(
         &first_shape,
         &last_shape,
         Orientation::Backward,
-        storage.compress_options(),
+        storage.compress,
     );
     let table = Arc::new(table);
     if !table.is_generalized() {
@@ -613,12 +613,14 @@ mod tests {
     /// `hops` scatter-permutation hops over `[n]` arrays S0..S`hops`, with
     /// reverse orientations materialized so the backpass is available.
     fn chain(hops: usize, n: usize) -> Dslog {
-        let mut db = Dslog::new();
-        db.storage_mut().set_materialize(Materialize::Both);
-        db.set_composite_policy(CompositePolicy {
-            enabled: false,
-            ..CompositePolicy::default()
-        });
+        let mut db = Dslog::options()
+            .materialize(Materialize::Both)
+            .composite_policy(CompositePolicy {
+                enabled: false,
+                ..CompositePolicy::default()
+            })
+            .build()
+            .unwrap();
         for i in 0..=hops {
             db.define_array(&format!("S{i}"), &[n]).unwrap();
         }

@@ -48,10 +48,9 @@
 //!
 //! let dir = std::env::temp_dir().join(format!("svc-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
-//! let mut db = dslog::api::Dslog::new();
+//! let mut db = dslog::api::Dslog::options().create(&dir).unwrap(); // bound for commits
 //! db.define_array("A", &[2]).unwrap();
 //! db.define_array("B", &[2]).unwrap();
-//! db.save(&dir, false).unwrap(); // bind for commits
 //!
 //! let service = DslogService::new(db, AutoCommitPolicy::every_edges(64));
 //! let mut t = LineageTable::new(1, 1);
@@ -299,19 +298,19 @@ impl Shared {
     /// itself runs with no service lock held: queries AND ingest installs
     /// proceed while the snapshot is written; edges installed meanwhile
     /// are absent from the pinned snapshot and stay pending.
-    fn commit(&self, auto: bool) -> Result<CommitReport> {
+    ///
+    /// The commit record names `actor` (`None`: the database's configured
+    /// one) — or, for a commit the policy triggered (`auto`), the policy,
+    /// not whichever client's batch happened to cross the threshold.
+    fn commit(&self, auto: bool, actor: Option<&str>) -> Result<CommitReport> {
         let outcome = {
             let _serialize = self.commit_lock.lock();
             let (snapshot, pending) = {
                 let _excl = self.writer.lock();
                 (self.snapshot(), self.pending_edges.load(Ordering::Acquire))
             };
-            if auto {
-                // Attribute the operation-log commit record to the
-                // policy, not to whichever client last set the actor.
-                snapshot.set_wal_actor("auto-commit");
-            }
-            let outcome = snapshot.commit();
+            let actor = if auto { Some("auto-commit") } else { actor };
+            let outcome = snapshot.commit_as(actor);
             if outcome.is_ok() {
                 self.pending_edges.fetch_sub(pending, Ordering::AcqRel);
                 self.commits.fetch_add(1, Ordering::Relaxed);
@@ -349,7 +348,7 @@ impl Shared {
     /// generations. Failures are swallowed (the next qualifying commit
     /// retries); success advances the compaction watermark.
     fn maybe_auto_compact(&self, db: &Dslog) {
-        let Some(every) = db.maintenance_policy().auto_compact_generations else {
+        let Some(every) = db.maintenance.auto_compact_generations else {
             return;
         };
         let Some((_, _, generation)) = db.bound_database() else {
@@ -358,8 +357,7 @@ impl Shared {
         if generation.saturating_sub(self.last_compact_gen.load(Ordering::Acquire)) < every {
             return;
         }
-        db.set_wal_actor("maintenance");
-        if let Ok(report) = db.compact() {
+        if let Ok(report) = db.compact_as(Some("maintenance")) {
             self.compactions.fetch_add(1, Ordering::Relaxed);
             self.last_compact_gen
                 .store(report.generation, Ordering::Release);
@@ -438,7 +436,7 @@ impl DslogService {
                         // errors leave the edges pending for a later tick
                         // or an explicit commit; the failure is counted
                         // and its text surfaced through `stats`.
-                        let _ = shared.commit(true);
+                        let _ = shared.commit(true, None);
                     }
                     // Capped exponential backoff: each consecutive commit
                     // failure doubles the next tick's wait, up to 16x the
@@ -458,41 +456,28 @@ impl DslogService {
         Self { shared, ticker }
     }
 
-    /// Open a database directory and serve it. `lazy` defers table loads
-    /// to first use (ideal when a large database serves queries touching
-    /// few edges). Thin wrapper over
-    /// [`open_with`](Self::open_with) for the two historical knobs.
-    pub fn open(
-        dir: impl AsRef<std::path::Path>,
-        lazy: bool,
-        policy: AutoCommitPolicy,
-    ) -> Result<Self> {
-        Self::open_with(dir, Dslog::options().lazy(lazy), policy)
-    }
-
-    /// Open a database directory through a full [`crate::api::OpenOptions`]
-    /// builder and serve it — the way to hand the service a retention
-    /// window, a [`MaintenancePolicy`], or non-default query/compression
-    /// options in one validated bundle.
-    pub fn open_with(
-        dir: impl AsRef<std::path::Path>,
-        options: crate::api::OpenOptions,
-        policy: AutoCommitPolicy,
-    ) -> Result<Self> {
-        Ok(Self::new(options.open(dir)?, policy))
-    }
-
     /// Define a named array, published as a new epoch. Re-defining an
     /// array with the shape it already has changes nothing and publishes
     /// nothing.
     pub fn define_array(&self, name: &str, shape: &[usize]) -> Result<()> {
+        self.define_array_as(name, shape, None)
+    }
+
+    /// [`define_array`](Self::define_array), logged under `actor` (`None`:
+    /// the database's configured one).
+    pub(crate) fn define_array_as(
+        &self,
+        name: &str,
+        shape: &[usize],
+        actor: Option<&str>,
+    ) -> Result<()> {
         let _excl = self.shared.writer.lock();
         let current = self.shared.snapshot();
         if matches!(current.storage().array(name), Ok(meta) if meta.shape == shape) {
             return Ok(());
         }
         let mut next = current.clone_for_epoch();
-        next.define_array(name, shape)?;
+        next.storage_mut().define_array_as(name, shape, actor)?;
         self.shared.publish(next);
         Ok(())
     }
@@ -517,6 +502,16 @@ impl DslogService {
     /// auto-commit edge threshold fires, the triggered commit's report is
     /// returned in the [`BatchReport`].
     pub fn ingest_batch(&self, jobs: Vec<IngestJob>) -> Result<BatchReport> {
+        self.ingest_batch_as(jobs, None)
+    }
+
+    /// [`ingest_batch`](Self::ingest_batch), its edges logged under
+    /// `actor` (`None`: the database's configured one).
+    pub(crate) fn ingest_batch_as(
+        &self,
+        jobs: Vec<IngestJob>,
+        actor: Option<&str>,
+    ) -> Result<BatchReport> {
         if jobs.is_empty() {
             return Ok(BatchReport {
                 edges: 0,
@@ -558,7 +553,7 @@ impl DslogService {
                     Ok((out_shape, in_shape))
                 })
                 .collect::<Result<Vec<_>>>()?;
-            (shapes, db.compress_options(), storage.materialize_policy())
+            (shapes, storage.compress, storage.materialize)
         };
 
         // Phase 2: compress outside any lock.
@@ -611,6 +606,7 @@ impl DslogService {
                     &job.out_array,
                     backward.as_mut().and_then(Iterator::next),
                     forward.as_mut().and_then(Iterator::next),
+                    actor,
                 )?;
             }
             self.shared.publish(next);
@@ -628,7 +624,7 @@ impl DslogService {
         // reported in the `auto_commit` field, not as the batch's result —
         // the edges stay installed and pending for a later commit.
         let auto_commit = match self.shared.policy.edge_threshold {
-            Some(threshold) if pending >= threshold => Some(self.shared.commit(true)),
+            Some(threshold) if pending >= threshold => Some(self.shared.commit(true, None)),
             _ => None,
         };
         Ok(BatchReport {
@@ -668,7 +664,12 @@ impl DslogService {
     /// O(changed edges)). Queries and ingest installs keep being served
     /// while the pinned snapshot is written.
     pub fn commit(&self) -> Result<CommitReport> {
-        self.shared.commit(false)
+        self.commit_as(None)
+    }
+
+    /// [`commit`](Self::commit), its commit record logged under `actor`.
+    pub(crate) fn commit_as(&self, actor: Option<&str>) -> Result<CommitReport> {
+        self.shared.commit(false, actor)
     }
 
     /// Current counters and sizes, all describing one snapshot (whose
@@ -691,15 +692,6 @@ impl DslogService {
             compactions: self.shared.compactions.load(Ordering::Relaxed),
             config: db.config(),
         }
-    }
-
-    /// Label subsequently logged operations with `actor` (recorded in
-    /// every operation-log record, see [`crate::storage::wal`]). The
-    /// label is shared across all epoch snapshots of the served
-    /// database, so it applies to in-flight ingest as well. The ticker
-    /// overrides it with `"auto-commit"` for its own commit records.
-    pub fn set_actor(&self, actor: &str) {
-        self.shared.snapshot().set_wal_actor(actor);
     }
 
     /// The bound directory's operation log, oldest record first (see
@@ -742,7 +734,7 @@ impl DslogService {
         let final_commit = if self.shared.pending_edges.load(Ordering::Acquire) > 0
             && self.shared.snapshot().bound_database().is_some()
         {
-            self.shared.commit(false).map(drop)
+            self.shared.commit(false, None).map(drop)
         } else {
             Ok(())
         };
@@ -811,11 +803,11 @@ mod tests {
         assert_eq!(r.hops, 3);
         assert!(!r.cells.is_empty());
         // Nothing committed yet: reopening shows only the seeded edge.
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 1);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 1);
         let report = service.commit().unwrap();
         assert!(report.incremental);
         assert_eq!(report.files_written, 2);
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 3);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -882,7 +874,7 @@ mod tests {
         let commit = r2.auto_commit.expect("threshold reached").unwrap();
         assert!(commit.incremental);
         assert_eq!(r2.pending_edges, 0);
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 3);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 3);
         let stats = service.stats();
         assert_eq!(stats.auto_commits, 1);
         assert_eq!(stats.commits, 1);
@@ -931,7 +923,7 @@ mod tests {
         assert_eq!(r.hops, 3);
         let (_db, commit) = service.shutdown().expect("no refs remain");
         commit.unwrap();
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 3);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -948,7 +940,10 @@ mod tests {
         // second manager on a live directory — unsupported outside tests),
         // so a transient Err just means "poll again".
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !Dslog::open(&dir).is_ok_and(|db| db.storage().n_edges() == 2) {
+        while !Dslog::options()
+            .open(&dir)
+            .is_ok_and(|db| db.storage().n_edges() == 2)
+        {
             assert!(
                 std::time::Instant::now() < deadline,
                 "ticker never committed"
@@ -972,7 +967,7 @@ mod tests {
         commit.unwrap();
         assert_eq!(db.storage().n_edges(), 2);
         // The final commit made it to disk.
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 2);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1050,7 +1045,7 @@ mod tests {
         assert_eq!(db.storage().n_edges(), 1);
         let dir = temp_dir("unbound-rescue");
         db.save(&dir, false).unwrap();
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 1);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1165,14 +1160,20 @@ mod tests {
     fn commit_failure_surfaces_then_clears_on_success() {
         use crate::storage::wal::{IoFault, IoPolicy};
         let dir = temp_dir("failstats");
-        let service = bound_service(&dir, AutoCommitPolicy::manual());
+        let policy = IoPolicy::fail_at(IoFault::WriteError, u64::MAX);
+        let db = Dslog::options()
+            .io_policy(policy.clone())
+            .create(&dir)
+            .unwrap();
+        let service = DslogService::new(db, AutoCommitPolicy::manual());
+        service.define_array("B", &[8]).unwrap();
         service.define_array("C", &[8]).unwrap();
         service
             .ingest_batch(vec![IngestJob::new("B", "C", small_lineage(8, 1))])
             .unwrap();
         // One-shot injected write failure: the first commit fails, the
         // edges stay pending, and the failure is surfaced.
-        service.with_db(|db| db.set_io_policy(Some(IoPolicy::fail_at(IoFault::WriteError, 1))));
+        policy.rearm(1);
         assert!(service.commit().is_err());
         let stats = service.stats();
         assert_eq!(stats.failed_commits, 1);
@@ -1185,8 +1186,7 @@ mod tests {
         assert_eq!(stats.failed_commits, 1);
         assert_eq!(stats.pending_edges, 0);
         assert!(stats.last_commit_error.is_none());
-        service.with_db(|db| db.set_io_policy(None));
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 2);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,7 +9,7 @@
 //! inside those segments, commits a v3 catalog whose references are
 //! `(segment, offset, len)` ranges, and then sweeps the superseded
 //! generation files — subject to the WAL time-travel retention window, so
-//! `open_as_of` keeps working for retained generations.
+//! `as_of` opens keep working for retained generations.
 //!
 //! ## Durability
 //!
@@ -22,13 +22,11 @@
 //! a crash after the rename but before the sweep leaves only spared-or-
 //! stale debris that the next open/commit sweeps with the same shared
 //! sparing rule (`persist::is_spared`) — never a file the live
-//! catalog or the retained time-travel window still references.
-//!
-//! Deterministic crash injection: `DSLOG_COMPACT_CRASH_AFTER_WRITES=n`
-//! exits the process (code 86) as soon as the pass has completed `n`
-//! gated IO steps — each segment write, the manifest write, and the
-//! catalog rename — so `scripts/crash_consistency.sh` can kill a real
-//! process at every one of them and prove `db verify` still passes.
+//! catalog or the retained time-travel window still references. Every
+//! write and sync of the pass goes through the same `wal::IoPolicy` gates
+//! as a commit's, so the fault sweeps (in-process, and
+//! `scripts/crash_consistency.sh` with `--crash-at-io`) kill it at each
+//! one.
 //!
 //! Slot bytes are gathered without decoding: clean lazily opened slots
 //! stream their verified on-disk bytes straight into a segment, so
@@ -40,6 +38,7 @@ use super::persist::{
     PlannedEdge, WrittenSlot,
 };
 use super::wal;
+use super::wire::{read_string, read_u32_le, write_string};
 use super::{FileRecord, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
 use crate::table::Orientation;
@@ -71,17 +70,6 @@ pub struct CompactReport {
     pub bytes_written: u64,
 }
 
-/// Deterministic crash injection for the compaction kill sweep: with
-/// `DSLOG_COMPACT_CRASH_AFTER_WRITES=n`, the process exits (code 86) once
-/// `n` gated IO steps have completed. Inactive (one getenv) unless set.
-fn crash_injection_point(io_steps: usize) {
-    if let Ok(n) = std::env::var("DSLOG_COMPACT_CRASH_AFTER_WRITES") {
-        if n.parse::<usize>().is_ok_and(|n| io_steps >= n) {
-            std::process::exit(86);
-        }
-    }
-}
-
 /// One live range recorded by the manifest.
 struct ManifestEntry {
     in_name: String,
@@ -107,17 +95,14 @@ fn build_manifest_bytes(
     write_uvarint(&mut buf, gen);
     write_uvarint(&mut buf, segments.len() as u64);
     for (name, bytes) in segments {
-        write_uvarint(&mut buf, name.len() as u64);
-        buf.extend_from_slice(name.as_bytes());
+        write_string(&mut buf, name);
         write_uvarint(&mut buf, bytes.len() as u64);
         buf.extend_from_slice(&crc32(bytes).to_le_bytes());
     }
     write_uvarint(&mut buf, entries.len() as u64);
     for e in entries {
-        for s in [&e.in_name, &e.out_name] {
-            write_uvarint(&mut buf, s.len() as u64);
-            buf.extend_from_slice(s.as_bytes());
-        }
+        write_string(&mut buf, &e.in_name);
+        write_string(&mut buf, &e.out_name);
         buf.push(match e.orientation {
             Orientation::Backward => 0,
             Orientation::Forward => 1,
@@ -133,26 +118,6 @@ fn build_manifest_bytes(
     buf
 }
 
-fn read_manifest_string(data: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_uvarint(data, pos)? as usize;
-    if *pos > data.len() || len > data.len() - *pos {
-        return Err(DslogError::Corrupt("string runs past end of manifest"));
-    }
-    let s = std::str::from_utf8(&data[*pos..*pos + len])
-        .map_err(|_| DslogError::Corrupt("manifest string is not UTF-8"))?
-        .to_string();
-    *pos += len;
-    Ok(s)
-}
-
-fn read_manifest_u32(data: &[u8], pos: &mut usize) -> Result<u32> {
-    let bytes = data
-        .get(*pos..*pos + 4)
-        .ok_or(DslogError::Corrupt("manifest truncated at checksum"))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
 /// A parsed compaction manifest.
 struct Manifest {
     generation: u64,
@@ -164,12 +129,10 @@ struct Manifest {
 /// Decode and structurally validate manifest bytes (untrusted input: crc
 /// trailer first, then every count bounded by the bytes actually left).
 fn parse_manifest(data: &[u8]) -> Result<Manifest> {
-    if data.len() < 13 {
+    let Some((body, trailer)) = data.split_last_chunk::<4>().filter(|_| data.len() >= 13) else {
         return Err(DslogError::Corrupt("manifest too short"));
-    }
-    let (body, trailer) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored {
+    };
+    if crc32(body) != u32::from_le_bytes(*trailer) {
         return Err(DslogError::Corrupt("manifest checksum mismatch"));
     }
     if &body[..8] != MANIFEST_MAGIC {
@@ -185,7 +148,7 @@ fn parse_manifest(data: &[u8]) -> Result<Manifest> {
     }
     let mut segments = Vec::with_capacity(n_segments);
     for _ in 0..n_segments {
-        let name = read_manifest_string(body, &mut pos)?;
+        let name = read_string(body, &mut pos)?;
         if !name.starts_with("segment-")
             || name.contains('/')
             || name.contains('\\')
@@ -196,7 +159,7 @@ fn parse_manifest(data: &[u8]) -> Result<Manifest> {
             ));
         }
         let len = read_uvarint(body, &mut pos)?;
-        let crc = read_manifest_u32(body, &mut pos)?;
+        let crc = read_u32_le(body, &mut pos)?;
         segments.push((name, len, crc));
     }
     let n_entries = read_uvarint(body, &mut pos)? as usize;
@@ -205,8 +168,8 @@ fn parse_manifest(data: &[u8]) -> Result<Manifest> {
     }
     let mut entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
-        let in_name = read_manifest_string(body, &mut pos)?;
-        let out_name = read_manifest_string(body, &mut pos)?;
+        let in_name = read_string(body, &mut pos)?;
+        let out_name = read_string(body, &mut pos)?;
         let orientation = match body.get(pos) {
             Some(0) => Orientation::Backward,
             Some(1) => Orientation::Forward,
@@ -219,7 +182,7 @@ fn parse_manifest(data: &[u8]) -> Result<Manifest> {
         }
         let offset = read_uvarint(body, &mut pos)?;
         let len = read_uvarint(body, &mut pos)?;
-        let crc = read_manifest_u32(body, &mut pos)?;
+        let crc = read_u32_le(body, &mut pos)?;
         let raw_len = read_uvarint(body, &mut pos)?;
         entries.push(ManifestEntry {
             in_name,
@@ -268,31 +231,32 @@ pub(crate) fn verify_manifest(dir: &Path, gen: u64, catalog: &Catalog) -> Result
     // of this generation to match one exactly. (The manifest may record
     // ranges that are no longer live — edges re-ingested since the pass —
     // which is fine: dead ranges are just unreclaimed space.)
-    let ranges: HashSet<(&str, &str, u64, u64, u32, u64)> = manifest
+    let ranges: HashSet<(&str, Orientation, u64, u64, u32, u64)> = manifest
         .entries
         .iter()
         .map(|e| {
             let seg_name = manifest.segments[e.segment].0.as_str();
-            let o = match e.orientation {
-                Orientation::Backward => "b",
-                Orientation::Forward => "f",
-            };
-            (seg_name, o, e.offset, e.len, e.crc, e.raw_len)
+            (seg_name, e.orientation, e.offset, e.len, e.crc, e.raw_len)
         })
         .collect();
     for entry in &catalog.edges {
         for fref in &entry.files {
-            let (Some(offset), Some((len, crc, raw_len))) = (fref.offset, fref.check) else {
+            let record = &fref.record;
+            let Some(offset) = record.offset else {
                 continue;
             };
-            if persist::parse_generation(&fref.name) != Some(gen) {
+            if persist::parse_generation(&record.name) != Some(gen) {
                 continue;
             }
-            let o = match fref.orientation {
-                Orientation::Backward => "b",
-                Orientation::Forward => "f",
-            };
-            if !ranges.contains(&(fref.name.as_str(), o, offset, len, crc, raw_len)) {
+            let range = (
+                record.name.as_str(),
+                fref.orientation,
+                offset,
+                record.len,
+                record.crc,
+                record.raw_len,
+            );
+            if !ranges.contains(&range) {
                 return Err(DslogError::Corrupt(
                     "catalog segment range not recorded by the manifest",
                 ));
@@ -314,15 +278,26 @@ pub(crate) fn verify_manifest(dir: &Path, gen: u64, catalog: &Catalog) -> Result
 ///
 /// Logical state is untouched: queries against the compacted database
 /// return exactly what they did before (pinned by the proptest parity
-/// suite), and `open_as_of` keeps resolving every generation the
+/// suite), and `as_of` opens keep resolving every generation the
 /// retention window spares.
 pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CompactReport> {
+    compact_as(storage, dir, gzip, None)
+}
+
+/// [`compact`], its records logged under `actor` (`None`: the manager's
+/// configured one).
+pub(crate) fn compact_as(
+    storage: &StorageManager,
+    dir: &Path,
+    gzip: bool,
+    actor: Option<&str>,
+) -> Result<CompactReport> {
     let dir = dir
         .canonicalize()
         .map_err(|e| DslogError::io("canonicalize database dir", e))?;
     // Same session as `commit`: compaction is a commit, under the same
     // lock and rank, ending in the same log append and catalog rename.
-    let session = CommitSession::begin(storage, dir, gzip);
+    let session = CommitSession::begin(storage, dir, gzip, actor);
     if !session.incremental {
         return Err(DslogError::NotBound);
     }
@@ -413,45 +388,36 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
             .ok_or(DslogError::Corrupt("manifest entry names no segment"))?;
     }
 
-    // Write segments, then the manifest, each an atomic temp+sync+rename
-    // and each a gated kill point for the crash sweep.
-    let mut io_steps = 0usize;
+    // Write segments, then the manifest, each an atomic temp+sync+rename.
     let mut bytes_written = 0u64;
     for (name, bytes) in &segments {
         write_atomic(
             &session.dir.join(name),
             bytes,
             "write segment file",
-            session.policy(),
+            storage.io_policy.as_deref(),
         )?;
-        io_steps += 1;
         bytes_written += bytes.len() as u64;
-        crash_injection_point(io_steps);
     }
     let manifest = build_manifest_bytes(gen, &segments, &entries);
     write_atomic(
         &session.dir.join(manifest_file_name(gen)),
         &manifest,
         "write compaction manifest",
-        session.policy(),
+        storage.io_policy.as_deref(),
     )?;
-    io_steps += 1;
-    crash_injection_point(io_steps);
 
     // The shared commit tail: directory sync, buffered log records + this
-    // annotation + the commit record, catalog rename (the commit point,
-    // and the last kill point of the crash sweep), directory sync, and
-    // the sweep of superseded generations with the shared sparing rule —
-    // the new segments/manifest stay, plus everything the retention
-    // window still names for `open_as_of`.
+    // annotation + the commit record, catalog rename (the commit point),
+    // directory sync, and the sweep of superseded generations with the
+    // shared sparing rule — the new segments/manifest stay, plus
+    // everything the retention window still names for `as_of` opens.
     let annotation = wal::OpKind::Compact {
         segments: segments.len() as u64,
         folded: files_folded as u64,
         bytes: bytes_written,
     };
-    session.finish(&planned, written, Some(annotation), || {
-        crash_injection_point(io_steps + 1)
-    })?;
+    session.finish(&planned, written, Some(annotation))?;
 
     Ok(CompactReport {
         generation: gen,
@@ -465,6 +431,7 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::persist::OpenMode;
     use crate::table::LineageTable;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -545,12 +512,8 @@ mod tests {
 
         // Eager and lazy reopens both decode identical slot content out of
         // the segment ranges.
-        for lazy in [false, true] {
-            let reopened = if lazy {
-                persist::open_lazy(&dir).unwrap()
-            } else {
-                persist::open(&dir).unwrap()
-            };
+        for mode in [OpenMode::Eager, OpenMode::Lazy] {
+            let reopened = persist::open(&dir, mode, None).unwrap();
             assert_eq!(slot_bytes(&reopened), before);
         }
 
@@ -578,7 +541,7 @@ mod tests {
         let v = persist::verify(&dir).unwrap();
         assert_eq!(v.catalog_version, 3);
         assert_eq!(v.files_verified, 4);
-        let reopened = persist::open(&dir).unwrap();
+        let reopened = persist::open(&dir, OpenMode::Eager, None).unwrap();
         assert_eq!(slot_bytes(&reopened), slot_bytes(&s));
     }
 
@@ -609,7 +572,7 @@ mod tests {
     fn retention_window_survives_compaction_for_as_of() {
         let dir = temp_dir("retain");
         let mut s = StorageManager::new();
-        s.set_wal_retention(8);
+        s.retain = 8;
         for tag in 0..3 {
             add_edge(&mut s, tag);
             persist::commit(&s, &dir, false).unwrap();
@@ -618,9 +581,9 @@ mod tests {
         compact(&s, &dir, false).unwrap();
 
         // Retained prior generations still resolve, with their content.
-        let old = persist::open_as_of(&dir, committed).unwrap();
+        let old = persist::open(&dir, OpenMode::AsOf(committed), None).unwrap();
         assert_eq!(old.edges.len(), 3);
-        let older = persist::open_as_of(&dir, committed - 1).unwrap();
+        let older = persist::open(&dir, OpenMode::AsOf(committed - 1), None).unwrap();
         assert_eq!(older.edges.len(), 2);
         // And verify classifies their files as retained, not stale.
         let v = persist::verify(&dir).unwrap();
@@ -636,7 +599,7 @@ mod tests {
         compact(&s, &dir, false).unwrap();
         // Default retention = 0: the pre-compaction generation's files are
         // gone, so time travel to it reports GenerationNotRetained.
-        match persist::open_as_of(&dir, committed) {
+        match persist::open(&dir, OpenMode::AsOf(committed), None) {
             Err(DslogError::GenerationNotRetained(g)) => assert_eq!(g, committed),
             other => panic!("expected GenerationNotRetained, got {other:?}"),
         }

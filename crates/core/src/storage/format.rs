@@ -1,7 +1,7 @@
 //! Binary serialization of compressed lineage tables.
 //!
 //! This is the on-disk ProvRC format whose byte size Table VII measures.
-//! Version 2 layout (all integers varint/zig-zag unless noted):
+//! Layout (version 2; all integers varint/zig-zag unless noted):
 //!
 //! ```text
 //! magic "DSPC" | version u8 | orientation u8
@@ -17,11 +17,12 @@
 //! crc32 u32 LE        (over every preceding byte)
 //! ```
 //!
-//! Version 1 files (identical body, no checksum trailer) remain readable;
-//! [`serialize`] always writes version 2.
+//! Any other version byte — including 1, the same body without the
+//! checksum trailer, which nothing has written for many releases — is
+//! rejected as unsupported.
 //!
 //! The decoder is hostile-input proof: the checksum is verified before the
-//! body is parsed (v2), every wire-supplied count is validated against the
+//! body is parsed, every wire-supplied count is validated against the
 //! remaining byte budget before allocation (a cell costs at least one
 //! payload byte, so `n_rows * arity` may never exceed the bytes left), and
 //! columns are built directly in the table's columnar layout.
@@ -56,10 +57,11 @@ fn cell_tag(cell: &Cell) -> u8 {
     }
 }
 
-fn serialize_body(table: &CompressedTable, version: u8) -> Vec<u8> {
+/// Serialize a compressed table (version 2, with crc32 trailer).
+pub fn serialize(table: &CompressedTable) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + table.n_rows() * 2);
     out.extend_from_slice(MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(match table.orientation() {
         Orientation::Backward => 0,
         Orientation::Forward => 1,
@@ -117,49 +119,29 @@ fn serialize_body(table: &CompressedTable, version: u8) -> Vec<u8> {
             }
         }
     }
-    out
-}
-
-/// Serialize a compressed table (current version: 2, with crc32 trailer).
-pub fn serialize(table: &CompressedTable) -> Vec<u8> {
-    let mut out = serialize_body(table, VERSION);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Legacy version-1 writer (no checksum trailer). Kept so backward-
-/// compatibility tests and migration tooling can produce the exact bytes
-/// earlier releases wrote; new code should use [`serialize`].
-pub fn serialize_v1(table: &CompressedTable) -> Vec<u8> {
-    serialize_body(table, 1)
-}
-
-/// Deserialize a table produced by [`serialize`] (v2) or by the legacy v1
-/// writer. The v2 checksum is verified before any parsing; all counts are
-/// validated against the remaining input before allocation, so hostile
-/// bytes can never demand more than a small constant factor of the input
-/// length in memory.
+/// Deserialize a table produced by [`serialize`]. The checksum is verified
+/// before any parsing; all counts are validated against the remaining
+/// input before allocation, so hostile bytes can never demand more than a
+/// small constant factor of the input length in memory.
 pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
     if data.len() < 6 || &data[..4] != MAGIC {
         return Err(DslogError::Corrupt("bad magic"));
     }
-    let body = match data[4] {
-        1 => data,
-        2 => {
-            // Trailer: 4-byte little-endian crc32 over everything before it.
-            if data.len() < 10 {
-                return Err(DslogError::Corrupt("truncated v2 table"));
-            }
-            let (body, trailer) = data.split_at(data.len() - 4);
-            let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-            if crc32(body) != stored {
-                return Err(DslogError::Corrupt("table checksum mismatch"));
-            }
-            body
-        }
-        _ => return Err(DslogError::Corrupt("unsupported version")),
+    if data[4] != VERSION {
+        return Err(DslogError::Corrupt("unsupported version"));
+    }
+    // Trailer: 4-byte little-endian crc32 over everything before it.
+    let Some((body, trailer)) = data.split_last_chunk::<4>().filter(|_| data.len() >= 10) else {
+        return Err(DslogError::Corrupt("truncated table"));
     };
+    if crc32(body) != u32::from_le_bytes(*trailer) {
+        return Err(DslogError::Corrupt("table checksum mismatch"));
+    }
     let orientation = match body[5] {
         0 => Orientation::Backward,
         1 => Orientation::Forward,
@@ -314,9 +296,6 @@ mod tests {
         assert_eq!(&back, t);
         let gz = serialize_gzip(t);
         assert_eq!(&deserialize_gzip(&gz).unwrap(), t);
-        // The legacy v1 bytes parse to the same table.
-        let v1 = serialize_v1(t);
-        assert_eq!(&deserialize(&v1).unwrap(), t);
     }
 
     #[test]
@@ -412,7 +391,7 @@ mod tests {
         // attempting a multi-GiB allocation.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.push(1); // v1: no checksum to forge, exercises raw validation
+        bytes.push(VERSION);
         bytes.push(0); // backward
         write_uvarint(&mut bytes, 1); // prim arity
         write_uvarint(&mut bytes, 1); // sec arity
@@ -420,6 +399,8 @@ mod tests {
         write_ivarint(&mut bytes, 4);
         write_uvarint(&mut bytes, u64::MAX >> 2); // hostile n_rows
         bytes.push(0); // a little trailing garbage
+        let forged = crc32(&bytes); // a valid trailer: exercises raw validation
+        bytes.extend_from_slice(&forged.to_le_bytes());
         assert!(matches!(
             deserialize(&bytes),
             Err(DslogError::Corrupt("row count exceeds input size"))
@@ -430,7 +411,7 @@ mod tests {
     fn hostile_arity_times_rows_overflow_rejected() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.push(1);
+        bytes.push(VERSION);
         bytes.push(0);
         write_uvarint(&mut bytes, 128); // prim arity
         write_uvarint(&mut bytes, 128); // sec arity → arity 256
@@ -438,6 +419,11 @@ mod tests {
             write_ivarint(&mut bytes, 2);
         }
         write_uvarint(&mut bytes, u64::MAX >> 1); // n * arity overflows
-        assert!(deserialize(&bytes).is_err());
+        let forged = crc32(&bytes);
+        bytes.extend_from_slice(&forged.to_le_bytes());
+        assert!(matches!(
+            deserialize(&bytes),
+            Err(DslogError::Corrupt("row count exceeds input size"))
+        ));
     }
 }

@@ -12,6 +12,41 @@ pub mod format;
 pub mod persist;
 pub mod wal;
 
+/// The string and fixed-width integer codecs the catalog, manifest and
+/// log formats share. Every length is bounded by the bytes actually left
+/// before it is used, so hostile input errs and never panics.
+pub(crate) mod wire {
+    use crate::error::{DslogError, Result};
+    use dslog_codecs::varint::{read_uvarint, write_uvarint};
+
+    pub(crate) fn write_string(buf: &mut Vec<u8>, s: &str) {
+        write_uvarint(buf, s.len() as u64);
+        buf.extend_from_slice(s.as_bytes());
+    }
+
+    pub(crate) fn read_string(data: &[u8], pos: &mut usize) -> Result<String> {
+        let len = read_uvarint(data, pos)? as usize;
+        // Compare against the bytes actually left (`*pos + len` could wrap
+        // on a hostile varint; this form cannot overflow).
+        if *pos > data.len() || len > data.len() - *pos {
+            return Err(DslogError::Corrupt("string runs past end of input"));
+        }
+        let s = std::str::from_utf8(&data[*pos..*pos + len])
+            .map_err(|_| DslogError::Corrupt("string is not UTF-8"))?
+            .to_string();
+        *pos += len;
+        Ok(s)
+    }
+
+    pub(crate) fn read_u32_le(data: &[u8], pos: &mut usize) -> Result<u32> {
+        let bytes = data
+            .get(*pos..*pos + 4)
+            .ok_or(DslogError::Corrupt("input truncated at a u32"))?;
+        *pos += 4;
+        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+    }
+}
+
 use crate::error::{DslogError, Result};
 use crate::provrc::{self, CompressOptions};
 use crate::reuse::CompositePolicy;
@@ -37,9 +72,10 @@ impl ArrayMeta {
 }
 
 /// Which orientations to materialize at ingest (paper §IV.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Materialize {
     /// Store backward only; derive forward on demand (paper default).
+    #[default]
     Backward,
     /// Store forward only; derive backward on demand.
     Forward,
@@ -47,28 +83,19 @@ pub enum Materialize {
     Both,
 }
 
-/// A not-yet-loaded table file referenced by a v2 catalog: everything
-/// needed to read, verify, and decode it on first use.
+/// A not-yet-loaded table the catalog references: everything needed to
+/// read, verify, and decode it on first use.
 #[derive(Debug, Clone)]
 pub(crate) struct DiskTable {
-    /// Absolute path of the `edge-*.tbl[.gz]` file.
-    pub(crate) path: std::path::PathBuf,
+    /// The database directory holding the record's file.
+    pub(crate) dir: PathBuf,
     /// Whether the file uses the ProvRC-GZip disk format.
     pub(crate) gzip: bool,
-    /// Expected byte length, from the catalog.
-    pub(crate) len: u64,
-    /// Expected crc32 of the raw file bytes, from the catalog.
-    pub(crate) crc: u32,
-    /// Byte length of the plain (un-gzipped) serialized table, from the
-    /// catalog; equals `len` when `gzip` is off. Lets `storage_bytes`
-    /// report the same number for lazy and loaded slots.
-    pub(crate) raw_len: u64,
     /// Orientation the catalog says this file stores.
     pub(crate) orientation: Orientation,
-    /// `Some(byte offset)` when the table is a live range inside a shared
-    /// compaction segment (`segment-*.seg`); `None` for a whole
-    /// `edge-*` file. The range spans `offset..offset + len`.
-    pub(crate) offset: Option<u64>,
+    /// The catalog's record of the file (its `raw_len` lets
+    /// `storage_bytes` report the same number for lazy and loaded slots).
+    pub(crate) record: FileRecord,
 }
 
 impl DiskTable {
@@ -77,31 +104,20 @@ impl DiskTable {
     /// mismatch is a hard error: a lazily opened database must fail
     /// exactly where an eager open would have.
     pub(crate) fn load(&self) -> Result<CompressedTable> {
-        persist::load_table_file(
-            &self.path,
-            self.gzip,
-            self.orientation,
-            Some((self.len, self.crc, self.raw_len)),
-            self.offset,
-        )
+        persist::load_table_file(&self.dir, self.gzip, self.orientation, &self.record)
     }
 
     /// Read + verify the file and return its plain (un-gzipped) serialized
     /// bytes without decoding a table — the save path re-writes tables
     /// verbatim this way instead of decode + re-encode.
     pub(crate) fn read_plain_bytes(&self) -> Result<Vec<u8>> {
-        let bytes = persist::read_verified_bytes(
-            &self.path,
-            self.gzip,
-            Some((self.len, self.crc, self.raw_len)),
-            self.offset,
-        )?;
+        let bytes = persist::read_verified_bytes(&self.dir, self.gzip, &self.record)?;
         let plain = if self.gzip {
             dslog_codecs::gzip::decompress(&bytes)?
         } else {
             bytes
         };
-        if plain.len() as u64 != self.raw_len {
+        if plain.len() as u64 != self.record.raw_len {
             return Err(DslogError::Corrupt("edge file declared size mismatch"));
         }
         Ok(plain)
@@ -136,6 +152,19 @@ pub(crate) struct FileRecord {
     pub(crate) offset: Option<u64>,
 }
 
+impl FileRecord {
+    /// Whether a file of `file_len` bytes can be the one recorded: exactly
+    /// the recorded length for a whole file, at least enough bytes to hold
+    /// the range for a segment. The O(1) guard of lazy opens and
+    /// incremental commits.
+    pub(crate) fn fits(&self, file_len: u64) -> bool {
+        match self.offset {
+            None => file_len == self.len,
+            Some(off) => file_len >= off.saturating_add(self.len),
+        }
+    }
+}
+
 /// One orientation slot of an edge: the table (if stored) plus its
 /// incremental-persistence state. `persisted` is `Some` exactly when the
 /// bound database directory already holds a committed file with this
@@ -159,7 +188,7 @@ impl Slot {
 }
 
 /// The database directory the manager is bound to for incremental
-/// commits: set by `persist::open`/`open_lazy` and by every successful
+/// commits: set by `persist::open` and by every successful
 /// `persist::commit`. A commit into the bound directory with the same
 /// `gzip` mode is incremental (clean slots reuse their committed files);
 /// any other target gets a full save.
@@ -298,16 +327,13 @@ impl Edge {
         gzip: bool,
     ) {
         let mut slot = self.slot(orientation).write();
-        if let Some(TableSource::OnDisk(_)) = &slot.source {
-            slot.source = Some(TableSource::OnDisk(DiskTable {
-                path: dir.join(&record.name),
+        if let Some(TableSource::OnDisk(disk)) = &mut slot.source {
+            *disk = DiskTable {
+                dir: dir.to_path_buf(),
                 gzip,
-                len: record.len,
-                crc: record.crc,
-                raw_len: record.raw_len,
                 orientation,
-                offset: record.offset,
-            }));
+                record: record.clone(),
+            };
         }
         slot.persisted = Some(record);
     }
@@ -430,10 +456,23 @@ pub struct StorageManager {
     arrays: HashMap<String, ArrayMeta>,
     /// Keyed by (input array, output array).
     edges: HashMap<(String, String), Arc<Edge>>,
-    materialize: Option<Materialize>,
+    // What the handle was configured with (see `api::OpenOptions`): plain
+    // values, copied into every epoch clone, so nothing one snapshot's
+    // user does can change what another logs or writes.
+    pub(crate) materialize: Materialize,
     /// Compression options for every capture-path compress (ingest and
     /// on-demand orientation derivation).
-    compress: Option<CompressOptions>,
+    pub(crate) compress: CompressOptions,
+    pub(crate) composite_policy: CompositePolicy,
+    /// Who operation-log records name when the operation brings no actor
+    /// of its own.
+    pub(crate) actor: String,
+    /// Prior committed generations each commit keeps on disk (catalog and
+    /// files) for `as_of` opens; 0 sweeps everything the new catalog does
+    /// not reference.
+    pub(crate) retain: u32,
+    /// The fault injector gating this manager's commit IO, if any.
+    pub(crate) io_policy: Option<Arc<wal::IoPolicy>>,
     /// Incremental-commit binding (directory, gzip mode, last committed
     /// generation). Behind a mutex so `persist::commit` — which takes
     /// `&StorageManager` and may run concurrently with queries — can
@@ -455,14 +494,12 @@ pub struct StorageManager {
     /// Behind a lock because the planner observes paths under `&self`.
     /// Rank `storage.composites` (60).
     composites: RwLock<HashMap<Vec<String>, CompositeState>>,
-    composite_policy: Option<CompositePolicy>,
-    /// Operation-log state: mutations buffered since the last commit, the
-    /// current actor label, the retention override, and the active fault
-    /// policy. Shared (`Arc`) across epoch clones like `binding`, so ops
-    /// recorded on any snapshot drain into the same `ops.log` at the next
-    /// commit. Rank `storage.wal` (45), `io_safe` — `persist::commit`
-    /// briefly re-locks it around the log append it serializes.
-    wal: Arc<Mutex<wal::WalShared>>,
+    /// Mutations buffered since the last commit. Shared (`Arc`) across
+    /// epoch clones like `binding`, so ops recorded on any snapshot drain
+    /// into the same `ops.log` at the next commit. Rank `storage.wal`
+    /// (45), `io_safe` — `persist::commit` briefly re-locks it around the
+    /// log append it serializes.
+    wal: Arc<Mutex<Vec<wal::PendingOp>>>,
 }
 
 impl Default for StorageManager {
@@ -470,13 +507,16 @@ impl Default for StorageManager {
         Self {
             arrays: HashMap::new(),
             edges: HashMap::new(),
-            materialize: None,
-            compress: None,
+            materialize: Materialize::default(),
+            compress: CompressOptions::default(),
+            composite_policy: CompositePolicy::default(),
+            actor: "local".to_string(),
+            retain: 0,
+            io_policy: None,
             binding: Arc::new(Mutex::new(&ranks::STORAGE_BINDING, None)),
             commit_lock: Arc::new(Mutex::new(&ranks::STORAGE_COMMIT, ())),
             composites: RwLock::new(&ranks::STORAGE_COMPOSITES, HashMap::new()),
-            composite_policy: None,
-            wal: Arc::new(Mutex::new(&ranks::STORAGE_WAL, wal::WalShared::default())),
+            wal: Arc::new(Mutex::new(&ranks::STORAGE_WAL, Vec::new())),
         }
     }
 }
@@ -499,6 +539,10 @@ impl StorageManager {
             edges: self.edges.clone(),
             materialize: self.materialize,
             compress: self.compress,
+            composite_policy: self.composite_policy,
+            actor: self.actor.clone(),
+            retain: self.retain,
+            io_policy: self.io_policy.clone(),
             binding: Arc::clone(&self.binding),
             commit_lock: Arc::clone(&self.commit_lock),
             // Composite entries are *content*-cloned (the map, not the
@@ -506,91 +550,47 @@ impl StorageManager {
             // ingest invalidations — must never disturb readers of the
             // published snapshot. The tables themselves are shared Arcs.
             composites: RwLock::new(&ranks::STORAGE_COMPOSITES, self.composites.read().clone()),
-            composite_policy: self.composite_policy,
             wal: Arc::clone(&self.wal),
         }
     }
 
     /// Buffer one operation-log record; it is framed and flushed to
-    /// `ops.log` by the next commit. Actor and timestamp are captured now.
-    fn wal_push(&self, kind: wal::OpKind) {
-        let mut w = self.wal.lock();
-        let actor = w.actor.clone();
-        w.pending.push(wal::PendingOp {
+    /// `ops.log` by the next commit. The timestamp is captured now; the
+    /// record names `actor`, or the configured one when the operation
+    /// brings none.
+    fn wal_push(&self, kind: wal::OpKind, actor: Option<&str>) {
+        self.wal.lock().push(wal::PendingOp {
             kind,
-            actor,
+            actor: actor.unwrap_or(&self.actor).to_string(),
             timestamp_ms: wal::now_ms(),
         });
     }
 
-    /// Operation-log record for an ingested edge, with the serialized
-    /// table's byte length and crc32 as the per-edge digest.
+    /// Operation-log record for an ingested edge: the serialized table's
+    /// byte length, and as the per-edge digest the crc32 of its payload —
+    /// the value the table file's own trailer holds.
     fn wal_ingest_op(in_array: &str, out_array: &str, table: &CompressedTable) -> wal::OpKind {
         let bytes = format::serialize(table);
         wal::OpKind::IngestEdge {
             in_array: in_array.to_string(),
             out_array: out_array.to_string(),
             bytes: bytes.len() as u64,
-            digest: dslog_codecs::crc32::crc32(&bytes),
+            digest: wal::trailer_crc(&bytes),
         }
-    }
-
-    /// Set the actor label recorded on subsequent operation-log records
-    /// (e.g. `"cli"`, `"auto-commit"`, a network peer address).
-    pub fn set_wal_actor(&self, actor: &str) {
-        self.wal.lock().actor = actor.to_string();
-    }
-
-    /// Keep edge files of up to `n` prior committed generations on disk at
-    /// each commit (instead of sweeping everything the new catalog does
-    /// not reference), so `open_as_of`/`--as-of` can resolve them. The
-    /// default, 0, preserves the pre-log sweep behavior; the
-    /// `DSLOG_WAL_RETAIN` environment variable supplies a default when no
-    /// explicit override is set.
-    pub fn set_wal_retention(&self, generations: u32) {
-        self.wal.lock().retain = Some(generations);
-    }
-
-    /// Install (or clear) a fault-injection policy for subsequent commits.
-    /// Test API — see [`wal::IoPolicy`].
-    pub fn set_io_policy(&self, policy: Option<Arc<wal::IoPolicy>>) {
-        self.wal.lock().io_policy = policy;
-    }
-
-    /// The actor label currently recorded on new operation-log records.
-    pub fn wal_actor(&self) -> String {
-        self.wal.lock().actor.clone()
-    }
-
-    /// The effective retention window: the explicit override, else the
-    /// `DSLOG_WAL_RETAIN` environment default, else 0.
-    pub fn wal_retention(&self) -> u32 {
-        self.wal.lock().effective_retain()
-    }
-
-    /// Override the materialization policy.
-    pub fn set_materialize(&mut self, m: Materialize) {
-        self.materialize = Some(m);
-    }
-
-    /// The active materialization policy (paper default: backward).
-    pub(crate) fn materialize_policy(&self) -> Materialize {
-        self.materialize.unwrap_or(Materialize::Backward)
-    }
-
-    /// Override the compression options (pipeline selection, threading)
-    /// used on the capture path.
-    pub fn set_compress_options(&mut self, opts: CompressOptions) {
-        self.compress = Some(opts);
-    }
-
-    /// The compression options the capture path currently runs with.
-    pub fn compress_options(&self) -> CompressOptions {
-        self.compress.unwrap_or_default()
     }
 
     /// Define (or re-define identically) a named array.
     pub fn define_array(&mut self, name: &str, shape: &[usize]) -> Result<()> {
+        self.define_array_as(name, shape, None)
+    }
+
+    /// [`define_array`](Self::define_array), logged under `actor`.
+    pub(crate) fn define_array_as(
+        &mut self,
+        name: &str,
+        shape: &[usize],
+        actor: Option<&str>,
+    ) -> Result<()> {
         assert!(!shape.is_empty(), "arrays must have at least one axis");
         match self.arrays.get(name) {
             Some(meta) if meta.shape != shape => {
@@ -604,10 +604,11 @@ impl StorageManager {
                         shape: shape.to_vec(),
                     },
                 );
-                self.wal_push(wal::OpKind::DefineArray {
+                let kind = wal::OpKind::DefineArray {
                     name: name.to_string(),
                     shape: shape.to_vec(),
-                });
+                };
+                self.wal_push(kind, actor);
                 Ok(())
             }
         }
@@ -649,41 +650,20 @@ impl StorageManager {
                 got: lineage.arity(),
             });
         }
-        let policy = self.materialize_policy();
-        let opts = self.compress_options();
+        let policy = self.materialize;
+        let opts = self.compress;
         // Indexes are built eagerly alongside each materialized orientation
         // so the first query over a fresh edge probes instead of scanning.
-        let backward = matches!(policy, Materialize::Backward | Materialize::Both).then(|| {
-            let t = Arc::new(provrc::compress_opts(
-                lineage,
-                &out_shape,
-                &in_shape,
-                Orientation::Backward,
-                opts,
-            ));
+        let compress = |orientation| {
+            let t = provrc::compress_opts(lineage, &out_shape, &in_shape, orientation, opts);
             t.ensure_index();
-            t
-        });
-        let forward = matches!(policy, Materialize::Forward | Materialize::Both).then(|| {
-            let t = Arc::new(provrc::compress_opts(
-                lineage,
-                &out_shape,
-                &in_shape,
-                Orientation::Forward,
-                opts,
-            ));
-            t.ensure_index();
-            t
-        });
-        if let Some(table) = backward.as_deref().or(forward.as_deref()) {
-            self.wal_push(Self::wal_ingest_op(in_array, out_array, table));
-        }
-        self.edges.insert(
-            (in_array.to_string(), out_array.to_string()),
-            Arc::new(Edge::from_tables(backward, forward, out_shape, in_shape)),
-        );
-        self.invalidate_composites(in_array, out_array);
-        Ok(())
+            Arc::new(t)
+        };
+        let backward = matches!(policy, Materialize::Backward | Materialize::Both)
+            .then(|| compress(Orientation::Backward));
+        let forward = matches!(policy, Materialize::Forward | Materialize::Both)
+            .then(|| compress(Orientation::Forward));
+        self.install_edge(in_array, out_array, backward, forward, None)
     }
 
     /// Ingest an already-compressed table (used by the reuse path).
@@ -695,17 +675,32 @@ impl StorageManager {
         out_array: &str,
         table: CompressedTable,
     ) -> Result<()> {
-        let in_shape = self.array(in_array)?.shape.clone();
-        let out_shape = self.array(out_array)?.shape.clone();
         let table = Arc::new(table);
         if !table.is_generalized() {
             table.ensure_index();
         }
-        self.wal_push(Self::wal_ingest_op(in_array, out_array, &table));
         let (backward, forward) = match table.orientation() {
             Orientation::Backward => (Some(table), None),
             Orientation::Forward => (None, Some(table)),
         };
+        self.install_edge(in_array, out_array, backward, forward, None)
+    }
+
+    /// Log and store one edge's orientation tables (at least one), which
+    /// replaces whatever the pair held and drops the composites through it.
+    fn install_edge(
+        &mut self,
+        in_array: &str,
+        out_array: &str,
+        backward: Option<Arc<CompressedTable>>,
+        forward: Option<Arc<CompressedTable>>,
+        actor: Option<&str>,
+    ) -> Result<()> {
+        let in_shape = self.array(in_array)?.shape.clone();
+        let out_shape = self.array(out_array)?.shape.clone();
+        let table = (backward.as_deref().or(forward.as_deref()))
+            .ok_or(DslogError::Corrupt("edge with no stored orientation"))?;
+        self.wal_push(Self::wal_ingest_op(in_array, out_array, table), actor);
         self.edges.insert(
             (in_array.to_string(), out_array.to_string()),
             Arc::new(Edge::from_tables(backward, forward, out_shape, in_shape)),
@@ -727,13 +722,15 @@ impl StorageManager {
     /// **rejected** with [`DslogError::DuplicateEdge`] — a silent
     /// overwrite would leave `n_edges` flat while the service's
     /// ingested/pending counters (and auto-commit thresholds) kept
-    /// climbing on phantom edges. The map is untouched on any error.
+    /// climbing on phantom edges. The map is untouched on any error. The
+    /// log record names `actor`, or the configured one for `None`.
     pub fn ingest_prepared(
         &mut self,
         in_array: &str,
         out_array: &str,
         backward: Option<CompressedTable>,
         forward: Option<CompressedTable>,
+        actor: Option<&str>,
     ) -> Result<()> {
         let in_shape = self.array(in_array)?.shape.clone();
         let out_shape = self.array(out_array)?.shape.clone();
@@ -742,9 +739,6 @@ impl StorageManager {
                 in_array: in_array.to_string(),
                 out_array: out_array.to_string(),
             });
-        }
-        if backward.is_none() && forward.is_none() {
-            return Err(DslogError::Corrupt("edge with no stored orientation"));
         }
         let prepare = |table: Option<CompressedTable>,
                        orientation: Orientation|
@@ -777,15 +771,7 @@ impl StorageManager {
         };
         let backward = prepare(backward, Orientation::Backward)?;
         let forward = prepare(forward, Orientation::Forward)?;
-        if let Some(table) = backward.as_deref().or(forward.as_deref()) {
-            self.wal_push(Self::wal_ingest_op(in_array, out_array, table));
-        }
-        self.edges.insert(
-            (in_array.to_string(), out_array.to_string()),
-            Arc::new(Edge::from_tables(backward, forward, out_shape, in_shape)),
-        );
-        self.invalidate_composites(in_array, out_array);
-        Ok(())
+        self.install_edge(in_array, out_array, backward, forward, actor)
     }
 
     /// The incremental-commit binding, if any: the database directory the
@@ -805,7 +791,7 @@ impl StorageManager {
         from: &str,
         to: &str,
     ) -> Result<(Arc<CompressedTable>, HopDirection)> {
-        let opts = self.compress_options();
+        let opts = self.compress;
         // Edge stored as (input=to, output=from) ⇒ hop is backward.
         if let Some(edge) = self.edges.get(&(to.to_string(), from.to_string())) {
             edge.backward_hits.fetch_add(1, Ordering::Relaxed);
@@ -860,23 +846,13 @@ impl StorageManager {
         })
     }
 
-    /// Override the composite-edge policy (see [`CompositePolicy`]).
-    pub fn set_composite_policy(&mut self, p: CompositePolicy) {
-        self.composite_policy = Some(p);
-    }
-
-    /// The active composite-edge policy.
-    pub fn composite_policy(&self) -> CompositePolicy {
-        self.composite_policy.unwrap_or_default()
-    }
-
     /// Record one planner sighting of `path` and say what to do with it:
     /// serve an existing composite, materialize a now-hot one, or pass.
     /// `Materialize` keeps being returned on later sightings until
     /// [`install_composite`](Self::install_composite) resolves the entry,
     /// so a skipped materialization (e.g. tables not resident) retries.
     pub(crate) fn observe_composite(&self, path: &[String]) -> CompositeProbe {
-        let policy = self.composite_policy();
+        let policy = self.composite_policy;
         if !policy.enabled || path.len() < 3 {
             return CompositeProbe::Pass;
         }
@@ -911,9 +887,10 @@ impl StorageManager {
     pub(crate) fn install_composite(&self, path: &[String], table: Option<Arc<CompressedTable>>) {
         let state = match table {
             Some(t) => {
-                self.wal_push(wal::OpKind::Composite {
+                let kind = wal::OpKind::Composite {
                     path: path.to_vec(),
-                });
+                };
+                self.wal_push(kind, None);
                 CompositeState::Materialized(t)
             }
             None => CompositeState::Unmaterializable,
@@ -979,7 +956,7 @@ impl StorageManager {
     /// backward default. Queries after a rebalance stay correct — a
     /// dropped orientation is simply re-derived on demand.
     pub fn rebalance_materialization(&mut self) -> Result<()> {
-        let opts = self.compress_options();
+        let opts = self.compress;
         for edge in self.edges.values() {
             let bwd = edge.backward_hits.load(Ordering::Relaxed);
             let fwd = edge.forward_hits.load(Ordering::Relaxed);
@@ -1025,7 +1002,7 @@ impl StorageManager {
                 from: in_array.to_string(),
                 to: out_array.to_string(),
             })?;
-        edge.repr(orientation, self.compress_options())
+        edge.repr(orientation, self.compress)
     }
 
     /// Serialized size in bytes of all stored tables (one orientation each),
@@ -1037,7 +1014,7 @@ impl StorageManager {
         fn slot_bytes(slot: &RwLock<Slot>) -> Option<usize> {
             match &slot.read().source {
                 Some(TableSource::Loaded(t)) => Some(format::serialize(t).len()),
-                Some(TableSource::OnDisk(d)) => Some(d.raw_len as usize),
+                Some(TableSource::OnDisk(d)) => Some(d.record.raw_len as usize),
                 None => None,
             }
         }
@@ -1212,14 +1189,10 @@ mod tests {
     fn ablation_compress_options_produce_identical_storage() {
         let mut fast = manager_with_edge();
         let mut slow = StorageManager::new();
-        slow.set_compress_options(CompressOptions {
-            fast: false,
-            ..CompressOptions::default()
-        });
+        slow.compress.fast = false;
         slow.define_array("A", &[3, 2]).unwrap();
         slow.define_array("B", &[3]).unwrap();
         slow.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-        assert!(!slow.compress_options().fast);
         // Stored and lazily derived orientations agree bit-for-bit.
         for orientation in [Orientation::Backward, Orientation::Forward] {
             let a = fast.stored_table("A", "B", orientation).unwrap();
@@ -1300,7 +1273,7 @@ mod tests {
     #[test]
     fn materialize_both_policy() {
         let mut s = StorageManager::new();
-        s.set_materialize(Materialize::Both);
+        s.materialize = Materialize::Both;
         s.define_array("A", &[3, 2]).unwrap();
         s.define_array("B", &[3]).unwrap();
         s.ingest_lineage("A", "B", &sum_lineage()).unwrap();

@@ -8,10 +8,11 @@
 //!
 //! ```text
 //! <dir>/
-//!   catalog.dsl               catalog v2: arrays + edges + per-file byte
-//!                             length, crc32, and plain serialized length,
-//!                             with its own crc32 trailer (hand-rolled
-//!                             binary)
+//!   catalog.dsl               catalog: arrays + edges + per-file byte
+//!                             length, crc32, and plain serialized length
+//!                             (v3, after a compaction: plus the byte
+//!                             offset of a segment range), with its own
+//!                             crc32 trailer (hand-rolled binary)
 //!   edge-<i>-b.g<g>.tbl[.gz]  backward table of edge i, snapshot gen g
 //!   edge-<i>-f.g<g>.tbl[.gz]  forward  table of edge i, snapshot gen g
 //!   ops.log                   the operation log (see [`super::wal`])
@@ -32,10 +33,12 @@
 //! synced before the commit so edge renames cannot reorder after it, and
 //! again after it before old files go) — a crash at any earlier step
 //! leaves the previous snapshot fully intact (plus harmless debris that
-//! the next [`open`]/[`open_lazy`] sweeps). After the commit, every file
+//! the next [`open`] sweeps). After the commit, every file
 //! that only a generation leaving the retention window named is deleted,
 //! so shrinking the edge set, renumbering, or flipping the `gzip` flag
-//! cannot leave stale tables for a later `open` to trip over.
+//! cannot leave stale tables for a later `open` to trip over. Every write
+//! and sync on the way passes the manager's [`wal::IoPolicy`] (the one
+//! fault injector), if one was installed.
 //!
 //! ## The remembered tail
 //!
@@ -44,7 +47,7 @@
 //! length and last op id, the generation the next commit takes, the live
 //! catalog's byte length, and the file sets of the live and retained
 //! generations — shared by every epoch clone, built once by
-//! [`open`]/[`open_lazy`] (or the first commit) through `load_tail`, and
+//! [`open`] (or the first commit) through `load_tail`, and
 //! advanced by every successful [`commit`] and
 //! [`compact`](super::compact::compact). So a commit appends to the log
 //! without scanning it, takes its generation without listing the
@@ -78,7 +81,7 @@
 //!
 //! Concurrent commits on one manager serialize on its commit lock.
 //! Across *processes*, a database directory supports one live process at
-//! a time: [`open`]/[`open_lazy`] sweep unreferenced data and `*.tmp`
+//! a time: [`open`] sweeps unreferenced data and `*.tmp`
 //! files (crashed-process debris), so an open racing another process's
 //! in-flight commit could delete files that commit is about to
 //! reference, and the remembered tail likewise assumes no other live
@@ -97,12 +100,9 @@
 //! signature tables are deliberately not persisted — they are a cache whose
 //! correctness is re-validated per process anyway (§VI.C re-confirms
 //! mappings after `m` calls).
-//!
-//! Version-1 directories (catalog magic `DSLGDB1`, un-checksummed v1 table
-//! files named `edge-<i>-<o>.tbl[.gz]`) remain fully readable; saving over
-//! one upgrades it to v2 in place.
 
 use super::wal::{self, Generation, IoPolicy, LogTail};
+use super::wire::{read_string, read_u32_le, write_string};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
 use crate::table::Orientation;
@@ -112,7 +112,6 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const CATALOG_MAGIC_V1: &[u8; 8] = b"DSLGDB1\0";
 const CATALOG_MAGIC_V2: &[u8; 8] = b"DSLGDB2\0";
 /// v3 adds one uvarint byte offset per file record, so a reference can be
 /// a live range inside a shared compaction segment (`segment-*.seg`).
@@ -121,33 +120,6 @@ const CATALOG_MAGIC_V2: &[u8; 8] = b"DSLGDB2\0";
 const CATALOG_MAGIC_V3: &[u8; 8] = b"DSLGDB3\0";
 pub(crate) const CATALOG_FILE: &str = "catalog.dsl";
 
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_uvarint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_string(data: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_uvarint(data, pos)? as usize;
-    // Compare against the bytes actually left (`*pos + len` could wrap on a
-    // hostile varint; this form cannot overflow).
-    if *pos > data.len() || len > data.len() - *pos {
-        return Err(DslogError::Corrupt("string runs past end of catalog"));
-    }
-    let s = std::str::from_utf8(&data[*pos..*pos + len])
-        .map_err(|_| DslogError::Corrupt("catalog string is not UTF-8"))?
-        .to_string();
-    *pos += len;
-    Ok(s)
-}
-
-fn read_u32_le(data: &[u8], pos: &mut usize) -> Result<u32> {
-    let bytes = data
-        .get(*pos..*pos + 4)
-        .ok_or(DslogError::Corrupt("catalog truncated at checksum"))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
 fn orientation_char(orientation: Orientation) -> char {
     match orientation {
         Orientation::Backward => 'b',
@@ -155,14 +127,7 @@ fn orientation_char(orientation: Orientation) -> char {
     }
 }
 
-/// Legacy (v1 catalog) table file name.
-fn edge_file_name_v1(idx: usize, orientation: Orientation, gzip: bool) -> String {
-    let o = orientation_char(orientation);
-    let ext = if gzip { "tbl.gz" } else { "tbl" };
-    format!("edge-{idx}-{o}.{ext}")
-}
-
-/// Generation-qualified table file name (v2 catalogs). The generation makes
+/// Generation-qualified table file name. The generation makes
 /// the name unique per save, so an in-progress save can never clobber a
 /// file the committed catalog still references.
 fn edge_file_name(idx: usize, orientation: Orientation, gzip: bool, gen: u64) -> String {
@@ -192,7 +157,7 @@ pub(crate) fn retained_catalog_name(gen: u64) -> String {
 /// Extract the generation from a generation-qualified data file name —
 /// `edge-<i>-<o>.g<gen>.…`, `segment-<k>.g<gen>.seg`,
 /// `manifest.g<gen>.dsl`, or `catalog.g<gen>.dsl` (also matches leftover
-/// `.tmp` siblings). `None` for v1-style names and the live catalog.
+/// `.tmp` siblings). `None` for any other name and the live catalog.
 pub(crate) fn parse_generation(name: &str) -> Option<u64> {
     let rest = name
         .strip_prefix("edge-")
@@ -218,7 +183,7 @@ pub(crate) fn list_dir(dir: &Path) -> Vec<String> {
 }
 
 /// The live catalog's generation and byte length from its header alone —
-/// an O(1) read, whatever the catalog's size (`None` for a missing, v1 or
+/// an O(1) read, whatever the catalog's size (`None` for a missing or
 /// unrecognizable catalog).
 fn peek_catalog(dir: &Path) -> Option<(u64, u64)> {
     use std::io::Read as _;
@@ -240,7 +205,7 @@ fn referenced_names(catalog: &Catalog) -> HashSet<String> {
     catalog
         .edges
         .iter()
-        .flat_map(|e| e.files.iter().map(|f| f.name.clone()))
+        .flat_map(|e| e.files.iter().map(|f| f.record.name.clone()))
         .collect()
 }
 
@@ -265,12 +230,12 @@ fn retained_window(dir: &Path, names: &[String], live: u64) -> Vec<Generation> {
 }
 
 /// Rebuild what a manager remembers of `dir` ([`wal::LogTail`]) from the
-/// directory itself — the one routine behind [`open`]/[`open_lazy`] and
-/// behind a commit whose remembered tail is missing or stale. `live` is
-/// the parsed live catalog, `names` the directory listing. Reconciles the log with the catalog (truncating a torn or
-/// unvouched tail), and keeps every generation whose catalog is still on
-/// disk in the window: the next commit applies the retention policy and
-/// trims it.
+/// directory itself — the one routine behind [`open`] and behind a commit
+/// whose remembered tail is missing or stale. `live` is the parsed live
+/// catalog, `names` the directory listing. Reconciles the log with the
+/// catalog (truncating a torn or unvouched tail), and keeps every
+/// generation whose catalog is still on disk in the window: the next
+/// commit applies the retention policy and trims it.
 ///
 /// The generation the next commit must use is one past anything present —
 /// both the catalog's recorded generation and every generation visible in
@@ -355,20 +320,6 @@ pub struct CommitReport {
     pub bytes_written: u64,
 }
 
-/// Deterministic crash injection for the crash-consistency gate: with the
-/// `DSLOG_PERSIST_CRASH_AFTER_WRITES` environment variable set to `n`, the
-/// process exits (code 86) as soon as a commit has written `n` edge files
-/// — strictly before the catalog rename that would commit them. This
-/// simulates `kill -9` at the worst moment without timing races. Inactive
-/// (one getenv) unless the variable is set.
-fn crash_injection_point(edge_files_written: usize) {
-    if let Ok(n) = std::env::var("DSLOG_PERSIST_CRASH_AFTER_WRITES") {
-        if n.parse::<usize>().is_ok_and(|n| edge_files_written >= n) {
-            std::process::exit(86);
-        }
-    }
-}
-
 /// Whether a directory entry is one of ours and subject to sweeping:
 /// whole edge tables, compaction segments, compaction manifests, and
 /// retained generations' catalogs (never the live `catalog.dsl`).
@@ -392,7 +343,7 @@ pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], window: &[Generati
 
 /// The single source of truth for what a sweep must leave alone — shared
 /// by [`CommitSession::finish`] (so by [`commit`] and
-/// [`super::compact::compact`]), [`open`]/[`open_lazy`] and [`verify`], so
+/// [`super::compact::compact`]), [`open`] and [`verify`], so
 /// no caller can invent its own (weaker) sparing rule and delete a file
 /// the live catalog or the retained time-travel window still references.
 ///
@@ -445,17 +396,10 @@ fn plan_slot(
     };
     if incremental {
         if let Some(record) = persisted {
-            // O(1) tamper guard: the recorded file must still exist with
-            // its recorded length — for a segment range, at least enough
-            // bytes to hold the range. Anything else (externally deleted
-            // or truncated) falls through to a rewrite from the slot.
-            let intact = std::fs::metadata(dir.join(&record.name))
-                .map(|m| match record.offset {
-                    None => m.len() == record.len,
-                    Some(off) => m.len() >= off.saturating_add(record.len),
-                })
-                .unwrap_or(false);
-            if intact {
+            // O(1) tamper guard: the recorded file must still exist and
+            // fit the record. Anything else (externally deleted or
+            // truncated) falls through to a rewrite from the slot.
+            if std::fs::metadata(dir.join(&record.name)).is_ok_and(|m| record.fits(m.len())) {
                 return Ok(SlotPlan::Reuse(record));
             }
         }
@@ -563,12 +507,10 @@ pub(crate) struct CommitSession<'a> {
     /// bound database, not a replacement — its operation log carries over
     /// (with a conversion record).
     conversion: bool,
-    policy: Option<Arc<IoPolicy>>,
     /// The buffered operations this commit flushes (operations arriving
     /// concurrently from other epochs stay buffered for the next commit).
     pending: Vec<wal::PendingOp>,
     actor: String,
-    retain: usize,
     tail: LogTail,
     /// The tail was rebuilt from the directory for this commit, which may
     /// therefore hold files the tail knows nothing about (a failed
@@ -582,8 +524,14 @@ pub(crate) struct CommitSession<'a> {
 
 impl<'a> CommitSession<'a> {
     /// `dir` must be canonical (so `open("./db")` then `commit("db")`
-    /// still matches the binding).
-    pub(crate) fn begin(storage: &'a StorageManager, dir: PathBuf, gzip: bool) -> Self {
+    /// still matches the binding). The records this commit itself logs
+    /// name `actor`, or the manager's configured one for `None`.
+    pub(crate) fn begin(
+        storage: &'a StorageManager,
+        dir: PathBuf,
+        gzip: bool,
+        actor: Option<&str>,
+    ) -> Self {
         let serialize = storage.commit_lock.lock();
         let (bound, tail) = {
             let mut binding = storage.binding.lock();
@@ -591,15 +539,7 @@ impl<'a> CommitSession<'a> {
             let tail = bound.as_mut().and_then(|b| b.tail.take());
             (bound.map(|b| (b.gzip, b.generation)), tail)
         };
-        let (policy, pending, actor, retain) = {
-            let w = storage.wal.lock();
-            (
-                w.io_policy.clone(),
-                w.pending.clone(),
-                w.actor.clone(),
-                w.effective_retain() as usize,
-            )
-        };
+        let pending = storage.wal.lock().clone();
         // The remembered tail stands while the directory still looks the
         // way the tail left it: the log ends where it did, and the live
         // catalog is the one this manager committed or opened.
@@ -611,9 +551,7 @@ impl<'a> CommitSession<'a> {
         let (tail, prior_gen, rebuilt) = match trusted {
             Some(((_, generation), tail)) => (tail, generation, false),
             None => {
-                let live = std::fs::read(dir.join(CATALOG_FILE))
-                    .ok()
-                    .and_then(|bytes| parse_catalog(&bytes).ok());
+                let live = read_catalog(&dir).ok();
                 let mut tail = load_tail(&dir, live.as_ref(), &list_dir(&dir));
                 if bound.is_none() {
                     // An unbound or foreign target starts a fresh log and
@@ -635,20 +573,13 @@ impl<'a> CommitSession<'a> {
             conversion: matches!(bound, Some((g, _)) if g != gzip),
             dir,
             gzip,
-            policy,
             pending,
-            actor,
-            retain,
+            actor: actor.unwrap_or(&storage.actor).to_string(),
             gen: tail.next_gen,
             tail,
             rebuilt,
             prior_gen,
         }
-    }
-
-    /// The fault-injection policy gating this commit's IO, if any.
-    pub(crate) fn policy(&self) -> Option<&IoPolicy> {
-        self.policy.as_deref()
     }
 
     /// How many distinct data files the live catalog references.
@@ -659,18 +590,15 @@ impl<'a> CommitSession<'a> {
     /// Commit `planned` — whose data files are already written and renamed
     /// into place — as generation `self.gen`: directory sync, log append +
     /// fdatasync, catalog rename (the commit point), directory sync,
-    /// delete. `annotation` is logged just before the commit record;
-    /// `after_rename` runs right after the catalog rename (a kill point
-    /// for the crash sweeps).
+    /// delete. `annotation` is logged just before the commit record.
     pub(crate) fn finish(
         mut self,
         planned: &[PlannedEdge<'_>],
         written: Vec<WrittenSlot<'_>>,
         annotation: Option<wal::OpKind>,
-        after_rename: impl FnOnce(),
     ) -> Result<()> {
         let (storage, gzip, gen, prior_gen) = (self.storage, self.gzip, self.gen, self.prior_gen);
-        let policy = self.policy.as_deref();
+        let (policy, retain) = (storage.io_policy.as_deref(), storage.retain as usize);
         let dir = self.dir.as_path();
         let catalog = build_catalog_bytes(storage, gzip, gen, planned)?;
 
@@ -679,7 +607,7 @@ impl<'a> CommitSession<'a> {
         // the bytes are the ones already fsynced as `catalog.dsl` (where
         // links are unsupported, a copy; should a crash tear it, that
         // generation merely reads as not retained).
-        if let Some((live, _)) = self.tail.window.last().filter(|_| self.retain > 0) {
+        if let Some((live, _)) = self.tail.window.last().filter(|_| retain > 0) {
             let (from, to) = (
                 dir.join(CATALOG_FILE),
                 dir.join(retained_catalog_name(*live)),
@@ -740,8 +668,7 @@ impl<'a> CommitSession<'a> {
         // the log with the catalog first and truncates whatever the failed
         // append managed to write, so nothing is lost or double-counted.
         write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
-        storage.wal.lock().pending.drain(..self.pending.len());
-        after_rename();
+        storage.wal.lock().drain(..self.pending.len());
 
         // And make the commit itself durable before destroying old state.
         sync_dir(dir, policy)?;
@@ -758,7 +685,7 @@ impl<'a> CommitSession<'a> {
             .flat_map(|(_, _, records)| records.iter().map(|r| r.name.clone()))
             .collect();
         self.tail.window.push((gen, referenced));
-        let evict = self.tail.window.len().saturating_sub(self.retain + 1);
+        let evict = self.tail.window.len().saturating_sub(retain + 1);
         let evicted: Vec<Generation> = self.tail.window.drain(..evict).collect();
         let names: Vec<String> = if self.rebuilt {
             list_dir(dir)
@@ -815,11 +742,22 @@ impl<'a> CommitSession<'a> {
 /// older snapshot — even one with a different edge set, numbering, or
 /// `gzip` flag — is safe and replaces it completely.
 pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CommitReport> {
+    commit_as(storage, dir, gzip, None)
+}
+
+/// [`commit`], its commit record logged under `actor` (`None`: the
+/// manager's configured one).
+pub(crate) fn commit_as(
+    storage: &StorageManager,
+    dir: &Path,
+    gzip: bool,
+    actor: Option<&str>,
+) -> Result<CommitReport> {
     std::fs::create_dir_all(dir).map_err(|e| DslogError::io("create database dir", e))?;
     let dir = dir
         .canonicalize()
         .map_err(|e| DslogError::io("canonicalize database dir", e))?;
-    let session = CommitSession::begin(storage, dir, gzip);
+    let session = CommitSession::begin(storage, dir, gzip, actor);
     let (incremental, gen) = (session.incremental, session.gen);
 
     // Plan + write pass: edges sorted by (in, out) for determinism. Dirty
@@ -860,10 +798,9 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
                         &session.dir.join(&name),
                         &bytes,
                         "write edge table",
-                        session.policy(),
+                        storage.io_policy.as_deref(),
                     )?;
                     files_written += 1;
-                    crash_injection_point(files_written);
                     let record = FileRecord {
                         name,
                         len: bytes.len() as u64,
@@ -885,7 +822,7 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
         planned.push((key, mask, records));
     }
 
-    session.finish(&planned, written, None, || {})?;
+    session.finish(&planned, written, None)?;
     Ok(CommitReport {
         generation: gen,
         incremental,
@@ -905,14 +842,10 @@ pub fn save(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<()> {
 /// One table reference of a parsed catalog: a whole `edge-*` file, or (v3)
 /// a live range inside a shared compaction segment.
 pub(crate) struct FileRef {
-    pub(crate) name: String,
     pub(crate) orientation: Orientation,
-    /// `(file byte length, crc32, plain serialized length)` — recorded by
-    /// v2+ catalogs, absent in v1. For a segment range, `len`/`crc` cover
-    /// the range's bytes, not the whole segment file.
-    pub(crate) check: Option<(u64, u32, u64)>,
-    /// `Some(byte offset)` for a segment range, `None` for a whole file.
-    pub(crate) offset: Option<u64>,
+    /// For a segment range, `len`/`crc` cover the range's bytes, not the
+    /// whole segment file.
+    pub(crate) record: FileRecord,
 }
 
 /// One edge entry of a parsed catalog.
@@ -928,8 +861,7 @@ pub(crate) struct Catalog {
     pub(crate) byte_len: u64,
     pub(crate) version: u8,
     pub(crate) gzip: bool,
-    /// Snapshot generation (0 for v1 catalogs); the next save uses a
-    /// strictly larger one.
+    /// Snapshot generation; the next save uses a strictly larger one.
     pub(crate) generation: u64,
     pub(crate) arrays: HashMap<String, ArrayMeta>,
     pub(crate) edges: Vec<CatalogEdge>,
@@ -937,37 +869,29 @@ pub(crate) struct Catalog {
 
 pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
     let byte_len = data.len() as u64;
-    if data.len() < 9 {
+    if data.len() < 13 {
         return Err(DslogError::Corrupt("catalog too short"));
     }
     let version = match &data[..8] {
-        m if m == CATALOG_MAGIC_V1 => 1,
         m if m == CATALOG_MAGIC_V2 => 2,
         m if m == CATALOG_MAGIC_V3 => 3,
+        // Another generation of this format (v1 is no longer read).
+        m if m.starts_with(b"DSLGDB") => {
+            return Err(DslogError::Corrupt("unsupported catalog version"))
+        }
         _ => return Err(DslogError::Corrupt("bad catalog magic")),
     };
-    let data = if version >= 2 {
-        // v2 catalogs end in a crc32 trailer over everything before it;
-        // verify before parsing so any corruption is caught up front.
-        if data.len() < 13 {
-            return Err(DslogError::Corrupt("catalog too short"));
-        }
-        let (body, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(DslogError::Corrupt("catalog checksum mismatch"));
-        }
-        body
-    } else {
-        data
-    };
+    // The catalog ends in a crc32 trailer over everything before it;
+    // verify before parsing so any corruption is caught up front.
+    let (data, trailer) = data
+        .split_last_chunk::<4>()
+        .ok_or(DslogError::Corrupt("catalog too short"))?;
+    if crc32(data) != u32::from_le_bytes(*trailer) {
+        return Err(DslogError::Corrupt("catalog checksum mismatch"));
+    }
     let gzip = data[8] != 0;
     let mut pos = 9usize;
-    let generation = if version >= 2 {
-        read_uvarint(data, &mut pos)?
-    } else {
-        0
-    };
+    let generation = read_uvarint(data, &mut pos)?;
 
     let mut arrays = HashMap::new();
     let n_arrays = read_uvarint(data, &mut pos)? as usize;
@@ -988,7 +912,7 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
 
     let mut edges = Vec::new();
     let n_edges = read_uvarint(data, &mut pos)? as usize;
-    for idx in 0..n_edges {
+    for _ in 0..n_edges {
         let in_name = read_string(data, &mut pos)?;
         let out_name = read_string(data, &mut pos)?;
         if !arrays.contains_key(&out_name) {
@@ -1009,47 +933,44 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             if mask & bit == 0 {
                 continue;
             }
-            let (name, check, offset) = if version >= 2 {
-                let name = read_string(data, &mut pos)?;
-                // Catalogs are untrusted input: a table reference must be
-                // a bare `edge-*` (or, v3, `segment-*`) file name inside
-                // the database directory (no separators, so it can never
-                // escape it), and not a `.tmp` name the sweep would
-                // reclaim.
-                let prefix_ok =
-                    name.starts_with("edge-") || (version >= 3 && name.starts_with("segment-"));
-                if !prefix_ok || name.contains('/') || name.contains('\\') || name.ends_with(".tmp")
-                {
+            let name = read_string(data, &mut pos)?;
+            // Catalogs are untrusted input: a table reference must be a
+            // bare `edge-*` (or, v3, `segment-*`) file name inside the
+            // database directory (no separators, so it can never escape
+            // it), and not a `.tmp` name the sweep would reclaim.
+            let prefix_ok =
+                name.starts_with("edge-") || (version >= 3 && name.starts_with("segment-"));
+            if !prefix_ok || name.contains('/') || name.contains('\\') || name.ends_with(".tmp") {
+                return Err(DslogError::Corrupt(
+                    "catalog references an illegal file name",
+                ));
+            }
+            let len = read_uvarint(data, &mut pos)?;
+            let crc = read_u32_le(data, &mut pos)?;
+            let raw_len = read_uvarint(data, &mut pos)?;
+            let offset = if version >= 3 {
+                let off = read_uvarint(data, &mut pos)?;
+                if name.starts_with("segment-") {
+                    Some(off)
+                } else if off == 0 {
+                    None
+                } else {
                     return Err(DslogError::Corrupt(
-                        "catalog references an illegal file name",
+                        "catalog records an offset into a whole edge file",
                     ));
                 }
-                let len = read_uvarint(data, &mut pos)?;
-                let crc = read_u32_le(data, &mut pos)?;
-                let raw_len = read_uvarint(data, &mut pos)?;
-                let offset = if version >= 3 {
-                    let off = read_uvarint(data, &mut pos)?;
-                    if name.starts_with("segment-") {
-                        Some(off)
-                    } else if off == 0 {
-                        None
-                    } else {
-                        return Err(DslogError::Corrupt(
-                            "catalog records an offset into a whole edge file",
-                        ));
-                    }
-                } else {
-                    None
-                };
-                (name, Some((len, crc, raw_len)), offset)
             } else {
-                (edge_file_name_v1(idx, orientation, gzip), None, None)
+                None
             };
             files.push(FileRef {
-                name,
                 orientation,
-                check,
-                offset,
+                record: FileRecord {
+                    name,
+                    len,
+                    crc,
+                    raw_len,
+                    offset,
+                },
             });
         }
         edges.push(CatalogEdge {
@@ -1070,26 +991,15 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
 
 /// Read one table — a whole file (`offset: None`) or a live range inside a
 /// shared compaction segment (`offset: Some`) — and verify it against its
-/// catalog record when one exists: byte length, crc32, and — for gzip —
-/// the container's claimed uncompressed size vs the recorded plain length
-/// (so a later decompress is bounded by the catalog, not by whatever the
-/// file body claims). Returns the raw table bytes.
-pub(crate) fn read_verified_bytes(
-    path: &Path,
-    gzip: bool,
-    check: Option<(u64, u32, u64)>,
-    offset: Option<u64>,
-) -> Result<Vec<u8>> {
-    let bytes = match offset {
+/// catalog record: byte length, crc32, and — for gzip — the container's
+/// claimed uncompressed size vs the recorded plain length (so a later
+/// decompress is bounded by the catalog, not by whatever the file body
+/// claims). Returns the raw table bytes.
+pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -> Result<Vec<u8>> {
+    let path = dir.join(&record.name);
+    let bytes = match record.offset {
         None => std::fs::read(path).map_err(|e| DslogError::io("read edge table", e))?,
         Some(off) => {
-            // A range read without its catalog record would have no length
-            // to read — v3 catalogs always record one.
-            let Some((len, _, _)) = check else {
-                return Err(DslogError::Corrupt(
-                    "segment range without a catalog record",
-                ));
-            };
             use std::io::{Read as _, Seek as _};
             let mut f =
                 std::fs::File::open(path).map_err(|e| DslogError::io("open segment file", e))?;
@@ -1098,38 +1008,35 @@ pub(crate) fn read_verified_bytes(
             // Bounded by the catalog-recorded range length, which the crc
             // check below vouches for. lint:checked-alloc — len comes from
             // the crc-trailed catalog, and read_exact fails on truncation.
-            let mut buf = vec![0u8; len as usize];
+            let mut buf = vec![0u8; record.len as usize];
             f.read_exact(&mut buf)
                 .map_err(|e| DslogError::io("read segment range", e))?;
             buf
         }
     };
-    if let Some((len, crc, raw_len)) = check {
-        if bytes.len() as u64 != len {
-            return Err(DslogError::Corrupt("edge file length mismatch"));
-        }
-        if crc32(&bytes) != crc {
-            return Err(DslogError::Corrupt("edge file checksum mismatch"));
-        }
-        if gzip && dslog_codecs::gzip::declared_len(&bytes)? != raw_len {
-            return Err(DslogError::Corrupt("edge file declared size mismatch"));
-        }
+    if bytes.len() as u64 != record.len {
+        return Err(DslogError::Corrupt("edge file length mismatch"));
+    }
+    if crc32(&bytes) != record.crc {
+        return Err(DslogError::Corrupt("edge file checksum mismatch"));
+    }
+    if gzip && dslog_codecs::gzip::declared_len(&bytes)? != record.raw_len {
+        return Err(DslogError::Corrupt("edge file declared size mismatch"));
     }
     Ok(bytes)
 }
 
-/// Read + fully validate one table file (length/crc when recorded, then
-/// structural decode, then orientation agreement with the catalog). Both
+/// Read + fully validate one table file (length/crc, then structural
+/// decode, then orientation agreement with the catalog). Both
 /// eager open and the lazy `DiskTable::load` path go through here, so
 /// verification can never diverge between the two.
 pub(crate) fn load_table_file(
-    path: &Path,
+    dir: &Path,
     gzip: bool,
     orientation: Orientation,
-    check: Option<(u64, u32, u64)>,
-    offset: Option<u64>,
+    record: &FileRecord,
 ) -> Result<crate::table::CompressedTable> {
-    let bytes = read_verified_bytes(path, gzip, check, offset)?;
+    let bytes = read_verified_bytes(dir, gzip, record)?;
     let table = if gzip {
         format::deserialize_gzip(&bytes)?
     } else {
@@ -1143,20 +1050,6 @@ pub(crate) fn load_table_file(
 
 /// Edge map keyed by `(in_array, out_array)`, as loaded from a catalog.
 type EdgeMap = HashMap<(String, String), Arc<Edge>>;
-
-/// Worker-thread count for fanning edge decode + crc across a scoped
-/// pool: the machine's available parallelism, clamped by the
-/// `DSLOG_OPEN_THREADS` environment variable (`1` = serial — the bench's
-/// single-thread baseline).
-pub(crate) fn open_threads() -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::env::var("DSLOG_OPEN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(hw)
-        .min(64)
-}
 
 /// Stable shard assignment for one edge, shared by the parallel open pool
 /// and compaction's segment layout: hash of the `(in, out)` edge key.
@@ -1177,18 +1070,17 @@ fn load_tables_sharded(
     dir: &Path,
     catalog: &Catalog,
     jobs: &[(usize, &FileRef)],
+    threads: Option<usize>,
 ) -> Result<HashMap<(usize, bool), crate::table::CompressedTable>> {
     let decode_one = |idx: usize, fref: &FileRef| {
-        load_table_file(
-            &dir.join(&fref.name),
-            catalog.gzip,
-            fref.orientation,
-            fref.check,
-            fref.offset,
-        )
-        .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
+        load_table_file(dir, catalog.gzip, fref.orientation, &fref.record)
+            .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
     };
-    let shards = open_threads().min(jobs.len());
+    // One shard per worker: the machine's parallelism, clamped by the
+    // caller's cap (`OpenOptions::open_threads`; 1 = serial).
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let shards = threads.map_or(hw, |cap| cap.clamp(1, hw)).min(64);
+    let shards = shards.min(jobs.len());
     if shards <= 1 {
         return jobs
             .iter()
@@ -1225,26 +1117,28 @@ fn load_tables_sharded(
 }
 
 /// Load (or lazily reference) every table file a parsed catalog names.
-fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeMap> {
+fn load_catalog_edges(
+    dir: &Path,
+    catalog: &Catalog,
+    lazy: bool,
+    threads: Option<usize>,
+) -> Result<EdgeMap> {
     // Everything to be decoded eagerly fans out across the scoped pool;
     // lazily referenced files are only stat'd (O(1) each) inline below.
-    // v1 catalogs record no checksums, so their files always load eagerly
-    // even under `lazy`.
     let eager_jobs: Vec<(usize, &FileRef)> = catalog
         .edges
         .iter()
         .enumerate()
         .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
-        .filter(|(_, fref)| !(lazy && fref.check.is_some()))
+        .filter(|_| !lazy)
         .collect();
-    let mut loaded = load_tables_sharded(dir, catalog, &eager_jobs)?;
+    let mut loaded = load_tables_sharded(dir, catalog, &eager_jobs, threads)?;
 
     let mut edges = HashMap::new();
     for (idx, entry) in catalog.edges.iter().enumerate() {
         let mut backward = Slot::default();
         let mut forward = Slot::default();
         for fref in &entry.files {
-            let path = dir.join(&fref.name);
             let forward_slot = fref.orientation == Orientation::Forward;
             let source = match loaded.remove(&(idx, forward_slot)) {
                 Some(table) => TableSource::Loaded(Arc::new(table)),
@@ -1252,46 +1146,26 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
                     // Lazy reference: the catalog-recorded checksum defers
                     // verification to first use. The O(1) existence +
                     // length check here catches missing or truncated
-                    // files at open time (for a segment range, the file
-                    // must at least hold the range).
-                    let Some((len, crc, raw_len)) = fref.check else {
-                        return Err(DslogError::Corrupt("lazy slot without a catalog record"));
-                    };
-                    let meta = std::fs::metadata(&path)
+                    // files at open time.
+                    let meta = std::fs::metadata(dir.join(&fref.record.name))
                         .map_err(|e| DslogError::io("stat edge table", e))?;
-                    let intact = match fref.offset {
-                        None => meta.len() == len,
-                        Some(off) => meta.len() >= off.saturating_add(len),
-                    };
-                    if !intact {
+                    if !fref.record.fits(meta.len()) {
                         return Err(DslogError::Corrupt("edge file length mismatch"));
                     }
                     TableSource::OnDisk(DiskTable {
-                        path,
+                        dir: dir.to_path_buf(),
                         gzip: catalog.gzip,
-                        len,
-                        crc,
-                        raw_len,
                         orientation: fref.orientation,
-                        offset: fref.offset,
+                        record: fref.record.clone(),
                     })
                 }
             };
-            // A v2+ record means the on-disk bytes already hold exactly
-            // this slot's content: the slot opens *clean*, so a later
-            // incremental commit reuses the file untouched. v1 slots
-            // carry no checksums and open dirty (first commit upgrades
-            // them to v2 files).
-            let persisted = fref.check.map(|(len, crc, raw_len)| FileRecord {
-                name: fref.name.clone(),
-                len,
-                crc,
-                raw_len,
-                offset: fref.offset,
-            });
+            // The on-disk bytes already hold exactly this slot's content:
+            // the slot opens *clean*, so a later incremental commit reuses
+            // the file untouched.
             let slot = Slot {
                 source: Some(source),
-                persisted,
+                persisted: Some(fref.record.clone()),
             };
             match fref.orientation {
                 Orientation::Backward => backward = slot,
@@ -1309,42 +1183,60 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
     Ok(edges)
 }
 
+/// How [`open`] reads a database directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpenMode {
+    /// Decode every table file now, verifying each against its catalog
+    /// checksum.
+    Eager,
+    /// O(catalog): table files are only stat'd (existence + length) now
+    /// and read, checksum-verified, and decoded on the first `resolve_hop`
+    /// that needs them.
+    Lazy,
+    /// The database as it was at this generation, read eagerly from the
+    /// `catalog.g<generation>.dsl` the retention policy kept
+    /// ([`DslogError::GenerationNotRetained`] if it, or a file it names, is
+    /// gone). The manager is *unbound*: a commit from it is a full save
+    /// into a fresh target, never a rewrite of history. The directory's
+    /// current generation opens as [`Eager`](Self::Eager) does.
+    AsOf(u64),
+}
+
+/// Read and parse the live catalog of `dir`.
+fn read_catalog(dir: &Path) -> Result<Catalog> {
+    let bytes =
+        std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
+    parse_catalog(&bytes)
+}
+
 /// A freshly built manager around a parsed catalog's arrays and edges;
-/// everything else (policies, log buffer) starts at its defaults.
+/// everything else (configuration, log buffer) starts at its defaults.
 fn manager_from_parts(
-    arrays: HashMap<String, ArrayMeta>,
-    edges: HashMap<(String, String), Arc<Edge>>,
+    catalog: Catalog,
+    edges: EdgeMap,
     binding: Option<super::PersistBinding>,
 ) -> StorageManager {
     StorageManager {
-        arrays,
+        arrays: catalog.arrays,
         edges,
-        materialize: None,
-        compress: None,
         binding: Arc::new(dslog_sync::Mutex::new(
             &dslog_sync::ranks::STORAGE_BINDING,
             binding,
         )),
-        commit_lock: Arc::new(dslog_sync::Mutex::new(
-            &dslog_sync::ranks::STORAGE_COMMIT,
-            (),
-        )),
-        composites: dslog_sync::RwLock::new(
-            &dslog_sync::ranks::STORAGE_COMPOSITES,
-            Default::default(),
-        ),
-        composite_policy: None,
-        wal: Arc::new(dslog_sync::Mutex::new(
-            &dslog_sync::ranks::STORAGE_WAL,
-            wal::WalShared::default(),
-        )),
+        ..StorageManager::default()
     }
 }
 
-fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
-    let bytes =
-        std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
-    let catalog = parse_catalog(&bytes)?;
+/// Open a database directory written by [`save`] — the one storage-level
+/// entry; [`crate::api::OpenOptions::open`] is its public face. `threads`
+/// caps the decode pool (`None`: the machine's parallelism).
+pub fn open(dir: &Path, mode: OpenMode, threads: Option<usize>) -> Result<StorageManager> {
+    let live = read_catalog(dir)?;
+    if let OpenMode::AsOf(generation) = mode {
+        if generation != live.generation {
+            return open_retained(dir, generation, threads);
+        }
+    }
 
     // Rebuild the remembered tail: reconcile the operation log with the
     // committed catalog — scan it, truncate any torn tail and any record
@@ -1353,58 +1245,39 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
     // and collect the retained generations. Best-effort — a missing or
     // pre-log directory yields an empty log tail.
     let names = list_dir(dir);
-    let tail = load_tail(dir, Some(&catalog), &names);
+    let tail = load_tail(dir, Some(&live), &names);
 
-    let edges = load_catalog_edges(dir, &catalog, lazy)?;
+    let edges = load_catalog_edges(dir, &live, mode == OpenMode::Lazy, threads)?;
 
     // A crashed process can leave `.tmp`/orphaned debris that a later
     // generation could collide with; opening a snapshot sweeps it
     // (best-effort — a read-only directory still opens fine). The sparing
     // rule is the shared [`is_spared`]: whatever a generation whose
-    // catalog is still kept names, `open_as_of` can resolve, so an open
+    // catalog is still kept names, an `AsOf` open can resolve, so an open
     // spares them all and the next commit applies the retention policy
     // and trims them.
     sweep_stale_files(dir, &names, &tail.window);
 
     // Bind the manager to this directory so the next commit into it is
-    // incremental (v1 catalogs bind at generation 0; every slot above
-    // opened dirty, so the first commit rewrites them as v2).
+    // incremental.
     let binding = super::PersistBinding {
         dir: dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()),
-        gzip: catalog.gzip,
-        generation: catalog.generation,
+        gzip: live.gzip,
+        generation: live.generation,
         tail: Some(tail),
     };
-
-    Ok(manager_from_parts(catalog.arrays, edges, Some(binding)))
+    Ok(manager_from_parts(live, edges, Some(binding)))
 }
 
-/// Open the database as it was at generation `generation`: while the
-/// retention policy keeps a superseded generation, its catalog stays on
-/// disk as `catalog.g<generation>.dsl` — the exact bytes that were live —
-/// next to the generation-named edge files it references.
-///
-/// The returned manager is a read-only style snapshot: it is *unbound*
-/// (no incremental-commit binding), so a commit from it is a full save
-/// into a fresh target rather than a rewrite of history. Requesting the
-/// directory's current generation is equivalent to [`open`]. A
-/// generation whose catalog or files the sweep already reclaimed (or that
-/// never existed) yields [`DslogError::GenerationNotRetained`].
-pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
-    let bytes =
-        std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
-    let current = parse_catalog(&bytes)?;
-    if generation == current.generation {
-        return open_impl(dir, false);
-    }
-    let old = match std::fs::read(dir.join(retained_catalog_name(generation))) {
-        Ok(old) => old,
+/// The [`OpenMode::AsOf`] open of a superseded generation.
+fn open_retained(dir: &Path, generation: u64, threads: Option<usize>) -> Result<StorageManager> {
+    let catalog = match std::fs::read(dir.join(retained_catalog_name(generation))) {
+        Ok(old) => parse_catalog(&old)?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Err(DslogError::GenerationNotRetained(generation));
         }
         Err(e) => return Err(DslogError::io("read retained catalog", e)),
     };
-    let catalog = parse_catalog(&old)?;
     if catalog.generation != generation {
         return Err(DslogError::Corrupt(
             "retained catalog records another generation than its name",
@@ -1414,7 +1287,7 @@ pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
     // the generation's files, instead of erroring mid-load.
     for entry in &catalog.edges {
         for fref in &entry.files {
-            if !dir.join(&fref.name).is_file() {
+            if !dir.join(&fref.record.name).is_file() {
                 return Err(DslogError::GenerationNotRetained(generation));
             }
         }
@@ -1423,28 +1296,14 @@ pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
     // verification means a reclaimed-then-recreated name cannot bite
     // later. No sweep, no binding — opening history must never mutate
     // the live database.
-    let edges = load_catalog_edges(dir, &catalog, false)?;
-    Ok(manager_from_parts(catalog.arrays, edges, None))
-}
-
-/// Open a database directory written by [`save`], eagerly decoding every
-/// table file (and verifying each against its catalog checksum).
-pub fn open(dir: &Path) -> Result<StorageManager> {
-    open_impl(dir, false)
-}
-
-/// Open a database directory in O(catalog): table files are only stat'd
-/// (existence + length) now and read, checksum-verified, and decoded on
-/// the first `resolve_hop` that needs them. Directories written by the v1
-/// code (no recorded checksums) fall back to an eager open.
-pub fn open_lazy(dir: &Path) -> Result<StorageManager> {
-    open_impl(dir, true)
+    let edges = load_catalog_edges(dir, &catalog, false, threads)?;
+    Ok(manager_from_parts(catalog, edges, None))
 }
 
 /// What [`verify`] found in a healthy database directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Catalog format version (1, 2, or 3).
+    /// Catalog format version (2, or 3 once compacted).
     pub catalog_version: u8,
     /// Whether table files use the gzip disk format.
     pub gzip: bool,
@@ -1464,7 +1323,7 @@ pub struct VerifyReport {
     pub log_records: usize,
     /// Data files on disk that the current catalog does not reference but
     /// a retained generation does (its kept `catalog.g<gen>.dsl`
-    /// included) — history `open_as_of` can resolve, not debris.
+    /// included) — history an `as_of` open can resolve, not debris.
     pub retained_files: usize,
     /// Compaction manifests found, crc-verified, and cross-checked
     /// against the live catalog's segment ranges.
@@ -1473,16 +1332,14 @@ pub struct VerifyReport {
 
 /// Walk a database directory and validate everything the catalog claims:
 /// every referenced table file (or segment range) exists, matches its
-/// recorded byte length and crc32 (v2+), decodes structurally, and stores
+/// recorded byte length and crc32, decodes structurally, and stores
 /// the orientation the catalog says — fanned across the same scoped thread
 /// pool as [`open`]. Compaction manifests of generations the catalog's
 /// segments belong to are decoded and cross-checked too. Returns a report
 /// on success; any damage is an `Err`. Unreferenced data/`*.tmp` debris is
 /// reported, not treated as damage.
 pub fn verify(dir: &Path) -> Result<VerifyReport> {
-    let bytes =
-        std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
-    let catalog = parse_catalog(&bytes)?;
+    let catalog = read_catalog(dir)?;
 
     let jobs: Vec<(usize, &FileRef)> = catalog
         .edges
@@ -1491,8 +1348,11 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
         .collect();
     let files_verified = jobs.len();
-    load_tables_sharded(dir, &catalog, &jobs)?;
-    let referenced: HashSet<&str> = jobs.iter().map(|(_, fref)| fref.name.as_str()).collect();
+    load_tables_sharded(dir, &catalog, &jobs, None)?;
+    let referenced: HashSet<&str> = jobs
+        .iter()
+        .map(|(_, fref)| fref.record.name.as_str())
+        .collect();
 
     // Every manifest whose generation a referenced segment belongs to must
     // decode, and its recorded ranges must agree with the live catalog's.
@@ -1557,6 +1417,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dslog-persist-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn open(dir: &Path) -> Result<StorageManager> {
+        super::open(dir, OpenMode::Eager, None)
+    }
+
+    fn open_lazy(dir: &Path) -> Result<StorageManager> {
+        super::open(dir, OpenMode::Lazy, None)
     }
 
     fn sample_manager() -> StorageManager {
@@ -1690,7 +1558,7 @@ mod tests {
     fn both_policy_roundtrips_both_files() {
         let dir = temp_dir("both");
         let mut s = StorageManager::new();
-        s.set_materialize(Materialize::Both);
+        s.materialize = Materialize::Both;
         s.define_array("X", &[4]).unwrap();
         s.define_array("Y", &[4]).unwrap();
         let mut t = LineageTable::new(1, 1);
@@ -1859,66 +1727,6 @@ mod tests {
         assert_eq!(verify(&dir).unwrap().stale_files, ["edge-0-b.g77.tbl"]);
         open(&dir).unwrap();
         assert!(verify(&dir).unwrap().stale_files.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_directory_still_opens() {
-        // Hand-write a v1 database (old catalog magic, un-checksummed v1
-        // table bytes, legacy file names) and check both open paths and
-        // verify still accept it.
-        let dir = temp_dir("v1compat");
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = sample_manager();
-
-        let mut catalog = Vec::new();
-        catalog.extend_from_slice(CATALOG_MAGIC_V1);
-        catalog.push(0); // plain
-        let names = s.array_names();
-        write_uvarint(&mut catalog, names.len() as u64);
-        for name in &names {
-            let meta = s.array(name).unwrap();
-            write_string(&mut catalog, name);
-            write_uvarint(&mut catalog, meta.shape.len() as u64);
-            for &d in &meta.shape {
-                write_uvarint(&mut catalog, d as u64);
-            }
-        }
-        let mut keys: Vec<&(String, String)> = s.edges.keys().collect();
-        keys.sort();
-        write_uvarint(&mut catalog, keys.len() as u64);
-        for (idx, key) in keys.iter().enumerate() {
-            let edge = &s.edges[*key];
-            write_string(&mut catalog, &key.0);
-            write_string(&mut catalog, &key.1);
-            catalog.push(1); // backward only
-            let table = edge.stored(Orientation::Backward, false).unwrap().unwrap();
-            std::fs::write(
-                dir.join(edge_file_name_v1(idx, Orientation::Backward, false)),
-                format::serialize_v1(&table),
-            )
-            .unwrap();
-        }
-        std::fs::write(dir.join(CATALOG_FILE), catalog).unwrap();
-
-        for opened in [open(&dir).unwrap(), open_lazy(&dir).unwrap()] {
-            assert_eq!(opened.n_edges(), 2);
-            let t = opened
-                .stored_table("A", "B", Orientation::Backward)
-                .unwrap();
-            let orig = s.stored_table("A", "B", Orientation::Backward).unwrap();
-            assert_eq!(*t, *orig);
-        }
-        let report = verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 1);
-        assert_eq!(report.files_verified, 2);
-
-        // Saving over the v1 directory upgrades it to v2 and sweeps the
-        // legacy file names.
-        save(&s, &dir, false).unwrap();
-        let report = verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 2);
-        assert!(report.stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

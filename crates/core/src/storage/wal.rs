@@ -19,8 +19,8 @@
 //! trail, not a copy of the data. A `Commit` record names the catalog it
 //! renamed into place by byte length and crc32 trailer only; a generation
 //! the retention window keeps has its catalog kept next to the log as
-//! `catalog.g<gen>.dsl` (see [`super::persist`]), which is what
-//! `open_as_of` and `verify` read. Logs written before this format embedded
+//! `catalog.g<gen>.dsl` (see [`super::persist`]), which is what an
+//! `as_of` open and `verify` read. Logs written before this format embedded
 //! the whole catalog in each commit record; such a record still scans as a
 //! clean frame and decodes to the same variant — the length and crc
 //! trailer of the embedded bytes — but is never written again.
@@ -40,14 +40,15 @@
 //!
 //! ## Fault injection
 //!
-//! [`IoPolicy`] is the programmatic face of the durability gate: it trips
-//! exactly one gated IO (write or sync) along the commit path with a
-//! chosen [`IoFault`]. The environment hooks
-//! `DSLOG_PERSIST_CRASH_AFTER_WRITES` (edge files) and
-//! `DSLOG_WAL_CRASH_AFTER_RECORDS` (log records, leaving a torn half
-//! frame behind) provide the same coverage across process boundaries for
-//! `scripts/crash_consistency.sh`.
+//! [`IoPolicy`] is the one fault injector: installed through
+//! [`crate::api::OpenOptions::io_policy`], it trips exactly one gated IO
+//! (write or sync) along the commit path with a chosen [`IoFault`].
+//! [`IoFault::Crash`] exits the process (code 86) at that IO — after
+//! writing half the bytes at a write gate, so recovery faces a torn frame
+//! — which is what `scripts/crash_consistency.sh` sweeps across process
+//! boundaries through the CLI's `--crash-at-io N`.
 
+use super::wire::{read_string, read_u32_le, write_string};
 use crate::error::{DslogError, Result};
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
@@ -171,8 +172,9 @@ pub struct OpRecord {
     /// Wall-clock milliseconds since the Unix epoch when the operation was
     /// performed (not when it was flushed).
     pub timestamp_ms: u64,
-    /// Who performed it: `"cli"`, `"auto-commit"`, a network peer address,
-    /// or whatever [`crate::Dslog::set_wal_actor`] installed.
+    /// Who performed it: the handle's configured
+    /// [`wal_actor`](crate::api::OpenOptions::wal_actor), a network peer
+    /// address, `"auto-commit"` or `"maintenance"`.
     pub actor: String,
     /// Catalog generation the operation started from.
     pub gen_before: u64,
@@ -196,33 +198,12 @@ pub(crate) fn now_ms() -> u64 {
 // Encode / decode
 // ---------------------------------------------------------------------------
 
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_uvarint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_string(data: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_uvarint(data, pos)? as usize;
-    // Compare against the bytes actually left (`*pos + len` could wrap on a
-    // hostile varint; this form cannot overflow).
-    if *pos > data.len() || len > data.len() - *pos {
-        return Err(DslogError::Corrupt("string runs past end of log record"));
-    }
-    let s = std::str::from_utf8(&data[*pos..*pos + len])
-        .map_err(|_| DslogError::Corrupt("log record string is not UTF-8"))?
-        .to_string();
-    *pos += len;
-    Ok(s)
-}
-
-fn read_u32_le(data: &[u8], pos: &mut usize) -> Result<u32> {
-    let bytes = data
-        .get(*pos..*pos + 4)
-        .ok_or(DslogError::Corrupt("log record truncated at u32"))?;
-    *pos += 4;
-    let mut v = [0u8; 4];
-    v.copy_from_slice(bytes);
-    Ok(u32::from_le_bytes(v))
+/// The crc32 trailer a serialized table or catalog ends in: the checksum
+/// of everything before it (0 for bytes too short to hold one).
+pub(crate) fn trailer_crc(bytes: &[u8]) -> u32 {
+    bytes
+        .last_chunk::<4>()
+        .map_or(0, |trailer| u32::from_le_bytes(*trailer))
 }
 
 /// The `Commit` record naming `catalog` (complete catalog file bytes,
@@ -230,9 +211,7 @@ fn read_u32_le(data: &[u8], pos: &mut usize) -> Result<u32> {
 pub(crate) fn commit_of(catalog: &[u8]) -> OpKind {
     OpKind::Commit {
         catalog_len: catalog.len() as u64,
-        catalog_crc: catalog
-            .last_chunk::<4>()
-            .map_or(0, |trailer| u32::from_le_bytes(*trailer)),
+        catalog_crc: trailer_crc(catalog),
     }
 }
 
@@ -604,32 +583,6 @@ pub fn history(dir: &Path) -> Result<Vec<OpRecord>> {
     }
 }
 
-/// Count of fully written log records in this process, for the
-/// `DSLOG_WAL_CRASH_AFTER_RECORDS` crash hook.
-static WAL_RECORDS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-
-/// Deterministic mid-append kill for the crash-consistency gate: with
-/// `DSLOG_WAL_CRASH_AFTER_RECORDS=n`, the process exits (code 86) once `n`
-/// records have been fully appended — after first writing *half* of the
-/// next record's frame, if there is one, so recovery faces a genuinely
-/// torn tail. Inactive (one getenv) unless the variable is set.
-fn wal_crash_hook(f: &mut std::fs::File, next_frame: Option<&[u8]>) {
-    let Ok(n) = std::env::var("DSLOG_WAL_CRASH_AFTER_RECORDS") else {
-        return;
-    };
-    let Ok(n) = n.parse::<u64>() else {
-        return;
-    };
-    let written = WAL_RECORDS_WRITTEN.fetch_add(1, Ordering::SeqCst) + 1;
-    if written >= n {
-        if let Some(next) = next_frame {
-            let _ = f.write_all(&next[..next.len() / 2]);
-        }
-        let _ = f.sync_data();
-        std::process::exit(86);
-    }
-}
-
 /// Append `records` at `clean_len`, then fdatasync; returns the log's new
 /// clean length. The file is first truncated to `clean_len`, dropping any
 /// torn tail a failed earlier append left behind. On error the log may
@@ -652,13 +605,13 @@ pub(crate) fn append(
         .map_err(|e| DslogError::io("truncate ops.log", e))?;
     f.seek(SeekFrom::Start(clean_len))
         .map_err(|e| DslogError::io("seek ops.log", e))?;
-    let frames: Vec<Vec<u8>> = records.iter().map(encode_record).collect();
-    for (i, frame) in frames.iter().enumerate() {
-        policy_write(&mut f, frame, "append ops.log record", policy)?;
-        wal_crash_hook(&mut f, frames.get(i + 1).map(|n| n.as_slice()));
+    let mut end = clean_len;
+    for frame in records.iter().map(encode_record) {
+        policy_write(&mut f, &frame, "append ops.log record", policy)?;
+        end += frame.len() as u64;
     }
     policy_sync(&f, "sync ops.log", policy)?;
-    Ok(clean_len + frames.iter().map(|f| f.len() as u64).sum::<u64>())
+    Ok(end)
 }
 
 // ---------------------------------------------------------------------------
@@ -680,48 +633,65 @@ pub enum IoFault {
     /// The fsync/fdatasync (or write) call fails without doing anything.
     SyncError,
     /// The process exits with code 86 — a simulated `kill -9` at an exact
-    /// IO position.
+    /// IO position. At a write gate half the bytes reach the file first,
+    /// so what recovery finds there is torn.
     Crash,
 }
 
-/// Programmatic fault injection for durability tests: trips exactly one
-/// gated IO along the commit path (edge-file writes, log appends, catalog
-/// write, file and directory syncs) with the configured [`IoFault`].
+/// The fault injector of the durability tests: trips exactly one gated IO
+/// along the commit path (edge-file writes, log appends, catalog write,
+/// file and directory syncs) with the configured [`IoFault`].
 ///
-/// Install with [`crate::Dslog::set_io_policy`] (or
-/// `StorageManager::set_io_policy`); the policy applies to every commit
-/// that manager runs until replaced. The counter is 1-based and trips
-/// once, so retrying the failed commit under the same policy succeeds.
-/// This is a test API: the environment hooks provide the same coverage
-/// for out-of-process sweeps.
+/// Installed once, through [`crate::api::OpenOptions::io_policy`]; it
+/// gates every commit and compaction the handle (and its epoch clones)
+/// runs. The counter is 1-based and trips once, so retrying the failed
+/// commit under the same policy succeeds. A caller that wants the fault at
+/// a later operation keeps its `Arc` and calls [`rearm`](Self::rearm).
+/// Two policies are equal only if they are the same injector.
 #[derive(Debug)]
 pub struct IoPolicy {
     fault: IoFault,
-    fail_at: u64,
+    fail_at: AtomicU64,
     hits: AtomicU64,
 }
 
+impl PartialEq for IoPolicy {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Eq for IoPolicy {}
+
 impl IoPolicy {
     /// Inject `fault` at the `fail_at`-th gated IO (1-based) performed
-    /// under this policy.
+    /// under this policy (`u64::MAX`: count IOs, never trip).
     pub fn fail_at(fault: IoFault, fail_at: u64) -> Arc<IoPolicy> {
         Arc::new(IoPolicy {
             fault,
-            fail_at,
+            fail_at: AtomicU64::new(fail_at),
             hits: AtomicU64::new(0),
         })
     }
 
-    /// How many gated IOs have run under this policy so far. When a whole
-    /// commit finishes with `ios_seen() < fail_at`, the fault position was
-    /// past the end of the sequence — a sweep can stop there.
+    /// Start counting again from zero and trip at the `fail_at`-th gated
+    /// IO from here.
+    pub fn rearm(&self, fail_at: u64) {
+        self.fail_at.store(fail_at, Ordering::SeqCst);
+        self.hits.store(0, Ordering::SeqCst);
+    }
+
+    /// How many gated IOs have run under this policy since it was made or
+    /// last re-armed. When a whole commit finishes with `ios_seen() <
+    /// fail_at`, the fault position was past the end of the sequence — a
+    /// sweep can stop there.
     pub fn ios_seen(&self) -> u64 {
         self.hits.load(Ordering::SeqCst)
     }
 
     fn trip(&self) -> Option<IoFault> {
         let n = self.hits.fetch_add(1, Ordering::SeqCst) + 1;
-        (n == self.fail_at).then_some(self.fault)
+        (n == self.fail_at.load(Ordering::SeqCst)).then_some(self.fault)
     }
 }
 
@@ -730,7 +700,8 @@ fn injected(what: &'static str, detail: &str) -> DslogError {
 }
 
 /// Policy-gated `write_all`: on an injected fault the write fails (for
-/// [`IoFault::ShortWrite`], after half the bytes really reached the file).
+/// [`IoFault::ShortWrite`] and [`IoFault::Crash`], after half the bytes
+/// really reached the file).
 pub(crate) fn policy_write(
     f: &mut std::fs::File,
     bytes: &[u8],
@@ -747,7 +718,10 @@ pub(crate) fn policy_write(
         Some(IoFault::WriteError) | Some(IoFault::SyncError) => {
             Err(injected(what, "injected EIO on write"))
         }
-        Some(IoFault::Crash) => std::process::exit(86),
+        Some(IoFault::Crash) => {
+            let _ = f.write_all(&bytes[..bytes.len() / 2]);
+            std::process::exit(86)
+        }
     }
 }
 
@@ -804,42 +778,6 @@ pub(crate) struct LogTail {
     /// Oldest first: the retained generations; the last entry is the
     /// live generation.
     pub(crate) window: Vec<Generation>,
-}
-
-/// Shared operation-log state of one storage manager (epoch clones share
-/// it, like the persistence binding): the buffered operations, the current
-/// actor label, the retention override, and the active fault policy.
-#[derive(Debug)]
-pub(crate) struct WalShared {
-    pub(crate) actor: String,
-    pub(crate) pending: Vec<PendingOp>,
-    pub(crate) retain: Option<u32>,
-    pub(crate) io_policy: Option<Arc<IoPolicy>>,
-}
-
-impl Default for WalShared {
-    fn default() -> Self {
-        WalShared {
-            actor: "local".to_string(),
-            pending: Vec::new(),
-            retain: None,
-            io_policy: None,
-        }
-    }
-}
-
-impl WalShared {
-    /// Retained prior generations: the explicit override, else
-    /// `DSLOG_WAL_RETAIN`, else 0 (sweep everything unreferenced, exactly
-    /// the pre-log behavior).
-    pub(crate) fn effective_retain(&self) -> u32 {
-        self.retain.unwrap_or_else(|| {
-            std::env::var("DSLOG_WAL_RETAIN")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -976,5 +914,9 @@ mod tests {
         assert_eq!(policy.trip(), Some(IoFault::WriteError));
         assert_eq!(policy.trip(), None);
         assert_eq!(policy.ios_seen(), 3);
+        // Re-arming counts from zero again.
+        policy.rearm(1);
+        assert_eq!(policy.trip(), Some(IoFault::WriteError));
+        assert_eq!(policy.ios_seen(), 1);
     }
 }

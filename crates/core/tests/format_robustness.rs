@@ -40,16 +40,13 @@ fn symbolic_table() -> CompressedTable {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Plain and gzip serialization roundtrip exactly, and legacy v1 bytes
-    /// (no checksum trailer) still parse to the same table.
+    /// Plain and gzip serialization roundtrip exactly.
     #[test]
     fn roundtrip_exact(table in arb_compressed()) {
         let bytes = format::serialize(&table);
         prop_assert_eq!(&format::deserialize(&bytes).unwrap(), &table);
         let gz = format::serialize_gzip(&table);
         prop_assert_eq!(&format::deserialize_gzip(&gz).unwrap(), &table);
-        let v1 = format::serialize_v1(&table);
-        prop_assert_eq!(&format::deserialize(&v1).unwrap(), &table);
     }
 
     /// Truncation at any point errors, never panics.
@@ -62,9 +59,11 @@ proptest! {
         }
     }
 
-    /// A single flipped bit anywhere in a v2 file is ALWAYS rejected: the
-    /// crc32 trailer detects every single-bit error by construction, and
-    /// rejection must be an `Err`, never a panic.
+    /// A single flipped bit anywhere in a table file is ALWAYS rejected —
+    /// the crc32 trailer detects every single-bit error by construction,
+    /// and a flip that lands in the version byte (turning it into 0, 3, 6…)
+    /// takes the unsupported-version arm — and rejection must be an `Err`,
+    /// never a panic.
     #[test]
     fn v2_bitflip_always_rejected(table in arb_compressed(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
         let mut bytes = format::serialize(&table);
@@ -74,24 +73,6 @@ proptest! {
         let i = pos.index(bytes.len());
         bytes[i] ^= 1 << bit;
         prop_assert!(format::deserialize(&bytes).is_err(), "flip at {i} accepted");
-    }
-
-    /// Legacy v1 files have no checksum: a flipped byte there either errors
-    /// or yields a structurally sane table (never a panic, never a
-    /// mis-shaped one).
-    #[test]
-    fn v1_bitflip_never_panics(table in arb_compressed(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let mut bytes = format::serialize_v1(&table);
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        let i = pos.index(bytes.len());
-        bytes[i] ^= 1 << bit;
-        if let Ok(parsed) = format::deserialize(&bytes) {
-            // Structural sanity on whatever parsed.
-            prop_assert_eq!(parsed.arity(), parsed.primary_arity() + parsed.secondary_arity());
-            let _ = parsed.decompress(); // may fail, must not panic
-        }
     }
 
     /// Gzip container corruption is detected (CRC32 + structure checks).
@@ -153,8 +134,15 @@ fn wrong_magic_rejected() {
 fn wrong_version_rejected() {
     let t = symbolic_table();
     let mut bytes = format::serialize(&t);
-    bytes[4] = 250; // version byte
-    assert!(format::deserialize(&bytes).is_err());
+    // The version byte: 1 (the retired trailer-less format) is as
+    // unsupported as a version never assigned.
+    for version in [1, 250] {
+        bytes[4] = version;
+        assert_eq!(
+            format::deserialize(&bytes).unwrap_err(),
+            dslog::DslogError::Corrupt("unsupported version")
+        );
+    }
 }
 
 #[test]

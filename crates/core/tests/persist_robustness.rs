@@ -1,7 +1,7 @@
 //! Hostile-input and crash-safety properties of the persistence layer.
 //!
 //! The contract under test: **no byte sequence** fed to
-//! `format::deserialize`, `format::deserialize_gzip`, or `persist::open`
+//! `format::deserialize`, `format::deserialize_gzip`, or an open
 //! may panic or allocate more than a small constant factor of the input
 //! length — corrupt input always surfaces as `Err`. And a save that dies
 //! anywhere before the catalog rename leaves the previous snapshot fully
@@ -125,13 +125,13 @@ proptest! {
         if name == "ops.log" {
             // Damage is confined to the log: open must succeed, truncate
             // the damaged tail, and leave a verify-clean store behind.
-            let db = Dslog::open(&dir).unwrap();
+            let db = Dslog::options().open(&dir).unwrap();
             let r = db.prov_query(&["B", "A"], &[vec![1]]).unwrap();
             prop_assert!(r.cells.contains_cell(&[1, 0]));
             prop_assert!(persist::verify(&dir).is_ok(), "{name} byte {i} broke verify");
         } else {
-            prop_assert!(Dslog::open(&dir).is_err(), "{name} byte {i} accepted");
-            let lazily = Dslog::open_lazy(&dir)
+            prop_assert!(Dslog::options().open(&dir).is_err(), "{name} byte {i} accepted");
+            let lazily = Dslog::options().lazy(true).open(&dir)
                 .and_then(|db| db.prov_query(&["B", "A"], &[vec![1]]).map(drop));
             prop_assert!(lazily.is_err(), "{name} byte {i} accepted lazily");
         }
@@ -178,7 +178,7 @@ proptest! {
         for (name, bytes) in &committed {
             prop_assert_eq!(&std::fs::read(dir.join(name)).unwrap(), bytes, "{} clobbered", name);
         }
-        let reopened = Dslog::open(&dir).unwrap();
+        let reopened = Dslog::options().open(&dir).unwrap();
         let r = reopened.prov_query(&["B", "A"], &[vec![1]]).unwrap();
         prop_assert!(r.cells.contains_cell(&[1, 0]));
         prop_assert!(r.cells.contains_cell(&[1, 1]));
@@ -197,7 +197,7 @@ proptest! {
 fn open_on_random_catalog_bytes_errors() {
     let dir = temp_dir("randcat");
     std::fs::create_dir_all(&dir).unwrap();
-    // A few adversarial catalogs: random, huge claimed counts, valid magic.
+    // A few adversarial catalogs: random, huge claimed counts behind a valid magic.
     for bytes in [
         b"totally not a catalog".to_vec(),
         {
@@ -206,17 +206,11 @@ fn open_on_random_catalog_bytes_errors() {
             b.extend_from_slice(&[0xff; 64]); // huge varints everywhere
             b
         },
-        {
-            let mut b = b"DSLGDB1\0".to_vec();
-            b.push(0);
-            b.extend_from_slice(&[0xff; 64]);
-            b
-        },
         Vec::new(),
     ] {
         std::fs::write(dir.join("catalog.dsl"), &bytes).unwrap();
-        assert!(Dslog::open(&dir).is_err());
-        assert!(Dslog::open_lazy(&dir).is_err());
+        assert!(Dslog::options().open(&dir).is_err());
+        assert!(Dslog::options().lazy(true).open(&dir).is_err());
         assert!(persist::verify(&dir).is_err());
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -235,4 +229,37 @@ fn verify_passes_on_fresh_saves_in_both_modes() {
         assert!(report.stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A version-1 table as the first releases wrote it: the version-2 body
+/// with version byte 1 and no checksum trailer. One backward row `0 <- 0`
+/// over two 1-d arrays of 3 cells.
+const V1_TABLE: &[u8] = b"DSPC\x01\x00\x01\x01\x06\x06\x01\x00\x01\x00\x00\x01\x00";
+
+/// The version-1 catalog naming it: magic `DSLGDB1`, no generation, no
+/// per-file records (the table is `edge-0-b.tbl` by position), no trailer.
+const V1_CATALOG: &[u8] = b"DSLGDB1\0\x00\x02\x01A\x01\x03\x01B\x01\x03\x01\x01A\x01B\x01";
+
+/// Version-1 directories and tables are no longer read: every entry point
+/// rejects them with a typed error and leaves the files alone.
+#[test]
+fn v1_directory_and_table_are_rejected() {
+    let dir = temp_dir("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("catalog.dsl"), V1_CATALOG).unwrap();
+    std::fs::write(dir.join("edge-0-b.tbl"), V1_TABLE).unwrap();
+    let unsupported = dslog::DslogError::Corrupt("unsupported catalog version");
+    for result in [
+        Dslog::options().open(&dir).map(drop),
+        Dslog::options().lazy(true).open(&dir).map(drop),
+        persist::verify(&dir).map(drop),
+    ] {
+        assert_eq!(result.unwrap_err(), unsupported);
+    }
+    assert_eq!(
+        format::deserialize(V1_TABLE).unwrap_err(),
+        dslog::DslogError::Corrupt("unsupported version")
+    );
+    assert_eq!(std::fs::read(dir.join("edge-0-b.tbl")).unwrap(), V1_TABLE);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

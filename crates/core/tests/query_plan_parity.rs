@@ -9,7 +9,6 @@
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::query::QueryOptions;
-use dslog::reuse::CompositePolicy;
 use dslog::table::LineageTable;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -125,6 +124,13 @@ fn build_db(case: &Case) -> (Dslog, Vec<String>) {
     (db, names)
 }
 
+/// Materialize a composite after `n` sightings of a path.
+fn set_hit_threshold(db: &mut Dslog, n: u32) {
+    let mut config = db.config();
+    config.composite_policy.hit_threshold = n;
+    db.reconfigure(config).unwrap();
+}
+
 /// Query cells: a deterministic subset of the array-0 cells that appear
 /// in the first relation (so queries usually hit something).
 fn query_cells(case: &Case) -> Vec<Vec<i64>> {
@@ -169,10 +175,7 @@ proptest! {
     #[test]
     fn planner_scan_and_composite_hits_agree(case in arb_case()) {
         let (mut db, names) = build_db(&case);
-        db.set_composite_policy(CompositePolicy {
-            hit_threshold: 2,
-            ..CompositePolicy::default()
-        });
+        set_hit_threshold(&mut db, 2);
         let path: Vec<&str> = names.iter().map(String::as_str).collect();
         let cells = query_cells(&case);
         prop_assume!(!cells.is_empty());
@@ -211,10 +214,7 @@ proptest! {
     #[test]
     fn ingest_between_queries_invalidates_composites(case in arb_case()) {
         let (mut db, names) = build_db(&case);
-        db.set_composite_policy(CompositePolicy {
-            hit_threshold: 1,
-            ..CompositePolicy::default()
-        });
+        set_hit_threshold(&mut db, 1);
         let path: Vec<&str> = names.iter().map(String::as_str).collect();
         let cells = query_cells(&case);
         prop_assume!(!cells.is_empty());

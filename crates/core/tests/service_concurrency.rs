@@ -58,7 +58,8 @@ fn serving_db(dir: &std::path::Path, lazy: bool) -> DslogService {
     db.add_lineage("S0", "S1", &TableCapture::new(shifted_lineage(16, 3)))
         .unwrap();
     db.save(dir, false).unwrap();
-    DslogService::open(dir, lazy, AutoCommitPolicy::manual()).unwrap()
+    let db = Dslog::options().lazy(lazy).open(dir).unwrap();
+    DslogService::new(db, AutoCommitPolicy::manual())
 }
 
 /// Threads appending + committing while others query, against an eager
@@ -155,7 +156,7 @@ fn ingest_commit_query_race() {
         let report = persist::verify(&dir).unwrap();
         assert_eq!(report.n_edges, 1 + WRITERS * BATCHES);
         assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
-        let reopened = Dslog::open(&dir).unwrap();
+        let reopened = Dslog::options().open(&dir).unwrap();
         for w in 0..WRITERS {
             for b in 0..BATCHES {
                 let x = format!("W{w}B{b}x");
@@ -357,7 +358,7 @@ fn auto_commit_under_concurrent_ingest() {
     db.save(&dir, false).unwrap();
     let service = DslogService::new(
         {
-            db = Dslog::open(&dir).unwrap();
+            db = Dslog::options().open(&dir).unwrap();
             db
         },
         AutoCommitPolicy {
@@ -387,7 +388,7 @@ fn auto_commit_under_concurrent_ingest() {
     commit.unwrap();
     assert_eq!(db.storage().n_edges(), WRITERS * EDGES);
     assert_eq!(
-        Dslog::open(&dir).unwrap().storage().n_edges(),
+        Dslog::options().open(&dir).unwrap().storage().n_edges(),
         WRITERS * EDGES
     );
     persist::verify(&dir).unwrap();
@@ -454,11 +455,7 @@ proptest! {
                     let report = db.commit().unwrap();
                     prop_assert!(report.generation > last_gen);
                     last_gen = report.generation;
-                    db = if *lazy {
-                        Dslog::open_lazy(&dir).unwrap()
-                    } else {
-                        Dslog::open(&dir).unwrap()
-                    };
+                    db = Dslog::options().lazy(*lazy).open(&dir).unwrap();
                     prop_assert_eq!(db.bound_database().unwrap().2, last_gen);
                 }
             }
@@ -480,8 +477,8 @@ proptest! {
         }
         reference.save(&ref_dir, gzip).unwrap();
 
-        let via_interleaving = Dslog::open(&dir).unwrap();
-        let via_once = Dslog::open(&ref_dir).unwrap();
+        let via_interleaving = Dslog::options().open(&dir).unwrap();
+        let via_once = Dslog::options().open(&ref_dir).unwrap();
         prop_assert_eq!(
             via_interleaving.storage().n_edges(),
             via_once.storage().n_edges()

@@ -80,7 +80,7 @@ fn query_path_is_violation_free() {
         .unwrap();
     db.save(&dir, false).unwrap();
 
-    let reopened = Dslog::open(&dir).unwrap();
+    let reopened = Dslog::options().open(&dir).unwrap();
     let ((), violations) = dslog_sync::capture(|| {
         let result = reopened
             .prov_query(&["B", "A"], &[vec![3]])

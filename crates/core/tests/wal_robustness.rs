@@ -4,7 +4,7 @@
 //! log fsync, table write, catalog write, catalog rename, directory sync —
 //! leaves the store openable and verify-clean, with the visible state
 //! equal to exactly the pre-op or the post-op snapshot, never a torn
-//! mixture. And `open_as_of` resolves every retained generation to the
+//! mixture. And an `as_of` open resolves every retained generation to the
 //! same answers as a directory copy taken when that generation was
 //! current.
 //!
@@ -17,10 +17,12 @@
 //! it.
 
 use dslog::api::{Dslog, TableCapture};
-use dslog::storage::persist;
+use dslog::service::{AutoCommitPolicy, DslogService, IngestJob, MaintenancePolicy};
 use dslog::storage::wal::{self, IoFault, IoPolicy, OpKind};
-use dslog::table::LineageTable;
+use dslog::storage::{format, persist};
+use dslog::table::{LineageTable, Orientation};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dslog-wal-rob-{tag}-{}", std::process::id()));
@@ -51,11 +53,17 @@ fn first_edge_table() -> LineageTable {
 /// Generations the seeded store holds before the commit under test.
 const SEED_GENERATIONS: u64 = 3;
 
+/// A policy that only counts gated IOs until it is re-armed.
+fn idle_policy(fault: IoFault) -> Arc<IoPolicy> {
+    IoPolicy::fail_at(fault, u64::MAX)
+}
+
 /// Commit three generations from one handle — arrays A, B and the A→B
 /// edge, then two unrelated links — so the commit under test runs on the
-/// tail that handle remembers, not on one freshly read from disk.
-fn seed_store(dir: &Path, gzip: bool) -> Dslog {
-    let mut db = Dslog::new();
+/// tail that handle remembers, not on one freshly read from disk. Every
+/// commit of the handle is gated by `policy`.
+fn seed_store(dir: &Path, gzip: bool, policy: &Arc<IoPolicy>) -> Dslog {
+    let mut db = Dslog::options().io_policy(policy.clone()).build().unwrap();
     db.define_array("A", &[6, 2]).unwrap();
     db.define_array("B", &[6]).unwrap();
     db.add_lineage("A", "B", &TableCapture::new(first_edge_table()))
@@ -150,10 +158,10 @@ fn kill_point_sweep_leaves_store_openable() {
             // Measure the commit's gated-IO count with a tripwire placed
             // beyond any plausible position.
             let dir = temp_dir(&format!("probe-{gzip}-{fault:?}"));
-            let mut db = seed_store(&dir, gzip);
+            let probe = idle_policy(fault);
+            let mut db = seed_store(&dir, gzip, &probe);
             stage_second_edge(&mut db);
-            let probe = IoPolicy::fail_at(fault, 1_000_000);
-            db.set_io_policy(Some(probe.clone()));
+            probe.rearm(1_000_000);
             db.commit().unwrap();
             let total = probe.ios_seen();
             assert!(total >= 3, "commit performed only {total} gated IOs");
@@ -162,17 +170,19 @@ fn kill_point_sweep_leaves_store_openable() {
             for n in 1..=total {
                 let context = format!("{fault:?} at IO {n} (gzip={gzip})");
                 let dir = temp_dir(&format!("kill-{gzip}-{fault:?}-{n}"));
-                let mut db = seed_store(&dir, gzip);
+                let policy = idle_policy(fault);
+                let mut db = seed_store(&dir, gzip, &policy);
                 stage_second_edge(&mut db);
-                db.set_io_policy(Some(IoPolicy::fail_at(fault, n)));
+                policy.rearm(n);
                 assert!(db.commit().is_err(), "{context} did not surface");
 
                 // The wounded store — as a crash right here would leave it
                 // — opens, verifies, and answers queries.
                 let wounded = temp_dir(&format!("wounded-{gzip}-{fault:?}-{n}"));
                 copy_dir(&dir, &wounded);
-                let re =
-                    Dslog::open(&wounded).unwrap_or_else(|e| panic!("{context} broke open: {e}"));
+                let re = Dslog::options()
+                    .open(&wounded)
+                    .unwrap_or_else(|e| panic!("{context} broke open: {e}"));
                 persist::verify(&wounded).unwrap_or_else(|e| panic!("{context} broke verify: {e}"));
                 let generation = re.bound_database().unwrap().2;
                 let pre = re.prov_query(&["B", "A"], &[vec![1]]).unwrap();
@@ -198,7 +208,7 @@ fn kill_point_sweep_leaves_store_openable() {
                 db.commit()
                     .unwrap_or_else(|e| panic!("{context}: retry failed: {e}"));
                 drop(db);
-                let re = Dslog::open(&dir).unwrap();
+                let re = Dslog::options().open(&dir).unwrap();
                 for path in [["C", "B"], ["R", "Q"]] {
                     let r = re.prov_query(&path, &[vec![1]]).unwrap();
                     assert!(r.cells.contains_cell(&[1]), "{context}: {path:?}");
@@ -217,9 +227,10 @@ fn kill_point_sweep_leaves_store_openable() {
 fn failed_commit_retries_cleanly() {
     for fault in [IoFault::WriteError, IoFault::SyncError] {
         let dir = temp_dir(&format!("retry-{fault:?}"));
-        let mut db = seed_store(&dir, false);
+        let policy = idle_policy(fault);
+        let mut db = seed_store(&dir, false, &policy);
         stage_second_edge(&mut db);
-        db.set_io_policy(Some(IoPolicy::fail_at(fault, 1)));
+        policy.rearm(1);
         assert!(db.commit().is_err());
         // The policy trips exactly once; the retry runs fault-free. The
         // retried commit may skip a generation number — file debris from
@@ -231,7 +242,7 @@ fn failed_commit_retries_cleanly() {
             "retry landed at generation {committed}"
         );
 
-        let re = Dslog::open(&dir).unwrap();
+        let re = Dslog::options().open(&dir).unwrap();
         let r = re.prov_query(&["C", "B"], &[vec![1]]).unwrap();
         assert!(r.cells.contains_cell(&[1]));
         persist::verify(&dir).unwrap();
@@ -262,7 +273,7 @@ fn stage_chain_link(db: &mut Dslog, k: usize) {
 /// then the operation under test — the commit of a fourth link, or with
 /// `compacted` a compaction on top of it — runs with a short write (a
 /// failed sync, at sync sites) injected at gated IO `fail_at`, is retried
-/// on the same handle if it failed, and `open_as_of` must answer every
+/// on the same handle if it failed, and an `as_of` open must answer every
 /// generation copied so far exactly as its copy does. Returns how many
 /// gated IOs the operation under test performed.
 fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
@@ -282,8 +293,12 @@ fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
         generations.push((generation, links));
     };
 
-    let mut db = Dslog::new();
-    db.set_wal_retention(8);
+    let policy = idle_policy(IoFault::ShortWrite);
+    let mut db = Dslog::options()
+        .wal_retention(8)
+        .io_policy(policy.clone())
+        .build()
+        .unwrap();
     stage_chain_link(&mut db, 0);
     db.save(&dir, gzip).unwrap();
     snapshot(&db, 1);
@@ -294,8 +309,7 @@ fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
         snapshot(&db, k + 1);
     }
 
-    let policy = IoPolicy::fail_at(IoFault::ShortWrite, fail_at.unwrap_or(u64::MAX));
-    db.set_io_policy(Some(policy.clone()));
+    policy.rearm(fail_at.unwrap_or(u64::MAX));
     if !compacted {
         stage_chain_link(&mut db, 3);
     }
@@ -318,9 +332,11 @@ fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
     drop(db);
 
     for &(generation, links) in &generations {
-        let asof = Dslog::open_as_of(&dir, generation)
+        let asof = Dslog::options()
+            .as_of(generation)
+            .open(&dir)
             .unwrap_or_else(|e| panic!("{context}: as-of {generation} failed: {e}"));
-        let snap = Dslog::open(snap_of(generation)).unwrap();
+        let snap = Dslog::options().open(snap_of(generation)).unwrap();
         for hops in 1..=links {
             let path: Vec<&str> = CHAIN[..=hops].iter().rev().copied().collect();
             for probe in [1i64, 3] {
@@ -339,7 +355,7 @@ fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
             assert!(asof.prov_query(&later, &[vec![1]]).is_err(), "{context}");
         }
     }
-    assert!(Dslog::open_as_of(&dir, 99).is_err());
+    assert!(Dslog::options().as_of(99).open(&dir).is_err());
     persist::verify(&dir).unwrap_or_else(|e| panic!("{context}: {e}"));
     let expected: Vec<String> = ["define A", "define B", "ingest A->B"]
         .into_iter()
@@ -360,7 +376,7 @@ fn as_of_parity_case(gzip: bool, compacted: bool, fail_at: Option<u64>) -> u64 {
     ios
 }
 
-/// `open_as_of` answers every retained generation exactly as a directory
+/// An `as_of` open answers every retained generation exactly as a directory
 /// copy taken while that generation was current — plain and gzip, through
 /// a plain commit and through a compaction, and whichever gated IO of
 /// that last operation failed first and had to be retried.
@@ -382,8 +398,7 @@ fn as_of_parity_with_snapshot_copies() {
 #[test]
 fn history_replays_the_session() {
     let dir = temp_dir("history");
-    let mut db = Dslog::new();
-    db.set_wal_actor("suite");
+    let mut db = Dslog::options().wal_actor("suite").build().unwrap();
     db.define_array("A", &[6, 2]).unwrap();
     db.define_array("B", &[6]).unwrap();
     db.add_lineage("A", "B", &TableCapture::new(first_edge_table()))
@@ -406,6 +421,33 @@ fn history_replays_the_session() {
         2
     );
 
+    // An ingest record's digest is the crc32 of the table's serialized
+    // payload — the trailer its table file ends in — so it tells the two
+    // edges apart (not the crc32 of bytes that end in their own crc32,
+    // which is 0x2144df1c whatever the bytes).
+    let mut digests = Vec::new();
+    for record in &records {
+        if let OpKind::IngestEdge {
+            in_array,
+            out_array,
+            bytes,
+            digest,
+        } = &record.kind
+        {
+            let stored = db
+                .storage()
+                .stored_table(in_array, out_array, Orientation::Backward)
+                .unwrap();
+            let file = format::serialize(&stored);
+            assert_eq!(*bytes, file.len() as u64);
+            assert_eq!(digest.to_le_bytes(), file[file.len() - 4..]);
+            digests.push(*digest);
+        }
+    }
+    assert_eq!(digests.len(), 2);
+    assert_ne!(digests[0], digests[1]);
+    assert!(!digests.contains(&0x2144_df1c));
+
     let state = wal::replay(&records);
     assert_eq!(state.arrays, ["A", "B", "C"]);
     assert_eq!(
@@ -420,12 +462,64 @@ fn history_replays_the_session() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The actor travels with the operation: a handle's defines, ingests and
+/// explicit commits are logged under its configured actor however many
+/// background commits and compactions ran in between, and those name the
+/// policy that triggered them — for their own records only.
+#[test]
+fn actor_travels_with_the_operation() {
+    let dir = temp_dir("actor");
+    let db = Dslog::options()
+        .wal_actor("alice")
+        .maintenance(MaintenancePolicy::every_generations(1))
+        .create(&dir)
+        .unwrap();
+    let service = DslogService::new(db, AutoCommitPolicy::every_edges(1));
+    for name in ["A", "B", "C"] {
+        service.define_array(name, &[6]).unwrap();
+    }
+    for (from, to) in [("A", "B"), ("B", "C")] {
+        let report = service
+            .ingest_batch(vec![IngestJob::new(from, to, chain_table())])
+            .unwrap();
+        report.auto_commit.expect("threshold reached").unwrap();
+    }
+    service.commit().unwrap();
+    assert_eq!(service.stats().compactions, 3);
+
+    let records = wal::history(&dir).unwrap();
+    // The create, two threshold commits, the explicit one; every commit
+    // is followed by the compaction it made due.
+    let mut own_commits = ["alice", "auto-commit", "auto-commit", "alice"].into_iter();
+    let mut compacting = false;
+    for record in &records {
+        let expected = match &record.kind {
+            OpKind::DefineArray { .. } | OpKind::IngestEdge { .. } => "alice",
+            OpKind::Compact { .. } => "maintenance",
+            OpKind::Commit { .. } if compacting => "maintenance",
+            OpKind::Commit { .. } => own_commits.next().expect("more commits than made"),
+            other => panic!("unexpected record {other:?}"),
+        };
+        compacting = matches!(record.kind, OpKind::Compact { .. });
+        assert_eq!(
+            record.actor,
+            expected,
+            "#{} {}",
+            record.op_id,
+            record.kind.describe()
+        );
+    }
+    assert_eq!(own_commits.next(), None);
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Garbage appended to the log is truncated away on the next open, and
 /// the store keeps committing cleanly afterwards.
 #[test]
 fn torn_log_tail_truncated_on_reopen() {
     let dir = temp_dir("torn");
-    let mut db = seed_store(&dir, false);
+    let mut db = seed_store(&dir, false, &idle_policy(IoFault::WriteError));
     stage_second_edge(&mut db);
     db.commit().unwrap();
     drop(db);
@@ -439,7 +533,7 @@ fn torn_log_tail_truncated_on_reopen() {
     std::fs::write(&log_path, &torn).unwrap();
 
     // Open recovers: the tail is dropped and physically truncated.
-    let mut re = Dslog::open(&dir).unwrap();
+    let mut re = Dslog::options().open(&dir).unwrap();
     assert_eq!(wal::history(&dir).unwrap(), before);
     assert_eq!(std::fs::read(&log_path).unwrap(), clean);
     persist::verify(&dir).unwrap();
@@ -482,9 +576,12 @@ fn commit_cost_is_independent_of_history() {
     const COMMITS: usize = 200;
     for retain in [0u32, 3] {
         let dir = temp_dir(&format!("flat-{retain}"));
-        let mut db = Dslog::options().wal_retention(retain).create(&dir).unwrap();
-        let probe = IoPolicy::fail_at(IoFault::WriteError, u64::MAX);
-        db.set_io_policy(Some(probe.clone()));
+        let probe = idle_policy(IoFault::WriteError);
+        let mut db = Dslog::options()
+            .wal_retention(retain)
+            .io_policy(probe.clone())
+            .create(&dir)
+            .unwrap();
         let mut cost = Vec::with_capacity(COMMITS);
         for k in 0..COMMITS {
             let before = (probe.ios_seen(), log_len(&dir));
@@ -558,7 +655,7 @@ fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
             // then the log is put back: the catalog alone is newer than
             // the tail remembers.
             _ => {
-                let mut other = Dslog::open(&dir).unwrap();
+                let mut other = Dslog::options().open(&dir).unwrap();
                 other.define_array("Z", &[6]).unwrap();
                 other.commit().unwrap();
                 std::fs::write(&log_path, &log).unwrap();
@@ -604,7 +701,7 @@ fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
             "{tamper}: {:?}",
             report.stale_files
         );
-        let re = Dslog::open(&dir).unwrap();
+        let re = Dslog::options().open(&dir).unwrap();
         for k in 0..5 {
             let path = [format!("Y{k:03}"), format!("X{k:03}")];
             let r = re

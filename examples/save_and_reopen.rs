@@ -3,8 +3,8 @@
 //! The paper measures "the file size of the database files that were
 //! ultimately served to DuckDB" — DSLog-rs makes that durable form a
 //! first-class API: `Dslog::save` writes a directory of ProvRC-compressed
-//! table files plus a catalog, `Dslog::open` maps it back, and queries run
-//! in situ on the reopened database without recompression.
+//! table files plus a catalog, `Dslog::options().open(dir)` maps it back,
+//! and queries run in situ on the reopened database without recompression.
 //!
 //! Run with: `cargo run --release --example save_and_reopen`
 
@@ -44,7 +44,7 @@ fn main() {
     // Session 2: a different process/day — reopen and query immediately.
     // ------------------------------------------------------------------
     let t0 = Instant::now();
-    let db = Dslog::open(&dir).unwrap();
+    let db = Dslog::options().open(&dir).unwrap();
     println!("\nsession 2: reopened in {:?}", t0.elapsed());
     println!("           arrays: {:?}", db.storage().array_names());
 

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Crash-consistency gate: kill `dslog ingest` mid-save and require the
-# surviving snapshot to verify and a follow-up incremental commit to
-# succeed — plain and gzip.
+# Crash-consistency gate: kill `dslog ingest`, `dslog db compact` and
+# `dslog serve` at EVERY gated IO of a commit in turn and require, after
+# each kill, that the surviving database verifies, answers queries, and
+# accepts the retried operation — plain and gzip.
 #
-# "Mid-save" is deterministic, not timing-based: the persistence layer's
-# DSLOG_PERSIST_CRASH_AFTER_WRITES=<n> hook makes the process exit(86)
-# right after it has written <n> edge table files — i.e. after new data
-# files exist on disk but strictly BEFORE the catalog rename that would
-# commit them. That is the worst possible `kill -9` moment.
+# The kill is deterministic, not timing-based: the hidden `--crash-at-io N`
+# flag installs an IoPolicy that makes the process exit(86) at the N-th
+# gated IO of its commit (table/segment writes, the log append's frames,
+# the catalog write, every file and directory sync) — after writing half
+# the bytes when that IO is a write, so recovery faces a genuinely torn
+# file or log frame. Each sweep walks N = 1, 2, … until the command runs
+# out of IOs to die at and exits 0; kills before the catalog rename must
+# leave the old snapshot, kills after it the new one.
 #
 # Usage: scripts/crash_consistency.sh [path-to-dslog-binary]
 set -euo pipefail
@@ -15,127 +19,90 @@ set -euo pipefail
 BIN=${1:-${DSLOG_BIN:-target/release/dslog}}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
+MAX_IOS=64
 
-# Two small lineage relations (Figure 1B layout: out attrs, then in).
+# Three small lineage relations (Figure 1B layout: out attrs, then in).
 printf '0,0,0\n0,0,1\n1,1,0\n1,1,1\n2,2,0\n2,2,1\n' > "$WORK/ab.csv"
 printf '0,1\n1,2\n2,0\n'                            > "$WORK/bc.csv"
 printf '0,2\n1,1\n2,0\n'                            > "$WORK/cd.csv"
 
-for mode in plain gzip; do
-    db="$WORK/db-$mode"
-    flags=()
-    [ "$mode" = gzip ] && flags=(--gzip)
-    echo "== crash-consistency ($mode) =="
-
-    # Generation 1: a healthy committed snapshot.
-    "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
-    "$BIN" db verify "$db"
-
-    # Kill the second ingest mid-save: its new edge file is on disk, the
-    # catalog rename never happened. Exit code must be the injected 86 —
-    # anything else means the crash hook did not fire where intended.
+# Run "$@" expecting the injected crash: 0 means it completed (the sweep
+# is over), 86 means it died where told to, anything else fails the gate.
+crashed() {
     set +e
-    DSLOG_PERSIST_CRASH_AFTER_WRITES=1 \
-        "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
-    rc=$?
+    "$@"
+    local rc=$?
     set -e
-    if [ "$rc" -ne 86 ]; then
-        echo "FAIL: crashed ingest exited $rc, expected injected 86" >&2
+    if [ "$rc" -ne 0 ] && [ "$rc" -ne 86 ]; then
+        echo "FAIL: \`$*\` exited $rc, expected the injected 86 (or 0)" >&2
         exit 1
     fi
+    return "$rc"
+}
 
-    # The surviving snapshot must verify (debris is reported, not fatal),
-    # and still answer queries.
-    "$BIN" db verify "$db"
-    "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
-
-    # A follow-up incremental commit over the debris must succeed
-    # (generation 2), then one more on top (generation 3) — and the mixed-
-    # generation database must verify with no stale files left behind.
-    "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
-    "$BIN" db verify "$db"
-    "$BIN" ingest --db "$db" --in C:3 --out D:3 --csv "$WORK/cd.csv" "${flags[@]}"
-    out=$("$BIN" db verify "$db")
-    echo "$out"
+# Verify a database and fail on leftover debris.
+verify_clean() {
+    local out
+    out=$("$BIN" db verify "$1")
     if echo "$out" | grep -q "warning: stale"; then
-        echo "FAIL: stale debris survived recovery" >&2
+        echo "$out"
+        echo "FAIL: stale debris survived recovery in $1" >&2
         exit 1
     fi
-    # Three-hop query across all three generations' edges.
-    "$BIN" query --db "$db" --path D,C,B,A --cells 1 > /dev/null
-done
+}
 
-# Operation-log kill sweep: kill the same second ingest inside the log
-# append instead. DSLOG_WAL_CRASH_AFTER_RECORDS=<n> exits 86 once <n>
-# records are fully framed, after first writing HALF of the next frame —
-# so recovery faces a genuinely torn tail (a commit writes define +
-# ingest + commit, three records, so n=1..3 covers every position).
-# Recovery must truncate the tail: verify, history, and queries all
-# succeed, and the retried ingest lands cleanly.
 for mode in plain gzip; do
     flags=()
     [ "$mode" = gzip ] && flags=(--gzip)
-    for n in 1 2 3; do
-        db="$WORK/db-wal-$mode-$n"
-        echo "== wal-crash sweep ($mode, after $n record(s)) =="
-        "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
-        set +e
-        DSLOG_WAL_CRASH_AFTER_RECORDS=$n \
-            "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
-        rc=$?
-        set -e
-        if [ "$rc" -ne 86 ]; then
-            echo "FAIL: wal-crashed ingest exited $rc, expected injected 86" >&2
+
+    # Ingest sweep: a fresh one-generation database per kill point; the
+    # second ingest dies at IO n. The surviving snapshot must verify
+    # (debris is reported, not fatal), show its history, and answer
+    # queries; the retried ingest and one more on top must land, leaving a
+    # stale-free mixed-generation database.
+    echo "== ingest crash sweep ($mode) =="
+    n=1
+    while :; do
+        if [ "$n" -gt "$MAX_IOS" ]; then
+            echo "FAIL: ingest still crashing after $MAX_IOS injection points" >&2
             exit 1
         fi
-        "$BIN" db verify "$db"
+        db="$WORK/db-ingest-$mode-$n"
+        "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
+        if crashed "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" \
+            "${flags[@]}" --crash-at-io "$n"; then
+            echo "   ingest completed past $((n - 1)) kill point(s)"
+            break
+        fi
+        "$BIN" db verify "$db" > /dev/null
         "$BIN" db history "$db" > /dev/null
         "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
         "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
-        out=$("$BIN" db verify "$db")
-        if echo "$out" | grep -q "warning: stale"; then
-            echo "FAIL: stale debris survived wal-crash recovery" >&2
-            exit 1
-        fi
-        "$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null
+        "$BIN" ingest --db "$db" --in C:3 --out D:3 --csv "$WORK/cd.csv" "${flags[@]}"
+        verify_clean "$db"
+        "$BIN" query --db "$db" --path D,C,B,A --cells 1 > /dev/null
+        n=$((n + 1))
     done
-done
 
-# Compaction kill sweep: build a three-generation database, then kill
-# `dslog db compact` at every gated IO step in turn —
-# DSLOG_COMPACT_CRASH_AFTER_WRITES=<n> exits 86 after each segment
-# write, the manifest write, and the catalog rename. After every kill
-# the database must verify and answer queries (the catalog rename is
-# the single commit point, so anything earlier leaves the old snapshot
-# intact and anything after leaves a complete new one). The sweep ends
-# when a compaction runs out of injection points and completes; the
-# compacted database must then verify stale-free and still accept an
-# incremental commit on top.
-for mode in plain gzip; do
-    flags=()
-    [ "$mode" = gzip ] && flags=(--gzip)
+    # Compaction sweep: one three-generation database, `db compact` killed
+    # at IO n, then n + 1, … on whatever the previous kill left — the old
+    # layout before the catalog rename, the compacted one after it. The
+    # completed compaction must verify with its manifest, stale-free, and
+    # still take an incremental commit on top.
+    echo "== compact crash sweep ($mode) =="
     db="$WORK/db-compact-$mode"
-    echo "== compact-crash sweep ($mode) =="
     "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
     "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
     "$BIN" ingest --db "$db" --in C:3 --out D:3 --csv "$WORK/cd.csv" "${flags[@]}"
     n=1
     while :; do
-        if [ "$n" -gt 16 ]; then
-            echo "FAIL: compaction still crashing after 16 injection points" >&2
+        if [ "$n" -gt "$MAX_IOS" ]; then
+            echo "FAIL: compaction still crashing after $MAX_IOS injection points" >&2
             exit 1
         fi
-        set +e
-        DSLOG_COMPACT_CRASH_AFTER_WRITES=$n "$BIN" db compact "$db"
-        rc=$?
-        set -e
-        if [ "$rc" -eq 0 ]; then
+        if crashed "$BIN" db compact "$db" --crash-at-io "$n"; then
             echo "   compaction completed past $((n - 1)) kill point(s)"
             break
-        fi
-        if [ "$rc" -ne 86 ]; then
-            echo "FAIL: crashed compaction exited $rc, expected injected 86" >&2
-            exit 1
         fi
         "$BIN" db verify "$db" > /dev/null
         "$BIN" query --db "$db" --path D,C,B,A --cells 1 > /dev/null
@@ -147,71 +114,58 @@ for mode in plain gzip; do
         echo "FAIL: completed compaction left no manifest to verify" >&2
         exit 1
     fi
-    if echo "$out" | grep -q "warning: stale"; then
-        echo "FAIL: stale debris survived the completed compaction" >&2
-        exit 1
-    fi
+    verify_clean "$db"
     "$BIN" query --db "$db" --path D,C,B,A --cells 1 > /dev/null
-    # Incremental life goes on after compaction.
     "$BIN" ingest --db "$db" --in D:3 --out E:3 --csv "$WORK/cd.csv" "${flags[@]}"
     "$BIN" db verify "$db" > /dev/null
     "$BIN" query --db "$db" --path E,D,C,B,A --cells 1 > /dev/null
 done
 
-# Network serving crash: boot `dslog serve --listen` with auto-commit
-# after every pending edge and the same crash hook armed. A network
-# ingest then dies mid-auto-commit — exit 86 with the new edge file on
-# disk but the catalog rename never performed — while a client is
-# connected. Recovery must land on the surviving generation.
-echo "== crash-consistency (serve --listen, mid-auto-commit) =="
-db="$WORK/db-serve"
-"$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv"
-addr_file="$WORK/serve.addr"
-DSLOG_PERSIST_CRASH_AFTER_WRITES=1 \
+# Network serving sweep: `dslog serve --listen` with auto-commit after
+# every pending edge and the crash armed. A client's ingest trips the
+# threshold and the whole server dies at IO n of that auto-commit, the
+# client still connected (it loses its session, which is expected). Past
+# the last kill point the session's `shutdown` ends the server normally.
+echo "== serve crash sweep (--listen, mid-auto-commit) =="
+printf 'define C:3\ningest B C 0,1;1,2;2,0\nshutdown\n' > "$WORK/serve.session"
+n=1
+while :; do
+    if [ "$n" -gt "$MAX_IOS" ]; then
+        echo "FAIL: server still crashing after $MAX_IOS injection points" >&2
+        exit 1
+    fi
+    db="$WORK/db-serve-$n"
+    addr_file="$WORK/serve-$n.addr"
+    "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv"
     "$BIN" serve --db "$db" --listen 127.0.0.1:0 --addr-file "$addr_file" \
-    --auto-commit-edges 1 > "$WORK/serve.log" 2>&1 &
-server=$!
-for _ in $(seq 1 100); do
-    [ -s "$addr_file" ] && break
-    sleep 0.1
+        --auto-commit-edges 1 --crash-at-io "$n" > "$WORK/serve.log" 2>&1 &
+    server=$!
+    for _ in $(seq 1 100); do
+        [ -s "$addr_file" ] && break
+        sleep 0.1
+    done
+    if [ ! -s "$addr_file" ]; then
+        echo "FAIL: server never bound" >&2
+        cat "$WORK/serve.log" >&2
+        exit 1
+    fi
+    "$BIN" client --addr "$(cat "$addr_file")" --script "$WORK/serve.session" \
+        > "$WORK/client.out" 2>&1 || true
+    if crashed wait "$server"; then
+        echo "   server completed past $((n - 1)) kill point(s)"
+        verify_clean "$db"
+        "$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null
+        break
+    fi
+    # The surviving generation must verify and answer queries; the
+    # half-committed network edge is recoverable debris, not corruption.
+    # Re-ingesting it must leave a clean, stale-free database behind.
+    "$BIN" db verify "$db" > /dev/null
+    "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
+    "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv"
+    verify_clean "$db"
+    "$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null
+    n=$((n + 1))
 done
-if [ ! -s "$addr_file" ]; then
-    echo "FAIL: server never bound" >&2
-    cat "$WORK/serve.log" >&2
-    exit 1
-fi
-
-# The ingest request trips the edge threshold, the auto-commit hits the
-# crash hook, and the whole server process dies; the client loses its
-# connection mid-session, which is expected.
-printf 'define C:3\ningest B C 0,1;1,2;2,0\n' > "$WORK/serve.session"
-set +e
-"$BIN" client --addr "$(cat "$addr_file")" --script "$WORK/serve.session" \
-    > "$WORK/client.out" 2>&1
-wait "$server"
-rc=$?
-set -e
-if [ "$rc" -ne 86 ]; then
-    echo "FAIL: crashed server exited $rc, expected injected 86" >&2
-    cat "$WORK/serve.log" >&2
-    exit 1
-fi
-
-# The surviving generation (edge A->B only) must verify and answer
-# queries; the half-committed network edge must be recoverable debris,
-# not corruption.
-"$BIN" db verify "$db"
-"$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
-
-# Re-ingesting the same edge over the debris must succeed and leave a
-# clean, stale-free database behind.
-"$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv"
-out=$("$BIN" db verify "$db")
-echo "$out"
-if echo "$out" | grep -q "warning: stale"; then
-    echo "FAIL: stale debris survived serve-crash recovery" >&2
-    exit 1
-fi
-"$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null
 
 echo "crash-consistency gate OK"

@@ -153,8 +153,7 @@ fn materialization_policies_agree() {
         Materialize::Forward,
         Materialize::Both,
     ] {
-        let mut db = Dslog::new();
-        db.set_materialize(policy);
+        let mut db = Dslog::options().materialize(policy).build().unwrap();
         db.define_array("in", a.shape()).unwrap();
         db.define_array("out", r.output.shape()).unwrap();
         db.register_operation(

@@ -2,7 +2,7 @@
 //!
 //! Scans `crates/**/src` plus `xtask/src` line by line (no syn, no regex
 //! crates — a hand-rolled tokenizer good enough for the repo's rustfmt'd
-//! style) and enforces five invariants:
+//! style) and enforces six invariants:
 //!
 //! - **raw-sync** — no raw `parking_lot::` / `std::sync::{Mutex, RwLock,
 //!   Condvar}` outside `crates/sync`; all locks go through `dslog-sync` so
@@ -23,6 +23,9 @@
 //!   its own arm inside `fn replay_op`, and the match carries no `_ =>`
 //!   wildcard — a new op kind must fail the lint loudly instead of silently
 //!   becoming unreplayable.
+//! - **env-read** — no `std::env::var` / `var_os` in non-test code under
+//!   `crates/core/src` or `crates/cli/src`: a database is configured through
+//!   `OpenOptions` (and the CLI's flags), never by the process environment.
 //!
 //! Test regions (`#[cfg(test)] mod` bodies) are skipped for every rule;
 //! binary targets (`src/bin`, `src/main.rs`, the CLI crate) are skipped for
@@ -74,6 +77,8 @@ pub struct FileClass {
     pub decode_scope: bool,
     /// The operation-log module: the wal-replay-arm rule applies.
     pub wal_scope: bool,
+    /// The library and its CLI: the env-read rule applies.
+    pub env_scope: bool,
 }
 
 pub fn classify(rel: &str) -> FileClass {
@@ -88,6 +93,7 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/core/src/storage/compact.rs"
             || rel.starts_with("crates/codecs/src/"),
         wal_scope: rel == "crates/core/src/storage/wal.rs",
+        env_scope: rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/"),
     }
 }
 
@@ -367,6 +373,15 @@ pub fn scan_source(rel: &str, content: &str, class: FileClass) -> Vec<Finding> {
             push(
                 "raw-spawn",
                 "raw thread creation; use std::thread::scope or a sanctioned (allowlisted) pool"
+                    .into(),
+            );
+        }
+
+        // env-read: configuration arrives through OpenOptions, not getenv.
+        if class.env_scope && (s.contains("env::var(") || s.contains("env::var_os(")) {
+            push(
+                "env-read",
+                "environment read in library/CLI code; take the value through OpenOptions or a flag"
                     .into(),
             );
         }
@@ -751,6 +766,7 @@ mod tests {
             bin_target: false,
             decode_scope: false,
             wal_scope: false,
+            env_scope: false,
         }
     }
 
@@ -826,6 +842,22 @@ mod tests {
     }
 
     #[test]
+    fn fixture_env_read_is_flagged() {
+        let src = include_str!("../fixtures/bad_env.rs");
+        let class = FileClass {
+            env_scope: true,
+            ..lib_class()
+        };
+        let f = scan_source("fixtures/bad_env.rs", src, class);
+        let env: Vec<_> = f.iter().filter(|f| f.rule == "env-read").collect();
+        assert_eq!(env.len(), 2, "{f:#?}");
+        // The read inside #[cfg(test)] mod and `env::args` are not flagged.
+        assert!(!f.iter().any(|f| f.text.contains("IN_TEST_MOD")), "{f:#?}");
+        // Outside the library and its CLI the rule does not apply.
+        assert_eq!(scan_source("fixtures/bad_env.rs", src, lib_class()), []);
+    }
+
+    #[test]
     fn fixture_clean_passes_every_rule() {
         let src = include_str!("../fixtures/clean.rs");
         let f = scan_source("fixtures/clean.rs", src, decode_class());
@@ -848,10 +880,8 @@ fn f() -> &'static str {
     fn bin_targets_relax_panic_and_spawn_but_not_sync() {
         let src = "fn main() { let x: Option<u8> = None; x.unwrap(); std::thread::spawn(|| {}); let _m = std::sync::Mutex::new(()); }\n";
         let class = FileClass {
-            sync_crate: false,
             bin_target: true,
-            decode_scope: false,
-            wal_scope: false,
+            ..lib_class()
         };
         let f = scan_source("crates/cli/src/main.rs", src, class);
         assert_eq!(rules(&f), vec!["raw-sync"], "{f:#?}");

@@ -24,16 +24,25 @@
 //! first step's (a commit record names its catalog, it does not embed
 //! it), and prints the numbers the parent commit gave beside them.
 //!
+//! The **`cold_open`** object says where a cold start's time goes, on the
+//! accreted chain of the generations axis before it is compacted: the
+//! crc32 rate over its table files, the rate of `format::deserialize`
+//! (checksum + decode) over them, and the eager open with one thread and
+//! with the pool — beside the numbers the parent commit gave, when a table
+//! file was checksummed twice by a bytewise crc and decoded cell by cell.
+//!
 //! Emits an aligned table on stdout and machine-readable
 //! `BENCH_persist.json` in the working directory.
 //!
 //! Run: `cargo run -p dslog-bench --release --bin persist_scaling [--scale f]`
 
 use dslog::api::{Dslog, TableCapture};
+use dslog::storage::format;
 use dslog::table::LineageTable;
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_workloads::edges;
 use std::fmt::Write as _;
+use std::hint::black_box;
 
 struct Point {
     rows: usize,
@@ -184,7 +193,25 @@ struct GenPoint {
     /// (`open_threads(1)`), p50.
     open_parallel_s: f64,
     open_serial_s: f64,
+    /// Bytes in the accreted chain's table files, and the p50 time to
+    /// checksum them all and to `format::deserialize` them all.
+    table_bytes: usize,
+    crc32_s: f64,
+    deserialize_s: f64,
 }
+
+impl GenPoint {
+    /// Rate of a pass over the table files that took `secs`.
+    fn mb_s(&self, secs: f64) -> f64 {
+        self.table_bytes as f64 / 1e6 / secs.max(1e-12)
+    }
+}
+
+/// `cold_open` on the parent commit (4aae2c1: bytewise crc32, every plain
+/// table checksummed against the catalog and again against its trailer,
+/// per-cell decode), `--scale 1` on the 2-vCPU reference box: `(crc32
+/// MB/s, deserialize MB/s, open_threads(1) s, pooled open s)`.
+const PARENT_COLD_OPEN: (f64, f64, f64, f64) = (404.6, 99.1, 0.050_220, 0.027_102);
 
 /// Open eagerly and run one backward hop through the chain tip — the
 /// "time to first answer" a cold reader pays.
@@ -251,6 +278,31 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
         serial.push(ser_s);
     }
 
+    // Where an open's time goes: the codec floor over the same files.
+    let files: Vec<Vec<u8>> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("edge-"))
+        .map(|e| std::fs::read(e.path()).unwrap())
+        .collect();
+    assert_eq!(files.len(), generations, "one table file per edge");
+    let mut crc = Vec::with_capacity(reps);
+    let mut decode = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let (_, crc_s) = timed(|| {
+            for bytes in &files {
+                black_box(dslog_codecs::crc32::crc32(black_box(bytes)));
+            }
+        });
+        crc.push(crc_s);
+        let (_, decode_s) = timed(|| {
+            for bytes in &files {
+                black_box(format::deserialize(black_box(bytes)).unwrap());
+            }
+        });
+        decode.push(decode_s);
+    }
+
     // Fold the accreted chain; reads after this hit segment ranges.
     let report = Dslog::options().open(&dir).unwrap().compact().unwrap();
     assert_eq!(report.ranges, generations, "compaction lost a live slot");
@@ -274,6 +326,9 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
         segments: report.segments_written,
         open_parallel_s: p50(&mut parallel),
         open_serial_s: p50(&mut serial),
+        table_bytes: files.iter().map(Vec::len).sum(),
+        crc32_s: p50(&mut crc),
+        deserialize_s: p50(&mut decode),
     }
 }
 
@@ -455,6 +510,49 @@ fn main() {
         }
     }
 
+    // Cold start: where the open's time goes, beside the parent's numbers.
+    let mut cold_table = TextTable::new(&[
+        "cold open",
+        "table bytes",
+        "crc32",
+        "deserialize",
+        "open threads(1)",
+        "open pooled",
+    ]);
+    cold_table.row(&[
+        "this commit".to_string(),
+        gp.table_bytes.to_string(),
+        format!("{:.0} MB/s", gp.mb_s(gp.crc32_s)),
+        format!("{:.0} MB/s", gp.mb_s(gp.deserialize_s)),
+        secs(gp.open_serial_s),
+        secs(gp.open_parallel_s),
+    ]);
+    let (parent_crc, parent_deserialize, parent_serial_s, parent_pooled_s) = PARENT_COLD_OPEN;
+    cold_table.row(&[
+        "parent (scale 1)".to_string(),
+        "-".to_string(),
+        format!("{parent_crc:.0} MB/s"),
+        format!("{parent_deserialize:.0} MB/s"),
+        secs(parent_serial_s),
+        secs(parent_pooled_s),
+    ]);
+    println!("{}", cold_table.render());
+    let cold_open_json = format!(
+        "{{\"rows\":{},\"table_bytes\":{},\"crc32_mb_s\":{:.1},\"deserialize_mb_s\":{:.1},\
+         \"open_threads1_ms\":{:.3},\"open_pooled_ms\":{:.3},\
+         \"parent\":{{\"sha\":\"4aae2c1\",\"scale\":1,\"crc32_mb_s\":{parent_crc:.1},\
+         \"deserialize_mb_s\":{parent_deserialize:.1},\"open_threads1_ms\":{:.3},\
+         \"open_pooled_ms\":{:.3}}}}}",
+        gp.rows,
+        gp.table_bytes,
+        gp.mb_s(gp.crc32_s),
+        gp.mb_s(gp.deserialize_s),
+        gp.open_serial_s * 1e3,
+        gp.open_parallel_s * 1e3,
+        parent_serial_s * 1e3,
+        parent_pooled_s * 1e3,
+    );
+
     // History axis: what a commit costs with 10 / 100 / 1 000 committed
     // edges behind it (fewer in the drift gate).
     let steps: &[usize] = if scale < 0.05 {
@@ -528,7 +626,7 @@ fn main() {
         gp.open_serial_s
     );
     let json = format!(
-        "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json},\"commit_vs_history\":{history_json}}}\n"
+        "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json},\"cold_open\":{cold_open_json},\"commit_vs_history\":{history_json}}}\n"
     );
     std::fs::write("BENCH_persist.json", &json).expect("write BENCH_persist.json");
     println!("wrote BENCH_persist.json");

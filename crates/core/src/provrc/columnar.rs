@@ -745,6 +745,7 @@ impl Arena {
             self.sec_arity,
             extents,
             columns,
+            0, // `WCell` has no symbolic variant
         )
     }
 }

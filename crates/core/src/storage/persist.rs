@@ -89,6 +89,31 @@
 //! generation having moved). Concurrent ingest/query/commit within one process is the
 //! supported mode — see [`crate::service`].
 //!
+//! ## Verify once
+//!
+//! Reading a table back — eager open, a lazy slot's first touch, an
+//! `AsOf` open, [`verify`] — goes through `load_table_file`, which
+//! checksums a plain file in a single pass: the crc32 of everything before
+//! the 4-byte trailer must be what the trailer holds, and the same running
+//! state carried on over the trailer must be what the catalog recorded for
+//! the file. Both comparisons are made, file against catalog first; neither
+//! costs a second read of the bytes, and the decoder is handed the body
+//! crc instead of recomputing it. (`read_verified_bytes`, the path a
+//! commit or a compaction streams a clean lazy slot through without
+//! decoding it, keeps its own whole-file check; a gzip file keeps three
+//! checks — catalog crc over the container, the container's crc, the
+//! table trailer — because they cover different bytes.)
+//!
+//! For a plain file the two values are not independent: a file that ends
+//! in the crc32 of its own body has, as a whole, the CRC-32 residue
+//! `0x2144df1c` as its crc32, whatever it holds. So the catalog's
+//! `FileRecord::crc` of a plain table is that constant for every edge — it
+//! proves the file is self-consistent and the length matches, not that it
+//! is the file that was committed. Telling one well-formed table from
+//! another is the job of a content digest: the operation log's
+//! `IngestEdge.digest` is the body crc the table's trailer holds, and
+//! holding each live file against it in [`verify`] is ROADMAP item 3's.
+//!
 //! ## What is persisted
 //!
 //! Every orientation *currently materialized in a slot* is written — both
@@ -106,7 +131,7 @@ use super::wire::{read_string, read_u32_le, write_string};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
 use crate::table::Orientation;
-use dslog_codecs::crc32::crc32;
+use dslog_codecs::crc32::{crc32, Crc32};
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -989,13 +1014,10 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
     })
 }
 
-/// Read one table — a whole file (`offset: None`) or a live range inside a
-/// shared compaction segment (`offset: Some`) — and verify it against its
-/// catalog record: byte length, crc32, and — for gzip — the container's
-/// claimed uncompressed size vs the recorded plain length (so a later
-/// decompress is bounded by the catalog, not by whatever the file body
-/// claims). Returns the raw table bytes.
-pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -> Result<Vec<u8>> {
+/// Read one table's raw bytes — a whole file (`offset: None`) or a live
+/// range inside a shared compaction segment (`offset: Some`) — and hold
+/// their length against the catalog record.
+fn read_record_bytes(dir: &Path, record: &FileRecord) -> Result<Vec<u8>> {
     let path = dir.join(&record.name);
     let bytes = match record.offset {
         None => std::fs::read(path).map_err(|e| DslogError::io("read edge table", e))?,
@@ -1006,8 +1028,8 @@ pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -
             f.seek(std::io::SeekFrom::Start(off))
                 .map_err(|e| DslogError::io("seek segment file", e))?;
             // Bounded by the catalog-recorded range length, which the crc
-            // check below vouches for. lint:checked-alloc — len comes from
-            // the crc-trailed catalog, and read_exact fails on truncation.
+            // check that follows vouches for. lint:checked-alloc — len comes
+            // from the crc-trailed catalog, and read_exact fails on truncation.
             let mut buf = vec![0u8; record.len as usize];
             f.read_exact(&mut buf)
                 .map_err(|e| DslogError::io("read segment range", e))?;
@@ -1017,6 +1039,17 @@ pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -
     if bytes.len() as u64 != record.len {
         return Err(DslogError::Corrupt("edge file length mismatch"));
     }
+    Ok(bytes)
+}
+
+/// Read one table (see [`read_record_bytes`]) and verify it against its
+/// catalog record: byte length, crc32, and — for gzip — the container's
+/// claimed uncompressed size vs the recorded plain length (so a later
+/// decompress is bounded by the catalog, not by whatever the file body
+/// claims). Returns the raw table bytes, undecoded — what a commit or a
+/// compaction streams from a clean lazy slot.
+pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -> Result<Vec<u8>> {
+    let bytes = read_record_bytes(dir, record)?;
     if crc32(&bytes) != record.crc {
         return Err(DslogError::Corrupt("edge file checksum mismatch"));
     }
@@ -1027,20 +1060,35 @@ pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -
 }
 
 /// Read + fully validate one table file (length/crc, then structural
-/// decode, then orientation agreement with the catalog). Both
-/// eager open and the lazy `DiskTable::load` path go through here, so
-/// verification can never diverge between the two.
+/// decode, then orientation agreement with the catalog). Eager open, the
+/// lazy `DiskTable::load` path, `AsOf` opens and [`verify`] all go through
+/// here, so verification can never diverge between them.
+///
+/// A plain file is checksummed once (see the module docs): the crc32 over
+/// everything before its trailer is the value the trailer must hold, and
+/// the same state run on over the trailer is the value the catalog must
+/// hold. A gzip file keeps its three separate checks — catalog crc over
+/// the container, the container's own crc, the table trailer — because
+/// each covers different bytes.
 pub(crate) fn load_table_file(
     dir: &Path,
     gzip: bool,
     orientation: Orientation,
     record: &FileRecord,
 ) -> Result<crate::table::CompressedTable> {
-    let bytes = read_verified_bytes(dir, gzip, record)?;
     let table = if gzip {
-        format::deserialize_gzip(&bytes)?
+        format::deserialize_gzip(&read_verified_bytes(dir, gzip, record)?)?
     } else {
-        format::deserialize(&bytes)?
+        let bytes = read_record_bytes(dir, record)?;
+        let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(format::TRAILER_LEN));
+        let mut crc = Crc32::new();
+        crc.update(body);
+        let body_crc = crc.finalize();
+        crc.update(trailer);
+        if crc.finalize() != record.crc {
+            return Err(DslogError::Corrupt("edge file checksum mismatch"));
+        }
+        format::deserialize_checksummed(&bytes, body_crc)?
     };
     if table.orientation() != orientation {
         return Err(DslogError::Corrupt("edge file orientation mismatch"));

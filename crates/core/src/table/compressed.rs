@@ -162,24 +162,26 @@ impl CompressedTable {
     /// Assemble a table directly from columnar cell storage — the fast path
     /// shared by the deserializer and the columnar compression pipeline,
     /// both of which already hold whole columns (no per-row `Vec<Cell>`
-    /// temporaries). All columns must have equal length; the symbolic-cell
-    /// count is recomputed here.
+    /// temporaries). All columns must have equal length, and `sym_count`
+    /// must be the number of [`Cell::Sym`] cells among them: both callers
+    /// know it from building the columns (the compressor emits none), so it
+    /// is not re-counted over 24 bytes per cell here.
     pub(crate) fn from_columns(
         orientation: Orientation,
         primary_arity: usize,
         secondary_arity: usize,
         extents: Vec<i64>,
         columns: Vec<Vec<Cell>>,
+        sym_count: usize,
     ) -> Self {
         assert!(primary_arity > 0 && secondary_arity > 0);
         assert_eq!(extents.len(), primary_arity + secondary_arity);
         assert_eq!(columns.len(), primary_arity + secondary_arity);
         debug_assert!(columns.iter().all(|c| c.len() == columns[0].len()));
-        let sym_count = columns
-            .iter()
-            .flat_map(|c| c.iter())
-            .filter(|c| c.is_sym())
-            .count();
+        debug_assert_eq!(
+            sym_count,
+            columns.iter().flatten().filter(|c| c.is_sym()).count()
+        );
         Self {
             orientation,
             primary_arity,

@@ -11,8 +11,11 @@ use dslog::api::{Dslog, TableCapture};
 use dslog::storage::format;
 use dslog::storage::persist;
 use dslog::table::LineageTable;
+use dslog::DslogError;
+use dslog_codecs::crc32::crc32;
+use dslog_codecs::varint::read_uvarint;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dslog-persist-prop-{tag}-{}", std::process::id()));
@@ -262,4 +265,90 @@ fn v1_directory_and_table_are_rejected() {
     );
     assert_eq!(std::fs::read(dir.join("edge-0-b.tbl")).unwrap(), V1_TABLE);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The one table file of a saved [`sample_db`].
+fn edge_file(dir: &Path) -> PathBuf {
+    let mut edges = dir_files(dir)
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("edge-"));
+    let (name, _) = edges.next().expect("an edge file");
+    assert!(edges.next().is_none());
+    dir.join(name)
+}
+
+/// Make the catalog record `crc` for `file`, and re-seal the catalog so
+/// that it is the record, not the catalog's own trailer, that is wrong.
+fn set_catalog_crc(dir: &Path, file: &Path, crc: u32) {
+    let name = file.file_name().unwrap().to_str().unwrap().as_bytes();
+    let path = dir.join("catalog.dsl");
+    let mut catalog = std::fs::read(&path).unwrap();
+    // A file record is: name, byte length (uvarint), crc32 (4 bytes LE), …
+    let mut pos = catalog
+        .windows(name.len())
+        .position(|w| w == name)
+        .expect("catalog names the file")
+        + name.len();
+    read_uvarint(&catalog, &mut pos).unwrap();
+    catalog[pos..pos + 4].copy_from_slice(&crc.to_le_bytes());
+    let body = catalog.len() - 4;
+    let seal = crc32(&catalog[..body]);
+    catalog[body..].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(path, catalog).unwrap();
+}
+
+/// What the three routes into `load_table_file` say about `dir`: an eager
+/// open, the first touch after a lazy open, and `verify`.
+fn load_errors(dir: &Path) -> [DslogError; 3] {
+    let lazily = Dslog::options()
+        .lazy(true)
+        .open(dir)
+        .and_then(|db| db.prov_query(&["B", "A"], &[vec![1]]).map(drop));
+    [
+        Dslog::options().open(dir).map(drop).unwrap_err(),
+        lazily.unwrap_err(),
+        persist::verify(dir).map(drop).unwrap_err(),
+    ]
+}
+
+/// A table load checksums the file once and holds the result against both
+/// the catalog record and the table's own trailer. Each comparison must
+/// still fire on its own, with the error the two-pass loader gave, on
+/// every route.
+#[test]
+fn one_checksum_pass_still_answers_to_catalog_and_trailer() {
+    let file_mismatch = DslogError::Corrupt("edge file checksum mismatch");
+    for gzip in [false, true] {
+        // Right trailer, wrong catalog crc.
+        let dir = temp_dir(if gzip { "crc-cat-gz" } else { "crc-cat" });
+        sample_db().save(&dir, gzip).unwrap();
+        let file = edge_file(&dir);
+        let recorded = crc32(&std::fs::read(&file).unwrap());
+        if !gzip {
+            // A plain file ends in the crc32 of everything before it, so
+            // its whole-file crc32 is the CRC-32 residue whatever it holds.
+            assert_eq!(recorded, 0x2144_df1c);
+        }
+        set_catalog_crc(&dir, &file, recorded ^ 1);
+        assert_eq!(load_errors(&dir), [(); 3].map(|_| file_mismatch.clone()));
+        set_catalog_crc(&dir, &file, recorded);
+        assert!(persist::verify(&dir).is_ok());
+
+        // A flipped body byte under an honest catalog.
+        let mut bytes = std::fs::read(&file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&file, &bytes).unwrap();
+        assert_eq!(load_errors(&dir), [(); 3].map(|_| file_mismatch.clone()));
+
+        if !gzip {
+            // The same damaged file under a catalog that vouches for it:
+            // the file crc now passes, and the trailer comparison — fed by
+            // the same pass — is what catches it.
+            set_catalog_crc(&dir, &file, crc32(&bytes));
+            let trailer_mismatch = DslogError::Corrupt("table checksum mismatch");
+            assert_eq!(load_errors(&dir), [(); 3].map(|_| trailer_mismatch.clone()));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

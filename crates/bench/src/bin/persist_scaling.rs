@@ -26,7 +26,7 @@
 //!
 //! The **`cold_open`** object says where a cold start's time goes, on the
 //! accreted chain of the generations axis before it is compacted: the
-//! crc32 rate over its table files, the rate of `format::deserialize`
+//! crc32 rate over its tables' bytes, the rate of `format::deserialize`
 //! (checksum + decode) over them, and the eager open with one thread and
 //! with the pool — beside the numbers the parent commit gave, when a table
 //! file was checksummed twice by a bytewise crc and decoded cell by cell.
@@ -187,8 +187,6 @@ struct GenPoint {
     onegen_open_query_s: f64,
     multi_open_query_s: f64,
     compacted_open_query_s: f64,
-    /// Segment files the compaction pass consolidated the chain into.
-    segments: usize,
     /// Eager open of the accreted database, sharded vs forced serial
     /// (`open_threads(1)`), p50.
     open_parallel_s: f64,
@@ -243,7 +241,7 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
     }
 
     // Accrete: one new chain edge per commit, `generations` commits, so
-    // the catalog references one generation-named file per edge.
+    // the catalog references one generation-named segment per edge.
     let mut db = Dslog::new();
     db.define_array("N0", &[per_edge]).unwrap();
     for hop in 0..generations {
@@ -278,14 +276,15 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
         serial.push(ser_s);
     }
 
-    // Where an open's time goes: the codec floor over the same files.
+    // Where an open's time goes: the codec floor over the same bytes. Each
+    // commit of the chain wrote one table, so each segment is one table.
     let files: Vec<Vec<u8>> = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with("edge-"))
+        .filter(|e| e.file_name().to_string_lossy().starts_with("segment-"))
         .map(|e| std::fs::read(e.path()).unwrap())
         .collect();
-    assert_eq!(files.len(), generations, "one table file per edge");
+    assert_eq!(files.len(), generations, "one segment per commit");
     let mut crc = Vec::with_capacity(reps);
     let mut decode = Vec::with_capacity(reps);
     for _ in 0..reps {
@@ -303,15 +302,19 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
         decode.push(decode_s);
     }
 
-    // Fold the accreted chain; reads after this hit segment ranges.
+    // Fold the accreted chain: one segment per generation becomes one.
     let report = Dslog::options().open(&dir).unwrap().compact().unwrap();
-    assert_eq!(report.ranges, generations, "compaction lost a live slot");
+    assert_eq!(
+        (report.files_written, report.files_reused),
+        (generations, 0),
+        "compaction lost a live slot"
+    );
     let mut compacted = Vec::with_capacity(reps);
     for _ in 0..reps {
         compacted.push(open_and_first_query(&dir, generations, per_edge));
     }
     let verify = dslog::storage::persist::verify(&dir).unwrap();
-    assert_eq!(verify.manifests_verified, 1);
+    assert_eq!(verify.dead_bytes, 0);
     assert!(verify.stale_files.is_empty(), "{:?}", verify.stale_files);
 
     for d in [&dir, &onegen_dir] {
@@ -323,7 +326,6 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
         onegen_open_query_s: p50(&mut onegen),
         multi_open_query_s: p50(&mut multi),
         compacted_open_query_s: p50(&mut compacted),
-        segments: report.segments_written,
         open_parallel_s: p50(&mut parallel),
         open_serial_s: p50(&mut serial),
         table_bytes: files.iter().map(Vec::len).sum(),
@@ -470,7 +472,6 @@ fn main() {
         "open+query 1-gen",
         "open+query uncompacted",
         "open+query compacted",
-        "segments",
         "open parallel",
         "open serial",
     ]);
@@ -480,7 +481,6 @@ fn main() {
         secs(gp.onegen_open_query_s),
         secs(gp.multi_open_query_s),
         secs(gp.compacted_open_query_s),
-        gp.segments.to_string(),
         secs(gp.open_parallel_s),
         secs(gp.open_serial_s),
     ]);
@@ -615,13 +615,12 @@ fn main() {
     let generations_json = format!(
         "{{\"g\":{},\"rows\":{},\"onegen_open_query_s\":{:.9},\
          \"multi_open_query_s\":{:.9},\"compacted_open_query_s\":{:.9},\
-         \"segments\":{},\"open_parallel_s\":{:.9},\"open_serial_s\":{:.9}}}",
+         \"open_parallel_s\":{:.9},\"open_serial_s\":{:.9}}}",
         gp.generations,
         gp.rows,
         gp.onegen_open_query_s,
         gp.multi_open_query_s,
         gp.compacted_open_query_s,
-        gp.segments,
         gp.open_parallel_s,
         gp.open_serial_s
     );

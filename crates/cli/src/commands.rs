@@ -47,8 +47,8 @@ Query cells are `;`-separated, each a `,`-separated index tuple of the
 first array on --path. The answer lists interval boxes over the last
 array's axes.
 
-Saves are atomic (temp-file + rename, catalog-last commit) and table
-files are crc32-checksummed. `db verify` walks a database and exits
+Saves are atomic (temp-file + rename, catalog-last commit) and every
+table is crc32-checksummed. `db verify` walks a database and exits
 non-zero on any damage. `--lazy` opens in O(catalog), loading and
 verifying each edge table on first use.
 
@@ -63,13 +63,17 @@ references survive a commit; `ingest`, `serve` and `db compact` take
 --retain N to keep the catalogs and files of the last N prior
 generations queryable — each commit applies the window it was given).
 
-`db compact` folds the one-file-per-edge-per-generation layout into a
-few consolidated segment files plus a checksummed manifest of live
-ranges, then sweeps superseded generation files (honoring the
-retention window, so --as-of keeps working inside it). The catalog
-rename stays the single commit point: a crash mid-compaction leaves
-the previous generation intact. `serve --compact-every-gens N` runs
-the same pass automatically after every N committed generations.
+A commit writes the tables that changed as one segment file
+(`segment-0.g<GEN>.seg`) and re-references every other table where an
+earlier generation wrote it, so a database accretes one segment per
+commit. `db compact` is a commit that re-references nothing: every
+table is rewritten into one new segment and the superseded segments are
+swept (honoring the retention window, so --as-of keeps working inside
+it), which also reclaims the dead bytes `db verify` reports —
+superseded tables whose segment a live neighbour still pinned. The
+catalog rename stays the single commit point: a crash mid-compaction
+leaves the previous generation intact. `serve --compact-every-gens N`
+runs the same pass automatically after every N committed generations.
 
 `compress` reports per-format sizes plus ProvRC throughput (rows/s and
 raw MB/s); `--no-fast` swaps the columnar fast pipeline for the
@@ -320,13 +324,13 @@ pub fn export(args: &[String]) -> Result<String, String> {
 /// `dslog db <subcommand>`: database maintenance.
 ///
 /// - `dslog db verify <dir>` — walk the catalog, re-read every referenced
-///   table file, and check byte length, crc32, structural decode, and
+///   table, and check byte length, crc32, structural decode, and
 ///   orientation agreement. Errors (non-zero exit) on any damage.
 /// - `dslog db history <dir>` — print the operation log: one line per
 ///   recorded operation (id, timestamp, actor, kind, generations), plus
 ///   a replay summary.
-/// - `dslog db compact <dir> [--retain N]` — fold the directory's
-///   generations into consolidated segments.
+/// - `dslog db compact <dir> [--retain N]` — rewrite every table into one
+///   new segment and sweep the generations it supersedes.
 pub fn db(args: &[String]) -> Result<String, String> {
     let (Some(sub), Some(dir)) = (args.first(), args.get(1)) else {
         return Err("usage: dslog db <verify|history|compact> <dir>".to_string());
@@ -341,7 +345,7 @@ pub fn db(args: &[String]) -> Result<String, String> {
             let mut out = String::new();
             writeln!(
                 out,
-                "database OK: {} array(s), {} edge(s), {} table file(s) verified \
+                "database OK: {} array(s), {} edge(s), {} table(s) verified \
                  (catalog v{}, {}, {} log record(s))",
                 report.n_arrays,
                 report.n_edges,
@@ -351,11 +355,11 @@ pub fn db(args: &[String]) -> Result<String, String> {
                 report.log_records
             )
             .unwrap();
-            if report.manifests_verified > 0 {
+            if report.dead_bytes > 0 {
                 writeln!(
                     out,
-                    "{} compaction manifest(s) verified against their segments",
-                    report.manifests_verified
+                    "{} dead byte(s) in live segments (the next `db compact` reclaims them)",
+                    report.dead_bytes
                 )
                 .unwrap();
             }
@@ -421,13 +425,8 @@ pub fn db(args: &[String]) -> Result<String, String> {
                 .map_err(|e| format!("open {dir}: {e}"))?;
             let report = db.compact().map_err(|e| format!("compact {dir}: {e}"))?;
             Ok(format!(
-                "compacted to generation {}: {} edge file(s) folded into {} segment(s) \
-                 ({} live range(s), {} B written)\n",
-                report.generation,
-                report.files_folded,
-                report.segments_written,
-                report.ranges,
-                report.bytes_written
+                "compacted to generation {}: {} table(s) rewritten into one segment ({} B)\n",
+                report.generation, report.files_written, report.bytes_written
             ))
         }
         other => Err(format!("unknown db subcommand `{other}`; see `dslog help`")),

@@ -270,7 +270,7 @@ mod tests {
         .unwrap();
         // Corrupt the catalog: a later ingest or serve must refuse (not
         // fresh-init an empty database whose save would sweep the old
-        // snapshot's edge files).
+        // snapshot's segment).
         let catalog = std::path::Path::new(&db).join("catalog.dsl");
         std::fs::write(&catalog, b"garbage").unwrap();
         assert!(run(&s(&[
@@ -287,13 +287,13 @@ mod tests {
             script.to_str().unwrap(),
         ]))
         .is_err());
-        // The edge file survived both refusals.
-        let edges = std::fs::read_dir(&db)
+        // The segment survived both refusals.
+        let segments = std::fs::read_dir(&db)
             .unwrap()
             .flatten()
-            .filter(|e| e.file_name().to_string_lossy().starts_with("edge-"))
+            .filter(|e| e.file_name().to_string_lossy().starts_with("segment-"))
             .count();
-        assert_eq!(edges, 1);
+        assert_eq!(segments, 1);
         let _ = std::fs::remove_dir_all(&db);
         let _ = std::fs::remove_file(&csv);
         let _ = std::fs::remove_file(&script);
@@ -461,19 +461,16 @@ mod tests {
 
             let out = run(&s(&["db", "verify", &db])).unwrap();
             assert!(out.contains("database OK"), "{out}");
-            assert!(out.contains("catalog v2"), "{out}");
+            assert!(out.contains("catalog v3"), "{out}");
 
-            // Corrupt one edge table file: verify must now error.
-            let edge = std::fs::read_dir(&db)
-                .unwrap()
-                .flatten()
-                .find(|e| e.file_name().to_string_lossy().starts_with("edge-"))
-                .unwrap();
-            let mut bytes = std::fs::read(edge.path()).unwrap();
+            // Corrupt the table inside its segment: verify must now error.
+            let segment = std::path::Path::new(&db).join("segment-0.g1.seg");
+            let mut bytes = std::fs::read(&segment).unwrap();
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0x10;
-            std::fs::write(edge.path(), &bytes).unwrap();
-            assert!(run(&s(&["db", "verify", &db])).is_err());
+            std::fs::write(&segment, &bytes).unwrap();
+            let err = run(&s(&["db", "verify", &db])).unwrap_err();
+            assert!(err.contains("edge file checksum mismatch"), "{err}");
 
             let _ = std::fs::remove_dir_all(&db);
             let _ = std::fs::remove_file(&csv);
@@ -598,15 +595,15 @@ mod tests {
         .unwrap();
         let out = run(&s(&["db", "compact", &db])).unwrap();
         assert!(out.contains("compacted to generation 3"), "{out}");
-        assert!(out.contains("2 edge file(s) folded"), "{out}");
-        // Every per-edge generation file is gone; the data now lives in
-        // consolidated segments described by a manifest.
-        let names: Vec<String> = std::fs::read_dir(&db)
+        assert!(out.contains("2 table(s) rewritten"), "{out}");
+        // The two commits' segments are gone; the data now lives in the
+        // compaction's one.
+        let mut names: Vec<String> = std::fs::read_dir(&db)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert!(!names.iter().any(|n| n.starts_with("edge-")), "{names:?}");
-        assert!(names.iter().any(|n| n.starts_with("segment-")), "{names:?}");
+        names.sort();
+        assert_eq!(names, ["catalog.dsl", "ops.log", "segment-0.g3.seg"]);
         // Eager and lazy opens both answer over the compacted layout.
         for extra in [&[][..], &["--lazy"][..]] {
             let mut args = s(&["query", "--db", &db, "--path", "C,B,A", "--cells", "1"]);
@@ -614,11 +611,12 @@ mod tests {
             let q = run(&args).unwrap();
             assert!(q.contains("hop(s)"), "{q}");
         }
-        // Verify checks the manifest against its segments; history shows
-        // the compact record.
+        // Verify holds every range against the catalog and finds no dead
+        // space; history shows the compact record.
         let v = run(&s(&["db", "verify", &db])).unwrap();
         assert!(v.contains("database OK"), "{v}");
-        assert!(v.contains("compaction manifest(s) verified"), "{v}");
+        assert!(v.contains("2 table(s) verified"), "{v}");
+        assert!(!v.contains("dead byte"), "{v}");
         let h = run(&s(&["db", "history", &db])).unwrap();
         assert!(h.contains("cli compact"), "{h}");
         // Conflicting open flags are one clean builder error.

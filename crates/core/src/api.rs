@@ -158,7 +158,7 @@ impl OpenOptions {
         self
     }
 
-    /// Keep the catalog and edge files of up to this many prior commits on
+    /// Keep the catalog and segments of up to this many prior commits on
     /// disk so [`as_of`](Self::as_of) opens can resolve them (default 0:
     /// a commit sweeps everything its catalog does not reference).
     pub fn wal_retention(mut self, generations: u32) -> Self {
@@ -403,26 +403,18 @@ impl Dslog {
         Ok(())
     }
 
-    /// Fold the bound directory's cold generations into consolidated
-    /// segment files (see [`crate::storage::compact`]): every live edge
-    /// is re-referenced as a range of a shard-assigned segment, a
-    /// crc32-trailed manifest records those ranges, and superseded
-    /// generation files are swept — except those the operation-log
-    /// retention window (see [`OpenOptions::wal_retention`]) still vouches
-    /// for, so time-travel opens inside the window keep working. The
-    /// catalog rename remains the single commit point; a crash at any
-    /// earlier step leaves the previous generation intact.
-    pub fn compact(&self) -> Result<crate::storage::compact::CompactReport> {
-        self.compact_as(None)
-    }
-
-    /// [`compact`](Self::compact), logged under `actor`.
-    pub(crate) fn compact_as(
-        &self,
-        actor: Option<&str>,
-    ) -> Result<crate::storage::compact::CompactReport> {
-        let (dir, gzip, _) = self.storage.persist_binding().ok_or(DslogError::NotBound)?;
-        crate::storage::compact::compact_as(&self.storage, &dir, gzip, actor)
+    /// Compact the bound directory: a [`commit`](Self::commit) that reuses
+    /// nothing (see [`crate::storage::compact`]). Every stored table is
+    /// rewritten into the new generation's one segment, and the segments
+    /// of superseded generations — with whatever dead bytes they held —
+    /// are swept, except those the retention window (see
+    /// [`OpenOptions::wal_retention`]) still vouches for, so time-travel
+    /// opens inside the window keep working. The report is a commit's, with
+    /// `files_reused == 0`. The catalog rename remains the single commit
+    /// point; a crash at any earlier step leaves the previous generation
+    /// intact.
+    pub fn compact(&self) -> Result<persist::CommitReport> {
+        self.commit_as(None, true)
     }
 
     /// Clone this database for epoch-snapshot publication (the
@@ -478,7 +470,7 @@ impl Dslog {
     }
 
     /// Persist the stored arrays and compressed lineage tables into a
-    /// database directory. With `gzip` the table files use the ProvRC-GZip
+    /// database directory. With `gzip` the tables use the ProvRC-GZip
     /// disk format (the paper's recommended long-term configuration).
     ///
     /// The write is atomic: every file goes through temp-file + rename, the
@@ -502,11 +494,11 @@ impl Dslog {
     }
 
     /// Incrementally commit to the bound database directory: write only
-    /// the edge tables added or re-derived since the last commit, reuse
-    /// every clean table file in the new catalog, and bump the snapshot
-    /// generation with the catalog rename as the single atomic commit
-    /// point. Appending one edge to a 100k-row database costs O(new
-    /// edge), not O(database).
+    /// the edge tables added or re-derived since the last commit — as one
+    /// new segment file — re-reference every clean table where it lies,
+    /// and bump the snapshot generation with the catalog rename as the
+    /// single atomic commit point. Appending one edge to a 100k-row
+    /// database costs O(new edge), not O(database).
     ///
     /// The binding is established by [`save`](Self::save) or by opening a
     /// directory ([`OpenOptions::open`] / [`OpenOptions::create`]);
@@ -515,13 +507,18 @@ impl Dslog {
     /// with saves on the same handle should serialize them (the
     /// [`crate::service`] layer does).
     pub fn commit(&self) -> Result<persist::CommitReport> {
-        self.commit_as(None)
+        self.commit_as(None, false)
     }
 
-    /// [`commit`](Self::commit), its commit record logged under `actor`.
-    pub(crate) fn commit_as(&self, actor: Option<&str>) -> Result<persist::CommitReport> {
+    /// [`commit`](Self::commit) — or, with `fold`, [`compact`](Self::compact)
+    /// — its records logged under `actor`.
+    pub(crate) fn commit_as(
+        &self,
+        actor: Option<&str>,
+        fold: bool,
+    ) -> Result<persist::CommitReport> {
         let (dir, gzip, _) = self.storage.persist_binding().ok_or(DslogError::NotBound)?;
-        persist::commit_as(&self.storage, &dir, gzip, actor)
+        persist::commit_generation(&self.storage, &dir, gzip, actor, fold)
     }
 
     /// The database directory this handle is bound to for incremental

@@ -49,7 +49,7 @@ pub enum DslogError {
     /// state is intact; retry after those references are gone.
     ServiceBusy(&'static str),
     /// An `as_of` open asked for a generation that was never committed, or
-    /// whose kept catalog or edge files the retention sweep already
+    /// whose kept catalog or segments the retention sweep already
     /// reclaimed.
     GenerationNotRetained(u64),
     /// An [`OpenOptions`](crate::api::OpenOptions) builder combined

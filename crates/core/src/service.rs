@@ -310,7 +310,7 @@ impl Shared {
                 (self.snapshot(), self.pending_edges.load(Ordering::Acquire))
             };
             let actor = if auto { Some("auto-commit") } else { actor };
-            let outcome = snapshot.commit_as(actor);
+            let outcome = snapshot.commit_as(actor, false);
             if outcome.is_ok() {
                 self.pending_edges.fetch_sub(pending, Ordering::AcqRel);
                 self.commits.fetch_add(1, Ordering::Relaxed);
@@ -357,7 +357,7 @@ impl Shared {
         if generation.saturating_sub(self.last_compact_gen.load(Ordering::Acquire)) < every {
             return;
         }
-        if let Ok(report) = db.compact_as(Some("maintenance")) {
+        if let Ok(report) = db.commit_as(Some("maintenance"), true) {
             self.compactions.fetch_add(1, Ordering::Relaxed);
             self.last_compact_gen
                 .store(report.generation, Ordering::Release);
@@ -910,13 +910,13 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.config.maintenance.auto_compact_generations, Some(2));
-        // Every edge file was folded into consolidated segments.
+        // The commits' segments were folded into the compaction's one.
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert!(names.iter().any(|n| n.starts_with("segment-")), "{names:?}");
-        assert!(!names.iter().any(|n| n.starts_with("edge-")), "{names:?}");
+        let segments = names.iter().filter(|n| n.starts_with("segment-"));
+        assert_eq!(segments.count(), 1, "{names:?}");
         // The service keeps serving multi-hop queries over the compacted
         // layout, and a cold reopen sees all edges.
         let r = service.query(&["D", "C", "B", "A"], &[vec![3]]).unwrap();

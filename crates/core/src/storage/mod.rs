@@ -12,8 +12,8 @@ pub mod format;
 pub mod persist;
 pub mod wal;
 
-/// The string and fixed-width integer codecs the catalog, manifest and
-/// log formats share. Every length is bounded by the bytes actually left
+/// The string and fixed-width integer codecs the catalog and log formats
+/// share. Every length is bounded by the bytes actually left
 /// before it is used, so hostile input errs and never panics.
 pub(crate) mod wire {
     use crate::error::{DslogError, Result};
@@ -89,17 +89,17 @@ pub enum Materialize {
 pub(crate) struct DiskTable {
     /// The database directory holding the record's file.
     pub(crate) dir: PathBuf,
-    /// Whether the file uses the ProvRC-GZip disk format.
+    /// Whether the table uses the ProvRC-GZip disk format.
     pub(crate) gzip: bool,
-    /// Orientation the catalog says this file stores.
+    /// Orientation the catalog says this table stores.
     pub(crate) orientation: Orientation,
-    /// The catalog's record of the file (its `raw_len` lets
+    /// The catalog's record of the table (its `raw_len` lets
     /// `storage_bytes` report the same number for lazy and loaded slots).
     pub(crate) record: FileRecord,
 }
 
 impl DiskTable {
-    /// Read the file, verify it against the catalog record, and decode it
+    /// Read the range, verify it against the catalog record, and decode it
     /// (same path as an eager open — see `persist::load_table_file`). Any
     /// mismatch is a hard error: a lazily opened database must fail
     /// exactly where an eager open would have.
@@ -107,7 +107,7 @@ impl DiskTable {
         persist::load_table_file(&self.dir, self.gzip, self.orientation, &self.record)
     }
 
-    /// Read + verify the file and return its plain (un-gzipped) serialized
+    /// Read + verify the range and return its plain (un-gzipped) serialized
     /// bytes without decoding a table — the save path re-writes tables
     /// verbatim this way instead of decode + re-encode.
     pub(crate) fn read_plain_bytes(&self) -> Result<Vec<u8>> {
@@ -135,41 +135,39 @@ pub(crate) enum TableSource {
     OnDisk(DiskTable),
 }
 
-/// Catalog record of the committed file that holds one slot's table,
-/// relative to the bound database directory (see [`PersistBinding`]).
+/// Catalog record of the committed bytes that hold one slot's table: a
+/// range of a file in the bound database directory (see
+/// [`PersistBinding`]) — of the generation segment a commit appended it
+/// to, or the whole of an `edge-*` file a catalog written before segments
+/// names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FileRecord {
     /// Bare file name inside the database directory.
     pub(crate) name: String,
-    /// On-disk byte length of the file.
+    /// Byte length of the range.
     pub(crate) len: u64,
-    /// crc32 of the raw file bytes.
+    /// crc32 of the range's bytes.
     pub(crate) crc: u32,
     /// Byte length of the plain (un-gzipped) serialized table.
     pub(crate) raw_len: u64,
-    /// `Some(byte offset)` when the committed bytes are a live range of a
-    /// shared compaction segment; `None` for a whole `edge-*` file.
-    pub(crate) offset: Option<u64>,
+    /// Byte offset of the range in the file.
+    pub(crate) offset: u64,
 }
 
 impl FileRecord {
-    /// Whether a file of `file_len` bytes can be the one recorded: exactly
-    /// the recorded length for a whole file, at least enough bytes to hold
-    /// the range for a segment. The O(1) guard of lazy opens and
-    /// incremental commits.
+    /// Whether a file of `file_len` bytes can hold the recorded range. The
+    /// O(1) guard of lazy opens and incremental commits, and the bound on
+    /// what a read may allocate.
     pub(crate) fn fits(&self, file_len: u64) -> bool {
-        match self.offset {
-            None => file_len == self.len,
-            Some(off) => file_len >= off.saturating_add(self.len),
-        }
+        file_len >= self.offset.saturating_add(self.len)
     }
 }
 
 /// One orientation slot of an edge: the table (if stored) plus its
 /// incremental-persistence state. `persisted` is `Some` exactly when the
-/// bound database directory already holds a committed file with this
+/// bound database directory already holds a committed range with this
 /// slot's content — such slots are *clean* and an incremental commit
-/// reuses the recorded file instead of rewriting it. Anything that
+/// reuses the recorded range instead of rewriting it. Anything that
 /// changes the slot's content (fresh ingest, on-demand derivation,
 /// rebalancing) clears the record, marking the slot *dirty*.
 #[derive(Debug, Default)]
@@ -190,7 +188,7 @@ impl Slot {
 /// The database directory the manager is bound to for incremental
 /// commits: set by `persist::open` and by every successful
 /// `persist::commit`. A commit into the bound directory with the same
-/// `gzip` mode is incremental (clean slots reuse their committed files);
+/// `gzip` mode is incremental (clean slots reuse their committed ranges);
 /// any other target gets a full save.
 #[derive(Debug)]
 pub(crate) struct PersistBinding {
@@ -310,8 +308,8 @@ impl Edge {
     }
 
     /// Mark a slot clean after a commit wrote it: record the committed
-    /// file now holding its content, and — if the slot is still a lazy
-    /// `OnDisk` reference — repoint it at that file. The old path may
+    /// range now holding its content, and — if the slot is still a lazy
+    /// `OnDisk` reference — repoint it at that range. The old file may
     /// have just been swept (same-directory rewrite, e.g. a gzip
     /// conversion), so a stale source would make every later load fail.
     /// Called only after the catalog rename landed. Safe against

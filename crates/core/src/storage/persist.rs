@@ -3,40 +3,44 @@
 //! The paper serves its compressed lineage tables from files on disk
 //! ("We measured the file size of the database files that were ultimately
 //! served to DuckDB", §VII.C); this module gives DSLog the same durable
-//! form. A database directory holds one catalog file plus one table file
-//! per stored orientation of each edge:
+//! form. A database directory holds one catalog file plus one segment
+//! file per generation that wrote tables:
 //!
 //! ```text
 //! <dir>/
-//!   catalog.dsl               catalog: arrays + edges + per-file byte
-//!                             length, crc32, and plain serialized length
-//!                             (v3, after a compaction: plus the byte
-//!                             offset of a segment range), with its own
-//!                             crc32 trailer (hand-rolled binary)
-//!   edge-<i>-b.g<g>.tbl[.gz]  backward table of edge i, snapshot gen g
-//!   edge-<i>-f.g<g>.tbl[.gz]  forward  table of edge i, snapshot gen g
-//!   ops.log                   the operation log (see [`super::wal`])
-//!   catalog.g<g>.dsl          the catalog generation g was live as, kept
-//!                             (a hard link made by the commit that
-//!                             superseded it) while the retention window
-//!                             keeps g
+//!   catalog.dsl         catalog: arrays + edges + per stored orientation
+//!                       the table's range (segment name, byte offset,
+//!                       byte length), its crc32 and plain serialized
+//!                       length, with its own crc32 trailer (hand-rolled
+//!                       binary, magic `DSLGDB3`)
+//!   segment-0.g<g>.seg  the tables generation g wrote, back to back
+//!   ops.log             the operation log (see [`super::wal`])
+//!   catalog.g<g>.dsl    the catalog generation g was live as, kept (a
+//!                       hard link made by the commit that superseded it)
+//!                       while the retention window keeps g
 //! ```
+//!
+//! Read, never written: a `DSLGDB2` catalog (the same records without the
+//! offset) and a reference to a whole `edge-*` table file, which is the
+//! range `(0, len)` of that file. A directory holding them opens, verifies
+//! and commits like any other; its clean tables are re-referenced where
+//! they lie, and the files go when the last catalog naming them does.
 //!
 //! ## Atomicity
 //!
 //! [`commit`] (and its thin wrapper [`save`]) is crash-safe: every file is
-//! written to a `.tmp` sibling, fsynced, and `rename`d into place, edge
-//! files carry a fresh generation number so they never overwrite files the
-//! live catalog references, and the catalog rename is the single commit
-//! point. The ordering is tables → directory sync → log append +
+//! written to a `.tmp` sibling, fsynced, and `rename`d into place, a
+//! segment carries a fresh generation number so it never overwrites a file
+//! the live catalog references, and the catalog rename is the single
+//! commit point. The ordering is segment → directory sync → log append +
 //! fdatasync → catalog rename → directory sync → delete (the directory is
-//! synced before the commit so edge renames cannot reorder after it, and
-//! again after it before old files go) — a crash at any earlier step
+//! synced before the commit so the segment rename cannot reorder after it,
+//! and again after it before old files go) — a crash at any earlier step
 //! leaves the previous snapshot fully intact (plus harmless debris that
 //! the next [`open`] sweeps). After the commit, every file
 //! that only a generation leaving the retention window named is deleted,
-//! so shrinking the edge set, renumbering, or flipping the `gzip` flag
-//! cannot leave stale tables for a later `open` to trip over. Every write
+//! so shrinking the edge set or flipping the `gzip` flag cannot leave
+//! stale tables for a later `open` to trip over. Every write
 //! and sync on the way passes the manager's [`wal::IoPolicy`] (the one
 //! fault injector), if one was installed.
 //!
@@ -68,16 +72,29 @@
 //! opened from, or last committed into, with the same `gzip` mode) is
 //! incremental: only slots whose content changed since the last commit —
 //! freshly ingested edges, lazily derived orientations, rebalanced slots —
-//! are serialized and written. Clean slots' files are left in place and
-//! the new catalog re-references them by their recorded name, byte length,
-//! and crc32 (older-generation file names stay valid precisely because
-//! names are generation-qualified and the catalog stores them verbatim).
-//! The catalog itself — O(edges), tiny — is always rewritten, and its
-//! rename remains the single commit point, so appending one edge to a
-//! 100k-edge-row database costs O(new edge), not O(database) — nor, with
-//! the remembered tail, O(history). A commit into any *other* directory
-//! (or with a flipped `gzip` flag) is a full save that then re-binds the
-//! manager to that target.
+//! are serialized, and they are appended to the one segment the commit
+//! writes (a commit with nothing dirty writes no segment). Clean slots'
+//! bytes are left in place and the new catalog re-references them by their
+//! recorded range and crc32 (older generations' segment names stay valid
+//! precisely because names are generation-qualified and the catalog stores
+//! them verbatim). The catalog itself — O(edges), tiny — is always
+//! rewritten, and its rename remains the single commit point, so appending
+//! one edge to a 100k-edge-row database costs O(new edge), not
+//! O(database) — nor, with the remembered tail, O(history). A commit into
+//! any *other* directory (or with a flipped `gzip` flag) is a full save
+//! that then re-binds the manager to that target.
+//! [`compact`](super::compact::compact) is this same commit with reuse
+//! switched off: every stored table goes into the new generation's
+//! segment.
+//!
+//! A segment is deleted whole, when the last live or retained range in it
+//! dies. So the bytes of a table that a later commit superseded (an edge
+//! re-ingested through the capture path, an orientation rebalanced away)
+//! stay on disk, unreferenced, while a neighbour in the same segment is
+//! still live — until the next compaction, which is what reclaims them.
+//! [`verify`] reports that space as [`VerifyReport::dead_bytes`]. (The
+//! service path rejects a duplicate edge, so a served database grows dead
+//! bytes only through rebalancing.)
 //!
 //! Concurrent commits on one manager serialize on its commit lock.
 //! Across *processes*, a database directory supports one live process at
@@ -93,26 +110,26 @@
 //!
 //! Reading a table back — eager open, a lazy slot's first touch, an
 //! `AsOf` open, [`verify`] — goes through `load_table_file`, which
-//! checksums a plain file in a single pass: the crc32 of everything before
-//! the 4-byte trailer must be what the trailer holds, and the same running
-//! state carried on over the trailer must be what the catalog recorded for
-//! the file. Both comparisons are made, file against catalog first; neither
-//! costs a second read of the bytes, and the decoder is handed the body
-//! crc instead of recomputing it. (`read_verified_bytes`, the path a
-//! commit or a compaction streams a clean lazy slot through without
-//! decoding it, keeps its own whole-file check; a gzip file keeps three
-//! checks — catalog crc over the container, the container's crc, the
-//! table trailer — because they cover different bytes.)
+//! checksums a plain table's range in a single pass: the crc32 of
+//! everything before the 4-byte trailer must be what the trailer holds,
+//! and the same running state carried on over the trailer must be what the
+//! catalog recorded for the range. Both comparisons are made, range
+//! against catalog first; neither costs a second read of the bytes, and
+//! the decoder is handed the body crc instead of recomputing it.
+//! (`read_verified_bytes`, the path a commit streams a lazy slot through
+//! without decoding it, keeps its own whole-range check; a gzip table
+//! keeps three checks — catalog crc over the container, the container's
+//! crc, the table trailer — because they cover different bytes.)
 //!
-//! For a plain file the two values are not independent: a file that ends
-//! in the crc32 of its own body has, as a whole, the CRC-32 residue
-//! `0x2144df1c` as its crc32, whatever it holds. So the catalog's
+//! For a plain table the two values are not independent: bytes that end
+//! in the crc32 of their own body have, as a whole, the CRC-32 residue
+//! `0x2144df1c` as their crc32, whatever they hold. So the catalog's
 //! `FileRecord::crc` of a plain table is that constant for every edge — it
-//! proves the file is self-consistent and the length matches, not that it
-//! is the file that was committed. Telling one well-formed table from
+//! proves the range is self-consistent and the length matches, not that it
+//! is the table that was committed. Telling one well-formed table from
 //! another is the job of a content digest: the operation log's
 //! `IngestEdge.digest` is the body crc the table's trailer holds, and
-//! holding each live file against it in [`verify`] is ROADMAP item 3's.
+//! holding each live table against it in [`verify`] is ROADMAP item 3's.
 //!
 //! ## What is persisted
 //!
@@ -137,40 +154,17 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// The catalog format before segments: v3's records without the offset.
+/// Read (every range starts at 0), never written.
 const CATALOG_MAGIC_V2: &[u8; 8] = b"DSLGDB2\0";
-/// v3 adds one uvarint byte offset per file record, so a reference can be
-/// a live range inside a shared compaction segment (`segment-*.seg`).
-/// Emitted only when at least one reference actually is one — a database
-/// never compacted keeps writing v2 bytes.
 const CATALOG_MAGIC_V3: &[u8; 8] = b"DSLGDB3\0";
 pub(crate) const CATALOG_FILE: &str = "catalog.dsl";
 
-fn orientation_char(orientation: Orientation) -> char {
-    match orientation {
-        Orientation::Backward => 'b',
-        Orientation::Forward => 'f',
-    }
-}
-
-/// Generation-qualified table file name. The generation makes
-/// the name unique per save, so an in-progress save can never clobber a
-/// file the committed catalog still references.
-fn edge_file_name(idx: usize, orientation: Orientation, gzip: bool, gen: u64) -> String {
-    let o = orientation_char(orientation);
-    let ext = if gzip { "tbl.gz" } else { "tbl" };
-    format!("edge-{idx}-{o}.g{gen}.{ext}")
-}
-
-/// Consolidated segment file written by a compaction pass at generation
-/// `gen`, holding the live table bytes of every edge hashed into shard `k`.
-pub(crate) fn segment_file_name(shard: usize, gen: u64) -> String {
-    format!("segment-{shard}.g{gen}.seg")
-}
-
-/// Manifest written alongside a compaction's segments, recording the live
-/// ranges per edge (see [`super::compact`]).
-pub(crate) fn manifest_file_name(gen: u64) -> String {
-    format!("manifest.g{gen}.dsl")
+/// The segment generation `gen` writes its tables into. The generation
+/// makes the name unique per commit, so a commit in progress can never
+/// clobber a file the committed catalog still references.
+fn segment_file_name(gen: u64) -> String {
+    format!("segment-0.g{gen}.seg")
 }
 
 /// The catalog of generation `gen`, kept under this name from the commit
@@ -180,14 +174,13 @@ pub(crate) fn retained_catalog_name(gen: u64) -> String {
 }
 
 /// Extract the generation from a generation-qualified data file name —
-/// `edge-<i>-<o>.g<gen>.…`, `segment-<k>.g<gen>.seg`,
-/// `manifest.g<gen>.dsl`, or `catalog.g<gen>.dsl` (also matches leftover
-/// `.tmp` siblings). `None` for any other name and the live catalog.
-pub(crate) fn parse_generation(name: &str) -> Option<u64> {
+/// `segment-<k>.g<gen>.seg`, `edge-<i>-<o>.g<gen>.…`, or
+/// `catalog.g<gen>.dsl` (also matches leftover `.tmp` siblings). `None`
+/// for any other name and the live catalog.
+fn parse_generation(name: &str) -> Option<u64> {
     let rest = name
-        .strip_prefix("edge-")
-        .or_else(|| name.strip_prefix("segment-"))
-        .or_else(|| name.strip_prefix("manifest"))
+        .strip_prefix("segment-")
+        .or_else(|| name.strip_prefix("edge-"))
         .or_else(|| name.strip_prefix("catalog"))?;
     let gpos = rest.find(".g")?;
     let tail = &rest[gpos + 2..];
@@ -225,21 +218,11 @@ fn peek_catalog(dir: &Path) -> Option<(u64, u64)> {
     Some((generation, len))
 }
 
-/// The data files a catalog references.
-fn referenced_names(catalog: &Catalog) -> HashSet<String> {
-    catalog
-        .edges
-        .iter()
-        .flat_map(|e| e.files.iter().map(|f| f.record.name.clone()))
-        .collect()
-}
-
-/// The retained generations of `dir`, oldest first, each with the data
-/// files its catalog references: every `catalog.g<gen>.dsl` among `names`
-/// that is older than the `live` generation, parses, and records the
-/// generation its name claims.
-fn retained_window(dir: &Path, names: &[String], live: u64) -> Vec<Generation> {
-    let mut kept: Vec<Generation> = names
+/// The catalogs of the retained generations of `dir`, oldest first: every
+/// `catalog.g<gen>.dsl` among `names` that is older than the `live`
+/// generation, parses, and records the generation its name claims.
+fn retained_catalogs(dir: &Path, names: &[String], live: u64) -> Vec<Catalog> {
+    let mut kept: Vec<Catalog> = names
         .iter()
         .filter_map(|name| {
             let generation = parse_generation(name).filter(|g| *g < live)?;
@@ -247,11 +230,19 @@ fn retained_window(dir: &Path, names: &[String], live: u64) -> Vec<Generation> {
                 return None;
             }
             let old = parse_catalog(&std::fs::read(dir.join(name)).ok()?).ok()?;
-            (old.generation == generation).then(|| (generation, referenced_names(&old)))
+            (old.generation == generation).then_some(old)
         })
         .collect();
-    kept.sort_by_key(|(generation, _)| *generation);
+    kept.sort_by_key(|catalog| catalog.generation);
     kept
+}
+
+/// A catalog's entry in the retention window: its generation and the data
+/// files it references.
+fn generation_of(catalog: &Catalog) -> Generation {
+    let files = catalog.edges.iter().flat_map(|e| &e.files);
+    let names = files.map(|f| f.record.name.clone()).collect();
+    (catalog.generation, names)
 }
 
 /// Rebuild what a manager remembers of `dir` ([`wal::LogTail`]) from the
@@ -269,10 +260,8 @@ fn retained_window(dir: &Path, names: &[String], live: u64) -> Vec<Generation> {
 pub(crate) fn load_tail(dir: &Path, live: Option<&Catalog>, names: &[String]) -> LogTail {
     let committed = live.map_or(0, |c| c.generation);
     let recovery = wal::recover(dir, committed);
-    let mut window = retained_window(dir, names, committed);
-    if let Some(catalog) = live {
-        window.push((committed, referenced_names(catalog)));
-    }
+    let retained = retained_catalogs(dir, names, committed);
+    let window = retained.iter().chain(live).map(generation_of).collect();
     let max_gen = names
         .iter()
         .filter_map(|n| parse_generation(n))
@@ -288,7 +277,7 @@ pub(crate) fn load_tail(dir: &Path, live: Option<&Catalog>, names: &[String]) ->
 
 /// Flush directory metadata so preceding renames/unlinks in `dir` are
 /// durable. Without this, a power loss can persist the catalog rename but
-/// not the edge-file renames it depends on. No-op error-wise on platforms
+/// not the segment rename it depends on. No-op error-wise on platforms
 /// where directories cannot be opened for sync.
 pub(crate) fn sync_dir(dir: &Path, policy: Option<&IoPolicy>) -> Result<()> {
     let _io = dslog_sync::io_guard("persist::sync_dir");
@@ -304,7 +293,7 @@ pub(crate) fn sync_dir(dir: &Path, policy: Option<&IoPolicy>) -> Result<()> {
 
 /// Write `bytes` to `<path>.tmp`, flush, then rename over `path`. Every
 /// write and sync is gated by the fault-injection `policy` (if any).
-pub(crate) fn write_atomic(
+fn write_atomic(
     path: &Path,
     bytes: &[u8],
     what: &'static str,
@@ -327,37 +316,41 @@ pub(crate) fn write_atomic(
     std::fs::rename(&tmp, path).map_err(|e| DslogError::io(what, e))
 }
 
-/// What one [`commit`] did: generation it committed, and how much of the
+/// What one [`commit`] — or one [`compact`](super::compact::compact), which
+/// is a commit — did: generation it committed, and how much of the
 /// database it actually had to rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitReport {
     /// Generation of the newly committed catalog.
     pub generation: u64,
-    /// Whether clean slots could reuse their committed files (`false` for
-    /// a full save into an unbound directory or with a flipped `gzip`
-    /// mode).
+    /// Whether the target was the bound directory in its bound `gzip`
+    /// mode (`false` for a full save into an unbound directory or with a
+    /// flipped `gzip` mode).
     pub incremental: bool,
-    /// Edge table files serialized and written by this commit.
+    /// Tables (one per stored orientation of an edge) serialized and
+    /// written into this generation's segment.
     pub files_written: usize,
-    /// Edge table files reused from earlier generations (clean slots).
+    /// Tables re-referenced where earlier generations wrote them (clean
+    /// slots); always 0 for a compaction.
     pub files_reused: usize,
-    /// Total edge-file bytes written (excludes the catalog).
+    /// Byte length of the segment written (excludes the catalog).
     pub bytes_written: u64,
 }
 
 /// Whether a directory entry is one of ours and subject to sweeping:
-/// whole edge tables, compaction segments, compaction manifests, and
-/// retained generations' catalogs (never the live `catalog.dsl`).
+/// segments, retained generations' catalogs (never the live
+/// `catalog.dsl`), and what only directories written before segments hold
+/// — whole edge tables and compaction manifests.
 fn is_data_file(name: &str) -> bool {
-    ["edge-", "segment-", "manifest.", "catalog.g"]
+    ["segment-", "catalog.g", "edge-", "manifest."]
         .iter()
         .any(|prefix| name.starts_with(prefix))
 }
 
-/// Delete, among the listed `names`, every data file (`edge-*`,
-/// `segment-*`, `manifest.*`, `catalog.g*`) that `window` does not spare,
-/// plus any `*.tmp` debris. Deletion failures are ignored (opening a
-/// read-only snapshot must stay possible).
+/// Delete, among the listed `names`, every data file (see
+/// [`is_data_file`]) that `window` does not spare, plus any `*.tmp`
+/// debris. Deletion failures are ignored (opening a read-only snapshot
+/// must stay possible).
 pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], window: &[Generation]) {
     for name in names {
         if name.ends_with(".tmp") || (is_data_file(name) && !is_spared(window, name)) {
@@ -373,26 +366,12 @@ pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], window: &[Generati
 /// the live catalog or the retained time-travel window still references.
 ///
 /// Spared: everything a generation of `window` references (the live
-/// catalog and the retained ones before it), each such generation's kept
-/// catalog and own compaction manifest, and the manifest of every
-/// generation a spared segment belongs to (a segment can outlive its own
-/// commit's retention window while the live catalog still references
-/// ranges in it, and `verify` cross-checks those ranges against the
-/// manifest).
+/// catalog and the retained ones before it) and each such generation's
+/// kept catalog. A segment therefore outlives the commit that wrote it for
+/// as long as any generation of the window references a range in it.
 pub(crate) fn is_spared(window: &[Generation], name: &str) -> bool {
-    let manifest = name.starts_with("manifest.");
-    // Kept catalogs and manifests are named after the generation they
-    // belong to.
-    let own = (manifest || name.starts_with("catalog.g"))
-        .then(|| parse_generation(name))
-        .flatten();
     window.iter().any(|(generation, files)| {
-        files.contains(name)
-            || own == Some(*generation)
-            || (manifest
-                && files
-                    .iter()
-                    .any(|f| f.starts_with("segment-") && parse_generation(f) == own))
+        files.contains(name) || name == retained_catalog_name(*generation)
     })
 }
 
@@ -400,29 +379,29 @@ pub(crate) fn is_spared(window: &[Generation], name: &str) -> bool {
 enum SlotPlan {
     /// Orientation not stored: skipped (mask bit stays clear).
     Absent,
-    /// Clean slot whose committed file is still on disk: the new catalog
+    /// Clean slot whose committed range is still on disk: the new catalog
     /// re-references it verbatim; nothing is rewritten.
     Reuse(FileRecord),
     /// Dirty (or force-rewritten) slot: these plain serialized bytes get
-    /// written as a new generation-qualified file.
+    /// appended to the new generation's segment.
     Write(Vec<u8>),
 }
 
-/// Decide whether one slot can reuse its committed file. Runs file IO, so
+/// Decide whether one slot can reuse its committed range. Runs file IO, so
 /// it takes a lock-free snapshot of the slot, never the slot lock itself.
 fn plan_slot(
     source: Option<TableSource>,
     persisted: Option<FileRecord>,
-    incremental: bool,
+    reuse: bool,
     dir: &Path,
 ) -> Result<SlotPlan> {
     let Some(source) = source else {
         return Ok(SlotPlan::Absent);
     };
-    if incremental {
+    if reuse {
         if let Some(record) = persisted {
             // O(1) tamper guard: the recorded file must still exist and
-            // fit the record. Anything else (externally deleted or
+            // hold the range. Anything else (externally deleted or
             // truncated) falls through to a rewrite from the slot.
             if std::fs::metadata(dir.join(&record.name)).is_ok_and(|m| record.fits(m.len())) {
                 return Ok(SlotPlan::Reuse(record));
@@ -440,38 +419,16 @@ fn plan_slot(
     Ok(SlotPlan::Write(plain))
 }
 
-/// Append one table-file record to a v2/v3 catalog body. v3 records carry
-/// the byte offset of the live range (0 for whole files).
-fn push_file_record(catalog: &mut Vec<u8>, record: &FileRecord, v3: bool) {
-    write_string(catalog, &record.name);
-    write_uvarint(catalog, record.len);
-    catalog.extend_from_slice(&record.crc.to_le_bytes());
-    write_uvarint(catalog, record.raw_len);
-    if v3 {
-        write_uvarint(catalog, record.offset.unwrap_or(0));
-    }
-}
-
 /// Assemble complete catalog bytes (magic through crc trailer) for the
-/// given per-edge plans. Chooses the v3 format only when a record is a
-/// compaction segment range, so never-compacted databases keep writing v2
-/// bytes. Shared by [`commit`] and [`super::compact::compact`] — the
-/// catalog rename stays the single commit point for both.
-pub(crate) fn build_catalog_bytes(
+/// given per-edge plans.
+fn build_catalog_bytes(
     storage: &StorageManager,
     gzip: bool,
     gen: u64,
     planned: &[PlannedEdge<'_>],
-) -> Result<Vec<u8>> {
-    let v3 = planned
-        .iter()
-        .any(|(_, _, rs)| rs.iter().any(|r| r.offset.is_some()));
+) -> Vec<u8> {
     let mut catalog = Vec::new();
-    catalog.extend_from_slice(if v3 {
-        CATALOG_MAGIC_V3
-    } else {
-        CATALOG_MAGIC_V2
-    });
+    catalog.extend_from_slice(CATALOG_MAGIC_V3);
     catalog.push(gzip as u8);
     write_uvarint(&mut catalog, gen);
 
@@ -492,42 +449,45 @@ pub(crate) fn build_catalog_bytes(
         write_string(&mut catalog, &key.1);
         catalog.push(*mask);
         for record in records {
-            push_file_record(&mut catalog, record, v3);
+            write_string(&mut catalog, &record.name);
+            write_uvarint(&mut catalog, record.len);
+            catalog.extend_from_slice(&record.crc.to_le_bytes());
+            write_uvarint(&mut catalog, record.raw_len);
+            write_uvarint(&mut catalog, record.offset);
         }
     }
 
     // Self-checksum so catalog corruption is always detected at open.
     let catalog_crc = crc32(&catalog);
     catalog.extend_from_slice(&catalog_crc.to_le_bytes());
-    Ok(catalog)
+    catalog
 }
 
 /// One edge of a commit plan: its key, orientation mask, and the catalog
 /// record of each stored orientation.
-pub(crate) type PlannedEdge<'a> = (&'a (String, String), u8, Vec<FileRecord>);
+type PlannedEdge<'a> = (&'a (String, String), u8, Vec<FileRecord>);
 
 /// A slot a commit wrote, to be marked clean once the catalog rename lands.
-pub(crate) type WrittenSlot<'a> = (&'a (String, String), Orientation, FileRecord);
+type WrittenSlot<'a> = (&'a (String, String), Orientation, FileRecord);
 
-/// A commit in flight: everything [`commit`] and
-/// [`super::compact::compact`] share around the data files each writes in
-/// its own way. [`begin`](Self::begin) takes the manager's commit lock and
+/// A commit in flight: what `commit_generation` does around the segment it
+/// writes. [`begin`](Self::begin) takes the manager's commit lock and
 /// the remembered log tail (rebuilding it from the directory when it
 /// cannot be trusted) and fixes the generation; [`finish`](Self::finish)
 /// is the one place that appends to `ops.log`, renames the catalog,
 /// sweeps, publishes clean slots and re-binds the manager.
-pub(crate) struct CommitSession<'a> {
+struct CommitSession<'a> {
     storage: &'a StorageManager,
     // Held for the whole commit: serializes concurrent commits on this
     // manager (two interleaved writers would race the generation counter
     // and each other's sweeps). The binding mutex itself is taken only
     // briefly, so binding readers (service stats) never wait on IO.
     _serialize: dslog_sync::MutexGuard<'a, ()>,
-    pub(crate) dir: PathBuf,
-    pub(crate) gzip: bool,
+    dir: PathBuf,
+    gzip: bool,
     /// The target is the bound directory in its bound gzip mode: clean
-    /// slots' files can be reused.
-    pub(crate) incremental: bool,
+    /// slots' ranges can be reused.
+    incremental: bool,
     /// Same directory, flipped gzip mode: an in-place conversion of the
     /// bound database, not a replacement — its operation log carries over
     /// (with a conversion record).
@@ -544,19 +504,14 @@ pub(crate) struct CommitSession<'a> {
     rebuilt: bool,
     prior_gen: u64,
     /// Generation this commit writes.
-    pub(crate) gen: u64,
+    gen: u64,
 }
 
 impl<'a> CommitSession<'a> {
     /// `dir` must be canonical (so `open("./db")` then `commit("db")`
     /// still matches the binding). The records this commit itself logs
     /// name `actor`, or the manager's configured one for `None`.
-    pub(crate) fn begin(
-        storage: &'a StorageManager,
-        dir: PathBuf,
-        gzip: bool,
-        actor: Option<&str>,
-    ) -> Self {
+    fn begin(storage: &'a StorageManager, dir: PathBuf, gzip: bool, actor: Option<&str>) -> Self {
         let serialize = storage.commit_lock.lock();
         let (bound, tail) = {
             let mut binding = storage.binding.lock();
@@ -608,15 +563,15 @@ impl<'a> CommitSession<'a> {
     }
 
     /// How many distinct data files the live catalog references.
-    pub(crate) fn live_files(&self) -> usize {
+    fn live_files(&self) -> usize {
         self.tail.window.last().map_or(0, |(_, files)| files.len())
     }
 
-    /// Commit `planned` — whose data files are already written and renamed
+    /// Commit `planned` — whose segment is already written and renamed
     /// into place — as generation `self.gen`: directory sync, log append +
     /// fdatasync, catalog rename (the commit point), directory sync,
     /// delete. `annotation` is logged just before the commit record.
-    pub(crate) fn finish(
+    fn finish(
         mut self,
         planned: &[PlannedEdge<'_>],
         written: Vec<WrittenSlot<'_>>,
@@ -625,7 +580,7 @@ impl<'a> CommitSession<'a> {
         let (storage, gzip, gen, prior_gen) = (self.storage, self.gzip, self.gen, self.prior_gen);
         let (policy, retain) = (storage.io_policy.as_deref(), storage.retain as usize);
         let dir = self.dir.as_path();
-        let catalog = build_catalog_bytes(storage, gzip, gen, planned)?;
+        let catalog = build_catalog_bytes(storage, gzip, gen, planned);
 
         // The live generation is about to become a retained one: keep its
         // catalog under its generation-qualified name — a hard link, so
@@ -643,7 +598,7 @@ impl<'a> CommitSession<'a> {
                 .map_err(|e| DslogError::io("retain superseded catalog", e))?;
         }
 
-        // Make the data-file renames (and that link) durable BEFORE the
+        // Make the segment rename (and that link) durable BEFORE the
         // catalog can commit: directory entries have no ordering guarantee
         // on power loss otherwise.
         sync_dir(dir, policy)?;
@@ -719,22 +674,14 @@ impl<'a> CommitSession<'a> {
             // tail (the open-time sweep deals with a crashed process's):
             // only what an evicted generation pinned can have gone stale.
             let pinned = |(generation, files): Generation| {
-                let manifests: Vec<String> = files
-                    .iter()
-                    .filter(|f| f.starts_with("segment-"))
-                    .filter_map(|f| parse_generation(f))
-                    .chain([generation])
-                    .map(manifest_file_name)
-                    .collect();
-                let kept_catalog = retained_catalog_name(generation);
-                files.into_iter().chain([kept_catalog]).chain(manifests)
+                files.into_iter().chain([retained_catalog_name(generation)])
             };
             evicted.into_iter().flat_map(pinned).collect()
         };
         sweep_stale_files(dir, &names, &self.tail.window);
 
         // Publish: mark the written slots clean (repointing lazy sources
-        // at their new files) and re-bind the manager with the advanced
+        // at their new ranges) and re-bind the manager with the advanced
         // tail, so the next commit into this directory rewrites none of
         // them and reads back nothing of this one.
         for (key, orientation, record) in written {
@@ -751,61 +698,73 @@ impl<'a> CommitSession<'a> {
 }
 
 /// Commit a storage manager into `dir` (created if missing). With `gzip`
-/// the table files use the ProvRC-GZip disk format — the configuration the
+/// the tables use the ProvRC-GZip disk format — the configuration the
 /// paper recommends for long-term storage.
 ///
 /// When `dir` (+ `gzip` mode) matches the manager's binding — the
 /// directory it was opened from or last committed into — the commit is
 /// *incremental*: only dirty slots are serialized and written, clean
-/// slots' files are re-referenced by the new catalog, and the cost is
+/// slots' ranges are re-referenced by the new catalog, and the cost is
 /// O(changed edges) + O(catalog). Any other target gets a full save and
 /// re-binds the manager to it.
 ///
 /// The write is atomic either way (see the module docs): temp-file +
 /// rename for every file, catalog last as the single commit point, stale
 /// files swept afterwards. Committing into a directory that holds an
-/// older snapshot — even one with a different edge set, numbering, or
-/// `gzip` flag — is safe and replaces it completely.
+/// older snapshot — even one with a different edge set or `gzip` flag — is
+/// safe and replaces it completely.
 pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CommitReport> {
-    commit_as(storage, dir, gzip, None)
+    commit_generation(storage, dir, gzip, None, false)
 }
 
-/// [`commit`], its commit record logged under `actor` (`None`: the
-/// manager's configured one).
-pub(crate) fn commit_as(
+/// Write one generation — the one routine behind [`commit`], [`save`] and
+/// [`compact`](super::compact::compact) — its records logged under `actor`
+/// (`None`: the manager's configured one). With `fold` no clean slot is
+/// reused: every stored table goes into the new segment, the manager must
+/// already be bound to `dir` in this `gzip` mode
+/// ([`DslogError::NotBound`] otherwise), and the pass is logged as a
+/// compaction.
+pub(crate) fn commit_generation(
     storage: &StorageManager,
     dir: &Path,
     gzip: bool,
     actor: Option<&str>,
+    fold: bool,
 ) -> Result<CommitReport> {
-    std::fs::create_dir_all(dir).map_err(|e| DslogError::io("create database dir", e))?;
+    if !fold {
+        std::fs::create_dir_all(dir).map_err(|e| DslogError::io("create database dir", e))?;
+    }
     let dir = dir
         .canonicalize()
         .map_err(|e| DslogError::io("canonicalize database dir", e))?;
     let session = CommitSession::begin(storage, dir, gzip, actor);
+    if fold && !session.incremental {
+        return Err(DslogError::NotBound);
+    }
     let (incremental, gen) = (session.incremental, session.gen);
+    let reuse = incremental && !fold;
+    let folded = session.live_files();
 
-    // Plan + write pass: edges sorted by (in, out) for determinism. Dirty
-    // slots' files are fully written (and renamed into their generation-
-    // unique names) before the catalog that references them is even
-    // assembled — whether the catalog needs the v3 format (offset-bearing
-    // records) is only known once every reused record has been seen.
+    // Plan pass: edges sorted by (in, out) for determinism. Each dirty
+    // slot's bytes are appended to the segment as the slot is planned (so
+    // at most one table is held beside it), each compressed on its own —
+    // a range decompresses independently of its neighbours.
     let mut keys: Vec<&(String, String)> = storage.edges.keys().collect();
     keys.sort();
-    let mut files_written = 0usize;
+    let name = segment_file_name(gen);
+    let mut segment: Vec<u8> = Vec::new();
     let mut files_reused = 0usize;
-    let mut bytes_written = 0u64;
     // Slots marked clean only AFTER the catalog rename lands: a crashed
     // commit must leave every dirty slot dirty.
     let mut written: Vec<WrittenSlot<'_>> = Vec::new();
     let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(keys.len());
-    for (idx, key) in keys.iter().enumerate() {
-        let edge = &storage.edges[*key];
+    for key in keys {
+        let edge = &storage.edges[key];
         let mut mask = 0u8;
         let mut records = Vec::with_capacity(2);
         for (bit, orientation) in [(1u8, Orientation::Backward), (2u8, Orientation::Forward)] {
             let (source, persisted) = edge.snapshot(orientation);
-            let record = match plan_slot(source, persisted, incremental, &session.dir)? {
+            let record = match plan_slot(source, persisted, reuse, &session.dir)? {
                 SlotPlan::Absent => continue,
                 SlotPlan::Reuse(record) => {
                     files_reused += 1;
@@ -818,22 +777,14 @@ pub(crate) fn commit_as(
                     } else {
                         plain
                     };
-                    let name = edge_file_name(idx, orientation, gzip, gen);
-                    write_atomic(
-                        &session.dir.join(&name),
-                        &bytes,
-                        "write edge table",
-                        storage.io_policy.as_deref(),
-                    )?;
-                    files_written += 1;
                     let record = FileRecord {
-                        name,
+                        name: name.clone(),
                         len: bytes.len() as u64,
                         crc: crc32(&bytes),
                         raw_len,
-                        offset: None,
+                        offset: segment.len() as u64,
                     };
-                    bytes_written += record.len;
+                    segment.extend_from_slice(&bytes);
                     written.push((key, orientation, record.clone()));
                     record
                 }
@@ -847,14 +798,26 @@ pub(crate) fn commit_as(
         planned.push((key, mask, records));
     }
 
-    session.finish(&planned, written, None)?;
-    Ok(CommitReport {
+    // The one table write of the storage layer; a generation that changed
+    // no table writes no segment.
+    if !segment.is_empty() {
+        let policy = storage.io_policy.as_deref();
+        write_atomic(&session.dir.join(&name), &segment, "write segment", policy)?;
+    }
+    let report = CommitReport {
         generation: gen,
         incremental,
-        files_written,
+        files_written: written.len(),
         files_reused,
-        bytes_written,
-    })
+        bytes_written: segment.len() as u64,
+    };
+    let annotation = fold.then_some(wal::OpKind::Compact {
+        segments: u64::from(!segment.is_empty()),
+        folded: folded as u64,
+        bytes: report.bytes_written,
+    });
+    session.finish(&planned, written, annotation)?;
+    Ok(report)
 }
 
 /// Persist a storage manager into `dir`: [`commit`] with the report
@@ -864,12 +827,9 @@ pub fn save(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<()> {
     commit(storage, dir, gzip).map(drop)
 }
 
-/// One table reference of a parsed catalog: a whole `edge-*` file, or (v3)
-/// a live range inside a shared compaction segment.
+/// One table reference of a parsed catalog.
 pub(crate) struct FileRef {
     pub(crate) orientation: Orientation,
-    /// For a segment range, `len`/`crc` cover the range's bytes, not the
-    /// whole segment file.
     pub(crate) record: FileRecord,
 }
 
@@ -960,9 +920,10 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             }
             let name = read_string(data, &mut pos)?;
             // Catalogs are untrusted input: a table reference must be a
-            // bare `edge-*` (or, v3, `segment-*`) file name inside the
-            // database directory (no separators, so it can never escape
-            // it), and not a `.tmp` name the sweep would reclaim.
+            // bare `segment-*` (or, from before segments, `edge-*`) file
+            // name inside the database directory (no separators, so it
+            // can never escape it), and not a `.tmp` name the sweep would
+            // reclaim.
             let prefix_ok =
                 name.starts_with("edge-") || (version >= 3 && name.starts_with("segment-"));
             if !prefix_ok || name.contains('/') || name.contains('\\') || name.ends_with(".tmp") {
@@ -973,20 +934,17 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             let len = read_uvarint(data, &mut pos)?;
             let crc = read_u32_le(data, &mut pos)?;
             let raw_len = read_uvarint(data, &mut pos)?;
+            // A v2 record has no offset: its table is a whole file.
             let offset = if version >= 3 {
-                let off = read_uvarint(data, &mut pos)?;
-                if name.starts_with("segment-") {
-                    Some(off)
-                } else if off == 0 {
-                    None
-                } else {
-                    return Err(DslogError::Corrupt(
-                        "catalog records an offset into a whole edge file",
-                    ));
-                }
+                read_uvarint(data, &mut pos)?
             } else {
-                None
+                0
             };
+            if offset != 0 && name.starts_with("edge-") {
+                return Err(DslogError::Corrupt(
+                    "catalog records an offset into a whole edge file",
+                ));
+            }
             files.push(FileRef {
                 orientation,
                 record: FileRecord {
@@ -1014,40 +972,36 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
     })
 }
 
-/// Read one table's raw bytes — a whole file (`offset: None`) or a live
-/// range inside a shared compaction segment (`offset: Some`) — and hold
-/// their length against the catalog record.
+/// Read the bytes of one table's range, exactly as long as the catalog
+/// records. The file is held against the range first
+/// ([`FileRecord::fits`]), which also bounds the allocation by what is
+/// actually on disk.
 fn read_record_bytes(dir: &Path, record: &FileRecord) -> Result<Vec<u8>> {
-    let path = dir.join(&record.name);
-    let bytes = match record.offset {
-        None => std::fs::read(path).map_err(|e| DslogError::io("read edge table", e))?,
-        Some(off) => {
-            use std::io::{Read as _, Seek as _};
-            let mut f =
-                std::fs::File::open(path).map_err(|e| DslogError::io("open segment file", e))?;
-            f.seek(std::io::SeekFrom::Start(off))
-                .map_err(|e| DslogError::io("seek segment file", e))?;
-            // Bounded by the catalog-recorded range length, which the crc
-            // check that follows vouches for. lint:checked-alloc — len comes
-            // from the crc-trailed catalog, and read_exact fails on truncation.
-            let mut buf = vec![0u8; record.len as usize];
-            f.read_exact(&mut buf)
-                .map_err(|e| DslogError::io("read segment range", e))?;
-            buf
-        }
-    };
-    if bytes.len() as u64 != record.len {
+    use std::io::{Read as _, Seek as _};
+    let mut f = std::fs::File::open(dir.join(&record.name))
+        .map_err(|e| DslogError::io("open table file", e))?;
+    let file_len = f
+        .metadata()
+        .map_err(|e| DslogError::io("stat table file", e))?
+        .len();
+    if !record.fits(file_len) {
         return Err(DslogError::Corrupt("edge file length mismatch"));
     }
-    Ok(bytes)
+    f.seek(std::io::SeekFrom::Start(record.offset))
+        .map_err(|e| DslogError::io("seek table file", e))?;
+    // Bounded: the range was just held against the file's length.
+    let mut buf = vec![0u8; record.len as usize];
+    f.read_exact(&mut buf)
+        .map_err(|e| DslogError::io("read table range", e))?;
+    Ok(buf)
 }
 
 /// Read one table (see [`read_record_bytes`]) and verify it against its
 /// catalog record: byte length, crc32, and — for gzip — the container's
 /// claimed uncompressed size vs the recorded plain length (so a later
 /// decompress is bounded by the catalog, not by whatever the file body
-/// claims). Returns the raw table bytes, undecoded — what a commit or a
-/// compaction streams from a clean lazy slot.
+/// claims). Returns the raw table bytes, undecoded — what a commit streams
+/// from a lazy slot it rewrites.
 pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -> Result<Vec<u8>> {
     let bytes = read_record_bytes(dir, record)?;
     if crc32(&bytes) != record.crc {
@@ -1059,15 +1013,15 @@ pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -
     Ok(bytes)
 }
 
-/// Read + fully validate one table file (length/crc, then structural
+/// Read + fully validate one table (length/crc, then structural
 /// decode, then orientation agreement with the catalog). Eager open, the
 /// lazy `DiskTable::load` path, `AsOf` opens and [`verify`] all go through
 /// here, so verification can never diverge between them.
 ///
-/// A plain file is checksummed once (see the module docs): the crc32 over
+/// A plain table is checksummed once (see the module docs): the crc32 over
 /// everything before its trailer is the value the trailer must hold, and
 /// the same state run on over the trailer is the value the catalog must
-/// hold. A gzip file keeps its three separate checks — catalog crc over
+/// hold. A gzip table keeps its three separate checks — catalog crc over
 /// the container, the container's own crc, the table trailer — because
 /// each covers different bytes.
 pub(crate) fn load_table_file(
@@ -1099,9 +1053,9 @@ pub(crate) fn load_table_file(
 /// Edge map keyed by `(in_array, out_array)`, as loaded from a catalog.
 type EdgeMap = HashMap<(String, String), Arc<Edge>>;
 
-/// Stable shard assignment for one edge, shared by the parallel open pool
-/// and compaction's segment layout: hash of the `(in, out)` edge key.
-pub(crate) fn edge_shard(in_name: &str, out_name: &str, shards: usize) -> usize {
+/// Stable shard assignment for one edge in the parallel open pool: hash of
+/// the `(in, out)` edge key.
+fn edge_shard(in_name: &str, out_name: &str, shards: usize) -> usize {
     use std::hash::{Hash as _, Hasher as _};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     in_name.hash(&mut h);
@@ -1164,7 +1118,7 @@ fn load_tables_sharded(
     Ok(results?.into_iter().flatten().collect())
 }
 
-/// Load (or lazily reference) every table file a parsed catalog names.
+/// Load (or lazily reference) every table a parsed catalog names.
 fn load_catalog_edges(
     dir: &Path,
     catalog: &Catalog,
@@ -1234,11 +1188,11 @@ fn load_catalog_edges(
 /// How [`open`] reads a database directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenMode {
-    /// Decode every table file now, verifying each against its catalog
+    /// Decode every table now, verifying each against its catalog
     /// checksum.
     Eager,
-    /// O(catalog): table files are only stat'd (existence + length) now
-    /// and read, checksum-verified, and decoded on the first `resolve_hop`
+    /// O(catalog): each table's file is only stat'd (existence + length)
+    /// now and read, checksum-verified, and decoded on the first `resolve_hop`
     /// that needs them.
     Lazy,
     /// The database as it was at this generation, read eagerly from the
@@ -1351,20 +1305,20 @@ fn open_retained(dir: &Path, generation: u64, threads: Option<usize>) -> Result<
 /// What [`verify`] found in a healthy database directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Catalog format version (2, or 3 once compacted).
+    /// Catalog format version (3; 2 for a directory no commit has touched
+    /// since segments).
     pub catalog_version: u8,
-    /// Whether table files use the gzip disk format.
+    /// Whether tables use the gzip disk format.
     pub gzip: bool,
     /// Arrays declared by the catalog.
     pub n_arrays: usize,
     /// Edges declared by the catalog.
     pub n_edges: usize,
-    /// Table files/ranges read, checksum-verified, and structurally
-    /// decoded.
+    /// Tables read, checksum-verified, and structurally decoded.
     pub files_verified: usize,
-    /// Data (`edge-*`/`segment-*`/`manifest.*`) / `*.tmp` files present
-    /// but not referenced by the catalog (debris from a crashed save —
-    /// harmless, swept by the next save).
+    /// Data (`segment-*`, also `edge-*`/`manifest.*`) / `*.tmp` files
+    /// present but not referenced by the catalog (debris from a crashed
+    /// save — harmless, swept by the next open).
     pub stale_files: Vec<String>,
     /// Cleanly framed records in the operation log (0 for pre-log
     /// directories).
@@ -1373,19 +1327,20 @@ pub struct VerifyReport {
     /// a retained generation does (its kept `catalog.g<gen>.dsl`
     /// included) — history an `as_of` open can resolve, not debris.
     pub retained_files: usize,
-    /// Compaction manifests found, crc-verified, and cross-checked
-    /// against the live catalog's segment ranges.
-    pub manifests_verified: usize,
+    /// Bytes of the referenced data files that no range of the live or a
+    /// retained catalog covers: superseded tables whose segment a live
+    /// neighbour still pins. The next compaction reclaims them.
+    pub dead_bytes: u64,
 }
 
 /// Walk a database directory and validate everything the catalog claims:
-/// every referenced table file (or segment range) exists, matches its
-/// recorded byte length and crc32, decodes structurally, and stores
-/// the orientation the catalog says — fanned across the same scoped thread
-/// pool as [`open`]. Compaction manifests of generations the catalog's
-/// segments belong to are decoded and cross-checked too. Returns a report
-/// on success; any damage is an `Err`. Unreferenced data/`*.tmp` debris is
-/// reported, not treated as damage.
+/// every referenced table's range exists, matches its recorded byte length
+/// and crc32, decodes structurally, and stores the orientation the catalog
+/// says — fanned across the same scoped thread pool as [`open`]. That is
+/// every byte a reader can be handed; dead space inside a segment is
+/// counted, not checked. Returns a report on success; any damage is an
+/// `Err`. Unreferenced data/`*.tmp` debris is reported, not treated as
+/// damage.
 pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let catalog = read_catalog(dir)?;
 
@@ -1397,23 +1352,6 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         .collect();
     let files_verified = jobs.len();
     load_tables_sharded(dir, &catalog, &jobs, None)?;
-    let referenced: HashSet<&str> = jobs
-        .iter()
-        .map(|(_, fref)| fref.record.name.as_str())
-        .collect();
-
-    // Every manifest whose generation a referenced segment belongs to must
-    // decode, and its recorded ranges must agree with the live catalog's.
-    let mut manifests_verified = 0usize;
-    let manifest_gens: std::collections::BTreeSet<u64> = referenced
-        .iter()
-        .filter(|n| n.starts_with("segment-"))
-        .filter_map(|n| parse_generation(n))
-        .collect();
-    for g in manifest_gens {
-        super::compact::verify_manifest(dir, g, &catalog)?;
-        manifests_verified += 1;
-    }
 
     // Retained generations' catalogs and the files they name are history,
     // not debris (the classification rule is the same [`is_spared`] the
@@ -1421,19 +1359,17 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     // free.
     let log_records = wal::history(dir).unwrap_or_default();
     let names = list_dir(dir);
-    let retained = retained_window(dir, &names, catalog.generation);
+    let retained = retained_catalogs(dir, &names, catalog.generation);
+    let (_, referenced) = generation_of(&catalog);
+    let window: Vec<Generation> = retained.iter().map(generation_of).collect();
 
     let mut stale_files = Vec::new();
     let mut retained_files = 0usize;
     for name in names {
         if name.ends_with(".tmp") {
             stale_files.push(name);
-        } else if is_data_file(&name)
-            && !referenced.contains(name.as_str())
-            && !(name.starts_with("manifest.")
-                && parse_generation(&name) == Some(catalog.generation))
-        {
-            if is_spared(&retained, &name) {
+        } else if is_data_file(&name) && !referenced.contains(&name) {
+            if is_spared(&window, &name) {
                 retained_files += 1;
             } else {
                 stale_files.push(name);
@@ -1441,6 +1377,21 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         }
     }
     stale_files.sort();
+
+    // Dead space: what the files named by the live and retained catalogs
+    // hold beyond the distinct ranges those catalogs reference (a table
+    // re-referenced across generations counts once).
+    let ranges: HashSet<(&str, u64, u64)> = std::iter::once(&catalog)
+        .chain(&retained)
+        .flat_map(|c| c.edges.iter().flat_map(|e| &e.files))
+        .map(|f| (f.record.name.as_str(), f.record.offset, f.record.len))
+        .collect();
+    let files: HashSet<&str> = ranges.iter().map(|(name, _, _)| *name).collect();
+    let file_bytes: u64 = files
+        .iter()
+        .map(|name| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len()))
+        .sum();
+    let range_bytes: u64 = ranges.iter().map(|(_, _, len)| len).sum();
 
     Ok(VerifyReport {
         catalog_version: catalog.version,
@@ -1451,7 +1402,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         stale_files,
         log_records: log_records.len(),
         retained_files,
-        manifests_verified,
+        dead_bytes: file_bytes.saturating_sub(range_bytes),
     })
 }
 
@@ -1495,15 +1446,28 @@ mod tests {
         s
     }
 
-    /// Edge table files currently referenced by the committed catalog.
-    fn referenced_edge_files(dir: &Path) -> Vec<String> {
-        let report = verify(dir).unwrap();
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.file_name().to_str().map(str::to_string))
-            .filter(|n| n.starts_with("edge-") && !report.stale_files.contains(n))
-            .collect();
+    /// The live catalog's table records, in catalog order.
+    fn live_records(dir: &Path) -> Vec<FileRecord> {
+        let catalog = read_catalog(dir).unwrap();
+        let files = catalog.edges.into_iter().flat_map(|e| e.files);
+        files.map(|f| f.record).collect()
+    }
+
+    /// Damage a committed table where it lies: `edit` gets the bytes of
+    /// its range inside the segment.
+    fn edit_range(dir: &Path, record: &FileRecord, edit: impl FnOnce(&mut [u8])) {
+        let path = dir.join(&record.name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let start = record.offset as usize;
+        edit(&mut bytes[start..start + record.len as usize]);
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// The data files (everything but the live catalog and the log) in
+    /// `dir`, sorted.
+    fn data_files(dir: &Path) -> Vec<String> {
+        let mut names = list_dir(dir);
+        names.retain(|n| n != CATALOG_FILE && n != wal::OPS_LOG_FILE);
         names.sort();
         names
     }
@@ -1554,14 +1518,10 @@ mod tests {
         let dir = temp_dir("lazy-corrupt");
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
-        // Flip payload bytes in one edge file without changing its length:
-        // the O(catalog) open succeeds, the first resolve must fail.
-        let name = referenced_edge_files(&dir).remove(0);
-        let path = dir.join(&name);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xAA;
-        std::fs::write(&path, &bytes).unwrap();
+        // Flip a payload byte of the A->B table without changing any
+        // length: the O(catalog) open succeeds, the first resolve must fail.
+        let record = live_records(&dir).remove(0);
+        edit_range(&dir, &record, |range| range[range.len() / 2] ^= 0xAA);
 
         let lazy = open_lazy(&dir).unwrap();
         assert!(matches!(
@@ -1576,13 +1536,17 @@ mod tests {
         let dir = temp_dir("lazy-trunc");
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
-        let name = referenced_edge_files(&dir).remove(0);
-        let path = dir.join(&name);
+        let path = dir.join(&live_records(&dir)[0].name);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        // Length recorded in the catalog no longer matches: even the lazy
-        // open refuses immediately.
-        assert!(matches!(open_lazy(&dir), Err(DslogError::Corrupt(_))));
+        // The segment no longer holds its last range: even the lazy open
+        // refuses immediately, and an eager one says the same.
+        for result in [open_lazy(&dir), open(&dir)] {
+            assert_eq!(
+                result.map(drop).unwrap_err(),
+                DslogError::Corrupt("edge file length mismatch")
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1663,16 +1627,16 @@ mod tests {
         let dir = temp_dir("edgecorrupt");
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
-        // Flip bytes in the first referenced edge file.
-        let name = referenced_edge_files(&dir).remove(0);
-        let edge_path = dir.join(&name);
-        let mut bytes = std::fs::read(&edge_path).unwrap();
-        for b in bytes.iter_mut().take(8) {
-            *b ^= 0xAA;
-        }
-        std::fs::write(&edge_path, bytes).unwrap();
-        assert!(open(&dir).is_err());
-        assert!(verify(&dir).is_err());
+        // Flip bytes at the head of the second table's range (so in the
+        // middle of the segment).
+        let record = live_records(&dir).remove(1);
+        assert!(record.offset > 0);
+        edit_range(&dir, &record, |range| {
+            range.iter_mut().take(8).for_each(|b| *b ^= 0xAA)
+        });
+        let damaged = DslogError::Corrupt("edge file checksum mismatch");
+        assert_eq!(open(&dir).map(drop).unwrap_err(), damaged);
+        assert_eq!(verify(&dir).map(drop).unwrap_err(), damaged);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1681,8 +1645,7 @@ mod tests {
         let dir = temp_dir("missingedge");
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
-        let name = referenced_edge_files(&dir).remove(0);
-        std::fs::remove_file(dir.join(&name)).unwrap();
+        std::fs::remove_file(dir.join(&live_records(&dir)[0].name)).unwrap();
         assert!(matches!(open(&dir), Err(DslogError::Io(_))));
         assert!(verify(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1694,12 +1657,12 @@ mod tests {
         // Snapshot 1: two edges.
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
-        let before = referenced_edge_files(&dir);
-        assert_eq!(before.len(), 2);
+        let before = data_files(&dir);
+        assert_eq!(before.len(), 1);
 
         // Snapshot 2 into the same directory: ONE edge, different key — the
-        // old files must be gone afterwards and open must see only the new
-        // edge set.
+        // old segment must be gone afterwards and open must see only the
+        // new edge set.
         let mut small = StorageManager::new();
         small.define_array("X", &[2]).unwrap();
         small.define_array("Y", &[2]).unwrap();
@@ -1731,10 +1694,8 @@ mod tests {
             assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
             let reopened = open(&dir).unwrap();
             assert_eq!(reopened.n_edges(), 2);
-            // Every edge file on disk matches the active compression mode.
-            for name in referenced_edge_files(&dir) {
-                assert_eq!(name.ends_with(".gz"), gzip, "{name}");
-            }
+            // Only the segment of the mode just written is left.
+            assert_eq!(data_files(&dir).len(), 1);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1745,11 +1706,12 @@ mod tests {
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
 
-        // Simulate a save that died after writing new-generation edge files
-        // and a catalog temp file, but before the catalog rename (the
-        // commit point): the debris must not affect the live snapshot.
-        std::fs::write(dir.join("edge-0-b.g99.tbl"), b"partial garbage").unwrap();
-        std::fs::write(dir.join("edge-1-b.g99.tbl.tmp"), b"more garbage").unwrap();
+        // Simulate saves that died after writing a new-generation segment
+        // (or its temp file) and a catalog temp file, but before the
+        // catalog rename (the commit point): the debris must not affect
+        // the live snapshot.
+        std::fs::write(dir.join("segment-0.g99.seg"), b"partial garbage").unwrap();
+        std::fs::write(dir.join("segment-0.g98.seg.tmp"), b"more garbage").unwrap();
         std::fs::write(dir.join("catalog.dsl.tmp"), b"uncommitted catalog").unwrap();
 
         // `verify` (read-only) reports the debris without touching it.
@@ -1764,15 +1726,14 @@ mod tests {
         let (t, _) = reopened.resolve_hop("B", "A").unwrap();
         assert_eq!(t.orientation(), Orientation::Backward);
         assert!(verify(&dir).unwrap().stale_files.is_empty());
-        assert!(!dir.join("edge-0-b.g99.tbl").exists());
-        assert!(!dir.join("catalog.dsl.tmp").exists());
+        assert_eq!(data_files(&dir).len(), 1);
 
         // Debris planted behind a live manager's back is not a commit's
         // business — it deletes exactly the files it un-referenced, never
         // by listing the directory; the next open reclaims it.
-        std::fs::write(dir.join("edge-0-b.g77.tbl"), b"junk again").unwrap();
+        std::fs::write(dir.join("segment-0.g77.seg"), b"junk again").unwrap();
         save(&s, &dir, false).unwrap();
-        assert_eq!(verify(&dir).unwrap().stale_files, ["edge-0-b.g77.tbl"]);
+        assert_eq!(verify(&dir).unwrap().stale_files, ["segment-0.g77.seg"]);
         open(&dir).unwrap();
         assert!(verify(&dir).unwrap().stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1878,30 +1839,34 @@ mod tests {
     fn commit_into_bound_dir_is_incremental() {
         let dir = temp_dir("incremental");
         let mut s = sample_manager();
-        // First commit into an unbound manager: full save, 2 files.
+        // First commit into an unbound manager: full save, 2 tables.
         let first = commit(&s, &dir, false).unwrap();
         assert!(!first.incremental);
         assert_eq!((first.files_written, first.files_reused), (2, 0));
 
         // Append one edge and re-commit: only the new edge is written,
-        // both old files are reused, generation bumps.
-        let before = referenced_edge_files(&dir);
+        // both old tables are reused, generation bumps.
+        let before = live_records(&dir);
         add_small_edge(&mut s, 0);
         let second = commit(&s, &dir, false).unwrap();
         assert!(second.incremental);
         assert_eq!((second.files_written, second.files_reused), (1, 2));
         assert_eq!(second.generation, first.generation + 1);
-        // The reused files are the same physical files (names unchanged).
-        let after = referenced_edge_files(&dir);
+        // The reused tables are the same physical ranges, and the new one
+        // went into the second generation's segment.
+        let after = live_records(&dir);
         assert!(
-            before.iter().all(|n| after.contains(n)),
+            before.iter().all(|r| after.contains(r)),
             "{before:?} {after:?}"
         );
         assert_eq!(after.len(), 3);
+        assert_eq!(after[2].name, segment_file_name(second.generation));
 
-        // Nothing dirty: a no-op commit writes zero edge files.
+        // Nothing dirty: a no-op commit writes no table and no segment.
         let third = commit(&s, &dir, false).unwrap();
         assert_eq!((third.files_written, third.files_reused), (0, 3));
+        assert_eq!(third.bytes_written, 0);
+        assert_eq!(data_files(&dir).len(), 2);
 
         let reopened = open(&dir).unwrap();
         assert_eq!(reopened.n_edges(), 3);
@@ -1940,15 +1905,16 @@ mod tests {
         let dir = temp_dir("inc-tamper");
         let mut s = sample_manager();
         commit(&s, &dir, false).unwrap();
-        // Delete one committed file behind the manager's back: the next
-        // incremental commit must notice (O(1) stat) and rewrite it from
-        // the in-memory slot instead of committing a dangling reference.
-        let victim = referenced_edge_files(&dir).remove(0);
-        std::fs::remove_file(dir.join(&victim)).unwrap();
+        // Delete the committed segment behind the manager's back: the next
+        // incremental commit must notice (O(1) stat) and rewrite its
+        // tables from the in-memory slots instead of committing dangling
+        // references.
+        std::fs::remove_file(dir.join(&live_records(&dir)[0].name)).unwrap();
         add_small_edge(&mut s, 0);
         let report = commit(&s, &dir, false).unwrap();
         assert!(report.incremental);
-        assert_eq!(report.files_written, 2); // new edge + rewritten victim
+        // The new edge + the two tables the victim held.
+        assert_eq!((report.files_written, report.files_reused), (3, 0));
         verify(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2028,24 +1994,107 @@ mod tests {
         }
     }
 
+    /// Every edge's decompressed backward relation (rendered), for
+    /// comparing a generation's content across commits and `AsOf` opens.
+    fn contents(s: &StorageManager) -> String {
+        let mut keys: Vec<&(String, String)> = s.edges.keys().collect();
+        keys.sort();
+        let rows = |(a, b): &(String, String)| {
+            let table = s.stored_table(a, b, Orientation::Backward).unwrap();
+            table.decompress().unwrap().row_set()
+        };
+        let edges: Vec<_> = keys.into_iter().map(|k| (k, rows(k))).collect();
+        format!("{edges:?}")
+    }
+
+    #[test]
+    fn segment_lives_until_its_last_live_or_retained_range_dies() {
+        let dir = temp_dir("seglife");
+        let mut s = sample_manager();
+        s.retain = 1;
+        // What each generation held when it was live; checked again through
+        // `AsOf` for as long as the window keeps it.
+        let mut seen: Vec<(u64, String)> = Vec::new();
+        let mut commit_and_check = |s: &StorageManager| {
+            let report = commit(s, &dir, false).unwrap();
+            seen.push((report.generation, contents(s)));
+            let kept = seen.len().saturating_sub(2);
+            for (generation, held) in &seen[kept..] {
+                let old = super::open(&dir, OpenMode::AsOf(*generation), None).unwrap();
+                assert_eq!(&contents(&old), held, "as of {generation}");
+            }
+            if let Some((generation, _)) = kept.checked_sub(1).map(|i| &seen[i]) {
+                let gone = super::open(&dir, OpenMode::AsOf(*generation), None);
+                assert!(matches!(gone, Err(DslogError::GenerationNotRetained(_))));
+            }
+            let v = verify(&dir).unwrap();
+            assert!(v.stale_files.is_empty(), "{:?}", v.stale_files);
+            (report, v.dead_bytes)
+        };
+        let reverse = |s: &mut StorageManager, a: &str, b: &str| {
+            let in_arity = s.array(a).unwrap().ndim();
+            let mut t = LineageTable::new(1, in_arity);
+            for i in 0..3 {
+                let mut row = vec![0; 1 + in_arity];
+                (row[0], row[1]) = (i, 2 - i);
+                t.push_row(&row);
+            }
+            s.ingest_lineage(a, b, &t).unwrap();
+        };
+
+        // A->B and B->C go into one segment.
+        let (first, dead) = commit_and_check(&s);
+        assert_eq!((first.files_written, dead), (2, 0));
+        let segment = dir.join(segment_file_name(first.generation));
+        let old_ab = live_records(&dir).remove(0);
+
+        // Replace A->B: its old range is still the retained generation's,
+        // and B->C is live in the same segment.
+        reverse(&mut s, "A", "B");
+        let (second, dead) = commit_and_check(&s);
+        assert_eq!((second.files_written, second.files_reused), (1, 1));
+        assert_eq!((segment.exists(), dead), (true, 0));
+
+        // The first generation leaves the window: nothing names A->B's old
+        // range any more, but live B->C pins the segment it lies in.
+        let (_, dead) = commit_and_check(&s);
+        assert_eq!((segment.exists(), dead), (true, old_ab.len));
+
+        // Replace B->C too. The segment goes with the last generation that
+        // names a range in it — not before, and without a compaction.
+        reverse(&mut s, "B", "C");
+        let (_, dead) = commit_and_check(&s);
+        assert_eq!((segment.exists(), dead), (true, old_ab.len));
+        let (_, dead) = commit_and_check(&s);
+        assert_eq!((segment.exists(), dead), (false, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn open_sweeps_crash_debris() {
         for lazy in [false, true] {
             let dir = temp_dir(if lazy { "osweep-lazy" } else { "osweep" });
             let s = sample_manager();
             save(&s, &dir, false).unwrap();
-            std::fs::write(dir.join("edge-9-b.g42.tbl"), b"orphan").unwrap();
-            std::fs::write(dir.join("edge-0-b.g43.tbl.tmp"), b"tmp junk").unwrap();
-            std::fs::write(dir.join("catalog.dsl.tmp"), b"uncommitted").unwrap();
+            // An orphan segment, temp files, and what only a directory
+            // written before segments can hold.
+            let debris = [
+                "segment-0.g42.seg",
+                "segment-0.g43.seg.tmp",
+                "catalog.dsl.tmp",
+                "edge-9-b.g42.tbl",
+                "manifest.g42.dsl",
+            ];
+            for name in debris {
+                std::fs::write(dir.join(name), b"junk").unwrap();
+            }
             let opened = if lazy {
                 open_lazy(&dir).unwrap()
             } else {
                 open(&dir).unwrap()
             };
             assert_eq!(opened.n_edges(), 2);
-            assert!(!dir.join("edge-9-b.g42.tbl").exists());
-            assert!(!dir.join("edge-0-b.g43.tbl.tmp").exists());
-            assert!(!dir.join("catalog.dsl.tmp").exists());
+            assert_eq!(data_files(&dir).len(), 1);
             assert!(verify(&dir).unwrap().stale_files.is_empty());
             // The lazily opened manager still loads its (referenced,
             // unswept) tables fine after the sweep.
@@ -2061,7 +2110,7 @@ mod tests {
         s.resolve_hop("A", "B").unwrap(); // cache a derived forward table
         save(&s, &dir, true).unwrap();
         let report = verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 2);
+        assert_eq!(report.catalog_version, 3);
         assert!(report.gzip);
         assert_eq!(report.n_arrays, 3);
         assert_eq!(report.n_edges, 2);

@@ -108,15 +108,15 @@ pub enum OpKind {
         /// The catalog's crc32 trailer (the crc32 of everything before it).
         catalog_crc: u32,
     },
-    /// A compaction folded cold generation files into consolidated
-    /// segments. Logical state is unchanged — the paired `Commit` record
+    /// A compaction rewrote every stored table into a new generation's
+    /// segment. Logical state is unchanged — the paired `Commit` record
     /// carries the new catalog — so replay treats this as an annotation.
     Compact {
-        /// Number of segment files written.
+        /// Number of segment files written (1; 0 for an empty database).
         segments: u64,
-        /// Number of superseded generation files the pass made obsolete.
+        /// Number of data files the superseded catalog referenced.
         folded: u64,
-        /// Total bytes written into segments (compressed sizes).
+        /// Bytes written into the segment (compressed sizes).
         bytes: u64,
     },
 }
@@ -639,7 +639,7 @@ pub enum IoFault {
 }
 
 /// The fault injector of the durability tests: trips exactly one gated IO
-/// along the commit path (edge-file writes, log appends, catalog write,
+/// along the commit path (segment write, log appends, catalog write,
 /// file and directory syncs) with the configured [`IoFault`].
 ///
 /// Installed once, through [`crate::api::OpenOptions::io_policy`]; it

@@ -140,6 +140,27 @@ impl Instance {
     fn generation(&self) -> u64 {
         self.db.bound_database().unwrap().2
     }
+
+    /// Whatever is in the directory besides the one on-disk shape: the
+    /// catalog, kept catalogs, one segment per generation, and the log.
+    fn foreign_files(&self) -> Vec<String> {
+        let of_a_generation = |name: &str, prefix: &str, suffix: &str| {
+            let generation = name
+                .strip_prefix(prefix)
+                .and_then(|n| n.strip_suffix(suffix));
+            generation.is_some_and(|g| !g.is_empty() && g.bytes().all(|b| b.is_ascii_digit()))
+        };
+        std::fs::read_dir(&self.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| {
+                n != "catalog.dsl"
+                    && n != "ops.log"
+                    && !of_a_generation(n, "catalog.g", ".dsl")
+                    && !of_a_generation(n, "segment-0.g", ".seg")
+            })
+            .collect()
+    }
 }
 
 proptest! {
@@ -176,8 +197,10 @@ proptest! {
                 Op::Reopen { .. } => chain = chain_committed,
             }
             // Live parity after every single step, whatever the physical
-            // layouts now look like.
+            // layouts now look like — and they only ever look one way.
             prop_assert_eq!(chain_query(&real.db, chain), chain_query(&twin.db, chain));
+            prop_assert_eq!(real.foreign_files(), Vec::<String>::new());
+            prop_assert_eq!(twin.foreign_files(), Vec::<String>::new());
         }
 
         // Cold-open parity: eager and lazy reopens of both directories

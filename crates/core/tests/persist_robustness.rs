@@ -152,9 +152,12 @@ proptest! {
         let committed = dir_files(&dir);
 
         // Produce the would-be next snapshot in a scratch dir (an extra
-        // edge, so file sets differ), then replay a prefix of its files
+        // edge, so the segments differ) at the generation a commit on top
+        // of the live one would take — the scratch dir is taken through
+        // the live generation first — then replay a prefix of its writes
         // into the live dir as an aborted save would have left them.
         let scratch = temp_dir("crashprop-scratch");
+        db.save(&scratch, false).unwrap();
         let mut bigger = sample_db();
         bigger.define_array("C", &[6]).unwrap();
         let mut t = LineageTable::new(1, 1);
@@ -163,17 +166,19 @@ proptest! {
         }
         bigger.add_lineage("B", "C", &TableCapture::new(t)).unwrap();
         bigger.save(&scratch, true).unwrap();
-        let next_files = dir_files(&scratch);
+        // In the order a commit writes them: the segment, then the catalog
+        // — which an aborted save never renamed, so it exists only as the
+        // temp sibling. (Log tails are `wal_robustness`'s subject.)
+        let mut next_files = dir_files(&scratch);
+        next_files.retain(|(name, _)| name != "ops.log");
+        next_files.sort_by_key(|(name, _)| name == "catalog.dsl");
+        prop_assert_eq!(next_files.len(), 2);
+        prop_assert!(committed.iter().all(|(name, _)| *name != next_files[0].0));
 
-        let keep = ((next_files.len() as f64) * keep_frac) as usize;
+        let keep = (((next_files.len() + 1) as f64) * keep_frac) as usize;
         for (name, bytes) in next_files.iter().take(keep) {
-            if name == "catalog.dsl" {
-                // The aborted save never reached the commit rename; its
-                // catalog exists only as the temp sibling.
-                std::fs::write(dir.join("catalog.dsl.tmp"), bytes).unwrap();
-            } else {
-                std::fs::write(dir.join(name), bytes).unwrap();
-            }
+            let name = name.replace("catalog.dsl", "catalog.dsl.tmp");
+            std::fs::write(dir.join(name), bytes).unwrap();
         }
 
         // Old snapshot intact: catalog untouched, every referenced file
@@ -226,7 +231,7 @@ fn verify_passes_on_fresh_saves_in_both_modes() {
         let db = sample_db();
         db.save(&dir, gzip).unwrap();
         let report = persist::verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 2);
+        assert_eq!(report.catalog_version, 3);
         assert_eq!(report.gzip, gzip);
         assert_eq!(report.n_edges, 1);
         assert!(report.stale_files.is_empty());
@@ -267,29 +272,46 @@ fn v1_directory_and_table_are_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The one table file of a saved [`sample_db`].
-fn edge_file(dir: &Path) -> PathBuf {
-    let mut edges = dir_files(dir)
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("edge-"));
-    let (name, _) = edges.next().expect("an edge file");
-    assert!(edges.next().is_none());
-    dir.join(name)
+/// [`sample_db`] with an edge that sorts before `A -> B`, so that table's
+/// range does not start its segment.
+fn two_edge_db() -> Dslog {
+    let mut db = sample_db();
+    db.define_array("0", &[6]).unwrap();
+    let mut t = LineageTable::new(1, 1);
+    for i in 0..6 {
+        t.push_row(&[i, i]);
+    }
+    db.add_lineage("0", "B", &TableCapture::new(t)).unwrap();
+    db
 }
 
-/// Make the catalog record `crc` for `file`, and re-seal the catalog so
-/// that it is the record, not the catalog's own trailer, that is wrong.
-fn set_catalog_crc(dir: &Path, file: &Path, crc: u32) {
-    let name = file.file_name().unwrap().to_str().unwrap().as_bytes();
+/// Where the catalog of a saved [`two_edge_db`] says the `A -> B` table
+/// lies — its segment, byte offset and length — and the position of the
+/// record's crc32 in the catalog bytes.
+fn table_range(dir: &Path) -> (PathBuf, usize, usize, usize) {
+    let catalog = std::fs::read(dir.join("catalog.dsl")).unwrap();
+    let name = b"segment-0.g1.seg";
+    // A record is: name, byte length (uvarint), crc32 (4 bytes LE), plain
+    // length (uvarint), offset (uvarint). `A -> B` is the second edge.
+    let mut at = catalog.windows(name.len()).enumerate();
+    let second = at.by_ref().filter(|(_, w)| w == name).nth(1);
+    let mut pos = second.expect("catalog names the segment twice").0 + name.len();
+    let len = read_uvarint(&catalog, &mut pos).unwrap() as usize;
+    let crc_pos = pos;
+    pos += 4;
+    read_uvarint(&catalog, &mut pos).unwrap();
+    let offset = read_uvarint(&catalog, &mut pos).unwrap() as usize;
+    assert!(offset > 0);
+    (dir.join("segment-0.g1.seg"), offset, len, crc_pos)
+}
+
+/// Make the catalog record `crc` for the `A -> B` table, and re-seal the
+/// catalog so that it is the record, not the catalog's own trailer, that
+/// is wrong.
+fn set_catalog_crc(dir: &Path, crc: u32) {
+    let pos = table_range(dir).3;
     let path = dir.join("catalog.dsl");
     let mut catalog = std::fs::read(&path).unwrap();
-    // A file record is: name, byte length (uvarint), crc32 (4 bytes LE), …
-    let mut pos = catalog
-        .windows(name.len())
-        .position(|w| w == name)
-        .expect("catalog names the file")
-        + name.len();
-    read_uvarint(&catalog, &mut pos).unwrap();
     catalog[pos..pos + 4].copy_from_slice(&crc.to_le_bytes());
     let body = catalog.len() - 4;
     let seal = crc32(&catalog[..body]);
@@ -311,44 +333,49 @@ fn load_errors(dir: &Path) -> [DslogError; 3] {
     ]
 }
 
-/// A table load checksums the file once and holds the result against both
+/// A table load checksums the range once and holds the result against both
 /// the catalog record and the table's own trailer. Each comparison must
 /// still fire on its own, with the error the two-pass loader gave, on
-/// every route.
+/// every route — for a range in the middle of a segment.
 #[test]
 fn one_checksum_pass_still_answers_to_catalog_and_trailer() {
     let file_mismatch = DslogError::Corrupt("edge file checksum mismatch");
     for gzip in [false, true] {
         // Right trailer, wrong catalog crc.
         let dir = temp_dir(if gzip { "crc-cat-gz" } else { "crc-cat" });
-        sample_db().save(&dir, gzip).unwrap();
-        let file = edge_file(&dir);
-        let recorded = crc32(&std::fs::read(&file).unwrap());
+        two_edge_db().save(&dir, gzip).unwrap();
+        let (segment, offset, len, _) = table_range(&dir);
+        let mut bytes = std::fs::read(&segment).unwrap();
+        let recorded = crc32(&bytes[offset..offset + len]);
         if !gzip {
-            // A plain file ends in the crc32 of everything before it, so
-            // its whole-file crc32 is the CRC-32 residue whatever it holds.
+            // A plain table ends in the crc32 of everything before it, so
+            // its whole crc32 is the CRC-32 residue whatever it holds.
             assert_eq!(recorded, 0x2144_df1c);
         }
-        set_catalog_crc(&dir, &file, recorded ^ 1);
+        set_catalog_crc(&dir, recorded ^ 1);
         assert_eq!(load_errors(&dir), [(); 3].map(|_| file_mismatch.clone()));
-        set_catalog_crc(&dir, &file, recorded);
+        set_catalog_crc(&dir, recorded);
         assert!(persist::verify(&dir).is_ok());
 
         // A flipped body byte under an honest catalog.
-        let mut bytes = std::fs::read(&file).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&file, &bytes).unwrap();
+        bytes[offset + len / 2] ^= 0x40;
+        std::fs::write(&segment, &bytes).unwrap();
         assert_eq!(load_errors(&dir), [(); 3].map(|_| file_mismatch.clone()));
 
         if !gzip {
-            // The same damaged file under a catalog that vouches for it:
-            // the file crc now passes, and the trailer comparison — fed by
+            // The same damaged table under a catalog that vouches for it:
+            // the range crc now passes, and the trailer comparison — fed by
             // the same pass — is what catches it.
-            set_catalog_crc(&dir, &file, crc32(&bytes));
+            set_catalog_crc(&dir, crc32(&bytes[offset..offset + len]));
             let trailer_mismatch = DslogError::Corrupt("table checksum mismatch");
             assert_eq!(load_errors(&dir), [(); 3].map(|_| trailer_mismatch.clone()));
         }
+
+        // A segment cut short of the range: every route says so before it
+        // reads a byte.
+        std::fs::write(&segment, &bytes[..offset + len - 1]).unwrap();
+        let too_short = DslogError::Corrupt("edge file length mismatch");
+        assert_eq!(load_errors(&dir), [(); 3].map(|_| too_short.clone()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -14,8 +14,7 @@
 //!   outside the sanctioned net worker pool and service ticker (allowlisted);
 //!   everything else uses `std::thread::scope`.
 //! - **decode-alloc** — in decode paths (`storage/format.rs`,
-//!   `storage/persist.rs`, `storage/wal.rs`, `storage/compact.rs`,
-//!   `crates/codecs`), a
+//!   `storage/persist.rs`, `storage/wal.rs`, `crates/codecs`), a
 //!   `with_capacity` / `vec![_; n]` whose size came from a wire read must be
 //!   bounds-checked between the read and the allocation (or carry a
 //!   `lint:checked-alloc` marker).
@@ -90,7 +89,6 @@ pub fn classify(rel: &str) -> FileClass {
         decode_scope: rel == "crates/core/src/storage/format.rs"
             || rel == "crates/core/src/storage/persist.rs"
             || rel == "crates/core/src/storage/wal.rs"
-            || rel == "crates/core/src/storage/compact.rs"
             || rel.starts_with("crates/codecs/src/"),
         wal_scope: rel == "crates/core/src/storage/wal.rs",
         env_scope: rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/"),

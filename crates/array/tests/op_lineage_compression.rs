@@ -3,9 +3,10 @@
 //! the compressed form must match the brute-force reference.
 
 use dslog::provrc;
-use dslog::query::{self, reference};
+use dslog::query;
 use dslog::table::{BoxTable, Orientation};
 use dslog_array::{catalog, Array, OpArgs};
+use dslog_oracle::query::reference;
 
 #[test]
 fn all_ops_compress_losslessly() {
@@ -80,7 +81,7 @@ fn all_ops_backward_queries_match_reference() {
             let expected = reference::step(
                 &cells.iter().cloned().collect(),
                 lineage,
-                reference::Direction::Backward,
+                Orientation::Backward,
             );
             assert_eq!(
                 result.cell_set(),

@@ -10,18 +10,17 @@
 //!   equality scans over the dense tuple array ("we evaluated the equality
 //!   condition (==) … batched with a batch size of 1000").
 
-use dslog::table::LineageTable;
+use dslog::table::{LineageTable, Orientation};
 use std::collections::{BTreeSet, HashSet};
 
-/// Direction of one hop relative to the stored relation.
-pub use dslog::query::reference::Direction;
-
 /// One hash-join hop: build a hash set over the query cells, scan the
-/// relation once, emit the matched other-side cells.
+/// relation once, emit the matched other-side cells. `direction` is the
+/// orientation whose primary side the query cells live on: `Backward`
+/// maps output cells to input cells, `Forward` the reverse.
 pub fn hash_join_step(
     cells: &BTreeSet<Vec<i64>>,
     table: &LineageTable,
-    direction: Direction,
+    direction: Orientation,
 ) -> BTreeSet<Vec<i64>> {
     let probe: HashSet<&[i64]> = cells.iter().map(|c| c.as_slice()).collect();
     let out_arity = table.out_arity();
@@ -29,8 +28,8 @@ pub fn hash_join_step(
     for row in table.rows() {
         let (out_part, in_part) = row.split_at(out_arity);
         let (key, value) = match direction {
-            Direction::Backward => (out_part, in_part),
-            Direction::Forward => (in_part, out_part),
+            Orientation::Backward => (out_part, in_part),
+            Orientation::Forward => (in_part, out_part),
         };
         if probe.contains(key) {
             result.insert(value.to_vec());
@@ -42,7 +41,7 @@ pub fn hash_join_step(
 /// Chain hash-join hops left-to-right.
 pub fn hash_join_chain(
     start: &BTreeSet<Vec<i64>>,
-    hops: &[(&LineageTable, Direction)],
+    hops: &[(&LineageTable, Orientation)],
 ) -> BTreeSet<Vec<i64>> {
     let mut cur = start.clone();
     for &(table, direction) in hops {
@@ -62,7 +61,7 @@ pub fn hash_join_chain(
 pub fn array_query(
     cells: &BTreeSet<Vec<i64>>,
     table: &LineageTable,
-    direction: Direction,
+    direction: Orientation,
     batch_size: usize,
 ) -> BTreeSet<Vec<i64>> {
     let out_arity = table.out_arity();
@@ -78,8 +77,8 @@ pub fn array_query(
                 }
                 let (out_part, in_part) = row.split_at(out_arity);
                 let key = match direction {
-                    Direction::Backward => out_part,
-                    Direction::Forward => in_part,
+                    Orientation::Backward => out_part,
+                    Orientation::Forward => in_part,
                 };
                 if key == cell.as_slice() {
                     mask[i] = true;
@@ -93,8 +92,8 @@ pub fn array_query(
             let row = table.row(i);
             let (out_part, in_part) = row.split_at(out_arity);
             let value = match direction {
-                Direction::Backward => in_part,
-                Direction::Forward => out_part,
+                Orientation::Backward => in_part,
+                Orientation::Forward => out_part,
             };
             result.insert(value.to_vec());
         }
@@ -105,7 +104,7 @@ pub fn array_query(
 /// Chain array-scan hops.
 pub fn array_query_chain(
     start: &BTreeSet<Vec<i64>>,
-    hops: &[(&LineageTable, Direction)],
+    hops: &[(&LineageTable, Orientation)],
     batch_size: usize,
 ) -> BTreeSet<Vec<i64>> {
     let mut cur = start.clone();
@@ -140,8 +139,8 @@ mod tests {
     fn hash_join_matches_reference() {
         let t = sum_table();
         let q = cells(&[&[1], &[3]]);
-        let got = hash_join_step(&q, &t, Direction::Backward);
-        let expected = dslog::query::reference::step(&q, &t, Direction::Backward);
+        let got = hash_join_step(&q, &t, Orientation::Backward);
+        let expected = dslog_oracle::query::reference::step(&q, &t, Orientation::Backward);
         assert_eq!(got, expected);
     }
 
@@ -149,8 +148,8 @@ mod tests {
     fn array_query_matches_hash_join() {
         let t = sum_table();
         let q = cells(&[&[0], &[2]]);
-        for direction in [Direction::Backward, Direction::Forward] {
-            let q2 = if direction == Direction::Forward {
+        for direction in [Orientation::Backward, Orientation::Forward] {
+            let q2 = if direction == Orientation::Forward {
                 cells(&[&[0, 0], &[2, 1]])
             } else {
                 q.clone()
@@ -167,11 +166,14 @@ mod tests {
     fn chains_compose() {
         let t = sum_table();
         let q = cells(&[&[2]]);
-        let got = hash_join_chain(&q, &[(&t, Direction::Backward), (&t, Direction::Forward)]);
+        let got = hash_join_chain(
+            &q,
+            &[(&t, Orientation::Backward), (&t, Orientation::Forward)],
+        );
         assert!(got.contains(&vec![2]));
         let got2 = array_query_chain(
             &q,
-            &[(&t, Direction::Backward), (&t, Direction::Forward)],
+            &[(&t, Orientation::Backward), (&t, Orientation::Forward)],
             1000,
         );
         assert_eq!(got, got2);
@@ -181,6 +183,6 @@ mod tests {
     fn empty_query_short_circuits() {
         let t = sum_table();
         let empty = BTreeSet::new();
-        assert!(hash_join_chain(&empty, &[(&t, Direction::Backward)]).is_empty());
+        assert!(hash_join_chain(&empty, &[(&t, Orientation::Backward)]).is_empty());
     }
 }

@@ -5,8 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dslog::api::Dslog;
-use dslog::query::reference::Direction;
-use dslog::table::LineageTable;
+use dslog::table::{LineageTable, Orientation};
 use dslog_baselines::relengine;
 use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
 use std::collections::BTreeSet;
@@ -67,8 +66,8 @@ fn query_latency(c: &mut Criterion) {
         );
 
         let start: BTreeSet<Vec<i64>> = cells.iter().cloned().collect();
-        let hops: Vec<(&LineageTable, Direction)> =
-            s.tables.iter().map(|t| (t, Direction::Forward)).collect();
+        let hops: Vec<(&LineageTable, Orientation)> =
+            s.tables.iter().map(|t| (t, Orientation::Forward)).collect();
         group.bench_with_input(
             BenchmarkId::new("hash_join_raw", format!("{selectivity}")),
             &start,

@@ -1,5 +1,6 @@
-//! Compression-pipeline scaling bench: rows vs p50 compress latency, fast
-//! columnar pipeline vs the row-of-structs ablation, across the three
+//! Compression-pipeline scaling bench: rows vs p50 compress latency, the
+//! shipped columnar pipeline vs the row-of-structs reference in
+//! `dslog-oracle` (the "ablation" series), across the three
 //! canonical edge regimes (one-to-one, convolution window, incompressible
 //! scatter — `dslog_workloads::edges`). Tracks the perf trajectory of the
 //! capture path; the acceptance bar is fast ≥ 5× ablation at 100k rows on
@@ -12,10 +13,11 @@
 //!
 //! Run: `cargo run -p dslog-bench --release --bin compress_scaling [--scale f]`
 
-use dslog::provrc::{self, CompressOptions};
+use dslog::provrc;
 use dslog::storage::format;
-use dslog::table::{LineageTable, Orientation};
+use dslog::table::{CompressedTable, LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
+use dslog_oracle::provrc::compress_reference;
 use std::fmt::Write as _;
 
 struct Point {
@@ -38,21 +40,12 @@ fn measure(
     in_shape: &[usize],
     reps: usize,
 ) -> Point {
-    let fast_opts = CompressOptions::default();
-    let ablation_opts = CompressOptions {
-        fast: false,
-        ..CompressOptions::default()
-    };
+    let run_fast = || provrc::compress(table, out_shape, in_shape, Orientation::Backward);
+    let run_ablation = || compress_reference(table, out_shape, in_shape, Orientation::Backward);
 
     // Parity check before timing: the pipelines must agree bit-for-bit.
-    let fast = provrc::compress_opts(table, out_shape, in_shape, Orientation::Backward, fast_opts);
-    let ablation = provrc::compress_opts(
-        table,
-        out_shape,
-        in_shape,
-        Orientation::Backward,
-        ablation_opts,
-    );
+    let fast = run_fast();
+    let ablation = run_ablation();
     assert_eq!(
         fast.n_rows(),
         ablation.n_rows(),
@@ -60,20 +53,12 @@ fn measure(
     );
     assert_eq!(fast, ablation, "fast/ablation disagreement on {edge}");
 
-    let run = |opts: CompressOptions| {
-        let mut samples: Vec<f64> = (0..reps)
-            .map(|_| {
-                timed(|| {
-                    provrc::compress_opts(table, out_shape, in_shape, Orientation::Backward, opts)
-                })
-                .1
-            })
-            .collect();
+    let p50_of = |run: &dyn Fn() -> CompressedTable| {
+        let mut samples: Vec<f64> = (0..reps).map(|_| timed(run).1).collect();
         p50(&mut samples)
     };
-
-    let fast_p50 = run(fast_opts);
-    let ablation_p50 = run(ablation_opts);
+    let fast_p50 = p50_of(&run_fast);
+    let ablation_p50 = p50_of(&run_ablation);
     let raw_bytes = table.nbytes();
     let compressed_bytes = format::serialize(&fast).len();
     Point {
@@ -90,7 +75,9 @@ fn measure(
 
 fn main() {
     let (scale, _seed) = cli_scale_seed();
-    println!("compress_scaling — ProvRC fast columnar pipeline vs ablation (scale {scale})");
+    println!(
+        "compress_scaling — ProvRC columnar pipeline vs row-of-structs reference (scale {scale})"
+    );
 
     let sizes = [1_000usize, 10_000, 100_000];
     let mut table = TextTable::new(&[

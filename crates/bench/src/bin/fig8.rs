@@ -10,8 +10,9 @@
 
 use dslog::api::Dslog;
 use dslog::storage::Materialize;
+use dslog::table::Orientation;
 use dslog_baselines::all_formats;
-use dslog_baselines::relengine::{array_query_chain, hash_join_chain, Direction};
+use dslog_baselines::relengine::{array_query_chain, hash_join_chain};
 use dslog_bench::{cli_scale_seed, secs, timed, TextTable};
 use dslog_workloads::pipelines::{self, Pipeline};
 use rand::{Rng, SeedableRng};
@@ -81,7 +82,7 @@ fn run_workflow(name: &str, p: &Pipeline, seed: u64) {
         for (fi, f) in formats.iter().enumerate() {
             let (result, t) = timed(|| {
                 let decoded: Vec<_> = stored[fi].iter().map(|b| f.decode(b)).collect();
-                let hops: Vec<_> = decoded.iter().map(|t| (t, Direction::Forward)).collect();
+                let hops: Vec<_> = decoded.iter().map(|t| (t, Orientation::Forward)).collect();
                 if f.name() == "Array" {
                     array_query_chain(&start, &hops, 1000)
                 } else {

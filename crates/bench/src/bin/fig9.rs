@@ -11,8 +11,9 @@
 use dslog::api::Dslog;
 use dslog::query::QueryOptions;
 use dslog::storage::Materialize;
+use dslog::table::Orientation;
 use dslog_baselines::all_formats;
-use dslog_baselines::relengine::{array_query_chain, hash_join_chain, Direction};
+use dslog_baselines::relengine::{array_query_chain, hash_join_chain};
 use dslog_bench::{cli_scale_seed, secs, timed, TextTable};
 use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
 use rand::{Rng, SeedableRng};
@@ -132,7 +133,7 @@ fn run_experiment(
             let encoded: Vec<Vec<u8>> = hop_tables.iter().map(|t| f.encode(t)).collect();
             let (result, t) = timed(|| {
                 let decoded: Vec<_> = encoded.iter().map(|b| f.decode(b)).collect();
-                let hops: Vec<_> = decoded.iter().map(|t| (t, Direction::Forward)).collect();
+                let hops: Vec<_> = decoded.iter().map(|t| (t, Orientation::Forward)).collect();
                 if f.name() == "Array" {
                     array_query_chain(&start, &hops, 1000)
                 } else {

@@ -1,8 +1,8 @@
 //! Query-engine scaling bench. Four experiments:
 //!
-//! 1. **Single-hop access path** — rows vs p50 latency, indexed probe vs
-//!    the nested-loop scan ablation, on a worst-case (incompressible
-//!    scatter) edge. Bar: indexed ≥ 5× scan at 100k rows.
+//! 1. **Single-hop access path** — rows vs p50 latency of the indexed
+//!    probe on a worst-case (incompressible scatter) edge; the answer is
+//!    checked against `dslog-oracle`'s join over the raw rows.
 //! 2. **Multi-hop planning** — an 8-hop scatter chain whose *last* hop is
 //!    nearly empty (skewed selectivity). The cost-based planner must
 //!    detect the skew, run its selective-first backpass, and beat the
@@ -25,8 +25,9 @@ use dslog::api::{Dslog, TableCapture};
 use dslog::query::QueryOptions;
 use dslog::reuse::CompositePolicy;
 use dslog::storage::Materialize;
-use dslog::table::LineageTable;
+use dslog::table::{LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
+use dslog_oracle::query::reference;
 use dslog_workloads::edges;
 use std::fmt::Write as _;
 
@@ -34,7 +35,6 @@ struct Point {
     rows: usize,
     compressed_rows: usize,
     indexed_p50: f64,
-    scan_p50: f64,
 }
 
 fn measure(rows: usize, reps: usize) -> Point {
@@ -42,14 +42,14 @@ fn measure(rows: usize, reps: usize) -> Point {
     db.define_array("A", &[rows]).unwrap();
     db.define_array("B", &[rows]).unwrap();
     // Incompressible scatter edge (`edges::scatter`): the compressed table
-    // keeps ~n rows — the regime where the access path (probe vs scan)
-    // dominates query latency.
+    // keeps ~n rows — the regime where the access path dominates query
+    // latency.
     let (lineage, _, _) = edges::scatter(rows);
-    db.add_lineage("A", "B", &TableCapture::new(lineage))
+    db.add_lineage("A", "B", &TableCapture::new(lineage.clone()))
         .unwrap();
     let compressed_rows = db
         .storage()
-        .stored_table("A", "B", dslog::table::Orientation::Backward)
+        .stored_table("A", "B", Orientation::Backward)
         .unwrap()
         .n_rows();
 
@@ -57,42 +57,28 @@ fn measure(rows: usize, reps: usize) -> Point {
     let start = (rows / 3) as i64;
     let cells: Vec<Vec<i64>> = (start..start + 8).map(|v| vec![v]).collect();
 
-    let run = |use_index: bool| {
-        let opts = QueryOptions {
-            use_index,
-            ..QueryOptions::default()
-        };
-        let mut samples: Vec<f64> = (0..reps)
-            .map(|_| timed(|| db.prov_query_opts(&["B", "A"], &cells, opts).unwrap()).1)
-            .collect();
-        p50(&mut samples)
+    let query = || {
+        db.prov_query_opts(&["B", "A"], &cells, QueryOptions::default())
+            .unwrap()
     };
 
-    // Parity check before timing: both paths must agree.
-    let indexed_cells = db
-        .prov_query_opts(&["B", "A"], &cells, QueryOptions::default())
-        .unwrap()
-        .cells
-        .cell_set();
-    let scan_cells = db
-        .prov_query_opts(
-            &["B", "A"],
-            &cells,
-            QueryOptions {
-                use_index: false,
-                ..QueryOptions::default()
-            },
-        )
-        .unwrap()
-        .cells
-        .cell_set();
-    assert_eq!(indexed_cells, scan_cells, "index/scan disagreement");
+    // Parity check before timing: the answer is the raw relation's.
+    let expected = reference::step(
+        &cells.iter().cloned().collect(),
+        &lineage,
+        Orientation::Backward,
+    );
+    assert_eq!(
+        query().cells.cell_set(),
+        expected,
+        "index/oracle disagreement"
+    );
 
+    let mut samples: Vec<f64> = (0..reps).map(|_| timed(query).1).collect();
     Point {
         rows,
         compressed_rows,
-        indexed_p50: run(true),
-        scan_p50: run(false),
+        indexed_p50: p50(&mut samples),
     }
 }
 
@@ -319,30 +305,27 @@ fn measure_batch(n: usize, reps: usize) -> (usize, Versus) {
 
 fn main() {
     let (scale, _seed) = cli_scale_seed();
-    println!("query_scaling — single-hop selective query, indexed vs scan (scale {scale})");
+    println!("query_scaling — single-hop selective query, indexed probe (scale {scale})");
 
     let sizes = [1_000usize, 10_000, 100_000];
     let reps = 15;
-    let mut table = TextTable::new(&["rows", "compressed", "indexed p50", "scan p50", "speedup"]);
+    let mut table = TextTable::new(&["rows", "compressed", "indexed p50"]);
     let mut json_rows = String::new();
     for &base in &sizes {
         let rows = ((base as f64 * scale) as usize).max(100);
         let pt = measure(rows, reps);
-        let speedup = pt.scan_p50 / pt.indexed_p50.max(1e-12);
         table.row(&[
             pt.rows.to_string(),
             pt.compressed_rows.to_string(),
             secs(pt.indexed_p50),
-            secs(pt.scan_p50),
-            format!("{speedup:.1}x"),
         ]);
         if !json_rows.is_empty() {
             json_rows.push(',');
         }
         write!(
             json_rows,
-            "{{\"rows\":{},\"compressed_rows\":{},\"indexed_p50_s\":{:.9},\"scan_p50_s\":{:.9},\"speedup\":{:.2}}}",
-            pt.rows, pt.compressed_rows, pt.indexed_p50, pt.scan_p50, speedup
+            "{{\"rows\":{},\"compressed_rows\":{},\"indexed_p50_s\":{:.9}}}",
+            pt.rows, pt.compressed_rows, pt.indexed_p50
         )
         .unwrap();
     }

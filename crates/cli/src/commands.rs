@@ -23,13 +23,13 @@ USAGE:
   dslog ingest    --db DIR --in NAME:3x2 --out NAME:3 --csv FILE [--op NAME] [--gzip]
                   [--retain N]
   dslog stats     --db DIR [--lazy]
-  dslog query     --db DIR --path B,A --cells \"1;2;0\" [--no-merge] [--scan]
+  dslog query     --db DIR --path B,A --cells \"1;2;0\" [--no-merge]
                   [--no-planner] [--stats] [--lazy] [--as-of GEN]
   dslog export    --db DIR --edge IN,OUT [--csv FILE]
   dslog db verify DIR
   dslog db history DIR
   dslog db compact DIR [--retain N]
-  dslog compress  --csv FILE --out-arity N [--no-fast]
+  dslog compress  --csv FILE --out-arity N
   dslog serve     --db DIR [--gzip] [--lazy] [--auto-commit-edges N]
                   [--auto-commit-ms MS] [--compact-every-gens N]
                   [--retain N] [--script FILE]
@@ -76,8 +76,7 @@ leaves the previous generation intact. `serve --compact-every-gens N`
 runs the same pass automatically after every N committed generations.
 
 `compress` reports per-format sizes plus ProvRC throughput (rows/s and
-raw MB/s); `--no-fast` swaps the columnar fast pipeline for the
-row-of-structs ablation (bit-identical output, for benchmarking).
+raw MB/s).
 
 `serve` runs the concurrent ingest-while-query service on a command
 stream (one command per line, from --script FILE or stdin):
@@ -241,7 +240,6 @@ pub fn query(args: &[String]) -> Result<String, String> {
             &cells,
             dslog::query::QueryOptions {
                 merge: !opts.switch("no-merge"),
-                use_index: !opts.switch("scan"),
                 use_planner: !opts.switch("no-planner"),
                 ..dslog::query::QueryOptions::default()
             },
@@ -267,13 +265,8 @@ pub fn query(args: &[String]) -> Result<String, String> {
         for (i, h) in result.stats.hops.iter().enumerate() {
             writeln!(
                 out,
-                "  hop {i}: {} probed, {} matched, {} boxes, {:.2?} ({}, {} thread(s))",
-                h.rows_probed,
-                h.rows_matched,
-                h.boxes_emitted,
-                h.wall,
-                if h.used_index { "indexed" } else { "scan" },
-                h.threads
+                "  hop {i}: {} probed, {} matched, {} boxes, {:.2?} ({} thread(s))",
+                h.rows_probed, h.rows_matched, h.boxes_emitted, h.wall, h.threads
             )
             .unwrap();
         }
@@ -905,14 +898,11 @@ fn serve_command(service: &DslogService, line: &str) -> Result<Option<String>, S
 }
 
 /// `dslog compress`: compare every storage format on a CSV relation and
-/// report ProvRC compression throughput. `--no-fast` selects the
-/// row-of-structs ablation pipeline (bit-identical output, for
-/// benchmarking the columnar pipeline against its reference).
+/// report ProvRC compression throughput.
 pub fn compress(args: &[String]) -> Result<String, String> {
     let opts = Opts::parse(args)?;
     let csv_path = opts.required("csv")?;
     let out_arity = opts.required_usize("out-arity")?;
-    let no_fast = opts.switch("no-fast");
     let text = std::fs::read_to_string(csv_path).map_err(|e| format!("read {csv_path}: {e}"))?;
 
     // Infer total arity from the first data row.
@@ -945,18 +935,8 @@ pub fn compress(args: &[String]) -> Result<String, String> {
         .iter()
         .map(|f| (f.name().to_string(), f.encode(&table).len()))
         .collect();
-    let compress_opts = provrc::CompressOptions {
-        fast: !no_fast,
-        ..provrc::CompressOptions::default()
-    };
     let start = std::time::Instant::now();
-    let provrc_table = provrc::compress_opts(
-        &table,
-        &out_shape,
-        &in_shape,
-        Orientation::Backward,
-        compress_opts,
-    );
+    let provrc_table = provrc::compress(&table, &out_shape, &in_shape, Orientation::Backward);
     let compress_secs = start.elapsed().as_secs_f64().max(1e-9);
     rows.push((
         "ProvRC".to_string(),
@@ -978,8 +958,7 @@ pub fn compress(args: &[String]) -> Result<String, String> {
     .unwrap();
     writeln!(
         out,
-        "ProvRC ({} pipeline): {} -> {} rows in {:.3}ms ({:.3e} rows/s, {:.1} MB/s raw)\n",
-        if no_fast { "ablation" } else { "fast" },
+        "ProvRC: {} -> {} rows in {:.3}ms ({:.3e} rows/s, {:.1} MB/s raw)\n",
         table.n_rows(),
         provrc_table.n_rows(),
         compress_secs * 1e3,

@@ -16,10 +16,8 @@ const SWITCHES: &[&str] = &[
     "no-merge",
     "no-planner",
     "forward-store",
-    "scan",
     "stats",
     "lazy",
-    "no-fast",
 ];
 
 impl Opts {

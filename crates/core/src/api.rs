@@ -173,17 +173,15 @@ impl OpenOptions {
         self
     }
 
-    /// ProvRC compression options for every capture-path compress: ingest
-    /// and on-demand orientation derivation. `fast = false` selects the
-    /// row-of-structs ablation pipeline (bit-identical output, for
-    /// benchmarking).
+    /// ProvRC threading options for every capture-path compress: ingest
+    /// and on-demand orientation derivation.
     pub fn compress(mut self, opts: CompressOptions) -> Self {
         self.config.compress = opts;
         self
     }
 
-    /// Default query-execution options (merge step, interval index,
-    /// threading, planner — each an ablation switch; see [`QueryOptions`]).
+    /// Default query-execution options (merge step, threading, planner —
+    /// each an ablation switch; see [`QueryOptions`]).
     pub fn query(mut self, opts: QueryOptions) -> Self {
         self.config.query = opts;
         self
@@ -972,7 +970,7 @@ mod tests {
             wal_retention: 5,
             materialize: Materialize::Both,
             compress: CompressOptions {
-                fast: false,
+                parallel: false,
                 ..CompressOptions::default()
             },
             query: QueryOptions {

@@ -39,7 +39,7 @@
 //!
 //! The optional trailing `stats` word asks for per-query execution
 //! statistics: `"stats":{"rows_probed":n,"rows_matched":n,"plan":"...",
-//! "hops":[{"probed":n,"matched":n,"boxes":n,"indexed":b,"threads":t},..]}`.
+//! "hops":[{"probed":n,"matched":n,"boxes":n,"threads":t},..]}`.
 //! `plan` is the planner decision label (`path_order` / `empty_edge` /
 //! `selective_first` / `composite`), or `off` when the planner is
 //! disabled. Responses without the `stats` word are byte-identical to the
@@ -703,8 +703,8 @@ fn render_query_stats(stats: &QueryStats) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"probed\":{},\"matched\":{},\"boxes\":{},\"indexed\":{},\"threads\":{}}}",
-            h.rows_probed, h.rows_matched, h.boxes_emitted, h.used_index, h.threads
+            "{{\"probed\":{},\"matched\":{},\"boxes\":{},\"threads\":{}}}",
+            h.rows_probed, h.rows_matched, h.boxes_emitted, h.threads
         ));
     }
     out.push_str("]}");
@@ -795,28 +795,32 @@ fn render_stats(s: &ServiceStats) -> String {
 /// The effective served-database configuration as a JSON object (the
 /// `"config"` field of a `stats` response).
 fn render_config(c: &crate::api::DslogConfig) -> String {
+    let null_or = |v: Option<u64>| v.map_or("null".to_string(), |g| g.to_string());
+    let materialize = match c.materialize {
+        crate::storage::Materialize::Backward => "backward",
+        crate::storage::Materialize::Forward => "forward",
+        crate::storage::Materialize::Both => "both",
+    };
     format!(
-        "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\"wal_actor\":{},\"wal_retention\":{},\
-         \"compress\":{{\"fast\":{},\"parallel\":{}}},\
-         \"query\":{{\"merge\":{},\"use_index\":{},\"parallel\":{},\"use_planner\":{}}},\
+        "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\"open_threads\":{},\
+         \"wal_actor\":{},\"wal_retention\":{},\"materialize\":\"{materialize}\",\
+         \"compress\":{{\"parallel\":{}}},\
+         \"query\":{{\"merge\":{},\"parallel\":{},\"use_planner\":{}}},\
          \"composite\":{{\"enabled\":{},\"hit_threshold\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
-        c.as_of.map_or("null".to_string(), |g| g.to_string()),
+        null_or(c.as_of),
         c.gzip.map_or("null".to_string(), |g| g.to_string()),
+        null_or(c.open_threads.map(|t| t as u64)),
         json_str(&c.wal_actor),
         c.wal_retention,
-        c.compress.fast,
         c.compress.parallel,
         c.query.merge,
-        c.query.use_index,
         c.query.parallel,
         c.query.use_planner,
         c.composite_policy.enabled,
         c.composite_policy.hit_threshold,
-        c.maintenance
-            .auto_compact_generations
-            .map_or("null".to_string(), |g| g.to_string())
+        null_or(c.maintenance.auto_compact_generations)
     )
 }
 
@@ -1001,12 +1005,28 @@ mod tests {
             resp.contains("\"stats\":{\"rows_probed\":") && resp.contains("\"plan\":\""),
             "{resp}"
         );
+        assert!(
+            resp.contains("\"hops\":[{\"probed\":") && !resp.contains("\"indexed\""),
+            "{resp}"
+        );
         let resp = roundtrip(&mut reader, &mut writer, "query_batch B,A 1|2 stats");
         assert!(resp.contains("\"stats\":{"), "{resp}");
         // Malformed batches are rejected without killing the session.
         let resp = roundtrip(&mut reader, &mut writer, "query_batch B,A 1||2");
         assert!(resp.starts_with("{\"ok\":false"), "{resp}");
-        assert!(roundtrip(&mut reader, &mut writer, "stats").contains("\"ok\":true"));
+        // `config` renders `materialize` and `open_threads`, and its
+        // `compress` and `query` objects hold the remaining options only
+        // (no switch for a deleted code path).
+        let resp = roundtrip(&mut reader, &mut writer, "stats");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        for field in [
+            "\"materialize\":\"backward\"",
+            "\"open_threads\":null",
+            "\"compress\":{\"parallel\":true}",
+            "\"query\":{\"merge\":true,\"parallel\":true,\"use_planner\":true}",
+        ] {
+            assert!(resp.contains(field), "{field} not in {resp}");
+        }
         server.stop();
         server.join();
     }

@@ -1,16 +1,15 @@
-//! The high-throughput columnar ProvRC pipeline (`CompressOptions::fast`).
+//! The columnar ProvRC pipeline: the only one the library runs.
 //!
 //! Same pass structure — and pass-for-pass *identical output* — as the
-//! row-of-structs reference implementation in [`super::range_encode`] /
-//! [`super::relative`] (the `fast = false` ablation; parity is pinned by
-//! the `provrc_fast_parity` property suite), but engineered for ingest
-//! throughput:
+//! row-of-structs reference in `dslog-oracle`'s `provrc` module (called
+//! "the ablation" below; parity is pinned by the `provrc_fast_parity`
+//! property suite), but engineered for ingest throughput:
 //!
 //! * **Columnar arena.** The working set lives struct-of-arrays: one
 //!   `Vec<Interval>` per primary attribute, one `Vec<WCell>` per secondary
 //!   attribute, double-buffered so a pass writes merged rows into reusable
-//!   scratch columns. No per-row heap allocations (`WRow` carries two) and
-//!   no pointer chasing inside comparators.
+//!   scratch columns. No per-row heap allocations (the reference's row
+//!   struct carries two) and no pointer chasing inside comparators.
 //! * **Bit-packed sort keys.** Every pass's conceptual sort key is a fixed
 //!   vector of order-preserving `u64` words (sign-flipped `i64`s). A
 //!   column-major stats sweep finds the words that actually vary (constant
@@ -18,8 +17,8 @@
 //!   for point intervals — are dropped; both eliminations provably
 //!   preserve the comparator), then the surviving words are range-reduced
 //!   and bit-packed. Real passes almost always fit 64 or 128 bits, so a
-//!   comparison never touches a key buffer, let alone calls `cell_key` /
-//!   `sec_key`.
+//!   comparison never touches a key buffer, let alone a per-cell key
+//!   function.
 //! * **Radix sort + sorted fast path.** Keys packed into a `u64` sort with
 //!   a linear LSD radix sort (`(key, row id)` pairs, stable, hence
 //!   deterministic); an O(n) pre-check skips sorting entirely when the
@@ -46,11 +45,60 @@
 //!   chunks are aligned to group starts, so threaded results equal serial
 //!   ones bit-for-bit.
 
-use super::relative::{masks_for, WCell};
 use super::CompressOptions;
 use crate::interval::Interval;
 use crate::table::{Cell, CompressedTable, LineageTable, Orientation};
 use std::cmp::Ordering;
+
+/// A secondary attribute cell during compression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WCell {
+    /// Absolute interval.
+    Abs(Interval),
+    /// Relative to primary attribute `anchor`: value set is `prim[anchor] + delta`.
+    Rel { anchor: u8, delta: Interval },
+}
+
+/// The rel-choice bitmasks to try for `n_abs` absolute secondary
+/// attributes. Full enumeration up to 2^6; beyond that, a heuristic subset
+/// (all-rel, all-abs, single-attr masks and their complements) keeps the
+/// pass count linear while covering the patterns arising in practice.
+///
+/// The mask lists are built once per process and cached per `n_abs` —
+/// `primary_passes` runs once per primary attribute of every compressed
+/// relation, and re-allocating and popcount-sorting up to 64 masks on each
+/// call showed up in capture-path profiles.
+fn masks_for(n_abs: usize) -> &'static [u64] {
+    static CACHE: std::sync::OnceLock<Vec<Vec<u64>>> = std::sync::OnceLock::new();
+    let cache = CACHE.get_or_init(|| (0..=63).map(build_masks).collect());
+    // Masks are single `u64`s, so ≥ 64 still-absolute attributes clamp to
+    // the widest representable heuristic list.
+    &cache[n_abs.min(63)]
+}
+
+fn build_masks(n_abs: usize) -> Vec<u64> {
+    if n_abs == 0 {
+        return vec![0];
+    }
+    if n_abs <= 6 {
+        // Descending popcount: prefer turning attributes relative, which is
+        // what one-to-one/convolution/matmul patterns need, then fall back.
+        let mut masks: Vec<u64> = (0..(1u64 << n_abs)).collect();
+        masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
+        masks
+    } else {
+        let all = (1u64 << n_abs) - 1;
+        let mut masks = vec![all];
+        for i in 0..n_abs {
+            masks.push(all & !(1 << i));
+        }
+        for i in 0..n_abs {
+            masks.push(1 << i);
+        }
+        masks.push(0);
+        masks
+    }
+}
 
 /// Order-preserving `i64 → u64` map: flips the sign bit so unsigned
 /// comparison of the images matches signed comparison of the preimages.
@@ -72,8 +120,7 @@ struct Run {
     merged: bool,
 }
 
-/// Compress with the columnar pipeline. Output is identical to the
-/// reference implementation (`CompressOptions { fast: false, .. }`).
+/// Compress with the columnar pipeline.
 pub(super) fn compress(
     table: &LineageTable,
     out_shape: &[usize],
@@ -156,7 +203,8 @@ struct Plan {
     total_bits: u32,
 }
 
-/// The four packed `cell_key` words of step 1 (see `range_encode`).
+/// The four packed key words of a step-1 cell: absolute cells sort before
+/// relative ones.
 #[inline]
 fn cell_key_words(cell: WCell) -> [u64; 4] {
     match cell {
@@ -165,9 +213,10 @@ fn cell_key_words(cell: WCell) -> [u64; 4] {
     }
 }
 
-/// The four packed `sec_key` words of step 2 (see `relative`): tag 0 abs,
+/// The four packed key words of a step-2 cell under a rel-mask bit. The
+/// tag word keeps distinct representations from comparing equal: 0 abs,
 /// 1 abs-by-delta (point target), 2 abs kept absolute under an interval
-/// target, 3 already relative.
+/// target (never converted), 3 already relative, by `(anchor, delta)`.
 #[inline]
 fn sec_key_words(cell: WCell, want_rel: bool, prim_j: Interval) -> [u64; 4] {
     match cell {
@@ -720,7 +769,12 @@ impl Arena {
         out_shape: &[usize],
         in_shape: &[usize],
     ) -> CompressedTable {
-        let extents = super::extents_for(out_shape, in_shape, orientation);
+        // Attribute extents, in the table's primary-then-secondary order.
+        let (prim_shape, sec_shape) = match orientation {
+            Orientation::Backward => (out_shape, in_shape),
+            Orientation::Forward => (in_shape, out_shape),
+        };
+        let extents = prim_shape.iter().chain(sec_shape).map(|&d| d as i64);
         let perm: Option<&[u32]> = self.last_perm_valid.then_some(&self.last_perm[..]);
         let mut columns: Vec<Vec<Cell>> = Vec::with_capacity(self.prim_arity + self.sec_arity);
         for col in &self.prim {
@@ -743,7 +797,7 @@ impl Arena {
             orientation,
             self.prim_arity,
             self.sec_arity,
-            extents,
+            extents.collect(),
             columns,
             0, // `WCell` has no symbolic variant
         )

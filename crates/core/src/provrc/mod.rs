@@ -26,36 +26,24 @@
 //!   abs/rel choice per still-absolute secondary attribute (≤ 2^m combos,
 //!   capped heuristically for very wide relations).
 //!
-//! Two pipelines implement the same pass sequence and produce identical
-//! output. The **fast** columnar pipeline (`columnar`, the
-//! [`CompressOptions::fast`] default) sorts packed key permutations over a
-//! struct-of-arrays arena; the row-of-structs reference implementation
-//! (`range_encode` + `relative`) survives as the `fast = false`
-//! ablation, mirroring the query engine's scan-vs-probe switch. Parity is
-//! property-tested in `provrc_fast_parity.rs`.
+//! The pass sequence runs in the columnar pipeline (`columnar`): packed key
+//! permutations sorted over a struct-of-arrays arena. The row-of-structs
+//! statement of the same passes lives outside this crate, in
+//! `dslog-oracle`'s `provrc` module (a dev-dependency; nothing here can
+//! select it), and `provrc_fast_parity.rs` property-tests that both
+//! produce the same bytes.
 
 mod columnar;
-mod range_encode;
-mod relative;
 pub mod reshape;
 
-use crate::table::{Cell, CompressedTable, LineageTable, Orientation};
-use range_encode::secondary_pass;
-use relative::primary_passes;
-
-pub(crate) use relative::{WCell, WRow};
+use crate::table::{CompressedTable, LineageTable, Orientation};
 
 /// Tuning knobs for ProvRC compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompressOptions {
-    /// Use the columnar fast pipeline (packed sort keys over a
-    /// struct-of-arrays arena, mask pruning, reusable scratch). Disabling
-    /// this selects the row-of-structs reference implementation — the
-    /// ablation — whose output is bit-identical.
-    pub fast: bool,
     /// Allow multi-threading: scoped-thread parallel sort and run-chunked
-    /// merge scans inside a pass (fast pipeline only), and worker fan-out
-    /// across batch jobs in [`compress_batch_parallel_opts`].
+    /// merge scans inside a pass, and worker fan-out across batch jobs in
+    /// [`compress_batch_parallel_opts`].
     pub parallel: bool,
     /// Minimum active rows in a pass before threads are spawned.
     pub parallel_threshold: usize,
@@ -64,7 +52,6 @@ pub struct CompressOptions {
 impl Default for CompressOptions {
     fn default() -> Self {
         Self {
-            fast: true,
             parallel: true,
             parallel_threshold: 1 << 14,
         }
@@ -72,7 +59,7 @@ impl Default for CompressOptions {
 }
 
 /// Compress `table` (an uncompressed lineage relation) with ProvRC, using
-/// the default [`CompressOptions`] (fast columnar pipeline).
+/// the default [`CompressOptions`].
 ///
 /// `out_shape` / `in_shape` are the shapes of the output and input arrays;
 /// they are recorded as attribute extents (used by index reshaping and for
@@ -92,7 +79,7 @@ pub fn compress(
     )
 }
 
-/// [`compress`] with explicit options (pipeline selection, threading).
+/// [`compress`] with explicit threading options.
 pub fn compress_opts(
     table: &LineageTable,
     out_shape: &[usize],
@@ -102,93 +89,7 @@ pub fn compress_opts(
 ) -> CompressedTable {
     assert_eq!(table.out_arity(), out_shape.len(), "out shape arity");
     assert_eq!(table.in_arity(), in_shape.len(), "in shape arity");
-    if opts.fast {
-        columnar::compress(table, out_shape, in_shape, orientation, opts)
-    } else {
-        compress_reference(table, out_shape, in_shape, orientation)
-    }
-}
-
-/// The attribute extents (primary-then-secondary order) for a compressed
-/// table over the given array shapes.
-pub(crate) fn extents_for(
-    out_shape: &[usize],
-    in_shape: &[usize],
-    orientation: Orientation,
-) -> Vec<i64> {
-    match orientation {
-        Orientation::Backward => out_shape
-            .iter()
-            .chain(in_shape.iter())
-            .map(|&d| d as i64)
-            .collect(),
-        Orientation::Forward => in_shape
-            .iter()
-            .chain(out_shape.iter())
-            .map(|&d| d as i64)
-            .collect(),
-    }
-}
-
-/// The row-of-structs reference implementation (`fast = false`).
-fn compress_reference(
-    table: &LineageTable,
-    out_shape: &[usize],
-    in_shape: &[usize],
-    orientation: Orientation,
-) -> CompressedTable {
-    let normalized = table.normalized();
-    let (prim_arity, sec_arity) = match orientation {
-        Orientation::Backward => (table.out_arity(), table.in_arity()),
-        Orientation::Forward => (table.in_arity(), table.out_arity()),
-    };
-
-    // Build working rows: primary attributes first.
-    let mut rows: Vec<WRow> = Vec::with_capacity(normalized.n_rows());
-    for row in normalized.rows() {
-        let (out_part, in_part) = row.split_at(table.out_arity());
-        let (prim_part, sec_part) = match orientation {
-            Orientation::Backward => (out_part, in_part),
-            Orientation::Forward => (in_part, out_part),
-        };
-        rows.push(WRow {
-            prim: prim_part
-                .iter()
-                .map(|&v| crate::interval::Interval::point(v))
-                .collect(),
-            sec: sec_part
-                .iter()
-                .map(|&v| WCell::Abs(crate::interval::Interval::point(v)))
-                .collect(),
-        });
-    }
-
-    // Step 1: multi-attribute range encoding over secondary attributes,
-    // last attribute first (paper: a_m, …, a_1).
-    for k in (0..sec_arity).rev() {
-        secondary_pass(&mut rows, k);
-    }
-
-    // Step 2: relative transformation + range encoding over primary
-    // attributes, last attribute first (paper: b_l, …, b_1).
-    for j in (0..prim_arity).rev() {
-        primary_passes(&mut rows, j, sec_arity);
-    }
-
-    // Materialize.
-    let extents = extents_for(out_shape, in_shape, orientation);
-    let mut out = CompressedTable::new(orientation, prim_arity, sec_arity, extents);
-    let mut row_buf: Vec<Cell> = Vec::with_capacity(prim_arity + sec_arity);
-    for wrow in rows {
-        row_buf.clear();
-        row_buf.extend(wrow.prim.iter().map(|&ivl| Cell::Abs(ivl)));
-        row_buf.extend(wrow.sec.iter().map(|c| match *c {
-            WCell::Abs(ivl) => Cell::Abs(ivl),
-            WCell::Rel { anchor, delta } => Cell::Rel { anchor, delta },
-        }));
-        out.push_row(&row_buf);
-    }
-    out
+    columnar::compress(table, out_shape, in_shape, orientation, opts)
 }
 
 /// Compress in both orientations at once (paper §IV.C: "either both versions
@@ -321,6 +222,7 @@ pub fn compress_batch_parallel_opts(
 mod tests {
     use super::*;
     use crate::interval::Interval;
+    use crate::table::Cell;
 
     /// Paper Fig. 1(B): `B = numpy.sum(A, axis=1)`, 3x2 input, 1-based.
     fn paper_sum_table() -> LineageTable {
@@ -580,60 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_ablation_agree_on_canonical_patterns() {
-        // Every canonical lineage shape, both orientations, forced-threaded
-        // and serial: the fast pipeline must be bit-identical to the
-        // reference implementation.
-        let mut tables: Vec<(LineageTable, Vec<usize>, Vec<usize>)> = Vec::new();
-        tables.push((paper_sum_table(), vec![4], vec![4, 3]));
-        let mut conv = LineageTable::new(1, 1);
-        for i in 1..40 {
-            for d in -1..=1 {
-                conv.push_row(&[i, i + d]);
-            }
-        }
-        tables.push((conv, vec![48], vec![48]));
-        let mut scatter = LineageTable::new(1, 1);
-        for i in 0..64 {
-            scatter.push_row(&[i, (i * 37 + 11) % 64]);
-        }
-        tables.push((scatter, vec![64], vec![64]));
-        let mut diag = LineageTable::new(1, 2);
-        for i in 0..10 {
-            diag.push_row(&[i, i, i]);
-        }
-        tables.push((diag, vec![10], vec![10, 10]));
-        for (t, out_shape, in_shape) in &tables {
-            for orientation in [Orientation::Backward, Orientation::Forward] {
-                let ablation = compress_opts(
-                    t,
-                    out_shape,
-                    in_shape,
-                    orientation,
-                    CompressOptions {
-                        fast: false,
-                        ..CompressOptions::default()
-                    },
-                );
-                for threshold in [usize::MAX, 1] {
-                    let fast = compress_opts(
-                        t,
-                        out_shape,
-                        in_shape,
-                        orientation,
-                        CompressOptions {
-                            fast: true,
-                            parallel: true,
-                            parallel_threshold: threshold,
-                        },
-                    );
-                    assert_eq!(fast, ablation, "threshold {threshold}, {orientation:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batch_parallel_opts_honors_ablation() {
         let mut t = LineageTable::new(1, 1);
         for i in 0..30 {
@@ -641,16 +489,17 @@ mod tests {
         }
         let shape = [30usize];
         let jobs: Vec<CompressJob<'_>> = vec![(&t, &shape[..], &shape[..]); 3];
-        let fast = compress_batch_parallel(&jobs, Orientation::Backward);
-        let slow = compress_batch_parallel_opts(
+        // The threading ablation takes the serial early return.
+        let pooled = compress_batch_parallel(&jobs, Orientation::Backward);
+        let serial = compress_batch_parallel_opts(
             &jobs,
             Orientation::Backward,
             CompressOptions {
-                fast: false,
+                parallel: false,
                 ..CompressOptions::default()
             },
         );
-        assert_eq!(fast, slow);
+        assert_eq!(pooled, serial);
     }
 
     #[test]

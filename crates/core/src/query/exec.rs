@@ -7,9 +7,7 @@
 //! candidate compressed row's primary intervals; rows with any empty
 //! intersection are dropped. Candidates come from the table's cached
 //! [`crate::table::TableIndex`] (binary search on sorted-by-lo
-//! runs with max-hi fencing) unless [`QueryOptions::use_index`] is off, in
-//! which case every row is scanned — the pre-index nested-loop baseline,
-//! kept as an ablation.
+//! runs with max-hi fencing); no path scans every row.
 //!
 //! **Step 2 — de-relativize**: relative cells are turned back into absolute
 //! intervals with `rel_back(x, δ) = [x.lo + δ.lo, x.hi + δ.hi]` over the
@@ -33,8 +31,8 @@ use std::time::{Duration, Instant};
 /// Execution statistics for one θ-join hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopStats {
-    /// Compressed rows whose primary intervals were intersected (candidate
-    /// rows under the index; all rows × boxes under the scan ablation).
+    /// Compressed rows whose primary intervals were intersected (the
+    /// index's candidate rows, summed over query boxes).
     pub rows_probed: usize,
     /// Rows that survived every primary intersection and were emitted.
     pub rows_matched: usize,
@@ -42,8 +40,6 @@ pub struct HopStats {
     pub boxes_emitted: usize,
     /// Wall time of the hop (join only, excluding the merge).
     pub wall: Duration,
-    /// Whether the index probe path served this hop.
-    pub used_index: bool,
     /// Worker threads used (1 = sequential).
     pub threads: usize,
 }
@@ -128,10 +124,9 @@ impl QueryExec {
         if table.is_generalized() {
             return Err(DslogError::NotInstantiated);
         }
-        let index = if self.opts.use_index {
-            table.index()
-        } else {
-            None
+        // `None` only for symbolic primary cells, rejected just above.
+        let Some(index) = table.index() else {
+            return Err(DslogError::NotInstantiated);
         };
         // Timed after the index lookup: a cold cache pays the one-time
         // build there, and `wall` documents the join alone.
@@ -173,7 +168,6 @@ impl QueryExec {
             rows_matched: sink.rows_matched,
             boxes_emitted: sink.out.n_boxes(),
             wall: start.elapsed(),
-            used_index: index.is_some(),
             threads,
         };
         Ok((sink.out, stats))
@@ -228,36 +222,22 @@ impl QueryExec {
     }
 }
 
-/// Join the query boxes in `range` against `table`, writing results and
-/// counters into `sink`. `index` selects the probe path; `None` scans.
+/// Join the query boxes in `range` against `table`'s candidate rows from
+/// `index`, writing results and counters into `sink`.
 fn join_boxes(
     query: &BoxTable,
     range: std::ops::Range<usize>,
     table: &CompressedTable,
-    index: Option<&TableIndex>,
+    index: &TableIndex,
     sink: &mut JoinSink,
 ) {
     let pa = table.primary_arity();
     let mut isect = vec![Interval::point(0); pa];
-    match index {
-        Some(idx) => {
-            for bi in range {
-                let q = query.row(bi);
-                for &row in idx.probe(q) {
-                    sink.rows_probed += 1;
-                    join_row(q, row as usize, table, &mut isect, sink);
-                }
-            }
-        }
-        None => {
-            let n_rows = table.n_rows();
-            for bi in range {
-                let q = query.row(bi);
-                for row in 0..n_rows {
-                    sink.rows_probed += 1;
-                    join_row(q, row, table, &mut isect, sink);
-                }
-            }
+    for bi in range {
+        let q = query.row(bi);
+        for &row in index.probe(q) {
+            sink.rows_probed += 1;
+            join_row(q, row as usize, table, &mut isect, sink);
         }
     }
 }
@@ -357,7 +337,7 @@ fn emit_derelativized(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) {
 }
 
 /// Join a query box table against a compressed lineage table with default
-/// options (indexed, sequential merge handling left to the caller). The
+/// options (merge handling left to the caller). The
 /// historical free-function entry point, now a thin [`QueryExec`] wrapper.
 pub fn theta_join(query: &BoxTable, table: &CompressedTable) -> Result<BoxTable> {
     QueryExec::default().hop(query, table).map(|(out, _)| out)
@@ -367,7 +347,6 @@ pub fn theta_join(query: &BoxTable, table: &CompressedTable) -> Result<BoxTable>
 mod tests {
     use super::*;
     use crate::provrc::compress;
-    use crate::query::reference;
     use crate::table::{LineageTable, Orientation};
 
     fn ivl(lo: i64, hi: i64) -> Interval {
@@ -446,26 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_on_aggregate() {
-        let mut t = LineageTable::new(1, 2);
-        for b in 0..5 {
-            for j in 0..3 {
-                t.push_row(&[b, b, j]);
-            }
-        }
-        let compressed = compress(&t, &[5], &[5, 3], Orientation::Backward);
-        let q_cells = vec![vec![1i64], vec![3]];
-        let q = BoxTable::from_cells(1, &q_cells);
-        let result = theta_join(&q, &compressed).unwrap();
-        let expected = reference::step(
-            &q_cells.iter().cloned().collect(),
-            &t,
-            reference::Direction::Backward,
-        );
-        assert_eq!(result.cell_set(), expected);
-    }
-
-    #[test]
     fn multiple_query_boxes_union() {
         let mut t = LineageTable::new(1, 1);
         for i in 0..10 {
@@ -504,61 +463,6 @@ mod tests {
             theta_join(&q, &t),
             Err(DslogError::NotInstantiated)
         ));
-    }
-
-    /// A poorly compressible (scatter) table: indexed, scan and parallel
-    /// paths must produce identical results.
-    fn scatter_setup(n: i64) -> (CompressedTable, LineageTable) {
-        let mut t = LineageTable::new(1, 1);
-        for i in 0..n {
-            t.push_row(&[i, (i * 48271) % n]);
-        }
-        let c = compress(&t, &[n as usize], &[n as usize], Orientation::Backward);
-        assert!(c.n_rows() > (n / 2) as usize, "scatter must stay scattered");
-        (c, t)
-    }
-
-    #[test]
-    fn indexed_scan_and_parallel_paths_agree() {
-        let (c, t) = scatter_setup(200);
-        let cells: Vec<Vec<i64>> = (0..200).step_by(3).map(|v| vec![v]).collect();
-        let q = BoxTable::from_cells(1, &cells);
-        assert!(q.n_boxes() > 1);
-
-        let indexed = QueryExec::new(QueryOptions {
-            parallel: false,
-            ..QueryOptions::default()
-        });
-        let scan = QueryExec::new(QueryOptions {
-            use_index: false,
-            parallel: false,
-            ..QueryOptions::default()
-        });
-        let parallel = QueryExec::new(QueryOptions {
-            parallel_threshold: 2,
-            ..QueryOptions::default()
-        });
-
-        let (r_idx, s_idx) = indexed.hop(&q, &c).unwrap();
-        let (r_scan, s_scan) = scan.hop(&q, &c).unwrap();
-        let (r_par, s_par) = parallel.hop(&q, &c).unwrap();
-
-        assert_eq!(r_idx, r_scan, "indexed result must equal the scan");
-        assert_eq!(r_idx, r_par, "parallel result must be deterministic");
-        assert!(s_idx.used_index && !s_scan.used_index);
-        assert!(s_par.threads >= 2, "threshold 2 must fan out");
-        assert_eq!(s_idx.rows_matched, s_scan.rows_matched);
-        assert!(
-            s_idx.rows_probed <= s_scan.rows_probed,
-            "index may not probe more rows than the scan"
-        );
-
-        let expected = reference::step(
-            &cells.iter().cloned().collect(),
-            &t,
-            reference::Direction::Backward,
-        );
-        assert_eq!(r_idx.cell_set(), expected);
     }
 
     #[test]

@@ -11,14 +11,12 @@
 //! interval index (binary search + bounded candidate scan) instead of
 //! scanning every compressed row, fans out across query boxes with scoped
 //! threads above a size threshold, short-circuits empty frontiers, and
-//! reports per-hop [`HopStats`]. The pre-index nested-loop scan survives
-//! behind [`QueryOptions::use_index`]` = false` as an ablation, and
-//! [`reference`](mod@reference) holds the brute-force decompressed-join
-//! oracle both paths are tested against.
+//! reports per-hop [`HopStats`]. The index probe is the only access path;
+//! answers are tested against the brute-force join over the raw relation
+//! in `dslog-oracle`'s `query::reference` (a dev-dependency).
 
 pub mod exec;
 pub mod plan;
-pub mod reference;
 
 pub use exec::{theta_join, HopStats, QueryExec, QueryStats};
 pub use plan::{HopEstimate, PlanDecision, PlanReport};
@@ -32,10 +30,6 @@ pub struct QueryOptions {
     /// Run the row-reduction merge after each hop (§V.B.3). Disabling this
     /// reproduces the paper's `DSLog-NoMerge` ablation.
     pub merge: bool,
-    /// Probe the per-table sorted interval index instead of scanning every
-    /// compressed row. Disabling this reproduces the pre-index nested-loop
-    /// engine (the scan-vs-probe ablation).
-    pub use_index: bool,
     /// Allow fanning a hop out across scoped threads.
     pub parallel: bool,
     /// Minimum number of query boxes in a hop before threads are spawned;
@@ -54,7 +48,6 @@ impl Default for QueryOptions {
     fn default() -> Self {
         Self {
             merge: true,
-            use_index: true,
             parallel: true,
             parallel_threshold: 64,
             use_planner: true,

@@ -575,7 +575,6 @@ fn batch_hop(
         rows_matched: 0,
         boxes_emitted: 0,
         wall: Duration::ZERO,
-        used_index: true,
         threads: 1,
     };
     let mut next: Vec<OwnedBox> = Vec::new();
@@ -587,7 +586,6 @@ fn batch_hop(
         agg.rows_probed += hop.rows_probed;
         agg.rows_matched += hop.rows_matched;
         agg.wall += hop.wall;
-        agg.used_index &= hop.used_index;
         agg.threads = agg.threads.max(hop.threads);
         for ob in out.boxes() {
             let slot = *slots.entry(ob.to_vec()).or_insert_with(|| {

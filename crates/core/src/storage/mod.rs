@@ -1185,21 +1185,34 @@ mod tests {
 
     #[test]
     fn ablation_compress_options_produce_identical_storage() {
-        let mut fast = manager_with_edge();
-        let mut slow = StorageManager::new();
-        slow.compress.fast = false;
-        slow.define_array("A", &[3, 2]).unwrap();
-        slow.define_array("B", &[3]).unwrap();
-        slow.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-        // Stored and lazily derived orientations agree bit-for-bit.
-        for orientation in [Orientation::Backward, Orientation::Forward] {
-            let a = fast.stored_table("A", "B", orientation).unwrap();
-            let b = slow.stored_table("A", "B", orientation).unwrap();
-            assert_eq!(*a, *b);
+        // Threading is the remaining knob: off, and forced on for every
+        // pass, must store what the default stores.
+        let mut default = manager_with_edge();
+        for compress in [
+            CompressOptions {
+                parallel: false,
+                ..CompressOptions::default()
+            },
+            CompressOptions {
+                parallel_threshold: 1,
+                ..CompressOptions::default()
+            },
+        ] {
+            let mut ablated = StorageManager::new();
+            ablated.compress = compress;
+            ablated.define_array("A", &[3, 2]).unwrap();
+            ablated.define_array("B", &[3]).unwrap();
+            ablated.ingest_lineage("A", "B", &sum_lineage()).unwrap();
+            // Stored and lazily derived orientations agree bit-for-bit.
+            for orientation in [Orientation::Backward, Orientation::Forward] {
+                let a = default.stored_table("A", "B", orientation).unwrap();
+                let b = ablated.stored_table("A", "B", orientation).unwrap();
+                assert_eq!(*a, *b);
+            }
+            assert_eq!(default.storage_bytes(), ablated.storage_bytes());
+            ablated.rebalance_materialization().unwrap();
         }
-        assert_eq!(fast.storage_bytes(), slow.storage_bytes());
-        fast.rebalance_materialization().unwrap();
-        slow.rebalance_materialization().unwrap();
+        default.rebalance_materialization().unwrap();
     }
 
     #[test]

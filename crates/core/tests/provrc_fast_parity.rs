@@ -1,8 +1,7 @@
-//! Property-based parity suite for the two ProvRC pipelines: the fast
-//! columnar implementation (`CompressOptions::fast`, the default) must be
-//! **bit-identical** — same rows, same cells, same row order — to the
-//! row-of-structs reference implementation (the ablation), and both must
-//! roundtrip through decompression to the normalized input relation.
+//! Property-based parity suite for ProvRC: the shipped columnar pipeline
+//! must be **bit-identical** — same rows, same cells, same row order — to
+//! the row-of-structs reference in `dslog-oracle` (the ablation), and both
+//! must roundtrip through decompression to the normalized input relation.
 //!
 //! Covers random 1–4 attribute tables in both orientations, forced
 //! threading (parallel sort / chunked scan via `parallel_threshold: 1`),
@@ -14,14 +13,8 @@
 
 use dslog::provrc::{self, CompressOptions};
 use dslog::table::{LineageTable, Orientation};
+use dslog_oracle::provrc::compress_reference;
 use proptest::prelude::*;
-
-fn ablation() -> CompressOptions {
-    CompressOptions {
-        fast: false,
-        ..CompressOptions::default()
-    }
-}
 
 /// Assert fast ≡ ablation ≡ decompress-roundtrip for one relation.
 fn assert_parity(
@@ -30,7 +23,7 @@ fn assert_parity(
     in_shape: &[usize],
 ) -> Result<(), TestCaseError> {
     for orientation in [Orientation::Backward, Orientation::Forward] {
-        let reference = provrc::compress_opts(t, out_shape, in_shape, orientation, ablation());
+        let reference = compress_reference(t, out_shape, in_shape, orientation);
         // Serial fast pipeline and forced-threaded fast pipeline.
         for threshold in [usize::MAX, 1] {
             let fast = provrc::compress_opts(
@@ -39,7 +32,6 @@ fn assert_parity(
                 in_shape,
                 orientation,
                 CompressOptions {
-                    fast: true,
                     parallel: true,
                     parallel_threshold: threshold,
                 },
@@ -172,7 +164,10 @@ proptest! {
             .map(|t| (t, &shape[..], &shape[..]))
             .collect();
         let fast = provrc::compress_batch_parallel(&jobs, Orientation::Backward);
-        let slow = provrc::compress_batch_parallel_opts(&jobs, Orientation::Backward, ablation());
+        let slow: Vec<_> = tables
+            .iter()
+            .map(|t| compress_reference(t, &shape, &shape, Orientation::Backward))
+            .collect();
         prop_assert_eq!(fast, slow);
     }
 }
@@ -188,7 +183,7 @@ fn radix_sized_scatter_parity() {
         t.push_row(&[i, h]);
     }
     let fast = provrc::compress(&t, &[n], &[n], Orientation::Backward);
-    let slow = provrc::compress_opts(&t, &[n], &[n], Orientation::Backward, ablation());
+    let slow = compress_reference(&t, &[n], &[n], Orientation::Backward);
     assert_eq!(fast, slow);
     assert_eq!(fast.decompress().unwrap().row_set(), t.row_set());
 }
@@ -211,6 +206,28 @@ fn heuristic_mask_order_parity_with_sparse_live_bits() {
     let out_shape = [40usize];
     let in_shape = [40usize; 7];
     let fast = provrc::compress(&t, &out_shape, &in_shape, Orientation::Backward);
-    let slow = provrc::compress_opts(&t, &out_shape, &in_shape, Orientation::Backward, ablation());
+    let slow = compress_reference(&t, &out_shape, &in_shape, Orientation::Backward);
     assert_eq!(fast, slow);
+}
+
+/// What the storage layer keeps for an edge — the orientation it
+/// materializes at ingest and the one it derives on first use — is the
+/// reference's output for that orientation.
+#[test]
+fn stored_orientations_equal_the_reference() {
+    // Paper Fig. 1(B): `B = numpy.sum(A, axis=1)` over a 3x2 input.
+    let mut t = LineageTable::new(1, 2);
+    for i in 0..3 {
+        for j in 0..2 {
+            t.push_row(&[i, i, j]);
+        }
+    }
+    let mut storage = dslog::storage::StorageManager::new();
+    storage.define_array("A", &[3, 2]).unwrap();
+    storage.define_array("B", &[3]).unwrap();
+    storage.ingest_lineage("A", "B", &t).unwrap();
+    for orientation in [Orientation::Backward, Orientation::Forward] {
+        let stored = storage.stored_table("A", "B", orientation).unwrap();
+        assert_eq!(*stored, compress_reference(&t, &[3], &[3, 2], orientation));
+    }
 }

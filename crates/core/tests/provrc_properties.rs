@@ -3,9 +3,10 @@
 //! roundtrips, and merge-step set preservation.
 
 use dslog::provrc::{self, reshape};
-use dslog::query::{self, reference};
+use dslog::query;
 use dslog::storage::format;
 use dslog::table::{BoxTable, LineageTable, Orientation};
+use dslog_oracle::query::reference;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -95,7 +96,7 @@ proptest! {
         let expected = reference::step(
             &cells.iter().cloned().collect(),
             &t,
-            reference::Direction::Backward,
+            Orientation::Backward,
         );
         prop_assert_eq!(result.cell_set(), expected);
     }
@@ -121,7 +122,7 @@ proptest! {
         let expected = reference::step(
             &cells.iter().cloned().collect(),
             &t,
-            reference::Direction::Forward,
+            Orientation::Forward,
         );
         prop_assert_eq!(result.cell_set(), expected);
     }

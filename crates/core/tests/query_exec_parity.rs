@@ -1,12 +1,13 @@
 //! Property-based parity suite for the indexed query engine: over
 //! randomized compressed tables (both orientations, 1–3 hops, merge on and
-//! off), [`QueryExec`] must agree exactly with the brute-force
-//! `query::reference` oracle, the nested-loop scan ablation, and the
-//! parallel execution path.
+//! off), [`QueryExec`] must agree exactly with the brute-force join over
+//! the raw rows (`dslog_oracle::query::reference`), and the parallel
+//! execution path with the sequential one.
 
 use dslog::provrc;
-use dslog::query::{reference, QueryExec, QueryOptions};
+use dslog::query::{QueryExec, QueryOptions};
 use dslog::table::{BoxTable, CompressedTable, LineageTable, Orientation};
+use dslog_oracle::query::reference;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -71,6 +72,15 @@ fn hop_arities(arities: &[usize], backward: &[bool], i: usize) -> (usize, usize)
     }
 }
 
+/// The orientation whose primary side is a hop's query side.
+fn orientation(backward: bool) -> Orientation {
+    if backward {
+        Orientation::Backward
+    } else {
+        Orientation::Forward
+    }
+}
+
 /// Build the uncompressed tables, the compressed tables (oriented so each
 /// hop's primary side is its query side), and the reference hop list.
 fn build(case: &Case) -> (Vec<LineageTable>, Vec<CompressedTable>) {
@@ -83,16 +93,11 @@ fn build(case: &Case) -> (Vec<LineageTable>, Vec<CompressedTable>) {
             t.push_row(r);
         }
         t.normalize();
-        let orientation = if case.backward[i] {
-            Orientation::Backward
-        } else {
-            Orientation::Forward
-        };
         let c = provrc::compress(
             &t,
             &vec![DIM as usize; out_a],
             &vec![DIM as usize; in_a],
-            orientation,
+            orientation(case.backward[i]),
         );
         fulls.push(t);
         compressed.push(c);
@@ -122,19 +127,10 @@ fn query_cells(case: &Case, fulls: &[LineageTable]) -> Vec<Vec<i64>> {
 }
 
 fn reference_result(case: &Case, fulls: &[LineageTable], cells: &[Vec<i64>]) -> BTreeSet<Vec<i64>> {
-    let hops: Vec<(&LineageTable, reference::Direction)> = fulls
+    let hops: Vec<(&LineageTable, Orientation)> = fulls
         .iter()
         .zip(&case.backward)
-        .map(|(t, &b)| {
-            (
-                t,
-                if b {
-                    reference::Direction::Backward
-                } else {
-                    reference::Direction::Forward
-                },
-            )
-        })
+        .map(|(t, &b)| (t, orientation(b)))
         .collect();
     reference::chain(&cells.iter().cloned().collect(), &hops)
 }
@@ -178,36 +174,6 @@ proptest! {
         prop_assert_eq!(got.cell_set(), expected);
     }
 
-    /// The index is a pure access-path change: with merging on, the probe
-    /// path and the nested-loop scan produce bit-identical box tables.
-    #[test]
-    fn indexed_equals_scan_exactly(case in arb_case()) {
-        let (fulls, tables) = build(&case);
-        let cells = query_cells(&case, &fulls);
-        prop_assume!(!cells.is_empty());
-        let q = BoxTable::from_cells(case.arities[0], &cells);
-
-        let indexed = run_chain(QueryOptions::default(), &q, &tables);
-        let scan = run_chain(
-            QueryOptions { use_index: false, ..QueryOptions::default() },
-            &q,
-            &tables,
-        );
-        prop_assert_eq!(indexed, scan);
-        prop_assert_eq!(
-            run_chain(
-                QueryOptions { merge: false, ..QueryOptions::default() },
-                &q,
-                &tables,
-            ).cell_set(),
-            run_chain(
-                QueryOptions { merge: false, use_index: false, ..QueryOptions::default() },
-                &q,
-                &tables,
-            ).cell_set()
-        );
-    }
-
     /// Fanning a hop out over threads must be invisible: partial results
     /// are concatenated in box order, so even the un-merged box table is
     /// bit-identical to sequential execution.
@@ -230,4 +196,58 @@ proptest! {
         );
         prop_assert_eq!(sequential, parallel);
     }
+}
+
+#[test]
+fn matches_reference_on_aggregate() {
+    let mut t = LineageTable::new(1, 2);
+    for b in 0..5 {
+        for j in 0..3 {
+            t.push_row(&[b, b, j]);
+        }
+    }
+    let c = provrc::compress(&t, &[5], &[5, 3], Orientation::Backward);
+    let cells = vec![vec![1i64], vec![3]];
+    let q = BoxTable::from_cells(1, &cells);
+    let (got, _) = QueryExec::default().hop(&q, &c).unwrap();
+    let expected = reference::step(&cells.into_iter().collect(), &t, Orientation::Backward);
+    assert_eq!(got.cell_set(), expected);
+}
+
+/// A poorly compressible table (the compressed form keeps about one row
+/// per raw row): the sequential and the fanned-out hop both answer what
+/// the raw relation answers, identically, and the index is selective.
+#[test]
+fn indexed_and_parallel_paths_match_reference_on_scatter() {
+    let n = 200i64;
+    let mut t = LineageTable::new(1, 1);
+    for i in 0..n {
+        t.push_row(&[i, (i * 48271) % n]);
+    }
+    let c = provrc::compress(&t, &[n as usize], &[n as usize], Orientation::Backward);
+    assert!(c.n_rows() > (n / 2) as usize, "scatter must stay scattered");
+    let cells: Vec<Vec<i64>> = (0..n).step_by(3).map(|v| vec![v]).collect();
+    let q = BoxTable::from_cells(1, &cells);
+
+    let hop = |opts| QueryExec::new(opts).hop(&q, &c).unwrap();
+    let (r_seq, s_seq) = hop(QueryOptions {
+        parallel: false,
+        ..QueryOptions::default()
+    });
+    let (r_par, s_par) = hop(QueryOptions {
+        parallel_threshold: 2,
+        ..QueryOptions::default()
+    });
+    assert_eq!(r_seq, r_par, "parallel result must be deterministic");
+    assert!(
+        s_seq.threads == 1 && s_par.threads >= 2,
+        "threshold 2 must fan out"
+    );
+    assert_eq!(s_seq.rows_matched, s_par.rows_matched);
+    assert!(
+        s_seq.rows_probed < q.n_boxes() * c.n_rows(),
+        "the index must not hand back every row for every box"
+    );
+    let expected = reference::step(&cells.into_iter().collect(), &t, Orientation::Backward);
+    assert_eq!(r_seq.cell_set(), expected);
 }

@@ -82,7 +82,7 @@ fn sec_equal_except(x: &[WCell], y: &[WCell], k: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::Interval;
+    use dslog::Interval;
 
     fn abs(lo: i64, hi: i64) -> WCell {
         WCell::Abs(Interval::new(lo, hi))

@@ -17,9 +17,9 @@
 //! value sets, and the merge stays exact.
 //!
 //! The abs/rel choice per still-absolute secondary attribute is enumerated
-//! as a bitmask (capped for very wide relations; see [`masks_for`]).
+//! as a bitmask (capped for very wide relations; see `masks_for`).
 
-use crate::interval::Interval;
+use dslog::Interval;
 
 /// A secondary attribute cell during compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,19 +42,13 @@ pub(crate) struct WRow {
 /// (all-rel, all-abs, single-attr masks and their complements) keeps the
 /// pass count linear while covering the patterns arising in practice.
 ///
-/// The mask lists are built once per process and cached per `n_abs` —
-/// `primary_passes` runs once per primary attribute of every compressed
-/// relation, and re-allocating and popcount-sorting up to 64 masks on each
-/// call showed up in capture-path profiles.
-pub(super) fn masks_for(n_abs: usize) -> &'static [u64] {
-    static CACHE: std::sync::OnceLock<Vec<Vec<u64>>> = std::sync::OnceLock::new();
-    let cache = CACHE.get_or_init(|| (0..=63).map(build_masks).collect());
+/// This is the reference's own statement of the pass order: the columnar
+/// pipeline in `dslog` keeps a separate copy, so a change to either shows
+/// up as a parity failure instead of moving both sides at once.
+fn masks_for(n_abs: usize) -> Vec<u64> {
     // Masks are single `u64`s, so ≥ 64 still-absolute attributes clamp to
     // the widest representable heuristic list.
-    &cache[n_abs.min(63)]
-}
-
-fn build_masks(n_abs: usize) -> Vec<u64> {
+    let n_abs = n_abs.min(63);
     if n_abs == 0 {
         return vec![0];
     }
@@ -80,7 +74,7 @@ fn build_masks(n_abs: usize) -> Vec<u64> {
 
 /// Run all combo passes for primary attribute `j`.
 pub(crate) fn primary_passes(rows: &mut Vec<WRow>, j: usize, sec_arity: usize) {
-    for &mask in masks_for(sec_arity) {
+    for mask in masks_for(sec_arity) {
         primary_pass(rows, j, mask);
         if rows.len() <= 1 {
             break;

@@ -1,31 +1,26 @@
 //! Brute-force reference implementation of lineage queries over
-//! *uncompressed* tables (§V.A's natural-join semantics).
+//! *uncompressed* tables (§V.A's natural-join semantics): the one oracle
+//! every in-situ answer is validated against, in unit, integration and
+//! property tests and in the bench harness's parity asserts.
 //!
-//! Used to validate the in-situ path in unit, integration and property
-//! tests, and by the baseline formats (which decompress and then join).
+//! A hop's direction is the [`Orientation`] whose primary side is the
+//! hop's query side: `Backward` maps output cells of the stored relation
+//! `R(out_attrs, in_attrs)` to the input cells they came from, `Forward`
+//! maps input cells to the output cells they influenced.
 
-use crate::table::LineageTable;
+use dslog::{LineageTable, Orientation};
 use std::collections::BTreeSet;
-
-/// Hop direction relative to the stored relation `R(out_attrs, in_attrs)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// From output cells to contributing input cells.
-    Backward,
-    /// From input cells to influenced output cells.
-    Forward,
-}
 
 /// One join hop: map a set of cells through `table` in the given direction.
 pub fn step(
     cells: &BTreeSet<Vec<i64>>,
     table: &LineageTable,
-    direction: Direction,
+    direction: Orientation,
 ) -> BTreeSet<Vec<i64>> {
     let out_arity = table.out_arity();
     let mut result = BTreeSet::new();
     match direction {
-        Direction::Backward => {
+        Orientation::Backward => {
             for row in table.rows() {
                 let (out_part, in_part) = row.split_at(out_arity);
                 if cells.contains(out_part) {
@@ -33,7 +28,7 @@ pub fn step(
                 }
             }
         }
-        Direction::Forward => {
+        Orientation::Forward => {
             for row in table.rows() {
                 let (out_part, in_part) = row.split_at(out_arity);
                 if cells.contains(in_part) {
@@ -48,7 +43,7 @@ pub fn step(
 /// Chain several hops (the reference for multi-step `prov_query`).
 pub fn chain(
     start: &BTreeSet<Vec<i64>>,
-    hops: &[(&LineageTable, Direction)],
+    hops: &[(&LineageTable, Orientation)],
 ) -> BTreeSet<Vec<i64>> {
     let mut cur = start.clone();
     for &(table, direction) in hops {
@@ -77,7 +72,7 @@ mod tests {
     #[test]
     fn backward_step() {
         let cells: BTreeSet<Vec<i64>> = [vec![1i64]].into_iter().collect();
-        let result = step(&cells, &sum_table(), Direction::Backward);
+        let result = step(&cells, &sum_table(), Orientation::Backward);
         let expected: BTreeSet<Vec<i64>> = [vec![1i64, 0], vec![1, 1]].into_iter().collect();
         assert_eq!(result, expected);
     }
@@ -85,7 +80,7 @@ mod tests {
     #[test]
     fn forward_step() {
         let cells: BTreeSet<Vec<i64>> = [vec![2i64, 1]].into_iter().collect();
-        let result = step(&cells, &sum_table(), Direction::Forward);
+        let result = step(&cells, &sum_table(), Orientation::Forward);
         let expected: BTreeSet<Vec<i64>> = [vec![2i64]].into_iter().collect();
         assert_eq!(result, expected);
     }
@@ -97,7 +92,7 @@ mod tests {
         let t = sum_table();
         let result = chain(
             &cells,
-            &[(&t, Direction::Backward), (&t, Direction::Forward)],
+            &[(&t, Orientation::Backward), (&t, Orientation::Forward)],
         );
         assert!(result.contains(&vec![1i64]));
     }
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn empty_short_circuits() {
         let t = sum_table();
-        let result = chain(&BTreeSet::new(), &[(&t, Direction::Backward)]);
+        let result = chain(&BTreeSet::new(), &[(&t, Orientation::Backward)]);
         assert!(result.is_empty());
     }
 }

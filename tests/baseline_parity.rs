@@ -4,10 +4,10 @@
 //! identical answers.
 
 use dslog::api::{Dslog, TableCapture};
-use dslog::query::reference::{self, Direction};
-use dslog::table::LineageTable;
+use dslog::table::{LineageTable, Orientation};
 use dslog_array::{apply, OpArgs};
 use dslog_baselines::{all_formats, relengine};
+use dslog_oracle::query::reference;
 use dslog_workloads::pipelines::{image_workflow, random_array};
 use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
 use std::collections::BTreeSet;
@@ -96,9 +96,9 @@ fn hash_join_and_array_scan_agree_with_reference() {
             .filter(|(i, _)| i % 3 == 0)
             .map(|(_, c)| c)
             .collect();
-        let want = reference::step(&out_cells, &lineage, Direction::Backward);
-        let hash = relengine::hash_join_step(&out_cells, &lineage, Direction::Backward);
-        let scan = relengine::array_query(&out_cells, &lineage, Direction::Backward, 1000);
+        let want = reference::step(&out_cells, &lineage, Orientation::Backward);
+        let hash = relengine::hash_join_step(&out_cells, &lineage, Orientation::Backward);
+        let scan = relengine::array_query(&out_cells, &lineage, Orientation::Backward, 1000);
         assert_eq!(hash, want, "hash join on {op}");
         assert_eq!(scan, want, "array scan on {op}");
     }
@@ -119,8 +119,8 @@ fn in_situ_chain_matches_baseline_chain_on_workflows() {
     let in_situ = db.prov_query(&path, &cells).unwrap().cells.cell_set();
 
     let tables = p.main_path_tables();
-    let hops: Vec<(&LineageTable, Direction)> =
-        tables.iter().map(|t| (*t, Direction::Forward)).collect();
+    let hops: Vec<(&LineageTable, Orientation)> =
+        tables.iter().map(|t| (*t, Orientation::Forward)).collect();
     let start: BTreeSet<Vec<i64>> = cells.into_iter().collect();
     let joined = relengine::hash_join_chain(&start, &hops);
     let referenced = reference::chain(&start, &hops);
@@ -152,8 +152,8 @@ fn in_situ_matches_baselines_on_random_pipelines() {
         let in_situ = db.prov_query(&path, &cells).unwrap().cells.cell_set();
 
         let tables = p.main_path_tables();
-        let hops: Vec<(&LineageTable, Direction)> =
-            tables.iter().map(|t| (*t, Direction::Forward)).collect();
+        let hops: Vec<(&LineageTable, Orientation)> =
+            tables.iter().map(|t| (*t, Orientation::Forward)).collect();
         let start: BTreeSet<Vec<i64>> = cells.into_iter().collect();
         assert_eq!(
             in_situ,
@@ -169,7 +169,6 @@ fn compression_ranking_holds_on_structured_lineage() {
     // every columnar baseline by orders of magnitude.
     use dslog::provrc;
     use dslog::storage::format as provrc_format;
-    use dslog::table::Orientation;
 
     let a = random_array(&[300, 4], 0x51);
     let r = apply("negative", &[&a], &OpArgs::none());
@@ -214,7 +213,7 @@ fn baselines_must_decompress_but_dslog_does_not() {
     for format in all_formats() {
         let decoded = format.decode(&format.encode(&lineage));
         let start: BTreeSet<Vec<i64>> = q.iter().cloned().collect();
-        let joined = relengine::hash_join_step(&start, &decoded, Direction::Backward);
+        let joined = relengine::hash_join_step(&start, &decoded, Orientation::Backward);
         assert_eq!(in_situ, joined, "format {}", format.name());
     }
 }

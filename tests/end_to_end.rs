@@ -4,11 +4,11 @@
 //! brute-force reference over the *uncompressed* relation.
 
 use dslog::api::{Dslog, TableCapture};
-use dslog::query::reference::{self, Direction};
 use dslog::query::QueryOptions;
 use dslog::storage::Materialize;
 use dslog::table::{LineageTable, Orientation};
 use dslog_array::{apply, Array, OpArgs};
+use dslog_oracle::query::reference;
 use dslog_workloads::pipelines::random_array;
 use std::collections::BTreeSet;
 
@@ -38,7 +38,7 @@ fn check_all_backward(db: &Dslog, lineage: &LineageTable, out_shape: &[usize]) {
         let want = reference::step(
             &[cell.clone()].into_iter().collect(),
             lineage,
-            Direction::Backward,
+            Orientation::Backward,
         );
         assert_eq!(got.cells.cell_set(), want, "backward from {cell:?}");
     }
@@ -97,7 +97,7 @@ fn tile_repetition_roundtrip_forward() {
         let want = reference::step(
             &[vec![v]].into_iter().collect(),
             &lineage,
-            Direction::Forward,
+            Orientation::Forward,
         );
         assert_eq!(got.cells.cell_set(), want, "forward from [{v}]");
     }
@@ -290,7 +290,7 @@ fn queries_after_reuse_hit_match_fresh_capture() {
             let want = reference::step(
                 &[vec![v]].into_iter().collect(),
                 &r.lineage[0],
-                Direction::Backward,
+                Orientation::Backward,
             );
             assert_eq!(got.cells.cell_set(), want, "run {run}, cell {v}");
         }

@@ -4,8 +4,8 @@
 //! natural-join reference over the uncompressed relations.
 
 use dslog::api::Dslog;
-use dslog::query::reference::{self, Direction};
 use dslog::table::{LineageTable, Orientation};
+use dslog_oracle::query::reference;
 use dslog_workloads::pipelines::{image_workflow, relational_workflow, resnet_workflow, Pipeline};
 use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
 use std::collections::BTreeSet;
@@ -16,8 +16,8 @@ fn check_forward(db: &Dslog, p: &Pipeline, cells: &[Vec<i64>]) {
     let got = db.prov_query(&path, cells).unwrap();
 
     let tables: Vec<&LineageTable> = p.main_path_tables();
-    let hops: Vec<(&LineageTable, Direction)> =
-        tables.iter().map(|t| (*t, Direction::Forward)).collect();
+    let hops: Vec<(&LineageTable, Orientation)> =
+        tables.iter().map(|t| (*t, Orientation::Forward)).collect();
     let start: BTreeSet<Vec<i64>> = cells.iter().cloned().collect();
     let want = reference::chain(&start, &hops);
     assert_eq!(
@@ -34,10 +34,10 @@ fn check_backward(db: &Dslog, p: &Pipeline, cells: &[Vec<i64>]) {
     let got = db.prov_query(&path, cells).unwrap();
 
     let tables: Vec<&LineageTable> = p.main_path_tables();
-    let hops: Vec<(&LineageTable, Direction)> = tables
+    let hops: Vec<(&LineageTable, Orientation)> = tables
         .iter()
         .rev()
-        .map(|t| (*t, Direction::Backward))
+        .map(|t| (*t, Orientation::Backward))
         .collect();
     let start: BTreeSet<Vec<i64>> = cells.iter().cloned().collect();
     let want = reference::chain(&start, &hops);
@@ -118,18 +118,18 @@ fn relational_workflow_episode_branch() {
     // Reference: backward along main hops until `joined`, then one hop
     // through the episode-side table.
     let tables = p.main_path_tables();
-    let mut hops: Vec<(&LineageTable, Direction)> = tables
+    let mut hops: Vec<(&LineageTable, Orientation)> = tables
         .iter()
         .rev()
         .take(tables.len() - 1) // stop at `joined`
-        .map(|t| (*t, Direction::Backward))
+        .map(|t| (*t, Orientation::Backward))
         .collect();
     let episode_hop = p
         .hops
         .iter()
         .find(|h| h.in_array == "episode")
         .expect("episode hop");
-    hops.push((&episode_hop.lineage, Direction::Backward));
+    hops.push((&episode_hop.lineage, Orientation::Backward));
     let want = reference::chain(&[cell].into_iter().collect(), &hops);
     assert_eq!(got.cells.cell_set(), want);
 }
@@ -246,8 +246,8 @@ fn check_forward_decompressed(db: &Dslog, p: &Pipeline, cells: &[Vec<i64>]) {
     let got = db.prov_query(&path, cells).unwrap();
 
     let stored = decompressed_main_path_tables(db, p);
-    let hops: Vec<(&LineageTable, Direction)> =
-        stored.iter().map(|t| (t, Direction::Forward)).collect();
+    let hops: Vec<(&LineageTable, Orientation)> =
+        stored.iter().map(|t| (t, Orientation::Forward)).collect();
     let start: BTreeSet<Vec<i64>> = cells.iter().cloned().collect();
     let want = reference::chain(&start, &hops);
     assert_eq!(
@@ -264,10 +264,10 @@ fn check_backward_decompressed(db: &Dslog, p: &Pipeline, cells: &[Vec<i64>]) {
     let got = db.prov_query(&path, cells).unwrap();
 
     let stored = decompressed_main_path_tables(db, p);
-    let hops: Vec<(&LineageTable, Direction)> = stored
+    let hops: Vec<(&LineageTable, Orientation)> = stored
         .iter()
         .rev()
-        .map(|t| (t, Direction::Backward))
+        .map(|t| (t, Orientation::Backward))
         .collect();
     let start: BTreeSet<Vec<i64>> = cells.iter().cloned().collect();
     let want = reference::chain(&start, &hops);

@@ -4,9 +4,9 @@
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::provrc;
-use dslog::query::reference::{self, Direction};
 use dslog::query::QueryOptions;
 use dslog::table::{LineageTable, Orientation};
+use dslog_oracle::query::reference;
 use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -90,7 +90,7 @@ proptest! {
             let want = reference::step(
                 &out_cells.iter().cloned().collect::<BTreeSet<_>>(),
                 &t,
-                Direction::Backward,
+                Orientation::Backward,
             );
             prop_assert_eq!(got.cells.cell_set(), want);
         }
@@ -107,7 +107,7 @@ proptest! {
             let want = reference::step(
                 &in_cells.iter().cloned().collect::<BTreeSet<_>>(),
                 &t,
-                Direction::Forward,
+                Orientation::Forward,
             );
             prop_assert_eq!(got.cells.cell_set(), want);
         }
@@ -145,8 +145,8 @@ proptest! {
         let got = db.prov_query(&path, &cells).unwrap();
 
         let tables = p.main_path_tables();
-        let hops: Vec<(&LineageTable, Direction)> =
-            tables.iter().map(|t| (*t, Direction::Forward)).collect();
+        let hops: Vec<(&LineageTable, Orientation)> =
+            tables.iter().map(|t| (*t, Orientation::Forward)).collect();
         let want = reference::chain(&cells.into_iter().collect(), &hops);
         prop_assert_eq!(got.cells.cell_set(), want);
     }

@@ -24,12 +24,14 @@
 //! first step's (a commit record names its catalog, it does not embed
 //! it), and prints the numbers the parent commit gave beside them.
 //!
-//! The **`cold_open`** object says where a cold start's time goes, on the
-//! accreted chain of the generations axis before it is compacted: the
-//! crc32 rate over its tables' bytes, the rate of `format::deserialize`
-//! (checksum + decode) over them, and the eager open with one thread and
-//! with the pool — beside the numbers the parent commit gave, when a table
-//! file was checksummed twice by a bytewise crc and decoded cell by cell.
+//! The **`cold_open`** object says where a cold start's time goes: the
+//! crc32 rate over the bytes of the generations axis' accreted chain and
+//! the rate of `format::deserialize` (checksum + decode) over them; then,
+//! for the benchmark's `reopen` database shape at four sizes from its own
+//! 0.94 MB to over 10 MB, the eager open and how many decode workers the
+//! library gave it. Its `parent` block keeps the crossovers measured at
+//! the parent commit — the last one whose knobs could force each fan-out
+//! on and off — that the library's three grain constants come from.
 //!
 //! Emits an aligned table on stdout and machine-readable
 //! `BENCH_persist.json` in the working directory.
@@ -187,10 +189,6 @@ struct GenPoint {
     onegen_open_query_s: f64,
     multi_open_query_s: f64,
     compacted_open_query_s: f64,
-    /// Eager open of the accreted database, sharded vs forced serial
-    /// (`open_threads(1)`), p50.
-    open_parallel_s: f64,
-    open_serial_s: f64,
     /// Bytes in the accreted chain's table files, and the p50 time to
     /// checksum them all and to `format::deserialize` them all.
     table_bytes: usize,
@@ -204,12 +202,6 @@ impl GenPoint {
         self.table_bytes as f64 / 1e6 / secs.max(1e-12)
     }
 }
-
-/// `cold_open` on the parent commit (4aae2c1: bytewise crc32, every plain
-/// table checksummed against the catalog and again against its trailer,
-/// per-cell decode), `--scale 1` on the 2-vCPU reference box: `(crc32
-/// MB/s, deserialize MB/s, open_threads(1) s, pooled open s)`.
-const PARENT_COLD_OPEN: (f64, f64, f64, f64) = (404.6, 99.1, 0.050_220, 0.027_102);
 
 /// Open eagerly and run one backward hop through the chain tip — the
 /// "time to first answer" a cold reader pays.
@@ -228,8 +220,8 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
     // Enough generations that accretion visibly dominates at full scale,
     // few enough to stay cheap in the drift gate.
     let generations = if scale < 0.05 { 8 } else { 64 };
-    // Enough rows per edge that decode + crc (the work the sharded open
-    // fans out) dominates the serial O(catalog + log) bookkeeping.
+    // Enough rows per edge that decode + crc dominates the O(catalog + log)
+    // bookkeeping of an open.
     let per_edge = ((1_000_000.0 * scale) as usize / generations).max(64);
     let dir = std::env::temp_dir().join(format!(
         "dslog-persist-gens-{generations}-{}",
@@ -265,15 +257,9 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
 
     let mut onegen = Vec::with_capacity(reps);
     let mut multi = Vec::with_capacity(reps);
-    let mut parallel = Vec::with_capacity(reps);
-    let mut serial = Vec::with_capacity(reps);
     for _ in 0..reps {
         onegen.push(open_and_first_query(&onegen_dir, generations, per_edge));
         multi.push(open_and_first_query(&dir, generations, per_edge));
-        let (_, par_s) = timed(|| Dslog::options().open(&dir).unwrap());
-        parallel.push(par_s);
-        let (_, ser_s) = timed(|| Dslog::options().open_threads(1).open(&dir).unwrap());
-        serial.push(ser_s);
     }
 
     // Where an open's time goes: the codec floor over the same bytes. Each
@@ -326,13 +312,161 @@ fn measure_generations(scale: f64, reps: usize) -> GenPoint {
         onegen_open_query_s: p50(&mut onegen),
         multi_open_query_s: p50(&mut multi),
         compacted_open_query_s: p50(&mut compacted),
-        open_parallel_s: p50(&mut parallel),
-        open_serial_s: p50(&mut serial),
         table_bytes: files.iter().map(Vec::len).sum(),
         crc32_s: p50(&mut crc),
         deserialize_s: p50(&mut decode),
     }
 }
+
+/// How much two busy loops gain from running side by side: ~2.0 when the
+/// machine has two real cores for them, ~1.0 when its two vCPUs share one
+/// — and then no number that involves a second thread means anything.
+fn two_thread_scaling() -> f64 {
+    fn spin() -> u64 {
+        let mut x = 1u64;
+        for i in 0..120_000_000u64 {
+            x = black_box(x)
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(i);
+        }
+        black_box(x)
+    }
+    let (_, one) = timed(spin);
+    let (_, two) = timed(|| {
+        let other = std::thread::spawn(spin);
+        spin();
+        other.join().unwrap();
+    });
+    2.0 * one / two
+}
+
+/// One size of the `cold_open` series.
+struct ColdPoint {
+    /// Rows per scatter edge (and cells per array).
+    cells: usize,
+    /// Bytes in the database's table files.
+    table_bytes: u64,
+    /// Decode workers the library gives an eager open of this size here.
+    workers: u64,
+    /// Eager open, p50.
+    open_eager_s: f64,
+}
+
+/// `dslog`'s crate-private `storage::persist::DECODE_GRAIN`: plain table
+/// bytes per decode worker of an eager open. Repeated here only to report
+/// the worker count each measured size gets on this machine.
+const DECODE_GRAIN: u64 = 4 << 20;
+
+/// Cells per array of the `cold_open` sizes at `--scale 1`: `reopen`'s own
+/// 5 000 (0.94 MB of tables), two sizes under the decode crossover and one
+/// over 10 MB.
+const COLD_OPEN_CELLS: [usize; 4] = [5_000, 12_000, 22_000, 55_000];
+
+/// Eager open of the benchmark's `reopen` database shape — a 96-edge chain
+/// accreted over 32 commits, two scatter edges and one one-to-one edge per
+/// commit — at each of [`COLD_OPEN_CELLS`].
+fn measure_cold_open(scale: f64, reps: usize) -> Vec<ColdPoint> {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let mut points = Vec::with_capacity(COLD_OPEN_CELLS.len());
+    for base in COLD_OPEN_CELLS {
+        let cells = ((base as f64 * scale) as usize).max(64);
+        let dir =
+            std::env::temp_dir().join(format!("dslog-persist-cold-{cells}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = Dslog::options().create(&dir).unwrap();
+        db.define_array("R0", &[cells]).unwrap();
+        for k in 0..96 {
+            db.define_array(&format!("R{}", k + 1), &[cells]).unwrap();
+            let (lineage, _, _) = if k % 3 == 2 {
+                edges::one_to_one(cells)
+            } else {
+                edges::scatter(cells)
+            };
+            db.add_lineage(
+                &format!("R{k}"),
+                &format!("R{}", k + 1),
+                &TableCapture::new(lineage),
+            )
+            .unwrap();
+            if k % 3 == 2 {
+                db.commit().unwrap();
+            }
+        }
+        drop(db);
+        let table_bytes: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("segment-"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        let mut opens = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            opens.push(timed(|| Dslog::options().open(&dir).unwrap()).1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        points.push(ColdPoint {
+            cells,
+            table_bytes,
+            workers: hw.min(table_bytes / DECODE_GRAIN).max(1),
+            open_eager_s: p50(&mut opens),
+        });
+    }
+    points
+}
+
+/// The crossovers behind the library's three grain constants, measured at
+/// the parent commit (bf4b375) on the 2-vCPU reference box through the
+/// knobs that commit still had: medians of alternating pairs, taken only in
+/// rounds that began and ended with two busy loops scaling >= 1.7x.
+///
+/// Eager open of the `cold_open` shape, the builder's one-thread cap
+/// against the default pool: `(table bytes, one thread ms, pool ms, lowest
+/// and highest pool / one-thread ratio over the three runs taken)`.
+const PARENT_OPEN: [(u64, f64, f64, f64, f64); 9] = [
+    (954_027, 5.039, 4.438, 0.88, 1.20),
+    (1_530_008, 8.290, 9.852, 1.13, 1.19),
+    (2_375_715, 15.846, 13.043, 0.82, 0.89),
+    (3_544_554, 26.023, 19.039, 0.73, 1.08),
+    (4_758_827, 39.030, 28.391, 0.72, 0.73),
+    (7_243_979, 39.781, 38.686, 0.88, 0.97),
+    (9_761_673, 66.103, 49.428, 0.75, 0.87),
+    (13_055_460, 97.301, 64.982, 0.67, 0.73),
+    (19_421_536, 152.251, 82.583, 0.54, 0.64),
+];
+/// `compress_batch_parallel_opts` over 4 relations (2 scatter, 1
+/// one-to-one, 1 convolution), `parallel: false` against the job fan-out
+/// alone (in-pass threshold at `usize::MAX`): `(rows summed, serial ms,
+/// fan-out ms)`.
+const PARENT_BATCH: [(u64, f64, f64); 12] = [
+    (168, 0.021, 0.232),
+    (834, 0.084, 0.303),
+    (1_668, 0.150, 0.376),
+    (3_333, 0.272, 0.434),
+    (5_001, 0.556, 0.817),
+    (6_666, 0.889, 1.043),
+    (8_334, 0.927, 1.094),
+    (11_667, 1.327, 1.188),
+    (16_668, 1.774, 1.954),
+    (33_333, 2.268, 1.925),
+    (83_334, 10.393, 7.816),
+    (333_333, 54.814, 41.020),
+];
+/// `compress_both_opts` on one scatter / one one-to-one relation, the same
+/// two settings: `(rows, scatter serial ms, scatter two-thread ms,
+/// one-to-one serial ms, one-to-one two-thread ms)`.
+const PARENT_BOTH: [(u64, f64, f64, f64, f64); 11] = [
+    (1_000, 0.217, 0.362, 0.068, 0.229),
+    (2_500, 0.610, 0.619, 0.137, 0.289),
+    (5_000, 1.324, 1.101, 0.248, 0.362),
+    (7_500, 1.572, 1.072, 0.366, 0.451),
+    (10_000, 1.727, 1.446, 0.486, 0.607),
+    (15_000, 3.922, 2.383, 0.774, 0.876),
+    (20_000, 5.737, 3.344, 1.013, 1.048),
+    (35_000, 7.370, 4.629, 2.315, 1.846),
+    (50_000, 14.422, 10.497, 3.128, 2.384),
+    (100_000, 52.923, 34.756, 10.887, 7.537),
+    (200_000, 78.620, 53.883, 23.499, 16.541),
+];
 
 /// One step of the `commit_vs_history` series.
 struct HistoryPoint {
@@ -464,7 +598,7 @@ fn main() {
     println!("{}", table.render());
 
     // Generations axis: accretion cost at open time and what compaction
-    // buys back, plus sharded-vs-serial open on the accreted chain.
+    // buys back.
     let gp = measure_generations(scale, 5);
     let mut gen_table = TextTable::new(&[
         "generations",
@@ -472,8 +606,6 @@ fn main() {
         "open+query 1-gen",
         "open+query uncompacted",
         "open+query compacted",
-        "open parallel",
-        "open serial",
     ]);
     gen_table.row(&[
         gp.generations.to_string(),
@@ -481,76 +613,89 @@ fn main() {
         secs(gp.onegen_open_query_s),
         secs(gp.multi_open_query_s),
         secs(gp.compacted_open_query_s),
-        secs(gp.open_parallel_s),
-        secs(gp.open_serial_s),
     ]);
     println!("{}", gen_table.render());
     if scale >= 1.0 {
         // The compaction contract, asserted where timings are stable: a
         // compacted 64-generation database opens and answers within 2x of
-        // the same data written in a single generation, and the sharded
-        // open beats a forced-serial one on the accreted chain.
+        // the same data written in a single generation.
         assert!(
             gp.compacted_open_query_s <= 2.0 * gp.onegen_open_query_s,
             "compacted open+query {:.6}s exceeds 2x the 1-gen baseline {:.6}s",
             gp.compacted_open_query_s,
             gp.onegen_open_query_s
         );
-        // Only meaningful where a pool can actually exist: on a 1-core
-        // runner the sharded open degenerates to the serial loop and the
-        // comparison is pure noise.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores > 1 {
-            assert!(
-                gp.open_parallel_s < gp.open_serial_s,
-                "sharded open {:.6}s not faster than serial {:.6}s on {cores} cores",
-                gp.open_parallel_s,
-                gp.open_serial_s
-            );
-        }
     }
 
-    // Cold start: where the open's time goes, beside the parent's numbers.
-    let mut cold_table = TextTable::new(&[
-        "cold open",
-        "table bytes",
-        "crc32",
-        "deserialize",
-        "open threads(1)",
-        "open pooled",
-    ]);
-    cold_table.row(&[
-        "this commit".to_string(),
-        gp.table_bytes.to_string(),
-        format!("{:.0} MB/s", gp.mb_s(gp.crc32_s)),
-        format!("{:.0} MB/s", gp.mb_s(gp.deserialize_s)),
-        secs(gp.open_serial_s),
-        secs(gp.open_parallel_s),
-    ]);
-    let (parent_crc, parent_deserialize, parent_serial_s, parent_pooled_s) = PARENT_COLD_OPEN;
-    cold_table.row(&[
-        "parent (scale 1)".to_string(),
-        "-".to_string(),
-        format!("{parent_crc:.0} MB/s"),
-        format!("{parent_deserialize:.0} MB/s"),
-        secs(parent_serial_s),
-        secs(parent_pooled_s),
-    ]);
+    // Cold start: the codec floor under an open, then the open itself at
+    // four database sizes with the worker count each one gets.
+    println!(
+        "cold open: crc32 {:.0} MB/s, deserialize {:.0} MB/s over {} table bytes",
+        gp.mb_s(gp.crc32_s),
+        gp.mb_s(gp.deserialize_s),
+        gp.table_bytes
+    );
+    let scaling = two_thread_scaling();
+    println!("two busy loops side by side: {scaling:.2}x one after the other");
+    let cold = measure_cold_open(scale, 21);
+    let mut cold_table = TextTable::new(&["cells", "table bytes", "workers", "open eager"]);
+    for pt in &cold {
+        cold_table.row(&[
+            pt.cells.to_string(),
+            pt.table_bytes.to_string(),
+            pt.workers.to_string(),
+            secs(pt.open_eager_s),
+        ]);
+    }
     println!("{}", cold_table.render());
+    let joined = |items: Vec<String>| items.join(",");
     let cold_open_json = format!(
         "{{\"rows\":{},\"table_bytes\":{},\"crc32_mb_s\":{:.1},\"deserialize_mb_s\":{:.1},\
-         \"open_threads1_ms\":{:.3},\"open_pooled_ms\":{:.3},\
-         \"parent\":{{\"sha\":\"4aae2c1\",\"scale\":1,\"crc32_mb_s\":{parent_crc:.1},\
-         \"deserialize_mb_s\":{parent_deserialize:.1},\"open_threads1_ms\":{:.3},\
-         \"open_pooled_ms\":{:.3}}}}}",
+         \"hw_threads\":{},\"two_thread_scaling\":{scaling:.2},\"sizes\":[{}],\
+         \"parent\":{{\"sha\":\"bf4b375\",\"scale\":1,\"hw_threads\":2,\
+         \"open\":[{}],\"batch\":[{}],\"both\":[{}]}}}}",
         gp.rows,
         gp.table_bytes,
         gp.mb_s(gp.crc32_s),
         gp.mb_s(gp.deserialize_s),
-        gp.open_serial_s * 1e3,
-        gp.open_parallel_s * 1e3,
-        parent_serial_s * 1e3,
-        parent_pooled_s * 1e3,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        joined(
+            cold.iter()
+                .map(|pt| format!(
+                    "{{\"cells\":{},\"table_bytes\":{},\"workers\":{},\"open_eager_ms\":{:.3}}}",
+                    pt.cells,
+                    pt.table_bytes,
+                    pt.workers,
+                    pt.open_eager_s * 1e3
+                ))
+                .collect()
+        ),
+        joined(
+            PARENT_OPEN
+                .iter()
+                .map(|(bytes, one, pool, lo, hi)| format!(
+                    "{{\"table_bytes\":{bytes},\"one_thread_ms\":{one:.3},\"pooled_ms\":{pool:.3},\
+                 \"ratio_min\":{lo:.2},\"ratio_max\":{hi:.2}}}"
+                ))
+                .collect()
+        ),
+        joined(
+            PARENT_BATCH
+                .iter()
+                .map(|(sum, serial, fan)| format!(
+                    "{{\"rows\":{sum},\"serial_ms\":{serial:.3},\"fanout_ms\":{fan:.3}}}"
+                ))
+                .collect()
+        ),
+        joined(
+            PARENT_BOTH
+                .iter()
+                .map(|(n, ss, sp, os, op)| format!(
+                    "{{\"rows\":{n},\"scatter_serial_ms\":{ss:.3},\"scatter_pair_ms\":{sp:.3},\
+                 \"one_to_one_serial_ms\":{os:.3},\"one_to_one_pair_ms\":{op:.3}}}"
+                ))
+                .collect()
+        ),
     );
 
     // History axis: what a commit costs with 10 / 100 / 1 000 committed
@@ -614,15 +759,12 @@ fn main() {
 
     let generations_json = format!(
         "{{\"g\":{},\"rows\":{},\"onegen_open_query_s\":{:.9},\
-         \"multi_open_query_s\":{:.9},\"compacted_open_query_s\":{:.9},\
-         \"open_parallel_s\":{:.9},\"open_serial_s\":{:.9}}}",
+         \"multi_open_query_s\":{:.9},\"compacted_open_query_s\":{:.9}}}",
         gp.generations,
         gp.rows,
         gp.onegen_open_query_s,
         gp.multi_open_query_s,
-        gp.compacted_open_query_s,
-        gp.open_parallel_s,
-        gp.open_serial_s
+        gp.compacted_open_query_s
     );
     let json = format!(
         "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json},\"cold_open\":{cold_open_json},\"commit_vs_history\":{history_json}}}\n"

@@ -13,7 +13,6 @@
 //! | `query_scaling` | rows vs p50 latency, indexed vs scan (writes `BENCH_query.json`) | `… --bin query_scaling` |
 //! | `persist_scaling` | save / eager-open / lazy-open timings, plain vs gzip (writes `BENCH_persist.json`) | `… --bin persist_scaling` |
 //! | `compress_scaling` | rows vs p50 compress latency, fast columnar pipeline vs ablation (writes `BENCH_compress.json`; doubles as the fast ≡ ablation smoke gate) | `… --bin compress_scaling` |
-//! | `serve_scaling` | TCP query latency (p50/p99), idle vs under sustained ingest, vs client count (writes `BENCH_serve.json`) | `… --bin serve_scaling` |
 //!
 //! Criterion micro-benchmarks live under `benches/` (compression latency,
 //! query latency, ProvRC internals, and the merge/parallel ablations).
@@ -40,8 +39,7 @@ pub fn p50(samples: &mut [f64]) -> f64 {
 }
 
 /// The `q`-th percentile (0–100, nearest-rank) of a non-empty sample of
-/// seconds (sorts in place). `percentile(s, 99.0)` is the tail-latency
-/// metric of the serving benchmark.
+/// seconds (sorts in place).
 pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
     assert!(!samples.is_empty(), "percentile of an empty sample");
     assert!((0.0..=100.0).contains(&q), "percentile out of range");

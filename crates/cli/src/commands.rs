@@ -20,7 +20,7 @@ pub fn help() -> String {
 dslog — fine-grained array lineage storage, compression, and querying
 
 USAGE:
-  dslog ingest    --db DIR --in NAME:3x2 --out NAME:3 --csv FILE [--op NAME] [--gzip]
+  dslog ingest    --db DIR --in NAME:3x2 --out NAME:3 --csv FILE [--gzip]
                   [--retain N]
   dslog stats     --db DIR [--lazy]
   dslog query     --db DIR --path B,A --cells \"1;2;0\" [--no-merge]
@@ -121,6 +121,9 @@ MS (default 100) before giving up.
     .to_string()
 }
 
+/// The flags [`open_db`] reads.
+const READER_FLAGS: [&str; 3] = ["db", "lazy", "as-of"];
+
 fn open_db(opts: &Opts) -> Result<Dslog, String> {
     let dir = opts.required("db")?;
     // One validated builder instead of picking a constructor per flag
@@ -153,7 +156,8 @@ fn writer_options(opts: &Opts, actor: &str) -> Result<OpenOptions, String> {
 /// `dslog ingest`: add one CSV relation as an edge, creating or extending
 /// the database directory.
 pub fn ingest(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let known = ["db", "in", "out", "csv", "gzip", "retain", "crash-at-io"];
+    let opts = Opts::parse("ingest", &known, args)?;
     let db_dir = opts.required("db")?;
     let (in_name, in_shape) = parse_array_spec(opts.required("in")?)?;
     let (out_name, out_shape) = parse_array_spec(opts.required("out")?)?;
@@ -203,7 +207,7 @@ pub fn ingest(args: &[String]) -> Result<String, String> {
 
 /// `dslog stats`: what the database holds.
 pub fn stats(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("stats", &READER_FLAGS, args)?;
     let db = open_db(&opts)?;
     let storage = db.storage();
     let mut out = String::new();
@@ -225,7 +229,8 @@ pub fn stats(args: &[String]) -> Result<String, String> {
 
 /// `dslog query`: forward/backward lineage along a path.
 pub fn query(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let own = ["path", "cells", "no-merge", "no-planner", "stats"];
+    let opts = Opts::parse("query", &[&READER_FLAGS[..], &own].concat(), args)?;
     let db = open_db(&opts)?;
     let path_spec = opts.required("path")?;
     let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
@@ -241,7 +246,6 @@ pub fn query(args: &[String]) -> Result<String, String> {
             dslog::query::QueryOptions {
                 merge: !opts.switch("no-merge"),
                 use_planner: !opts.switch("no-planner"),
-                ..dslog::query::QueryOptions::default()
             },
         )
         .map_err(|e| e.to_string())?;
@@ -265,8 +269,8 @@ pub fn query(args: &[String]) -> Result<String, String> {
         for (i, h) in result.stats.hops.iter().enumerate() {
             writeln!(
                 out,
-                "  hop {i}: {} probed, {} matched, {} boxes, {:.2?} ({} thread(s))",
-                h.rows_probed, h.rows_matched, h.boxes_emitted, h.wall, h.threads
+                "  hop {i}: {} probed, {} matched, {} boxes, {:.2?}",
+                h.rows_probed, h.rows_matched, h.boxes_emitted, h.wall
             )
             .unwrap();
         }
@@ -294,7 +298,11 @@ fn render_boxes(out: &mut String, cells: &dslog::table::BoxTable) {
 
 /// `dslog export`: decompress one edge back to CSV (stdout or --csv FILE).
 pub fn export(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(
+        "export",
+        &[&READER_FLAGS[..], &["edge", "csv"]].concat(),
+        args,
+    )?;
     let db = open_db(&opts)?;
     let edge_spec = opts.required("edge")?;
     let (in_name, out_name) = edge_spec
@@ -409,7 +417,7 @@ pub fn db(args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         "compact" => {
-            let opts = Opts::parse(&args[2..])?;
+            let opts = Opts::parse("db compact", &["retain", "crash-at-io"], &args[2..])?;
             // A lazy open binds the manager in O(catalog) without decoding
             // any table: compaction streams clean slots byte-for-byte.
             let db = writer_options(&opts, "cli")?
@@ -434,7 +442,23 @@ pub fn db(args: &[String]) -> Result<String, String> {
 /// the database directory's current generation. With `--listen ADDR`
 /// the same service is exposed over TCP instead (see [`serve_listen`]).
 pub fn serve(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let known = [
+        "db",
+        "gzip",
+        "lazy",
+        "auto-commit-edges",
+        "auto-commit-ms",
+        "compact-every-gens",
+        "retain",
+        "crash-at-io",
+        "script",
+        "listen",
+        "addr-file",
+        "net-workers",
+        "net-queue-depth",
+        "max-line-bytes",
+    ];
+    let opts = Opts::parse("serve", &known, args)?;
     let db_dir = opts.required("db")?;
     let gzip = opts.switch("gzip");
     let lazy = opts.switch("lazy");
@@ -606,7 +630,8 @@ fn retry_backoff(base_ms: u64, attempt: u64) -> Duration {
 /// a transport error is fatal, never retried.
 pub fn client(args: &[String]) -> Result<String, String> {
     use std::io::{BufRead as _, Write as _};
-    let opts = Opts::parse(args)?;
+    let known = ["addr", "script", "stats", "retries", "retry-ms"];
+    let opts = Opts::parse("client", &known, args)?;
     let addr = opts.required("addr")?;
     let retries: u64 = opts.optional_int("retries")?.unwrap_or(0);
     let retry_ms: u64 = opts.optional_int("retry-ms")?.unwrap_or(100);
@@ -900,7 +925,7 @@ fn serve_command(service: &DslogService, line: &str) -> Result<Option<String>, S
 /// `dslog compress`: compare every storage format on a CSV relation and
 /// report ProvRC compression throughput.
 pub fn compress(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("compress", &["csv", "out-arity"], args)?;
     let csv_path = opts.required("csv")?;
     let out_arity = opts.required_usize("out-arity")?;
     let text = std::fs::read_to_string(csv_path).map_err(|e| format!("read {csv_path}: {e}"))?;

@@ -437,6 +437,130 @@ mod tests {
         assert!(err.unwrap_err().contains("--scan"));
     }
 
+    /// `run(args)` fails naming `flag` as unknown for `command`.
+    fn assert_unknown_flag(args: &[&str], flag: &str, command: &str) {
+        let err = run(&s(args)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("unknown flag {flag} for {command}; see dslog help"),
+            "{args:?}"
+        );
+    }
+
+    #[test]
+    fn ingest_rejects_unknown_flags_before_touching_the_database() {
+        let db = temp_db("typo-ingest");
+        let csv = write_sum_csv("typo-ingest");
+        let base = [
+            "ingest", "--db", &db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
+        ];
+        // A misspelt --retain must not ingest with the default retention.
+        assert_unknown_flag(
+            &[&base[..], &["--retian", "3"]].concat(),
+            "--retian",
+            "ingest",
+        );
+        // A flag of another command is unknown here too.
+        assert_unknown_flag(&[&base[..], &["--lazy"]].concat(), "--lazy", "ingest");
+        assert!(!std::path::Path::new(&db).exists(), "nothing was written");
+        run(&s(&[&base[..], &["--retain", "3"]].concat())).unwrap();
+        let _ = std::fs::remove_dir_all(&db);
+        let _ = std::fs::remove_file(&csv);
+    }
+
+    #[test]
+    fn reader_commands_reject_unknown_flags() {
+        let db = temp_db("typo-read");
+        let csv = write_sum_csv("typo-read");
+        run(&s(&[
+            "ingest", "--db", &db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
+        ]))
+        .unwrap();
+        assert_unknown_flag(&["stats", "--db", &db, "--lasy"], "--lasy", "stats");
+        assert_unknown_flag(&["stats", "--db", &db, "--stats"], "--stats", "stats");
+        assert_unknown_flag(
+            &[
+                "query",
+                "--db",
+                &db,
+                "--path",
+                "B,A",
+                "--cells",
+                "1",
+                "--no-plan",
+                "x",
+            ],
+            "--no-plan",
+            "query",
+        );
+        assert_unknown_flag(
+            &["export", "--db", &db, "--edge", "A,B", "--path", "B,A"],
+            "--path",
+            "export",
+        );
+        // Every flag the three do read still parses.
+        run(&s(&["stats", "--db", &db, "--lazy"])).unwrap();
+        run(&s(&[
+            "query",
+            "--db",
+            &db,
+            "--path",
+            "B,A",
+            "--cells",
+            "1",
+            "--no-merge",
+            "--no-planner",
+            "--stats",
+            "--lazy",
+        ]))
+        .unwrap();
+        run(&s(&["export", "--db", &db, "--edge", "A,B", "--lazy"])).unwrap();
+        let _ = std::fs::remove_dir_all(&db);
+        let _ = std::fs::remove_file(&csv);
+    }
+
+    #[test]
+    fn serve_and_client_reject_unknown_flags() {
+        let db = temp_db("typo-serve");
+        assert_unknown_flag(
+            &["serve", "--db", &db, "--auto-comit-edges", "4"],
+            "--auto-comit-edges",
+            "serve",
+        );
+        assert!(
+            !std::path::Path::new(&db).exists(),
+            "no database was created"
+        );
+        assert_unknown_flag(
+            &["client", "--addr", "127.0.0.1:1", "--retrys", "2"],
+            "--retrys",
+            "client",
+        );
+    }
+
+    #[test]
+    fn db_compact_and_compress_reject_unknown_flags() {
+        let db = temp_db("typo-compact");
+        let csv = write_sum_csv("typo-compact");
+        run(&s(&[
+            "ingest", "--db", &db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
+        ]))
+        .unwrap();
+        assert_unknown_flag(
+            &["db", "compact", &db, "--retian", "1"],
+            "--retian",
+            "db compact",
+        );
+        run(&s(&["db", "compact", &db, "--retain", "1"])).unwrap();
+        assert_unknown_flag(
+            &["compress", "--csv", &csv, "--out-arity", "1", "--gzip"],
+            "--gzip",
+            "compress",
+        );
+        let _ = std::fs::remove_dir_all(&db);
+        let _ = std::fs::remove_file(&csv);
+    }
+
     #[test]
     fn db_verify_passes_then_catches_corruption() {
         for gzip in [false, true] {

@@ -11,18 +11,13 @@ pub struct Opts {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &[
-    "gzip",
-    "no-merge",
-    "no-planner",
-    "forward-store",
-    "stats",
-    "lazy",
-];
+const SWITCHES: &[&str] = &["gzip", "no-merge", "no-planner", "stats", "lazy"];
 
 impl Opts {
-    /// Parse `--key value` / `--switch` arguments; rejects positionals.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse the `--key value` / `--switch` arguments of `command`, which
+    /// reads the flags in `known`; rejects positionals and every other
+    /// flag (a typo must not run the command with the default instead).
+    pub fn parse(command: &str, known: &[&str], args: &[String]) -> Result<Self, String> {
         let mut opts = Opts::default();
         let mut i = 0;
         while i < args.len() {
@@ -30,6 +25,11 @@ impl Opts {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{arg}`"));
             };
+            if !known.contains(&key) {
+                return Err(format!(
+                    "unknown flag --{key} for {command}; see dslog help"
+                ));
+            }
             if SWITCHES.contains(&key) {
                 opts.switches.push(key.to_string());
                 i += 1;
@@ -92,7 +92,13 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_switches() {
-        let o = Opts::parse(&s(&["--db", "/tmp/x", "--gzip", "--path", "B,A"])).unwrap();
+        let known = ["db", "gzip", "no-merge", "path"];
+        let o = Opts::parse(
+            "test",
+            &known,
+            &s(&["--db", "/tmp/x", "--gzip", "--path", "B,A"]),
+        )
+        .unwrap();
         assert_eq!(o.required("db").unwrap(), "/tmp/x");
         assert_eq!(o.required("path").unwrap(), "B,A");
         assert!(o.switch("gzip"));
@@ -102,8 +108,21 @@ mod tests {
 
     #[test]
     fn rejects_positionals_duplicates_and_dangling() {
-        assert!(Opts::parse(&s(&["positional"])).is_err());
-        assert!(Opts::parse(&s(&["--db", "a", "--db", "b"])).is_err());
-        assert!(Opts::parse(&s(&["--db"])).is_err());
+        let parse = |args: &[&str]| Opts::parse("test", &["db", "lazy"], &s(args));
+        assert!(parse(&["positional"]).is_err());
+        assert!(parse(&["--db", "a", "--db", "b"]).is_err());
+        assert!(parse(&["--db"]).is_err());
+    }
+
+    #[test]
+    fn rejects_flags_the_command_does_not_read() {
+        let parse = |args: &[&str]| Opts::parse("stats", &["db", "lazy"], &s(args));
+        assert!(parse(&["--db", "a", "--lazy"]).is_ok());
+        // A misspelt flag, and a real flag of another command.
+        for bad in [&["--dbb", "a"][..], &["--db", "a", "--gzip"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{err}");
+            assert!(err.ends_with("for stats; see dslog help"), "{err}");
+        }
     }
 }

@@ -73,7 +73,7 @@ pub struct QueryResult {
     /// Number of θ-joins executed.
     pub hops: usize,
     /// Per-hop execution statistics (rows probed/matched, boxes emitted,
-    /// wall time, index/thread usage).
+    /// wall time).
     pub stats: QueryStats,
 }
 
@@ -136,13 +136,6 @@ impl OpenOptions {
         self
     }
 
-    /// Cap the worker threads an [`open`](Self::open) fans table decode +
-    /// crc across (`1` = serial; default: the machine's parallelism).
-    pub fn open_threads(mut self, threads: usize) -> Self {
-        self.config.open_threads = Some(threads);
-        self
-    }
-
     /// Install a fault injector on every gated IO of the handle's commits
     /// and compactions — a test API, see [`IoPolicy`]. One is installed
     /// only here; keep the `Arc` to [`rearm`](IoPolicy::rearm) it later.
@@ -173,15 +166,16 @@ impl OpenOptions {
         self
     }
 
-    /// ProvRC threading options for every capture-path compress: ingest
-    /// and on-demand orientation derivation.
+    /// ProvRC threading options: whether the relations of a batched ingest
+    /// ([`crate::service::DslogService::ingest_batch`]) may compress on
+    /// worker threads. One relation always compresses on its caller's.
     pub fn compress(mut self, opts: CompressOptions) -> Self {
         self.config.compress = opts;
         self
     }
 
-    /// Default query-execution options (merge step, threading, planner —
-    /// each an ablation switch; see [`QueryOptions`]).
+    /// Default query-execution options (merge step, planner — each an
+    /// ablation switch; see [`QueryOptions`]).
     pub fn query(mut self, opts: QueryOptions) -> Self {
         self.config.query = opts;
         self
@@ -238,7 +232,7 @@ impl OpenOptions {
             None => OpenMode::Eager,
         };
         let mut db = Dslog {
-            storage: persist::open(dir.as_ref(), mode, config.open_threads)?,
+            storage: persist::open(dir.as_ref(), mode)?,
             ..Dslog::default()
         };
         if let (Some(requested), Some((_, actual, _))) = (config.gzip, db.bound_database()) {
@@ -286,7 +280,7 @@ impl OpenOptions {
 
 /// One snapshot of a [`Dslog`] handle's effective configuration
 /// ([`Dslog::config`] / [`Dslog::reconfigure`]) — one field per
-/// [`OpenOptions`] method; the first five are fixed once the handle
+/// [`OpenOptions`] method; the first four are fixed once the handle
 /// exists. The service layer reports it over the net protocol as the stats
 /// `"config"` object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -297,8 +291,6 @@ pub struct DslogConfig {
     pub as_of: Option<u64>,
     /// The bound directory's on-disk format (`None` while unbound).
     pub gzip: Option<bool>,
-    /// The decode-thread cap the handle was opened with, if any.
-    pub open_threads: Option<usize>,
     /// The fault injector gating the handle's commit IO, if any.
     pub io_policy: Option<Arc<IoPolicy>>,
     /// Actor label on the handle's operation-log records.
@@ -307,7 +299,7 @@ pub struct DslogConfig {
     pub wal_retention: u32,
     /// Orientations materialized at ingest.
     pub materialize: Materialize,
-    /// Capture-path compression options.
+    /// Batched-ingest compression options (worker threads on or off).
     pub compress: CompressOptions,
     /// Default query-execution options.
     pub query: QueryOptions,
@@ -333,7 +325,6 @@ pub struct Dslog {
     pub(crate) maintenance: MaintenancePolicy,
     lazy: bool,
     as_of: Option<u64>,
-    open_threads: Option<usize>,
 }
 
 impl Dslog {
@@ -350,7 +341,7 @@ impl Dslog {
     }
 
     /// Snapshot the handle's effective configuration: open-time facts
-    /// (`lazy`, `as_of`, `open_threads`, `io_policy`, the binding's `gzip`
+    /// (`lazy`, `as_of`, `io_policy`, the binding's `gzip`
     /// mode) plus every runtime setting, in one [`DslogConfig`] value.
     pub fn config(&self) -> DslogConfig {
         let s = &self.storage;
@@ -358,7 +349,6 @@ impl Dslog {
             lazy: self.lazy,
             as_of: self.as_of,
             gzip: self.storage.persist_binding().map(|(_, gzip, _)| gzip),
-            open_threads: self.open_threads,
             io_policy: s.io_policy.clone(),
             wal_actor: s.actor.clone(),
             wal_retention: s.retain,
@@ -379,22 +369,21 @@ impl Dslog {
         (s.actor, s.retain, s.io_policy) = (c.wal_actor, c.wal_retention, c.io_policy);
         self.query_options = c.query;
         self.maintenance = c.maintenance;
-        (self.lazy, self.as_of, self.open_threads) = (c.lazy, c.as_of, c.open_threads);
+        (self.lazy, self.as_of) = (c.lazy, c.as_of);
     }
 
     /// Apply a (typically [`config`](Self::config)-derived, then edited)
     /// configuration snapshot to this handle. The open-time facts
-    /// (`lazy`, `as_of`, `gzip`, `open_threads`, `io_policy`) cannot be
+    /// (`lazy`, `as_of`, `gzip`, `io_policy`) cannot be
     /// changed here — pass them back unmodified or get
     /// [`DslogError::InvalidOptions`]; reopen through [`Dslog::options`] to
     /// change how data is read.
     pub fn reconfigure(&mut self, config: DslogConfig) -> Result<()> {
-        let fixed =
-            |c: &DslogConfig| (c.lazy, c.as_of, c.gzip, c.open_threads, c.io_policy.clone());
+        let fixed = |c: &DslogConfig| (c.lazy, c.as_of, c.gzip, c.io_policy.clone());
         if fixed(&config) != fixed(&self.config()) {
             return Err(DslogError::InvalidOptions(
-                "`lazy`, `as_of`, `gzip`, `open_threads` and `io_policy` are fixed when a \
-                 database is opened; reopen through Dslog::options() to change them",
+                "`lazy`, `as_of`, `gzip` and `io_policy` are fixed when a database is \
+                 opened; reopen through Dslog::options() to change them",
             ));
         }
         self.apply(config);
@@ -964,15 +953,11 @@ mod tests {
             lazy: true,
             as_of: None, // conflicts with `lazy`; covered below
             gzip: Some(true),
-            open_threads: Some(1),
             io_policy: Some(IoPolicy::fail_at(IoFault::WriteError, u64::MAX)),
             wal_actor: "builder-test".to_string(),
             wal_retention: 5,
             materialize: Materialize::Both,
-            compress: CompressOptions {
-                parallel: false,
-                ..CompressOptions::default()
-            },
+            compress: CompressOptions { parallel: false },
             query: QueryOptions {
                 merge: false,
                 ..QueryOptions::default()
@@ -986,7 +971,6 @@ mod tests {
         let mut db = Dslog::options()
             .lazy(want.lazy)
             .gzip(true)
-            .open_threads(1)
             .io_policy(want.io_policy.clone().unwrap())
             .wal_actor("builder-test")
             .wal_retention(want.wal_retention)
@@ -1002,7 +986,6 @@ mod tests {
         for (field, differs) in [
             ("lazy", want.lazy != default.lazy),
             ("gzip", want.gzip != default.gzip),
-            ("open_threads", want.open_threads != default.open_threads),
             ("io_policy", want.io_policy != default.io_policy),
             ("wal_actor", want.wal_actor != default.wal_actor),
             ("wal_retention", want.wal_retention != default.wal_retention),
@@ -1031,11 +1014,10 @@ mod tests {
         assert_eq!(db.config(), edited);
         assert!(db.query_options().merge);
         type Edit = fn(&mut DslogConfig);
-        let fixed: [(&str, Edit); 5] = [
+        let fixed: [(&str, Edit); 4] = [
             ("lazy", |c| c.lazy = false),
             ("as_of", |c| c.as_of = Some(1)),
             ("gzip", |c| c.gzip = Some(false)),
-            ("open_threads", |c| c.open_threads = None),
             ("io_policy", |c| c.io_policy = None),
         ];
         for (field, edit) in fixed {

@@ -51,6 +51,7 @@ pub mod api;
 pub mod error;
 pub mod interval;
 pub mod net;
+mod par;
 pub mod provrc;
 pub mod query;
 pub mod reuse;

@@ -39,7 +39,7 @@
 //!
 //! The optional trailing `stats` word asks for per-query execution
 //! statistics: `"stats":{"rows_probed":n,"rows_matched":n,"plan":"...",
-//! "hops":[{"probed":n,"matched":n,"boxes":n,"threads":t},..]}`.
+//! "hops":[{"probed":n,"matched":n,"boxes":n},..]}`.
 //! `plan` is the planner decision label (`path_order` / `empty_edge` /
 //! `selective_first` / `composite`), or `off` when the planner is
 //! disabled. Responses without the `stats` word are byte-identical to the
@@ -703,8 +703,8 @@ fn render_query_stats(stats: &QueryStats) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"probed\":{},\"matched\":{},\"boxes\":{},\"threads\":{}}}",
-            h.rows_probed, h.rows_matched, h.boxes_emitted, h.threads
+            "{{\"probed\":{},\"matched\":{},\"boxes\":{}}}",
+            h.rows_probed, h.rows_matched, h.boxes_emitted
         ));
     }
     out.push_str("]}");
@@ -802,21 +802,19 @@ fn render_config(c: &crate::api::DslogConfig) -> String {
         crate::storage::Materialize::Both => "both",
     };
     format!(
-        "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\"open_threads\":{},\
+        "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\
          \"wal_actor\":{},\"wal_retention\":{},\"materialize\":\"{materialize}\",\
          \"compress\":{{\"parallel\":{}}},\
-         \"query\":{{\"merge\":{},\"parallel\":{},\"use_planner\":{}}},\
+         \"query\":{{\"merge\":{},\"use_planner\":{}}},\
          \"composite\":{{\"enabled\":{},\"hit_threshold\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
         null_or(c.as_of),
         c.gzip.map_or("null".to_string(), |g| g.to_string()),
-        null_or(c.open_threads.map(|t| t as u64)),
         json_str(&c.wal_actor),
         c.wal_retention,
         c.compress.parallel,
         c.query.merge,
-        c.query.parallel,
         c.query.use_planner,
         c.composite_policy.enabled,
         c.composite_policy.hit_threshold,
@@ -1014,19 +1012,19 @@ mod tests {
         // Malformed batches are rejected without killing the session.
         let resp = roundtrip(&mut reader, &mut writer, "query_batch B,A 1||2");
         assert!(resp.starts_with("{\"ok\":false"), "{resp}");
-        // `config` renders `materialize` and `open_threads`, and its
-        // `compress` and `query` objects hold the remaining options only
-        // (no switch for a deleted code path).
+        // `config` renders `materialize`, and its `compress` and `query`
+        // objects hold the remaining options only (no switch for a deleted
+        // code path).
         let resp = roundtrip(&mut reader, &mut writer, "stats");
         assert!(resp.contains("\"ok\":true"), "{resp}");
         for field in [
             "\"materialize\":\"backward\"",
-            "\"open_threads\":null",
             "\"compress\":{\"parallel\":true}",
-            "\"query\":{\"merge\":true,\"parallel\":true,\"use_planner\":true}",
+            "\"query\":{\"merge\":true,\"use_planner\":true}",
         ] {
             assert!(resp.contains(field), "{field} not in {resp}");
         }
+        assert!(!resp.contains("threads"), "{resp}");
         server.stop();
         server.join();
     }

@@ -24,8 +24,7 @@
 //!   deterministic); an O(n) pre-check skips sorting entirely when the
 //!   pass order is already sorted — the common case for structured
 //!   lineage, where each pass's output order nearly matches the next
-//!   pass's key. Wider keys fall back to comparison sorts (parallel merge
-//!   sort above `CompressOptions::parallel_threshold`).
+//!   pass's key. Wider keys fall back to a comparison sort.
 //! * **Mask pruning.** A rel-mask bit is *live* only if some active row has
 //!   a still-absolute cell in that column *and* a singleton target
 //!   attribute — otherwise toggling it provably cannot change the pass's
@@ -38,14 +37,12 @@
 //!   re-sorts, and distinct rows never compare equal), so only the final
 //!   pass's permutation is remembered and applied when the table is
 //!   materialized.
-//! * **Scoped-thread parallelism.** Above the size threshold, wide-key
-//!   sorts run as a parallel merge sort and the merge scan is chunked on
-//!   run boundaries across `std::thread::scope` workers. Both are
-//!   deterministic: the key order is total on distinct rows, and scan
-//!   chunks are aligned to group starts, so threaded results equal serial
-//!   ones bit-for-bit.
+//!
+//! One compression runs on the calling thread: an in-pass parallel sort
+//! and a run-chunked scan were measured slower on every shape from 20 k to
+//! 1 M rows and removed; threads enter one level up, across relations and
+//! orientations (`super::compress_batch_parallel_opts`).
 
-use super::CompressOptions;
 use crate::interval::Interval;
 use crate::table::{Cell, CompressedTable, LineageTable, Orientation};
 use std::cmp::Ordering;
@@ -126,13 +123,12 @@ pub(super) fn compress(
     out_shape: &[usize],
     in_shape: &[usize],
     orientation: Orientation,
-    opts: CompressOptions,
 ) -> CompressedTable {
     let (prim_arity, sec_arity) = match orientation {
         Orientation::Backward => (table.out_arity(), table.in_arity()),
         Orientation::Forward => (table.in_arity(), table.out_arity()),
     };
-    let mut arena = Arena::build(table, orientation, prim_arity, sec_arity, opts);
+    let mut arena = Arena::build(table, orientation, prim_arity, sec_arity);
     // Step 1: multi-attribute range encoding over secondary attributes,
     // last attribute first (paper: a_m, …, a_1).
     for k in (0..sec_arity).rev() {
@@ -258,23 +254,17 @@ struct Arena {
     pairs64_tmp: Vec<(u64, u32)>,
     /// `(packed key, row id)` pairs for the `Packed128` mode.
     pairs128: Vec<(u128, u32)>,
-    pairs128_tmp: Vec<(u128, u32)>,
     /// Radix-sort bucket counters.
     counts: Vec<u32>,
     /// Full key words (`Wide` mode only), `w` per row.
     wide_keys: Vec<u64>,
     wide_sort: Vec<(u128, u32)>,
-    wide_tmp: Vec<(u128, u32)>,
     runs: Vec<Run>,
     /// Sorted order of the most recent pass when that pass skipped
     /// materialization (zero merges); the arena columns are then still in
     /// the previous order and the final table emission applies this.
     last_perm: Vec<u32>,
     last_perm_valid: bool,
-    /// Worker count for in-pass parallelism (1 = serial).
-    threads: usize,
-    /// Minimum active rows before a pass uses threads.
-    par_threshold: usize,
 }
 
 impl Arena {
@@ -287,7 +277,6 @@ impl Arena {
         orientation: Orientation,
         prim_arity: usize,
         sec_arity: usize,
-        opts: CompressOptions,
     ) -> Arena {
         let (prim_off, sec_off) = match orientation {
             Orientation::Backward => (0, table.out_arity()),
@@ -333,13 +322,6 @@ impl Arena {
                 &mut sec,
             );
         }
-        let threads = if opts.parallel {
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
         Arena {
             prim_arity,
             sec_arity,
@@ -353,25 +335,12 @@ impl Arena {
             pairs64: Vec::new(),
             pairs64_tmp: Vec::new(),
             pairs128: Vec::new(),
-            pairs128_tmp: Vec::new(),
             counts: Vec::new(),
             wide_keys: Vec::new(),
             wide_sort: Vec::new(),
-            wide_tmp: Vec::new(),
             runs: Vec::new(),
             last_perm: Vec::new(),
             last_perm_valid: false,
-            threads,
-            par_threshold: opts.parallel_threshold.max(1),
-        }
-    }
-
-    /// Worker count for the current pass (1 below the size threshold).
-    fn pass_chunks(&self) -> usize {
-        if self.threads > 1 && self.n >= self.par_threshold {
-            self.threads
-        } else {
-            1
         }
     }
 
@@ -436,7 +405,6 @@ impl Arena {
 
         let n = self.n;
         let (prim_arity, sec_arity) = (self.prim_arity, self.sec_arity);
-        let chunks = self.pass_chunks();
         {
             let Self {
                 prim,
@@ -445,11 +413,9 @@ impl Arena {
                 pairs64,
                 pairs64_tmp,
                 pairs128,
-                pairs128_tmp,
                 counts,
                 wide_keys,
                 wide_sort,
-                wide_tmp,
                 ..
             } = self;
             let source =
@@ -461,7 +427,7 @@ impl Arena {
                 }
                 KeyMode::Packed128 => {
                     pack_columns_u128(pairs128, n, kept, plan.total_bits, source);
-                    sort_pairs_u128(pairs128, pairs128_tmp, chunks);
+                    sort_pairs_u128(pairs128);
                 }
                 KeyMode::Wide => {
                     wide_keys.clear();
@@ -476,7 +442,7 @@ impl Arena {
                             wide_keys.extend_from_slice(&cell_key_words(sec[i][r]));
                         }
                     }
-                    sort_wide(wide_sort, wide_tmp, wide_keys, w, n, chunks);
+                    sort_wide(wide_sort, wide_keys, w, n);
                 }
             }
         }
@@ -502,7 +468,6 @@ impl Arena {
             w - 4,
             plan.target_bits,
             &mut self.runs,
-            chunks,
             init_hi,
             extend,
         );
@@ -632,7 +597,6 @@ impl Arena {
 
         let n = self.n;
         let prim_arity = self.prim_arity;
-        let chunks = self.pass_chunks();
         {
             let Self {
                 prim,
@@ -641,11 +605,9 @@ impl Arena {
                 pairs64,
                 pairs64_tmp,
                 pairs128,
-                pairs128_tmp,
                 counts,
                 wide_keys,
                 wide_sort,
-                wide_tmp,
                 ..
             } = self;
             let source = |word: usize| word_source_primary(prim, sec, prim_arity, word, j, mask);
@@ -656,7 +618,7 @@ impl Arena {
                 }
                 KeyMode::Packed128 => {
                     pack_columns_u128(pairs128, n, kept, plan.total_bits, source);
-                    sort_pairs_u128(pairs128, pairs128_tmp, chunks);
+                    sort_pairs_u128(pairs128);
                 }
                 KeyMode::Wide => {
                     let pj_col = &prim[j];
@@ -678,7 +640,7 @@ impl Arena {
                         wide_keys.push(ord64(pj.lo));
                         wide_keys.push(ord64(pj.hi));
                     }
-                    sort_wide(wide_sort, wide_tmp, wide_keys, w, n, chunks);
+                    sort_wide(wide_sort, wide_keys, w, n);
                 }
             }
         }
@@ -699,7 +661,6 @@ impl Arena {
             w - 2,
             plan.target_bits,
             &mut self.runs,
-            chunks,
             init_hi,
             extend,
         );
@@ -1075,25 +1036,18 @@ fn sort_pairs_u64(
 }
 
 /// Sort `(u128 key, row id)` pairs: sorted pre-check, then a comparison
-/// sort (parallel merge sort when `n_chunks > 1`).
-fn sort_pairs_u128(pairs: &mut [(u128, u32)], scratch: &mut Vec<(u128, u32)>, n_chunks: usize) {
+/// sort.
+fn sort_pairs_u128(pairs: &mut [(u128, u32)]) {
     if pairs.windows(2).all(|w| w[0].0 <= w[1].0) {
         return;
     }
-    par_merge_sort(pairs, scratch, n_chunks, |a, b| a.0.cmp(&b.0));
+    pairs.sort_unstable_by_key(|p| p.0);
 }
 
 /// Build and sort the `(u128 prefix, row id)` entries of the `Wide` mode:
 /// the first two key words ride inline, remaining words break prefix ties
 /// via one contiguous slice compare.
-fn sort_wide(
-    sort: &mut Vec<(u128, u32)>,
-    scratch: &mut Vec<(u128, u32)>,
-    keys: &[u64],
-    w: usize,
-    n: usize,
-    n_chunks: usize,
-) {
+fn sort_wide(sort: &mut Vec<(u128, u32)>, keys: &[u64], w: usize, n: usize) {
     sort.clear();
     sort.reserve(n);
     for r in 0..n {
@@ -1108,7 +1062,7 @@ fn sort_wide(
     {
         return;
     }
-    par_merge_sort(sort, scratch, n_chunks, cmp);
+    sort.sort_unstable_by(cmp);
 }
 
 /// Full wide-key comparison: inline `u128` prefix first, remaining words
@@ -1122,89 +1076,9 @@ fn wide_cmp(a: &(u128, u32), b: &(u128, u32), keys: &[u64], w: usize) -> Orderin
     })
 }
 
-/// Comparison sort with optional scoped-thread parallel merge rounds.
-/// With `n_chunks > 1`, chunks sort concurrently and merge in rounds of
-/// pairwise (also concurrent) merges. Deterministic for total orders.
-fn par_merge_sort<T: Copy + Send + Sync + Default>(
-    items: &mut [T],
-    scratch: &mut Vec<T>,
-    n_chunks: usize,
-    cmp: impl Fn(&T, &T) -> Ordering + Send + Sync + Copy,
-) {
-    let n = items.len();
-    if n_chunks <= 1 || n < 2 * n_chunks {
-        items.sort_unstable_by(cmp);
-        return;
-    }
-    let chunk = n.div_ceil(n_chunks);
-    std::thread::scope(|s| {
-        for part in items.chunks_mut(chunk) {
-            s.spawn(move || part.sort_unstable_by(cmp));
-        }
-    });
-    scratch.clear();
-    scratch.resize(n, T::default());
-    let mut width = chunk;
-    let mut in_items = true;
-    while width < n {
-        if in_items {
-            merge_round(items, scratch, width, cmp);
-        } else {
-            merge_round(scratch, items, width, cmp);
-        }
-        in_items = !in_items;
-        width *= 2;
-    }
-    if !in_items {
-        items.copy_from_slice(scratch);
-    }
-}
-
-/// One merge-sort round: merge each adjacent pair of width-`width` sorted
-/// runs of `src` into `dst`, pairs in parallel.
-fn merge_round<T: Copy + Send + Sync>(
-    src: &[T],
-    dst: &mut [T],
-    width: usize,
-    cmp: impl Fn(&T, &T) -> Ordering + Send + Sync + Copy,
-) {
-    let n = src.len();
-    std::thread::scope(|s| {
-        let mut dst_rest = dst;
-        let mut start = 0;
-        while start < n {
-            let end = (start + 2 * width).min(n);
-            let (d, rest) = dst_rest.split_at_mut(end - start);
-            dst_rest = rest;
-            let seg = &src[start..end];
-            s.spawn(move || {
-                let mid = width.min(seg.len());
-                merge_into(&seg[..mid], &seg[mid..], d, cmp);
-            });
-            start = end;
-        }
-    });
-}
-
-/// Standard two-way merge of sorted `a` and `b` into `dst`.
-fn merge_into<T: Copy>(a: &[T], b: &[T], dst: &mut [T], cmp: impl Fn(&T, &T) -> Ordering) {
-    debug_assert_eq!(a.len() + b.len(), dst.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in dst.iter_mut() {
-        let take_a = j >= b.len() || (i < a.len() && cmp(&a[i], &b[j]) != Ordering::Greater);
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
-    }
-}
-
 /// Dispatch the merge scan over the sorted representation of the pass.
 #[allow(clippy::too_many_arguments)]
-fn scan_by_mode<I, E>(
+fn scan_by_mode(
     mode: KeyMode,
     pairs64: &[(u64, u32)],
     pairs128: &[(u128, u32)],
@@ -1214,33 +1088,21 @@ fn scan_by_mode<I, E>(
     group_w: usize,
     target_bits: u32,
     runs: &mut Vec<Run>,
-    n_chunks: usize,
-    init_hi: I,
-    extend: E,
-) where
-    I: Fn(u32) -> i64 + Sync,
-    E: Fn(u32, i64, u32) -> Option<i64> + Sync,
-{
+    init_hi: impl Fn(u32) -> i64,
+    extend: impl Fn(u32, i64, u32) -> Option<i64>,
+) {
     match mode {
         KeyMode::Packed64 => {
             let tb = target_bits;
             let same = |t: usize| tb >= 64 || pairs64[t - 1].0 >> tb == pairs64[t].0 >> tb;
             let id = |t: usize| pairs64[t].1;
-            scan_runs(pairs64.len(), &id, &same, runs, n_chunks, &init_hi, &extend);
+            scan_runs(pairs64.len(), id, same, runs, init_hi, extend);
         }
         KeyMode::Packed128 => {
             let tb = target_bits;
             let same = |t: usize| tb >= 128 || pairs128[t - 1].0 >> tb == pairs128[t].0 >> tb;
             let id = |t: usize| pairs128[t].1;
-            scan_runs(
-                pairs128.len(),
-                &id,
-                &same,
-                runs,
-                n_chunks,
-                &init_hi,
-                &extend,
-            );
+            scan_runs(pairs128.len(), id, same, runs, init_hi, extend);
         }
         KeyMode::Wide => {
             // Group prefix: the leading `group_w` words (always ≥ 2, so the
@@ -1255,15 +1117,7 @@ fn scan_by_mode<I, E>(
                 }
             };
             let id = |t: usize| wide_sort[t].1;
-            scan_runs(
-                wide_sort.len(),
-                &id,
-                &same,
-                runs,
-                n_chunks,
-                &init_hi,
-                &extend,
-            );
+            scan_runs(wide_sort.len(), id, same, runs, init_hi, extend);
         }
     }
 }
@@ -1274,95 +1128,46 @@ fn scan_by_mode<I, E>(
 /// positions `t - 1` and `t` share a group prefix. A run extends while the
 /// group holds and `extend(first, hi, cur)` grants a new accumulated `hi`;
 /// `init_hi` seeds the accumulator from a run's first row.
-///
-/// With `n_chunks > 1` the scan splits at *group boundaries* (a run can
-/// never cross one), each worker emitting its local runs; concatenated in
-/// order they equal the serial scan exactly.
-fn scan_runs<S, G, I, E>(
+fn scan_runs(
     n: usize,
-    id: &S,
-    same_group: &G,
+    id: impl Fn(usize) -> u32,
+    same_group: impl Fn(usize) -> bool,
     runs: &mut Vec<Run>,
-    n_chunks: usize,
-    init_hi: &I,
-    extend: &E,
-) where
-    S: Fn(usize) -> u32 + Sync,
-    G: Fn(usize) -> bool + Sync,
-    I: Fn(u32) -> i64 + Sync,
-    E: Fn(u32, i64, u32) -> Option<i64> + Sync,
-{
+    init_hi: impl Fn(u32) -> i64,
+    extend: impl Fn(u32, i64, u32) -> Option<i64>,
+) {
     runs.clear();
     if n == 0 {
         return;
     }
-    let scan_range = |lo: usize, hi: usize, out: &mut Vec<Run>| {
-        let mut run = Run {
-            first: id(lo),
-            hi: init_hi(id(lo)),
-            merged: false,
+    let mut run = Run {
+        first: id(0),
+        hi: init_hi(id(0)),
+        merged: false,
+    };
+    for t in 1..n {
+        let row = id(t);
+        let extended = if same_group(t) {
+            extend(run.first, run.hi, row)
+        } else {
+            None
         };
-        for t in lo + 1..hi {
-            let row = id(t);
-            let extended = if same_group(t) {
-                extend(run.first, run.hi, row)
-            } else {
-                None
-            };
-            match extended {
-                Some(new_hi) => {
-                    run.hi = new_hi;
-                    run.merged = true;
-                }
-                None => {
-                    out.push(run);
-                    run = Run {
-                        first: row,
-                        hi: init_hi(row),
-                        merged: false,
-                    };
-                }
+        match extended {
+            Some(new_hi) => {
+                run.hi = new_hi;
+                run.merged = true;
+            }
+            None => {
+                runs.push(run);
+                run = Run {
+                    first: row,
+                    hi: init_hi(row),
+                    merged: false,
+                };
             }
         }
-        out.push(run);
-    };
-
-    if n_chunks <= 1 || n < 4 * n_chunks {
-        scan_range(0, n, runs);
-        return;
     }
-    // Chunk boundaries advanced to the next group start.
-    let target = n.div_ceil(n_chunks);
-    let mut bounds = vec![0usize];
-    let mut b = target;
-    while b < n {
-        while b < n && same_group(b) {
-            b += 1;
-        }
-        if b >= n {
-            break;
-        }
-        bounds.push(b);
-        b += target;
-    }
-    bounds.push(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .map(|win| {
-                let (lo, hi) = (win[0], win[1]);
-                let scan_range = &scan_range;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    scan_range(lo, hi, &mut local);
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            runs.extend(h.join().expect("scan worker"));
-        }
-    });
+    runs.push(run);
 }
 
 #[cfg(test)]
@@ -1417,54 +1222,6 @@ mod tests {
         let expect = pairs.clone();
         sort_pairs_u64(&mut pairs, &mut Vec::new(), &mut Vec::new(), 9);
         assert_eq!(pairs, expect);
-    }
-
-    #[test]
-    fn parallel_merge_sort_matches_serial() {
-        for modulus in [4u64, 1 << 40] {
-            let n = 257;
-            let vals = lcg(n, modulus);
-            // Unique keys (pipeline invariant): tie-break by index.
-            let build = || -> Vec<(u128, u32)> {
-                vals.iter()
-                    .enumerate()
-                    .map(|(i, &v)| ((u128::from(v) << 32) | i as u128, i as u32))
-                    .collect()
-            };
-            let mut expect = build();
-            expect.sort_unstable_by_key(|a| a.0);
-            for chunks in [1, 2, 3, 4, 7] {
-                let mut items = build();
-                par_merge_sort(&mut items, &mut Vec::new(), chunks, |a, b| a.0.cmp(&b.0));
-                assert_eq!(items, expect, "chunks = {chunks}, modulus = {modulus}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_scan_matches_serial() {
-        // 5 groups of 40 consecutive values each: one run per group.
-        let n = 200usize;
-        let pairs: Vec<(u64, u32)> = (0..n as u64)
-            .map(|r| (((r / 40) << 8) | (r % 40), r as u32))
-            .collect();
-        let tb = 8u32;
-        let same = |t: usize| pairs[t - 1].0 >> tb == pairs[t].0 >> tb;
-        let id = |t: usize| pairs[t].1;
-        let los: Vec<i64> = (0..n as i64).map(|r| r % 40).collect();
-        let init = |first: u32| los[first as usize];
-        let extend = |_first: u32, hi: i64, cur: u32| {
-            (hi + 1 == los[cur as usize]).then_some(los[cur as usize])
-        };
-        let mut serial = Vec::new();
-        scan_runs(n, &id, &same, &mut serial, 1, &init, &extend);
-        assert_eq!(serial.len(), 5, "one run per group");
-        assert!(serial.iter().all(|r| r.merged));
-        for chunks in [2, 3, 5, 16] {
-            let mut par = Vec::new();
-            scan_runs(n, &id, &same, &mut par, chunks, &init, &extend);
-            assert_eq!(par, serial, "chunks = {chunks}");
-        }
     }
 
     #[test]

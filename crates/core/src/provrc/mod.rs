@@ -32,34 +32,38 @@
 //! `dslog-oracle`'s `provrc` module (a dev-dependency; nothing here can
 //! select it), and `provrc_fast_parity.rs` property-tests that both
 //! produce the same bytes.
+//!
+//! One relation in one orientation compresses on the calling thread.
+//! Threads enter across relations ([`compress_batch_parallel_opts`], the
+//! granularity the paper's "highly parallelizable" remark is about) and
+//! across the two orientations of one relation ([`compress_both_opts`]),
+//! both through `crate::par` and each sized from its input by one grain
+//! constant.
 
 mod columnar;
 pub mod reshape;
 
+use crate::par;
 use crate::table::{CompressedTable, LineageTable, Orientation};
 
 /// Tuning knobs for ProvRC compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompressOptions {
-    /// Allow multi-threading: scoped-thread parallel sort and run-chunked
-    /// merge scans inside a pass, and worker fan-out across batch jobs in
-    /// [`compress_batch_parallel_opts`].
+    /// Allow worker threads across the relations of
+    /// [`compress_batch_parallel_opts`] and across the two orientations of
+    /// [`compress_both_opts`], each sized from its input. `false` is the
+    /// "no threads" ablation; one relation in one orientation always
+    /// compresses on the calling thread.
     pub parallel: bool,
-    /// Minimum active rows in a pass before threads are spawned.
-    pub parallel_threshold: usize,
 }
 
 impl Default for CompressOptions {
     fn default() -> Self {
-        Self {
-            parallel: true,
-            parallel_threshold: 1 << 14,
-        }
+        Self { parallel: true }
     }
 }
 
-/// Compress `table` (an uncompressed lineage relation) with ProvRC, using
-/// the default [`CompressOptions`].
+/// Compress `table` (an uncompressed lineage relation) with ProvRC.
 ///
 /// `out_shape` / `in_shape` are the shapes of the output and input arrays;
 /// they are recorded as attribute extents (used by index reshaping and for
@@ -70,26 +74,9 @@ pub fn compress(
     in_shape: &[usize],
     orientation: Orientation,
 ) -> CompressedTable {
-    compress_opts(
-        table,
-        out_shape,
-        in_shape,
-        orientation,
-        CompressOptions::default(),
-    )
-}
-
-/// [`compress`] with explicit threading options.
-pub fn compress_opts(
-    table: &LineageTable,
-    out_shape: &[usize],
-    in_shape: &[usize],
-    orientation: Orientation,
-    opts: CompressOptions,
-) -> CompressedTable {
     assert_eq!(table.out_arity(), out_shape.len(), "out shape arity");
     assert_eq!(table.in_arity(), in_shape.len(), "in shape arity");
-    columnar::compress(table, out_shape, in_shape, orientation, opts)
+    columnar::compress(table, out_shape, in_shape, orientation)
 }
 
 /// Compress in both orientations at once (paper §IV.C: "either both versions
@@ -103,55 +90,50 @@ pub fn compress_both(
     compress_both_opts(table, out_shape, in_shape, CompressOptions::default())
 }
 
-/// [`compress_both`] with explicit options. With `parallel` enabled and
-/// more than one hardware thread, the two orientations compress on
-/// concurrent scoped threads.
+/// Work (2 × rows) per worker below which [`compress_both_opts`] keeps both
+/// orientations on the calling thread. Measured on 2 vCPUs: a second thread
+/// is 1.1–1.5× slower on a one-to-one relation of 5–15 k rows, even at
+/// 20 k and 0.69–0.80× from 35 k; on a scatter relation it is already
+/// 0.58× at 20 k (README, "Where DSLog uses threads").
+const BOTH_GRAIN: usize = 1 << 14;
+
+/// [`compress_both`] with explicit options: with `parallel`, a relation of
+/// at least 16 384 rows compresses its two orientations on two threads.
 pub fn compress_both_opts(
     table: &LineageTable,
     out_shape: &[usize],
     in_shape: &[usize],
     opts: CompressOptions,
 ) -> (CompressedTable, CompressedTable) {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if opts.parallel && hw > 1 {
-        // Each orientation keeps its own in-pass parallelism budget; the OS
-        // schedules the (bounded) oversubscription.
-        let mut pair: (Option<CompressedTable>, Option<CompressedTable>) = (None, None);
-        std::thread::scope(|scope| {
-            let (b, f) = (&mut pair.0, &mut pair.1);
-            scope.spawn(|| {
-                *b = Some(compress_opts(
-                    table,
-                    out_shape,
-                    in_shape,
-                    Orientation::Backward,
-                    opts,
-                ));
-            });
-            *f = Some(compress_opts(
-                table,
-                out_shape,
-                in_shape,
-                Orientation::Forward,
-                opts,
-            ));
-        });
-        (pair.0.expect("backward job"), pair.1.expect("forward job"))
+    let workers = if opts.parallel {
+        par::workers_for(2 * table.n_rows(), BOTH_GRAIN)
     } else {
-        (
-            compress_opts(table, out_shape, in_shape, Orientation::Backward, opts),
-            compress_opts(table, out_shape, in_shape, Orientation::Forward, opts),
-        )
+        1
+    };
+    compress_both_on(table, out_shape, in_shape, workers)
+}
+
+/// [`compress_both_opts`] on a given worker count.
+fn compress_both_on(
+    table: &LineageTable,
+    out_shape: &[usize],
+    in_shape: &[usize],
+    workers: usize,
+) -> (CompressedTable, CompressedTable) {
+    let orientations = [Orientation::Backward, Orientation::Forward];
+    let mut pair = par::map(2, workers, |i| {
+        compress(table, out_shape, in_shape, orientations[i])
+    });
+    match (pair.pop(), pair.pop()) {
+        (Some(forward), Some(backward)) => (backward, forward),
+        _ => unreachable!("par::map returns one result per item"),
     }
 }
 
 /// One batch-compression job: a relation plus its array shapes.
 pub type CompressJob<'a> = (&'a LineageTable, &'a [usize], &'a [usize]);
 
-/// Compress several relations in parallel with scoped worker threads,
-/// using the default [`CompressOptions`].
+/// Compress several relations, using the default [`CompressOptions`].
 pub fn compress_batch_parallel(
     jobs: &[CompressJob<'_>],
     orientation: Orientation,
@@ -159,63 +141,45 @@ pub fn compress_batch_parallel(
     compress_batch_parallel_opts(jobs, orientation, CompressOptions::default())
 }
 
-/// Compress several relations in parallel with scoped worker threads.
+/// Rows (summed over the batch) per worker below which
+/// [`compress_batch_parallel_opts`] stays on the calling thread. Measured
+/// on 2 vCPUs with a 4-job batch: two workers are 1.2–1.6× slower at
+/// 3–8 k rows, 0.90× at 12 k and 0.75–0.85× from 33 k.
+const BATCH_GRAIN: usize = 5_000;
+
+/// Compress several relations, on worker threads when `opts.parallel` and
+/// the batch holds at least 10 000 rows (one worker per 5 000).
 ///
 /// The paper notes "ProvRC is also highly parallelizable, so we expect
 /// significant performance gains from a multi-threaded implementation" —
 /// this parallelizes across tables (one per operation/array pair), which is
-/// the granularity `register_operation` produces: workers steal the next
-/// job off a shared atomic counter, so skewed job sizes stay balanced.
-/// When several jobs run concurrently, in-pass parallelism is disabled
-/// (the hardware threads are already saturated by job-level fan-out).
-/// Results keep job order.
+/// the granularity `register_operation` produces. Workers take the next
+/// job off a shared counter, so skewed job sizes stay balanced. Results
+/// keep job order.
 pub fn compress_batch_parallel_opts(
     jobs: &[CompressJob<'_>],
     orientation: Orientation,
     opts: CompressOptions,
 ) -> Vec<CompressedTable> {
-    if jobs.len() <= 1 || !opts.parallel {
-        return jobs
-            .iter()
-            .map(|(t, o, i)| compress_opts(t, o, i, orientation, opts))
-            .collect();
-    }
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.len());
-    let job_opts = if n_threads > 1 {
-        CompressOptions {
-            parallel: false,
-            ..opts
-        }
+    let workers = if opts.parallel {
+        let rows = jobs.iter().map(|(table, _, _)| table.n_rows()).sum();
+        par::workers_for(rows, BATCH_GRAIN)
     } else {
-        opts
+        1
     };
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<CompressedTable>> = (0..jobs.len()).map(|_| None).collect();
-    let slots: Vec<dslog_sync::Mutex<&mut Option<CompressedTable>>> = results
-        .iter_mut()
-        .map(|slot| dslog_sync::Mutex::new(&dslog_sync::ranks::BATCH_RESULT, slot))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= jobs.len() {
-                    break;
-                }
-                let (t, o, i) = jobs[idx];
-                let compressed = compress_opts(t, o, i, orientation, job_opts);
-                **slots[idx].lock() = Some(compressed);
-            });
-        }
-    });
-    drop(slots);
-    results
-        .into_iter()
-        .map(|r| r.expect("job completed"))
-        .collect()
+    compress_batch_on(jobs, orientation, workers)
+}
+
+/// [`compress_batch_parallel_opts`] on a given worker count.
+fn compress_batch_on(
+    jobs: &[CompressJob<'_>],
+    orientation: Orientation,
+    workers: usize,
+) -> Vec<CompressedTable> {
+    par::map(jobs.len(), workers, |i| {
+        let (table, out_shape, in_shape) = jobs[i];
+        compress(table, out_shape, in_shape, orientation)
+    })
 }
 
 #[cfg(test)]
@@ -479,6 +443,9 @@ mod tests {
             let serial = compress(t, &shape, &shape, Orientation::Backward);
             assert_eq!(c, &serial);
         }
+        // 280 rows stay on the calling thread; forced onto three workers
+        // the batch is bit-identical and still in job order.
+        assert_eq!(compress_batch_on(&jobs, Orientation::Backward, 3), parallel);
     }
 
     #[test]
@@ -489,15 +456,12 @@ mod tests {
         }
         let shape = [30usize];
         let jobs: Vec<CompressJob<'_>> = vec![(&t, &shape[..], &shape[..]); 3];
-        // The threading ablation takes the serial early return.
+        // The threading ablation runs every job on the calling thread.
         let pooled = compress_batch_parallel(&jobs, Orientation::Backward);
         let serial = compress_batch_parallel_opts(
             &jobs,
             Orientation::Backward,
-            CompressOptions {
-                parallel: false,
-                ..CompressOptions::default()
-            },
+            CompressOptions { parallel: false },
         );
         assert_eq!(pooled, serial);
     }
@@ -516,5 +480,7 @@ mod tests {
             f.decompress().unwrap().row_set()
         );
         assert_eq!(b.decompress().unwrap().row_set(), t.normalized().row_set());
+        // Two threads (three asked for, two items) return the same pair.
+        assert_eq!(compress_both_on(&t, &[5, 3], &[15], 3), (b, f));
     }
 }

@@ -1,4 +1,4 @@
-//! The in-situ query executor: indexed, parallel θ-joins (paper §V.B).
+//! The in-situ query executor: indexed θ-joins (paper §V.B).
 //!
 //! Each hop is the θ-join of §V.B — a range join on the absolute attributes
 //! followed by de-relativization of the relative attributes:
@@ -17,15 +17,14 @@
 //! cell set; we split the shared anchor interval into unit points in exactly
 //! that case, which keeps the result exact (DESIGN.md §3.3).
 //!
-//! Above [`QueryOptions::parallel_threshold`] query boxes the hop fans out
-//! over `std::thread::scope`, partitioning boxes across threads; partial
-//! results are concatenated in box order, so output is deterministic and
-//! identical to the sequential path. Every hop reports a [`HopStats`].
+//! A hop runs on the calling thread, box by box: fanning one hop out across
+//! threads was measured slower up to 4 096 query boxes (the benchmark's
+//! largest hop has 256) and removed. Every hop reports a [`HopStats`].
 
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
 use crate::query::QueryOptions;
-use crate::table::{BoxTable, Cell, CompressedTable, TableIndex};
+use crate::table::{BoxTable, Cell, CompressedTable};
 use std::time::{Duration, Instant};
 
 /// Execution statistics for one θ-join hop.
@@ -40,8 +39,6 @@ pub struct HopStats {
     pub boxes_emitted: usize,
     /// Wall time of the hop (join only, excluding the merge).
     pub wall: Duration,
-    /// Worker threads used (1 = sequential).
-    pub threads: usize,
 }
 
 /// Accumulated per-hop statistics for one query.
@@ -72,7 +69,7 @@ impl QueryStats {
     }
 }
 
-/// Mutable per-worker join state: output boxes, counters, and a scratch
+/// Mutable join state of one hop: output boxes, counters, and a scratch
 /// buffer so the innermost loop never allocates per matched row.
 #[derive(Debug)]
 struct JoinSink {
@@ -132,34 +129,12 @@ impl QueryExec {
         // build there, and `wall` documents the join alone.
         let start = Instant::now();
 
-        let n_boxes = query.n_boxes();
-        let threads = self.thread_count(n_boxes);
         let mut sink = JoinSink::new(table.secondary_arity());
-        if threads <= 1 {
-            join_boxes(query, 0..n_boxes, table, index, &mut sink);
-        } else {
-            let chunk = n_boxes.div_ceil(threads);
-            let partials = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n_boxes);
-                        scope.spawn(move || {
-                            let mut part = JoinSink::new(table.secondary_arity());
-                            join_boxes(query, lo..hi, table, index, &mut part);
-                            part
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for part in partials {
-                sink.out.append(&part.out);
-                sink.rows_probed += part.rows_probed;
-                sink.rows_matched += part.rows_matched;
+        let mut isect = vec![Interval::point(0); table.primary_arity()];
+        for q in query.boxes() {
+            for &row in index.probe(q) {
+                sink.rows_probed += 1;
+                join_row(q, row as usize, table, &mut isect, &mut sink)?;
             }
         }
 
@@ -168,7 +143,6 @@ impl QueryExec {
             rows_matched: sink.rows_matched,
             boxes_emitted: sink.out.n_boxes(),
             wall: start.elapsed(),
-            threads,
         };
         Ok((sink.out, stats))
     }
@@ -202,48 +176,11 @@ impl QueryExec {
         }
         Ok((cur, stats))
     }
-
-    /// Worker threads for a hop over `n_boxes` query boxes. At least two
-    /// once the threshold is met (so the parallel path is exercised even on
-    /// single-core hosts), capped by the box count and a fixed fan-out.
-    fn thread_count(&self, n_boxes: usize) -> usize {
-        if !self.opts.parallel
-            || self.opts.parallel_threshold == 0
-            || n_boxes < self.opts.parallel_threshold
-        {
-            return 1;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2)
-            .min(n_boxes)
-            .min(16)
-    }
-}
-
-/// Join the query boxes in `range` against `table`'s candidate rows from
-/// `index`, writing results and counters into `sink`.
-fn join_boxes(
-    query: &BoxTable,
-    range: std::ops::Range<usize>,
-    table: &CompressedTable,
-    index: &TableIndex,
-    sink: &mut JoinSink,
-) {
-    let pa = table.primary_arity();
-    let mut isect = vec![Interval::point(0); pa];
-    for bi in range {
-        let q = query.row(bi);
-        for &row in index.probe(q) {
-            sink.rows_probed += 1;
-            join_row(q, row as usize, table, &mut isect, sink);
-        }
-    }
 }
 
 /// Intersect one compressed row's primary intervals with query box `q`;
-/// on success de-relativize and emit.
+/// on success de-relativize and emit. A cell only a generalized table can
+/// hold (`hop` rejects those up front) is [`DslogError::NotInstantiated`].
 #[inline]
 fn join_row(
     q: &[Interval],
@@ -251,27 +188,28 @@ fn join_row(
     table: &CompressedTable,
     isect: &mut [Interval],
     sink: &mut JoinSink,
-) {
+) -> Result<()> {
     let pa = table.primary_arity();
     for k in 0..pa {
         let Cell::Abs(p) = table.cell(row, k) else {
-            unreachable!("instantiated tables have absolute primary cells")
+            return Err(DslogError::NotInstantiated);
         };
         match p.intersect(&q[k]) {
             Some(i) => isect[k] = i,
-            None => return,
+            None => return Ok(()),
         }
     }
     sink.rows_matched += 1;
     let mut sec = std::mem::take(&mut sink.sec_buf);
     sec.clear();
     sec.extend((pa..table.arity()).map(|k| table.cell(row, k)));
-    emit_derelativized(isect, &sec, &mut sink.out);
+    let emitted = emit_derelativized(isect, &sec, &mut sink.out);
     sink.sec_buf = sec;
+    emitted
 }
 
 /// De-relativize one joined row and append the resulting box(es) to `out`.
-fn emit_derelativized(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) {
+fn emit_derelativized(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) -> Result<()> {
     // Count relative dependents per anchor.
     let mut dependents = vec![0u32; isect.len()];
     for cell in sec {
@@ -286,35 +224,35 @@ fn emit_derelativized(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) {
         .collect();
 
     if split.is_empty() {
-        let bx: Vec<Interval> = sec
+        let bx = sec
             .iter()
             .map(|cell| match *cell {
-                Cell::Abs(ivl) => ivl,
-                Cell::Rel { anchor, delta } => isect[anchor as usize].minkowski_sum(&delta),
-                Cell::Sym { .. } => unreachable!("generalized tables rejected by hop()"),
+                Cell::Abs(ivl) => Ok(ivl),
+                Cell::Rel { anchor, delta } => Ok(isect[anchor as usize].minkowski_sum(&delta)),
+                Cell::Sym { .. } => Err(DslogError::NotInstantiated),
             })
-            .collect();
+            .collect::<Result<Vec<Interval>>>()?;
         out.push_box(&bx);
-        return;
+        return Ok(());
     }
 
     // Enumerate unit assignments for the split anchors.
     let mut values: Vec<i64> = split.iter().map(|&j| isect[j].lo).collect();
     loop {
-        let bx: Vec<Interval> = sec
+        let bx = sec
             .iter()
             .map(|cell| match *cell {
-                Cell::Abs(ivl) => ivl,
+                Cell::Abs(ivl) => Ok(ivl),
                 Cell::Rel { anchor, delta } => {
                     let j = anchor as usize;
-                    match split.iter().position(|&s| s == j) {
+                    Ok(match split.iter().position(|&s| s == j) {
                         Some(si) => Interval::point(values[si]).minkowski_sum(&delta),
                         None => isect[j].minkowski_sum(&delta),
-                    }
+                    })
                 }
-                Cell::Sym { .. } => unreachable!("generalized tables rejected by hop()"),
+                Cell::Sym { .. } => Err(DslogError::NotInstantiated),
             })
-            .collect();
+            .collect::<Result<Vec<Interval>>>()?;
         out.push_box(&bx);
 
         // Advance the odometer over the split anchors.
@@ -331,7 +269,7 @@ fn emit_derelativized(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) {
             values[k] = isect[split[k]].lo;
         }
         if !advanced {
-            return;
+            return Ok(());
         }
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! Hops are executed by [`QueryExec`]: it probes each table's cached sorted
 //! interval index (binary search + bounded candidate scan) instead of
-//! scanning every compressed row, fans out across query boxes with scoped
-//! threads above a size threshold, short-circuits empty frontiers, and
+//! scanning every compressed row, short-circuits empty frontiers, and
 //! reports per-hop [`HopStats`]. The index probe is the only access path;
 //! answers are tested against the brute-force join over the raw relation
 //! in `dslog-oracle`'s `query::reference` (a dev-dependency).
@@ -30,11 +29,6 @@ pub struct QueryOptions {
     /// Run the row-reduction merge after each hop (§V.B.3). Disabling this
     /// reproduces the paper's `DSLog-NoMerge` ablation.
     pub merge: bool,
-    /// Allow fanning a hop out across scoped threads.
-    pub parallel: bool,
-    /// Minimum number of query boxes in a hop before threads are spawned;
-    /// `0` disables parallelism outright.
-    pub parallel_threshold: usize,
     /// Run the cost-based multi-hop planner ([`plan`]): estimate per-hop
     /// selectivity from cheap index probes, prune provably-empty hops,
     /// reorder around the most selective hop via a semi-join backpass, and
@@ -48,8 +42,6 @@ impl Default for QueryOptions {
     fn default() -> Self {
         Self {
             merge: true,
-            parallel: true,
-            parallel_threshold: 64,
             use_planner: true,
         }
     }

@@ -432,10 +432,7 @@ fn try_materialize(
     }
     let first_shape = storage.array(path[0]).ok()?.shape.clone();
     let last_shape = storage.array(path[path.len() - 1]).ok()?.shape.clone();
-    let exec = QueryExec::new(QueryOptions {
-        parallel: false,
-        ..QueryOptions::default()
-    });
+    let exec = QueryExec::default();
     let refs: Vec<&CompressedTable> = tables.iter().map(|t| t.as_ref()).collect();
     let mut lineage = LineageTable::new(first_shape.len(), last_shape.len());
     for source in support.cell_set() {
@@ -451,13 +448,7 @@ fn try_materialize(
             lineage.push_row(&row);
         }
     }
-    let table = crate::provrc::compress_opts(
-        &lineage,
-        &first_shape,
-        &last_shape,
-        Orientation::Backward,
-        storage.compress,
-    );
+    let table = crate::provrc::compress(&lineage, &first_shape, &last_shape, Orientation::Backward);
     let table = Arc::new(table);
     if !table.is_generalized() {
         table.ensure_index();
@@ -575,7 +566,6 @@ fn batch_hop(
         rows_matched: 0,
         boxes_emitted: 0,
         wall: Duration::ZERO,
-        threads: 1,
     };
     let mut next: Vec<OwnedBox> = Vec::new();
     let mut slots: HashMap<Vec<Interval>, usize> = HashMap::new();
@@ -586,7 +576,6 @@ fn batch_hop(
         agg.rows_probed += hop.rows_probed;
         agg.rows_matched += hop.rows_matched;
         agg.wall += hop.wall;
-        agg.threads = agg.threads.max(hop.threads);
         for ob in out.boxes() {
             let slot = *slots.entry(ob.to_vec()).or_insert_with(|| {
                 next.push((ob.to_vec(), vec![0u64; words]));

@@ -488,8 +488,8 @@ impl DslogService {
     /// arities, and reject duplicate `(in, out)` pairs — against the
     /// stored edge set *and* within the batch itself
     /// ([`DslogError::DuplicateEdge`]).
-    /// Phase 2 (no lock): ProvRC-compress the whole batch with
-    /// work-stealing worker threads.
+    /// Phase 2 (no lock): ProvRC-compress the whole batch, on worker
+    /// threads when it holds enough rows to pay for them.
     /// Phase 3 (writer lock): re-run the duplicate check against the
     /// *current* epoch (a racing batch may have installed one of our
     /// pairs while we compressed), build the next epoch from pointer

@@ -131,7 +131,7 @@ mod tests {
         // Eager and lazy reopens both decode identical slot content out of
         // the segment ranges.
         for mode in [OpenMode::Eager, OpenMode::Lazy] {
-            let reopened = persist::open(&dir, mode, None).unwrap();
+            let reopened = persist::open(&dir, mode).unwrap();
             assert_eq!(slot_bytes(&reopened), before);
         }
 
@@ -158,7 +158,7 @@ mod tests {
         assert_eq!(files_with_prefix(&dir, "segment-").len(), 2);
         let v = persist::verify(&dir).unwrap();
         assert_eq!(v.files_verified, 4);
-        let reopened = persist::open(&dir, OpenMode::Eager, None).unwrap();
+        let reopened = persist::open(&dir, OpenMode::Eager).unwrap();
         assert_eq!(slot_bytes(&reopened), slot_bytes(&s));
     }
 
@@ -194,9 +194,9 @@ mod tests {
         compact(&s, &dir, false).unwrap();
 
         // Retained prior generations still resolve, with their content.
-        let old = persist::open(&dir, OpenMode::AsOf(committed), None).unwrap();
+        let old = persist::open(&dir, OpenMode::AsOf(committed)).unwrap();
         assert_eq!(old.edges.len(), 3);
-        let older = persist::open(&dir, OpenMode::AsOf(committed - 1), None).unwrap();
+        let older = persist::open(&dir, OpenMode::AsOf(committed - 1)).unwrap();
         assert_eq!(older.edges.len(), 2);
         // And verify classifies their files as retained, not stale.
         let v = persist::verify(&dir).unwrap();
@@ -212,7 +212,7 @@ mod tests {
         compact(&s, &dir, false).unwrap();
         // Default retention = 0: the pre-compaction generation's files are
         // gone, so time travel to it reports GenerationNotRetained.
-        match persist::open(&dir, OpenMode::AsOf(committed), None) {
+        match persist::open(&dir, OpenMode::AsOf(committed)) {
             Err(DslogError::GenerationNotRetained(g)) => assert_eq!(g, committed),
             other => panic!("expected GenerationNotRetained, got {other:?}"),
         }

@@ -359,11 +359,7 @@ impl Edge {
     /// derive-plus-index cost exactly once; every later call (and any call
     /// racing with the first — the derivation runs under the slot's write
     /// lock) gets the cached `Arc` with a warm index.
-    fn repr(
-        &self,
-        orientation: Orientation,
-        compress: CompressOptions,
-    ) -> Result<Arc<CompressedTable>> {
+    fn repr(&self, orientation: Orientation) -> Result<Arc<CompressedTable>> {
         if let Some(t) = self.stored(orientation, true)? {
             return Ok(t);
         }
@@ -380,12 +376,11 @@ impl Edge {
             return Ok(Arc::clone(t));
         }
         let full = source.decompress()?;
-        let derived = Arc::new(provrc::compress_opts(
+        let derived = Arc::new(provrc::compress(
             &full,
             &self.out_shape,
             &self.in_shape,
             orientation,
-            compress,
         ));
         derived.ensure_index();
         // A derived orientation is new content: dirty until the next
@@ -458,8 +453,8 @@ pub struct StorageManager {
     // values, copied into every epoch clone, so nothing one snapshot's
     // user does can change what another logs or writes.
     pub(crate) materialize: Materialize,
-    /// Compression options for every capture-path compress (ingest and
-    /// on-demand orientation derivation).
+    /// Compression options of the batched ingest path (whether its
+    /// relations may compress on worker threads).
     pub(crate) compress: CompressOptions,
     pub(crate) composite_policy: CompositePolicy,
     /// Who operation-log records name when the operation brings no actor
@@ -649,11 +644,10 @@ impl StorageManager {
             });
         }
         let policy = self.materialize;
-        let opts = self.compress;
         // Indexes are built eagerly alongside each materialized orientation
         // so the first query over a fresh edge probes instead of scanning.
         let compress = |orientation| {
-            let t = provrc::compress_opts(lineage, &out_shape, &in_shape, orientation, opts);
+            let t = provrc::compress(lineage, &out_shape, &in_shape, orientation);
             t.ensure_index();
             Arc::new(t)
         };
@@ -789,22 +783,15 @@ impl StorageManager {
         from: &str,
         to: &str,
     ) -> Result<(Arc<CompressedTable>, HopDirection)> {
-        let opts = self.compress;
         // Edge stored as (input=to, output=from) ⇒ hop is backward.
         if let Some(edge) = self.edges.get(&(to.to_string(), from.to_string())) {
             edge.backward_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((
-                edge.repr(Orientation::Backward, opts)?,
-                HopDirection::Backward,
-            ));
+            return Ok((edge.repr(Orientation::Backward)?, HopDirection::Backward));
         }
         // Edge stored as (input=from, output=to) ⇒ hop is forward.
         if let Some(edge) = self.edges.get(&(from.to_string(), to.to_string())) {
             edge.forward_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((
-                edge.repr(Orientation::Forward, opts)?,
-                HopDirection::Forward,
-            ));
+            return Ok((edge.repr(Orientation::Forward)?, HopDirection::Forward));
         }
         Err(DslogError::NoLineagePath {
             from: from.to_string(),
@@ -954,7 +941,6 @@ impl StorageManager {
     /// backward default. Queries after a rebalance stay correct — a
     /// dropped orientation is simply re-derived on demand.
     pub fn rebalance_materialization(&mut self) -> Result<()> {
-        let opts = self.compress;
         for edge in self.edges.values() {
             let bwd = edge.backward_hits.load(Ordering::Relaxed);
             let fwd = edge.forward_hits.load(Ordering::Relaxed);
@@ -966,7 +952,7 @@ impl StorageManager {
             // Materialize the kept orientation first (may derive), then
             // drop the other (content AND persistence record: the next
             // commit must stop referencing the dropped orientation's file).
-            edge.repr(keep, opts)?;
+            edge.repr(keep)?;
             *edge.slot(keep.flip()).write() = Slot::default();
         }
         Ok(())
@@ -1000,7 +986,7 @@ impl StorageManager {
                 from: in_array.to_string(),
                 to: out_array.to_string(),
             })?;
-        edge.repr(orientation, self.compress)
+        edge.repr(orientation)
     }
 
     /// Serialized size in bytes of all stored tables (one orientation each),
@@ -1185,33 +1171,22 @@ mod tests {
 
     #[test]
     fn ablation_compress_options_produce_identical_storage() {
-        // Threading is the remaining knob: off, and forced on for every
-        // pass, must store what the default stores.
+        // Threading is the remaining knob: off must store what the default
+        // stores.
         let mut default = manager_with_edge();
-        for compress in [
-            CompressOptions {
-                parallel: false,
-                ..CompressOptions::default()
-            },
-            CompressOptions {
-                parallel_threshold: 1,
-                ..CompressOptions::default()
-            },
-        ] {
-            let mut ablated = StorageManager::new();
-            ablated.compress = compress;
-            ablated.define_array("A", &[3, 2]).unwrap();
-            ablated.define_array("B", &[3]).unwrap();
-            ablated.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-            // Stored and lazily derived orientations agree bit-for-bit.
-            for orientation in [Orientation::Backward, Orientation::Forward] {
-                let a = default.stored_table("A", "B", orientation).unwrap();
-                let b = ablated.stored_table("A", "B", orientation).unwrap();
-                assert_eq!(*a, *b);
-            }
-            assert_eq!(default.storage_bytes(), ablated.storage_bytes());
-            ablated.rebalance_materialization().unwrap();
+        let mut ablated = StorageManager::new();
+        ablated.compress = CompressOptions { parallel: false };
+        ablated.define_array("A", &[3, 2]).unwrap();
+        ablated.define_array("B", &[3]).unwrap();
+        ablated.ingest_lineage("A", "B", &sum_lineage()).unwrap();
+        // Stored and lazily derived orientations agree bit-for-bit.
+        for orientation in [Orientation::Backward, Orientation::Forward] {
+            let a = default.stored_table("A", "B", orientation).unwrap();
+            let b = ablated.stored_table("A", "B", orientation).unwrap();
+            assert_eq!(*a, *b);
         }
+        assert_eq!(default.storage_bytes(), ablated.storage_bytes());
+        ablated.rebalance_materialization().unwrap();
         default.rebalance_materialization().unwrap();
     }
 

@@ -147,6 +147,7 @@ use super::wal::{self, Generation, IoPolicy, LogTail};
 use super::wire::{read_string, read_u32_le, write_string};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
+use crate::par;
 use crate::table::Orientation;
 use dslog_codecs::crc32::{crc32, Crc32};
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
@@ -1053,80 +1054,49 @@ pub(crate) fn load_table_file(
 /// Edge map keyed by `(in_array, out_array)`, as loaded from a catalog.
 type EdgeMap = HashMap<(String, String), Arc<Edge>>;
 
-/// Stable shard assignment for one edge in the parallel open pool: hash of
-/// the `(in, out)` edge key.
-fn edge_shard(in_name: &str, out_name: &str, shards: usize) -> usize {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    in_name.hash(&mut h);
-    out_name.hash(&mut h);
-    (h.finish() % shards.max(1) as u64) as usize
+/// Plain table bytes (the catalog's `raw_len`s) per worker below which a
+/// load decodes on the calling thread. Measured on 2 vCPUs over the
+/// benchmark's 96-edge `reopen` shape, two threads ÷ one: 0.9–1.2 at
+/// 0.95–1.5 MB, 0.72–1.08 from 2.4 to 7.2 MB depending on the run, and
+/// 0.54–0.87 from 9.8 MB. When the two vCPUs share a core the pool is 1.8×
+/// slower up to 2.4 MB and still ahead (0.80) from 9.8 MB, so two workers
+/// start at 8 MiB (README, "Where DSLog uses threads").
+const DECODE_GRAIN: usize = 4 << 20;
+
+/// Workers for decoding `jobs`: one per [`DECODE_GRAIN`] of table bytes.
+fn decode_workers(jobs: &[(usize, &FileRef)]) -> usize {
+    let bytes: u64 = jobs.iter().map(|(_, fref)| fref.record.raw_len).sum();
+    par::workers_for(usize::try_from(bytes).unwrap_or(usize::MAX), DECODE_GRAIN)
 }
 
-/// Decode catalog file references across a scoped thread pool, sharded by
-/// edge-id hash (decode + crc dominates open time, and edges are
-/// independent). Returns each table keyed by `(edge index, forward?)`.
-/// Any decode error — or a worker panic — fails the whole load, exactly
-/// as the sequential loop did.
-fn load_tables_sharded(
+/// Read, verify and decode catalog file references on `workers` threads
+/// (decode + crc dominates open time, and tables are independent). Returns
+/// each table keyed by `(edge index, forward?)`. Any decode error — or a
+/// panic while decoding — fails the whole load.
+fn load_tables(
     dir: &Path,
     catalog: &Catalog,
     jobs: &[(usize, &FileRef)],
-    threads: Option<usize>,
+    workers: usize,
 ) -> Result<HashMap<(usize, bool), crate::table::CompressedTable>> {
-    let decode_one = |idx: usize, fref: &FileRef| {
-        load_table_file(dir, catalog.gzip, fref.orientation, &fref.record)
-            .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
+    let decode_all = || {
+        par::map(jobs.len(), workers, |i| {
+            let (idx, fref) = jobs[i];
+            load_table_file(dir, catalog.gzip, fref.orientation, &fref.record)
+                .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
+        })
     };
-    // One shard per worker: the machine's parallelism, clamped by the
-    // caller's cap (`OpenOptions::open_threads`; 1 = serial).
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = threads.map_or(hw, |cap| cap.clamp(1, hw)).min(64);
-    let shards = shards.min(jobs.len());
-    if shards <= 1 {
-        return jobs
-            .iter()
-            .map(|(idx, fref)| decode_one(*idx, fref))
-            .collect();
-    }
-    let mut buckets: Vec<Vec<(usize, &FileRef)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (idx, fref) in jobs {
-        let entry = &catalog.edges[*idx];
-        buckets[edge_shard(&entry.in_name, &entry.out_name, shards)].push((*idx, fref));
-    }
-    let decode_one = &decode_one;
-    let results: Result<Vec<Vec<_>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || -> Result<Vec<_>> {
-                    bucket
-                        .into_iter()
-                        .map(|(idx, fref)| decode_one(idx, fref))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| DslogError::Corrupt("edge decode worker panicked"))?
-            })
-            .collect()
-    });
-    Ok(results?.into_iter().flatten().collect())
+    // Hostile bytes must come back as an error, whichever thread met them.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(decode_all))
+        .map_err(|_| DslogError::Corrupt("edge decode worker panicked"))?
+        .into_iter()
+        .collect()
 }
 
 /// Load (or lazily reference) every table a parsed catalog names.
-fn load_catalog_edges(
-    dir: &Path,
-    catalog: &Catalog,
-    lazy: bool,
-    threads: Option<usize>,
-) -> Result<EdgeMap> {
-    // Everything to be decoded eagerly fans out across the scoped pool;
-    // lazily referenced files are only stat'd (O(1) each) inline below.
+fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeMap> {
+    // Everything to be decoded eagerly goes through `load_tables`; lazily
+    // referenced files are only stat'd (O(1) each) inline below.
     let eager_jobs: Vec<(usize, &FileRef)> = catalog
         .edges
         .iter()
@@ -1134,7 +1104,7 @@ fn load_catalog_edges(
         .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
         .filter(|_| !lazy)
         .collect();
-    let mut loaded = load_tables_sharded(dir, catalog, &eager_jobs, threads)?;
+    let mut loaded = load_tables(dir, catalog, &eager_jobs, decode_workers(&eager_jobs))?;
 
     let mut edges = HashMap::new();
     for (idx, entry) in catalog.edges.iter().enumerate() {
@@ -1230,13 +1200,12 @@ fn manager_from_parts(
 }
 
 /// Open a database directory written by [`save`] — the one storage-level
-/// entry; [`crate::api::OpenOptions::open`] is its public face. `threads`
-/// caps the decode pool (`None`: the machine's parallelism).
-pub fn open(dir: &Path, mode: OpenMode, threads: Option<usize>) -> Result<StorageManager> {
+/// entry; [`crate::api::OpenOptions::open`] is its public face.
+pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
     let live = read_catalog(dir)?;
     if let OpenMode::AsOf(generation) = mode {
         if generation != live.generation {
-            return open_retained(dir, generation, threads);
+            return open_retained(dir, generation);
         }
     }
 
@@ -1249,7 +1218,7 @@ pub fn open(dir: &Path, mode: OpenMode, threads: Option<usize>) -> Result<Storag
     let names = list_dir(dir);
     let tail = load_tail(dir, Some(&live), &names);
 
-    let edges = load_catalog_edges(dir, &live, mode == OpenMode::Lazy, threads)?;
+    let edges = load_catalog_edges(dir, &live, mode == OpenMode::Lazy)?;
 
     // A crashed process can leave `.tmp`/orphaned debris that a later
     // generation could collide with; opening a snapshot sweeps it
@@ -1272,7 +1241,7 @@ pub fn open(dir: &Path, mode: OpenMode, threads: Option<usize>) -> Result<Storag
 }
 
 /// The [`OpenMode::AsOf`] open of a superseded generation.
-fn open_retained(dir: &Path, generation: u64, threads: Option<usize>) -> Result<StorageManager> {
+fn open_retained(dir: &Path, generation: u64) -> Result<StorageManager> {
     let catalog = match std::fs::read(dir.join(retained_catalog_name(generation))) {
         Ok(old) => parse_catalog(&old)?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1298,7 +1267,7 @@ fn open_retained(dir: &Path, generation: u64, threads: Option<usize>) -> Result<
     // verification means a reclaimed-then-recreated name cannot bite
     // later. No sweep, no binding — opening history must never mutate
     // the live database.
-    let edges = load_catalog_edges(dir, &catalog, false, threads)?;
+    let edges = load_catalog_edges(dir, &catalog, false)?;
     Ok(manager_from_parts(catalog, edges, None))
 }
 
@@ -1336,7 +1305,7 @@ pub struct VerifyReport {
 /// Walk a database directory and validate everything the catalog claims:
 /// every referenced table's range exists, matches its recorded byte length
 /// and crc32, decodes structurally, and stores the orientation the catalog
-/// says — fanned across the same scoped thread pool as [`open`]. That is
+/// says — decoded by the same workers as an eager [`open`]. That is
 /// every byte a reader can be handed; dead space inside a segment is
 /// counted, not checked. Returns a report on success; any damage is an
 /// `Err`. Unreferenced data/`*.tmp` debris is reported, not treated as
@@ -1351,7 +1320,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
         .collect();
     let files_verified = jobs.len();
-    load_tables_sharded(dir, &catalog, &jobs, None)?;
+    load_tables(dir, &catalog, &jobs, decode_workers(&jobs))?;
 
     // Retained generations' catalogs and the files they name are history,
     // not debris (the classification rule is the same [`is_spared`] the
@@ -1419,11 +1388,11 @@ mod tests {
     }
 
     fn open(dir: &Path) -> Result<StorageManager> {
-        super::open(dir, OpenMode::Eager, None)
+        super::open(dir, OpenMode::Eager)
     }
 
     fn open_lazy(dir: &Path) -> Result<StorageManager> {
-        super::open(dir, OpenMode::Lazy, None)
+        super::open(dir, OpenMode::Lazy)
     }
 
     fn sample_manager() -> StorageManager {
@@ -1489,6 +1458,57 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn decode_on_three_workers_is_bit_identical() {
+        for gzip in [false, true] {
+            let dir = temp_dir(if gzip { "par-gz" } else { "par" });
+            save(&sample_manager(), &dir, gzip).unwrap();
+            let catalog = read_catalog(&dir).unwrap();
+            let frefs = catalog.edges.iter().enumerate();
+            let jobs: Vec<(usize, &FileRef)> = frefs.map(|(i, e)| (i, &e.files[0])).collect();
+            assert_eq!(decode_workers(&jobs), 1, "a few hundred bytes stay inline");
+            let inline = load_tables(&dir, &catalog, &jobs, 1).unwrap();
+            assert_eq!(inline.len(), 2);
+            assert_eq!(load_tables(&dir, &catalog, &jobs, 3).unwrap(), inline);
+
+            // An error on any worker fails the load, as it does inline.
+            edit_range(&dir, &jobs[1].1.record, |bytes| bytes[0] ^= 0x5a);
+            for workers in [1, 3] {
+                let loaded = load_tables(&dir, &catalog, &jobs, workers);
+                assert!(matches!(loaded, Err(DslogError::Corrupt(_))));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn decode_workers_follow_the_measured_crossover() {
+        // `jobs` over `n` tables of `raw_len` bytes each.
+        let workers_for_tables = |n: usize, raw_len: u64| {
+            let frefs: Vec<FileRef> = (0..n)
+                .map(|_| FileRef {
+                    orientation: Orientation::Backward,
+                    record: FileRecord {
+                        name: "segment-0.g1.seg".to_string(),
+                        len: raw_len,
+                        crc: 0,
+                        raw_len,
+                        offset: 0,
+                    },
+                })
+                .collect();
+            let jobs: Vec<(usize, &FileRef)> = frefs.iter().enumerate().collect();
+            decode_workers(&jobs)
+        };
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // The benchmark's `reopen` database: 96 tables, 954 027 bytes.
+        assert_eq!(workers_for_tables(96, 954_027 / 96), 1);
+        assert_eq!(workers_for_tables(96, 4_758_827 / 96), 1);
+        // 10.6 MB: past the 8 MiB from which the pool won in every run.
+        assert_eq!(workers_for_tables(96, 10_600_000 / 96), hw.min(2));
+        assert_eq!(workers_for_tables(0, 0), 1);
     }
 
     #[test]
@@ -2020,11 +2040,11 @@ mod tests {
             seen.push((report.generation, contents(s)));
             let kept = seen.len().saturating_sub(2);
             for (generation, held) in &seen[kept..] {
-                let old = super::open(&dir, OpenMode::AsOf(*generation), None).unwrap();
+                let old = super::open(&dir, OpenMode::AsOf(*generation)).unwrap();
                 assert_eq!(&contents(&old), held, "as of {generation}");
             }
             if let Some((generation, _)) = kept.checked_sub(1).map(|i| &seen[i]) {
-                let gone = super::open(&dir, OpenMode::AsOf(*generation), None);
+                let gone = super::open(&dir, OpenMode::AsOf(*generation));
                 assert!(matches!(gone, Err(DslogError::GenerationNotRetained(_))));
             }
             let v = verify(&dir).unwrap();

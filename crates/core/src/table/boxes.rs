@@ -74,13 +74,6 @@ impl BoxTable {
         self.data.extend_from_slice(b);
     }
 
-    /// Append every box of `other` (same arity), preserving order. Used by
-    /// the parallel query engine to concatenate per-thread partial results.
-    pub fn append(&mut self, other: &BoxTable) {
-        debug_assert_eq!(self.arity, other.arity);
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Box `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[Interval] {

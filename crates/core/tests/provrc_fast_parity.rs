@@ -3,47 +3,38 @@
 //! the row-of-structs reference in `dslog-oracle` (the ablation), and both
 //! must roundtrip through decompression to the normalized input relation.
 //!
-//! Covers random 1–4 attribute tables in both orientations, forced
-//! threading (parallel sort / chunked scan via `parallel_threshold: 1`),
-//! structured relations (windows/constants, which exercise the mask
-//! pruning's shrink-and-retry path), tables wide enough to hit the
-//! heuristic mask enumeration (more than 6 secondary attributes), and
-//! value ranges large enough to overflow the 128-bit packed-key modes
-//! into the wide sort path.
+//! Covers random 1–4 attribute tables in both orientations, the batch and
+//! both-orientation entry points (which must return exactly what one
+//! `compress` per relation and orientation does), structured relations
+//! (windows/constants, which exercise the mask pruning's shrink-and-retry
+//! path), tables wide enough to hit the heuristic mask enumeration (more
+//! than 6 secondary attributes), and value ranges large enough to overflow
+//! the 128-bit packed-key modes into the wide sort path.
 
-use dslog::provrc::{self, CompressOptions};
+use dslog::provrc;
 use dslog::table::{LineageTable, Orientation};
 use dslog_oracle::provrc::compress_reference;
 use proptest::prelude::*;
 
-/// Assert fast ≡ ablation ≡ decompress-roundtrip for one relation.
+/// Assert fast ≡ ablation ≡ decompress-roundtrip for one relation, and
+/// batch(jobs) ≡ [compress(job)], both ≡ (backward, forward).
 fn assert_parity(
     t: &LineageTable,
     out_shape: &[usize],
     in_shape: &[usize],
 ) -> Result<(), TestCaseError> {
+    let mut pair = Vec::with_capacity(2);
     for orientation in [Orientation::Backward, Orientation::Forward] {
         let reference = compress_reference(t, out_shape, in_shape, orientation);
-        // Serial fast pipeline and forced-threaded fast pipeline.
-        for threshold in [usize::MAX, 1] {
-            let fast = provrc::compress_opts(
-                t,
-                out_shape,
-                in_shape,
-                orientation,
-                CompressOptions {
-                    parallel: true,
-                    parallel_threshold: threshold,
-                },
-            );
-            prop_assert_eq!(
-                &fast,
-                &reference,
-                "fast ≠ ablation ({:?}, threshold {})",
-                orientation,
-                threshold
-            );
+        let fast = provrc::compress(t, out_shape, in_shape, orientation);
+        prop_assert_eq!(&fast, &reference, "fast ≠ ablation ({:?})", orientation);
+        let jobs: [provrc::CompressJob<'_>; 3] = [(t, out_shape, in_shape); 3];
+        let batch = provrc::compress_batch_parallel(&jobs, orientation);
+        prop_assert_eq!(batch.len(), jobs.len());
+        for job in &batch {
+            prop_assert_eq!(job, &fast, "batch ≠ compress ({:?})", orientation);
         }
+        pair.push(fast);
         prop_assert_eq!(
             reference.decompress().unwrap().row_set(),
             t.normalized().row_set(),
@@ -51,6 +42,8 @@ fn assert_parity(
             orientation
         );
     }
+    let (backward, forward) = provrc::compress_both(t, out_shape, in_shape);
+    prop_assert_eq!(vec![backward, forward], pair, "both ≠ (backward, forward)");
     Ok(())
 }
 

@@ -89,13 +89,12 @@ pub fn compress_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dslog::provrc::{compress_opts, CompressOptions};
+    use dslog::provrc::compress;
 
     #[test]
     fn fast_and_ablation_agree_on_canonical_patterns() {
-        // Every canonical lineage shape, both orientations, forced-threaded
-        // and serial: the shipped pipeline must be bit-identical to this
-        // one.
+        // Every canonical lineage shape, both orientations: the shipped
+        // pipeline must be bit-identical to this one.
         let mut tables: Vec<(LineageTable, Vec<usize>, Vec<usize>)> = Vec::new();
         // Paper Fig. 1(B): `B = numpy.sum(A, axis=1)`, 3x2 input, 1-based.
         let mut sum = LineageTable::new(1, 2);
@@ -125,19 +124,8 @@ mod tests {
         for (t, out_shape, in_shape) in &tables {
             for orientation in [Orientation::Backward, Orientation::Forward] {
                 let ablation = compress_reference(t, out_shape, in_shape, orientation);
-                for threshold in [usize::MAX, 1] {
-                    let fast = compress_opts(
-                        t,
-                        out_shape,
-                        in_shape,
-                        orientation,
-                        CompressOptions {
-                            parallel: true,
-                            parallel_threshold: threshold,
-                        },
-                    );
-                    assert_eq!(fast, ablation, "threshold {threshold}, {orientation:?}");
-                }
+                let fast = compress(t, out_shape, in_shape, orientation);
+                assert_eq!(fast, ablation, "{orientation:?}");
             }
         }
     }

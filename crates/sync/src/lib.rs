@@ -95,7 +95,6 @@ impl LockMeta {
 /// | 50 | `storage.binding` | persistence binding (dir + generation state) |
 /// | 60 | `storage.composites` | composite-edge cache map |
 /// | 70 | `storage.slot` | per-edge representation slot (many instances share this rank; never hold two) |
-/// | 80 | `provrc.batch_result` | scoped-thread compression result slots |
 pub mod ranks {
     use super::LockMeta;
 
@@ -110,7 +109,6 @@ pub mod ranks {
     pub static STORAGE_BINDING: LockMeta = LockMeta::new("storage.binding", 50);
     pub static STORAGE_COMPOSITES: LockMeta = LockMeta::new("storage.composites", 60);
     pub static STORAGE_SLOT: LockMeta = LockMeta::new("storage.slot", 70);
-    pub static BATCH_RESULT: LockMeta = LockMeta::new("provrc.batch_result", 80);
 }
 
 /// One detected violation of the concurrency invariants.

@@ -1,5 +1,5 @@
-// Fixture: idiomatic dslog code — instrumented locks, error returns, scoped
-// threads, and bounds-checked wire-sized allocations. Must produce zero
+// Fixture: idiomatic dslog code — instrumented locks, error returns, the
+// shared fan-out helper, and bounds-checked wire-sized allocations. Must produce zero
 // findings even with the decode-alloc rule active.
 use dslog_sync::{ranks, Mutex};
 
@@ -18,8 +18,5 @@ pub fn guarded_counter() -> Mutex<u64> {
 }
 
 pub fn fan_out(items: &[u64]) -> u64 {
-    std::thread::scope(|s| {
-        let h = s.spawn(|| items.iter().sum::<u64>());
-        h.join().unwrap_or_default()
-    })
+    crate::par::map(items.len(), 2, |i| items[i] * 2).iter().sum()
 }

@@ -2,7 +2,7 @@
 //!
 //! Scans `crates/**/src` plus `xtask/src` line by line (no syn, no regex
 //! crates — a hand-rolled tokenizer good enough for the repo's rustfmt'd
-//! style) and enforces six invariants:
+//! style) and enforces seven invariants:
 //!
 //! - **raw-sync** — no raw `parking_lot::` / `std::sync::{Mutex, RwLock,
 //!   Condvar}` outside `crates/sync`; all locks go through `dslog-sync` so
@@ -12,7 +12,10 @@
 //!   Audited exceptions live in `lint-allow.txt` with a justification.
 //! - **raw-spawn** — no `thread::spawn` / `thread::Builder` in library code
 //!   outside the sanctioned net worker pool and service ticker (allowlisted);
-//!   everything else uses `std::thread::scope`.
+//!   everything else fans out through `dslog`'s `par::map`.
+//! - **raw-scope** — no `thread::scope` in library code outside
+//!   `crates/core/src/par.rs`: one helper owns worker sizing, result order
+//!   and panic propagation, and a site that threads names a measured grain.
 //! - **decode-alloc** — in decode paths (`storage/format.rs`,
 //!   `storage/persist.rs`, `storage/wal.rs`, `crates/codecs`), a
 //!   `with_capacity` / `vec![_; n]` whose size came from a wire read must be
@@ -28,8 +31,8 @@
 //!
 //! Test regions (`#[cfg(test)] mod` bodies) are skipped for every rule;
 //! binary targets (`src/bin`, `src/main.rs`, the CLI crate) are skipped for
-//! panic-path and raw-spawn (a panic there aborts one driver run, not the
-//! serving process) but still checked for raw-sync.
+//! panic-path, raw-spawn and raw-scope (a panic there aborts one driver run,
+//! not the serving process) but still checked for raw-sync.
 //!
 //! Exit status is non-zero if any violation survives the allowlist or if an
 //! allowlist entry is stale (matches nothing). `--report <path>` writes the
@@ -70,8 +73,10 @@ impl fmt::Display for Finding {
 pub struct FileClass {
     /// Inside `crates/sync` — the one place raw primitives are allowed.
     pub sync_crate: bool,
-    /// Binary target: panic-path and raw-spawn are relaxed.
+    /// Binary target: panic-path, raw-spawn and raw-scope are relaxed.
     pub bin_target: bool,
+    /// `crates/core/src/par.rs` — the one home of `thread::scope`.
+    pub par_module: bool,
     /// Wire-decode scope: the decode-alloc rule applies.
     pub decode_scope: bool,
     /// The operation-log module: the wal-replay-arm rule applies.
@@ -86,6 +91,7 @@ pub fn classify(rel: &str) -> FileClass {
         bin_target: rel.starts_with("crates/cli/src/")
             || rel.contains("/src/bin/")
             || rel.ends_with("src/main.rs"),
+        par_module: rel == "crates/core/src/par.rs",
         decode_scope: rel == "crates/core/src/storage/format.rs"
             || rel == "crates/core/src/storage/persist.rs"
             || rel == "crates/core/src/storage/wal.rs"
@@ -370,7 +376,15 @@ pub fn scan_source(rel: &str, content: &str, class: FileClass) -> Vec<Finding> {
         if !class.bin_target && (s.contains("thread::spawn") || s.contains("thread::Builder")) {
             push(
                 "raw-spawn",
-                "raw thread creation; use std::thread::scope or a sanctioned (allowlisted) pool"
+                "raw thread creation; use par::map or a sanctioned (allowlisted) pool".into(),
+            );
+        }
+
+        // raw-scope: one fan-out helper, not a pool per call site.
+        if !class.bin_target && !class.par_module && s.contains("thread::scope") {
+            push(
+                "raw-scope",
+                "hand-rolled scoped threads; fan out through par::map (crates/core/src/par.rs)"
                     .into(),
             );
         }
@@ -762,6 +776,7 @@ mod tests {
         FileClass {
             sync_crate: false,
             bin_target: false,
+            par_module: false,
             decode_scope: false,
             wal_scope: false,
             env_scope: false,
@@ -804,6 +819,17 @@ mod tests {
         let src = include_str!("../fixtures/bad_spawn.rs");
         let f = scan_source("fixtures/bad_spawn.rs", src, lib_class());
         assert!(rules(&f).contains(&"raw-spawn"), "{f:#?}");
+    }
+
+    #[test]
+    fn fixture_raw_scope_is_flagged_outside_the_par_module() {
+        let src = include_str!("../fixtures/bad_scope.rs");
+        let f = scan_source("fixtures/bad_scope.rs", src, lib_class());
+        assert_eq!(rules(&f), vec!["raw-scope"], "{f:#?}");
+        // The helper's own file and binary targets may scope threads.
+        for rel in ["crates/core/src/par.rs", "crates/bench/src/bin/x.rs"] {
+            assert_eq!(scan_source(rel, src, classify(rel)), [], "{rel}");
+        }
     }
 
     #[test]

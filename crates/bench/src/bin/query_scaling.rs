@@ -14,6 +14,16 @@
 //! 4. **Batched queries** — 1000 queries sharing a 3-hop path with heavy
 //!    cell overlap; the deduplicated batch sweep must beat a per-query
 //!    loop ≥ 3× at full scale.
+//! 5. **Where a query's time goes** — the benchmark's `pipeline_query` mix
+//!    (its 12 random numpy pipelines, both directions, 1 / 16 / 256 start
+//!    cells in rotation) replayed stage by stage: each stage is timed at
+//!    the public entry point that *is* that stage (`StorageManager::array`
+//!    per path name, `BoxTable::from_cells`, `has_composite` for the
+//!    registry lookup, `estimate_point_selectivity_ppm` and `resolve_hop`
+//!    per hop, `BoxTable::merge` per hop output), the joins by the hop
+//!    `wall` a query's own `QueryStats` reports, beside `prov_query`'s
+//!    total. Which stages a warm `prov_query` pays per query is the tree's
+//!    to say (README, "Where a query's time goes"); no gate.
 //!
 //! Every timed comparison asserts cell-for-cell parity first. Emits an
 //! aligned table on stdout and machine-readable `BENCH_query.json` in the
@@ -22,14 +32,17 @@
 //! Run: `cargo run -p dslog-bench --release --bin query_scaling [--scale f]`
 
 use dslog::api::{Dslog, TableCapture};
-use dslog::query::QueryOptions;
+use dslog::query::{QueryExec, QueryOptions};
 use dslog::reuse::CompositePolicy;
 use dslog::storage::Materialize;
-use dslog::table::{LineageTable, Orientation};
+use dslog::table::{BoxTable, LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_oracle::query::reference;
 use dslog_workloads::edges;
+use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::hint::black_box;
 
 struct Point {
     rows: usize,
@@ -303,6 +316,103 @@ fn measure_batch(n: usize, reps: usize) -> (usize, Versus) {
     (QUERIES, v)
 }
 
+/// Experiment 5's stages, in the order a query meets them.
+const STAGES: [&str; 8] = [
+    "validate", "encode", "lookup", "estimate", "resolve", "hop", "merge", "api",
+];
+
+/// Experiment 5: mean seconds per query of each of [`STAGES`] over
+/// `rotations` rotations of pipeline × direction × support, after the
+/// benchmark's own warm-up (4 queries per path and direction, past the
+/// composite threshold). Returns the query count with the means.
+fn measure_stages(initial_cells: usize, rotations: usize) -> (usize, [f64; 8]) {
+    const PIPELINES: usize = 12;
+    const SUPPORTS: [usize; 3] = [1, 16, 256];
+    let pipes: Vec<(Dslog, [Vec<String>; 2])> = (0..PIPELINES)
+        .map(|i| {
+            // `pipeline_query`'s data set: the same seeds, 5 and 10 operations.
+            let p = generate(RandomPipelineSpec {
+                seed: 0x00f1_6009 + i as u64,
+                n_ops: if i % 2 == 0 { 5 } else { 10 },
+                initial_cells,
+            });
+            let mut db = Dslog::new();
+            p.register_into(&mut db).unwrap();
+            let backward = p.main_path.iter().rev().cloned().collect();
+            (db, [backward, p.main_path])
+        })
+        .collect();
+
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5eed);
+    let mut sums = [0f64; 8];
+    let mut queries = 0usize;
+    for i in 0..(4 + rotations) * PIPELINES * 2 * SUPPORTS.len() {
+        let (db, paths) = &pipes[i % PIPELINES];
+        let names = &paths[(i / PIPELINES) % 2];
+        let support = SUPPORTS[(i / (PIPELINES * 2)) % SUPPORTS.len()];
+        let path: Vec<&str> = names.iter().map(String::as_str).collect();
+        let shape = db.storage().array(path[0]).unwrap().shape.clone();
+        let total: usize = shape.iter().product();
+        // `support` consecutive row-major cells from a random start.
+        let start = rng.gen_range(0..=total - support.min(total));
+        let cells: Vec<Vec<i64>> = (start..start + support.min(total))
+            .map(|mut pos| {
+                let mut cell = vec![0i64; shape.len()];
+                for (slot, &dim) in cell.iter_mut().zip(&shape).rev() {
+                    *slot = (pos % dim) as i64;
+                    pos /= dim;
+                }
+                cell
+            })
+            .collect();
+
+        let (result, api) = timed(|| db.prov_query(&path, &cells).unwrap());
+        if i < 4 * PIPELINES * 2 * SUPPORTS.len() {
+            continue; // warm-up
+        }
+        queries += 1;
+        let mut add = |stage: &str, s: f64| {
+            sums[STAGES.iter().position(|&n| n == stage).unwrap()] += s;
+        };
+        add("api", api);
+        add("hop", result.stats.total_wall().as_secs_f64());
+        add(
+            "validate",
+            timed(|| path.iter().all(|n| db.storage().array(n).is_ok())).1,
+        );
+        let (mut frontier, t) = timed(|| BoxTable::from_cells(shape.len(), &cells));
+        add("encode", t);
+        add("lookup", timed(|| db.storage().has_composite(&path)).1);
+        // The per-hop stages, replayed in path order — unless a composite
+        // edge served the query, whose one hop is all it ran.
+        let plan = result.stats.plan.as_ref().map(|p| p.decision.label());
+        if plan == Some("composite") {
+            continue;
+        }
+        let exec = QueryExec::new(db.query_options());
+        for hop in path.windows(2) {
+            let (table, t) = timed(|| db.storage().resolve_hop(hop[0], hop[1]).unwrap().0);
+            add("resolve", t);
+            let extents = &table.extents()[..table.primary_arity()];
+            let index = table.index().unwrap();
+            let estimate = || black_box(index.estimate_point_selectivity_ppm(extents));
+            add("estimate", timed(estimate).1);
+            if frontier.is_empty() {
+                continue;
+            }
+            let (mut out, _) = exec.hop(&frontier, &table).unwrap();
+            add("merge", timed(|| out.merge()).1);
+            frontier = out;
+        }
+        assert_eq!(
+            frontier.cell_set(),
+            result.cells.cell_set(),
+            "stage replay disagrees with prov_query"
+        );
+    }
+    (queries, sums.map(|s| s / queries as f64))
+}
+
 fn main() {
     let (scale, _seed) = cli_scale_seed();
     println!("query_scaling — single-hop selective query, indexed probe (scale {scale})");
@@ -361,6 +471,17 @@ fn main() {
     ]);
     println!("{}", t2.render());
 
+    let stage_cells = ((70_000f64 * scale) as usize).max(1_024);
+    let (st_queries, st) = measure_stages(stage_cells, ((100f64 * scale) as usize).max(2));
+    let mut t3 = TextTable::new(&["stage", "mean per query"]);
+    for (name, mean) in STAGES.iter().zip(st) {
+        t3.row(&[name.to_string(), secs(mean)]);
+    }
+    println!(
+        "stages of pipeline_query's mix ({st_queries} queries, {stage_cells} initial cells)\n{}",
+        t3.render()
+    );
+
     if full_scale {
         assert!(
             mh.speedup >= 2.0,
@@ -383,10 +504,17 @@ fn main() {
         "{{\"bench\":\"query_scaling\",\"scale\":{scale},\"hop\":\"backward\",\"query_cells\":8,\"reps\":{reps},\"series\":[{json_rows}],\
          \"multi_hop\":{{\"hops\":8,\"rows\":{n},\"support\":{mh_support},\"plan\":\"selective_first\",\"planner_p50_s\":{:.9},\"no_planner_p50_s\":{:.9},\"speedup\":{:.2}}},\
          \"composite\":{{\"hops\":8,\"rows\":{n},\"support\":{co_support},\"hit_p50_s\":{:.9},\"reexec_p50_s\":{:.9},\"speedup\":{:.2}}},\
-         \"batch\":{{\"queries\":{ba_queries},\"hops\":3,\"rows\":{n},\"batch_p50_s\":{:.9},\"loop_p50_s\":{:.9},\"speedup\":{:.2}}}}}\n",
+         \"batch\":{{\"queries\":{ba_queries},\"hops\":3,\"rows\":{n},\"batch_p50_s\":{:.9},\"loop_p50_s\":{:.9},\"speedup\":{:.2}}},\
+         \"stages\":{{\"queries\":{st_queries},\"initial_cells\":{stage_cells},{}}}}}\n",
         mh.fast_p50, mh.slow_p50, mh.speedup,
         co.fast_p50, co.slow_p50, co.speedup,
         ba.fast_p50, ba.slow_p50, ba.speedup,
+        STAGES
+            .iter()
+            .zip(st)
+            .map(|(name, mean)| format!("\"{name}_mean_s\":{mean:.9}"))
+            .collect::<Vec<_>>()
+            .join(","),
     );
     std::fs::write("BENCH_query.json", &json).expect("write BENCH_query.json");
     println!("wrote BENCH_query.json");

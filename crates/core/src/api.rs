@@ -8,7 +8,7 @@ use crate::reuse::{ArgValue, CompositePolicy, Mapping, ReuseHit, ReuseManager, R
 use crate::service::MaintenancePolicy;
 use crate::storage::persist::{self, OpenMode};
 use crate::storage::wal::IoPolicy;
-use crate::storage::{Materialize, StorageManager};
+use crate::storage::{ArrayMeta, Materialize, StorageManager};
 use crate::table::{BoxTable, LineageTable};
 use std::sync::Arc;
 
@@ -656,19 +656,14 @@ impl Dslog {
         query_cells: &[Vec<i64>],
         opts: QueryOptions,
     ) -> Result<QueryResult> {
-        self.validate_path(path)?;
-        let arity = self.validate_query_cells(path[0], query_cells)?;
+        let resolved = self.storage.path(path)?;
+        let arity = Self::validate_query_cells(&resolved.first, query_cells)?;
 
-        let mut cur = BoxTable::from_cells(arity, query_cells);
-        // The query itself is always range-encoded into Q′ (§V.B: "The
-        // query, Q′, is encoded from Q in the same format as the compressed
-        // relational lineage tables with multi-attribute range encoding").
-        // This is part of query encoding, not the inter-hop merge ablation.
-        cur.merge();
+        let cur = BoxTable::from_cells(arity, query_cells);
         let (cells, stats) = if opts.use_planner {
-            crate::query::plan::execute(&self.storage, path, cur, opts)?
+            crate::query::plan::execute(&self.storage, path, &resolved, cur, opts)?
         } else {
-            crate::query::plan::path_order(&self.storage, path, cur, opts)?
+            crate::query::plan::path_order(path, &resolved, cur, opts)?
         };
         let hops = stats.hops.len();
         Ok(QueryResult { cells, hops, stats })
@@ -698,16 +693,14 @@ impl Dslog {
         queries: &[Vec<Vec<i64>>],
         opts: QueryOptions,
     ) -> Result<Vec<QueryResult>> {
-        self.validate_path(path)?;
+        let resolved = self.storage.path(path)?;
         let mut frontiers = Vec::with_capacity(queries.len());
         for query_cells in queries {
-            let arity = self.validate_query_cells(path[0], query_cells)?;
-            let mut cur = BoxTable::from_cells(arity, query_cells);
-            cur.merge();
-            frontiers.push(cur);
+            let arity = Self::validate_query_cells(&resolved.first, query_cells)?;
+            frontiers.push(BoxTable::from_cells(arity, query_cells));
         }
         let (outs, stats) =
-            crate::query::plan::execute_batch(&self.storage, path, &frontiers, opts)?;
+            crate::query::plan::execute_batch(&self.storage, path, &resolved, &frontiers, opts)?;
         let hops = stats.hops.len();
         Ok(outs
             .into_iter()
@@ -719,24 +712,10 @@ impl Dslog {
             .collect())
     }
 
-    /// Validate a query path: long enough, and **every** array on it
-    /// exists — including arrays after a hop that may empty the frontier
-    /// (a misspelled late array must error, not vanish into an empty
-    /// result).
-    fn validate_path(&self, path: &[&str]) -> Result<()> {
-        if path.len() < 2 {
-            return Err(DslogError::PathTooShort);
-        }
-        for name in path {
-            self.storage.array(name)?;
-        }
-        Ok(())
-    }
-
-    /// Validate one query's cells against the first array; returns its
-    /// arity.
-    fn validate_query_cells(&self, first_array: &str, query_cells: &[Vec<i64>]) -> Result<usize> {
-        let first = self.storage.array(first_array)?;
+    /// Validate one query's cells against the path's first array; returns
+    /// its arity. (The path itself — long enough, every array defined — is
+    /// validated where it is resolved, `StorageManager::path`.)
+    fn validate_query_cells(first: &ArrayMeta, query_cells: &[Vec<i64>]) -> Result<usize> {
         let arity = first.ndim();
         for cell in query_cells {
             if cell.len() != arity {
@@ -899,6 +878,58 @@ mod tests {
         assert!(batch[2].cells.is_empty());
         // Batch stats are shared across results.
         assert_eq!(batch[0].stats, batch[1].stats);
+    }
+
+    /// The per-path registry follows the edges: an ingest into a member
+    /// edge between two queries of one path makes the next query resolve
+    /// the path afresh — the new edge answers, its hit counter moves, the
+    /// composite over the old edge is gone — while the snapshot the epoch
+    /// was cloned from keeps answering from the old edge and its composite.
+    #[test]
+    fn ingest_between_queries_re_resolves_the_path() {
+        let shifted = |shift: i64| {
+            let mut t = LineageTable::new(1, 1);
+            (0..4).for_each(|v| t.push_row(&[v, (v + shift) % 4]));
+            TableCapture::new(t)
+        };
+        let policy = CompositePolicy {
+            hit_threshold: 2,
+            ..CompositePolicy::default()
+        };
+        let mut db = Dslog::options().composite_policy(policy).build().unwrap();
+        for name in ["X", "Y", "Z"] {
+            db.define_array(name, &[4]).unwrap();
+        }
+        db.add_lineage("X", "Y", &shifted(1)).unwrap();
+        db.add_lineage("Y", "Z", &shifted(1)).unwrap();
+        let path = ["Z", "Y", "X"];
+        let answer = |db: &Dslog| -> Vec<Vec<i64>> {
+            db.prov_query(&path, &[vec![0]])
+                .unwrap()
+                .cells
+                .enumerate_cells()
+        };
+        let hits = |db: &Dslog, i: usize| db.edge_stats()[i].backward_hits;
+
+        // First sighting runs both hops, the second materializes.
+        assert_eq!(answer(&db), vec![vec![2]]);
+        assert_eq!(answer(&db), vec![vec![2]]);
+        assert!(db.storage().has_composite(&path));
+        assert_eq!(hits(&db, 0), 1);
+
+        let mut next = db.clone_for_epoch();
+        next.add_lineage("X", "Y", &shifted(2)).unwrap();
+        assert!(!next.storage().has_composite(&path));
+        assert_eq!(hits(&next, 0), 0, "the new X→Y edge starts uncounted");
+        let z_y_before = hits(&next, 1);
+        assert_eq!(answer(&next), vec![vec![3]]);
+        assert_eq!((hits(&next, 0), hits(&next, 1)), (1, z_y_before + 1));
+        assert_eq!(answer(&next), vec![vec![3]]);
+
+        // The published snapshot is undisturbed: old edge, old composite.
+        assert!(db.storage().has_composite(&path));
+        assert_eq!(answer(&db), vec![vec![2]]);
+        assert_eq!(hits(&db, 0), 1, "the old X→Y edge is not the new one");
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! cell set; we split the shared anchor interval into unit points in exactly
 //! that case, which keeps the result exact (DESIGN.md §3.3).
 //!
+//! Both steps are one row kernel (`HopJoin::probe`) that allocates for its
+//! output only: the intersection scratch lives with the hop, a matched row
+//! is de-relativized straight into the output [`BoxTable`], and only the
+//! shared-anchor split — the cold path — builds temporaries.
+//! [`QueryExec::hop`] drives the kernel box by box; the planner's batched
+//! hop drives the same kernel over its unique boxes.
+//!
 //! A hop runs on the calling thread, box by box: fanning one hop out across
 //! threads was measured slower up to 4 096 query boxes (the benchmark's
 //! largest hop has 256) and removed. Every hop reports a [`HopStats`].
@@ -24,7 +31,7 @@
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
 use crate::query::QueryOptions;
-use crate::table::{BoxTable, Cell, CompressedTable};
+use crate::table::{BoxTable, Cell, CompressedTable, TableIndex};
 use std::time::{Duration, Instant};
 
 /// Execution statistics for one θ-join hop.
@@ -69,23 +76,77 @@ impl QueryStats {
     }
 }
 
-/// Mutable join state of one hop: output boxes, counters, and a scratch
-/// buffer so the innermost loop never allocates per matched row.
+/// The join of one hop in progress: the table and its index, the output
+/// boxes, the counters, and the intersection scratch — everything a matched
+/// row needs, so probing a box allocates nothing but output growth.
+/// [`QueryExec::hop`] and the planner's batched hop both drive it.
 #[derive(Debug)]
-struct JoinSink {
-    out: BoxTable,
+pub(crate) struct HopJoin<'t> {
+    table: &'t CompressedTable,
+    index: &'t TableIndex,
+    isect: Vec<Interval>,
+    pub(crate) out: BoxTable,
     rows_probed: usize,
     rows_matched: usize,
-    sec_buf: Vec<Cell>,
 }
 
-impl JoinSink {
-    fn new(secondary_arity: usize) -> Self {
-        Self {
-            out: BoxTable::new(secondary_arity),
+impl<'t> HopJoin<'t> {
+    /// Start a hop of `query_arity`-attribute boxes against `table`.
+    pub(crate) fn new(query_arity: usize, table: &'t CompressedTable) -> Result<Self> {
+        if query_arity != table.primary_arity() {
+            return Err(DslogError::QueryArityMismatch {
+                expected: table.primary_arity(),
+                got: query_arity,
+            });
+        }
+        if table.is_generalized() {
+            return Err(DslogError::NotInstantiated);
+        }
+        // `None` only for symbolic primary cells, rejected just above.
+        let Some(index) = table.index() else {
+            return Err(DslogError::NotInstantiated);
+        };
+        Ok(Self {
+            table,
+            index,
+            isect: vec![Interval::point(0); table.primary_arity()],
+            out: BoxTable::new(table.secondary_arity()),
             rows_probed: 0,
             rows_matched: 0,
-            sec_buf: Vec::with_capacity(secondary_arity),
+        })
+    }
+
+    /// Join one query box: intersect it with each candidate row's primary
+    /// intervals and emit the de-relativized secondary side of every row
+    /// that survives.
+    #[inline]
+    pub(crate) fn probe(&mut self, q: &[Interval]) -> Result<()> {
+        let table = self.table;
+        'rows: for &row in self.index.probe(q) {
+            let row = row as usize;
+            self.rows_probed += 1;
+            for (k, isect) in self.isect.iter_mut().enumerate() {
+                let Cell::Abs(p) = table.cell(row, k) else {
+                    return Err(DslogError::NotInstantiated);
+                };
+                match p.intersect(&q[k]) {
+                    Some(i) => *isect = i,
+                    None => continue 'rows,
+                }
+            }
+            self.rows_matched += 1;
+            emit_derelativized(&self.isect, row, table, &mut self.out)?;
+        }
+        Ok(())
+    }
+
+    /// The hop's statistics so far, with `wall` as measured by the caller.
+    pub(crate) fn stats(&self, boxes_emitted: usize, wall: Duration) -> HopStats {
+        HopStats {
+            rows_probed: self.rows_probed,
+            rows_matched: self.rows_matched,
+            boxes_emitted,
+            wall,
         }
     }
 }
@@ -112,39 +173,15 @@ impl QueryExec {
     /// attributes) against `table`, returning covered secondary-side cells
     /// and the hop's execution statistics.
     pub fn hop(&self, query: &BoxTable, table: &CompressedTable) -> Result<(BoxTable, HopStats)> {
-        if query.arity() != table.primary_arity() {
-            return Err(DslogError::QueryArityMismatch {
-                expected: table.primary_arity(),
-                got: query.arity(),
-            });
-        }
-        if table.is_generalized() {
-            return Err(DslogError::NotInstantiated);
-        }
-        // `None` only for symbolic primary cells, rejected just above.
-        let Some(index) = table.index() else {
-            return Err(DslogError::NotInstantiated);
-        };
+        let mut join = HopJoin::new(query.arity(), table)?;
         // Timed after the index lookup: a cold cache pays the one-time
         // build there, and `wall` documents the join alone.
         let start = Instant::now();
-
-        let mut sink = JoinSink::new(table.secondary_arity());
-        let mut isect = vec![Interval::point(0); table.primary_arity()];
         for q in query.boxes() {
-            for &row in index.probe(q) {
-                sink.rows_probed += 1;
-                join_row(q, row as usize, table, &mut isect, &mut sink)?;
-            }
+            join.probe(q)?;
         }
-
-        let stats = HopStats {
-            rows_probed: sink.rows_probed,
-            rows_matched: sink.rows_matched,
-            boxes_emitted: sink.out.n_boxes(),
-            wall: start.elapsed(),
-        };
-        Ok((sink.out, stats))
+        let stats = join.stats(join.out.n_boxes(), start.elapsed());
+        Ok((join.out, stats))
     }
 
     /// Execute a chain of θ-joins left-to-right (§V.B.3's query plan),
@@ -158,102 +195,89 @@ impl QueryExec {
         query: &BoxTable,
         tables: &[&CompressedTable],
     ) -> Result<(BoxTable, QueryStats)> {
-        let mut cur = query.clone();
-        if self.opts.merge {
-            cur.merge();
-        }
+        // The query is borrowed until a hop (or its own merge) replaces it.
+        let mut cur: Option<BoxTable> = (self.opts.merge && query.n_boxes() > 1).then(|| {
+            let mut merged = query.clone();
+            merged.merge();
+            merged
+        });
         let mut stats = QueryStats::default();
         for table in tables {
-            let (mut next, hop) = self.hop(&cur, table)?;
+            let (mut next, hop) = self.hop(cur.as_ref().unwrap_or(query), table)?;
             stats.hops.push(hop);
             if self.opts.merge {
                 next.merge();
             }
-            cur = next;
-            if cur.is_empty() {
+            let done = next.is_empty();
+            cur = Some(next);
+            if done {
                 break;
             }
         }
-        Ok((cur, stats))
+        Ok((cur.unwrap_or_else(|| query.clone()), stats))
     }
 }
 
-/// Intersect one compressed row's primary intervals with query box `q`;
-/// on success de-relativize and emit. A cell only a generalized table can
-/// hold (`hop` rejects those up front) is [`DslogError::NotInstantiated`].
+/// De-relativize row `row`'s secondary cells over the intersected primary
+/// intervals `isect` and append the resulting box(es) to `out`. The common
+/// case writes one box straight into `out`; only a row with two or more
+/// relative cells on one non-point anchor takes the splitting path.
 #[inline]
-fn join_row(
-    q: &[Interval],
+fn emit_derelativized(
+    isect: &[Interval],
     row: usize,
     table: &CompressedTable,
-    isect: &mut [Interval],
-    sink: &mut JoinSink,
+    out: &mut BoxTable,
 ) -> Result<()> {
-    let pa = table.primary_arity();
-    for k in 0..pa {
-        let Cell::Abs(p) = table.cell(row, k) else {
-            return Err(DslogError::NotInstantiated);
-        };
-        match p.intersect(&q[k]) {
-            Some(i) => isect[k] = i,
-            None => return Ok(()),
-        }
+    let sec = || (isect.len()..table.arity()).map(|k| table.cell(row, k));
+    // The anchor a cell hangs on, when that anchor's interval is not a point.
+    let wide_anchor = |cell: Cell| match cell {
+        Cell::Rel { anchor, .. } if !isect[anchor as usize].is_point() => Some(anchor),
+        _ => None,
+    };
+    let shared = sec().enumerate().any(|(i, cell)| {
+        wide_anchor(cell).is_some_and(|a| sec().take(i).any(|c| wide_anchor(c) == Some(a)))
+    });
+    if shared {
+        return emit_split(isect, &sec().collect::<Vec<_>>(), out);
     }
-    sink.rows_matched += 1;
-    let mut sec = std::mem::take(&mut sink.sec_buf);
-    sec.clear();
-    sec.extend((pa..table.arity()).map(|k| table.cell(row, k)));
-    let emitted = emit_derelativized(isect, &sec, &mut sink.out);
-    sink.sec_buf = sec;
-    emitted
+    out.try_push_box(sec().map(|cell| match cell {
+        Cell::Abs(ivl) => Ok(ivl),
+        Cell::Rel { anchor, delta } => Ok(isect[anchor as usize].minkowski_sum(&delta)),
+        Cell::Sym { .. } => Err(DslogError::NotInstantiated),
+    }))
 }
 
-/// De-relativize one joined row and append the resulting box(es) to `out`.
-fn emit_derelativized(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) -> Result<()> {
-    // Count relative dependents per anchor.
+/// The shared-anchor case of [`emit_derelativized`]: anchors with ≥ 2
+/// dependents over a non-point intersected interval are split into unit
+/// points, one output box per assignment, which keeps the result exact
+/// where the product of independent de-relativizations would not be.
+#[cold]
+fn emit_split(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) -> Result<()> {
     let mut dependents = vec![0u32; isect.len()];
     for cell in sec {
         if let Cell::Rel { anchor, .. } = cell {
             dependents[*anchor as usize] += 1;
         }
     }
-    // Anchors that need unit-splitting: ≥ 2 dependents over a non-point
-    // intersected interval.
     let split: Vec<usize> = (0..isect.len())
         .filter(|&j| dependents[j] >= 2 && !isect[j].is_point())
         .collect();
 
-    if split.is_empty() {
-        let bx = sec
-            .iter()
-            .map(|cell| match *cell {
-                Cell::Abs(ivl) => Ok(ivl),
-                Cell::Rel { anchor, delta } => Ok(isect[anchor as usize].minkowski_sum(&delta)),
-                Cell::Sym { .. } => Err(DslogError::NotInstantiated),
-            })
-            .collect::<Result<Vec<Interval>>>()?;
-        out.push_box(&bx);
-        return Ok(());
-    }
-
     // Enumerate unit assignments for the split anchors.
     let mut values: Vec<i64> = split.iter().map(|&j| isect[j].lo).collect();
     loop {
-        let bx = sec
-            .iter()
-            .map(|cell| match *cell {
-                Cell::Abs(ivl) => Ok(ivl),
-                Cell::Rel { anchor, delta } => {
-                    let j = anchor as usize;
-                    Ok(match split.iter().position(|&s| s == j) {
-                        Some(si) => Interval::point(values[si]).minkowski_sum(&delta),
-                        None => isect[j].minkowski_sum(&delta),
-                    })
-                }
-                Cell::Sym { .. } => Err(DslogError::NotInstantiated),
-            })
-            .collect::<Result<Vec<Interval>>>()?;
-        out.push_box(&bx);
+        out.try_push_box(sec.iter().map(|cell| match *cell {
+            Cell::Abs(ivl) => Ok(ivl),
+            Cell::Rel { anchor, delta } => {
+                let j = anchor as usize;
+                Ok(match split.iter().position(|&s| s == j) {
+                    Some(si) => Interval::point(values[si]).minkowski_sum(&delta),
+                    None => isect[j].minkowski_sum(&delta),
+                })
+            }
+            Cell::Sym { .. } => Err(DslogError::NotInstantiated),
+        }))?;
 
         // Advance the odometer over the split anchors.
         let mut advanced = false;

@@ -6,14 +6,21 @@
 //! 1000× more selective. This module plans each query from statistics the
 //! storage layer already has, at strictly-bounded extra cost:
 //!
+//! * **Resolution** — a query runs from its path's entry in the storage
+//!   manager's per-path registry ([`ResolvedPath`], found from the borrowed
+//!   names under a read lock): every hop already bound to its edge and
+//!   orientation, so neither planning nor execution looks an array or an
+//!   edge up by name.
+//!
 //! * **Estimation** — per hop, [`crate::table::TableIndex`] samples a few
 //!   dozen strided point probes and reports the average candidate-window
 //!   width in parts per million of the table's rows
 //!   (`estimate_point_selectivity_ppm`). Two binary searches per sample;
-//!   no rows are touched. Estimation uses `StorageManager::peek_hop`,
-//!   which never derives orientations or bumps the §IV.C hit counters —
-//!   a planned query leaves storage in exactly the state an unplanned
-//!   one would.
+//!   no rows are touched, and the table memoises the answer, so it is
+//!   computed once per table, when a path through it is first planned.
+//!   Estimation uses `ResolvedPath::peek_hop`, which never derives
+//!   orientations or bumps the §IV.C hit counters — a planned query leaves
+//!   storage in exactly the state an unplanned one would.
 //!
 //! * **Empty-edge pruning** ([`PlanDecision::EmptyEdge`]) — if some hop's
 //!   relation is known to hold zero rows, and every hop up to it is
@@ -38,10 +45,10 @@
 //!   edges is itself an edge. When the planner keeps seeing the same
 //!   multi-hop path (`CompositePolicy::hit_threshold` sightings), the
 //!   joined relation is compressed once into a real `CompressedTable`,
-//!   registered in the [`StorageManager`] keyed by the path, and later
-//!   queries run it as a *single* probe. Ingest into any member edge
-//!   invalidates the composite (see `StorageManager::observe_composite`);
-//!   policy caps mark oversized paths unmaterializable instead.
+//!   registered in the path's registry entry, and later queries run it as
+//!   a *single* probe. Ingest into any member edge drops the entry, and
+//!   the composite with it (see `ResolvedPath::observe_composite`); policy
+//!   caps mark oversized paths unmaterializable instead.
 //!
 //! Every decision is surfaced in [`QueryStats::plan`] as a [`PlanReport`]
 //! (estimates vs. what actually ran). The whole module sits behind
@@ -51,18 +58,19 @@
 //! `execute_batch` is the planner's vectorized entry point: many queries
 //! sharing one path are deduplicated into a single set of unique frontier
 //! boxes with per-query owner bitsets, each hop resolves its table once
-//! and probes each unique box once, and results are demultiplexed per
-//! query at the end — one index pass instead of Q passes.
+//! and probes each unique box once — through the same row kernel a single
+//! query's hop runs — and results are demultiplexed per query at the end:
+//! one index pass instead of Q passes.
 
 use crate::error::Result;
 use crate::interval::Interval;
-use crate::query::exec::{HopStats, QueryExec, QueryStats};
+use crate::query::exec::{HopJoin, HopStats, QueryExec, QueryStats};
 use crate::query::QueryOptions;
-use crate::storage::{CompositeProbe, HopPeek, StorageManager};
+use crate::storage::{CompositeProbe, HopPeek, ResolvedPath, StorageManager};
 use crate::table::{BoxTable, Cell, CompressedTable, LineageTable, Orientation};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Expected candidate rows per point probe, in millionths (the ppm
 /// estimate times the table's rows). A pivot above this (≥ 0.5 expected
@@ -143,16 +151,22 @@ impl PlanDecision {
 /// result then carries the *last* array's arity). This is both the
 /// `use_planner = false` ablation and the execution engine the planner
 /// itself delegates to once it has (possibly) reduced the frontier.
+///
+/// `resolved` is `path`'s registry entry (as in every function below); the
+/// names are only read to report a pair no edge connects.
 pub(crate) fn path_order(
-    storage: &StorageManager,
     path: &[&str],
+    resolved: &ResolvedPath,
     mut cur: BoxTable,
     opts: QueryOptions,
 ) -> Result<(BoxTable, QueryStats)> {
     let exec = QueryExec::new(opts);
-    let mut stats = QueryStats::default();
-    for hop in path.windows(2) {
-        let (table, _direction) = storage.resolve_hop(hop[0], hop[1])?;
+    let mut stats = QueryStats {
+        hops: Vec::with_capacity(resolved.n_hops()),
+        plan: None,
+    };
+    for k in 0..resolved.n_hops() {
+        let (table, _direction) = resolved.resolve_hop(k, path)?;
         let (mut next, hop_stats) = exec.hop(&cur, &table)?;
         stats.hops.push(hop_stats);
         if opts.merge {
@@ -160,8 +174,7 @@ pub(crate) fn path_order(
         }
         cur = next;
         if cur.is_empty() {
-            let last = storage.array(path[path.len() - 1])?;
-            return Ok((BoxTable::new(last.ndim()), stats));
+            return Ok((BoxTable::new(resolved.last.ndim()), stats));
         }
     }
     Ok((cur, stats))
@@ -172,29 +185,24 @@ pub(crate) fn path_order(
 pub(crate) fn execute(
     storage: &StorageManager,
     path: &[&str],
+    resolved: &ResolvedPath,
     cur: BoxTable,
     opts: QueryOptions,
 ) -> Result<(BoxTable, QueryStats)> {
-    let n_hops = path.len() - 1;
+    let n_hops = resolved.n_hops();
 
     // Composite edges first: a materialized path is a single probe.
-    if n_hops >= 2 {
-        let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        match storage.observe_composite(&key) {
-            CompositeProbe::Serve(table) => return composite_serve(n_hops, cur, opts, &table),
-            CompositeProbe::Materialize => {
-                if let Some(table) = try_materialize(storage, path, &key) {
-                    return composite_serve(n_hops, cur, opts, &table);
-                }
+    match resolved.observe_composite(storage.composite_policy) {
+        CompositeProbe::Serve(table) => return composite_serve(n_hops, cur, opts, &table),
+        CompositeProbe::Materialize => {
+            if let Some(table) = try_materialize(storage, path, resolved) {
+                return composite_serve(n_hops, cur, opts, &table);
             }
-            CompositeProbe::Pass => {}
         }
+        CompositeProbe::Pass => {}
     }
 
-    let peeks: Vec<Option<HopPeek>> = path
-        .windows(2)
-        .map(|h| storage.peek_hop(h[0], h[1]))
-        .collect();
+    let peeks: Vec<Option<HopPeek>> = (0..n_hops).map(|k| resolved.peek_hop(k, false)).collect();
     let estimates: Vec<HopEstimate> = peeks.iter().map(estimate).collect();
 
     // Empty-edge pruning. Scanning stops at the first hop whose behavior
@@ -207,7 +215,6 @@ pub(crate) fn execute(
             break;
         }
         if peek.known_empty {
-            let last = storage.array(path[path.len() - 1])?;
             let stats = QueryStats {
                 hops: Vec::new(),
                 plan: Some(PlanReport {
@@ -215,16 +222,16 @@ pub(crate) fn execute(
                     estimates,
                 }),
             };
-            return Ok((BoxTable::new(last.ndim()), stats));
+            return Ok((BoxTable::new(resolved.last.ndim()), stats));
         }
         if peek.table.is_none() {
             break;
         }
     }
 
-    if let Some(pivot) = choose_pivot(storage, path, &peeks, &estimates) {
-        if let Some(reduced) = backpass(storage, path, &cur, pivot, &peeks, opts) {
-            let (out, mut stats) = path_order(storage, path, reduced, opts)?;
+    if let Some(pivot) = choose_pivot(resolved, &peeks, &estimates) {
+        if let Some(reduced) = backpass(resolved, &cur, pivot, &peeks, opts) {
+            let (out, mut stats) = path_order(path, resolved, reduced, opts)?;
             stats.plan = Some(PlanReport {
                 decision: PlanDecision::SelectiveFirst { pivot },
                 estimates,
@@ -233,7 +240,7 @@ pub(crate) fn execute(
         }
     }
 
-    let (out, mut stats) = path_order(storage, path, cur, opts)?;
+    let (out, mut stats) = path_order(path, resolved, cur, opts)?;
     stats.plan = Some(PlanReport {
         decision: PlanDecision::PathOrder,
         estimates,
@@ -263,23 +270,15 @@ fn composite_serve(
     Ok((out, stats))
 }
 
-/// Cheap per-hop estimate from a peek (no side effects).
+/// Cheap per-hop estimate from a peek (no side effects; the selectivity is
+/// the table's memoised one).
 fn estimate(peek: &Option<HopPeek>) -> HopEstimate {
-    let Some(p) = peek else {
-        return HopEstimate::default();
-    };
-    let n_rows = p.table.as_ref().map(|t| t.n_rows());
-    let est_hits_ppm = p
-        .table
-        .as_ref()
-        .filter(|t| !t.is_generalized())
-        .and_then(|t| {
-            t.index()
-                .map(|idx| idx.estimate_point_selectivity_ppm(&t.extents()[..t.primary_arity()]))
-        });
+    let table = peek.as_ref().and_then(|p| p.table.as_ref());
     HopEstimate {
-        n_rows,
-        est_hits_ppm,
+        n_rows: table.map(|t| t.n_rows()),
+        est_hits_ppm: table
+            .filter(|t| !t.is_generalized())
+            .and_then(|t| t.point_selectivity_ppm()),
     }
 }
 
@@ -300,8 +299,7 @@ fn hits_micro(e: &HopEstimate) -> Option<u64> {
 /// the backpass to ride (so the plan never derives anything path order
 /// wouldn't).
 fn choose_pivot(
-    storage: &StorageManager,
-    path: &[&str],
+    resolved: &ResolvedPath,
     peeks: &[Option<HopPeek>],
     estimates: &[HopEstimate],
 ) -> Option<usize> {
@@ -328,8 +326,7 @@ fn choose_pivot(
         return None;
     }
     for j in 0..pivot {
-        let reverse = storage.peek_hop(path[j + 1], path[j])?;
-        let table = reverse.table?;
+        let table = resolved.peek_hop(j, true)?.table?;
         if table.is_generalized() {
             return None;
         }
@@ -343,8 +340,7 @@ fn choose_pivot(
 /// abandon (cap breached or anything unexpected) — the caller then runs
 /// plain path order, so abandoning is always safe.
 fn backpass(
-    storage: &StorageManager,
-    path: &[&str],
+    resolved: &ResolvedPath,
     cur: &BoxTable,
     pivot: usize,
     peeks: &[Option<HopPeek>],
@@ -363,7 +359,7 @@ fn backpass(
         ..opts
     });
     for j in (0..pivot).rev() {
-        let table = storage.peek_hop(path[j + 1], path[j])?.table?;
+        let table = resolved.peek_hop(j, true)?.table?;
         let (mut next, _) = exec.hop(&frontier, &table).ok()?;
         next.merge();
         if next.n_boxes() > MAX_BACKPASS_BOXES {
@@ -412,13 +408,12 @@ fn primary_support(table: &CompressedTable) -> Option<BoxTable> {
 fn try_materialize(
     storage: &StorageManager,
     path: &[&str],
-    key: &[String],
+    resolved: &ResolvedPath,
 ) -> Option<Arc<CompressedTable>> {
     let policy = storage.composite_policy;
-    let mut tables: Vec<Arc<CompressedTable>> = Vec::with_capacity(path.len() - 1);
-    for hop in path.windows(2) {
-        let peek = storage.peek_hop(hop[0], hop[1])?;
-        let table = peek.table?;
+    let mut tables: Vec<Arc<CompressedTable>> = Vec::with_capacity(resolved.n_hops());
+    for k in 0..resolved.n_hops() {
+        let table = resolved.peek_hop(k, false)?.table?;
         if table.is_generalized() {
             return None;
         }
@@ -427,33 +422,40 @@ fn try_materialize(
     let mut support = primary_support(&tables[0])?;
     support.merge();
     if support.volume() > u128::from(policy.max_support_cells) {
-        storage.install_composite(key, None);
+        storage.install_composite(path, resolved, None);
         return None;
     }
-    let first_shape = storage.array(path[0]).ok()?.shape.clone();
-    let last_shape = storage.array(path[path.len() - 1]).ok()?.shape.clone();
+    let (first_shape, last_shape) = (&resolved.first.shape, &resolved.last.shape);
     let exec = QueryExec::default();
     let refs: Vec<&CompressedTable> = tables.iter().map(|t| t.as_ref()).collect();
     let mut lineage = LineageTable::new(first_shape.len(), last_shape.len());
+    // One query table, point box and row buffer serve every support cell.
+    let mut q = BoxTable::new(first_shape.len());
+    let mut point = Vec::with_capacity(first_shape.len());
+    let mut row = Vec::with_capacity(first_shape.len() + last_shape.len());
     for source in support.cell_set() {
-        let q = BoxTable::from_cells(first_shape.len(), std::slice::from_ref(&source));
+        point.clear();
+        point.extend(source.iter().map(|&v| Interval::point(v)));
+        q.clear();
+        q.push_box(&point);
         let (out, _) = exec.chain(&q, &refs).ok()?;
         for target in out.cell_set() {
             if lineage.n_rows() >= policy.max_rows {
-                storage.install_composite(key, None);
+                storage.install_composite(path, resolved, None);
                 return None;
             }
-            let mut row = source.clone();
-            row.extend(target);
+            row.clear();
+            row.extend_from_slice(&source);
+            row.extend_from_slice(&target);
             lineage.push_row(&row);
         }
     }
-    let table = crate::provrc::compress(&lineage, &first_shape, &last_shape, Orientation::Backward);
+    let table = crate::provrc::compress(&lineage, first_shape, last_shape, Orientation::Backward);
     let table = Arc::new(table);
     if !table.is_generalized() {
         table.ensure_index();
     }
-    storage.install_composite(key, Some(Arc::clone(&table)));
+    storage.install_composite(path, resolved, Some(Arc::clone(&table)));
     Some(table)
 }
 
@@ -470,11 +472,12 @@ fn try_materialize(
 pub(crate) fn execute_batch(
     storage: &StorageManager,
     path: &[&str],
+    resolved: &ResolvedPath,
     frontiers: &[BoxTable],
     opts: QueryOptions,
 ) -> Result<(Vec<BoxTable>, QueryStats)> {
-    let n_hops = path.len() - 1;
-    let last_ndim = storage.array(path[path.len() - 1])?.ndim();
+    let n_hops = resolved.n_hops();
+    let last_ndim = resolved.last.ndim();
     let nq = frontiers.len();
     let words = nq.div_ceil(64);
 
@@ -491,23 +494,21 @@ pub(crate) fn execute_batch(
         }
     }
 
-    let exec = QueryExec::new(opts);
     let mut stats = QueryStats::default();
 
     // Composite serving (the only batch-level plan beyond path order).
     let mut composite: Option<Arc<CompressedTable>> = None;
-    if opts.use_planner && n_hops >= 2 {
-        let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        match storage.observe_composite(&key) {
+    if opts.use_planner {
+        match resolved.observe_composite(storage.composite_policy) {
             CompositeProbe::Serve(table) => composite = Some(table),
-            CompositeProbe::Materialize => composite = try_materialize(storage, path, &key),
+            CompositeProbe::Materialize => composite = try_materialize(storage, path, resolved),
             CompositeProbe::Pass => {}
         }
     }
 
     let decision = if let Some(table) = composite {
         if !uniq.is_empty() {
-            let (next, hop) = batch_hop(&exec, &uniq, &table, words)?;
+            let (next, hop) = batch_hop(&uniq, &table, words)?;
             stats.hops.push(hop);
             uniq = next;
         }
@@ -515,12 +516,12 @@ pub(crate) fn execute_batch(
             hops_folded: n_hops,
         }
     } else {
-        for hop in path.windows(2) {
+        for k in 0..n_hops {
             if uniq.is_empty() {
                 break;
             }
-            let (table, _direction) = storage.resolve_hop(hop[0], hop[1])?;
-            let (next, hop_stats) = batch_hop(&exec, &uniq, &table, words)?;
+            let (table, _direction) = resolved.resolve_hop(k, path)?;
+            let (next, hop_stats) = batch_hop(&uniq, &table, words)?;
             stats.hops.push(hop_stats);
             uniq = next;
         }
@@ -553,30 +554,27 @@ pub(crate) fn execute_batch(
 /// A deduplicated frontier box plus the bitset of queries that own it.
 type OwnedBox = (Vec<Interval>, Vec<u64>);
 
-/// One batched hop: probe every unique box against `table`, union owner
-/// bitsets onto the (deduplicated) output boxes, aggregate the stats.
+/// One batched hop: probe every unique box against `table` with the hop's
+/// row kernel, union owner bitsets onto the (deduplicated) output boxes,
+/// aggregate the stats (`wall` sums the probes, as a hop's does).
 fn batch_hop(
-    exec: &QueryExec,
     uniq: &[OwnedBox],
     table: &CompressedTable,
     words: usize,
 ) -> Result<(Vec<OwnedBox>, HopStats)> {
-    let mut agg = HopStats {
-        rows_probed: 0,
-        rows_matched: 0,
-        boxes_emitted: 0,
-        wall: Duration::ZERO,
-    };
+    let arity = uniq
+        .first()
+        .map_or(table.primary_arity(), |(bx, _)| bx.len());
+    let mut join = HopJoin::new(arity, table)?;
+    let mut wall = Duration::ZERO;
     let mut next: Vec<OwnedBox> = Vec::new();
     let mut slots: HashMap<Vec<Interval>, usize> = HashMap::new();
     for (bx, owners) in uniq {
-        let mut probe = BoxTable::new(bx.len());
-        probe.push_box(bx);
-        let (out, hop) = exec.hop(&probe, table)?;
-        agg.rows_probed += hop.rows_probed;
-        agg.rows_matched += hop.rows_matched;
-        agg.wall += hop.wall;
-        for ob in out.boxes() {
+        join.out.clear();
+        let start = Instant::now();
+        join.probe(bx)?;
+        wall += start.elapsed();
+        for ob in join.out.boxes() {
             let slot = *slots.entry(ob.to_vec()).or_insert_with(|| {
                 next.push((ob.to_vec(), vec![0u64; words]));
                 next.len() - 1
@@ -586,8 +584,8 @@ fn batch_hop(
             }
         }
     }
-    agg.boxes_emitted = next.len();
-    Ok((next, agg))
+    let stats = join.stats(next.len(), wall);
+    Ok((next, stats))
 }
 
 #[cfg(test)]

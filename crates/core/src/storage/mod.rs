@@ -5,7 +5,8 @@
 //! ProvRC-compressed table. By default only the **backward** orientation is
 //! materialized (matching the paper's storage experiments); the forward
 //! orientation is derived lazily on the first forward query over that edge
-//! and cached.
+//! and cached. A query path is resolved against the arrays and edges once
+//! per snapshot, into the manager's per-path registry (`ResolvedPath`).
 
 pub mod compact;
 pub mod format;
@@ -52,10 +53,12 @@ use crate::provrc::{self, CompressOptions};
 use crate::reuse::CompositePolicy;
 use crate::table::{CompressedTable, LineageTable, Orientation};
 use dslog_sync::{ranks, Mutex, RwLock};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Metadata for a defined array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -400,7 +403,7 @@ pub enum HopDirection {
 }
 
 /// Side-effect-free view of one hop, for the query planner
-/// ([`StorageManager::peek_hop`]).
+/// ([`ResolvedPath::peek_hop`]).
 #[derive(Debug, Clone)]
 pub(crate) struct HopPeek {
     /// The stored table in the hop's needed orientation, if materialized
@@ -414,19 +417,7 @@ pub(crate) struct HopPeek {
     pub(crate) generalized: bool,
 }
 
-/// Lifecycle of one composite-edge registry entry.
-#[derive(Debug, Clone)]
-enum CompositeState {
-    /// Seen `n` times by the planner; not yet worth materializing.
-    Counting(u32),
-    /// Materialized join of the whole path, served as a single probe.
-    Materialized(Arc<CompressedTable>),
-    /// Tried and found too large (policy caps); never retried until an
-    /// ingest to a member edge drops the entry.
-    Unmaterializable,
-}
-
-/// What the planner should do with a path, per the composite registry.
+/// What the planner should do with a path, per its registry entry.
 #[derive(Debug, Clone)]
 pub(crate) enum CompositeProbe {
     /// A materialized composite covers the path: run it as one hop.
@@ -437,6 +428,176 @@ pub(crate) enum CompositeProbe {
     Pass,
 }
 
+/// A path as the registry keys it: hashed and compared name by name, so the
+/// owned key and a query's borrowed `&[&str]` are one key and a lookup
+/// builds nothing.
+trait PathKey {
+    fn name(&self, i: usize) -> Option<&str>;
+}
+
+impl<'k> dyn PathKey + 'k {
+    fn names(&self) -> impl Iterator<Item = &str> {
+        (0..).map_while(|i| self.name(i))
+    }
+}
+
+impl PathKey for &[&str] {
+    fn name(&self, i: usize) -> Option<&str> {
+        self.get(i).copied()
+    }
+}
+
+impl Hash for dyn PathKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.names().for_each(|n| n.hash(state));
+    }
+}
+
+impl PartialEq for dyn PathKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.names().eq(other.names())
+    }
+}
+
+impl Eq for dyn PathKey + '_ {}
+
+/// The registry's owned key: the path's array names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct OwnedPath(Vec<String>);
+
+impl PathKey for OwnedPath {
+    fn name(&self, i: usize) -> Option<&str> {
+        self.0.get(i).map(String::as_str)
+    }
+}
+
+impl Hash for OwnedPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn PathKey).hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn PathKey + 'a> for OwnedPath {
+    fn borrow(&self) -> &(dyn PathKey + 'a) {
+        self
+    }
+}
+
+/// One hop of a resolved path: the edge that connects the pair, and the
+/// orientation whose primary side is the hop's `from` array.
+#[derive(Debug, Clone)]
+struct PathHop {
+    edge: Arc<Edge>,
+    orientation: Orientation,
+}
+
+/// One entry of the per-path registry ([`StorageManager::path`]): a query
+/// path resolved against one snapshot — every array known to exist, every
+/// hop bound to its edge and orientation — plus the path's composite-edge
+/// state. Tables are *not* cached here: each hop still reads its edge's
+/// slot, so lazy loads, derived orientations and rebalancing show at once.
+#[derive(Debug)]
+pub(crate) struct ResolvedPath {
+    /// One per hop; `None` where no lineage edge connects the pair.
+    hops: Vec<Option<PathHop>>,
+    /// Metadata of the path's first array (the query's space).
+    pub(crate) first: ArrayMeta,
+    /// Metadata of the path's last array (the result's space).
+    pub(crate) last: ArrayMeta,
+    /// Planner sightings while the composite is undecided.
+    sightings: AtomicU32,
+    /// Unset while counting; then the materialized join of the whole path
+    /// (served as a single probe), or `None` for a path found too large
+    /// (policy caps) — never retried until an ingest drops the entry.
+    composite: OnceLock<Option<Arc<CompressedTable>>>,
+}
+
+impl ResolvedPath {
+    /// Number of hops (arrays on the path minus one).
+    pub(crate) fn n_hops(&self) -> usize {
+        self.hops.len()
+    }
+
+    /// Whether the path's composite table is registered.
+    fn is_materialized(&self) -> bool {
+        matches!(self.composite.get(), Some(Some(_)))
+    }
+
+    /// Resolve hop `k` for execution: bump the edge's §IV.C hit counter and
+    /// return the compressed table whose primary side is `path[k]`'s
+    /// attribute space (derived and cached if that orientation is not
+    /// stored), plus the hop direction. `path` names the arrays, for the
+    /// error when no edge connects the pair.
+    pub(crate) fn resolve_hop(
+        &self,
+        k: usize,
+        path: &[&str],
+    ) -> Result<(Arc<CompressedTable>, HopDirection)> {
+        let Some(hop) = &self.hops[k] else {
+            return Err(DslogError::NoLineagePath {
+                from: path[k].to_string(),
+                to: path[k + 1].to_string(),
+            });
+        };
+        let (hits, direction) = match hop.orientation {
+            Orientation::Backward => (&hop.edge.backward_hits, HopDirection::Backward),
+            Orientation::Forward => (&hop.edge.forward_hits, HopDirection::Forward),
+        };
+        hits.fetch_add(1, Ordering::Relaxed);
+        Ok((hop.edge.repr(hop.orientation)?, direction))
+    }
+
+    /// Planner-side view of hop `k` — or, with `reverse`, of the same edge
+    /// crossed the other way — with **none** of
+    /// [`resolve_hop`](Self::resolve_hop)'s side effects: hit counters do
+    /// not move and a missing orientation is *not* derived (the hop may be
+    /// pruned and never run). Lazy on-disk slots in the needed orientation
+    /// are loaded — execution would load them anyway — but the opposite
+    /// slot is only consulted if already in memory. Returns `None` when no
+    /// edge connects the pair, or when a lazy load fails (execution will
+    /// surface that error itself).
+    pub(crate) fn peek_hop(&self, k: usize, reverse: bool) -> Option<HopPeek> {
+        let hop = self.hops[k].as_ref()?;
+        let orientation = if reverse {
+            hop.orientation.flip()
+        } else {
+            hop.orientation
+        };
+        let table = hop.edge.stored(orientation, true).ok()?;
+        let other = hop.edge.resident(orientation.flip());
+        let known_empty = table.as_ref().map(|t| t.is_empty()).unwrap_or(false)
+            || other.as_ref().is_some_and(|t| t.is_empty());
+        let generalized = table
+            .as_ref()
+            .or(other.as_ref())
+            .is_some_and(|t| t.is_generalized());
+        Some(HopPeek {
+            table,
+            known_empty,
+            generalized,
+        })
+    }
+
+    /// Record one planner sighting and say what to do with the path: serve
+    /// its composite, materialize a now-hot one, or pass. `Materialize`
+    /// keeps being returned on later sightings until
+    /// [`StorageManager::install_composite`] resolves the entry, so a
+    /// skipped materialization (e.g. tables not resident) retries.
+    pub(crate) fn observe_composite(&self, policy: CompositePolicy) -> CompositeProbe {
+        if !policy.enabled || self.hops.len() < 2 {
+            return CompositeProbe::Pass;
+        }
+        match self.composite.get() {
+            Some(Some(table)) => CompositeProbe::Serve(Arc::clone(table)),
+            Some(None) => CompositeProbe::Pass,
+            None if self.sightings.fetch_add(1, Ordering::Relaxed) + 1 >= policy.hit_threshold => {
+                CompositeProbe::Materialize
+            }
+            None => CompositeProbe::Pass,
+        }
+    }
+}
+
 /// The DSLog storage manager.
 ///
 /// Edges are held as `Arc`s so an epoch clone (`clone_for_epoch`, used by
@@ -444,6 +605,14 @@ pub(crate) enum CompositeProbe {
 /// with its parent: the service layer builds the next snapshot by cloning
 /// the maps (pointer copies), mutating the clone, and publishing it — the
 /// previous snapshot stays fully intact for in-flight readers.
+///
+/// Queries do not look arrays or edges up by name: [`path`](Self::path)
+/// keeps one [`ResolvedPath`] per queried path — validated, every hop bound
+/// to its edge and orientation, with the path's composite-edge state — that
+/// a warm query finds from its borrowed names under a read lock. Ingest
+/// into a pair drops the entries through it; nothing else can stale one
+/// (arrays are never removed or reshaped, and entries hold edges, not
+/// tables).
 #[derive(Debug)]
 pub struct StorageManager {
     arrays: HashMap<String, ArrayMeta>,
@@ -482,11 +651,13 @@ pub struct StorageManager {
     /// (40), flagged `io_safe` — serializing the commit's file IO is its
     /// entire job.
     commit_lock: Arc<Mutex<()>>,
-    /// Composite-edge registry: multi-hop paths the planner has seen,
-    /// keyed by the full array path, with their materialization state.
-    /// Behind a lock because the planner observes paths under `&self`.
-    /// Rank `storage.composites` (60).
-    composites: RwLock<HashMap<Vec<String>, CompositeState>>,
+    /// The per-path registry: every path a query has named, keyed by the
+    /// full array path, resolved once against this snapshot's arrays and
+    /// edges and carrying the path's composite-edge state. A warm query
+    /// finds its entry under the *read* lock without building a key; the
+    /// write lock is taken to insert a first sighting and by ingest
+    /// invalidation. Rank `storage.composites` (60).
+    paths: RwLock<HashMap<OwnedPath, Arc<ResolvedPath>>>,
     /// Mutations buffered since the last commit. Shared (`Arc`) across
     /// epoch clones like `binding`, so ops recorded on any snapshot drain
     /// into the same `ops.log` at the next commit. Rank `storage.wal`
@@ -508,7 +679,7 @@ impl Default for StorageManager {
             io_policy: None,
             binding: Arc::new(Mutex::new(&ranks::STORAGE_BINDING, None)),
             commit_lock: Arc::new(Mutex::new(&ranks::STORAGE_COMMIT, ())),
-            composites: RwLock::new(&ranks::STORAGE_COMPOSITES, HashMap::new()),
+            paths: RwLock::new(&ranks::STORAGE_COMPOSITES, HashMap::new()),
             wal: Arc::new(Mutex::new(&ranks::STORAGE_WAL, Vec::new())),
         }
     }
@@ -538,11 +709,13 @@ impl StorageManager {
             io_policy: self.io_policy.clone(),
             binding: Arc::clone(&self.binding),
             commit_lock: Arc::clone(&self.commit_lock),
-            // Composite entries are *content*-cloned (the map, not the
-            // lock): mutating the next epoch's registry — installs or
-            // ingest invalidations — must never disturb readers of the
-            // published snapshot. The tables themselves are shared Arcs.
-            composites: RwLock::new(&ranks::STORAGE_COMPOSITES, self.composites.read().clone()),
+            // The registry is *content*-cloned (the map, not the lock):
+            // the next epoch's ingest invalidations and first sightings
+            // must never disturb readers of the published snapshot. The
+            // entries themselves are shared like the edges they bind — an
+            // entry both epochs hold resolves, counts and serves the same
+            // for both.
+            paths: RwLock::new(&ranks::STORAGE_COMPOSITES, self.paths.read().clone()),
             wal: Arc::clone(&self.wal),
         }
     }
@@ -679,7 +852,7 @@ impl StorageManager {
     }
 
     /// Log and store one edge's orientation tables (at least one), which
-    /// replaces whatever the pair held and drops the composites through it.
+    /// replaces whatever the pair held and drops the registry entries through it.
     fn install_edge(
         &mut self,
         in_array: &str,
@@ -697,7 +870,7 @@ impl StorageManager {
             (in_array.to_string(), out_array.to_string()),
             Arc::new(Edge::from_tables(backward, forward, out_shape, in_shape)),
         );
-        self.invalidate_composites(in_array, out_array);
+        self.invalidate_paths(in_array, out_array);
         Ok(())
     }
 
@@ -776,140 +949,109 @@ impl StorageManager {
             .map(|b| (b.dir.clone(), b.gzip, b.generation))
     }
 
+    /// The registry entry of `path`: found under the registry's read lock
+    /// from the borrowed names, or — on a path's first sighting in this
+    /// snapshot — compiled and inserted. A path shorter than two arrays is
+    /// [`DslogError::PathTooShort`]; compiling checks that **every** array
+    /// on it exists, including arrays after a hop that may empty the
+    /// frontier (a misspelled late array must error, not vanish into an
+    /// empty result), so holding an entry means the path is valid.
+    pub(crate) fn path(&self, path: &[&str]) -> Result<Arc<ResolvedPath>> {
+        if path.len() < 2 {
+            return Err(DslogError::PathTooShort);
+        }
+        if let Some(resolved) = self.paths.read().get(&path as &dyn PathKey) {
+            return Ok(Arc::clone(resolved));
+        }
+        let resolved = Arc::new(self.compile_path(path)?);
+        let key = OwnedPath(path.iter().map(|s| s.to_string()).collect());
+        // Two first sightings may race: both then run from the one kept.
+        Ok(Arc::clone(
+            self.paths.write().entry(key).or_insert(resolved),
+        ))
+    }
+
+    /// Resolve `path` (two arrays or more) against the arrays and edges.
+    fn compile_path(&self, path: &[&str]) -> Result<ResolvedPath> {
+        for name in path {
+            self.array(name)?;
+        }
+        let hop = |from: &str, to: &str| {
+            // Edge stored as (input=to, output=from) ⇒ hop is backward;
+            // as (input=from, output=to) ⇒ forward.
+            let key = (to.to_string(), from.to_string());
+            let (edge, orientation) = match self.edges.get(&key) {
+                Some(edge) => (edge, Orientation::Backward),
+                None => (self.edges.get(&(key.1, key.0))?, Orientation::Forward),
+            };
+            Some(PathHop {
+                edge: Arc::clone(edge),
+                orientation,
+            })
+        };
+        Ok(ResolvedPath {
+            hops: path.windows(2).map(|w| hop(w[0], w[1])).collect(),
+            first: self.array(path[0])?.clone(),
+            last: self.array(path[path.len() - 1])?.clone(),
+            sightings: AtomicU32::new(0),
+            composite: OnceLock::new(),
+        })
+    }
+
     /// Resolve one query hop `from → to`: returns the compressed table whose
     /// primary side is `from`'s attribute space, plus the hop direction.
+    /// The two-array path's registry entry, resolved.
     pub fn resolve_hop(
         &self,
         from: &str,
         to: &str,
     ) -> Result<(Arc<CompressedTable>, HopDirection)> {
-        // Edge stored as (input=to, output=from) ⇒ hop is backward.
-        if let Some(edge) = self.edges.get(&(to.to_string(), from.to_string())) {
-            edge.backward_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((edge.repr(Orientation::Backward)?, HopDirection::Backward));
-        }
-        // Edge stored as (input=from, output=to) ⇒ hop is forward.
-        if let Some(edge) = self.edges.get(&(from.to_string(), to.to_string())) {
-            edge.forward_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((edge.repr(Orientation::Forward)?, HopDirection::Forward));
-        }
-        Err(DslogError::NoLineagePath {
-            from: from.to_string(),
-            to: to.to_string(),
-        })
+        let path = [from, to];
+        self.path(&path)?.resolve_hop(0, &path)
     }
 
-    /// Planner-side view of the hop `from → to`, with **none** of
-    /// [`resolve_hop`](Self::resolve_hop)'s side effects: hit counters do
-    /// not move and a missing orientation is *not* derived (the hop may be
-    /// pruned and never run). Lazy on-disk slots in the needed orientation
-    /// are loaded — execution would load them anyway — but the opposite
-    /// slot is only consulted if already in memory. Returns `None` when no
-    /// edge connects the pair, or when a lazy load fails (execution will
-    /// surface that error itself).
-    pub(crate) fn peek_hop(&self, from: &str, to: &str) -> Option<HopPeek> {
-        let (edge, orientation) =
-            if let Some(e) = self.edges.get(&(to.to_string(), from.to_string())) {
-                (e, Orientation::Backward)
-            } else if let Some(e) = self.edges.get(&(from.to_string(), to.to_string())) {
-                (e, Orientation::Forward)
-            } else {
-                return None;
+    /// Resolve a `Materialize` outcome of `resolved` (the entry of `path`):
+    /// register the compressed join of the path (`Some`), or mark the path
+    /// unmaterializable (`None`, policy caps exceeded) so the planner stops
+    /// retrying. Of two racing installs the first stands.
+    pub(crate) fn install_composite(
+        &self,
+        path: &[&str],
+        resolved: &ResolvedPath,
+        table: Option<Arc<CompressedTable>>,
+    ) {
+        let materialized = table.is_some();
+        if resolved.composite.set(table).is_ok() && materialized {
+            let kind = wal::OpKind::Composite {
+                path: path.iter().map(|s| s.to_string()).collect(),
             };
-        let table = edge.stored(orientation, true).ok()?;
-        let other = edge.resident(orientation.flip());
-        let known_empty = table.as_ref().map(|t| t.is_empty()).unwrap_or(false)
-            || other.as_ref().is_some_and(|t| t.is_empty());
-        let generalized = table
-            .as_ref()
-            .or(other.as_ref())
-            .is_some_and(|t| t.is_generalized());
-        Some(HopPeek {
-            table,
-            known_empty,
-            generalized,
-        })
-    }
-
-    /// Record one planner sighting of `path` and say what to do with it:
-    /// serve an existing composite, materialize a now-hot one, or pass.
-    /// `Materialize` keeps being returned on later sightings until
-    /// [`install_composite`](Self::install_composite) resolves the entry,
-    /// so a skipped materialization (e.g. tables not resident) retries.
-    pub(crate) fn observe_composite(&self, path: &[String]) -> CompositeProbe {
-        let policy = self.composite_policy;
-        if !policy.enabled || path.len() < 3 {
-            return CompositeProbe::Pass;
+            self.wal_push(kind, None);
         }
-        let mut map = self.composites.write();
-        match map.entry(path.to_vec()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => match e.get_mut() {
-                CompositeState::Materialized(t) => CompositeProbe::Serve(Arc::clone(t)),
-                CompositeState::Unmaterializable => CompositeProbe::Pass,
-                CompositeState::Counting(n) => {
-                    *n += 1;
-                    if *n >= policy.hit_threshold {
-                        CompositeProbe::Materialize
-                    } else {
-                        CompositeProbe::Pass
-                    }
-                }
-            },
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(CompositeState::Counting(1));
-                if policy.hit_threshold <= 1 {
-                    CompositeProbe::Materialize
-                } else {
-                    CompositeProbe::Pass
-                }
-            }
-        }
-    }
-
-    /// Resolve a `Materialize` outcome: register the compressed join of
-    /// `path` (`Some`), or mark the path unmaterializable (`None`, policy
-    /// caps exceeded) so the planner stops retrying.
-    pub(crate) fn install_composite(&self, path: &[String], table: Option<Arc<CompressedTable>>) {
-        let state = match table {
-            Some(t) => {
-                let kind = wal::OpKind::Composite {
-                    path: path.to_vec(),
-                };
-                self.wal_push(kind, None);
-                CompositeState::Materialized(t)
-            }
-            None => CompositeState::Unmaterializable,
-        };
-        self.composites.write().insert(path.to_vec(), state);
     }
 
     /// Whether a materialized composite table is registered for `path`
     /// (introspection for tests and stats).
     pub fn has_composite(&self, path: &[&str]) -> bool {
-        let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        matches!(
-            self.composites.read().get(&key),
-            Some(CompositeState::Materialized(_))
-        )
+        let paths = self.paths.read();
+        let entry = paths.get(&path as &dyn PathKey);
+        entry.is_some_and(|p| p.is_materialized())
     }
 
     /// Number of materialized composite edges.
     pub fn n_composites(&self) -> usize {
-        self.composites
-            .read()
-            .values()
-            .filter(|s| matches!(s, CompositeState::Materialized(_)))
-            .count()
+        let paths = self.paths.read();
+        paths.values().filter(|p| p.is_materialized()).count()
     }
 
-    /// Drop every composite whose path traverses the edge `{in, out}` (in
-    /// either hop direction): ingest replaced that edge's relation, so any
-    /// join through it is stale. Counting entries are dropped too — the
-    /// heat they measured was for the old content. Rebalancing does *not*
-    /// invalidate (it changes representation, never content).
-    fn invalidate_composites(&self, in_array: &str, out_array: &str) {
-        self.composites.write().retain(|key, _| {
-            !key.windows(2).any(|w| {
+    /// Drop every registry entry whose path traverses the pair `{in, out}`
+    /// (in either hop direction): ingest replaced — or created — that
+    /// edge, so the entry's resolution and any join through it are stale.
+    /// The sightings go too — the heat they measured was for the old
+    /// content. Rebalancing does *not* invalidate (it changes
+    /// representation, never content, and entries hold edges, not tables).
+    fn invalidate_paths(&self, in_array: &str, out_array: &str) {
+        self.paths.write().retain(|key, _| {
+            !key.0.windows(2).any(|w| {
                 (w[0] == in_array && w[1] == out_array) || (w[0] == out_array && w[1] == in_array)
             })
         });
@@ -1192,15 +1334,22 @@ mod tests {
 
     #[test]
     fn peek_hop_is_side_effect_free() {
-        let s = manager_with_edge();
-        let peek = s.peek_hop("B", "A").unwrap();
+        let mut s = manager_with_edge();
+        s.define_array("Z", &[3]).unwrap();
+        let path = s.path(&["Z", "B", "A"]).unwrap();
+        let peek = path.peek_hop(1, false).unwrap();
         assert!(peek.table.is_some());
         assert!(!peek.known_empty && !peek.generalized);
-        // Peeking the underived forward orientation reports no table and
+        // Peeking the underived forward orientation — the hop crossed the
+        // other way, or the reverse path's own hop — reports no table and
         // must not derive it.
-        let fwd = s.peek_hop("A", "B").unwrap();
+        assert!(path.peek_hop(1, true).unwrap().table.is_none());
+        let fwd = s.path(&["A", "B"]).unwrap().peek_hop(0, false).unwrap();
         assert!(fwd.table.is_none());
-        assert!(s.peek_hop("B", "Z").is_none());
+        assert!(
+            path.peek_hop(0, false).is_none(),
+            "no edge connects Z and B"
+        );
         // No hit counters moved.
         let stats = s.edge_stats();
         assert_eq!(stats[0].backward_hits + stats[0].forward_hits, 0);
@@ -1216,43 +1365,46 @@ mod tests {
         s.define_array("B", &[3]).unwrap();
         s.define_array("C", &[3]).unwrap();
         s.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-        let path: Vec<String> = ["C", "B", "A"].iter().map(|s| s.to_string()).collect();
+        let path = ["C", "B", "A"];
+        let policy = s.composite_policy;
+        let observe = |s: &StorageManager| s.path(&path).unwrap().observe_composite(policy);
         // Threshold 3: two sightings pass, the third asks to materialize,
         // and so does the fourth (retry until installed).
-        assert!(matches!(s.observe_composite(&path), CompositeProbe::Pass));
-        assert!(matches!(s.observe_composite(&path), CompositeProbe::Pass));
-        assert!(matches!(
-            s.observe_composite(&path),
-            CompositeProbe::Materialize
-        ));
-        assert!(matches!(
-            s.observe_composite(&path),
-            CompositeProbe::Materialize
-        ));
+        assert!(matches!(observe(&s), CompositeProbe::Pass));
+        assert!(matches!(observe(&s), CompositeProbe::Pass));
+        assert!(matches!(observe(&s), CompositeProbe::Materialize));
+        assert!(matches!(observe(&s), CompositeProbe::Materialize));
         let table = s.stored_table("A", "B", Orientation::Backward).unwrap();
-        s.install_composite(&path, Some(table));
-        assert!(s.has_composite(&["C", "B", "A"]));
+        s.install_composite(&path, &s.path(&path).unwrap(), Some(table));
+        assert!(s.has_composite(&path));
         assert_eq!(s.n_composites(), 1);
-        assert!(matches!(
-            s.observe_composite(&path),
-            CompositeProbe::Serve(_)
-        ));
-        // Epoch clones carry the registry; mutating the clone leaves the
-        // parent's registry intact.
+        assert!(matches!(observe(&s), CompositeProbe::Serve(_)));
+        // Epoch clones carry the registry; mutating either side leaves the
+        // other's registry intact.
         let clone = s.clone_for_epoch();
-        assert!(clone.has_composite(&["C", "B", "A"]));
+        assert!(clone.has_composite(&path));
         // Re-ingesting a member edge invalidates (hop B→A matches the
-        // stored A→B edge in reverse).
+        // stored A→B edge in reverse): the entry is compiled afresh, bound
+        // to the new edge, its sightings back at zero.
+        let before = s.path(&path).unwrap();
         s.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-        assert!(!s.has_composite(&["C", "B", "A"]));
-        assert!(clone.has_composite(&["C", "B", "A"]));
+        assert!(!s.has_composite(&path));
+        assert!(clone.has_composite(&path));
+        assert!(!Arc::ptr_eq(&before, &s.path(&path).unwrap()));
+        assert!(matches!(observe(&s), CompositeProbe::Pass));
         // An unrelated edge does not invalidate.
-        s.install_composite(&path, None);
-        assert!(matches!(s.observe_composite(&path), CompositeProbe::Pass));
+        s.install_composite(&path, &s.path(&path).unwrap(), None);
+        s.define_array("D", &[3]).unwrap();
+        s.ingest_lineage("A", "D", &sum_lineage()).unwrap();
+        assert!(matches!(observe(&s), CompositeProbe::Pass));
+        assert!(matches!(observe(&s), CompositeProbe::Pass));
         // Two-array paths are never composite candidates.
-        let short: Vec<String> = ["B", "A"].iter().map(|s| s.to_string()).collect();
         for _ in 0..5 {
-            assert!(matches!(s.observe_composite(&short), CompositeProbe::Pass));
+            let short = s.path(&["B", "A"]).unwrap();
+            assert!(matches!(
+                short.observe_composite(policy),
+                CompositeProbe::Pass
+            ));
         }
     }
 

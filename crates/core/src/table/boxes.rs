@@ -3,6 +3,13 @@
 //! A [`BoxTable`] is a union of axis-aligned integer boxes (one box per
 //! row, one [`Interval`] per attribute). Queries are encoded as box tables
 //! (the paper's `Q'`, §V.B), and every θ-join hop produces one.
+//!
+//! [`BoxTable::merge`] is the paper's row-reduction step. It runs the *last*
+//! attribute first, so a lexicographically sorted table — every
+//! [`BoxTable::from_cells`] — is already in that pass's order and collapses
+//! in one linear sweep; a pass sorts only when its order is not the one the
+//! boxes lie in, and folds each box into the last box of its output buffer,
+//! so no pass allocates per box.
 
 use crate::interval::Interval;
 
@@ -37,6 +44,10 @@ impl BoxTable {
     /// the same multi-attribute range-encoding idea ProvRC uses (§V.B:
     /// "The query Q′ is encoded from Q in the same format as the compressed
     /// relational lineage tables with multi-attribute range encoding").
+    ///
+    /// The result is always merged: range-encoding Q′ is part of query
+    /// encoding, not the inter-hop merge ablation, so callers do not merge
+    /// it again.
     pub fn from_cells(arity: usize, cells: &[Vec<i64>]) -> Self {
         let mut t = Self::new(arity);
         let mut sorted: Vec<&Vec<i64>> = cells.iter().collect();
@@ -72,6 +83,27 @@ impl BoxTable {
     pub fn push_box(&mut self, b: &[Interval]) {
         debug_assert_eq!(b.len(), self.arity);
         self.data.extend_from_slice(b);
+    }
+
+    /// Append one box produced attribute by attribute, with no temporary
+    /// row (the θ-join's emit path). An `Err` leaves the table as it was.
+    #[inline]
+    pub(crate) fn try_push_box<E>(
+        &mut self,
+        mut intervals: impl Iterator<Item = Result<Interval, E>>,
+    ) -> Result<(), E> {
+        let start = self.data.len();
+        let pushed = intervals.try_for_each(|i| i.map(|i| self.data.push(i)));
+        if pushed.is_err() {
+            self.data.truncate(start);
+        }
+        debug_assert!(pushed.is_err() || self.data.len() - start == self.arity);
+        pushed
+    }
+
+    /// Drop every box, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.data.clear();
     }
 
     /// Box `i` as a slice.
@@ -152,13 +184,16 @@ impl BoxTable {
     /// boxes that are identical on all attributes but one, where that one
     /// attribute's intervals overlap or abut. Also drops duplicate boxes
     /// and boxes fully contained in another identical-on-other-attrs box.
+    /// Ends at a fixpoint: no two boxes left are mergeable on any attribute.
     pub fn merge(&mut self) {
-        if self.n_boxes() <= 1 {
-            return;
-        }
         loop {
             let before = self.n_boxes();
-            for target in 0..self.arity {
+            if before <= 1 {
+                return;
+            }
+            // Last attribute first: a lexicographically sorted table is in
+            // that pass's order already.
+            for target in (0..self.arity).rev() {
                 self.merge_pass(target);
             }
             if self.n_boxes() == before {
@@ -167,23 +202,21 @@ impl BoxTable {
         }
     }
 
-    /// One merge pass over attribute `target`.
+    /// One merge pass over attribute `target`: visit the boxes in (other
+    /// attrs, target) order — as they lie, when that is their order — and
+    /// fold each into the last box written while they agree on the other
+    /// attributes and `target` is mergeable.
     fn merge_pass(&mut self, target: usize) {
         let arity = self.arity;
-        let n = self.n_boxes();
+        let n = self.n_boxes() as u32;
         if n <= 1 {
             return;
         }
-        // Sort box indices by (other attrs, target.lo, target.hi).
-        let mut order: Vec<u32> = (0..n as u32).collect();
         let data = &self.data;
+        let row = |i: u32| &data[i as usize * arity..][..arity];
         let key_cmp = |&x: &u32, &y: &u32| {
-            let bx = &data[x as usize * arity..(x as usize + 1) * arity];
-            let by = &data[y as usize * arity..(y as usize + 1) * arity];
-            for k in 0..arity {
-                if k == target {
-                    continue;
-                }
+            let (bx, by) = (row(x), row(y));
+            for k in (0..arity).filter(|&k| k != target) {
                 match bx[k].cmp(&by[k]) {
                     std::cmp::Ordering::Equal => {}
                     other => return other,
@@ -191,27 +224,25 @@ impl BoxTable {
             }
             bx[target].cmp(&by[target])
         };
-        order.sort_unstable_by(key_cmp);
-
-        let mut out: Vec<Interval> = Vec::with_capacity(self.data.len());
-        let mut cur: Option<Vec<Interval>> = None;
-        for &idx in &order {
-            let b = &data[idx as usize * arity..(idx as usize + 1) * arity];
-            match cur {
-                None => cur = Some(b.to_vec()),
-                Some(ref mut c) => {
-                    let others_equal = (0..arity).all(|k| k == target || c[k] == b[k]);
-                    if others_equal && c[target].mergeable(&b[target]) {
-                        c[target] = c[target].merge(&b[target]);
-                    } else {
-                        out.extend_from_slice(c);
-                        *c = b.to_vec();
-                    }
-                }
-            }
+        let sorted = (1..n).all(|i| key_cmp(&(i - 1), &i).is_le());
+        let mut order: Vec<u32> = Vec::new();
+        if !sorted {
+            order.extend(0..n);
+            order.sort_unstable_by(key_cmp);
         }
-        if let Some(c) = cur {
-            out.extend_from_slice(&c);
+        let mut out: Vec<Interval> = Vec::with_capacity(data.len());
+        for i in 0..n {
+            let b = row(if sorted { i } else { order[i as usize] });
+            let last = out.len().saturating_sub(arity);
+            let last = &mut out[last..];
+            if !last.is_empty()
+                && (0..arity).all(|k| k == target || last[k] == b[k])
+                && last[target].mergeable(&b[target])
+            {
+                last[target] = last[target].merge(&b[target]);
+            } else {
+                out.extend_from_slice(b);
+            }
         }
         self.data = out;
     }

@@ -18,7 +18,8 @@
 //! serializer writes column-major streams), so keeping each attribute
 //! contiguous is the cache-friendly layout; row views are materialized on
 //! demand. Each table also lazily builds and caches a [`TableIndex`] over
-//! its primary columns — see [`CompressedTable::index`].
+//! its primary columns — see [`CompressedTable::index`] — and, inside it,
+//! the planner's selectivity estimate once a query plan asked for it.
 
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
@@ -289,6 +290,20 @@ impl CompressedTable {
     /// tables (symbolic cells cannot be ordered).
     pub fn index(&self) -> Option<&TableIndex> {
         self.index.get_or_init(|| TableIndex::build(self)).as_ref()
+    }
+
+    /// The planner's point-selectivity estimate for this table (see
+    /// [`TableIndex::estimate_point_selectivity_ppm`]), computed on the
+    /// first call and kept with the cached index: at most once per index
+    /// lifetime. `None` when the table cannot be indexed.
+    pub(crate) fn point_selectivity_ppm(&self) -> Option<u64> {
+        let index = self.index()?;
+        let primary_extents = &self.extents[..self.primary_arity];
+        Some(
+            *index
+                .point_selectivity_ppm
+                .get_or_init(|| index.estimate_point_selectivity_ppm(primary_extents)),
+        )
     }
 
     /// Force the index to be built now (storage layer: build alongside each

@@ -18,9 +18,14 @@
 //!
 //! The index is built once per table ([`CompressedTable::index`]) and cached;
 //! generalized tables (symbolic cells) are not indexable and yield `None`.
+//! The planner's point-selectivity estimate is a pure function of the index
+//! and the table's extents, so it is memoised in the index the first time a
+//! path through the table is planned (`CompressedTable::point_selectivity_ppm`)
+//! — never at build — and dropped with the index when the table changes.
 
 use crate::interval::Interval;
 use crate::table::compressed::{Cell, CompressedTable};
+use std::sync::OnceLock;
 
 /// Index over one primary attribute: row ids sorted by interval `lo`,
 /// plus the max-hi fence over the sorted prefix.
@@ -81,6 +86,9 @@ impl ColumnIndex {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableIndex {
     columns: Vec<ColumnIndex>,
+    /// [`estimate_point_selectivity_ppm`](Self::estimate_point_selectivity_ppm)
+    /// over the owning table's primary extents, once the planner asked.
+    pub(super) point_selectivity_ppm: OnceLock<u64>,
 }
 
 impl TableIndex {
@@ -90,7 +98,10 @@ impl TableIndex {
         let columns = (0..table.primary_arity())
             .map(|k| ColumnIndex::build(table.column(k)))
             .collect::<Option<Vec<_>>>()?;
-        Some(TableIndex { columns })
+        Some(TableIndex {
+            columns,
+            point_selectivity_ppm: OnceLock::new(),
+        })
     }
 
     /// Number of indexed (primary) attributes.

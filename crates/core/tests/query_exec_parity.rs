@@ -1,7 +1,11 @@
 //! Property-based parity suite for the indexed query engine: over
 //! randomized compressed tables (both orientations, 1–3 hops, merge on and
 //! off), [`QueryExec`] must agree exactly with the brute-force join over
-//! the raw rows (`dslog_oracle::query::reference`).
+//! the raw rows (`dslog_oracle::query::reference`). About half the hops
+//! whose far side has two attributes also carry a `B[i] = A[i+d1, i+d2]`
+//! diagonal — two relative cells on one anchor — and half the cases query
+//! whole runs of cells, so the kernel's shared-anchor split is reached with
+//! point and non-point boxes alike.
 
 use dslog::provrc;
 use dslog::query::{QueryExec, QueryOptions};
@@ -25,6 +29,47 @@ struct Case {
     relations: Vec<Vec<Vec<i64>>>,
     /// Selects which space-0 cells are queried.
     seed: usize,
+    /// Query every space-0 cell of the first relation (adjacent cells, so
+    /// Q′ holds non-point boxes) instead of every third (point boxes).
+    dense: bool,
+}
+
+/// A shared-anchor diagonal for one hop: for `i` in `start..start + len`,
+/// query-side cell `(i)` — or `(i, 0)` and `(i, 1)` — is linked to far-side
+/// cell `(i + d1, i + d2)`. Only used where the far side has two attributes.
+type Diagonal = Option<(i64, i64, i64, i64)>;
+
+fn arb_diagonal() -> impl Strategy<Value = Diagonal> {
+    (prop::bool::ANY, 0i64..2, 2i64..=4, 0i64..2, 0i64..2)
+        .prop_map(|(on, start, len, d1, d2)| on.then_some((start, len, d1, d2)))
+}
+
+/// The diagonal's raw rows (out attributes first) for hop `i`, or nothing
+/// when the hop's far side is not two attributes wide.
+fn diagonal_rows(arities: &[usize], backward: &[bool], i: usize, diag: Diagonal) -> Vec<Vec<i64>> {
+    let Some((start, len, d1, d2)) = diag else {
+        return Vec::new();
+    };
+    if arities[i + 1] != 2 {
+        return Vec::new();
+    }
+    let mut rows = Vec::new();
+    for v in start..(start + len).min(DIM - 1) {
+        let far = vec![v + d1, v + d2];
+        let near: Vec<Vec<i64>> = match arities[i] {
+            1 => vec![vec![v]],
+            _ => vec![vec![v, 0], vec![v, 1]],
+        };
+        for near in near {
+            let (out, inp) = if backward[i] {
+                (&near, &far)
+            } else {
+                (&far, &near)
+            };
+            rows.push(out.iter().chain(inp).copied().collect());
+        }
+    }
+    rows
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -38,16 +83,20 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 prop::collection::vec(prop::collection::vec(0i64..DIM, 4), 0..40),
                 hops,
             ),
+            prop::collection::vec(arb_diagonal(), hops),
             0usize..3,
+            prop::bool::ANY,
         )
-            .prop_map(|(arities, backward, raw_rows, seed)| {
+            .prop_map(|(arities, backward, raw_rows, diagonals, seed, dense)| {
                 let relations = raw_rows
                     .into_iter()
+                    .zip(diagonals)
                     .enumerate()
-                    .map(|(i, rows)| {
+                    .map(|(i, (rows, diag))| {
                         let (out_a, in_a) = hop_arities(&arities, &backward, i);
                         rows.into_iter()
                             .map(|r| r[..out_a + in_a].to_vec())
+                            .chain(diagonal_rows(&arities, &backward, i, diag))
                             .collect()
                     })
                     .collect();
@@ -56,6 +105,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                     backward,
                     relations,
                     seed,
+                    dense,
                 }
             })
     })
@@ -105,7 +155,8 @@ fn build(case: &Case) -> (Vec<LineageTable>, Vec<CompressedTable>) {
 }
 
 /// Query cells: a deterministic subset of the space-0 cells that appear in
-/// the first relation (so queries usually hit something).
+/// the first relation (so queries usually hit something) — all of them for
+/// a dense case, every third otherwise.
 fn query_cells(case: &Case, fulls: &[LineageTable]) -> Vec<Vec<i64>> {
     let t = &fulls[0];
     let side: BTreeSet<Vec<i64>> = t
@@ -120,7 +171,7 @@ fn query_cells(case: &Case, fulls: &[LineageTable]) -> Vec<Vec<i64>> {
         .collect();
     side.into_iter()
         .enumerate()
-        .filter(|(i, _)| (i + case.seed).is_multiple_of(3))
+        .filter(|(i, _)| case.dense || (i + case.seed).is_multiple_of(3))
         .map(|(_, c)| c)
         .collect()
 }
@@ -171,6 +222,40 @@ proptest! {
             &tables,
         );
         prop_assert_eq!(got.cell_set(), expected);
+    }
+}
+
+/// `B[i] = A[i+1, i]` (primary arity 1) and `B[i, j] = A[i, i]` (primary
+/// arity 2): each compresses to one row with two relative cells on one
+/// anchor, so a non-point query box must take the kernel's split path — one
+/// box per anchor value, more boxes than matched rows — and a point box
+/// must not.
+#[test]
+fn shared_anchor_rows_split_only_on_non_point_boxes() {
+    for primary in [1usize, 2] {
+        let mut t = LineageTable::new(primary, 2);
+        for i in 0..4i64 {
+            match primary {
+                1 => t.push_row(&[i, i + 1, i]),
+                _ => (0..2).for_each(|j| t.push_row(&[i, j, i, i])),
+            }
+        }
+        t.normalize();
+        let out_shape = vec![DIM as usize; primary];
+        let c = provrc::compress(&t, &out_shape, &[DIM as usize; 2], Orientation::Backward);
+        assert_eq!(c.n_rows(), 1, "the diagonal compresses to one row");
+
+        let point: Vec<Vec<i64>> = vec![[2, 1][..primary].to_vec()];
+        let range: Vec<Vec<i64>> = (1..4).map(|i| [i, 1][..primary].to_vec()).collect();
+        for (cells, splits) in [(point, false), (range, true)] {
+            let q = BoxTable::from_cells(primary, &cells);
+            assert_eq!(q.n_boxes(), 1);
+            let (got, stats) = QueryExec::default().hop(&q, &c).unwrap();
+            assert_eq!(stats.rows_matched, 1);
+            assert_eq!(stats.boxes_emitted > 1, splits, "primary arity {primary}");
+            let expected = reference::step(&cells.into_iter().collect(), &t, Orientation::Backward);
+            assert_eq!(got.cell_set(), expected);
+        }
     }
 }
 

@@ -93,7 +93,7 @@ impl LockMeta {
 /// | 40 | `storage.commit` | serializes `persist::commit`; **io_safe** |
 /// | 45 | `storage.wal` | pending operation-log records + actor/policy; **io_safe** |
 /// | 50 | `storage.binding` | persistence binding (dir + generation state) |
-/// | 60 | `storage.composites` | composite-edge cache map |
+/// | 60 | `storage.composites` | per-path registry map (resolved paths + composite state) |
 /// | 70 | `storage.slot` | per-edge representation slot (many instances share this rank; never hold two) |
 pub mod ranks {
     use super::LockMeta;

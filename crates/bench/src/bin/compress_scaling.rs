@@ -6,6 +6,11 @@
 //! capture path; the acceptance bar is fast ≥ 5× ablation at 100k rows on
 //! at least one workload, with identical output on every edge.
 //!
+//! Rows arriving in ascending order are compressed in place; any other
+//! order builds the columnar arena first. `one_to_one_shuffled` is the
+//! one-to-one relation with its rows in a fixed-seed shuffled order, so
+//! the file carries both sides of that input-order choice.
+//!
 //! Emits an aligned table on stdout and machine-readable
 //! `BENCH_compress.json` in the working directory. Every measured pair is
 //! asserted bit-identical (fast ≡ ablation), so running this binary at any
@@ -18,6 +23,7 @@ use dslog::storage::format;
 use dslog::table::{CompressedTable, LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_oracle::provrc::compress_reference;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 struct Point {
@@ -73,6 +79,20 @@ fn measure(
     }
 }
 
+/// `table`'s rows in a fixed-seed Fisher–Yates order.
+fn shuffled(table: &LineageTable) -> LineageTable {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5eed);
+    let mut order: Vec<usize> = (0..table.n_rows()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let mut out = LineageTable::with_capacity(table.out_arity(), table.in_arity(), order.len());
+    for r in order {
+        out.push_row(table.row(r));
+    }
+    out
+}
+
 fn main() {
     let (scale, _seed) = cli_scale_seed();
     println!(
@@ -98,7 +118,16 @@ fn main() {
         // Fewer reps at the largest scale keeps the ablation side bounded.
         let reps = if rows >= 100_000 { 5 } else { 9 };
         reps_used = reps;
-        for (edge, lineage, out_shape, in_shape) in dslog_workloads::edges::all(rows) {
+        let mut edges = dslog_workloads::edges::all(rows);
+        let (_, one_to_one, out_shape, in_shape) = &edges[0];
+        let one_to_one_shuffled = (
+            "one_to_one_shuffled",
+            shuffled(one_to_one),
+            out_shape.clone(),
+            in_shape.clone(),
+        );
+        edges.insert(1, one_to_one_shuffled);
+        for (edge, lineage, out_shape, in_shape) in edges {
             let pt = measure(edge, &lineage, &out_shape, &in_shape, reps);
             let speedup = pt.ablation_p50 / pt.fast_p50.max(1e-12);
             table.row(&[

@@ -537,8 +537,7 @@ impl Dslog {
         out_array: &str,
         capture: &dyn Capture,
     ) -> Result<()> {
-        let in_shape = self.storage.array(in_array)?.shape.clone();
-        let out_shape = self.storage.array(out_array)?.shape.clone();
+        let (out_shape, in_shape) = self.storage.edge_shapes(in_array, out_array)?;
         let table = capture.capture(&in_shape, &out_shape);
         self.storage.ingest_lineage(in_array, out_array, &table)
     }
@@ -587,6 +586,12 @@ impl Dslog {
             .iter()
             .map(|a| self.storage.array(a).map(|m| m.shape.clone()))
             .collect::<Result<_>>()?;
+        // Every pair fits a table file, or nothing is captured or installed.
+        for in_arr in in_arrs {
+            for out_arr in out_arrs {
+                self.storage.edge_shapes(in_arr, out_arr)?;
+            }
+        }
 
         if reuse {
             if let Some((hit, mapping)) =

@@ -19,6 +19,10 @@ pub enum DslogError {
     CellOutOfBounds { index: Vec<i64>, shape: Vec<usize> },
     /// A lineage table's arity disagrees with the registered array shapes.
     ArityMismatch { expected: usize, got: usize },
+    /// An array or edge has more or fewer axes than a table file can hold:
+    /// an array needs at least one axis, and an edge's output plus input
+    /// axes number at most `storage::MAX_EDGE_ARITY`.
+    UnsupportedArity { got: usize, min: usize, max: usize },
     /// An edge for this exact `(input, output)` pair is already stored.
     /// Batched ingest ([`crate::service::DslogService::ingest_batch`])
     /// rejects duplicates — silently overwriting would let the stored
@@ -81,6 +85,9 @@ impl std::fmt::Display for DslogError {
                     f,
                     "lineage arity {got} does not match array axes {expected}"
                 )
+            }
+            DslogError::UnsupportedArity { got, min, max } => {
+                write!(f, "{got} axes is outside the supported {min}..={max}")
             }
             DslogError::DuplicateEdge {
                 in_array,

@@ -19,12 +19,18 @@
 //!   and bit-packed. Real passes almost always fit 64 or 128 bits, so a
 //!   comparison never touches a key buffer, let alone a per-cell key
 //!   function.
-//! * **Radix sort + sorted fast path.** Keys packed into a `u64` sort with
-//!   a linear LSD radix sort (`(key, row id)` pairs, stable, hence
-//!   deterministic); an O(n) pre-check skips sorting entirely when the
-//!   pass order is already sorted — the common case for structured
-//!   lineage, where each pass's output order nearly matches the next
-//!   pass's key. Wider keys fall back to a comparison sort.
+//! * **The input, read in place.** Rows that arrive strictly ascending
+//!   (as capture paths and regular generators emit them) are not copied:
+//!   a pass whose order `LineageTable`'s row-major data already has is one
+//!   sweep over adjacent rows that checks the order and finds the runs —
+//!   no stats, packed keys, sort or run list. A pass that merges writes
+//!   the arena already folded, one row per run; one that merges nothing
+//!   writes nothing. The first pass that needs a sort builds the arena
+//!   from the input, and every later pass runs packed, as below.
+//! * **Radix sort.** Keys packed into a `u64` sort with a linear LSD radix
+//!   sort (`(key, row id)` pairs, stable, hence deterministic); an O(n)
+//!   pre-check skips sorting when the packed keys are already in order.
+//!   Wider keys fall back to a comparison sort.
 //! * **Mask pruning.** A rel-mask bit is *live* only if some active row has
 //!   a still-absolute cell in that column *and* a singleton target
 //!   attribute — otherwise toggling it provably cannot change the pass's
@@ -32,11 +38,12 @@
 //!   and a projection that already ran on the current row set (no merges
 //!   since) is skipped: the skipped pass is guaranteed to be a no-op, so
 //!   the output stays exactly the ablation's.
-//! * **Zero-copy no-op passes.** A pass that merges nothing does not
-//!   rewrite the arena: row order is irrelevant to later passes (each
-//!   re-sorts, and distinct rows never compare equal), so only the final
-//!   pass's permutation is remembered and applied when the table is
-//!   materialized.
+//! * **Zero-copy no-op passes.** A pass that merges nothing rewrites
+//!   neither the view nor the arena: row order is irrelevant to later
+//!   passes (each re-sorts, and distinct rows never compare equal). On the
+//!   view the physical order already is the pass's order; on the arena
+//!   only the final pass's permutation is remembered and applied when the
+//!   table is materialized.
 //!
 //! One compression runs on the calling thread: an in-pass parallel sort
 //! and a run-chunked scan were measured slower on every shape from 20 k to
@@ -128,7 +135,7 @@ pub(super) fn compress(
         Orientation::Backward => (table.out_arity(), table.in_arity()),
         Orientation::Forward => (table.in_arity(), table.out_arity()),
     };
-    let mut arena = Arena::build(table, orientation, prim_arity, sec_arity);
+    let mut arena = Arena::new(table, orientation, prim_arity, sec_arity);
     // Step 1: multi-attribute range encoding over secondary attributes,
     // last attribute first (paper: a_m, …, a_1).
     for k in (0..sec_arity).rev() {
@@ -231,14 +238,58 @@ fn sec_key_words(cell: WCell, want_rel: bool, prim_j: Interval) -> [u64; 4] {
     }
 }
 
+/// The input relation read in place: row-major and strictly ascending
+/// (so already set-normalized), every cell an absolute point.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    raw: &'a [i64],
+    arity: usize,
+    /// Row offset of the first primary / secondary attribute.
+    prim_off: usize,
+    sec_off: usize,
+}
+
+impl View<'_> {
+    #[inline]
+    fn row(&self, r: usize) -> &[i64] {
+        &self.raw[r * self.arity..(r + 1) * self.arity]
+    }
+
+    /// How row `r` follows row `r − 1` in the order of a pass keyed by
+    /// the `group` words, then the target column `t`. A group word is a
+    /// row column, minus the target column when flagged (a masked step-2
+    /// word). `None`: the rows are out of the pass's order. Otherwise
+    /// whether row `r` extends row `r − 1`'s run: same group, target one
+    /// higher.
+    #[inline]
+    fn step(&self, r: usize, group: &[(usize, bool)], t: usize) -> Option<bool> {
+        let (a, b) = (self.row(r - 1), self.row(r));
+        let word =
+            |row: &[i64], (c, rel): (usize, bool)| if rel { row[c] - row[t] } else { row[c] };
+        for &w in group {
+            match word(a, w).cmp(&word(b, w)) {
+                Ordering::Less => return Some(false),
+                Ordering::Greater => return None,
+                Ordering::Equal => {}
+            }
+        }
+        (a[t] < b[t]).then(|| a[t] + 1 == b[t])
+    }
+}
+
 /// The double-buffered columnar working set plus every pass's scratch
 /// buffers, allocated once and reused across all `O(64 × prim_arity)`
 /// mask passes of a compression.
-struct Arena {
+struct Arena<'a> {
     prim_arity: usize,
     sec_arity: usize,
     /// Active row count; all column vectors have this length.
     n: usize,
+    /// While set, the working set is still the input itself: no pass has
+    /// merged or needed a sort yet, and the columns below are empty.
+    view: Option<View<'a>>,
+    /// A view pass's group words (see [`View::step`]).
+    group: Vec<(usize, bool)>,
     /// `prim[k][r]` is row `r`'s primary attribute `k`.
     prim: Vec<Vec<Interval>>,
     /// `sec[k][r]` is row `r`'s secondary attribute `k`.
@@ -267,69 +318,38 @@ struct Arena {
     last_perm_valid: bool,
 }
 
-impl Arena {
-    /// Build the columnar working set directly from the raw relation:
-    /// rows are visited through the sorted-unique permutation, folding
-    /// normalization (set semantics) into the column build without
-    /// materializing a normalized copy.
-    fn build(
-        table: &LineageTable,
+impl<'a> Arena<'a> {
+    /// The working set of `table`: the table itself when its rows are
+    /// strictly ascending, else the arena built through the sorted-unique
+    /// permutation, which folds normalization (set semantics) into the
+    /// column build without materializing a normalized copy.
+    fn new(
+        table: &'a LineageTable,
         orientation: Orientation,
         prim_arity: usize,
         sec_arity: usize,
-    ) -> Arena {
+    ) -> Arena<'a> {
         let (prim_off, sec_off) = match orientation {
             Orientation::Backward => (0, table.out_arity()),
             Orientation::Forward => (table.out_arity(), 0),
         };
-        // Normalization (sorted set semantics) folds into the column build.
-        // Capture paths usually emit rows already strictly sorted — one
-        // linear pre-check then skips the permutation sort entirely.
-        let arity = table.arity();
-        let raw = table.raw();
-        let already_sorted_unique = raw
-            .chunks_exact(arity)
-            .zip(raw.chunks_exact(arity).skip(1))
-            .all(|(x, y)| x < y);
-        let fill = |rows: &mut dyn Iterator<Item = &[i64]>,
-                    prim: &mut [Vec<Interval>],
-                    sec: &mut [Vec<WCell>]| {
-            for row in rows {
-                for (k, col) in prim.iter_mut().enumerate() {
-                    col.push(Interval::point(row[prim_off + k]));
-                }
-                for (k, col) in sec.iter_mut().enumerate() {
-                    col.push(WCell::Abs(Interval::point(row[sec_off + k])));
-                }
-            }
+        let view = View {
+            raw: table.raw(),
+            arity: table.arity(),
+            prim_off,
+            sec_off,
         };
-        let n;
-        let mut prim;
-        let mut sec;
-        if already_sorted_unique {
-            n = table.n_rows();
-            prim = vec![Vec::with_capacity(n); prim_arity];
-            sec = vec![Vec::with_capacity(n); sec_arity];
-            fill(&mut table.rows(), &mut prim, &mut sec);
-        } else {
-            let order = table.sorted_unique_row_perm();
-            n = order.len();
-            prim = vec![Vec::with_capacity(n); prim_arity];
-            sec = vec![Vec::with_capacity(n); sec_arity];
-            fill(
-                &mut order.iter().map(|&r| table.row(r as usize)),
-                &mut prim,
-                &mut sec,
-            );
-        }
-        Arena {
+        let already_sorted_unique = (1..table.n_rows()).all(|r| view.row(r - 1) < view.row(r));
+        let mut arena = Arena {
             prim_arity,
             sec_arity,
-            n,
-            prim,
-            sec,
-            prim_next: (0..prim_arity).map(|_| Vec::with_capacity(n)).collect(),
-            sec_next: (0..sec_arity).map(|_| Vec::with_capacity(n)).collect(),
+            n: table.n_rows(),
+            view: Some(view),
+            group: Vec::new(),
+            prim: vec![Vec::new(); prim_arity],
+            sec: vec![Vec::new(); sec_arity],
+            prim_next: vec![Vec::new(); prim_arity],
+            sec_next: vec![Vec::new(); sec_arity],
             stats: Vec::new(),
             kept: Vec::new(),
             pairs64: Vec::new(),
@@ -341,6 +361,85 @@ impl Arena {
             runs: Vec::new(),
             last_perm: Vec::new(),
             last_perm_valid: false,
+        };
+        if !already_sorted_unique {
+            let order = table.sorted_unique_row_perm();
+            arena.build(order.iter().map(|&r| r as usize));
+        }
+        arena
+    }
+
+    /// Build the arena from the view's rows `rows`, in that order: the
+    /// sorted-unique permutation of an unsorted input, or every row when a
+    /// pass needs a sort. Leaves view mode.
+    fn build(&mut self, rows: impl ExactSizeIterator<Item = usize>) {
+        let Some(view) = self.view.take() else { return };
+        self.n = rows.len();
+        self.reserve(self.n);
+        for r in rows {
+            let row = view.row(r);
+            self.push_row(&view, row, 0, row[0], None);
+        }
+    }
+
+    /// Run a pass on the view when the view is already in its order (see
+    /// [`View::step`] for `self.group` and `t`): one sweep checks the order
+    /// and counts the runs, and only a pass that merges sweeps again to
+    /// write the folded arena, one row per run. With `rel = Some((j,
+    /// mask))` (step 2), a merged run's masked secondary cells become
+    /// relative to primary attribute `j`. Returns `false`, having touched
+    /// nothing, when the pass needs a sort.
+    fn view_pass(&mut self, t: usize, rel: Option<(usize, u64)>) -> bool {
+        let Some(view) = self.view else { return false };
+        let n = self.n;
+        let mut runs = 1;
+        for r in 1..n {
+            match view.step(r, &self.group, t) {
+                Some(extends) => runs += usize::from(!extends),
+                None => return false,
+            }
+        }
+        if runs == n {
+            return true;
+        }
+        self.reserve(runs);
+        let mut start = 0;
+        for r in 1..=n {
+            if r < n && view.step(r, &self.group, t) == Some(true) {
+                continue;
+            }
+            let (row, hi) = (view.row(start), view.row(r - 1)[t]);
+            self.push_row(&view, row, t, hi, rel.filter(|_| r - start > 1));
+            start = r;
+        }
+        self.n = runs;
+        self.view = None;
+        true
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        self.prim.iter_mut().for_each(|col| col.reserve_exact(rows));
+        self.sec.iter_mut().for_each(|col| col.reserve_exact(rows));
+    }
+
+    /// Append the arena row of view row `row` heading a run whose target
+    /// column `t` ends at `hi` (a row of its own: `hi == row[t]`). With
+    /// `rel = Some((j, mask))`, masked secondary cells become relative to
+    /// primary attribute `j`.
+    fn push_row(&mut self, view: &View, row: &[i64], t: usize, hi: i64, rel: Option<(usize, u64)>) {
+        let cell = |c: usize| Interval::new(row[c], if c == t { hi } else { row[c] });
+        for (p, col) in self.prim.iter_mut().enumerate() {
+            col.push(cell(view.prim_off + p));
+        }
+        for (i, col) in self.sec.iter_mut().enumerate() {
+            let c = view.sec_off + i;
+            col.push(match rel {
+                Some((j, mask)) if mask & (1 << i) != 0 => WCell::Rel {
+                    anchor: j as u8,
+                    delta: Interval::point(row[c] - row[t]),
+                },
+                _ => WCell::Abs(cell(c)),
+            });
         }
     }
 
@@ -390,6 +489,17 @@ impl Arena {
     fn secondary_pass(&mut self, k: usize) {
         if self.n <= 1 {
             return;
+        }
+        if let Some(view) = self.view {
+            self.group.clear();
+            let prim = (0..self.prim_arity).map(|p| (view.prim_off + p, false));
+            let sec = (0..self.sec_arity).filter(|&i| i != k);
+            self.group
+                .extend(prim.chain(sec.map(|i| (view.sec_off + i, false))));
+            if self.view_pass(view.sec_off + k, None) {
+                return;
+            }
+            self.build(0..self.n);
         }
         let w = 2 * self.prim_arity + 4 * self.sec_arity;
 
@@ -511,6 +621,10 @@ impl Arena {
     /// attribute (otherwise the toggle flips key tags `0 ↔ 2` uniformly,
     /// which alters no comparison outcome and enables no conversion).
     fn live_mask(&self, j: usize) -> u64 {
+        if self.view.is_some() {
+            // Every view cell is absolute and every target a point.
+            return (0..self.sec_arity.min(64)).fold(0, |live, i| live | 1 << i);
+        }
         let pj = &self.prim[j];
         let mut live = 0u64;
         for (i, col) in self.sec.iter().enumerate().take(64) {
@@ -576,6 +690,17 @@ impl Arena {
     fn primary_pass(&mut self, j: usize, mask: u64) {
         if self.n <= 1 {
             return;
+        }
+        if let Some(view) = self.view {
+            self.group.clear();
+            let prim = (0..self.prim_arity).filter(|&p| p != j);
+            let sec = (0..self.sec_arity).map(|i| (view.sec_off + i, mask & (1 << i) != 0));
+            self.group
+                .extend(prim.map(|p| (view.prim_off + p, false)).chain(sec));
+            if self.view_pass(view.prim_off + j, Some((j, mask))) {
+                return;
+            }
+            self.build(0..self.n);
         }
         let w = 2 * (self.prim_arity - 1) + 4 * self.sec_arity + 2;
 
@@ -723,13 +848,15 @@ impl Arena {
     }
 
     /// Materialize the final columns as a [`CompressedTable`], applying the
-    /// pending permutation of a trailing zero-merge pass if any.
+    /// pending permutation of a trailing zero-merge pass if any (a view
+    /// that no pass folded is already in its final order).
     fn into_table(
-        self,
+        mut self,
         orientation: Orientation,
         out_shape: &[usize],
         in_shape: &[usize],
     ) -> CompressedTable {
+        self.build(0..self.n);
         // Attribute extents, in the table's primary-then-secondary order.
         let (prim_shape, sec_shape) = match orientation {
             Orientation::Backward => (out_shape, in_shape),
@@ -788,12 +915,16 @@ fn word_source_secondary<'a>(
             hi: word % 2 == 1,
         }
     } else {
+        // `sec_order`'s slot `slot`: `k` last, the others in order.
         let slot = (word - pa2) / 4;
-        let sub = (word - pa2) % 4;
-        let col_idx = sec_order(sec_arity, k).nth(slot).expect("sec slot");
+        let col = if slot + 1 == sec_arity {
+            k
+        } else {
+            slot + usize::from(slot >= k)
+        };
         WordFill::CellKey {
-            col: &sec[col_idx],
-            sub,
+            col: &sec[col],
+            sub: (word - pa2) % 4,
         }
     }
 }
@@ -811,13 +942,10 @@ fn word_source_primary<'a>(
 ) -> WordFill<'a> {
     let other = 2 * (prim_arity - 1);
     if word < other {
+        // The primary attributes other than `j`, in order.
         let slot = word / 2;
-        let col_idx = (0..prim_arity)
-            .filter(|&p| p != j)
-            .nth(slot)
-            .expect("prim slot");
         WordFill::Prim {
-            col: &prim[col_idx],
+            col: &prim[slot + usize::from(slot >= j)],
             hi: word % 2 == 1,
         }
     } else if word < other + 4 * sec.len() {

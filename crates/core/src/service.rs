@@ -485,7 +485,9 @@ impl DslogService {
     /// Ingest a batch of edges.
     ///
     /// Phase 1 (a snapshot, no lock): validate every job's arrays and
-    /// arities, and reject duplicate `(in, out)` pairs — against the
+    /// arities (at most 256 attributes per edge,
+    /// [`DslogError::UnsupportedArity`] beyond), and reject duplicate
+    /// `(in, out)` pairs — against the
     /// stored edge set *and* within the batch itself
     /// ([`DslogError::DuplicateEdge`]).
     /// Phase 2 (no lock): ProvRC-compress the whole batch, on worker
@@ -532,8 +534,8 @@ impl DslogService {
             let shapes = jobs
                 .iter()
                 .map(|job| {
-                    let in_shape = storage.array(&job.in_array)?.shape.clone();
-                    let out_shape = storage.array(&job.out_array)?.shape.clone();
+                    let (out_shape, in_shape) =
+                        storage.edge_shapes(&job.in_array, &job.out_array)?;
                     if job.lineage.out_arity() != out_shape.len()
                         || job.lineage.in_arity() != in_shape.len()
                     {

@@ -260,7 +260,7 @@ fn decode(data: &[u8], body_crc: Option<u32>) -> Result<CompressedTable> {
     let mut pos = 6;
     let prim_arity = read_uvarint(body, &mut pos)? as usize;
     let sec_arity = read_uvarint(body, &mut pos)? as usize;
-    if prim_arity == 0 || sec_arity == 0 || prim_arity + sec_arity > 256 {
+    if prim_arity == 0 || sec_arity == 0 || prim_arity + sec_arity > super::MAX_EDGE_ARITY {
         return Err(DslogError::Corrupt("bad arity"));
     }
     let arity = prim_arity + sec_arity;

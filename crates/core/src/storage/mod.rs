@@ -60,6 +60,19 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+/// Most attributes (output plus input axes) one edge may have: what the
+/// table decoder accepts, and what keeps a ProvRC anchor index in a `u8`.
+pub(crate) const MAX_EDGE_ARITY: usize = 256;
+
+/// [`DslogError::UnsupportedArity`] unless `min <= got <= max`.
+fn check_arity(got: usize, min: usize, max: usize) -> Result<()> {
+    if (min..=max).contains(&got) {
+        Ok(())
+    } else {
+        Err(DslogError::UnsupportedArity { got, min, max })
+    }
+}
+
 /// Metadata for a defined array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayMeta {
@@ -757,7 +770,8 @@ impl StorageManager {
         shape: &[usize],
         actor: Option<&str>,
     ) -> Result<()> {
-        assert!(!shape.is_empty(), "arrays must have at least one axis");
+        // An array of more axes could never take part in a storable edge.
+        check_arity(shape.len(), 1, MAX_EDGE_ARITY - 1)?;
         match self.arrays.get(name) {
             Some(meta) if meta.shape != shape => {
                 Err(DslogError::ArrayShapeConflict(name.to_string()))
@@ -787,6 +801,21 @@ impl StorageManager {
             .ok_or_else(|| DslogError::UnknownArray(name.to_string()))
     }
 
+    /// The `(out, in)` shapes of an edge `in_array → out_array` between
+    /// defined arrays, checked to fit a table file: at most
+    /// [`MAX_EDGE_ARITY`] attributes. Every ingest entry asks this before
+    /// it captures, compresses or logs anything.
+    pub(crate) fn edge_shapes(
+        &self,
+        in_array: &str,
+        out_array: &str,
+    ) -> Result<(Vec<usize>, Vec<usize>)> {
+        let in_shape = self.array(in_array)?.shape.clone();
+        let out_shape = self.array(out_array)?.shape.clone();
+        check_arity(out_shape.len() + in_shape.len(), 2, MAX_EDGE_ARITY)?;
+        Ok((out_shape, in_shape))
+    }
+
     /// All defined array names (sorted, for deterministic iteration).
     pub fn array_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.arrays.keys().cloned().collect();
@@ -808,8 +837,7 @@ impl StorageManager {
         out_array: &str,
         lineage: &LineageTable,
     ) -> Result<()> {
-        let in_shape = self.array(in_array)?.shape.clone();
-        let out_shape = self.array(out_array)?.shape.clone();
+        let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
         if lineage.out_arity() != out_shape.len() || lineage.in_arity() != in_shape.len() {
             return Err(DslogError::ArityMismatch {
                 expected: out_shape.len() + in_shape.len(),
@@ -861,8 +889,7 @@ impl StorageManager {
         forward: Option<Arc<CompressedTable>>,
         actor: Option<&str>,
     ) -> Result<()> {
-        let in_shape = self.array(in_array)?.shape.clone();
-        let out_shape = self.array(out_array)?.shape.clone();
+        let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
         let table = (backward.as_deref().or(forward.as_deref()))
             .ok_or(DslogError::Corrupt("edge with no stored orientation"))?;
         self.wal_push(Self::wal_ingest_op(in_array, out_array, table), actor);
@@ -897,8 +924,7 @@ impl StorageManager {
         forward: Option<CompressedTable>,
         actor: Option<&str>,
     ) -> Result<()> {
-        let in_shape = self.array(in_array)?.shape.clone();
-        let out_shape = self.array(out_array)?.shape.clone();
+        let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
         if self.has_directed_edge(in_array, out_array) {
             return Err(DslogError::DuplicateEdge {
                 in_array: in_array.to_string(),

@@ -379,3 +379,78 @@ fn one_checksum_pass_still_answers_to_catalog_and_trailer() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// An edge of 300 attributes is more than a table file holds (the
+/// decoder's bound is 256). Every ingest entry refuses it with a typed
+/// error before it captures, compresses or logs anything, so the bound
+/// directory still reopens and verifies; an array with no axis is refused
+/// the same way.
+#[test]
+fn over_wide_edge_is_refused_before_it_is_logged() {
+    use dslog::service::{AutoCommitPolicy, DslogService, IngestJob};
+    use dslog::storage::wal::OpKind;
+    use dslog::table::Orientation;
+
+    let dir = temp_dir("over-wide");
+    let mut db = Dslog::new();
+    db.define_array("A", &[2; 200]).unwrap();
+    db.define_array("B", &[2; 100]).unwrap();
+    db.save(&dir, false).unwrap();
+    let logged = db.history().unwrap().len();
+
+    let too_wide = DslogError::UnsupportedArity {
+        got: 300,
+        min: 2,
+        max: 256,
+    };
+    let row = [0i64; 300];
+    let t = LineageTable::from_rows(100, 200, &[&row]);
+    assert_eq!(
+        db.add_lineage("A", "B", &TableCapture::new(t.clone())),
+        Err(too_wide.clone())
+    );
+    let captures: Vec<Box<dyn dslog::api::Capture>> = vec![Box::new(TableCapture::new(t.clone()))];
+    assert_eq!(
+        db.register_operation("op", &["A"], &["B"], captures, &[], false)
+            .map(|_| ()),
+        Err(too_wide.clone())
+    );
+    let storage = db.storage_mut();
+    assert_eq!(storage.ingest_lineage("A", "B", &t), Err(too_wide.clone()));
+    let backward = dslog::provrc::compress(&t, &[2; 100], &[2; 200], Orientation::Backward);
+    assert_eq!(
+        storage.ingest_prepared("A", "B", Some(backward), None, None),
+        Err(too_wide.clone())
+    );
+    assert_eq!(
+        db.define_array("E", &[]),
+        Err(DslogError::UnsupportedArity {
+            got: 0,
+            min: 1,
+            max: 255
+        })
+    );
+
+    let service = DslogService::new(db, AutoCommitPolicy::manual());
+    assert_eq!(
+        service
+            .ingest_batch(vec![IngestJob::new("A", "B", t)])
+            .map(|_| ()),
+        Err(too_wide)
+    );
+    service.commit().unwrap();
+    let history = service.history().unwrap();
+    assert!(
+        history[logged..]
+            .iter()
+            .all(|r| matches!(r.kind, OpKind::Commit { .. })),
+        "refused requests logged {:?}",
+        &history[logged..]
+    );
+    drop(service);
+
+    let reopened = Dslog::options().open(&dir).unwrap();
+    assert_eq!(reopened.storage().array_names(), ["A", "B"]);
+    assert_eq!(persist::verify(&dir).unwrap().n_edges, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -10,15 +10,32 @@
 //! path), tables wide enough to hit the heuristic mask enumeration (more
 //! than 6 secondary attributes), and value ranges large enough to overflow
 //! the 128-bit packed-key modes into the wide sort path.
+//!
+//! Every random relation is checked twice: as generated (unsorted, with
+//! duplicates, so the pipeline builds its arena at once) and sorted and
+//! deduplicated (so passes run on the input in place until one needs a
+//! sort or merges). Deterministic cases pin the hand-off from the one to
+//! the other in the middle of a compression.
 
 use dslog::provrc;
 use dslog::table::{LineageTable, Orientation};
 use dslog_oracle::provrc::compress_reference;
 use proptest::prelude::*;
 
+/// [`assert_parity_of`] for `t` as given and for its sorted, deduplicated
+/// form.
+fn assert_parity(
+    t: &LineageTable,
+    out_shape: &[usize],
+    in_shape: &[usize],
+) -> Result<(), TestCaseError> {
+    assert_parity_of(t, out_shape, in_shape)?;
+    assert_parity_of(&t.normalized(), out_shape, in_shape)
+}
+
 /// Assert fast ≡ ablation ≡ decompress-roundtrip for one relation, and
 /// batch(jobs) ≡ [compress(job)], both ≡ (backward, forward).
-fn assert_parity(
+fn assert_parity_of(
     t: &LineageTable,
     out_shape: &[usize],
     in_shape: &[usize],
@@ -223,4 +240,60 @@ fn stored_orientations_equal_the_reference() {
         let stored = storage.stored_table("A", "B", orientation).unwrap();
         assert_eq!(*stored, compress_reference(&t, &[3], &[3, 2], orientation));
     }
+}
+
+/// `assert_parity_of` outside a property run.
+fn assert_parity_fixed(t: &LineageTable, out_shape: &[usize], in_shape: &[usize]) {
+    assert_parity_of(t, out_shape, in_shape).unwrap();
+}
+
+/// Sorted input handed from the view to the arena mid-compression, in the
+/// shapes an ingest batch brings.
+#[test]
+fn view_to_arena_handoff_parity() {
+    // A 2+2 numpy hop (transpose): every step-1 pass finds the view in its
+    // order and merges nothing; the first step-2 pass on the last output
+    // axis keys on `a0 − b1`, which falls as `b1` rises, and needs a sort.
+    let (h, w) = (9i64, 7i64);
+    let mut transpose = LineageTable::new(2, 2);
+    for i in 0..h {
+        for j in 0..w {
+            transpose.push_row(&[i, j, j, i]);
+        }
+    }
+    assert_parity_fixed(
+        &transpose,
+        &[h as usize, w as usize],
+        &[w as usize, h as usize],
+    );
+
+    // The same with a broadcast third input axis: the first step-1 pass
+    // merges on the view, so the arena is written folded, and the passes
+    // after it run packed.
+    let mut broadcast = LineageTable::new(2, 3);
+    for i in 0..h {
+        for j in 0..w {
+            for k in 0..3 {
+                broadcast.push_row(&[i, j, j, i, k]);
+            }
+        }
+    }
+    assert_parity_fixed(
+        &broadcast,
+        &[h as usize, w as usize],
+        &[w as usize, h as usize, 3],
+    );
+
+    // A scatter edge as an ingest batch draws it, collisions included:
+    // step 1 runs on the view, step 2 builds the arena.
+    let n = 600i64;
+    let mut scatter = LineageTable::new(1, 1);
+    for i in 0..n {
+        scatter.push_row(&[i, (i * 7919 + i * i) % (n / 2)]);
+    }
+    assert_parity_fixed(&scatter, &[n as usize], &[n as usize / 2]);
+
+    // Tables no pass touches: the view itself becomes the table.
+    assert_parity_fixed(&LineageTable::new(1, 2), &[3], &[3, 3]);
+    assert_parity_fixed(&LineageTable::from_rows(1, 2, &[&[2, 0, 1]]), &[3], &[3, 3]);
 }

@@ -8,8 +8,8 @@ use crate::reuse::{ArgValue, CompositePolicy, Mapping, ReuseHit, ReuseManager, R
 use crate::service::MaintenancePolicy;
 use crate::storage::persist::{self, OpenMode};
 use crate::storage::wal::IoPolicy;
-use crate::storage::{ArrayMeta, Materialize, StorageManager};
-use crate::table::{BoxTable, LineageTable};
+use crate::storage::{ArrayMeta, EdgeJob, Materialize, OnDuplicate, StorageManager};
+use crate::table::{BoxTable, LineageTable, Orientation};
 use std::sync::Arc;
 
 /// A lineage capture method for one (input array, output array) pair.
@@ -166,9 +166,10 @@ impl OpenOptions {
         self
     }
 
-    /// ProvRC threading options: whether the relations of a batched ingest
-    /// ([`crate::service::DslogService::ingest_batch`]) may compress on
-    /// worker threads. One relation always compresses on its caller's.
+    /// ProvRC threading options: whether the relations of one ingest batch
+    /// (a [`crate::service::DslogService::ingest_batch`] call, or the pairs
+    /// of one [`Dslog::register_operation`]) may compress on worker
+    /// threads. One relation always compresses on its caller's.
     pub fn compress(mut self, opts: CompressOptions) -> Self {
         self.config.compress = opts;
         self
@@ -299,7 +300,7 @@ pub struct DslogConfig {
     pub wal_retention: u32,
     /// Orientations materialized at ingest.
     pub materialize: Materialize,
-    /// Batched-ingest compression options (worker threads on or off).
+    /// Ingest-batch compression options (worker threads on or off).
     pub compress: CompressOptions,
     /// Default query-execution options.
     pub query: QueryOptions,
@@ -573,76 +574,56 @@ impl Dslog {
         reuse: bool,
         content_hashes: Option<&[u64]>,
     ) -> Result<RegistrationOutcome> {
-        assert_eq!(
-            captures.len(),
-            in_arrs.len() * out_arrs.len(),
-            "one capture per (input, output) pair"
-        );
-        let in_shapes: Vec<Vec<usize>> = in_arrs
-            .iter()
-            .map(|a| self.storage.array(a).map(|m| m.shape.clone()))
-            .collect::<Result<_>>()?;
-        let out_shapes: Vec<Vec<usize>> = out_arrs
-            .iter()
-            .map(|a| self.storage.array(a).map(|m| m.shape.clone()))
-            .collect::<Result<_>>()?;
-        // Every pair fits a table file, or nothing is captured or installed.
-        for in_arr in in_arrs {
-            for out_arr in out_arrs {
-                self.storage.edge_shapes(in_arr, out_arr)?;
-            }
+        let n_out = out_arrs.len();
+        if captures.len() != in_arrs.len() * n_out {
+            let (expected, got) = (in_arrs.len() * n_out, captures.len());
+            return Err(DslogError::ArityMismatch { expected, got });
         }
+        let shapes = |arrs: &[&str]| -> Result<Vec<Vec<usize>>> {
+            (arrs.iter())
+                .map(|a| Ok(self.storage.array(a)?.shape.clone()))
+                .collect()
+        };
+        let (in_shapes, out_shapes) = (shapes(in_arrs)?, shapes(out_arrs)?);
+        let pairs: Vec<(&str, &str)> = (in_arrs.iter())
+            .flat_map(|&in_arr| out_arrs.iter().map(move |&out_arr| (in_arr, out_arr)))
+            .collect();
 
         if reuse {
             if let Some((hit, mapping)) =
                 self.reuse
                     .lookup(op_name, op_args, content_hashes, &in_shapes, &out_shapes)
             {
-                self.install_mapping(in_arrs, out_arrs, mapping)?;
+                let edges = (pairs.iter().zip(mapping.tables))
+                    .map(|(&(i, o), table)| self.storage.prepare_reused(i, o, table))
+                    .collect::<Result<_>>()?;
+                self.storage.install(edges, OnDuplicate::Replace, None)?;
                 return Ok(RegistrationOutcome::Reused(hit));
             }
         }
 
-        // Fresh capture per pair.
-        let mut tables = Vec::with_capacity(captures.len());
-        for (pair_idx, capture) in captures.iter().enumerate() {
-            let in_idx = pair_idx / out_arrs.len();
-            let out_idx = pair_idx % out_arrs.len();
-            let table = capture.capture(&in_shapes[in_idx], &out_shapes[out_idx]);
-            self.storage
-                .ingest_lineage(in_arrs[in_idx], out_arrs[out_idx], &table)?;
-            tables.push(self.storage.stored_table(
-                in_arrs[in_idx],
-                out_arrs[out_idx],
-                crate::table::Orientation::Backward,
-            )?);
-        }
+        // Fresh capture per pair, stored as one batch: every pair or none.
+        let captured: Vec<LineageTable> = (captures.iter().enumerate())
+            .map(|(k, capture)| capture.capture(&in_shapes[k / n_out], &out_shapes[k % n_out]))
+            .collect();
+        let jobs: Vec<EdgeJob<'_>> = (pairs.iter().zip(&captured))
+            .map(|(&(i, o), table)| (i, o, table))
+            .collect();
+        let edges = self.storage.prepare(&jobs)?;
+        self.storage.install(edges, OnDuplicate::Replace, None)?;
 
         // Feed the automatic reuse predictor (§VI.C).
+        let tables = (pairs.iter())
+            .map(|&(i, o)| Ok((*self.storage.stored_table(i, o, Orientation::Backward)?).clone()))
+            .collect::<Result<_>>()?;
         let mapping = Mapping {
-            tables: tables.iter().map(|t| (**t).clone()).collect(),
+            tables,
             in_shapes,
             out_shapes,
         };
         self.reuse
             .observe(op_name, op_args, content_hashes, &mapping);
         Ok(RegistrationOutcome::Captured)
-    }
-
-    fn install_mapping(
-        &mut self,
-        in_arrs: &[&str],
-        out_arrs: &[&str],
-        mapping: Mapping,
-    ) -> Result<()> {
-        let n_out = out_arrs.len();
-        for (pair_idx, table) in mapping.tables.into_iter().enumerate() {
-            let in_idx = pair_idx / n_out;
-            let out_idx = pair_idx % n_out;
-            self.storage
-                .ingest_compressed(in_arrs[in_idx], out_arrs[out_idx], table)?;
-        }
-        Ok(())
     }
 
     /// Query lineage along a path of arrays (paper: `prov_query`).
@@ -843,6 +824,40 @@ mod tests {
         assert!(r.cells.contains_cell(&[2, 1]));
         assert_eq!(db.reuse_stats().captures, 2);
         assert!(db.reuse_stats().dim_hits + db.reuse_stats().gen_hits >= 1);
+    }
+
+    /// Regression: a failing pair used to leave the pairs captured before
+    /// it installed and logged. The operation stores every pair or none.
+    #[test]
+    fn failed_register_operation_stores_and_logs_nothing() {
+        use crate::storage::wal::OpKind;
+        let dir = std::env::temp_dir().join(format!("dslog-api-atomic-op-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = Dslog::options().create(&dir).unwrap();
+        for name in ["A", "B", "C"] {
+            db.define_array(name, &[3]).unwrap();
+        }
+        let capture = |t| Box::new(TableCapture::new(t)) as Box<dyn Capture>;
+        let identity = LineageTable::from_rows(1, 1, &[&[0, 0], &[1, 1], &[2, 2]]);
+        // A→C captures two output attributes where C has one axis.
+        let wrong = LineageTable::from_rows(2, 1, &[&[0, 0, 0]]);
+        let captures = vec![capture(identity.clone()), capture(wrong)];
+        let err = |expected, got| Err(DslogError::ArityMismatch { expected, got });
+        let op = db.register_operation("op", &["A"], &["B", "C"], captures, &[], true);
+        assert_eq!(op, err(2, 3));
+        assert_eq!(db.storage().n_edges(), 0);
+        assert_eq!(db.reuse_stats().captures, 0);
+        db.commit().unwrap();
+        let history = db.history().unwrap();
+        let logged = history
+            .iter()
+            .any(|r| matches!(r.kind, OpKind::IngestEdge { .. }));
+        assert!(!logged, "{history:?}");
+        // One capture short of the pairs is an error, not a panic.
+        let captures = vec![capture(identity)];
+        let op = db.register_operation("op", &["A"], &["B", "C"], captures, &[], true);
+        assert_eq!(op, err(2, 1));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,7 +17,9 @@ pub enum DslogError {
     QueryArityMismatch { expected: usize, got: usize },
     /// A query cell lies outside the bounds of the queried array.
     CellOutOfBounds { index: Vec<i64>, shape: Vec<usize> },
-    /// A lineage table's arity disagrees with the registered array shapes.
+    /// A lineage table's arity disagrees with the registered array shapes
+    /// (or a `register_operation` call's capture count with its number of
+    /// (input, output) pairs).
     ArityMismatch { expected: usize, got: usize },
     /// An array or edge has more or fewer axes than a table file can hold:
     /// an array needs at least one axis, and an edge's output plus input

@@ -13,8 +13,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Workers for `work` units when one worker should have at least `grain`
 /// of them: `work / grain`, capped by the hardware threads, at least 1.
 pub(crate) fn workers_for(work: usize, grain: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    hw.min(work / grain).max(1)
+    match work / grain {
+        // Asking for the hardware threads reads cgroup files on Linux: tens
+        // of microseconds, which a one-edge ingest would pay on every call.
+        0 | 1 => 1,
+        wanted => std::thread::available_parallelism().map_or(1, |n| n.get().min(wanted)),
+    }
 }
 
 /// `f(0), f(1), …, f(n_items - 1)`, in index order, computed by up to

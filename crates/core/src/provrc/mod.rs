@@ -153,7 +153,9 @@ const BATCH_GRAIN: usize = 5_000;
 /// The paper notes "ProvRC is also highly parallelizable, so we expect
 /// significant performance gains from a multi-threaded implementation" —
 /// this parallelizes across tables (one per operation/array pair), which is
-/// the granularity `register_operation` produces. Workers take the next
+/// the granularity `register_operation` produces: storage ingests every
+/// edge of a call (and every job of a service batch) as one batch through
+/// this function, one call per stored orientation. Workers take the next
 /// job off a shared counter, so skewed job sizes stay balanced. Results
 /// keep job order.
 pub fn compress_batch_parallel_opts(

@@ -7,7 +7,7 @@
 //! storage layer already has, at strictly-bounded extra cost:
 //!
 //! * **Resolution** — a query runs from its path's entry in the storage
-//!   manager's per-path registry ([`ResolvedPath`], found from the borrowed
+//!   manager's per-path registry (`ResolvedPath`, found from the borrowed
 //!   names under a read lock): every hop already bound to its edge and
 //!   orientation, so neither planning nor execution looks an array or an
 //!   edge up by name.

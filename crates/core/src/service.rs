@@ -21,10 +21,11 @@
 //!   never observe a partial batch, and the documented "all of a batch or
 //!   none of it" guarantee holds structurally, not by careful ordering.
 //! - **Ingest is two-phase.** [`ingest_batch`](DslogService::ingest_batch)
-//!   validates shapes and rejects duplicate edges against a snapshot,
-//!   compresses the whole batch *outside any lock* via
-//!   [`provrc::compress_batch_parallel_opts`], and then builds + swaps
-//!   the next epoch under the writer lock (O(edges) pointer work).
+//!   prepares the batch against a snapshot *outside any lock* — the
+//!   storage layer's one ingest path checks, compresses (via
+//!   [`crate::provrc::compress_batch_parallel_opts`]), indexes and
+//!   computes the log records — and then installs it into the next epoch
+//!   and swaps that in under the writer lock (O(edges) pointer work).
 //! - **Commits run against a pinned snapshot.** [`commit`](DslogService::commit)
 //!   pairs the pending-edge counter with a snapshot under the writer lock
 //!   (a momentary critical section), then drives [`Dslog::commit`] with
@@ -69,12 +70,10 @@
 
 use crate::api::{Dslog, QueryResult};
 use crate::error::{DslogError, Result};
-use crate::provrc::{self, CompressJob};
 use crate::storage::persist::CommitReport;
-use crate::storage::Materialize;
-use crate::table::{LineageTable, Orientation};
+use crate::storage::{EdgeJob, OnDuplicate};
+use crate::table::LineageTable;
 use dslog_sync::{ranks, Condvar, Mutex, RwLock};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -484,21 +483,19 @@ impl DslogService {
 
     /// Ingest a batch of edges.
     ///
-    /// Phase 1 (a snapshot, no lock): validate every job's arrays and
+    /// Phase 1 (a snapshot, no lock): reject duplicate `(in, out)` pairs —
+    /// against the stored edge set *and* within the batch itself
+    /// ([`DslogError::DuplicateEdge`]) — then check every job's arrays and
     /// arities (at most 256 attributes per edge,
-    /// [`DslogError::UnsupportedArity`] beyond), and reject duplicate
-    /// `(in, out)` pairs — against the
-    /// stored edge set *and* within the batch itself
-    /// ([`DslogError::DuplicateEdge`]).
-    /// Phase 2 (no lock): ProvRC-compress the whole batch, on worker
-    /// threads when it holds enough rows to pay for them.
-    /// Phase 3 (writer lock): re-run the duplicate check against the
-    /// *current* epoch (a racing batch may have installed one of our
-    /// pairs while we compressed), build the next epoch from pointer
-    /// clones, install every compressed table O(1)/edge, and publish with
-    /// one swap.
+    /// [`DslogError::UnsupportedArity`] beyond), ProvRC-compress the whole
+    /// batch (on worker threads when it holds enough rows to pay for
+    /// them), index each table and compute its log record.
+    /// Phase 2 (writer lock): re-check duplicates against the *current*
+    /// epoch (a racing batch may have installed one of our pairs while we
+    /// compressed), build the next epoch from pointer clones, install
+    /// every prepared edge O(1)/edge, and publish with one swap.
     ///
-    /// Phase 3 cannot partially install: any error before the swap drops
+    /// Phase 2 cannot partially install: any error before the swap drops
     /// the unpublished epoch, so concurrent queries — and the service
     /// counters — see either none or all of the batch, exactly. If the
     /// auto-commit edge threshold fires, the triggered commit's report is
@@ -522,95 +519,30 @@ impl DslogService {
                 auto_commit: None,
             });
         }
-        // Phase 1: resolve shapes + options against a snapshot. Shapes
-        // are stable once defined (re-definition with a different shape
-        // is rejected), so they cannot drift before phase 3. Duplicates
-        // are rejected here for a fast, pre-compression error; phase 3
-        // re-checks authoritatively.
-        let (shapes, opts, policy) = {
-            let db = self.shared.snapshot();
-            let storage = db.storage();
-            let mut batch_pairs: HashSet<(&str, &str)> = HashSet::with_capacity(jobs.len());
-            let shapes = jobs
-                .iter()
-                .map(|job| {
-                    let (out_shape, in_shape) =
-                        storage.edge_shapes(&job.in_array, &job.out_array)?;
-                    if job.lineage.out_arity() != out_shape.len()
-                        || job.lineage.in_arity() != in_shape.len()
-                    {
-                        return Err(DslogError::ArityMismatch {
-                            expected: out_shape.len() + in_shape.len(),
-                            got: job.lineage.arity(),
-                        });
-                    }
-                    if storage.has_directed_edge(&job.in_array, &job.out_array)
-                        || !batch_pairs.insert((&job.in_array, &job.out_array))
-                    {
-                        return Err(DslogError::DuplicateEdge {
-                            in_array: job.in_array.clone(),
-                            out_array: job.out_array.clone(),
-                        });
-                    }
-                    Ok((out_shape, in_shape))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            (shapes, storage.compress, storage.materialize)
-        };
-
-        // Phase 2: compress outside any lock.
-        let compress_jobs: Vec<CompressJob<'_>> = jobs
-            .iter()
-            .zip(&shapes)
-            .map(|(job, (out_shape, in_shape))| {
-                (&job.lineage, out_shape.as_slice(), in_shape.as_slice())
-            })
-            .collect();
-        let backward = matches!(policy, Materialize::Backward | Materialize::Both).then(|| {
-            provrc::compress_batch_parallel_opts(&compress_jobs, Orientation::Backward, opts)
-        });
-        let forward = matches!(policy, Materialize::Forward | Materialize::Both).then(|| {
-            provrc::compress_batch_parallel_opts(&compress_jobs, Orientation::Forward, opts)
-        });
-
-        // Phase 3: build + publish the next epoch under the writer lock
-        // (results keep job order; each iterator yields one table per
-        // job). The duplicate re-check runs against the freshest epoch
-        // BEFORE any install, so a batch that lost an install race is
-        // rejected whole. Counters are bumped while the lock is still
-        // held, so a commit — which pairs its snapshot with the counter
-        // under the same lock — can never see these edges without also
-        // counting them.
+        // Phase 1. Duplicates go first, by `install`'s own rule, so a
+        // refused batch is never compressed.
         let rows: usize = jobs.iter().map(|j| j.lineage.n_rows()).sum();
         let n_edges = jobs.len();
+        let edges = {
+            let db = self.shared.snapshot();
+            let storage = db.storage();
+            let pairs = jobs.iter().map(|j| (&j.in_array[..], &j.out_array[..]));
+            storage.reject_duplicates(pairs)?;
+            let edge_jobs: Vec<EdgeJob<'_>> = (jobs.iter())
+                .map(|j| (&j.in_array[..], &j.out_array[..], &j.lineage))
+                .collect();
+            storage.prepare(&edge_jobs)?
+        };
+
+        // Phase 2. On any error `next` is dropped unpublished. Counters are
+        // bumped while the lock is still held, so a commit — which pairs
+        // its snapshot with the counter under the same lock — can never
+        // see these edges without also counting them.
         let pending = {
-            let mut backward = backward.map(Vec::into_iter);
-            let mut forward = forward.map(Vec::into_iter);
             let _excl = self.shared.writer.lock();
             let mut next = self.shared.snapshot().clone_for_epoch();
-            let storage = next.storage_mut();
-            for job in &jobs {
-                if storage.has_directed_edge(&job.in_array, &job.out_array) {
-                    return Err(DslogError::DuplicateEdge {
-                        in_array: job.in_array.clone(),
-                        out_array: job.out_array.clone(),
-                    });
-                }
-            }
-            for job in &jobs {
-                // Cannot fail: arrays/arities validated in phase 1 (shapes
-                // are immutable once defined), duplicates re-checked just
-                // above, and the tables were compressed for exactly these
-                // slots. Even if it somehow did, `next` is unpublished —
-                // `?` here drops the whole epoch, installing nothing.
-                storage.ingest_prepared(
-                    &job.in_array,
-                    &job.out_array,
-                    backward.as_mut().and_then(Iterator::next),
-                    forward.as_mut().and_then(Iterator::next),
-                    actor,
-                )?;
-            }
+            next.storage_mut()
+                .install(edges, OnDuplicate::Reject, actor)?;
             self.shared.publish(next);
             self.shared
                 .edges_ingested
@@ -760,6 +692,7 @@ impl Drop for DslogService {
 mod tests {
     use super::*;
     use crate::api::TableCapture;
+    use crate::table::Orientation;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dslog-service-{tag}-{}", std::process::id()));
@@ -829,34 +762,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every ingest entry stores the same bytes and logs the same record,
+    /// under every materialization policy.
     #[test]
     fn batch_ingest_matches_sequential_ingest() {
-        let dir = temp_dir("parity");
-        let service = bound_service(&dir, AutoCommitPolicy::manual());
-        service.define_array("C", &[8]).unwrap();
-        service
-            .ingest_batch(vec![IngestJob::new("B", "C", small_lineage(8, 3))])
-            .unwrap();
-
-        let mut reference = Dslog::new();
-        reference.define_array("B", &[8]).unwrap();
-        reference.define_array("C", &[8]).unwrap();
-        reference
-            .add_lineage("B", "C", &TableCapture::new(small_lineage(8, 3)))
-            .unwrap();
-
-        let via_service = service.with_db(|db| {
-            (*db.storage()
-                .stored_table("B", "C", Orientation::Backward)
-                .unwrap())
-            .clone()
-        });
-        let via_api = reference
-            .storage()
-            .stored_table("B", "C", Orientation::Backward)
-            .unwrap();
-        assert_eq!(via_service, *via_api);
-        std::fs::remove_dir_all(&dir).unwrap();
+        use crate::storage::{format, wal::OpKind, Materialize};
+        let (backward, forward) = (Orientation::Backward, Orientation::Forward);
+        for (policy, stored) in [
+            (Materialize::Backward, &[backward][..]),
+            (Materialize::Forward, &[forward]),
+            (Materialize::Both, &[backward, forward]),
+        ] {
+            let mut first = None;
+            for entry in ["add_lineage", "register_operation", "ingest_batch"] {
+                let dir = temp_dir(&format!("parity-{policy:?}-{entry}"));
+                let mut db = Dslog::options().materialize(policy).create(&dir).unwrap();
+                db.define_array("B", &[8]).unwrap();
+                db.define_array("C", &[8]).unwrap();
+                let capture = TableCapture::new(small_lineage(8, 3));
+                match entry {
+                    "add_lineage" => db.add_lineage("B", "C", &capture).unwrap(),
+                    "register_operation" => {
+                        let captures: Vec<Box<dyn crate::api::Capture>> = vec![Box::new(capture)];
+                        db.register_operation("op", &["B"], &["C"], captures, &[], false)
+                            .unwrap();
+                    }
+                    _ => {
+                        let service = DslogService::new(db, AutoCommitPolicy::manual());
+                        let job = IngestJob::new("B", "C", small_lineage(8, 3));
+                        service.ingest_batch(vec![job]).unwrap();
+                        db = service.shutdown().unwrap().0;
+                    }
+                }
+                db.commit().unwrap();
+                let storage = db.storage();
+                let tables: Vec<Vec<u8>> = (stored.iter())
+                    .map(|&o| format::serialize(&storage.stored_table("B", "C", o).unwrap()))
+                    .collect();
+                let records: Vec<(u64, u32)> = (db.history().unwrap().into_iter())
+                    .filter_map(|r| match r.kind {
+                        OpKind::IngestEdge { bytes, digest, .. } => Some((bytes, digest)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(records.len(), 1, "{policy:?} {entry}");
+                let first = first.get_or_insert_with(|| (tables.clone(), records.clone()));
+                assert_eq!(*first, (tables, records), "{policy:?}: {entry} differs");
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -1071,9 +1025,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Regression (pre-PR: `ingest_prepared` silently overwrote duplicate
-    /// edges via `edges.insert`, bumping every counter while `n_edges`
-    /// stayed flat): a duplicate of an already-stored edge rejects the
+    /// Regression (batched ingest once silently overwrote duplicate edges
+    /// via `edges.insert`, bumping every counter while `n_edges` stayed
+    /// flat): a duplicate of an already-stored edge rejects the
     /// whole batch and leaves every counter exact.
     #[test]
     fn duplicate_of_stored_edge_rejected_with_exact_counters() {
@@ -1107,8 +1061,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Regression (pre-PR: phase 3 `?`-returned mid-loop, leaving earlier
-    /// jobs of the batch installed and the skipped counter bumps out of
+    /// Regression (the install phase once `?`-returned mid-loop, leaving
+    /// earlier jobs of the batch installed and the skipped counter bumps out of
     /// sync): a batch that fails on its *second* job must install
     /// NOTHING — queries, `n_edges`, and all counters behave as if the
     /// call never happened.

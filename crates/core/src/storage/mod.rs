@@ -7,6 +7,16 @@
 //! orientation is derived lazily on the first forward query over that edge
 //! and cached. A query path is resolved against the arrays and edges once
 //! per snapshot, into the manager's per-path registry (`ResolvedPath`).
+//!
+//! Every relation becomes a stored edge the same way, whoever captured it
+//! (`add_lineage`, `register_operation`, §VI reuse, the service's batched
+//! ingest): `StorageManager::prepare` then `StorageManager::install`.
+//! `prepare` owns every per-edge decision — the shape and arity checks,
+//! which orientations the [`Materialize`] policy stores, ProvRC
+//! compression, index building and the op-log record — and `install`
+//! owns the duplicate rule (replace or reject) and the pointer work of
+//! logging, storing and invalidating. A batch either installs whole or
+//! not at all.
 
 pub mod compact;
 pub mod format;
@@ -54,7 +64,7 @@ use crate::reuse::CompositePolicy;
 use crate::table::{CompressedTable, LineageTable, Orientation};
 use dslog_sync::{ranks, Mutex, RwLock};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -245,21 +255,6 @@ impl Edge {
         }
     }
 
-    /// A freshly ingested edge: both slots dirty (nothing committed yet).
-    fn from_tables(
-        backward: Option<Arc<CompressedTable>>,
-        forward: Option<Arc<CompressedTable>>,
-        out_shape: Vec<usize>,
-        in_shape: Vec<usize>,
-    ) -> Self {
-        Self::new(
-            Slot::dirty(backward.map(TableSource::Loaded)),
-            Slot::dirty(forward.map(TableSource::Loaded)),
-            out_shape,
-            in_shape,
-        )
-    }
-
     fn slot(&self, orientation: Orientation) -> &RwLock<Slot> {
         match orientation {
             Orientation::Backward => &self.backward,
@@ -403,6 +398,66 @@ impl Edge {
         // commit writes it.
         *slot_w = Slot::dirty(Some(TableSource::Loaded(Arc::clone(&derived))));
         Ok(derived)
+    }
+}
+
+/// One relation to ingest: `(input array, output array, lineage)`.
+pub(crate) type EdgeJob<'a> = (&'a str, &'a str, &'a LineageTable);
+
+/// What [`StorageManager::install`] does with a pair the store already
+/// holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OnDuplicate {
+    /// Capture path: a re-run operation's lineage supersedes the old edge.
+    Replace,
+    /// Service path: refuse the batch with [`DslogError::DuplicateEdge`],
+    /// so the stored edge count and the ingest counters never drift apart.
+    Reject,
+}
+
+/// An edge ready to store: checked against its arrays, its orientations
+/// compressed and indexed, its log record computed. Only
+/// [`StorageManager::prepare`] (and `prepare_reused`) make one.
+#[derive(Debug)]
+pub(crate) struct PreparedEdge {
+    /// `(input array, output array)`.
+    key: (String, String),
+    edge: Edge,
+    log: wal::OpKind,
+}
+
+impl PreparedEdge {
+    /// Index each of the `[backward, forward]` tables, and take the log
+    /// record from the stored one (backward if both are): its serialized
+    /// length and, as the per-edge digest, the crc32 the table file's own
+    /// trailer holds.
+    fn new(
+        key: (&str, &str),
+        tables: [Option<CompressedTable>; 2],
+        (out_shape, in_shape): (Vec<usize>, Vec<usize>),
+    ) -> Result<Self> {
+        let [backward, forward] = tables.map(|table| {
+            let table = Arc::new(table?);
+            if !table.is_generalized() {
+                table.ensure_index();
+            }
+            Some(table)
+        });
+        let table = (backward.as_deref().or(forward.as_deref()))
+            .ok_or(DslogError::Corrupt("edge with no stored orientation"))?;
+        let bytes = format::serialize(table);
+        let key = (key.0.to_string(), key.1.to_string());
+        let log = wal::OpKind::IngestEdge {
+            in_array: key.0.clone(),
+            out_array: key.1.clone(),
+            bytes: bytes.len() as u64,
+            digest: wal::trailer_crc(&bytes),
+        };
+        // A fresh edge: both slots dirty (nothing committed yet).
+        let [backward, forward] =
+            [backward, forward].map(|t| Slot::dirty(t.map(TableSource::Loaded)));
+        let edge = Edge::new(backward, forward, out_shape, in_shape);
+        Ok(Self { key, edge, log })
     }
 }
 
@@ -619,8 +674,8 @@ impl ResolvedPath {
 /// the maps (pointer copies), mutating the clone, and publishing it — the
 /// previous snapshot stays fully intact for in-flight readers.
 ///
-/// Queries do not look arrays or edges up by name: [`path`](Self::path)
-/// keeps one [`ResolvedPath`] per queried path — validated, every hop bound
+/// Queries do not look arrays or edges up by name: `path`
+/// keeps one `ResolvedPath` per queried path — validated, every hop bound
 /// to its edge and orientation, with the path's composite-edge state — that
 /// a warm query finds from its borrowed names under a read lock. Ingest
 /// into a pair drops the entries through it; nothing else can stale one
@@ -635,8 +690,8 @@ pub struct StorageManager {
     // values, copied into every epoch clone, so nothing one snapshot's
     // user does can change what another logs or writes.
     pub(crate) materialize: Materialize,
-    /// Compression options of the batched ingest path (whether its
-    /// relations may compress on worker threads).
+    /// Compression options of `prepare` (whether the relations of one
+    /// batch may compress on worker threads).
     pub(crate) compress: CompressOptions,
     pub(crate) composite_policy: CompositePolicy,
     /// Who operation-log records name when the operation brings no actor
@@ -745,19 +800,6 @@ impl StorageManager {
         });
     }
 
-    /// Operation-log record for an ingested edge: the serialized table's
-    /// byte length, and as the per-edge digest the crc32 of its payload —
-    /// the value the table file's own trailer holds.
-    fn wal_ingest_op(in_array: &str, out_array: &str, table: &CompressedTable) -> wal::OpKind {
-        let bytes = format::serialize(table);
-        wal::OpKind::IngestEdge {
-            in_array: in_array.to_string(),
-            out_array: out_array.to_string(),
-            bytes: bytes.len() as u64,
-            digest: wal::trailer_crc(&bytes),
-        }
-    }
-
     /// Define (or re-define identically) a named array.
     pub fn define_array(&mut self, name: &str, shape: &[usize]) -> Result<()> {
         self.define_array_as(name, shape, None)
@@ -803,8 +845,8 @@ impl StorageManager {
 
     /// The `(out, in)` shapes of an edge `in_array → out_array` between
     /// defined arrays, checked to fit a table file: at most
-    /// [`MAX_EDGE_ARITY`] attributes. Every ingest entry asks this before
-    /// it captures, compresses or logs anything.
+    /// [`MAX_EDGE_ARITY`] attributes. [`prepare`](Self::prepare) asks
+    /// this of every job before it compresses anything.
     pub(crate) fn edge_shapes(
         &self,
         in_array: &str,
@@ -824,145 +866,117 @@ impl StorageManager {
     }
 
     /// Ingest an uncompressed lineage relation for the edge
-    /// `in_array → out_array`, compressing it with ProvRC.
+    /// `in_array → out_array`, compressing it with ProvRC: one edge
+    /// through `prepare` and `install`.
     ///
     /// Re-ingesting an existing `(in, out)` pair *replaces* the stored
     /// edge (capture-path semantics: a re-run operation's lineage
-    /// supersedes the old one). The counter-exact batched service path
-    /// goes through [`ingest_prepared`](Self::ingest_prepared) instead,
-    /// which rejects duplicates.
+    /// supersedes the old one); the service's batched ingest rejects it.
     pub fn ingest_lineage(
         &mut self,
         in_array: &str,
         out_array: &str,
         lineage: &LineageTable,
     ) -> Result<()> {
-        let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
-        if lineage.out_arity() != out_shape.len() || lineage.in_arity() != in_shape.len() {
-            return Err(DslogError::ArityMismatch {
-                expected: out_shape.len() + in_shape.len(),
-                got: lineage.arity(),
-            });
-        }
-        let policy = self.materialize;
-        // Indexes are built eagerly alongside each materialized orientation
-        // so the first query over a fresh edge probes instead of scanning.
-        let compress = |orientation| {
-            let t = provrc::compress(lineage, &out_shape, &in_shape, orientation);
-            t.ensure_index();
-            Arc::new(t)
-        };
-        let backward = matches!(policy, Materialize::Backward | Materialize::Both)
-            .then(|| compress(Orientation::Backward));
-        let forward = matches!(policy, Materialize::Forward | Materialize::Both)
-            .then(|| compress(Orientation::Forward));
-        self.install_edge(in_array, out_array, backward, forward, None)
+        let edges = self.prepare(&[(in_array, out_array, lineage)])?;
+        self.install(edges, OnDuplicate::Replace, None)
     }
 
-    /// Ingest an already-compressed table (used by the reuse path).
-    /// Like [`ingest_lineage`](Self::ingest_lineage), re-ingesting an
-    /// existing pair replaces the stored edge.
-    pub fn ingest_compressed(
-        &mut self,
+    /// Every per-edge step of ingest, for a batch of relations: check each
+    /// job's arrays and arity, compress every orientation the
+    /// [`Materialize`] policy stores (one batch per orientation, on worker
+    /// threads when the batch is large enough), index each table and
+    /// compute each edge's log record. Needs only `&self`, so the service
+    /// runs it on a snapshot with no lock held; results keep job order.
+    pub(crate) fn prepare(&self, jobs: &[EdgeJob<'_>]) -> Result<Vec<PreparedEdge>> {
+        let mut shapes = Vec::with_capacity(jobs.len());
+        for &(in_array, out_array, lineage) in jobs {
+            let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
+            if (lineage.out_arity(), lineage.in_arity()) != (out_shape.len(), in_shape.len()) {
+                let (expected, got) = (out_shape.len() + in_shape.len(), lineage.arity());
+                return Err(DslogError::ArityMismatch { expected, got });
+            }
+            shapes.push((out_shape, in_shape));
+        }
+        let compress_jobs: Vec<provrc::CompressJob<'_>> = (jobs.iter().zip(&shapes))
+            .map(|(&(_, _, lineage), (out_shape, in_shape))| {
+                (lineage, &out_shape[..], &in_shape[..])
+            })
+            .collect();
+        let mut tables = [Orientation::Backward, Orientation::Forward].map(|orientation| {
+            let stored = match self.materialize {
+                Materialize::Backward => orientation == Orientation::Backward,
+                Materialize::Forward => orientation == Orientation::Forward,
+                Materialize::Both => true,
+            };
+            stored.then(|| {
+                provrc::compress_batch_parallel_opts(&compress_jobs, orientation, self.compress)
+                    .into_iter()
+            })
+        });
+        (jobs.iter().zip(shapes))
+            .map(|(&(in_array, out_array, _), shapes)| {
+                let job_tables = tables.each_mut().map(|t| t.as_mut()?.next());
+                PreparedEdge::new((in_array, out_array), job_tables, shapes)
+            })
+            .collect()
+    }
+
+    /// A reused table (§VI) as an edge for `install`. The reuse manager
+    /// matched it on these arrays' shapes, so only the arrays are checked.
+    pub(crate) fn prepare_reused(
+        &self,
         in_array: &str,
         out_array: &str,
         table: CompressedTable,
-    ) -> Result<()> {
-        let table = Arc::new(table);
-        if !table.is_generalized() {
-            table.ensure_index();
-        }
-        let (backward, forward) = match table.orientation() {
-            Orientation::Backward => (Some(table), None),
-            Orientation::Forward => (None, Some(table)),
+    ) -> Result<PreparedEdge> {
+        let shapes = self.edge_shapes(in_array, out_array)?;
+        let tables = match table.orientation() {
+            Orientation::Backward => [Some(table), None],
+            Orientation::Forward => [None, Some(table)],
         };
-        self.install_edge(in_array, out_array, backward, forward, None)
+        PreparedEdge::new((in_array, out_array), tables, shapes)
     }
 
-    /// Log and store one edge's orientation tables (at least one), which
-    /// replaces whatever the pair held and drops the registry entries through it.
-    fn install_edge(
+    /// Store prepared edges: log each, replace whatever its pair held, and
+    /// drop the registry entries through it. Pointer work only. With
+    /// [`OnDuplicate::Reject`] a pair already stored or named twice fails
+    /// the whole batch before anything is logged or stored.
+    pub(crate) fn install(
         &mut self,
-        in_array: &str,
-        out_array: &str,
-        backward: Option<Arc<CompressedTable>>,
-        forward: Option<Arc<CompressedTable>>,
+        edges: Vec<PreparedEdge>,
+        dup: OnDuplicate,
         actor: Option<&str>,
     ) -> Result<()> {
-        let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
-        let table = (backward.as_deref().or(forward.as_deref()))
-            .ok_or(DslogError::Corrupt("edge with no stored orientation"))?;
-        self.wal_push(Self::wal_ingest_op(in_array, out_array, table), actor);
-        self.edges.insert(
-            (in_array.to_string(), out_array.to_string()),
-            Arc::new(Edge::from_tables(backward, forward, out_shape, in_shape)),
-        );
-        self.invalidate_paths(in_array, out_array);
+        if dup == OnDuplicate::Reject {
+            self.reject_duplicates(edges.iter().map(|e| (&e.key.0[..], &e.key.1[..])))?;
+        }
+        for PreparedEdge { key, edge, log } in edges {
+            self.wal_push(log, actor);
+            self.invalidate_paths(&key.0, &key.1);
+            self.edges.insert(key, Arc::new(edge));
+        }
         Ok(())
     }
 
-    /// Ingest an edge from already-compressed orientation tables.
-    ///
-    /// This is the install half of the concurrent service's phased
-    /// ingest: [`crate::service::DslogService`] compresses batches with
-    /// no lock held (via [`provrc::compress_batch_parallel_opts`]) and
-    /// then installs the results here, into an unpublished epoch clone,
-    /// in O(1) per edge — concurrent queries keep reading the previous
-    /// epoch's snapshot and never wait on either phase.
-    ///
-    /// Unlike the capture path, an already-stored `(in, out)` pair is
-    /// **rejected** with [`DslogError::DuplicateEdge`] — a silent
-    /// overwrite would leave `n_edges` flat while the service's
-    /// ingested/pending counters (and auto-commit thresholds) kept
-    /// climbing on phantom edges. The map is untouched on any error. The
-    /// log record names `actor`, or the configured one for `None`.
-    pub fn ingest_prepared(
-        &mut self,
-        in_array: &str,
-        out_array: &str,
-        backward: Option<CompressedTable>,
-        forward: Option<CompressedTable>,
-        actor: Option<&str>,
+    /// [`DslogError::DuplicateEdge`] for the first `(in, out)` pair the
+    /// store already holds or `pairs` names twice: `install`'s
+    /// [`OnDuplicate::Reject`] rule, also asked early by callers that
+    /// would rather not compress a batch it refuses.
+    pub(crate) fn reject_duplicates<'a>(
+        &self,
+        pairs: impl Iterator<Item = (&'a str, &'a str)>,
     ) -> Result<()> {
-        let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
-        if self.has_directed_edge(in_array, out_array) {
-            return Err(DslogError::DuplicateEdge {
-                in_array: in_array.to_string(),
-                out_array: out_array.to_string(),
-            });
-        }
-        let prepare = |table: Option<CompressedTable>,
-                       orientation: Orientation|
-         -> Result<Option<Arc<CompressedTable>>> {
-            let Some(table) = table else { return Ok(None) };
-            // Primary side is the query side: output attrs for backward
-            // tables, input attrs for forward ones.
-            let (primary, secondary) = match orientation {
-                Orientation::Backward => (out_shape.len(), in_shape.len()),
-                Orientation::Forward => (in_shape.len(), out_shape.len()),
-            };
-            if table.orientation() != orientation {
-                // Not an arity problem: the caller put a table in the
-                // wrong slot. Report it as such.
-                return Err(DslogError::Corrupt(
-                    "prepared table orientation disagrees with its slot",
-                ));
-            }
-            if table.primary_arity() != primary || table.secondary_arity() != secondary {
-                return Err(DslogError::ArityMismatch {
-                    expected: out_shape.len() + in_shape.len(),
-                    got: table.arity(),
+        let mut seen = HashSet::new();
+        for (in_array, out_array) in pairs {
+            if self.has_directed_edge(in_array, out_array) || !seen.insert((in_array, out_array)) {
+                return Err(DslogError::DuplicateEdge {
+                    in_array: in_array.to_string(),
+                    out_array: out_array.to_string(),
                 });
             }
-            let table = Arc::new(table);
-            if !table.is_generalized() {
-                table.ensure_index();
-            }
-            Ok(Some(table))
-        };
-        let backward = prepare(backward, Orientation::Backward)?;
-        let forward = prepare(forward, Orientation::Forward)?;
-        self.install_edge(in_array, out_array, backward, forward, actor)
+        }
+        Ok(())
     }
 
     /// The incremental-commit binding, if any: the database directory the
@@ -1133,8 +1147,8 @@ impl StorageManager {
     }
 
     /// Whether an edge is stored for exactly this `(input, output)` pair
-    /// — the key [`ingest_prepared`](Self::ingest_prepared) deduplicates
-    /// on (the reverse pair is a *different* edge).
+    /// — the key batched ingest deduplicates on (the reverse pair is a
+    /// *different* edge).
     pub fn has_directed_edge(&self, in_array: &str, out_array: &str) -> bool {
         self.edges
             .contains_key(&(in_array.to_string(), out_array.to_string()))

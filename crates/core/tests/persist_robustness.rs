@@ -382,14 +382,13 @@ fn one_checksum_pass_still_answers_to_catalog_and_trailer() {
 
 /// An edge of 300 attributes is more than a table file holds (the
 /// decoder's bound is 256). Every ingest entry refuses it with a typed
-/// error before it captures, compresses or logs anything, so the bound
+/// error before it compresses or logs anything, so the bound
 /// directory still reopens and verifies; an array with no axis is refused
 /// the same way.
 #[test]
 fn over_wide_edge_is_refused_before_it_is_logged() {
     use dslog::service::{AutoCommitPolicy, DslogService, IngestJob};
     use dslog::storage::wal::OpKind;
-    use dslog::table::Orientation;
 
     let dir = temp_dir("over-wide");
     let mut db = Dslog::new();
@@ -417,11 +416,6 @@ fn over_wide_edge_is_refused_before_it_is_logged() {
     );
     let storage = db.storage_mut();
     assert_eq!(storage.ingest_lineage("A", "B", &t), Err(too_wide.clone()));
-    let backward = dslog::provrc::compress(&t, &[2; 100], &[2; 200], Orientation::Backward);
-    assert_eq!(
-        storage.ingest_prepared("A", "B", Some(backward), None, None),
-        Err(too_wide.clone())
-    );
     assert_eq!(
         db.define_array("E", &[]),
         Err(DslogError::UnsupportedArity {

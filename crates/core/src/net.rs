@@ -55,15 +55,29 @@
 //! of piling up. Per-session limits keep one misbehaving client from
 //! starving the rest:
 //!
-//! - request lines are capped at [`ServeOptions::max_line_bytes`] — an
-//!   oversized frame gets one error response and the connection is
-//!   closed (the byte-budget discipline of the persistence layer's
-//!   hostile-input handling, applied to the wire);
+//! - request lines are capped at [`ServeOptions::max_line_bytes`] (the
+//!   newline not counted) — an oversized frame gets one error response
+//!   and the connection is closed (the byte-budget discipline of the
+//!   persistence layer's hostile-input handling, applied to the wire);
 //! - responses are written under [`ServeOptions::write_timeout`] — a
 //!   reader that stops draining its socket is disconnected, not buffered
 //!   for;
-//! - reads poll at [`ServeOptions::poll_interval`] so idle sessions
-//!   notice server shutdown promptly.
+//! - reads poll at [`ServeOptions::poll_interval`] so sessions notice
+//!   server shutdown promptly, idle or halfway through a frame.
+//!
+//! ## Framing and writes
+//!
+//! Each response line is rendered straight into one per-session buffer.
+//! A session answers every complete request already in its read buffer,
+//! then writes the answers with one `write_all`: one write per wake-up,
+//! not one per request. **The session never blocks on a read while it
+//! owes the client a response**, so a lone request is answered as soon
+//! as it has run and a partly received frame never delays the answers
+//! before it. The buffer is also written once it passes 64 KiB, and keeps
+//! at most that capacity after a write. Every way a session ends (EOF,
+//! server stop, `quit`, `shutdown`, a transport error, an oversized
+//! frame, whose error line follows the answers before it) writes what it
+//! owes first.
 //!
 //! Queries inherit the service's epoch-snapshot guarantee: N sessions
 //! querying while others ingest and commit never block each other on the
@@ -96,6 +110,7 @@ use crate::storage::persist::CommitReport;
 use crate::table::LineageTable;
 use dslog_sync::{ranks, Condvar, Mutex};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -113,8 +128,9 @@ pub struct ServeOptions {
     /// arrivals are rejected as busy. Total admitted connections are
     /// therefore bounded by `workers + queue_depth`.
     pub queue_depth: usize,
-    /// Hard cap on one request line (newline included). Oversized frames
-    /// get one error response and the connection is closed.
+    /// Hard cap on one request line, its newline not counted: a line of
+    /// exactly `max_line_bytes` bytes is served. Oversized frames get one
+    /// error response and the connection is closed.
     pub max_line_bytes: usize,
     /// How long a response write may block on a slow reader before the
     /// session is dropped.
@@ -390,15 +406,21 @@ fn worker_loop(shared: &NetShared) {
 }
 
 /// What one request line asked the session loop to do next.
+#[derive(PartialEq, Eq)]
 enum SessionFlow {
     Continue,
     CloseSession,
     StopServer,
 }
 
+/// Response bytes a session holds before it writes them even with more
+/// requests buffered, and the buffer capacity it keeps after a write.
+const FLUSH_BYTES: usize = 64 << 10;
+
 /// Drive one client connection to completion: read request lines (capped,
-/// polled), execute, respond one JSON line each. Returns on EOF, `quit`,
-/// `shutdown`, transport errors, or server stop.
+/// polled), execute, answer one JSON line each. Returns on EOF, `quit`,
+/// `shutdown`, transport errors, or server stop, each time after writing
+/// the answers the session still owes.
 fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
     // Operation-log attribution for this session's mutating commands.
     let actor = stream
@@ -406,51 +428,63 @@ fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
         .map_or_else(|_| "net".to_string(), |a| format!("net:{a}"));
     stream.set_read_timeout(Some(shared.opts.poll_interval))?;
     stream.set_write_timeout(Some(shared.opts.write_timeout))?;
-    stream.set_nodelay(true).ok(); // request/response; don't batch
+    // Nagle stays off: the session coalesces its answers itself, and Nagle
+    // would hold each write back until the client acknowledged the last.
+    stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    loop {
-        line.clear();
+    let (mut line, mut out) = (Vec::new(), String::new());
+    let ended = loop {
+        // The session never blocks on a read while it owes the client a
+        // response: unless a complete request is already buffered (so the
+        // read below returns without waiting), the answers go out first.
+        if !reader.buffer().contains(&b'\n') || out.len() >= FLUSH_BYTES {
+            flush(&mut writer, &mut out)?;
+        }
         match read_line_bounded(&mut reader, shared.opts.max_line_bytes, &mut line) {
-            Ok(LineRead::Eof) => return Ok(()),
-            Ok(LineRead::TimedOut) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
+            Ok(LineRead::Eof) => break Ok(SessionFlow::CloseSession),
+            Ok(LineRead::TimedOut) if shared.stop.load(Ordering::Acquire) => {
+                break Ok(SessionFlow::CloseSession)
             }
+            // A poll tick, perhaps mid-frame: `line` keeps what has arrived.
+            Ok(LineRead::TimedOut) => continue,
             Ok(LineRead::TooLong) => {
                 shared.oversized_frames.fetch_add(1, Ordering::Relaxed);
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                let msg = json_err(&format!(
-                    "request line exceeds {} bytes; closing connection",
-                    shared.opts.max_line_bytes
-                ));
-                let _ = writeln(&mut writer, &msg);
-                return Ok(()); // cannot resync mid-frame: drop the session
+                let cap = shared.opts.max_line_bytes;
+                let msg = format!("request line exceeds {cap} bytes; closing connection");
+                json_err(&mut out, &msg);
+                break Ok(SessionFlow::CloseSession); // cannot resync mid-frame
             }
             Ok(LineRead::Line) => {}
-            Err(e) => return Err(e),
+            Err(e) => break Err(e),
         }
-        let text = String::from_utf8_lossy(&line);
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (response, flow) = execute(&shared.service, text, &actor);
-        writeln(&mut writer, &response)?;
-        match flow {
-            SessionFlow::Continue => {}
-            SessionFlow::CloseSession => return Ok(()),
-            SessionFlow::StopServer => {
-                let addr = writer.local_addr()?;
-                request_stop(shared, addr);
-                return Ok(());
+        let flow = match String::from_utf8_lossy(&line).trim() {
+            text if text.is_empty() || text.starts_with('#') => SessionFlow::Continue,
+            text => {
+                shared.requests.fetch_add(1, Ordering::Relaxed);
+                execute(&shared.service, text, &actor, &mut out)
             }
+        };
+        line.clear();
+        if flow != SessionFlow::Continue {
+            break Ok(flow);
         }
+    };
+    let flushed = flush(&mut writer, &mut out);
+    if let Ok(SessionFlow::StopServer) = ended {
+        request_stop(shared, writer.local_addr()?);
     }
+    flushed.and(ended.map(|_| ()))
+}
+
+/// Write all of `out` with one `write_all` and empty it, keeping at most
+/// [`FLUSH_BYTES`] of capacity.
+fn flush(writer: &mut TcpStream, out: &mut String) -> std::io::Result<()> {
+    let written = writer.write_all(out.as_bytes());
+    out.clear();
+    out.shrink_to(FLUSH_BYTES);
+    written
 }
 
 enum LineRead {
@@ -461,11 +495,11 @@ enum LineRead {
 }
 
 /// Read one `\n`-terminated line into `buf`, never retaining more than
-/// `max` bytes. A frame that hits the cap reports [`LineRead::TooLong`]
-/// without waiting for its newline (the overflow is left unread — the
-/// caller closes the connection). A read timeout with NO partial data is
-/// a poll tick; mid-line timeouts keep waiting so slow-but-live writers
-/// aren't corrupted by the poll interval.
+/// `max` bytes (the newline not counted). A frame that hits the cap
+/// reports [`LineRead::TooLong`] without waiting for its newline (the
+/// overflow is left unread — the caller closes the connection). A read
+/// timeout is a poll tick even mid-line: `buf` keeps the bytes read, so
+/// the next call continues the line and the caller still sees stop.
 fn read_line_bounded(
     reader: &mut BufReader<TcpStream>,
     max: usize,
@@ -475,10 +509,7 @@ fn read_line_bounded(
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if buf.is_empty() {
-                    return Ok(LineRead::TimedOut);
-                }
-                continue;
+                return Ok(LineRead::TimedOut);
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -511,81 +542,84 @@ fn read_line_bounded(
     }
 }
 
-fn writeln(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// Execute one request line against the service. Always returns a
-/// response (success or error JSON) plus what the session does next. A
-/// mutating command is logged under `actor` — this request's, whatever
-/// other sessions are doing meanwhile.
-fn execute(service: &DslogService, line: &str, actor: &str) -> (String, SessionFlow) {
+/// Execute one request line against the service and append its response
+/// line (success or error JSON, `'\n'` included) to `out`; a command
+/// appends nothing until it can no longer fail. Returns what the session
+/// does next. A mutating command is logged under `actor` — this
+/// request's, whatever other sessions are doing meanwhile.
+fn execute(service: &DslogService, line: &str, actor: &str, out: &mut String) -> SessionFlow {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().unwrap_or_default();
     let args: Vec<&str> = parts.collect();
-    let response = match (cmd, args.as_slice()) {
-        ("define", [spec]) => cmd_define(service, spec, actor),
+    let done = match (cmd, args.as_slice()) {
+        ("define", [spec]) => cmd_define(out, service, spec, actor),
         ("ingest", [in_name, out_name, rows]) => {
-            cmd_ingest(service, in_name, out_name, rows, actor)
+            cmd_ingest(out, service, in_name, out_name, rows, actor)
         }
-        ("query", [path, cells]) => cmd_query(service, path, cells, false),
-        ("query", [path, cells, "stats"]) => cmd_query(service, path, cells, true),
-        ("query_batch", [path, queries]) => cmd_query_batch(service, path, queries, false),
-        ("query_batch", [path, queries, "stats"]) => cmd_query_batch(service, path, queries, true),
+        ("query", [path, cells]) => cmd_query(out, service, path, cells, false),
+        ("query", [path, cells, "stats"]) => cmd_query(out, service, path, cells, true),
+        ("query_batch", [path, queries]) => cmd_query_batch(out, service, path, queries, false),
+        ("query_batch", [path, queries, "stats"]) => {
+            cmd_query_batch(out, service, path, queries, true)
+        }
         ("commit", []) => service
             .commit_as(Some(actor))
-            .map(|report| render_commit(&report))
+            .map(|report| render_commit(out, &report))
             .map_err(|e| e.to_string()),
-        ("stats", []) => Ok(render_stats(&service.stats())),
-        ("history", []) => cmd_history(service),
+        ("stats", []) => {
+            render_stats(out, &service.stats());
+            Ok(())
+        }
+        ("history", []) => cmd_history(out, service),
         ("quit" | "exit", []) => {
-            return (
-                "{\"ok\":true,\"closing\":\"session\"}".to_string(),
-                SessionFlow::CloseSession,
-            )
+            out.push_str("{\"ok\":true,\"closing\":\"session\"}\n");
+            return SessionFlow::CloseSession;
         }
         ("shutdown", []) => {
-            return (
-                "{\"ok\":true,\"closing\":\"server\"}".to_string(),
-                SessionFlow::StopServer,
-            )
+            out.push_str("{\"ok\":true,\"closing\":\"server\"}\n");
+            return SessionFlow::StopServer;
         }
         _ => Err(format!(
             "bad request `{line}`; expected define/ingest/query/query_batch/commit/stats/history/quit/shutdown"
         )),
     };
-    (
-        response.unwrap_or_else(|e| json_err(&e)),
-        SessionFlow::Continue,
-    )
+    match done {
+        Ok(()) => out.push('\n'),
+        Err(e) => json_err(out, &e),
+    }
+    SessionFlow::Continue
 }
 
 fn cmd_define(
+    out: &mut String,
     service: &DslogService,
     spec: &str,
     actor: &str,
-) -> std::result::Result<String, String> {
+) -> std::result::Result<(), String> {
     let (name, shape) = parse_array_spec(spec)?;
     service
         .define_array_as(&name, &shape, Some(actor))
         .map_err(|e| e.to_string())?;
-    let dims: Vec<String> = shape.iter().map(usize::to_string).collect();
-    Ok(format!(
-        "{{\"ok\":true,\"defined\":{},\"shape\":[{}]}}",
-        json_str(&name),
-        dims.join(",")
-    ))
+    let _ = write!(
+        out,
+        "{{\"ok\":true,\"defined\":{},\"shape\":",
+        JsonStr(&name)
+    );
+    push_list(out, &shape, |out, d| {
+        let _ = write!(out, "{d}");
+    });
+    out.push('}');
+    Ok(())
 }
 
 fn cmd_ingest(
+    out: &mut String,
     service: &DslogService,
     in_name: &str,
     out_name: &str,
     rows: &str,
     actor: &str,
-) -> std::result::Result<String, String> {
+) -> std::result::Result<(), String> {
     let (in_shape, out_shape) = service
         .with_db(|db| {
             Ok::<_, crate::error::DslogError>((
@@ -598,41 +632,45 @@ fn cmd_ingest(
     let report = service
         .ingest_batch_as(vec![IngestJob::new(in_name, out_name, table)], Some(actor))
         .map_err(|e| e.to_string())?;
-    Ok(render_batch(&report))
+    render_batch(out, &report);
+    Ok(())
 }
 
 fn cmd_query(
+    out: &mut String,
     service: &DslogService,
     path_spec: &str,
     cells_spec: &str,
     with_stats: bool,
-) -> std::result::Result<String, String> {
+) -> std::result::Result<(), String> {
     let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
     let cells = parse_cells(cells_spec)?;
     if cells.is_empty() {
         return Err("no query cells given".to_string());
     }
     let result = service.query(&path, &cells).map_err(|e| e.to_string())?;
-    let mut out = format!(
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"hops\":{},\"cells\":{},\"boxes\":",
         result.hops,
         result.cells.volume()
     );
-    render_boxes(&mut out, &result);
+    render_boxes(out, &result);
     if with_stats {
         out.push_str(",\"stats\":");
-        out.push_str(&render_query_stats(&result.stats));
+        render_query_stats(out, &result.stats);
     }
     out.push('}');
-    Ok(out)
+    Ok(())
 }
 
 fn cmd_query_batch(
+    out: &mut String,
     service: &DslogService,
     path_spec: &str,
     queries_spec: &str,
     with_stats: bool,
-) -> std::result::Result<String, String> {
+) -> std::result::Result<(), String> {
     let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
     let mut queries = Vec::new();
     for spec in queries_spec.split('|') {
@@ -650,93 +688,77 @@ fn cmd_query_batch(
         .map_err(|e| e.to_string())?;
     // All batch members share one sweep, so hops/stats are batch-wide.
     let hops = results.first().map_or(0, |r| r.hops);
-    let mut out = format!("{{\"ok\":true,\"hops\":{hops},\"results\":[");
-    for (i, result) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"cells\":{},\"boxes\":", result.cells.volume()));
-        render_boxes(&mut out, result);
+    let _ = write!(out, "{{\"ok\":true,\"hops\":{hops},\"results\":");
+    push_list(out, &results, |out, result| {
+        let _ = write!(out, "{{\"cells\":{},\"boxes\":", result.cells.volume());
+        render_boxes(out, result);
         out.push('}');
-    }
-    out.push(']');
+    });
     if with_stats {
         out.push_str(",\"stats\":");
-        out.push_str(&render_query_stats(
+        render_query_stats(
+            out,
             results.first().map_or(&QueryStats::default(), |r| &r.stats),
-        ));
+        );
     }
     out.push('}');
-    Ok(out)
+    Ok(())
 }
 
 /// Append `[[[lo,hi],...],...]` for the result's box set.
 fn render_boxes(out: &mut String, result: &QueryResult) {
-    out.push('[');
-    for (i, b) in result.cells.boxes().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, ivl) in b.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", ivl.lo, ivl.hi));
-        }
-        out.push(']');
-    }
-    out.push(']');
+    push_list(out, result.cells.boxes(), |out, b| {
+        push_list(out, b, |out, ivl| {
+            let _ = write!(out, "[{},{}]", ivl.lo, ivl.hi);
+        });
+    });
 }
 
 /// The `"stats"` object for `query ... stats` / `query_batch ... stats`.
-fn render_query_stats(stats: &QueryStats) -> String {
+fn render_query_stats(out: &mut String, stats: &QueryStats) {
     let plan = stats.plan.as_ref().map_or("off", |p| p.decision.label());
-    let mut out = format!(
-        "{{\"rows_probed\":{},\"rows_matched\":{},\"plan\":{},\"hops\":[",
+    let _ = write!(
+        out,
+        "{{\"rows_probed\":{},\"rows_matched\":{},\"plan\":{},\"hops\":",
         stats.hops.iter().map(|h| h.rows_probed).sum::<usize>(),
         stats.hops.iter().map(|h| h.rows_matched).sum::<usize>(),
-        json_str(plan),
+        JsonStr(plan),
     );
-    for (i, h) in stats.hops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    push_list(out, &stats.hops, |out, h| {
+        let _ = write!(
+            out,
             "{{\"probed\":{},\"matched\":{},\"boxes\":{}}}",
             h.rows_probed, h.rows_matched, h.boxes_emitted
-        ));
-    }
-    out.push_str("]}");
-    out
+        );
+    });
+    out.push('}');
 }
 
 /// The bound directory's operation log, oldest record first.
-fn cmd_history(service: &DslogService) -> std::result::Result<String, String> {
+fn cmd_history(out: &mut String, service: &DslogService) -> std::result::Result<(), String> {
     let records = service.history().map_err(|e| e.to_string())?;
-    let mut out = format!("{{\"ok\":true,\"records\":{},\"log\":[", records.len());
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let _ = write!(out, "{{\"ok\":true,\"records\":{},\"log\":", records.len());
+    push_list(out, &records, |out, r| {
+        let _ = write!(
+            out,
             "{{\"op\":{},\"timestamp_ms\":{},\"actor\":{},\"kind\":{},\"detail\":{},\
              \"gen_before\":{},\"gen_after\":{}}}",
             r.op_id,
             r.timestamp_ms,
-            json_str(&r.actor),
-            json_str(r.kind.name()),
-            json_str(&r.kind.describe()),
+            JsonStr(&r.actor),
+            JsonStr(r.kind.name()),
+            JsonStr(&r.kind.describe()),
             r.gen_before,
             r.gen_after
-        ));
-    }
-    out.push_str("]}");
-    Ok(out)
+        );
+    });
+    out.push('}');
+    Ok(())
 }
 
-fn render_commit(report: &CommitReport) -> String {
-    format!(
+fn render_commit(out: &mut String, report: &CommitReport) {
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"generation\":{},\"incremental\":{},\"files_written\":{},\
          \"files_reused\":{},\"bytes_written\":{}}}",
         report.generation,
@@ -744,36 +766,36 @@ fn render_commit(report: &CommitReport) -> String {
         report.files_written,
         report.files_reused,
         report.bytes_written
-    )
+    );
 }
 
-fn render_batch(report: &BatchReport) -> String {
-    let mut out = format!(
+fn render_batch(out: &mut String, report: &BatchReport) {
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"edges\":{},\"rows\":{},\"pending_edges\":{}",
         report.edges, report.rows, report.pending_edges
     );
     match &report.auto_commit {
         Some(Ok(commit)) => {
             out.push_str(",\"auto_commit\":");
-            out.push_str(&render_commit(commit));
+            render_commit(out, commit);
         }
         Some(Err(e)) => {
             out.push_str(",\"auto_commit\":{\"ok\":false,\"error\":");
-            out.push_str(&json_str(&e.to_string()));
-            out.push('}');
+            let _ = write!(out, "{}}}", JsonStr(&e.to_string()));
         }
         None => {}
     }
     out.push('}');
-    out
 }
 
-fn render_stats(s: &ServiceStats) -> String {
-    format!(
+fn render_stats(out: &mut String, s: &ServiceStats) {
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"arrays\":{},\"edges\":{},\"pending_edges\":{},\"edges_ingested\":{},\
          \"queries\":{},\"commits\":{},\"auto_commits\":{},\"failed_commits\":{},\
          \"last_commit_error\":{},\"epoch\":{},\"generation\":{},\"compactions\":{},\
-         \"config\":{}}}",
+         \"config\":",
         s.arrays,
         s.edges,
         s.pending_edges,
@@ -782,26 +804,25 @@ fn render_stats(s: &ServiceStats) -> String {
         s.commits,
         s.auto_commits,
         s.failed_commits,
-        s.last_commit_error
-            .as_deref()
-            .map_or("null".to_string(), json_str),
+        or_null(&s.last_commit_error.as_deref().map(JsonStr)),
         s.epoch,
-        s.generation.map_or("null".to_string(), |g| g.to_string()),
+        or_null(&s.generation),
         s.compactions,
-        render_config(&s.config)
-    )
+    );
+    render_config(out, &s.config);
+    out.push('}');
 }
 
 /// The effective served-database configuration as a JSON object (the
 /// `"config"` field of a `stats` response).
-fn render_config(c: &crate::api::DslogConfig) -> String {
-    let null_or = |v: Option<u64>| v.map_or("null".to_string(), |g| g.to_string());
+fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
     let materialize = match c.materialize {
         crate::storage::Materialize::Backward => "backward",
         crate::storage::Materialize::Forward => "forward",
         crate::storage::Materialize::Both => "both",
     };
-    format!(
+    let _ = write!(
+        out,
         "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\
          \"wal_actor\":{},\"wal_retention\":{},\"materialize\":\"{materialize}\",\
          \"compress\":{{\"parallel\":{}}},\
@@ -809,41 +830,69 @@ fn render_config(c: &crate::api::DslogConfig) -> String {
          \"composite\":{{\"enabled\":{},\"hit_threshold\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
-        null_or(c.as_of),
-        c.gzip.map_or("null".to_string(), |g| g.to_string()),
-        json_str(&c.wal_actor),
+        or_null(&c.as_of),
+        or_null(&c.gzip),
+        JsonStr(&c.wal_actor),
         c.wal_retention,
         c.compress.parallel,
         c.query.merge,
         c.query.use_planner,
         c.composite_policy.enabled,
         c.composite_policy.hit_threshold,
-        null_or(c.maintenance.auto_compact_generations)
-    )
+        or_null(&c.maintenance.auto_compact_generations)
+    );
 }
 
-/// `{"ok":false,"error":...}` with the message JSON-escaped.
-fn json_err(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json_str(message))
-}
-
-/// Minimal JSON string encoder (quotes, backslash, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Append `[a,b,...]`, each item rendered by `push`.
+fn push_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        push(out, item);
     }
-    out.push('"');
-    out
+    out.push(']');
+}
+
+/// `v` as a JSON value, `null` when absent.
+fn or_null<T: std::fmt::Display>(v: &Option<T>) -> &dyn std::fmt::Display {
+    match v {
+        Some(v) => v,
+        None => &"null",
+    }
+}
+
+/// Append the `{"ok":false,"error":...}` response line, `'\n'` included,
+/// with the message JSON-escaped.
+fn json_err(out: &mut String, message: &str) {
+    let _ = writeln!(out, "{{\"ok\":false,\"error\":{}}}", JsonStr(message));
+}
+
+/// Minimal JSON string encoder (quotes, backslash, control chars): writes
+/// straight into whatever `write!` formats into.
+struct JsonStr<'a>(&'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
 }
 
 /// `NAME:3x2` → `("NAME", [3, 2])`. Scalar arrays use `NAME:1`. The one
@@ -936,8 +985,9 @@ mod tests {
     }
 
     fn roundtrip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, req: &str) -> String {
-        writer.write_all(req.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
+        // One write: a server that closes on an oversized frame must not
+        // find its newline still unread (the close would be a reset).
+        writer.write_all(format!("{req}\n").as_bytes()).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         line.trim().to_string()
@@ -1037,13 +1087,138 @@ mod tests {
             ..ServeOptions::default()
         });
         let (mut reader, mut writer) = connect(server.local_addr());
-        let big = format!("query B,A {}", "1;".repeat(200));
-        let resp = roundtrip(&mut reader, &mut writer, &big);
+        // The cap counts the line without its newline: 64 bytes are
+        // served, 65 are not.
+        let resp = roundtrip(&mut reader, &mut writer, &format!("{:<64}", "stats"));
+        assert!(resp.starts_with("{\"ok\":true"), "{resp}");
+        let resp = roundtrip(&mut reader, &mut writer, &format!("{:<65}", "stats"));
         assert!(resp.contains("exceeds 64 bytes"), "{resp}");
         let mut end = String::new();
         assert_eq!(reader.read_line(&mut end).unwrap(), 0, "expected EOF");
         assert_eq!(server.stats().oversized_frames, 1);
         server.stop();
+        server.join();
+    }
+
+    #[test]
+    fn half_sent_frame_does_not_block_shutdown() {
+        let (_service, server) = spawn_test_server(ServeOptions {
+            workers: 1,
+            poll_interval: Duration::from_millis(20),
+            ..ServeOptions::default()
+        });
+        let (mut reader, mut writer) = connect(server.local_addr());
+        assert!(roundtrip(&mut reader, &mut writer, "stats").starts_with("{\"ok\":true"));
+        writer.write_all(b"query B,A").unwrap(); // no newline, and the client stays
+        let (joined, wait) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            joined.send(server.join()).unwrap();
+        });
+        let stats = wait.recv_timeout(Duration::from_secs(5));
+        assert!(stats.is_ok(), "server still serving a half-sent frame");
+        drop(writer);
+    }
+
+    #[test]
+    fn pipelined_burst_matches_one_at_a_time() {
+        let burst = [
+            "define C:4",
+            "ingest A B 0,1;1,2;2,3",
+            "query B,A 1",
+            "query B,A 1;2 stats",
+            "query_batch B,A 1|2|7",
+            "query_batch B,A 1|2 stats",
+            "# a comment gets no response",
+            "bogus request",
+            "query NOPE,A 1",
+            "stats",
+            "history",
+        ];
+        let requests: Vec<&str> = burst
+            .iter()
+            .copied()
+            .filter(|r| !r.starts_with('#'))
+            .collect();
+        let root = std::env::temp_dir().join(format!("dslog-net-burst-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let serve = |name: &str| {
+            let mut db = Dslog::options().create(root.join(name)).unwrap();
+            db.define_array("A", &[8]).unwrap();
+            db.define_array("B", &[8]).unwrap();
+            let service = Arc::new(DslogService::new(db, AutoCommitPolicy::manual()));
+            let opts = ServeOptions {
+                workers: 1,
+                ..ServeOptions::default()
+            };
+            NetServer::spawn(service, "127.0.0.1:0", opts).unwrap()
+        };
+        // A peer's port and a clock reading differ between the two
+        // servers by nature; everything else must match byte for byte.
+        let mask = |line: &str| {
+            let mut out = line.to_string();
+            for key in ["\"actor\":", "\"timestamp_ms\":"] {
+                let mut from = 0;
+                while let Some(at) = out[from..].find(key) {
+                    let start = from + at + key.len();
+                    let len = out[start..].find([',', '}']).unwrap();
+                    out.replace_range(start..start + len, "_");
+                    from = start;
+                }
+            }
+            out
+        };
+
+        let piped = serve("piped");
+        let (mut reader, mut writer) = connect(piped.local_addr());
+        writer
+            .write_all(format!("{}\n", burst.join("\n")).as_bytes())
+            .unwrap();
+        let mut answers = Vec::new();
+        for _ in &requests {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            answers.push(mask(line.trim_end()));
+        }
+
+        let single = serve("single");
+        let (mut reader, mut writer) = connect(single.local_addr());
+        for (request, answer) in requests.iter().zip(&answers) {
+            let expected = mask(&roundtrip(&mut reader, &mut writer, request));
+            assert_eq!(answer, &expected, "answers to `{request}` differ");
+        }
+        assert!(answers.last().unwrap().contains("\"actor\":_"));
+        drop((piped, single));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn pipelined_burst_cut_short_delivers_what_came_before() {
+        let (_service, server) = spawn_test_server(ServeOptions {
+            workers: 1,
+            max_line_bytes: 64,
+            ..ServeOptions::default()
+        });
+        // Every answer line up to EOF.
+        let burst = |text: String| -> Vec<String> {
+            let (reader, mut writer) = connect(server.local_addr());
+            writer.write_all(text.as_bytes()).unwrap();
+            reader.lines().map(|line| line.unwrap()).collect()
+        };
+        let lines = burst("stats\nquit\nstats\n".to_string());
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("{\"ok\":true,\"arrays\""), "{lines:?}");
+        assert_eq!(lines[1], "{\"ok\":true,\"closing\":\"session\"}");
+
+        let lines = burst(format!("stats\n{:<65}\n", "stats"));
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("{\"ok\":true,\"arrays\""), "{lines:?}");
+        assert!(lines[1].contains("exceeds 64 bytes"), "{lines:?}");
+
+        let lines = burst("stats\nshutdown\n".to_string());
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("{\"ok\":true,\"arrays\""), "{lines:?}");
+        assert_eq!(lines[1], "{\"ok\":true,\"closing\":\"server\"}");
         server.join();
     }
 

@@ -415,6 +415,12 @@ enum SessionFlow {
 
 /// Response bytes a session holds before it writes them even with more
 /// requests buffered, and the buffer capacity it keeps after a write.
+///
+/// One response is still rendered whole before any of it is written.
+/// Streaming it through a `BufWriter` would bound that too, but every
+/// renderer would then return socket errors to keep apart from service
+/// errors, and `BufWriter`'s drop retries a write that timed out, holding
+/// a stalled reader for a second `write_timeout`.
 const FLUSH_BYTES: usize = 64 << 10;
 
 /// Drive one client connection to completion: read request lines (capped,
@@ -1081,9 +1087,11 @@ mod tests {
 
     #[test]
     fn oversized_frame_rejected_and_connection_closed() {
+        let poll_interval = Duration::from_millis(20);
         let (_service, server) = spawn_test_server(ServeOptions {
             workers: 1,
             max_line_bytes: 64,
+            poll_interval,
             ..ServeOptions::default()
         });
         let (mut reader, mut writer) = connect(server.local_addr());
@@ -1096,6 +1104,21 @@ mod tests {
         let mut end = String::new();
         assert_eq!(reader.read_line(&mut end).unwrap(), 0, "expected EOF");
         assert_eq!(server.stats().oversized_frames, 1);
+
+        // A hostile frame with no newline at all is refused once it passes
+        // the cap, without waiting for one, and the cap counts the bytes
+        // kept across poll ticks: neither half alone exceeds it.
+        let (mut reader, mut writer) = connect(server.local_addr());
+        let half = format!("query B,A {}", "1;".repeat(15));
+        writer.write_all(half.as_bytes()).unwrap();
+        std::thread::sleep(poll_interval * 5);
+        writer.write_all(half.as_bytes()).unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(resp.contains("exceeds 64 bytes"), "{resp}");
+        let mut end = String::new();
+        assert_eq!(reader.read_line(&mut end).unwrap(), 0, "expected EOF");
+        assert_eq!(server.stats().oversized_frames, 2);
         server.stop();
         server.join();
     }

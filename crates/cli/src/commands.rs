@@ -1,17 +1,19 @@
-//! CLI subcommand implementations. Each returns the text to print so the
-//! test suite can drive commands in-process.
+//! CLI subcommand implementations. Each returns the text to print (and
+//! `serve` writes each reply to the sink it is given as it is answered) so
+//! the test suite can drive commands in-process.
 
 use crate::csv;
 use crate::opts::Opts;
 use dslog::api::{Dslog, OpenOptions, TableCapture};
-use dslog::net::{parse_array_spec, parse_cells, NetServer, ServeOptions};
+use dslog::net::{self, parse_array_spec, parse_cells, NetServer, Outcome, ServeOptions};
 use dslog::provrc;
-use dslog::service::{AutoCommitPolicy, DslogService, IngestJob, MaintenancePolicy};
+use dslog::service::{AutoCommitPolicy, DslogService, MaintenancePolicy};
 use dslog::storage::format as provrc_format;
 use dslog::storage::wal::{IoFault, IoPolicy};
 use dslog::table::Orientation;
 use dslog_baselines::all_formats;
 use std::fmt::Write as _;
+use std::io::Write;
 use std::time::Duration;
 
 /// `dslog help`
@@ -79,16 +81,24 @@ runs the same pass automatically after every N committed generations.
 raw MB/s).
 
 `serve` runs the concurrent ingest-while-query service on a command
-stream (one command per line, from --script FILE or stdin):
+stream (one command per line, from --script FILE or stdin). It speaks
+the wire protocol of `serve --listen` and prints each command's JSON
+reply line, the same bytes a TCP client gets:
 
   define NAME:3x2             define an array
-  ingest IN OUT FILE.csv      compress + install one edge
-  query  B,A 1;2              prov_query along a path
-  query_batch B,A 1;2|0       |-separated queries in one shared sweep
+  ingest IN OUT 0,0,0;1,1,0   compress + install one edge; rows inline,
+                              `;`-separated, laid out as CSV rows
+  query  B,A 1;2 [stats]      prov_query along a path
+  query_batch B,A 1;2|0 [stats]
+                              |-separated queries in one shared sweep
   commit                      incremental commit to the database dir
-  stats                       service counters
-  history                     print the database's operation log
+  stats                       service counters and configuration
+  history                     the database's operation log
   quit                        stop (implied at end of stream)
+  shutdown                    stop (stops a --listen server)
+
+The stream stops at the first failed command, with an error naming its
+line. CSV files are ingested with `dslog ingest --csv`.
 
 `query` plans each path with the cost-based planner (empty-hop pruning,
 selective-hop reordering, composite-edge reuse); --no-planner runs the
@@ -102,11 +112,10 @@ pending; --auto-commit-ms MS commits on a timer. Pending edges are
 committed on shutdown even when a command fails. --gzip converts an
 existing plain database to the gzip disk format on open.
 
-With --listen ADDR, `serve` instead runs a TCP server (one request per
-line, one JSON response line; same command set, but `ingest` takes
-inline rows `0,1;1,2` instead of a CSV path, and `shutdown` stops the
-server). Queries run against immutable epoch snapshots and never wait
-on ingest or commit IO. --addr-file FILE writes the bound address (use
+With --listen ADDR (not with --script), `serve` instead runs a TCP
+server speaking the same protocol to many clients at once. Queries run
+against immutable epoch snapshots and never wait on ingest or commit
+IO. --addr-file FILE writes the bound address (use
 --listen 127.0.0.1:0 for an OS-assigned port); --net-workers,
 --net-queue-depth, and --max-line-bytes bound concurrent sessions,
 the admission queue, and request size. `client` connects to a serving
@@ -347,11 +356,10 @@ pub fn db(args: &[String]) -> Result<String, String> {
             writeln!(
                 out,
                 "database OK: {} array(s), {} edge(s), {} table(s) verified \
-                 (catalog v{}, {}, {} log record(s))",
+                 ({}, {} log record(s))",
                 report.n_arrays,
                 report.n_edges,
                 report.files_verified,
-                report.catalog_version,
                 if report.gzip { "gzip" } else { "plain" },
                 report.log_records
             )
@@ -435,13 +443,15 @@ pub fn db(args: &[String]) -> Result<String, String> {
 }
 
 /// `dslog serve`: run the concurrent ingest-while-query service over a
-/// command stream (one command per line; `--script FILE` or stdin). See
-/// [`help`] for the command grammar. Ingest batches compress with no
-/// lock held and publish as new epoch snapshots, queries run wait-free
-/// against the current snapshot, and commits are incremental against
-/// the database directory's current generation. With `--listen ADDR`
-/// the same service is exposed over TCP instead (see [`serve_listen`]).
-pub fn serve(args: &[String]) -> Result<String, String> {
+/// command stream (one command per line; `--script FILE` or stdin),
+/// writing one JSON reply line per command to `replies`. See [`help`] for
+/// the command grammar, which is the wire protocol's. Ingest batches
+/// compress with no lock held and publish as new epoch snapshots, queries
+/// run wait-free against the current snapshot, and commits are incremental
+/// against the database directory's current generation. With
+/// `--listen ADDR` the same service is exposed over TCP instead (see
+/// [`serve_listen`]).
+pub fn serve(args: &[String], replies: &mut dyn Write) -> Result<String, String> {
     let known = [
         "db",
         "gzip",
@@ -460,6 +470,10 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     ];
     let opts = Opts::parse("serve", &known, args)?;
     let db_dir = opts.required("db")?;
+    let (listen, script) = (opts.optional("listen"), opts.optional("script"));
+    if listen.is_some() && script.is_some() {
+        return Err("serve takes --listen or --script, not both".to_string());
+    }
     let gzip = opts.switch("gzip");
     let lazy = opts.switch("lazy");
     let policy = AutoCommitPolicy {
@@ -473,11 +487,7 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     };
     // Operation-log attribution: TCP sessions log their commands under
     // their peer address; policy-triggered commits say "auto-commit".
-    let actor = if opts.optional("script").is_some() {
-        "script"
-    } else {
-        "cli"
-    };
+    let actor = if script.is_some() { "script" } else { "cli" };
     let options = writer_options(&opts, actor)?.maintenance(maintenance);
 
     // Open an existing database, or initialize (and bind) an empty one so
@@ -512,28 +522,24 @@ pub fn serve(args: &[String]) -> Result<String, String> {
             .map_err(|e| format!("initialize {db_dir}: {e}"))?
     };
     let service = DslogService::new(db, policy);
-    if let Some(listen) = opts.optional("listen") {
+    if let Some(listen) = listen {
         return serve_listen(&opts, service, listen);
     }
-    let mut out = String::new();
-    let stream_result = match opts.optional("script") {
+    let stream_result = match script {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(text) => drive_serve(
                 &service,
+                actor,
                 text.lines().map(|l| Ok(l.to_string())),
-                &mut out,
-                false,
+                replies,
             ),
             Err(e) => Err(format!("read script {path}: {e}")),
         },
+        // Commands run as each stdin line arrives: a long-lived pipe gets
+        // its replies at once, the stream is not buffered to EOF first.
         None => {
-            // Live mode: commands are executed as each stdin line arrives
-            // (a long-lived pipe gets its responses immediately — the
-            // stream is NOT buffered to EOF first), and each command's
-            // output is printed and flushed on the spot.
             use std::io::BufRead as _;
-            let stdin = std::io::stdin();
-            drive_serve(&service, stdin.lock().lines(), &mut out, true)
+            drive_serve(&service, actor, std::io::stdin().lock().lines(), replies)
         }
     };
     // Final commit of anything pending — even after a failed command, so
@@ -544,14 +550,11 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     let generation = db
         .bound_database()
         .map_or(0, |(_, _, generation)| generation);
-    writeln!(
-        out,
-        "serve done: {} array(s), {} edge(s) at generation {generation}",
+    Ok(format!(
+        "serve done: {} array(s), {} edge(s) at generation {generation}\n",
         db.storage().array_names().len(),
         db.storage().n_edges()
-    )
-    .unwrap();
-    Ok(out)
+    ))
 }
 
 /// `dslog serve --listen`: run the TCP front-end until a client sends
@@ -576,11 +579,8 @@ fn serve_listen(opts: &Opts, service: DslogService, listen: &str) -> Result<Stri
     let server = NetServer::spawn(std::sync::Arc::clone(&service), listen, net_opts)
         .map_err(|e| format!("listen {listen}: {e}"))?;
     let addr = server.local_addr();
-    {
-        use std::io::Write as _;
-        println!("listening on {addr}");
-        let _ = std::io::stdout().flush();
-    }
+    println!("listening on {addr}");
+    let _ = std::io::stdout().flush();
     if let Some(path) = opts.optional("addr-file") {
         std::fs::write(path, format!("{addr}\n")).map_err(|e| format!("write {path}: {e}"))?;
     }
@@ -629,7 +629,7 @@ fn retry_backoff(base_ms: u64, attempt: u64) -> Duration {
 /// Admission happens at most once per session: after any real response,
 /// a transport error is fatal, never retried.
 pub fn client(args: &[String]) -> Result<String, String> {
-    use std::io::{BufRead as _, Write as _};
+    use std::io::BufRead as _;
     let known = ["addr", "script", "stats", "retries", "retry-ms"];
     let opts = Opts::parse("client", &known, args)?;
     let addr = opts.required("addr")?;
@@ -741,185 +741,39 @@ fn database_exists(db_dir: &str) -> bool {
     std::path::Path::new(db_dir).join("catalog.dsl").exists()
 }
 
-/// Feed a command stream to the service, one line at a time. In `live`
-/// mode (stdin) each command's output is printed and flushed immediately
-/// instead of being accumulated, so a long-lived session stays bounded
-/// and responsive; script mode accumulates into `out` for the caller.
+/// Feed a command stream to the service through the wire protocol's
+/// interpreter ([`net::execute`]), one line at a time, and write each
+/// reply line to `replies` as soon as it is answered. Mutations are logged
+/// under `actor`. Stops after `quit`, `exit` or `shutdown`, and at the
+/// first failed command, naming its line and its reply.
 fn drive_serve(
     service: &DslogService,
+    actor: &str,
     lines: impl Iterator<Item = std::io::Result<String>>,
-    out: &mut String,
-    live: bool,
+    replies: &mut dyn Write,
 ) -> Result<(), String> {
+    let mut reply = String::new();
     for (lineno, line) in lines.enumerate() {
         let line = line.map_err(|e| format!("read command stream: {e}"))?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match serve_command(service, line) {
-            Ok(Some(text)) if live => {
-                use std::io::Write as _;
-                print!("{text}");
-                let _ = std::io::stdout().flush();
+        reply.clear();
+        let outcome = net::execute(service, line, actor, &mut reply);
+        replies
+            .write_all(reply.as_bytes())
+            .and_then(|()| replies.flush())
+            .map_err(|e| format!("write reply: {e}"))?;
+        match outcome {
+            Outcome::Done => {}
+            Outcome::Failed => {
+                return Err(format!("serve line {}: {}", lineno + 1, reply.trim_end()))
             }
-            Ok(Some(text)) => out.push_str(&text),
-            Ok(None) => break,
-            Err(e) => return Err(format!("serve line {}: {e}", lineno + 1)),
+            Outcome::CloseSession | Outcome::StopServer => break,
         }
     }
     Ok(())
-}
-
-/// Execute one `serve` stream command. `Ok(None)` means quit.
-fn serve_command(service: &DslogService, line: &str) -> Result<Option<String>, String> {
-    let mut parts = line.split_whitespace();
-    let cmd = parts.next().expect("caller skips blank lines");
-    let args: Vec<&str> = parts.collect();
-    let mut out = String::new();
-    match (cmd, args.as_slice()) {
-        ("define", [spec]) => {
-            let (name, shape) = parse_array_spec(spec)?;
-            service
-                .define_array(&name, &shape)
-                .map_err(|e| e.to_string())?;
-            writeln!(out, "defined {name} shape {shape:?}").unwrap();
-        }
-        ("ingest", [in_name, out_name, csv_path]) => {
-            let (in_shape, out_shape) = service
-                .with_db(|db| {
-                    Ok::<_, dslog::DslogError>((
-                        db.storage().array(in_name)?.shape.clone(),
-                        db.storage().array(out_name)?.shape.clone(),
-                    ))
-                })
-                .map_err(|e| e.to_string())?;
-            let text =
-                std::fs::read_to_string(csv_path).map_err(|e| format!("read {csv_path}: {e}"))?;
-            let table = csv::parse(&text, out_shape.len(), in_shape.len())?;
-            let report = service
-                .ingest_batch(vec![IngestJob::new(*in_name, *out_name, table)])
-                .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "ingested {} row(s) as edge {in_name} -> {out_name} ({} pending)",
-                report.rows, report.pending_edges
-            )
-            .unwrap();
-            match report.auto_commit {
-                Some(Ok(commit)) => writeln!(
-                    out,
-                    "auto-committed generation {} ({} written, {} reused)",
-                    commit.generation, commit.files_written, commit.files_reused
-                )
-                .unwrap(),
-                Some(Err(e)) => {
-                    writeln!(out, "warning: auto-commit failed ({e}); edges stay pending").unwrap()
-                }
-                None => {}
-            }
-        }
-        ("query", [path_spec, cells_spec]) => {
-            let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
-            let cells = parse_cells(cells_spec)?;
-            if cells.is_empty() {
-                return Err("no query cells given".to_string());
-            }
-            let result = service.query(&path, &cells).map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "{} box(es), {} cell(s), {} hop(s):",
-                result.cells.n_boxes(),
-                result.cells.volume(),
-                result.hops
-            )
-            .unwrap();
-            render_boxes(&mut out, &result.cells);
-        }
-        ("query_batch", [path_spec, queries_spec]) => {
-            let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
-            let mut queries = Vec::new();
-            for spec in queries_spec.split('|') {
-                let cells = parse_cells(spec)?;
-                if cells.is_empty() {
-                    return Err("empty query in batch".to_string());
-                }
-                queries.push(cells);
-            }
-            let results = service
-                .query_batch(&path, &queries)
-                .map_err(|e| e.to_string())?;
-            for (q, result) in results.iter().enumerate() {
-                writeln!(
-                    out,
-                    "query {q}: {} box(es), {} cell(s):",
-                    result.cells.n_boxes(),
-                    result.cells.volume(),
-                )
-                .unwrap();
-                render_boxes(&mut out, &result.cells);
-            }
-        }
-        ("commit", []) => {
-            let report = service.commit().map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "committed generation {} ({}: {} written, {} reused, {} B)",
-                report.generation,
-                if report.incremental {
-                    "incremental"
-                } else {
-                    "full"
-                },
-                report.files_written,
-                report.files_reused,
-                report.bytes_written
-            )
-            .unwrap();
-        }
-        ("stats", []) => {
-            let s = service.stats();
-            writeln!(
-                out,
-                "{} array(s), {} edge(s), {} pending; {} ingested, {} query(ies), \
-                 {} commit(s) ({} auto, {} failed), generation {}",
-                s.arrays,
-                s.edges,
-                s.pending_edges,
-                s.edges_ingested,
-                s.queries,
-                s.commits,
-                s.auto_commits,
-                s.failed_commits,
-                s.generation
-                    .map_or("unbound".to_string(), |g| g.to_string())
-            )
-            .unwrap();
-            if let Some(err) = &s.last_commit_error {
-                writeln!(out, "warning: last commit failed: {err}").unwrap();
-            }
-        }
-        ("history", []) => {
-            let records = service.history().map_err(|e| e.to_string())?;
-            for r in &records {
-                writeln!(
-                    out,
-                    "#{} {} {} gen {}->{}: {}",
-                    r.op_id,
-                    r.actor,
-                    r.kind.name(),
-                    r.gen_before,
-                    r.gen_after,
-                    r.kind.describe()
-                )
-                .unwrap();
-            }
-            writeln!(out, "{} record(s)", records.len()).unwrap();
-        }
-        ("quit" | "exit", []) => return Ok(None),
-        _ => return Err(format!("bad serve command `{line}`; see `dslog help`")),
-    }
-    Ok(Some(out))
 }
 
 /// `dslog compress`: compare every storage format on a CSV relation and

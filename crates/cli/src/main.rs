@@ -3,7 +3,10 @@
 //! A lineage database is a directory written by [`dslog::Dslog::save`].
 //! The CLI covers the full capture-free workflow: ingest relations from
 //! CSV, inspect what is stored, run forward/backward queries, export back
-//! to CSV, and compare storage formats on a relation.
+//! to CSV, and compare storage formats on a relation. `serve` runs the
+//! service on a command stream in the wire protocol of
+//! [`dslog::net`] (`--script`, or stdin), printing the JSON reply lines a
+//! TCP client would get, or serves that protocol over TCP (`--listen`).
 //!
 //! ```text
 //! dslog ingest  --db DIR --in A:3x2 --out B:3 --csv lineage.csv [--gzip] [--retain N]
@@ -13,6 +16,8 @@
 //! dslog db verify DIR
 //! dslog compress --csv lineage.csv --out-arity 1
 //! dslog serve   --db DIR --script commands.txt
+//! dslog serve   --db DIR --listen 127.0.0.1:7171
+//! dslog client  --addr 127.0.0.1:7171 --script commands.txt
 //! dslog help
 //! ```
 
@@ -52,7 +57,7 @@ pub(crate) fn run(args: &[String]) -> Result<String, String> {
         "export" => commands::export(rest),
         "db" => commands::db(rest),
         "compress" => commands::compress(rest),
-        "serve" => commands::serve(rest),
+        "serve" => commands::serve(rest, &mut std::io::stdout()),
         "client" => commands::client(rest),
         "help" | "--help" | "-h" => Ok(commands::help()),
         other => Err(format!("unknown command `{other}`; see `dslog help`")),
@@ -101,80 +106,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serve_script_drives_full_session() {
-        let db = temp_db("serve");
-        let csv = write_sum_csv("serve");
-        let script = std::env::temp_dir().join(format!("dslog-serve-{}.txt", std::process::id()));
-        std::fs::write(
-            &script,
-            format!(
-                "# serve session\n\
-                 define A:3x2\n\
-                 define B:3\n\
-                 ingest A B {csv}\n\
-                 stats\n\
-                 query B,A 1\n\
-                 commit\n\
-                 quit\n\
-                 ingest never reached\n"
-            ),
-        )
-        .unwrap();
-        let out = run(&s(&[
-            "serve",
-            "--db",
-            &db,
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("defined A shape [3, 2]"), "{out}");
-        assert!(
-            out.contains("ingested 6 row(s) as edge A -> B (1 pending)"),
-            "{out}"
-        );
-        assert!(out.contains("1 pending"), "{out}");
-        assert!(out.contains("(1, [0, 1])"), "{out}");
-        assert!(
-            out.contains("committed generation 2 (incremental: 1 written"),
-            "{out}"
-        );
-        assert!(
-            out.contains("serve done: 2 array(s), 1 edge(s) at generation 2"),
-            "{out}"
-        );
-        // The committed database is a normal dslog db.
-        let v = run(&s(&["db", "verify", &db])).unwrap();
-        assert!(v.contains("database OK"), "{v}");
-        let q = run(&s(&["query", "--db", &db, "--path", "B,A", "--cells", "1"])).unwrap();
-        assert!(q.contains("(1, [0, 1])"), "{q}");
-        let _ = std::fs::remove_dir_all(&db);
-        let _ = std::fs::remove_file(&csv);
+    /// `B = A.sum(axis=1)` over `A:3x2` as the wire protocol's inline
+    /// rows: the relation [`write_sum_csv`] writes.
+    const SUM_ROWS: &str = "0,0,0;0,0,1;1,1,0;1,1,1;2,2,0;2,2,1";
+
+    /// `dslog serve --db DB --script FILE [extra]` over a script of `text`:
+    /// the reply lines it printed, and what the run returned.
+    fn serve_script(db: &str, text: &str, extra: &[&str]) -> (Vec<String>, Result<String, String>) {
+        let script = format!("{db}.script");
+        std::fs::write(&script, text).unwrap();
+        let args = s(&[&["--db", db, "--script", &script][..], extra].concat());
+        let mut replies = Vec::new();
+        let result = commands::serve(&args, &mut replies);
         let _ = std::fs::remove_file(&script);
+        let replies = String::from_utf8(replies).unwrap();
+        (replies.lines().map(str::to_string).collect(), result)
     }
 
-    #[test]
-    fn serve_listen_and_client_roundtrip_over_tcp() {
-        let db = temp_db("serve-net");
-        let addr_file =
-            std::env::temp_dir().join(format!("dslog-net-addr-{}.txt", std::process::id()));
+    /// `dslog serve --db DB --listen 127.0.0.1:0 [extra]` on a thread, and
+    /// the address it bound.
+    fn spawn_listen(
+        db: &str,
+        extra: &[&str],
+    ) -> (std::thread::JoinHandle<Result<String, String>>, String) {
+        let addr_file = format!("{db}.addr");
         let _ = std::fs::remove_file(&addr_file);
-        let server = {
-            let db = db.clone();
-            let addr_file = addr_file.clone();
-            std::thread::spawn(move || {
-                run(&s(&[
-                    "serve",
-                    "--db",
-                    &db,
-                    "--listen",
-                    "127.0.0.1:0",
-                    "--addr-file",
-                    addr_file.to_str().unwrap(),
-                ]))
-            })
-        };
+        let listen = [
+            "serve",
+            "--db",
+            db,
+            "--listen",
+            "127.0.0.1:0",
+            "--addr-file",
+            &addr_file,
+        ];
+        let args = s(&[&listen[..], extra].concat());
+        let server = std::thread::spawn(move || run(&args));
         // Port 0: the real address appears in --addr-file once bound.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let addr = loop {
@@ -186,7 +153,134 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "server never bound");
             std::thread::sleep(std::time::Duration::from_millis(20));
         };
-        let script = std::env::temp_dir().join(format!("dslog-net-cli-{}.txt", std::process::id()));
+        let _ = std::fs::remove_file(&addr_file);
+        (server, addr)
+    }
+
+    #[test]
+    fn serve_script_drives_full_session() {
+        let db = temp_db("serve");
+        let (replies, result) = serve_script(
+            &db,
+            &format!(
+                "# serve session\n\
+                 define A:3x2\n\
+                 define B:3\n\
+                 ingest A B {SUM_ROWS}\n\
+                 stats\n\
+                 query B,A 1\n\
+                 commit\n\
+                 quit\n\
+                 ingest never reached\n"
+            ),
+            &[],
+        );
+        let summary = result.unwrap();
+        assert_eq!(replies.len(), 7, "{replies:#?}");
+        assert_eq!(
+            replies[0],
+            "{\"ok\":true,\"defined\":\"A\",\"shape\":[3,2]}"
+        );
+        assert_eq!(
+            replies[2],
+            "{\"ok\":true,\"edges\":1,\"rows\":6,\"pending_edges\":1}"
+        );
+        assert!(replies[3].contains("\"pending_edges\":1"), "{}", replies[3]);
+        assert!(
+            replies[4].contains("\"boxes\":[[[1,1],[0,1]]]"),
+            "{}",
+            replies[4]
+        );
+        assert!(
+            replies[5].starts_with(
+                "{\"ok\":true,\"generation\":2,\"incremental\":true,\"files_written\":1"
+            ),
+            "{}",
+            replies[5]
+        );
+        assert_eq!(replies[6], "{\"ok\":true,\"closing\":\"session\"}");
+        assert_eq!(
+            summary,
+            "serve done: 2 array(s), 1 edge(s) at generation 2\n"
+        );
+        // The committed database is a normal dslog db, its mutations logged
+        // under the script's actor.
+        let v = run(&s(&["db", "verify", &db])).unwrap();
+        assert!(v.contains("database OK"), "{v}");
+        let q = run(&s(&["query", "--db", &db, "--path", "B,A", "--cells", "1"])).unwrap();
+        assert!(q.contains("(1, [0, 1])"), "{q}");
+        let h = run(&s(&["db", "history", &db])).unwrap();
+        assert!(
+            h.contains("script ingest") && h.contains("script commit"),
+            "{h}"
+        );
+        let _ = std::fs::remove_dir_all(&db);
+    }
+
+    #[test]
+    fn script_replies_match_the_wire() {
+        // Every request but the bad one succeeds; it goes last, because a
+        // script run stops at its first failure.
+        let script = format!(
+            "define A:3x2\n\
+             define B:3\n\
+             ingest A B {SUM_ROWS}\n\
+             query B,A 1\n\
+             query B,A 1;2 stats\n\
+             query_batch B,A 1|2|0\n\
+             stats\n\
+             commit\n\
+             history\n\
+             bogus request\n"
+        );
+        let db = temp_db("parity-script");
+        let (replies, result) = serve_script(&db, &script, &[]);
+        let err = result.unwrap_err();
+        assert!(err.starts_with("serve line 10: {\"ok\":false"), "{err}");
+
+        let wire_db = temp_db("parity-wire");
+        let (server, addr) = spawn_listen(&wire_db, &[]);
+        let client_script = format!("{wire_db}.client");
+        std::fs::write(&client_script, format!("{script}shutdown\n")).unwrap();
+        let wire = run(&s(&["client", "--addr", &addr, "--script", &client_script])).unwrap();
+        server.join().unwrap().unwrap();
+
+        // The actors (`script` against `net:<peer>` in the log, `script`
+        // against `cli` as `stats`' `wal_actor`) and the clocks differ by
+        // nature, and only the wire run needs `shutdown`'s closing line.
+        let mask = |line: &str| {
+            let mut out = line.to_string();
+            for key in ["actor\":", "\"timestamp_ms\":"] {
+                let mut from = 0;
+                while let Some(at) = out[from..].find(key) {
+                    let start = from + at + key.len();
+                    let len = out[start..].find([',', '}']).unwrap();
+                    out.replace_range(start..start + len, "_");
+                    from = start;
+                }
+            }
+            out
+        };
+        let replies: Vec<String> = replies.iter().map(|line| mask(line)).collect();
+        let wire: Vec<String> = wire
+            .lines()
+            .filter(|line| !line.contains("\"closing\""))
+            .map(mask)
+            .collect();
+        assert_eq!(replies.len(), 10, "{replies:#?}");
+        assert_eq!(replies, wire);
+        assert!(replies[8].contains("\"actor\":_"), "{}", replies[8]);
+        for dir in [db, wire_db] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let _ = std::fs::remove_file(&client_script);
+    }
+
+    #[test]
+    fn serve_listen_and_client_roundtrip_over_tcp() {
+        let db = temp_db("serve-net");
+        let (server, addr) = spawn_listen(&db, &[]);
+        let script = format!("{db}.client");
         std::fs::write(
             &script,
             "define A:3x2\n\
@@ -200,12 +294,7 @@ mod tests {
         )
         .unwrap();
         let out = run(&s(&[
-            "client",
-            "--addr",
-            &addr,
-            "--script",
-            script.to_str().unwrap(),
-            "--stats",
+            "client", "--addr", &addr, "--script", &script, "--stats",
         ]))
         .unwrap();
         assert!(out.contains("\"defined\":\"A\""), "{out}");
@@ -227,37 +316,23 @@ mod tests {
         let v = run(&s(&["db", "verify", &db])).unwrap();
         assert!(v.contains("database OK"), "{v}");
         let _ = std::fs::remove_dir_all(&db);
-        let _ = std::fs::remove_file(&addr_file);
         let _ = std::fs::remove_file(&script);
     }
 
     #[test]
     fn serve_auto_commit_threshold_persists_without_commit_command() {
         let db = temp_db("serve-auto");
-        let csv = write_sum_csv("serve-auto");
-        let script =
-            std::env::temp_dir().join(format!("dslog-serve-auto-{}.txt", std::process::id()));
-        std::fs::write(
-            &script,
-            format!("define A:3x2\ndefine B:3\ningest A B {csv}\n"),
-        )
-        .unwrap();
-        let out = run(&s(&[
-            "serve",
-            "--db",
-            &db,
-            "--script",
-            script.to_str().unwrap(),
-            "--auto-commit-edges",
-            "1",
-        ]))
-        .unwrap();
-        assert!(out.contains("auto-committed generation 2"), "{out}");
+        let script = format!("define A:3x2\ndefine B:3\ningest A B {SUM_ROWS}\n");
+        let (replies, result) = serve_script(&db, &script, &["--auto-commit-edges", "1"]);
+        result.unwrap();
+        assert!(
+            replies[2]
+                .contains("\"pending_edges\":0,\"auto_commit\":{\"ok\":true,\"generation\":2"),
+            "{replies:#?}"
+        );
         let stats = run(&s(&["stats", "--db", &db])).unwrap();
         assert!(stats.contains("1 edge"), "{stats}");
         let _ = std::fs::remove_dir_all(&db);
-        let _ = std::fs::remove_file(&csv);
-        let _ = std::fs::remove_file(&script);
     }
 
     #[test]
@@ -308,71 +383,146 @@ mod tests {
         ]))
         .unwrap();
         assert!(run(&s(&["db", "verify", &db])).unwrap().contains("plain"));
-        let script = std::env::temp_dir().join(format!("dslog-gzconv-{}.txt", std::process::id()));
-        std::fs::write(&script, "stats\n").unwrap();
-        run(&s(&[
-            "serve",
-            "--db",
-            &db,
-            "--gzip",
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let (replies, result) = serve_script(&db, "stats\n", &["--gzip"]);
+        result.unwrap();
+        // The conversion is a full save: generation 2, before any command.
+        assert!(replies[0].contains("\"generation\":2,"), "{replies:?}");
         let v = run(&s(&["db", "verify", &db])).unwrap();
         assert!(v.contains("gzip"), "{v}");
         let q = run(&s(&["query", "--db", &db, "--path", "B,A", "--cells", "1"])).unwrap();
         assert!(q.contains("(1, [0, 1])"), "{q}");
         let _ = std::fs::remove_dir_all(&db);
         let _ = std::fs::remove_file(&csv);
-        let _ = std::fs::remove_file(&script);
     }
 
     #[test]
     fn serve_commits_pending_edges_even_when_a_command_fails() {
         let db = temp_db("serve-errcommit");
-        let csv = write_sum_csv("serve-errcommit");
-        let script =
-            std::env::temp_dir().join(format!("dslog-errcommit-{}.txt", std::process::id()));
-        std::fs::write(
-            &script,
-            format!("define A:3x2\ndefine B:3\ningest A B {csv}\nfrobnicate\n"),
-        )
-        .unwrap();
-        let err = run(&s(&[
-            "serve",
-            "--db",
-            &db,
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        assert!(err.contains("serve line 4"), "{err}");
+        let script = format!("define A:3x2\ndefine B:3\ningest A B {SUM_ROWS}\nfrobnicate\n");
+        let (replies, result) = serve_script(&db, &script, &[]);
+        let err = result.unwrap_err();
+        assert!(
+            err.starts_with("serve line 4: {\"ok\":false,\"error\":\"bad request `frobnicate`"),
+            "{err}"
+        );
+        // The failed command's reply was printed like any other.
+        assert_eq!(replies.len(), 4, "{replies:#?}");
+        assert!(err.ends_with(&replies[3]), "{err}");
         // The successfully ingested edge was committed before exit.
         let stats = run(&s(&["stats", "--db", &db])).unwrap();
         assert!(stats.contains("1 edge"), "{stats}");
         let _ = std::fs::remove_dir_all(&db);
-        let _ = std::fs::remove_file(&csv);
-        let _ = std::fs::remove_file(&script);
     }
 
     #[test]
     fn serve_rejects_bad_commands() {
         let db = temp_db("serve-bad");
-        let script =
-            std::env::temp_dir().join(format!("dslog-serve-bad-{}.txt", std::process::id()));
-        std::fs::write(&script, "frobnicate the database\n").unwrap();
-        let err = run(&s(&[
-            "serve",
-            "--db",
-            &db,
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        assert!(err.contains("serve line 1"), "{err}");
+        // A script speaks the wire protocol: `ingest` takes inline rows,
+        // not a CSV path.
+        for (script, line) in [
+            ("frobnicate the database\n", "serve line 1: "),
+            (
+                "define A:3\ndefine B:3\ningest A B rows.csv\n",
+                "serve line 3: ",
+            ),
+        ] {
+            let (_, result) = serve_script(&db, script, &[]);
+            let err = result.unwrap_err();
+            assert!(
+                err.starts_with(line) && err.contains("\"ok\":false"),
+                "{err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&db);
-        let _ = std::fs::remove_file(&script);
+    }
+
+    /// A catalog of a shape this build no longer reads, sealed with its
+    /// crc32 trailer: `magic`, plain, generation 1, arrays `A:3x2` and
+    /// `B:3`, and one backward `A -> B` table, the whole of the file
+    /// `table` (a `DSLGDB3` record ends in the offset, 0; a `DSLGDB2` one
+    /// had none).
+    fn older_catalog(magic: &[u8; 8], table: &str, bytes: &[u8]) -> Vec<u8> {
+        use dslog_codecs::crc32::crc32;
+        use dslog_codecs::varint::write_uvarint;
+        let mut catalog = magic.to_vec();
+        catalog.extend_from_slice(b"\x00\x01"); // plain, generation 1
+        catalog.extend_from_slice(b"\x02\x01A\x02\x03\x02\x01B\x01\x03"); // arrays
+        catalog.extend_from_slice(b"\x01\x01A\x01B\x01"); // A -> B, backward
+        write_uvarint(&mut catalog, table.len() as u64);
+        catalog.extend_from_slice(table.as_bytes());
+        write_uvarint(&mut catalog, bytes.len() as u64);
+        catalog.extend_from_slice(&crc32(bytes).to_le_bytes());
+        write_uvarint(&mut catalog, bytes.len() as u64);
+        if magic == b"DSLGDB3\0" {
+            write_uvarint(&mut catalog, 0);
+        }
+        let seal = crc32(&catalog);
+        catalog.extend_from_slice(&seal.to_le_bytes());
+        catalog
+    }
+
+    #[test]
+    fn directory_of_an_older_shape_is_refused_and_left_alone() {
+        use dslog::{Dslog, DslogError};
+        // The sum relation's backward table: the one table the segment of a
+        // fresh single-edge ingest holds.
+        let csv = write_sum_csv("older");
+        let ingest = |db: &str| {
+            let args = [
+                "ingest", "--db", db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
+            ];
+            run(&s(&args))
+        };
+        let source = temp_db("older-source");
+        ingest(&source).unwrap();
+        let table = std::fs::read(std::path::Path::new(&source).join("segment-0.g1.seg")).unwrap();
+        let _ = std::fs::remove_dir_all(&source);
+
+        for (tag, magic, refusal) in [
+            ("older-v2", b"DSLGDB2\0", "unsupported catalog version"),
+            (
+                "older-edge",
+                b"DSLGDB3\0",
+                "catalog references an illegal file name",
+            ),
+        ] {
+            let db = temp_db(tag);
+            let dir = std::path::Path::new(&db);
+            std::fs::create_dir_all(dir).unwrap();
+            let catalog = older_catalog(magic, "edge-0-b.g1.tbl", &table);
+            std::fs::write(dir.join("catalog.dsl"), catalog).unwrap();
+            std::fs::write(dir.join("edge-0-b.g1.tbl"), &table).unwrap();
+            let files = || {
+                let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .map(|p| (p.display().to_string(), std::fs::read(p).unwrap()))
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = files();
+
+            let typed = DslogError::Corrupt(refusal);
+            for options in [
+                Dslog::options(),
+                Dslog::options().lazy(true),
+                Dslog::options().as_of(1),
+            ] {
+                assert_eq!(options.open(dir).map(drop).unwrap_err(), typed, "{tag}");
+            }
+            let verified = dslog::storage::persist::verify(dir).map(drop);
+            assert_eq!(verified.unwrap_err(), typed, "{tag}");
+            // Neither writer takes it for a missing database to initialize.
+            let err = ingest(&db).unwrap_err();
+            assert!(err.contains(refusal), "{err}");
+            let (replies, served) = serve_script(&db, "stats\n", &[]);
+            assert!(served.unwrap_err().contains(refusal), "{tag}");
+            assert!(replies.is_empty(), "{replies:?}");
+            assert_eq!(files(), before, "{tag}: the directory changed");
+            let _ = std::fs::remove_dir_all(&db);
+        }
+        let _ = std::fs::remove_file(&csv);
     }
 
     #[test]
@@ -539,6 +689,26 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_listen_with_script_before_touching_the_database() {
+        let db = temp_db("listen-script");
+        let both = [
+            "serve",
+            "--db",
+            &db,
+            "--listen",
+            "127.0.0.1:0",
+            "--script",
+            "x",
+        ];
+        let err = run(&s(&both)).unwrap_err();
+        assert_eq!(err, "serve takes --listen or --script, not both");
+        assert!(
+            !std::path::Path::new(&db).exists(),
+            "no database was created"
+        );
+    }
+
+    #[test]
     fn db_compact_and_compress_reject_unknown_flags() {
         let db = temp_db("typo-compact");
         let csv = write_sum_csv("typo-compact");
@@ -575,8 +745,8 @@ mod tests {
             run(&ingest).unwrap();
 
             let out = run(&s(&["db", "verify", &db])).unwrap();
-            assert!(out.contains("database OK"), "{out}");
-            assert!(out.contains("catalog v3"), "{out}");
+            let mode = if gzip { "gzip" } else { "plain" };
+            assert!(out.contains(&format!("verified ({mode}, ")), "{out}");
 
             // Corrupt the table inside its segment: verify must now error.
             let segment = std::path::Path::new(&db).join("segment-0.g1.seg");
@@ -749,38 +919,7 @@ mod tests {
     fn client_retries_busy_rejection_until_admitted() {
         use std::io::{BufRead as _, Write as _};
         let db = temp_db("client-retry");
-        let addr_file =
-            std::env::temp_dir().join(format!("dslog-retry-addr-{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&addr_file);
-        let server = {
-            let db = db.clone();
-            let addr_file = addr_file.clone();
-            std::thread::spawn(move || {
-                run(&s(&[
-                    "serve",
-                    "--db",
-                    &db,
-                    "--listen",
-                    "127.0.0.1:0",
-                    "--addr-file",
-                    addr_file.to_str().unwrap(),
-                    "--net-workers",
-                    "1",
-                    "--net-queue-depth",
-                    "0",
-                ]))
-            })
-        };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                if text.trim().contains(':') {
-                    break text.trim().to_string();
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "server never bound");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        let (server, addr) = spawn_listen(&db, &["--net-workers", "1", "--net-queue-depth", "0"]);
         // Occupy the only worker with a raw admitted session.
         let occupier = std::net::TcpStream::connect(&addr).unwrap();
         occupier
@@ -828,7 +967,6 @@ mod tests {
         let summary = server.join().unwrap().unwrap();
         assert!(summary.contains("serve done"), "{summary}");
         let _ = std::fs::remove_dir_all(&db);
-        let _ = std::fs::remove_file(&addr_file);
         let _ = std::fs::remove_file(&script);
     }
 
@@ -882,24 +1020,15 @@ mod tests {
         assert!(on.contains("(1, [0, 1])") && off.contains("(1, [0, 1])"));
 
         // serve scripts accept |-separated query batches.
-        let script =
-            std::env::temp_dir().join(format!("dslog-planstats-{}.txt", std::process::id()));
-        std::fs::write(&script, "query_batch B,A 1|2\nquit\n").unwrap();
-        let out = run(&s(&[
-            "serve",
-            "--db",
-            &db,
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("query 0: 1 box(es), 2 cell(s):"), "{out}");
-        assert!(out.contains("(1, [0, 1])"), "{out}");
-        assert!(out.contains("query 1: 1 box(es), 2 cell(s):"), "{out}");
-        assert!(out.contains("(2, [0, 1])"), "{out}");
+        let (replies, result) = serve_script(&db, "query_batch B,A 1|2\nquit\n", &[]);
+        result.unwrap();
+        assert_eq!(
+            replies[0],
+            "{\"ok\":true,\"hops\":1,\"results\":[{\"cells\":2,\"boxes\":[[[1,1],[0,1]]]},\
+             {\"cells\":2,\"boxes\":[[[2,2],[0,1]]]}]}"
+        );
         let _ = std::fs::remove_dir_all(&db);
         let _ = std::fs::remove_file(&csv);
-        let _ = std::fs::remove_file(&script);
     }
 
     #[test]

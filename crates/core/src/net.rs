@@ -1,12 +1,13 @@
 //! Dependency-free TCP serving of a [`DslogService`].
 //!
 //! [`NetServer::spawn`] binds a [`std::net::TcpListener`] and serves the
-//! full `serve` command set (`define` / `ingest` / `query` / `commit` /
+//! `serve` command set (`define` / `ingest` / `query` / `commit` /
 //! `stats` / `history` / `quit`, plus `shutdown`) to many concurrent clients over a
 //! line protocol: one request per line, one JSON object per response line
 //! (the crates registry is unreachable in the target environment, so both
 //! the protocol framing and the JSON emitter are vendored here — they are
-//! a few dozen lines each).
+//! a few dozen lines each). [`execute`] is the protocol's one interpreter:
+//! `dslog serve --script FILE` (and its stdin mode) feeds it lines too.
 //!
 //! ## Protocol
 //!
@@ -405,11 +406,18 @@ fn worker_loop(shared: &NetShared) {
     }
 }
 
-/// What one request line asked the session loop to do next.
-#[derive(PartialEq, Eq)]
-enum SessionFlow {
-    Continue,
+/// What one request did, as [`execute`] tells its caller. The response
+/// line it appended says the same thing to the client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Answered `{"ok":true,...}`.
+    Done,
+    /// Answered `{"ok":false,"error":...}`. A session goes on; a script
+    /// stops here.
+    Failed,
+    /// `quit` / `exit`: answered, and the stream of requests ends.
     CloseSession,
+    /// `shutdown`: answered, the stream ends, and a server stops.
     StopServer,
 }
 
@@ -448,9 +456,9 @@ fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
             flush(&mut writer, &mut out)?;
         }
         match read_line_bounded(&mut reader, shared.opts.max_line_bytes, &mut line) {
-            Ok(LineRead::Eof) => break Ok(SessionFlow::CloseSession),
+            Ok(LineRead::Eof) => break Ok(Outcome::CloseSession),
             Ok(LineRead::TimedOut) if shared.stop.load(Ordering::Acquire) => {
-                break Ok(SessionFlow::CloseSession)
+                break Ok(Outcome::CloseSession)
             }
             // A poll tick, perhaps mid-frame: `line` keeps what has arrived.
             Ok(LineRead::TimedOut) => continue,
@@ -460,25 +468,25 @@ fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
                 let cap = shared.opts.max_line_bytes;
                 let msg = format!("request line exceeds {cap} bytes; closing connection");
                 json_err(&mut out, &msg);
-                break Ok(SessionFlow::CloseSession); // cannot resync mid-frame
+                break Ok(Outcome::CloseSession); // cannot resync mid-frame
             }
             Ok(LineRead::Line) => {}
             Err(e) => break Err(e),
         }
-        let flow = match String::from_utf8_lossy(&line).trim() {
-            text if text.is_empty() || text.starts_with('#') => SessionFlow::Continue,
+        let outcome = match String::from_utf8_lossy(&line).trim() {
+            text if text.is_empty() || text.starts_with('#') => Outcome::Done,
             text => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 execute(&shared.service, text, &actor, &mut out)
             }
         };
         line.clear();
-        if flow != SessionFlow::Continue {
-            break Ok(flow);
+        if let ended @ (Outcome::CloseSession | Outcome::StopServer) = outcome {
+            break Ok(ended);
         }
     };
     let flushed = flush(&mut writer, &mut out);
-    if let Ok(SessionFlow::StopServer) = ended {
+    if let Ok(Outcome::StopServer) = ended {
         request_stop(shared, writer.local_addr()?);
     }
     flushed.and(ended.map(|_| ()))
@@ -548,12 +556,15 @@ fn read_line_bounded(
     }
 }
 
-/// Execute one request line against the service and append its response
-/// line (success or error JSON, `'\n'` included) to `out`; a command
-/// appends nothing until it can no longer fail. Returns what the session
-/// does next. A mutating command is logged under `actor` — this
-/// request's, whatever other sessions are doing meanwhile.
-fn execute(service: &DslogService, line: &str, actor: &str, out: &mut String) -> SessionFlow {
+/// The one interpreter of the command language: execute one request line
+/// (see the module docs; no blank or `#` line) against the service and
+/// append its response line (success or error JSON, `'\n'` included) to
+/// `out`; a command appends nothing until it can no longer fail. A TCP
+/// session and `dslog serve`'s script and stdin modes all answer through
+/// here, so their replies are the same bytes. A mutating command is logged
+/// under `actor` — this request's, whatever other sessions are doing
+/// meanwhile.
+pub fn execute(service: &DslogService, line: &str, actor: &str, out: &mut String) -> Outcome {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().unwrap_or_default();
     let args: Vec<&str> = parts.collect();
@@ -579,21 +590,22 @@ fn execute(service: &DslogService, line: &str, actor: &str, out: &mut String) ->
         ("history", []) => cmd_history(out, service),
         ("quit" | "exit", []) => {
             out.push_str("{\"ok\":true,\"closing\":\"session\"}\n");
-            return SessionFlow::CloseSession;
+            return Outcome::CloseSession;
         }
         ("shutdown", []) => {
             out.push_str("{\"ok\":true,\"closing\":\"server\"}\n");
-            return SessionFlow::StopServer;
+            return Outcome::StopServer;
         }
         _ => Err(format!(
             "bad request `{line}`; expected define/ingest/query/query_batch/commit/stats/history/quit/shutdown"
         )),
     };
-    match done {
-        Ok(()) => out.push('\n'),
-        Err(e) => json_err(out, &e),
-    }
-    SessionFlow::Continue
+    let Err(e) = done else {
+        out.push('\n');
+        return Outcome::Done;
+    };
+    json_err(out, &e);
+    Outcome::Failed
 }
 
 fn cmd_define(

@@ -136,7 +136,6 @@ mod tests {
         }
 
         let v = persist::verify(&dir).unwrap();
-        assert_eq!(v.catalog_version, 3);
         assert_eq!(v.files_verified, 3);
         assert_eq!(v.dead_bytes, 0);
         assert!(v.stale_files.is_empty());

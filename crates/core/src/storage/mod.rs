@@ -163,9 +163,8 @@ pub(crate) enum TableSource {
 
 /// Catalog record of the committed bytes that hold one slot's table: a
 /// range of a file in the bound database directory (see
-/// [`PersistBinding`]) — of the generation segment a commit appended it
-/// to, or the whole of an `edge-*` file a catalog written before segments
-/// names.
+/// [`PersistBinding`]): the part of the generation segment a commit
+/// appended the table to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FileRecord {
     /// Bare file name inside the database directory.

@@ -20,11 +20,11 @@
 //!                       while the retention window keeps g
 //! ```
 //!
-//! Read, never written: a `DSLGDB2` catalog (the same records without the
-//! offset) and a reference to a whole `edge-*` table file, which is the
-//! range `(0, len)` of that file. A directory holding them opens, verifies
-//! and commits like any other; its clean tables are re-referenced where
-//! they lie, and the files go when the last catalog naming them does.
+//! That is the one shape read as well as written. A catalog of any other
+//! version is refused with `Corrupt("unsupported catalog version")`, and
+//! one naming any file but a `segment-*` with
+//! `Corrupt("catalog references an illegal file name")`; either refusal
+//! comes before anything in the directory is touched.
 //!
 //! ## Atomicity
 //!
@@ -129,7 +129,7 @@
 //! is the table that was committed. Telling one well-formed table from
 //! another is the job of a content digest: the operation log's
 //! `IngestEdge.digest` is the body crc the table's trailer holds, and
-//! holding each live table against it in [`verify`] is ROADMAP item 3's.
+//! holding each live table against it in [`verify`] is ROADMAP item 6's.
 //!
 //! ## What is persisted
 //!
@@ -155,9 +155,6 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The catalog format before segments: v3's records without the offset.
-/// Read (every range starts at 0), never written.
-const CATALOG_MAGIC_V2: &[u8; 8] = b"DSLGDB2\0";
 const CATALOG_MAGIC_V3: &[u8; 8] = b"DSLGDB3\0";
 pub(crate) const CATALOG_FILE: &str = "catalog.dsl";
 
@@ -175,13 +172,12 @@ pub(crate) fn retained_catalog_name(gen: u64) -> String {
 }
 
 /// Extract the generation from a generation-qualified data file name —
-/// `segment-<k>.g<gen>.seg`, `edge-<i>-<o>.g<gen>.…`, or
-/// `catalog.g<gen>.dsl` (also matches leftover `.tmp` siblings). `None`
-/// for any other name and the live catalog.
+/// `segment-<k>.g<gen>.seg` or `catalog.g<gen>.dsl` (also matches
+/// leftover `.tmp` siblings). `None` for any other name and the live
+/// catalog.
 fn parse_generation(name: &str) -> Option<u64> {
     let rest = name
         .strip_prefix("segment-")
-        .or_else(|| name.strip_prefix("edge-"))
         .or_else(|| name.strip_prefix("catalog"))?;
     let gpos = rest.find(".g")?;
     let tail = &rest[gpos + 2..];
@@ -211,7 +207,7 @@ fn peek_catalog(dir: &Path) -> Option<(u64, u64)> {
     // magic (8), gzip flag (1), generation uvarint (at most 10).
     let mut head = Vec::with_capacity(19);
     f.take(19).read_to_end(&mut head).ok()?;
-    if !head.starts_with(CATALOG_MAGIC_V2) && !head.starts_with(CATALOG_MAGIC_V3) {
+    if !head.starts_with(CATALOG_MAGIC_V3) {
         return None;
     }
     let mut pos = 9usize;
@@ -339,13 +335,10 @@ pub struct CommitReport {
 }
 
 /// Whether a directory entry is one of ours and subject to sweeping:
-/// segments, retained generations' catalogs (never the live
-/// `catalog.dsl`), and what only directories written before segments hold
-/// — whole edge tables and compaction manifests.
+/// segments and retained generations' catalogs (never the live
+/// `catalog.dsl`).
 fn is_data_file(name: &str) -> bool {
-    ["segment-", "catalog.g", "edge-", "manifest."]
-        .iter()
-        .any(|prefix| name.starts_with(prefix))
+    name.starts_with("segment-") || name.starts_with("catalog.g")
 }
 
 /// Delete, among the listed `names`, every data file (see
@@ -845,7 +838,6 @@ pub(crate) struct CatalogEdge {
 pub(crate) struct Catalog {
     /// Byte length of the catalog file this was parsed from.
     pub(crate) byte_len: u64,
-    pub(crate) version: u8,
     pub(crate) gzip: bool,
     /// Snapshot generation; the next save uses a strictly larger one.
     pub(crate) generation: u64,
@@ -858,15 +850,14 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
     if data.len() < 13 {
         return Err(DslogError::Corrupt("catalog too short"));
     }
-    let version = match &data[..8] {
-        m if m == CATALOG_MAGIC_V2 => 2,
-        m if m == CATALOG_MAGIC_V3 => 3,
-        // Another generation of this format (v1 is no longer read).
+    match &data[..8] {
+        m if m == CATALOG_MAGIC_V3 => {}
+        // Another generation of this format (v1 and v2 are no longer read).
         m if m.starts_with(b"DSLGDB") => {
             return Err(DslogError::Corrupt("unsupported catalog version"))
         }
         _ => return Err(DslogError::Corrupt("bad catalog magic")),
-    };
+    }
     // The catalog ends in a crc32 trailer over everything before it;
     // verify before parsing so any corruption is caught up front.
     let (data, trailer) = data
@@ -921,13 +912,11 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             }
             let name = read_string(data, &mut pos)?;
             // Catalogs are untrusted input: a table reference must be a
-            // bare `segment-*` (or, from before segments, `edge-*`) file
-            // name inside the database directory (no separators, so it
-            // can never escape it), and not a `.tmp` name the sweep would
-            // reclaim.
-            let prefix_ok =
-                name.starts_with("edge-") || (version >= 3 && name.starts_with("segment-"));
-            if !prefix_ok || name.contains('/') || name.contains('\\') || name.ends_with(".tmp") {
+            // bare `segment-*` file name inside the database directory (no
+            // separators, so it can never escape it), and not a `.tmp` name
+            // the sweep would reclaim.
+            let bare = !name.contains(['/', '\\']) && !name.ends_with(".tmp");
+            if !(name.starts_with("segment-") && bare) {
                 return Err(DslogError::Corrupt(
                     "catalog references an illegal file name",
                 ));
@@ -935,17 +924,7 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             let len = read_uvarint(data, &mut pos)?;
             let crc = read_u32_le(data, &mut pos)?;
             let raw_len = read_uvarint(data, &mut pos)?;
-            // A v2 record has no offset: its table is a whole file.
-            let offset = if version >= 3 {
-                read_uvarint(data, &mut pos)?
-            } else {
-                0
-            };
-            if offset != 0 && name.starts_with("edge-") {
-                return Err(DslogError::Corrupt(
-                    "catalog records an offset into a whole edge file",
-                ));
-            }
+            let offset = read_uvarint(data, &mut pos)?;
             files.push(FileRef {
                 orientation,
                 record: FileRecord {
@@ -965,7 +944,6 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
     }
     Ok(Catalog {
         byte_len,
-        version,
         gzip,
         generation,
         arrays,
@@ -1271,12 +1249,11 @@ fn open_retained(dir: &Path, generation: u64) -> Result<StorageManager> {
     Ok(manager_from_parts(catalog, edges, None))
 }
 
-/// What [`verify`] found in a healthy database directory.
+/// What [`verify`] found in a healthy database directory. The catalog is
+/// always the one format this build reads and writes (`DSLGDB3`); any
+/// other is an error, not a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Catalog format version (3; 2 for a directory no commit has touched
-    /// since segments).
-    pub catalog_version: u8,
     /// Whether tables use the gzip disk format.
     pub gzip: bool,
     /// Arrays declared by the catalog.
@@ -1285,12 +1262,12 @@ pub struct VerifyReport {
     pub n_edges: usize,
     /// Tables read, checksum-verified, and structurally decoded.
     pub files_verified: usize,
-    /// Data (`segment-*`, also `edge-*`/`manifest.*`) / `*.tmp` files
-    /// present but not referenced by the catalog (debris from a crashed
-    /// save — harmless, swept by the next open).
+    /// Data files (`segment-*`, `catalog.g*`) and `*.tmp` files present
+    /// but referenced by no kept catalog (debris from a crashed save —
+    /// harmless, swept by the next open).
     pub stale_files: Vec<String>,
-    /// Cleanly framed records in the operation log (0 for pre-log
-    /// directories).
+    /// Cleanly framed records in the operation log (0 for a directory
+    /// without one).
     pub log_records: usize,
     /// Data files on disk that the current catalog does not reference but
     /// a retained generation does (its kept `catalog.g<gen>.dsl`
@@ -1363,7 +1340,6 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let range_bytes: u64 = ranges.iter().map(|(_, _, len)| len).sum();
 
     Ok(VerifyReport {
-        catalog_version: catalog.version,
         gzip: catalog.gzip,
         n_arrays: catalog.arrays.len(),
         n_edges: catalog.edges.len(),
@@ -1770,47 +1746,52 @@ mod tests {
         let outside = std::env::temp_dir().join(format!("dslog-escape-{}.tbl", std::process::id()));
         std::fs::write(&outside, &bytes).unwrap();
 
-        // Hand-build an otherwise-valid v2 catalog (correct crc trailer)
-        // whose edge file reference tries to traverse out of the dir.
-        let mut catalog = Vec::new();
-        catalog.extend_from_slice(CATALOG_MAGIC_V2);
-        catalog.push(0); // plain
-        write_uvarint(&mut catalog, 1); // generation
-        write_uvarint(&mut catalog, 2); // arrays
-        for (name, shape) in [("A", vec![3usize, 2]), ("B", vec![3])] {
-            write_string(&mut catalog, name);
-            write_uvarint(&mut catalog, shape.len() as u64);
-            for d in shape {
-                write_uvarint(&mut catalog, d as u64);
-            }
-        }
-        write_uvarint(&mut catalog, 1); // one edge
-        write_string(&mut catalog, "A");
-        write_string(&mut catalog, "B");
-        catalog.push(1); // backward only
-        let evil = format!("../{}", outside.file_name().unwrap().to_str().unwrap());
-        write_string(&mut catalog, &evil);
-        write_uvarint(&mut catalog, bytes.len() as u64);
-        catalog.extend_from_slice(&crc32(&bytes).to_le_bytes());
-        write_uvarint(&mut catalog, bytes.len() as u64);
-        let trailer = crc32(&catalog);
-        catalog.extend_from_slice(&trailer.to_le_bytes());
-        std::fs::write(dir.join(CATALOG_FILE), &catalog).unwrap();
-
-        for result in [
-            open(&dir).map(drop),
-            open_lazy(&dir).map(drop),
-            verify(&dir).map(drop),
+        // With a `segment-x` directory in the database, the second name
+        // passes the prefix check and resolves to the planted file.
+        std::fs::create_dir_all(dir.join("segment-x")).unwrap();
+        let outside_name = outside.file_name().unwrap().to_str().unwrap();
+        for evil in [
+            format!("../{outside_name}"),
+            format!("segment-x/../../{outside_name}"),
         ] {
-            assert!(
-                matches!(
-                    result,
-                    Err(DslogError::Corrupt(
-                        "catalog references an illegal file name"
-                    ))
-                ),
-                "{result:?}"
-            );
+            // Hand-build an otherwise-valid catalog (correct crc trailer)
+            // whose table reference tries to traverse out of the dir.
+            let mut catalog = Vec::new();
+            catalog.extend_from_slice(CATALOG_MAGIC_V3);
+            catalog.push(0); // plain
+            write_uvarint(&mut catalog, 1); // generation
+            write_uvarint(&mut catalog, 2); // arrays
+            for (name, shape) in [("A", vec![3usize, 2]), ("B", vec![3])] {
+                write_string(&mut catalog, name);
+                write_uvarint(&mut catalog, shape.len() as u64);
+                for d in shape {
+                    write_uvarint(&mut catalog, d as u64);
+                }
+            }
+            write_uvarint(&mut catalog, 1); // one edge
+            write_string(&mut catalog, "A");
+            write_string(&mut catalog, "B");
+            catalog.push(1); // backward only
+            write_string(&mut catalog, &evil);
+            write_uvarint(&mut catalog, bytes.len() as u64);
+            catalog.extend_from_slice(&crc32(&bytes).to_le_bytes());
+            write_uvarint(&mut catalog, bytes.len() as u64);
+            write_uvarint(&mut catalog, 0); // offset
+            let trailer = crc32(&catalog);
+            catalog.extend_from_slice(&trailer.to_le_bytes());
+            std::fs::write(dir.join(CATALOG_FILE), &catalog).unwrap();
+
+            for result in [
+                open(&dir).map(drop),
+                open_lazy(&dir).map(drop),
+                verify(&dir).map(drop),
+            ] {
+                assert_eq!(
+                    result.unwrap_err(),
+                    DslogError::Corrupt("catalog references an illegal file name"),
+                    "{evil}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_file(&outside).unwrap();
@@ -2096,14 +2077,12 @@ mod tests {
             let dir = temp_dir(if lazy { "osweep-lazy" } else { "osweep" });
             let s = sample_manager();
             save(&s, &dir, false).unwrap();
-            // An orphan segment, temp files, and what only a directory
-            // written before segments can hold.
+            // An orphan segment, an orphan retained catalog, temp files.
             let debris = [
                 "segment-0.g42.seg",
                 "segment-0.g43.seg.tmp",
+                "catalog.g41.dsl",
                 "catalog.dsl.tmp",
-                "edge-9-b.g42.tbl",
-                "manifest.g42.dsl",
             ];
             for name in debris {
                 std::fs::write(dir.join(name), b"junk").unwrap();
@@ -2130,7 +2109,6 @@ mod tests {
         s.resolve_hop("A", "B").unwrap(); // cache a derived forward table
         save(&s, &dir, true).unwrap();
         let report = verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 3);
         assert!(report.gzip);
         assert_eq!(report.n_arrays, 3);
         assert_eq!(report.n_edges, 2);

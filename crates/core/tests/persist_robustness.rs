@@ -205,21 +205,44 @@ proptest! {
 fn open_on_random_catalog_bytes_errors() {
     let dir = temp_dir("randcat");
     std::fs::create_dir_all(&dir).unwrap();
-    // A few adversarial catalogs: random, huge claimed counts behind a valid magic.
-    for bytes in [
-        b"totally not a catalog".to_vec(),
-        {
-            let mut b = b"DSLGDB2\0".to_vec();
-            b.push(0);
-            b.extend_from_slice(&[0xff; 64]); // huge varints everywhere
-            b
-        },
-        Vec::new(),
-    ] {
+    // A few adversarial catalogs: random bytes and none at all.
+    for bytes in [b"totally not a catalog".to_vec(), Vec::new()] {
         std::fs::write(dir.join("catalog.dsl"), &bytes).unwrap();
         assert!(Dslog::options().open(&dir).is_err());
         assert!(Dslog::options().lazy(true).open(&dir).is_err());
         assert!(persist::verify(&dir).is_err());
+    }
+    // Huge claimed counts behind a valid magic and a correct trailer: the
+    // field bounds, not the checksum, refuse them on every route.
+    let header = |generation: &[u8]| [b"DSLGDB3\0".as_slice(), &[0], generation].concat();
+    let huge = [0xff, 0xff, 0xff, 0x7f];
+    for (body, expected) in [
+        (
+            [header(&[]), vec![0xff; 64]].concat(),
+            DslogError::Codec(dslog_codecs::CodecError::VarintOverflow),
+        ),
+        (
+            [header(&[1]), vec![1, 1, b'A'], huge.to_vec()].concat(),
+            DslogError::Corrupt("array rank exceeds catalog size"),
+        ),
+        (
+            [header(&[1]), vec![1], huge.to_vec(), vec![b'A']].concat(),
+            DslogError::Corrupt("string runs past end of input"),
+        ),
+    ] {
+        let sealed = [body.as_slice(), &crc32(&body).to_le_bytes()].concat();
+        std::fs::write(dir.join("catalog.dsl"), sealed).unwrap();
+        for error in [
+            Dslog::options().open(&dir).map(drop).unwrap_err(),
+            Dslog::options()
+                .lazy(true)
+                .open(&dir)
+                .map(drop)
+                .unwrap_err(),
+            persist::verify(&dir).map(drop).unwrap_err(),
+        ] {
+            assert_eq!(error, expected);
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -231,7 +254,6 @@ fn verify_passes_on_fresh_saves_in_both_modes() {
         let db = sample_db();
         db.save(&dir, gzip).unwrap();
         let report = persist::verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 3);
         assert_eq!(report.gzip, gzip);
         assert_eq!(report.n_edges, 1);
         assert!(report.stale_files.is_empty());

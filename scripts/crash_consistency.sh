@@ -110,9 +110,11 @@ for mode in plain gzip; do
         n=$((n + 1))
     done
     "$BIN" db verify "$db"
-    if ls "$db" | grep -q '^edge-\|^manifest\.'; then
+    # Exactly the one on-disk shape: the catalog, the log, one segment.
+    shape=$(ls "$db" | sed 's/^segment-0\.g[0-9]*\.seg$/segment-0.g*.seg/' | LC_ALL=C sort | tr '\n' ' ')
+    if [ "$shape" != "catalog.dsl ops.log segment-0.g*.seg " ]; then
         ls "$db"
-        echo "FAIL: completed compaction left files of another shape" >&2
+        echo "FAIL: completed compaction left $shape" >&2
         exit 1
     fi
     verify_clean "$db"

@@ -100,9 +100,9 @@ reply line, the same bytes a TCP client gets:
 The stream stops at the first failed command, with an error naming its
 line. CSV files are ingested with `dslog ingest --csv`.
 
-`query` plans each path with the cost-based planner (empty-hop pruning,
-selective-hop reordering, composite-edge reuse); --no-planner runs the
-literal path order for ablation. --stats prints the planner decision
+`query` serves hot multi-hop paths from composite edges and runs every
+other path in order; --no-planner runs the literal path order, with no
+composites, for ablation. --stats prints the planner decision
 and per-hop probe counts.
 
 Commits are incremental: only edges added or re-derived since the last

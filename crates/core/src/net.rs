@@ -41,10 +41,9 @@
 //! The optional trailing `stats` word asks for per-query execution
 //! statistics: `"stats":{"rows_probed":n,"rows_matched":n,"plan":"...",
 //! "hops":[{"probed":n,"matched":n,"boxes":n},..]}`.
-//! `plan` is the planner decision label (`path_order` / `empty_edge` /
-//! `selective_first` / `composite`), or `off` when the planner is
-//! disabled. Responses without the `stats` word are byte-identical to the
-//! previous protocol version.
+//! `plan` is the planner decision label (`path_order` / `composite`),
+//! or `off` when the planner is disabled. Responses without the `stats`
+//! word are byte-identical to the previous protocol version.
 //!
 //! ## Admission control and backpressure
 //!

@@ -53,7 +53,7 @@ pub struct HopStats {
 pub struct QueryStats {
     /// One entry per executed hop, in path order.
     pub hops: Vec<HopStats>,
-    /// The planner's decision and per-hop estimates, when the planner ran
+    /// The planner's decision, when the planner ran
     /// ([`crate::query::QueryOptions::use_planner`]); `None` under the
     /// path-order ablation and for direct [`QueryExec`] use.
     pub plan: Option<crate::query::plan::PlanReport>,

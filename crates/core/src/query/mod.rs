@@ -18,7 +18,7 @@ pub mod exec;
 pub mod plan;
 
 pub use exec::{theta_join, HopStats, QueryExec, QueryStats};
-pub use plan::{HopEstimate, PlanDecision, PlanReport};
+pub use plan::{PlanDecision, PlanReport};
 
 use crate::error::Result;
 use crate::table::{BoxTable, CompressedTable};
@@ -29,12 +29,11 @@ pub struct QueryOptions {
     /// Run the row-reduction merge after each hop (§V.B.3). Disabling this
     /// reproduces the paper's `DSLog-NoMerge` ablation.
     pub merge: bool,
-    /// Run the cost-based multi-hop planner ([`plan`]): estimate per-hop
-    /// selectivity from cheap index probes, prune provably-empty hops,
-    /// reorder around the most selective hop via a semi-join backpass, and
-    /// serve hot paths from materialized composite edges. Disabling this
-    /// is the planner ablation: hops run strictly in path order, exactly
-    /// as the paper describes.
+    /// Run the multi-hop planner ([`plan`]): serve hot paths from
+    /// materialized composite edges, and run every other path in order.
+    /// Disabling this is the planner ablation: hops run strictly in path
+    /// order, exactly as the paper describes, and no composite is built
+    /// or served.
     pub use_planner: bool,
 }
 

@@ -296,17 +296,6 @@ impl Edge {
             }
         }
     }
-
-    /// The table for `orientation` only if it is already decoded in memory.
-    /// Unlike [`stored`](Self::stored) this never touches disk — the
-    /// planner's peek path uses it so estimating a query can't force lazy
-    /// loads of orientations the query won't run.
-    fn resident(&self, orientation: Orientation) -> Option<Arc<CompressedTable>> {
-        match &self.slot(orientation).read().source {
-            Some(TableSource::Loaded(t)) => Some(Arc::clone(t)),
-            _ => None,
-        }
-    }
 }
 
 impl Edge {
@@ -469,21 +458,6 @@ pub enum HopDirection {
     Forward,
 }
 
-/// Side-effect-free view of one hop, for the query planner
-/// ([`ResolvedPath::peek_hop`]).
-#[derive(Debug, Clone)]
-pub(crate) struct HopPeek {
-    /// The stored table in the hop's needed orientation, if materialized
-    /// (no derivation is triggered).
-    pub(crate) table: Option<Arc<CompressedTable>>,
-    /// Whether the edge's relation is known to hold zero rows (from either
-    /// in-memory orientation — content is orientation-independent).
-    pub(crate) known_empty: bool,
-    /// Whether the available table is generalized (symbolic cells — not
-    /// indexable, and a direct hop over it errors).
-    pub(crate) generalized: bool,
-}
-
 /// What the planner should do with a path, per its registry entry.
 #[derive(Debug, Clone)]
 pub(crate) enum CompositeProbe {
@@ -593,56 +567,32 @@ impl ResolvedPath {
     /// Resolve hop `k` for execution: bump the edge's §IV.C hit counter and
     /// return the compressed table whose primary side is `path[k]`'s
     /// attribute space (derived and cached if that orientation is not
-    /// stored), plus the hop direction. `path` names the arrays, for the
-    /// error when no edge connects the pair.
-    pub(crate) fn resolve_hop(
-        &self,
-        k: usize,
-        path: &[&str],
-    ) -> Result<(Arc<CompressedTable>, HopDirection)> {
+    /// stored). `path` names the arrays, for the error when no edge
+    /// connects the pair.
+    pub(crate) fn resolve_hop(&self, k: usize, path: &[&str]) -> Result<Arc<CompressedTable>> {
         let Some(hop) = &self.hops[k] else {
             return Err(DslogError::NoLineagePath {
                 from: path[k].to_string(),
                 to: path[k + 1].to_string(),
             });
         };
-        let (hits, direction) = match hop.orientation {
-            Orientation::Backward => (&hop.edge.backward_hits, HopDirection::Backward),
-            Orientation::Forward => (&hop.edge.forward_hits, HopDirection::Forward),
+        let hits = match hop.orientation {
+            Orientation::Backward => &hop.edge.backward_hits,
+            Orientation::Forward => &hop.edge.forward_hits,
         };
         hits.fetch_add(1, Ordering::Relaxed);
-        Ok((hop.edge.repr(hop.orientation)?, direction))
+        hop.edge.repr(hop.orientation)
     }
 
-    /// Planner-side view of hop `k` — or, with `reverse`, of the same edge
-    /// crossed the other way — with **none** of
+    /// The table hop `k` would run over, with **none** of
     /// [`resolve_hop`](Self::resolve_hop)'s side effects: hit counters do
-    /// not move and a missing orientation is *not* derived (the hop may be
-    /// pruned and never run). Lazy on-disk slots in the needed orientation
-    /// are loaded — execution would load them anyway — but the opposite
-    /// slot is only consulted if already in memory. Returns `None` when no
-    /// edge connects the pair, or when a lazy load fails (execution will
-    /// surface that error itself).
-    pub(crate) fn peek_hop(&self, k: usize, reverse: bool) -> Option<HopPeek> {
+    /// not move and a missing orientation is *not* derived. A lazy on-disk
+    /// slot is loaded — execution would load it anyway. Returns `None`
+    /// when no edge connects the pair, the orientation is not stored, or a
+    /// lazy load fails (execution will surface that error itself).
+    pub(crate) fn peek_hop(&self, k: usize) -> Option<Arc<CompressedTable>> {
         let hop = self.hops[k].as_ref()?;
-        let orientation = if reverse {
-            hop.orientation.flip()
-        } else {
-            hop.orientation
-        };
-        let table = hop.edge.stored(orientation, true).ok()?;
-        let other = hop.edge.resident(orientation.flip());
-        let known_empty = table.as_ref().map(|t| t.is_empty()).unwrap_or(false)
-            || other.as_ref().is_some_and(|t| t.is_empty());
-        let generalized = table
-            .as_ref()
-            .or(other.as_ref())
-            .is_some_and(|t| t.is_generalized());
-        Some(HopPeek {
-            table,
-            known_empty,
-            generalized,
-        })
+        hop.edge.stored(hop.orientation, true).ok()?
     }
 
     /// Record one planner sighting and say what to do with the path: serve
@@ -1046,7 +996,12 @@ impl StorageManager {
         to: &str,
     ) -> Result<(Arc<CompressedTable>, HopDirection)> {
         let path = [from, to];
-        self.path(&path)?.resolve_hop(0, &path)
+        let table = self.path(&path)?.resolve_hop(0, &path)?;
+        let direction = match table.orientation() {
+            Orientation::Backward => HopDirection::Backward,
+            Orientation::Forward => HopDirection::Forward,
+        };
+        Ok((table, direction))
     }
 
     /// Resolve a `Materialize` outcome of `resolved` (the entry of `path`):
@@ -1376,19 +1331,11 @@ mod tests {
         let mut s = manager_with_edge();
         s.define_array("Z", &[3]).unwrap();
         let path = s.path(&["Z", "B", "A"]).unwrap();
-        let peek = path.peek_hop(1, false).unwrap();
-        assert!(peek.table.is_some());
-        assert!(!peek.known_empty && !peek.generalized);
-        // Peeking the underived forward orientation — the hop crossed the
-        // other way, or the reverse path's own hop — reports no table and
+        assert!(path.peek_hop(1).is_some());
+        // Peeking the underived forward orientation reports no table and
         // must not derive it.
-        assert!(path.peek_hop(1, true).unwrap().table.is_none());
-        let fwd = s.path(&["A", "B"]).unwrap().peek_hop(0, false).unwrap();
-        assert!(fwd.table.is_none());
-        assert!(
-            path.peek_hop(0, false).is_none(),
-            "no edge connects Z and B"
-        );
+        assert!(s.path(&["A", "B"]).unwrap().peek_hop(0).is_none());
+        assert!(path.peek_hop(0).is_none(), "no edge connects Z and B");
         // No hit counters moved.
         let stats = s.edge_stats();
         assert_eq!(stats[0].backward_hits + stats[0].forward_hits, 0);

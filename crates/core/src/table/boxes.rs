@@ -149,35 +149,11 @@ impl BoxTable {
     }
 
     /// Upper bound on covered cells (sum of box volumes; overlaps counted
-    /// multiple times). Cheap, used by the query planner for reporting.
+    /// multiple times). Cheap; the composite-edge support cap reads it.
     pub fn volume(&self) -> u128 {
         self.boxes()
             .map(|b| b.iter().map(|ivl| u128::from(ivl.len())).product::<u128>())
             .sum()
-    }
-
-    /// The geometric intersection with another box union (same arity):
-    /// every box of `self` clipped against every box of `other`, empty
-    /// clips dropped. The result covers exactly `cells(self) ∩
-    /// cells(other)` (overlapping clips may repeat cells across boxes —
-    /// a union, like every [`BoxTable`]). Used by the query planner to
-    /// restrict a frontier to a semi-join backimage.
-    pub fn intersect(&self, other: &BoxTable) -> BoxTable {
-        debug_assert_eq!(self.arity, other.arity);
-        let mut out = BoxTable::new(self.arity);
-        let mut clip: Vec<Interval> = Vec::with_capacity(self.arity);
-        for a in self.boxes() {
-            for b in other.boxes() {
-                clip.clear();
-                if a.iter()
-                    .zip(b)
-                    .all(|(x, y)| x.intersect(y).map(|i| clip.push(i)).is_some())
-                {
-                    out.push_box(&clip);
-                }
-            }
-        }
-        out
     }
 
     /// The paper's row-reduction "merge" step (§V.B.3): repeatedly unite

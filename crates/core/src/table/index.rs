@@ -18,14 +18,9 @@
 //!
 //! The index is built once per table ([`CompressedTable::index`]) and cached;
 //! generalized tables (symbolic cells) are not indexable and yield `None`.
-//! The planner's point-selectivity estimate is a pure function of the index
-//! and the table's extents, so it is memoised in the index the first time a
-//! path through the table is planned (`CompressedTable::point_selectivity_ppm`)
-//! — never at build — and dropped with the index when the table changes.
 
 use crate::interval::Interval;
 use crate::table::compressed::{Cell, CompressedTable};
-use std::sync::OnceLock;
 
 /// Index over one primary attribute: row ids sorted by interval `lo`,
 /// plus the max-hi fence over the sorted prefix.
@@ -86,9 +81,6 @@ impl ColumnIndex {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableIndex {
     columns: Vec<ColumnIndex>,
-    /// [`estimate_point_selectivity_ppm`](Self::estimate_point_selectivity_ppm)
-    /// over the owning table's primary extents, once the planner asked.
-    pub(super) point_selectivity_ppm: OnceLock<u64>,
 }
 
 impl TableIndex {
@@ -98,53 +90,12 @@ impl TableIndex {
         let columns = (0..table.primary_arity())
             .map(|k| ColumnIndex::build(table.column(k)))
             .collect::<Option<Vec<_>>>()?;
-        Some(TableIndex {
-            columns,
-            point_selectivity_ppm: OnceLock::new(),
-        })
+        Some(TableIndex { columns })
     }
 
     /// Number of indexed (primary) attributes.
     pub fn n_columns(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Number of indexed rows.
-    pub fn n_rows(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.order.len())
-    }
-
-    /// Cheap selectivity estimate for the query planner: the average
-    /// candidate-window width of a point probe, expressed in parts per
-    /// million of the table's rows.
-    ///
-    /// Samples `SAMPLES` midpoint-strided coordinates per primary attribute
-    /// over the given `extents` (the table's primary domain) and takes the
-    /// tightest window across attributes at each sample — exactly the
-    /// window [`probe`](Self::probe) would scan. Two binary searches per
-    /// sample per column; no rows are touched, no counters move.
-    pub fn estimate_point_selectivity_ppm(&self, extents: &[i64]) -> u64 {
-        const SAMPLES: i64 = 32;
-        debug_assert_eq!(extents.len(), self.columns.len());
-        let n = self.n_rows();
-        if n == 0 {
-            return 0;
-        }
-        let mut total: u128 = 0;
-        for s in 0..SAMPLES {
-            let mut best = usize::MAX;
-            for (k, col) in self.columns.iter().enumerate() {
-                let extent = extents[k].max(1);
-                let p = (2 * s + 1) * extent / (2 * SAMPLES);
-                let (lo, hi) = col.candidate_window(&Interval::point(p));
-                best = best.min(hi.saturating_sub(lo));
-                if best == 0 {
-                    break;
-                }
-            }
-            total += best as u128;
-        }
-        ((total * 1_000_000) / (SAMPLES as u128 * n as u128)) as u64
     }
 
     /// Candidate rows for a query box: picks the primary attribute with the
@@ -229,22 +180,6 @@ mod tests {
         let mut t = CompressedTable::new(Orientation::Backward, 1, 1, vec![4, 4]);
         t.push_row(&[Cell::Sym { attr: 0 }, Cell::point(0)]);
         assert!(TableIndex::build(&t).is_none());
-    }
-
-    #[test]
-    fn selectivity_estimate_orders_sparse_before_dense() {
-        // A table of distinct points is far more selective under point
-        // probes than a table of full-domain intervals.
-        let sparse = table_with_primaries(&(0..50).map(|i| ivl(i, i)).collect::<Vec<_>>());
-        let dense = table_with_primaries(&vec![ivl(0, 99); 50]);
-        let si = TableIndex::build(&sparse).unwrap();
-        let di = TableIndex::build(&dense).unwrap();
-        let s = si.estimate_point_selectivity_ppm(&[100]);
-        let d = di.estimate_point_selectivity_ppm(&[100]);
-        assert!(s < d, "sparse {s} ppm should beat dense {d} ppm");
-        assert_eq!(d, 1_000_000); // every probe scans every row
-        let empty = TableIndex::build(&table_with_primaries(&[])).unwrap();
-        assert_eq!(empty.estimate_point_selectivity_ppm(&[100]), 0);
     }
 
     #[test]

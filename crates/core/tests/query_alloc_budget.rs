@@ -2,11 +2,11 @@
 //! that this test binary has to itself.
 //!
 //! A warm query pays for its joins: it finds its path in the registry from
-//! the borrowed names (no key, no `String` per array or edge), every table's
-//! selectivity estimate is memoised, and a matched row is written straight
-//! into the hop's output. What is left is a fixed set of buffers per query
-//! and per hop plus the result's own storage — pinned here, so a change that
-//! brings back a `Vec` or `String` per hop lookup or per matched row fails.
+//! the borrowed names (no key, no `String` per array or edge), plans nothing
+//! per hop, and a matched row is written straight into the hop's output.
+//! What is left is a fixed set of buffers per query and per hop plus the
+//! result's own storage — pinned here, so a change that brings back a `Vec`
+//! or `String` per hop lookup or per matched row fails.
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::query::plan::PlanDecision;
@@ -54,9 +54,9 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
 }
 
 /// Per query, whatever the path: the registry hand-out is free (an `Arc`
-/// bump), Q′ is two buffers (the sorted cells, the boxes), the planner's
-/// peeks and estimates and the hop statistics one each.
-const PER_QUERY: usize = 5;
+/// bump), Q′ is two buffers (the sorted cells, the boxes), the hop
+/// statistics one.
+const PER_QUERY: usize = 3;
 /// Per executed hop: the intersection scratch and the output boxes' buffer.
 const PER_HOP: usize = 2;
 

@@ -1,14 +1,16 @@
-//! Property-based parity suite for the cost-based query planner: over
-//! randomized multi-hop databases (1–5 hops, both hop orientations), the
-//! planner must be a pure access-path change. Planner-on and planner-off
-//! answer the cells the brute-force join over the raw rows answers
+//! Property-based parity suite for the query planner: over randomized
+//! multi-hop databases (1–5 hops, both hop orientations), the planner must
+//! be a pure access-path change. Planner-on and planner-off answer the
+//! cells the brute-force join over the raw rows answers
 //! (`dslog_oracle::query::reference`); so does a composite edge served
-//! after the hit threshold; a batched query answers cell-for-cell the same
-//! as a per-query loop; and ingest between queries invalidates any
-//! composite built over the replaced edge.
+//! after the hit threshold; a planned query either runs the path in order,
+//! hop for hop what the unplanned run does, or is served by a composite; a
+//! batched query answers cell-for-cell the same as a per-query loop; and
+//! ingest between queries invalidates any composite built over the
+//! replaced edge.
 
 use dslog::api::{Dslog, TableCapture};
-use dslog::query::QueryOptions;
+use dslog::query::{QueryOptions, QueryStats};
 use dslog::table::{LineageTable, Orientation};
 use dslog_oracle::query::reference;
 use proptest::prelude::*;
@@ -215,6 +217,38 @@ proptest! {
         prop_assert_eq!(run(&db, &path, &cells, opts(false)), expected.clone());
         for _ in 0..4 {
             prop_assert_eq!(run(&db, &path, &cells, opts(true)), expected.clone());
+        }
+    }
+
+    /// The planner's contract: every planned query either ran the path in
+    /// order or was served by a composite edge, and a `path_order` plan
+    /// probed, matched and emitted per hop exactly what the unplanned run
+    /// did.
+    #[test]
+    fn planned_queries_run_path_order_or_a_composite(case in arb_case()) {
+        let (mut db, names) = build_db(&case);
+        set_hit_threshold(&mut db, 2);
+        let path: Vec<&str> = names.iter().map(String::as_str).collect();
+        let cells = query_cells(&case);
+        prop_assume!(!cells.is_empty());
+
+        let per_hop = |stats: &QueryStats| -> Vec<(usize, usize, usize)> {
+            stats
+                .hops
+                .iter()
+                .map(|h| (h.rows_probed, h.rows_matched, h.boxes_emitted))
+                .collect()
+        };
+        let off = db.prov_query_opts(&path, &cells, opts(false)).unwrap().stats;
+        prop_assert!(off.plan.is_none());
+        for _ in 0..4 {
+            let on = db.prov_query_opts(&path, &cells, opts(true)).unwrap().stats;
+            let label = on.plan.as_ref().map(|p| p.decision.label());
+            if label == Some("path_order") {
+                prop_assert_eq!(per_hop(&on), per_hop(&off));
+            } else {
+                prop_assert_eq!(label, Some("composite"));
+            }
         }
     }
 

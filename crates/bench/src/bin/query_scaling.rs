@@ -29,7 +29,6 @@
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::query::{QueryExec, QueryOptions};
-use dslog::reuse::CompositePolicy;
 use dslog::table::{BoxTable, LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_oracle::query::reference;
@@ -150,13 +149,7 @@ fn versus(reps: usize, mut fast: impl FnMut(), mut slow: impl FnMut()) -> Versus
 /// repeatedly. Composite hit vs re-executing the path.
 fn measure_composite(n: usize, reps: usize) -> (usize, Versus) {
     const HOPS: usize = 8;
-    let mut db = Dslog::options()
-        .composite_policy(CompositePolicy {
-            hit_threshold: 3,
-            ..CompositePolicy::default()
-        })
-        .build()
-        .unwrap();
+    let mut db = Dslog::new();
     let support = 256.min(n / 4).max(8);
     for i in 0..=HOPS {
         db.define_array(&format!("S{i}"), &[n]).unwrap();

@@ -75,7 +75,9 @@ it), which also reclaims the dead bytes `db verify` reports —
 superseded tables whose segment a live neighbour still pinned. The
 catalog rename stays the single commit point: a crash mid-compaction
 leaves the previous generation intact. `serve --compact-every-gens N`
-runs the same pass automatically after every N committed generations.
+runs the same pass automatically after a commit once the live catalog
+references more than N segments (N commits that wrote tables since the
+last pass, counted on disk across restarts).
 
 `compress` reports per-format sizes plus ProvRC throughput (rows/s and
 raw MB/s).
@@ -573,7 +575,6 @@ fn serve_listen(opts: &Opts, service: DslogService, listen: &str) -> Result<Stri
         max_line_bytes: opts
             .optional_int("max-line-bytes")?
             .unwrap_or(defaults.max_line_bytes),
-        ..defaults
     };
     let service = std::sync::Arc::new(service);
     let server = NetServer::spawn(std::sync::Arc::clone(&service), listen, net_opts)

@@ -2,9 +2,8 @@
 //! lineage, registering operations, and issuing `prov_query` calls.
 
 use crate::error::{DslogError, Result};
-use crate::provrc::CompressOptions;
 use crate::query::{QueryOptions, QueryStats};
-use crate::reuse::{ArgValue, CompositePolicy, Mapping, ReuseHit, ReuseManager, ReuseStats};
+use crate::reuse::{ArgValue, Mapping, ReuseHit, ReuseManager, ReuseStats};
 use crate::service::MaintenancePolicy;
 use crate::storage::persist::{self, OpenMode};
 use crate::storage::wal::IoPolicy;
@@ -83,9 +82,10 @@ pub struct QueryResult {
 /// [`create`](Self::create), [`build`](Self::build)) validate the
 /// combination **before** any file IO, rejecting contradictions with
 /// [`DslogError::InvalidOptions`]. A live handle reports what it runs
-/// with through [`Dslog::config`] and takes edits through
-/// [`Dslog::reconfigure`]; nothing else — no setter, no environment
-/// variable — configures a database.
+/// with through [`Dslog::config`]. Nothing else — no setter, no
+/// environment variable — configures a database; what no caller needs to
+/// set (ProvRC's batch threading, the composite-edge thresholds of
+/// [`crate::query::plan`]) is fixed.
 ///
 /// ```no_run
 /// use dslog::api::Dslog;
@@ -166,26 +166,10 @@ impl OpenOptions {
         self
     }
 
-    /// ProvRC threading options: whether the relations of one ingest batch
-    /// (a [`crate::service::DslogService::ingest_batch`] call, or the pairs
-    /// of one [`Dslog::register_operation`]) may compress on worker
-    /// threads. One relation always compresses on its caller's.
-    pub fn compress(mut self, opts: CompressOptions) -> Self {
-        self.config.compress = opts;
-        self
-    }
-
     /// Default query-execution options (merge step, planner — each an
     /// ablation switch; see [`QueryOptions`]).
     pub fn query(mut self, opts: QueryOptions) -> Self {
         self.config.query = opts;
-        self
-    }
-
-    /// Composite-edge materialization policy (hit threshold and size
-    /// caps).
-    pub fn composite_policy(mut self, policy: CompositePolicy) -> Self {
-        self.config.composite_policy = policy;
         self
     }
 
@@ -280,10 +264,8 @@ impl OpenOptions {
 }
 
 /// One snapshot of a [`Dslog`] handle's effective configuration
-/// ([`Dslog::config`] / [`Dslog::reconfigure`]) — one field per
-/// [`OpenOptions`] method; the first four are fixed once the handle
-/// exists. The service layer reports it over the net protocol as the stats
-/// `"config"` object.
+/// ([`Dslog::config`]) — one field per [`OpenOptions`] method. The service
+/// layer reports it over the net protocol as the stats `"config"` object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DslogConfig {
     /// Whether the handle was opened lazily (tables decoded on first use).
@@ -300,12 +282,8 @@ pub struct DslogConfig {
     pub wal_retention: u32,
     /// Orientations materialized at ingest.
     pub materialize: Materialize,
-    /// Ingest-batch compression options (worker threads on or off).
-    pub compress: CompressOptions,
     /// Default query-execution options.
     pub query: QueryOptions,
-    /// Composite-edge materialization policy.
-    pub composite_policy: CompositePolicy,
     /// Background-compaction policy.
     pub maintenance: MaintenancePolicy,
 }
@@ -354,9 +332,7 @@ impl Dslog {
             wal_actor: s.actor.clone(),
             wal_retention: s.retain,
             materialize: s.materialize,
-            compress: s.compress,
             query: self.query_options,
-            composite_policy: s.composite_policy,
             maintenance: self.maintenance,
         }
     }
@@ -365,30 +341,11 @@ impl Dslog {
     /// binding's to keep).
     fn apply(&mut self, c: DslogConfig) {
         let s = &mut self.storage;
-        (s.materialize, s.compress, s.composite_policy) =
-            (c.materialize, c.compress, c.composite_policy);
+        s.materialize = c.materialize;
         (s.actor, s.retain, s.io_policy) = (c.wal_actor, c.wal_retention, c.io_policy);
         self.query_options = c.query;
         self.maintenance = c.maintenance;
         (self.lazy, self.as_of) = (c.lazy, c.as_of);
-    }
-
-    /// Apply a (typically [`config`](Self::config)-derived, then edited)
-    /// configuration snapshot to this handle. The open-time facts
-    /// (`lazy`, `as_of`, `gzip`, `io_policy`) cannot be
-    /// changed here — pass them back unmodified or get
-    /// [`DslogError::InvalidOptions`]; reopen through [`Dslog::options`] to
-    /// change how data is read.
-    pub fn reconfigure(&mut self, config: DslogConfig) -> Result<()> {
-        let fixed = |c: &DslogConfig| (c.lazy, c.as_of, c.gzip, c.io_policy.clone());
-        if fixed(&config) != fixed(&self.config()) {
-            return Err(DslogError::InvalidOptions(
-                "`lazy`, `as_of`, `gzip` and `io_policy` are fixed when a database is \
-                 opened; reopen through Dslog::options() to change them",
-            ));
-        }
-        self.apply(config);
-        Ok(())
     }
 
     /// Compact the bound directory: a [`commit`](Self::commit) that reuses
@@ -439,24 +396,6 @@ impl Dslog {
         self.reuse.stats()
     }
 
-    /// Per-edge forward/backward query counts (§IV.C workload statistics).
-    pub fn edge_stats(&self) -> Vec<crate::storage::EdgeStats> {
-        self.storage.edge_stats()
-    }
-
-    /// Re-materialize each edge's majority query orientation and drop the
-    /// minority one (§IV.C: store "one version depending on the
-    /// distribution of forward and reverse queries"). Safe at any time;
-    /// dropped orientations are re-derived on demand.
-    pub fn rebalance_materialization(&mut self) -> Result<()> {
-        self.storage.rebalance_materialization()
-    }
-
-    /// Access to the reuse manager (coverage experiments).
-    pub fn reuse_manager(&self) -> &ReuseManager {
-        &self.reuse
-    }
-
     /// Persist the stored arrays and compressed lineage tables into a
     /// database directory. With `gzip` the tables use the ProvRC-GZip
     /// disk format (the paper's recommended long-term configuration).
@@ -469,9 +408,9 @@ impl Dslog {
     ///
     /// Saving into the *bound* directory — the one this database was
     /// opened from or last saved into, with the same `gzip` mode — is
-    /// **incremental**: only edges added, re-derived, or rebalanced since
-    /// the last commit are rewritten; everything else is re-referenced in
-    /// place (see [`commit`](Self::commit) for the detailed report).
+    /// **incremental**: only edges added or re-derived since the last
+    /// commit are rewritten; everything else is re-referenced in place
+    /// (see [`commit`](Self::commit) for the detailed report).
     ///
     /// Every orientation materialized in memory — including orientations a
     /// query lazily derived — is written. The reuse predictor's signature
@@ -902,9 +841,9 @@ mod tests {
 
     /// The per-path registry follows the edges: an ingest into a member
     /// edge between two queries of one path makes the next query resolve
-    /// the path afresh — the new edge answers, its hit counter moves, the
-    /// composite over the old edge is gone — while the snapshot the epoch
-    /// was cloned from keeps answering from the old edge and its composite.
+    /// the path afresh — the new edge answers, the composite over the old
+    /// edge is gone — while the snapshot the epoch was cloned from keeps
+    /// answering from the old edge and its composite.
     #[test]
     fn ingest_between_queries_re_resolves_the_path() {
         let shifted = |shift: i64| {
@@ -912,11 +851,7 @@ mod tests {
             (0..4).for_each(|v| t.push_row(&[v, (v + shift) % 4]));
             TableCapture::new(t)
         };
-        let policy = CompositePolicy {
-            hit_threshold: 2,
-            ..CompositePolicy::default()
-        };
-        let mut db = Dslog::options().composite_policy(policy).build().unwrap();
+        let mut db = Dslog::new();
         for name in ["X", "Y", "Z"] {
             db.define_array(name, &[4]).unwrap();
         }
@@ -929,27 +864,25 @@ mod tests {
                 .cells
                 .enumerate_cells()
         };
-        let hits = |db: &Dslog, i: usize| db.edge_stats()[i].backward_hits;
 
-        // First sighting runs both hops, the second materializes.
-        assert_eq!(answer(&db), vec![vec![2]]);
+        // The first two sightings run both hops, the third materializes.
+        for _ in 0..2 {
+            assert_eq!(answer(&db), vec![vec![2]]);
+            assert!(!db.storage().has_composite(&path));
+        }
         assert_eq!(answer(&db), vec![vec![2]]);
         assert!(db.storage().has_composite(&path));
-        assert_eq!(hits(&db, 0), 1);
 
         let mut next = db.clone_for_epoch();
         next.add_lineage("X", "Y", &shifted(2)).unwrap();
         assert!(!next.storage().has_composite(&path));
-        assert_eq!(hits(&next, 0), 0, "the new X→Y edge starts uncounted");
-        let z_y_before = hits(&next, 1);
         assert_eq!(answer(&next), vec![vec![3]]);
-        assert_eq!((hits(&next, 0), hits(&next, 1)), (1, z_y_before + 1));
         assert_eq!(answer(&next), vec![vec![3]]);
+        assert!(!next.storage().has_composite(&path), "sightings restart");
 
         // The published snapshot is undisturbed: old edge, old composite.
         assert!(db.storage().has_composite(&path));
         assert_eq!(answer(&db), vec![vec![2]]);
-        assert_eq!(hits(&db, 0), 1, "the old X→Y edge is not the new one");
     }
 
     #[test]
@@ -977,9 +910,8 @@ mod tests {
         ));
     }
 
-    /// Every builder method lands in `config()`, nothing is lost across a
-    /// `reconfigure(config())` round trip, runtime settings can be edited
-    /// on a live handle, and the open-time facts cannot.
+    /// Every builder method lands in `config()`: each of the ten settable
+    /// values is set away from its default and read back unchanged.
     #[test]
     fn open_options_create_open_and_config_roundtrip() {
         use crate::storage::wal::IoFault;
@@ -1008,27 +940,20 @@ mod tests {
             wal_actor: "builder-test".to_string(),
             wal_retention: 5,
             materialize: Materialize::Both,
-            compress: CompressOptions { parallel: false },
             query: QueryOptions {
                 merge: false,
-                ..QueryOptions::default()
-            },
-            composite_policy: CompositePolicy {
-                hit_threshold: 7,
-                ..CompositePolicy::default()
+                use_planner: false,
             },
             maintenance: MaintenancePolicy::every_generations(4),
         };
-        let mut db = Dslog::options()
+        let db = Dslog::options()
             .lazy(want.lazy)
             .gzip(true)
             .io_policy(want.io_policy.clone().unwrap())
             .wal_actor("builder-test")
             .wal_retention(want.wal_retention)
             .materialize(want.materialize)
-            .compress(want.compress)
             .query(want.query)
-            .composite_policy(want.composite_policy)
             .maintenance(want.maintenance)
             .open(&dir)
             .unwrap();
@@ -1041,11 +966,10 @@ mod tests {
             ("wal_actor", want.wal_actor != default.wal_actor),
             ("wal_retention", want.wal_retention != default.wal_retention),
             ("materialize", want.materialize != default.materialize),
-            ("compress", want.compress != default.compress),
-            ("query", want.query != default.query),
+            ("query.merge", want.query.merge != default.query.merge),
             (
-                "composite",
-                want.composite_policy != default.composite_policy,
+                "query.use_planner",
+                want.query.use_planner != default.query.use_planner,
             ),
             ("maintenance", want.maintenance != default.maintenance),
         ] {
@@ -1053,33 +977,6 @@ mod tests {
         }
         let r = db.prov_query(&["B", "A"], &[vec![1]]).unwrap();
         assert!(r.cells.contains_cell(&[1, 0]));
-
-        // reconfigure: a round trip loses nothing, runtime settings
-        // change, open-time facts do not.
-        db.reconfigure(db.config()).unwrap();
-        assert_eq!(db.config(), want);
-        let mut edited = db.config();
-        edited.wal_retention = 9;
-        edited.query.merge = true;
-        db.reconfigure(edited.clone()).unwrap();
-        assert_eq!(db.config(), edited);
-        assert!(db.query_options().merge);
-        type Edit = fn(&mut DslogConfig);
-        let fixed: [(&str, Edit); 4] = [
-            ("lazy", |c| c.lazy = false),
-            ("as_of", |c| c.as_of = Some(1)),
-            ("gzip", |c| c.gzip = Some(false)),
-            ("io_policy", |c| c.io_policy = None),
-        ];
-        for (field, edit) in fixed {
-            let mut bad = db.config();
-            edit(&mut bad);
-            assert!(
-                matches!(db.reconfigure(bad), Err(DslogError::InvalidOptions(_))),
-                "editing {field} was accepted"
-            );
-        }
-        assert_eq!(db.config(), edited);
 
         let old = Dslog::options().as_of(generation).open(&dir).unwrap();
         assert_eq!(old.config().as_of, Some(generation));

@@ -59,9 +59,9 @@ pub enum DslogError {
     /// reclaimed.
     GenerationNotRetained(u64),
     /// An [`OpenOptions`](crate::api::OpenOptions) builder combined
-    /// settings that contradict each other (e.g. `as_of` + `lazy`), or a
-    /// [`reconfigure`](crate::api::Dslog::reconfigure) call tried to change
-    /// a property fixed at open time.
+    /// settings that contradict each other (e.g. `as_of` + `lazy`), or
+    /// that contradict the database directory (a `gzip` mode its catalog
+    /// does not record).
     InvalidOptions(&'static str),
 }
 

@@ -49,12 +49,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Whether `other` is fully inside `self`.
-    #[inline]
-    pub fn contains_interval(&self, other: &Interval) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
-
     /// Intersection, or `None` when disjoint.
     #[inline]
     pub fn intersect(&self, other: &Interval) -> Option<Interval> {
@@ -67,12 +61,6 @@ impl Interval {
     #[inline]
     pub fn overlaps(&self, other: &Interval) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
-    }
-
-    /// Whether `other` starts exactly one past `self` (exact concatenation).
-    #[inline]
-    pub fn abuts_below(&self, other: &Interval) -> bool {
-        other.lo == self.hi + 1
     }
 
     /// Whether the union of the two intervals is a single interval
@@ -175,8 +163,6 @@ mod tests {
         assert_eq!(a.len(), 5);
         assert!(a.contains(0));
         assert!(!a.contains(3));
-        assert!(a.contains_interval(&Interval::new(-1, 1)));
-        assert!(!a.contains_interval(&Interval::new(0, 3)));
     }
 
     #[test]

@@ -59,11 +59,11 @@
 //!   newline not counted) — an oversized frame gets one error response
 //!   and the connection is closed (the byte-budget discipline of the
 //!   persistence layer's hostile-input handling, applied to the wire);
-//! - responses are written under [`ServeOptions::write_timeout`] — a
-//!   reader that stops draining its socket is disconnected, not buffered
-//!   for;
-//! - reads poll at [`ServeOptions::poll_interval`] so sessions notice
-//!   server shutdown promptly, idle or halfway through a frame.
+//! - a response write may block for at most 10 s — a reader that stops
+//!   draining its socket is disconnected, not buffered for;
+//! - reads poll every 200 ms so sessions notice server shutdown
+//!   promptly, idle or halfway through a frame. A session is never closed
+//!   just for being idle.
 //!
 //! ## Framing and writes
 //!
@@ -132,14 +132,15 @@ pub struct ServeOptions {
     /// exactly `max_line_bytes` bytes is served. Oversized frames get one
     /// error response and the connection is closed.
     pub max_line_bytes: usize,
-    /// How long a response write may block on a slow reader before the
-    /// session is dropped.
-    pub write_timeout: Duration,
-    /// Socket read timeout; idle sessions wake this often to check for
-    /// server shutdown. Liveness/latency knob only — a session is never
-    /// closed just for being idle.
-    pub poll_interval: Duration,
 }
+
+/// How long a response write may block on a slow reader before the
+/// session is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Socket read timeout: idle sessions wake this often to check for server
+/// shutdown.
+const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 impl Default for ServeOptions {
     fn default() -> Self {
@@ -147,8 +148,6 @@ impl Default for ServeOptions {
             workers: 8,
             queue_depth: 16,
             max_line_bytes: 1 << 20,
-            write_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(200),
         }
     }
 }
@@ -283,12 +282,6 @@ impl NetServer {
         self.shared.stats()
     }
 
-    /// Whether a `shutdown` request has been received (or
-    /// [`stop`](NetServer::stop) called).
-    pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
-    }
-
     /// Ask the server to stop, without waiting for the threads.
     pub fn stop(&self) {
         request_stop(&self.shared, self.local_addr);
@@ -361,7 +354,7 @@ fn accept_loop(listener: &TcpListener, shared: &NetShared) {
         if queue.len() as u64 + shared.busy.load(Ordering::Acquire) >= cap as u64 {
             drop(queue);
             shared.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            reject_busy(stream, shared.opts);
+            reject_busy(stream);
             continue;
         }
         queue.push_back(stream);
@@ -374,8 +367,8 @@ fn accept_loop(listener: &TcpListener, shared: &NetShared) {
 }
 
 /// Best-effort busy response on a connection that was never admitted.
-fn reject_busy(mut stream: TcpStream, opts: ServeOptions) {
-    let _ = stream.set_write_timeout(Some(opts.write_timeout.min(Duration::from_secs(1))));
+fn reject_busy(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = stream.write_all(
         b"{\"ok\":false,\"error\":\"server busy: connection limit reached, retry later\"}\n",
     );
@@ -427,7 +420,7 @@ pub enum Outcome {
 /// Streaming it through a `BufWriter` would bound that too, but every
 /// renderer would then return socket errors to keep apart from service
 /// errors, and `BufWriter`'s drop retries a write that timed out, holding
-/// a stalled reader for a second `write_timeout`.
+/// a stalled reader for a second [`WRITE_TIMEOUT`].
 const FLUSH_BYTES: usize = 64 << 10;
 
 /// Drive one client connection to completion: read request lines (capped,
@@ -439,8 +432,8 @@ fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
     let actor = stream
         .peer_addr()
         .map_or_else(|_| "net".to_string(), |a| format!("net:{a}"));
-    stream.set_read_timeout(Some(shared.opts.poll_interval))?;
-    stream.set_write_timeout(Some(shared.opts.write_timeout))?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     // Nagle stays off: the session coalesces its answers itself, and Nagle
     // would hold each write back until the client acknowledged the last.
     stream.set_nodelay(true).ok();
@@ -842,20 +835,15 @@ fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
         out,
         "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\
          \"wal_actor\":{},\"wal_retention\":{},\"materialize\":\"{materialize}\",\
-         \"compress\":{{\"parallel\":{}}},\
          \"query\":{{\"merge\":{},\"use_planner\":{}}},\
-         \"composite\":{{\"enabled\":{},\"hit_threshold\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
         or_null(&c.as_of),
         or_null(&c.gzip),
         JsonStr(&c.wal_actor),
         c.wal_retention,
-        c.compress.parallel,
         c.query.merge,
         c.query.use_planner,
-        c.composite_policy.enabled,
-        c.composite_policy.hit_threshold,
         or_null(&c.maintenance.auto_compact_generations)
     );
 }
@@ -1079,14 +1067,12 @@ mod tests {
         // Malformed batches are rejected without killing the session.
         let resp = roundtrip(&mut reader, &mut writer, "query_batch B,A 1||2");
         assert!(resp.starts_with("{\"ok\":false"), "{resp}");
-        // `config` renders `materialize`, and its `compress` and `query`
-        // objects hold the remaining options only (no switch for a deleted
-        // code path).
+        // `config` renders `materialize`, and its `query` object holds the
+        // remaining options only (no switch for a deleted code path).
         let resp = roundtrip(&mut reader, &mut writer, "stats");
         assert!(resp.contains("\"ok\":true"), "{resp}");
         for field in [
             "\"materialize\":\"backward\"",
-            "\"compress\":{\"parallel\":true}",
             "\"query\":{\"merge\":true,\"use_planner\":true}",
         ] {
             assert!(resp.contains(field), "{field} not in {resp}");
@@ -1096,13 +1082,34 @@ mod tests {
         server.join();
     }
 
+    /// The `stats` reply's `config` object carries exactly the settable
+    /// configuration, key for key and in order: nothing fixed as a
+    /// constant is reported as if it could be set.
+    #[test]
+    fn stats_config_keys_are_the_settable_values() {
+        let (_service, server) = spawn_test_server(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        });
+        let (mut reader, mut writer) = connect(server.local_addr());
+        let resp = roundtrip(&mut reader, &mut writer, "stats");
+        let config = &resp[resp.find("\"config\":").expect("config object")..];
+        assert_eq!(
+            config,
+            "\"config\":{\"lazy\":false,\"as_of\":null,\"gzip\":null,\
+             \"wal_actor\":\"local\",\"wal_retention\":0,\"materialize\":\"backward\",\
+             \"query\":{\"merge\":true,\"use_planner\":true},\
+             \"auto_compact_generations\":null}}"
+        );
+        server.stop();
+        server.join();
+    }
+
     #[test]
     fn oversized_frame_rejected_and_connection_closed() {
-        let poll_interval = Duration::from_millis(20);
         let (_service, server) = spawn_test_server(ServeOptions {
             workers: 1,
             max_line_bytes: 64,
-            poll_interval,
             ..ServeOptions::default()
         });
         let (mut reader, mut writer) = connect(server.local_addr());
@@ -1122,7 +1129,7 @@ mod tests {
         let (mut reader, mut writer) = connect(server.local_addr());
         let half = format!("query B,A {}", "1;".repeat(15));
         writer.write_all(half.as_bytes()).unwrap();
-        std::thread::sleep(poll_interval * 5);
+        std::thread::sleep(POLL_INTERVAL * 2);
         writer.write_all(half.as_bytes()).unwrap();
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
@@ -1138,7 +1145,6 @@ mod tests {
     fn half_sent_frame_does_not_block_shutdown() {
         let (_service, server) = spawn_test_server(ServeOptions {
             workers: 1,
-            poll_interval: Duration::from_millis(20),
             ..ServeOptions::default()
         });
         let (mut reader, mut writer) = connect(server.local_addr());

@@ -80,20 +80,6 @@ pub fn instantiate(
     Ok(out)
 }
 
-/// Whether a generalized table still contains any absolute interval that
-/// matches a dimension extent of the *original* shapes — a heuristic signal
-/// that the table may be shape-dependent in a way generalization missed.
-/// Used by the reuse predictor to report why a mapping was rejected.
-pub fn has_residual_shape_coincidence(table: &CompressedTable) -> bool {
-    let extents = table.extents();
-    (0..table.arity()).any(|k| {
-        table.column(k).iter().any(|cell| match cell {
-            Cell::Abs(ivl) => extents.iter().any(|&d| ivl.hi == d - 1),
-            _ => false,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! In-situ query processing over compressed lineage (paper §V).
 //!
 //! A lineage query walks a path `X1 → X2 → … → Xn`; each hop is a θ-join
-//! between the current cell set (a [`BoxTable`]) and the compressed lineage
+//! between the current cell set (a [`BoxTable`](crate::table::BoxTable)) and the compressed lineage
 //! table whose *primary* (absolute) side matches the query side of the hop.
 //! Between hops the result is projected onto the next array's attributes
 //! (built into the θ-join) and row-reduced with the merge step (§V.B.3) —
@@ -19,9 +19,6 @@ pub mod plan;
 
 pub use exec::{theta_join, HopStats, QueryExec, QueryStats};
 pub use plan::{PlanDecision, PlanReport};
-
-use crate::error::Result;
-use crate::table::{BoxTable, CompressedTable};
 
 /// Tuning knobs for query execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,16 +41,4 @@ impl Default for QueryOptions {
             use_planner: true,
         }
     }
-}
-
-/// Execute a chain of θ-joins left-to-right (§V.B.3's query plan),
-/// discarding statistics. See [`QueryExec::chain`].
-pub fn query_chain(
-    query: &BoxTable,
-    tables: &[&CompressedTable],
-    opts: QueryOptions,
-) -> Result<BoxTable> {
-    QueryExec::new(opts)
-        .chain(query, tables)
-        .map(|(out, _)| out)
 }

@@ -12,11 +12,10 @@
 //!
 //! * **Composite edges** ([`PlanDecision::CompositeEdge`]) — a θ-join of
 //!   edges is itself an edge. When the planner keeps seeing the same
-//!   multi-hop path (`CompositePolicy::hit_threshold` sightings), the
-//!   joined relation is compressed once into a real `CompressedTable`,
-//!   registered in the path's registry entry, and later queries run it as
-//!   a *single* probe. Ingest into any member edge drops the entry, and
-//!   the composite with it (see `ResolvedPath::observe_composite`); policy
+//!   multi-hop path (three sightings), the joined relation is compressed
+//!   once into a real `CompressedTable`, registered in the path's registry
+//!   entry, and later queries run it as a *single* probe. Ingest into any member edge drops the entry, and
+//!   the composite with it (see `ResolvedPath::observe_composite`); size
 //!   caps mark oversized paths unmaterializable instead.
 //!
 //! Every decision is surfaced in [`QueryStats::plan`] as a [`PlanReport`].
@@ -35,6 +34,7 @@ use crate::error::Result;
 use crate::interval::Interval;
 use crate::query::exec::{HopJoin, HopStats, QueryExec, QueryStats};
 use crate::query::QueryOptions;
+use crate::reuse::{COMPOSITE_MAX_ROWS, COMPOSITE_MAX_SUPPORT_CELLS};
 use crate::storage::{CompositeProbe, ResolvedPath, StorageManager};
 use crate::table::{BoxTable, Cell, CompressedTable, LineageTable, Orientation};
 use std::collections::HashMap;
@@ -132,7 +132,7 @@ fn composite_for(
     path: &[&str],
     resolved: &ResolvedPath,
 ) -> Option<Arc<CompressedTable>> {
-    match resolved.observe_composite(storage.composite_policy) {
+    match resolved.observe_composite() {
         CompositeProbe::Serve(table) => Some(table),
         CompositeProbe::Materialize => try_materialize(storage, path, resolved),
         CompositeProbe::Pass => None,
@@ -185,14 +185,13 @@ fn primary_support(table: &CompressedTable) -> Option<BoxTable> {
 /// without installing while a member table is not stored in the
 /// orientation its hop needs (path order derives it; retried on the next
 /// sighting); installs an *unmaterializable* marker
-/// when a policy cap is exceeded (never retried until an ingest drops
+/// when a size cap is exceeded (never retried until an ingest drops
 /// the entry).
 fn try_materialize(
     storage: &StorageManager,
     path: &[&str],
     resolved: &ResolvedPath,
 ) -> Option<Arc<CompressedTable>> {
-    let policy = storage.composite_policy;
     let mut tables: Vec<Arc<CompressedTable>> = Vec::with_capacity(resolved.n_hops());
     for k in 0..resolved.n_hops() {
         let table = resolved.peek_hop(k)?;
@@ -203,7 +202,7 @@ fn try_materialize(
     }
     let mut support = primary_support(&tables[0])?;
     support.merge();
-    if support.volume() > u128::from(policy.max_support_cells) {
+    if support.volume() > COMPOSITE_MAX_SUPPORT_CELLS {
         storage.install_composite(path, resolved, None);
         return None;
     }
@@ -222,7 +221,7 @@ fn try_materialize(
         q.push_box(&point);
         let (out, _) = exec.chain(&q, &refs).ok()?;
         for target in out.cell_set() {
-            if lineage.n_rows() >= policy.max_rows {
+            if lineage.n_rows() >= COMPOSITE_MAX_ROWS {
                 storage.install_composite(path, resolved, None);
                 return None;
             }

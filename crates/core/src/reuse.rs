@@ -44,38 +44,26 @@ impl ArgValue {
     }
 }
 
-/// When the reuse layer materializes a **composite edge**: a θ-join of
-/// stored edges is itself an edge, so a multi-hop path the planner keeps
-/// seeing can be compressed once into a real `CompressedTable`, registered
-/// in the storage manager keyed by the path, and served as a single probe
-/// on later queries (the multi-hop analogue of §VI's "store derived
-/// lineage, serve it instead of recomputing"). Ingesting into any member
-/// edge invalidates the composite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompositePolicy {
-    /// Master switch; when off, paths are never counted or served.
-    pub enabled: bool,
-    /// Planner sightings of a path before it is materialized.
-    pub hit_threshold: u32,
-    /// Cap on the first-array support volume enumerated during
-    /// materialization; paths whose hop-0 table covers more source cells
-    /// are marked unmaterializable instead.
-    pub max_support_cells: u64,
-    /// Cap on the joined relation's row count; larger results are marked
-    /// unmaterializable instead of being compressed.
-    pub max_rows: usize,
-}
+// When the reuse layer materializes a **composite edge**: a θ-join of
+// stored edges is itself an edge, so a multi-hop path the planner keeps
+// seeing is compressed once into a real `CompressedTable`, registered in
+// the storage manager keyed by the path, and served as a single probe on
+// later queries (the multi-hop analogue of §VI's "store derived lineage,
+// serve it instead of recomputing"). Ingesting into any member edge
+// invalidates the composite; `QueryOptions::use_planner = false` turns
+// composites off.
 
-impl Default for CompositePolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            hit_threshold: 3,
-            max_support_cells: 1 << 16,
-            max_rows: 1 << 20,
-        }
-    }
-}
+/// Planner sightings of a path before it is materialized.
+pub(crate) const COMPOSITE_HIT_THRESHOLD: u32 = 3;
+
+/// Cap on the first-array support volume enumerated during
+/// materialization; a path whose hop-0 table covers more source cells is
+/// marked unmaterializable instead.
+pub(crate) const COMPOSITE_MAX_SUPPORT_CELLS: u128 = 1 << 16;
+
+/// Cap on the joined relation's row count; a larger result is marked
+/// unmaterializable instead of being compressed.
+pub(crate) const COMPOSITE_MAX_ROWS: usize = 1 << 20;
 
 /// Signature granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

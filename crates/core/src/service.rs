@@ -23,7 +23,7 @@
 //! - **Ingest is two-phase.** [`ingest_batch`](DslogService::ingest_batch)
 //!   prepares the batch against a snapshot *outside any lock* — the
 //!   storage layer's one ingest path checks, compresses (via
-//!   [`crate::provrc::compress_batch_parallel_opts`]), indexes and
+//!   [`crate::provrc::compress_batch_parallel`]), indexes and
 //!   computes the log records — and then installs it into the next epoch
 //!   and swaps that in under the writer lock (O(edges) pointer work).
 //! - **Commits run against a pinned snapshot.** [`commit`](DslogService::commit)
@@ -119,18 +119,23 @@ impl AutoCommitPolicy {
 /// [`crate::storage::compact`]) on the database it serves.
 ///
 /// The policy travels with the database: set it at open time through
-/// [`crate::api::OpenOptions::maintenance`] (or later via
-/// [`Dslog::reconfigure`]), and the service checks it after every
-/// successful commit. Compaction runs on the committing thread under the
-/// service commit lock — queries and ingest installs are never blocked
-/// (they only touch the epoch-snapshot locks), and the storage layer's
-/// own commit lock serializes it against concurrent explicit commits.
+/// [`crate::api::OpenOptions::maintenance`], and the service checks it
+/// after every successful commit against what is on disk — the segment
+/// files the live catalog references — not against what this process
+/// did, so a database served by many short-lived processes compacts too.
+/// Compaction runs on the committing thread under the service commit lock
+/// — queries and ingest installs are never blocked (they only touch the
+/// epoch-snapshot locks), and the storage layer's own commit lock
+/// serializes it against concurrent explicit commits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenancePolicy {
-    /// Compact once the bound directory has accreted this many committed
-    /// generations since the last compaction (checked after each
-    /// successful service commit). `None` disables background
-    /// compaction; explicit [`Dslog::compact`] calls always work.
+    /// Compact once the live catalog references more than this many
+    /// segment files (checked after each successful service commit; 0
+    /// counts as 1). A commit that writes tables adds one segment, so this
+    /// is the number of such generations since the last compaction; a
+    /// commit that writes none never triggers one. `None` disables
+    /// background compaction; explicit [`Dslog::compact`] calls always
+    /// work.
     pub auto_compact_generations: Option<u64>,
 }
 
@@ -140,8 +145,8 @@ impl MaintenancePolicy {
         Self::default()
     }
 
-    /// Compact after every `n` committed generations (`n` is clamped to
-    /// at least 1).
+    /// Compact once more than `n` segments are live: after every `n`
+    /// generations that wrote tables (`n` is clamped to at least 1).
     pub fn every_generations(n: u64) -> Self {
         Self {
             auto_compact_generations: Some(n.max(1)),
@@ -254,10 +259,6 @@ struct Shared {
     auto_commits: AtomicU64,
     /// Background compactions driven by the maintenance policy.
     compactions: AtomicU64,
-    /// Generation of the last background compaction (seeded with the
-    /// bound generation at construction so a freshly opened service does
-    /// not immediately compact). Plain atomic — no new lock rank.
-    last_compact_gen: AtomicU64,
     /// Total commit failures (manual + automatic), monotonic.
     failed_commits: AtomicU64,
     /// Commit failures since the last success; drives the ticker's
@@ -343,23 +344,16 @@ impl Shared {
     }
 
     /// Run background compaction if the served database's
-    /// [`MaintenancePolicy`] says the directory has accreted enough
-    /// generations. Failures are swallowed (the next qualifying commit
-    /// retries); success advances the compaction watermark.
+    /// [`MaintenancePolicy`] says the live catalog references too many
+    /// segments. Failures are swallowed: the next commit finds the same
+    /// segments and retries.
     fn maybe_auto_compact(&self, db: &Dslog) {
         let Some(every) = db.maintenance.auto_compact_generations else {
             return;
         };
-        let Some((_, _, generation)) = db.bound_database() else {
-            return;
-        };
-        if generation.saturating_sub(self.last_compact_gen.load(Ordering::Acquire)) < every {
-            return;
-        }
-        if let Ok(report) = db.commit_as(Some("maintenance"), true) {
+        let segments = db.storage().live_segments() as u64;
+        if segments > every.max(1) && db.commit_as(Some("maintenance"), true).is_ok() {
             self.compactions.fetch_add(1, Ordering::Relaxed);
-            self.last_compact_gen
-                .store(report.generation, Ordering::Release);
         }
     }
 }
@@ -393,7 +387,6 @@ impl DslogService {
     /// ingest + queries, but commits fail with [`DslogError::NotBound`]
     /// (auto-commit ticks drop the error and retry next time).
     pub fn new(db: Dslog, policy: AutoCommitPolicy) -> Self {
-        let bound_generation = db.bound_database().map_or(0, |(_, _, g)| g);
         let shared = Arc::new(Shared {
             current: RwLock::new(&ranks::SERVICE_CURRENT, Arc::new(db)),
             epoch: AtomicU64::new(0),
@@ -406,7 +399,6 @@ impl DslogService {
             commits: AtomicU64::new(0),
             auto_commits: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            last_compact_gen: AtomicU64::new(bound_generation),
             failed_commits: AtomicU64::new(0),
             consecutive_failures: AtomicU32::new(0),
             last_commit_error: Mutex::new(&ranks::SERVICE_ERROR, None),
@@ -849,20 +841,20 @@ mod tests {
         db.add_lineage("A", "B", &TableCapture::new(small_lineage(8, 0)))
             .unwrap();
         db.commit().unwrap();
-        // The watermark seeds at the bound generation: the service never
-        // compacts a freshly opened directory on its first commit.
+        // One segment is live: the first service commit makes two, which
+        // is not more than the policy's two.
         let service = DslogService::new(db, AutoCommitPolicy::manual());
         service.define_array("C", &[8]).unwrap();
         service
             .ingest_batch(vec![IngestJob::new("B", "C", small_lineage(8, 1))])
             .unwrap();
-        service.commit().unwrap(); // 1 generation since seed: below threshold
+        service.commit().unwrap(); // 2 live segments: at the threshold
         assert_eq!(service.stats().compactions, 0);
         service.define_array("D", &[8]).unwrap();
         service
             .ingest_batch(vec![IngestJob::new("C", "D", small_lineage(8, 2))])
             .unwrap();
-        service.commit().unwrap(); // 2 generations: compaction fires
+        service.commit().unwrap(); // 3 live segments: compaction fires
         let stats = service.stats();
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.config.maintenance.auto_compact_generations, Some(2));
@@ -883,6 +875,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn segments(dir: &std::path::Path) -> usize {
+        let names = std::fs::read_dir(dir).unwrap();
+        let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+        names.filter(|n| n.starts_with("segment-")).count()
+    }
+
+    /// Maintenance counts what is on disk, not what this process did: two
+    /// services in turn, each committing fewer times than the policy's n,
+    /// still end with one segment, and commits that write no table never
+    /// rewrite an already compacted database.
+    #[test]
+    fn maintenance_counts_live_segments_across_services() {
+        let dir = temp_dir("maint-restart");
+        let options = || Dslog::options().maintenance(MaintenancePolicy::every_generations(3));
+        let mut db = options().create(&dir).unwrap();
+        db.define_array("A0", &[8]).unwrap();
+        db.commit().unwrap();
+        let mut k = 0;
+        for commits in [2, 2] {
+            let service = DslogService::new(db, AutoCommitPolicy::manual());
+            for _ in 0..commits {
+                let (from, to) = (format!("A{k}"), format!("A{}", k + 1));
+                service.define_array(&to, &[8]).unwrap();
+                let job = IngestJob::new(from, to, small_lineage(8, k));
+                service.ingest_batch(vec![job]).unwrap();
+                service.commit().unwrap();
+                k += 1;
+            }
+            let after_second = k == 4;
+            assert_eq!(service.stats().compactions, u64::from(after_second));
+            let (_db, commit) = service.shutdown().unwrap();
+            commit.unwrap();
+            db = options().open(&dir).unwrap();
+        }
+        assert_eq!(segments(&dir), 1);
+
+        // n commits with nothing pending write no segment: no compaction.
+        let service = DslogService::new(db, AutoCommitPolicy::manual());
+        for _ in 0..3 {
+            assert_eq!(service.commit().unwrap().files_written, 0);
+        }
+        assert_eq!(service.stats().compactions, 0);
+        assert_eq!(segments(&dir), 1);
+        assert_eq!(service.with_db(|db| db.storage().n_edges()), 4);
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn interval_policy_commits_in_background() {
         let dir = temp_dir("interval");
@@ -892,21 +932,21 @@ mod tests {
             .ingest_batch(vec![IngestJob::new("B", "C", small_lineage(8, 1))])
             .unwrap();
         // The ticker must pick the pending edge up without any explicit
-        // commit call. The poll open races the ticker's live commit (a
-        // second manager on a live directory — unsupported outside tests),
-        // so a transient Err just means "poll again".
+        // commit call. Poll the service, not the directory: an open sweeps
+        // the files and truncates the log past the live catalog, so one
+        // racing the ticker's commit (a second manager on a live
+        // directory, which only tests do) could destroy that commit.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !Dslog::options()
-            .open(&dir)
-            .is_ok_and(|db| db.storage().n_edges() == 2)
-        {
+        while service.stats().auto_commits == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "ticker never committed"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(service.stats().auto_commits >= 1);
+        // Nothing is pending any more, so the ticker commits no further.
+        let reopened = Dslog::options().open(&dir).unwrap();
+        assert_eq!(reopened.storage().n_edges(), 2);
         drop(service); // joins the ticker without hanging
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -59,15 +59,15 @@ pub(crate) mod wire {
 }
 
 use crate::error::{DslogError, Result};
-use crate::provrc::{self, CompressOptions};
-use crate::reuse::CompositePolicy;
+use crate::provrc;
+use crate::reuse::COMPOSITE_HIT_THRESHOLD;
 use crate::table::{CompressedTable, LineageTable, Orientation};
 use dslog_sync::{ranks, Mutex, RwLock};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Most attributes (output plus input axes) one edge may have: what the
@@ -193,8 +193,8 @@ impl FileRecord {
 /// bound database directory already holds a committed range with this
 /// slot's content — such slots are *clean* and an incremental commit
 /// reuses the recorded range instead of rewriting it. Anything that
-/// changes the slot's content (fresh ingest, on-demand derivation,
-/// rebalancing) clears the record, marking the slot *dirty*.
+/// changes the slot's content (fresh ingest, on-demand derivation) clears
+/// the record, marking the slot *dirty*.
 #[derive(Debug, Default)]
 pub(crate) struct Slot {
     pub(crate) source: Option<TableSource>,
@@ -235,11 +235,6 @@ struct Edge {
     forward: RwLock<Slot>,
     out_shape: Vec<usize>,
     in_shape: Vec<usize>,
-    /// Query-direction counters feeding the §IV.C materialization decision
-    /// ("one version depending on the distribution of forward and reverse
-    /// queries").
-    backward_hits: AtomicU64,
-    forward_hits: AtomicU64,
 }
 
 impl Edge {
@@ -249,8 +244,6 @@ impl Edge {
             forward: RwLock::new(&ranks::STORAGE_SLOT, forward),
             out_shape,
             in_shape,
-            backward_hits: AtomicU64::new(0),
-            forward_hits: AtomicU64::new(0),
         }
     }
 
@@ -334,19 +327,6 @@ impl Edge {
         }
         slot.persisted = Some(record);
     }
-}
-
-/// Per-edge query-direction statistics (§IV.C).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeStats {
-    /// Input array of the edge.
-    pub in_array: String,
-    /// Output array of the edge.
-    pub out_array: String,
-    /// Hops served in the backward direction (output → input).
-    pub backward_hits: u64,
-    /// Hops served in the forward direction (input → output).
-    pub forward_hits: u64,
 }
 
 impl Edge {
@@ -536,7 +516,7 @@ struct PathHop {
 /// path resolved against one snapshot — every array known to exist, every
 /// hop bound to its edge and orientation — plus the path's composite-edge
 /// state. Tables are *not* cached here: each hop still reads its edge's
-/// slot, so lazy loads, derived orientations and rebalancing show at once.
+/// slot, so lazy loads and derived orientations show at once.
 #[derive(Debug)]
 pub(crate) struct ResolvedPath {
     /// One per hop; `None` where no lineage edge connects the pair.
@@ -564,11 +544,10 @@ impl ResolvedPath {
         matches!(self.composite.get(), Some(Some(_)))
     }
 
-    /// Resolve hop `k` for execution: bump the edge's §IV.C hit counter and
-    /// return the compressed table whose primary side is `path[k]`'s
-    /// attribute space (derived and cached if that orientation is not
-    /// stored). `path` names the arrays, for the error when no edge
-    /// connects the pair.
+    /// Resolve hop `k` for execution: the compressed table whose primary
+    /// side is `path[k]`'s attribute space (derived and cached if that
+    /// orientation is not stored). `path` names the arrays, for the error
+    /// when no edge connects the pair.
     pub(crate) fn resolve_hop(&self, k: usize, path: &[&str]) -> Result<Arc<CompressedTable>> {
         let Some(hop) = &self.hops[k] else {
             return Err(DslogError::NoLineagePath {
@@ -576,20 +555,15 @@ impl ResolvedPath {
                 to: path[k + 1].to_string(),
             });
         };
-        let hits = match hop.orientation {
-            Orientation::Backward => &hop.edge.backward_hits,
-            Orientation::Forward => &hop.edge.forward_hits,
-        };
-        hits.fetch_add(1, Ordering::Relaxed);
         hop.edge.repr(hop.orientation)
     }
 
-    /// The table hop `k` would run over, with **none** of
-    /// [`resolve_hop`](Self::resolve_hop)'s side effects: hit counters do
-    /// not move and a missing orientation is *not* derived. A lazy on-disk
-    /// slot is loaded — execution would load it anyway. Returns `None`
-    /// when no edge connects the pair, the orientation is not stored, or a
-    /// lazy load fails (execution will surface that error itself).
+    /// The table hop `k` would run over, without
+    /// [`resolve_hop`](Self::resolve_hop)'s side effect: a missing
+    /// orientation is *not* derived. A lazy on-disk slot is loaded —
+    /// execution would load it anyway. Returns `None` when no edge
+    /// connects the pair, the orientation is not stored, or a lazy load
+    /// fails (execution will surface that error itself).
     pub(crate) fn peek_hop(&self, k: usize) -> Option<Arc<CompressedTable>> {
         let hop = self.hops[k].as_ref()?;
         hop.edge.stored(hop.orientation, true).ok()?
@@ -600,17 +574,21 @@ impl ResolvedPath {
     /// keeps being returned on later sightings until
     /// [`StorageManager::install_composite`] resolves the entry, so a
     /// skipped materialization (e.g. tables not resident) retries.
-    pub(crate) fn observe_composite(&self, policy: CompositePolicy) -> CompositeProbe {
-        if !policy.enabled || self.hops.len() < 2 {
+    pub(crate) fn observe_composite(&self) -> CompositeProbe {
+        if self.hops.len() < 2 {
             return CompositeProbe::Pass;
         }
         match self.composite.get() {
             Some(Some(table)) => CompositeProbe::Serve(Arc::clone(table)),
             Some(None) => CompositeProbe::Pass,
-            None if self.sightings.fetch_add(1, Ordering::Relaxed) + 1 >= policy.hit_threshold => {
-                CompositeProbe::Materialize
+            None => {
+                let sightings = self.sightings.fetch_add(1, Ordering::Relaxed) + 1;
+                if sightings >= COMPOSITE_HIT_THRESHOLD {
+                    CompositeProbe::Materialize
+                } else {
+                    CompositeProbe::Pass
+                }
             }
-            None => CompositeProbe::Pass,
         }
     }
 }
@@ -639,10 +617,6 @@ pub struct StorageManager {
     // values, copied into every epoch clone, so nothing one snapshot's
     // user does can change what another logs or writes.
     pub(crate) materialize: Materialize,
-    /// Compression options of `prepare` (whether the relations of one
-    /// batch may compress on worker threads).
-    pub(crate) compress: CompressOptions,
-    pub(crate) composite_policy: CompositePolicy,
     /// Who operation-log records name when the operation brings no actor
     /// of its own.
     pub(crate) actor: String,
@@ -689,8 +663,6 @@ impl Default for StorageManager {
             arrays: HashMap::new(),
             edges: HashMap::new(),
             materialize: Materialize::default(),
-            compress: CompressOptions::default(),
-            composite_policy: CompositePolicy::default(),
             actor: "local".to_string(),
             retain: 0,
             io_policy: None,
@@ -719,8 +691,6 @@ impl StorageManager {
             arrays: self.arrays.clone(),
             edges: self.edges.clone(),
             materialize: self.materialize,
-            compress: self.compress,
-            composite_policy: self.composite_policy,
             actor: self.actor.clone(),
             retain: self.retain,
             io_policy: self.io_policy.clone(),
@@ -858,10 +828,7 @@ impl StorageManager {
                 Materialize::Forward => orientation == Orientation::Forward,
                 Materialize::Both => true,
             };
-            stored.then(|| {
-                provrc::compress_batch_parallel_opts(&compress_jobs, orientation, self.compress)
-                    .into_iter()
-            })
+            stored.then(|| provrc::compress_batch_parallel(&compress_jobs, orientation).into_iter())
         });
         (jobs.iter().zip(shapes))
             .map(|(&(in_array, out_array, _), shapes)| {
@@ -936,6 +903,15 @@ impl StorageManager {
             .lock()
             .as_ref()
             .map(|b| (b.dir.clone(), b.gzip, b.generation))
+    }
+
+    /// How many segment files the bound directory's live catalog
+    /// references, as the last commit or open left it (0 while unbound, or
+    /// after a failed commit until the next one succeeds).
+    pub(crate) fn live_segments(&self) -> usize {
+        let binding = self.binding.lock();
+        let tail = binding.as_ref().and_then(|b| b.tail.as_ref());
+        tail.map_or(0, wal::LogTail::live_files)
     }
 
     /// The registry entry of `path`: found under the registry's read lock
@@ -1041,63 +1017,13 @@ impl StorageManager {
     /// (in either hop direction): ingest replaced — or created — that
     /// edge, so the entry's resolution and any join through it are stale.
     /// The sightings go too — the heat they measured was for the old
-    /// content. Rebalancing does *not* invalidate (it changes
-    /// representation, never content, and entries hold edges, not tables).
+    /// content.
     fn invalidate_paths(&self, in_array: &str, out_array: &str) {
         self.paths.write().retain(|key, _| {
             !key.0.windows(2).any(|w| {
                 (w[0] == in_array && w[1] == out_array) || (w[0] == out_array && w[1] == in_array)
             })
         });
-    }
-
-    /// Per-edge query-direction statistics, sorted by (input, output).
-    pub fn edge_stats(&self) -> Vec<EdgeStats> {
-        let mut stats: Vec<EdgeStats> = self
-            .edges
-            .iter()
-            .map(|((in_array, out_array), edge)| EdgeStats {
-                in_array: in_array.clone(),
-                out_array: out_array.clone(),
-                backward_hits: edge.backward_hits.load(Ordering::Relaxed),
-                forward_hits: edge.forward_hits.load(Ordering::Relaxed),
-            })
-            .collect();
-        stats.sort_by(|a, b| (&a.in_array, &a.out_array).cmp(&(&b.in_array, &b.out_array)));
-        stats
-    }
-
-    /// Rebalance materialized orientations to the observed query mix
-    /// (§IV.C: "either both versions can be stored or one version
-    /// depending on the distribution of forward and reverse queries").
-    ///
-    /// Per edge: the majority direction's orientation is materialized
-    /// (derived now if missing) and the minority one is dropped, freeing
-    /// its memory/disk; ties and never-queried edges keep the paper's
-    /// backward default. Queries after a rebalance stay correct — a
-    /// dropped orientation is simply re-derived on demand.
-    pub fn rebalance_materialization(&mut self) -> Result<()> {
-        for edge in self.edges.values() {
-            let bwd = edge.backward_hits.load(Ordering::Relaxed);
-            let fwd = edge.forward_hits.load(Ordering::Relaxed);
-            let keep = if fwd > bwd {
-                Orientation::Forward
-            } else {
-                Orientation::Backward
-            };
-            // Materialize the kept orientation first (may derive), then
-            // drop the other (content AND persistence record: the next
-            // commit must stop referencing the dropped orientation's file).
-            edge.repr(keep)?;
-            *edge.slot(keep.flip()).write() = Slot::default();
-        }
-        Ok(())
-    }
-
-    /// Whether an edge exists between two arrays (either direction).
-    pub fn has_edge(&self, a: &str, b: &str) -> bool {
-        self.edges.contains_key(&(a.to_string(), b.to_string()))
-            || self.edges.contains_key(&(b.to_string(), a.to_string()))
     }
 
     /// Whether an edge is stored for exactly this `(input, output)` pair
@@ -1261,72 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_stats_count_directions() {
-        let s = manager_with_edge();
-        assert_eq!(s.edge_stats()[0].backward_hits, 0);
-        s.resolve_hop("B", "A").unwrap();
-        s.resolve_hop("B", "A").unwrap();
-        s.resolve_hop("A", "B").unwrap();
-        let stats = s.edge_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].in_array, "A");
-        assert_eq!(stats[0].out_array, "B");
-        assert_eq!(stats[0].backward_hits, 2);
-        assert_eq!(stats[0].forward_hits, 1);
-    }
-
-    #[test]
-    fn rebalance_keeps_majority_orientation() {
-        let mut s = manager_with_edge();
-        // Forward-heavy workload.
-        for _ in 0..5 {
-            s.resolve_hop("A", "B").unwrap();
-        }
-        s.resolve_hop("B", "A").unwrap();
-        s.rebalance_materialization().unwrap();
-        // Only forward is materialized now; backward queries re-derive and
-        // stay correct.
-        {
-            let edge = s.edges.get(&("A".to_string(), "B".to_string())).unwrap();
-            assert!(edge.forward.read().source.is_some());
-            assert!(edge.backward.read().source.is_none());
-        }
-        let (t, dir) = s.resolve_hop("B", "A").unwrap();
-        assert_eq!(dir, HopDirection::Backward);
-        assert_eq!(t.decompress().unwrap().row_set(), sum_lineage().row_set());
-    }
-
-    #[test]
-    fn rebalance_defaults_to_backward_on_tie() {
-        let mut s = manager_with_edge();
-        s.rebalance_materialization().unwrap();
-        let edge = s.edges.get(&("A".to_string(), "B".to_string())).unwrap();
-        assert!(edge.backward.read().source.is_some());
-        assert!(edge.forward.read().source.is_none());
-    }
-
-    #[test]
-    fn ablation_compress_options_produce_identical_storage() {
-        // Threading is the remaining knob: off must store what the default
-        // stores.
-        let mut default = manager_with_edge();
-        let mut ablated = StorageManager::new();
-        ablated.compress = CompressOptions { parallel: false };
-        ablated.define_array("A", &[3, 2]).unwrap();
-        ablated.define_array("B", &[3]).unwrap();
-        ablated.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-        // Stored and lazily derived orientations agree bit-for-bit.
-        for orientation in [Orientation::Backward, Orientation::Forward] {
-            let a = default.stored_table("A", "B", orientation).unwrap();
-            let b = ablated.stored_table("A", "B", orientation).unwrap();
-            assert_eq!(*a, *b);
-        }
-        assert_eq!(default.storage_bytes(), ablated.storage_bytes());
-        ablated.rebalance_materialization().unwrap();
-        default.rebalance_materialization().unwrap();
-    }
-
-    #[test]
     fn peek_hop_is_side_effect_free() {
         let mut s = manager_with_edge();
         s.define_array("Z", &[3]).unwrap();
@@ -1336,10 +1196,7 @@ mod tests {
         // must not derive it.
         assert!(s.path(&["A", "B"]).unwrap().peek_hop(0).is_none());
         assert!(path.peek_hop(0).is_none(), "no edge connects Z and B");
-        // No hit counters moved.
-        let stats = s.edge_stats();
-        assert_eq!(stats[0].backward_hits + stats[0].forward_hits, 0);
-        // And the forward slot is still empty (no derivation happened).
+        // The forward slot is still empty (no derivation happened).
         let edge = s.edges.get(&("A".to_string(), "B".to_string())).unwrap();
         assert!(edge.forward.read().source.is_none());
     }
@@ -1352,8 +1209,7 @@ mod tests {
         s.define_array("C", &[3]).unwrap();
         s.ingest_lineage("A", "B", &sum_lineage()).unwrap();
         let path = ["C", "B", "A"];
-        let policy = s.composite_policy;
-        let observe = |s: &StorageManager| s.path(&path).unwrap().observe_composite(policy);
+        let observe = |s: &StorageManager| s.path(&path).unwrap().observe_composite();
         // Threshold 3: two sightings pass, the third asks to materialize,
         // and so does the fourth (retry until installed).
         assert!(matches!(observe(&s), CompositeProbe::Pass));
@@ -1387,10 +1243,7 @@ mod tests {
         // Two-array paths are never composite candidates.
         for _ in 0..5 {
             let short = s.path(&["B", "A"]).unwrap();
-            assert!(matches!(
-                short.observe_composite(policy),
-                CompositeProbe::Pass
-            ));
+            assert!(matches!(short.observe_composite(), CompositeProbe::Pass));
         }
     }
 

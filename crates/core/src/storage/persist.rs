@@ -71,8 +71,8 @@
 //! Committing into the directory the manager is *bound* to (the one it was
 //! opened from, or last committed into, with the same `gzip` mode) is
 //! incremental: only slots whose content changed since the last commit —
-//! freshly ingested edges, lazily derived orientations, rebalanced slots —
-//! are serialized, and they are appended to the one segment the commit
+//! freshly ingested edges and lazily derived orientations — are
+//! serialized, and they are appended to the one segment the commit
 //! writes (a commit with nothing dirty writes no segment). Clean slots'
 //! bytes are left in place and the new catalog re-references them by their
 //! recorded range and crc32 (older generations' segment names stay valid
@@ -89,12 +89,12 @@
 //!
 //! A segment is deleted whole, when the last live or retained range in it
 //! dies. So the bytes of a table that a later commit superseded (an edge
-//! re-ingested through the capture path, an orientation rebalanced away)
-//! stay on disk, unreferenced, while a neighbour in the same segment is
-//! still live — until the next compaction, which is what reclaims them.
-//! [`verify`] reports that space as [`VerifyReport::dead_bytes`]. (The
-//! service path rejects a duplicate edge, so a served database grows dead
-//! bytes only through rebalancing.)
+//! re-ingested through the capture path) stay on disk, unreferenced, while
+//! a neighbour in the same segment is still live — until the next
+//! compaction, which is what reclaims them. [`verify`] reports that space
+//! as [`VerifyReport::dead_bytes`]. (The service path rejects a duplicate
+//! edge, so a served database never grows dead bytes; what its
+//! maintenance policy counts is live segments.)
 //!
 //! Concurrent commits on one manager serialize on its commit lock.
 //! Across *processes*, a database directory supports one live process at
@@ -556,11 +556,6 @@ impl<'a> CommitSession<'a> {
         }
     }
 
-    /// How many distinct data files the live catalog references.
-    fn live_files(&self) -> usize {
-        self.tail.window.last().map_or(0, |(_, files)| files.len())
-    }
-
     /// Commit `planned` — whose segment is already written and renamed
     /// into place — as generation `self.gen`: directory sync, log append +
     /// fdatasync, catalog rename (the commit point), directory sync,
@@ -737,7 +732,7 @@ pub(crate) fn commit_generation(
     }
     let (incremental, gen) = (session.incremental, session.gen);
     let reuse = incremental && !fold;
-    let folded = session.live_files();
+    let folded = session.tail.live_files();
 
     // Plan pass: edges sorted by (in, out) for determinism. Each dirty
     // slot's bytes are appended to the segment as the slot is planned (so
@@ -1670,8 +1665,8 @@ mod tests {
 
         let reopened = open(&dir).unwrap();
         assert_eq!(reopened.n_edges(), 1);
-        assert!(reopened.has_edge("X", "Y"));
-        assert!(!reopened.has_edge("A", "B"));
+        assert!(reopened.has_directed_edge("X", "Y"));
+        assert!(!reopened.has_directed_edge("A", "B"));
         for old in &before {
             assert!(!dir.join(old).exists(), "stale file {old} survived");
         }

@@ -780,6 +780,13 @@ pub(crate) struct LogTail {
     pub(crate) window: Vec<Generation>,
 }
 
+impl LogTail {
+    /// How many distinct data files the live catalog references.
+    pub(crate) fn live_files(&self) -> usize {
+        self.window.last().map_or(0, |(_, files)| files.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -390,15 +390,6 @@ impl CompressedTable {
         table.normalize();
         Ok(table)
     }
-
-    /// Approximate in-memory footprint in bytes (reporting only; the
-    /// measured storage number comes from the serialized format).
-    pub fn nbytes_in_memory(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|col| col.len() * std::mem::size_of::<Cell>())
-            .sum()
-    }
 }
 
 impl std::fmt::Display for CompressedTable {

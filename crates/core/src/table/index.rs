@@ -93,11 +93,6 @@ impl TableIndex {
         Some(TableIndex { columns })
     }
 
-    /// Number of indexed (primary) attributes.
-    pub fn n_columns(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Candidate rows for a query box: picks the primary attribute with the
     /// tightest candidate window and returns `(window_size, row_ids)`.
     /// Returns an empty slice when any attribute's window is empty (the box

@@ -166,17 +166,6 @@ impl LineageTable {
     pub fn nbytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<i64>()
     }
-
-    /// Swap the roles of input and output attributes (used to derive the
-    /// forward-oriented relation of §IV.C).
-    pub fn transposed(&self) -> LineageTable {
-        let mut t = LineageTable::with_capacity(self.in_arity, self.out_arity, self.n_rows());
-        for row in self.rows() {
-            let (out_part, in_part) = row.split_at(self.out_arity);
-            t.push_pair(in_part, out_part);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -232,17 +221,6 @@ mod tests {
         assert_eq!(via_perm, direct);
         // Keeps the first occurrence of each duplicate.
         assert_eq!(perm.len(), 4);
-    }
-
-    #[test]
-    fn transpose_swaps_sides() {
-        let t = paper_sum_table();
-        let tt = t.transposed();
-        assert_eq!(tt.out_arity(), 2);
-        assert_eq!(tt.in_arity(), 1);
-        assert_eq!(tt.row(0), &[1, 1, 1]);
-        assert_eq!(tt.row(1), &[1, 2, 1]);
-        assert_eq!(tt.transposed().row_set(), t.row_set());
     }
 
     #[test]

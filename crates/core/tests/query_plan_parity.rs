@@ -3,7 +3,7 @@
 //! be a pure access-path change. Planner-on and planner-off answer the
 //! cells the brute-force join over the raw rows answers
 //! (`dslog_oracle::query::reference`); so does a composite edge served
-//! after the hit threshold; a planned query either runs the path in order,
+//! after the hit threshold (three sightings of a path); a planned query either runs the path in order,
 //! hop for hop what the unplanned run does, or is served by a composite; a
 //! batched query answers cell-for-cell the same as a per-query loop; and
 //! ingest between queries invalidates any composite built over the
@@ -127,12 +127,10 @@ fn build_db(case: &Case) -> (Dslog, Vec<String>) {
     (db, names)
 }
 
-/// Materialize a composite after `n` sightings of a path.
-fn set_hit_threshold(db: &mut Dslog, n: u32) {
-    let mut config = db.config();
-    config.composite_policy.hit_threshold = n;
-    db.reconfigure(config).unwrap();
-}
+/// Planned queries per property: the third sighting of a path
+/// materializes its composite and serves from it, and the later ones are
+/// served from it too.
+const PLANNED_RUNS: usize = 5;
 
 /// Query cells: a deterministic subset of the array-0 cells that appear
 /// in the first relation (so queries usually hit something).
@@ -207,15 +205,14 @@ proptest! {
     /// planner-on queries cross the threshold, materialize, then serve).
     #[test]
     fn planner_and_composite_hits_match_reference(case in arb_case()) {
-        let (mut db, names) = build_db(&case);
-        set_hit_threshold(&mut db, 2);
+        let (db, names) = build_db(&case);
         let path: Vec<&str> = names.iter().map(String::as_str).collect();
         let cells = query_cells(&case);
         prop_assume!(!cells.is_empty());
 
         let expected = reference_answer(&case, &case.relations, &cells);
         prop_assert_eq!(run(&db, &path, &cells, opts(false)), expected.clone());
-        for _ in 0..4 {
+        for _ in 0..PLANNED_RUNS {
             prop_assert_eq!(run(&db, &path, &cells, opts(true)), expected.clone());
         }
     }
@@ -226,8 +223,7 @@ proptest! {
     /// did.
     #[test]
     fn planned_queries_run_path_order_or_a_composite(case in arb_case()) {
-        let (mut db, names) = build_db(&case);
-        set_hit_threshold(&mut db, 2);
+        let (db, names) = build_db(&case);
         let path: Vec<&str> = names.iter().map(String::as_str).collect();
         let cells = query_cells(&case);
         prop_assume!(!cells.is_empty());
@@ -241,7 +237,7 @@ proptest! {
         };
         let off = db.prov_query_opts(&path, &cells, opts(false)).unwrap().stats;
         prop_assert!(off.plan.is_none());
-        for _ in 0..4 {
+        for _ in 0..PLANNED_RUNS {
             let on = db.prov_query_opts(&path, &cells, opts(true)).unwrap().stats;
             let label = on.plan.as_ref().map(|p| p.decision.label());
             if label == Some("path_order") {
@@ -279,13 +275,13 @@ proptest! {
     #[test]
     fn ingest_between_queries_invalidates_composites(case in arb_case()) {
         let (mut db, names) = build_db(&case);
-        set_hit_threshold(&mut db, 1);
         let path: Vec<&str> = names.iter().map(String::as_str).collect();
         let cells = query_cells(&case);
         prop_assume!(!cells.is_empty());
 
-        // Warm: threshold 1 materializes a composite on the first repeat.
-        for _ in 0..3 {
+        // Warm: the third sighting materializes a composite, the later
+        // ones serve it.
+        for _ in 0..PLANNED_RUNS {
             run(&db, &path, &cells, opts(true));
         }
         let replaced = case.seed % case.backward.len();
@@ -293,8 +289,10 @@ proptest! {
         let mut relations = case.relations.clone();
         relations[replaced] = case.replacement.clone();
 
+        // The re-ingest restarts the sightings: these cross the threshold
+        // again, and serve the composite built over the new edge.
         let expected = reference_answer(&case, &relations, &cells);
-        for _ in 0..3 {
+        for _ in 0..PLANNED_RUNS {
             prop_assert_eq!(run(&db, &path, &cells, opts(true)), expected.clone());
         }
     }

@@ -9,7 +9,6 @@
 //! Run: `cargo run -p dslog-bench --release --bin fig8 [--scale f]`
 
 use dslog::api::Dslog;
-use dslog::storage::Materialize;
 use dslog::table::Orientation;
 use dslog_baselines::all_formats;
 use dslog_baselines::relengine::{array_query_chain, hash_join_chain};
@@ -41,10 +40,7 @@ fn query_cells(p: &Pipeline, selectivity: f64, rng: &mut impl Rng) -> Vec<Vec<i6
 
 fn run_workflow(name: &str, p: &Pipeline, seed: u64) {
     println!("\n(Fig 8) {name} workflow — forward query latency");
-    let mut db = Dslog::options()
-        .materialize(Materialize::Both)
-        .build()
-        .unwrap();
+    let mut db = Dslog::new();
     p.register_into(&mut db).unwrap();
     let path: Vec<&str> = p.main_path.iter().map(String::as_str).collect();
 

@@ -10,7 +10,6 @@
 
 use dslog::api::Dslog;
 use dslog::query::QueryOptions;
-use dslog::storage::Materialize;
 use dslog::table::Orientation;
 use dslog_baselines::all_formats;
 use dslog_baselines::relengine::{array_query_chain, hash_join_chain};
@@ -79,10 +78,7 @@ fn run_experiment(
             n_ops,
             initial_cells,
         });
-        let mut db = Dslog::options()
-            .materialize(Materialize::Both)
-            .build()
-            .unwrap();
+        let mut db = Dslog::new();
         p.register_into(&mut db).unwrap();
         let path: Vec<&str> = p.main_path.iter().map(String::as_str).collect();
 

@@ -53,11 +53,7 @@ fn measure(rows: usize, reps: usize) -> Point {
     let (lineage, _, _) = edges::scatter(rows);
     db.add_lineage("A", "B", &TableCapture::new(lineage.clone()))
         .unwrap();
-    let compressed_rows = db
-        .storage()
-        .stored_table("A", "B", Orientation::Backward)
-        .unwrap()
-        .n_rows();
+    let compressed_rows = db.storage().stored_table("A", "B").unwrap().n_rows();
 
     // Selective query: 8 consecutive output cells.
     let start = (rows / 3) as i64;

@@ -105,9 +105,10 @@ line. CSV files are ingested with `dslog ingest --csv`.
 `query` serves hot multi-hop paths from composite edges and runs every
 other path in order; --no-planner runs the literal path order, with no
 composites, for ablation. --stats prints the planner decision
-and per-hop probe counts.
+and per-hop probe counts. Each edge stores one (backward) table; a
+forward hop reads that same table in reverse.
 
-Commits are incremental: only edges added or re-derived since the last
+Commits are incremental: only edges added since the last
 commit are written; everything else is re-referenced by the new
 catalog generation. --auto-commit-edges N commits whenever N edges are
 pending; --auto-commit-ms MS commits on a timer. Pending edges are
@@ -201,7 +202,7 @@ pub fn ingest(args: &[String]) -> Result<String, String> {
 
     let stored = db
         .storage()
-        .stored_table(&in_name, &out_name, Orientation::Backward)
+        .stored_table(&in_name, &out_name)
         .map_err(|e| e.to_string())?;
     let compressed_bytes = if gzip {
         provrc_format::serialize_gzip(&stored).len()
@@ -321,7 +322,7 @@ pub fn export(args: &[String]) -> Result<String, String> {
         .ok_or_else(|| format!("--edge `{edge_spec}` must be IN,OUT"))?;
     let stored = db
         .storage()
-        .stored_table(in_name.trim(), out_name.trim(), Orientation::Backward)
+        .stored_table(in_name.trim(), out_name.trim())
         .map_err(|e| e.to_string())?;
     let table = stored.decompress().map_err(|e| e.to_string())?;
     let rendered = csv::render(&table);

@@ -7,8 +7,8 @@ use crate::reuse::{ArgValue, Mapping, ReuseHit, ReuseManager, ReuseStats};
 use crate::service::MaintenancePolicy;
 use crate::storage::persist::{self, OpenMode};
 use crate::storage::wal::IoPolicy;
-use crate::storage::{ArrayMeta, EdgeJob, Materialize, OnDuplicate, StorageManager};
-use crate::table::{BoxTable, LineageTable, Orientation};
+use crate::storage::{ArrayMeta, EdgeJob, OnDuplicate, StorageManager};
+use crate::table::{BoxTable, LineageTable};
 use std::sync::Arc;
 
 /// A lineage capture method for one (input array, output array) pair.
@@ -85,7 +85,9 @@ pub struct QueryResult {
 /// with through [`Dslog::config`]. Nothing else — no setter, no
 /// environment variable — configures a database; what no caller needs to
 /// set (ProvRC's batch threading, the composite-edge thresholds of
-/// [`crate::query::plan`]) is fixed.
+/// [`crate::query::plan`]) is fixed. There is no orientation setting: an
+/// edge stores its backward table, and a forward query reads that same
+/// table in reverse.
 ///
 /// ```no_run
 /// use dslog::api::Dslog;
@@ -156,13 +158,6 @@ impl OpenOptions {
     /// a commit sweeps everything its catalog does not reference).
     pub fn wal_retention(mut self, generations: u32) -> Self {
         self.config.wal_retention = generations;
-        self
-    }
-
-    /// Which orientations an ingest materializes (paper §IV.C; default:
-    /// backward only, forward derived on demand).
-    pub fn materialize(mut self, materialize: Materialize) -> Self {
-        self.config.materialize = materialize;
         self
     }
 
@@ -280,8 +275,6 @@ pub struct DslogConfig {
     pub wal_actor: String,
     /// Prior generations each commit keeps on disk for `as_of` opens.
     pub wal_retention: u32,
-    /// Orientations materialized at ingest.
-    pub materialize: Materialize,
     /// Default query-execution options.
     pub query: QueryOptions,
     /// Background-compaction policy.
@@ -308,7 +301,7 @@ pub struct Dslog {
 
 impl Dslog {
     /// A fresh DSLog instance with paper-default settings (backward tables
-    /// materialized, merge step enabled, reuse predictor with m = 1).
+    /// stored, merge step enabled, reuse predictor with m = 1).
     pub fn new() -> Self {
         Self::default()
     }
@@ -331,7 +324,6 @@ impl Dslog {
             io_policy: s.io_policy.clone(),
             wal_actor: s.actor.clone(),
             wal_retention: s.retain,
-            materialize: s.materialize,
             query: self.query_options,
             maintenance: self.maintenance,
         }
@@ -341,7 +333,6 @@ impl Dslog {
     /// binding's to keep).
     fn apply(&mut self, c: DslogConfig) {
         let s = &mut self.storage;
-        s.materialize = c.materialize;
         (s.actor, s.retain, s.io_policy) = (c.wal_actor, c.wal_retention, c.io_policy);
         self.query_options = c.query;
         self.maintenance = c.maintenance;
@@ -408,12 +399,12 @@ impl Dslog {
     ///
     /// Saving into the *bound* directory — the one this database was
     /// opened from or last saved into, with the same `gzip` mode — is
-    /// **incremental**: only edges added or re-derived since the last
-    /// commit are rewritten; everything else is re-referenced in place
-    /// (see [`commit`](Self::commit) for the detailed report).
+    /// **incremental**: only edges added since the last commit are
+    /// written; everything else is re-referenced in place (see
+    /// [`commit`](Self::commit) for the detailed report).
     ///
-    /// Every orientation materialized in memory — including orientations a
-    /// query lazily derived — is written. The reuse predictor's signature
+    /// Each edge's one stored table is written (a forward query reads it
+    /// in reverse; no second orientation exists). The reuse predictor's
     /// tables are not persisted; they are re-learned per process (§VI.C
     /// re-validates mappings anyway).
     pub fn save(&self, dir: impl AsRef<std::path::Path>, gzip: bool) -> Result<()> {
@@ -421,7 +412,7 @@ impl Dslog {
     }
 
     /// Incrementally commit to the bound database directory: write only
-    /// the edge tables added or re-derived since the last commit — as one
+    /// the edge tables added since the last commit — as one
     /// new segment file — re-reference every clean table where it lies,
     /// and bump the snapshot generation with the catalog rename as the
     /// single atomic commit point. Appending one edge to a 100k-row
@@ -553,7 +544,7 @@ impl Dslog {
 
         // Feed the automatic reuse predictor (§VI.C).
         let tables = (pairs.iter())
-            .map(|&(i, o)| Ok((*self.storage.stored_table(i, o, Orientation::Backward)?).clone()))
+            .map(|&(i, o)| Ok((*self.storage.stored_table(i, o)?).clone()))
             .collect::<Result<_>>()?;
         let mapping = Mapping {
             tables,
@@ -939,7 +930,6 @@ mod tests {
             io_policy: Some(IoPolicy::fail_at(IoFault::WriteError, u64::MAX)),
             wal_actor: "builder-test".to_string(),
             wal_retention: 5,
-            materialize: Materialize::Both,
             query: QueryOptions {
                 merge: false,
                 use_planner: false,
@@ -952,7 +942,6 @@ mod tests {
             .io_policy(want.io_policy.clone().unwrap())
             .wal_actor("builder-test")
             .wal_retention(want.wal_retention)
-            .materialize(want.materialize)
             .query(want.query)
             .maintenance(want.maintenance)
             .open(&dir)
@@ -965,7 +954,6 @@ mod tests {
             ("io_policy", want.io_policy != default.io_policy),
             ("wal_actor", want.wal_actor != default.wal_actor),
             ("wal_retention", want.wal_retention != default.wal_retention),
-            ("materialize", want.materialize != default.materialize),
             ("query.merge", want.query.merge != default.query.merge),
             (
                 "query.use_planner",

@@ -100,6 +100,18 @@ impl Interval {
         }
     }
 
+    /// The anchors `a` whose `[a + delta.lo, a + delta.hi]` meets `self`:
+    /// `[lo − delta.hi, hi − delta.lo]`. The inverse of
+    /// [`minkowski_sum`](Self::minkowski_sum) that a hop against the stored
+    /// orientation reads a relative cell with.
+    #[inline]
+    pub(crate) fn anchors_meeting(&self, delta: &Interval) -> Interval {
+        Interval {
+            lo: self.lo - delta.hi,
+            hi: self.hi - delta.lo,
+        }
+    }
+
     /// Difference interval `{ a − b | a ∈ self, b singleton }` for a point `b`.
     #[inline]
     pub fn sub_point(&self, b: i64) -> Interval {

@@ -826,15 +826,10 @@ fn render_stats(out: &mut String, s: &ServiceStats) {
 /// The effective served-database configuration as a JSON object (the
 /// `"config"` field of a `stats` response).
 fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
-    let materialize = match c.materialize {
-        crate::storage::Materialize::Backward => "backward",
-        crate::storage::Materialize::Forward => "forward",
-        crate::storage::Materialize::Both => "both",
-    };
     let _ = write!(
         out,
         "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\
-         \"wal_actor\":{},\"wal_retention\":{},\"materialize\":\"{materialize}\",\
+         \"wal_actor\":{},\"wal_retention\":{},\
          \"query\":{{\"merge\":{},\"use_planner\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
@@ -1067,16 +1062,16 @@ mod tests {
         // Malformed batches are rejected without killing the session.
         let resp = roundtrip(&mut reader, &mut writer, "query_batch B,A 1||2");
         assert!(resp.starts_with("{\"ok\":false"), "{resp}");
-        // `config` renders `materialize`, and its `query` object holds the
-        // remaining options only (no switch for a deleted code path).
+        // `config`'s `query` object holds the remaining options only (no
+        // switch for a deleted code path), and no orientation setting is
+        // reported.
         let resp = roundtrip(&mut reader, &mut writer, "stats");
         assert!(resp.contains("\"ok\":true"), "{resp}");
-        for field in [
-            "\"materialize\":\"backward\"",
-            "\"query\":{\"merge\":true,\"use_planner\":true}",
-        ] {
-            assert!(resp.contains(field), "{field} not in {resp}");
-        }
+        assert!(
+            resp.contains("\"query\":{\"merge\":true,\"use_planner\":true}"),
+            "{resp}"
+        );
+        assert!(!resp.contains("materialize"), "{resp}");
         assert!(!resp.contains("threads"), "{resp}");
         server.stop();
         server.join();
@@ -1097,7 +1092,7 @@ mod tests {
         assert_eq!(
             config,
             "\"config\":{\"lazy\":false,\"as_of\":null,\"gzip\":null,\
-             \"wal_actor\":\"local\",\"wal_retention\":0,\"materialize\":\"backward\",\
+             \"wal_actor\":\"local\",\"wal_retention\":0,\
              \"query\":{\"merge\":true,\"use_planner\":true},\
              \"auto_compact_generations\":null}}"
         );

@@ -1,26 +1,39 @@
 //! The in-situ query executor: indexed θ-joins (paper §V.B).
 //!
-//! Each hop is the θ-join of §V.B — a range join on the absolute attributes
-//! followed by de-relativization of the relative attributes:
+//! A hop reads one stored table either along its orientation (the query
+//! lives on the table's primary side, the result on its secondary side) or
+//! against it (query on the secondary side, result on the primary side).
+//! An edge stores one orientation, and both directions are answered from
+//! it: nothing is decompressed or re-derived (see [`Hop`]).
 //!
-//! **Step 1 — range join**: each query box is intersected with each
+//! **Along — step 1, range join**: each query box is intersected with each
 //! candidate compressed row's primary intervals; rows with any empty
 //! intersection are dropped. Candidates come from the table's cached
 //! [`crate::table::TableIndex`] (binary search on sorted-by-lo
 //! runs with max-hi fencing); no path scans every row.
 //!
-//! **Step 2 — de-relativize**: relative cells are turned back into absolute
-//! intervals with `rel_back(x, δ) = [x.lo + δ.lo, x.hi + δ.hi]` over the
-//! *intersected* anchor interval (Fig. 5). When two or more relative cells
-//! share one anchor (e.g. the lineage of `B[i] = A[i,i]`), de-relativizing
-//! each independently and taking the product would over-approximate the true
-//! cell set; we split the shared anchor interval into unit points in exactly
-//! that case, which keeps the result exact (DESIGN.md §3.3).
+//! **Along — step 2, de-relativize**: relative cells are turned back into
+//! absolute intervals with `rel_back(x, δ) = [x.lo + δ.lo, x.hi + δ.hi]`
+//! over the *intersected* anchor interval (Fig. 5). When two or more
+//! relative cells share one anchor (e.g. the lineage of `B[i] = A[i,i]`),
+//! de-relativizing each independently and taking the product would
+//! over-approximate the true cell set; we split the shared anchor interval
+//! into unit points in exactly that case, which keeps the result exact
+//! (DESIGN.md §3.3).
 //!
-//! Both steps are one row kernel (`HopJoin::probe`) that allocates for its
-//! output only: the intersection scratch lives with the hop, a matched row
-//! is de-relativized straight into the output [`BoxTable`], and only the
-//! shared-anchor split — the cold path — builds temporaries.
+//! **Against — the reverse step**: a row with primaries `p_j ∈ [a_j, b_j]`
+//! is kept for a query box `I` over the secondary side when every absolute
+//! secondary `[c, d]` meets `I_k`, and it emits the box
+//! `p_j ∈ [a_j, b_j] ∩ ⋂ [I_k.lo − δ_k.hi, I_k.hi − δ_k.lo]` over the
+//! relative cells `Rel(j, δ_k)` anchored at `j` (dropped when any of those
+//! is empty). Each secondary constrains its own anchor only, so that box
+//! is exact and no shared-anchor split is needed. Candidates come from a
+//! second cached index over the secondary columns' absolute extents.
+//!
+//! Both directions are one row kernel (`HopJoin::probe`) that allocates
+//! for its output only: the intersection scratch lives with the hop, a
+//! matched row is written straight into the output [`BoxTable`], and only
+//! the shared-anchor split — the cold path — builds temporaries.
 //! [`QueryExec::hop`] drives the kernel box by box; the planner's batched
 //! hop drives the same kernel over its unique boxes.
 //!
@@ -31,7 +44,9 @@
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
 use crate::query::QueryOptions;
-use crate::table::{BoxTable, Cell, CompressedTable, TableIndex};
+use crate::table::{BoxTable, Cell, CompressedTable, Orientation, TableIndex};
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Execution statistics for one θ-join hop.
@@ -76,14 +91,111 @@ impl QueryStats {
     }
 }
 
-/// The join of one hop in progress: the table and its index, the output
-/// boxes, the counters, and the intersection scratch — everything a matched
-/// row needs, so probing a box allocates nothing but output growth.
-/// [`QueryExec::hop`] and the planner's batched hop both drive it.
+/// One stored table as a hop reads it: along its orientation, or against
+/// it (see the module docs). A `&CompressedTable` converts to the hop
+/// along it; a path's hops come from [`HopTable`].
+#[derive(Debug, Clone, Copy)]
+pub struct Hop<'t> {
+    table: &'t CompressedTable,
+    reverse: bool,
+}
+
+impl<'t> Hop<'t> {
+    /// Read `table` in `orientation`: along the table when that is its
+    /// stored orientation, against it otherwise.
+    pub fn new(table: &'t CompressedTable, orientation: Orientation) -> Self {
+        let reverse = orientation != table.orientation();
+        Self { table, reverse }
+    }
+
+    /// The index this hop probes: over the primary columns along the
+    /// table, over the secondary columns' extents against it. `None` for a
+    /// generalized table.
+    pub(crate) fn index(&self) -> Option<&'t TableIndex> {
+        if self.reverse {
+            self.table.secondary_index()
+        } else {
+            self.table.index()
+        }
+    }
+
+    /// The table's attributes (primary-then-secondary order) on the hop's
+    /// query side: the primaries along the table, the secondaries against
+    /// it. The other side's are the result's.
+    pub(crate) fn query_attrs(&self) -> Range<usize> {
+        let (pa, arity) = (self.table.primary_arity(), self.table.arity());
+        if self.reverse {
+            pa..arity
+        } else {
+            0..pa
+        }
+    }
+}
+
+impl<'t> From<&'t CompressedTable> for Hop<'t> {
+    fn from(table: &'t CompressedTable) -> Self {
+        Self {
+            table,
+            reverse: false,
+        }
+    }
+}
+
+/// A hop as a path resolves it: the edge's one stored table and the
+/// orientation the hop reads it in
+/// ([`crate::storage::StorageManager::resolve_hop`]).
+#[derive(Debug, Clone)]
+pub struct HopTable {
+    table: Arc<CompressedTable>,
+    orientation: Orientation,
+}
+
+impl HopTable {
+    /// Read `table` in `orientation` (see [`Hop::new`]).
+    pub(crate) fn new(table: Arc<CompressedTable>, orientation: Orientation) -> Self {
+        Self { table, orientation }
+    }
+
+    /// The hop this handle describes.
+    pub(crate) fn hop(&self) -> Hop<'_> {
+        Hop::new(&self.table, self.orientation)
+    }
+
+    /// The stored table.
+    pub(crate) fn table(&self) -> &Arc<CompressedTable> {
+        &self.table
+    }
+
+    /// The orientation the hop reads the table in.
+    pub(crate) fn orientation(&self) -> Orientation {
+        self.orientation
+    }
+
+    /// The index the hop probes: over the table's primary columns along
+    /// it, over its secondary columns' extents against it. `None` for a
+    /// generalized table.
+    pub fn index(&self) -> Option<&TableIndex> {
+        self.hop().index()
+    }
+}
+
+impl<'t> From<&'t HopTable> for Hop<'t> {
+    fn from(table: &'t HopTable) -> Self {
+        table.hop()
+    }
+}
+
+/// The join of one hop in progress: the table and the index it probes,
+/// the output boxes, the counters, and the intersection scratch —
+/// everything a matched row needs, so probing a box allocates nothing but
+/// output growth. [`QueryExec::hop`] and the planner's batched hop both
+/// drive it.
 #[derive(Debug)]
 pub(crate) struct HopJoin<'t> {
     table: &'t CompressedTable,
+    reverse: bool,
     index: &'t TableIndex,
+    /// One interval per primary attribute.
     isect: Vec<Interval>,
     pub(crate) out: BoxTable,
     rows_probed: usize,
@@ -91,36 +203,43 @@ pub(crate) struct HopJoin<'t> {
 }
 
 impl<'t> HopJoin<'t> {
-    /// Start a hop of `query_arity`-attribute boxes against `table`.
-    pub(crate) fn new(query_arity: usize, table: &'t CompressedTable) -> Result<Self> {
-        if query_arity != table.primary_arity() {
+    /// Start a hop of `query_arity`-attribute boxes through `hop`.
+    pub(crate) fn new(query_arity: usize, hop: Hop<'t>) -> Result<Self> {
+        let table = hop.table;
+        let expected = hop.query_attrs().len();
+        if query_arity != expected {
             return Err(DslogError::QueryArityMismatch {
-                expected: table.primary_arity(),
+                expected,
                 got: query_arity,
             });
         }
         if table.is_generalized() {
             return Err(DslogError::NotInstantiated);
         }
-        // `None` only for symbolic primary cells, rejected just above.
-        let Some(index) = table.index() else {
+        // `None` only for symbolic cells, rejected just above.
+        let Some(index) = hop.index() else {
             return Err(DslogError::NotInstantiated);
         };
         Ok(Self {
             table,
+            reverse: hop.reverse,
             index,
             isect: vec![Interval::point(0); table.primary_arity()],
-            out: BoxTable::new(table.secondary_arity()),
+            out: BoxTable::new(table.arity() - expected),
             rows_probed: 0,
             rows_matched: 0,
         })
     }
 
-    /// Join one query box: intersect it with each candidate row's primary
-    /// intervals and emit the de-relativized secondary side of every row
-    /// that survives.
+    /// Join one query box: along the table, intersect it with each
+    /// candidate row's primary intervals and emit the de-relativized
+    /// secondary side of every row that survives; against it, run the
+    /// reverse step.
     #[inline]
     pub(crate) fn probe(&mut self, q: &[Interval]) -> Result<()> {
+        if self.reverse {
+            return self.probe_reverse(q);
+        }
         let table = self.table;
         'rows: for &row in self.index.probe(q) {
             let row = row as usize;
@@ -136,6 +255,42 @@ impl<'t> HopJoin<'t> {
             }
             self.rows_matched += 1;
             emit_derelativized(&self.isect, row, table, &mut self.out)?;
+        }
+        Ok(())
+    }
+
+    /// The reverse step for one box `q` over the secondary side: narrow
+    /// each candidate row's primary intervals by the relative cells
+    /// anchored on them, and emit the narrowed box of every row whose
+    /// absolute secondaries all meet `q`.
+    fn probe_reverse(&mut self, q: &[Interval]) -> Result<()> {
+        let table = self.table;
+        let pa = self.isect.len();
+        'rows: for &row in self.index.probe(q) {
+            let row = row as usize;
+            self.rows_probed += 1;
+            for (j, isect) in self.isect.iter_mut().enumerate() {
+                let Cell::Abs(p) = table.cell(row, j) else {
+                    return Err(DslogError::NotInstantiated);
+                };
+                *isect = p;
+            }
+            for (k, qk) in q.iter().enumerate() {
+                match table.cell(row, pa + k) {
+                    Cell::Abs(ivl) if ivl.overlaps(qk) => {}
+                    Cell::Abs(_) => continue 'rows,
+                    Cell::Rel { anchor, delta } => {
+                        let anchor = &mut self.isect[anchor as usize];
+                        match anchor.intersect(&qk.anchors_meeting(&delta)) {
+                            Some(i) => *anchor = i,
+                            None => continue 'rows,
+                        }
+                    }
+                    Cell::Sym { .. } => return Err(DslogError::NotInstantiated),
+                }
+            }
+            self.rows_matched += 1;
+            self.out.push_box(&self.isect);
         }
         Ok(())
     }
@@ -169,11 +324,16 @@ impl QueryExec {
         &self.opts
     }
 
-    /// One θ-join hop: join `query` (boxes over the table's primary
-    /// attributes) against `table`, returning covered secondary-side cells
-    /// and the hop's execution statistics.
-    pub fn hop(&self, query: &BoxTable, table: &CompressedTable) -> Result<(BoxTable, HopStats)> {
-        let mut join = HopJoin::new(query.arity(), table)?;
+    /// One θ-join hop: join `query` (boxes over the hop's query side —
+    /// the table's primary attributes along it, secondary against it)
+    /// through `hop`, returning the covered cells of the other side and the
+    /// hop's execution statistics.
+    pub fn hop<'t>(
+        &self,
+        query: &BoxTable,
+        hop: impl Into<Hop<'t>>,
+    ) -> Result<(BoxTable, HopStats)> {
+        let mut join = HopJoin::new(query.arity(), hop.into())?;
         // Timed after the index lookup: a cold cache pays the one-time
         // build there, and `wall` documents the join alone.
         let start = Instant::now();
@@ -188,12 +348,12 @@ impl QueryExec {
     /// merging between hops per [`QueryOptions::merge`] and short-circuiting
     /// once the frontier is empty.
     ///
-    /// `tables[i]`'s primary side must be the space the query currently
-    /// lives in; its secondary side becomes the next space.
-    pub fn chain(
+    /// `hops[i]`'s query side must be the space the query currently lives
+    /// in; its result side becomes the next space.
+    pub fn chain<'t, H: Into<Hop<'t>> + Copy>(
         &self,
         query: &BoxTable,
-        tables: &[&CompressedTable],
+        hops: &[H],
     ) -> Result<(BoxTable, QueryStats)> {
         // The query is borrowed until a hop (or its own merge) replaces it.
         let mut cur: Option<BoxTable> = (self.opts.merge && query.n_boxes() > 1).then(|| {
@@ -202,8 +362,8 @@ impl QueryExec {
             merged
         });
         let mut stats = QueryStats::default();
-        for table in tables {
-            let (mut next, hop) = self.hop(cur.as_ref().unwrap_or(query), table)?;
+        for &hop in hops {
+            let (mut next, hop) = self.hop(cur.as_ref().unwrap_or(query), hop)?;
             stats.hops.push(hop);
             if self.opts.merge {
                 next.merge();
@@ -296,6 +456,32 @@ fn emit_split(isect: &[Interval], sec: &[Cell], out: &mut BoxTable) -> Result<()
             return Ok(());
         }
     }
+}
+
+/// Every cell on `hop`'s query side that its table links to anything:
+/// along the table, the union of the rows' primary boxes; against it, each
+/// row's secondary image of its own primary box, shared anchors split as a
+/// hop splits them — exact either way.
+pub(crate) fn query_support(hop: Hop<'_>) -> Result<BoxTable> {
+    let table = hop.table;
+    let pa = table.primary_arity();
+    let mut support = BoxTable::new(hop.query_attrs().len());
+    let mut primary = Vec::with_capacity(pa);
+    for row in 0..table.n_rows() {
+        primary.clear();
+        for k in 0..pa {
+            let Cell::Abs(p) = table.cell(row, k) else {
+                return Err(DslogError::NotInstantiated);
+            };
+            primary.push(p);
+        }
+        if hop.reverse {
+            emit_derelativized(&primary, row, table, &mut support)?;
+        } else {
+            support.push_box(&primary);
+        }
+    }
+    Ok(support)
 }
 
 /// Join a query box table against a compressed lineage table with default

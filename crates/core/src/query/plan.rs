@@ -32,11 +32,11 @@
 
 use crate::error::Result;
 use crate::interval::Interval;
-use crate::query::exec::{HopJoin, HopStats, QueryExec, QueryStats};
+use crate::query::exec::{query_support, Hop, HopJoin, HopStats, QueryExec, QueryStats};
 use crate::query::QueryOptions;
 use crate::reuse::{COMPOSITE_MAX_ROWS, COMPOSITE_MAX_SUPPORT_CELLS};
 use crate::storage::{CompositeProbe, ResolvedPath, StorageManager};
-use crate::table::{BoxTable, Cell, CompressedTable, LineageTable, Orientation};
+use crate::table::{BoxTable, CompressedTable, LineageTable, Orientation};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -160,47 +160,27 @@ fn composite_serve(
     Ok((out, stats))
 }
 
-/// The union of a table's primary-side boxes (the cells it stores any
-/// lineage for). `None` if any primary cell is not an absolute interval.
-fn primary_support(table: &CompressedTable) -> Option<BoxTable> {
-    let pa = table.primary_arity();
-    let mut support = BoxTable::new(pa);
-    let mut bx = Vec::with_capacity(pa);
-    for row in 0..table.n_rows() {
-        bx.clear();
-        for k in 0..pa {
-            match table.cell(row, k) {
-                Cell::Abs(ivl) => bx.push(ivl),
-                _ => return None,
-            }
-        }
-        support.push_box(&bx);
-    }
-    Some(support)
-}
-
 /// Materialize the composite edge for `path`: join the whole chain over
-/// the first table's support, compress the result as a real backward
-/// table (primary side = first array), and register it. Returns `None`
-/// without installing while a member table is not stored in the
-/// orientation its hop needs (path order derives it; retried on the next
-/// sighting); installs an *unmaterializable* marker
-/// when a size cap is exceeded (never retried until an ingest drops
-/// the entry).
+/// the first hop's query-side support, compress the result as a real
+/// backward table (primary side = first array), and register it. Returns
+/// `None` without installing while a member table cannot be read (a lazy
+/// load failed; path order reports it) or is generalized; installs an
+/// *unmaterializable* marker when a size cap is exceeded (never retried
+/// until an ingest drops the entry).
 fn try_materialize(
     storage: &StorageManager,
     path: &[&str],
     resolved: &ResolvedPath,
 ) -> Option<Arc<CompressedTable>> {
-    let mut tables: Vec<Arc<CompressedTable>> = Vec::with_capacity(resolved.n_hops());
+    let mut tables = Vec::with_capacity(resolved.n_hops());
     for k in 0..resolved.n_hops() {
-        let table = resolved.peek_hop(k)?;
-        if table.is_generalized() {
+        let table = resolved.resolve_hop(k, path).ok()?;
+        if table.table().is_generalized() {
             return None;
         }
         tables.push(table);
     }
-    let mut support = primary_support(&tables[0])?;
+    let mut support = query_support(tables[0].hop()).ok()?;
     support.merge();
     if support.volume() > COMPOSITE_MAX_SUPPORT_CELLS {
         storage.install_composite(path, resolved, None);
@@ -208,7 +188,7 @@ fn try_materialize(
     }
     let (first_shape, last_shape) = (&resolved.first.shape, &resolved.last.shape);
     let exec = QueryExec::default();
-    let refs: Vec<&CompressedTable> = tables.iter().map(|t| t.as_ref()).collect();
+    let hops: Vec<Hop<'_>> = tables.iter().map(|t| t.hop()).collect();
     let mut lineage = LineageTable::new(first_shape.len(), last_shape.len());
     // One query table, point box and row buffer serve every support cell.
     let mut q = BoxTable::new(first_shape.len());
@@ -219,7 +199,7 @@ fn try_materialize(
         point.extend(source.iter().map(|&v| Interval::point(v)));
         q.clear();
         q.push_box(&point);
-        let (out, _) = exec.chain(&q, &refs).ok()?;
+        let (out, _) = exec.chain(&q, &hops).ok()?;
         for target in out.cell_set() {
             if lineage.n_rows() >= COMPOSITE_MAX_ROWS {
                 storage.install_composite(path, resolved, None);
@@ -286,7 +266,7 @@ pub(crate) fn execute_batch(
 
     let decision = if let Some(table) = composite {
         if !uniq.is_empty() {
-            let (next, hop) = batch_hop(&uniq, &table, words)?;
+            let (next, hop) = batch_hop(&uniq, table.as_ref().into(), words)?;
             stats.hops.push(hop);
             uniq = next;
         }
@@ -299,7 +279,7 @@ pub(crate) fn execute_batch(
                 break;
             }
             let table = resolved.resolve_hop(k, path)?;
-            let (next, hop_stats) = batch_hop(&uniq, &table, words)?;
+            let (next, hop_stats) = batch_hop(&uniq, table.hop(), words)?;
             stats.hops.push(hop_stats);
             uniq = next;
         }
@@ -329,18 +309,12 @@ pub(crate) fn execute_batch(
 /// A deduplicated frontier box plus the bitset of queries that own it.
 type OwnedBox = (Vec<Interval>, Vec<u64>);
 
-/// One batched hop: probe every unique box against `table` with the hop's
+/// One batched hop: probe every unique box through `hop` with the hop's
 /// row kernel, union owner bitsets onto the (deduplicated) output boxes,
-/// aggregate the stats (`wall` sums the probes, as a hop's does).
-fn batch_hop(
-    uniq: &[OwnedBox],
-    table: &CompressedTable,
-    words: usize,
-) -> Result<(Vec<OwnedBox>, HopStats)> {
-    let arity = uniq
-        .first()
-        .map_or(table.primary_arity(), |(bx, _)| bx.len());
-    let mut join = HopJoin::new(arity, table)?;
+/// aggregate the stats (`wall` sums the probes, as a hop's does). Called
+/// only with boxes to probe.
+fn batch_hop(uniq: &[OwnedBox], hop: Hop<'_>, words: usize) -> Result<(Vec<OwnedBox>, HopStats)> {
+    let mut join = HopJoin::new(uniq[0].0.len(), hop)?;
     let mut wall = Duration::ZERO;
     let mut next: Vec<OwnedBox> = Vec::new();
     let mut slots: HashMap<Vec<Interval>, usize> = HashMap::new();

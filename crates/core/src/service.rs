@@ -684,7 +684,6 @@ impl Drop for DslogService {
 mod tests {
     use super::*;
     use crate::api::TableCapture;
-    use crate::table::Orientation;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dslog-service-{tag}-{}", std::process::id()));
@@ -754,54 +753,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Every ingest entry stores the same bytes and logs the same record,
-    /// under every materialization policy.
+    /// Every ingest entry stores the same bytes and logs the same record.
     #[test]
     fn batch_ingest_matches_sequential_ingest() {
-        use crate::storage::{format, wal::OpKind, Materialize};
-        let (backward, forward) = (Orientation::Backward, Orientation::Forward);
-        for (policy, stored) in [
-            (Materialize::Backward, &[backward][..]),
-            (Materialize::Forward, &[forward]),
-            (Materialize::Both, &[backward, forward]),
-        ] {
-            let mut first = None;
-            for entry in ["add_lineage", "register_operation", "ingest_batch"] {
-                let dir = temp_dir(&format!("parity-{policy:?}-{entry}"));
-                let mut db = Dslog::options().materialize(policy).create(&dir).unwrap();
-                db.define_array("B", &[8]).unwrap();
-                db.define_array("C", &[8]).unwrap();
-                let capture = TableCapture::new(small_lineage(8, 3));
-                match entry {
-                    "add_lineage" => db.add_lineage("B", "C", &capture).unwrap(),
-                    "register_operation" => {
-                        let captures: Vec<Box<dyn crate::api::Capture>> = vec![Box::new(capture)];
-                        db.register_operation("op", &["B"], &["C"], captures, &[], false)
-                            .unwrap();
-                    }
-                    _ => {
-                        let service = DslogService::new(db, AutoCommitPolicy::manual());
-                        let job = IngestJob::new("B", "C", small_lineage(8, 3));
-                        service.ingest_batch(vec![job]).unwrap();
-                        db = service.shutdown().unwrap().0;
-                    }
+        use crate::storage::{format, wal::OpKind};
+        let mut first = None;
+        for entry in ["add_lineage", "register_operation", "ingest_batch"] {
+            let dir = temp_dir(&format!("parity-{entry}"));
+            let mut db = Dslog::options().create(&dir).unwrap();
+            db.define_array("B", &[8]).unwrap();
+            db.define_array("C", &[8]).unwrap();
+            let capture = TableCapture::new(small_lineage(8, 3));
+            match entry {
+                "add_lineage" => db.add_lineage("B", "C", &capture).unwrap(),
+                "register_operation" => {
+                    let captures: Vec<Box<dyn crate::api::Capture>> = vec![Box::new(capture)];
+                    db.register_operation("op", &["B"], &["C"], captures, &[], false)
+                        .unwrap();
                 }
-                db.commit().unwrap();
-                let storage = db.storage();
-                let tables: Vec<Vec<u8>> = (stored.iter())
-                    .map(|&o| format::serialize(&storage.stored_table("B", "C", o).unwrap()))
-                    .collect();
-                let records: Vec<(u64, u32)> = (db.history().unwrap().into_iter())
-                    .filter_map(|r| match r.kind {
-                        OpKind::IngestEdge { bytes, digest, .. } => Some((bytes, digest)),
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(records.len(), 1, "{policy:?} {entry}");
-                let first = first.get_or_insert_with(|| (tables.clone(), records.clone()));
-                assert_eq!(*first, (tables, records), "{policy:?}: {entry} differs");
-                std::fs::remove_dir_all(&dir).unwrap();
+                _ => {
+                    let service = DslogService::new(db, AutoCommitPolicy::manual());
+                    let job = IngestJob::new("B", "C", small_lineage(8, 3));
+                    service.ingest_batch(vec![job]).unwrap();
+                    db = service.shutdown().unwrap().0;
+                }
             }
+            db.commit().unwrap();
+            let table = format::serialize(&db.storage().stored_table("B", "C").unwrap());
+            let records: Vec<(u64, u32)> = (db.history().unwrap().into_iter())
+                .filter_map(|r| match r.kind {
+                    OpKind::IngestEdge { bytes, digest, .. } => Some((bytes, digest)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(records.len(), 1, "{entry}");
+            let first = first.get_or_insert_with(|| (table.clone(), records.clone()));
+            assert_eq!(*first, (table, records), "{entry} differs");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

@@ -49,7 +49,7 @@ mod tests {
     use crate::error::DslogError;
     use crate::storage::persist::OpenMode;
     use crate::storage::wal;
-    use crate::table::{LineageTable, Orientation};
+    use crate::table::LineageTable;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dslog-compact-{tag}-{}", std::process::id()));
@@ -80,20 +80,16 @@ mod tests {
         names
     }
 
-    /// Serialized bytes of every stored slot, keyed for comparison across
+    /// Serialized bytes of every stored table, keyed for comparison across
     /// save/compact/reopen cycles.
-    fn slot_bytes(s: &StorageManager) -> Vec<((String, String), u8, Vec<u8>)> {
+    fn slot_bytes(s: &StorageManager) -> Vec<((String, String), Vec<u8>)> {
         let mut keys: Vec<&(String, String)> = s.edges.keys().collect();
         keys.sort();
-        let mut out = Vec::new();
-        for key in keys {
-            for (tag, orientation) in [(0u8, Orientation::Backward), (1u8, Orientation::Forward)] {
-                if let Some(t) = s.edges[key].stored(orientation, false).unwrap() {
-                    out.push((key.clone(), tag, crate::storage::format::serialize(&t)));
-                }
-            }
-        }
-        out
+        let table = |key: &(String, String)| s.edges[key].table().unwrap();
+        let bytes = |key: &(String, String)| crate::storage::format::serialize(&table(key));
+        keys.into_iter()
+            .map(|key| (key.clone(), bytes(key)))
+            .collect()
     }
 
     /// Three edges across three committed generations, bound to `dir`.

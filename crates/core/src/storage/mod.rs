@@ -1,19 +1,19 @@
-//! The storage manager: named arrays, lineage edges, and on-demand
-//! orientation derivation (paper §III, §IV.C).
+//! The storage manager: named arrays and lineage edges (paper §III,
+//! §IV.C).
 //!
-//! Lineage for an operation `O = op(I)` is stored per `(I, O)` pair as a
-//! ProvRC-compressed table. By default only the **backward** orientation is
-//! materialized (matching the paper's storage experiments); the forward
-//! orientation is derived lazily on the first forward query over that edge
-//! and cached. A query path is resolved against the arrays and edges once
-//! per snapshot, into the manager's per-path registry (`ResolvedPath`).
+//! Lineage for an operation `O = op(I)` is stored per `(I, O)` pair as one
+//! ProvRC-compressed table, in the **backward** orientation (the paper's
+//! storage experiments' form). A forward hop reads that same table against
+//! its orientation (`query::exec`'s reverse step), so no edge ever holds,
+//! derives or persists a second orientation. A query path is resolved
+//! against the arrays and edges once per snapshot, into the manager's
+//! per-path registry (`ResolvedPath`).
 //!
 //! Every relation becomes a stored edge the same way, whoever captured it
 //! (`add_lineage`, `register_operation`, §VI reuse, the service's batched
 //! ingest): `StorageManager::prepare` then `StorageManager::install`.
 //! `prepare` owns every per-edge decision — the shape and arity checks,
-//! which orientations the [`Materialize`] policy stores, ProvRC
-//! compression, index building and the op-log record — and `install`
+//! ProvRC compression, index building and the op-log record — and `install`
 //! owns the duplicate rule (replace or reject) and the pointer work of
 //! logging, storing and invalidating. A batch either installs whole or
 //! not at all.
@@ -60,6 +60,7 @@ pub(crate) mod wire {
 
 use crate::error::{DslogError, Result};
 use crate::provrc;
+use crate::query::HopTable;
 use crate::reuse::COMPOSITE_HIT_THRESHOLD;
 use crate::table::{CompressedTable, LineageTable, Orientation};
 use dslog_sync::{ranks, Mutex, RwLock};
@@ -95,18 +96,6 @@ impl ArrayMeta {
     pub fn ndim(&self) -> usize {
         self.shape.len()
     }
-}
-
-/// Which orientations to materialize at ingest (paper §IV.C).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Materialize {
-    /// Store backward only; derive forward on demand (paper default).
-    #[default]
-    Backward,
-    /// Store forward only; derive backward on demand.
-    Forward,
-    /// Store both eagerly.
-    Both,
 }
 
 /// A not-yet-loaded table the catalog references: everything needed to
@@ -150,8 +139,8 @@ impl DiskTable {
     }
 }
 
-/// Where one orientation of an edge currently lives: decoded in memory, or
-/// still on disk (lazy open) with its catalog-recorded length + checksum.
+/// Where an edge's table currently lives: decoded in memory, or still on
+/// disk (lazy open) with its catalog-recorded length + checksum.
 #[derive(Debug, Clone)]
 pub(crate) enum TableSource {
     /// Decoded and resident.
@@ -159,6 +148,16 @@ pub(crate) enum TableSource {
     /// Referenced by the catalog but not yet read; swapped for `Loaded` on
     /// the first `resolve_hop` that needs it.
     OnDisk(DiskTable),
+}
+
+impl TableSource {
+    /// The orientation the table is stored in, loaded or not.
+    fn orientation(&self) -> Orientation {
+        match self {
+            TableSource::Loaded(t) => t.orientation(),
+            TableSource::OnDisk(d) => d.orientation,
+        }
+    }
 }
 
 /// Catalog record of the committed bytes that hold one slot's table: a
@@ -188,26 +187,15 @@ impl FileRecord {
     }
 }
 
-/// One orientation slot of an edge: the table (if stored) plus its
-/// incremental-persistence state. `persisted` is `Some` exactly when the
-/// bound database directory already holds a committed range with this
-/// slot's content — such slots are *clean* and an incremental commit
-/// reuses the recorded range instead of rewriting it. Anything that
-/// changes the slot's content (fresh ingest, on-demand derivation) clears
-/// the record, marking the slot *dirty*.
-#[derive(Debug, Default)]
+/// An edge's one table plus its incremental-persistence state.
+/// `persisted` is `Some` exactly when the bound database directory already
+/// holds a committed range with this slot's content — such slots are
+/// *clean* and an incremental commit reuses the recorded range instead of
+/// rewriting it. A freshly ingested edge's slot is *dirty* (no record).
+#[derive(Debug)]
 pub(crate) struct Slot {
-    pub(crate) source: Option<TableSource>,
+    pub(crate) source: TableSource,
     pub(crate) persisted: Option<FileRecord>,
-}
-
-impl Slot {
-    fn dirty(source: Option<TableSource>) -> Self {
-        Self {
-            source,
-            persisted: None,
-        }
-    }
 }
 
 /// The database directory the manager is bound to for incremental
@@ -228,144 +216,65 @@ pub(crate) struct PersistBinding {
     pub(crate) tail: Option<wal::LogTail>,
 }
 
-/// One stored lineage edge (input array → output array).
+/// One stored lineage edge (input array → output array): its one table,
+/// in the orientation it was stored in.
 #[derive(Debug)]
 struct Edge {
-    backward: RwLock<Slot>,
-    forward: RwLock<Slot>,
-    out_shape: Vec<usize>,
-    in_shape: Vec<usize>,
+    slot: RwLock<Slot>,
 }
 
 impl Edge {
-    fn new(backward: Slot, forward: Slot, out_shape: Vec<usize>, in_shape: Vec<usize>) -> Self {
+    fn new(slot: Slot) -> Self {
         Self {
-            backward: RwLock::new(&ranks::STORAGE_SLOT, backward),
-            forward: RwLock::new(&ranks::STORAGE_SLOT, forward),
-            out_shape,
-            in_shape,
+            slot: RwLock::new(&ranks::STORAGE_SLOT, slot),
         }
     }
 
-    fn slot(&self, orientation: Orientation) -> &RwLock<Slot> {
-        match orientation {
-            Orientation::Backward => &self.backward,
-            Orientation::Forward => &self.forward,
+    /// The stored table, loading it from disk if the slot holds a lazy
+    /// reference; a load builds the query index under the slot lock before
+    /// publishing, like every other slot fill.
+    fn table(&self) -> Result<Arc<CompressedTable>> {
+        if let TableSource::Loaded(t) = &self.slot.read().source {
+            return Ok(Arc::clone(t));
         }
+        let mut slot = self.slot.write();
+        let table = match &slot.source {
+            TableSource::Loaded(t) => return Ok(Arc::clone(t)),
+            TableSource::OnDisk(disk) => Arc::new(disk.load()?),
+        };
+        if !table.is_generalized() {
+            table.ensure_index();
+        }
+        // Loading does not change content: the slot stays clean (its
+        // `persisted` record remains valid).
+        slot.source = TableSource::Loaded(Arc::clone(&table));
+        Ok(table)
     }
 
-    /// The table stored for `orientation`, loading it from disk if the slot
-    /// holds a lazy reference. Returns `Ok(None)` if the orientation is not
-    /// stored at all (no derivation happens here). `warm_index` builds the
-    /// query index under the slot lock before publishing — the query path
-    /// wants that, but e.g. `persist::save` loads tables only to serialize
-    /// them and skips the O(n log n) build.
-    fn stored(
-        &self,
-        orientation: Orientation,
-        warm_index: bool,
-    ) -> Result<Option<Arc<CompressedTable>>> {
-        let slot = self.slot(orientation);
-        match &slot.read().source {
-            Some(TableSource::Loaded(t)) => return Ok(Some(Arc::clone(t))),
-            None => return Ok(None),
-            Some(TableSource::OnDisk(_)) => {}
-        }
-        let mut slot_w = slot.write();
-        match &slot_w.source {
-            Some(TableSource::Loaded(t)) => Ok(Some(Arc::clone(t))),
-            None => Ok(None),
-            Some(TableSource::OnDisk(disk)) => {
-                let table = Arc::new(disk.load()?);
-                // On the query path, publish with a warm index like every
-                // other slot fill.
-                if warm_index && !table.is_generalized() {
-                    table.ensure_index();
-                }
-                // Loading does not change content: the slot stays clean
-                // (its `persisted` record remains valid).
-                slot_w.source = Some(TableSource::Loaded(Arc::clone(&table)));
-                Ok(Some(table))
-            }
-        }
-    }
-}
-
-impl Edge {
-    /// Clone one slot's state out of its lock, for the commit planner
+    /// Clone the slot's state out of its lock, for the commit planner
     /// (file IO must never run under a slot lock).
-    fn snapshot(&self, orientation: Orientation) -> (Option<TableSource>, Option<FileRecord>) {
-        let slot = self.slot(orientation).read();
+    fn snapshot(&self) -> (TableSource, Option<FileRecord>) {
+        let slot = self.slot.read();
         (slot.source.clone(), slot.persisted.clone())
     }
 
-    /// Mark a slot clean after a commit wrote it: record the committed
+    /// Mark the slot clean after a commit wrote it: record the committed
     /// range now holding its content, and — if the slot is still a lazy
     /// `OnDisk` reference — repoint it at that range. The old file may
     /// have just been swept (same-directory rewrite, e.g. a gzip
     /// conversion), so a stale source would make every later load fail.
     /// Called only after the catalog rename landed. Safe against
-    /// concurrent readers: under `&StorageManager` a non-empty slot's
-    /// content can only transition `OnDisk → Loaded` (identical bytes),
-    /// so both the record and the repointed source still describe what
-    /// the slot holds.
-    fn publish_committed(
-        &self,
-        orientation: Orientation,
-        record: FileRecord,
-        dir: &std::path::Path,
-        gzip: bool,
-    ) {
-        let mut slot = self.slot(orientation).write();
-        if let Some(TableSource::OnDisk(disk)) = &mut slot.source {
-            *disk = DiskTable {
-                dir: dir.to_path_buf(),
-                gzip,
-                orientation,
-                record: record.clone(),
-            };
+    /// concurrent readers: under `&StorageManager` the slot's content can
+    /// only transition `OnDisk → Loaded` (identical bytes), so both the
+    /// record and the repointed source still describe what the slot holds.
+    fn publish_committed(&self, record: FileRecord, dir: &std::path::Path, gzip: bool) {
+        let mut slot = self.slot.write();
+        if let TableSource::OnDisk(disk) = &mut slot.source {
+            disk.dir = dir.to_path_buf();
+            disk.gzip = gzip;
+            disk.record = record.clone();
         }
         slot.persisted = Some(record);
-    }
-}
-
-impl Edge {
-    /// Fetch the requested orientation, deriving and caching it from the
-    /// other one if missing (decompress → recompress; §IV.C).
-    ///
-    /// The derived table is published with its query index already built, so
-    /// the first forward query after a backward-only ingest pays the
-    /// derive-plus-index cost exactly once; every later call (and any call
-    /// racing with the first — the derivation runs under the slot's write
-    /// lock) gets the cached `Arc` with a warm index.
-    fn repr(&self, orientation: Orientation) -> Result<Arc<CompressedTable>> {
-        if let Some(t) = self.stored(orientation, true)? {
-            return Ok(t);
-        }
-        // Resolve the source table before taking the target's write lock:
-        // `stored` only ever holds one slot's lock at a time, so two threads
-        // deriving opposite orientations cannot deadlock.
-        let source = self
-            .stored(orientation.flip(), true)?
-            .ok_or(DslogError::Corrupt("edge with no stored orientation"))?;
-        let slot = self.slot(orientation);
-        let mut slot_w = slot.write();
-        if let Some(TableSource::Loaded(t)) = slot_w.source.as_ref() {
-            // Another thread derived while we waited for the lock.
-            return Ok(Arc::clone(t));
-        }
-        let full = source.decompress()?;
-        let derived = Arc::new(provrc::compress(
-            &full,
-            &self.out_shape,
-            &self.in_shape,
-            orientation,
-        ));
-        derived.ensure_index();
-        // A derived orientation is new content: dirty until the next
-        // commit writes it.
-        *slot_w = Slot::dirty(Some(TableSource::Loaded(Arc::clone(&derived))));
-        Ok(derived)
     }
 }
 
@@ -395,25 +304,18 @@ pub(crate) struct PreparedEdge {
 }
 
 impl PreparedEdge {
-    /// Index each of the `[backward, forward]` tables, and take the log
-    /// record from the stored one (backward if both are): its serialized
-    /// length and, as the per-edge digest, the crc32 the table file's own
-    /// trailer holds.
-    fn new(
-        key: (&str, &str),
-        tables: [Option<CompressedTable>; 2],
-        (out_shape, in_shape): (Vec<usize>, Vec<usize>),
-    ) -> Result<Self> {
-        let [backward, forward] = tables.map(|table| {
-            let table = Arc::new(table?);
-            if !table.is_generalized() {
-                table.ensure_index();
-            }
-            Some(table)
-        });
-        let table = (backward.as_deref().or(forward.as_deref()))
-            .ok_or(DslogError::Corrupt("edge with no stored orientation"))?;
-        let bytes = format::serialize(table);
+    /// Index the table's primary side, and take the log record from it:
+    /// its serialized length and, as the per-edge digest, the crc32 the
+    /// table file's own trailer holds. The secondary side's index waits
+    /// for the first forward hop: built here, it held 20 B per row of
+    /// every table, queried forward or not (+25 % peak RSS on
+    /// `ingest_commit`).
+    fn new(key: (&str, &str), table: CompressedTable) -> Self {
+        let table = Arc::new(table);
+        if !table.is_generalized() {
+            table.ensure_index();
+        }
+        let bytes = format::serialize(&table);
         let key = (key.0.to_string(), key.1.to_string());
         let log = wal::OpKind::IngestEdge {
             in_array: key.0.clone(),
@@ -421,20 +323,23 @@ impl PreparedEdge {
             bytes: bytes.len() as u64,
             digest: wal::trailer_crc(&bytes),
         };
-        // A fresh edge: both slots dirty (nothing committed yet).
-        let [backward, forward] =
-            [backward, forward].map(|t| Slot::dirty(t.map(TableSource::Loaded)));
-        let edge = Edge::new(backward, forward, out_shape, in_shape);
-        Ok(Self { key, edge, log })
+        // A fresh edge: dirty (nothing committed yet).
+        let edge = Edge::new(Slot {
+            source: TableSource::Loaded(table),
+            persisted: None,
+        });
+        Self { key, edge, log }
     }
 }
 
 /// How a query hop traverses an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopDirection {
-    /// Query moves output → input: needs the backward orientation.
+    /// Query moves output → input: reads the edge in the backward
+    /// orientation.
     Backward,
-    /// Query moves input → output: needs the forward orientation.
+    /// Query moves input → output: reads the edge in the forward
+    /// orientation.
     Forward,
 }
 
@@ -505,7 +410,8 @@ impl<'a> Borrow<dyn PathKey + 'a> for OwnedPath {
 }
 
 /// One hop of a resolved path: the edge that connects the pair, and the
-/// orientation whose primary side is the hop's `from` array.
+/// orientation (primary side = the hop's `from` array) the hop reads its
+/// table in.
 #[derive(Debug, Clone)]
 struct PathHop {
     edge: Arc<Edge>,
@@ -516,7 +422,7 @@ struct PathHop {
 /// path resolved against one snapshot — every array known to exist, every
 /// hop bound to its edge and orientation — plus the path's composite-edge
 /// state. Tables are *not* cached here: each hop still reads its edge's
-/// slot, so lazy loads and derived orientations show at once.
+/// slot, so lazy loads show at once.
 #[derive(Debug)]
 pub(crate) struct ResolvedPath {
     /// One per hop; `None` where no lineage edge connects the pair.
@@ -544,29 +450,18 @@ impl ResolvedPath {
         matches!(self.composite.get(), Some(Some(_)))
     }
 
-    /// Resolve hop `k` for execution: the compressed table whose primary
-    /// side is `path[k]`'s attribute space (derived and cached if that
-    /// orientation is not stored). `path` names the arrays, for the error
-    /// when no edge connects the pair.
-    pub(crate) fn resolve_hop(&self, k: usize, path: &[&str]) -> Result<Arc<CompressedTable>> {
+    /// Resolve hop `k` for execution: its edge's stored table (loaded if
+    /// a lazy open left it on disk), read in the orientation whose primary
+    /// side is `path[k]`'s attribute space. `path` names the arrays, for
+    /// the error when no edge connects the pair.
+    pub(crate) fn resolve_hop(&self, k: usize, path: &[&str]) -> Result<HopTable> {
         let Some(hop) = &self.hops[k] else {
             return Err(DslogError::NoLineagePath {
                 from: path[k].to_string(),
                 to: path[k + 1].to_string(),
             });
         };
-        hop.edge.repr(hop.orientation)
-    }
-
-    /// The table hop `k` would run over, without
-    /// [`resolve_hop`](Self::resolve_hop)'s side effect: a missing
-    /// orientation is *not* derived. A lazy on-disk slot is loaded —
-    /// execution would load it anyway. Returns `None` when no edge
-    /// connects the pair, the orientation is not stored, or a lazy load
-    /// fails (execution will surface that error itself).
-    pub(crate) fn peek_hop(&self, k: usize) -> Option<Arc<CompressedTable>> {
-        let hop = self.hops[k].as_ref()?;
-        hop.edge.stored(hop.orientation, true).ok()?
+        Ok(HopTable::new(hop.edge.table()?, hop.orientation))
     }
 
     /// Record one planner sighting and say what to do with the path: serve
@@ -616,7 +511,6 @@ pub struct StorageManager {
     // What the handle was configured with (see `api::OpenOptions`): plain
     // values, copied into every epoch clone, so nothing one snapshot's
     // user does can change what another logs or writes.
-    pub(crate) materialize: Materialize,
     /// Who operation-log records name when the operation brings no actor
     /// of its own.
     pub(crate) actor: String,
@@ -662,7 +556,6 @@ impl Default for StorageManager {
         Self {
             arrays: HashMap::new(),
             edges: HashMap::new(),
-            materialize: Materialize::default(),
             actor: "local".to_string(),
             retain: 0,
             io_policy: None,
@@ -675,7 +568,7 @@ impl Default for StorageManager {
 }
 
 impl StorageManager {
-    /// Empty manager with the default materialization policy (backward).
+    /// Empty manager.
     pub fn new() -> Self {
         Self::default()
     }
@@ -684,13 +577,12 @@ impl StorageManager {
     /// edge (`Arc`), the persistence binding, and the commit lock with
     /// `self`; the array and edge *maps* are fresh, so inserting into the
     /// clone never disturbs readers of the original. Slot-level state
-    /// (lazy loads, derived orientations, clean/dirty marks) lives inside
-    /// the shared `Arc<Edge>`s and stays coherent across all clones.
+    /// (lazy loads, clean/dirty marks) lives inside the shared
+    /// `Arc<Edge>`s and stays coherent across all clones.
     pub(crate) fn clone_for_epoch(&self) -> Self {
         Self {
             arrays: self.arrays.clone(),
             edges: self.edges.clone(),
-            materialize: self.materialize,
             actor: self.actor.clone(),
             retain: self.retain,
             io_policy: self.io_policy.clone(),
@@ -802,10 +694,9 @@ impl StorageManager {
     }
 
     /// Every per-edge step of ingest, for a batch of relations: check each
-    /// job's arrays and arity, compress every orientation the
-    /// [`Materialize`] policy stores (one batch per orientation, on worker
-    /// threads when the batch is large enough), index each table and
-    /// compute each edge's log record. Needs only `&self`, so the service
+    /// job's arrays and arity, compress each in the backward orientation
+    /// (one batch, on worker threads when it is large enough), index each
+    /// table and compute each edge's log record. Needs only `&self`, so the service
     /// runs it on a snapshot with no lock held; results keep job order.
     pub(crate) fn prepare(&self, jobs: &[EdgeJob<'_>]) -> Result<Vec<PreparedEdge>> {
         let mut shapes = Vec::with_capacity(jobs.len());
@@ -822,20 +713,12 @@ impl StorageManager {
                 (lineage, &out_shape[..], &in_shape[..])
             })
             .collect();
-        let mut tables = [Orientation::Backward, Orientation::Forward].map(|orientation| {
-            let stored = match self.materialize {
-                Materialize::Backward => orientation == Orientation::Backward,
-                Materialize::Forward => orientation == Orientation::Forward,
-                Materialize::Both => true,
-            };
-            stored.then(|| provrc::compress_batch_parallel(&compress_jobs, orientation).into_iter())
-        });
-        (jobs.iter().zip(shapes))
-            .map(|(&(in_array, out_array, _), shapes)| {
-                let job_tables = tables.each_mut().map(|t| t.as_mut()?.next());
-                PreparedEdge::new((in_array, out_array), job_tables, shapes)
+        let tables = provrc::compress_batch_parallel(&compress_jobs, Orientation::Backward);
+        Ok((jobs.iter().zip(tables))
+            .map(|(&(in_array, out_array, _), table)| {
+                PreparedEdge::new((in_array, out_array), table)
             })
-            .collect()
+            .collect())
     }
 
     /// A reused table (§VI) as an edge for `install`. The reuse manager
@@ -846,12 +729,8 @@ impl StorageManager {
         out_array: &str,
         table: CompressedTable,
     ) -> Result<PreparedEdge> {
-        let shapes = self.edge_shapes(in_array, out_array)?;
-        let tables = match table.orientation() {
-            Orientation::Backward => [Some(table), None],
-            Orientation::Forward => [None, Some(table)],
-        };
-        PreparedEdge::new((in_array, out_array), tables, shapes)
+        self.edge_shapes(in_array, out_array)?;
+        Ok(PreparedEdge::new((in_array, out_array), table))
     }
 
     /// Store prepared edges: log each, replace whatever its pair held, and
@@ -963,21 +842,18 @@ impl StorageManager {
         })
     }
 
-    /// Resolve one query hop `from → to`: returns the compressed table whose
-    /// primary side is `from`'s attribute space, plus the hop direction.
-    /// The two-array path's registry entry, resolved.
-    pub fn resolve_hop(
-        &self,
-        from: &str,
-        to: &str,
-    ) -> Result<(Arc<CompressedTable>, HopDirection)> {
+    /// Resolve one query hop `from → to`: the edge's stored table, read in
+    /// the orientation whose primary side is `from`'s attribute space,
+    /// plus the hop direction. The two-array path's registry entry,
+    /// resolved.
+    pub fn resolve_hop(&self, from: &str, to: &str) -> Result<(HopTable, HopDirection)> {
         let path = [from, to];
-        let table = self.path(&path)?.resolve_hop(0, &path)?;
-        let direction = match table.orientation() {
+        let hop = self.path(&path)?.resolve_hop(0, &path)?;
+        let direction = match hop.orientation() {
             Orientation::Backward => HopDirection::Backward,
             Orientation::Forward => HopDirection::Forward,
         };
-        Ok((table, direction))
+        Ok((hop, direction))
     }
 
     /// Resolve a `Materialize` outcome of `resolved` (the entry of `path`):
@@ -1034,13 +910,9 @@ impl StorageManager {
             .contains_key(&(in_array.to_string(), out_array.to_string()))
     }
 
-    /// The stored backward table for an edge (ingest order: in → out).
-    pub fn stored_table(
-        &self,
-        in_array: &str,
-        out_array: &str,
-        orientation: Orientation,
-    ) -> Result<Arc<CompressedTable>> {
+    /// The table stored for an edge (ingest order: in → out), in the
+    /// orientation it was stored in — backward for every edge ingested.
+    pub fn stored_table(&self, in_array: &str, out_array: &str) -> Result<Arc<CompressedTable>> {
         let edge = self
             .edges
             .get(&(in_array.to_string(), out_array.to_string()))
@@ -1048,26 +920,20 @@ impl StorageManager {
                 from: in_array.to_string(),
                 to: out_array.to_string(),
             })?;
-        edge.repr(orientation)
+        edge.table()
     }
 
-    /// Serialized size in bytes of all stored tables (one orientation each),
-    /// the quantity the paper's storage experiments measure. For tables a
+    /// Serialized size in bytes of all stored tables, the quantity the
+    /// paper's storage experiments measure. For tables a
     /// lazy open has not touched yet, the catalog-recorded plain serialized
     /// length is reported instead of re-serializing (no load is triggered,
     /// and the number matches what a loaded slot would report).
     pub fn storage_bytes(&self) -> usize {
-        fn slot_bytes(slot: &RwLock<Slot>) -> Option<usize> {
-            match &slot.read().source {
-                Some(TableSource::Loaded(t)) => Some(format::serialize(t).len()),
-                Some(TableSource::OnDisk(d)) => Some(d.record.raw_len as usize),
-                None => None,
-            }
-        }
-        self.edges
-            .values()
-            .filter_map(|e| slot_bytes(&e.backward).or_else(|| slot_bytes(&e.forward)))
-            .sum()
+        let bytes = |edge: &Arc<Edge>| match &edge.slot.read().source {
+            TableSource::Loaded(t) => format::serialize(t).len(),
+            TableSource::OnDisk(d) => d.record.raw_len as usize,
+        };
+        self.edges.values().map(bytes).sum()
     }
 
     /// Number of stored edges.
@@ -1079,6 +945,9 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Interval;
+    use crate::query::QueryExec;
+    use crate::table::BoxTable;
 
     fn sum_lineage() -> LineageTable {
         let mut t = LineageTable::new(1, 2);
@@ -1113,43 +982,32 @@ mod tests {
     #[test]
     fn resolve_backward_hop() {
         let s = manager_with_edge();
-        let (table, dir) = s.resolve_hop("B", "A").unwrap();
+        let (hop, dir) = s.resolve_hop("B", "A").unwrap();
         assert_eq!(dir, HopDirection::Backward);
-        assert_eq!(table.orientation(), Orientation::Backward);
-        assert_eq!(table.primary_arity(), 1);
+        assert_eq!(hop.orientation(), Orientation::Backward);
+        assert_eq!(hop.table().orientation(), Orientation::Backward);
+        assert_eq!(hop.table().primary_arity(), 1);
     }
 
     #[test]
-    fn resolve_forward_hop_derives_orientation() {
+    fn forward_hop_reads_the_stored_backward_table() {
         let s = manager_with_edge();
-        // Only backward is materialized; the forward hop must derive it.
-        let (table, dir) = s.resolve_hop("A", "B").unwrap();
+        let (fwd, dir) = s.resolve_hop("A", "B").unwrap();
         assert_eq!(dir, HopDirection::Forward);
-        assert_eq!(table.orientation(), Orientation::Forward);
-        assert_eq!(table.primary_arity(), 2);
-        // Derived table decompresses to the same relation.
-        assert_eq!(
-            table.decompress().unwrap().row_set(),
-            sum_lineage().row_set()
-        );
-        // Second resolution hits the cache (same Arc).
-        let (again, _) = s.resolve_hop("A", "B").unwrap();
-        assert!(Arc::ptr_eq(&table, &again));
-    }
-
-    #[test]
-    fn derived_orientation_is_published_with_a_warm_index() {
-        let s = manager_with_edge();
-        // Backward was materialized at ingest: index built eagerly.
+        assert_eq!(fwd.orientation(), Orientation::Forward);
+        // The very table the backward hop reads: nothing was derived.
         let (bwd, _) = s.resolve_hop("B", "A").unwrap();
-        assert!(bwd.has_cached_index());
-        // The lazily derived forward table must come back with its index
-        // already cached — table and index are published atomically, so no
-        // later query rebuilds either.
-        let (fwd, _) = s.resolve_hop("A", "B").unwrap();
-        assert!(fwd.has_cached_index());
-        let (again, _) = s.resolve_hop("A", "B").unwrap();
-        assert!(Arc::ptr_eq(&fwd, &again));
+        assert!(Arc::ptr_eq(fwd.table(), bwd.table()));
+        assert_eq!(fwd.table().orientation(), Orientation::Backward);
+        // The forward hop probes the index over the secondary (A) side.
+        let index = fwd.index().unwrap();
+        assert_eq!(
+            index.probe(&[Interval::point(1), Interval::point(0)]).len(),
+            1
+        );
+        let q = BoxTable::from_cells(2, &[vec![1, 0]]);
+        let (out, _) = QueryExec::default().hop(&q, &fwd).unwrap();
+        assert_eq!(out.cell_set(), [vec![1]].into_iter().collect());
     }
 
     #[test]
@@ -1187,21 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_hop_is_side_effect_free() {
-        let mut s = manager_with_edge();
-        s.define_array("Z", &[3]).unwrap();
-        let path = s.path(&["Z", "B", "A"]).unwrap();
-        assert!(path.peek_hop(1).is_some());
-        // Peeking the underived forward orientation reports no table and
-        // must not derive it.
-        assert!(s.path(&["A", "B"]).unwrap().peek_hop(0).is_none());
-        assert!(path.peek_hop(0).is_none(), "no edge connects Z and B");
-        // The forward slot is still empty (no derivation happened).
-        let edge = s.edges.get(&("A".to_string(), "B".to_string())).unwrap();
-        assert!(edge.forward.read().source.is_none());
-    }
-
-    #[test]
     fn composite_lifecycle_and_ingest_invalidation() {
         let mut s = StorageManager::new();
         s.define_array("A", &[3, 2]).unwrap();
@@ -1216,7 +1059,7 @@ mod tests {
         assert!(matches!(observe(&s), CompositeProbe::Pass));
         assert!(matches!(observe(&s), CompositeProbe::Materialize));
         assert!(matches!(observe(&s), CompositeProbe::Materialize));
-        let table = s.stored_table("A", "B", Orientation::Backward).unwrap();
+        let table = s.stored_table("A", "B").unwrap();
         s.install_composite(&path, &s.path(&path).unwrap(), Some(table));
         assert!(s.has_composite(&path));
         assert_eq!(s.n_composites(), 1);
@@ -1245,17 +1088,5 @@ mod tests {
             let short = s.path(&["B", "A"]).unwrap();
             assert!(matches!(short.observe_composite(), CompositeProbe::Pass));
         }
-    }
-
-    #[test]
-    fn materialize_both_policy() {
-        let mut s = StorageManager::new();
-        s.materialize = Materialize::Both;
-        s.define_array("A", &[3, 2]).unwrap();
-        s.define_array("B", &[3]).unwrap();
-        s.ingest_lineage("A", "B", &sum_lineage()).unwrap();
-        // Both orientations resolvable without derivation.
-        s.resolve_hop("B", "A").unwrap();
-        s.resolve_hop("A", "B").unwrap();
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! <dir>/
-//!   catalog.dsl         catalog: arrays + edges + per stored orientation
-//!                       the table's range (segment name, byte offset,
+//!   catalog.dsl         catalog: arrays + edges + per edge its table's
+//!                       orientation and range (segment name, byte offset,
 //!                       byte length), its crc32 and plain serialized
 //!                       length, with its own crc32 trailer (hand-rolled
 //!                       binary, magic `DSLGDB3`)
@@ -71,9 +71,9 @@
 //! Committing into the directory the manager is *bound* to (the one it was
 //! opened from, or last committed into, with the same `gzip` mode) is
 //! incremental: only slots whose content changed since the last commit —
-//! freshly ingested edges and lazily derived orientations — are
-//! serialized, and they are appended to the one segment the commit
-//! writes (a commit with nothing dirty writes no segment). Clean slots'
+//! freshly ingested edges — are serialized, and they are appended to the
+//! one segment the commit writes (a commit with nothing dirty writes no
+//! segment). Clean slots'
 //! bytes are left in place and the new catalog re-references them by their
 //! recorded range and crc32 (older generations' segment names stay valid
 //! precisely because names are generation-qualified and the catalog stores
@@ -133,15 +133,15 @@
 //!
 //! ## What is persisted
 //!
-//! Every orientation *currently materialized in a slot* is written — both
-//! the orientations stored at ingest and any orientation that was lazily
-//! derived (and therefore cached) by an earlier query. A save/open cycle
-//! consequently never loses derivation work, and never re-derives what a
-//! previous process already paid for. Orientations never queried (hence
-//! never derived) are not invented at save time. The reuse predictor's
-//! signature tables are deliberately not persisted — they are a cache whose
-//! correctness is re-validated per process anyway (§VI.C re-confirms
-//! mappings after `m` calls).
+//! Each edge's one table, in the orientation it was stored in (backward
+//! for every edge this build ingests); a forward query reads that same
+//! table in reverse, so there is no second orientation to write. The
+//! catalog's per-edge mask can still name both orientations, or only the
+//! forward one: an edge of such a catalog keeps one table — the backward
+//! one when both are named — and the next commit names only that. The
+//! reuse predictor's signature tables are deliberately not persisted —
+//! they are a cache whose correctness is re-validated per process anyway
+//! (§VI.C re-confirms mappings after `m` calls).
 
 use super::wal::{self, Generation, IoPolicy, LogTail};
 use super::wire::{read_string, read_u32_le, write_string};
@@ -324,8 +324,8 @@ pub struct CommitReport {
     /// mode (`false` for a full save into an unbound directory or with a
     /// flipped `gzip` mode).
     pub incremental: bool,
-    /// Tables (one per stored orientation of an edge) serialized and
-    /// written into this generation's segment.
+    /// Tables (one per edge) serialized and written into this
+    /// generation's segment.
     pub files_written: usize,
     /// Tables re-referenced where earlier generations wrote them (clean
     /// slots); always 0 for a compaction.
@@ -369,10 +369,8 @@ pub(crate) fn is_spared(window: &[Generation], name: &str) -> bool {
     })
 }
 
-/// How the commit planner decided to handle one orientation slot.
+/// How the commit planner decided to handle one edge's slot.
 enum SlotPlan {
-    /// Orientation not stored: skipped (mask bit stays clear).
-    Absent,
     /// Clean slot whose committed range is still on disk: the new catalog
     /// re-references it verbatim; nothing is rewritten.
     Reuse(FileRecord),
@@ -384,14 +382,11 @@ enum SlotPlan {
 /// Decide whether one slot can reuse its committed range. Runs file IO, so
 /// it takes a lock-free snapshot of the slot, never the slot lock itself.
 fn plan_slot(
-    source: Option<TableSource>,
+    source: TableSource,
     persisted: Option<FileRecord>,
     reuse: bool,
     dir: &Path,
 ) -> Result<SlotPlan> {
-    let Some(source) = source else {
-        return Ok(SlotPlan::Absent);
-    };
     if reuse {
         if let Some(record) = persisted {
             // O(1) tamper guard: the recorded file must still exist and
@@ -405,7 +400,7 @@ fn plan_slot(
     // Serialize loaded slots; stream lazily opened (OnDisk) slots as
     // verified bytes — a commit must not silently drop an edge no query
     // touched, but it also must not decode and pin a whole lazily opened
-    // database just to re-write it. Nothing is derived here.
+    // database just to re-write it.
     let plain = match source {
         TableSource::Loaded(t) => format::serialize(&t),
         TableSource::OnDisk(d) => d.read_plain_bytes()?,
@@ -438,17 +433,15 @@ fn build_catalog_bytes(
         }
     }
     write_uvarint(&mut catalog, planned.len() as u64);
-    for (key, mask, records) in planned {
+    for (key, orientation, record) in planned {
         write_string(&mut catalog, &key.0);
         write_string(&mut catalog, &key.1);
-        catalog.push(*mask);
-        for record in records {
-            write_string(&mut catalog, &record.name);
-            write_uvarint(&mut catalog, record.len);
-            catalog.extend_from_slice(&record.crc.to_le_bytes());
-            write_uvarint(&mut catalog, record.raw_len);
-            write_uvarint(&mut catalog, record.offset);
-        }
+        catalog.push(orientation_bit(*orientation));
+        write_string(&mut catalog, &record.name);
+        write_uvarint(&mut catalog, record.len);
+        catalog.extend_from_slice(&record.crc.to_le_bytes());
+        write_uvarint(&mut catalog, record.raw_len);
+        write_uvarint(&mut catalog, record.offset);
     }
 
     // Self-checksum so catalog corruption is always detected at open.
@@ -457,12 +450,21 @@ fn build_catalog_bytes(
     catalog
 }
 
-/// One edge of a commit plan: its key, orientation mask, and the catalog
-/// record of each stored orientation.
-type PlannedEdge<'a> = (&'a (String, String), u8, Vec<FileRecord>);
+/// The catalog's edge-mask bit of a table stored in `orientation`; a mask
+/// may name both (see the module docs).
+fn orientation_bit(orientation: Orientation) -> u8 {
+    match orientation {
+        Orientation::Backward => 1,
+        Orientation::Forward => 2,
+    }
+}
+
+/// One edge of a commit plan: its key, and its table's orientation and
+/// catalog record.
+type PlannedEdge<'a> = (&'a (String, String), Orientation, FileRecord);
 
 /// A slot a commit wrote, to be marked clean once the catalog rename lands.
-type WrittenSlot<'a> = (&'a (String, String), Orientation, FileRecord);
+type WrittenSlot<'a> = (&'a (String, String), FileRecord);
 
 /// A commit in flight: what `commit_generation` does around the segment it
 /// writes. [`begin`](Self::begin) takes the manager's commit lock and
@@ -649,10 +651,7 @@ impl<'a> CommitSession<'a> {
         // [`is_spared`], identical to the one open uses.
         self.tail.catalog_len = catalog.len() as u64;
         self.tail.next_gen = gen.saturating_add(1);
-        let referenced = planned
-            .iter()
-            .flat_map(|(_, _, records)| records.iter().map(|r| r.name.clone()))
-            .collect();
+        let referenced = planned.iter().map(|(_, _, r)| r.name.clone()).collect();
         self.tail.window.push((gen, referenced));
         let evict = self.tail.window.len().saturating_sub(retain + 1);
         let evicted: Vec<Generation> = self.tail.window.drain(..evict).collect();
@@ -673,8 +672,8 @@ impl<'a> CommitSession<'a> {
         // at their new ranges) and re-bind the manager with the advanced
         // tail, so the next commit into this directory rewrites none of
         // them and reads back nothing of this one.
-        for (key, orientation, record) in written {
-            storage.edges[key].publish_committed(orientation, record, dir, gzip);
+        for (key, record) in written {
+            storage.edges[key].publish_committed(record, dir, gzip);
         }
         *storage.binding.lock() = Some(super::PersistBinding {
             dir: self.dir,
@@ -748,43 +747,33 @@ pub(crate) fn commit_generation(
     let mut written: Vec<WrittenSlot<'_>> = Vec::new();
     let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(keys.len());
     for key in keys {
-        let edge = &storage.edges[key];
-        let mut mask = 0u8;
-        let mut records = Vec::with_capacity(2);
-        for (bit, orientation) in [(1u8, Orientation::Backward), (2u8, Orientation::Forward)] {
-            let (source, persisted) = edge.snapshot(orientation);
-            let record = match plan_slot(source, persisted, reuse, &session.dir)? {
-                SlotPlan::Absent => continue,
-                SlotPlan::Reuse(record) => {
-                    files_reused += 1;
-                    record
-                }
-                SlotPlan::Write(plain) => {
-                    let raw_len = plain.len() as u64;
-                    let bytes = if gzip {
-                        dslog_codecs::gzip::compress(&plain)
-                    } else {
-                        plain
-                    };
-                    let record = FileRecord {
-                        name: name.clone(),
-                        len: bytes.len() as u64,
-                        crc: crc32(&bytes),
-                        raw_len,
-                        offset: segment.len() as u64,
-                    };
-                    segment.extend_from_slice(&bytes);
-                    written.push((key, orientation, record.clone()));
-                    record
-                }
-            };
-            mask |= bit;
-            records.push(record);
-        }
-        if mask == 0 {
-            return Err(DslogError::Corrupt("edge with no stored orientation"));
-        }
-        planned.push((key, mask, records));
+        let (source, persisted) = storage.edges[key].snapshot();
+        let orientation = source.orientation();
+        let record = match plan_slot(source, persisted, reuse, &session.dir)? {
+            SlotPlan::Reuse(record) => {
+                files_reused += 1;
+                record
+            }
+            SlotPlan::Write(plain) => {
+                let raw_len = plain.len() as u64;
+                let bytes = if gzip {
+                    dslog_codecs::gzip::compress(&plain)
+                } else {
+                    plain
+                };
+                let record = FileRecord {
+                    name: name.clone(),
+                    len: bytes.len() as u64,
+                    crc: crc32(&bytes),
+                    raw_len,
+                    offset: segment.len() as u64,
+                };
+                segment.extend_from_slice(&bytes);
+                written.push((key, record.clone()));
+                record
+            }
+        };
+        planned.push((key, orientation, record));
     }
 
     // The one table write of the storage layer; a generation that changed
@@ -826,7 +815,16 @@ pub(crate) struct FileRef {
 pub(crate) struct CatalogEdge {
     pub(crate) in_name: String,
     pub(crate) out_name: String,
+    /// One table per orientation the edge mask names, backward first.
     pub(crate) files: Vec<FileRef>,
+}
+
+impl CatalogEdge {
+    /// The table an opened edge keeps: the backward one when the catalog
+    /// names both orientations (the parser guarantees at least one).
+    fn kept(&self) -> &FileRef {
+        &self.files[0]
+    }
 }
 
 /// A parsed (and structurally validated) catalog.
@@ -901,8 +899,8 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             return Err(DslogError::Corrupt("bad edge orientation mask"));
         }
         let mut files = Vec::new();
-        for (bit, orientation) in [(1, Orientation::Backward), (2, Orientation::Forward)] {
-            if mask & bit == 0 {
+        for orientation in [Orientation::Backward, Orientation::Forward] {
+            if mask & orientation_bit(orientation) == 0 {
                 continue;
             }
             let name = read_string(data, &mut pos)?;
@@ -1044,19 +1042,18 @@ fn decode_workers(jobs: &[(usize, &FileRef)]) -> usize {
 
 /// Read, verify and decode catalog file references on `workers` threads
 /// (decode + crc dominates open time, and tables are independent). Returns
-/// each table keyed by `(edge index, forward?)`. Any decode error — or a
-/// panic while decoding — fails the whole load.
+/// each table keyed by its edge index. Any decode error — or a panic while
+/// decoding — fails the whole load.
 fn load_tables(
     dir: &Path,
     catalog: &Catalog,
     jobs: &[(usize, &FileRef)],
     workers: usize,
-) -> Result<HashMap<(usize, bool), crate::table::CompressedTable>> {
+) -> Result<HashMap<usize, crate::table::CompressedTable>> {
     let decode_all = || {
         par::map(jobs.len(), workers, |i| {
             let (idx, fref) = jobs[i];
-            load_table_file(dir, catalog.gzip, fref.orientation, &fref.record)
-                .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
+            load_table_file(dir, catalog.gzip, fref.orientation, &fref.record).map(|t| (idx, t))
         })
     };
     // Hostile bytes must come back as an error, whichever thread met them.
@@ -1066,63 +1063,50 @@ fn load_tables(
         .collect()
 }
 
-/// Load (or lazily reference) every table a parsed catalog names.
+/// Load (or lazily reference) the table each edge of a parsed catalog
+/// keeps ([`CatalogEdge::kept`]).
 fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeMap> {
     // Everything to be decoded eagerly goes through `load_tables`; lazily
     // referenced files are only stat'd (O(1) each) inline below.
-    let eager_jobs: Vec<(usize, &FileRef)> = catalog
-        .edges
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
+    let eager_jobs: Vec<(usize, &FileRef)> = (catalog.edges.iter().enumerate())
+        .map(|(idx, entry)| (idx, entry.kept()))
         .filter(|_| !lazy)
         .collect();
     let mut loaded = load_tables(dir, catalog, &eager_jobs, decode_workers(&eager_jobs))?;
 
     let mut edges = HashMap::new();
     for (idx, entry) in catalog.edges.iter().enumerate() {
-        let mut backward = Slot::default();
-        let mut forward = Slot::default();
-        for fref in &entry.files {
-            let forward_slot = fref.orientation == Orientation::Forward;
-            let source = match loaded.remove(&(idx, forward_slot)) {
-                Some(table) => TableSource::Loaded(Arc::new(table)),
-                None => {
-                    // Lazy reference: the catalog-recorded checksum defers
-                    // verification to first use. The O(1) existence +
-                    // length check here catches missing or truncated
-                    // files at open time.
-                    let meta = std::fs::metadata(dir.join(&fref.record.name))
-                        .map_err(|e| DslogError::io("stat edge table", e))?;
-                    if !fref.record.fits(meta.len()) {
-                        return Err(DslogError::Corrupt("edge file length mismatch"));
-                    }
-                    TableSource::OnDisk(DiskTable {
-                        dir: dir.to_path_buf(),
-                        gzip: catalog.gzip,
-                        orientation: fref.orientation,
-                        record: fref.record.clone(),
-                    })
+        let fref = entry.kept();
+        let source = match loaded.remove(&idx) {
+            Some(table) => TableSource::Loaded(Arc::new(table)),
+            None => {
+                // Lazy reference: the catalog-recorded checksum defers
+                // verification to first use. The O(1) existence + length
+                // check here catches missing or truncated files at open
+                // time.
+                let meta = std::fs::metadata(dir.join(&fref.record.name))
+                    .map_err(|e| DslogError::io("stat edge table", e))?;
+                if !fref.record.fits(meta.len()) {
+                    return Err(DslogError::Corrupt("edge file length mismatch"));
                 }
-            };
-            // The on-disk bytes already hold exactly this slot's content:
-            // the slot opens *clean*, so a later incremental commit reuses
-            // the file untouched.
-            let slot = Slot {
-                source: Some(source),
-                persisted: Some(fref.record.clone()),
-            };
-            match fref.orientation {
-                Orientation::Backward => backward = slot,
-                Orientation::Forward => forward = slot,
+                TableSource::OnDisk(DiskTable {
+                    dir: dir.to_path_buf(),
+                    gzip: catalog.gzip,
+                    orientation: fref.orientation,
+                    record: fref.record.clone(),
+                })
             }
-        }
-
-        let out_shape = catalog.arrays[&entry.out_name].shape.clone();
-        let in_shape = catalog.arrays[&entry.in_name].shape.clone();
+        };
+        // The on-disk bytes already hold exactly this slot's content: the
+        // slot opens *clean*, so a later incremental commit reuses the
+        // range untouched.
+        let slot = Slot {
+            source,
+            persisted: Some(fref.record.clone()),
+        };
         edges.insert(
             (entry.in_name.clone(), entry.out_name.clone()),
-            Arc::new(Edge::new(backward, forward, out_shape, in_shape)),
+            Arc::new(Edge::new(slot)),
         );
     }
     Ok(edges)
@@ -1349,7 +1333,6 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::Materialize;
     use crate::table::LineageTable;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1423,8 +1406,8 @@ mod tests {
             assert_eq!(reopened.array_names(), original.array_names());
             assert_eq!(reopened.n_edges(), 2);
             for (a, b) in [("A", "B"), ("B", "C")] {
-                let t1 = original.stored_table(a, b, Orientation::Backward).unwrap();
-                let t2 = reopened.stored_table(a, b, Orientation::Backward).unwrap();
+                let t1 = original.stored_table(a, b).unwrap();
+                let t2 = reopened.stored_table(a, b).unwrap();
                 assert_eq!(*t1, *t2, "edge {a}->{b}, gzip={gzip}");
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1496,8 +1479,8 @@ mod tests {
             assert_eq!(lazy.storage_bytes(), eager.storage_bytes(), "gzip={gzip}");
             // First touch loads + verifies; result identical to eager.
             for (a, b) in [("A", "B"), ("B", "C")] {
-                let t1 = lazy.stored_table(a, b, Orientation::Backward).unwrap();
-                let t2 = eager.stored_table(a, b, Orientation::Backward).unwrap();
+                let t1 = lazy.stored_table(a, b).unwrap();
+                let t2 = eager.stored_table(a, b).unwrap();
                 assert_eq!(*t1, *t2, "edge {a}->{b}, gzip={gzip}");
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1538,50 +1521,6 @@ mod tests {
                 DslogError::Corrupt("edge file length mismatch")
             );
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn derived_orientations_are_persisted_once_cached() {
-        let dir = temp_dir("derived");
-        let s = sample_manager();
-        // Force forward derivation (cached in the slot from here on).
-        s.resolve_hop("A", "B").unwrap();
-        save(&s, &dir, false).unwrap();
-        // The derived forward table IS saved — any orientation cached in a
-        // slot at save time is written — so re-opening resolves it without
-        // deriving again.
-        let reopened = open(&dir).unwrap();
-        let (t, _) = reopened.resolve_hop("A", "B").unwrap();
-        assert_eq!(t.orientation(), Orientation::Forward);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn both_policy_roundtrips_both_files() {
-        let dir = temp_dir("both");
-        let mut s = StorageManager::new();
-        s.materialize = Materialize::Both;
-        s.define_array("X", &[4]).unwrap();
-        s.define_array("Y", &[4]).unwrap();
-        let mut t = LineageTable::new(1, 1);
-        for i in 0..4 {
-            t.push_row(&[i, 3 - i]);
-        }
-        s.ingest_lineage("X", "Y", &t).unwrap();
-        save(&s, &dir, false).unwrap();
-        let reopened = open(&dir).unwrap();
-        // Both orientations load without derivation and agree.
-        let b = reopened
-            .stored_table("X", "Y", Orientation::Backward)
-            .unwrap();
-        let f = reopened
-            .stored_table("X", "Y", Orientation::Forward)
-            .unwrap();
-        assert_eq!(
-            b.decompress().unwrap().row_set(),
-            f.decompress().unwrap().row_set()
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1736,7 +1675,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // Plant a perfectly decodable table file OUTSIDE the database dir.
         let s = sample_manager();
-        let table = s.stored_table("A", "B", Orientation::Backward).unwrap();
+        let table = s.stored_table("A", "B").unwrap();
         let bytes = format::serialize(&table);
         let outside = std::env::temp_dir().join(format!("dslog-escape-{}.tbl", std::process::id()));
         std::fs::write(&outside, &bytes).unwrap();
@@ -1809,8 +1748,8 @@ mod tests {
             let original = open(&dir).unwrap();
             for (a, b) in [("A", "B"), ("B", "C")] {
                 assert_eq!(
-                    *original.stored_table(a, b, Orientation::Backward).unwrap(),
-                    *reopened.stored_table(a, b, Orientation::Backward).unwrap(),
+                    *original.stored_table(a, b).unwrap(),
+                    *reopened.stored_table(a, b).unwrap(),
                 );
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1867,32 +1806,26 @@ mod tests {
         let reopened = open(&dir).unwrap();
         assert_eq!(reopened.n_edges(), 3);
         assert_eq!(
-            *reopened
-                .stored_table("X0", "Y0", Orientation::Backward)
-                .unwrap(),
-            *s.stored_table("X0", "Y0", Orientation::Backward).unwrap()
+            *reopened.stored_table("X0", "Y0").unwrap(),
+            *s.stored_table("X0", "Y0").unwrap()
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn commit_rewrites_only_derived_slot() {
-        let dir = temp_dir("inc-derive");
+    fn forward_query_leaves_commit_nothing_to_write() {
+        let dir = temp_dir("inc-forward");
         let s = sample_manager();
         commit(&s, &dir, false).unwrap();
-        // Opening binds; deriving the forward orientation dirties only
-        // that slot.
+        // A forward hop reads the stored backward table in reverse: it
+        // dirties nothing, so the next commit reuses both tables.
         let reopened = open(&dir).unwrap();
-        reopened.resolve_hop("A", "B").unwrap();
+        let (hop, _) = reopened.resolve_hop("A", "B").unwrap();
+        assert_eq!(hop.table().orientation(), Orientation::Backward);
         let report = commit(&reopened, &dir, false).unwrap();
         assert!(report.incremental);
-        assert_eq!((report.files_written, report.files_reused), (1, 2));
-        // The derived forward table survives the roundtrip without
-        // re-deriving.
-        let again = open(&dir).unwrap();
-        let (t, _) = again.resolve_hop("A", "B").unwrap();
-        assert_eq!(t.orientation(), Orientation::Forward);
-        assert_eq!(verify(&dir).unwrap().files_verified, 3);
+        assert_eq!((report.files_written, report.files_reused), (0, 2));
+        assert_eq!(verify(&dir).unwrap().files_verified, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1931,11 +1864,8 @@ mod tests {
         assert_eq!(t.orientation(), Orientation::Backward);
         // And the rewrite round-trips: the re-read gzip content matches.
         assert_eq!(
-            *lazy.stored_table("B", "C", Orientation::Backward).unwrap(),
-            *open(&dir)
-                .unwrap()
-                .stored_table("B", "C", Orientation::Backward)
-                .unwrap()
+            *lazy.stored_table("B", "C").unwrap(),
+            *open(&dir).unwrap().stored_table("B", "C").unwrap()
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1980,8 +1910,8 @@ mod tests {
                 assert_eq!(reopened.n_edges(), 4);
                 for (a, b) in [("A", "B"), ("X1", "Y1"), ("X2", "Y2")] {
                     assert_eq!(
-                        *reopened.stored_table(a, b, Orientation::Backward).unwrap(),
-                        *s.stored_table(a, b, Orientation::Backward).unwrap(),
+                        *reopened.stored_table(a, b).unwrap(),
+                        *s.stored_table(a, b).unwrap(),
                         "edge {a}->{b}, gzip={gzip}"
                     );
                 }
@@ -1996,7 +1926,7 @@ mod tests {
         let mut keys: Vec<&(String, String)> = s.edges.keys().collect();
         keys.sort();
         let rows = |(a, b): &(String, String)| {
-            let table = s.stored_table(a, b, Orientation::Backward).unwrap();
+            let table = s.stored_table(a, b).unwrap();
             table.decompress().unwrap().row_set()
         };
         let edges: Vec<_> = keys.into_iter().map(|k| (k, rows(k))).collect();
@@ -2101,13 +2031,13 @@ mod tests {
     fn verify_reports_healthy_database() {
         let dir = temp_dir("verify");
         let s = sample_manager();
-        s.resolve_hop("A", "B").unwrap(); // cache a derived forward table
+        s.resolve_hop("A", "B").unwrap(); // a forward hop stores nothing
         save(&s, &dir, true).unwrap();
         let report = verify(&dir).unwrap();
         assert!(report.gzip);
         assert_eq!(report.n_arrays, 3);
         assert_eq!(report.n_edges, 2);
-        assert_eq!(report.files_verified, 3); // A->B both + B->C backward
+        assert_eq!(report.files_verified, 2); // one table per edge
         assert!(report.stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }

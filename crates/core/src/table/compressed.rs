@@ -18,7 +18,8 @@
 //! serializer writes column-major streams), so keeping each attribute
 //! contiguous is the cache-friendly layout; row views are materialized on
 //! demand. Each table also lazily builds and caches a [`TableIndex`] over
-//! its primary columns — see [`CompressedTable::index`].
+//! its primary columns — see [`CompressedTable::index`] — and one over its
+//! secondary columns, which a hop against its orientation probes.
 
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
@@ -106,6 +107,9 @@ pub struct CompressedTable {
     /// Lazily built primary-column index; `None` inside means the table is
     /// generalized and cannot be indexed. Reset by any mutation.
     index: OnceLock<Option<TableIndex>>,
+    /// Lazily built index over the secondary columns' absolute extents
+    /// (the reverse probe's); same rules as `index`.
+    secondary_index: OnceLock<Option<TableIndex>>,
 }
 
 impl Clone for CompressedTable {
@@ -120,6 +124,7 @@ impl Clone for CompressedTable {
             columns: self.columns.clone(),
             sym_count: self.sym_count,
             index: OnceLock::new(),
+            secondary_index: OnceLock::new(),
         }
     }
 }
@@ -156,6 +161,7 @@ impl CompressedTable {
             columns: vec![Vec::new(); primary_arity + secondary_arity],
             sym_count: 0,
             index: OnceLock::new(),
+            secondary_index: OnceLock::new(),
         }
     }
 
@@ -190,6 +196,7 @@ impl CompressedTable {
             columns,
             sym_count,
             index: OnceLock::new(),
+            secondary_index: OnceLock::new(),
         }
     }
 
@@ -220,7 +227,7 @@ impl CompressedTable {
 
     /// Mutable access for reshaping.
     pub(crate) fn extents_mut(&mut self) -> &mut Vec<i64> {
-        self.index = OnceLock::new();
+        self.reset_indexes();
         &mut self.extents
     }
 
@@ -241,7 +248,7 @@ impl CompressedTable {
             column.push(cell);
         }
         self.sym_count += row.iter().filter(|c| c.is_sym()).count();
-        self.index = OnceLock::new();
+        self.reset_indexes();
     }
 
     /// Attribute `k`'s cell of row `i`.
@@ -275,7 +282,12 @@ impl CompressedTable {
             f(cell);
             self.sym_count += usize::from(cell.is_sym());
         }
+        self.reset_indexes();
+    }
+
+    fn reset_indexes(&mut self) {
         self.index = OnceLock::new();
+        self.secondary_index = OnceLock::new();
     }
 
     /// Whether any cell is symbolic (table is generalized, not queryable).
@@ -291,16 +303,35 @@ impl CompressedTable {
         self.index.get_or_init(|| TableIndex::build(self)).as_ref()
     }
 
+    /// The sorted interval index over the secondary columns' absolute
+    /// extents (see [`extent`](Self::extent)): what a hop against the
+    /// stored orientation probes. Built on first use and cached like
+    /// [`index`](Self::index).
+    pub(crate) fn secondary_index(&self) -> Option<&TableIndex> {
+        (self.secondary_index)
+            .get_or_init(|| TableIndex::build_secondary(self))
+            .as_ref()
+    }
+
     /// Force the index to be built now (storage layer: build alongside each
-    /// materialized orientation so the first query doesn't pay for it).
+    /// stored table so the first query doesn't pay for it).
     pub fn ensure_index(&self) {
         let _ = self.index();
     }
 
-    /// Whether the index cache is already populated (observability: lets the
-    /// storage layer's tests assert a table was published index-first).
-    pub fn has_cached_index(&self) -> bool {
-        matches!(self.index.get(), Some(Some(_)))
+    /// Every value attribute `k` takes in row `i`: the interval itself for
+    /// an absolute cell, `[a + δ.lo, b + δ.hi]` for a relative one whose
+    /// anchor spans `[a, b]`. `None` for a symbolic cell (or one anchored
+    /// to a symbolic primary).
+    pub(crate) fn extent(&self, i: usize, k: usize) -> Option<Interval> {
+        match self.columns[k][i] {
+            Cell::Abs(ivl) => Some(ivl),
+            Cell::Rel { anchor, delta } => match self.columns[anchor as usize][i] {
+                Cell::Abs(p) => Some(p.minkowski_sum(&delta)),
+                _ => None,
+            },
+            Cell::Sym { .. } => None,
+        }
     }
 
     /// Resolve a cell to a concrete absolute interval given concrete values

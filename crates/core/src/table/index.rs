@@ -1,10 +1,12 @@
-//! Sorted interval indexes over a compressed table's primary columns.
+//! Sorted interval indexes over the columns a hop probes: a compressed
+//! table's primary columns, or — for a hop that runs against the stored
+//! orientation — its secondary columns.
 //!
-//! The in-situ θ-join probes each query box against the table's primary
-//! (absolute) intervals. A full scan is O(|T|) per box; the index turns the
+//! The in-situ θ-join probes each query box against each row's interval on
+//! the query side. A full scan is O(|T|) per box; the index turns the
 //! probe into two binary searches plus a bounded candidate scan:
 //!
-//! * per primary attribute, row ids are sorted by the interval's `lo`;
+//! * per attribute, row ids are sorted by the interval's `lo`;
 //! * alongside the sorted `lo` array, a **max-hi fence** stores the running
 //!   maximum of `hi` over the sorted prefix.
 //!
@@ -16,13 +18,17 @@
 //! per-row intersection check, but the window is tight for the common
 //! sorted/strided lineage layouts ProvRC produces.
 //!
-//! The index is built once per table ([`CompressedTable::index`]) and cached;
+//! A secondary attribute's interval is its absolute extent over the row:
+//! `[c, d]` for `Abs [c, d]`, and `[a_j + δ.lo, b_j + δ.hi]` for a cell
+//! `Rel(j, δ)` whose anchor spans `[a_j, b_j]`. Each index is built once
+//! per table ([`CompressedTable::index`] for the primary side) and cached;
 //! generalized tables (symbolic cells) are not indexable and yield `None`.
 
 use crate::interval::Interval;
-use crate::table::compressed::{Cell, CompressedTable};
+use crate::table::compressed::CompressedTable;
+use std::ops::Range;
 
-/// Index over one primary attribute: row ids sorted by interval `lo`,
+/// Index over one attribute: row ids sorted by interval `lo`,
 /// plus the max-hi fence over the sorted prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnIndex {
@@ -35,12 +41,12 @@ pub struct ColumnIndex {
 }
 
 impl ColumnIndex {
-    /// Build from one primary column. Returns `None` when any cell is not an
-    /// absolute interval (generalized tables cannot be indexed).
-    fn build(column: &[Cell]) -> Option<ColumnIndex> {
-        let mut keyed: Vec<(i64, i64, u32)> = Vec::with_capacity(column.len());
-        for (row, cell) in column.iter().enumerate() {
-            let Cell::Abs(ivl) = cell else { return None };
+    /// Build from one attribute's per-row extents. Returns `None` when any
+    /// row has none (generalized tables cannot be indexed).
+    fn build(extents: impl ExactSizeIterator<Item = Option<Interval>>) -> Option<ColumnIndex> {
+        let mut keyed: Vec<(i64, i64, u32)> = Vec::with_capacity(extents.len());
+        for (row, ivl) in extents.enumerate() {
+            let ivl = ivl?;
             keyed.push((ivl.lo, ivl.hi, row as u32));
         }
         keyed.sort_unstable();
@@ -77,7 +83,8 @@ impl ColumnIndex {
     }
 }
 
-/// Per-primary-attribute sorted interval indexes for one compressed table.
+/// Per-attribute sorted interval indexes over one side of a compressed
+/// table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableIndex {
     columns: Vec<ColumnIndex>,
@@ -87,8 +94,19 @@ impl TableIndex {
     /// Build indexes over every primary column. `None` when the table is
     /// generalized (symbolic cells can't be ordered).
     pub fn build(table: &CompressedTable) -> Option<TableIndex> {
-        let columns = (0..table.primary_arity())
-            .map(|k| ColumnIndex::build(table.column(k)))
+        Self::over(table, 0..table.primary_arity())
+    }
+
+    /// Build indexes over every secondary column's absolute extents — what
+    /// a hop against the stored orientation probes. `None` when the table
+    /// is generalized.
+    pub(crate) fn build_secondary(table: &CompressedTable) -> Option<TableIndex> {
+        Self::over(table, table.primary_arity()..table.arity())
+    }
+
+    fn over(table: &CompressedTable, attrs: Range<usize>) -> Option<TableIndex> {
+        let columns = attrs
+            .map(|k| ColumnIndex::build((0..table.n_rows()).map(|row| table.extent(row, k))))
             .collect::<Option<Vec<_>>>()?;
         Some(TableIndex { columns })
     }
@@ -120,7 +138,7 @@ impl TableIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Orientation;
+    use crate::table::{Cell, Orientation};
 
     fn ivl(lo: i64, hi: i64) -> Interval {
         Interval::new(lo, hi)
@@ -175,6 +193,23 @@ mod tests {
         let mut t = CompressedTable::new(Orientation::Backward, 1, 1, vec![4, 4]);
         t.push_row(&[Cell::Sym { attr: 0 }, Cell::point(0)]);
         assert!(TableIndex::build(&t).is_none());
+    }
+
+    #[test]
+    fn secondary_index_covers_each_cells_absolute_extent() {
+        let mut t = CompressedTable::new(Orientation::Backward, 1, 2, vec![100, 100, 100]);
+        // Row 0: a relative cell over anchor [10, 12] with δ [-1, 2] spans
+        // [9, 14]; row 1: absolute [40, 50].
+        let rel = Cell::Rel {
+            anchor: 0,
+            delta: ivl(-1, 2),
+        };
+        t.push_row(&[Cell::abs(10, 12), rel, Cell::point(0)]);
+        t.push_row(&[Cell::point(3), Cell::abs(40, 50), Cell::point(0)]);
+        let idx = TableIndex::build_secondary(&t).unwrap();
+        assert_eq!(idx.probe(&[ivl(14, 14), ivl(0, 0)]), &[0]);
+        assert_eq!(idx.probe(&[ivl(9, 45), ivl(0, 0)]).len(), 2);
+        assert!(idx.probe(&[ivl(15, 39), ivl(0, 0)]).is_empty());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 use dslog::api::{Dslog, TableCapture};
 use dslog::storage::format;
 use dslog::storage::persist;
-use dslog::table::LineageTable;
+use dslog::table::{LineageTable, Orientation};
 use dslog::DslogError;
 use dslog_codecs::crc32::crc32;
-use dslog_codecs::varint::read_uvarint;
+use dslog_codecs::varint::{read_uvarint, write_uvarint};
+use dslog_oracle::query::reference;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -88,7 +89,7 @@ proptest! {
         let db = sample_db();
         let table = db
             .storage()
-            .stored_table("A", "B", dslog::table::Orientation::Backward)
+            .stored_table("A", "B")
             .unwrap();
         let bytes = format::serialize(&table);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -468,5 +469,109 @@ fn over_wide_edge_is_refused_before_it_is_logged() {
     let reopened = Dslog::options().open(&dir).unwrap();
     assert_eq!(reopened.storage().array_names(), ["A", "B"]);
     assert_eq!(persist::verify(&dir).unwrap().n_edges, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A transposing 3x2 → 2x3 relation, as a database at `dir` whose catalog
+/// names the edge X → Y's tables in `orientations` — hand-built, since
+/// this build stores the backward table only.
+fn hand_built_catalog(dir: &Path, orientations: &[Orientation]) -> LineageTable {
+    let mut t = LineageTable::new(2, 2);
+    for i in 0..3 {
+        for j in 0..2 {
+            t.push_row(&[j, i, i, j]);
+        }
+    }
+    let string = |buf: &mut Vec<u8>, s: &str| {
+        write_uvarint(buf, s.len() as u64);
+        buf.extend_from_slice(s.as_bytes());
+    };
+    let mut catalog = b"DSLGDB3\0".to_vec();
+    catalog.push(0); // plain tables
+    write_uvarint(&mut catalog, 1); // generation
+    write_uvarint(&mut catalog, 2);
+    for (name, shape) in [("X", [3, 2]), ("Y", [2, 3])] {
+        string(&mut catalog, name);
+        write_uvarint(&mut catalog, 2);
+        shape.iter().for_each(|&d| write_uvarint(&mut catalog, d));
+    }
+    write_uvarint(&mut catalog, 1);
+    string(&mut catalog, "X");
+    string(&mut catalog, "Y");
+    let bit = |o: &Orientation| if *o == Orientation::Backward { 1 } else { 2 };
+    catalog.push(orientations.iter().map(bit).sum());
+    let mut segment = Vec::new();
+    for &orientation in orientations {
+        let table = dslog::provrc::compress(&t, &[2, 3], &[3, 2], orientation);
+        let bytes = format::serialize(&table);
+        string(&mut catalog, "segment-0.g1.seg");
+        write_uvarint(&mut catalog, bytes.len() as u64);
+        catalog.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        write_uvarint(&mut catalog, bytes.len() as u64);
+        write_uvarint(&mut catalog, segment.len() as u64);
+        segment.extend_from_slice(&bytes);
+    }
+    let crc = crc32(&catalog);
+    catalog.extend_from_slice(&crc.to_le_bytes());
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("segment-0.g1.seg"), segment).unwrap();
+    std::fs::write(dir.join("catalog.dsl"), catalog).unwrap();
+    t
+}
+
+/// Every cell of both arrays, queried in the direction that starts there,
+/// answers what the raw relation links (eager and lazy opens alike); the
+/// edge keeps the table in `kept`.
+fn assert_opens_and_answers_both_ways(dir: &Path, t: &LineageTable, kept: Orientation) {
+    for lazy in [false, true] {
+        let db = Dslog::options().lazy(lazy).open(dir).unwrap();
+        let stored = db.storage().stored_table("X", "Y").unwrap();
+        assert_eq!(stored.orientation(), kept, "lazy {lazy}");
+        for (path, direction, shape) in [
+            (["Y", "X"], Orientation::Backward, [2, 3]),
+            (["X", "Y"], Orientation::Forward, [3, 2]),
+        ] {
+            for a in 0..shape[0] {
+                for b in 0..shape[1] {
+                    let cell = vec![a, b];
+                    let got = db.prov_query(&path, std::slice::from_ref(&cell)).unwrap();
+                    let want = reference::step(&[cell].into_iter().collect(), t, direction);
+                    assert_eq!(got.cells.cell_set(), want, "lazy {lazy}, {path:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn catalog_naming_only_the_forward_table_opens_and_answers_both_ways() {
+    let dir = temp_dir("fwd-only");
+    let t = hand_built_catalog(&dir, &[Orientation::Forward]);
+    assert_eq!(persist::verify(&dir).unwrap().files_verified, 1);
+    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Forward);
+    // A commit keeps the edge's one table where it lies.
+    let report = Dslog::options().open(&dir).unwrap().commit().unwrap();
+    assert_eq!((report.files_written, report.files_reused), (0, 1));
+    assert_eq!(persist::verify(&dir).unwrap().files_verified, 1);
+    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Forward);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn catalog_naming_both_orientations_keeps_the_backward_table() {
+    let dir = temp_dir("both");
+    let t = hand_built_catalog(&dir, &[Orientation::Backward, Orientation::Forward]);
+    assert_eq!(persist::verify(&dir).unwrap().files_verified, 2);
+    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Backward);
+    // The next commit names the backward table only.
+    let report = Dslog::options()
+        .lazy(true)
+        .open(&dir)
+        .unwrap()
+        .commit()
+        .unwrap();
+    assert_eq!((report.files_written, report.files_reused), (0, 1));
+    assert_eq!(persist::verify(&dir).unwrap().files_verified, 1);
+    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Backward);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,7 +6,8 @@
 //! per hop, and a matched row is written straight into the hop's output.
 //! What is left is a fixed set of buffers per query and per hop plus the
 //! result's own storage — pinned here, so a change that brings back a `Vec`
-//! or `String` per hop lookup or per matched row fails.
+//! or `String` per hop lookup or per matched row fails, in either hop
+//! direction.
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::query::plan::PlanDecision;
@@ -109,6 +110,19 @@ fn warm_query_allocations_are_a_constant_plus_two_per_hop() {
     assert!(
         five - two <= 3 * PER_HOP,
         "5 hops made {five} allocations, 2 hops {two}"
+    );
+}
+
+#[test]
+fn warm_forward_query_allocations_are_a_constant_plus_two_per_hop() {
+    // The same chain read from its far end: every edge stores only its
+    // backward table, so each hop is the reverse probe.
+    let (db, mut names) = chain(5, 64);
+    names.reverse();
+    let five = warm_query_allocations(&db, &names, 5);
+    assert!(
+        five <= PER_QUERY + 5 * PER_HOP,
+        "5-hop single-cell forward query made {five} allocations"
     );
 }
 

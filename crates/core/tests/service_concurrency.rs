@@ -25,7 +25,7 @@ use dslog::error::DslogError;
 use dslog::net::{NetServer, ServeOptions};
 use dslog::service::{AutoCommitPolicy, DslogService, IngestJob};
 use dslog::storage::persist;
-use dslog::table::{LineageTable, Orientation};
+use dslog::table::LineageTable;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -163,7 +163,7 @@ fn ingest_commit_query_race() {
                 let y = format!("W{w}B{b}y");
                 let got = reopened
                     .storage()
-                    .stored_table(&x, &y, Orientation::Backward)
+                    .stored_table(&x, &y)
                     .unwrap()
                     .decompress()
                     .unwrap()
@@ -486,11 +486,11 @@ proptest! {
         for (x, y, _) in &appended {
             let a = via_interleaving
                 .storage()
-                .stored_table(x, y, Orientation::Backward)
+                .stored_table(x, y)
                 .unwrap();
             let b = via_once
                 .storage()
-                .stored_table(x, y, Orientation::Backward)
+                .stored_table(x, y)
                 .unwrap();
             prop_assert_eq!(&*a, &*b, "edge {}->{} diverged", x, y);
         }

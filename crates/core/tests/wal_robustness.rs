@@ -20,7 +20,7 @@ use dslog::api::{Dslog, TableCapture};
 use dslog::service::{AutoCommitPolicy, DslogService, IngestJob, MaintenancePolicy};
 use dslog::storage::wal::{self, IoFault, IoPolicy, OpKind};
 use dslog::storage::{format, persist};
-use dslog::table::{LineageTable, Orientation};
+use dslog::table::LineageTable;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -434,10 +434,7 @@ fn history_replays_the_session() {
             digest,
         } = &record.kind
         {
-            let stored = db
-                .storage()
-                .stored_table(in_array, out_array, Orientation::Backward)
-                .unwrap();
+            let stored = db.storage().stored_table(in_array, out_array).unwrap();
             let file = format::serialize(&stored);
             assert_eq!(*bytes, file.len() as u64);
             assert_eq!(digest.to_le_bytes(), file[file.len() - 4..]);

@@ -12,7 +12,6 @@
 
 use dslog::api::Dslog;
 use dslog::storage::format;
-use dslog::table::Orientation;
 use dslog_workloads::pipelines::image_workflow;
 use std::time::Instant;
 
@@ -43,7 +42,7 @@ fn main() {
     for hop in &pipeline.hops {
         let stored = db
             .storage()
-            .stored_table(&hop.in_array, &hop.out_array, Orientation::Backward)
+            .stored_table(&hop.in_array, &hop.out_array)
             .unwrap();
         let raw = hop.lineage.nbytes();
         let comp = format::serialize(&stored).len();

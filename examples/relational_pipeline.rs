@@ -11,7 +11,6 @@
 
 use dslog::api::Dslog;
 use dslog::storage::format;
-use dslog::table::Orientation;
 use dslog_workloads::pipelines::relational_workflow;
 use std::time::Instant;
 
@@ -38,7 +37,7 @@ fn main() {
     for hop in &pipeline.hops {
         let stored = db
             .storage()
-            .stored_table(&hop.in_array, &hop.out_array, Orientation::Backward)
+            .stored_table(&hop.in_array, &hop.out_array)
             .unwrap();
         println!(
             "  {:>8} -> {:<8} {:>8} rows -> {:>5} rows  ({:>9} B -> {:>6} B)",

@@ -5,7 +5,6 @@
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::query::QueryOptions;
-use dslog::storage::Materialize;
 use dslog::table::{LineageTable, Orientation};
 use dslog_array::{apply, Array, OpArgs};
 use dslog_oracle::query::reference;
@@ -142,36 +141,36 @@ fn multi_input_matmul_both_sides() {
 }
 
 #[test]
-fn materialization_policies_agree() {
-    // The same queries answered from backward-only, forward-only, and
-    // both-orientations storage must be identical (§IV.C).
+fn both_directions_answer_from_the_stored_table() {
+    // An edge stores one (backward) table; backward and forward queries
+    // over it — the forward one reading that table in reverse — must both
+    // match the reference over the raw relation (§IV.C, §V).
     let a = random_array(&[9, 4], 7);
     let r = apply("cumsum", &[&a], &OpArgs::none());
-    let mut answers = Vec::new();
-    for policy in [
-        Materialize::Backward,
-        Materialize::Forward,
-        Materialize::Both,
+    let lineage = &r.lineage[0];
+    let mut db = Dslog::new();
+    db.define_array("in", a.shape()).unwrap();
+    db.define_array("out", r.output.shape()).unwrap();
+    db.register_operation(
+        "cumsum",
+        &["in"],
+        &["out"],
+        vec![Box::new(TableCapture::new(lineage.clone()))],
+        &[],
+        false,
+    )
+    .unwrap();
+    let stored = db.storage().stored_table("in", "out").unwrap();
+    assert_eq!(stored.orientation(), Orientation::Backward);
+    // cumsum without an axis flattens: out is 1-D over 36 cells.
+    for (path, cell, direction) in [
+        (["out", "in"], vec![11], Orientation::Backward),
+        (["in", "out"], vec![2, 3], Orientation::Forward),
     ] {
-        let mut db = Dslog::options().materialize(policy).build().unwrap();
-        db.define_array("in", a.shape()).unwrap();
-        db.define_array("out", r.output.shape()).unwrap();
-        db.register_operation(
-            "cumsum",
-            &["in"],
-            &["out"],
-            vec![Box::new(TableCapture::new(r.lineage[0].clone()))],
-            &[],
-            false,
-        )
-        .unwrap();
-        // cumsum without an axis flattens: out is 1-D over 36 cells.
-        let back = db.prov_query(&["out", "in"], &[vec![11]]).unwrap();
-        let fwd = db.prov_query(&["in", "out"], &[vec![2, 3]]).unwrap();
-        answers.push((back.cells.cell_set(), fwd.cells.cell_set()));
+        let got = db.prov_query(&path, std::slice::from_ref(&cell)).unwrap();
+        let want = reference::step(&[cell].into_iter().collect(), lineage, direction);
+        assert_eq!(got.cells.cell_set(), want, "{path:?}");
     }
-    assert_eq!(answers[0], answers[1]);
-    assert_eq!(answers[1], answers[2]);
 }
 
 #[test]
@@ -228,10 +227,7 @@ fn stored_tables_decompress_losslessly() {
         db.define_array("out", r.output.shape()).unwrap();
         db.add_lineage("in", "out", &TableCapture::new(r.lineage[0].clone()))
             .unwrap();
-        let stored = db
-            .storage()
-            .stored_table("in", "out", Orientation::Backward)
-            .unwrap();
+        let stored = db.storage().stored_table("in", "out").unwrap();
         assert_eq!(
             stored.decompress().unwrap().row_set(),
             r.lineage[0].normalized().row_set(),

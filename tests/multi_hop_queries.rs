@@ -232,7 +232,7 @@ fn decompressed_main_path_tables(db: &Dslog, p: &Pipeline) -> Vec<LineageTable> 
         .windows(2)
         .map(|w| {
             db.storage()
-                .stored_table(&w[0], &w[1], Orientation::Backward)
+                .stored_table(&w[0], &w[1])
                 .expect("stored edge on main path")
                 .decompress()
                 .expect("stored table decompresses")
@@ -288,7 +288,7 @@ fn stored_roundtrip_matches_captured_lineage() {
     for w in p.main_path.windows(2) {
         let stored = db
             .storage()
-            .stored_table(&w[0], &w[1], Orientation::Backward)
+            .stored_table(&w[0], &w[1])
             .unwrap()
             .decompress()
             .unwrap();

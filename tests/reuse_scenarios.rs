@@ -146,10 +146,7 @@ fn different_args_are_different_signatures() {
             assert_eq!(outcome, RegistrationOutcome::Captured, "run {run}");
         }
         // Either way the stored lineage matches this axis's capture.
-        let stored = db
-            .storage()
-            .stored_table(&in_name, &out_name, Orientation::Backward)
-            .unwrap();
+        let stored = db.storage().stored_table(&in_name, &out_name).unwrap();
         assert_eq!(
             stored.decompress().unwrap().row_set(),
             r.lineage[0].normalized().row_set(),

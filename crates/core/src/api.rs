@@ -292,7 +292,9 @@ impl Default for DslogConfig {
 #[derive(Debug, Default)]
 pub struct Dslog {
     storage: StorageManager,
-    reuse: ReuseManager,
+    /// Shared by epoch clones; only `register_operation` writes it, and
+    /// copies it first if an epoch shares it.
+    reuse: Arc<ReuseManager>,
     query_options: QueryOptions,
     pub(crate) maintenance: MaintenancePolicy,
     lazy: bool,
@@ -354,15 +356,15 @@ impl Dslog {
     }
 
     /// Clone this database for epoch-snapshot publication (the
-    /// [`crate::service`] write path): storage edges, the persistence
-    /// binding, and the commit lock are *shared* with `self` (see
-    /// `StorageManager::clone_for_epoch`); the reuse predictor state and
-    /// every setting are value-cloned. Mutating the clone's array/edge
-    /// maps never disturbs readers of the original.
+    /// [`crate::service`] write path), in O(1): the array and edge maps,
+    /// the persistence binding, the commit lock (see
+    /// `StorageManager::clone_for_epoch`) and the reuse predictor state
+    /// are *shared* with `self`; every setting is value-cloned. Mutating
+    /// the clone's array/edge maps never disturbs readers of the original.
     pub(crate) fn clone_for_epoch(&self) -> Self {
         Self {
             storage: self.storage.clone_for_epoch(),
-            reuse: self.reuse.clone(),
+            reuse: Arc::clone(&self.reuse),
             ..*self
         }
     }
@@ -520,10 +522,13 @@ impl Dslog {
             .collect();
 
         if reuse {
-            if let Some((hit, mapping)) =
-                self.reuse
-                    .lookup(op_name, op_args, content_hashes, &in_shapes, &out_shapes)
-            {
+            if let Some((hit, mapping)) = Arc::make_mut(&mut self.reuse).lookup(
+                op_name,
+                op_args,
+                content_hashes,
+                &in_shapes,
+                &out_shapes,
+            ) {
                 let edges = (pairs.iter().zip(mapping.tables))
                     .map(|(&(i, o), table)| self.storage.prepare_reused(i, o, table))
                     .collect::<Result<_>>()?;
@@ -551,8 +556,7 @@ impl Dslog {
             in_shapes,
             out_shapes,
         };
-        self.reuse
-            .observe(op_name, op_args, content_hashes, &mapping);
+        Arc::make_mut(&mut self.reuse).observe(op_name, op_args, content_hashes, &mapping);
         Ok(RegistrationOutcome::Captured)
     }
 

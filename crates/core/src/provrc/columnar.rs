@@ -80,6 +80,14 @@ fn masks_for(n_abs: usize) -> &'static [u64] {
     &cache[n_abs.min(63)]
 }
 
+/// The most sorting passes [`compress`] makes over a relation with these
+/// arities: one per secondary attribute, then one per rel-choice mask per
+/// primary attribute. A row costs about this many sorts, which makes it the
+/// batch compressor's per-row estimate of a job's work.
+pub(super) fn pass_count(prim_arity: usize, sec_arity: usize) -> usize {
+    sec_arity + prim_arity * masks_for(sec_arity).len()
+}
+
 fn build_masks(n_abs: usize) -> Vec<u64> {
     if n_abs == 0 {
         return vec![0];

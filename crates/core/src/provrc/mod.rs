@@ -155,9 +155,11 @@ const BATCH_GRAIN: usize = 5_000;
 /// this parallelizes across tables (one per operation/array pair), which is
 /// the granularity `register_operation` produces: storage ingests every
 /// edge of a call (and every job of a service batch) as one batch through
-/// this function, one call per stored orientation. Workers take the next
-/// job off a shared counter, so skewed job sizes stay balanced. Results
-/// keep job order.
+/// this function, one call per stored orientation. Jobs are handed out
+/// largest estimated work first (rows × ProvRC's pass count for the job's
+/// arities), each worker taking the next off a shared counter, so the
+/// heaviest job never starts last and skewed job sizes stay balanced.
+/// Results keep job order.
 pub fn compress_batch_parallel_opts(
     jobs: &[CompressJob<'_>],
     orientation: Orientation,
@@ -178,10 +180,23 @@ fn compress_batch_on(
     orientation: Orientation,
     workers: usize,
 ) -> Vec<CompressedTable> {
-    par::map(jobs.len(), workers, |i| {
-        let (table, out_shape, in_shape) = jobs[i];
+    let work = |&(table, _, _): &CompressJob<'_>| {
+        let (prim, sec) = match orientation {
+            Orientation::Backward => (table.out_arity(), table.in_arity()),
+            Orientation::Forward => (table.in_arity(), table.out_arity()),
+        };
+        table.n_rows() * columnar::pass_count(prim, sec)
+    };
+    // Heaviest first; the stable sort keeps equal jobs in job order.
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(work(&jobs[i])));
+    let done = par::map(jobs.len(), workers, |k| {
+        let (table, out_shape, in_shape) = jobs[order[k]];
         compress(table, out_shape, in_shape, orientation)
-    })
+    });
+    let mut tables: Vec<(usize, CompressedTable)> = order.into_iter().zip(done).collect();
+    tables.sort_unstable_by_key(|(i, _)| *i);
+    tables.into_iter().map(|(_, table)| table).collect()
 }
 
 #[cfg(test)]
@@ -448,6 +463,26 @@ mod tests {
         // 280 rows stay on the calling thread; forced onto three workers
         // the batch is bit-identical and still in job order.
         assert_eq!(compress_batch_on(&jobs, Orientation::Backward, 3), parallel);
+
+        // A skewed batch whose heaviest job (a 2-D relation, many rows)
+        // comes last: handed out first, it must still come back last.
+        let mut heavy = LineageTable::new(2, 2);
+        for i in 0..30 {
+            for j in 0..30 {
+                heavy.push_row(&[i, j, i, (j + 1) % 30]);
+            }
+        }
+        let (small, grid) = ([40usize], [30usize, 30]);
+        let mut skewed: Vec<CompressJob<'_>> = (jobs_data.iter())
+            .map(|t| (t, &small[..], &small[..]))
+            .collect();
+        skewed.push((&heavy, &grid[..], &grid[..]));
+        let serial = compress_batch_on(&skewed, Orientation::Backward, 1);
+        assert_eq!(serial.len(), skewed.len());
+        for (&(t, out_shape, in_shape), c) in skewed.iter().zip(&serial) {
+            assert_eq!(c, &compress(t, out_shape, in_shape, Orientation::Backward));
+        }
+        assert_eq!(compress_batch_on(&skewed, Orientation::Backward, 2), serial);
     }
 
     #[test]

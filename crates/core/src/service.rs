@@ -15,17 +15,21 @@
 //!   in the serve path.
 //! - **Writes build the next epoch on the side.** `define_array` and the
 //!   install phase of [`ingest_batch`](DslogService::ingest_batch) clone
-//!   the current snapshot's maps (pointer copies — the stored tables
-//!   themselves are shared `Arc`s), mutate the clone, and publish it with
-//!   an O(1) pointer swap. A failed write publishes nothing: readers can
-//!   never observe a partial batch, and the documented "all of a batch or
-//!   none of it" guarantee holds structurally, not by careful ordering.
+//!   the current snapshot — O(1): its array and edge maps are
+//!   copy-on-write shards of shared `Arc` names, shapes and tables —
+//!   insert into the clone, which is O(change): each insert copies the one
+//!   shard it lands in, about 1/64 of the map, as reference-count bumps,
+//!   and publish it with an O(1) pointer swap. A failed write publishes
+//!   nothing: readers can never observe a partial batch, and the
+//!   documented "all of a batch or none of it" guarantee holds
+//!   structurally, not by careful ordering.
 //! - **Ingest is two-phase.** [`ingest_batch`](DslogService::ingest_batch)
 //!   prepares the batch against a snapshot *outside any lock* — the
 //!   storage layer's one ingest path checks, compresses (via
 //!   [`crate::provrc::compress_batch_parallel`]), indexes and
 //!   computes the log records — and then installs it into the next epoch
-//!   and swaps that in under the writer lock (O(edges) pointer work).
+//!   and swaps that in under the writer lock (O(1) clone, one shard copy
+//!   per edge).
 //! - **Commits run against a pinned snapshot.** [`commit`](DslogService::commit)
 //!   pairs the pending-edge counter with a snapshot under the writer lock
 //!   (a momentary critical section), then drives [`Dslog::commit`] with
@@ -237,8 +241,11 @@ pub struct ServiceStats {
 struct Shared {
     /// The current epoch snapshot. Readers clone the `Arc` under the
     /// momentary read side; writers hold the write side only for the
-    /// pointer swap in [`Shared::publish`]. Nothing slow ever runs under
-    /// this lock. Rank `service.current` (30).
+    /// pointer swap in [`Shared::publish`], and free the superseded epoch
+    /// after releasing it. The epoch itself is built beforehand, outside
+    /// this lock: an O(1) clone of the current one plus an O(change)
+    /// insert (the one map shard each define or edge lands in). Nothing
+    /// slow ever runs under this lock. Rank `service.current` (30).
     current: RwLock<Arc<Dslog>>,
     /// Published-snapshot counter (see [`ServiceStats::epoch`]).
     epoch: AtomicU64,
@@ -284,11 +291,14 @@ impl Shared {
         Arc::clone(&self.current.read())
     }
 
-    /// Swap in a new epoch. O(1) under the write side; callers hold the
-    /// writer mutex so concurrent builders cannot leapfrog each other.
+    /// Swap in a new epoch. O(1) under the write side: the superseded
+    /// epoch is dropped only after the guard is released, so freeing it
+    /// never holds up a reader's `snapshot`. Callers hold the writer mutex
+    /// so concurrent builders cannot leapfrog each other.
     fn publish(&self, db: Dslog) {
-        *self.current.write() = Arc::new(db);
+        let superseded = std::mem::replace(&mut *self.current.write(), Arc::new(db));
         self.epoch.fetch_add(1, Ordering::Release);
+        drop(superseded);
     }
 
     /// Commit a pinned snapshot. The (snapshot, pending) pair is taken
@@ -484,8 +494,8 @@ impl DslogService {
     /// them), index each table and compute its log record.
     /// Phase 2 (writer lock): re-check duplicates against the *current*
     /// epoch (a racing batch may have installed one of our pairs while we
-    /// compressed), build the next epoch from pointer clones, install
-    /// every prepared edge O(1)/edge, and publish with one swap.
+    /// compressed), build the next epoch by an O(1) clone, install every
+    /// prepared edge (one map-shard copy each), and publish with one swap.
     ///
     /// Phase 2 cannot partially install: any error before the swap drops
     /// the unpublished epoch, so concurrent queries — and the service

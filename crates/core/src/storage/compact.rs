@@ -49,6 +49,7 @@ mod tests {
     use crate::error::DslogError;
     use crate::storage::persist::OpenMode;
     use crate::storage::wal;
+    use crate::storage::{Edge, EdgeName};
     use crate::table::LineageTable;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -82,13 +83,10 @@ mod tests {
 
     /// Serialized bytes of every stored table, keyed for comparison across
     /// save/compact/reopen cycles.
-    fn slot_bytes(s: &StorageManager) -> Vec<((String, String), Vec<u8>)> {
-        let mut keys: Vec<&(String, String)> = s.edges.keys().collect();
-        keys.sort();
-        let table = |key: &(String, String)| s.edges[key].table().unwrap();
-        let bytes = |key: &(String, String)| crate::storage::format::serialize(&table(key));
-        keys.into_iter()
-            .map(|key| (key.clone(), bytes(key)))
+    fn slot_bytes(s: &StorageManager) -> Vec<(EdgeName, Vec<u8>)> {
+        let bytes = |edge: &Edge| crate::storage::format::serialize(&edge.table().unwrap());
+        (s.sorted_edges().into_iter())
+            .map(|(key, edge)| (key.clone(), bytes(edge)))
             .collect()
     }
 

@@ -21,6 +21,7 @@
 pub mod compact;
 pub mod format;
 pub mod persist;
+mod shards;
 pub mod wal;
 
 /// The string and fixed-width integer codecs the catalog and log formats
@@ -64,6 +65,7 @@ use crate::query::HopTable;
 use crate::reuse::COMPOSITE_HIT_THRESHOLD;
 use crate::table::{CompressedTable, LineageTable, Orientation};
 use dslog_sync::{ranks, Mutex, RwLock};
+use shards::ShardedMap;
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -180,8 +182,8 @@ pub(crate) struct FileRecord {
 
 impl FileRecord {
     /// Whether a file of `file_len` bytes can hold the recorded range. The
-    /// O(1) guard of lazy opens and incremental commits, and the bound on
-    /// what a read may allocate.
+    /// guard of lazy opens and incremental commits, and the bound on what
+    /// a read may allocate.
     pub(crate) fn fits(&self, file_len: u64) -> bool {
         file_len >= self.offset.saturating_add(self.len)
     }
@@ -297,8 +299,7 @@ pub(crate) enum OnDuplicate {
 /// [`StorageManager::prepare`] (and `prepare_reused`) make one.
 #[derive(Debug)]
 pub(crate) struct PreparedEdge {
-    /// `(input array, output array)`.
-    key: (String, String),
+    key: EdgeName,
     edge: Edge,
     log: wal::OpKind,
 }
@@ -310,16 +311,15 @@ impl PreparedEdge {
     /// for the first forward hop: built here, it held 20 B per row of
     /// every table, queried forward or not (+25 % peak RSS on
     /// `ingest_commit`).
-    fn new(key: (&str, &str), table: CompressedTable) -> Self {
+    fn new(key: EdgeName, table: CompressedTable) -> Self {
         let table = Arc::new(table);
         if !table.is_generalized() {
             table.ensure_index();
         }
         let bytes = format::serialize(&table);
-        let key = (key.0.to_string(), key.1.to_string());
         let log = wal::OpKind::IngestEdge {
-            in_array: key.0.clone(),
-            out_array: key.1.clone(),
+            in_array: key.input().to_string(),
+            out_array: key.output().to_string(),
             bytes: bytes.len() as u64,
             digest: wal::trailer_crc(&bytes),
         };
@@ -354,9 +354,9 @@ pub(crate) enum CompositeProbe {
     Pass,
 }
 
-/// A path as the registry keys it: hashed and compared name by name, so the
-/// owned key and a query's borrowed `&[&str]` are one key and a lookup
-/// builds nothing.
+/// A path as the registry (and, for an edge's two arrays, the edge map)
+/// keys it: hashed and compared name by name, so the owned key and a
+/// borrowed `&[&str]` are one key and a lookup builds nothing.
 trait PathKey {
     fn name(&self, i: usize) -> Option<&str>;
 }
@@ -404,6 +404,42 @@ impl Hash for OwnedPath {
 }
 
 impl<'a> Borrow<dyn PathKey + 'a> for OwnedPath {
+    fn borrow(&self) -> &(dyn PathKey + 'a) {
+        self
+    }
+}
+
+/// The edge map's key: `(input array, output array)`, each name the arrays
+/// map's own `Arc`. Keyed as the two-array path it is, so a lookup by
+/// borrowed names builds nothing, as in the path registry.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct EdgeName(Arc<str>, Arc<str>);
+
+impl EdgeName {
+    /// Input array name.
+    pub(crate) fn input(&self) -> &str {
+        &self.0
+    }
+
+    /// Output array name.
+    pub(crate) fn output(&self) -> &str {
+        &self.1
+    }
+}
+
+impl PathKey for EdgeName {
+    fn name(&self, i: usize) -> Option<&str> {
+        [self.input(), self.output()].get(i).copied()
+    }
+}
+
+impl Hash for EdgeName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn PathKey).hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn PathKey + 'a> for EdgeName {
     fn borrow(&self) -> &(dyn PathKey + 'a) {
         self
     }
@@ -490,11 +526,13 @@ impl ResolvedPath {
 
 /// The DSLog storage manager.
 ///
-/// Edges are held as `Arc`s so an epoch clone (`clone_for_epoch`, used by
-/// [`crate::api::Dslog`]'s own epoch clone) shares every stored table
-/// with its parent: the service layer builds the next snapshot by cloning
-/// the maps (pointer copies), mutating the clone, and publishing it — the
-/// previous snapshot stays fully intact for in-flight readers.
+/// The array and edge maps are copy-on-write `ShardedMap`s of `Arc`s, so
+/// an epoch clone (`clone_for_epoch`, used by [`crate::api::Dslog`]'s own
+/// epoch clone) is O(1) and shares every name, shape and stored table with
+/// its parent: the service layer builds the next snapshot by cloning the
+/// manager, inserting into the clone (which copies the one shard each
+/// insert touches), and publishing it — the previous snapshot stays fully
+/// intact for in-flight readers.
 ///
 /// Queries do not look arrays or edges up by name: `path`
 /// keeps one `ResolvedPath` per queried path — validated, every hop bound
@@ -505,9 +543,9 @@ impl ResolvedPath {
 /// tables).
 #[derive(Debug)]
 pub struct StorageManager {
-    arrays: HashMap<String, ArrayMeta>,
+    arrays: ShardedMap<Arc<str>, Arc<ArrayMeta>>,
     /// Keyed by (input array, output array).
-    edges: HashMap<(String, String), Arc<Edge>>,
+    edges: ShardedMap<EdgeName, Arc<Edge>>,
     // What the handle was configured with (see `api::OpenOptions`): plain
     // values, copied into every epoch clone, so nothing one snapshot's
     // user does can change what another logs or writes.
@@ -554,8 +592,8 @@ pub struct StorageManager {
 impl Default for StorageManager {
     fn default() -> Self {
         Self {
-            arrays: HashMap::new(),
-            edges: HashMap::new(),
+            arrays: ShardedMap::default(),
+            edges: ShardedMap::default(),
             actor: "local".to_string(),
             retain: 0,
             io_policy: None,
@@ -573,11 +611,11 @@ impl StorageManager {
         Self::default()
     }
 
-    /// Shallow clone for epoch-snapshot publication: shares every stored
-    /// edge (`Arc`), the persistence binding, and the commit lock with
-    /// `self`; the array and edge *maps* are fresh, so inserting into the
-    /// clone never disturbs readers of the original. Slot-level state
-    /// (lazy loads, clean/dirty marks) lives inside the shared
+    /// Shallow clone for epoch-snapshot publication: shares the array and
+    /// edge maps (O(1); an insert into the clone copies the one shard it
+    /// touches, so it never disturbs readers of the original), the
+    /// persistence binding, and the commit lock with `self`. Slot-level
+    /// state (lazy loads, clean/dirty marks) lives inside the shared
     /// `Arc<Edge>`s and stays coherent across all clones.
     pub(crate) fn clone_for_epoch(&self) -> Self {
         Self {
@@ -631,12 +669,10 @@ impl StorageManager {
             }
             Some(_) => Ok(()),
             None => {
-                self.arrays.insert(
-                    name.to_string(),
-                    ArrayMeta {
-                        shape: shape.to_vec(),
-                    },
-                );
+                let meta = ArrayMeta {
+                    shape: shape.to_vec(),
+                };
+                self.arrays.insert(Arc::from(name), Arc::new(meta));
                 let kind = wal::OpKind::DefineArray {
                     name: name.to_string(),
                     shape: shape.to_vec(),
@@ -649,8 +685,21 @@ impl StorageManager {
 
     /// Metadata for `name`.
     pub fn array(&self, name: &str) -> Result<&ArrayMeta> {
+        self.array_entry(name).map(|(_, meta)| &**meta)
+    }
+
+    /// The edge map's key for `(input, output)`: both arrays named by the
+    /// arrays map's own `Arc`s.
+    fn edge_name(&self, in_array: &str, out_array: &str) -> Result<EdgeName> {
+        let (input, _) = self.array_entry(in_array)?;
+        let (output, _) = self.array_entry(out_array)?;
+        Ok(EdgeName(Arc::clone(input), Arc::clone(output)))
+    }
+
+    /// The arrays map's entry for `name`: its shared name and metadata.
+    fn array_entry(&self, name: &str) -> Result<(&Arc<str>, &Arc<ArrayMeta>)> {
         self.arrays
-            .get(name)
+            .get_key_value(name)
             .ok_or_else(|| DslogError::UnknownArray(name.to_string()))
     }
 
@@ -671,7 +720,7 @@ impl StorageManager {
 
     /// All defined array names (sorted, for deterministic iteration).
     pub fn array_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.arrays.keys().cloned().collect();
+        let mut names: Vec<String> = self.arrays.iter().map(|(k, _)| k.to_string()).collect();
         names.sort();
         names
     }
@@ -699,13 +748,14 @@ impl StorageManager {
     /// table and compute each edge's log record. Needs only `&self`, so the service
     /// runs it on a snapshot with no lock held; results keep job order.
     pub(crate) fn prepare(&self, jobs: &[EdgeJob<'_>]) -> Result<Vec<PreparedEdge>> {
-        let mut shapes = Vec::with_capacity(jobs.len());
+        let (mut names, mut shapes) = (Vec::new(), Vec::new());
         for &(in_array, out_array, lineage) in jobs {
             let (out_shape, in_shape) = self.edge_shapes(in_array, out_array)?;
             if (lineage.out_arity(), lineage.in_arity()) != (out_shape.len(), in_shape.len()) {
                 let (expected, got) = (out_shape.len() + in_shape.len(), lineage.arity());
                 return Err(DslogError::ArityMismatch { expected, got });
             }
+            names.push(self.edge_name(in_array, out_array)?);
             shapes.push((out_shape, in_shape));
         }
         let compress_jobs: Vec<provrc::CompressJob<'_>> = (jobs.iter().zip(&shapes))
@@ -714,10 +764,8 @@ impl StorageManager {
             })
             .collect();
         let tables = provrc::compress_batch_parallel(&compress_jobs, Orientation::Backward);
-        Ok((jobs.iter().zip(tables))
-            .map(|(&(in_array, out_array, _), table)| {
-                PreparedEdge::new((in_array, out_array), table)
-            })
+        Ok((names.into_iter().zip(tables))
+            .map(|(name, table)| PreparedEdge::new(name, table))
             .collect())
     }
 
@@ -730,7 +778,10 @@ impl StorageManager {
         table: CompressedTable,
     ) -> Result<PreparedEdge> {
         self.edge_shapes(in_array, out_array)?;
-        Ok(PreparedEdge::new((in_array, out_array), table))
+        Ok(PreparedEdge::new(
+            self.edge_name(in_array, out_array)?,
+            table,
+        ))
     }
 
     /// Store prepared edges: log each, replace whatever its pair held, and
@@ -744,11 +795,11 @@ impl StorageManager {
         actor: Option<&str>,
     ) -> Result<()> {
         if dup == OnDuplicate::Reject {
-            self.reject_duplicates(edges.iter().map(|e| (&e.key.0[..], &e.key.1[..])))?;
+            self.reject_duplicates(edges.iter().map(|e| (e.key.input(), e.key.output())))?;
         }
         for PreparedEdge { key, edge, log } in edges {
             self.wal_push(log, actor);
-            self.invalidate_paths(&key.0, &key.1);
+            self.invalidate_paths(key.input(), key.output());
             self.edges.insert(key, Arc::new(edge));
         }
         Ok(())
@@ -823,10 +874,9 @@ impl StorageManager {
         let hop = |from: &str, to: &str| {
             // Edge stored as (input=to, output=from) ⇒ hop is backward;
             // as (input=from, output=to) ⇒ forward.
-            let key = (to.to_string(), from.to_string());
-            let (edge, orientation) = match self.edges.get(&key) {
+            let (edge, orientation) = match self.edge(to, from) {
                 Some(edge) => (edge, Orientation::Backward),
-                None => (self.edges.get(&(key.1, key.0))?, Orientation::Forward),
+                None => (self.edge(from, to)?, Orientation::Forward),
             };
             Some(PathHop {
                 edge: Arc::clone(edge),
@@ -906,16 +956,26 @@ impl StorageManager {
     /// — the key batched ingest deduplicates on (the reverse pair is a
     /// *different* edge).
     pub fn has_directed_edge(&self, in_array: &str, out_array: &str) -> bool {
-        self.edges
-            .contains_key(&(in_array.to_string(), out_array.to_string()))
+        self.edge(in_array, out_array).is_some()
+    }
+
+    /// The edge stored for `(input, output)`, looked up without a key.
+    fn edge(&self, in_array: &str, out_array: &str) -> Option<&Arc<Edge>> {
+        self.edges.get(&&[in_array, out_array][..] as &dyn PathKey)
+    }
+
+    /// Every stored edge, sorted by `(input, output)` name.
+    fn sorted_edges(&self) -> Vec<(&EdgeName, &Arc<Edge>)> {
+        let mut edges: Vec<_> = self.edges.iter().collect();
+        edges.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        edges
     }
 
     /// The table stored for an edge (ingest order: in → out), in the
     /// orientation it was stored in — backward for every edge ingested.
     pub fn stored_table(&self, in_array: &str, out_array: &str) -> Result<Arc<CompressedTable>> {
         let edge = self
-            .edges
-            .get(&(in_array.to_string(), out_array.to_string()))
+            .edge(in_array, out_array)
             .ok_or_else(|| DslogError::NoLineagePath {
                 from: in_array.to_string(),
                 to: out_array.to_string(),
@@ -933,7 +993,7 @@ impl StorageManager {
             TableSource::Loaded(t) => format::serialize(t).len(),
             TableSource::OnDisk(d) => d.record.raw_len as usize,
         };
-        self.edges.values().map(bytes).sum()
+        self.edges.iter().map(|(_, edge)| bytes(edge)).sum()
     }
 
     /// Number of stored edges.

@@ -77,8 +77,12 @@
 //! bytes are left in place and the new catalog re-references them by their
 //! recorded range and crc32 (older generations' segment names stay valid
 //! precisely because names are generation-qualified and the catalog stores
-//! them verbatim). The catalog itself — O(edges), tiny — is always
-//! rewritten, and its rename remains the single commit point, so appending
+//! them verbatim). The tamper guard on those ranges is one `stat` per
+//! referenced segment per commit: each clean record is held against its
+//! segment's length in memory, so a segment truncated or deleted from
+//! outside gets exactly its lost ranges rewritten from the slots. The
+//! catalog itself — O(edges), tiny — is always rewritten, and its rename
+//! remains the single commit point, so appending
 //! one edge to a 100k-edge-row database costs O(new edge), not
 //! O(database) — nor, with the remembered tail, O(history). A commit into
 //! any *other* directory (or with a flipped `gzip` flag) is a full save
@@ -145,7 +149,9 @@
 
 use super::wal::{self, Generation, IoPolicy, LogTail};
 use super::wire::{read_string, read_u32_le, write_string};
-use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
+use super::{
+    format, ArrayMeta, DiskTable, Edge, EdgeName, FileRecord, Slot, StorageManager, TableSource,
+};
 use crate::error::{DslogError, Result};
 use crate::par;
 use crate::table::Orientation;
@@ -379,22 +385,44 @@ enum SlotPlan {
     Write(Vec<u8>),
 }
 
+/// The byte length of each segment a commit's clean slots reference,
+/// `stat`ed on first ask (`None`: the file is gone), so a commit makes one
+/// `stat` per referenced segment, however many ranges it holds.
+struct SegmentLens<'d> {
+    dir: &'d Path,
+    lens: HashMap<String, Option<u64>>,
+}
+
+impl SegmentLens<'_> {
+    /// Whether `record`'s file still exists and holds its range.
+    fn hold(&mut self, record: &FileRecord) -> bool {
+        let len = match self.lens.get(&record.name) {
+            Some(&len) => len,
+            None => {
+                let meta = std::fs::metadata(self.dir.join(&record.name));
+                let len = meta.ok().map(|m| m.len());
+                self.lens.insert(record.name.clone(), len);
+                len
+            }
+        };
+        len.is_some_and(|len| record.fits(len))
+    }
+}
+
 /// Decide whether one slot can reuse its committed range. Runs file IO, so
 /// it takes a lock-free snapshot of the slot, never the slot lock itself.
 fn plan_slot(
     source: TableSource,
     persisted: Option<FileRecord>,
-    reuse: bool,
-    dir: &Path,
+    segments: Option<&mut SegmentLens<'_>>,
 ) -> Result<SlotPlan> {
-    if reuse {
-        if let Some(record) = persisted {
-            // O(1) tamper guard: the recorded file must still exist and
-            // hold the range. Anything else (externally deleted or
-            // truncated) falls through to a rewrite from the slot.
-            if std::fs::metadata(dir.join(&record.name)).is_ok_and(|m| record.fits(m.len())) {
-                return Ok(SlotPlan::Reuse(record));
-            }
+    if let Some((record, segments)) = persisted.zip(segments) {
+        // Tamper guard, one `stat` per referenced segment per commit: the
+        // recorded file must still exist and hold this range. Anything
+        // else (externally deleted or truncated) falls through to a
+        // rewrite from the slot.
+        if segments.hold(&record) {
+            return Ok(SlotPlan::Reuse(record));
         }
     }
     // Serialize loaded slots; stream lazily opened (OnDisk) slots as
@@ -422,7 +450,7 @@ fn build_catalog_bytes(
     write_uvarint(&mut catalog, gen);
 
     // Arrays, sorted for deterministic bytes.
-    let mut arrays: Vec<(&String, &ArrayMeta)> = storage.arrays.iter().collect();
+    let mut arrays: Vec<(&Arc<str>, &Arc<ArrayMeta>)> = storage.arrays.iter().collect();
     arrays.sort_unstable_by_key(|(name, _)| *name);
     write_uvarint(&mut catalog, arrays.len() as u64);
     for (name, meta) in arrays {
@@ -434,8 +462,8 @@ fn build_catalog_bytes(
     }
     write_uvarint(&mut catalog, planned.len() as u64);
     for (key, orientation, record) in planned {
-        write_string(&mut catalog, &key.0);
-        write_string(&mut catalog, &key.1);
+        write_string(&mut catalog, key.input());
+        write_string(&mut catalog, key.output());
         catalog.push(orientation_bit(*orientation));
         write_string(&mut catalog, &record.name);
         write_uvarint(&mut catalog, record.len);
@@ -461,10 +489,10 @@ fn orientation_bit(orientation: Orientation) -> u8 {
 
 /// One edge of a commit plan: its key, and its table's orientation and
 /// catalog record.
-type PlannedEdge<'a> = (&'a (String, String), Orientation, FileRecord);
+type PlannedEdge<'a> = (&'a EdgeName, Orientation, FileRecord);
 
 /// A slot a commit wrote, to be marked clean once the catalog rename lands.
-type WrittenSlot<'a> = (&'a (String, String), FileRecord);
+type WrittenSlot<'a> = (&'a Edge, FileRecord);
 
 /// A commit in flight: what `commit_generation` does around the segment it
 /// writes. [`begin`](Self::begin) takes the manager's commit lock and
@@ -651,7 +679,8 @@ impl<'a> CommitSession<'a> {
         // [`is_spared`], identical to the one open uses.
         self.tail.catalog_len = catalog.len() as u64;
         self.tail.next_gen = gen.saturating_add(1);
-        let referenced = planned.iter().map(|(_, _, r)| r.name.clone()).collect();
+        let referenced: HashSet<&str> = planned.iter().map(|(_, _, r)| &r.name[..]).collect();
+        let referenced = referenced.into_iter().map(str::to_string).collect();
         self.tail.window.push((gen, referenced));
         let evict = self.tail.window.len().saturating_sub(retain + 1);
         let evicted: Vec<Generation> = self.tail.window.drain(..evict).collect();
@@ -672,8 +701,8 @@ impl<'a> CommitSession<'a> {
         // at their new ranges) and re-bind the manager with the advanced
         // tail, so the next commit into this directory rewrites none of
         // them and reads back nothing of this one.
-        for (key, record) in written {
-            storage.edges[key].publish_committed(record, dir, gzip);
+        for (edge, record) in written {
+            edge.publish_committed(record, dir, gzip);
         }
         *storage.binding.lock() = Some(super::PersistBinding {
             dir: self.dir,
@@ -737,19 +766,22 @@ pub(crate) fn commit_generation(
     // slot's bytes are appended to the segment as the slot is planned (so
     // at most one table is held beside it), each compressed on its own —
     // a range decompresses independently of its neighbours.
-    let mut keys: Vec<&(String, String)> = storage.edges.keys().collect();
-    keys.sort();
+    let edges = storage.sorted_edges();
+    let mut segments = reuse.then(|| SegmentLens {
+        dir: &session.dir,
+        lens: HashMap::new(),
+    });
     let name = segment_file_name(gen);
     let mut segment: Vec<u8> = Vec::new();
     let mut files_reused = 0usize;
     // Slots marked clean only AFTER the catalog rename lands: a crashed
     // commit must leave every dirty slot dirty.
     let mut written: Vec<WrittenSlot<'_>> = Vec::new();
-    let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(keys.len());
-    for key in keys {
-        let (source, persisted) = storage.edges[key].snapshot();
+    let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(edges.len());
+    for (key, edge) in edges {
+        let (source, persisted) = edge.snapshot();
         let orientation = source.orientation();
-        let record = match plan_slot(source, persisted, reuse, &session.dir)? {
+        let record = match plan_slot(source, persisted, segments.as_mut())? {
             SlotPlan::Reuse(record) => {
                 files_reused += 1;
                 record
@@ -769,7 +801,7 @@ pub(crate) fn commit_generation(
                     offset: segment.len() as u64,
                 };
                 segment.extend_from_slice(&bytes);
-                written.push((key, record.clone()));
+                written.push((edge, record.clone()));
                 record
             }
         };
@@ -1022,8 +1054,9 @@ pub(crate) fn load_table_file(
     Ok(table)
 }
 
-/// Edge map keyed by `(in_array, out_array)`, as loaded from a catalog.
-type EdgeMap = HashMap<(String, String), Arc<Edge>>;
+/// Each catalog edge's loaded (or lazily referenced) table, in catalog
+/// order.
+type EdgeMap = Vec<Arc<Edge>>;
 
 /// Plain table bytes (the catalog's `raw_len`s) per worker below which a
 /// load decodes on the calling thread. Measured on 2 vCPUs over the
@@ -1074,7 +1107,7 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
         .collect();
     let mut loaded = load_tables(dir, catalog, &eager_jobs, decode_workers(&eager_jobs))?;
 
-    let mut edges = HashMap::new();
+    let mut edges = Vec::with_capacity(catalog.edges.len());
     for (idx, entry) in catalog.edges.iter().enumerate() {
         let fref = entry.kept();
         let source = match loaded.remove(&idx) {
@@ -1104,10 +1137,7 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
             source,
             persisted: Some(fref.record.clone()),
         };
-        edges.insert(
-            (entry.in_name.clone(), entry.out_name.clone()),
-            Arc::new(Edge::new(slot)),
-        );
+        edges.push(Arc::new(Edge::new(slot)));
     }
     Ok(edges)
 }
@@ -1144,16 +1174,22 @@ fn manager_from_parts(
     catalog: Catalog,
     edges: EdgeMap,
     binding: Option<super::PersistBinding>,
-) -> StorageManager {
-    StorageManager {
-        arrays: catalog.arrays,
-        edges,
+) -> Result<StorageManager> {
+    let mut storage = StorageManager {
         binding: Arc::new(dslog_sync::Mutex::new(
             &dslog_sync::ranks::STORAGE_BINDING,
             binding,
         )),
         ..StorageManager::default()
+    };
+    for (name, meta) in catalog.arrays {
+        storage.arrays.insert(Arc::from(name), Arc::new(meta));
     }
+    for (entry, edge) in catalog.edges.iter().zip(edges) {
+        let name = storage.edge_name(&entry.in_name, &entry.out_name)?;
+        storage.edges.insert(name, edge);
+    }
+    Ok(storage)
 }
 
 /// Open a database directory written by [`save`] — the one storage-level
@@ -1194,7 +1230,7 @@ pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
         generation: live.generation,
         tail: Some(tail),
     };
-    Ok(manager_from_parts(live, edges, Some(binding)))
+    manager_from_parts(live, edges, Some(binding))
 }
 
 /// The [`OpenMode::AsOf`] open of a superseded generation.
@@ -1225,7 +1261,7 @@ fn open_retained(dir: &Path, generation: u64) -> Result<StorageManager> {
     // later. No sweep, no binding — opening history must never mutate
     // the live database.
     let edges = load_catalog_edges(dir, &catalog, false)?;
-    Ok(manager_from_parts(catalog, edges, None))
+    manager_from_parts(catalog, edges, None)
 }
 
 /// What [`verify`] found in a healthy database directory. The catalog is
@@ -1923,13 +1959,13 @@ mod tests {
     /// Every edge's decompressed backward relation (rendered), for
     /// comparing a generation's content across commits and `AsOf` opens.
     fn contents(s: &StorageManager) -> String {
-        let mut keys: Vec<&(String, String)> = s.edges.keys().collect();
-        keys.sort();
-        let rows = |(a, b): &(String, String)| {
-            let table = s.stored_table(a, b).unwrap();
+        let rows = |key: &EdgeName| {
+            let table = s.stored_table(key.input(), key.output()).unwrap();
             table.decompress().unwrap().row_set()
         };
-        let edges: Vec<_> = keys.into_iter().map(|k| (k, rows(k))).collect();
+        let edges: Vec<_> = (s.sorted_edges().into_iter())
+            .map(|(k, _)| (k, rows(k)))
+            .collect();
         format!("{edges:?}")
     }
 

@@ -575,3 +575,95 @@ fn catalog_naming_both_orientations_keeps_the_backward_table() {
     assert_opens_and_answers_both_ways(&dir, &t, Orientation::Backward);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A database bound to `dir` with three edges `S → T0`, `S → T1`, `S → T2`
+/// committed into one segment, and each edge's raw relation.
+fn three_edges_in_one_segment(dir: &Path) -> (Dslog, Vec<LineageTable>) {
+    let mut db = Dslog::options().create(dir).unwrap();
+    db.define_array("S", &[8]).unwrap();
+    let mut tables = Vec::new();
+    for k in 0..3i64 {
+        let out = format!("T{k}");
+        db.define_array(&out, &[8]).unwrap();
+        let mut t = LineageTable::new(1, 1);
+        (0..8).for_each(|v| t.push_row(&[v, (v * (2 * k + 3) + k) % 8]));
+        db.add_lineage("S", &out, &TableCapture::new(t.clone()))
+            .unwrap();
+        tables.push(t);
+    }
+    let report = db.commit().unwrap();
+    assert_eq!((report.files_written, report.files_reused), (3, 0));
+    let again = db.commit().unwrap();
+    assert_eq!((again.files_written, again.files_reused), (0, 3));
+    (db, tables)
+}
+
+/// The one segment file of `dir`.
+fn only_segment(dir: &Path) -> PathBuf {
+    let segments: Vec<PathBuf> = (std::fs::read_dir(dir).unwrap().flatten())
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("segment-")
+        })
+        .collect();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    segments.into_iter().next().unwrap()
+}
+
+/// `dir` verifies, and a reopened database answers every cell of every
+/// `T{k}` backward as the raw relations do, eager and lazy.
+fn assert_reopens_as_the_oracle(dir: &Path, tables: &[LineageTable]) {
+    persist::verify(dir).unwrap();
+    for lazy in [false, true] {
+        let db = Dslog::options().lazy(lazy).open(dir).unwrap();
+        for (k, t) in tables.iter().enumerate() {
+            let out = format!("T{k}");
+            for v in 0..8 {
+                let got = db.prov_query(&[&out, "S"], &[vec![v]]).unwrap();
+                let cells = [vec![v]].into_iter().collect();
+                let want = reference::step(&cells, t, Orientation::Backward);
+                assert_eq!(got.cells.cell_set(), want, "lazy {lazy}, {out} cell {v}");
+            }
+        }
+    }
+}
+
+/// A commit `stat`s each referenced segment once and holds every clean
+/// range against that length: cut one byte off a segment of three ranges
+/// and only its last range stops fitting — that edge, and only it, is
+/// rewritten from memory.
+#[test]
+fn commit_rewrites_only_the_range_a_truncated_segment_lost() {
+    let dir = temp_dir("seg-truncate");
+    let (db, tables) = three_edges_in_one_segment(&dir);
+    let segment = only_segment(&dir);
+    let len = std::fs::metadata(&segment).unwrap().len();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&segment)
+        .unwrap();
+    file.set_len(len - 1).unwrap();
+    drop(file);
+    let report = db.commit().unwrap();
+    assert_eq!((report.files_written, report.files_reused), (1, 2));
+    drop(db);
+    assert_reopens_as_the_oracle(&dir, &tables);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A deleted segment fails the guard for every range it held: the commit
+/// rewrites all of them.
+#[test]
+fn commit_rewrites_every_range_of_a_deleted_segment() {
+    let dir = temp_dir("seg-delete");
+    let (db, tables) = three_edges_in_one_segment(&dir);
+    std::fs::remove_file(only_segment(&dir)).unwrap();
+    let report = db.commit().unwrap();
+    assert_eq!((report.files_written, report.files_reused), (3, 0));
+    drop(db);
+    assert_reopens_as_the_oracle(&dir, &tables);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -19,7 +19,10 @@
 //!    output), the joins by the hop `wall` a query's own `QueryStats`
 //!    reports, beside `prov_query`'s total. Which stages a warm
 //!    `prov_query` pays per query is the tree's to say (README, "Where a
-//!    query's time goes"); no gate.
+//!    query's time goes"); no gate. Every replayed merge's output must
+//!    equal `dslog-oracle`'s reference merge of the same frontier, box for
+//!    box and in order; the hops of composite-served queries are replayed
+//!    untimed after the timed loop, so the check runs at any scale.
 //!
 //! Every timed comparison asserts cell-for-cell parity first. Emits an
 //! aligned table on stdout and machine-readable `BENCH_query.json` in the
@@ -31,6 +34,7 @@ use dslog::api::{Dslog, TableCapture};
 use dslog::query::{QueryExec, QueryOptions};
 use dslog::table::{BoxTable, LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
+use dslog_oracle::boxes::merge_reference;
 use dslog_oracle::query::reference;
 use dslog_workloads::edges;
 use dslog_workloads::random_numpy::{generate, RandomPipelineSpec};
@@ -273,6 +277,7 @@ fn measure_stages(initial_cells: usize, rotations: usize) -> (usize, [f64; 7]) {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5eed);
     let mut sums = [0f64; 7];
     let mut queries = 0usize;
+    let mut served = Vec::new();
     for i in 0..(4 + rotations) * PIPELINES * 2 * SUPPORTS.len() {
         let (db, paths) = &pipes[i % PIPELINES];
         let names = &paths[(i / PIPELINES) % 2];
@@ -282,16 +287,8 @@ fn measure_stages(initial_cells: usize, rotations: usize) -> (usize, [f64; 7]) {
         let total: usize = shape.iter().product();
         // `support` consecutive row-major cells from a random start.
         let start = rng.gen_range(0..=total - support.min(total));
-        let cells: Vec<Vec<i64>> = (start..start + support.min(total))
-            .map(|mut pos| {
-                let mut cell = vec![0i64; shape.len()];
-                for (slot, &dim) in cell.iter_mut().zip(&shape).rev() {
-                    *slot = (pos % dim) as i64;
-                    pos /= dim;
-                }
-                cell
-            })
-            .collect();
+        let positions = start..start + support.min(total);
+        let cells = row_major_cells(&shape, positions.clone());
 
         let (result, api) = timed(|| db.prov_query(&path, &cells).unwrap());
         if i < 4 * PIPELINES * 2 * SUPPORTS.len() {
@@ -307,33 +304,82 @@ fn measure_stages(initial_cells: usize, rotations: usize) -> (usize, [f64; 7]) {
             "validate",
             timed(|| path.iter().all(|n| db.storage().array(n).is_ok())).1,
         );
-        let (mut frontier, t) = timed(|| BoxTable::from_cells(shape.len(), &cells));
+        let (frontier, t) = timed(|| BoxTable::from_cells(shape.len(), &cells));
         add("encode", t);
         add("lookup", timed(|| db.storage().has_composite(&path)).1);
         // The per-hop stages, replayed in path order — unless a composite
-        // edge served the query, whose one hop is all it ran.
+        // edge served the query, whose one hop is all it ran. Its hops are
+        // replayed after the timed loop, so their merges are checked (at
+        // small scales every path is a composite) without disturbing the
+        // caches the timed queries run in.
         let plan = result.stats.plan.as_ref().map(|p| p.decision.label());
         if plan == Some("composite") {
+            served.push((i, positions, result.cells));
             continue;
         }
-        let exec = QueryExec::new(db.query_options());
-        for hop in path.windows(2) {
-            let (table, t) = timed(|| db.storage().resolve_hop(hop[0], hop[1]).unwrap().0);
-            add("resolve", t);
-            if frontier.is_empty() {
-                continue;
-            }
-            let (mut out, _) = exec.hop(&frontier, &table).unwrap();
-            add("merge", timed(|| out.merge()).1);
-            frontier = out;
-        }
+        let frontier = replay_hops(db, &path, frontier, &mut add);
         assert_eq!(
             frontier.cell_set(),
             result.cells.cell_set(),
             "stage replay disagrees with prov_query"
         );
     }
+    for (i, positions, answer) in served {
+        let (db, paths) = &pipes[i % PIPELINES];
+        let path: Vec<&str> = paths[(i / PIPELINES) % 2]
+            .iter()
+            .map(String::as_str)
+            .collect();
+        let shape = &db.storage().array(path[0]).unwrap().shape;
+        let frontier = BoxTable::from_cells(shape.len(), &row_major_cells(shape, positions));
+        let frontier = replay_hops(db, &path, frontier, |_, _| {});
+        assert_eq!(
+            frontier.cell_set(),
+            answer.cell_set(),
+            "hop replay disagrees with the composite edge"
+        );
+    }
     (queries, sums.map(|s| s / queries as f64))
+}
+
+/// The cells at row-major positions `positions` of an array of `shape`.
+fn row_major_cells(shape: &[usize], positions: std::ops::Range<usize>) -> Vec<Vec<i64>> {
+    positions
+        .map(|mut pos| {
+            let mut cell = vec![0i64; shape.len()];
+            for (slot, &dim) in cell.iter_mut().zip(shape).rev() {
+                *slot = (pos % dim) as i64;
+                pos /= dim;
+            }
+            cell
+        })
+        .collect()
+}
+
+/// Replay `path`'s hops in order from `frontier`, timing each `resolve_hop`
+/// and merge into `add`, and holding every merge to `dslog-oracle`'s
+/// reference merge, box for box and in order. Returns the last frontier.
+fn replay_hops(
+    db: &Dslog,
+    path: &[&str],
+    mut frontier: BoxTable,
+    mut add: impl FnMut(&str, f64),
+) -> BoxTable {
+    let exec = QueryExec::new(db.query_options());
+    for hop in path.windows(2) {
+        let (table, t) = timed(|| db.storage().resolve_hop(hop[0], hop[1]).unwrap().0);
+        add("resolve", t);
+        if frontier.is_empty() {
+            continue;
+        }
+        let (mut out, _) = exec.hop(&frontier, &table).unwrap();
+        let mut reference = out.clone();
+        add("merge", timed(|| out.merge()).1);
+        merge_reference(&mut reference);
+        assert_eq!(out, reference, "merge disagrees with the reference");
+        frontier = out;
+    }
+    frontier
 }
 
 fn main() {

@@ -64,16 +64,17 @@ impl Interval {
     }
 
     /// Whether the union of the two intervals is a single interval
-    /// (overlap or exact adjacency in either direction).
+    /// (overlap or exact adjacency in either direction). Saturating, so an
+    /// interval ending at `i64::MAX` does not wrap round to abut `i64::MIN`.
     #[inline]
     pub fn mergeable(&self, other: &Interval) -> bool {
-        self.overlaps(other) || self.hi + 1 == other.lo || other.hi + 1 == self.lo
+        self.lo <= other.hi.saturating_add(1) && other.lo <= self.hi.saturating_add(1)
     }
 
     /// Union of two overlapping-or-adjacent intervals.
     #[inline]
     pub fn merge(&self, other: &Interval) -> Interval {
-        debug_assert!(self.overlaps(other) || self.hi + 1 == other.lo || other.hi + 1 == self.lo);
+        debug_assert!(self.mergeable(other));
         Interval {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
@@ -137,6 +138,13 @@ impl std::fmt::Display for Interval {
     }
 }
 
+/// Order-preserving `i64 → u64` map: flips the sign bit so unsigned
+/// comparison of the images matches signed comparison of the preimages.
+#[inline]
+pub(crate) fn ord64(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +165,9 @@ mod tests {
         assert!(a.mergeable(&Interval::new(2, 6)));
         assert!(a.mergeable(&Interval::new(-2, 0)));
         assert!(!a.mergeable(&Interval::new(5, 6)));
+        let top = Interval::new(5, i64::MAX);
+        assert!(!top.mergeable(&Interval::point(i64::MIN)));
+        assert!(top.mergeable(&Interval::point(4)));
         assert_eq!(a.merge(&Interval::new(4, 6)), Interval::new(1, 6));
         assert_eq!(a.merge(&Interval::new(0, 2)), Interval::new(0, 3));
     }

@@ -50,7 +50,7 @@
 //! 1 M rows and removed; threads enter one level up, across relations and
 //! orientations (`super::compress_batch_parallel_opts`).
 
-use crate::interval::Interval;
+use crate::interval::{ord64, Interval};
 use crate::table::{Cell, CompressedTable, LineageTable, Orientation};
 use std::cmp::Ordering;
 
@@ -110,13 +110,6 @@ fn build_masks(n_abs: usize) -> Vec<u64> {
         masks.push(0);
         masks
     }
-}
-
-/// Order-preserving `i64 → u64` map: flips the sign bit so unsigned
-/// comparison of the images matches signed comparison of the preimages.
-#[inline]
-fn ord64(v: i64) -> u64 {
-    (v as u64) ^ (1 << 63)
 }
 
 /// Comparison-sort pairs below this row count; radix-sort at or above it.

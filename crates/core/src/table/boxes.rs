@@ -4,14 +4,36 @@
 //! row, one [`Interval`] per attribute). Queries are encoded as box tables
 //! (the paper's `Q'`, §V.B), and every θ-join hop produces one.
 //!
-//! [`BoxTable::merge`] is the paper's row-reduction step. It runs the *last*
-//! attribute first, so a lexicographically sorted table — every
-//! [`BoxTable::from_cells`] — is already in that pass's order and collapses
-//! in one linear sweep; a pass sorts only when its order is not the one the
-//! boxes lie in, and folds each box into the last box of its output buffer,
-//! so no pass allocates per box.
+//! [`BoxTable::merge`] is the paper's row-reduction step (§V.B.3). A round
+//! runs one pass per attribute, the *last* attribute first, so a table of
+//! cells in any order — every [`BoxTable::from_cells`] — comes out of the
+//! first pass sorted lexicographically, duplicates folded.
+//!
+//! * **Fold first, sort on demand.** A pass folds each box, in place, into
+//!   the last box it kept. Only at the first box out of the pass's order
+//!   does it sort what is left, and fold that.
+//! * **Packed keys.** The sort is one of `u64`s. A box's key is its words in
+//!   the pass's order — other attributes first, then the target, each as
+//!   `lo` and then `hi − lo`. Each word is range-reduced to the bits it
+//!   spans over the table, so a constant word, or the length of a point,
+//!   takes none. The words are packed most significant first above the
+//!   box's index, as ProvRC's `build_plan` packs its rows. A table whose
+//!   keys need more than 64 bits (coordinates spread across the `i64`
+//!   range) falls back to sorting box indices with a comparator; both
+//!   orders are the same. The boxes then move into place by a walk of the
+//!   permutation's cycles, so a merge allocates its key buffer once,
+//!   whatever the number of passes, and nothing when the boxes lie in order.
+//! * **Stop rule.** Rounds end after the first round in which no pass but
+//!   the first merged. The first pass leaves no pair mergeable on its
+//!   attribute, and the rest found none on theirs, so another round would
+//!   merge nothing. Its last pass would re-sort the same boxes into the
+//!   order the round's last pass left them in.
+//!
+//! `dslog-oracle`'s `boxes::merge_reference` keeps the comparator-sort
+//! merge with its confirming round; the property suite holds this one to
+//! its output, box for box and in order.
 
-use crate::interval::Interval;
+use crate::interval::{ord64, Interval};
 
 /// A union of interval boxes over `arity` attributes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -50,13 +72,13 @@ impl BoxTable {
     /// it again.
     pub fn from_cells(arity: usize, cells: &[Vec<i64>]) -> Self {
         let mut t = Self::new(arity);
-        let mut sorted: Vec<&Vec<i64>> = cells.iter().collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for cell in sorted {
+        t.data.reserve_exact(cells.len() * arity);
+        for cell in cells {
             debug_assert_eq!(cell.len(), arity);
             t.data.extend(cell.iter().map(|&v| Interval::point(v)));
         }
+        // The first pass sorts the points lexicographically and folds
+        // duplicates.
         t.merge();
         t
     }
@@ -160,73 +182,189 @@ impl BoxTable {
     /// boxes that are identical on all attributes but one, where that one
     /// attribute's intervals overlap or abut. Also drops duplicate boxes
     /// and boxes fully contained in another identical-on-other-attrs box.
-    /// Ends at a fixpoint: no two boxes left are mergeable on any attribute.
+    /// Ends at a fixpoint: no two boxes left are mergeable on any attribute,
+    /// in the order of the pass over attribute 0.
     pub fn merge(&mut self) {
+        // The sort keys, reused by every pass that sorts.
+        let mut order = Vec::new();
+        let first = self.arity - 1;
         loop {
-            let before = self.n_boxes();
-            if before <= 1 {
-                return;
-            }
-            // Last attribute first: a lexicographically sorted table is in
-            // that pass's order already.
+            let mut later_merged = false;
             for target in (0..self.arity).rev() {
-                self.merge_pass(target);
+                later_merged |= self.merge_pass(target, &mut order) && target != first;
             }
-            if self.n_boxes() == before {
-                break;
+            // The first pass leaves no pair mergeable on its attribute and
+            // the others found none on theirs: a fixpoint, in the order
+            // another round would leave it in.
+            if !later_merged {
+                return;
             }
         }
     }
 
-    /// One merge pass over attribute `target`: visit the boxes in (other
-    /// attrs, target) order — as they lie, when that is their order — and
-    /// fold each into the last box written while they agree on the other
-    /// attributes and `target` is mergeable.
-    fn merge_pass(&mut self, target: usize) {
-        let arity = self.arity;
-        let n = self.n_boxes() as u32;
+    /// One merge pass over attribute `target`: fold the boxes as they lie;
+    /// at the first box out of (other attrs, target) order, sort what is
+    /// left into that order and fold it again. Returns whether any box went.
+    fn merge_pass(&mut self, target: usize, order: &mut Vec<u64>) -> bool {
+        let n = self.n_boxes();
         if n <= 1 {
-            return;
+            return false;
         }
-        let data = &self.data;
-        let row = |i: u32| &data[i as usize * arity..][..arity];
-        let key_cmp = |&x: &u32, &y: &u32| {
-            let (bx, by) = (row(x), row(y));
-            for k in (0..arity).filter(|&k| k != target) {
-                match bx[k].cmp(&by[k]) {
-                    std::cmp::Ordering::Equal => {}
-                    other => return other,
+        let kept = self.fold(target).unwrap_or_else(|| {
+            self.sort_for_pass(target, order);
+            self.fold(target).expect("sorted boxes fold")
+        });
+        kept < n
+    }
+
+    /// Reorder the boxes into `target`'s pass order: a sort of packed keys,
+    /// or of box indices under [`pass_cmp`] when the keys need more than 64
+    /// bits, then a walk of the permutation's cycles that swaps the boxes
+    /// into place.
+    fn sort_for_pass(&mut self, target: usize, order: &mut Vec<u64>) {
+        let index_mask = match self.pack_keys(target, order) {
+            Some(mask) => {
+                order.sort_unstable();
+                mask
+            }
+            None => {
+                order.clear();
+                order.extend(0..self.n_boxes() as u64);
+                order.sort_unstable_by(|&x, &y| {
+                    pass_cmp(self.row(x as usize), self.row(y as usize), target)
+                });
+                u64::MAX
+            }
+        };
+        // Position `j` takes box `order[j]`; the top bit marks a position
+        // filled.
+        const FILLED: u64 = 1 << 63;
+        order.iter_mut().for_each(|key| *key &= index_mask);
+        let arity = self.arity;
+        for start in 0..order.len() {
+            let mut j = start;
+            while order[j] & FILLED == 0 {
+                let from = order[j] as usize;
+                order[j] |= FILLED;
+                if from == start {
+                    break;
+                }
+                for k in 0..arity {
+                    self.data.swap(j * arity + k, from * arity + k);
+                }
+                j = from;
+            }
+        }
+    }
+
+    /// Key every box by its words in `target`'s pass order — per attribute
+    /// `lo`, then the length `hi − lo`, which orders like `hi` among equal
+    /// `lo`s — each range-reduced to the bits it spans and packed most
+    /// significant first above the box index, into `order`. A word that is
+    /// constant over the table takes no bits. Returns the index mask, or
+    /// `None` when the key does not fit 64 bits.
+    fn pack_keys(&self, target: usize, order: &mut Vec<u64>) -> Option<u64> {
+        let (arity, n) = (self.arity, self.n_boxes());
+        let index_bits = bits(n as u64 - 1);
+        let mut total = index_bits;
+        order.clear();
+        order.resize(n, 0);
+        for attr in (0..arity).filter(|&k| k != target).chain([target]) {
+            let column = || self.data.chunks_exact(arity).map(move |row| &row[attr]);
+            let (mut lo_min, mut lo_max, mut len_max) = (u64::MAX, 0, 0);
+            for ivl in column() {
+                let lo = ord64(ivl.lo);
+                lo_min = lo_min.min(lo);
+                lo_max = lo_max.max(lo);
+                len_max = len_max.max(span(ivl));
+            }
+            let (lo_bits, len_bits) = (bits(lo_max - lo_min), bits(len_max));
+            total += lo_bits + len_bits;
+            if total > 64 {
+                return None;
+            }
+            // No shift reaches 64: the index takes at least one bit.
+            for (key, ivl) in order.iter_mut().zip(column()) {
+                *key = (*key << lo_bits | (ord64(ivl.lo) - lo_min)) << len_bits | span(ivl);
+            }
+        }
+        for (i, key) in order.iter_mut().enumerate() {
+            *key = *key << index_bits | i as u64;
+        }
+        Some((1 << index_bits) - 1)
+    }
+
+    /// Fold, in place, each box into the last box kept while they agree on
+    /// all attributes but `target` and are mergeable there. Returns the
+    /// number of boxes kept, or `None` at the first box that comes before
+    /// the last box kept in pass order, leaving the boxes folded so far
+    /// followed by the ones not yet seen.
+    ///
+    /// A box need only not precede the last box kept on (other attrs,
+    /// `target.lo`): each box kept is then a whole component of its group's
+    /// union, and the boxes come out in the order a full sort would give.
+    fn fold(&mut self, target: usize) -> Option<usize> {
+        use std::cmp::Ordering::{Equal, Greater};
+        let arity = self.arity;
+        let d = &mut self.data;
+        let n = d.len() / arity;
+        let mut kept = 1;
+        for i in 1..n {
+            let (last, b) = ((kept - 1) * arity, i * arity);
+            let others = (0..arity)
+                .find(|&k| k != target && d[last + k] != d[b + k])
+                .map_or(Equal, |k| d[last + k].cmp(&d[b + k]));
+            let (acc, next) = (d[last + target], d[b + target]);
+            match others.then(acc.lo.cmp(&next.lo)) {
+                Greater => {
+                    if kept != i {
+                        d.copy_within(b.., kept * arity);
+                        d.truncate((kept + n - i) * arity);
+                    }
+                    return None;
+                }
+                _ if others == Equal && acc.mergeable(&next) => {
+                    d[last + target] = acc.merge(&next);
+                }
+                _ => {
+                    if kept != i {
+                        d.copy_within(b..b + arity, kept * arity);
+                    }
+                    kept += 1;
                 }
             }
-            bx[target].cmp(&by[target])
-        };
-        let sorted = (1..n).all(|i| key_cmp(&(i - 1), &i).is_le());
-        let mut order: Vec<u32> = Vec::new();
-        if !sorted {
-            order.extend(0..n);
-            order.sort_unstable_by(key_cmp);
         }
-        let mut out: Vec<Interval> = Vec::with_capacity(data.len());
-        for i in 0..n {
-            let b = row(if sorted { i } else { order[i as usize] });
-            let last = out.len().saturating_sub(arity);
-            let last = &mut out[last..];
-            if !last.is_empty()
-                && (0..arity).all(|k| k == target || last[k] == b[k])
-                && last[target].mergeable(&b[target])
-            {
-                last[target] = last[target].merge(&b[target]);
-            } else {
-                out.extend_from_slice(b);
-            }
-        }
-        self.data = out;
+        d.truncate(kept * arity);
+        Some(kept)
     }
 
     /// Convert each box's covered cells into explicit rows (tests only).
     pub fn enumerate_cells(&self) -> Vec<Vec<i64>> {
         self.cell_set().into_iter().collect()
     }
+}
+
+/// Compare two boxes in `target`'s pass order: the other attributes in
+/// index order, then `target`.
+fn pass_cmp(a: &[Interval], b: &[Interval], target: usize) -> std::cmp::Ordering {
+    for k in 0..a.len() {
+        if k != target && a[k] != b[k] {
+            return a[k].cmp(&b[k]);
+        }
+    }
+    a[target].cmp(&b[target])
+}
+
+/// `hi − lo`, exact over the whole `i64` range.
+#[inline]
+fn span(ivl: &Interval) -> u64 {
+    (ivl.hi as u64).wrapping_sub(ivl.lo as u64)
+}
+
+/// Bits needed to hold `v`.
+#[inline]
+fn bits(v: u64) -> u32 {
+    u64::BITS - v.leading_zeros()
 }
 
 #[cfg(test)]

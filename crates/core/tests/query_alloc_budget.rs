@@ -7,11 +7,14 @@
 //! What is left is a fixed set of buffers per query and per hop plus the
 //! result's own storage — pinned here, so a change that brings back a `Vec`
 //! or `String` per hop lookup or per matched row fails, in either hop
-//! direction.
+//! direction. A merge that has to sort allocates its key buffer once, not
+//! once per pass.
 
 use dslog::api::{Dslog, TableCapture};
+use dslog::query::exec::QueryExec;
 use dslog::query::plan::PlanDecision;
-use dslog::table::LineageTable;
+use dslog::table::{BoxTable, LineageTable};
+use dslog::Interval;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -54,11 +57,15 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
 }
 
 /// Per query, whatever the path: the registry hand-out is free (an `Arc`
-/// bump), Q′ is two buffers (the sorted cells, the boxes), the hop
+/// bump), Q′ is one buffer (its boxes, merged in place), the hop
 /// statistics one.
-const PER_QUERY: usize = 3;
+const PER_QUERY: usize = 2;
 /// Per executed hop: the intersection scratch and the output boxes' buffer.
 const PER_HOP: usize = 2;
+/// Per merge of a frontier that does not lie in pass order, however many
+/// passes it runs: the sort keys, which every later pass reuses (the boxes
+/// are swapped into place, not gathered into a second buffer).
+const PER_MERGE: usize = 1;
 
 /// `hops` scatter-permutation hops over `[n]` arrays `S0..S{hops}`: every
 /// table keeps about one compressed row per cell, and a one-cell query
@@ -152,8 +159,8 @@ fn hop_allocations_do_not_grow_with_matched_rows() {
     let (many, many_allocs) = query(0);
     assert_eq!(one.stats.rows_matched(), 1);
     assert!(many.stats.rows_matched() >= fan / 2, "the hop must fan out");
-    // The output buffer doubles as it grows and the merge may gather once
-    // (an order and a buffer): a logarithm, never a term per matched row.
+    // The output buffer doubles as it grows and the merge may sort once
+    // (one key buffer): a logarithm, never a term per matched row.
     let growth = many.stats.rows_matched().ilog2() as usize;
     assert!(
         many_allocs <= one_allocs + growth,
@@ -176,10 +183,63 @@ fn composite_served_query_allocates_a_constant() {
         result.stats.plan.as_ref().map(|p| &p.decision),
         Some(&PlanDecision::CompositeEdge { hops_folded: 5 })
     );
-    // Q′'s two buffers, one hop's two, its statistics: five hops folded
-    // into one probe cost what one hop costs.
+    // Q′'s buffer, one hop's two, its statistics: five hops folded into
+    // one probe cost what one hop costs.
     assert!(
-        n <= 3 + PER_HOP,
+        n <= PER_QUERY + PER_HOP,
         "composite-served query made {n} allocations"
     );
+}
+
+#[test]
+fn multi_box_merges_allocate_a_constant_whatever_the_pass_count() {
+    // A 256-cell range through three scatter hops: Q′ is one box, and every
+    // hop's output is some 256 points out of order.
+    let (db, names) = chain(3, 4096);
+    let cells: Vec<Vec<i64>> = (1000..1256).map(|v| vec![v]).collect();
+    let (mut frontier, n) = allocations(|| BoxTable::from_cells(1, &cells));
+    assert_eq!(frontier.n_boxes(), 1);
+    assert!(n <= 1, "encoding a 256-cell range made {n} allocations");
+    let exec = QueryExec::new(db.query_options());
+    for hop in names.windows(2) {
+        let table = db.storage().resolve_hop(&hop[0], &hop[1]).unwrap().0;
+        let (mut out, _) = exec.hop(&frontier, &table).unwrap();
+        let boxes = out.n_boxes();
+        assert!(boxes >= 128, "the hop must scatter the range");
+        let ((), n) = allocations(|| out.merge());
+        assert!(n <= PER_MERGE, "merging {boxes} boxes made {n} allocations");
+        frontier = out;
+    }
+    let path: Vec<&str> = names.iter().map(String::as_str).collect();
+    assert_eq!(
+        db.prov_query(&path, &cells).unwrap().cells.cell_set(),
+        frontier.cell_set()
+    );
+
+    // Shuffled full grids: each pass sorts and merges, one pass per
+    // attribute — one for a 1-D run, three for a 3-D cube.
+    for (arity, side) in [(1, 256usize), (2, 16), (3, 8)] {
+        let mut grid: Vec<Vec<i64>> = (0..side.pow(arity as u32))
+            .map(|mut i| {
+                (0..arity)
+                    .map(|_| {
+                        let v = i % side;
+                        i /= side;
+                        v as i64
+                    })
+                    .collect()
+            })
+            .collect();
+        for i in (1..grid.len()).rev() {
+            grid.swap(i, (i * 7919 + 13) % (i + 1));
+        }
+        let mut t = BoxTable::new(arity);
+        for cell in &grid {
+            let row: Vec<_> = cell.iter().map(|&v| Interval::point(v)).collect();
+            t.push_box(&row);
+        }
+        let ((), n) = allocations(|| t.merge());
+        assert_eq!(t.n_boxes(), 1, "a full grid merges to one box");
+        assert!(n <= PER_MERGE, "{arity}-D grid merge made {n} allocations");
+    }
 }

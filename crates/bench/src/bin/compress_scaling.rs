@@ -9,7 +9,11 @@
 //! Rows arriving in ascending order are compressed in place; any other
 //! order builds the columnar arena first. `one_to_one_shuffled` is the
 //! one-to-one relation with its rows in a fixed-seed shuffled order, so
-//! the file carries both sides of that input-order choice.
+//! the file carries both sides of that input-order choice. `identity_2d` is
+//! the elementwise map on a square 2-D array, rows in order as
+//! `dslog_benchmark`'s numpy edges bring them: its step-2 passes on the
+//! last output axis under masks `11` and `01` find the rows out of their
+//! order and are proven no-ops without a sort.
 //!
 //! Emits an aligned table on stdout and machine-readable
 //! `BENCH_compress.json` in the working directory. Every measured pair is
@@ -127,6 +131,8 @@ fn main() {
             in_shape.clone(),
         );
         edges.insert(1, one_to_one_shuffled);
+        let (identity, out_shape, in_shape) = dslog_workloads::edges::identity_2d(rows);
+        edges.push(("identity_2d", identity, out_shape, in_shape));
         for (edge, lineage, out_shape, in_shape) in edges {
             let pt = measure(edge, &lineage, &out_shape, &in_shape, reps);
             let speedup = pt.ablation_p50 / pt.fast_p50.max(1e-12);

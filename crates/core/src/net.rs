@@ -1031,6 +1031,31 @@ mod tests {
         assert!(stats.requests >= 6);
     }
 
+    /// A client's rows are checked against the arrays' shapes: an
+    /// out-of-shape coordinate is an error reply, not a panic inside
+    /// compression, and the session keeps serving.
+    #[test]
+    fn out_of_shape_ingest_is_an_error_reply() {
+        let (_service, server) = spawn_test_server(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        });
+        let (mut reader, mut writer) = connect(server.local_addr());
+        for rows in ["0,0;1,-9223372036854775808", "0,8", "-1,0"] {
+            let resp = roundtrip(&mut reader, &mut writer, &format!("ingest A B {rows}"));
+            assert!(
+                resp.starts_with("{\"ok\":false") && resp.contains("out of bounds"),
+                "{resp}"
+            );
+        }
+        let resp = roundtrip(&mut reader, &mut writer, "ingest A B 0,1;1,2");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        let resp = roundtrip(&mut reader, &mut writer, "stats");
+        assert!(resp.contains("\"edges\":1"), "{resp}");
+        server.stop();
+        server.join();
+    }
+
     #[test]
     fn query_batch_and_stats_responses() {
         let (_service, server) = spawn_test_server(ServeOptions {

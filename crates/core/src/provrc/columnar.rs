@@ -27,6 +27,16 @@
 //!   the arena already folded, one row per run; one that merges nothing
 //!   writes nothing. The first pass that needs a sort builds the arena
 //!   from the input, and every later pass runs packed, as below.
+//! * **Proven no-op passes.** On the input every cell is a point, so two
+//!   rows merge in a pass only if one is the other plus a fixed vector Δ:
+//!   `e_k` for step 1 on secondary `k`, `e_j + Σ_{i∈mask} e_{sec i}` for
+//!   step 2 on primary `j` (a masked word is `s_i − t`). Adding Δ keeps
+//!   the rows ascending, so a pass the input is out of order for is
+//!   first tried as one merge of the rows against themselves shifted; if
+//!   no row meets another, the pass is skipped and the input stays in
+//!   place. Only the last pass's order is observable: the latest skipped
+//!   pass is owed, and runs for real at the end unless another pass ran
+//!   after it — one sort, not one per pass.
 //! * **Radix sort.** Keys packed into a `u64` sort with a linear LSD radix
 //!   sort (`(key, row id)` pairs, stable, hence deterministic); an O(n)
 //!   pre-check skips sorting when the packed keys are already in order.
@@ -41,9 +51,9 @@
 //! * **Zero-copy no-op passes.** A pass that merges nothing rewrites
 //!   neither the view nor the arena: row order is irrelevant to later
 //!   passes (each re-sorts, and distinct rows never compare equal). On the
-//!   view the physical order already is the pass's order; on the arena
-//!   only the final pass's permutation is remembered and applied when the
-//!   table is materialized.
+//!   view the physical order already is the pass's order, or the pass is
+//!   owed (above); on the arena only the final pass's permutation is
+//!   remembered and applied when the table is materialized.
 //!
 //! One compression runs on the calling thread: an in-pass parallel sort
 //! and a run-chunked scan were measured slower on every shape from 20 k to
@@ -276,6 +286,39 @@ impl View<'_> {
         }
         (a[t] < b[t]).then(|| a[t] + 1 == b[t])
     }
+
+    /// Whether some of the first `n` rows plus `shift` (one entry per
+    /// column) is also a row: one merge of the ascending rows against
+    /// themselves shifted, which ascend too. A row whose shift overflows
+    /// has no partner.
+    fn meets_shifted(&self, n: usize, shift: &[i64]) -> bool {
+        let cmp = |a: &[i64], b: &[i64]| {
+            for ((&x, &y), &d) in a.iter().zip(b).zip(shift) {
+                match y.checked_add(d).map_or(Ordering::Less, |y| x.cmp(&y)) {
+                    Ordering::Equal => {}
+                    unequal => return unequal,
+                }
+            }
+            Ordering::Equal
+        };
+        let (mut a, mut b) = (0, 0);
+        while a < n && b < n {
+            match cmp(self.row(a), self.row(b)) {
+                Ordering::Less => a += 1,
+                Ordering::Greater => b += 1,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+}
+
+/// One range-encoding pass: step 1 on a secondary attribute, or step 2 on
+/// a primary attribute under a rel-mask.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Secondary(usize),
+    Primary(usize, u64),
 }
 
 /// The double-buffered columnar working set plus every pass's scratch
@@ -291,6 +334,11 @@ struct Arena<'a> {
     view: Option<View<'a>>,
     /// A view pass's group words (see [`View::step`]).
     group: Vec<(usize, bool)>,
+    /// A view pass's Δ (see [`View::meets_shifted`]).
+    shift: Vec<i64>,
+    /// The latest pass skipped on the view as a proven no-op, unless a
+    /// pass ran after it: its order is the output's.
+    owed: Option<Pass>,
     /// `prim[k][r]` is row `r`'s primary attribute `k`.
     prim: Vec<Vec<Interval>>,
     /// `sec[k][r]` is row `r`'s secondary attribute `k`.
@@ -347,6 +395,8 @@ impl<'a> Arena<'a> {
             n: table.n_rows(),
             view: Some(view),
             group: Vec::new(),
+            shift: Vec::new(),
+            owed: None,
             prim: vec![Vec::new(); prim_arity],
             sec: vec![Vec::new(); sec_arity],
             prim_next: vec![Vec::new(); prim_arity],
@@ -386,20 +436,36 @@ impl<'a> Arena<'a> {
     /// Run a pass on the view when the view is already in its order (see
     /// [`View::step`] for `self.group` and `t`): one sweep checks the order
     /// and counts the runs, and only a pass that merges sweeps again to
-    /// write the folded arena, one row per run. With `rel = Some((j,
-    /// mask))` (step 2), a merged run's masked secondary cells become
-    /// relative to primary attribute `j`. Returns `false`, having touched
-    /// nothing, when the pass needs a sort.
-    fn view_pass(&mut self, t: usize, rel: Option<(usize, u64)>) -> bool {
+    /// write the folded arena, one row per run. In a step-2 pass on
+    /// primary attribute `j`, a merged run's masked secondary cells become
+    /// relative to `j`. A pass the view is out of order for is skipped,
+    /// and owed, when no row plus its Δ is a row. Returns
+    /// `false`, having touched nothing, when the pass needs a sort.
+    fn view_pass(&mut self, t: usize, pass: Pass) -> bool {
         let Some(view) = self.view else { return false };
         let n = self.n;
         let mut runs = 1;
         for r in 1..n {
             match view.step(r, &self.group, t) {
                 Some(extends) => runs += usize::from(!extends),
-                None => return false,
+                None => {
+                    self.shift.clear();
+                    self.shift.resize(view.arity, 0);
+                    self.shift[t] = 1;
+                    for &(c, rel) in &self.group {
+                        self.shift[c] = i64::from(rel);
+                    }
+                    let skip = !view.meets_shifted(n, &self.shift);
+                    self.owed = skip.then_some(pass);
+                    return skip;
+                }
             }
         }
+        self.owed = None;
+        let rel = match pass {
+            Pass::Primary(j, mask) => Some((j, mask)),
+            Pass::Secondary(_) => None,
+        };
         if runs == n {
             return true;
         }
@@ -497,7 +563,7 @@ impl<'a> Arena<'a> {
             let sec = (0..self.sec_arity).filter(|&i| i != k);
             self.group
                 .extend(prim.chain(sec.map(|i| (view.sec_off + i, false))));
-            if self.view_pass(view.sec_off + k, None) {
+            if self.view_pass(view.sec_off + k, Pass::Secondary(k)) {
                 return;
             }
             self.build(0..self.n);
@@ -698,7 +764,7 @@ impl<'a> Arena<'a> {
             let sec = (0..self.sec_arity).map(|i| (view.sec_off + i, mask & (1 << i) != 0));
             self.group
                 .extend(prim.map(|p| (view.prim_off + p, false)).chain(sec));
-            if self.view_pass(view.prim_off + j, Some((j, mask))) {
+            if self.view_pass(view.prim_off + j, Pass::Primary(j, mask)) {
                 return;
             }
             self.build(0..self.n);
@@ -850,14 +916,21 @@ impl<'a> Arena<'a> {
 
     /// Materialize the final columns as a [`CompressedTable`], applying the
     /// pending permutation of a trailing zero-merge pass if any (a view
-    /// that no pass folded is already in its final order).
+    /// that no pass folded is in its final order once the owed pass, if
+    /// any, has sorted it).
     fn into_table(
         mut self,
         orientation: Orientation,
         out_shape: &[usize],
         in_shape: &[usize],
     ) -> CompressedTable {
+        let owed = self.owed.take();
         self.build(0..self.n);
+        match owed {
+            Some(Pass::Secondary(k)) => self.secondary_pass(k),
+            Some(Pass::Primary(j, mask)) => self.primary_pass(j, mask),
+            None => {}
+        }
         // Attribute extents, in the table's primary-then-secondary order.
         let (prim_shape, sec_shape) = match orientation {
             Orientation::Backward => (out_shape, in_shape),

@@ -19,6 +19,10 @@
 //! * We re-sort before every per-attribute pass instead of sorting once;
 //!   this finds strictly more merges and each merge remains an exact
 //!   union-of-Cartesian-products rewrite, so losslessness is unaffected.
+//!   A pass that merges nothing leaves the row set as it was, and only the
+//!   last pass's sort fixes the output row order. So on sorted input a
+//!   pass proven to merge nothing does not sort; the latest such pass, if
+//!   no pass ran after it, sorts once when the table is emitted.
 //! * When encoding primary attribute `b_j`, the paper's condition "some
 //!   column of `{a_i, a_i b_1, …, a_i b_l}` agrees" reduces to
 //!   "`a_i` agrees absolutely OR `a_i − b_j` agrees" because all other
@@ -68,6 +72,13 @@ impl Default for CompressOptions {
 /// `out_shape` / `in_shape` are the shapes of the output and input arrays;
 /// they are recorded as attribute extents (used by index reshaping and for
 /// reporting) and do not affect correctness of compression itself.
+///
+/// Precondition: every coordinate lies in `[0, dim)` of its array. Ingest
+/// (`StorageManager::prepare`) refuses any other row with
+/// [`DslogError::CellOutOfBounds`](crate::DslogError::CellOutOfBounds), so
+/// no stored table breaks it. Called directly on other rows, compression
+/// still terminates, but a relative delta `s − t` or an interval end
+/// `hi + 1` past the `i64` range overflows.
 pub fn compress(
     table: &LineageTable,
     out_shape: &[usize],

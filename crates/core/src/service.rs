@@ -694,6 +694,7 @@ impl Drop for DslogService {
 mod tests {
     use super::*;
     use crate::api::TableCapture;
+    use crate::storage::wal::OpKind;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dslog-service-{tag}-{}", std::process::id()));
@@ -1060,6 +1061,51 @@ mod tests {
             .ingest_batch(vec![IngestJob::new("B", "C", small_lineage(8, 1))])
             .unwrap_err();
         assert!(matches!(err, DslogError::ArityMismatch { .. }));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression (no ingest path checked lineage values, and a debug
+    /// build panicked on `[1, i64::MIN]` inside ProvRC): a row with a
+    /// coordinate outside its array's shape refuses the whole call with
+    /// `CellOutOfBounds` before anything is compressed, stored or logged.
+    #[test]
+    fn out_of_shape_rows_are_refused_whole() {
+        let mut db = Dslog::new();
+        db.define_array("A", &[4]).unwrap();
+        db.define_array("B", &[4]).unwrap();
+        for row in [[1, i64::MIN], [1, 4], [-1, 0], [4, 0]] {
+            let capture = TableCapture::new(LineageTable::from_rows(1, 1, &[&[0, 0], &row]));
+            let err = db.add_lineage("A", "B", &capture).unwrap_err();
+            assert!(
+                matches!(&err, DslogError::CellOutOfBounds { index, shape }
+                    if index[..] == row && shape[..] == [4, 4]),
+                "{row:?}: {err:?}"
+            );
+        }
+        assert_eq!(db.storage().n_edges(), 0);
+
+        let dir = temp_dir("out-of-shape");
+        let service = bound_service(&dir, AutoCommitPolicy::manual());
+        let before = service.history().unwrap().len();
+        service.define_array("C", &[8]).unwrap();
+        let bad = LineageTable::from_rows(1, 1, &[&[0, 0], &[1, i64::MIN]]);
+        let err = service
+            .ingest_batch(vec![
+                IngestJob::new("B", "C", small_lineage(8, 1)),
+                IngestJob::new("A", "C", bad),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, DslogError::CellOutOfBounds { .. }), "{err:?}");
+        let stats = service.stats();
+        assert_eq!((stats.edges, stats.pending_edges), (1, 0));
+        // The commit logs the define and nothing of the refused batch.
+        service.commit().unwrap();
+        let records = service.history().unwrap();
+        assert_eq!(records.len(), before + 2, "{records:?}");
+        assert!(!records.iter().any(|r| matches!(
+            &r.kind,
+            OpKind::IngestEdge { out_array, .. } if out_array == "C"
+        )));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -112,3 +112,29 @@ fn sorted_convolution_writes_one_folded_arena() {
     let budget = cells * per_folded_row + (64 << 10);
     assert!(bytes <= budget, "{bytes} bytes allocated, budget {budget}");
 }
+
+#[test]
+fn sorted_2d_identity_writes_only_its_folding_pass() {
+    // `B[i, j] <- A[i, j]` on 200 x 200, rows ascending as a numpy edge
+    // brings them. Step 1 finds the rows in its order; on the last output
+    // axis, masks `11` and `01` are out of order and proven no-ops (no
+    // row plus their shift is a row), so they skip without an arena; mask
+    // `10` folds the rows in place into one per output row `i`. Only that
+    // folding pass writes, one arena row per folded row, and later passes
+    // run on those rows.
+    let side = 200usize;
+    let mut t = LineageTable::with_capacity(2, 2, side * side);
+    for i in 0..side as i64 {
+        for j in 0..side as i64 {
+            t.push_row(&[i, j, i, j]);
+        }
+    }
+    let (table, bytes) = compress_counted(&t, &[side, side]);
+    assert_eq!(table.n_rows(), 1);
+    // An arena row is two 16-byte primary intervals and two 24-byte
+    // secondary cells. The unfolded arena alone would be 3.2 MB, and a
+    // sort's key pairs 0.6 MB.
+    let per_arena_row = 2 * 16 + 2 * 24;
+    let budget = side * per_arena_row + (64 << 10);
+    assert!(bytes <= budget, "{bytes} bytes allocated, budget {budget}");
+}

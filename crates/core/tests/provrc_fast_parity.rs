@@ -295,3 +295,58 @@ fn view_to_arena_handoff_parity() {
     assert_parity_fixed(&LineageTable::new(1, 2), &[3], &[3, 3]);
     assert_parity_fixed(&LineageTable::from_rows(1, 2, &[&[2, 0, 1]]), &[3], &[3, 3]);
 }
+
+/// Sorted input whose passes the view is out of order for: each is first
+/// tried as a merge of the rows against themselves shifted by the pass's
+/// Δ, skipped when no row meets another, and only the last skipped pass
+/// (if no pass ran after it) sorts, when the table is emitted.
+#[test]
+fn proven_no_op_passes_parity() {
+    // A 2-D identity, as a numpy edge brings it: the step-2 passes on the
+    // last output axis under masks `11` and `01` key on `a0 − b1`, fall
+    // out of order and merge nothing; mask `10` folds the rows in place.
+    let side = 200i64;
+    let mut identity = LineageTable::with_capacity(2, 2, (side * side) as usize);
+    for i in 0..side {
+        for j in 0..side {
+            identity.push_row(&[i, j, i, j]);
+        }
+    }
+    let shape = [side as usize; 2];
+    assert_parity_fixed(&identity, &shape, &shape);
+
+    // No pass merges anything, so the rows leave in the order of the last
+    // skipped pass's sort, and nothing else sorts them. `B[i] ← A[7i mod
+    // n]` has no two rows `r`, `r + Δ` for any pass's Δ.
+    let n = 50i64;
+    let mut scatter = LineageTable::new(1, 1);
+    let mut scatter_2d = LineageTable::new(2, 2);
+    for i in 0..n {
+        scatter.push_row(&[i, i * 7 % n]);
+        for j in 0..4 {
+            scatter_2d.push_row(&[i, j, (i * 7 + j) % n, 3 - j]);
+        }
+    }
+    assert_parity_fixed(&scatter, &[n as usize], &[n as usize]);
+    assert_parity_fixed(&scatter_2d, &[n as usize, 4], &[n as usize, 4]);
+}
+
+/// A row whose shift by a pass's Δ leaves the `i64` range has no partner.
+/// Ingest refuses such coordinates, so `provrc::compress` is called
+/// directly. The backward orientation keeps `i64::MAX` on the secondary
+/// side, where no pass adds to it.
+#[test]
+fn shifted_rows_past_i64_max_have_no_partner() {
+    let max = i64::MAX;
+    let mut t = LineageTable::new(1, 2);
+    for o in 0..4 {
+        t.push_row(&[o, o, max - 3]);
+        t.push_row(&[o, max - o, max]);
+    }
+    let shape = [max as usize];
+    let (out_shape, in_shape) = (&shape[..], &[max as usize; 2][..]);
+    let fast = provrc::compress(&t, out_shape, in_shape, Orientation::Backward);
+    let reference = compress_reference(&t, out_shape, in_shape, Orientation::Backward);
+    assert_eq!(fast, reference);
+    assert_eq!(fast.decompress().unwrap().row_set(), t.row_set());
+}

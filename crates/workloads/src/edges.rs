@@ -10,6 +10,8 @@
 //!   delta.
 //! * [`scatter`] — pseudo-random permutation read; the incompressible worst
 //!   case ("Sort is the worst case for ProvRC"), ~n rows survive.
+//!
+//! [`identity_2d`], outside [`all`], is the elementwise map on a 2-D array.
 
 use dslog::table::LineageTable;
 
@@ -50,6 +52,21 @@ pub fn scatter(n: usize) -> (LineageTable, Vec<usize>, Vec<usize>) {
         t.push_row(&[i, h]);
     }
     (t, vec![n], vec![n])
+}
+
+/// Elementwise lineage `B[i, j] ← A[i, j]` over a square 2-D array of about
+/// `n` cells, rows in order: the shape of a numpy edge. ProvRC compresses
+/// it to one row; on the way, step-2 passes whose order the rows lack
+/// merge nothing.
+pub fn identity_2d(n: usize) -> (LineageTable, Vec<usize>, Vec<usize>) {
+    let side = n.isqrt().max(1);
+    let mut t = LineageTable::with_capacity(2, 2, side * side);
+    for i in 0..side as i64 {
+        for j in 0..side as i64 {
+            t.push_row(&[i, j, i, j]);
+        }
+    }
+    (t, vec![side; 2], vec![side; 2])
 }
 
 /// All three canonical edges by name, for benchmark sweeps.
@@ -94,6 +111,14 @@ mod tests {
         let c = provrc::compress(&t, &out_shape, &in_shape, Orientation::Backward);
         assert!(c.n_rows() > 256, "got {}", c.n_rows());
         assert_eq!(c.decompress().unwrap().row_set(), t.normalized().row_set());
+    }
+
+    #[test]
+    fn identity_2d_compresses_to_single_row() {
+        let (t, out_shape, in_shape) = identity_2d(400);
+        assert_eq!((t.n_rows(), &out_shape[..]), (400, &[20, 20][..]));
+        let c = provrc::compress(&t, &out_shape, &in_shape, Orientation::Backward);
+        assert_eq!(c.n_rows(), 1, "got:\n{c}");
     }
 
     #[test]

@@ -126,6 +126,17 @@ impl Interval {
     pub fn iter(&self) -> impl Iterator<Item = i64> {
         self.lo..=self.hi
     }
+
+    /// The interval's two sort-key words: `lo` through [`ord64`], then the
+    /// length `hi − lo`, which orders like `hi` among equal `lo`s and is 0
+    /// for a point. Exact over the whole `i64` range.
+    #[inline]
+    pub(crate) fn key_words(self) -> [u64; 2] {
+        [
+            ord64(self.lo),
+            (self.hi as u64).wrapping_sub(self.lo as u64),
+        ]
+    }
 }
 
 impl std::fmt::Display for Interval {
@@ -186,6 +197,14 @@ mod tests {
         assert_eq!(a.len(), 5);
         assert!(a.contains(0));
         assert!(!a.contains(3));
+    }
+
+    #[test]
+    fn ord64_preserves_order() {
+        let vals = [i64::MIN, -5, -1, 0, 1, 7, i64::MAX];
+        for pair in vals.windows(2) {
+            assert!(ord64(pair[0]) < ord64(pair[1]));
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod provrc;
 pub mod query;
 pub mod reuse;
 pub mod service;
+mod sort;
 pub mod storage;
 pub mod table;
 

@@ -10,15 +10,16 @@
 //!   attribute, double-buffered so a pass writes merged rows into reusable
 //!   scratch columns. No per-row heap allocations (the reference's row
 //!   struct carries two) and no pointer chasing inside comparators.
-//! * **Bit-packed sort keys.** Every pass's conceptual sort key is a fixed
-//!   vector of order-preserving `u64` words (sign-flipped `i64`s). A
-//!   column-major stats sweep finds the words that actually vary (constant
-//!   words and words row-wise equal to their predecessor — e.g. `hi == lo`
-//!   for point intervals — are dropped; both eliminations provably
-//!   preserve the comparator), then the surviving words are range-reduced
-//!   and bit-packed. Real passes almost always fit 64 or 128 bits, so a
-//!   comparison never touches a key buffer, let alone a per-cell key
-//!   function.
+//! * **One sort kernel.** Every pass's sort key is a fixed vector of
+//!   order-preserving `u64` words: a primary interval is `lo` and its
+//!   length, a secondary cell a tag and three words. They stream out of
+//!   the arena, one sweep per attribute, into `crate::sort::KeySort`,
+//!   which drops the constant words, range-reduces and packs the rest
+//!   above the row id, and sorts (radix for big keys whose words fit 64
+//!   bits). Every word but the tag is an `ord64` image or a length, so
+//!   cells of both kinds share a word's small range: a column that mixes
+//!   `Abs` and `Rel` cells packs into the bits its values span, not into
+//!   64 per word. A point's length word is constant and takes no bits.
 //! * **The input, read in place.** Rows that arrive strictly ascending
 //!   (as capture paths and regular generators emit them) are not copied:
 //!   a pass whose order `LineageTable`'s row-major data already has is one
@@ -37,10 +38,6 @@
 //!   place. Only the last pass's order is observable: the latest skipped
 //!   pass is owed, and runs for real at the end unless another pass ran
 //!   after it — one sort, not one per pass.
-//! * **Radix sort.** Keys packed into a `u64` sort with a linear LSD radix
-//!   sort (`(key, row id)` pairs, stable, hence deterministic); an O(n)
-//!   pre-check skips sorting when the packed keys are already in order.
-//!   Wider keys fall back to a comparison sort.
 //! * **Mask pruning.** A rel-mask bit is *live* only if some active row has
 //!   a still-absolute cell in that column *and* a singleton target
 //!   attribute — otherwise toggling it provably cannot change the pass's
@@ -52,8 +49,8 @@
 //!   neither the view nor the arena: row order is irrelevant to later
 //!   passes (each re-sorts, and distinct rows never compare equal). On the
 //!   view the physical order already is the pass's order, or the pass is
-//!   owed (above); on the arena only the final pass's permutation is
-//!   remembered and applied when the table is materialized.
+//!   owed (above); on the arena the kernel keeps the final pass's order,
+//!   applied when the table is materialized.
 //!
 //! One compression runs on the calling thread: an in-pass parallel sort
 //! and a run-chunked scan were measured slower on every shape from 20 k to
@@ -61,6 +58,7 @@
 //! orientations (`super::compress_batch_parallel_opts`).
 
 use crate::interval::{ord64, Interval};
+use crate::sort::{KeySort, Words};
 use crate::table::{Cell, CompressedTable, LineageTable, Orientation};
 use std::cmp::Ordering;
 
@@ -122,9 +120,6 @@ fn build_masks(n_abs: usize) -> Vec<u64> {
     }
 }
 
-/// Comparison-sort pairs below this row count; radix-sort at or above it.
-const RADIX_MIN: usize = 1 << 13;
-
 /// An in-progress merge run over the sorted permutation: `first` is the row
 /// whose cells seed the output row, `hi` the accumulated end of the target
 /// interval, `merged` whether ≥ 2 rows were absorbed.
@@ -161,92 +156,42 @@ pub(super) fn compress(
     arena.into_table(orientation, out_shape, in_shape)
 }
 
-/// Running min/max of one key word plus whether it equals the previous
-/// word of the same cell on every row (in which case it carries no extra
-/// ordering information and is dropped from the packed key).
-#[derive(Debug, Clone, Copy)]
-struct WordStat {
-    min: u64,
-    max: u64,
-    eq_prev: bool,
-}
-
-impl WordStat {
-    const EMPTY: WordStat = WordStat {
-        min: u64::MAX,
-        max: 0,
-        eq_prev: false,
-    };
-
-    #[inline]
-    fn update(&mut self, v: u64) {
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-}
-
-/// One surviving key word in the packed representation.
-#[derive(Debug, Clone, Copy)]
-struct KeptWord {
-    /// Index in the pass's conceptual word vector.
-    word: usize,
-    /// Bit width of `max − min`.
-    width: u32,
-    /// Subtracted before packing.
-    min: u64,
-}
-
-/// How the current pass's keys are represented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyMode {
-    /// All surviving words fit 64 packed bits.
-    Packed64,
-    /// All surviving words fit 128 packed bits.
-    Packed128,
-    /// Wider: full word vectors with prefix-accelerated comparisons.
-    Wide,
-}
-
-/// Pack layout decided from the word stats.
-struct Plan {
-    mode: KeyMode,
-    /// Packed bits of the surviving *target* words (they pack last, i.e.
-    /// into the low bits, so the group prefix is a right shift away).
-    target_bits: u32,
-    /// Total packed bits (`Packed64` / `Packed128` only).
-    total_bits: u32,
-}
-
-/// The four packed key words of a step-1 cell: absolute cells sort before
+/// The four key words of a step-1 cell: absolute cells sort before
 /// relative ones.
 #[inline]
 fn cell_key_words(cell: WCell) -> [u64; 4] {
     match cell {
-        WCell::Abs(ivl) => [0, ord64(ivl.lo), ord64(ivl.hi), 0],
-        WCell::Rel { anchor, delta } => [1, u64::from(anchor), ord64(delta.lo), ord64(delta.hi)],
+        WCell::Abs(ivl) => abs_key(0, ivl),
+        WCell::Rel { anchor, delta } => rel_key(1, anchor, delta),
     }
 }
 
-/// The four packed key words of a step-2 cell under a rel-mask bit. The
-/// tag word keeps distinct representations from comparing equal: 0 abs,
-/// 1 abs-by-delta (point target), 2 abs kept absolute under an interval
+/// The four key words of a step-2 cell under a rel-mask bit. The tag word
+/// keeps distinct representations from comparing equal: 0 abs, 1
+/// abs-by-delta (point target), 2 abs kept absolute under an interval
 /// target (never converted), 3 already relative, by `(anchor, delta)`.
 #[inline]
 fn sec_key_words(cell: WCell, want_rel: bool, prim_j: Interval) -> [u64; 4] {
     match cell {
-        WCell::Abs(ivl) => {
-            if want_rel {
-                if prim_j.is_point() {
-                    [1, ord64(ivl.lo - prim_j.lo), ord64(ivl.hi - prim_j.lo), 0]
-                } else {
-                    [2, ord64(ivl.lo), ord64(ivl.hi), 0]
-                }
-            } else {
-                [0, ord64(ivl.lo), ord64(ivl.hi), 0]
-            }
-        }
-        WCell::Rel { anchor, delta } => [3, u64::from(anchor), ord64(delta.lo), ord64(delta.hi)],
+        WCell::Abs(ivl) if want_rel && prim_j.is_point() => abs_key(1, ivl.sub_point(prim_j.lo)),
+        WCell::Abs(ivl) => abs_key(if want_rel { 2 } else { 0 }, ivl),
+        WCell::Rel { anchor, delta } => rel_key(3, anchor, delta),
     }
+}
+
+/// `[tag, lo, 0, length]`: an absolute cell's key words, its constant
+/// third word aligned with a relative cell's `δ.lo`.
+#[inline]
+fn abs_key(tag: u64, ivl: Interval) -> [u64; 4] {
+    let [lo, len] = ivl.key_words();
+    [tag, lo, ord64(0), len]
+}
+
+/// `[tag, anchor, δ.lo, δ length]`: a relative cell's key words.
+#[inline]
+fn rel_key(tag: u64, anchor: u8, delta: Interval) -> [u64; 4] {
+    let [lo, len] = delta.key_words();
+    [tag, ord64(i64::from(anchor)), lo, len]
 }
 
 /// The input relation read in place: row-major and strictly ascending
@@ -345,26 +290,13 @@ struct Arena<'a> {
     sec: Vec<Vec<WCell>>,
     prim_next: Vec<Vec<Interval>>,
     sec_next: Vec<Vec<WCell>>,
-    /// Per-word stats of the current pass.
-    stats: Vec<WordStat>,
-    /// Surviving words of the current pass, in word order.
-    kept: Vec<KeptWord>,
-    /// `(packed key, row id)` pairs for the `Packed64` mode.
-    pairs64: Vec<(u64, u32)>,
-    pairs64_tmp: Vec<(u64, u32)>,
-    /// `(packed key, row id)` pairs for the `Packed128` mode.
-    pairs128: Vec<(u128, u32)>,
-    /// Radix-sort bucket counters.
-    counts: Vec<u32>,
-    /// Full key words (`Wide` mode only), `w` per row.
-    wide_keys: Vec<u64>,
-    wide_sort: Vec<(u128, u32)>,
+    /// The latest pass's sort.
+    keys: KeySort,
     runs: Vec<Run>,
-    /// Sorted order of the most recent pass when that pass skipped
-    /// materialization (zero merges); the arena columns are then still in
-    /// the previous order and the final table emission applies this.
-    last_perm: Vec<u32>,
-    last_perm_valid: bool,
+    /// Whether the latest pass merged nothing and so left the columns in
+    /// the order before it: the rows' order is then `keys`', applied when
+    /// the table is emitted.
+    keys_order_pending: bool,
 }
 
 impl<'a> Arena<'a> {
@@ -401,17 +333,9 @@ impl<'a> Arena<'a> {
             sec: vec![Vec::new(); sec_arity],
             prim_next: vec![Vec::new(); prim_arity],
             sec_next: vec![Vec::new(); sec_arity],
-            stats: Vec::new(),
-            kept: Vec::new(),
-            pairs64: Vec::new(),
-            pairs64_tmp: Vec::new(),
-            pairs128: Vec::new(),
-            counts: Vec::new(),
-            wide_keys: Vec::new(),
-            wide_sort: Vec::new(),
+            keys: KeySort::default(),
             runs: Vec::new(),
-            last_perm: Vec::new(),
-            last_perm_valid: false,
+            keys_order_pending: false,
         };
         if !already_sorted_unique {
             let order = table.sorted_unique_row_perm();
@@ -510,44 +434,18 @@ impl<'a> Arena<'a> {
         }
     }
 
-    /// Decide the key representation from `self.stats`. Words are dropped
-    /// when constant (`min == max`) or row-wise equal to their predecessor;
-    /// neither can change any comparison: the first word on which two rows
-    /// differ is always kept (a dropped word's value is determined by an
-    /// earlier word). Survivors are range-reduced to `max − min` and
-    /// packed most-significant-first, so packed-integer order equals
-    /// word-vector order.
-    fn build_plan(&mut self, w: usize, target_words: usize) -> Plan {
-        self.kept.clear();
-        let mut total: u32 = 0;
-        let mut target: u32 = 0;
-        for (i, s) in self.stats.iter().enumerate() {
-            if s.max <= s.min || s.eq_prev {
-                continue;
-            }
-            let width = 64 - (s.max - s.min).leading_zeros();
-            self.kept.push(KeptWord {
-                word: i,
-                width,
-                min: s.min,
-            });
-            total = total.saturating_add(width);
-            if i >= w - target_words {
-                target += width;
-            }
-        }
-        let mode = if total <= 64 {
-            KeyMode::Packed64
-        } else if total <= 128 {
-            KeyMode::Packed128
-        } else {
-            KeyMode::Wide
+    /// Sort the arena's rows into `pass`'s order: by every attribute's key
+    /// words, the target attribute's last. Returns the number of group
+    /// attributes, the ones before the target.
+    fn sort(&mut self, pass: Pass) -> usize {
+        let words = PassWords {
+            prim: &self.prim,
+            sec: &self.sec,
+            pass,
         };
-        Plan {
-            mode,
-            target_bits: target,
-            total_bits: total,
-        }
+        let attrs = self.prim_arity + self.sec_arity;
+        self.keys.sort(self.n, attrs, &words);
+        attrs - 1
     }
 
     /// Step-1 pass on secondary attribute `k`: sort by (all primary
@@ -568,62 +466,7 @@ impl<'a> Arena<'a> {
             }
             self.build(0..self.n);
         }
-        let w = 2 * self.prim_arity + 4 * self.sec_arity;
-
-        // Column-major stats sweep in pass word order.
-        self.stats.clear();
-        for col in &self.prim {
-            push_prim_stats(&mut self.stats, col);
-        }
-        for i in sec_order(self.sec_arity, k) {
-            push_cell_stats(&mut self.stats, &self.sec[i]);
-        }
-        let plan = self.build_plan(w, 4);
-
-        let n = self.n;
-        let (prim_arity, sec_arity) = (self.prim_arity, self.sec_arity);
-        {
-            let Self {
-                prim,
-                sec,
-                kept,
-                pairs64,
-                pairs64_tmp,
-                pairs128,
-                counts,
-                wide_keys,
-                wide_sort,
-                ..
-            } = self;
-            let source =
-                |word: usize| word_source_secondary(prim, sec, prim_arity, sec_arity, word, k);
-            match plan.mode {
-                KeyMode::Packed64 => {
-                    pack_columns_u64(pairs64, n, kept, plan.total_bits, source);
-                    sort_pairs_u64(pairs64, pairs64_tmp, counts, plan.total_bits);
-                }
-                KeyMode::Packed128 => {
-                    pack_columns_u128(pairs128, n, kept, plan.total_bits, source);
-                    sort_pairs_u128(pairs128);
-                }
-                KeyMode::Wide => {
-                    wide_keys.clear();
-                    wide_keys.reserve(n * w);
-                    for r in 0..n {
-                        for col in prim.iter() {
-                            let ivl = col[r];
-                            wide_keys.push(ord64(ivl.lo));
-                            wide_keys.push(ord64(ivl.hi));
-                        }
-                        for i in sec_order(sec_arity, k) {
-                            wide_keys.extend_from_slice(&cell_key_words(sec[i][r]));
-                        }
-                    }
-                    sort_wide(wide_sort, wide_keys, w, n);
-                }
-            }
-        }
-
+        let group = self.sort(Pass::Secondary(k));
         let sec_k = &self.sec[k];
         let init_hi = |first: u32| match sec_k[first as usize] {
             WCell::Abs(ivl) => ivl.hi,
@@ -635,24 +478,11 @@ impl<'a> Arena<'a> {
                 (WCell::Abs(_), WCell::Abs(c)) if hi + 1 == c.lo => Some(c.hi),
                 _ => None,
             };
-        scan_by_mode(
-            plan.mode,
-            &self.pairs64,
-            &self.pairs128,
-            &self.wide_sort,
-            &self.wide_keys,
-            w,
-            w - 4,
-            plan.target_bits,
-            &mut self.runs,
-            init_hi,
-            extend,
-        );
-
-        if self.runs.len() == self.n {
-            // Zero merges: keep the arena untouched (order is irrelevant to
-            // later passes) and remember the sorted order for emission.
-            self.record_perm(plan.mode);
+        scan_runs(&self.keys, group, &mut self.runs, init_hi, extend);
+        // Zero merges: keep the arena untouched (order is irrelevant to
+        // later passes); the sorted order waits in `keys` for emission.
+        self.keys_order_pending = self.runs.len() == self.n;
+        if self.keys_order_pending {
             return;
         }
 
@@ -679,7 +509,6 @@ impl<'a> Arena<'a> {
         self.n = self.runs.len();
         std::mem::swap(&mut self.prim, &mut self.prim_next);
         std::mem::swap(&mut self.sec, &mut self.sec_next);
-        self.last_perm_valid = false;
     }
 
     /// Bit `i` of the result is set iff toggling rel-mask bit `i` can
@@ -769,96 +598,16 @@ impl<'a> Arena<'a> {
             }
             self.build(0..self.n);
         }
-        let w = 2 * (self.prim_arity - 1) + 4 * self.sec_arity + 2;
-
-        self.stats.clear();
-        for (p, col) in self.prim.iter().enumerate() {
-            if p != j {
-                push_prim_stats(&mut self.stats, col);
-            }
-        }
-        {
-            let pj = &self.prim[j];
-            for (i, col) in self.sec.iter().enumerate() {
-                let want_rel = mask & (1 << i) != 0;
-                push_sec_stats(&mut self.stats, col, pj, want_rel);
-            }
-            push_prim_stats(&mut self.stats, pj);
-        }
-        let plan = self.build_plan(w, 2);
-
-        let n = self.n;
-        let prim_arity = self.prim_arity;
-        {
-            let Self {
-                prim,
-                sec,
-                kept,
-                pairs64,
-                pairs64_tmp,
-                pairs128,
-                counts,
-                wide_keys,
-                wide_sort,
-                ..
-            } = self;
-            let source = |word: usize| word_source_primary(prim, sec, prim_arity, word, j, mask);
-            match plan.mode {
-                KeyMode::Packed64 => {
-                    pack_columns_u64(pairs64, n, kept, plan.total_bits, source);
-                    sort_pairs_u64(pairs64, pairs64_tmp, counts, plan.total_bits);
-                }
-                KeyMode::Packed128 => {
-                    pack_columns_u128(pairs128, n, kept, plan.total_bits, source);
-                    sort_pairs_u128(pairs128);
-                }
-                KeyMode::Wide => {
-                    let pj_col = &prim[j];
-                    wide_keys.clear();
-                    wide_keys.reserve(n * w);
-                    for r in 0..n {
-                        for (p, col) in prim.iter().enumerate() {
-                            if p != j {
-                                let ivl = col[r];
-                                wide_keys.push(ord64(ivl.lo));
-                                wide_keys.push(ord64(ivl.hi));
-                            }
-                        }
-                        let pj = pj_col[r];
-                        for (i, col) in sec.iter().enumerate() {
-                            let want_rel = mask & (1 << i) != 0;
-                            wide_keys.extend_from_slice(&sec_key_words(col[r], want_rel, pj));
-                        }
-                        wide_keys.push(ord64(pj.lo));
-                        wide_keys.push(ord64(pj.hi));
-                    }
-                    sort_wide(wide_sort, wide_keys, w, n);
-                }
-            }
-        }
-
+        let group = self.sort(Pass::Primary(j, mask));
         let prim_j = &self.prim[j];
         let init_hi = |first: u32| prim_j[first as usize].hi;
         let extend = |_first: u32, hi: i64, cur: u32| {
             let p = prim_j[cur as usize];
             (hi + 1 == p.lo).then_some(p.hi)
         };
-        scan_by_mode(
-            plan.mode,
-            &self.pairs64,
-            &self.pairs128,
-            &self.wide_sort,
-            &self.wide_keys,
-            w,
-            w - 2,
-            plan.target_bits,
-            &mut self.runs,
-            init_hi,
-            extend,
-        );
-
-        if self.runs.len() == self.n {
-            self.record_perm(plan.mode);
+        scan_runs(&self.keys, group, &mut self.runs, init_hi, extend);
+        self.keys_order_pending = self.runs.len() == self.n;
+        if self.keys_order_pending {
             return;
         }
 
@@ -900,22 +649,10 @@ impl<'a> Arena<'a> {
         self.n = self.runs.len();
         std::mem::swap(&mut self.prim, &mut self.prim_next);
         std::mem::swap(&mut self.sec, &mut self.sec_next);
-        self.last_perm_valid = false;
-    }
-
-    /// Remember the most recent sort order after a zero-merge pass.
-    fn record_perm(&mut self, mode: KeyMode) {
-        self.last_perm.clear();
-        match mode {
-            KeyMode::Packed64 => self.last_perm.extend(self.pairs64.iter().map(|p| p.1)),
-            KeyMode::Packed128 => self.last_perm.extend(self.pairs128.iter().map(|p| p.1)),
-            KeyMode::Wide => self.last_perm.extend(self.wide_sort.iter().map(|p| p.1)),
-        }
-        self.last_perm_valid = true;
     }
 
     /// Materialize the final columns as a [`CompressedTable`], applying the
-    /// pending permutation of a trailing zero-merge pass if any (a view
+    /// pending order of a trailing zero-merge pass if any (a view
     /// that no pass folded is in its final order once the owed pass, if
     /// any, has sorted it).
     fn into_table(
@@ -937,10 +674,10 @@ impl<'a> Arena<'a> {
             Orientation::Forward => (in_shape, out_shape),
         };
         let extents = prim_shape.iter().chain(sec_shape).map(|&d| d as i64);
-        let perm: Option<&[u32]> = self.last_perm_valid.then_some(&self.last_perm[..]);
+        let perm: Option<Vec<u32>> = self.keys_order_pending.then(|| self.keys.rows().collect());
         let mut columns: Vec<Vec<Cell>> = Vec::with_capacity(self.prim_arity + self.sec_arity);
         for col in &self.prim {
-            columns.push(match perm {
+            columns.push(match &perm {
                 Some(p) => p.iter().map(|&r| Cell::Abs(col[r as usize])).collect(),
                 None => col.iter().map(|&ivl| Cell::Abs(ivl)).collect(),
             });
@@ -950,7 +687,7 @@ impl<'a> Arena<'a> {
             WCell::Rel { anchor, delta } => Cell::Rel { anchor, delta },
         };
         for col in &self.sec {
-            columns.push(match perm {
+            columns.push(match &perm {
                 Some(p) => p.iter().map(|&r| to_cell(col[r as usize])).collect(),
                 None => col.iter().map(|&c| to_cell(c)).collect(),
             });
@@ -966,471 +703,141 @@ impl<'a> Arena<'a> {
     }
 }
 
-/// Secondary-pass column order: every attribute except `k`, then `k`.
-fn sec_order(sec_arity: usize, k: usize) -> impl Iterator<Item = usize> {
-    (0..sec_arity).filter(move |&i| i != k).chain([k])
-}
-
-/// The per-row values of conceptual word `word` for the secondary pass
-/// on `k` (word order: primary `(lo, hi)` pairs, then `cell_key` words of
-/// every secondary attribute except `k`, then `k`'s).
-fn word_source_secondary<'a>(
+/// The arena's key words for `pass`, one column per attribute: a primary
+/// interval's two words, a secondary cell's four. Step 1 on `k` orders the
+/// primary attributes, then the secondary ones with `k` last; step 2 on `j`
+/// the primary attributes but `j`, the secondary ones, then `j`.
+struct PassWords<'a> {
     prim: &'a [Vec<Interval>],
     sec: &'a [Vec<WCell>],
-    prim_arity: usize,
-    sec_arity: usize,
-    word: usize,
-    k: usize,
-) -> WordFill<'a> {
-    let pa2 = 2 * prim_arity;
-    if word < pa2 {
-        WordFill::Prim {
-            col: &prim[word / 2],
-            hi: word % 2 == 1,
-        }
-    } else {
-        // `sec_order`'s slot `slot`: `k` last, the others in order.
-        let slot = (word - pa2) / 4;
-        let col = if slot + 1 == sec_arity {
-            k
-        } else {
-            slot + usize::from(slot >= k)
-        };
-        WordFill::CellKey {
-            col: &sec[col],
-            sub: (word - pa2) % 4,
+    pass: Pass,
+}
+
+impl<'a> PassWords<'a> {
+    fn column(&self, col: usize) -> KeyColumn<'a> {
+        let (prim, sec) = (self.prim, self.sec);
+        match self.pass {
+            Pass::Secondary(k) => match col.checked_sub(prim.len()) {
+                None => KeyColumn::Prim(&prim[col]),
+                Some(i) if i + 1 == sec.len() => KeyColumn::Cell(&sec[k]),
+                Some(i) => KeyColumn::Cell(&sec[i + usize::from(i >= k)]),
+            },
+            Pass::Primary(j, mask) => match col.checked_sub(prim.len() - 1) {
+                None => KeyColumn::Prim(&prim[col + usize::from(col >= j)]),
+                Some(i) if i < sec.len() => KeyColumn::Sec {
+                    col: &sec[i],
+                    prim_j: &prim[j],
+                    want_rel: mask & (1 << i) != 0,
+                },
+                Some(_) => KeyColumn::Prim(&prim[j]),
+            },
         }
     }
 }
 
-/// The per-row values of conceptual word `word` for the primary pass on
-/// `j` under `mask` (word order: other primary `(lo, hi)` pairs, then
-/// masked `sec_key` words of every secondary attribute, then `j`'s pair).
-fn word_source_primary<'a>(
-    prim: &'a [Vec<Interval>],
-    sec: &'a [Vec<WCell>],
-    prim_arity: usize,
-    word: usize,
-    j: usize,
-    mask: u64,
-) -> WordFill<'a> {
-    let other = 2 * (prim_arity - 1);
-    if word < other {
-        // The primary attributes other than `j`, in order.
-        let slot = word / 2;
-        WordFill::Prim {
-            col: &prim[slot + usize::from(slot >= j)],
-            hi: word % 2 == 1,
+impl Words for PassWords<'_> {
+    fn width(&self, col: usize) -> usize {
+        match self.column(col) {
+            KeyColumn::Prim(_) => 2,
+            _ => 4,
         }
-    } else if word < other + 4 * sec.len() {
-        let slot = (word - other) / 4;
-        let sub = (word - other) % 4;
-        WordFill::SecKey {
-            col: &sec[slot],
-            prim_j: &prim[j],
-            want_rel: mask & (1 << slot) != 0,
-            sub,
-        }
-    } else {
-        WordFill::Prim {
-            col: &prim[j],
-            hi: (word - other - 4 * sec.len()) == 1,
-        }
+    }
+
+    fn each(&self, col: usize, f: impl FnMut([u64; 4])) {
+        self.column(col).for_each(f);
     }
 }
 
-/// Where a conceptual key word's per-row values come from.
-enum WordFill<'a> {
-    Prim {
-        col: &'a [Interval],
-        hi: bool,
-    },
-    /// Step-1 `cell_key` word `sub` of a secondary column.
-    CellKey {
-        col: &'a [WCell],
-        sub: usize,
-    },
-    /// Step-2 `sec_key` word `sub` of a secondary column.
-    SecKey {
+/// One arena column's key words in a pass: a primary interval's two (and
+/// two unused), or a secondary cell's four.
+#[derive(Clone, Copy)]
+enum KeyColumn<'a> {
+    Prim(&'a [Interval]),
+    /// Step-1 `cell_key_words`.
+    Cell(&'a [WCell]),
+    /// Step-2 `sec_key_words` under the target attribute `prim_j`.
+    Sec {
         col: &'a [WCell],
         prim_j: &'a [Interval],
         want_rel: bool,
-        sub: usize,
     },
 }
 
-impl WordFill<'_> {
-    /// Feed each row's word value, in row order, to `f(row, value)`.
+impl KeyColumn<'_> {
+    /// Feed each row's key words, in row order, to `f`.
     #[inline]
-    fn for_each(&self, mut f: impl FnMut(usize, u64)) {
+    fn for_each(self, mut f: impl FnMut([u64; 4])) {
         match self {
-            WordFill::Prim { col, hi } => {
-                if *hi {
-                    for (r, ivl) in col.iter().enumerate() {
-                        f(r, ord64(ivl.hi));
-                    }
-                } else {
-                    for (r, ivl) in col.iter().enumerate() {
-                        f(r, ord64(ivl.lo));
-                    }
-                }
-            }
-            WordFill::CellKey { col, sub } => {
-                for (r, &cell) in col.iter().enumerate() {
-                    f(r, cell_key_words(cell)[*sub]);
-                }
-            }
-            WordFill::SecKey {
+            KeyColumn::Prim(col) => col.iter().for_each(|ivl| {
+                let [lo, len] = ivl.key_words();
+                f([lo, len, 0, 0]);
+            }),
+            KeyColumn::Cell(col) => col.iter().for_each(|&cell| f(cell_key_words(cell))),
+            KeyColumn::Sec {
                 col,
                 prim_j,
                 want_rel,
-                sub,
             } => {
-                for (r, (&cell, &pj)) in col.iter().zip(prim_j.iter()).enumerate() {
-                    f(r, sec_key_words(cell, *want_rel, pj)[*sub]);
+                for (&cell, &pj) in col.iter().zip(prim_j) {
+                    f(sec_key_words(cell, want_rel, pj));
                 }
             }
         }
     }
 }
 
-/// Stats for one primary column's `(lo, hi)` word pair.
-fn push_prim_stats(stats: &mut Vec<WordStat>, col: &[Interval]) {
-    let mut lo = WordStat::EMPTY;
-    let mut hi = WordStat::EMPTY;
-    let mut eq = true;
-    for ivl in col {
-        let a = ord64(ivl.lo);
-        let b = ord64(ivl.hi);
-        lo.update(a);
-        hi.update(b);
-        eq &= a == b;
-    }
-    hi.eq_prev = eq;
-    stats.push(lo);
-    stats.push(hi);
-}
-
-/// Stats for one secondary column's four key words (step-1 `cell_key`).
-fn push_cell_stats(stats: &mut Vec<WordStat>, col: &[WCell]) {
-    let mut s = [WordStat::EMPTY; 4];
-    let mut eq21 = true;
-    let mut eq32 = true;
-    for &cell in col {
-        let wds = cell_key_words(cell);
-        for (st, v) in s.iter_mut().zip(wds) {
-            st.update(v);
-        }
-        eq21 &= wds[2] == wds[1];
-        eq32 &= wds[3] == wds[2];
-    }
-    s[2].eq_prev = eq21;
-    s[3].eq_prev = eq32;
-    stats.extend_from_slice(&s);
-}
-
-/// Stats for one secondary column's four masked key words (step-2
-/// `sec_key`, which also reads the target attribute).
-fn push_sec_stats(stats: &mut Vec<WordStat>, col: &[WCell], pj: &[Interval], want_rel: bool) {
-    let mut s = [WordStat::EMPTY; 4];
-    let mut eq21 = true;
-    let mut eq32 = true;
-    for (&cell, &p) in col.iter().zip(pj.iter()) {
-        let wds = sec_key_words(cell, want_rel, p);
-        for (st, v) in s.iter_mut().zip(wds) {
-            st.update(v);
-        }
-        eq21 &= wds[2] == wds[1];
-        eq32 &= wds[3] == wds[2];
-    }
-    s[2].eq_prev = eq21;
-    s[3].eq_prev = eq32;
-    stats.extend_from_slice(&s);
-}
-
-/// Build `(packed u64 key, row id)` pairs by OR-folding each kept word's
-/// range-reduced value at its fixed bit offset, column-major.
-fn pack_columns_u64<'a>(
-    pairs: &mut Vec<(u64, u32)>,
-    n: usize,
-    kept: &[KeptWord],
-    total_bits: u32,
-    source: impl Fn(usize) -> WordFill<'a>,
-) {
-    pairs.clear();
-    pairs.extend((0..n).map(|r| (0u64, r as u32)));
-    let mut off = total_bits;
-    for kw in kept {
-        off -= kw.width;
-        let min = kw.min;
-        source(kw.word).for_each(|r, v| {
-            pairs[r].0 |= (v - min) << off;
-        });
-    }
-}
-
-/// `u128` variant of [`pack_columns_u64`].
-fn pack_columns_u128<'a>(
-    pairs: &mut Vec<(u128, u32)>,
-    n: usize,
-    kept: &[KeptWord],
-    total_bits: u32,
-    source: impl Fn(usize) -> WordFill<'a>,
-) {
-    pairs.clear();
-    pairs.extend((0..n).map(|r| (0u128, r as u32)));
-    let mut off = total_bits;
-    for kw in kept {
-        off -= kw.width;
-        let min = kw.min;
-        source(kw.word).for_each(|r, v| {
-            pairs[r].0 |= u128::from(v - min) << off;
-        });
-    }
-}
-
-/// Sort `(u64 key, row id)` pairs: O(n) sorted pre-check, then a stable
-/// LSD radix sort over the used bits (or a comparison sort for small
-/// inputs). Keys are distinct across distinct rows, so every strategy
-/// yields the same order.
-fn sort_pairs_u64(
-    pairs: &mut Vec<(u64, u32)>,
-    tmp: &mut Vec<(u64, u32)>,
-    counts: &mut Vec<u32>,
-    total_bits: u32,
-) {
-    if pairs.windows(2).all(|w| w[0].0 <= w[1].0) {
-        return;
-    }
-    if pairs.len() < RADIX_MIN {
-        pairs.sort_unstable_by_key(|p| p.0);
-        return;
-    }
-    // Digit size chosen to minimize passes with ≤ 2^18 buckets.
-    let passes = total_bits.div_ceil(18).max(1);
-    let digit = total_bits.div_ceil(passes);
-    let buckets = 1usize << digit;
-    let mask = (buckets - 1) as u64;
-    counts.clear();
-    counts.resize(buckets, 0);
-    tmp.clear();
-    tmp.resize(pairs.len(), (0, 0));
-    let mut shift = 0u32;
-    while shift < total_bits {
-        counts.fill(0);
-        for &(k, _) in pairs.iter() {
-            counts[((k >> shift) & mask) as usize] += 1;
-        }
-        let mut sum = 0u32;
-        for c in counts.iter_mut() {
-            let v = *c;
-            *c = sum;
-            sum += v;
-        }
-        for &p in pairs.iter() {
-            let b = ((p.0 >> shift) & mask) as usize;
-            tmp[counts[b] as usize] = p;
-            counts[b] += 1;
-        }
-        std::mem::swap(pairs, tmp);
-        shift += digit;
-    }
-}
-
-/// Sort `(u128 key, row id)` pairs: sorted pre-check, then a comparison
-/// sort.
-fn sort_pairs_u128(pairs: &mut [(u128, u32)]) {
-    if pairs.windows(2).all(|w| w[0].0 <= w[1].0) {
-        return;
-    }
-    pairs.sort_unstable_by_key(|p| p.0);
-}
-
-/// Build and sort the `(u128 prefix, row id)` entries of the `Wide` mode:
-/// the first two key words ride inline, remaining words break prefix ties
-/// via one contiguous slice compare.
-fn sort_wide(sort: &mut Vec<(u128, u32)>, keys: &[u64], w: usize, n: usize) {
-    sort.clear();
-    sort.reserve(n);
-    for r in 0..n {
-        let base = r * w;
-        let prefix = (u128::from(keys[base]) << 64) | u128::from(keys[base + 1]);
-        sort.push((prefix, r as u32));
-    }
-    let cmp = |a: &(u128, u32), b: &(u128, u32)| wide_cmp(a, b, keys, w);
-    if sort
-        .windows(2)
-        .all(|s| cmp(&s[0], &s[1]) != Ordering::Greater)
-    {
-        return;
-    }
-    sort.sort_unstable_by(cmp);
-}
-
-/// Full wide-key comparison: inline `u128` prefix first, remaining words
-/// via one contiguous slice compare.
-#[inline]
-fn wide_cmp(a: &(u128, u32), b: &(u128, u32), keys: &[u64], w: usize) -> Ordering {
-    a.0.cmp(&b.0).then_with(|| {
-        let ia = a.1 as usize * w;
-        let ib = b.1 as usize * w;
-        keys[ia + 2..ia + w].cmp(&keys[ib + 2..ib + w])
-    })
-}
-
-/// Dispatch the merge scan over the sorted representation of the pass.
-#[allow(clippy::too_many_arguments)]
-fn scan_by_mode(
-    mode: KeyMode,
-    pairs64: &[(u64, u32)],
-    pairs128: &[(u128, u32)],
-    wide_sort: &[(u128, u32)],
-    wide_keys: &[u64],
-    w: usize,
-    group_w: usize,
-    target_bits: u32,
-    runs: &mut Vec<Run>,
-    init_hi: impl Fn(u32) -> i64,
-    extend: impl Fn(u32, i64, u32) -> Option<i64>,
-) {
-    match mode {
-        KeyMode::Packed64 => {
-            let tb = target_bits;
-            let same = |t: usize| tb >= 64 || pairs64[t - 1].0 >> tb == pairs64[t].0 >> tb;
-            let id = |t: usize| pairs64[t].1;
-            scan_runs(pairs64.len(), id, same, runs, init_hi, extend);
-        }
-        KeyMode::Packed128 => {
-            let tb = target_bits;
-            let same = |t: usize| tb >= 128 || pairs128[t - 1].0 >> tb == pairs128[t].0 >> tb;
-            let id = |t: usize| pairs128[t].1;
-            scan_runs(pairs128.len(), id, same, runs, init_hi, extend);
-        }
-        KeyMode::Wide => {
-            // Group prefix: the leading `group_w` words (always ≥ 2, so the
-            // inline prefix is entirely group words).
-            let same = |t: usize| {
-                let (pa, ra) = wide_sort[t - 1];
-                let (pb, rb) = wide_sort[t];
-                pa == pb && {
-                    let ia = ra as usize * w;
-                    let ib = rb as usize * w;
-                    wide_keys[ia + 2..ia + group_w] == wide_keys[ib + 2..ib + group_w]
-                }
-            };
-            let id = |t: usize| wide_sort[t].1;
-            scan_runs(wide_sort.len(), id, same, runs, init_hi, extend);
-        }
-    }
-}
-
-/// Detect merge runs over the sorted permutation.
+/// Detect merge runs over the rows in `keys`' sorted order.
 ///
-/// `id(t)` is the row at sorted position `t`; `same_group(t)` whether
-/// positions `t - 1` and `t` share a group prefix. A run extends while the
-/// group holds and `extend(first, hi, cur)` grants a new accumulated `hi`;
-/// `init_hi` seeds the accumulator from a run's first row.
+/// A run extends while adjacent rows agree on the first `group` attributes
+/// and `extend(first, hi, cur)` grants a new accumulated `hi`; `init_hi`
+/// seeds the accumulator from a run's first row.
 fn scan_runs(
-    n: usize,
-    id: impl Fn(usize) -> u32,
-    same_group: impl Fn(usize) -> bool,
+    keys: &KeySort,
+    group: usize,
     runs: &mut Vec<Run>,
     init_hi: impl Fn(u32) -> i64,
     extend: impl Fn(u32, i64, u32) -> Option<i64>,
 ) {
     runs.clear();
-    if n == 0 {
-        return;
-    }
-    let mut run = Run {
-        first: id(0),
-        hi: init_hi(id(0)),
-        merged: false,
-    };
-    for t in 1..n {
-        let row = id(t);
-        let extended = if same_group(t) {
-            extend(run.first, run.hi, row)
-        } else {
-            None
-        };
-        match extended {
-            Some(new_hi) => {
-                run.hi = new_hi;
+    keys.walk(group, |row, same_group| {
+        if let Some(run) = runs.last_mut().filter(|_| same_group) {
+            if let Some(hi) = extend(run.first, run.hi, row) {
+                run.hi = hi;
                 run.merged = true;
-            }
-            None => {
-                runs.push(run);
-                run = Run {
-                    first: row,
-                    hi: init_hi(row),
-                    merged: false,
-                };
+                return;
             }
         }
-    }
-    runs.push(run);
+        runs.push(Run {
+            first: row,
+            hi: init_hi(row),
+            merged: false,
+        });
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Deterministic pseudo-random values.
-    fn lcg(n: usize, modulus: u64) -> Vec<u64> {
-        let mut state = 0x2545F4914F6CDD1Du64;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) % modulus
-            })
-            .collect()
-    }
-
+    /// A pass over a secondary column that mixes `Abs` and `Rel` cells
+    /// keys on the bits the values span. While an anchor or a pad word sat
+    /// raw beside `ord64` images, each such word spanned about 2^63.
     #[test]
-    fn radix_sort_matches_comparison_sort() {
-        for n in [1usize, 5, 300, 9000] {
-            for bits in [13u32, 34, 63] {
-                let modulus = 1u64 << bits;
-                let vals = lcg(n, modulus);
-                let mut pairs: Vec<(u64, u32)> = vals
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, i as u32))
-                    .collect();
-                let mut expect = pairs.clone();
-                // Stable radix keeps index order for equal keys, matching
-                // the (key, index) comparison.
-                expect.sort_unstable_by_key(|p| (p.0, p.1));
-                sort_pairs_u64(&mut pairs, &mut Vec::new(), &mut Vec::new(), bits);
-                if n >= RADIX_MIN {
-                    assert_eq!(pairs, expect, "n={n} bits={bits}");
-                } else {
-                    // Comparison path: only key order is guaranteed (key
-                    // ties cannot occur in the real pipeline).
-                    let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-                    let expect_keys: Vec<u64> = expect.iter().map(|p| p.0).collect();
-                    assert_eq!(keys, expect_keys, "n={n} bits={bits}");
-                }
-            }
+    fn mixed_abs_rel_column_keys_fit_64_bits() {
+        let mut t = LineageTable::new(1, 2);
+        for r in (0..64i64).rev() {
+            t.push_row(&[r, 1 << 40 | r, r % 5]);
         }
-    }
-
-    #[test]
-    fn sorted_input_short_circuits() {
-        let mut pairs: Vec<(u64, u32)> = (0..100u32).map(|i| (u64::from(i) * 3, i)).collect();
-        let expect = pairs.clone();
-        sort_pairs_u64(&mut pairs, &mut Vec::new(), &mut Vec::new(), 9);
-        assert_eq!(pairs, expect);
-    }
-
-    #[test]
-    fn ord64_preserves_order() {
-        let vals = [i64::MIN, -5, -1, 0, 1, 7, i64::MAX];
-        for pair in vals.windows(2) {
-            assert!(ord64(pair[0]) < ord64(pair[1]));
+        let mut arena = Arena::new(&t, Orientation::Backward, 1, 2);
+        assert!(arena.view.is_none(), "unsorted input builds the arena");
+        for cell in arena.sec[0].iter_mut().skip(1).step_by(2) {
+            *cell = WCell::Rel {
+                anchor: 0,
+                delta: Interval::point(3),
+            };
         }
+        arena.secondary_pass(1);
+        let bits = arena.keys.key_bits();
+        assert!(bits <= 64, "{bits}-bit keys");
     }
 }

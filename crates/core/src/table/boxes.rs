@@ -12,15 +12,12 @@
 //! * **Fold first, sort on demand.** A pass folds each box, in place, into
 //!   the last box it kept. Only at the first box out of the pass's order
 //!   does it sort what is left, and fold that.
-//! * **Packed keys.** The sort is one of `u64`s. A box's key is its words in
-//!   the pass's order — other attributes first, then the target, each as
-//!   `lo` and then `hi − lo`. Each word is range-reduced to the bits it
+//! * **One sort.** A pass sorts through `crate::sort::KeySort`, the kernel
+//!   ProvRC sorts with. A box's key words are its intervals in the pass's
+//!   order — other attributes first, then the target — each as `lo` and
+//!   then `hi − lo`. The kernel range-reduces each word to the bits it
 //!   spans over the table, so a constant word, or the length of a point,
-//!   takes none. The words are packed most significant first above the
-//!   box's index, as ProvRC's `build_plan` packs its rows. A table whose
-//!   keys need more than 64 bits (coordinates spread across the `i64`
-//!   range) falls back to sorting box indices with a comparator; both
-//!   orders are the same. The boxes then move into place by a walk of the
+//!   takes none. The boxes then move into place by a walk of the
 //!   permutation's cycles, so a merge allocates its key buffer once,
 //!   whatever the number of passes, and nothing when the boxes lie in order.
 //! * **Stop rule.** Rounds end after the first round in which no pass but
@@ -33,7 +30,8 @@
 //! merge with its confirming round; the property suite holds this one to
 //! its output, box for box and in order.
 
-use crate::interval::{ord64, Interval};
+use crate::interval::Interval;
+use crate::sort::{KeySort, Words};
 
 /// A union of interval boxes over `arity` attributes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -185,13 +183,13 @@ impl BoxTable {
     /// Ends at a fixpoint: no two boxes left are mergeable on any attribute,
     /// in the order of the pass over attribute 0.
     pub fn merge(&mut self) {
-        // The sort keys, reused by every pass that sorts.
-        let mut order = Vec::new();
+        // The sort: built by the first pass that sorts, reused by the rest.
+        let mut keys = None;
         let first = self.arity - 1;
         loop {
             let mut later_merged = false;
             for target in (0..self.arity).rev() {
-                later_merged |= self.merge_pass(target, &mut order) && target != first;
+                later_merged |= self.merge_pass(target, &mut keys) && target != first;
             }
             // The first pass leaves no pair mergeable on its attribute and
             // the others found none on theirs: a fixpoint, in the order
@@ -205,93 +203,28 @@ impl BoxTable {
     /// One merge pass over attribute `target`: fold the boxes as they lie;
     /// at the first box out of (other attrs, target) order, sort what is
     /// left into that order and fold it again. Returns whether any box went.
-    fn merge_pass(&mut self, target: usize, order: &mut Vec<u64>) -> bool {
+    fn merge_pass(&mut self, target: usize, keys: &mut Option<KeySort>) -> bool {
         let n = self.n_boxes();
         if n <= 1 {
             return false;
         }
         let kept = self.fold(target).unwrap_or_else(|| {
-            self.sort_for_pass(target, order);
+            self.sort_for_pass(target, keys.get_or_insert_with(KeySort::default));
             self.fold(target).expect("sorted boxes fold")
         });
         kept < n
     }
 
-    /// Reorder the boxes into `target`'s pass order: a sort of packed keys,
-    /// or of box indices under [`pass_cmp`] when the keys need more than 64
-    /// bits, then a walk of the permutation's cycles that swaps the boxes
+    /// Reorder the boxes into `target`'s pass order: one sort of their key
+    /// words, then a walk of the permutation's cycles that swaps the boxes
     /// into place.
-    fn sort_for_pass(&mut self, target: usize, order: &mut Vec<u64>) {
-        let index_mask = match self.pack_keys(target, order) {
-            Some(mask) => {
-                order.sort_unstable();
-                mask
-            }
-            None => {
-                order.clear();
-                order.extend(0..self.n_boxes() as u64);
-                order.sort_unstable_by(|&x, &y| {
-                    pass_cmp(self.row(x as usize), self.row(y as usize), target)
-                });
-                u64::MAX
-            }
+    fn sort_for_pass(&mut self, target: usize, keys: &mut KeySort) {
+        let words = PassKey {
+            table: self,
+            target,
         };
-        // Position `j` takes box `order[j]`; the top bit marks a position
-        // filled.
-        const FILLED: u64 = 1 << 63;
-        order.iter_mut().for_each(|key| *key &= index_mask);
-        let arity = self.arity;
-        for start in 0..order.len() {
-            let mut j = start;
-            while order[j] & FILLED == 0 {
-                let from = order[j] as usize;
-                order[j] |= FILLED;
-                if from == start {
-                    break;
-                }
-                for k in 0..arity {
-                    self.data.swap(j * arity + k, from * arity + k);
-                }
-                j = from;
-            }
-        }
-    }
-
-    /// Key every box by its words in `target`'s pass order — per attribute
-    /// `lo`, then the length `hi − lo`, which orders like `hi` among equal
-    /// `lo`s — each range-reduced to the bits it spans and packed most
-    /// significant first above the box index, into `order`. A word that is
-    /// constant over the table takes no bits. Returns the index mask, or
-    /// `None` when the key does not fit 64 bits.
-    fn pack_keys(&self, target: usize, order: &mut Vec<u64>) -> Option<u64> {
-        let (arity, n) = (self.arity, self.n_boxes());
-        let index_bits = bits(n as u64 - 1);
-        let mut total = index_bits;
-        order.clear();
-        order.resize(n, 0);
-        for attr in (0..arity).filter(|&k| k != target).chain([target]) {
-            let column = || self.data.chunks_exact(arity).map(move |row| &row[attr]);
-            let (mut lo_min, mut lo_max, mut len_max) = (u64::MAX, 0, 0);
-            for ivl in column() {
-                let lo = ord64(ivl.lo);
-                lo_min = lo_min.min(lo);
-                lo_max = lo_max.max(lo);
-                len_max = len_max.max(span(ivl));
-            }
-            let (lo_bits, len_bits) = (bits(lo_max - lo_min), bits(len_max));
-            total += lo_bits + len_bits;
-            if total > 64 {
-                return None;
-            }
-            // No shift reaches 64: the index takes at least one bit.
-            for (key, ivl) in order.iter_mut().zip(column()) {
-                *key = (*key << lo_bits | (ord64(ivl.lo) - lo_min)) << len_bits | span(ivl);
-            }
-        }
-        for (i, key) in order.iter_mut().enumerate() {
-            *key = *key << index_bits | i as u64;
-        }
-        Some((1 << index_bits) - 1)
+        keys.sort(self.n_boxes(), self.arity, &words);
+        keys.permute(&mut self.data, self.arity);
     }
 
     /// Fold, in place, each box into the last box kept while they agree on
@@ -344,27 +277,30 @@ impl BoxTable {
     }
 }
 
-/// Compare two boxes in `target`'s pass order: the other attributes in
-/// index order, then `target`.
-fn pass_cmp(a: &[Interval], b: &[Interval], target: usize) -> std::cmp::Ordering {
-    for k in 0..a.len() {
-        if k != target && a[k] != b[k] {
-            return a[k].cmp(&b[k]);
+/// A merge pass's key words: the attributes other than `target` in index
+/// order, then `target`, each as its interval's `lo` and length.
+struct PassKey<'a> {
+    table: &'a BoxTable,
+    target: usize,
+}
+
+impl Words for PassKey<'_> {
+    fn width(&self, _: usize) -> usize {
+        2
+    }
+
+    fn each(&self, col: usize, mut f: impl FnMut([u64; 4])) {
+        let (arity, target) = (self.table.arity, self.target);
+        let attr = if col + 1 == arity {
+            target
+        } else {
+            col + usize::from(col >= target)
+        };
+        for row in self.table.data.chunks_exact(arity) {
+            let [lo, len] = row[attr].key_words();
+            f([lo, len, 0, 0]);
         }
     }
-    a[target].cmp(&b[target])
-}
-
-/// `hi − lo`, exact over the whole `i64` range.
-#[inline]
-fn span(ivl: &Interval) -> u64 {
-    (ivl.hi as u64).wrapping_sub(ivl.lo as u64)
-}
-
-/// Bits needed to hold `v`.
-#[inline]
-fn bits(v: u64) -> u32 {
-    u64::BITS - v.leading_zeros()
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 //! the query side. A full scan is O(|T|) per box; the index turns the
 //! probe into two binary searches plus a bounded candidate scan:
 //!
-//! * per attribute, row ids are sorted by the interval's `lo`;
+//! * per attribute, row ids are sorted by the interval's `(lo, hi)`, ties
+//!   by row id. The sort is core's one kernel (`crate::sort`) over each
+//!   interval's `lo` and length: a column already in order costs one
+//!   check, and a big one radix-sorts;
 //! * alongside the sorted `lo` array, a **max-hi fence** stores the running
 //!   maximum of `hi` over the sorted prefix.
 //!
@@ -25,6 +28,7 @@
 //! generalized tables (symbolic cells) are not indexable and yield `None`.
 
 use crate::interval::Interval;
+use crate::sort::{KeySort, Words};
 use crate::table::compressed::CompressedTable;
 use std::ops::Range;
 
@@ -44,22 +48,22 @@ impl ColumnIndex {
     /// Build from one attribute's per-row extents. Returns `None` when any
     /// row has none (generalized tables cannot be indexed).
     fn build(extents: impl ExactSizeIterator<Item = Option<Interval>>) -> Option<ColumnIndex> {
-        let mut keyed: Vec<(i64, i64, u32)> = Vec::with_capacity(extents.len());
-        for (row, ivl) in extents.enumerate() {
-            let ivl = ivl?;
-            keyed.push((ivl.lo, ivl.hi, row as u32));
+        let mut ivls = Vec::with_capacity(extents.len());
+        for ivl in extents {
+            ivls.push(ivl?);
         }
-        keyed.sort_unstable();
-        let mut order = Vec::with_capacity(keyed.len());
-        let mut los = Vec::with_capacity(keyed.len());
-        let mut max_hi_fence = Vec::with_capacity(keyed.len());
+        let mut keys = KeySort::default();
+        keys.sort(ivls.len(), 1, &Extents(&ivls));
+        let order: Vec<u32> = keys.rows().collect();
+        let los = order.iter().map(|&row| ivls[row as usize].lo).collect();
         let mut running = i64::MIN;
-        for (lo, hi, row) in keyed {
-            running = running.max(hi);
-            order.push(row);
-            los.push(lo);
-            max_hi_fence.push(running);
-        }
+        let max_hi_fence = order
+            .iter()
+            .map(|&row| {
+                running = running.max(ivls[row as usize].hi);
+                running
+            })
+            .collect();
         Some(ColumnIndex {
             order,
             los,
@@ -80,6 +84,23 @@ impl ColumnIndex {
     /// [`candidate_window`](Self::candidate_window).
     pub fn rows_in(&self, window: (usize, usize)) -> &[u32] {
         &self.order[window.0..window.1]
+    }
+}
+
+/// One column's extents as key words: `lo`, then the length, so rows sort
+/// by `(lo, hi)`, ties by row id.
+struct Extents<'a>(&'a [Interval]);
+
+impl Words for Extents<'_> {
+    fn width(&self, _: usize) -> usize {
+        2
+    }
+
+    fn each(&self, _: usize, mut f: impl FnMut([u64; 4])) {
+        for ivl in self.0 {
+            let [lo, len] = ivl.key_words();
+            f([lo, len, 0, 0]);
+        }
     }
 }
 
@@ -210,6 +231,64 @@ mod tests {
         assert_eq!(idx.probe(&[ivl(14, 14), ivl(0, 0)]), &[0]);
         assert_eq!(idx.probe(&[ivl(9, 45), ivl(0, 0)]).len(), 2);
         assert!(idx.probe(&[ivl(15, 39), ivl(0, 0)]).is_empty());
+    }
+
+    /// The index as built before the sort kernel: a comparison sort of
+    /// `(lo, hi, row)` tuples.
+    fn tuple_sort_build(extents: &[Interval]) -> ColumnIndex {
+        let mut keyed: Vec<(i64, i64, u32)> = extents
+            .iter()
+            .enumerate()
+            .map(|(row, ivl)| (ivl.lo, ivl.hi, row as u32))
+            .collect();
+        keyed.sort_unstable();
+        let mut running = i64::MIN;
+        ColumnIndex {
+            order: keyed.iter().map(|k| k.2).collect(),
+            los: keyed.iter().map(|k| k.0).collect(),
+            max_hi_fence: keyed
+                .iter()
+                .map(|k| {
+                    running = running.max(k.1);
+                    running
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn kernel_build_equals_the_tuple_sort() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 17) % modulus
+        };
+        // Equal `lo`s from a small range, negative coordinates, and extents
+        // across the whole `i64` range, whose two 64-bit words and row id
+        // outgrow a `u128` and take the comparator path; each at a size
+        // below and above the radix threshold.
+        type Shape = fn(i64, i64) -> Interval;
+        let shapes: [(&str, Shape); 3] = [
+            ("equal los", |a, b| ivl(a % 16, a % 16 + b % 5)),
+            ("negative", |a, b| ivl(-a, -a + b % 1000)),
+            ("full range", |a, b| match b % 4 {
+                0 => ivl(i64::MIN, i64::MAX),
+                1 => ivl(i64::MIN + a, i64::MIN + a + b),
+                2 => ivl(i64::MAX - a - b, i64::MAX - b),
+                _ => ivl(-a, a),
+            }),
+        ];
+        for (name, shape) in shapes {
+            for n in [0usize, 1, 2, 700, 20_000] {
+                let extents: Vec<Interval> = (0..n)
+                    .map(|_| shape(next(1 << 40) as i64, next(1 << 20) as i64))
+                    .collect();
+                let built = ColumnIndex::build(extents.iter().map(|&e| Some(e))).unwrap();
+                assert_eq!(built, tuple_sort_build(&extents), "{name}, n = {n}");
+            }
+        }
     }
 
     #[test]

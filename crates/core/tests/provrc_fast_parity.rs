@@ -18,7 +18,7 @@
 //! the other in the middle of a compression.
 
 use dslog::provrc;
-use dslog::table::{LineageTable, Orientation};
+use dslog::table::{Cell, LineageTable, Orientation};
 use dslog_oracle::provrc::compress_reference;
 use proptest::prelude::*;
 
@@ -349,4 +349,36 @@ fn shifted_rows_past_i64_max_have_no_partner() {
     let reference = compress_reference(&t, out_shape, in_shape, Orientation::Backward);
     assert_eq!(fast, reference);
     assert_eq!(fast.decompress().unwrap().row_set(), t.row_set());
+}
+
+/// A secondary column that mixes `Abs` and `Rel` cells when the last
+/// passes sort on it: rows whose input tracks the last output axis merge
+/// along it and turn relative, and the scattered rows beside them stay
+/// absolute. Inputs near 2^40 keep the absolute values far from the
+/// anchor and delta words.
+#[test]
+fn mixed_abs_rel_secondary_parity() {
+    let base = 1i64 << 40;
+    let mut t = LineageTable::new(2, 1);
+    for i in 0..9 {
+        for j in 0..6 {
+            let a = if i % 3 == 0 {
+                (5 * j + i) % 7
+            } else {
+                10 * i + j
+            };
+            t.push_row(&[i, j, base + a]);
+        }
+    }
+    let (out_shape, in_shape) = ([9, 6], [2 * base as usize]);
+    let fast = provrc::compress(&t, &out_shape, &in_shape, Orientation::Backward);
+    let kinds = fast.column(2).iter().map(|c| matches!(c, Cell::Rel { .. }));
+    assert_eq!(kinds.clone().filter(|&rel| rel).count(), 6, "{fast:?}");
+    assert!(kinds.clone().any(|rel| !rel), "{fast:?}");
+    assert_parity_fixed(&t, &out_shape, &in_shape);
+    let mut reversed = LineageTable::new(2, 1);
+    for r in (0..t.n_rows()).rev() {
+        reversed.push_row(t.row(r));
+    }
+    assert_parity_fixed(&reversed, &out_shape, &in_shape);
 }

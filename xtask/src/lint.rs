@@ -175,7 +175,7 @@ pub fn run(argv: Vec<String>) -> ExitCode {
 }
 
 /// The workspace root: parent of the xtask crate.
-fn workspace_root() -> PathBuf {
+pub(crate) fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .map(Path::to_path_buf)
@@ -213,7 +213,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

@@ -10,7 +10,8 @@
 //! `open` pays read + crc verify + decode for every table, lazy `open`
 //! pays O(catalog) up front and defers each table's read/verify/decode to
 //! its first query hop (also timed). An **incremental commit** after
-//! appending one tiny edge must pay only O(new edge) + O(catalog) — the
+//! appending one tiny edge must pay only O(new edge), plus a checkpoint
+//! amortized over as many edges — the
 //! `commit_speedup` column tracks how much cheaper that is than a full
 //! save of the same database. Scale-independent invariants are asserted
 //! on every run: each commit reuses all clean files, `verify` passes on
@@ -18,11 +19,15 @@
 //!
 //! The **`commit_vs_history`** series holds the commit to "O(changed
 //! edges)" against the history behind it: one handle commits one tiny edge
-//! at a time, and at 10 / 100 / 1 000 committed edges the series records
-//! the commit p50 and how many bytes a commit adds to `ops.log`. The bin
-//! asserts the log bytes per commit at the last step are at most 2x the
-//! first step's (a commit record names its catalog, it does not embed
-//! it), and prints the numbers the parent commit gave beside them.
+//! at a time, and at 10 / 100 / 1 000 committed edges the series records,
+//! over the commits that wrote no checkpoint, the commit p50, the bytes a
+//! commit writes (segment + `ops.log` growth) and the log growth alone; and
+//! separately the checkpoint commits so far (a commit writes the catalog
+//! once the edges committed since the last checkpoint reach its edge count:
+//! after 1, 2, 4, … edges), with their p50 and the bytes of the last one.
+//! The bin asserts a non-checkpoint commit at the last step writes at most
+//! 2x the bytes it writes at the first step, and prints the numbers the
+//! parent commit gave beside them.
 //!
 //! The **`cold_open`** object says where a cold start's time goes: the
 //! crc32 rate over the bytes of the generations axis' accreted chain and
@@ -472,26 +477,45 @@ const PARENT_BOTH: [(u64, f64, f64, f64, f64); 11] = [
 struct HistoryPoint {
     /// Edges committed so far, one per commit.
     edges: usize,
-    /// p50 of the last [`HISTORY_WINDOW`] commits up to this step.
+    /// p50 of the last [`HISTORY_WINDOW`] commits up to this step that
+    /// wrote no checkpoint.
     commit_p50_s: f64,
+    /// Mean bytes those commits wrote: segment, log growth and catalog.
+    bytes_per_commit: u64,
     /// Size of `ops.log` at this step.
     log_bytes: u64,
     /// Mean growth of `ops.log` over those commits.
     log_bytes_per_commit: u64,
+    /// Commits up to this step that wrote a checkpoint.
+    checkpoints: usize,
+    /// p50 of those checkpoint commits.
+    checkpoint_p50_s: f64,
+    /// Bytes the last of them wrote (the catalog included).
+    checkpoint_bytes: u64,
 }
 
 /// Commits each step of the history series is measured over.
 const HISTORY_WINDOW: usize = 7;
 
-/// The same series on the parent commit (2be27d8, where a commit re-read
-/// the whole log and its record embedded the whole catalog), `--scale 1`
-/// on the 2-vCPU reference box: `(edges, commit_p50_s, log_bytes,
+/// The same series on the parent commit (0a97ec0, where every commit
+/// rewrote the whole catalog and its record named it), `--scale 1` on the
+/// 2-vCPU reference box, medians of three runs, every commit counted (each
+/// wrote the catalog): `(edges, commit_p50_s, bytes_per_commit, log_bytes,
 /// log_bytes_per_commit)`.
-const PARENT_HISTORY: [(usize, f64, u64, u64); 3] = [
-    (10, 0.001_66, 3_586, 413),
-    (100, 0.003_57, 236_000, 4_452),
-    (1000, 0.103_52, 24_976_393, 50_258),
+const PARENT_HISTORY: [(usize, f64, u64, u64, u64); 3] = [
+    (10, 0.001_27, 458, 1_302, 127),
+    (100, 0.001_19, 4_598, 13_370, 135),
+    (1000, 0.003_46, 50_504, 146_128, 148),
 ];
+
+/// The generation the live catalog of `dir` records (its header: magic,
+/// gzip flag, generation uvarint).
+fn catalog_generation(dir: &std::path::Path) -> (u64, u64) {
+    let bytes = std::fs::read(dir.join("catalog.dsl")).unwrap();
+    let mut pos = 9;
+    let generation = dslog_codecs::varint::read_uvarint(&bytes, &mut pos).unwrap();
+    (generation, bytes.len() as u64)
+}
 
 fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
     let dir = std::env::temp_dir().join(format!("dslog-persist-history-{}", std::process::id()));
@@ -500,7 +524,10 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
     let log_len = || std::fs::metadata(&log).map_or(0, |m| m.len());
     let mut db = Dslog::options().create(&dir).unwrap();
     let mut points = Vec::with_capacity(steps.len());
-    let mut window: Vec<(f64, u64)> = Vec::new();
+    // (seconds, bytes written, log growth) per commit, split by whether
+    // it wrote a checkpoint.
+    let mut plain: Vec<(f64, u64, u64)> = Vec::new();
+    let mut checkpoints = Vec::new();
     for edges in 1..=steps.last().copied().unwrap_or(0) {
         let (x, y, t) = small_edge(edges);
         db.define_array(&x, &[8]).unwrap();
@@ -513,16 +540,31 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
             (1, edges - 1),
             "one-edge commit rewrote clean files"
         );
-        window.push((commit_s, log_len() - before));
+        let grown = log_len() - before;
+        let (generation, catalog_len) = catalog_generation(&dir);
+        let sample = (commit_s, report.bytes_written + grown, grown);
+        if generation == report.generation {
+            checkpoints.push((commit_s, sample.1 + catalog_len, grown));
+        } else {
+            plain.push(sample);
+        }
         if steps.contains(&edges) {
-            let recent = &window[window.len().saturating_sub(HISTORY_WINDOW)..];
-            let mut times: Vec<f64> = recent.iter().map(|(s, _)| *s).collect();
+            let recent = &plain[plain.len().saturating_sub(HISTORY_WINDOW)..];
+            let mut times: Vec<f64> = recent.iter().map(|c| c.0).collect();
+            let mut checkpoint_times: Vec<f64> = checkpoints.iter().map(|c| c.0).collect();
             points.push(HistoryPoint {
                 edges,
                 commit_p50_s: p50(&mut times),
+                bytes_per_commit: recent.iter().map(|c| c.1).sum::<u64>() / recent.len() as u64,
                 log_bytes: log_len(),
-                log_bytes_per_commit: recent.iter().map(|(_, b)| b).sum::<u64>()
-                    / recent.len() as u64,
+                log_bytes_per_commit: recent.iter().map(|c| c.2).sum::<u64>() / recent.len() as u64,
+                checkpoints: checkpoints.len(),
+                checkpoint_p50_s: if checkpoint_times.is_empty() {
+                    0.0
+                } else {
+                    p50(&mut checkpoint_times)
+                },
+                checkpoint_bytes: checkpoints.last().map_or(0, |c| c.1),
             });
         }
     }
@@ -709,49 +751,74 @@ fn main() {
     let mut history_table = TextTable::new(&[
         "committed edges",
         "commit p50",
+        "bytes/commit",
         "ops.log bytes",
         "log bytes/commit",
+        "checkpoints",
+        "checkpoint p50",
+        "last checkpoint bytes",
     ]);
     for pt in &history {
         history_table.row(&[
             pt.edges.to_string(),
             secs(pt.commit_p50_s),
+            pt.bytes_per_commit.to_string(),
             pt.log_bytes.to_string(),
             pt.log_bytes_per_commit.to_string(),
+            pt.checkpoints.to_string(),
+            secs(pt.checkpoint_p50_s),
+            pt.checkpoint_bytes.to_string(),
         ]);
     }
-    for (edges, commit_p50_s, log_bytes, per_commit) in PARENT_HISTORY {
+    for (edges, commit_p50_s, bytes, log_bytes, per_commit) in PARENT_HISTORY {
         history_table.row(&[
             format!("{edges} (parent)"),
             secs(commit_p50_s),
+            bytes.to_string(),
             log_bytes.to_string(),
             per_commit.to_string(),
+            String::new(),
+            String::new(),
+            String::new(),
         ]);
     }
     println!("{}", history_table.render());
     let (first, last) = (&history[0], &history[history.len() - 1]);
     assert!(
-        last.log_bytes_per_commit <= 2 * first.log_bytes_per_commit,
-        "a commit at {} edges logs {} bytes, over 2x the {} bytes at {} edges",
+        last.bytes_per_commit <= 2 * first.bytes_per_commit,
+        "a commit at {} edges writes {} bytes, over 2x the {} bytes at {} edges",
         last.edges,
-        last.log_bytes_per_commit,
-        first.log_bytes_per_commit,
+        last.bytes_per_commit,
+        first.bytes_per_commit,
         first.edges
     );
+    println!(
+        "commit p50 at {} edges / at {} edges: {:.2}x",
+        last.edges,
+        first.edges,
+        last.commit_p50_s / first.commit_p50_s.max(1e-12)
+    );
     let history_json = format!(
-        "{{\"window\":{HISTORY_WINDOW},\"steps\":[{}],\"parent\":{{\"sha\":\"2be27d8\",\"scale\":1,\"steps\":[{}]}}}}",
+        "{{\"window\":{HISTORY_WINDOW},\"steps\":[{}],\"parent\":{{\"sha\":\"0a97ec0\",\"scale\":1,\"steps\":[{}]}}}}",
         history
             .iter()
             .map(|pt| format!(
-                "{{\"edges\":{},\"commit_p50_s\":{:.9},\"log_bytes\":{},\"log_bytes_per_commit\":{}}}",
-                pt.edges, pt.commit_p50_s, pt.log_bytes, pt.log_bytes_per_commit
+                "{{\"edges\":{},\"commit_p50_s\":{:.9},\"bytes_per_commit\":{},\"log_bytes\":{},\"log_bytes_per_commit\":{},\"checkpoints\":{},\"checkpoint_p50_s\":{:.9},\"checkpoint_bytes\":{}}}",
+                pt.edges,
+                pt.commit_p50_s,
+                pt.bytes_per_commit,
+                pt.log_bytes,
+                pt.log_bytes_per_commit,
+                pt.checkpoints,
+                pt.checkpoint_p50_s,
+                pt.checkpoint_bytes
             ))
             .collect::<Vec<_>>()
             .join(","),
         PARENT_HISTORY
             .iter()
-            .map(|(edges, commit_p50_s, log_bytes, per_commit)| format!(
-                "{{\"edges\":{edges},\"commit_p50_s\":{commit_p50_s:.9},\"log_bytes\":{log_bytes},\"log_bytes_per_commit\":{per_commit}}}"
+            .map(|(edges, commit_p50_s, bytes, log_bytes, per_commit)| format!(
+                "{{\"edges\":{edges},\"commit_p50_s\":{commit_p50_s:.9},\"bytes_per_commit\":{bytes},\"log_bytes\":{log_bytes},\"log_bytes_per_commit\":{per_commit}}}"
             ))
             .collect::<Vec<_>>()
             .join(",")

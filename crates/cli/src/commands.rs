@@ -49,21 +49,23 @@ Query cells are `;`-separated, each a `,`-separated index tuple of the
 first array on --path. The answer lists interval boxes over the last
 array's axes.
 
-Saves are atomic (temp-file + rename, catalog-last commit) and every
-table is crc32-checksummed. `db verify` walks a database and exits
-non-zero on any damage. `--lazy` opens in O(catalog), loading and
-verifying each edge table on first use.
+Saves are atomic and every table is crc32-checksummed. `db verify`
+walks a database and exits non-zero on any damage. `--lazy` opens in
+O(catalog), loading and verifying each edge table on first use.
 
-Every mutating operation is also appended to a crc-framed operation
-log (`ops.log`) before the catalog rename; records are a few dozen
-bytes each (a commit record names its catalog by length and crc, it
-does not embed it). `db history` prints the log (who did what, when,
-at which generation). `query --as-of GEN` runs against a retained
-historical generation, read from the catalog kept for it as
-`catalog.g<GEN>.dsl` (by default only files the current catalog
-references survive a commit; `ingest`, `serve` and `db compact` take
---retain N to keep the catalogs and files of the last N prior
-generations queryable — each commit applies the window it was given).
+Every mutating operation is appended to a crc-framed operation log
+(`ops.log`). A commit's record is its commit point: it names the
+segment the commit wrote and, per new table, its edge, byte range and
+crc, so it costs what changed. The catalog is a checkpoint, rewritten
+once the edges committed since the last one reach its edge count, and
+by full saves, gzip conversions and `db compact` (whose record names
+the catalog, renamed into place as their commit point). `db history`
+prints the log (who did what, when, at which generation). `query
+--as-of GEN` runs against a retained historical generation, replayed
+from the newest checkpoint at or before it (by default only files the
+current generation references survive a commit; `ingest`, `serve` and
+`db compact` take --retain N to keep the last N prior generations
+queryable — each commit applies the window it was given).
 
 A commit writes the tables that changed as one segment file
 (`segment-0.g<GEN>.seg`) and re-references every other table where an
@@ -73,10 +75,10 @@ table is rewritten into one new segment and the superseded segments are
 swept (honoring the retention window, so --as-of keeps working inside
 it), which also reclaims the dead bytes `db verify` reports —
 superseded tables whose segment a live neighbour still pinned. The
-catalog rename stays the single commit point: a crash mid-compaction
+checkpoint's rename is its single commit point: a crash mid-compaction
 leaves the previous generation intact. `serve --compact-every-gens N`
-runs the same pass automatically after a commit once the live catalog
-references more than N segments (N commits that wrote tables since the
+runs the same pass automatically after a commit once the live
+generation references more than N segments (N commits that wrote tables since the
 last pass, counted on disk across restarts).
 
 `compress` reports per-format sizes plus ProvRC throughput (rows/s and

@@ -110,8 +110,7 @@ impl OpenOptions {
     /// Defer table decode + checksum to first use: the open costs
     /// O(catalog), ideal when a large database serves queries that touch
     /// few edges. Conflicts with [`as_of`](Self::as_of) — time-travel
-    /// snapshots are read from a retained generation's kept catalog and
-    /// always decode eagerly.
+    /// snapshots are replayed from a checkpoint and always decode eagerly.
     pub fn lazy(mut self, lazy: bool) -> Self {
         self.config.lazy = lazy;
         self
@@ -119,7 +118,7 @@ impl OpenOptions {
 
     /// Open the database as it was at `generation` — time travel, for as
     /// long as [`wal_retention`](Self::wal_retention) kept that
-    /// generation's catalog and files
+    /// generation's checkpoint and files
     /// ([`DslogError::GenerationNotRetained`] otherwise). The snapshot is
     /// unbound and read-only with respect to the source directory; it
     /// conflicts with [`lazy`](Self::lazy) and with a background
@@ -153,9 +152,10 @@ impl OpenOptions {
         self
     }
 
-    /// Keep the catalog and segments of up to this many prior commits on
-    /// disk so [`as_of`](Self::as_of) opens can resolve them (default 0:
-    /// a commit sweeps everything its catalog does not reference).
+    /// Keep the segments (and the checkpoints they replay from) of up to
+    /// this many prior commits on disk so [`as_of`](Self::as_of) opens can
+    /// resolve them (default 0: a commit sweeps everything its generation
+    /// does not reference).
     pub fn wal_retention(mut self, generations: u32) -> Self {
         self.config.wal_retention = generations;
         self
@@ -182,8 +182,8 @@ impl OpenOptions {
         let c = self.config;
         if c.as_of.is_some() && c.lazy {
             return Err(DslogError::InvalidOptions(
-                "`as_of` snapshots are read from a retained generation's catalog and always \
-                 decode eagerly; combining `as_of` with `lazy` is a conflict",
+                "`as_of` snapshots are replayed from a retained generation's checkpoint and \
+                 always decode eagerly; combining `as_of` with `lazy` is a conflict",
             ));
         }
         if c.as_of.is_some() && c.maintenance.auto_compact_generations.is_some() {
@@ -348,7 +348,7 @@ impl Dslog {
     /// are swept, except those the retention window (see
     /// [`OpenOptions::wal_retention`]) still vouches for, so time-travel
     /// opens inside the window keep working. The report is a commit's, with
-    /// `files_reused == 0`. The catalog rename remains the single commit
+    /// `files_reused == 0`. The new checkpoint's rename is the single commit
     /// point; a crash at any earlier step leaves the previous generation
     /// intact.
     pub fn compact(&self) -> Result<persist::CommitReport> {
@@ -393,16 +393,17 @@ impl Dslog {
     /// database directory. With `gzip` the tables use the ProvRC-GZip
     /// disk format (the paper's recommended long-term configuration).
     ///
-    /// The write is atomic: every file goes through temp-file + rename, the
-    /// catalog rename is the commit point, and files from older snapshots
-    /// are swept afterwards — a crash mid-save leaves the previous snapshot
-    /// intact, and re-saving over an existing directory (even with a
-    /// different edge set or `gzip` flag) can never leave stale tables.
+    /// The write is atomic: a full save's checkpoint rename is its commit
+    /// point (an incremental one's is its log record, see
+    /// [`commit`](Self::commit)), and files from older snapshots are swept
+    /// afterwards — a crash mid-save leaves the previous snapshot intact,
+    /// and re-saving over an existing directory (even with a different edge
+    /// set or `gzip` flag) can never leave stale tables.
     ///
     /// Saving into the *bound* directory — the one this database was
     /// opened from or last saved into, with the same `gzip` mode — is
     /// **incremental**: only edges added since the last commit are
-    /// written; everything else is re-referenced in place (see
+    /// written; everything else stays where it lies (see
     /// [`commit`](Self::commit) for the detailed report).
     ///
     /// Each edge's one stored table is written (a forward query reads it
@@ -414,11 +415,13 @@ impl Dslog {
     }
 
     /// Incrementally commit to the bound database directory: write only
-    /// the edge tables added since the last commit — as one
-    /// new segment file — re-reference every clean table where it lies,
-    /// and bump the snapshot generation with the catalog rename as the
-    /// single atomic commit point. Appending one edge to a 100k-row
-    /// database costs O(new edge), not O(database).
+    /// the edge tables added since the last commit — as one new segment
+    /// file — leave every clean table where it lies, and bump the snapshot
+    /// generation with one operation-log record, naming the new tables'
+    /// ranges, whose fdatasync is the single atomic commit point. Appending
+    /// one edge to a 100k-row database costs O(new edge), not O(database);
+    /// the checkpoint catalog is rewritten only once the edges committed
+    /// since the last one reach its edge count.
     ///
     /// The binding is established by [`save`](Self::save) or by opening a
     /// directory ([`OpenOptions::open`] / [`OpenOptions::create`]);

@@ -125,7 +125,7 @@ impl AutoCommitPolicy {
 /// The policy travels with the database: set it at open time through
 /// [`crate::api::OpenOptions::maintenance`], and the service checks it
 /// after every successful commit against what is on disk — the segment
-/// files the live catalog references — not against what this process
+/// files the live generation references — not against what this process
 /// did, so a database served by many short-lived processes compacts too.
 /// Compaction runs on the committing thread under the service commit lock
 /// — queries and ingest installs are never blocked (they only touch the
@@ -133,7 +133,7 @@ impl AutoCommitPolicy {
 /// serializes it against concurrent explicit commits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenancePolicy {
-    /// Compact once the live catalog references more than this many
+    /// Compact once the live generation references more than this many
     /// segment files (checked after each successful service commit; 0
     /// counts as 1). A commit that writes tables adds one segment, so this
     /// is the number of such generations since the last compaction; a
@@ -354,7 +354,7 @@ impl Shared {
     }
 
     /// Run background compaction if the served database's
-    /// [`MaintenancePolicy`] says the live catalog references too many
+    /// [`MaintenancePolicy`] says the live generation references too many
     /// segments. Failures are swallowed: the next commit finds the same
     /// segments and retries.
     fn maybe_auto_compact(&self, db: &Dslog) {
@@ -932,7 +932,7 @@ mod tests {
             .unwrap();
         // The ticker must pick the pending edge up without any explicit
         // commit call. Poll the service, not the directory: an open sweeps
-        // the files and truncates the log past the live catalog, so one
+        // the files and truncates the log's unvouched tail, so one
         // racing the ticker's commit (a second manager on a live
         // directory, which only tests do) could destroy that commit.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);

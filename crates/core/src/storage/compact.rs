@@ -6,19 +6,21 @@
 //! [`compact`] is the maintenance pass that folds them back down: the same
 //! generation writer as [`persist::commit`], with reuse switched off, so
 //! *every* stored table is written into the new generation's one segment,
-//! the new catalog references nothing older, and the sweep that follows
+//! the new checkpoint references nothing older, and the sweep that follows
 //! every commit deletes the superseded segments — subject to the retention
 //! window, so `as_of` opens keep working for retained generations. What it
 //! buys is file count (one open per table read, one directory entry per
 //! generation) and the dead bytes [`persist::VerifyReport::dead_bytes`]
 //! counts; it costs a rewrite of the whole database.
 //!
-//! Being a commit, it has a commit's durability — segment, directory sync,
-//! log append + fdatasync, catalog rename as the single commit point,
-//! directory sync, delete — passes the same `wal::IoPolicy` gates (so the
-//! fault sweeps, in-process and `scripts/crash_consistency.sh` with
-//! `--crash-at-io`, kill it at each one), and streams clean lazily opened
-//! slots as verified bytes without decoding them.
+//! It replaces every range the directory's generation names, so it is a
+//! checkpoint commit: segment, catalog temp file + fdatasync, directory
+//! sync, the catalog rename as its one commit point, directory sync, log
+//! append + fdatasync, delete. It passes the same `wal::IoPolicy` gates as
+//! every commit (so the fault sweeps, in-process and
+//! `scripts/crash_consistency.sh` with `--crash-at-io`, kill it at each
+//! one), and streams clean lazily opened slots as verified bytes without
+//! decoding them.
 
 use super::persist::{self, CommitReport};
 use super::StorageManager;
@@ -33,7 +35,8 @@ use std::path::Path;
 /// from it, or last committed into it) — compaction is in-place
 /// maintenance of a live database, not a save-elsewhere. Buffered
 /// operation-log records are flushed with the pass (like any commit),
-/// followed by a `compact` annotation record and the commit record.
+/// followed by a `compact` annotation record and the commit record naming
+/// the new checkpoint.
 ///
 /// Logical state is untouched: queries against the compacted database
 /// return exactly what they did before (pinned by the proptest parity

@@ -18,6 +18,7 @@
 //! the pointer work of logging, storing and invalidating. A batch either
 //! installs whole or not at all.
 
+mod catalog;
 pub mod compact;
 pub mod format;
 pub mod persist;
@@ -130,7 +131,7 @@ impl ArrayMeta {
     }
 }
 
-/// A not-yet-loaded table the catalog references: everything needed to
+/// A not-yet-loaded table a committed generation references: everything needed to
 /// read, verify, and decode it on first use.
 #[derive(Debug, Clone)]
 pub(crate) struct DiskTable {
@@ -138,15 +139,15 @@ pub(crate) struct DiskTable {
     pub(crate) dir: PathBuf,
     /// Whether the table uses the ProvRC-GZip disk format.
     pub(crate) gzip: bool,
-    /// Orientation the catalog says this table stores.
+    /// Orientation the record says this table stores.
     pub(crate) orientation: Orientation,
-    /// The catalog's record of the table (its `raw_len` lets
+    /// The record of the table (its `raw_len` lets
     /// `storage_bytes` report the same number for lazy and loaded slots).
     pub(crate) record: FileRecord,
 }
 
 impl DiskTable {
-    /// Read the range, verify it against the catalog record, and decode it
+    /// Read the range, verify it against its record, and decode it
     /// (same path as an eager open — see `persist::load_table_file`). Any
     /// mismatch is a hard error: a lazily opened database must fail
     /// exactly where an eager open would have.
@@ -172,12 +173,12 @@ impl DiskTable {
 }
 
 /// Where an edge's table currently lives: decoded in memory, or still on
-/// disk (lazy open) with its catalog-recorded length + checksum.
+/// disk (lazy open) with its recorded length + checksum.
 #[derive(Debug, Clone)]
 pub(crate) enum TableSource {
     /// Decoded and resident.
     Loaded(Arc<CompressedTable>),
-    /// Referenced by the catalog but not yet read; swapped for `Loaded` on
+    /// Referenced by the committed generation but not yet read; swapped for `Loaded` on
     /// the first `resolve_hop` that needs it.
     OnDisk(DiskTable),
 }
@@ -192,17 +193,19 @@ impl TableSource {
     }
 }
 
-/// Catalog record of the committed bytes that hold one slot's table: a
-/// range of a file in the bound database directory (see
-/// [`PersistBinding`]): the part of the generation segment a commit
-/// appended the table to.
+/// Record of the committed bytes that hold one slot's table: a range of a
+/// file in the bound database directory (see [`PersistBinding`]): the part
+/// of the generation segment a commit appended the table to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FileRecord {
     /// Bare file name inside the database directory.
     pub(crate) name: String,
     /// Byte length of the range.
     pub(crate) len: u64,
-    /// crc32 of the range's bytes.
+    /// The crc the record vouches for the range with: a plain table's body
+    /// crc (what its trailer holds — or, in a catalog written before the
+    /// log carried commits, the crc32 of the whole range), a gzip table's
+    /// container crc32.
     pub(crate) crc: u32,
     /// Byte length of the plain (un-gzipped) serialized table.
     pub(crate) raw_len: u64,
@@ -219,15 +222,26 @@ impl FileRecord {
     }
 }
 
+/// What the bound database directory holds of a slot's table.
+#[derive(Debug, Clone)]
+pub(crate) enum Stored {
+    /// *Clean*: a committed range holds this slot's content; a commit
+    /// leaves it where it is.
+    Committed(FileRecord),
+    /// *Dirty* (a freshly ingested edge): the table's plain serialized
+    /// bytes — the table file, as long as its `IngestEdge` record's
+    /// `bytes` says — which ingest serialized once and the commit that
+    /// writes the slot appends as they are. Dropped once that commit marks
+    /// the slot clean. A manager bound to no directory keeps none (`None`):
+    /// its first commit is a full save, which serializes every table anyway.
+    Dirty(Option<Arc<Vec<u8>>>),
+}
+
 /// An edge's one table plus its incremental-persistence state.
-/// `persisted` is `Some` exactly when the bound database directory already
-/// holds a committed range with this slot's content — such slots are
-/// *clean* and an incremental commit reuses the recorded range instead of
-/// rewriting it. A freshly ingested edge's slot is *dirty* (no record).
 #[derive(Debug)]
 pub(crate) struct Slot {
     pub(crate) source: TableSource,
-    pub(crate) persisted: Option<FileRecord>,
+    pub(crate) stored: Stored,
 }
 
 /// The database directory the manager is bound to for incremental
@@ -239,13 +253,13 @@ pub(crate) struct Slot {
 pub(crate) struct PersistBinding {
     pub(crate) dir: PathBuf,
     pub(crate) gzip: bool,
-    /// Generation of the last committed catalog.
+    /// The last committed generation.
     pub(crate) generation: u64,
-    /// What the manager remembers of the directory's log and retained
-    /// files (see [`wal::LogTail`]). A commit takes it and puts the
-    /// advanced tail back on success, so `None` — after a failed commit —
-    /// makes the next commit rebuild it from the directory.
-    pub(crate) tail: Option<wal::LogTail>,
+    /// What the manager remembers of the directory's log, committed state
+    /// and retained files (see [`persist::LogTail`]). A commit takes it and
+    /// puts the advanced tail back on success, so `None` — after a failed
+    /// commit — makes the next commit rebuild it from the directory.
+    pub(crate) tail: Option<persist::LogTail>,
 }
 
 /// One stored lineage edge (input array → output array): its one table,
@@ -278,16 +292,27 @@ impl Edge {
             table.ensure_index();
         }
         // Loading does not change content: the slot stays clean (its
-        // `persisted` record remains valid).
+        // committed record remains valid).
         slot.source = TableSource::Loaded(Arc::clone(&table));
         Ok(table)
     }
 
     /// Clone the slot's state out of its lock, for the commit planner
     /// (file IO must never run under a slot lock).
-    fn snapshot(&self) -> (TableSource, Option<FileRecord>) {
+    fn snapshot(&self) -> (TableSource, Stored) {
         let slot = self.slot.read();
-        (slot.source.clone(), slot.persisted.clone())
+        (slot.source.clone(), slot.stored.clone())
+    }
+
+    /// The bytes a dirty slot's commit appends — the ones it kept, or its
+    /// table serialized — and `None` once clean.
+    fn dirty_bytes(&self) -> Option<Arc<Vec<u8>>> {
+        let slot = self.slot.read();
+        match (&slot.stored, &slot.source) {
+            (Stored::Dirty(Some(bytes)), _) => Some(Arc::clone(bytes)),
+            (Stored::Dirty(None), TableSource::Loaded(t)) => Some(Arc::new(format::serialize(t))),
+            _ => None,
+        }
     }
 
     /// Mark the slot clean after a commit wrote it: record the committed
@@ -295,7 +320,7 @@ impl Edge {
     /// `OnDisk` reference — repoint it at that range. The old file may
     /// have just been swept (same-directory rewrite, e.g. a gzip
     /// conversion), so a stale source would make every later load fail.
-    /// Called only after the catalog rename landed. Safe against
+    /// Called only once the commit point passed. Safe against
     /// concurrent readers: under `&StorageManager` the slot's content can
     /// only transition `OnDisk → Loaded` (identical bytes), so both the
     /// record and the repointed source still describe what the slot holds.
@@ -306,7 +331,7 @@ impl Edge {
             disk.gzip = gzip;
             disk.record = record.clone();
         }
-        slot.persisted = Some(record);
+        slot.stored = Stored::Committed(record);
     }
 }
 
@@ -335,13 +360,14 @@ pub(crate) struct PreparedEdge {
 }
 
 impl PreparedEdge {
-    /// Index the table's primary side, and take the log record from it:
-    /// its serialized length and, as the per-edge digest, the crc32 the
-    /// table file's own trailer holds. The secondary side's index waits
-    /// for the first forward hop: built here, it held 20 B per row of
-    /// every table, queried forward or not (+25 % peak RSS on
-    /// `ingest_commit`).
-    fn new(key: EdgeName, table: CompressedTable) -> Self {
+    /// Index the table's primary side, serialize it — the one time: with
+    /// `keep` (the manager is bound to a directory) the dirty slot keeps
+    /// the bytes for its commit — and take the log record from them: their
+    /// length and, as the per-edge digest, the crc32 the table file's own
+    /// trailer holds. The secondary side's index waits for the first
+    /// forward hop: built here, it held 20 B per row of every table,
+    /// queried forward or not (+25 % peak RSS on `ingest_commit`).
+    fn new(key: EdgeName, table: CompressedTable, keep: bool) -> Self {
         let table = Arc::new(table);
         if !table.is_generalized() {
             table.ensure_index();
@@ -356,7 +382,7 @@ impl PreparedEdge {
         // A fresh edge: dirty (nothing committed yet).
         let edge = Edge::new(Slot {
             source: TableSource::Loaded(table),
-            persisted: None,
+            stored: Stored::Dirty(keep.then(|| Arc::new(bytes))),
         });
         Self { key, edge, log }
     }
@@ -582,9 +608,9 @@ pub struct StorageManager {
     /// Who operation-log records name when the operation brings no actor
     /// of its own.
     pub(crate) actor: String,
-    /// Prior committed generations each commit keeps on disk (catalog and
-    /// files) for `as_of` opens; 0 sweeps everything the new catalog does
-    /// not reference.
+    /// Prior committed generations each commit keeps on disk (segments and
+    /// the checkpoints they replay from) for `as_of` opens; 0 sweeps
+    /// everything the new generation does not reference.
     pub(crate) retain: u32,
     /// The fault injector gating this manager's commit IO, if any.
     pub(crate) io_policy: Option<Arc<wal::IoPolicy>>,
@@ -797,8 +823,9 @@ impl StorageManager {
             })
             .collect();
         let tables = provrc::compress_batch_parallel(&compress_jobs, Orientation::Backward);
+        let keep = self.binding.lock().is_some();
         Ok((names.into_iter().zip(tables))
-            .map(|(name, table)| PreparedEdge::new(name, table))
+            .map(|(name, table)| PreparedEdge::new(name, table, keep))
             .collect())
     }
 
@@ -811,9 +838,11 @@ impl StorageManager {
         table: CompressedTable,
     ) -> Result<PreparedEdge> {
         self.edge_shapes(in_array, out_array)?;
+        let keep = self.binding.lock().is_some();
         Ok(PreparedEdge::new(
             self.edge_name(in_array, out_array)?,
             table,
+            keep,
         ))
     }
 
@@ -868,13 +897,13 @@ impl StorageManager {
             .map(|b| (b.dir.clone(), b.gzip, b.generation))
     }
 
-    /// How many segment files the bound directory's live catalog
+    /// How many segment files the bound directory's live generation
     /// references, as the last commit or open left it (0 while unbound, or
     /// after a failed commit until the next one succeeds).
     pub(crate) fn live_segments(&self) -> usize {
         let binding = self.binding.lock();
         let tail = binding.as_ref().and_then(|b| b.tail.as_ref());
-        tail.map_or(0, wal::LogTail::live_files)
+        tail.map_or(0, persist::LogTail::live_files)
     }
 
     /// The registry entry of `path`: found under the registry's read lock
@@ -1017,14 +1046,19 @@ impl StorageManager {
     }
 
     /// Serialized size in bytes of all stored tables, the quantity the
-    /// paper's storage experiments measure. For tables a
-    /// lazy open has not touched yet, the catalog-recorded plain serialized
-    /// length is reported instead of re-serializing (no load is triggered,
-    /// and the number matches what a loaded slot would report).
+    /// paper's storage experiments measure: a committed table's recorded
+    /// plain serialized length, the bytes a dirty slot keeps, or else its
+    /// table serialized. No table is loaded for it: a lazy slot reports
+    /// what a loaded one would.
     pub fn storage_bytes(&self) -> usize {
-        let bytes = |edge: &Arc<Edge>| match &edge.slot.read().source {
-            TableSource::Loaded(t) => format::serialize(t).len(),
-            TableSource::OnDisk(d) => d.record.raw_len as usize,
+        let bytes = |edge: &Arc<Edge>| {
+            let slot = edge.slot.read();
+            match (&slot.stored, &slot.source) {
+                (Stored::Committed(record), _) => record.raw_len as usize,
+                (Stored::Dirty(Some(bytes)), _) => bytes.len(),
+                (_, TableSource::Loaded(t)) => format::serialize(t).len(),
+                (_, TableSource::OnDisk(d)) => d.record.raw_len as usize,
+            }
         };
         self.edges.iter().map(|(_, edge)| bytes(edge)).sum()
     }
@@ -1128,6 +1162,33 @@ mod tests {
             s.ingest_lineage("A", "B", &sum_lineage()),
             Err(DslogError::ArityMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_bound_dirty_slot_keeps_its_table_file_until_its_commit() {
+        let dir = std::env::temp_dir().join(format!("dslog-kept-bytes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Unbound: nothing is kept — the first commit is a full save.
+        let mut s = manager_with_edge();
+        let first = Arc::clone(s.edge("A", "B").unwrap());
+        assert!(matches!(first.slot.read().stored, Stored::Dirty(None)));
+        persist::save(&s, &dir, false).unwrap();
+        assert!(matches!(first.slot.read().stored, Stored::Committed(_)));
+
+        // Bound: ingest serializes the table once, the slot keeps those
+        // bytes, and the commit appends exactly them and lets them go.
+        s.define_array("C", &[3]).unwrap();
+        let mut id = LineageTable::new(1, 1);
+        (0..3).for_each(|i| id.push_row(&[i, i]));
+        s.ingest_lineage("B", "C", &id).unwrap();
+        let edge = Arc::clone(s.edge("B", "C").unwrap());
+        let kept = edge.dirty_bytes().unwrap();
+        assert!(Arc::ptr_eq(&kept, &edge.dirty_bytes().unwrap()));
+        assert_eq!(*kept, format::serialize(&edge.table().unwrap()));
+        let report = persist::commit(&s, &dir, false).unwrap();
+        assert_eq!(report.bytes_written, kept.len() as u64);
+        assert!(edge.dirty_bytes().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

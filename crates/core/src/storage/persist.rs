@@ -3,178 +3,113 @@
 //! The paper serves its compressed lineage tables from files on disk
 //! ("We measured the file size of the database files that were ultimately
 //! served to DuckDB", §VII.C); this module gives DSLog the same durable
-//! form. A database directory holds one catalog file plus one segment
-//! file per generation that wrote tables:
+//! form:
 //!
 //! ```text
 //! <dir>/
-//!   catalog.dsl         catalog: arrays + edges + per edge its table's
-//!                       orientation and range (segment name, byte offset,
-//!                       byte length), its crc32 and plain serialized
-//!                       length, with its own crc32 trailer (hand-rolled
-//!                       binary, magic `DSLGDB3`)
 //!   segment-0.g<g>.seg  the tables generation g wrote, back to back
-//!   ops.log             the operation log (see [`super::wal`])
-//!   catalog.g<g>.dsl    the catalog generation g was live as, kept (a
-//!                       hard link made by the commit that superseded it)
-//!                       while the retention window keeps g
+//!   ops.log             the operation log (see [`super::wal`]); a commit
+//!                       record names its segment and, per table in it,
+//!                       the edge, byte range and crc
+//!   catalog.dsl         the checkpoint (see [`super::catalog`]): arrays,
+//!                       and per edge its table's orientation and range
+//!   catalog.g<g>.dsl    an older checkpoint, kept while a generation of
+//!                       the retention window needs it
 //! ```
 //!
-//! That is the one shape read as well as written. A catalog of any other
-//! version is refused with `Corrupt("unsupported catalog version")`, and
-//! one naming any file but a `segment-*` with
-//! `Corrupt("catalog references an illegal file name")`; either refusal
-//! comes before anything in the directory is touched.
+//! A generation is a checkpoint plus the commit records after it: open
+//! reads `catalog.dsl` and replays the log past it, and an `as_of` open
+//! replays from the newest checkpoint at or before the generation asked
+//! for. A directory whose catalog every commit rewrote opens unchanged: its
+//! live catalog is the first checkpoint.
 //!
 //! ## Atomicity
 //!
-//! [`commit`] (and its thin wrapper [`save`]) is crash-safe: every file is
-//! written to a `.tmp` sibling, fsynced, and `rename`d into place, a
-//! segment carries a fresh generation number so it never overwrites a file
-//! the live catalog references, and the catalog rename is the single
-//! commit point. The ordering is segment → directory sync → log append +
-//! fdatasync → catalog rename → directory sync → delete (the directory is
-//! synced before the commit so the segment rename cannot reorder after it,
-//! and again after it before old files go) — a crash at any earlier step
-//! leaves the previous snapshot fully intact (plus harmless debris that
-//! the next [`open`] sweeps). After the commit, every file
-//! that only a generation leaving the retention window named is deleted,
-//! so shrinking the edge set or flipping the `gzip` flag cannot leave
-//! stale tables for a later `open` to trip over. Every write
-//! and sync on the way passes the manager's [`wal::IoPolicy`] (the one
-//! fault injector), if one was installed.
+//! A commit on a remembered tail (see below) has one commit point, the
+//! fdatasync of its log record: segment (written and fdatasynced under a
+//! generation-qualified name no record names yet) → directory sync → log
+//! append + fdatasync. Three syncs; a commit that wrote no segment skips
+//! the first two. A crash before the log fdatasync leaves the previous
+//! generation (the segment is debris the next [`open`] sweeps), from it on
+//! the new one. Once the tables committed since the last checkpoint reach
+//! that one's edge count, the commit writes a new one after its commit
+//! point — amortized O(1) per table, and a replay never applies more tables
+//! than the checkpoint holds.
+//!
+//! A full save, a gzip conversion, a compaction and a commit whose tail had
+//! to be rebuilt replace what the directory holds, so their commit point
+//! is their checkpoint's rename: segment → catalog temp file + fdatasync →
+//! directory sync → rename → directory sync → log append + fdatasync, the
+//! record naming the catalog it follows. After any commit, the files only
+//! generations leaving the retention window needed are deleted. Every write
+//! and sync passes the manager's [`wal::IoPolicy`] (the one fault
+//! injector), if one was installed.
 //!
 //! ## The remembered tail
 //!
-//! A commit into the bound directory reads back nothing this manager
-//! wrote itself. The binding carries a `wal::LogTail` — the log's clean
-//! length and last op id, the generation the next commit takes, the live
-//! catalog's byte length, and the file sets of the live and retained
-//! generations — shared by every epoch clone, built once by
-//! [`open`] (or the first commit) through `load_tail`, and
-//! advanced by every successful [`commit`] and
-//! [`compact`](super::compact::compact). So a commit appends to the log
-//! without scanning it, takes its generation without listing the
-//! directory, and deletes exactly the files the generation leaving the
-//! window pinned, decided by the one sparing rule, `is_spared`. The tail
-//! is taken at the start of a commit and put back only on success, and it
-//! is believed only while `ops.log`'s on-disk length and the live
-//! catalog's header (generation) and length are what it remembers;
-//! otherwise — an unbound or foreign target, a failed commit, a directory
-//! changed from outside — the commit runs `load_tail` again, exactly as an
-//! open would, and sweeps by listing the directory when it is done. There
-//! is one commit path: "tail missing or stale" only decides where the
-//! tail comes from.
+//! The binding carries a `LogTail` — where the log ends, the generation the
+//! next commit takes, the committed generation (every edge's range), the
+//! live checkpoint's header, the retention window and the segments and
+//! checkpoints it needs — shared by every epoch clone, built by [`open`]
+//! through `load_tail` and advanced by each commit the way a replay of its
+//! records would be. So a commit into the bound directory reads back
+//! nothing this manager wrote. The tail is believed only while `ops.log`'s
+//! length and the live catalog's generation and length are what it
+//! remembers; otherwise — an unbound or foreign target, a failed commit, a
+//! directory changed from outside — the commit runs `load_tail` again,
+//! writes a checkpoint (holding each clean range against its segment's
+//! length first, one `stat` per segment, and rewriting what does not fit
+//! from the slots), and sweeps by listing the directory.
 //!
 //! ## Incremental commits
 //!
-//! Committing into the directory the manager is *bound* to (the one it was
-//! opened from, or last committed into, with the same `gzip` mode) is
-//! incremental: only slots whose content changed since the last commit —
-//! freshly ingested edges — are serialized, and they are appended to the
-//! one segment the commit writes (a commit with nothing dirty writes no
-//! segment). Clean slots'
-//! bytes are left in place and the new catalog re-references them by their
-//! recorded range and crc32 (older generations' segment names stay valid
-//! precisely because names are generation-qualified and the catalog stores
-//! them verbatim). The tamper guard on those ranges is one `stat` per
-//! referenced segment per commit: each clean record is held against its
-//! segment's length in memory, so a segment truncated or deleted from
-//! outside gets exactly its lost ranges rewritten from the slots. The
-//! catalog itself — O(edges), tiny — is always rewritten, and its rename
-//! remains the single commit point, so appending
-//! one edge to a 100k-edge-row database costs O(new edge), not
-//! O(database) — nor, with the remembered tail, O(history). A commit into
-//! any *other* directory (or with a flipped `gzip` flag) is a full save
-//! that then re-binds the manager to that target.
-//! [`compact`](super::compact::compact) is this same commit with reuse
-//! switched off: every stored table goes into the new generation's
-//! segment.
-//!
-//! A segment is deleted whole, when the last live or retained range in it
-//! dies. So the bytes of a table that a later commit superseded (an edge
-//! re-ingested through the capture path) stay on disk, unreferenced, while
-//! a neighbour in the same segment is still live — until the next
-//! compaction, which is what reclaims them. [`verify`] reports that space
-//! as [`VerifyReport::dead_bytes`]. (The service path rejects a duplicate
-//! edge, so a served database never grows dead bytes; what its
-//! maintenance policy counts is live segments.)
-//!
-//! Concurrent commits on one manager serialize on its commit lock.
-//! Across *processes*, a database directory supports one live process at
-//! a time: [`open`] sweeps unreferenced data and `*.tmp`
-//! files (crashed-process debris), so an open racing another process's
-//! in-flight commit could delete files that commit is about to
-//! reference, and the remembered tail likewise assumes no other live
-//! writer (it notices one only by the log's length or the catalog's
-//! generation having moved). Concurrent ingest/query/commit within one process is the
-//! supported mode — see [`crate::service`].
+//! A commit into the *bound* directory (opened from or last committed into,
+//! same `gzip` mode) visits only the edges its buffered `IngestEdge`
+//! records name and appends the bytes each dirty slot kept since ingest
+//! serialized its table, so appending one edge costs O(new edge), not
+//! O(database) — nor O(history). A commit into any other directory (or
+//! with a flipped `gzip` flag) is a full save that re-binds the manager;
+//! [`compact`](super::compact::compact) is a checkpoint commit that
+//! reuses nothing. A segment is deleted whole, when the last live or
+//! retained range in it dies; until then a superseded table in it is
+//! [`VerifyReport::dead_bytes`]. A directory supports one live process at
+//! a time: [`open`] sweeps unreferenced files, so an open racing another
+//! process's commit could delete what that commit is about to name.
 //!
 //! ## Verify once
 //!
-//! Reading a table back — eager open, a lazy slot's first touch, an
+//! Every read of a table — eager open, a lazy slot's first touch, an
 //! `AsOf` open, [`verify`] — goes through `load_table_file`, which
-//! checksums a plain table's range in a single pass: the crc32 of
-//! everything before the 4-byte trailer must be what the trailer holds,
-//! and the same running state carried on over the trailer must be what the
-//! catalog recorded for the range. Both comparisons are made, range
-//! against catalog first; neither costs a second read of the bytes, and
-//! the decoder is handed the body crc instead of recomputing it.
-//! (`read_verified_bytes`, the path a commit streams a lazy slot through
-//! without decoding it, keeps its own whole-range check; a gzip table
-//! keeps three checks — catalog crc over the container, the container's
-//! crc, the table trailer — because they cover different bytes.)
+//! checksums a plain table's range in one pass: the trailer must hold the
+//! body's crc32, and so must the record that installed the range (a commit
+//! record's table or a checkpoint's edge), so a well-formed table that is
+//! not the one committed fails too. A checkpoint written when every commit
+//! rewrote the catalog holds the crc32 of the whole range instead (the
+//! CRC-32 residue for bytes that end in their own crc), which is accepted.
+//! A gzip table's record holds its container's crc32.
 //!
-//! For a plain table the two values are not independent: bytes that end
-//! in the crc32 of their own body have, as a whole, the CRC-32 residue
-//! `0x2144df1c` as their crc32, whatever they hold. So the catalog's
-//! `FileRecord::crc` of a plain table is that constant for every edge — it
-//! proves the range is self-consistent and the length matches, not that it
-//! is the table that was committed. Telling one well-formed table from
-//! another is the job of a content digest: the operation log's
-//! `IngestEdge.digest` is the body crc the table's trailer holds, and
-//! holding each live table against it in [`verify`] is ROADMAP item 6's.
-//!
-//! ## What is persisted
-//!
-//! Each edge's one table, in the orientation it was stored in (backward
-//! for every edge this build ingests); a forward query reads that same
-//! table in reverse, so there is no second orientation to write. The
-//! catalog's per-edge mask can still name both orientations, or only the
-//! forward one: an edge of such a catalog keeps one table — the backward
-//! one when both are named — and the next commit names only that. The
-//! reuse predictor's signature tables are deliberately not persisted —
-//! they are a cache whose correctness is re-validated per process anyway
-//! (§VI.C re-confirms mappings after `m` calls).
+//! Each edge persists its one table, in the orientation it was stored in;
+//! a checkpoint whose edge mask names the forward table, or both, still
+//! opens, the edge keeping one table (the backward one when both are
+//! named). The reuse predictor's tables are not persisted (§VI.C).
 
-use super::wal::{self, Generation, IoPolicy, LogTail};
-use super::wire::{read_string, read_u32_le, write_string};
-use super::{
-    format, ArrayMeta, DiskTable, Edge, EdgeName, FileRecord, Slot, StorageManager, TableSource,
-};
+use super::catalog::{checkpoint_at, checkpoint_name, parse_catalog, peek_catalog, read_catalog};
+use super::catalog::{Catalog, FileRef, Log, Replay, CATALOG_FILE};
+use super::wal::{self, IoPolicy, OpKind, OpRecord};
+use super::{format, DiskTable, Edge, FileRecord, Slot, StorageManager, Stored, TableSource};
 use crate::error::{DslogError, Result};
 use crate::par;
 use crate::table::Orientation;
 use dslog_codecs::crc32::{crc32, Crc32};
-use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const CATALOG_MAGIC_V3: &[u8; 8] = b"DSLGDB3\0";
-pub(crate) const CATALOG_FILE: &str = "catalog.dsl";
-
 /// The segment generation `gen` writes its tables into. The generation
 /// makes the name unique per commit, so a commit in progress can never
-/// clobber a file the committed catalog still references.
+/// clobber a file a committed generation still references.
 fn segment_file_name(gen: u64) -> String {
     format!("segment-0.g{gen}.seg")
-}
-
-/// The catalog of generation `gen`, kept under this name from the commit
-/// that superseded it for as long as the retention window keeps `gen`.
-pub(crate) fn retained_catalog_name(gen: u64) -> String {
-    format!("catalog.g{gen}.dsl")
 }
 
 /// Extract the generation from a generation-qualified data file name —
@@ -203,85 +138,10 @@ pub(crate) fn list_dir(dir: &Path) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// The live catalog's generation and byte length from its header alone —
-/// an O(1) read, whatever the catalog's size (`None` for a missing or
-/// unrecognizable catalog).
-fn peek_catalog(dir: &Path) -> Option<(u64, u64)> {
-    use std::io::Read as _;
-    let f = std::fs::File::open(dir.join(CATALOG_FILE)).ok()?;
-    let len = f.metadata().ok()?.len();
-    // magic (8), gzip flag (1), generation uvarint (at most 10).
-    let mut head = Vec::with_capacity(19);
-    f.take(19).read_to_end(&mut head).ok()?;
-    if !head.starts_with(CATALOG_MAGIC_V3) {
-        return None;
-    }
-    let mut pos = 9usize;
-    let generation = read_uvarint(&head, &mut pos).ok()?;
-    Some((generation, len))
-}
-
-/// The catalogs of the retained generations of `dir`, oldest first: every
-/// `catalog.g<gen>.dsl` among `names` that is older than the `live`
-/// generation, parses, and records the generation its name claims.
-fn retained_catalogs(dir: &Path, names: &[String], live: u64) -> Vec<Catalog> {
-    let mut kept: Vec<Catalog> = names
-        .iter()
-        .filter_map(|name| {
-            let generation = parse_generation(name).filter(|g| *g < live)?;
-            if *name != retained_catalog_name(generation) {
-                return None;
-            }
-            let old = parse_catalog(&std::fs::read(dir.join(name)).ok()?).ok()?;
-            (old.generation == generation).then_some(old)
-        })
-        .collect();
-    kept.sort_by_key(|catalog| catalog.generation);
-    kept
-}
-
-/// A catalog's entry in the retention window: its generation and the data
-/// files it references.
-fn generation_of(catalog: &Catalog) -> Generation {
-    let files = catalog.edges.iter().flat_map(|e| &e.files);
-    let names = files.map(|f| f.record.name.clone()).collect();
-    (catalog.generation, names)
-}
-
-/// Rebuild what a manager remembers of `dir` ([`wal::LogTail`]) from the
-/// directory itself — the one routine behind [`open`] and behind a commit
-/// whose remembered tail is missing or stale. `live` is the parsed live
-/// catalog, `names` the directory listing. Reconciles the log with the
-/// catalog (truncating a torn or unvouched tail), and keeps every
-/// generation whose catalog is still on disk in the window: the next
-/// commit applies the retention policy and trims it.
-///
-/// The generation the next commit must use is one past anything present —
-/// both the catalog's recorded generation and every generation visible in
-/// file names (leftover higher-generation debris from a crashed save must
-/// not be reused while a concurrent reader might still stat it).
-pub(crate) fn load_tail(dir: &Path, live: Option<&Catalog>, names: &[String]) -> LogTail {
-    let committed = live.map_or(0, |c| c.generation);
-    let recovery = wal::recover(dir, committed);
-    let retained = retained_catalogs(dir, names, committed);
-    let window = retained.iter().chain(live).map(generation_of).collect();
-    let max_gen = names
-        .iter()
-        .filter_map(|n| parse_generation(n))
-        .fold(committed, u64::max);
-    LogTail {
-        clean_len: recovery.clean_len,
-        last_op_id: recovery.last_op_id,
-        next_gen: max_gen.saturating_add(1),
-        catalog_len: live.map_or(0, |c| c.byte_len),
-        window,
-    }
-}
-
-/// Flush directory metadata so preceding renames/unlinks in `dir` are
-/// durable. Without this, a power loss can persist the catalog rename but
-/// not the segment rename it depends on. No-op error-wise on platforms
-/// where directories cannot be opened for sync.
+/// Flush directory metadata so preceding creates/renames/unlinks in `dir`
+/// are durable. Without this, a power loss can persist a log record or a
+/// catalog rename but not the segment it depends on. No-op error-wise on
+/// platforms where directories cannot be opened for sync.
 pub(crate) fn sync_dir(dir: &Path, policy: Option<&IoPolicy>) -> Result<()> {
     let _io = dslog_sync::io_guard("persist::sync_dir");
     #[cfg(unix)]
@@ -294,29 +154,22 @@ pub(crate) fn sync_dir(dir: &Path, policy: Option<&IoPolicy>) -> Result<()> {
     Ok(())
 }
 
-/// Write `bytes` to `<path>.tmp`, flush, then rename over `path`. Every
-/// write and sync is gated by the fault-injection `policy` (if any).
-fn write_atomic(
+/// Create (or truncate) `path`, write `bytes` and fdatasync — for a file no
+/// committed generation names yet. Every write and sync is gated by the
+/// fault-injection `policy` (if any).
+fn write_synced(
     path: &Path,
     bytes: &[u8],
     what: &'static str,
     policy: Option<&IoPolicy>,
 ) -> Result<()> {
-    let _io = dslog_sync::io_guard("persist::write_atomic");
-    let tmp = path.with_extension(match path.extension().and_then(|e| e.to_str()) {
-        Some(ext) => format!("{ext}.tmp"),
-        None => "tmp".to_string(),
-    });
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| DslogError::io(what, e))?;
-        wal::policy_write(&mut f, bytes, what, policy)?;
-        // fdatasync, not fsync: for a freshly created temp file the data
-        // and size are what crash recovery needs; the rename only becomes
-        // durable at the later directory sync either way. Saves one
-        // metadata journal flush per file on the commit hot path.
-        wal::policy_sync(&f, what, policy)?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| DslogError::io(what, e))
+    let _io = dslog_sync::io_guard("persist::write_synced");
+    let mut f = std::fs::File::create(path).map_err(|e| DslogError::io(what, e))?;
+    wal::policy_write(&mut f, bytes, what, policy)?;
+    // fdatasync, not fsync: for a fresh file the data and size are what
+    // crash recovery needs; its directory entry becomes durable at the
+    // next directory sync either way.
+    wal::policy_sync(&f, what, policy)
 }
 
 /// What one [`commit`] — or one [`compact`](super::compact::compact), which
@@ -324,7 +177,7 @@ fn write_atomic(
 /// database it actually had to rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitReport {
-    /// Generation of the newly committed catalog.
+    /// Generation committed.
     pub generation: u64,
     /// Whether the target was the bound directory in its bound `gzip`
     /// mode (`false` for a full save into an unbound directory or with a
@@ -333,61 +186,36 @@ pub struct CommitReport {
     /// Tables (one per edge) serialized and written into this
     /// generation's segment.
     pub files_written: usize,
-    /// Tables re-referenced where earlier generations wrote them (clean
-    /// slots); always 0 for a compaction.
+    /// Tables left where earlier generations wrote them (clean slots);
+    /// always 0 for a compaction.
     pub files_reused: usize,
-    /// Byte length of the segment written (excludes the catalog).
+    /// Byte length of the segment written (excludes the catalog and the
+    /// log).
     pub bytes_written: u64,
 }
 
 /// Whether a directory entry is one of ours and subject to sweeping:
-/// segments and retained generations' catalogs (never the live
-/// `catalog.dsl`).
+/// segments and kept checkpoints (never the live `catalog.dsl`).
 fn is_data_file(name: &str) -> bool {
     name.starts_with("segment-") || name.starts_with("catalog.g")
 }
 
 /// Delete, among the listed `names`, every data file (see
-/// [`is_data_file`]) that `window` does not spare, plus any `*.tmp`
+/// [`is_data_file`]) that `tail` does not spare, plus any `*.tmp`
 /// debris. Deletion failures are ignored (opening a read-only snapshot
 /// must stay possible).
-pub(crate) fn sweep_stale_files(dir: &Path, names: &[String], window: &[Generation]) {
+fn sweep_stale_files(dir: &Path, names: &[String], tail: &LogTail) {
     for name in names {
-        if name.ends_with(".tmp") || (is_data_file(name) && !is_spared(window, name)) {
+        if name.ends_with(".tmp") || (is_data_file(name) && !tail.spares(name)) {
             let _ = std::fs::remove_file(dir.join(name));
         }
     }
 }
 
-/// The single source of truth for what a sweep must leave alone — shared
-/// by [`CommitSession::finish`] (so by [`commit`] and
-/// [`super::compact::compact`]), [`open`] and [`verify`], so
-/// no caller can invent its own (weaker) sparing rule and delete a file
-/// the live catalog or the retained time-travel window still references.
-///
-/// Spared: everything a generation of `window` references (the live
-/// catalog and the retained ones before it) and each such generation's
-/// kept catalog. A segment therefore outlives the commit that wrote it for
-/// as long as any generation of the window references a range in it.
-pub(crate) fn is_spared(window: &[Generation], name: &str) -> bool {
-    window.iter().any(|(generation, files)| {
-        files.contains(name) || name == retained_catalog_name(*generation)
-    })
-}
-
-/// How the commit planner decided to handle one edge's slot.
-enum SlotPlan {
-    /// Clean slot whose committed range is still on disk: the new catalog
-    /// re-references it verbatim; nothing is rewritten.
-    Reuse(FileRecord),
-    /// Dirty (or force-rewritten) slot: these plain serialized bytes get
-    /// appended to the new generation's segment.
-    Write(Vec<u8>),
-}
-
-/// The byte length of each segment a commit's clean slots reference,
-/// `stat`ed on first ask (`None`: the file is gone), so a commit makes one
-/// `stat` per referenced segment, however many ranges it holds.
+/// The byte length of each segment a rebuilt commit's clean slots
+/// reference, `stat`ed on first ask (`None`: the file is gone): the tamper
+/// guard of a commit that could not trust its tail, one `stat` per
+/// referenced segment.
 struct SegmentLens<'d> {
     dir: &'d Path,
     lens: HashMap<String, Option<u64>>,
@@ -409,97 +237,220 @@ impl SegmentLens<'_> {
     }
 }
 
-/// Decide whether one slot can reuse its committed range. Runs file IO, so
-/// it takes a lock-free snapshot of the slot, never the slot lock itself.
-fn plan_slot(
-    source: TableSource,
-    persisted: Option<FileRecord>,
-    segments: Option<&mut SegmentLens<'_>>,
-) -> Result<SlotPlan> {
-    if let Some((record, segments)) = persisted.zip(segments) {
-        // Tamper guard, one `stat` per referenced segment per commit: the
-        // recorded file must still exist and hold this range. Anything
-        // else (externally deleted or truncated) falls through to a
-        // rewrite from the slot.
-        if segments.hold(&record) {
-            return Ok(SlotPlan::Reuse(record));
-        }
-    }
-    // Serialize loaded slots; stream lazily opened (OnDisk) slots as
-    // verified bytes — a commit must not silently drop an edge no query
-    // touched, but it also must not decode and pin a whole lazily opened
-    // database just to re-write it.
-    let plain = match source {
-        TableSource::Loaded(t) => format::serialize(&t),
-        TableSource::OnDisk(d) => d.read_plain_bytes()?,
+/// Append one table's plain serialized bytes (gzipped first in `gzip`
+/// mode) to `segment`, the generation file `name`, and return the record
+/// of the range it now occupies. A plain table's crc is its body crc — the
+/// trailer its bytes end in, no second pass over them.
+fn append_table(segment: &mut Vec<u8>, name: &str, gzip: bool, plain: &[u8]) -> FileRecord {
+    let offset = segment.len() as u64;
+    let crc = if gzip {
+        let packed = dslog_codecs::gzip::compress(plain);
+        segment.extend_from_slice(&packed);
+        crc32(&packed)
+    } else {
+        segment.extend_from_slice(plain);
+        wal::trailer_crc(plain)
     };
-    Ok(SlotPlan::Write(plain))
+    FileRecord {
+        name: name.to_string(),
+        len: segment.len() as u64 - offset,
+        crc,
+        raw_len: plain.len() as u64,
+        offset,
+    }
 }
 
-/// Assemble complete catalog bytes (magic through crc trailer) for the
-/// given per-edge plans.
-fn build_catalog_bytes(
-    storage: &StorageManager,
-    gzip: bool,
-    gen: u64,
-    planned: &[PlannedEdge<'_>],
-) -> Vec<u8> {
-    let mut catalog = Vec::new();
-    catalog.extend_from_slice(CATALOG_MAGIC_V3);
-    catalog.push(gzip as u8);
-    write_uvarint(&mut catalog, gen);
+/// What a manager remembers about the directory it is bound to, so a
+/// commit reads back nothing it wrote itself: where the log ends, the
+/// committed database, and what the generations it must spare need. Lives
+/// in the persistence binding (shared by epoch clones); built from the
+/// directory by `load_tail`, advanced by every successful commit, and
+/// dropped — hence rebuilt by the next commit — whenever a commit fails or
+/// the directory no longer looks the way the tail left it.
+#[derive(Debug, Default)]
+pub(crate) struct LogTail {
+    /// Byte length of the log's vouched prefix: the append position.
+    clean_len: u64,
+    /// Highest op id in that prefix (0 for an empty log).
+    last_op_id: u64,
+    /// Generation the next commit uses: one past every generation the
+    /// directory's file names, catalog and log carried when the tail was
+    /// built or advanced.
+    next_gen: u64,
+    /// The live checkpoint (`catalog.dsl`): generation, byte length, edges.
+    checkpoint: (u64, u64, usize),
+    /// Tables committed by records since that checkpoint.
+    since_checkpoint: usize,
+    /// The committed database and the segments it and the window use.
+    replay: Replay,
+    /// The committed generations the retention window keeps, oldest first;
+    /// the last is the live one.
+    window: VecDeque<u64>,
+    /// Generations of the older checkpoints kept as `catalog.g<g>.dsl`,
+    /// oldest first.
+    kept: Vec<u64>,
+}
 
-    // Arrays, sorted for deterministic bytes.
-    let mut arrays: Vec<(&Arc<str>, &Arc<ArrayMeta>)> = storage.arrays.iter().collect();
-    arrays.sort_unstable_by_key(|(name, _)| *name);
-    write_uvarint(&mut catalog, arrays.len() as u64);
-    for (name, meta) in arrays {
-        write_string(&mut catalog, name);
-        write_uvarint(&mut catalog, meta.shape.len() as u64);
-        for &d in &meta.shape {
-            write_uvarint(&mut catalog, d as u64);
+impl LogTail {
+    /// How many distinct segment files the live generation references.
+    pub(crate) fn live_files(&self) -> usize {
+        self.replay.live.len()
+    }
+
+    /// The oldest generation the window keeps once a commit of `gen` under
+    /// a `retain`-generation policy enters it.
+    fn retained_from(&self, gen: u64, retain: usize) -> u64 {
+        match retain.min(self.window.len()) {
+            0 => gen,
+            older => self.window[self.window.len() - older],
         }
     }
-    write_uvarint(&mut catalog, planned.len() as u64);
-    for (key, orientation, record) in planned {
-        write_string(&mut catalog, key.input());
-        write_string(&mut catalog, key.output());
-        catalog.push(orientation_bit(*orientation));
-        write_string(&mut catalog, &record.name);
-        write_uvarint(&mut catalog, record.len);
-        catalog.extend_from_slice(&record.crc.to_le_bytes());
-        write_uvarint(&mut catalog, record.raw_len);
-        write_uvarint(&mut catalog, record.offset);
+
+    /// The newest checkpoint at or before generation `g`.
+    fn base_for(&self, g: u64) -> Option<u64> {
+        let all = self.kept.iter().chain([&self.checkpoint.0]);
+        all.copied().filter(|&c| c <= g).max()
     }
 
-    // Self-checksum so catalog corruption is always detected at open.
-    let catalog_crc = crc32(&catalog);
-    catalog.extend_from_slice(&catalog_crc.to_le_bytes());
-    catalog
-}
+    /// The single source of truth for what a sweep must leave alone —
+    /// shared by every commit, [`open`] and [`verify`], so no caller can
+    /// invent its own (weaker) sparing rule and delete a file the live
+    /// generation or the retention window still needs: every segment the
+    /// live generation references or a window generation did, and every
+    /// kept checkpoint.
+    fn spares(&self, name: &str) -> bool {
+        let w0 = self.window.front().copied().unwrap_or(0);
+        self.replay.live.contains_key(name)
+            || (self.replay.dead.iter()).any(|(last, n)| n == name && *last >= w0)
+            || parse_generation(name)
+                .is_some_and(|g| name == checkpoint_name(g) && self.kept.contains(&g))
+    }
 
-/// The catalog's edge-mask bit of a table stored in `orientation`; a mask
-/// may name both (see the module docs).
-fn orientation_bit(orientation: Orientation) -> u8 {
-    match orientation {
-        Orientation::Backward => 1,
-        Orientation::Forward => 2,
+    /// Enter committed generation `gen` into the window, trim the window
+    /// to `retain` older generations, and return the files only the
+    /// generations that left needed: segments that died before the oldest
+    /// one kept, and checkpoints older than the one it replays from.
+    fn enter(&mut self, gen: u64, retain: usize) -> Vec<String> {
+        self.window.push_back(gen);
+        while self.window.len() > retain + 1 {
+            self.window.pop_front();
+        }
+        let w0 = self.window.front().copied().unwrap_or(gen);
+        let base = self.base_for(w0).unwrap_or(self.checkpoint.0);
+        let mut gone: Vec<String> = Vec::new();
+        self.kept.retain(|&c| {
+            let keep = c >= base;
+            if !keep {
+                gone.push(checkpoint_name(c));
+            }
+            keep
+        });
+        let live = &self.replay.live;
+        self.replay.dead.retain(|(last, name)| {
+            let keep = *last >= w0;
+            if !keep && !live.contains_key(name) {
+                gone.push(name.clone());
+            }
+            keep
+        });
+        gone
     }
 }
 
-/// One edge of a commit plan: its key, and its table's orientation and
-/// catalog record.
-type PlannedEdge<'a> = (&'a EdgeName, Orientation, FileRecord);
+/// Rebuild what a manager remembers of `dir` ([`LogTail`]) from the
+/// directory itself — the one routine behind [`open`], `as_of`, [`verify`]
+/// and a commit whose remembered tail is missing or stale. Reads the live
+/// checkpoint, replays the log's commits after it (the first it cannot
+/// apply, and everything after, is the unvouched tail), and rebuilds the
+/// retention window the last commit recorded — replaying from an older
+/// kept checkpoint if the window reaches back past the live one. Reads
+/// only; an open truncates and sweeps afterwards.
+///
+/// The generation the next commit must use is one past anything present —
+/// the catalog's, every generation the log or a file name carries
+/// (leftover higher-generation debris from a crashed commit must not be
+/// reused while a concurrent reader might still stat it).
+fn load_tail(dir: &Path, names: &[String], log: &Log) -> Result<LogTail> {
+    let (live, catalog_len) = read_catalog(&dir.join(CATALOG_FILE))?;
+    let checkpoint = (live.generation, catalog_len, live.edges.len());
+    let mut gens = vec![live.generation];
+    let mut replay = Replay::new(live);
+    let (vouched, since_checkpoint) = replay.run(dir, log, u64::MAX, |s| gens.push(s.generation));
+    let last_commit = vouched.checked_sub(1).map(|t| log.commits[t]);
+    let retained_from = match last_commit.map(|c| &log.records[c].kind) {
+        Some(OpKind::Commit { retained_from, .. }) => *retained_from,
+        _ => checkpoint.0,
+    };
+    let mut kept = Vec::new();
+    if retained_from < checkpoint.0 {
+        // The window reaches back past the live checkpoint: replay it from
+        // the newest kept one at or before its oldest generation (or the
+        // oldest kept one), to learn what those generations reference.
+        let mut older: Vec<u64> = names
+            .iter()
+            .filter_map(|n| parse_generation(n).filter(|&g| *n == checkpoint_name(g)))
+            .filter(|&g| g < checkpoint.0)
+            .collect();
+        older.sort_unstable();
+        let start = older.iter().rev().find(|&&g| g <= retained_from);
+        if let Some(base) = start.or(older.first()).and_then(|&g| checkpoint_at(dir, g)) {
+            let mut window_gens = vec![base.generation];
+            let mut window = Replay::new(base);
+            window.run(dir, log, replay.state.generation, |s| {
+                window_gens.push(s.generation)
+            });
+            // A checkpoint commit whose record never reached the log ends
+            // the walk one checkpoint short of the live one.
+            if window.state.generation < checkpoint.0 {
+                window.switch(checkpoint_at(dir, checkpoint.0).unwrap_or_default());
+                window_gens.push(checkpoint.0);
+            }
+            if window.state.generation == replay.state.generation {
+                kept = older.into_iter().filter(|&g| g >= window_gens[0]).collect();
+                (replay, gens) = (window, window_gens);
+            }
+        }
+    }
+    // A checkpoint that names a second table for an edge (both
+    // orientations, which this build never writes) is due at once: the
+    // next commit writes one naming only the table each edge keeps.
+    let since_checkpoint = if replay.state.files().count() > replay.state.edges.len() {
+        usize::MAX
+    } else {
+        since_checkpoint
+    };
+    let w0 = retained_from.max(gens[0]);
+    Ok(LogTail {
+        clean_len: last_commit.map_or(0, |c| log.ends[c] as u64),
+        last_op_id: last_commit.map_or(0, |c| log.records[c].op_id),
+        next_gen: next_generation(names, log, replay.state.generation),
+        checkpoint,
+        since_checkpoint,
+        replay,
+        window: gens.into_iter().filter(|&g| g >= w0).collect(),
+        kept,
+    })
+}
 
-/// A slot a commit wrote, to be marked clean once the catalog rename lands.
-type WrittenSlot<'a> = (&'a Edge, FileRecord);
+/// A slot a commit wrote, to be marked clean once the commit point passed.
+type WrittenSlot = (Arc<Edge>, FileRecord);
 
-/// A commit in flight: what `commit_generation` does around the segment it
-/// writes. [`begin`](Self::begin) takes the manager's commit lock and
-/// the remembered log tail (rebuilding it from the directory when it
-/// cannot be trusted) and fixes the generation; [`finish`](Self::finish)
-/// is the one place that appends to `ops.log`, renames the catalog,
-/// sweeps, publishes clean slots and re-binds the manager.
+/// One past every generation the directory carries: in the log, in a file
+/// name, or `committed`.
+fn next_generation(names: &[String], log: &Log, committed: u64) -> u64 {
+    (log.records.iter().map(|r| r.gen_after))
+        .chain(names.iter().filter_map(|n| parse_generation(n)))
+        .fold(committed, u64::max)
+        .saturating_add(1)
+}
+
+/// A commit in flight. [`begin`](Self::begin) takes the manager's commit
+/// lock and the remembered log tail (rebuilding it from the directory when
+/// it cannot be trusted) and fixes the generation;
+/// [`commit_records`](Self::commit_records) and
+/// [`commit_checkpoint`](Self::commit_checkpoint) are the two protocols,
+/// and [`finish`](Self::finish) what both do once their commit point
+/// passed.
 struct CommitSession<'a> {
     storage: &'a StorageManager,
     // Held for the whole commit: serializes concurrent commits on this
@@ -509,26 +460,27 @@ struct CommitSession<'a> {
     _serialize: dslog_sync::MutexGuard<'a, ()>,
     dir: PathBuf,
     gzip: bool,
-    /// The target is the bound directory in its bound gzip mode: clean
-    /// slots' ranges can be reused.
+    /// The target is the bound directory in its bound gzip mode.
     incremental: bool,
     /// Same directory, flipped gzip mode: an in-place conversion of the
     /// bound database, not a replacement — its operation log carries over
     /// (with a conversion record).
     conversion: bool,
-    /// The buffered operations this commit flushes (operations arriving
-    /// concurrently from other epochs stay buffered for the next commit).
+    /// The buffered operations this commit flushes: the prefix whose
+    /// effects this snapshot holds (operations arriving concurrently for a
+    /// newer epoch stay buffered for the next commit).
     pending: Vec<wal::PendingOp>,
     actor: String,
     tail: LogTail,
     /// The tail was rebuilt from the directory for this commit, which may
-    /// therefore hold files the tail knows nothing about (a failed
-    /// commit's debris, the database a full save replaces): sweep by
-    /// listing instead of deleting the known-unreferenced files.
+    /// therefore differ from what the manager holds (a failed commit, the
+    /// database a full save replaces, a change from outside): the commit
+    /// writes a checkpoint and sweeps by listing.
     rebuilt: bool,
-    prior_gen: u64,
     /// Generation this commit writes.
     gen: u64,
+    /// The oldest generation the window keeps once `gen` enters it.
+    retained_from: u64,
 }
 
 impl<'a> CommitSession<'a> {
@@ -541,172 +493,350 @@ impl<'a> CommitSession<'a> {
             let mut binding = storage.binding.lock();
             let mut bound = binding.as_mut().filter(|b| b.dir == dir);
             let tail = bound.as_mut().and_then(|b| b.tail.take());
-            (bound.map(|b| (b.gzip, b.generation)), tail)
+            (bound.map(|b| b.gzip), tail)
         };
-        let pending = storage.wal.lock().clone();
         // The remembered tail stands while the directory still looks the
         // way the tail left it: the log ends where it did, and the live
-        // catalog is the one this manager committed or opened.
-        let trusted = bound.zip(tail).filter(|((_, generation), tail)| {
+        // catalog is the checkpoint it remembers.
+        let trusted = tail.filter(|tail| {
             let log_len =
                 std::fs::metadata(dir.join(wal::OPS_LOG_FILE)).map_or(0, |meta| meta.len());
-            log_len == tail.clean_len && peek_catalog(&dir) == Some((*generation, tail.catalog_len))
+            let (generation, len, _) = tail.checkpoint;
+            log_len == tail.clean_len && peek_catalog(&dir) == Some((generation, len))
         });
-        let (tail, prior_gen, rebuilt) = match trusted {
-            Some(((_, generation), tail)) => (tail, generation, false),
-            None => {
-                let live = read_catalog(&dir).ok();
-                let mut tail = load_tail(&dir, live.as_ref(), &list_dir(&dir));
-                if bound.is_none() {
-                    // An unbound or foreign target starts a fresh log and
-                    // retains nothing: whatever history the directory
-                    // holds describes the database being replaced, not
-                    // this manager.
-                    tail = LogTail {
-                        next_gen: tail.next_gen,
-                        ..LogTail::default()
-                    };
-                }
-                (tail, live.map_or(0, |c| c.generation), true)
+        let rebuilt = trusted.is_none();
+        let tail = trusted.unwrap_or_else(|| {
+            let names = list_dir(&dir);
+            let log = Log::read(&dir).unwrap_or_default();
+            match load_tail(&dir, &names, &log) {
+                Ok(tail) if bound.is_some() => tail,
+                // An unbound or foreign target starts a fresh log and
+                // retains nothing: whatever history the directory holds
+                // describes the database being replaced, not this manager.
+                // Its generations stay below the new one all the same.
+                _ => LogTail {
+                    next_gen: next_generation(&names, &log, peek_catalog(&dir).map_or(0, |c| c.0)),
+                    ..LogTail::default()
+                },
             }
+        });
+        let visible = |op: &wal::PendingOp| match &op.kind {
+            OpKind::DefineArray { name, .. } => storage.array(name).is_ok(),
+            OpKind::IngestEdge {
+                in_array,
+                out_array,
+                ..
+            } => storage.has_directed_edge(in_array, out_array),
+            _ => true,
         };
+        let mut pending = storage.wal.lock().clone();
+        pending.truncate(
+            pending
+                .iter()
+                .position(|op| !visible(op))
+                .unwrap_or(pending.len()),
+        );
+        let gen = tail.next_gen;
         CommitSession {
             storage,
             _serialize: serialize,
-            incremental: matches!(bound, Some((g, _)) if g == gzip),
-            conversion: matches!(bound, Some((g, _)) if g != gzip),
+            incremental: bound == Some(gzip),
+            conversion: bound.is_some_and(|g| g != gzip),
             dir,
             gzip,
             pending,
             actor: actor.unwrap_or(&storage.actor).to_string(),
-            gen: tail.next_gen,
+            gen,
+            retained_from: tail.retained_from(gen, storage.retain as usize),
             tail,
             rebuilt,
-            prior_gen,
         }
     }
 
-    /// Commit `planned` — whose segment is already written and renamed
-    /// into place — as generation `self.gen`: directory sync, log append +
-    /// fdatasync, catalog rename (the commit point), directory sync,
-    /// delete. `annotation` is logged just before the commit record.
-    fn finish(
-        mut self,
-        planned: &[PlannedEdge<'_>],
-        written: Vec<WrittenSlot<'_>>,
-        annotation: Option<wal::OpKind>,
-    ) -> Result<()> {
-        let (storage, gzip, gen, prior_gen) = (self.storage, self.gzip, self.gen, self.prior_gen);
-        let (policy, retain) = (storage.io_policy.as_deref(), storage.retain as usize);
-        let dir = self.dir.as_path();
-        let catalog = build_catalog_bytes(storage, gzip, gen, planned);
-
-        // The live generation is about to become a retained one: keep its
-        // catalog under its generation-qualified name — a hard link, so
-        // the bytes are the ones already fsynced as `catalog.dsl` (where
-        // links are unsupported, a copy; should a crash tear it, that
-        // generation merely reads as not retained).
-        if let Some((live, _)) = self.tail.window.last().filter(|_| retain > 0) {
-            let (from, to) = (
-                dir.join(CATALOG_FILE),
-                dir.join(retained_catalog_name(*live)),
-            );
-            let _ = std::fs::remove_file(&to);
-            std::fs::hard_link(&from, &to)
-                .or_else(|_| std::fs::copy(&from, &to).map(drop))
-                .map_err(|e| DslogError::io("retain superseded catalog", e))?;
-        }
-
-        // Make the segment rename (and that link) durable BEFORE the
-        // catalog can commit: directory entries have no ordering guarantee
-        // on power loss otherwise.
-        sync_dir(dir, policy)?;
-
-        // Flush the operation log — buffered mutations, the conversion
-        // marker if the gzip mode flipped in place, the caller's
-        // annotation, then a commit record naming the catalog about to be
-        // renamed live — and fdatasync it BEFORE the catalog rename, so
-        // the log is always at least as new as the catalog. Op ids
-        // continue past the remembered tail, and the append truncates
-        // whatever lies beyond it.
+    /// The records this commit appends: the flushed operations, the
+    /// conversion marker if the gzip mode flipped in place, the caller's
+    /// annotation, then the commit record `commit`. Op ids continue past
+    /// the tail.
+    fn records(&self, annotation: Option<OpKind>, commit: OpKind) -> Vec<OpRecord> {
+        let prior = self.tail.replay.state.generation;
         let mut op_id = self.tail.last_op_id;
         let mut record = |timestamp_ms, actor: &str, gen_after, kind| {
             op_id += 1;
-            wal::OpRecord {
+            OpRecord {
                 op_id,
                 timestamp_ms,
                 actor: actor.to_string(),
-                gen_before: prior_gen,
+                gen_before: prior,
                 gen_after,
                 kind,
             }
         };
-        let mut records: Vec<wal::OpRecord> = self
-            .pending
-            .iter()
-            .map(|p| record(p.timestamp_ms, &p.actor, prior_gen, p.kind.clone()))
+        let mut records: Vec<OpRecord> = (self.pending.iter())
+            .map(|p| record(p.timestamp_ms, &p.actor, prior, p.kind.clone()))
             .collect();
-        let conversion = self.conversion.then_some(wal::OpKind::ConvertGzip { gzip });
+        let conversion = self
+            .conversion
+            .then_some(OpKind::ConvertGzip { gzip: self.gzip });
         for kind in conversion.into_iter().chain(annotation) {
-            records.push(record(wal::now_ms(), &self.actor, prior_gen, kind));
+            records.push(record(wal::now_ms(), &self.actor, prior, kind));
         }
-        records.push(record(
-            wal::now_ms(),
-            &self.actor,
-            gen,
-            wal::commit_of(&catalog),
-        ));
-        self.tail.clean_len = wal::append(dir, self.tail.clean_len, &records, policy)?;
-        self.tail.last_op_id = op_id;
+        records.push(record(wal::now_ms(), &self.actor, self.gen, commit));
+        records
+    }
 
-        // Commit point: once this rename lands, the new snapshot is live
-        // and vouches for the records just logged, so they leave the
-        // buffer here — should the directory sync below fail, a retry must
-        // not log them a second time. On any earlier error they stay
-        // pending and the tail stays dropped: the next attempt reconciles
-        // the log with the catalog first and truncates whatever the failed
-        // append managed to write, so nothing is lost or double-counted.
-        write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
-        storage.wal.lock().drain(..self.pending.len());
+    /// Append `records` to the log and fdatasync it. The flushed
+    /// operations leave the buffer once the append lands — should anything
+    /// after fail, a retry must not log them a second time.
+    fn log(&mut self, records: &[OpRecord]) -> Result<()> {
+        let policy = self.storage.io_policy.as_deref();
+        self.tail.clean_len = wal::append(&self.dir, self.tail.clean_len, records, policy)?;
+        self.tail.last_op_id = records.last().map_or(self.tail.last_op_id, |r| r.op_id);
+        self.storage.wal.lock().drain(..self.pending.len());
+        Ok(())
+    }
 
-        // And make the commit itself durable before destroying old state.
-        sync_dir(dir, policy)?;
-
-        // The new generation enters the window; generations beyond the
-        // retention policy leave it, and what only they pinned goes:
-        // previous generations' files, and after a full save or a gzip
-        // flip the replaced database's. The sparing rule is the shared
-        // [`is_spared`], identical to the one open uses.
-        self.tail.catalog_len = catalog.len() as u64;
-        self.tail.next_gen = gen.saturating_add(1);
-        let referenced: HashSet<&str> = planned.iter().map(|(_, _, r)| &r.name[..]).collect();
-        let referenced = referenced.into_iter().map(str::to_string).collect();
-        self.tail.window.push((gen, referenced));
-        let evict = self.tail.window.len().saturating_sub(retain + 1);
-        let evicted: Vec<Generation> = self.tail.window.drain(..evict).collect();
-        let names: Vec<String> = if self.rebuilt {
-            list_dir(dir)
-        } else {
-            // `*.tmp` and orphan debris cannot appear behind a trusted
-            // tail (the open-time sweep deals with a crashed process's):
-            // only what an evicted generation pinned can have gone stale.
-            let pinned = |(generation, files): Generation| {
-                files.into_iter().chain([retained_catalog_name(generation)])
-            };
-            evicted.into_iter().flat_map(pinned).collect()
-        };
-        sweep_stale_files(dir, &names, &self.tail.window);
-
-        // Publish: mark the written slots clean (repointing lazy sources
-        // at their new ranges) and re-bind the manager with the advanced
-        // tail, so the next commit into this directory rewrites none of
-        // them and reads back nothing of this one.
+    /// Mark the slots this commit wrote clean, once its commit point
+    /// passed (repointing lazy sources at their new ranges), so a retry
+    /// after a later failure does not write them a second time.
+    fn publish(&self, written: Vec<WrittenSlot>) {
         for (edge, record) in written {
-            edge.publish_committed(record, dir, gzip);
+            edge.publish_committed(record, &self.dir, self.gzip);
         }
-        *storage.binding.lock() = Some(super::PersistBinding {
-            dir: self.dir,
+    }
+
+    /// The incremental commit, O(changed): the edges the flushed
+    /// `IngestEdge` records name — each once, and only while dirty — go
+    /// into one segment with the bytes their slots kept; the log record
+    /// naming them is the commit point. A checkpoint follows once due.
+    fn commit_records(mut self) -> Result<CommitReport> {
+        let (storage, gzip, gen) = (self.storage, self.gzip, self.gen);
+        let policy = storage.io_policy.as_deref();
+        let name = segment_file_name(gen);
+        let mut segment = Vec::new();
+        let mut tables = Vec::new();
+        let mut written: Vec<WrittenSlot> = Vec::new();
+        let mut seen = HashSet::new();
+        for op in &self.pending {
+            let OpKind::IngestEdge {
+                in_array,
+                out_array,
+                ..
+            } = &op.kind
+            else {
+                continue;
+            };
+            if !seen.insert((in_array, out_array)) {
+                continue;
+            }
+            let Some(edge) = storage.edge(in_array, out_array) else {
+                continue;
+            };
+            let Some(bytes) = edge.dirty_bytes() else {
+                continue;
+            };
+            let r = append_table(&mut segment, &name, gzip, &bytes);
+            let table = (
+                in_array.clone(),
+                out_array.clone(),
+                r.offset,
+                r.len,
+                r.crc,
+                r.raw_len,
+            );
+            tables.push(table);
+            written.push((Arc::clone(edge), r));
+        }
+        if !segment.is_empty() {
+            write_synced(&self.dir.join(&name), &segment, "write segment", policy)?;
+            // The segment's directory entry must be durable before a
+            // record names it: entries have no ordering guarantee on power
+            // loss otherwise.
+            sync_dir(&self.dir, policy)?;
+        }
+        let commit = OpKind::Commit {
+            catalog_len: 0,
+            catalog_crc: 0,
+            segment: if segment.is_empty() {
+                String::new()
+            } else {
+                name
+            },
+            tables,
+            retained_from: self.retained_from,
+        };
+        let records = self.records(None, commit);
+        self.log(&records)?;
+        let report = CommitReport {
+            generation: gen,
+            incremental: true,
+            files_written: written.len(),
+            files_reused: 0,
+            bytes_written: segment.len() as u64,
+        };
+        self.publish(written);
+
+        // Past the commit point. The tail advances the way a replay of the
+        // records does, and a checkpoint is written once the tables
+        // committed since the last one reach its edge count.
+        let tables = self.tail.replay.apply(&records)?;
+        self.tail.since_checkpoint = self.tail.since_checkpoint.saturating_add(tables);
+        let edges = self.tail.replay.state.edges.len();
+        if self.tail.since_checkpoint >= self.tail.checkpoint.2.max(1) {
+            let bytes = self.tail.replay.state.to_bytes();
+            self.write_checkpoint(&bytes, edges)?;
+            self.tail.replay.switch(parse_catalog(&bytes)?);
+        }
+        self.finish()?;
+        Ok(CommitReport {
+            files_reused: edges - report.files_written,
+            ..report
+        })
+    }
+
+    /// The checkpoint commit: every edge planned — clean slots reused
+    /// unless `fold` (a compaction) or the target is another database,
+    /// held against their segments when the tail was rebuilt — the new
+    /// catalog written and renamed into place as the commit point, then
+    /// logged.
+    fn commit_checkpoint(mut self, fold: bool) -> Result<CommitReport> {
+        let (storage, gzip, gen) = (self.storage, self.gzip, self.gen);
+        let policy = storage.io_policy.as_deref();
+        let mut segments = (self.incremental && !fold).then(|| SegmentLens {
+            dir: &self.dir,
+            lens: HashMap::new(),
+        });
+        let name = segment_file_name(gen);
+        let mut segment: Vec<u8> = Vec::new();
+        let mut files_reused = 0usize;
+        // Slots marked clean only once the commit point passed: a crashed
+        // commit must leave every dirty slot dirty.
+        let mut written: Vec<WrittenSlot> = Vec::new();
+        let mut catalog = Catalog {
             gzip,
+            generation: gen,
+            ..Catalog::default()
+        };
+        for (key, meta) in storage.arrays.iter() {
+            catalog.arrays.insert(key.to_string(), (**meta).clone());
+        }
+        // Edges sorted by (in, out) for determinism. Each table's bytes are
+        // appended as its slot is planned, so at most one rewritten table is
+        // held beside the segment, each compressed on its own — a range
+        // decompresses independently of its neighbours.
+        // (File IO: each slot is snapshotted, its lock never held.)
+        for (key, edge) in storage.sorted_edges() {
+            let (source, stored) = edge.snapshot();
+            let orientation = source.orientation();
+            let record = match stored {
+                // Tamper guard, one `stat` per referenced segment: the
+                // recorded file must still exist and hold this range;
+                // anything else is rewritten from the slot.
+                Stored::Committed(record) if segments.as_mut().is_some_and(|s| s.hold(&record)) => {
+                    files_reused += 1;
+                    record
+                }
+                // Lazily opened slots stream as verified bytes: a commit
+                // must not drop an edge no query touched, nor decode a
+                // whole lazy database to rewrite it.
+                stored => {
+                    let plain = match (stored, source) {
+                        (Stored::Dirty(Some(bytes)), _) => bytes,
+                        (_, TableSource::Loaded(t)) => Arc::new(format::serialize(&t)),
+                        (_, TableSource::OnDisk(d)) => Arc::new(d.read_plain_bytes()?),
+                    };
+                    let record = append_table(&mut segment, &name, gzip, &plain);
+                    written.push((Arc::clone(edge), record.clone()));
+                    record
+                }
+            };
+            let edge = (key.input().to_string(), key.output().to_string());
+            catalog.edges.insert(
+                edge,
+                vec![FileRef {
+                    orientation,
+                    record,
+                }],
+            );
+        }
+        if !segment.is_empty() {
+            write_synced(&self.dir.join(&name), &segment, "write segment", policy)?;
+        }
+        let bytes = catalog.to_bytes();
+        let report = CommitReport {
+            generation: gen,
+            incremental: self.incremental,
+            files_written: written.len(),
+            files_reused,
+            bytes_written: segment.len() as u64,
+        };
+        let annotation = fold.then_some(OpKind::Compact {
+            segments: u64::from(!segment.is_empty()),
+            folded: self.tail.live_files() as u64,
+            bytes: report.bytes_written,
+        });
+        let commit = OpKind::Commit {
+            catalog_len: bytes.len() as u64,
+            catalog_crc: wal::trailer_crc(&bytes),
+            segment: String::new(),
+            tables: Vec::new(),
+            retained_from: self.retained_from,
+        };
+        let records = self.records(annotation, commit);
+        self.write_checkpoint(&bytes, catalog.edges.len())?;
+        self.publish(written);
+        self.tail.replay.switch(catalog);
+        self.log(&records)?;
+        self.finish()?;
+        Ok(report)
+    }
+
+    /// Write `bytes` as the checkpoint of this commit's generation (`edges`
+    /// edges): temp file + fdatasync, the old live checkpoint kept under its
+    /// generation if the window still reaches back past the new one (a hard
+    /// link, so the bytes are the ones already fdatasynced; where links are
+    /// unsupported, a copy), directory sync, rename, directory sync. The
+    /// rename is the commit point of a checkpoint commit.
+    fn write_checkpoint(&mut self, bytes: &[u8], edges: usize) -> Result<()> {
+        let policy = self.storage.io_policy.as_deref();
+        let dir = self.dir.as_path();
+        let tmp = dir.join(format!("{CATALOG_FILE}.tmp"));
+        write_synced(&tmp, bytes, "write catalog", policy)?;
+        let (live, live_len, _) = self.tail.checkpoint;
+        if self.retained_from < self.gen && live_len > 0 {
+            let (from, to) = (dir.join(CATALOG_FILE), dir.join(checkpoint_name(live)));
+            let _ = std::fs::remove_file(&to);
+            std::fs::hard_link(&from, &to)
+                .or_else(|_| std::fs::copy(&from, &to).map(drop))
+                .map_err(|e| DslogError::io("keep superseded catalog", e))?;
+            self.tail.kept.push(live);
+        }
+        sync_dir(dir, policy)?;
+        std::fs::rename(&tmp, dir.join(CATALOG_FILE))
+            .map_err(|e| DslogError::io("write catalog", e))?;
+        sync_dir(dir, policy)?;
+        self.tail.checkpoint = (self.gen, bytes.len() as u64, edges);
+        self.tail.since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// After the commit point: enter the generation into the window,
+    /// delete what only the generations leaving it needed — the files the
+    /// tail knows of, or by listing when it was rebuilt — and re-bind the
+    /// manager with the advanced tail, so the next commit into this
+    /// directory rewrites and reads back nothing of this one.
+    fn finish(mut self) -> Result<()> {
+        let gen = self.gen;
+        self.tail.next_gen = gen.saturating_add(1);
+        let gone = self.tail.enter(gen, self.storage.retain as usize);
+        let names = if self.rebuilt {
+            list_dir(&self.dir)
+        } else {
+            gone
+        };
+        sweep_stale_files(&self.dir, &names, &self.tail);
+        *self.storage.binding.lock() = Some(super::PersistBinding {
+            dir: self.dir,
+            gzip: self.gzip,
             generation: gen,
             tail: Some(self.tail),
         });
@@ -720,16 +850,16 @@ impl<'a> CommitSession<'a> {
 ///
 /// When `dir` (+ `gzip` mode) matches the manager's binding — the
 /// directory it was opened from or last committed into — the commit is
-/// *incremental*: only dirty slots are serialized and written, clean
-/// slots' ranges are re-referenced by the new catalog, and the cost is
-/// O(changed edges) + O(catalog). Any other target gets a full save and
-/// re-binds the manager to it.
+/// *incremental*: only the edges ingested since the last commit are
+/// written, and the cost is O(changed edges), plus a checkpoint amortized
+/// over as many edges. Any other target gets a full save and re-binds the
+/// manager to it.
 ///
-/// The write is atomic either way (see the module docs): temp-file +
-/// rename for every file, catalog last as the single commit point, stale
-/// files swept afterwards. Committing into a directory that holds an
-/// older snapshot — even one with a different edge set or `gzip` flag — is
-/// safe and replaces it completely.
+/// The write is atomic either way (see the module docs): one commit point
+/// — the log record, or the checkpoint rename of a full save — and stale
+/// files swept afterwards. Committing into a directory that holds an older
+/// snapshot — even one with a different edge set or `gzip` flag — is safe
+/// and replaces it completely.
 pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CommitReport> {
     commit_generation(storage, dir, gzip, None, false)
 }
@@ -758,76 +888,11 @@ pub(crate) fn commit_generation(
     if fold && !session.incremental {
         return Err(DslogError::NotBound);
     }
-    let (incremental, gen) = (session.incremental, session.gen);
-    let reuse = incremental && !fold;
-    let folded = session.tail.live_files();
-
-    // Plan pass: edges sorted by (in, out) for determinism. Each dirty
-    // slot's bytes are appended to the segment as the slot is planned (so
-    // at most one table is held beside it), each compressed on its own —
-    // a range decompresses independently of its neighbours.
-    let edges = storage.sorted_edges();
-    let mut segments = reuse.then(|| SegmentLens {
-        dir: &session.dir,
-        lens: HashMap::new(),
-    });
-    let name = segment_file_name(gen);
-    let mut segment: Vec<u8> = Vec::new();
-    let mut files_reused = 0usize;
-    // Slots marked clean only AFTER the catalog rename lands: a crashed
-    // commit must leave every dirty slot dirty.
-    let mut written: Vec<WrittenSlot<'_>> = Vec::new();
-    let mut planned: Vec<PlannedEdge<'_>> = Vec::with_capacity(edges.len());
-    for (key, edge) in edges {
-        let (source, persisted) = edge.snapshot();
-        let orientation = source.orientation();
-        let record = match plan_slot(source, persisted, segments.as_mut())? {
-            SlotPlan::Reuse(record) => {
-                files_reused += 1;
-                record
-            }
-            SlotPlan::Write(plain) => {
-                let raw_len = plain.len() as u64;
-                let bytes = if gzip {
-                    dslog_codecs::gzip::compress(&plain)
-                } else {
-                    plain
-                };
-                let record = FileRecord {
-                    name: name.clone(),
-                    len: bytes.len() as u64,
-                    crc: crc32(&bytes),
-                    raw_len,
-                    offset: segment.len() as u64,
-                };
-                segment.extend_from_slice(&bytes);
-                written.push((edge, record.clone()));
-                record
-            }
-        };
-        planned.push((key, orientation, record));
+    if session.incremental && !session.rebuilt && !fold {
+        session.commit_records()
+    } else {
+        session.commit_checkpoint(fold)
     }
-
-    // The one table write of the storage layer; a generation that changed
-    // no table writes no segment.
-    if !segment.is_empty() {
-        let policy = storage.io_policy.as_deref();
-        write_atomic(&session.dir.join(&name), &segment, "write segment", policy)?;
-    }
-    let report = CommitReport {
-        generation: gen,
-        incremental,
-        files_written: written.len(),
-        files_reused,
-        bytes_written: segment.len() as u64,
-    };
-    let annotation = fold.then_some(wal::OpKind::Compact {
-        segments: u64::from(!segment.is_empty()),
-        folded: folded as u64,
-        bytes: report.bytes_written,
-    });
-    session.finish(&planned, written, annotation)?;
-    Ok(report)
 }
 
 /// Persist a storage manager into `dir`: [`commit`] with the report
@@ -837,149 +902,9 @@ pub fn save(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<()> {
     commit(storage, dir, gzip).map(drop)
 }
 
-/// One table reference of a parsed catalog.
-pub(crate) struct FileRef {
-    pub(crate) orientation: Orientation,
-    pub(crate) record: FileRecord,
-}
-
-/// One edge entry of a parsed catalog.
-pub(crate) struct CatalogEdge {
-    pub(crate) in_name: String,
-    pub(crate) out_name: String,
-    /// One table per orientation the edge mask names, backward first.
-    pub(crate) files: Vec<FileRef>,
-}
-
-impl CatalogEdge {
-    /// The table an opened edge keeps: the backward one when the catalog
-    /// names both orientations (the parser guarantees at least one).
-    fn kept(&self) -> &FileRef {
-        &self.files[0]
-    }
-}
-
-/// A parsed (and structurally validated) catalog.
-pub(crate) struct Catalog {
-    /// Byte length of the catalog file this was parsed from.
-    pub(crate) byte_len: u64,
-    pub(crate) gzip: bool,
-    /// Snapshot generation; the next save uses a strictly larger one.
-    pub(crate) generation: u64,
-    pub(crate) arrays: HashMap<String, ArrayMeta>,
-    pub(crate) edges: Vec<CatalogEdge>,
-}
-
-pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
-    let byte_len = data.len() as u64;
-    if data.len() < 13 {
-        return Err(DslogError::Corrupt("catalog too short"));
-    }
-    match &data[..8] {
-        m if m == CATALOG_MAGIC_V3 => {}
-        // Another generation of this format (v1 and v2 are no longer read).
-        m if m.starts_with(b"DSLGDB") => {
-            return Err(DslogError::Corrupt("unsupported catalog version"))
-        }
-        _ => return Err(DslogError::Corrupt("bad catalog magic")),
-    }
-    // The catalog ends in a crc32 trailer over everything before it;
-    // verify before parsing so any corruption is caught up front.
-    let (data, trailer) = data
-        .split_last_chunk::<4>()
-        .ok_or(DslogError::Corrupt("catalog too short"))?;
-    if crc32(data) != u32::from_le_bytes(*trailer) {
-        return Err(DslogError::Corrupt("catalog checksum mismatch"));
-    }
-    let gzip = data[8] != 0;
-    let mut pos = 9usize;
-    let generation = read_uvarint(data, &mut pos)?;
-
-    let mut arrays = HashMap::new();
-    let n_arrays = read_uvarint(data, &mut pos)? as usize;
-    for _ in 0..n_arrays {
-        let name = read_string(data, &mut pos)?;
-        let ndim = read_uvarint(data, &mut pos)? as usize;
-        // Each dimension needs at least one byte; bound the pre-allocation
-        // by what the input could possibly still encode.
-        if ndim > data.len() - pos {
-            return Err(DslogError::Corrupt("array rank exceeds catalog size"));
-        }
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(read_uvarint(data, &mut pos)? as usize);
-        }
-        arrays.insert(name, ArrayMeta { shape });
-    }
-
-    let mut edges = Vec::new();
-    let n_edges = read_uvarint(data, &mut pos)? as usize;
-    for _ in 0..n_edges {
-        let in_name = read_string(data, &mut pos)?;
-        let out_name = read_string(data, &mut pos)?;
-        if !arrays.contains_key(&out_name) {
-            return Err(DslogError::Corrupt("edge references unknown output array"));
-        }
-        if !arrays.contains_key(&in_name) {
-            return Err(DslogError::Corrupt("edge references unknown input array"));
-        }
-        let &mask = data
-            .get(pos)
-            .ok_or(DslogError::Corrupt("catalog truncated at edge mask"))?;
-        pos += 1;
-        if mask == 0 || mask > 3 {
-            return Err(DslogError::Corrupt("bad edge orientation mask"));
-        }
-        let mut files = Vec::new();
-        for orientation in [Orientation::Backward, Orientation::Forward] {
-            if mask & orientation_bit(orientation) == 0 {
-                continue;
-            }
-            let name = read_string(data, &mut pos)?;
-            // Catalogs are untrusted input: a table reference must be a
-            // bare `segment-*` file name inside the database directory (no
-            // separators, so it can never escape it), and not a `.tmp` name
-            // the sweep would reclaim.
-            let bare = !name.contains(['/', '\\']) && !name.ends_with(".tmp");
-            if !(name.starts_with("segment-") && bare) {
-                return Err(DslogError::Corrupt(
-                    "catalog references an illegal file name",
-                ));
-            }
-            let len = read_uvarint(data, &mut pos)?;
-            let crc = read_u32_le(data, &mut pos)?;
-            let raw_len = read_uvarint(data, &mut pos)?;
-            let offset = read_uvarint(data, &mut pos)?;
-            files.push(FileRef {
-                orientation,
-                record: FileRecord {
-                    name,
-                    len,
-                    crc,
-                    raw_len,
-                    offset,
-                },
-            });
-        }
-        edges.push(CatalogEdge {
-            in_name,
-            out_name,
-            files,
-        });
-    }
-    Ok(Catalog {
-        byte_len,
-        gzip,
-        generation,
-        arrays,
-        edges,
-    })
-}
-
-/// Read the bytes of one table's range, exactly as long as the catalog
-/// records. The file is held against the range first
-/// ([`FileRecord::fits`]), which also bounds the allocation by what is
-/// actually on disk.
+/// Read the bytes of one table's range, exactly as long as its record
+/// says. The file is held against the range first ([`FileRecord::fits`]),
+/// which also bounds the allocation by what is actually on disk.
 fn read_record_bytes(dir: &Path, record: &FileRecord) -> Result<Vec<u8>> {
     use std::io::{Read as _, Seek as _};
     let mut f = std::fs::File::open(dir.join(&record.name))
@@ -1000,34 +925,53 @@ fn read_record_bytes(dir: &Path, record: &FileRecord) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
+/// Hold a plain table's range against the crc its record vouches for, in
+/// one pass: its body crc (what its trailer must hold), or — as a catalog
+/// written before the log carried commits recorded it — the crc32 of the
+/// whole range. Returns the body crc, for the decoder's trailer check.
+fn check_plain(bytes: &[u8], record: &FileRecord) -> Result<u32> {
+    let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(format::TRAILER_LEN));
+    let mut crc = Crc32::new();
+    crc.update(body);
+    let body_crc = crc.finalize();
+    crc.update(trailer);
+    if body_crc != record.crc && crc.finalize() != record.crc {
+        return Err(DslogError::Corrupt("edge file checksum mismatch"));
+    }
+    Ok(body_crc)
+}
+
 /// Read one table (see [`read_record_bytes`]) and verify it against its
-/// catalog record: byte length, crc32, and — for gzip — the container's
+/// record: byte length, crc, and — for gzip — the container's crc32 and
 /// claimed uncompressed size vs the recorded plain length (so a later
-/// decompress is bounded by the catalog, not by whatever the file body
+/// decompress is bounded by the record, not by whatever the file body
 /// claims). Returns the raw table bytes, undecoded — what a commit streams
 /// from a lazy slot it rewrites.
 pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -> Result<Vec<u8>> {
     let bytes = read_record_bytes(dir, record)?;
+    if !gzip {
+        check_plain(&bytes, record)?;
+        return Ok(bytes);
+    }
     if crc32(&bytes) != record.crc {
         return Err(DslogError::Corrupt("edge file checksum mismatch"));
     }
-    if gzip && dslog_codecs::gzip::declared_len(&bytes)? != record.raw_len {
+    if dslog_codecs::gzip::declared_len(&bytes)? != record.raw_len {
         return Err(DslogError::Corrupt("edge file declared size mismatch"));
     }
     Ok(bytes)
 }
 
 /// Read + fully validate one table (length/crc, then structural
-/// decode, then orientation agreement with the catalog). Eager open, the
+/// decode, then orientation agreement with its record). Eager open, the
 /// lazy `DiskTable::load` path, `AsOf` opens and [`verify`] all go through
 /// here, so verification can never diverge between them.
 ///
-/// A plain table is checksummed once (see the module docs): the crc32 over
-/// everything before its trailer is the value the trailer must hold, and
-/// the same state run on over the trailer is the value the catalog must
-/// hold. A gzip table keeps its three separate checks — catalog crc over
-/// the container, the container's own crc, the table trailer — because
-/// each covers different bytes.
+/// A plain table is checksummed once (see the module docs): the body crc
+/// is held against the record and handed to the decoder for the trailer.
+/// A gzip table keeps its three separate checks — record crc over the
+/// container, the container's own crc, the table trailer — because each
+/// covers different bytes.
 pub(crate) fn load_table_file(
     dir: &Path,
     gzip: bool,
@@ -1038,14 +982,7 @@ pub(crate) fn load_table_file(
         format::deserialize_gzip(&read_verified_bytes(dir, gzip, record)?)?
     } else {
         let bytes = read_record_bytes(dir, record)?;
-        let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(format::TRAILER_LEN));
-        let mut crc = Crc32::new();
-        crc.update(body);
-        let body_crc = crc.finalize();
-        crc.update(trailer);
-        if crc.finalize() != record.crc {
-            return Err(DslogError::Corrupt("edge file checksum mismatch"));
-        }
+        let body_crc = check_plain(&bytes, record)?;
         format::deserialize_checksummed(&bytes, body_crc)?
     };
     if table.orientation() != orientation {
@@ -1054,11 +991,10 @@ pub(crate) fn load_table_file(
     Ok(table)
 }
 
-/// Each catalog edge's loaded (or lazily referenced) table, in catalog
-/// order.
+/// Each edge's loaded (or lazily referenced) table, in edge order.
 type EdgeMap = Vec<Arc<Edge>>;
 
-/// Plain table bytes (the catalog's `raw_len`s) per worker below which a
+/// Plain table bytes (the records' `raw_len`s) per worker below which a
 /// load decodes on the calling thread. Measured on 2 vCPUs over the
 /// benchmark's 96-edge `reopen` shape, two threads ÷ one: 0.9–1.2 at
 /// 0.95–1.5 MB, 0.72–1.08 from 2.4 to 7.2 MB depending on the run, and
@@ -1073,20 +1009,20 @@ fn decode_workers(jobs: &[(usize, &FileRef)]) -> usize {
     par::workers_for(usize::try_from(bytes).unwrap_or(usize::MAX), DECODE_GRAIN)
 }
 
-/// Read, verify and decode catalog file references on `workers` threads
+/// Read, verify and decode table references on `workers` threads
 /// (decode + crc dominates open time, and tables are independent). Returns
 /// each table keyed by its edge index. Any decode error — or a panic while
 /// decoding — fails the whole load.
 fn load_tables(
     dir: &Path,
-    catalog: &Catalog,
+    gzip: bool,
     jobs: &[(usize, &FileRef)],
     workers: usize,
 ) -> Result<HashMap<usize, crate::table::CompressedTable>> {
     let decode_all = || {
         par::map(jobs.len(), workers, |i| {
             let (idx, fref) = jobs[i];
-            load_table_file(dir, catalog.gzip, fref.orientation, &fref.record).map(|t| (idx, t))
+            load_table_file(dir, gzip, fref.orientation, &fref.record).map(|t| (idx, t))
         })
     };
     // Hostile bytes must come back as an error, whichever thread met them.
@@ -1096,24 +1032,24 @@ fn load_tables(
         .collect()
 }
 
-/// Load (or lazily reference) the table each edge of a parsed catalog
-/// keeps ([`CatalogEdge::kept`]).
+/// Load (or lazily reference) the table each edge of a committed
+/// generation keeps ([`Catalog::kept`]).
 fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeMap> {
     // Everything to be decoded eagerly goes through `load_tables`; lazily
     // referenced files are only stat'd (O(1) each) inline below.
-    let eager_jobs: Vec<(usize, &FileRef)> = (catalog.edges.iter().enumerate())
-        .map(|(idx, entry)| (idx, entry.kept()))
+    let eager_jobs: Vec<(usize, &FileRef)> = (catalog.edges.values().enumerate())
+        .map(|(idx, files)| (idx, Catalog::kept(files)))
         .filter(|_| !lazy)
         .collect();
-    let mut loaded = load_tables(dir, catalog, &eager_jobs, decode_workers(&eager_jobs))?;
+    let mut loaded = load_tables(dir, catalog.gzip, &eager_jobs, decode_workers(&eager_jobs))?;
 
     let mut edges = Vec::with_capacity(catalog.edges.len());
-    for (idx, entry) in catalog.edges.iter().enumerate() {
-        let fref = entry.kept();
+    for (idx, files) in catalog.edges.values().enumerate() {
+        let fref = Catalog::kept(files);
         let source = match loaded.remove(&idx) {
             Some(table) => TableSource::Loaded(Arc::new(table)),
             None => {
-                // Lazy reference: the catalog-recorded checksum defers
+                // Lazy reference: the recorded checksum defers
                 // verification to first use. The O(1) existence + length
                 // check here catches missing or truncated files at open
                 // time.
@@ -1131,11 +1067,10 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
             }
         };
         // The on-disk bytes already hold exactly this slot's content: the
-        // slot opens *clean*, so a later incremental commit reuses the
-        // range untouched.
+        // slot opens *clean*, so a later commit leaves the range untouched.
         let slot = Slot {
             source,
-            persisted: Some(fref.record.clone()),
+            stored: Stored::Committed(fref.record.clone()),
         };
         edges.push(Arc::new(Edge::new(slot)));
     }
@@ -1145,48 +1080,36 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
 /// How [`open`] reads a database directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenMode {
-    /// Decode every table now, verifying each against its catalog
+    /// Decode every table now, verifying each against its recorded
     /// checksum.
     Eager,
     /// O(catalog): each table's file is only stat'd (existence + length)
     /// now and read, checksum-verified, and decoded on the first `resolve_hop`
     /// that needs them.
     Lazy,
-    /// The database as it was at this generation, read eagerly from the
-    /// `catalog.g<generation>.dsl` the retention policy kept
-    /// ([`DslogError::GenerationNotRetained`] if it, or a file it names, is
-    /// gone). The manager is *unbound*: a commit from it is a full save
-    /// into a fresh target, never a rewrite of history. The directory's
-    /// current generation opens as [`Eager`](Self::Eager) does.
+    /// The database as it was at this generation, read eagerly: the newest
+    /// checkpoint at or before it, and the commits the log records up to
+    /// it ([`DslogError::GenerationNotRetained`] if the generation is
+    /// outside the retention window the last commit kept, or a file it
+    /// needs is gone). The manager is *unbound*: a commit from it is a
+    /// full save into a fresh target, never a rewrite of history. The
+    /// directory's current generation opens as [`Eager`](Self::Eager)
+    /// does.
     AsOf(u64),
 }
 
-/// Read and parse the live catalog of `dir`.
-fn read_catalog(dir: &Path) -> Result<Catalog> {
-    let bytes =
-        std::fs::read(dir.join(CATALOG_FILE)).map_err(|e| DslogError::io("read catalog", e))?;
-    parse_catalog(&bytes)
-}
-
-/// A freshly built manager around a parsed catalog's arrays and edges;
-/// everything else (configuration, log buffer) starts at its defaults.
-fn manager_from_parts(
-    catalog: Catalog,
-    edges: EdgeMap,
-    binding: Option<super::PersistBinding>,
-) -> Result<StorageManager> {
-    let mut storage = StorageManager {
-        binding: Arc::new(dslog_sync::Mutex::new(
-            &dslog_sync::ranks::STORAGE_BINDING,
-            binding,
-        )),
-        ..StorageManager::default()
-    };
-    for (name, meta) in catalog.arrays {
-        storage.arrays.insert(Arc::from(name), Arc::new(meta));
+/// A freshly built manager around a committed generation's arrays and
+/// edges; everything else (configuration, log buffer, binding) starts at
+/// its defaults.
+fn manager_from_parts(catalog: &Catalog, edges: EdgeMap) -> Result<StorageManager> {
+    let mut storage = StorageManager::default();
+    for (name, meta) in &catalog.arrays {
+        storage
+            .arrays
+            .insert(Arc::from(&name[..]), Arc::new(meta.clone()));
     }
-    for (entry, edge) in catalog.edges.iter().zip(edges) {
-        let name = storage.edge_name(&entry.in_name, &entry.out_name)?;
+    for ((in_name, out_name), edge) in catalog.edges.keys().zip(edges) {
+        let name = storage.edge_name(in_name, out_name)?;
         storage.edges.insert(name, edge);
     }
     Ok(storage)
@@ -1195,159 +1118,149 @@ fn manager_from_parts(
 /// Open a database directory written by [`save`] — the one storage-level
 /// entry; [`crate::api::OpenOptions::open`] is its public face.
 pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
-    let live = read_catalog(dir)?;
+    // Rebuild the remembered tail: the live checkpoint, the log replayed
+    // past it, the retention window. Best-effort on the log — a missing or
+    // pre-log directory yields an empty one.
+    let names = list_dir(dir);
+    let log = Log::read(dir)?;
+    let tail = load_tail(dir, &names, &log)?;
     if let OpenMode::AsOf(generation) = mode {
-        if generation != live.generation {
-            return open_retained(dir, generation);
+        if generation != tail.replay.state.generation {
+            return open_retained(dir, &log, &tail, generation);
         }
     }
+    drop(log);
+    let edges = load_catalog_edges(dir, &tail.replay.state, mode == OpenMode::Lazy)?;
 
-    // Rebuild the remembered tail: reconcile the operation log with the
-    // committed catalog — scan it, truncate any torn tail and any record
-    // past the last commit this catalog vouches for (a crash between the
-    // log fdatasync and the catalog rename leaves such a dangling tail) —
-    // and collect the retained generations. Best-effort — a missing or
-    // pre-log directory yields an empty log tail.
-    let names = list_dir(dir);
-    let tail = load_tail(dir, Some(&live), &names);
-
-    let edges = load_catalog_edges(dir, &live, mode == OpenMode::Lazy)?;
-
-    // A crashed process can leave `.tmp`/orphaned debris that a later
-    // generation could collide with; opening a snapshot sweeps it
-    // (best-effort — a read-only directory still opens fine). The sparing
-    // rule is the shared [`is_spared`]: whatever a generation whose
-    // catalog is still kept names, an `AsOf` open can resolve, so an open
-    // spares them all and the next commit applies the retention policy
-    // and trims them.
-    sweep_stale_files(dir, &names, &tail.window);
+    // Drop the torn and unvouched tail of the log, and the debris a
+    // crashed process can leave, which a later generation could collide
+    // with (best-effort — a read-only directory still opens fine). The
+    // sparing rule is the tail's: whatever a generation of the retention
+    // window needs, an `AsOf` open can resolve.
+    wal::truncate(dir, tail.clean_len);
+    sweep_stale_files(dir, &names, &tail);
 
     // Bind the manager to this directory so the next commit into it is
     // incremental.
-    let binding = super::PersistBinding {
+    let storage = manager_from_parts(&tail.replay.state, edges)?;
+    *storage.binding.lock() = Some(super::PersistBinding {
         dir: dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()),
-        gzip: live.gzip,
-        generation: live.generation,
+        gzip: tail.replay.state.gzip,
+        generation: tail.replay.state.generation,
         tail: Some(tail),
-    };
-    manager_from_parts(live, edges, Some(binding))
+    });
+    Ok(storage)
 }
 
-/// The [`OpenMode::AsOf`] open of a superseded generation.
-fn open_retained(dir: &Path, generation: u64) -> Result<StorageManager> {
-    let catalog = match std::fs::read(dir.join(retained_catalog_name(generation))) {
-        Ok(old) => parse_catalog(&old)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(DslogError::GenerationNotRetained(generation));
-        }
-        Err(e) => return Err(DslogError::io("read retained catalog", e)),
-    };
-    if catalog.generation != generation {
-        return Err(DslogError::Corrupt(
-            "retained catalog records another generation than its name",
-        ));
+/// The [`OpenMode::AsOf`] open of a superseded generation: replayed from
+/// the newest checkpoint at or before it.
+fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Result<StorageManager> {
+    let not_retained = || DslogError::GenerationNotRetained(generation);
+    if !tail.window.contains(&generation) {
+        return Err(not_retained());
     }
+    let base = (tail.base_for(generation))
+        .and_then(|c| checkpoint_at(dir, c))
+        .ok_or_else(not_retained)?;
+    let mut replay = Replay::new(base);
+    replay.run(dir, log, generation, |_| ());
+    let state = replay.state;
     // Fail up front (and precisely) if the sweep already reclaimed any of
     // the generation's files, instead of erroring mid-load.
-    for entry in &catalog.edges {
-        for fref in &entry.files {
-            if !dir.join(&fref.record.name).is_file() {
-                return Err(DslogError::GenerationNotRetained(generation));
-            }
-        }
+    if state.generation != generation || state.files().any(|f| !dir.join(&f.record.name).is_file())
+    {
+        return Err(not_retained());
     }
     // Eager load: historical snapshots are for inspection, and eager
     // verification means a reclaimed-then-recreated name cannot bite
     // later. No sweep, no binding — opening history must never mutate
     // the live database.
-    let edges = load_catalog_edges(dir, &catalog, false)?;
-    manager_from_parts(catalog, edges, None)
+    let edges = load_catalog_edges(dir, &state, false)?;
+    manager_from_parts(&state, edges)
 }
 
-/// What [`verify`] found in a healthy database directory. The catalog is
-/// always the one format this build reads and writes (`DSLGDB3`); any
+/// What [`verify`] found in a healthy database directory. The checkpoint
+/// is always the one format this build reads and writes (`DSLGDB3`); any
 /// other is an error, not a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Whether tables use the gzip disk format.
     pub gzip: bool,
-    /// Arrays declared by the catalog.
+    /// Arrays the live generation declares.
     pub n_arrays: usize,
-    /// Edges declared by the catalog.
+    /// Edges the live generation declares.
     pub n_edges: usize,
     /// Tables read, checksum-verified, and structurally decoded.
     pub files_verified: usize,
     /// Data files (`segment-*`, `catalog.g*`) and `*.tmp` files present
-    /// but referenced by no kept catalog (debris from a crashed save —
-    /// harmless, swept by the next open).
+    /// but needed by no generation of the retention window (debris from a
+    /// crashed commit — harmless, swept by the next open).
     pub stale_files: Vec<String>,
     /// Cleanly framed records in the operation log (0 for a directory
     /// without one).
     pub log_records: usize,
-    /// Data files on disk that the current catalog does not reference but
-    /// a retained generation does (its kept `catalog.g<gen>.dsl`
-    /// included) — history an `as_of` open can resolve, not debris.
+    /// Data files on disk that the live generation does not reference but
+    /// a retained generation needs (a kept `catalog.g<gen>.dsl` included)
+    /// — history an `as_of` open can resolve, not debris.
     pub retained_files: usize,
-    /// Bytes of the referenced data files that no range of the live or a
-    /// retained catalog covers: superseded tables whose segment a live
-    /// neighbour still pins. The next compaction reclaims them.
+    /// Bytes of the segments the live and retained generations reference
+    /// that none of their ranges covers: superseded tables whose segment a
+    /// live neighbour still pins. The next compaction reclaims them.
     pub dead_bytes: u64,
 }
 
-/// Walk a database directory and validate everything the catalog claims:
-/// every referenced table's range exists, matches its recorded byte length
-/// and crc32, decodes structurally, and stores the orientation the catalog
-/// says — decoded by the same workers as an eager [`open`]. That is
+/// Walk a database directory and validate everything its live generation
+/// claims: every referenced table's range exists, matches its recorded
+/// byte length and crc — the one the `Commit` record or checkpoint that
+/// installed it holds — decodes structurally, and stores the orientation
+/// recorded — decoded by the same workers as an eager [`open`]. That is
 /// every byte a reader can be handed; dead space inside a segment is
 /// counted, not checked. Returns a report on success; any damage is an
 /// `Err`. Unreferenced data/`*.tmp` debris is reported, not treated as
-/// damage.
+/// damage. Reads only: the log's unvouched tail is left for the next open.
 pub fn verify(dir: &Path) -> Result<VerifyReport> {
-    let catalog = read_catalog(dir)?;
+    let names = list_dir(dir);
+    let log = Log::read(dir)?;
+    let tail = load_tail(dir, &names, &log)?;
+    let live = &tail.replay.state;
 
-    let jobs: Vec<(usize, &FileRef)> = catalog
-        .edges
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
+    let jobs: Vec<(usize, &FileRef)> = (live.edges.values().enumerate())
+        .flat_map(|(idx, files)| files.iter().map(move |fref| (idx, fref)))
         .collect();
     let files_verified = jobs.len();
-    load_tables(dir, &catalog, &jobs, decode_workers(&jobs))?;
+    load_tables(dir, live.gzip, &jobs, decode_workers(&jobs))?;
 
-    // Retained generations' catalogs and the files they name are history,
-    // not debris (the classification rule is the same [`is_spared`] the
-    // sweeps use). The log read is torn-tail tolerant and side-effect
-    // free.
-    let log_records = wal::history(dir).unwrap_or_default();
-    let names = list_dir(dir);
-    let retained = retained_catalogs(dir, &names, catalog.generation);
-    let (_, referenced) = generation_of(&catalog);
-    let window: Vec<Generation> = retained.iter().map(generation_of).collect();
-
+    // Files the retention window needs are history, not debris (the
+    // classification rule is the same `LogTail::spares` the sweeps use).
+    let referenced: HashSet<&str> = live.files().map(|f| &f.record.name[..]).collect();
     let mut stale_files = Vec::new();
     let mut retained_files = 0usize;
     for name in names {
-        if name.ends_with(".tmp") {
+        if name.ends_with(".tmp") || (is_data_file(&name) && !tail.spares(&name)) {
             stale_files.push(name);
-        } else if is_data_file(&name) && !referenced.contains(&name) {
-            if is_spared(&window, &name) {
-                retained_files += 1;
-            } else {
-                stale_files.push(name);
-            }
+        } else if is_data_file(&name) && !referenced.contains(&name[..]) {
+            retained_files += 1;
         }
     }
     stale_files.sort();
 
-    // Dead space: what the files named by the live and retained catalogs
-    // hold beyond the distinct ranges those catalogs reference (a table
+    // Dead space: what the segments of the window's generations hold
+    // beyond the distinct ranges those generations reference (a table
     // re-referenced across generations counts once).
-    let ranges: HashSet<(&str, u64, u64)> = std::iter::once(&catalog)
-        .chain(&retained)
-        .flat_map(|c| c.edges.iter().flat_map(|e| &e.files))
-        .map(|f| (f.record.name.as_str(), f.record.offset, f.record.len))
-        .collect();
-    let files: HashSet<&str> = ranges.iter().map(|(name, _, _)| *name).collect();
+    let w0 = tail.window.front().copied().unwrap_or(live.generation);
+    let mut ranges: HashSet<(String, u64, u64)> = HashSet::new();
+    let add = |state: &Catalog, ranges: &mut HashSet<(String, u64, u64)>| {
+        if state.generation >= w0 {
+            let files = state.files().map(|f| &f.record);
+            ranges.extend(files.map(|r| (r.name.clone(), r.offset, r.len)));
+        }
+    };
+    if let Some(base) = tail.base_for(w0).and_then(|c| checkpoint_at(dir, c)) {
+        let mut replay = Replay::new(base);
+        add(&replay.state, &mut ranges);
+        replay.run(dir, &log, live.generation, |s| add(s, &mut ranges));
+    }
+    let files: HashSet<&str> = ranges.iter().map(|(name, _, _)| &name[..]).collect();
     let file_bytes: u64 = files
         .iter()
         .map(|name| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len()))
@@ -1355,12 +1268,12 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let range_bytes: u64 = ranges.iter().map(|(_, _, len)| len).sum();
 
     Ok(VerifyReport {
-        gzip: catalog.gzip,
-        n_arrays: catalog.arrays.len(),
-        n_edges: catalog.edges.len(),
+        gzip: live.gzip,
+        n_arrays: live.arrays.len(),
+        n_edges: live.edges.len(),
         files_verified,
         stale_files,
-        log_records: log_records.len(),
+        log_records: log.records.len(),
         retained_files,
         dead_bytes: file_bytes.saturating_sub(range_bytes),
     })
@@ -1368,8 +1281,11 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::catalog::CATALOG_MAGIC_V3;
+    use super::super::wire::write_string;
     use super::*;
     use crate::table::LineageTable;
+    use dslog_codecs::varint::write_uvarint;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dslog-persist-{tag}-{}", std::process::id()));
@@ -1405,11 +1321,15 @@ mod tests {
         s
     }
 
-    /// The live catalog's table records, in catalog order.
+    /// The live generation: the checkpoint and the log replayed past it.
+    fn live_state(dir: &Path) -> Catalog {
+        let log = Log::read(dir).unwrap();
+        load_tail(dir, &list_dir(dir), &log).unwrap().replay.state
+    }
+
+    /// The live generation's table records, in edge order.
     fn live_records(dir: &Path) -> Vec<FileRecord> {
-        let catalog = read_catalog(dir).unwrap();
-        let files = catalog.edges.into_iter().flat_map(|e| e.files);
-        files.map(|f| f.record).collect()
+        live_state(dir).files().map(|f| f.record.clone()).collect()
     }
 
     /// Damage a committed table where it lies: `edit` gets the bytes of
@@ -1455,18 +1375,18 @@ mod tests {
         for gzip in [false, true] {
             let dir = temp_dir(if gzip { "par-gz" } else { "par" });
             save(&sample_manager(), &dir, gzip).unwrap();
-            let catalog = read_catalog(&dir).unwrap();
-            let frefs = catalog.edges.iter().enumerate();
-            let jobs: Vec<(usize, &FileRef)> = frefs.map(|(i, e)| (i, &e.files[0])).collect();
+            let catalog = live_state(&dir);
+            let frefs = catalog.edges.values().enumerate();
+            let jobs: Vec<(usize, &FileRef)> = frefs.map(|(i, e)| (i, &e[0])).collect();
             assert_eq!(decode_workers(&jobs), 1, "a few hundred bytes stay inline");
-            let inline = load_tables(&dir, &catalog, &jobs, 1).unwrap();
+            let inline = load_tables(&dir, gzip, &jobs, 1).unwrap();
             assert_eq!(inline.len(), 2);
-            assert_eq!(load_tables(&dir, &catalog, &jobs, 3).unwrap(), inline);
+            assert_eq!(load_tables(&dir, gzip, &jobs, 3).unwrap(), inline);
 
             // An error on any worker fails the load, as it does inline.
             edit_range(&dir, &jobs[1].1.record, |bytes| bytes[0] ^= 0x5a);
             for workers in [1, 3] {
-                let loaded = load_tables(&dir, &catalog, &jobs, workers);
+                let loaded = load_tables(&dir, gzip, &jobs, workers);
                 assert!(matches!(loaded, Err(DslogError::Corrupt(_))));
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1849,6 +1769,28 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_follows_once_the_tables_since_reach_its_edges() {
+        let dir = temp_dir("checkpoint-rule");
+        let mut s = StorageManager::new();
+        commit(&s, &dir, false).unwrap();
+        let mut checkpoints = Vec::new();
+        for tag in 0..9 {
+            add_small_edge(&mut s, tag);
+            let report = commit(&s, &dir, false).unwrap();
+            let (catalog, _) = read_catalog(&dir.join(CATALOG_FILE)).unwrap();
+            if catalog.generation == report.generation {
+                checkpoints.push(catalog.edges.len());
+            }
+        }
+        // Each checkpoint once the edges committed since the last reach
+        // its edge count; the live generation replays the rest.
+        assert_eq!(checkpoints, [1, 2, 4, 8]);
+        assert_eq!(live_state(&dir).edges.len(), 9);
+        assert_eq!(open(&dir).unwrap().n_edges(), 9);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn forward_query_leaves_commit_nothing_to_write() {
         let dir = temp_dir("inc-forward");
         let s = sample_manager();
@@ -1866,21 +1808,25 @@ mod tests {
     }
 
     #[test]
-    fn commit_survives_externally_deleted_clean_file() {
+    fn compaction_rewrites_a_segment_deleted_behind_the_handle() {
         let dir = temp_dir("inc-tamper");
         let mut s = sample_manager();
         commit(&s, &dir, false).unwrap();
-        // Delete the committed segment behind the manager's back: the next
-        // incremental commit must notice (O(1) stat) and rewrite its
-        // tables from the in-memory slots instead of committing dangling
-        // references.
+        // Delete the committed segment behind the manager's back. A commit
+        // reads nothing back — it visits the edges it changes, and `stat`s
+        // no clean one — so it writes the new edge alone, and the loss is
+        // what `verify` and an open report.
         std::fs::remove_file(dir.join(&live_records(&dir)[0].name)).unwrap();
         add_small_edge(&mut s, 0);
         let report = commit(&s, &dir, false).unwrap();
         assert!(report.incremental);
-        // The new edge + the two tables the victim held.
+        assert_eq!((report.files_written, report.files_reused), (1, 2));
+        assert!(matches!(verify(&dir), Err(DslogError::Io(_))));
+        // A compaction rewrites every table from the in-memory slots: the
+        // directory is whole again.
+        let report = super::super::compact::compact(&s, &dir, false).unwrap();
         assert_eq!((report.files_written, report.files_reused), (3, 0));
-        verify(&dir).unwrap();
+        assert_eq!(verify(&dir).unwrap().files_verified, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1959,7 +1905,7 @@ mod tests {
     /// Every edge's decompressed backward relation (rendered), for
     /// comparing a generation's content across commits and `AsOf` opens.
     fn contents(s: &StorageManager) -> String {
-        let rows = |key: &EdgeName| {
+        let rows = |key: &super::super::EdgeName| {
             let table = s.stored_table(key.input(), key.output()).unwrap();
             table.decompress().unwrap().row_set()
         };
@@ -2029,6 +1975,48 @@ mod tests {
         assert_eq!((segment.exists(), dead), (true, old_ab.len));
         let (_, dead) = commit_and_check(&s);
         assert_eq!((segment.exists(), dead), (false, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_crosses_a_checkpoint_whose_record_never_reached_the_log() {
+        let dir = temp_dir("lost-record");
+        let mut s = StorageManager::new();
+        s.retain = 8;
+        let mut seen = Vec::new();
+        for tag in 0..3 {
+            add_small_edge(&mut s, tag);
+            let generation = commit(&s, &dir, false).unwrap().generation;
+            seen.push((generation, contents(&s)));
+        }
+        // The compaction renames its checkpoint into place, then its log
+        // append fails (as a crash there would leave it): the generation
+        // is committed, its record is not in the log.
+        let policy = wal::IoPolicy::fail_at(wal::IoFault::WriteError, u64::MAX);
+        s.io_policy = Some(Arc::clone(&policy));
+        policy.rearm(7);
+        assert!(super::super::compact::compact(&s, &dir, false).is_err());
+        let compacted = read_catalog(&dir.join(CATALOG_FILE)).unwrap().0.generation;
+        seen.push((compacted, contents(&s)));
+        drop(s);
+
+        // A new handle commits on top: its record starts from the
+        // compaction's generation, which a walk from an older checkpoint
+        // must reach through that checkpoint, not the record before it.
+        let mut s = open(&dir).unwrap();
+        s.retain = 8;
+        add_small_edge(&mut s, 3);
+        let generation = commit(&s, &dir, false).unwrap().generation;
+        seen.push((generation, contents(&s)));
+        drop(s);
+        for _ in 0..2 {
+            open(&dir).unwrap();
+            for (generation, held) in &seen {
+                let old = super::open(&dir, OpenMode::AsOf(*generation)).unwrap();
+                assert_eq!(&contents(&old), held, "as of {generation}");
+            }
+        }
+        assert!(verify(&dir).unwrap().stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,8 +5,7 @@
 //! module gives it provenance of its own. Every mutating operation —
 //! `define`, `ingest`, composite materialization, gzip conversion, and the
 //! commit that makes them durable — is appended to `<dir>/ops.log` as a
-//! crc32-framed, length-prefixed record *before* the catalog rename, so
-//! the log is always at least as new as the catalog:
+//! crc32-framed, length-prefixed record:
 //!
 //! ```text
 //! [u32le body_len] [body] [u32le crc32(body)]
@@ -15,28 +14,28 @@
 //!         gen_before:uvarint  gen_after:uvarint  kind:u8  payload
 //! ```
 //!
-//! Every record is O(1) in the size of the database: the log is an audit
-//! trail, not a copy of the data. A `Commit` record names the catalog it
-//! renamed into place by byte length and crc32 trailer only; a generation
-//! the retention window keeps has its catalog kept next to the log as
-//! `catalog.g<gen>.dsl` (see [`super::persist`]), which is what an
-//! `as_of` open and `verify` read. Logs written before this format embedded
-//! the whole catalog in each commit record; such a record still scans as a
-//! clean frame and decodes to the same variant — the length and crc
-//! trailer of the embedded bytes — but is never written again.
+//! The log is the commit point of an incremental commit (see
+//! [`super::persist`]): the fdatasync of its `Commit` record makes the
+//! generation durable. That record is O(changed), not O(database): it names
+//! the segment the commit wrote and, per table in it, the edge, the byte
+//! range and the crc. Replaying the commits after a checkpoint (the catalog
+//! a compaction, full save or gzip conversion renamed into place, or one a
+//! commit wrote once enough tables had been committed since the last) is
+//! how open and `as_of` rebuild a generation. A commit whose commit point
+//! was its catalog rename instead names that catalog by byte length and
+//! crc32 trailer, as every commit record of logs before this format did
+//! (kind 6, still read). The retired kind-4 record, which embedded a whole
+//! catalog, is refused: a log holding one is `Corrupt`.
 //!
 //! ## Recovery rules
 //!
 //! The log is scanned front to back; scanning stops at the first frame
 //! that is truncated, fails its crc, fails to decode, or breaks op-id
-//! monotonicity — everything from that point on is a torn tail and is
-//! truncated, never replayed. Open-time recovery additionally drops any clean
-//! records *after* the last `Commit` whose `gen_after` is at most the
-//! catalog's generation: a crash between the log fdatasync and the
-//! catalog rename leaves a dangling `Commit` record for a generation that
-//! never committed, and the catalog — the single commit point — stays the
-//! truth. Hostile or partial bytes therefore never panic and never
-//! resurrect an operation the catalog does not vouch for.
+//! monotonicity — everything from that point on is a torn tail. Records
+//! after the last clean `Commit` are the unvouched tail: work whose commit
+//! point was never reached. Both are truncated on open, never replayed, so
+//! hostile or partial bytes never panic and never resurrect an operation
+//! no commit vouches for.
 //!
 //! ## Fault injection
 //!
@@ -52,7 +51,6 @@ use super::wire::{read_string, read_u32_le, write_string};
 use crate::error::{DslogError, Result};
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use std::collections::HashSet;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,13 +98,27 @@ pub enum OpKind {
         /// New gzip mode.
         gzip: bool,
     },
-    /// A commit renamed a new catalog into place (`gen_after` is its
-    /// generation).
+    /// A commit made generation `gen_after` durable.
     Commit {
-        /// Byte length of the catalog file.
+        /// Byte length of the catalog whose rename was this commit's commit
+        /// point (a full save, compaction, gzip conversion or a commit on a
+        /// rebuilt tail); 0 when this record is the commit point.
         catalog_len: u64,
-        /// The catalog's crc32 trailer (the crc32 of everything before it).
+        /// That catalog's crc32 trailer (the crc32 of everything before
+        /// it); 0 when this record is the commit point.
         catalog_crc: u32,
+        /// The segment this commit wrote (`""`: none) — where the tables
+        /// below lie.
+        segment: String,
+        /// Per table a record-committed commit wrote: input array, output
+        /// array, byte offset and length of its range in `segment`, its
+        /// crc (a plain table's body crc, the one its trailer holds; a gzip
+        /// table's container crc32) and its plain serialized length.
+        tables: Vec<(String, String, u64, u64, u32, u64)>,
+        /// The oldest generation the commit's retention window keeps
+        /// (`gen_after` when it keeps none; 0 in a record written before
+        /// the window was logged: every generation still on disk).
+        retained_from: u64,
     },
     /// A compaction rewrote every stored table into a new generation's
     /// segment. Logical state is unchanged — the paired `Commit` record
@@ -152,8 +164,15 @@ impl OpKind {
                 format!("convert to {}", if *gzip { "gzip" } else { "plain" })
             }
             OpKind::Commit {
+                catalog_len: 0,
+                segment,
+                tables,
+                ..
+            } => format!("commit ({} tables into {segment})", tables.len()),
+            OpKind::Commit {
                 catalog_len,
                 catalog_crc,
+                ..
             } => format!("commit ({catalog_len} catalog bytes, crc {catalog_crc:08x})"),
             OpKind::Compact {
                 segments,
@@ -206,14 +225,9 @@ pub(crate) fn trailer_crc(bytes: &[u8]) -> u32 {
         .map_or(0, |trailer| u32::from_le_bytes(*trailer))
 }
 
-/// The `Commit` record naming `catalog` (complete catalog file bytes,
-/// crc32 trailer included).
-pub(crate) fn commit_of(catalog: &[u8]) -> OpKind {
-    OpKind::Commit {
-        catalog_len: catalog.len() as u64,
-        catalog_crc: trailer_crc(catalog),
-    }
-}
+/// What `decode_body` says of a cleanly framed record of a retired kind: the
+/// log is from a format this build no longer reads.
+const RETIRED_KIND: DslogError = DslogError::Corrupt("retired log record kind");
 
 /// Encode one record as a complete frame (length prefix, body, crc32).
 pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
@@ -259,12 +273,26 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
         OpKind::Commit {
             catalog_len,
             catalog_crc,
+            segment,
+            tables,
+            retained_from,
         } => {
-            // Kind 4 is the retired commit record that embedded the whole
-            // catalog; it is decoded, never written.
-            body.push(6);
+            // Kind 4 (a whole embedded catalog) is retired; kind 6 (the
+            // catalog's length and crc only) is read, never written.
+            body.push(7);
             write_uvarint(&mut body, *catalog_len);
             body.extend_from_slice(&catalog_crc.to_le_bytes());
+            write_string(&mut body, segment);
+            write_uvarint(&mut body, *retained_from);
+            write_uvarint(&mut body, tables.len() as u64);
+            for (in_array, out_array, offset, len, crc, raw_len) in tables {
+                write_string(&mut body, in_array);
+                write_string(&mut body, out_array);
+                write_uvarint(&mut body, *offset);
+                write_uvarint(&mut body, *len);
+                body.extend_from_slice(&crc.to_le_bytes());
+                write_uvarint(&mut body, *raw_len);
+            }
         }
         OpKind::Compact {
             segments,
@@ -348,15 +376,7 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
             pos += 1;
             OpKind::ConvertGzip { gzip: flag != 0 }
         }
-        4 => {
-            let len = read_uvarint(data, &mut pos)? as usize;
-            if pos > data.len() || len > data.len() - pos {
-                return Err(DslogError::Corrupt("log record catalog runs past end"));
-            }
-            let kind = commit_of(&data[pos..pos + len]);
-            pos += len;
-            kind
-        }
+        4 => return Err(RETIRED_KIND),
         5 => {
             let segments = read_uvarint(data, &mut pos)?;
             let folded = read_uvarint(data, &mut pos)?;
@@ -367,12 +387,37 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
                 bytes,
             }
         }
-        6 => {
+        6 | 7 => {
             let catalog_len = read_uvarint(data, &mut pos)?;
             let catalog_crc = read_u32_le(data, &mut pos)?;
+            let (mut segment, mut tables, mut retained_from) = (String::new(), Vec::new(), 0);
+            if tag == 7 {
+                segment = read_string(data, &mut pos)?;
+                retained_from = read_uvarint(data, &mut pos)?;
+                let n = read_uvarint(data, &mut pos)? as usize;
+                // Each table takes at least 10 bytes; bound the allocation
+                // by what the input could still encode.
+                if n > (data.len() - pos) / 10 {
+                    return Err(DslogError::Corrupt("log record tables run past end"));
+                }
+                tables.reserve_exact(n);
+                for _ in 0..n {
+                    tables.push((
+                        read_string(data, &mut pos)?,
+                        read_string(data, &mut pos)?,
+                        read_uvarint(data, &mut pos)?,
+                        read_uvarint(data, &mut pos)?,
+                        read_u32_le(data, &mut pos)?,
+                        read_uvarint(data, &mut pos)?,
+                    ));
+                }
+            }
             OpKind::Commit {
                 catalog_len,
                 catalog_crc,
+                segment,
+                tables,
+                retained_from,
             }
         }
         _ => return Err(DslogError::Corrupt("unknown log record kind")),
@@ -393,8 +438,10 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
 /// Scan a log image front to back. Returns each cleanly framed record with
 /// the byte offset just past its frame. Never panics: scanning stops at the
 /// first truncated frame, crc mismatch, decode failure, or op-id that is
-/// not strictly increasing — the torn tail is simply not returned.
-fn scan_frames(data: &[u8]) -> Vec<(OpRecord, usize)> {
+/// not strictly increasing — the torn tail is simply not returned. A
+/// cleanly framed record of a retired kind also stops the scan, and is
+/// reported as the error a reader of the directory must refuse it with.
+fn scan_frames(data: &[u8]) -> (Vec<(OpRecord, usize)>, Option<DslogError>) {
     let mut out: Vec<(OpRecord, usize)> = Vec::new();
     let mut pos = 0usize;
     let mut last_id = 0u64;
@@ -423,8 +470,9 @@ fn scan_frames(data: &[u8]) -> Vec<(OpRecord, usize)> {
         if crc32(body) != u32::from_le_bytes(cb) {
             break;
         }
-        let Ok(rec) = decode_body(body) else {
-            break;
+        let rec = match decode_body(body) {
+            Ok(rec) => rec,
+            Err(e) => return (out, (e == RETIRED_KIND).then_some(e)),
         };
         if rec.op_id <= last_id {
             break;
@@ -433,13 +481,13 @@ fn scan_frames(data: &[u8]) -> Vec<(OpRecord, usize)> {
         out.push((rec, frame_end));
         pos = frame_end;
     }
-    out
+    (out, None)
 }
 
 /// Parse a log image: the cleanly framed records and the byte length of
 /// that clean prefix. Anything past the clean prefix is a torn tail.
 pub fn read_log(data: &[u8]) -> (Vec<OpRecord>, usize) {
-    let frames = scan_frames(data);
+    let (frames, _) = scan_frames(data);
     let clean_len = frames.last().map_or(0, |(_, end)| *end);
     (frames.into_iter().map(|(rec, _)| rec).collect(), clean_len)
 }
@@ -525,68 +573,48 @@ pub fn replay(records: &[OpRecord]) -> ReplayState {
 // Log file IO
 // ---------------------------------------------------------------------------
 
-/// Outcome of reconciling the on-disk log with the committed catalog.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Recovery {
-    /// Byte length of the surviving prefix — clean frames up to and
-    /// including the last commit the catalog vouches for: the append
-    /// position.
-    pub(crate) clean_len: u64,
-    /// Highest surviving op id (0 for an empty log).
-    pub(crate) last_op_id: u64,
-}
-
-/// Read and reconcile `<dir>/ops.log` against the committed catalog
-/// generation, truncating the physical file down to the surviving prefix
-/// (best effort — read-only snapshots stay openable).
-///
-/// A missing or unreadable log yields an empty recovery: pre-log
-/// directories are valid, and a log that cannot be read must never block
-/// an open.
-pub(crate) fn recover(dir: &Path, catalog_generation: u64) -> Recovery {
-    let _io = dslog_sync::io_guard("wal::recover");
-    let path = dir.join(OPS_LOG_FILE);
-    let Ok(bytes) = std::fs::read(&path) else {
-        return Recovery::default();
-    };
-    let frames = scan_frames(&bytes);
-    // Keep everything up to the last commit the catalog vouches for; later
-    // records describe work whose commit point was never reached.
-    let (last_op_id, cut) = frames
-        .iter()
-        .rfind(|(rec, _)| {
-            matches!(rec.kind, OpKind::Commit { .. }) && rec.gen_after <= catalog_generation
-        })
-        .map_or((0, 0), |(rec, end)| (rec.op_id, *end));
-    let clean_len = cut as u64;
-    if bytes.len() as u64 > clean_len {
-        if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
-            let _ = f.set_len(clean_len);
-            let _ = f.sync_data();
-        }
-    }
-    Recovery {
-        clean_len,
-        last_op_id,
-    }
-}
-
-/// Read-only view of every cleanly framed record in `<dir>/ops.log`
-/// (including records past the last catalog-vouched commit — history shows
-/// what was attempted). A missing log is an empty history.
-pub fn history(dir: &Path) -> Result<Vec<OpRecord>> {
-    let _io = dslog_sync::io_guard("wal::history");
+/// Every cleanly framed record of `<dir>/ops.log`, each with the byte
+/// offset just past its frame (see [`read_log`]). A missing log reads as
+/// empty — pre-log directories are valid — and a log holding a record of a
+/// retired kind is `Corrupt`.
+pub(crate) fn read_frames(dir: &Path) -> Result<Vec<(OpRecord, usize)>> {
+    let _io = dslog_sync::io_guard("wal::read_frames");
     match std::fs::read(dir.join(OPS_LOG_FILE)) {
-        Ok(bytes) => Ok(read_log(&bytes).0),
+        Ok(bytes) => match scan_frames(&bytes) {
+            (_, Some(retired)) => Err(retired),
+            (frames, None) => Ok(frames),
+        },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
         Err(e) => Err(DslogError::io("read ops.log", e)),
     }
 }
 
-/// Append `records` at `clean_len`, then fdatasync; returns the log's new
-/// clean length. The file is first truncated to `clean_len`, dropping any
-/// torn tail a failed earlier append left behind. On error the log may
-/// hold a new torn tail past `clean_len`; the next [`recover`] removes it.
+/// Cut `<dir>/ops.log` down to `len` bytes if it is longer: the torn and
+/// unvouched tail an open drops. Best effort — a read-only snapshot stays
+/// openable.
+pub(crate) fn truncate(dir: &Path, len: u64) {
+    let _io = dslog_sync::io_guard("wal::truncate");
+    let path = dir.join(OPS_LOG_FILE);
+    if std::fs::metadata(&path).is_ok_and(|meta| meta.len() > len) {
+        if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
+            let _ = f.set_len(len);
+            let _ = f.sync_data();
+        }
+    }
+}
+
+/// Read-only view of every cleanly framed record in `<dir>/ops.log`
+/// (including the unvouched tail — history shows what was attempted). A
+/// missing log is an empty history.
+pub fn history(dir: &Path) -> Result<Vec<OpRecord>> {
+    Ok(read_frames(dir)?.into_iter().map(|(rec, _)| rec).collect())
+}
+
+/// Append `records` at `clean_len` in one write, then fdatasync; returns
+/// the log's new clean length. The file is first truncated to
+/// `clean_len`, dropping any torn tail a failed earlier append left
+/// behind, and cut back to it again if the write or the sync fails, so a
+/// retry never logs the same records twice.
 pub(crate) fn append(
     dir: &Path,
     clean_len: u64,
@@ -605,13 +633,17 @@ pub(crate) fn append(
         .map_err(|e| DslogError::io("truncate ops.log", e))?;
     f.seek(SeekFrom::Start(clean_len))
         .map_err(|e| DslogError::io("seek ops.log", e))?;
-    let mut end = clean_len;
-    for frame in records.iter().map(encode_record) {
-        policy_write(&mut f, &frame, "append ops.log record", policy)?;
-        end += frame.len() as u64;
+    let frames = records
+        .iter()
+        .map(encode_record)
+        .collect::<Vec<_>>()
+        .concat();
+    let written = policy_write(&mut f, &frames, "append ops.log records", policy)
+        .and_then(|()| policy_sync(&f, "sync ops.log", policy));
+    if written.is_err() {
+        let _ = f.set_len(clean_len);
     }
-    policy_sync(&f, "sync ops.log", policy)?;
-    Ok(end)
+    written.map(|()| clean_len + frames.len() as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -753,40 +785,6 @@ pub(crate) struct PendingOp {
     pub(crate) timestamp_ms: u64,
 }
 
-/// One generation a sweep must spare: its number and the data files its
-/// catalog references.
-pub(crate) type Generation = (u64, HashSet<String>);
-
-/// What a manager remembers about the directory it is bound to, so a
-/// commit reads back nothing it wrote itself: where the log ends, and
-/// which files the generations it must spare name. Lives in the
-/// persistence binding (shared by epoch clones); built from the directory
-/// by `persist::load_tail`, advanced by every successful commit, and
-/// dropped — hence rebuilt by the next commit — whenever a commit fails or
-/// the directory no longer looks the way the tail left it.
-#[derive(Debug, Default)]
-pub(crate) struct LogTail {
-    /// Byte length of the log's clean prefix: the append position.
-    pub(crate) clean_len: u64,
-    /// Highest op id in that prefix (0 for an empty log).
-    pub(crate) last_op_id: u64,
-    /// Generation the next commit uses: one past every generation a file
-    /// name in the directory carried when the tail was built or advanced.
-    pub(crate) next_gen: u64,
-    /// Byte length of the live catalog file.
-    pub(crate) catalog_len: u64,
-    /// Oldest first: the retained generations; the last entry is the
-    /// live generation.
-    pub(crate) window: Vec<Generation>,
-}
-
-impl LogTail {
-    /// How many distinct data files the live catalog references.
-    pub(crate) fn live_files(&self) -> usize {
-        self.window.last().map_or(0, |(_, files)| files.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,7 +839,13 @@ mod tests {
                 actor: "srv".into(),
                 gen_before: 0,
                 gen_after: 1,
-                kind: commit_of(&[1, 2, 3, 4, 5]),
+                kind: OpKind::Commit {
+                    catalog_len: 0,
+                    catalog_crc: 0,
+                    segment: "segment-0.g1.seg".into(),
+                    tables: vec![("A".into(), "B".into(), 0, 42, 0xdead_beef, 42)],
+                    retained_from: 1,
+                },
             },
         ]
     }

@@ -631,39 +631,205 @@ fn assert_reopens_as_the_oracle(dir: &Path, tables: &[LineageTable]) {
     }
 }
 
-/// A commit `stat`s each referenced segment once and holds every clean
-/// range against that length: cut one byte off a segment of three ranges
-/// and only its last range stops fitting — that edge, and only it, is
-/// rewritten from memory.
+/// A commit reads nothing back: it visits the edges it changes and
+/// `stat`s no clean segment, so a segment cut short or deleted behind the
+/// handle's back is what `verify` and the next open report — and the
+/// handle's compaction, which rewrites every table from memory, makes the
+/// directory whole again.
 #[test]
-fn commit_rewrites_only_the_range_a_truncated_segment_lost() {
-    let dir = temp_dir("seg-truncate");
-    let (db, tables) = three_edges_in_one_segment(&dir);
-    let segment = only_segment(&dir);
-    let len = std::fs::metadata(&segment).unwrap().len();
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&segment)
-        .unwrap();
-    file.set_len(len - 1).unwrap();
-    drop(file);
-    let report = db.commit().unwrap();
-    assert_eq!((report.files_written, report.files_reused), (1, 2));
-    drop(db);
-    assert_reopens_as_the_oracle(&dir, &tables);
-    std::fs::remove_dir_all(&dir).unwrap();
+fn compaction_rewrites_the_ranges_lost_behind_the_handle() {
+    for damage in ["truncate", "delete"] {
+        let dir = temp_dir(&format!("seg-{damage}"));
+        let (db, tables) = three_edges_in_one_segment(&dir);
+        let segment = only_segment(&dir);
+        if damage == "truncate" {
+            let len = std::fs::metadata(&segment).unwrap().len();
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&segment)
+                .unwrap();
+            file.set_len(len - 1).unwrap();
+        } else {
+            std::fs::remove_file(&segment).unwrap();
+        }
+        let report = db.commit().unwrap();
+        assert_eq!((report.files_written, report.files_reused), (0, 3));
+        assert!(persist::verify(&dir).is_err(), "{damage}");
+        let report = db.compact().unwrap();
+        assert_eq!((report.files_written, report.files_reused), (3, 0));
+        drop(db);
+        assert_reopens_as_the_oracle(&dir, &tables);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
-/// A deleted segment fails the guard for every range it held: the commit
-/// rewrites all of them.
+/// Complete catalog bytes in the one format every release since the
+/// segment layout wrote: `arrays` as `(name, shape)`, `edges` as `(input,
+/// output, segment, range offset, table bytes)`, each a backward table
+/// whose crc is the crc32 of its whole range, as a catalog that every
+/// commit rewrote recorded it.
+fn catalog_bytes(
+    generation: u64,
+    arrays: &[(&str, &[u64])],
+    edges: &[(&str, &str, &str, u64, &[u8])],
+) -> Vec<u8> {
+    let string = |buf: &mut Vec<u8>, s: &str| {
+        write_uvarint(buf, s.len() as u64);
+        buf.extend_from_slice(s.as_bytes());
+    };
+    let mut catalog = b"DSLGDB3\0".to_vec();
+    catalog.push(0); // plain tables
+    write_uvarint(&mut catalog, generation);
+    write_uvarint(&mut catalog, arrays.len() as u64);
+    for (name, shape) in arrays {
+        string(&mut catalog, name);
+        write_uvarint(&mut catalog, shape.len() as u64);
+        shape.iter().for_each(|&d| write_uvarint(&mut catalog, d));
+    }
+    write_uvarint(&mut catalog, edges.len() as u64);
+    for (input, output, segment, offset, bytes) in edges {
+        string(&mut catalog, input);
+        string(&mut catalog, output);
+        catalog.push(1); // backward only
+        string(&mut catalog, segment);
+        write_uvarint(&mut catalog, bytes.len() as u64);
+        catalog.extend_from_slice(&crc32(bytes).to_le_bytes());
+        write_uvarint(&mut catalog, bytes.len() as u64);
+        write_uvarint(&mut catalog, *offset);
+    }
+    let crc = crc32(&catalog);
+    catalog.extend_from_slice(&crc.to_le_bytes());
+    catalog
+}
+
+/// A commit record as every commit logged it while the catalog rename was
+/// the commit point: kind 6, naming the catalog by length and crc trailer.
+fn catalog_commit_frame(op_id: u64, generation: u64, catalog: &[u8]) -> Vec<u8> {
+    let mut body = vec![1u8]; // record version
+    write_uvarint(&mut body, op_id);
+    write_uvarint(&mut body, 1_700_000_000_000); // timestamp_ms
+    write_uvarint(&mut body, 3);
+    body.extend_from_slice(b"cli");
+    write_uvarint(&mut body, generation - 1); // gen_before
+    write_uvarint(&mut body, generation); // gen_after
+    body.push(6);
+    write_uvarint(&mut body, catalog.len() as u64);
+    body.extend_from_slice(&catalog[catalog.len() - 4..]);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&crc32(&body).to_le_bytes());
+    frame
+}
+
+/// A directory in the layout whose catalog every commit rewrote: two
+/// generations — `P -> Q`, then `Q -> R` on top — with `catalog.dsl` the
+/// second generation's, the first kept as `catalog.g1.dsl` by a retention
+/// window, and a log of define and ingest records each closed by a kind-6
+/// commit. It opens eager and lazy, verifies, resolves the retained
+/// generation, and takes an incremental commit that writes no catalog.
 #[test]
-fn commit_rewrites_every_range_of_a_deleted_segment() {
-    let dir = temp_dir("seg-delete");
-    let (db, tables) = three_edges_in_one_segment(&dir);
-    std::fs::remove_file(only_segment(&dir)).unwrap();
+fn a_directory_whose_every_commit_rewrote_the_catalog_opens_and_commits_on() {
+    use dslog::storage::wal::{self, OpKind, OpRecord};
+
+    let dir = temp_dir("rewritten-catalogs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let table = |shift: i64| {
+        let mut t = LineageTable::new(1, 1);
+        (0..6).for_each(|i| t.push_row(&[i, (i + shift) % 6]));
+        let compressed = dslog::provrc::compress(&t, &[6], &[6], Orientation::Backward);
+        (t, format::serialize(&compressed))
+    };
+    let ((pq, pq_bytes), (qr, qr_bytes)) = (table(1), table(2));
+    std::fs::write(dir.join("segment-0.g1.seg"), &pq_bytes).unwrap();
+    std::fs::write(dir.join("segment-0.g2.seg"), &qr_bytes).unwrap();
+    let six: &[u64] = &[6];
+    let first = catalog_bytes(
+        1,
+        &[("P", six), ("Q", six)],
+        &[("P", "Q", "segment-0.g1.seg", 0, &pq_bytes)],
+    );
+    let second = catalog_bytes(
+        2,
+        &[("P", six), ("Q", six), ("R", six)],
+        &[
+            ("P", "Q", "segment-0.g1.seg", 0, &pq_bytes),
+            ("Q", "R", "segment-0.g2.seg", 0, &qr_bytes),
+        ],
+    );
+    std::fs::write(dir.join("catalog.g1.dsl"), &first).unwrap();
+    std::fs::write(dir.join("catalog.dsl"), &second).unwrap();
+    let record = |op_id: u64, generation: u64, kind: OpKind| {
+        wal::encode_record(&OpRecord {
+            op_id,
+            timestamp_ms: 1_700_000_000_000,
+            actor: "cli".into(),
+            gen_before: generation,
+            gen_after: generation,
+            kind,
+        })
+    };
+    let define = |name: &str| OpKind::DefineArray {
+        name: name.into(),
+        shape: vec![6],
+    };
+    let ingest = |input: &str, output: &str, bytes: &[u8]| OpKind::IngestEdge {
+        in_array: input.into(),
+        out_array: output.into(),
+        bytes: bytes.len() as u64,
+        digest: u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap()),
+    };
+    let log = [
+        record(1, 0, define("P")),
+        record(2, 0, define("Q")),
+        record(3, 0, ingest("P", "Q", &pq_bytes)),
+        catalog_commit_frame(4, 1, &first),
+        record(5, 1, define("R")),
+        record(6, 1, ingest("Q", "R", &qr_bytes)),
+        catalog_commit_frame(7, 2, &second),
+    ]
+    .concat();
+    std::fs::write(dir.join(wal::OPS_LOG_FILE), &log).unwrap();
+
+    let answers = |db: &Dslog, path: [&str; 2], t: &LineageTable| {
+        for v in 0..6 {
+            let got = db.prov_query(&path, &[vec![v]]).unwrap();
+            let want = reference::step(&[vec![v]].into_iter().collect(), t, Orientation::Backward);
+            assert_eq!(got.cells.cell_set(), want, "{path:?} cell {v}");
+        }
+    };
+    for lazy in [false, true] {
+        let db = Dslog::options().lazy(lazy).open(&dir).unwrap();
+        assert_eq!(db.bound_database().unwrap().2, 2);
+        answers(&db, ["Q", "P"], &pq);
+        answers(&db, ["R", "Q"], &qr);
+    }
+    let old = Dslog::options().as_of(1).open(&dir).unwrap();
+    answers(&old, ["Q", "P"], &pq);
+    assert!(old.prov_query(&["R", "Q"], &[vec![1]]).is_err());
+    let report = persist::verify(&dir).unwrap();
+    assert_eq!((report.n_edges, report.files_verified), (2, 2));
+    assert_eq!((report.retained_files, report.log_records), (1, 7));
+    assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
+
+    // The next commit adds one edge to a two-edge checkpoint: it is
+    // incremental, its log record is its commit point, and the catalog
+    // stays the bytes it was.
+    let mut db = Dslog::options().open(&dir).unwrap();
+    db.define_array("S", &[6]).unwrap();
+    let (rs, _) = table(3);
+    db.add_lineage("R", "S", &TableCapture::new(rs.clone()))
+        .unwrap();
     let report = db.commit().unwrap();
-    assert_eq!((report.files_written, report.files_reused), (3, 0));
+    assert!(report.incremental);
+    assert_eq!((report.files_written, report.files_reused), (1, 2));
+    assert_eq!(std::fs::read(dir.join("catalog.dsl")).unwrap(), second);
     drop(db);
-    assert_reopens_as_the_oracle(&dir, &tables);
+    let db = Dslog::options().open(&dir).unwrap();
+    assert_eq!(db.bound_database().unwrap().2, 3);
+    answers(&db, ["Q", "P"], &pq);
+    answers(&db, ["S", "R"], &rs);
+    let report = persist::verify(&dir).unwrap();
+    assert_eq!((report.n_edges, report.retained_files), (3, 0));
+    assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
     std::fs::remove_dir_all(&dir).unwrap();
 }

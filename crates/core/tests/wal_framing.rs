@@ -37,10 +37,29 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
         ),
         proptest::collection::vec(arb_name(), 2..5).prop_map(|path| OpKind::Composite { path }),
         any::<bool>().prop_map(|gzip| OpKind::ConvertGzip { gzip }),
-        (any::<u64>(), any::<u32>()).prop_map(|(catalog_len, catalog_crc)| OpKind::Commit {
-            catalog_len,
-            catalog_crc,
-        }),
+        (
+            (any::<u64>(), any::<u32>(), arb_name(), any::<u64>()),
+            proptest::collection::vec(
+                (
+                    arb_name(),
+                    arb_name(),
+                    any::<u64>(),
+                    any::<u64>(),
+                    any::<u32>(),
+                    any::<u64>()
+                ),
+                0..3
+            ),
+        )
+            .prop_map(
+                |((catalog_len, catalog_crc, segment, retained_from), tables)| OpKind::Commit {
+                    catalog_len,
+                    catalog_crc,
+                    segment,
+                    tables,
+                    retained_from,
+                }
+            ),
     ]
 }
 
@@ -80,21 +99,25 @@ fn build_log(parts: Vec<RecordParts>) -> (Vec<OpRecord>, Vec<u8>) {
     (records, log)
 }
 
-/// A commit record framed the way logs were written before commit records
-/// shrank to `{catalog_len, catalog_crc}`: kind 4, embedding the whole
-/// catalog.
-fn legacy_commit_frame(op_id: u64, actor: &str, generation: u64, catalog: &[u8]) -> Vec<u8> {
+/// A commit record as logs were written before commit records carried the
+/// commit's tables: kind 6 names the catalog by length and crc; the retired
+/// kind 4 embedded the whole catalog.
+fn legacy_commit_frame(kind: u8, op_id: u64, generation: u64, catalog: &[u8]) -> Vec<u8> {
     use dslog_codecs::varint::write_uvarint;
     let mut body = vec![1u8]; // record version
     write_uvarint(&mut body, op_id);
     write_uvarint(&mut body, 1_700_000_000_000); // timestamp_ms
-    write_uvarint(&mut body, actor.len() as u64);
-    body.extend_from_slice(actor.as_bytes());
+    write_uvarint(&mut body, 3);
+    body.extend_from_slice(b"old");
     write_uvarint(&mut body, generation - 1); // gen_before
     write_uvarint(&mut body, generation); // gen_after
-    body.push(4);
+    body.push(kind);
     write_uvarint(&mut body, catalog.len() as u64);
-    body.extend_from_slice(catalog);
+    if kind == 4 {
+        body.extend_from_slice(catalog);
+    } else {
+        body.extend_from_slice(&catalog.last_chunk::<4>().copied().unwrap_or_default());
+    }
     let mut frame = (body.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&body);
     frame.extend_from_slice(&dslog_codecs::crc32::crc32(&body).to_le_bytes());
@@ -104,12 +127,14 @@ fn legacy_commit_frame(op_id: u64, actor: &str, generation: u64, catalog: &[u8])
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A log written before the record change is not torn at its first
-    /// commit: an embedded-catalog frame scans clean and decodes to the
-    /// one `Commit` variant — length and crc trailer of the embedded bytes
-    /// — and today's records append behind it.
+    /// A log of kind-6 commit records — every commit before records carried
+    /// their tables — scans clean: each decodes to a `Commit` naming its
+    /// catalog by length and crc trailer, with no segment, no tables and no
+    /// logged window, and today's records append behind them. A cleanly
+    /// framed kind-4 record (a whole embedded catalog) ends the clean
+    /// prefix, and a reader of the directory refuses the log as `Corrupt`.
     #[test]
-    fn legacy_embedded_catalog_commits_still_scan(
+    fn kind_6_commits_still_scan_and_kind_4_is_refused(
         catalogs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 1..4),
         parts in proptest::collection::vec(arb_record_parts(), 0..3),
     ) {
@@ -117,11 +142,17 @@ proptest! {
         let mut expected = Vec::new();
         for (i, catalog) in catalogs.iter().enumerate() {
             let generation = i as u64 + 1;
-            log.extend_from_slice(&legacy_commit_frame(generation, "old", generation, catalog));
+            log.extend_from_slice(&legacy_commit_frame(6, generation, generation, catalog));
             let catalog_crc = catalog
                 .last_chunk::<4>()
                 .map_or(0, |trailer| u32::from_le_bytes(*trailer));
-            expected.push(OpKind::Commit { catalog_len: catalog.len() as u64, catalog_crc });
+            expected.push(OpKind::Commit {
+                catalog_len: catalog.len() as u64,
+                catalog_crc,
+                segment: String::new(),
+                tables: Vec::new(),
+                retained_from: 0,
+            });
         }
         for (i, (timestamp_ms, actor, gen_before, gen_after, kind)) in parts.into_iter().enumerate() {
             expected.push(kind.clone());
@@ -137,7 +168,21 @@ proptest! {
         let (parsed, clean_len) = wal::read_log(&log);
         prop_assert_eq!(clean_len, log.len());
         let kinds: Vec<OpKind> = parsed.into_iter().map(|r| r.kind).collect();
-        prop_assert_eq!(kinds, expected);
+        prop_assert_eq!(kinds, expected.clone());
+
+        let op_id = expected.len() as u64 + 1;
+        let mut retired = log.clone();
+        retired.extend_from_slice(&legacy_commit_frame(4, op_id, op_id, &catalogs[0]));
+        let (parsed, clean_len) = wal::read_log(&retired);
+        prop_assert_eq!((parsed.len(), clean_len), (expected.len(), log.len()));
+        let dir = std::env::temp_dir().join(format!("dslog-wal-kind4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(wal::OPS_LOG_FILE), &retired).unwrap();
+        prop_assert_eq!(
+            wal::history(&dir).unwrap_err(),
+            dslog::DslogError::Corrupt("retired log record kind")
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// encode → decode is the identity, per record and per log image.

@@ -567,9 +567,11 @@ fn log_len(dir: &Path) -> u64 {
 
 /// A commit costs what it changes, not what came before it: after 200
 /// one-edge commits by one handle, the 200th performs the same gated IOs
-/// and grows the log by the same bytes as the 3rd, and the directory
-/// holds nothing but the catalog, the log, the live tables and the
-/// retained window — with and without retention.
+/// and grows the log by the same bytes as the 3rd (neither is due for a
+/// checkpoint: those come after 1, 2, 4, … 128 committed edges), and the
+/// directory holds nothing but the checkpoint, the log and the live tables
+/// — with and without retention, since the window's generations replay
+/// from the live checkpoint.
 #[test]
 fn commit_cost_is_independent_of_history() {
     const COMMITS: usize = 200;
@@ -592,8 +594,8 @@ fn commit_cost_is_independent_of_history() {
             ios_late, ios_early,
             "gated IOs per commit (retain={retain})"
         );
-        // Op ids, generations and the catalog length outgrow one varint
-        // byte between the 3rd commit and the 200th; nothing else may.
+        // Op ids, generations and the segment name outgrow one varint byte
+        // or digit between the 3rd commit and the 200th; nothing else may.
         assert!(
             log_late.abs_diff(log_early) <= 16,
             "log bytes per commit went {log_early} -> {log_late} (retain={retain})"
@@ -603,17 +605,15 @@ fn commit_cost_is_independent_of_history() {
         let report = persist::verify(&dir).unwrap();
         assert_eq!(report.files_verified, COMMITS);
         assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
-        // One segment per commit (every one still holds a live table),
-        // the kept catalogs of the window, the catalog and the log.
+        // One segment per commit (every one still holds a live table), the
+        // checkpoint and the log.
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
         let first = live + 1 - COMMITS as u64;
-        let mut expected: Vec<String> = (live - u64::from(retain)..live)
-            .map(|g| format!("catalog.g{g}.dsl"))
-            .chain((first..=live).map(|g| format!("segment-0.g{g}.seg")))
+        let mut expected: Vec<String> = ((first..=live).map(|g| format!("segment-0.g{g}.seg")))
             .chain(["catalog.dsl".to_string(), wal::OPS_LOG_FILE.to_string()])
             .collect();
         expected.sort();
@@ -648,13 +648,13 @@ fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
                 std::fs::write(&log_path, longer).unwrap();
             }
             "delete" => std::fs::remove_file(&log_path).unwrap(),
-            // Another handle commits a generation on top (one more array),
-            // then the log is put back: the catalog alone is newer than
-            // the tail remembers.
+            // Another handle compacts on top — a checkpoint commit, which
+            // sweeps the segments the handle's tables lie in — then the log
+            // is put back: the catalog alone is newer than the tail
+            // remembers.
             _ => {
-                let mut other = Dslog::options().open(&dir).unwrap();
-                other.define_array("Z", &[6]).unwrap();
-                other.commit().unwrap();
+                let other = Dslog::options().open(&dir).unwrap();
+                other.compact().unwrap();
                 std::fs::write(&log_path, &log).unwrap();
             }
         }
@@ -708,4 +708,41 @@ fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A log holding a record of the retired kind that embedded a whole
+/// catalog in each commit is refused: open, a lazy open, `verify` and the
+/// history all say `Corrupt`, and the log is left as it was.
+#[test]
+fn a_log_with_an_embedded_catalog_commit_is_refused() {
+    let dir = temp_dir("kind4");
+    let db = seed_store(&dir, false, &idle_policy(IoFault::WriteError));
+    drop(db);
+    let log_path = dir.join(wal::OPS_LOG_FILE);
+    let mut log = std::fs::read(&log_path).unwrap();
+    let last_op = wal::history(&dir).unwrap().last().unwrap().op_id;
+    let catalog = std::fs::read(dir.join("catalog.dsl")).unwrap();
+    let mut body = vec![1u8]; // record version
+    for v in [last_op + 1, 1_700_000_000_000] {
+        dslog_codecs::varint::write_uvarint(&mut body, v);
+    }
+    body.extend_from_slice(&[3, b'o', b'l', b'd', 3, 4, 4]); // actor, generations, kind 4
+    dslog_codecs::varint::write_uvarint(&mut body, catalog.len() as u64);
+    body.extend_from_slice(&catalog);
+    log.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    log.extend_from_slice(&body);
+    log.extend_from_slice(&dslog_codecs::crc32::crc32(&body).to_le_bytes());
+    std::fs::write(&log_path, &log).unwrap();
+
+    let retired = dslog::DslogError::Corrupt("retired log record kind");
+    for result in [
+        Dslog::options().open(&dir).map(drop),
+        Dslog::options().lazy(true).open(&dir).map(drop),
+        persist::verify(&dir).map(drop),
+        wal::history(&dir).map(drop),
+    ] {
+        assert_eq!(result.unwrap_err(), retired);
+    }
+    assert_eq!(std::fs::read(&log_path).unwrap(), log);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

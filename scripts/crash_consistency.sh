@@ -6,12 +6,13 @@
 #
 # The kill is deterministic, not timing-based: the hidden `--crash-at-io N`
 # flag installs an IoPolicy that makes the process exit(86) at the N-th
-# gated IO of its commit (the segment write, the log append's frames,
-# the catalog write, every file and directory sync) — after writing half
+# gated IO of its commit (the segment write, the log append, the
+# checkpoint write, every file and directory sync) — after writing half
 # the bytes when that IO is a write, so recovery faces a genuinely torn
 # file or log frame. Each sweep walks N = 1, 2, … until the command runs
-# out of IOs to die at and exits 0; kills before the catalog rename must
-# leave the old snapshot, kills after it the new one.
+# out of IOs to die at and exits 0; kills before the log fdatasync of an
+# incremental commit (the catalog rename of a compaction, which replaces
+# every range) must leave the old snapshot, kills from it on the new one.
 #
 # Usage: scripts/crash_consistency.sh [path-to-dslog-binary]
 set -euo pipefail
@@ -40,6 +41,29 @@ crashed() {
     return "$rc"
 }
 
+# Which generation a kill left: the new one answers a query along "$2",
+# the old one does not know its first array. Along one sweep the kills
+# must leave the old generation up to some IO — the commit point — and the
+# new one from it on, never the old one again after the new.
+seen_new=0
+check_generation() {
+    if "$BIN" query --db "$1" --path "$2" --cells 1 > /dev/null 2>&1; then
+        seen_new=1
+    elif [ "$seen_new" = 1 ]; then
+        echo "FAIL: the kill at IO $n left the old generation after an earlier kill left the new one" >&2
+        exit 1
+    fi
+}
+
+# Fail unless some kill of the sweep left the new generation: the commit
+# point is a gated IO, and IOs follow it.
+require_new_seen() {
+    if [ "$seen_new" != 1 ]; then
+        echo "FAIL: no kill of the $1 sweep left the new generation" >&2
+        exit 1
+    fi
+}
+
 # Verify a database and fail on leftover debris.
 verify_clean() {
     local out
@@ -62,6 +86,7 @@ for mode in plain gzip; do
     # stale-free mixed-generation database.
     echo "== ingest crash sweep ($mode) =="
     n=1
+    seen_new=0
     while :; do
         if [ "$n" -gt "$MAX_IOS" ]; then
             echo "FAIL: ingest still crashing after $MAX_IOS injection points" >&2
@@ -72,9 +97,11 @@ for mode in plain gzip; do
         if crashed "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" \
             "${flags[@]}" --crash-at-io "$n"; then
             echo "   ingest completed past $((n - 1)) kill point(s)"
+            require_new_seen ingest
             break
         fi
         "$BIN" db verify "$db" > /dev/null
+        check_generation "$db" C,B
         "$BIN" db history "$db" > /dev/null
         "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
         "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
@@ -86,8 +113,8 @@ for mode in plain gzip; do
 
     # Compaction sweep: one three-generation database, `db compact` killed
     # at IO n, then n + 1, … on whatever the previous kill left — the
-    # accreted segments before the catalog rename, the compacted one after
-    # it. The completed compaction must verify stale-free, leave nothing
+    # accreted segments before the checkpoint rename, the compacted one
+    # after it. The completed compaction must verify stale-free, leave nothing
     # but the one on-disk shape, and still take an incremental commit on
     # top.
     echo "== compact crash sweep ($mode) =="
@@ -132,6 +159,7 @@ done
 echo "== serve crash sweep (--listen, mid-auto-commit) =="
 printf 'define C:3\ningest B C 0,1;1,2;2,0\nshutdown\n' > "$WORK/serve.session"
 n=1
+seen_new=0
 while :; do
     if [ "$n" -gt "$MAX_IOS" ]; then
         echo "FAIL: server still crashing after $MAX_IOS injection points" >&2
@@ -156,6 +184,7 @@ while :; do
         > "$WORK/client.out" 2>&1 || true
     if crashed wait "$server"; then
         echo "   server completed past $((n - 1)) kill point(s)"
+        require_new_seen serve
         verify_clean "$db"
         "$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null
         break
@@ -164,6 +193,7 @@ while :; do
     # half-committed network edge is recoverable debris, not corruption.
     # Re-ingesting it must leave a clean, stale-free database behind.
     "$BIN" db verify "$db" > /dev/null
+    check_generation "$db" C,B
     "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
     "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv"
     verify_clean "$db"

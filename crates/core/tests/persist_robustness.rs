@@ -10,6 +10,7 @@
 use dslog::api::{Dslog, TableCapture};
 use dslog::storage::format;
 use dslog::storage::persist;
+use dslog::storage::wal::{IoFault, IoPolicy};
 use dslog::table::{LineageTable, Orientation};
 use dslog::DslogError;
 use dslog_codecs::crc32::crc32;
@@ -17,6 +18,7 @@ use dslog_codecs::varint::{read_uvarint, write_uvarint};
 use dslog_oracle::query::reference;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dslog-persist-prop-{tag}-{}", std::process::id()));
@@ -577,9 +579,10 @@ fn catalog_naming_both_orientations_keeps_the_backward_table() {
 }
 
 /// A database bound to `dir` with three edges `S → T0`, `S → T1`, `S → T2`
-/// committed into one segment, and each edge's raw relation.
-fn three_edges_in_one_segment(dir: &Path) -> (Dslog, Vec<LineageTable>) {
-    let mut db = Dslog::options().create(dir).unwrap();
+/// committed into one segment, and each edge's raw relation. Every commit
+/// of the handle is gated by `policy`.
+fn three_edges_in_one_segment(dir: &Path, policy: &Arc<IoPolicy>) -> (Dslog, Vec<LineageTable>) {
+    let mut db = Dslog::options().io_policy(policy.clone()).create(dir).unwrap();
     db.define_array("S", &[8]).unwrap();
     let mut tables = Vec::new();
     for k in 0..3i64 {
@@ -631,24 +634,79 @@ fn assert_reopens_as_the_oracle(dir: &Path, tables: &[LineageTable]) {
     }
 }
 
-/// A commit reads nothing back: it visits the edges it changes and
-/// `stat`s no clean segment, so a segment cut short or deleted behind the
-/// handle's back is what `verify` and the next open report — and the
-/// handle's compaction, which rewrites every table from memory, makes the
-/// directory whole again.
+/// A policy that only counts gated IOs until it is re-armed.
+fn idle_policy() -> Arc<IoPolicy> {
+    IoPolicy::fail_at(IoFault::WriteError, u64::MAX)
+}
+
+/// Cut one byte off `segment`.
+fn truncate_by_one(segment: &Path) {
+    let len = std::fs::metadata(segment).unwrap().len();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(segment)
+        .unwrap();
+    file.set_len(len - 1).unwrap();
+}
+
+/// Fail the next commit of `db` at its first gated IO — the log append of
+/// a commit with nothing to write, so nothing reaches the directory — and
+/// lift the fault. The handle no longer trusts the tail it remembers: its
+/// next commit rebuilds the tail from the directory.
+fn fail_one_commit(db: &Dslog, policy: &IoPolicy) {
+    policy.rearm(1);
+    assert!(db.commit().is_err());
+    policy.rearm(u64::MAX);
+}
+
+/// A commit that cannot trust its remembered tail (here: the one after a
+/// failed commit) writes a checkpoint, `stat`s each referenced segment once
+/// and holds every clean range against that length: cut one byte off a
+/// segment of three ranges and only its last range stops fitting — that
+/// edge, and only it, is rewritten from memory.
+#[test]
+fn commit_rewrites_only_the_range_a_truncated_segment_lost() {
+    let dir = temp_dir("rebuilt-truncate");
+    let policy = idle_policy();
+    let (db, tables) = three_edges_in_one_segment(&dir, &policy);
+    truncate_by_one(&only_segment(&dir));
+    fail_one_commit(&db, &policy);
+    let report = db.commit().unwrap();
+    assert_eq!((report.files_written, report.files_reused), (1, 2));
+    drop(db);
+    assert_reopens_as_the_oracle(&dir, &tables);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A deleted segment fails the guard for every range it held: the commit
+/// on a rebuilt tail rewrites all of them.
+#[test]
+fn commit_rewrites_every_range_of_a_deleted_segment() {
+    let dir = temp_dir("rebuilt-delete");
+    let policy = idle_policy();
+    let (db, tables) = three_edges_in_one_segment(&dir, &policy);
+    std::fs::remove_file(only_segment(&dir)).unwrap();
+    fail_one_commit(&db, &policy);
+    let report = db.commit().unwrap();
+    assert_eq!((report.files_written, report.files_reused), (3, 0));
+    drop(db);
+    assert_reopens_as_the_oracle(&dir, &tables);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A commit on the tail it trusts reads nothing back: it visits the edges
+/// it changes and `stat`s no clean segment, so a segment cut short or
+/// deleted behind the handle's back is what `verify` and the next open
+/// report — and the handle's compaction, which rewrites every table from
+/// memory, makes the directory whole again.
 #[test]
 fn compaction_rewrites_the_ranges_lost_behind_the_handle() {
     for damage in ["truncate", "delete"] {
         let dir = temp_dir(&format!("seg-{damage}"));
-        let (db, tables) = three_edges_in_one_segment(&dir);
+        let (db, tables) = three_edges_in_one_segment(&dir, &idle_policy());
         let segment = only_segment(&dir);
         if damage == "truncate" {
-            let len = std::fs::metadata(&segment).unwrap().len();
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&segment)
-                .unwrap();
-            file.set_len(len - 1).unwrap();
+            truncate_by_one(&segment);
         } else {
             std::fs::remove_file(&segment).unwrap();
         }

@@ -135,9 +135,10 @@ impl Catalog {
 
     /// Apply one record-committed transaction — the records an append
     /// logged, its `Commit` last — and return the table references it
-    /// replaced. Checked whole before anything changes: a table naming an
-    /// array this generation does not define, or an illegal segment name,
-    /// leaves the catalog as it was and errs.
+    /// replaced. Checked whole before anything changes: a table whose
+    /// `IngestEdge` record is not in the transaction or names an array this
+    /// generation does not define, or an illegal segment name, leaves the
+    /// catalog as it was and errs.
     pub(crate) fn apply(&mut self, txn: &[OpRecord]) -> Result<Vec<FileRef>> {
         let Some(OpRecord {
             gen_after,
@@ -159,7 +160,21 @@ impl Catalog {
         if !tables.is_empty() {
             check_segment_name(segment)?;
         }
-        if !tables.iter().all(|(i, o, ..)| known(i) && known(o)) {
+        let ingested = |&(ingest, ..): &(u64, u64, u64, u32, u64)| {
+            let record = txn.get(usize::try_from(ingest).ok()?);
+            match record.map(|r| &r.kind) {
+                Some(OpKind::IngestEdge {
+                    in_array,
+                    out_array,
+                    ..
+                }) => Some((in_array, out_array)),
+                _ => None,
+            }
+        };
+        let Some(keys) = tables.iter().map(ingested).collect::<Option<Vec<_>>>() else {
+            return Err(DslogError::Corrupt("log record names no ingest"));
+        };
+        if !keys.iter().all(|(i, o)| known(i) && known(o)) {
             return Err(DslogError::Corrupt("log record names an unknown array"));
         }
         if !defined
@@ -180,7 +195,8 @@ impl Catalog {
             }
         }
         let mut replaced = Vec::new();
-        for (in_array, out_array, offset, len, crc, raw_len) in tables {
+        for ((in_array, out_array), (_, offset, len, crc, raw_len)) in keys.into_iter().zip(tables)
+        {
             let record = FileRecord {
                 name: segment.clone(),
                 len: *len,
@@ -310,12 +326,16 @@ pub(crate) struct Log {
     pub(crate) ends: Vec<usize>,
     /// Index of each `Commit` record in `records`.
     pub(crate) commits: Vec<usize>,
+    /// `Some` when the log's bytes past `records` are damage, not a torn
+    /// append: the newest generation a commit record past the damage
+    /// names, 0 for none (see [`super::wal::Scan`]).
+    pub(crate) beyond_damage: Option<u64>,
 }
 
 impl Log {
     pub(crate) fn read(dir: &Path) -> Result<Self> {
-        let (records, ends): (Vec<OpRecord>, Vec<usize>) =
-            super::wal::read_frames(dir)?.into_iter().unzip();
+        let scan = super::wal::read_frames(dir)?;
+        let (records, ends): (Vec<OpRecord>, Vec<usize>) = scan.frames.into_iter().unzip();
         let commits = (records.iter().enumerate())
             .filter(|(_, r)| matches!(r.kind, OpKind::Commit { .. }))
             .map(|(i, _)| i)
@@ -324,6 +344,7 @@ impl Log {
             records,
             ends,
             commits,
+            beyond_damage: scan.beyond_damage,
         })
     }
 
@@ -411,17 +432,25 @@ impl Replay {
     /// switches to that checkpoint (`catalog.g<g>.dsl`, or the live one),
     /// and so does one whose records start from another generation than
     /// the current one (a checkpoint commit whose own record never reached
-    /// the log lies between). Stops at the first transaction it cannot
-    /// apply; returns how many transactions it passed (applied or already
-    /// covered) and the tables the applied ones committed since the last
-    /// checkpoint, and calls `visit` with every generation it reached.
+    /// the log lies between). Returns how many transactions it passed
+    /// (applied or already covered) and the tables the applied ones
+    /// committed since the last checkpoint, and calls `visit` with every
+    /// generation it reached.
+    ///
+    /// A transaction it cannot apply — its checkpoint is not there, or its
+    /// tables do not fit the generation — is `Corrupt`: the commits after
+    /// it were durable all the same. One exception, the log's last
+    /// transaction naming a catalog that is not there, ends the walk: the
+    /// protocol that wrote kind-6 records logged a commit before renaming
+    /// its catalog, so a crash between the two left it dangling.
     pub(crate) fn run(
         &mut self,
         dir: &Path,
         log: &Log,
         until: u64,
         mut visit: impl FnMut(&Catalog),
-    ) -> (usize, usize) {
+    ) -> Result<(usize, usize)> {
+        const MISSING: DslogError = DslogError::Corrupt("log commit names a missing checkpoint");
         let mut since = 0;
         for t in 0..log.commits.len() {
             let txn = log.txn(t);
@@ -430,34 +459,29 @@ impl Replay {
                 continue;
             }
             if commit.gen_after > until {
-                return (t, since);
+                return Ok((t, since));
             }
             match &commit.kind {
                 OpKind::Commit { catalog_len: 0, .. } => {
                     if commit.gen_before != self.state.generation {
-                        match checkpoint_at(dir, commit.gen_before) {
-                            Some(next) => self.switch(next),
-                            None => return (t, since),
-                        }
+                        self.switch(checkpoint_at(dir, commit.gen_before).ok_or(MISSING)?);
                         since = 0;
                         visit(&self.state);
                     }
-                    match self.apply(txn) {
-                        Ok(tables) => since += tables,
-                        Err(_) => return (t, since),
-                    }
+                    since += self.apply(txn)?;
                 }
                 _ => match checkpoint_at(dir, commit.gen_after) {
                     Some(next) => {
                         self.switch(next);
                         since = 0;
                     }
-                    None => return (t, since),
+                    None if t + 1 == log.commits.len() => return Ok((t, since)),
+                    None => return Err(MISSING),
                 },
             }
             visit(&self.state);
         }
-        (log.commits.len(), since)
+        Ok((log.commits.len(), since))
     }
 }
 

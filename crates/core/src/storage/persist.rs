@@ -34,7 +34,10 @@
 //! the new one. Once the tables committed since the last checkpoint reach
 //! that one's edge count, the commit writes a new one after its commit
 //! point — amortized O(1) per table, and a replay never applies more tables
-//! than the checkpoint holds.
+//! than the checkpoint holds. The append that starts a log over (its first,
+//! or a full save's into another database's directory) also syncs the
+//! directory, so the log's own entry is durable before a later commit point
+//! lies in it.
 //!
 //! A full save, a gzip conversion, a compaction and a commit whose tail had
 //! to be rebuilt replace what the directory holds, so their commit point
@@ -44,6 +47,16 @@
 //! generations leaving the retention window needed are deleted. Every write
 //! and sync passes the manager's [`wal::IoPolicy`] (the one fault
 //! injector), if one was installed.
+//!
+//! What fails after the commit point — the checkpoint a record commit
+//! writes, or the record a checkpoint commit logs after its rename — only
+//! keeps replays long: the commit still reports success, and the manager
+//! forgets its tail, so the next commit rebuilds it and writes the
+//! checkpoint. Since the log is the only copy of what was committed after
+//! the live checkpoint, damage to it that hides such a commit, or a commit
+//! record that cannot be applied, makes [`open`], `as_of` and [`verify`]
+//! fail with [`DslogError::Corrupt`], touching nothing (see
+//! [`super::wal`]).
 //!
 //! ## The remembered tail
 //!
@@ -56,8 +69,9 @@
 //! nothing this manager wrote. The tail is believed only while `ops.log`'s
 //! length and the live catalog's generation and length are what it
 //! remembers; otherwise — an unbound or foreign target, a failed commit, a
-//! directory changed from outside — the commit runs `load_tail` again,
-//! writes a checkpoint (holding each clean range against its segment's
+//! directory changed from outside — the commit runs `load_tail` again
+//! (for the bound directory, a damaged log fails the commit), writes a
+//! checkpoint (holding each clean range against its segment's
 //! length first, one `stat` per segment, and rewriting what does not fit
 //! from the slots), and sweeps by listing the directory.
 //!
@@ -359,23 +373,34 @@ impl LogTail {
 
 /// Rebuild what a manager remembers of `dir` ([`LogTail`]) from the
 /// directory itself — the one routine behind [`open`], `as_of`, [`verify`]
-/// and a commit whose remembered tail is missing or stale. Reads the live
-/// checkpoint, replays the log's commits after it (the first it cannot
-/// apply, and everything after, is the unvouched tail), and rebuilds the
-/// retention window the last commit recorded — replaying from an older
-/// kept checkpoint if the window reaches back past the live one. Reads
-/// only; an open truncates and sweeps afterwards.
+/// and a commit whose remembered tail is missing or stale. From the live
+/// checkpoint (parsed, with its byte length), replays the log's commits
+/// after it (one it cannot apply is `Corrupt`, see [`Replay::run`], and so
+/// is damage that hides one), and rebuilds the retention window the last
+/// commit recorded — replaying from an older kept checkpoint if the window
+/// reaches back past the live one. Reads only; an open truncates and
+/// sweeps afterwards.
 ///
 /// The generation the next commit must use is one past anything present —
 /// the catalog's, every generation the log or a file name carries
 /// (leftover higher-generation debris from a crashed commit must not be
 /// reused while a concurrent reader might still stat it).
-fn load_tail(dir: &Path, names: &[String], log: &Log) -> Result<LogTail> {
-    let (live, catalog_len) = read_catalog(&dir.join(CATALOG_FILE))?;
+fn load_tail(
+    dir: &Path,
+    names: &[String],
+    log: &Log,
+    (live, catalog_len): (Catalog, u64),
+) -> Result<LogTail> {
     let checkpoint = (live.generation, catalog_len, live.edges.len());
     let mut gens = vec![live.generation];
     let mut replay = Replay::new(live);
-    let (vouched, since_checkpoint) = replay.run(dir, log, u64::MAX, |s| gens.push(s.generation));
+    let (vouched, since_checkpoint) =
+        replay.run(dir, log, u64::MAX, |s| gens.push(s.generation))?;
+    // Damage to the log hides the commits past it: refused unless the
+    // checkpoint and the records before it already hold them.
+    if log.beyond_damage > Some(replay.state.generation) {
+        return Err(DslogError::Corrupt("log damaged before committed records"));
+    }
     let last_commit = vouched.checked_sub(1).map(|t| log.commits[t]);
     let retained_from = match last_commit.map(|c| &log.records[c].kind) {
         Some(OpKind::Commit { retained_from, .. }) => *retained_from,
@@ -396,7 +421,9 @@ fn load_tail(dir: &Path, names: &[String], log: &Log) -> Result<LogTail> {
         if let Some(base) = start.or(older.first()).and_then(|&g| checkpoint_at(dir, g)) {
             let mut window_gens = vec![base.generation];
             let mut window = Replay::new(base);
-            window.run(dir, log, replay.state.generation, |s| {
+            // History only: a walk that cannot reach the live generation
+            // leaves the window to what the live checkpoint replays.
+            let walked = window.run(dir, log, replay.state.generation, |s| {
                 window_gens.push(s.generation)
             });
             // A checkpoint commit whose record never reached the log ends
@@ -405,7 +432,7 @@ fn load_tail(dir: &Path, names: &[String], log: &Log) -> Result<LogTail> {
                 window.switch(checkpoint_at(dir, checkpoint.0).unwrap_or_default());
                 window_gens.push(checkpoint.0);
             }
-            if window.state.generation == replay.state.generation {
+            if walked.is_ok() && window.state.generation == replay.state.generation {
                 kept = older.into_iter().filter(|&g| g >= window_gens[0]).collect();
                 (replay, gens) = (window, window_gens);
             }
@@ -487,7 +514,12 @@ impl<'a> CommitSession<'a> {
     /// `dir` must be canonical (so `open("./db")` then `commit("db")`
     /// still matches the binding). The records this commit itself logs
     /// name `actor`, or the manager's configured one for `None`.
-    fn begin(storage: &'a StorageManager, dir: PathBuf, gzip: bool, actor: Option<&str>) -> Self {
+    fn begin(
+        storage: &'a StorageManager,
+        dir: PathBuf,
+        gzip: bool,
+        actor: Option<&str>,
+    ) -> Result<Self> {
         let serialize = storage.commit_lock.lock();
         let (bound, tail) = {
             let mut binding = storage.binding.lock();
@@ -505,21 +537,32 @@ impl<'a> CommitSession<'a> {
             log_len == tail.clean_len && peek_catalog(&dir) == Some((generation, len))
         });
         let rebuilt = trusted.is_none();
-        let tail = trusted.unwrap_or_else(|| {
-            let names = list_dir(&dir);
-            let log = Log::read(&dir).unwrap_or_default();
-            match load_tail(&dir, &names, &log) {
-                Ok(tail) if bound.is_some() => tail,
-                // An unbound or foreign target starts a fresh log and
-                // retains nothing: whatever history the directory holds
-                // describes the database being replaced, not this manager.
-                // Its generations stay below the new one all the same.
-                _ => LogTail {
-                    next_gen: next_generation(&names, &log, peek_catalog(&dir).map_or(0, |c| c.0)),
-                    ..LogTail::default()
-                },
+        let tail = match trusted {
+            Some(tail) => tail,
+            None => {
+                let names = list_dir(&dir);
+                let log = Log::read(&dir);
+                match (bound, read_catalog(&dir.join(CATALOG_FILE))) {
+                    // The bound database's log holds the generations
+                    // committed since its checkpoint: damage to it errs,
+                    // and the directory stays as it is.
+                    (Some(_), Ok(live)) => load_tail(&dir, &names, &log?, live)?,
+                    // An unbound or foreign target (or one whose checkpoint
+                    // is gone) starts a fresh log and retains nothing:
+                    // whatever history the directory holds describes the
+                    // database being replaced, not this manager. Its
+                    // generations stay below the new one all the same.
+                    _ => {
+                        let log = log.unwrap_or_default();
+                        let committed = peek_catalog(&dir).map_or(0, |c| c.0);
+                        LogTail {
+                            next_gen: next_generation(&names, &log, committed),
+                            ..LogTail::default()
+                        }
+                    }
+                }
             }
-        });
+        };
         let visible = |op: &wal::PendingOp| match &op.kind {
             OpKind::DefineArray { name, .. } => storage.array(name).is_ok(),
             OpKind::IngestEdge {
@@ -537,7 +580,7 @@ impl<'a> CommitSession<'a> {
                 .unwrap_or(pending.len()),
         );
         let gen = tail.next_gen;
-        CommitSession {
+        Ok(CommitSession {
             storage,
             _serialize: serialize,
             incremental: bound == Some(gzip),
@@ -550,7 +593,7 @@ impl<'a> CommitSession<'a> {
             retained_from: tail.retained_from(gen, storage.retain as usize),
             tail,
             rebuilt,
-        }
+        })
     }
 
     /// The records this commit appends: the flushed operations, the
@@ -586,12 +629,18 @@ impl<'a> CommitSession<'a> {
 
     /// Append `records` to the log and fdatasync it. The flushed
     /// operations leave the buffer once the append lands — should anything
-    /// after fail, a retry must not log them a second time.
+    /// after fail, a retry must not log them a second time. A log started
+    /// over (created, or cut to nothing under a full save) has its
+    /// directory entry synced too: a later commit point lies in it.
     fn log(&mut self, records: &[OpRecord]) -> Result<()> {
         let policy = self.storage.io_policy.as_deref();
+        let started = self.tail.clean_len == 0;
         self.tail.clean_len = wal::append(&self.dir, self.tail.clean_len, records, policy)?;
         self.tail.last_op_id = records.last().map_or(self.tail.last_op_id, |r| r.op_id);
         self.storage.wal.lock().drain(..self.pending.len());
+        if started {
+            sync_dir(&self.dir, policy)?;
+        }
         Ok(())
     }
 
@@ -616,7 +665,7 @@ impl<'a> CommitSession<'a> {
         let mut tables = Vec::new();
         let mut written: Vec<WrittenSlot> = Vec::new();
         let mut seen = HashSet::new();
-        for op in &self.pending {
+        for (ingest, op) in self.pending.iter().enumerate() {
             let OpKind::IngestEdge {
                 in_array,
                 out_array,
@@ -635,15 +684,7 @@ impl<'a> CommitSession<'a> {
                 continue;
             };
             let r = append_table(&mut segment, &name, gzip, &bytes);
-            let table = (
-                in_array.clone(),
-                out_array.clone(),
-                r.offset,
-                r.len,
-                r.crc,
-                r.raw_len,
-            );
-            tables.push(table);
+            tables.push((ingest as u64, r.offset, r.len, r.crc, r.raw_len));
             written.push((Arc::clone(edge), r));
         }
         if !segment.is_empty() {
@@ -666,19 +707,37 @@ impl<'a> CommitSession<'a> {
         };
         let records = self.records(None, commit);
         self.log(&records)?;
-        let report = CommitReport {
-            generation: gen,
-            incremental: true,
-            files_written: written.len(),
-            files_reused: 0,
-            bytes_written: segment.len() as u64,
-        };
+        let files_written = written.len();
         self.publish(written);
 
-        // Past the commit point. The tail advances the way a replay of the
-        // records does, and a checkpoint is written once the tables
-        // committed since the last one reach its edge count.
-        let tables = self.tail.replay.apply(&records)?;
+        // Past the commit point: the generation is durable, whatever
+        // follows. A failure to advance the tail or write the checkpoint
+        // only leaves the tail unknown (see `forget`).
+        let edges = match self.advance(&records) {
+            Ok(edges) => {
+                self.finish();
+                edges
+            }
+            Err(_) => {
+                self.forget();
+                storage.n_edges()
+            }
+        };
+        Ok(CommitReport {
+            generation: gen,
+            incremental: true,
+            files_written,
+            files_reused: edges.saturating_sub(files_written),
+            bytes_written: segment.len() as u64,
+        })
+    }
+
+    /// Advance the tail past a record commit the way a replay of its
+    /// `records` does, and write a checkpoint once the tables committed
+    /// since the last one reach its edge count. Returns the committed
+    /// generation's edge count.
+    fn advance(&mut self, records: &[OpRecord]) -> Result<usize> {
+        let tables = self.tail.replay.apply(records)?;
         self.tail.since_checkpoint = self.tail.since_checkpoint.saturating_add(tables);
         let edges = self.tail.replay.state.edges.len();
         if self.tail.since_checkpoint >= self.tail.checkpoint.2.max(1) {
@@ -686,11 +745,7 @@ impl<'a> CommitSession<'a> {
             self.write_checkpoint(&bytes, edges)?;
             self.tail.replay.switch(parse_catalog(&bytes)?);
         }
-        self.finish()?;
-        Ok(CommitReport {
-            files_reused: edges - report.files_written,
-            ..report
-        })
+        Ok(edges)
     }
 
     /// The checkpoint commit: every edge planned — clean slots reused
@@ -785,8 +840,12 @@ impl<'a> CommitSession<'a> {
         self.write_checkpoint(&bytes, catalog.edges.len())?;
         self.publish(written);
         self.tail.replay.switch(catalog);
-        self.log(&records)?;
-        self.finish()?;
+        // Past the commit point. Without its record the generation still
+        // stands: a replay reaches it through the checkpoint itself.
+        match self.log(&records) {
+            Ok(()) => self.finish(),
+            Err(_) => self.forget(),
+        }
         Ok(report)
     }
 
@@ -824,7 +883,7 @@ impl<'a> CommitSession<'a> {
     /// tail knows of, or by listing when it was rebuilt — and re-bind the
     /// manager with the advanced tail, so the next commit into this
     /// directory rewrites and reads back nothing of this one.
-    fn finish(mut self) -> Result<()> {
+    fn finish(mut self) {
         let gen = self.gen;
         self.tail.next_gen = gen.saturating_add(1);
         let gone = self.tail.enter(gen, self.storage.retain as usize);
@@ -834,13 +893,27 @@ impl<'a> CommitSession<'a> {
             gone
         };
         sweep_stale_files(&self.dir, &names, &self.tail);
+        let tail = std::mem::take(&mut self.tail);
+        self.bind(Some(tail));
+    }
+
+    /// After the commit point, a step that only keeps replays short failed
+    /// (a checkpoint write, or the record a checkpoint commit logs after
+    /// its rename): the generation stands, and the commit reports success.
+    /// The manager stays bound but forgets the tail, so the next commit
+    /// rebuilds it from the directory, writes a checkpoint and sweeps what
+    /// this one left.
+    fn forget(self) {
+        self.bind(None);
+    }
+
+    fn bind(self, tail: Option<LogTail>) {
         *self.storage.binding.lock() = Some(super::PersistBinding {
             dir: self.dir,
             gzip: self.gzip,
-            generation: gen,
-            tail: Some(self.tail),
+            generation: self.gen,
+            tail,
         });
-        Ok(())
     }
 }
 
@@ -884,7 +957,7 @@ pub(crate) fn commit_generation(
     let dir = dir
         .canonicalize()
         .map_err(|e| DslogError::io("canonicalize database dir", e))?;
-    let session = CommitSession::begin(storage, dir, gzip, actor);
+    let session = CommitSession::begin(storage, dir, gzip, actor)?;
     if fold && !session.incremental {
         return Err(DslogError::NotBound);
     }
@@ -1123,7 +1196,7 @@ pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
     // pre-log directory yields an empty one.
     let names = list_dir(dir);
     let log = Log::read(dir)?;
-    let tail = load_tail(dir, &names, &log)?;
+    let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
     if let OpenMode::AsOf(generation) = mode {
         if generation != tail.replay.state.generation {
             return open_retained(dir, &log, &tail, generation);
@@ -1163,7 +1236,7 @@ fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Resu
         .and_then(|c| checkpoint_at(dir, c))
         .ok_or_else(not_retained)?;
     let mut replay = Replay::new(base);
-    replay.run(dir, log, generation, |_| ());
+    replay.run(dir, log, generation, |_| ())?;
     let state = replay.state;
     // Fail up front (and precisely) if the sweep already reclaimed any of
     // the generation's files, instead of erroring mid-load.
@@ -1221,7 +1294,7 @@ pub struct VerifyReport {
 pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let names = list_dir(dir);
     let log = Log::read(dir)?;
-    let tail = load_tail(dir, &names, &log)?;
+    let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
     let live = &tail.replay.state;
 
     let jobs: Vec<(usize, &FileRef)> = (live.edges.values().enumerate())
@@ -1258,7 +1331,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     if let Some(base) = tail.base_for(w0).and_then(|c| checkpoint_at(dir, c)) {
         let mut replay = Replay::new(base);
         add(&replay.state, &mut ranges);
-        replay.run(dir, &log, live.generation, |s| add(s, &mut ranges));
+        replay.run(dir, &log, live.generation, |s| add(s, &mut ranges))?;
     }
     let files: HashSet<&str> = ranges.iter().map(|(name, _, _)| &name[..]).collect();
     let file_bytes: u64 = files
@@ -1324,7 +1397,11 @@ mod tests {
     /// The live generation: the checkpoint and the log replayed past it.
     fn live_state(dir: &Path) -> Catalog {
         let log = Log::read(dir).unwrap();
-        load_tail(dir, &list_dir(dir), &log).unwrap().replay.state
+        let live = read_catalog(&dir.join(CATALOG_FILE)).unwrap();
+        load_tail(dir, &list_dir(dir), &log, live)
+            .unwrap()
+            .replay
+            .state
     }
 
     /// The live generation's table records, in edge order.
@@ -1791,6 +1868,60 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_that_fails_after_the_commit_point_costs_only_the_checkpoint() {
+        let dir = temp_dir("checkpoint-fails");
+        let mut s = StorageManager::new();
+        commit(&s, &dir, false).unwrap();
+        let policy = wal::IoPolicy::fail_at(wal::IoFault::DiskFull, u64::MAX);
+        s.io_policy = Some(Arc::clone(&policy));
+        // The first edge makes a checkpoint due. Segment write and sync,
+        // directory sync, log append and sync — the commit point — then
+        // the checkpoint's temp file, which fails.
+        add_small_edge(&mut s, 0);
+        policy.rearm(6);
+        let report = commit(&s, &dir, false).unwrap();
+        assert_eq!(policy.ios_seen(), 6);
+        assert_eq!((report.files_written, report.files_reused), (1, 0));
+        let live = |dir: &Path| read_catalog(&dir.join(CATALOG_FILE)).unwrap().0;
+        assert!(live(&dir).generation < report.generation);
+        let reopened = open(&dir).unwrap();
+        assert_eq!(
+            reopened.binding.lock().as_ref().unwrap().generation,
+            report.generation
+        );
+        assert_eq!(reopened.n_edges(), 1);
+        drop(reopened);
+
+        // The handle forgot its tail: the next commit rebuilds it from the
+        // directory and writes the checkpoint.
+        add_small_edge(&mut s, 1);
+        let next = commit(&s, &dir, false).unwrap();
+        assert_eq!(live(&dir).generation, next.generation);
+        assert_eq!(open(&dir).unwrap().n_edges(), 2);
+        assert!(verify(&dir).unwrap().stale_files.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_commit_that_starts_the_log_syncs_its_directory_entry() {
+        let dir = temp_dir("log-entry");
+        commit(&sample_manager(), &dir, false).unwrap();
+        std::fs::remove_file(dir.join(wal::OPS_LOG_FILE)).unwrap();
+        let mut s = open(&dir).unwrap();
+        let policy = wal::IoPolicy::fail_at(wal::IoFault::SyncError, u64::MAX);
+        s.io_policy = Some(Arc::clone(&policy));
+        // Segment write and sync, directory sync, log append and sync —
+        // and the directory again, for the entry of the log the append
+        // created: the commit point is not durable without it.
+        add_small_edge(&mut s, 0);
+        policy.rearm(6);
+        let err = commit(&s, &dir, false).unwrap_err();
+        assert!(err.to_string().contains("sync database dir"), "{err}");
+        assert_eq!(policy.ios_seen(), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn forward_query_leaves_commit_nothing_to_write() {
         let dir = temp_dir("inc-forward");
         let s = sample_manager();
@@ -1991,12 +2122,19 @@ mod tests {
         }
         // The compaction renames its checkpoint into place, then its log
         // append fails (as a crash there would leave it): the generation
-        // is committed, its record is not in the log.
+        // is committed — the compaction says so — its record is not in
+        // the log.
         let policy = wal::IoPolicy::fail_at(wal::IoFault::WriteError, u64::MAX);
         s.io_policy = Some(Arc::clone(&policy));
         policy.rearm(7);
-        assert!(super::super::compact::compact(&s, &dir, false).is_err());
-        let compacted = read_catalog(&dir.join(CATALOG_FILE)).unwrap().0.generation;
+        let compacted = super::super::compact::compact(&s, &dir, false).unwrap();
+        let compacted = compacted.generation;
+        assert_eq!(
+            read_catalog(&dir.join(CATALOG_FILE)).unwrap().0.generation,
+            compacted
+        );
+        let logged = wal::history(&dir).unwrap().last().unwrap().gen_after;
+        assert!(logged < compacted, "{logged} {compacted}");
         seen.push((compacted, contents(&s)));
         drop(s);
 

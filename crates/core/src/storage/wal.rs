@@ -17,9 +17,10 @@
 //! The log is the commit point of an incremental commit (see
 //! [`super::persist`]): the fdatasync of its `Commit` record makes the
 //! generation durable. That record is O(changed), not O(database): it names
-//! the segment the commit wrote and, per table in it, the edge, the byte
-//! range and the crc. Replaying the commits after a checkpoint (the catalog
-//! a compaction, full save or gzip conversion renamed into place, or one a
+//! the segment the commit wrote and, per table in it, the byte range, the
+//! crc and which `IngestEdge` record of the same append names the edge.
+//! Replaying the commits after a checkpoint (the catalog a compaction,
+//! full save or gzip conversion renamed into place, or one a
 //! commit wrote once enough tables had been committed since the last) is
 //! how open and `as_of` rebuild a generation. A commit whose commit point
 //! was its catalog rename instead names that catalog by byte length and
@@ -31,11 +32,21 @@
 //!
 //! The log is scanned front to back; scanning stops at the first frame
 //! that is truncated, fails its crc, fails to decode, or breaks op-id
-//! monotonicity — everything from that point on is a torn tail. Records
-//! after the last clean `Commit` are the unvouched tail: work whose commit
-//! point was never reached. Both are truncated on open, never replayed, so
-//! hostile or partial bytes never panic and never resurrect an operation
-//! no commit vouches for.
+//! monotonicity. If no clean frame starts anywhere after it, everything
+//! from that point on is a torn tail: an append that never completed.
+//! Records after the last clean `Commit` are the unvouched tail: work whose
+//! commit point was never reached. Both are truncated on open, never
+//! replayed, so hostile or partial bytes never panic and never resurrect
+//! an operation no commit vouches for.
+//!
+//! A bad frame that a clean one follows is damage, not a torn append. The
+//! log is the only copy of the generations committed since the live
+//! checkpoint: if a commit record past the damage is newer than what the
+//! records before it replay to, open, `verify` and `as_of` refuse the
+//! directory as `Corrupt` and leave it as it is; damage followed only by
+//! what the checkpoint already holds costs history, and is cut like a torn
+//! tail. A clean commit record that cannot be applied is `Corrupt` too (see
+//! [`super::persist`]).
 //!
 //! ## Fault injection
 //!
@@ -110,11 +121,13 @@ pub enum OpKind {
         /// The segment this commit wrote (`""`: none) — where the tables
         /// below lie.
         segment: String,
-        /// Per table a record-committed commit wrote: input array, output
-        /// array, byte offset and length of its range in `segment`, its
-        /// crc (a plain table's body crc, the one its trailer holds; a gzip
-        /// table's container crc32) and its plain serialized length.
-        tables: Vec<(String, String, u64, u64, u32, u64)>,
+        /// Per table a record-committed commit wrote: the index, among the
+        /// records its append logged, of the `IngestEdge` record that names
+        /// the table's edge; the byte offset and length of its range in
+        /// `segment`; its crc (a plain table's body crc, the one its trailer
+        /// holds; a gzip table's container crc32); its plain serialized
+        /// length.
+        tables: Vec<(u64, u64, u64, u32, u64)>,
         /// The oldest generation the commit's retention window keeps
         /// (`gen_after` when it keeps none; 0 in a record written before
         /// the window was logged: every generation still on disk).
@@ -285,9 +298,8 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
             write_string(&mut body, segment);
             write_uvarint(&mut body, *retained_from);
             write_uvarint(&mut body, tables.len() as u64);
-            for (in_array, out_array, offset, len, crc, raw_len) in tables {
-                write_string(&mut body, in_array);
-                write_string(&mut body, out_array);
+            for (ingest, offset, len, crc, raw_len) in tables {
+                write_uvarint(&mut body, *ingest);
                 write_uvarint(&mut body, *offset);
                 write_uvarint(&mut body, *len);
                 body.extend_from_slice(&crc.to_le_bytes());
@@ -395,16 +407,15 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
                 segment = read_string(data, &mut pos)?;
                 retained_from = read_uvarint(data, &mut pos)?;
                 let n = read_uvarint(data, &mut pos)? as usize;
-                // Each table takes at least 10 bytes; bound the allocation
+                // Each table takes at least 8 bytes; bound the allocation
                 // by what the input could still encode.
-                if n > (data.len() - pos) / 10 {
+                if n > (data.len() - pos) / 8 {
                     return Err(DslogError::Corrupt("log record tables run past end"));
                 }
                 tables.reserve_exact(n);
                 for _ in 0..n {
                     tables.push((
-                        read_string(data, &mut pos)?,
-                        read_string(data, &mut pos)?,
+                        read_uvarint(data, &mut pos)?,
                         read_uvarint(data, &mut pos)?,
                         read_uvarint(data, &mut pos)?,
                         read_u32_le(data, &mut pos)?,
@@ -435,59 +446,90 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
     })
 }
 
-/// Scan a log image front to back. Returns each cleanly framed record with
-/// the byte offset just past its frame. Never panics: scanning stops at the
+/// The frame starting at `pos`, if one lies complete there and passes its
+/// crc: its body decoded (or why it does not decode), and the offset just
+/// past it.
+fn frame_at(data: &[u8], pos: usize) -> Option<(Result<OpRecord>, usize)> {
+    let len_bytes = data.get(pos..pos.checked_add(4)?)?;
+    // `body_len` came off the wire: bound it by the bytes actually present
+    // before using it to slice.
+    let body_len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
+    let body_end = (pos + 4).checked_add(body_len)?;
+    let crc = data.get(body_end..body_end.checked_add(4)?)?;
+    let body = &data[pos + 4..body_end];
+    (crc32(body) == u32::from_le_bytes(crc.try_into().ok()?))
+        .then(|| (decode_body(body), body_end + 4))
+}
+
+/// The clean prefix of a log image — each cleanly framed record with the
+/// byte offset just past its frame — and what lies past it.
+#[derive(Default)]
+pub(crate) struct Scan {
+    pub(crate) frames: Vec<(OpRecord, usize)>,
+    /// `None` if nothing past the prefix is a clean frame: a torn append.
+    /// Otherwise the bytes where the scan stopped are damage, not a torn
+    /// append, and this is the newest generation a commit record among the
+    /// clean frames past them makes durable (0 for none).
+    pub(crate) beyond_damage: Option<u64>,
+    /// A cleanly framed record of a retired kind stopped the scan.
+    retired: bool,
+}
+
+/// Scan a log image front to back. Never panics: scanning stops at the
 /// first truncated frame, crc mismatch, decode failure, or op-id that is
-/// not strictly increasing — the torn tail is simply not returned. A
-/// cleanly framed record of a retired kind also stops the scan, and is
-/// reported as the error a reader of the directory must refuse it with.
-fn scan_frames(data: &[u8]) -> (Vec<(OpRecord, usize)>, Option<DslogError>) {
-    let mut out: Vec<(OpRecord, usize)> = Vec::new();
+/// not strictly increasing. An append that never completed leaves its bad
+/// bytes at the log's end; a clean frame anywhere after the stop (every
+/// later offset is tried, for the damaged frame's length cannot be
+/// trusted) means the log was damaged instead, and the commits past the
+/// damage are reported ([`Scan::beyond_damage`]). A cleanly framed record
+/// of a retired kind, before or past the damage, stops the scan too: a
+/// reader of the directory must refuse the log.
+fn scan_frames(data: &[u8]) -> Scan {
+    let mut scan = Scan::default();
     let mut pos = 0usize;
     let mut last_id = 0u64;
-    while pos < data.len() {
-        let Some(len_bytes) = data.get(pos..pos + 4) else {
-            break;
-        };
-        let mut lb = [0u8; 4];
-        lb.copy_from_slice(len_bytes);
-        let body_len = u32::from_le_bytes(lb) as usize;
-        // `body_len` came off the wire: bound it by the bytes actually
-        // present before using it to slice.
-        let Some(frame_end) = pos
-            .checked_add(4)
-            .and_then(|p| p.checked_add(body_len))
-            .and_then(|p| p.checked_add(4))
-        else {
-            break;
-        };
-        if frame_end > data.len() {
-            break;
+    while let Some((rec, end)) = frame_at(data, pos) {
+        match rec {
+            Ok(rec) if rec.op_id > last_id => {
+                last_id = rec.op_id;
+                scan.frames.push((rec, end));
+                pos = end;
+            }
+            Err(e) if e == RETIRED_KIND => {
+                scan.retired = true;
+                return scan;
+            }
+            _ => break,
         }
-        let body = &data[pos + 4..pos + 4 + body_len];
-        let mut cb = [0u8; 4];
-        cb.copy_from_slice(&data[pos + 4 + body_len..frame_end]);
-        if crc32(body) != u32::from_le_bytes(cb) {
-            break;
-        }
-        let rec = match decode_body(body) {
-            Ok(rec) => rec,
-            Err(e) => return (out, (e == RETIRED_KIND).then_some(e)),
-        };
-        if rec.op_id <= last_id {
-            break;
-        }
-        last_id = rec.op_id;
-        out.push((rec, frame_end));
-        pos = frame_end;
     }
-    (out, None)
+    let mut q = pos + 1;
+    while q < data.len() {
+        let clean = (data.get(q + 4) == Some(&RECORD_VERSION))
+            .then(|| frame_at(data, q))
+            .flatten();
+        match clean {
+            Some((Ok(rec), end)) => {
+                let gen = match rec.kind {
+                    OpKind::Commit { .. } => rec.gen_after,
+                    _ => 0,
+                };
+                scan.beyond_damage = Some(scan.beyond_damage.unwrap_or(0).max(gen));
+                q = end;
+            }
+            Some((Err(e), _)) if e == RETIRED_KIND => {
+                scan.retired = true;
+                return scan;
+            }
+            _ => q += 1,
+        }
+    }
+    scan
 }
 
 /// Parse a log image: the cleanly framed records and the byte length of
 /// that clean prefix. Anything past the clean prefix is a torn tail.
 pub fn read_log(data: &[u8]) -> (Vec<OpRecord>, usize) {
-    let (frames, _) = scan_frames(data);
+    let frames = scan_frames(data).frames;
     let clean_len = frames.last().map_or(0, |(_, end)| *end);
     (frames.into_iter().map(|(rec, _)| rec).collect(), clean_len)
 }
@@ -573,20 +615,20 @@ pub fn replay(records: &[OpRecord]) -> ReplayState {
 // Log file IO
 // ---------------------------------------------------------------------------
 
-/// Every cleanly framed record of `<dir>/ops.log`, each with the byte
-/// offset just past its frame (see [`read_log`]). A missing log reads as
+/// The scan of `<dir>/ops.log` (see [`Scan`]). A missing log reads as
 /// empty — pre-log directories are valid — and a log holding a record of a
 /// retired kind is `Corrupt`.
-pub(crate) fn read_frames(dir: &Path) -> Result<Vec<(OpRecord, usize)>> {
+pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
     let _io = dslog_sync::io_guard("wal::read_frames");
-    match std::fs::read(dir.join(OPS_LOG_FILE)) {
-        Ok(bytes) => match scan_frames(&bytes) {
-            (_, Some(retired)) => Err(retired),
-            (frames, None) => Ok(frames),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(DslogError::io("read ops.log", e)),
+    let scan = match std::fs::read(dir.join(OPS_LOG_FILE)) {
+        Ok(bytes) => scan_frames(&bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => scan_frames(&[]),
+        Err(e) => return Err(DslogError::io("read ops.log", e)),
+    };
+    if scan.retired {
+        return Err(RETIRED_KIND);
     }
+    Ok(scan)
 }
 
 /// Cut `<dir>/ops.log` down to `len` bytes if it is longer: the torn and
@@ -607,7 +649,11 @@ pub(crate) fn truncate(dir: &Path, len: u64) {
 /// (including the unvouched tail — history shows what was attempted). A
 /// missing log is an empty history.
 pub fn history(dir: &Path) -> Result<Vec<OpRecord>> {
-    Ok(read_frames(dir)?.into_iter().map(|(rec, _)| rec).collect())
+    Ok(read_frames(dir)?
+        .frames
+        .into_iter()
+        .map(|(rec, _)| rec)
+        .collect())
 }
 
 /// Append `records` at `clean_len` in one write, then fdatasync; returns
@@ -843,7 +889,7 @@ mod tests {
                     catalog_len: 0,
                     catalog_crc: 0,
                     segment: "segment-0.g1.seg".into(),
-                    tables: vec![("A".into(), "B".into(), 0, 42, 0xdead_beef, 42)],
+                    tables: vec![(1, 0, 42, 0xdead_beef, 42)],
                     retained_from: 1,
                 },
             },

@@ -582,7 +582,10 @@ fn catalog_naming_both_orientations_keeps_the_backward_table() {
 /// committed into one segment, and each edge's raw relation. Every commit
 /// of the handle is gated by `policy`.
 fn three_edges_in_one_segment(dir: &Path, policy: &Arc<IoPolicy>) -> (Dslog, Vec<LineageTable>) {
-    let mut db = Dslog::options().io_policy(policy.clone()).create(dir).unwrap();
+    let mut db = Dslog::options()
+        .io_policy(policy.clone())
+        .create(dir)
+        .unwrap();
     db.define_array("S", &[8]).unwrap();
     let mut tables = Vec::new();
     for k in 0..3i64 {

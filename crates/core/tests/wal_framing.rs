@@ -41,8 +41,7 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
             (any::<u64>(), any::<u32>(), arb_name(), any::<u64>()),
             proptest::collection::vec(
                 (
-                    arb_name(),
-                    arb_name(),
+                    any::<u64>(),
                     any::<u64>(),
                     any::<u64>(),
                     any::<u32>(),

@@ -343,7 +343,7 @@ pub fn export(args: &[String]) -> Result<String, String> {
 ///   orientation agreement. Errors (non-zero exit) on any damage.
 /// - `dslog db history <dir>` — print the operation log: one line per
 ///   recorded operation (id, timestamp, actor, kind, generations), plus
-///   a replay summary.
+///   the record and commit counts and the last commit's generation.
 /// - `dslog db compact <dir> [--retain N]` — rewrite every table into one
 ///   new segment and sweep the generations it supersedes.
 pub fn db(args: &[String]) -> Result<String, String> {
@@ -416,15 +416,17 @@ pub fn db(args: &[String]) -> Result<String, String> {
                 )
                 .unwrap();
             }
-            let state = dslog::storage::wal::replay(&records);
+            // The committed arrays and edges are `db verify`'s to report:
+            // it replays the log the way open does.
+            let commits: Vec<_> = (records.iter())
+                .filter(|r| matches!(r.kind, dslog::storage::wal::OpKind::Commit { .. }))
+                .collect();
             writeln!(
                 out,
-                "{} record(s), {} commit(s); replay: {} array(s), {} edge(s) at generation {}",
+                "{} record(s), {} commit(s), the last to generation {}",
                 records.len(),
-                state.commits,
-                state.arrays.len(),
-                state.edges.len(),
-                state.generation
+                commits.len(),
+                commits.last().map_or(0, |r| r.gen_after)
             )
             .unwrap();
             Ok(out)

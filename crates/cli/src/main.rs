@@ -438,27 +438,46 @@ mod tests {
 
     /// A catalog of a shape this build no longer reads, sealed with its
     /// crc32 trailer: `magic`, plain, generation 1, arrays `A:3x2` and
-    /// `B:3`, and one backward `A -> B` table, the whole of the file
-    /// `table` (a `DSLGDB3` record ends in the offset, 0; a `DSLGDB2` one
-    /// had none).
-    fn older_catalog(magic: &[u8; 8], table: &str, bytes: &[u8]) -> Vec<u8> {
+    /// `B:3`, and one edge `A -> B` under edge mask `mask`, each table it
+    /// names the whole of the file `table`, recorded with `crc` (a
+    /// `DSLGDB3` record ends in the offset, 0; a `DSLGDB2` one had none).
+    fn older_catalog(magic: &[u8; 8], mask: u8, table: &str, bytes: &[u8], crc: u32) -> Vec<u8> {
         use dslog_codecs::crc32::crc32;
         use dslog_codecs::varint::write_uvarint;
         let mut catalog = magic.to_vec();
         catalog.extend_from_slice(b"\x00\x01"); // plain, generation 1
         catalog.extend_from_slice(b"\x02\x01A\x02\x03\x02\x01B\x01\x03"); // arrays
-        catalog.extend_from_slice(b"\x01\x01A\x01B\x01"); // A -> B, backward
-        write_uvarint(&mut catalog, table.len() as u64);
-        catalog.extend_from_slice(table.as_bytes());
-        write_uvarint(&mut catalog, bytes.len() as u64);
-        catalog.extend_from_slice(&crc32(bytes).to_le_bytes());
-        write_uvarint(&mut catalog, bytes.len() as u64);
-        if magic == b"DSLGDB3\0" {
-            write_uvarint(&mut catalog, 0);
+        catalog.extend_from_slice(b"\x01\x01A\x01B"); // A -> B
+        catalog.push(mask);
+        for _ in 0..mask.count_ones() {
+            write_uvarint(&mut catalog, table.len() as u64);
+            catalog.extend_from_slice(table.as_bytes());
+            write_uvarint(&mut catalog, bytes.len() as u64);
+            catalog.extend_from_slice(&crc.to_le_bytes());
+            write_uvarint(&mut catalog, bytes.len() as u64);
+            if magic == b"DSLGDB3\0" {
+                write_uvarint(&mut catalog, 0);
+            }
         }
         let seal = crc32(&catalog);
         catalog.extend_from_slice(&seal.to_le_bytes());
         catalog
+    }
+
+    /// A log of one kind-6 commit record naming `catalog`, as builds whose
+    /// every commit rewrote the catalog logged it: op 1 by `cli`,
+    /// generation 0 → 1, the catalog's length and crc trailer.
+    fn kind_6_log(catalog: &[u8]) -> Vec<u8> {
+        use dslog_codecs::crc32::crc32;
+        use dslog_codecs::varint::write_uvarint;
+        // Version 1, op 1, timestamp 0, actor "cli", generation 0 -> 1, kind 6.
+        let mut body = b"\x01\x01\x00\x03cli\x00\x01\x06".to_vec();
+        write_uvarint(&mut body, catalog.len() as u64);
+        body.extend_from_slice(&catalog[catalog.len() - 4..]);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame
     }
 
     #[test]
@@ -478,20 +497,62 @@ mod tests {
         let table = std::fs::read(std::path::Path::new(&source).join("segment-0.g1.seg")).unwrap();
         let _ = std::fs::remove_dir_all(&source);
 
-        for (tag, magic, refusal) in [
-            ("older-v2", b"DSLGDB2\0", "unsupported catalog version"),
+        // The crc32 of the whole table, as catalogs of earlier builds
+        // recorded it, and its body crc, as this build does.
+        let whole = dslog_codecs::crc32::crc32(&table);
+        let body = u32::from_le_bytes(table[table.len() - 4..].try_into().unwrap());
+        let (v2, v3) = (b"DSLGDB2\0", b"DSLGDB3\0");
+        let (edge, segment) = ("edge-0-b.g1.tbl", "segment-0.g1.seg");
+        let mask = "unsupported edge orientation mask";
+        for (tag, magic, edge_mask, file, crc, kind_6, refusal) in [
+            (
+                "older-v2",
+                v2,
+                1,
+                edge,
+                whole,
+                false,
+                "unsupported catalog version",
+            ),
             (
                 "older-edge",
-                b"DSLGDB3\0",
+                v3,
+                1,
+                edge,
+                whole,
+                false,
                 "catalog references an illegal file name",
+            ),
+            (
+                "kind-6",
+                v3,
+                1,
+                segment,
+                body,
+                true,
+                "retired log record kind",
+            ),
+            ("forward-mask", v3, 2, segment, body, false, mask),
+            ("both-mask", v3, 3, segment, body, false, mask),
+            (
+                "residue",
+                v3,
+                1,
+                segment,
+                whole,
+                false,
+                "edge file checksum mismatch",
             ),
         ] {
             let db = temp_db(tag);
             let dir = std::path::Path::new(&db);
             std::fs::create_dir_all(dir).unwrap();
-            let catalog = older_catalog(magic, "edge-0-b.g1.tbl", &table);
+            let catalog = older_catalog(magic, edge_mask, file, &table, crc);
+            std::fs::write(dir.join(file), &table).unwrap();
+            if kind_6 {
+                std::fs::write(dir.join("ops.log"), kind_6_log(&catalog)).unwrap();
+            }
             std::fs::write(dir.join("catalog.dsl"), catalog).unwrap();
-            std::fs::write(dir.join("edge-0-b.g1.tbl"), &table).unwrap();
             let files = || {
                 let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
                     .unwrap()
@@ -504,12 +565,15 @@ mod tests {
             let before = files();
 
             let typed = DslogError::Corrupt(refusal);
-            for options in [
-                Dslog::options(),
-                Dslog::options().lazy(true),
-                Dslog::options().as_of(1),
+            // A lazy open refuses on the first query of a form only reading
+            // the table shows.
+            let first_query = |db: Dslog| db.prov_query(&["B", "A"], &[vec![1]]).map(drop);
+            for opened in [
+                Dslog::options().open(dir).map(drop),
+                Dslog::options().lazy(true).open(dir).and_then(first_query),
+                Dslog::options().as_of(1).open(dir).map(drop),
             ] {
-                assert_eq!(options.open(dir).map(drop).unwrap_err(), typed, "{tag}");
+                assert_eq!(opened.unwrap_err(), typed, "{tag}");
             }
             let verified = dslog::storage::persist::verify(dir).map(drop);
             assert_eq!(verified.unwrap_err(), typed, "{tag}");
@@ -786,7 +850,7 @@ mod tests {
         assert!(out.contains("cli commit"), "{out}");
         assert!(out.contains("gen 0->1"), "{out}");
         assert!(
-            out.contains("replay: 2 array(s), 1 edge(s) at generation 1"),
+            out.contains("4 record(s), 1 commit(s), the last to generation 1"),
             "{out}"
         );
         // verify reports the log record count alongside the table walk.

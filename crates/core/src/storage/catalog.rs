@@ -1,12 +1,17 @@
 //! The checkpoint — `catalog.dsl`, magic `DSLGDB3` — and the committed
 //! generation it describes, advanced by the commits the operation log
 //! records after it (see [`super::persist`] for when each is written).
+//!
+//! A checkpoint names, per edge, the one backward table the edge keeps:
+//! its edge mask is always 1 (backward only). A mask naming the forward
+//! table, or both, is a form only earlier builds wrote, and is `Corrupt`.
+//! [`Catalog::apply`] is the one replay of the log: open, `as_of`,
+//! `verify` and every commit advance a generation through it.
 
 use super::wal::{OpKind, OpRecord};
 use super::wire::{read_string, read_u32_le, write_string};
 use super::{ArrayMeta, FileRecord, MAX_EDGE_ARITY};
 use crate::error::{DslogError, Result};
-use crate::table::Orientation;
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
 use std::collections::{BTreeMap, HashMap};
@@ -40,14 +45,8 @@ pub(crate) fn peek_catalog(dir: &Path) -> Option<(u64, u64)> {
     Some((generation, len))
 }
 
-/// The catalog's edge-mask bit of a table stored in `orientation`; a mask
-/// may name both (see [`Catalog::edges`]).
-fn orientation_bit(orientation: Orientation) -> u8 {
-    match orientation {
-        Orientation::Backward => 1,
-        Orientation::Forward => 2,
-    }
-}
+/// The one edge mask a checkpoint holds: the edge's backward table.
+const BACKWARD_ONLY: u8 = 1;
 
 /// Catalogs and log records are untrusted input: a table reference must be
 /// a bare `segment-*` file name inside the database directory (no
@@ -64,13 +63,6 @@ pub(crate) fn check_segment_name(name: &str) -> Result<()> {
     }
 }
 
-/// One table reference of a committed edge.
-#[derive(Debug, Clone)]
-pub(crate) struct FileRef {
-    pub(crate) orientation: Orientation,
-    pub(crate) record: FileRecord,
-}
-
 /// A committed generation: a checkpoint as parsed (and structurally
 /// validated), or one advanced by the commits the log records after it.
 #[derive(Debug, Clone, Default)]
@@ -79,26 +71,13 @@ pub(crate) struct Catalog {
     /// Snapshot generation; the next commit uses a strictly larger one.
     pub(crate) generation: u64,
     pub(crate) arrays: BTreeMap<String, ArrayMeta>,
-    /// Per `(input, output)` edge, one table per orientation the catalog
-    /// names, backward first (at least one).
-    pub(crate) edges: BTreeMap<(String, String), Vec<FileRef>>,
+    /// Per `(input, output)` edge, the record of its backward table.
+    pub(crate) edges: BTreeMap<(String, String), FileRecord>,
 }
 
 impl Catalog {
-    /// The table an opened edge keeps: the backward one when the catalog
-    /// names both orientations.
-    pub(crate) fn kept(files: &[FileRef]) -> &FileRef {
-        &files[0]
-    }
-
-    /// Every table reference, in edge order.
-    pub(crate) fn files(&self) -> impl Iterator<Item = &FileRef> {
-        self.edges.values().flatten()
-    }
-
     /// The complete checkpoint bytes (magic through crc trailer), arrays
-    /// and edges sorted by name for deterministic bytes. Each edge names
-    /// only the table it keeps.
+    /// and edges sorted by name for deterministic bytes.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut catalog = Vec::new();
         catalog.extend_from_slice(CATALOG_MAGIC_V3);
@@ -113,14 +92,10 @@ impl Catalog {
             }
         }
         write_uvarint(&mut catalog, self.edges.len() as u64);
-        for ((in_name, out_name), files) in &self.edges {
-            let FileRef {
-                orientation,
-                record,
-            } = Catalog::kept(files);
+        for ((in_name, out_name), record) in &self.edges {
             write_string(&mut catalog, in_name);
             write_string(&mut catalog, out_name);
-            catalog.push(orientation_bit(*orientation));
+            catalog.push(BACKWARD_ONLY);
             write_string(&mut catalog, &record.name);
             write_uvarint(&mut catalog, record.len);
             catalog.extend_from_slice(&record.crc.to_le_bytes());
@@ -134,88 +109,90 @@ impl Catalog {
     }
 
     /// Apply one record-committed transaction — the records an append
-    /// logged, its `Commit` last — and return the table references it
-    /// replaced. Checked whole before anything changes: a table whose
-    /// `IngestEdge` record is not in the transaction or names an array this
-    /// generation does not define, or an illegal segment name, leaves the
-    /// catalog as it was and errs.
-    pub(crate) fn apply(&mut self, txn: &[OpRecord]) -> Result<Vec<FileRef>> {
-        let Some(OpRecord {
-            gen_after,
-            kind: OpKind::Commit {
-                segment, tables, ..
-            },
-            ..
-        }) = txn.last()
-        else {
-            return Err(DslogError::Corrupt("log transaction without a commit"));
-        };
-        let defined: HashMap<&str, &[usize]> = (txn.iter())
-            .filter_map(|r| match &r.kind {
-                OpKind::DefineArray { name, shape } => Some((&name[..], &shape[..])),
-                _ => None,
-            })
-            .collect();
-        let known = |name: &str| self.arrays.contains_key(name) || defined.contains_key(name);
-        if !tables.is_empty() {
-            check_segment_name(segment)?;
-        }
-        let ingested = |&(ingest, ..): &(u64, u64, u64, u32, u64)| {
-            let record = txn.get(usize::try_from(ingest).ok()?);
-            match record.map(|r| &r.kind) {
-                Some(OpKind::IngestEdge {
+    /// logged, its `Commit` last — and return, per table it installed, the
+    /// new record and the one it replaced. This is the one replay of the
+    /// log: each record kind has its own arm (`cargo xtask lint` holds the
+    /// `match` to every [`OpKind`], with no wildcard). The transaction is
+    /// checked whole before anything changes: a bad array rank, an illegal
+    /// segment name, or a table whose `IngestEdge` record is not in the
+    /// transaction or names an array this generation does not define leaves
+    /// the catalog as it was and errs.
+    pub(crate) fn apply(&mut self, txn: &[OpRecord]) -> Result<Vec<Installed>> {
+        let mut defined: HashMap<&str, &[usize]> = HashMap::new();
+        let mut ingests: HashMap<usize, (&String, &String)> = HashMap::new();
+        let mut gzip = self.gzip;
+        let mut commit = None;
+        for (i, record) in txn.iter().enumerate() {
+            match &record.kind {
+                OpKind::DefineArray { name, shape } => {
+                    if !(1..MAX_EDGE_ARITY).contains(&shape.len()) {
+                        return Err(DslogError::Corrupt("log record defines a bad array rank"));
+                    }
+                    defined.insert(name, shape);
+                }
+                OpKind::IngestEdge {
                     in_array,
                     out_array,
                     ..
-                }) => Some((in_array, out_array)),
-                _ => None,
+                } => {
+                    ingests.insert(i, (in_array, out_array));
+                }
+                // Neither changes the committed tables: composites are not
+                // persisted (§VI.C), and a compaction's checkpoint holds
+                // what it wrote.
+                OpKind::Composite { .. } | OpKind::Compact { .. } => {}
+                OpKind::ConvertGzip { gzip: to } => gzip = *to,
+                OpKind::Commit {
+                    segment, tables, ..
+                } => {
+                    if !tables.is_empty() {
+                        check_segment_name(segment)?;
+                    }
+                    let known =
+                        |name: &str| self.arrays.contains_key(name) || defined.contains_key(name);
+                    let mut installed = Vec::with_capacity(tables.len());
+                    for &(ingest, offset, len, crc, raw_len) in tables {
+                        let ingest = usize::try_from(ingest).ok();
+                        let Some(&(input, output)) = ingest.and_then(|i| ingests.get(&i)) else {
+                            return Err(DslogError::Corrupt("log record names no ingest"));
+                        };
+                        if !known(input) || !known(output) {
+                            return Err(DslogError::Corrupt("log record names an unknown array"));
+                        }
+                        let record = FileRecord {
+                            name: segment.clone(),
+                            len,
+                            crc,
+                            raw_len,
+                            offset,
+                        };
+                        installed.push(((input.clone(), output.clone()), record));
+                    }
+                    commit = Some((record.gen_after, installed));
+                }
             }
-        };
-        let Some(keys) = tables.iter().map(ingested).collect::<Option<Vec<_>>>() else {
-            return Err(DslogError::Corrupt("log record names no ingest"));
-        };
-        if !keys.iter().all(|(i, o)| known(i) && known(o)) {
-            return Err(DslogError::Corrupt("log record names an unknown array"));
         }
-        if !defined
-            .values()
-            .all(|shape| (1..MAX_EDGE_ARITY).contains(&shape.len()))
-        {
-            return Err(DslogError::Corrupt("log record defines a bad array rank"));
-        }
+        let Some((generation, installed)) = commit else {
+            return Err(DslogError::Corrupt("log transaction without a commit"));
+        };
         for (name, shape) in defined {
             let meta = ArrayMeta {
                 shape: shape.to_vec(),
             };
             self.arrays.entry(name.to_string()).or_insert(meta);
         }
-        for r in txn {
-            if let OpKind::ConvertGzip { gzip } = r.kind {
-                self.gzip = gzip;
-            }
-        }
-        let mut replaced = Vec::new();
-        for ((in_array, out_array), (_, offset, len, crc, raw_len)) in keys.into_iter().zip(tables)
-        {
-            let record = FileRecord {
-                name: segment.clone(),
-                len: *len,
-                crc: *crc,
-                raw_len: *raw_len,
-                offset: *offset,
-            };
-            let orientation = Orientation::Backward;
-            let table = vec![FileRef {
-                orientation,
-                record,
-            }];
-            let key = (in_array.clone(), out_array.clone());
-            replaced.extend(self.edges.insert(key, table).into_iter().flatten());
-        }
-        self.generation = *gen_after;
-        Ok(replaced)
+        self.gzip = gzip;
+        self.generation = generation;
+        let install = |(key, record): ((String, String), FileRecord)| {
+            let replaced = self.edges.insert(key, record.clone());
+            (record, replaced)
+        };
+        Ok(installed.into_iter().map(install).collect())
     }
 }
+
+/// A table a transaction installed, and the record it replaced.
+pub(crate) type Installed = (FileRecord, Option<FileRecord>);
 
 pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
     if data.len() < 13 {
@@ -275,32 +252,25 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             .get(pos)
             .ok_or(DslogError::Corrupt("catalog truncated at edge mask"))?;
         pos += 1;
-        if mask == 0 || mask > 3 {
-            return Err(DslogError::Corrupt("bad edge orientation mask"));
+        // Masks 2 (forward) and 3 (both) are forms only earlier builds
+        // wrote; a table's own orientation is checked when it loads.
+        if mask != BACKWARD_ONLY {
+            return Err(DslogError::Corrupt("unsupported edge orientation mask"));
         }
-        let mut files = Vec::new();
-        for orientation in [Orientation::Backward, Orientation::Forward] {
-            if mask & orientation_bit(orientation) == 0 {
-                continue;
-            }
-            let name = read_string(data, &mut pos)?;
-            check_segment_name(&name)?;
-            let len = read_uvarint(data, &mut pos)?;
-            let crc = read_u32_le(data, &mut pos)?;
-            let raw_len = read_uvarint(data, &mut pos)?;
-            let offset = read_uvarint(data, &mut pos)?;
-            files.push(FileRef {
-                orientation,
-                record: FileRecord {
-                    name,
-                    len,
-                    crc,
-                    raw_len,
-                    offset,
-                },
-            });
-        }
-        edges.push(((in_name, out_name), files));
+        let name = read_string(data, &mut pos)?;
+        check_segment_name(&name)?;
+        let len = read_uvarint(data, &mut pos)?;
+        let crc = read_u32_le(data, &mut pos)?;
+        let raw_len = read_uvarint(data, &mut pos)?;
+        let offset = read_uvarint(data, &mut pos)?;
+        let record = FileRecord {
+            name,
+            len,
+            crc,
+            raw_len,
+            offset,
+        };
+        edges.push(((in_name, out_name), record));
     }
     Ok(Catalog {
         gzip,
@@ -369,46 +339,41 @@ pub(crate) struct Replay {
 
 impl Replay {
     pub(crate) fn new(state: Catalog) -> Self {
-        let mut live: HashMap<String, usize> = HashMap::new();
-        for f in state.files() {
-            match live.get_mut(&f.record.name) {
-                Some(n) => *n += 1,
-                None => {
-                    live.insert(f.record.name.clone(), 1);
-                }
-            }
+        let mut replay = Self::default();
+        for f in state.edges.values() {
+            replay.hold(f);
         }
-        Self {
-            state,
-            live,
-            dead: Vec::new(),
+        replay.state = state;
+        replay
+    }
+
+    /// Count one more live range in `record`'s segment.
+    fn hold(&mut self, record: &FileRecord) {
+        match self.live.get_mut(&record.name) {
+            Some(n) => *n += 1,
+            None => {
+                self.live.insert(record.name.clone(), 1);
+            }
         }
     }
 
-    /// Advance by one record-committed transaction; returns the tables it
-    /// committed.
-    pub(crate) fn apply(&mut self, txn: &[OpRecord]) -> Result<usize> {
+    /// Advance by one record-committed transaction ([`Catalog::apply`]);
+    /// returns the tables it committed.
+    pub(crate) fn step(&mut self, txn: &[OpRecord]) -> Result<usize> {
         let prior = self.state.generation;
-        let replaced = self.state.apply(txn)?;
-        let Some(OpKind::Commit {
-            segment, tables, ..
-        }) = txn.last().map(|r| &r.kind)
-        else {
-            return Ok(0);
-        };
-        if !tables.is_empty() {
-            *self.live.entry(segment.clone()).or_insert(0) += tables.len();
-        }
-        for f in replaced {
-            if let Some(n) = self.live.get_mut(&f.record.name) {
+        let installed = self.state.apply(txn)?;
+        for (record, replaced) in &installed {
+            self.hold(record);
+            let Some(old) = replaced else { continue };
+            if let Some(n) = self.live.get_mut(&old.name) {
                 *n -= 1;
                 if *n == 0 {
-                    self.live.remove(&f.record.name);
-                    self.dead.push((prior, f.record.name));
+                    self.live.remove(&old.name);
+                    self.dead.push((prior, old.name.clone()));
                 }
             }
         }
-        Ok(tables.len())
+        Ok(installed.len())
     }
 
     /// Move to `next`, a checkpoint: every segment it no longer references
@@ -439,10 +404,9 @@ impl Replay {
     ///
     /// A transaction it cannot apply — its checkpoint is not there, or its
     /// tables do not fit the generation — is `Corrupt`: the commits after
-    /// it were durable all the same. One exception, the log's last
-    /// transaction naming a catalog that is not there, ends the walk: the
-    /// protocol that wrote kind-6 records logged a commit before renaming
-    /// its catalog, so a crash between the two left it dangling.
+    /// it were durable all the same. A checkpoint commit logs its record
+    /// only once its catalog is in place, so no clean record names a
+    /// checkpoint that was never written.
     pub(crate) fn run(
         &mut self,
         dir: &Path,
@@ -468,16 +432,12 @@ impl Replay {
                         since = 0;
                         visit(&self.state);
                     }
-                    since += self.apply(txn)?;
+                    since += self.step(txn)?;
                 }
-                _ => match checkpoint_at(dir, commit.gen_after) {
-                    Some(next) => {
-                        self.switch(next);
-                        since = 0;
-                    }
-                    None if t + 1 == log.commits.len() => return Ok((t, since)),
-                    None => return Err(MISSING),
-                },
+                _ => {
+                    self.switch(checkpoint_at(dir, commit.gen_after).ok_or(MISSING)?);
+                    since = 0;
+                }
             }
             visit(&self.state);
         }
@@ -493,4 +453,91 @@ pub(crate) fn checkpoint_at(dir: &Path, gen: u64) -> Option<Catalog> {
         .filter_map(|name| read_catalog(&dir.join(name)).ok())
         .map(|(catalog, _)| catalog)
         .find(|catalog| catalog.generation == gen)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(op_id: u64, gen_after: u64, kind: OpKind) -> OpRecord {
+        OpRecord {
+            op_id,
+            timestamp_ms: 0,
+            actor: "test".into(),
+            gen_before: 0,
+            gen_after,
+            kind,
+        }
+    }
+
+    /// One transaction holding every record kind: defines and the ingest a
+    /// table names change the generation; a composite adds no edge, a
+    /// compaction annotation nothing; a conversion flips the gzip mode.
+    fn every_kind(ingest: u64) -> Vec<OpRecord> {
+        let define = |name: &str| OpKind::DefineArray {
+            name: name.into(),
+            shape: vec![3, 2],
+        };
+        let commit = OpKind::Commit {
+            catalog_len: 0,
+            catalog_crc: 0,
+            segment: "segment-0.g1.seg".into(),
+            tables: vec![(ingest, 0, 42, 0xdead_beef, 40)],
+            retained_from: 1,
+        };
+        let kinds = [
+            define("A"),
+            define("B"),
+            OpKind::IngestEdge {
+                in_array: "A".into(),
+                out_array: "B".into(),
+                bytes: 40,
+                digest: 0xdead_beef,
+            },
+            OpKind::Composite {
+                path: vec!["C".into(), "B".into(), "A".into()],
+            },
+            OpKind::ConvertGzip { gzip: true },
+            OpKind::Compact {
+                segments: 0,
+                folded: 0,
+                bytes: 0,
+            },
+            commit,
+        ];
+        let last = kinds.len() as u64;
+        let gen = |i: u64| u64::from(i == last);
+        (1..)
+            .zip(kinds)
+            .map(|(i, k)| record(i, gen(i), k))
+            .collect()
+    }
+
+    #[test]
+    fn apply_covers_every_kind() {
+        let mut catalog = Catalog::default();
+        let installed = catalog.apply(&every_kind(2)).unwrap();
+        assert_eq!(installed.len(), 1);
+        assert_eq!(installed[0].1, None);
+        assert_eq!(catalog.arrays.keys().collect::<Vec<_>>(), ["A", "B"]);
+        let edges: Vec<_> = catalog.edges.keys().cloned().collect();
+        assert_eq!(edges, [("A".to_string(), "B".to_string())]);
+        assert_eq!(catalog.edges.values().next(), Some(&installed[0].0));
+        assert!(catalog.gzip);
+        assert_eq!(catalog.generation, 1);
+    }
+
+    #[test]
+    fn a_transaction_that_does_not_fit_changes_nothing() {
+        // The table names record 3, the composite, not an ingest.
+        let mut catalog = Catalog::default();
+        let err = catalog.apply(&every_kind(3)).unwrap_err();
+        assert_eq!(err, DslogError::Corrupt("log record names no ingest"));
+        assert!(catalog.arrays.is_empty() && catalog.edges.is_empty());
+        assert!(!catalog.gzip);
+        assert_eq!(catalog.generation, 0);
+        let without_commit = &every_kind(2)[..6];
+        assert!(catalog.apply(without_commit).is_err());
+        assert!(catalog.arrays.is_empty());
+    }
 }

@@ -44,10 +44,10 @@
 //!
 //! [`deserialize`] is self-verifying: it computes the crc32 of the body
 //! and holds it against the trailer. The table loader
-//! (`persist::load_table_file`) has to checksum the same bytes against the
-//! catalog anyway, so it makes that one pass yield both values and enters
-//! through `deserialize_checksummed`, which compares the body crc it is
-//! handed and computes nothing. Every other check, and the order they fire
+//! (`persist::load_table_file`) has to hold the same body crc against the
+//! record that installed the table anyway, so it computes it once and
+//! enters through `deserialize_checksummed`, which compares the body crc
+//! it is handed and computes nothing. Every other check, and the order they fire
 //! in, is the same on both entries.
 //!
 //! Column-major layout plus per-column delta coding keeps the incompressible

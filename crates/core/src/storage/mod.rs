@@ -139,8 +139,6 @@ pub(crate) struct DiskTable {
     pub(crate) dir: PathBuf,
     /// Whether the table uses the ProvRC-GZip disk format.
     pub(crate) gzip: bool,
-    /// Orientation the record says this table stores.
-    pub(crate) orientation: Orientation,
     /// The record of the table (its `raw_len` lets
     /// `storage_bytes` report the same number for lazy and loaded slots).
     pub(crate) record: FileRecord,
@@ -152,7 +150,7 @@ impl DiskTable {
     /// mismatch is a hard error: a lazily opened database must fail
     /// exactly where an eager open would have.
     pub(crate) fn load(&self) -> Result<CompressedTable> {
-        persist::load_table_file(&self.dir, self.gzip, self.orientation, &self.record)
+        persist::load_table_file(&self.dir, self.gzip, &self.record)
     }
 
     /// Read + verify the range and return its plain (un-gzipped) serialized
@@ -183,16 +181,6 @@ pub(crate) enum TableSource {
     OnDisk(DiskTable),
 }
 
-impl TableSource {
-    /// The orientation the table is stored in, loaded or not.
-    fn orientation(&self) -> Orientation {
-        match self {
-            TableSource::Loaded(t) => t.orientation(),
-            TableSource::OnDisk(d) => d.orientation,
-        }
-    }
-}
-
 /// Record of the committed bytes that hold one slot's table: a range of a
 /// file in the bound database directory (see [`PersistBinding`]): the part
 /// of the generation segment a commit appended the table to.
@@ -203,9 +191,7 @@ pub(crate) struct FileRecord {
     /// Byte length of the range.
     pub(crate) len: u64,
     /// The crc the record vouches for the range with: a plain table's body
-    /// crc (what its trailer holds — or, in a catalog written before the
-    /// log carried commits, the crc32 of the whole range), a gzip table's
-    /// container crc32.
+    /// crc (what its trailer holds), a gzip table's container crc32.
     pub(crate) crc: u32,
     /// Byte length of the plain (un-gzipped) serialized table.
     pub(crate) raw_len: u64,

@@ -12,7 +12,7 @@
 //!                       record names its segment and, per table in it,
 //!                       the edge, byte range and crc
 //!   catalog.dsl         the checkpoint (see [`super::catalog`]): arrays,
-//!                       and per edge its table's orientation and range
+//!                       and per edge its backward table's range
 //!   catalog.g<g>.dsl    an older checkpoint, kept while a generation of
 //!                       the retention window needs it
 //! ```
@@ -20,8 +20,9 @@
 //! A generation is a checkpoint plus the commit records after it: open
 //! reads `catalog.dsl` and replays the log past it, and an `as_of` open
 //! replays from the newest checkpoint at or before the generation asked
-//! for. A directory whose catalog every commit rewrote opens unchanged: its
-//! live catalog is the first checkpoint.
+//! for. A directory in a form only earlier builds wrote — a log holding a
+//! commit record of a retired kind, a checkpoint naming a forward table —
+//! is refused as `Corrupt`, and nothing in it is truncated or swept.
 //!
 //! ## Atomicity
 //!
@@ -97,24 +98,21 @@
 //! checksums a plain table's range in one pass: the trailer must hold the
 //! body's crc32, and so must the record that installed the range (a commit
 //! record's table or a checkpoint's edge), so a well-formed table that is
-//! not the one committed fails too. A checkpoint written when every commit
-//! rewrote the catalog holds the crc32 of the whole range instead (the
-//! CRC-32 residue for bytes that end in their own crc), which is accepted.
-//! A gzip table's record holds its container's crc32.
+//! not the one committed fails too. A gzip table's record holds its
+//! container's crc32.
 //!
-//! Each edge persists its one table, in the orientation it was stored in;
-//! a checkpoint whose edge mask names the forward table, or both, still
-//! opens, the edge keeping one table (the backward one when both are
-//! named). The reuse predictor's tables are not persisted (§VI.C).
+//! Each edge persists its one table, the backward one; a table that loads
+//! in the other orientation is `Corrupt`. The reuse predictor's tables are
+//! not persisted (§VI.C).
 
 use super::catalog::{checkpoint_at, checkpoint_name, parse_catalog, peek_catalog, read_catalog};
-use super::catalog::{Catalog, FileRef, Log, Replay, CATALOG_FILE};
+use super::catalog::{Catalog, Log, Replay, CATALOG_FILE};
 use super::wal::{self, IoPolicy, OpKind, OpRecord};
 use super::{format, DiskTable, Edge, FileRecord, Slot, StorageManager, Stored, TableSource};
 use crate::error::{DslogError, Result};
 use crate::par;
 use crate::table::Orientation;
-use dslog_codecs::crc32::{crc32, Crc32};
+use dslog_codecs::crc32::crc32;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -438,14 +436,6 @@ fn load_tail(
             }
         }
     }
-    // A checkpoint that names a second table for an edge (both
-    // orientations, which this build never writes) is due at once: the
-    // next commit writes one naming only the table each edge keeps.
-    let since_checkpoint = if replay.state.files().count() > replay.state.edges.len() {
-        usize::MAX
-    } else {
-        since_checkpoint
-    };
     let w0 = retained_from.max(gens[0]);
     Ok(LogTail {
         clean_len: last_commit.map_or(0, |c| log.ends[c] as u64),
@@ -737,7 +727,7 @@ impl<'a> CommitSession<'a> {
     /// since the last one reach its edge count. Returns the committed
     /// generation's edge count.
     fn advance(&mut self, records: &[OpRecord]) -> Result<usize> {
-        let tables = self.tail.replay.apply(records)?;
+        let tables = self.tail.replay.step(records)?;
         self.tail.since_checkpoint = self.tail.since_checkpoint.saturating_add(tables);
         let edges = self.tail.replay.state.edges.len();
         if self.tail.since_checkpoint >= self.tail.checkpoint.2.max(1) {
@@ -781,7 +771,6 @@ impl<'a> CommitSession<'a> {
         // (File IO: each slot is snapshotted, its lock never held.)
         for (key, edge) in storage.sorted_edges() {
             let (source, stored) = edge.snapshot();
-            let orientation = source.orientation();
             let record = match stored {
                 // Tamper guard, one `stat` per referenced segment: the
                 // recorded file must still exist and hold this range;
@@ -805,13 +794,7 @@ impl<'a> CommitSession<'a> {
                 }
             };
             let edge = (key.input().to_string(), key.output().to_string());
-            catalog.edges.insert(
-                edge,
-                vec![FileRef {
-                    orientation,
-                    record,
-                }],
-            );
+            catalog.edges.insert(edge, record);
         }
         if !segment.is_empty() {
             write_synced(&self.dir.join(&name), &segment, "write segment", policy)?;
@@ -999,16 +982,11 @@ fn read_record_bytes(dir: &Path, record: &FileRecord) -> Result<Vec<u8>> {
 }
 
 /// Hold a plain table's range against the crc its record vouches for, in
-/// one pass: its body crc (what its trailer must hold), or — as a catalog
-/// written before the log carried commits recorded it — the crc32 of the
-/// whole range. Returns the body crc, for the decoder's trailer check.
+/// one pass: its body crc, what its trailer must hold. Returns it, for the
+/// decoder's trailer check.
 fn check_plain(bytes: &[u8], record: &FileRecord) -> Result<u32> {
-    let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(format::TRAILER_LEN));
-    let mut crc = Crc32::new();
-    crc.update(body);
-    let body_crc = crc.finalize();
-    crc.update(trailer);
-    if body_crc != record.crc && crc.finalize() != record.crc {
+    let body_crc = crc32(&bytes[..bytes.len().saturating_sub(format::TRAILER_LEN)]);
+    if body_crc != record.crc {
         return Err(DslogError::Corrupt("edge file checksum mismatch"));
     }
     Ok(body_crc)
@@ -1036,7 +1014,7 @@ pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -
 }
 
 /// Read + fully validate one table (length/crc, then structural
-/// decode, then orientation agreement with its record). Eager open, the
+/// decode, then the backward orientation every edge stores). Eager open, the
 /// lazy `DiskTable::load` path, `AsOf` opens and [`verify`] all go through
 /// here, so verification can never diverge between them.
 ///
@@ -1048,7 +1026,6 @@ pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -
 pub(crate) fn load_table_file(
     dir: &Path,
     gzip: bool,
-    orientation: Orientation,
     record: &FileRecord,
 ) -> Result<crate::table::CompressedTable> {
     let table = if gzip {
@@ -1058,7 +1035,7 @@ pub(crate) fn load_table_file(
         let body_crc = check_plain(&bytes, record)?;
         format::deserialize_checksummed(&bytes, body_crc)?
     };
-    if table.orientation() != orientation {
+    if table.orientation() != Orientation::Backward {
         return Err(DslogError::Corrupt("edge file orientation mismatch"));
     }
     Ok(table)
@@ -1077,25 +1054,25 @@ type EdgeMap = Vec<Arc<Edge>>;
 const DECODE_GRAIN: usize = 4 << 20;
 
 /// Workers for decoding `jobs`: one per [`DECODE_GRAIN`] of table bytes.
-fn decode_workers(jobs: &[(usize, &FileRef)]) -> usize {
-    let bytes: u64 = jobs.iter().map(|(_, fref)| fref.record.raw_len).sum();
+fn decode_workers(jobs: &[(usize, &FileRecord)]) -> usize {
+    let bytes: u64 = jobs.iter().map(|(_, record)| record.raw_len).sum();
     par::workers_for(usize::try_from(bytes).unwrap_or(usize::MAX), DECODE_GRAIN)
 }
 
-/// Read, verify and decode table references on `workers` threads
+/// Read, verify and decode table records on `workers` threads
 /// (decode + crc dominates open time, and tables are independent). Returns
 /// each table keyed by its edge index. Any decode error — or a panic while
 /// decoding — fails the whole load.
 fn load_tables(
     dir: &Path,
     gzip: bool,
-    jobs: &[(usize, &FileRef)],
+    jobs: &[(usize, &FileRecord)],
     workers: usize,
 ) -> Result<HashMap<usize, crate::table::CompressedTable>> {
     let decode_all = || {
         par::map(jobs.len(), workers, |i| {
-            let (idx, fref) = jobs[i];
-            load_table_file(dir, gzip, fref.orientation, &fref.record).map(|t| (idx, t))
+            let (idx, record) = jobs[i];
+            load_table_file(dir, gzip, record).map(|t| (idx, t))
         })
     };
     // Hostile bytes must come back as an error, whichever thread met them.
@@ -1105,20 +1082,18 @@ fn load_tables(
         .collect()
 }
 
-/// Load (or lazily reference) the table each edge of a committed
-/// generation keeps ([`Catalog::kept`]).
+/// Load (or lazily reference) the table of each edge of a committed
+/// generation.
 fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeMap> {
     // Everything to be decoded eagerly goes through `load_tables`; lazily
     // referenced files are only stat'd (O(1) each) inline below.
-    let eager_jobs: Vec<(usize, &FileRef)> = (catalog.edges.values().enumerate())
-        .map(|(idx, files)| (idx, Catalog::kept(files)))
+    let eager_jobs: Vec<(usize, &FileRecord)> = (catalog.edges.values().enumerate())
         .filter(|_| !lazy)
         .collect();
     let mut loaded = load_tables(dir, catalog.gzip, &eager_jobs, decode_workers(&eager_jobs))?;
 
     let mut edges = Vec::with_capacity(catalog.edges.len());
-    for (idx, files) in catalog.edges.values().enumerate() {
-        let fref = Catalog::kept(files);
+    for (idx, record) in catalog.edges.values().enumerate() {
         let source = match loaded.remove(&idx) {
             Some(table) => TableSource::Loaded(Arc::new(table)),
             None => {
@@ -1126,16 +1101,15 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
                 // verification to first use. The O(1) existence + length
                 // check here catches missing or truncated files at open
                 // time.
-                let meta = std::fs::metadata(dir.join(&fref.record.name))
+                let meta = std::fs::metadata(dir.join(&record.name))
                     .map_err(|e| DslogError::io("stat edge table", e))?;
-                if !fref.record.fits(meta.len()) {
+                if !record.fits(meta.len()) {
                     return Err(DslogError::Corrupt("edge file length mismatch"));
                 }
                 TableSource::OnDisk(DiskTable {
                     dir: dir.to_path_buf(),
                     gzip: catalog.gzip,
-                    orientation: fref.orientation,
-                    record: fref.record.clone(),
+                    record: record.clone(),
                 })
             }
         };
@@ -1143,7 +1117,7 @@ fn load_catalog_edges(dir: &Path, catalog: &Catalog, lazy: bool) -> Result<EdgeM
         // slot opens *clean*, so a later commit leaves the range untouched.
         let slot = Slot {
             source,
-            stored: Stored::Committed(fref.record.clone()),
+            stored: Stored::Committed(record.clone()),
         };
         edges.push(Arc::new(Edge::new(slot)));
     }
@@ -1192,8 +1166,7 @@ fn manager_from_parts(catalog: &Catalog, edges: EdgeMap) -> Result<StorageManage
 /// entry; [`crate::api::OpenOptions::open`] is its public face.
 pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
     // Rebuild the remembered tail: the live checkpoint, the log replayed
-    // past it, the retention window. Best-effort on the log — a missing or
-    // pre-log directory yields an empty one.
+    // past it, the retention window. A missing log replays nothing.
     let names = list_dir(dir);
     let log = Log::read(dir)?;
     let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
@@ -1240,7 +1213,7 @@ fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Resu
     let state = replay.state;
     // Fail up front (and precisely) if the sweep already reclaimed any of
     // the generation's files, instead of erroring mid-load.
-    if state.generation != generation || state.files().any(|f| !dir.join(&f.record.name).is_file())
+    if state.generation != generation || state.edges.values().any(|f| !dir.join(&f.name).is_file())
     {
         return Err(not_retained());
     }
@@ -1297,15 +1270,13 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
     let live = &tail.replay.state;
 
-    let jobs: Vec<(usize, &FileRef)> = (live.edges.values().enumerate())
-        .flat_map(|(idx, files)| files.iter().map(move |fref| (idx, fref)))
-        .collect();
+    let jobs: Vec<(usize, &FileRecord)> = live.edges.values().enumerate().collect();
     let files_verified = jobs.len();
     load_tables(dir, live.gzip, &jobs, decode_workers(&jobs))?;
 
     // Files the retention window needs are history, not debris (the
     // classification rule is the same `LogTail::spares` the sweeps use).
-    let referenced: HashSet<&str> = live.files().map(|f| &f.record.name[..]).collect();
+    let referenced: HashSet<&str> = live.edges.values().map(|f| &f.name[..]).collect();
     let mut stale_files = Vec::new();
     let mut retained_files = 0usize;
     for name in names {
@@ -1324,8 +1295,12 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let mut ranges: HashSet<(String, u64, u64)> = HashSet::new();
     let add = |state: &Catalog, ranges: &mut HashSet<(String, u64, u64)>| {
         if state.generation >= w0 {
-            let files = state.files().map(|f| &f.record);
-            ranges.extend(files.map(|r| (r.name.clone(), r.offset, r.len)));
+            ranges.extend(
+                state
+                    .edges
+                    .values()
+                    .map(|r| (r.name.clone(), r.offset, r.len)),
+            );
         }
     };
     if let Some(base) = tail.base_for(w0).and_then(|c| checkpoint_at(dir, c)) {
@@ -1406,7 +1381,7 @@ mod tests {
 
     /// The live generation's table records, in edge order.
     fn live_records(dir: &Path) -> Vec<FileRecord> {
-        live_state(dir).files().map(|f| f.record.clone()).collect()
+        live_state(dir).edges.values().cloned().collect()
     }
 
     /// Damage a committed table where it lies: `edit` gets the bytes of
@@ -1453,15 +1428,14 @@ mod tests {
             let dir = temp_dir(if gzip { "par-gz" } else { "par" });
             save(&sample_manager(), &dir, gzip).unwrap();
             let catalog = live_state(&dir);
-            let frefs = catalog.edges.values().enumerate();
-            let jobs: Vec<(usize, &FileRef)> = frefs.map(|(i, e)| (i, &e[0])).collect();
+            let jobs: Vec<(usize, &FileRecord)> = catalog.edges.values().enumerate().collect();
             assert_eq!(decode_workers(&jobs), 1, "a few hundred bytes stay inline");
             let inline = load_tables(&dir, gzip, &jobs, 1).unwrap();
             assert_eq!(inline.len(), 2);
             assert_eq!(load_tables(&dir, gzip, &jobs, 3).unwrap(), inline);
 
             // An error on any worker fails the load, as it does inline.
-            edit_range(&dir, &jobs[1].1.record, |bytes| bytes[0] ^= 0x5a);
+            edit_range(&dir, jobs[1].1, |bytes| bytes[0] ^= 0x5a);
             for workers in [1, 3] {
                 let loaded = load_tables(&dir, gzip, &jobs, workers);
                 assert!(matches!(loaded, Err(DslogError::Corrupt(_))));
@@ -1474,19 +1448,16 @@ mod tests {
     fn decode_workers_follow_the_measured_crossover() {
         // `jobs` over `n` tables of `raw_len` bytes each.
         let workers_for_tables = |n: usize, raw_len: u64| {
-            let frefs: Vec<FileRef> = (0..n)
-                .map(|_| FileRef {
-                    orientation: Orientation::Backward,
-                    record: FileRecord {
-                        name: "segment-0.g1.seg".to_string(),
-                        len: raw_len,
-                        crc: 0,
-                        raw_len,
-                        offset: 0,
-                    },
+            let records: Vec<FileRecord> = (0..n)
+                .map(|_| FileRecord {
+                    name: "segment-0.g1.seg".to_string(),
+                    len: raw_len,
+                    crc: 0,
+                    raw_len,
+                    offset: 0,
                 })
                 .collect();
-            let jobs: Vec<(usize, &FileRef)> = frefs.iter().enumerate().collect();
+            let jobs: Vec<(usize, &FileRecord)> = records.iter().enumerate().collect();
             decode_workers(&jobs)
         };
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());

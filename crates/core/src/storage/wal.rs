@@ -22,11 +22,13 @@
 //! Replaying the commits after a checkpoint (the catalog a compaction,
 //! full save or gzip conversion renamed into place, or one a
 //! commit wrote once enough tables had been committed since the last) is
-//! how open and `as_of` rebuild a generation. A commit whose commit point
-//! was its catalog rename instead names that catalog by byte length and
-//! crc32 trailer, as every commit record of logs before this format did
-//! (kind 6, still read). The retired kind-4 record, which embedded a whole
-//! catalog, is refused: a log holding one is `Corrupt`.
+//! how open and `as_of` rebuild a generation; `Catalog::apply`
+//! (`storage/catalog.rs`) is the one reader that gives records their
+//! meaning. A commit whose commit point was its catalog rename instead
+//! names that catalog by byte length and crc32 trailer. Commit records of
+//! the kinds earlier formats wrote — kind 4, which embedded a whole
+//! catalog, and kind 6, which named a catalog every commit rewrote — are
+//! refused: a log holding one is `Corrupt`.
 //!
 //! ## Recovery rules
 //!
@@ -93,7 +95,7 @@ pub enum OpKind {
         in_array: String,
         /// Output (derived) array of the edge.
         out_array: String,
-        /// Serialized size of the ingested backward/forward table.
+        /// Serialized size of the ingested backward table.
         bytes: u64,
         /// crc32 of those serialized bytes — the per-edge digest.
         digest: u32,
@@ -129,8 +131,7 @@ pub enum OpKind {
         /// length.
         tables: Vec<(u64, u64, u64, u32, u64)>,
         /// The oldest generation the commit's retention window keeps
-        /// (`gen_after` when it keeps none; 0 in a record written before
-        /// the window was logged: every generation still on disk).
+        /// (`gen_after` when it keeps none).
         retained_from: u64,
     },
     /// A compaction rewrote every stored table into a new generation's
@@ -176,6 +177,11 @@ impl OpKind {
             OpKind::ConvertGzip { gzip } => {
                 format!("convert to {}", if *gzip { "gzip" } else { "plain" })
             }
+            OpKind::Commit {
+                catalog_len: 0,
+                tables,
+                ..
+            } if tables.is_empty() => "commit (no tables)".to_string(),
             OpKind::Commit {
                 catalog_len: 0,
                 segment,
@@ -290,8 +296,8 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
             tables,
             retained_from,
         } => {
-            // Kind 4 (a whole embedded catalog) is retired; kind 6 (the
-            // catalog's length and crc only) is read, never written.
+            // Kinds 4 (a whole embedded catalog) and 6 (a catalog's length
+            // and crc only) are retired.
             body.push(7);
             write_uvarint(&mut body, *catalog_len);
             body.extend_from_slice(&catalog_crc.to_le_bytes());
@@ -388,7 +394,7 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
             pos += 1;
             OpKind::ConvertGzip { gzip: flag != 0 }
         }
-        4 => return Err(RETIRED_KIND),
+        4 | 6 => return Err(RETIRED_KIND),
         5 => {
             let segments = read_uvarint(data, &mut pos)?;
             let folded = read_uvarint(data, &mut pos)?;
@@ -399,29 +405,26 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
                 bytes,
             }
         }
-        6 | 7 => {
+        7 => {
             let catalog_len = read_uvarint(data, &mut pos)?;
             let catalog_crc = read_u32_le(data, &mut pos)?;
-            let (mut segment, mut tables, mut retained_from) = (String::new(), Vec::new(), 0);
-            if tag == 7 {
-                segment = read_string(data, &mut pos)?;
-                retained_from = read_uvarint(data, &mut pos)?;
-                let n = read_uvarint(data, &mut pos)? as usize;
-                // Each table takes at least 8 bytes; bound the allocation
-                // by what the input could still encode.
-                if n > (data.len() - pos) / 8 {
-                    return Err(DslogError::Corrupt("log record tables run past end"));
-                }
-                tables.reserve_exact(n);
-                for _ in 0..n {
-                    tables.push((
-                        read_uvarint(data, &mut pos)?,
-                        read_uvarint(data, &mut pos)?,
-                        read_uvarint(data, &mut pos)?,
-                        read_u32_le(data, &mut pos)?,
-                        read_uvarint(data, &mut pos)?,
-                    ));
-                }
+            let segment = read_string(data, &mut pos)?;
+            let retained_from = read_uvarint(data, &mut pos)?;
+            let n = read_uvarint(data, &mut pos)? as usize;
+            // Each table takes at least 8 bytes; bound the allocation by
+            // what the input could still encode.
+            if n > (data.len() - pos) / 8 {
+                return Err(DslogError::Corrupt("log record tables run past end"));
+            }
+            let mut tables = Vec::with_capacity(n);
+            for _ in 0..n {
+                tables.push((
+                    read_uvarint(data, &mut pos)?,
+                    read_uvarint(data, &mut pos)?,
+                    read_uvarint(data, &mut pos)?,
+                    read_u32_le(data, &mut pos)?,
+                    read_uvarint(data, &mut pos)?,
+                ));
             }
             OpKind::Commit {
                 catalog_len,
@@ -535,89 +538,11 @@ pub fn read_log(data: &[u8]) -> (Vec<OpRecord>, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay
-// ---------------------------------------------------------------------------
-
-/// Logical database state derived by replaying log records in order: which
-/// arrays and edges exist, the current generation and gzip mode, and how
-/// many commits the log witnessed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplayState {
-    /// Array names, in first-definition order.
-    pub arrays: Vec<String>,
-    /// `(in_array, out_array)` edge keys, in first-ingest order.
-    pub edges: Vec<(String, String)>,
-    /// Generation of the last replayed commit (0 before any commit).
-    pub generation: u64,
-    /// gzip mode after the last conversion record.
-    pub gzip: bool,
-    /// Number of commit records replayed.
-    pub commits: u64,
-}
-
-/// Apply one record to the replay state.
-///
-/// Every [`OpKind`] variant the producer can write must have its own arm
-/// here — `cargo xtask lint` rejects a wildcard, so a new op type cannot
-/// silently become unreplayable.
-pub fn replay_op(state: &mut ReplayState, op: &OpRecord) {
-    match &op.kind {
-        OpKind::DefineArray { name, .. } => {
-            if !state.arrays.contains(name) {
-                state.arrays.push(name.clone());
-            }
-        }
-        OpKind::IngestEdge {
-            in_array,
-            out_array,
-            ..
-        } => {
-            let key = (in_array.clone(), out_array.clone());
-            if !state.edges.contains(&key) {
-                state.edges.push(key);
-            }
-        }
-        OpKind::Composite { path } => {
-            if path.len() >= 2 {
-                // Path is outermost-first; the materialized edge runs from
-                // the source array (last) to the outermost (first).
-                let key = (path[path.len() - 1].clone(), path[0].clone());
-                if !state.edges.contains(&key) {
-                    state.edges.push(key);
-                }
-            }
-        }
-        OpKind::ConvertGzip { gzip } => {
-            state.gzip = *gzip;
-        }
-        OpKind::Commit { .. } => {
-            state.generation = op.gen_after;
-            state.commits += 1;
-        }
-        OpKind::Compact { .. } => {
-            // Compaction rewrites file layout, never logical state: the
-            // arrays, edges, and generation it produced are carried by the
-            // Commit record that follows it in the same append.
-        }
-    }
-}
-
-/// Replay a record sequence from the empty state.
-pub fn replay(records: &[OpRecord]) -> ReplayState {
-    let mut state = ReplayState::default();
-    for rec in records {
-        replay_op(&mut state, rec);
-    }
-    state
-}
-
-// ---------------------------------------------------------------------------
 // Log file IO
 // ---------------------------------------------------------------------------
 
 /// The scan of `<dir>/ops.log` (see [`Scan`]). A missing log reads as
-/// empty — pre-log directories are valid — and a log holding a record of a
-/// retired kind is `Corrupt`.
+/// empty, and a log holding a record of a retired kind is `Corrupt`.
 pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
     let _io = dslog_sync::io_guard("wal::read_frames");
     let scan = match std::fs::read(dir.join(OPS_LOG_FILE)) {
@@ -946,22 +871,6 @@ mod tests {
         let (parsed, clean) = read_log(&image);
         assert_eq!(parsed.len(), 1);
         assert_eq!(clean, encode_record(&recs[0]).len());
-    }
-
-    #[test]
-    fn replay_covers_every_kind() {
-        let state = replay(&sample_records());
-        assert_eq!(state.arrays, vec!["A".to_string()]);
-        assert_eq!(
-            state.edges,
-            vec![
-                ("A".to_string(), "B".to_string()),
-                ("A".to_string(), "C".to_string()),
-            ]
-        );
-        assert!(state.gzip);
-        assert_eq!(state.generation, 1);
-        assert_eq!(state.commits, 1);
     }
 
     #[test]

@@ -371,14 +371,24 @@ fn one_checksum_pass_still_answers_to_catalog_and_trailer() {
         two_edge_db().save(&dir, gzip).unwrap();
         let (segment, offset, len, _) = table_range(&dir);
         let mut bytes = std::fs::read(&segment).unwrap();
-        let recorded = crc32(&bytes[offset..offset + len]);
-        if !gzip {
-            // A plain table ends in the crc32 of everything before it, so
-            // its whole crc32 is the CRC-32 residue whatever it holds.
-            assert_eq!(recorded, 0x2144_df1c);
-        }
+        let range = &bytes[offset..offset + len];
+        // A plain table's record holds its body crc, the trailer its bytes
+        // end in; a gzip table's, its container's crc32.
+        let recorded = if gzip {
+            crc32(range)
+        } else {
+            u32::from_le_bytes(range[len - 4..].try_into().unwrap())
+        };
         set_catalog_crc(&dir, recorded ^ 1);
         assert_eq!(load_errors(&dir), [(); 3].map(|_| file_mismatch.clone()));
+        if !gzip {
+            // The crc32 of the whole range — the CRC-32 residue for bytes
+            // that end in their own crc32, which catalogs of earlier builds
+            // recorded — is not the body crc.
+            assert_eq!(crc32(range), 0x2144_df1c);
+            set_catalog_crc(&dir, 0x2144_df1c);
+            assert_eq!(load_errors(&dir), [(); 3].map(|_| file_mismatch.clone()));
+        }
         set_catalog_crc(&dir, recorded);
         assert!(persist::verify(&dir).is_ok());
 
@@ -389,9 +399,9 @@ fn one_checksum_pass_still_answers_to_catalog_and_trailer() {
 
         if !gzip {
             // The same damaged table under a catalog that vouches for it:
-            // the range crc now passes, and the trailer comparison — fed by
+            // the body crc now passes, and the trailer comparison — fed by
             // the same pass — is what catches it.
-            set_catalog_crc(&dir, crc32(&bytes[offset..offset + len]));
+            set_catalog_crc(&dir, crc32(&bytes[offset..offset + len - 4]));
             let trailer_mismatch = DslogError::Corrupt("table checksum mismatch");
             assert_eq!(load_errors(&dir), [(); 3].map(|_| trailer_mismatch.clone()));
         }
@@ -475,8 +485,8 @@ fn over_wide_edge_is_refused_before_it_is_logged() {
 }
 
 /// A transposing 3x2 → 2x3 relation, as a database at `dir` whose catalog
-/// names the edge X → Y's tables in `orientations` — hand-built, since
-/// this build stores the backward table only.
+/// names the edge X → Y's tables in `orientations`, each recorded with its
+/// body crc — hand-built, since this build writes the backward table only.
 fn hand_built_catalog(dir: &Path, orientations: &[Orientation]) -> LineageTable {
     let mut t = LineageTable::new(2, 2);
     for i in 0..3 {
@@ -508,7 +518,7 @@ fn hand_built_catalog(dir: &Path, orientations: &[Orientation]) -> LineageTable 
         let bytes = format::serialize(&table);
         string(&mut catalog, "segment-0.g1.seg");
         write_uvarint(&mut catalog, bytes.len() as u64);
-        catalog.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        catalog.extend_from_slice(&bytes[bytes.len() - 4..]);
         write_uvarint(&mut catalog, bytes.len() as u64);
         write_uvarint(&mut catalog, segment.len() as u64);
         segment.extend_from_slice(&bytes);
@@ -519,63 +529,6 @@ fn hand_built_catalog(dir: &Path, orientations: &[Orientation]) -> LineageTable 
     std::fs::write(dir.join("segment-0.g1.seg"), segment).unwrap();
     std::fs::write(dir.join("catalog.dsl"), catalog).unwrap();
     t
-}
-
-/// Every cell of both arrays, queried in the direction that starts there,
-/// answers what the raw relation links (eager and lazy opens alike); the
-/// edge keeps the table in `kept`.
-fn assert_opens_and_answers_both_ways(dir: &Path, t: &LineageTable, kept: Orientation) {
-    for lazy in [false, true] {
-        let db = Dslog::options().lazy(lazy).open(dir).unwrap();
-        let stored = db.storage().stored_table("X", "Y").unwrap();
-        assert_eq!(stored.orientation(), kept, "lazy {lazy}");
-        for (path, direction, shape) in [
-            (["Y", "X"], Orientation::Backward, [2, 3]),
-            (["X", "Y"], Orientation::Forward, [3, 2]),
-        ] {
-            for a in 0..shape[0] {
-                for b in 0..shape[1] {
-                    let cell = vec![a, b];
-                    let got = db.prov_query(&path, std::slice::from_ref(&cell)).unwrap();
-                    let want = reference::step(&[cell].into_iter().collect(), t, direction);
-                    assert_eq!(got.cells.cell_set(), want, "lazy {lazy}, {path:?}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn catalog_naming_only_the_forward_table_opens_and_answers_both_ways() {
-    let dir = temp_dir("fwd-only");
-    let t = hand_built_catalog(&dir, &[Orientation::Forward]);
-    assert_eq!(persist::verify(&dir).unwrap().files_verified, 1);
-    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Forward);
-    // A commit keeps the edge's one table where it lies.
-    let report = Dslog::options().open(&dir).unwrap().commit().unwrap();
-    assert_eq!((report.files_written, report.files_reused), (0, 1));
-    assert_eq!(persist::verify(&dir).unwrap().files_verified, 1);
-    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Forward);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn catalog_naming_both_orientations_keeps_the_backward_table() {
-    let dir = temp_dir("both");
-    let t = hand_built_catalog(&dir, &[Orientation::Backward, Orientation::Forward]);
-    assert_eq!(persist::verify(&dir).unwrap().files_verified, 2);
-    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Backward);
-    // The next commit names the backward table only.
-    let report = Dslog::options()
-        .lazy(true)
-        .open(&dir)
-        .unwrap()
-        .commit()
-        .unwrap();
-    assert_eq!((report.files_written, report.files_reused), (0, 1));
-    assert_eq!(persist::verify(&dir).unwrap().files_verified, 1);
-    assert_opens_and_answers_both_ways(&dir, &t, Orientation::Backward);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A database bound to `dir` with three edges `S → T0`, `S → T1`, `S → T2`
@@ -724,15 +677,14 @@ fn compaction_rewrites_the_ranges_lost_behind_the_handle() {
     }
 }
 
-/// Complete catalog bytes in the one format every release since the
-/// segment layout wrote: `arrays` as `(name, shape)`, `edges` as `(input,
-/// output, segment, range offset, table bytes)`, each a backward table
-/// whose crc is the crc32 of its whole range, as a catalog that every
-/// commit rewrote recorded it.
+/// Complete `DSLGDB3` catalog bytes: `arrays` as `(name, shape)`, `edges`
+/// as `(input, output, segment, range offset, table bytes)`, each a
+/// backward table recorded with the crc `crc` gives its bytes.
 fn catalog_bytes(
     generation: u64,
     arrays: &[(&str, &[u64])],
     edges: &[(&str, &str, &str, u64, &[u8])],
+    crc: fn(&[u8]) -> u32,
 ) -> Vec<u8> {
     let string = |buf: &mut Vec<u8>, s: &str| {
         write_uvarint(buf, s.len() as u64);
@@ -754,7 +706,7 @@ fn catalog_bytes(
         catalog.push(1); // backward only
         string(&mut catalog, segment);
         write_uvarint(&mut catalog, bytes.len() as u64);
-        catalog.extend_from_slice(&crc32(bytes).to_le_bytes());
+        catalog.extend_from_slice(&crc(bytes).to_le_bytes());
         write_uvarint(&mut catalog, bytes.len() as u64);
         write_uvarint(&mut catalog, *offset);
     }
@@ -763,8 +715,8 @@ fn catalog_bytes(
     catalog
 }
 
-/// A commit record as every commit logged it while the catalog rename was
-/// the commit point: kind 6, naming the catalog by length and crc trailer.
+/// A commit record as every commit logged it while each commit rewrote the
+/// catalog: kind 6, naming the catalog by length and crc trailer.
 fn catalog_commit_frame(op_id: u64, generation: u64, catalog: &[u8]) -> Vec<u8> {
     let mut body = vec![1u8]; // record version
     write_uvarint(&mut body, op_id);
@@ -782,50 +734,36 @@ fn catalog_commit_frame(op_id: u64, generation: u64, catalog: &[u8]) -> Vec<u8> 
     frame
 }
 
-/// A directory in the layout whose catalog every commit rewrote: two
-/// generations — `P -> Q`, then `Q -> R` on top — with `catalog.dsl` the
-/// second generation's, the first kept as `catalog.g1.dsl` by a retention
-/// window, and a log of define and ingest records each closed by a kind-6
-/// commit. It opens eager and lazy, verifies, resolves the retained
-/// generation, and takes an incremental commit that writes no catalog.
-#[test]
-fn a_directory_whose_every_commit_rewrote_the_catalog_opens_and_commits_on() {
-    use dslog::storage::wal::{self, OpKind, OpRecord};
+/// The crc this build records for a plain table: its body crc, the trailer
+/// its bytes end in.
+fn body_crc(table: &[u8]) -> u32 {
+    u32::from_le_bytes(table[table.len() - 4..].try_into().unwrap())
+}
 
-    let dir = temp_dir("rewritten-catalogs");
-    std::fs::create_dir_all(&dir).unwrap();
-    let table = |shift: i64| {
-        let mut t = LineageTable::new(1, 1);
-        (0..6).for_each(|i| t.push_row(&[i, (i + shift) % 6]));
-        let compressed = dslog::provrc::compress(&t, &[6], &[6], Orientation::Backward);
-        (t, format::serialize(&compressed))
-    };
-    let ((pq, pq_bytes), (qr, qr_bytes)) = (table(1), table(2));
-    std::fs::write(dir.join("segment-0.g1.seg"), &pq_bytes).unwrap();
-    std::fs::write(dir.join("segment-0.g2.seg"), &qr_bytes).unwrap();
+/// A database at `dir` with one backward table `P -> Q` at the start of
+/// `segment-0.g1.seg`, generation 1, its catalog recording the table with
+/// `crc`; with `kind_6`, a log of the records that built it, closed by the
+/// kind-6 commit an earlier build logged, else by this build's catalog
+/// commit record. Returns the relation.
+fn one_edge_directory(dir: &Path, crc: fn(&[u8]) -> u32, kind_6: bool) -> LineageTable {
+    use dslog::storage::wal::{self, OpKind, OpRecord};
+    let mut t = LineageTable::new(1, 1);
+    (0..6).for_each(|i| t.push_row(&[i, (i + 1) % 6]));
+    let table = dslog::provrc::compress(&t, &[6], &[6], Orientation::Backward);
+    let bytes = format::serialize(&table);
     let six: &[u64] = &[6];
-    let first = catalog_bytes(
-        1,
-        &[("P", six), ("Q", six)],
-        &[("P", "Q", "segment-0.g1.seg", 0, &pq_bytes)],
-    );
-    let second = catalog_bytes(
-        2,
-        &[("P", six), ("Q", six), ("R", six)],
-        &[
-            ("P", "Q", "segment-0.g1.seg", 0, &pq_bytes),
-            ("Q", "R", "segment-0.g2.seg", 0, &qr_bytes),
-        ],
-    );
-    std::fs::write(dir.join("catalog.g1.dsl"), &first).unwrap();
-    std::fs::write(dir.join("catalog.dsl"), &second).unwrap();
-    let record = |op_id: u64, generation: u64, kind: OpKind| {
+    let edge = ("P", "Q", "segment-0.g1.seg", 0, &bytes[..]);
+    let catalog = catalog_bytes(1, &[("P", six), ("Q", six)], &[edge], crc);
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("segment-0.g1.seg"), &bytes).unwrap();
+    std::fs::write(dir.join("catalog.dsl"), &catalog).unwrap();
+    let record = |op_id: u64, gen_after: u64, kind: OpKind| {
         wal::encode_record(&OpRecord {
             op_id,
             timestamp_ms: 1_700_000_000_000,
             actor: "cli".into(),
-            gen_before: generation,
-            gen_after: generation,
+            gen_before: 0,
+            gen_after,
             kind,
         })
     };
@@ -833,64 +771,110 @@ fn a_directory_whose_every_commit_rewrote_the_catalog_opens_and_commits_on() {
         name: name.into(),
         shape: vec![6],
     };
-    let ingest = |input: &str, output: &str, bytes: &[u8]| OpKind::IngestEdge {
-        in_array: input.into(),
-        out_array: output.into(),
+    let ingest = OpKind::IngestEdge {
+        in_array: "P".into(),
+        out_array: "Q".into(),
         bytes: bytes.len() as u64,
-        digest: u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap()),
+        digest: body_crc(&bytes),
+    };
+    let commit = if kind_6 {
+        catalog_commit_frame(4, 1, &catalog)
+    } else {
+        let kind = OpKind::Commit {
+            catalog_len: catalog.len() as u64,
+            catalog_crc: body_crc(&catalog),
+            segment: String::new(),
+            tables: Vec::new(),
+            retained_from: 1,
+        };
+        record(4, 1, kind)
     };
     let log = [
         record(1, 0, define("P")),
         record(2, 0, define("Q")),
-        record(3, 0, ingest("P", "Q", &pq_bytes)),
-        catalog_commit_frame(4, 1, &first),
-        record(5, 1, define("R")),
-        record(6, 1, ingest("Q", "R", &qr_bytes)),
-        catalog_commit_frame(7, 2, &second),
-    ]
-    .concat();
-    std::fs::write(dir.join(wal::OPS_LOG_FILE), &log).unwrap();
+        record(3, 0, ingest),
+        commit,
+    ];
+    std::fs::write(dir.join(wal::OPS_LOG_FILE), log.concat()).unwrap();
+    t
+}
 
-    let answers = |db: &Dslog, path: [&str; 2], t: &LineageTable| {
-        for v in 0..6 {
-            let got = db.prov_query(&path, &[vec![v]]).unwrap();
-            let want = reference::step(&[vec![v]].into_iter().collect(), t, Orientation::Backward);
-            assert_eq!(got.cells.cell_set(), want, "{path:?} cell {v}");
+/// A directory in a form only earlier builds wrote is refused with a typed
+/// `Corrupt` by an eager, a lazy (on its first query, for a form only
+/// reading a table shows) and an `as_of` open and by `verify`, and is left
+/// byte for byte as it was. The forms: a log holding a kind-6 commit
+/// record, a checkpoint edge mask naming the forward table or both, and a
+/// plain table recorded with the crc32 of its whole range. Each directory
+/// built the way this build writes opens and answers instead. (`dslog
+/// ingest` and `serve` refuse the same forms: see the CLI's
+/// `directory_of_an_older_shape_is_refused_and_left_alone`.)
+#[test]
+fn a_directory_of_a_retired_dialect_is_refused_and_left_alone() {
+    type Build = fn(&Path, bool) -> LineageTable;
+    let forms: [(&str, Build, &str, [&str; 2]); 4] = [
+        (
+            "kind-6",
+            |dir, retired| one_edge_directory(dir, body_crc, retired),
+            "retired log record kind",
+            ["Q", "P"],
+        ),
+        (
+            "forward-mask",
+            |dir, retired| {
+                let kept = if retired {
+                    Orientation::Forward
+                } else {
+                    Orientation::Backward
+                };
+                hand_built_catalog(dir, &[kept])
+            },
+            "unsupported edge orientation mask",
+            ["Y", "X"],
+        ),
+        (
+            "both-mask",
+            |dir, retired| {
+                let both = [Orientation::Backward, Orientation::Forward];
+                hand_built_catalog(dir, &both[..1 + usize::from(retired)])
+            },
+            "unsupported edge orientation mask",
+            ["Y", "X"],
+        ),
+        (
+            "residue",
+            |dir, retired| one_edge_directory(dir, if retired { crc32 } else { body_crc }, false),
+            "edge file checksum mismatch",
+            ["Q", "P"],
+        ),
+    ];
+    for (tag, build, refusal, path) in forms {
+        let routes = |dir: &Path, cell: &[i64]| {
+            let first_query = |db: Dslog| db.prov_query(&path, &[cell.to_vec()]).map(drop);
+            [
+                Dslog::options().open(dir).map(drop),
+                Dslog::options().lazy(true).open(dir).and_then(first_query),
+                Dslog::options().as_of(1).open(dir).map(drop),
+                persist::verify(dir).map(drop),
+            ]
+        };
+        let dir = temp_dir(&format!("retired-{tag}"));
+        let t = build(&dir, true);
+        let cell = vec![1; t.out_arity()];
+        let before = dir_files(&dir);
+        for result in routes(&dir, &cell) {
+            assert_eq!(result, Err(DslogError::Corrupt(refusal)), "{tag}");
         }
-    };
-    for lazy in [false, true] {
-        let db = Dslog::options().lazy(lazy).open(&dir).unwrap();
-        assert_eq!(db.bound_database().unwrap().2, 2);
-        answers(&db, ["Q", "P"], &pq);
-        answers(&db, ["R", "Q"], &qr);
-    }
-    let old = Dslog::options().as_of(1).open(&dir).unwrap();
-    answers(&old, ["Q", "P"], &pq);
-    assert!(old.prov_query(&["R", "Q"], &[vec![1]]).is_err());
-    let report = persist::verify(&dir).unwrap();
-    assert_eq!((report.n_edges, report.files_verified), (2, 2));
-    assert_eq!((report.retained_files, report.log_records), (1, 7));
-    assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
+        assert_eq!(dir_files(&dir), before, "{tag}: the directory changed");
+        std::fs::remove_dir_all(&dir).unwrap();
 
-    // The next commit adds one edge to a two-edge checkpoint: it is
-    // incremental, its log record is its commit point, and the catalog
-    // stays the bytes it was.
-    let mut db = Dslog::options().open(&dir).unwrap();
-    db.define_array("S", &[6]).unwrap();
-    let (rs, _) = table(3);
-    db.add_lineage("R", "S", &TableCapture::new(rs.clone()))
-        .unwrap();
-    let report = db.commit().unwrap();
-    assert!(report.incremental);
-    assert_eq!((report.files_written, report.files_reused), (1, 2));
-    assert_eq!(std::fs::read(dir.join("catalog.dsl")).unwrap(), second);
-    drop(db);
-    let db = Dslog::options().open(&dir).unwrap();
-    assert_eq!(db.bound_database().unwrap().2, 3);
-    answers(&db, ["Q", "P"], &pq);
-    answers(&db, ["S", "R"], &rs);
-    let report = persist::verify(&dir).unwrap();
-    assert_eq!((report.n_edges, report.retained_files), (3, 0));
-    assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
-    std::fs::remove_dir_all(&dir).unwrap();
+        build(&dir, false);
+        for result in routes(&dir, &cell) {
+            assert_eq!(result, Ok(()), "{tag}, as this build writes it");
+        }
+        let db = Dslog::options().open(&dir).unwrap();
+        let got = db.prov_query(&path, std::slice::from_ref(&cell)).unwrap();
+        let want = reference::step(&[cell].into_iter().collect(), &t, Orientation::Backward);
+        assert_eq!(got.cells.cell_set(), want, "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -98,9 +98,9 @@ fn build_log(parts: Vec<RecordParts>) -> (Vec<OpRecord>, Vec<u8>) {
     (records, log)
 }
 
-/// A commit record as logs were written before commit records carried the
-/// commit's tables: kind 6 names the catalog by length and crc; the retired
-/// kind 4 embedded the whole catalog.
+/// A commit record of a kind earlier formats wrote, both retired: kind 6
+/// named a catalog every commit rewrote by its length and crc; kind 4
+/// embedded the whole catalog.
 fn legacy_commit_frame(kind: u8, op_id: u64, generation: u64, catalog: &[u8]) -> Vec<u8> {
     use dslog_codecs::varint::write_uvarint;
     let mut body = vec![1u8]; // record version
@@ -126,61 +126,37 @@ fn legacy_commit_frame(kind: u8, op_id: u64, generation: u64, catalog: &[u8]) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A log of kind-6 commit records — every commit before records carried
-    /// their tables — scans clean: each decodes to a `Commit` naming its
-    /// catalog by length and crc trailer, with no segment, no tables and no
-    /// logged window, and today's records append behind them. A cleanly
-    /// framed kind-4 record (a whole embedded catalog) ends the clean
-    /// prefix, and a reader of the directory refuses the log as `Corrupt`.
+    /// A cleanly framed commit record of a retired kind (4 or 6) ends the
+    /// clean prefix — behind today's records or leading the log — and a
+    /// reader of the directory refuses the log as `Corrupt`.
     #[test]
-    fn kind_6_commits_still_scan_and_kind_4_is_refused(
-        catalogs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 1..4),
+    fn kinds_4_and_6_are_refused(
+        catalog in proptest::collection::vec(any::<u8>(), 0..128),
         parts in proptest::collection::vec(arb_record_parts(), 0..3),
     ) {
-        let mut log = Vec::new();
-        let mut expected = Vec::new();
-        for (i, catalog) in catalogs.iter().enumerate() {
-            let generation = i as u64 + 1;
-            log.extend_from_slice(&legacy_commit_frame(6, generation, generation, catalog));
-            let catalog_crc = catalog
-                .last_chunk::<4>()
-                .map_or(0, |trailer| u32::from_le_bytes(*trailer));
-            expected.push(OpKind::Commit {
-                catalog_len: catalog.len() as u64,
-                catalog_crc,
-                segment: String::new(),
-                tables: Vec::new(),
-                retained_from: 0,
-            });
-        }
-        for (i, (timestamp_ms, actor, gen_before, gen_after, kind)) in parts.into_iter().enumerate() {
-            expected.push(kind.clone());
-            log.extend_from_slice(&wal::encode_record(&OpRecord {
-                op_id: (catalogs.len() + i) as u64 + 1,
-                timestamp_ms,
-                actor,
-                gen_before,
-                gen_after,
-                kind,
-            }));
-        }
-        let (parsed, clean_len) = wal::read_log(&log);
-        prop_assert_eq!(clean_len, log.len());
-        let kinds: Vec<OpKind> = parsed.into_iter().map(|r| r.kind).collect();
-        prop_assert_eq!(kinds, expected.clone());
-
-        let op_id = expected.len() as u64 + 1;
-        let mut retired = log.clone();
-        retired.extend_from_slice(&legacy_commit_frame(4, op_id, op_id, &catalogs[0]));
-        let (parsed, clean_len) = wal::read_log(&retired);
-        prop_assert_eq!((parsed.len(), clean_len), (expected.len(), log.len()));
-        let dir = std::env::temp_dir().join(format!("dslog-wal-kind4-{}", std::process::id()));
+        let (records, log) = build_log(parts);
+        let dir = std::env::temp_dir().join(format!("dslog-wal-retired-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(wal::OPS_LOG_FILE), &retired).unwrap();
-        prop_assert_eq!(
-            wal::history(&dir).unwrap_err(),
-            dslog::DslogError::Corrupt("retired log record kind")
-        );
+        for kind in [4u8, 6] {
+            let op_id = records.len() as u64 + 1;
+            let mut behind = log.clone();
+            behind.extend_from_slice(&legacy_commit_frame(kind, op_id, op_id, &catalog));
+            let (parsed, clean_len) = wal::read_log(&behind);
+            prop_assert_eq!((&parsed, clean_len), (&records, log.len()));
+
+            let mut leading = legacy_commit_frame(kind, 1, 1, &catalog);
+            leading.extend_from_slice(&log);
+            let (parsed, clean_len) = wal::read_log(&leading);
+            prop_assert_eq!((parsed.len(), clean_len), (0, 0));
+
+            for image in [&behind, &leading] {
+                std::fs::write(dir.join(wal::OPS_LOG_FILE), image).unwrap();
+                prop_assert_eq!(
+                    wal::history(&dir).unwrap_err(),
+                    dslog::DslogError::Corrupt("retired log record kind")
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

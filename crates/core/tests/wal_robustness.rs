@@ -256,8 +256,7 @@ fn failed_commit_retries_cleanly() {
         let r = re.prov_query(&["C", "B"], &[vec![1]]).unwrap();
         assert!(r.cells.contains_cell(&[1]));
         persist::verify(&dir).unwrap();
-        let state = wal::replay(&wal::history(&dir).unwrap());
-        assert_eq!(state.generation, committed);
+        assert_eq!(re.bound_database().unwrap().2, committed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -409,8 +408,9 @@ fn as_of_parity_with_snapshot_copies() {
     }
 }
 
-/// The log records the whole session in order, with actor attribution and
-/// a replay that matches the committed state.
+/// The log records the whole session in order, with actor attribution, and
+/// the reopened database is what it committed: a logged composite adds no
+/// edge.
 #[test]
 fn history_replays_the_session() {
     let dir = temp_dir("history");
@@ -423,6 +423,11 @@ fn history_replays_the_session() {
     db.define_array("C", &[6]).unwrap();
     db.add_lineage("B", "C", &TableCapture::new(chain_table()))
         .unwrap();
+    // The third sighting of a two-hop path materializes its composite.
+    for _ in 0..3 {
+        db.prov_query(&["C", "B", "A"], &[vec![1]]).unwrap();
+    }
+    assert!(db.storage().has_composite(&["C", "B", "A"]));
     db.commit().unwrap();
 
     let records = wal::history(&dir).unwrap();
@@ -461,17 +466,19 @@ fn history_replays_the_session() {
     assert_ne!(digests[0], digests[1]);
     assert!(!digests.contains(&0x2144_df1c));
 
-    let state = wal::replay(&records);
-    assert_eq!(state.arrays, ["A", "B", "C"]);
+    let composite = OpKind::Composite {
+        path: vec!["C".into(), "B".into(), "A".into()],
+    };
+    assert!(records.iter().any(|r| r.kind == composite), "{records:?}");
+    let reopened = Dslog::options().open(&dir).unwrap();
+    assert_eq!(reopened.storage().array_names(), ["A", "B", "C"]);
+    assert_eq!(reopened.storage().n_edges(), 2);
+    assert!(reopened.storage().has_directed_edge("A", "B"));
+    assert!(reopened.storage().has_directed_edge("B", "C"));
     assert_eq!(
-        state.edges,
-        [
-            ("A".to_string(), "B".to_string()),
-            ("B".to_string(), "C".to_string())
-        ]
+        reopened.bound_database().unwrap().2,
+        db.bound_database().unwrap().2
     );
-    assert_eq!(state.generation, db.bound_database().unwrap().2);
-    assert_eq!(state.commits, 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -558,9 +565,10 @@ fn torn_log_tail_truncated_on_reopen() {
     re.add_lineage("C", "D", &TableCapture::new(chain_table()))
         .unwrap();
     re.commit().unwrap();
-    let state = wal::replay(&wal::history(&dir).unwrap());
-    assert_eq!(state.generation, SEED_GENERATIONS + 2);
-    assert!(state.edges.contains(&("C".to_string(), "D".to_string())));
+    drop(re);
+    let reopened = Dslog::options().open(&dir).unwrap();
+    assert_eq!(reopened.bound_database().unwrap().2, SEED_GENERATIONS + 2);
+    assert!(reopened.storage().has_directed_edge("C", "D"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,5 +1,6 @@
-//! Lint fixture: op kinds that `replay_op` cannot replay — two variants
-//! have no arm, and a `_ =>` wildcard hides the gap from the compiler.
+//! Lint fixture: op kinds that the one replay, `Catalog::apply`, cannot
+//! replay — two variants have no arm, and a `_ =>` wildcard hides the gap
+//! from the compiler.
 
 pub enum OpKind {
     Define { name: String },
@@ -9,14 +10,18 @@ pub enum OpKind {
 }
 
 #[derive(Default)]
-pub struct ReplayState {
+pub struct Catalog {
     pub arrays: Vec<String>,
 }
 
-pub fn replay_op(state: &mut ReplayState, op: &OpKind) {
-    match op {
-        OpKind::Define { name } => state.arrays.push(name.clone()),
-        OpKind::Ingest { .. } => {}
-        _ => {}
+impl Catalog {
+    pub fn apply(&mut self, txn: &[OpKind]) {
+        for op in txn {
+            match op {
+                OpKind::Define { name } => self.arrays.push(name.clone()),
+                OpKind::Ingest { .. } => {}
+                _ => {}
+            }
+        }
     }
 }

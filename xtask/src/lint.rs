@@ -21,10 +21,11 @@
 //!   `with_capacity` / `vec![_; n]` whose size came from a wire read must be
 //!   bounds-checked between the read and the allocation (or carry a
 //!   `lint:checked-alloc` marker).
-//! - **wal-replay-arm** — in `storage/wal.rs`, every `OpKind` variant has
-//!   its own arm inside `fn replay_op`, and the match carries no `_ =>`
-//!   wildcard — a new op kind must fail the lint loudly instead of silently
-//!   becoming unreplayable.
+//! - **wal-replay-arm** — every `OpKind` variant `storage/wal.rs` declares
+//!   has its own arm inside `fn apply` of `storage/catalog.rs`, the one
+//!   replay of the log that open, `as_of`, `verify` and commits run, and
+//!   that function carries no `_ =>` wildcard — a new op kind must fail the
+//!   lint loudly instead of silently becoming unreplayable.
 //! - **env-read** — no `std::env::var` / `var_os` in non-test code under
 //!   `crates/core/src` or `crates/cli/src`: a database is configured through
 //!   `OpenOptions` (and the CLI's flags), never by the process environment.
@@ -79,8 +80,6 @@ pub struct FileClass {
     pub par_module: bool,
     /// Wire-decode scope: the decode-alloc rule applies.
     pub decode_scope: bool,
-    /// The operation-log module: the wal-replay-arm rule applies.
-    pub wal_scope: bool,
     /// The library and its CLI: the env-read rule applies.
     pub env_scope: bool,
 }
@@ -96,7 +95,6 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/core/src/storage/persist.rs"
             || rel == "crates/core/src/storage/wal.rs"
             || rel.starts_with("crates/codecs/src/"),
-        wal_scope: rel == "crates/core/src/storage/wal.rs",
         env_scope: rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/"),
     }
 }
@@ -209,6 +207,14 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             .replace('\\', "/");
         let content = fs::read_to_string(&file)?;
         findings.extend(scan_source(&rel, &content, classify(&rel)));
+    }
+    // wal-replay-arm: the enum and the replay sit in two files.
+    if let Ok(op_kinds) = fs::read_to_string(root.join(OP_KIND_FILE)) {
+        let replay = fs::read_to_string(root.join(REPLAY_FILE)).unwrap_or_default();
+        findings.extend(check_replay_arms(
+            (OP_KIND_FILE, &op_kinds),
+            (REPLAY_FILE, &replay),
+        ));
     }
     Ok(findings)
 }
@@ -404,22 +410,24 @@ pub fn scan_source(rel: &str, content: &str, class: FileClass) -> Vec<Finding> {
             findings.extend(check_allocs(rel, idx, raw_lines[idx], prev, &sanitized));
         }
     }
-
-    // wal-replay-arm: whole-file pass (the enum and the replay fn sit far
-    // apart; line-local scanning cannot relate them).
-    if class.wal_scope {
-        findings.extend(check_replay_arms(rel, &raw_lines, &sanitized));
-    }
     findings
 }
 
-/// wal-replay-arm rule: every `OpKind` variant declared in this file must
-/// have its own `OpKind::<Variant>` arm inside `fn replay_op`, and that
-/// match must not contain a `_ =>` wildcard. Together the two checks make
-/// "add an op kind without teaching replay about it" a lint failure
-/// instead of a silently unreplayable log record.
-fn check_replay_arms(rel: &str, raw_lines: &[&str], sanitized: &[String]) -> Vec<Finding> {
+/// The file that declares `OpKind`, and the one whose [`REPLAY_FN`] is the
+/// one replay of the log.
+const OP_KIND_FILE: &str = "crates/core/src/storage/wal.rs";
+const REPLAY_FILE: &str = "crates/core/src/storage/catalog.rs";
+const REPLAY_FN: &str = "fn apply(";
+
+/// wal-replay-arm rule: every `OpKind` variant the `(path, source)` pair
+/// `op_kinds` declares must have its own `OpKind::<Variant>` arm inside
+/// [`REPLAY_FN`] of `replay`, and that function must not contain a `_ =>`
+/// wildcard. Together the two checks make "add an op kind without teaching
+/// replay about it" a lint failure instead of a silently unreplayable log
+/// record.
+fn check_replay_arms(op_kinds: (&str, &str), replay: (&str, &str)) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let sanitized: Vec<String> = op_kinds.1.lines().map(sanitize).collect();
 
     // Variant names: identifiers at brace depth 1 inside `enum OpKind`.
     let Some(enum_line) = sanitized
@@ -443,18 +451,27 @@ fn check_replay_arms(rel: &str, raw_lines: &[&str], sanitized: &[String]) -> Vec
         depth += brace_delta(s);
     }
 
-    let Some(fn_line) = sanitized.iter().position(|s| s.contains("fn replay_op")) else {
+    let (rel, source) = replay;
+    let raw_lines: Vec<&str> = source.lines().collect();
+    let sanitized: Vec<String> = raw_lines.iter().map(|l| sanitize(l)).collect();
+    let Some(fn_line) = sanitized.iter().position(|s| s.contains(REPLAY_FN)) else {
         findings.push(Finding {
             rule: "wal-replay-arm",
-            path: rel.to_string(),
+            path: op_kinds.0.to_string(),
             line: enum_line + 1,
-            text: raw_lines[enum_line].trim().to_string(),
-            message: "OpKind is declared but no `fn replay_op` exists to replay it".into(),
+            text: op_kinds
+                .1
+                .lines()
+                .nth(enum_line)
+                .unwrap_or("")
+                .trim()
+                .to_string(),
+            message: format!("OpKind is declared but no `{REPLAY_FN}` in {rel} replays it"),
         });
         return findings;
     };
 
-    // Block extent of replay_op, brace-tracked from its signature line.
+    // Block extent of the replay, brace-tracked from its signature line.
     let mut depth = 0i64;
     let mut opened = false;
     let mut fn_end = fn_line;
@@ -477,7 +494,7 @@ fn check_replay_arms(rel: &str, raw_lines: &[&str], sanitized: &[String]) -> Vec
                 line: fn_line + 1,
                 text: raw_lines[fn_line].trim().to_string(),
                 message: format!(
-                    "`fn replay_op` has no arm for `OpKind::{v}`; every logged op kind must replay"
+                    "`{REPLAY_FN}` has no arm for `OpKind::{v}`; every logged op kind must replay"
                 ),
             });
         }
@@ -489,9 +506,10 @@ fn check_replay_arms(rel: &str, raw_lines: &[&str], sanitized: &[String]) -> Vec
                 path: rel.to_string(),
                 line: fn_line + off + 1,
                 text: raw_lines[fn_line + off].trim().to_string(),
-                message: "wildcard `_ =>` in `fn replay_op`; a new OpKind must fail this lint, \
-                          not silently skip replay"
-                    .into(),
+                message: format!(
+                    "wildcard `_ =>` in `{REPLAY_FN}`; a new OpKind must fail this lint, \
+                     not silently skip replay"
+                ),
             });
         }
     }
@@ -778,7 +796,6 @@ mod tests {
             bin_target: false,
             par_module: false,
             decode_scope: false,
-            wal_scope: false,
             env_scope: false,
         }
     }
@@ -842,27 +859,48 @@ mod tests {
         assert!(decode.iter().any(|f| f.message.contains("`count`")));
     }
 
+    /// The wal-replay-arm findings for `src` holding both the enum and the
+    /// replay, as their messages.
+    fn replay_findings(src: &str) -> Vec<String> {
+        let file = ("fixtures/bad_wal.rs", src);
+        let f = check_replay_arms(file, file);
+        assert!(f.iter().all(|f| f.rule == "wal-replay-arm"), "{f:#?}");
+        f.into_iter().map(|f| f.message).collect()
+    }
+
     #[test]
     fn fixture_wal_replay_arm_is_flagged() {
         let src = include_str!("../fixtures/bad_wal.rs");
-        let class = FileClass {
-            wal_scope: true,
-            ..lib_class()
-        };
-        let f = scan_source("fixtures/bad_wal.rs", src, class);
-        let wal: Vec<_> = f.iter().filter(|f| f.rule == "wal-replay-arm").collect();
-        assert!(
-            wal.iter().any(|f| f.message.contains("OpKind::Composite")),
-            "{f:#?}"
-        );
-        assert!(
-            wal.iter().any(|f| f.message.contains("OpKind::Truncate")),
-            "{f:#?}"
-        );
-        assert!(wal.iter().any(|f| f.message.contains("wildcard")), "{f:#?}");
+        let missing =
+            |m: &Vec<String>, v: &str| m.iter().any(|m| m.contains(&format!("`OpKind::{v}`")));
+        let wildcard = |m: &Vec<String>| m.iter().any(|m| m.contains("wildcard"));
+        let found = replay_findings(src);
+        assert!(missing(&found, "Composite"), "{found:#?}");
+        assert!(missing(&found, "Truncate"), "{found:#?}");
+        assert!(wildcard(&found), "{found:#?}");
         // Covered variants are not flagged.
-        assert!(!wal.iter().any(|f| f.message.contains("OpKind::Define")));
-        assert!(!wal.iter().any(|f| f.message.contains("OpKind::Ingest")));
+        assert!(!missing(&found, "Define") && !missing(&found, "Ingest"));
+
+        // Each defect fails the lint on its own, and the replay with every
+        // arm and no wildcard passes.
+        let wildcard_arm = "                _ => {}\n";
+        let arms = "                OpKind::Composite { .. } | OpKind::Truncate => {}\n";
+        assert!(src.contains(wildcard_arm));
+        let no_wildcard = replay_findings(&src.replace(wildcard_arm, ""));
+        assert_eq!(no_wildcard.len(), 2, "{no_wildcard:#?}");
+        assert!(missing(&no_wildcard, "Composite") && missing(&no_wildcard, "Truncate"));
+        let every_arm = src.replace(wildcard_arm, &format!("{arms}{wildcard_arm}"));
+        let only_wildcard = replay_findings(&every_arm);
+        assert_eq!(only_wildcard.len(), 1, "{only_wildcard:#?}");
+        assert!(wildcard(&only_wildcard));
+        assert_eq!(
+            replay_findings(&src.replace(wildcard_arm, arms)),
+            Vec::<String>::new()
+        );
+
+        // A replay that is not there fails too.
+        let gone = replay_findings(&src.replace("fn apply(", "fn other("));
+        assert!(gone[0].contains("no `fn apply(`"), "{gone:#?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the compressed form must match the brute-force reference.
 
 use dslog::provrc;
-use dslog::query;
+use dslog::query::QueryExec;
 use dslog::table::{BoxTable, Orientation};
 use dslog_array::{catalog, Array, OpArgs};
 use dslog_oracle::query::reference;
@@ -76,7 +76,7 @@ fn all_ops_backward_queries_match_reference() {
                 seen.into_iter().collect()
             };
             let q = BoxTable::from_cells(lineage.out_arity(), &cells);
-            let mut result = query::theta_join(&q, &c).unwrap();
+            let mut result = QueryExec::default().hop(&q, &c).unwrap().0;
             result.merge();
             let expected = reference::step(
                 &cells.iter().cloned().collect(),

@@ -388,7 +388,7 @@ pub fn db(args: &[String]) -> Result<String, String> {
             for name in &report.stale_files {
                 writeln!(
                     out,
-                    "warning: stale file {name} (crashed-save debris; next save sweeps it)"
+                    "warning: stale file {name} (crashed-commit debris; the next commit deletes it)"
                 )
                 .unwrap();
             }

@@ -78,6 +78,17 @@ mod tests {
         dir.to_string_lossy().into_owned()
     }
 
+    /// Every file of a database directory with its bytes, sorted by name.
+    fn dir_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.display().to_string(), std::fs::read(p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
     fn write_sum_csv(tag: &str) -> String {
         let path = std::env::temp_dir().join(format!("dslog-cli-{tag}-{}.csv", std::process::id()));
         let mut body = String::new();
@@ -553,16 +564,7 @@ mod tests {
                 std::fs::write(dir.join("ops.log"), kind_6_log(&catalog)).unwrap();
             }
             std::fs::write(dir.join("catalog.dsl"), catalog).unwrap();
-            let files = || {
-                let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-                    .unwrap()
-                    .map(|e| e.unwrap().path())
-                    .map(|p| (p.display().to_string(), std::fs::read(p).unwrap()))
-                    .collect();
-                files.sort();
-                files
-            };
-            let before = files();
+            let before = dir_files(dir);
 
             let typed = DslogError::Corrupt(refusal);
             // A lazy open refuses on the first query of a form only reading
@@ -583,7 +585,7 @@ mod tests {
             let (replies, served) = serve_script(&db, "stats\n", &[]);
             assert!(served.unwrap_err().contains(refusal), "{tag}");
             assert!(replies.is_empty(), "{replies:?}");
-            assert_eq!(files(), before, "{tag}: the directory changed");
+            assert_eq!(dir_files(dir), before, "{tag}: the directory changed");
             let _ = std::fs::remove_dir_all(&db);
         }
         let _ = std::fs::remove_file(&csv);
@@ -824,6 +826,64 @@ mod tests {
             let _ = std::fs::remove_dir_all(&db);
             let _ = std::fs::remove_file(&csv);
         }
+    }
+
+    #[test]
+    fn reader_commands_leave_a_dirty_directory_alone() {
+        let db = temp_db("dirty-readers");
+        let csv = write_sum_csv("dirty-readers");
+        for out in ["B:3", "C:3"] {
+            let args = [
+                "ingest", "--db", &db, "--in", "A:3x2", "--out", out, "--csv", &csv, "--retain",
+                "2",
+            ];
+            run(&s(&args)).unwrap();
+        }
+        // What a crashed process leaves: a torn log frame, an orphan
+        // segment and checkpoint, temp files.
+        let dir = std::path::Path::new(&db);
+        let mut log = std::fs::read(dir.join("ops.log")).unwrap();
+        log.extend_from_slice(b"\x30\0\0\0half a frame");
+        std::fs::write(dir.join("ops.log"), log).unwrap();
+        let debris = [
+            "catalog.dsl.tmp",
+            "catalog.g39.dsl",
+            "segment-0.g40.seg",
+            "segment-0.g41.seg.tmp",
+        ];
+        for name in debris {
+            std::fs::write(dir.join(name), b"debris").unwrap();
+        }
+        let before = dir_files(dir);
+        let query = ["query", "--db", &db, "--path", "B,A", "--cells", "1"];
+        for reader in [
+            [&query[..], &["--lazy"]].concat(),
+            [&query[..], &["--as-of", "1"]].concat(),
+            vec!["db", "verify", &db],
+            vec!["db", "history", &db],
+        ] {
+            let out = run(&s(&reader)).unwrap();
+            assert_eq!(dir_files(dir), before, "{reader:?} changed the directory");
+            if reader[1] == "verify" {
+                for name in debris {
+                    assert!(
+                        out.contains(&format!("warning: stale file {name} ")),
+                        "{out}"
+                    );
+                }
+            }
+        }
+        // The next commit deletes the debris and cuts the torn frame.
+        let args = [
+            "ingest", "--db", &db, "--in", "A:3x2", "--out", "D:3", "--csv", &csv,
+        ];
+        run(&s(&args)).unwrap();
+        let out = run(&s(&["db", "verify", &db])).unwrap();
+        assert!(!out.contains("warning: stale"), "{out}");
+        let log = std::fs::read(dir.join("ops.log")).unwrap();
+        assert_eq!(dslog::storage::wal::read_log(&log).1, log.len());
+        let _ = std::fs::remove_dir_all(&db);
+        let _ = std::fs::remove_file(&csv);
     }
 
     #[test]

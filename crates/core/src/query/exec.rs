@@ -484,13 +484,6 @@ pub(crate) fn query_support(hop: Hop<'_>) -> Result<BoxTable> {
     Ok(support)
 }
 
-/// Join a query box table against a compressed lineage table with default
-/// options (merge handling left to the caller). The
-/// historical free-function entry point, now a thin [`QueryExec`] wrapper.
-pub fn theta_join(query: &BoxTable, table: &CompressedTable) -> Result<BoxTable> {
-    QueryExec::default().hop(query, table).map(|(out, _)| out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +508,7 @@ mod tests {
         assert_eq!(compressed.n_rows(), 1);
 
         let q = BoxTable::from_boxes(1, &[&[ivl(1, 2)]]);
-        let mut result = theta_join(&q, &compressed).unwrap();
+        let mut result = QueryExec::default().hop(&q, &compressed).unwrap().0;
         result.merge();
         assert_eq!(result.n_boxes(), 1);
         assert_eq!(result.row(0), &[ivl(1, 2), ivl(1, 2)]);
@@ -532,7 +525,7 @@ mod tests {
         }
         let compressed = compress(&t, &[n as usize], &[n as usize], Orientation::Backward);
         let q = BoxTable::from_boxes(1, &[&[ivl(3, 5)]]);
-        let result = theta_join(&q, &compressed).unwrap();
+        let result = QueryExec::default().hop(&q, &compressed).unwrap().0;
         assert_eq!(result.n_boxes(), 1);
         assert_eq!(result.row(0), &[ivl(3, 5)]);
     }
@@ -545,7 +538,8 @@ mod tests {
         }
         let compressed = compress(&t, &[4], &[4], Orientation::Backward);
         let q = BoxTable::from_boxes(1, &[&[ivl(7, 9)]]);
-        assert!(theta_join(&q, &compressed).unwrap().is_empty());
+        let (result, _) = QueryExec::default().hop(&q, &compressed).unwrap();
+        assert!(result.is_empty());
     }
 
     /// The shared-anchor case: B[i] = A[i,i]. Product de-relativization
@@ -566,7 +560,7 @@ mod tests {
         assert_eq!(compressed.n_rows(), 1, "diag compresses to one row");
 
         let q = BoxTable::from_boxes(1, &[&[ivl(2, 4)]]);
-        let result = theta_join(&q, &compressed).unwrap();
+        let result = QueryExec::default().hop(&q, &compressed).unwrap().0;
         let cells = result.cell_set();
         let expected: std::collections::BTreeSet<Vec<i64>> = (2..=4).map(|i| vec![i, i]).collect();
         assert_eq!(cells, expected, "must be the diagonal, not the square");
@@ -580,7 +574,7 @@ mod tests {
         }
         let compressed = compress(&t, &[10], &[10], Orientation::Backward);
         let q = BoxTable::from_boxes(1, &[&[ivl(0, 0)], &[ivl(9, 9)]]);
-        let result = theta_join(&q, &compressed).unwrap();
+        let result = QueryExec::default().hop(&q, &compressed).unwrap().0;
         let cells = result.cell_set();
         assert!(cells.contains(&vec![9]));
         assert!(cells.contains(&vec![0]));
@@ -594,7 +588,7 @@ mod tests {
         let compressed = compress(&t, &[1], &[1], Orientation::Backward);
         let q = BoxTable::from_boxes(2, &[&[ivl(0, 0), ivl(0, 0)]]);
         assert!(matches!(
-            theta_join(&q, &compressed),
+            QueryExec::default().hop(&q, &compressed).map(drop),
             Err(DslogError::QueryArityMismatch {
                 expected: 1,
                 got: 2
@@ -608,7 +602,7 @@ mod tests {
         t.push_row(&[Cell::Sym { attr: 0 }, Cell::point(0)]);
         let q = BoxTable::from_boxes(1, &[&[ivl(0, 3)]]);
         assert!(matches!(
-            theta_join(&q, &t),
+            QueryExec::default().hop(&q, &t).map(drop),
             Err(DslogError::NotInstantiated)
         ));
     }

@@ -17,7 +17,7 @@
 pub mod exec;
 pub mod plan;
 
-pub use exec::{theta_join, Hop, HopStats, HopTable, QueryExec, QueryStats};
+pub use exec::{Hop, HopStats, HopTable, QueryExec, QueryStats};
 pub use plan::{PlanDecision, PlanReport};
 
 /// Tuning knobs for query execution.

@@ -931,10 +931,7 @@ mod tests {
             .ingest_batch(vec![IngestJob::new("B", "C", small_lineage(8, 1))])
             .unwrap();
         // The ticker must pick the pending edge up without any explicit
-        // commit call. Poll the service, not the directory: an open sweeps
-        // the files and truncates the log's unvouched tail, so one
-        // racing the ticker's commit (a second manager on a live
-        // directory, which only tests do) could destroy that commit.
+        // commit call.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while service.stats().auto_commits == 0 {
             assert!(

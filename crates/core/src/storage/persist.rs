@@ -31,7 +31,7 @@
 //! generation-qualified name no record names yet) → directory sync → log
 //! append + fdatasync. Three syncs; a commit that wrote no segment skips
 //! the first two. A crash before the log fdatasync leaves the previous
-//! generation (the segment is debris the next [`open`] sweeps), from it on
+//! generation (the segment is debris the next commit deletes), from it on
 //! the new one. Once the tables committed since the last checkpoint reach
 //! that one's edge count, the commit writes a new one after its commit
 //! point — amortized O(1) per table, and a replay never applies more tables
@@ -70,11 +70,20 @@
 //! nothing this manager wrote. The tail is believed only while `ops.log`'s
 //! length and the live catalog's generation and length are what it
 //! remembers; otherwise — an unbound or foreign target, a failed commit, a
-//! directory changed from outside — the commit runs `load_tail` again
-//! (for the bound directory, a damaged log fails the commit), writes a
-//! checkpoint (holding each clean range against its segment's
-//! length first, one `stat` per segment, and rewriting what does not fit
-//! from the slots), and sweeps by listing the directory.
+//! directory changed from outside, a log an open found longer than its
+//! vouched prefix — the commit runs `load_tail` again (for the bound
+//! directory, a damaged log fails the commit) and writes a checkpoint
+//! (holding each clean range against its segment's length first, one
+//! `stat` per segment, and rewriting what does not fit from the slots).
+//! Its log append cuts the torn or unvouched tail the rebuilt tail ends
+//! before.
+//!
+//! `load_tail` is the one place that lists the directory: the tail carries
+//! the files the listing found that no generation of the window needs
+//! (crashed-commit debris and `*.tmp` leftovers), which [`verify`] reports
+//! and the next commit deletes with the files it stopped referencing. So
+//! only a commit writes a database directory: [`open`] (eager, lazy or
+//! `as_of`), [`verify`] and [`wal::history`] read it and change nothing.
 //!
 //! ## Incremental commits
 //!
@@ -87,9 +96,11 @@
 //! [`compact`](super::compact::compact) is a checkpoint commit that
 //! reuses nothing. A segment is deleted whole, when the last live or
 //! retained range in it dies; until then a superseded table in it is
-//! [`VerifyReport::dead_bytes`]. A directory supports one live process at
-//! a time: [`open`] sweeps unreferenced files, so an open racing another
-//! process's commit could delete what that commit is about to name.
+//! [`VerifyReport::dead_bytes`]. Readers take no lock and write nothing: a
+//! reader racing a commit sees the writer's in-flight log append as a torn
+//! tail, the end of its log, and at worst finds a segment the commit just
+//! deleted gone (an `Io` error; open again). A second *writer* on one
+//! directory is still unsupported.
 //!
 //! ## Verify once
 //!
@@ -212,18 +223,6 @@ fn is_data_file(name: &str) -> bool {
     name.starts_with("segment-") || name.starts_with("catalog.g")
 }
 
-/// Delete, among the listed `names`, every data file (see
-/// [`is_data_file`]) that `tail` does not spare, plus any `*.tmp`
-/// debris. Deletion failures are ignored (opening a read-only snapshot
-/// must stay possible).
-fn sweep_stale_files(dir: &Path, names: &[String], tail: &LogTail) {
-    for name in names {
-        if name.ends_with(".tmp") || (is_data_file(name) && !tail.spares(name)) {
-            let _ = std::fs::remove_file(dir.join(name));
-        }
-    }
-}
-
 /// The byte length of each segment a rebuilt commit's clean slots
 /// reference, `stat`ed on first ask (`None`: the file is gone): the tamper
 /// guard of a commit that could not trust its tail, one `stat` per
@@ -301,6 +300,10 @@ pub(crate) struct LogTail {
     /// Generations of the older checkpoints kept as `catalog.g<g>.dsl`,
     /// oldest first.
     kept: Vec<u64>,
+    /// The files the listing this tail was built from held and the tail
+    /// condemns, sorted: what [`verify`] reports as stale and the next
+    /// commit deletes.
+    stale: Vec<String>,
 }
 
 impl LogTail {
@@ -325,17 +328,32 @@ impl LogTail {
     }
 
     /// The single source of truth for what a sweep must leave alone —
-    /// shared by every commit, [`open`] and [`verify`], so no caller can
-    /// invent its own (weaker) sparing rule and delete a file the live
-    /// generation or the retention window still needs: every segment the
-    /// live generation references or a window generation did, and every
-    /// kept checkpoint.
+    /// shared by every commit and [`verify`], so no caller can invent its
+    /// own (weaker) sparing rule and delete a file the live generation or
+    /// the retention window still needs: every segment the live generation
+    /// references or a window generation did, and every kept checkpoint.
     fn spares(&self, name: &str) -> bool {
         let w0 = self.window.front().copied().unwrap_or(0);
         self.replay.live.contains_key(name)
             || (self.replay.dead.iter()).any(|(last, n)| n == name && *last >= w0)
             || parse_generation(name)
                 .is_some_and(|g| name == checkpoint_name(g) && self.kept.contains(&g))
+    }
+
+    /// Whether a sweep deletes `name`: `*.tmp` debris, or a data file (see
+    /// [`is_data_file`]) the tail does not spare.
+    fn condemns(&self, name: &str) -> bool {
+        name.ends_with(".tmp") || (is_data_file(name) && !self.spares(name))
+    }
+
+    /// Note, among the listed `names`, the files the tail condemns, sorted.
+    fn classify(mut self, names: &[String]) -> Self {
+        self.stale = (names.iter())
+            .filter(|n| self.condemns(n))
+            .cloned()
+            .collect();
+        self.stale.sort();
+        self
     }
 
     /// Enter committed generation `gen` into the window, trim the window
@@ -374,10 +392,10 @@ impl LogTail {
 /// and a commit whose remembered tail is missing or stale. From the live
 /// checkpoint (parsed, with its byte length), replays the log's commits
 /// after it (one it cannot apply is `Corrupt`, see [`Replay::run`], and so
-/// is damage that hides one), and rebuilds the retention window the last
+/// is damage that hides one), rebuilds the retention window the last
 /// commit recorded — replaying from an older kept checkpoint if the window
-/// reaches back past the live one. Reads only; an open truncates and
-/// sweeps afterwards.
+/// reaches back past the live one — and classifies the directory's listed
+/// `names` against it. Reads only.
 ///
 /// The generation the next commit must use is one past anything present —
 /// the catalog's, every generation the log or a file name carries
@@ -437,7 +455,7 @@ fn load_tail(
         }
     }
     let w0 = retained_from.max(gens[0]);
-    Ok(LogTail {
+    let tail = LogTail {
         clean_len: last_commit.map_or(0, |c| log.ends[c] as u64),
         last_op_id: last_commit.map_or(0, |c| log.records[c].op_id),
         next_gen: next_generation(names, log, replay.state.generation),
@@ -446,7 +464,9 @@ fn load_tail(
         replay,
         window: gens.into_iter().filter(|&g| g >= w0).collect(),
         kept,
-    })
+        stale: Vec::new(),
+    };
+    Ok(tail.classify(names))
 }
 
 /// A slot a commit wrote, to be marked clean once the commit point passed.
@@ -491,8 +511,8 @@ struct CommitSession<'a> {
     tail: LogTail,
     /// The tail was rebuilt from the directory for this commit, which may
     /// therefore differ from what the manager holds (a failed commit, the
-    /// database a full save replaces, a change from outside): the commit
-    /// writes a checkpoint and sweeps by listing.
+    /// database a full save replaces, a change from outside, a log longer
+    /// than its vouched prefix): the commit writes a checkpoint.
     rebuilt: bool,
     /// Generation this commit writes.
     gen: u64,
@@ -540,15 +560,17 @@ impl<'a> CommitSession<'a> {
                     // An unbound or foreign target (or one whose checkpoint
                     // is gone) starts a fresh log and retains nothing:
                     // whatever history the directory holds describes the
-                    // database being replaced, not this manager. Its
-                    // generations stay below the new one all the same.
+                    // database being replaced, not this manager — its data
+                    // files are all stale. Its generations stay below the
+                    // new one all the same.
                     _ => {
                         let log = log.unwrap_or_default();
                         let committed = peek_catalog(&dir).map_or(0, |c| c.0);
-                        LogTail {
+                        let tail = LogTail {
                             next_gen: next_generation(&names, &log, committed),
                             ..LogTail::default()
-                        }
+                        };
+                        tail.classify(&names)
                     }
                 }
             }
@@ -862,20 +884,19 @@ impl<'a> CommitSession<'a> {
     }
 
     /// After the commit point: enter the generation into the window,
-    /// delete what only the generations leaving it needed — the files the
-    /// tail knows of, or by listing when it was rebuilt — and re-bind the
-    /// manager with the advanced tail, so the next commit into this
-    /// directory rewrites and reads back nothing of this one.
+    /// delete what only the generations leaving it needed and the stale
+    /// files the tail's listing found — never listing the directory — and
+    /// re-bind the manager with the advanced tail, so the next commit into
+    /// this directory rewrites and reads back nothing of this one.
     fn finish(mut self) {
         let gen = self.gen;
         self.tail.next_gen = gen.saturating_add(1);
-        let gone = self.tail.enter(gen, self.storage.retain as usize);
-        let names = if self.rebuilt {
-            list_dir(&self.dir)
-        } else {
-            gone
-        };
-        sweep_stale_files(&self.dir, &names, &self.tail);
+        let mut names = self.tail.enter(gen, self.storage.retain as usize);
+        names.append(&mut self.tail.stale);
+        for name in names.iter().filter(|name| self.tail.condemns(name)) {
+            // Past the commit point, a file left behind is only debris.
+            let _ = std::fs::remove_file(self.dir.join(name));
+        }
         let tail = std::mem::take(&mut self.tail);
         self.bind(Some(tail));
     }
@@ -884,7 +905,7 @@ impl<'a> CommitSession<'a> {
     /// (a checkpoint write, or the record a checkpoint commit logs after
     /// its rename): the generation stands, and the commit reports success.
     /// The manager stays bound but forgets the tail, so the next commit
-    /// rebuilds it from the directory, writes a checkpoint and sweeps what
+    /// rebuilds it from the directory, writes a checkpoint and deletes what
     /// this one left.
     fn forget(self) {
         self.bind(None);
@@ -1178,16 +1199,10 @@ pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
     drop(log);
     let edges = load_catalog_edges(dir, &tail.replay.state, mode == OpenMode::Lazy)?;
 
-    // Drop the torn and unvouched tail of the log, and the debris a
-    // crashed process can leave, which a later generation could collide
-    // with (best-effort — a read-only directory still opens fine). The
-    // sparing rule is the tail's: whatever a generation of the retention
-    // window needs, an `AsOf` open can resolve.
-    wal::truncate(dir, tail.clean_len);
-    sweep_stale_files(dir, &names, &tail);
-
     // Bind the manager to this directory so the next commit into it is
-    // incremental.
+    // incremental. The open writes nothing: the log's torn or unvouched
+    // tail makes that commit rebuild its tail, and its append cuts it; the
+    // stale files the tail carries go with that commit.
     let storage = manager_from_parts(&tail.replay.state, edges)?;
     *storage.binding.lock() = Some(super::PersistBinding {
         dir: dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()),
@@ -1211,7 +1226,7 @@ fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Resu
     let mut replay = Replay::new(base);
     replay.run(dir, log, generation, |_| ())?;
     let state = replay.state;
-    // Fail up front (and precisely) if the sweep already reclaimed any of
+    // Fail up front (and precisely) if a commit already reclaimed any of
     // the generation's files, instead of erroring mid-load.
     if state.generation != generation || state.edges.values().any(|f| !dir.join(&f.name).is_file())
     {
@@ -1219,8 +1234,8 @@ fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Resu
     }
     // Eager load: historical snapshots are for inspection, and eager
     // verification means a reclaimed-then-recreated name cannot bite
-    // later. No sweep, no binding — opening history must never mutate
-    // the live database.
+    // later. No binding — a commit from history must never rewrite the
+    // live database.
     let edges = load_catalog_edges(dir, &state, false)?;
     manager_from_parts(&state, edges)
 }
@@ -1240,7 +1255,7 @@ pub struct VerifyReport {
     pub files_verified: usize,
     /// Data files (`segment-*`, `catalog.g*`) and `*.tmp` files present
     /// but needed by no generation of the retention window (debris from a
-    /// crashed commit — harmless, swept by the next open).
+    /// crashed commit — harmless, deleted by the next commit), sorted.
     pub stale_files: Vec<String>,
     /// Cleanly framed records in the operation log (0 for a directory
     /// without one).
@@ -1263,7 +1278,8 @@ pub struct VerifyReport {
 /// every byte a reader can be handed; dead space inside a segment is
 /// counted, not checked. Returns a report on success; any damage is an
 /// `Err`. Unreferenced data/`*.tmp` debris is reported, not treated as
-/// damage. Reads only: the log's unvouched tail is left for the next open.
+/// damage. Reads only: the debris and the log's unvouched tail are left
+/// for the next commit.
 pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let names = list_dir(dir);
     let log = Log::read(dir)?;
@@ -1275,18 +1291,11 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     load_tables(dir, live.gzip, &jobs, decode_workers(&jobs))?;
 
     // Files the retention window needs are history, not debris (the
-    // classification rule is the same `LogTail::spares` the sweeps use).
+    // classification is the tail's, the one a commit deletes by).
     let referenced: HashSet<&str> = live.edges.values().map(|f| &f.name[..]).collect();
-    let mut stale_files = Vec::new();
-    let mut retained_files = 0usize;
-    for name in names {
-        if name.ends_with(".tmp") || (is_data_file(&name) && !tail.spares(&name)) {
-            stale_files.push(name);
-        } else if is_data_file(&name) && !referenced.contains(&name[..]) {
-            retained_files += 1;
-        }
-    }
-    stale_files.sort();
+    let retained_files = (names.iter())
+        .filter(|n| is_data_file(n) && tail.spares(n) && !referenced.contains(&n[..]))
+        .count();
 
     // Dead space: what the segments of the window's generations hold
     // beyond the distinct ranges those generations reference (a table
@@ -1320,7 +1329,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         n_arrays: live.arrays.len(),
         n_edges: live.edges.len(),
         files_verified,
-        stale_files,
+        stale_files: tail.stale.clone(),
         log_records: log.records.len(),
         retained_files,
         dead_bytes: file_bytes.saturating_sub(range_bytes),
@@ -1653,22 +1662,25 @@ mod tests {
         assert_eq!(report.files_verified, 2);
         assert!(!report.stale_files.is_empty());
 
-        // Opening the snapshot sweeps the debris — a crashed process must
-        // never leave junk a later generation can collide with.
+        // Opening the snapshot reads past the debris; the opened handle's
+        // first commit deletes it — a crashed process must never leave junk
+        // a later generation can collide with.
         let reopened = open(&dir).unwrap();
         assert_eq!(reopened.n_edges(), 2);
         let (t, _) = reopened.resolve_hop("B", "A").unwrap();
         assert_eq!(t.orientation(), Orientation::Backward);
+        commit(&reopened, &dir, false).unwrap();
         assert!(verify(&dir).unwrap().stale_files.is_empty());
         assert_eq!(data_files(&dir).len(), 1);
 
         // Debris planted behind a live manager's back is not a commit's
-        // business — it deletes exactly the files it un-referenced, never
-        // by listing the directory; the next open reclaims it.
+        // business — it deletes exactly the files it un-referenced and the
+        // ones its tail's listing found, never listing the directory; the
+        // first commit of the next handle reclaims it.
         std::fs::write(dir.join("segment-0.g77.seg"), b"junk again").unwrap();
-        save(&s, &dir, false).unwrap();
+        commit(&reopened, &dir, false).unwrap();
         assert_eq!(verify(&dir).unwrap().stale_files, ["segment-0.g77.seg"]);
-        open(&dir).unwrap();
+        commit(&open(&dir).unwrap(), &dir, false).unwrap();
         assert!(verify(&dir).unwrap().stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2130,13 +2142,13 @@ mod tests {
     }
 
     #[test]
-    fn open_sweeps_crash_debris() {
+    fn the_first_commit_after_an_open_sweeps_crash_debris() {
         for lazy in [false, true] {
             let dir = temp_dir(if lazy { "osweep-lazy" } else { "osweep" });
             let s = sample_manager();
             save(&s, &dir, false).unwrap();
             // An orphan segment, an orphan retained catalog, temp files.
-            let debris = [
+            let mut debris = [
                 "segment-0.g42.seg",
                 "segment-0.g43.seg.tmp",
                 "catalog.g41.dsl",
@@ -2151,11 +2163,16 @@ mod tests {
                 open(&dir).unwrap()
             };
             assert_eq!(opened.n_edges(), 2);
+            // The lazily opened manager loads its tables beside the debris,
+            // which the open left where it was.
+            opened.resolve_hop("B", "A").unwrap();
+            debris.sort();
+            assert_eq!(verify(&dir).unwrap().stale_files, debris);
+            // The first commit, on the tail the open remembered, deletes
+            // what that open's listing found.
+            commit(&opened, &dir, false).unwrap();
             assert_eq!(data_files(&dir).len(), 1);
             assert!(verify(&dir).unwrap().stale_files.is_empty());
-            // The lazily opened manager still loads its (referenced,
-            // unswept) tables fine after the sweep.
-            opened.resolve_hop("B", "A").unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -37,17 +37,19 @@
 //! monotonicity. If no clean frame starts anywhere after it, everything
 //! from that point on is a torn tail: an append that never completed.
 //! Records after the last clean `Commit` are the unvouched tail: work whose
-//! commit point was never reached. Both are truncated on open, never
-//! replayed, so hostile or partial bytes never panic and never resurrect
-//! an operation no commit vouches for.
+//! commit point was never reached. Both are ignored by every reader and
+//! cut by the next commit's append, never replayed, so hostile or partial
+//! bytes never panic and never resurrect an operation no commit vouches
+//! for. A reader beside a live writer sees the writer's in-flight append
+//! the same way: as a torn tail, the end of the log.
 //!
 //! A bad frame that a clean one follows is damage, not a torn append. The
 //! log is the only copy of the generations committed since the live
 //! checkpoint: if a commit record past the damage is newer than what the
 //! records before it replay to, open, `verify` and `as_of` refuse the
 //! directory as `Corrupt` and leave it as it is; damage followed only by
-//! what the checkpoint already holds costs history, and is cut like a torn
-//! tail. A clean commit record that cannot be applied is `Corrupt` too (see
+//! what the checkpoint already holds costs history, and the next commit
+//! cuts it like a torn tail. A clean commit record that cannot be applied is `Corrupt` too (see
 //! [`super::persist`]).
 //!
 //! ## Fault injection
@@ -556,20 +558,6 @@ pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
     Ok(scan)
 }
 
-/// Cut `<dir>/ops.log` down to `len` bytes if it is longer: the torn and
-/// unvouched tail an open drops. Best effort — a read-only snapshot stays
-/// openable.
-pub(crate) fn truncate(dir: &Path, len: u64) {
-    let _io = dslog_sync::io_guard("wal::truncate");
-    let path = dir.join(OPS_LOG_FILE);
-    if std::fs::metadata(&path).is_ok_and(|meta| meta.len() > len) {
-        if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
-            let _ = f.set_len(len);
-            let _ = f.sync_data();
-        }
-    }
-}
-
 /// Read-only view of every cleanly framed record in `<dir>/ops.log`
 /// (including the unvouched tail — history shows what was attempted). A
 /// missing log is an empty history.
@@ -583,8 +571,9 @@ pub fn history(dir: &Path) -> Result<Vec<OpRecord>> {
 
 /// Append `records` at `clean_len` in one write, then fdatasync; returns
 /// the log's new clean length. The file is first truncated to
-/// `clean_len`, dropping any torn tail a failed earlier append left
-/// behind, and cut back to it again if the write or the sync fails, so a
+/// `clean_len`, dropping the torn or unvouched tail a failed earlier
+/// append or a crashed process left behind (the one place the log is
+/// cut), and cut back to it again if the write or the sync fails, so a
 /// retry never logs the same records twice.
 pub(crate) fn append(
     dir: &Path,

@@ -109,7 +109,7 @@ proptest! {
     /// must make `open` fail — both catalog and table files carry crc32s,
     /// and a lazy open must fail no later than first touch. The one
     /// deliberate exception is the operation log: its per-record crc32s
-    /// detect the damage, recovery truncates from the damaged record on,
+    /// detect the damage, recovery reads the log up to the damaged record,
     /// and the database must open cleanly (the catalog, not the log, is
     /// the durable truth).
     #[test]
@@ -129,8 +129,8 @@ proptest! {
         std::fs::write(dir.join(name), &corrupted).unwrap();
 
         if name == "ops.log" {
-            // Damage is confined to the log: open must succeed, truncate
-            // the damaged tail, and leave a verify-clean store behind.
+            // Damage is confined to the log: open must succeed past the
+            // damaged tail, and the store must verify clean.
             let db = Dslog::options().open(&dir).unwrap();
             let r = db.prov_query(&["B", "A"], &[vec![1]]).unwrap();
             prop_assert!(r.cells.contains_cell(&[1, 0]));
@@ -802,7 +802,8 @@ fn one_edge_directory(dir: &Path, crc: fn(&[u8]) -> u32, kind_6: bool) -> Lineag
 /// A directory in a form only earlier builds wrote is refused with a typed
 /// `Corrupt` by an eager, a lazy (on its first query, for a form only
 /// reading a table shows) and an `as_of` open and by `verify`, and is left
-/// byte for byte as it was. The forms: a log holding a kind-6 commit
+/// byte for byte as it was — by a lazy open on its own too, which refuses
+/// every form but the one its first query shows. The forms: a log holding a kind-6 commit
 /// record, a checkpoint edge mask naming the forward table or both, and a
 /// plain table recorded with the crc32 of its whole range. Each directory
 /// built the way this build writes opens and answers instead. (`dslog
@@ -861,6 +862,10 @@ fn a_directory_of_a_retired_dialect_is_refused_and_left_alone() {
         let t = build(&dir, true);
         let cell = vec![1; t.out_arity()];
         let before = dir_files(&dir);
+        let lazy_alone = Dslog::options().lazy(true).open(&dir).map(drop);
+        let shown_by_query = tag == "residue";
+        assert_eq!(lazy_alone.is_ok(), shown_by_query, "{tag}: {lazy_alone:?}");
+        assert_eq!(dir_files(&dir), before, "{tag}: a lazy open changed it");
         for result in routes(&dir, &cell) {
             assert_eq!(result, Err(DslogError::Corrupt(refusal)), "{tag}");
         }

@@ -3,7 +3,7 @@
 //! roundtrips, and merge-step set preservation.
 
 use dslog::provrc::{self, reshape};
-use dslog::query;
+use dslog::query::QueryExec;
 use dslog::storage::format;
 use dslog::table::{BoxTable, LineageTable, Orientation};
 use dslog_oracle::query::reference;
@@ -91,7 +91,7 @@ proptest! {
         prop_assume!(!cells.is_empty());
         let c = provrc::compress(&t, &out_shape, &in_shape, Orientation::Backward);
         let q = BoxTable::from_cells(t.out_arity(), &cells);
-        let mut result = query::theta_join(&q, &c).unwrap();
+        let mut result = QueryExec::default().hop(&q, &c).unwrap().0;
         result.merge();
         let expected = reference::step(
             &cells.iter().cloned().collect(),
@@ -117,7 +117,7 @@ proptest! {
         prop_assume!(!cells.is_empty());
         let c = provrc::compress(&t, &out_shape, &in_shape, Orientation::Forward);
         let q = BoxTable::from_cells(t.in_arity(), &cells);
-        let mut result = query::theta_join(&q, &c).unwrap();
+        let mut result = QueryExec::default().hop(&q, &c).unwrap().0;
         result.merge();
         let expected = reference::step(
             &cells.iter().cloned().collect(),

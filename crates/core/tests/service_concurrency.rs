@@ -16,6 +16,9 @@
 //! - **Network serving**: N TCP clients against one in-process listener
 //!   ingest and query concurrently; every session gets correct answers
 //!   and the combined result commits cleanly.
+//! - **Readers beside a writer**: opens of a directory looping beside a
+//!   handle that commits into it write nothing, so every commit lands and
+//!   no reader ever finds the directory `Corrupt`.
 //! - **Interleaving equivalence** (proptest): any sequence of
 //!   append/commit/reopen operations ends in a database byte-identical at
 //!   the table level to appending the same edges once and saving once.
@@ -391,6 +394,87 @@ fn auto_commit_under_concurrent_ingest() {
         Dslog::options().open(&dir).unwrap().storage().n_edges(),
         WRITERS * EDGES
     );
+    persist::verify(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A second thread opens a directory in a loop, eager and lazy in turn,
+/// while one handle makes 500 one-edge replace commits into its 10 edges.
+/// Opens write nothing, so every commit succeeds, and the last open lands
+/// at the writer's last generation with every edge's last content. A
+/// reader never finds the directory `Corrupt`: an in-flight log append
+/// reads as the log's end, and the one error it may meet is `Io`, from a
+/// segment the writer deleted between the reader's replay and its read.
+#[test]
+fn opens_beside_a_committing_handle_lose_no_commit() {
+    const EDGES: usize = 10;
+    const COMMITS: usize = 500;
+    const CELLS: i64 = 16;
+    let dir = temp_dir("opens-beside-commits");
+    let mut db = Dslog::options().create(&dir).unwrap();
+    let names = |k: usize| (format!("S{k}"), format!("T{k}"));
+    for k in 0..EDGES {
+        let (from, to) = names(k);
+        db.define_array(&from, &[CELLS as usize]).unwrap();
+        db.define_array(&to, &[CELLS as usize]).unwrap();
+        db.add_lineage(&from, &to, &TableCapture::new(shifted_lineage(CELLS, 0)))
+            .unwrap();
+    }
+    db.commit().unwrap();
+    let mut shifts = vec![0i64; EDGES];
+
+    let writing = AtomicBool::new(true);
+    let (failed_commits, (opened, errors)) = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let (mut opened, mut errors) = (0usize, Vec::new());
+            while writing.load(Ordering::Acquire) {
+                let lazy = (opened + errors.len()) % 2 == 1;
+                match Dslog::options().lazy(lazy).open(&dir) {
+                    Ok(_) => opened += 1,
+                    Err(e) => errors.push(e),
+                }
+            }
+            (opened, errors)
+        });
+        let mut failed = Vec::new();
+        for c in 0..COMMITS {
+            let k = c % EDGES;
+            let shift = (c as i64 + 1) % CELLS;
+            let (from, to) = names(k);
+            let capture = TableCapture::new(shifted_lineage(CELLS, shift));
+            db.add_lineage(&from, &to, &capture).unwrap();
+            match db.commit() {
+                Ok(_) => shifts[k] = shift,
+                Err(e) => failed.push(format!("commit {c}: {e}")),
+            }
+        }
+        writing.store(false, Ordering::Release);
+        (failed, reader.join().unwrap())
+    });
+    assert!(failed_commits.is_empty(), "{failed_commits:?}");
+    let corrupt: Vec<&DslogError> = (errors.iter())
+        .filter(|e| !matches!(e, DslogError::Io(_)))
+        .collect();
+    assert!(
+        corrupt.is_empty(),
+        "{} of {} reader error(s) not Io, first {:?}",
+        corrupt.len(),
+        errors.len(),
+        corrupt.first()
+    );
+    assert!(opened > 0, "no open succeeded beside the writer");
+
+    let last = db.bound_database().unwrap().2;
+    let reopened = Dslog::options().open(&dir).unwrap();
+    assert_eq!(reopened.bound_database().unwrap().2, last);
+    for (k, shift) in shifts.into_iter().enumerate() {
+        let (from, to) = names(k);
+        for i in 0..CELLS {
+            let r = reopened.prov_query(&[&to, &from], &[vec![i]]).unwrap();
+            let want = [vec![(i + shift) % CELLS]].into_iter().collect();
+            assert_eq!(r.cells.cell_set(), want, "edge {k}, cell {i}");
+        }
+    }
     persist::verify(&dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -18,7 +18,7 @@
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::service::{AutoCommitPolicy, DslogService, IngestJob, MaintenancePolicy};
-use dslog::storage::wal::{self, IoFault, IoPolicy, OpKind};
+use dslog::storage::wal::{self, IoFault, IoPolicy, OpKind, OpRecord};
 use dslog::storage::{format, persist};
 use dslog::table::LineageTable;
 use std::path::{Path, PathBuf};
@@ -536,10 +536,11 @@ fn actor_travels_with_the_operation() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Garbage appended to the log is truncated away on the next open, and
-/// the store keeps committing cleanly afterwards.
+/// Garbage appended to the log is ignored by an open, which leaves it
+/// where it is, and cut by the next commit's append; the store keeps
+/// committing cleanly afterwards.
 #[test]
-fn torn_log_tail_truncated_on_reopen() {
+fn torn_log_tail_is_cut_by_the_next_commit() {
     let dir = temp_dir("torn");
     let mut db = seed_store(&dir, false, &idle_policy(IoFault::WriteError));
     stage_second_edge(&mut db);
@@ -554,21 +555,136 @@ fn torn_log_tail_truncated_on_reopen() {
     torn.extend_from_slice(b"half a frame");
     std::fs::write(&log_path, &torn).unwrap();
 
-    // Open recovers: the tail is dropped and physically truncated.
+    // Open recovers: the tail is ignored, and left as it was.
     let mut re = Dslog::options().open(&dir).unwrap();
     assert_eq!(wal::history(&dir).unwrap(), before);
-    assert_eq!(std::fs::read(&log_path).unwrap(), clean);
+    assert_eq!(std::fs::read(&log_path).unwrap(), torn);
     persist::verify(&dir).unwrap();
 
-    // And the append position is sound: the next commit lands.
+    // And the append position is sound: the next commit lands right after
+    // the clean prefix, cutting the torn bytes.
     re.define_array("D", &[6]).unwrap();
     re.add_lineage("C", "D", &TableCapture::new(chain_table()))
         .unwrap();
     re.commit().unwrap();
+    let log = std::fs::read(&log_path).unwrap();
+    assert_eq!(&log[..clean.len()], &clean[..]);
+    assert_eq!(wal::read_log(&log).1, log.len());
+    let after = wal::history(&dir).unwrap();
+    assert_eq!(&after[..before.len()], &before[..]);
+    let kinds: Vec<&str> = after[before.len()..]
+        .iter()
+        .map(|r| r.kind.name())
+        .collect();
+    assert_eq!(kinds, ["define", "ingest", "commit"]);
     drop(re);
     let reopened = Dslog::options().open(&dir).unwrap();
     assert_eq!(reopened.bound_database().unwrap().2, SEED_GENERATIONS + 2);
     assert!(reopened.storage().has_directed_edge("C", "D"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every reader leaves a directory a crashed process left dirty byte for
+/// byte as it was — a torn log frame after an unvouched `IngestEdge`
+/// record, an orphan segment and checkpoint, `*.tmp` files: an eager open,
+/// a lazy open and its first query, `as_of` of the live and of a retained
+/// generation, `verify` and the history. The first commit of a handle
+/// opened on it then deletes the debris and appends its records right
+/// after the log's clean prefix.
+#[test]
+fn readers_leave_a_dirty_directory_alone() {
+    let dir = temp_dir("dirty");
+    let mut db = Dslog::options().wal_retention(2).create(&dir).unwrap();
+    for k in 0..3 {
+        commit_link(&mut db, k);
+    }
+    let live = db.bound_database().unwrap().2;
+    drop(db);
+
+    let log_path = dir.join(wal::OPS_LOG_FILE);
+    let clean = std::fs::read(&log_path).unwrap();
+    let committed = wal::history(&dir).unwrap();
+    let record = |op_id, kind| OpRecord {
+        op_id,
+        timestamp_ms: 0,
+        actor: "crashed".to_string(),
+        gen_before: live,
+        gen_after: live,
+        kind,
+    };
+    let last_op = committed.last().unwrap().op_id;
+    let unvouched = record(
+        last_op + 1,
+        OpKind::IngestEdge {
+            in_array: "X000".to_string(),
+            out_array: "Y000".to_string(),
+            bytes: 42,
+            digest: 0,
+        },
+    );
+    let torn = wal::encode_record(&record(last_op + 2, OpKind::ConvertGzip { gzip: true }));
+    let mut dirty = clean.clone();
+    dirty.extend_from_slice(&wal::encode_record(&unvouched));
+    dirty.extend_from_slice(&torn[..torn.len() / 2]);
+    std::fs::write(&log_path, &dirty).unwrap();
+    let mut debris = [
+        "segment-0.g90.seg",
+        "catalog.g89.dsl",
+        "segment-0.g91.seg.tmp",
+        "catalog.dsl.tmp",
+    ];
+    for name in debris {
+        std::fs::write(dir.join(name), b"debris").unwrap();
+    }
+    debris.sort();
+    let image = dir_image(&dir);
+
+    let answers = |db: &Dslog| {
+        let r = db.prov_query(&["Y000", "X000"], &[vec![1]]).unwrap();
+        assert!(r.cells.contains_cell(&[1]));
+    };
+    let eager = Dslog::options().open(&dir).unwrap();
+    answers(&eager);
+    assert_eq!(dir_image(&dir), image, "eager open");
+    let lazy = Dslog::options().lazy(true).open(&dir).unwrap();
+    answers(&lazy);
+    assert_eq!(dir_image(&dir), image, "lazy open and first query");
+    for generation in [live, live - 1] {
+        answers(&Dslog::options().as_of(generation).open(&dir).unwrap());
+        assert_eq!(dir_image(&dir), image, "as_of({generation})");
+    }
+    let report = persist::verify(&dir).unwrap();
+    assert_eq!(report.stale_files, debris);
+    assert_eq!(dir_image(&dir), image, "verify");
+    let mut history = committed.clone();
+    history.push(unvouched);
+    assert_eq!(wal::history(&dir).unwrap(), history);
+    assert_eq!(dir_image(&dir), image, "history");
+
+    let mut db = Dslog::options().wal_retention(2).open(&dir).unwrap();
+    commit_link(&mut db, 3);
+    let report = persist::verify(&dir).unwrap();
+    assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
+    for name in debris {
+        assert!(!dir.join(name).exists(), "{name} survived the commit");
+    }
+    let log = std::fs::read(&log_path).unwrap();
+    assert_eq!(&log[..clean.len()], &clean[..]);
+    let (appended, appended_len) = wal::read_log(&log[clean.len()..]);
+    assert_eq!(appended_len, log.len() - clean.len());
+    let kinds: Vec<&str> = appended.iter().map(|r| r.kind.name()).collect();
+    assert_eq!(kinds, ["define", "define", "ingest", "commit"]);
+    assert_eq!(appended[0].op_id, last_op + 1);
+    let generation = db.bound_database().unwrap().2;
+    assert_eq!(appended[3].gen_after, generation);
+    drop(db);
+    let reopened = Dslog::options().open(&dir).unwrap();
+    assert_eq!(reopened.bound_database().unwrap().2, generation);
+    for k in 0..4 {
+        let path = [format!("Y{k:03}"), format!("X{k:03}")];
+        let r = (reopened.prov_query(&[&path[0], &path[1]], &[vec![1]])).unwrap();
+        assert!(r.cells.contains_cell(&[1]), "edge {k}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

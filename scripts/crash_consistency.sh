@@ -2,7 +2,9 @@
 # Crash-consistency gate: kill `dslog ingest`, `dslog db compact` and
 # `dslog serve` at EVERY gated IO of a commit in turn and require, after
 # each kill, that the surviving database verifies, answers queries, and
-# accepts the retried operation — plain and gzip.
+# accepts the retried operation — plain and gzip. The reader commands
+# run after each kill (`db verify`, `db history`, `query`) must leave
+# every byte of the database as the kill left it: only a commit writes.
 #
 # The kill is deterministic, not timing-based: the hidden `--crash-at-io N`
 # flag installs an IoPolicy that makes the process exit(86) at the N-th
@@ -64,6 +66,20 @@ require_new_seen() {
     fi
 }
 
+# Every file of database "$1" with its checksum, sorted by name.
+db_image() {
+    (cd "$1" && cksum -- * | LC_ALL=C sort -k3)
+}
+
+# Fail unless database "$1" still has the image "$2" (see db_image): the
+# reader commands run since must not have written to it.
+require_unchanged() {
+    if [ "$(db_image "$1")" != "$2" ]; then
+        echo "FAIL: a reader command changed $1 after the kill at IO $n" >&2
+        exit 1
+    fi
+}
+
 # Verify a database and fail on leftover debris.
 verify_clean() {
     local out
@@ -100,10 +116,12 @@ for mode in plain gzip; do
             require_new_seen ingest
             break
         fi
+        image=$(db_image "$db")
         "$BIN" db verify "$db" > /dev/null
         check_generation "$db" C,B
         "$BIN" db history "$db" > /dev/null
         "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
+        require_unchanged "$db" "$image"
         "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
         "$BIN" ingest --db "$db" --in C:3 --out D:3 --csv "$WORK/cd.csv" "${flags[@]}"
         verify_clean "$db"
@@ -132,8 +150,11 @@ for mode in plain gzip; do
             echo "   compaction completed past $((n - 1)) kill point(s)"
             break
         fi
+        image=$(db_image "$db")
         "$BIN" db verify "$db" > /dev/null
+        "$BIN" db history "$db" > /dev/null
         "$BIN" query --db "$db" --path D,C,B,A --cells 1 > /dev/null
+        require_unchanged "$db" "$image"
         n=$((n + 1))
     done
     "$BIN" db verify "$db"
@@ -192,9 +213,12 @@ while :; do
     # The surviving generation must verify and answer queries; the
     # half-committed network edge is recoverable debris, not corruption.
     # Re-ingesting it must leave a clean, stale-free database behind.
+    image=$(db_image "$db")
     "$BIN" db verify "$db" > /dev/null
     check_generation "$db" C,B
+    "$BIN" db history "$db" > /dev/null
     "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
+    require_unchanged "$db" "$image"
     "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv"
     verify_clean "$db"
     "$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null

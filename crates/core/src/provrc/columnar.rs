@@ -59,6 +59,7 @@
 
 use crate::interval::{ord64, Interval};
 use crate::sort::{KeySort, Words};
+use crate::table::column::Column;
 use crate::table::{Cell, CompressedTable, LineageTable, Orientation};
 use std::cmp::Ordering;
 
@@ -675,22 +676,27 @@ impl<'a> Arena<'a> {
         };
         let extents = prim_shape.iter().chain(sec_shape).map(|&d| d as i64);
         let perm: Option<Vec<u32>> = self.keys_order_pending.then(|| self.keys.rows().collect());
-        let mut columns: Vec<Vec<Cell>> = Vec::with_capacity(self.prim_arity + self.sec_arity);
-        for col in &self.prim {
-            columns.push(match &perm {
-                Some(p) => p.iter().map(|&r| Cell::Abs(col[r as usize])).collect(),
-                None => col.iter().map(|&ivl| Cell::Abs(ivl)).collect(),
-            });
+        // Each column is gathered (through the owed order, if any) straight
+        // into its form: `Column::collect` counts before it allocates.
+        fn gather<'c, T: Copy>(
+            col: &'c [T],
+            perm: &'c Option<Vec<u32>>,
+            cell: impl Fn(T) -> Cell + Clone + 'c,
+        ) -> Column {
+            match perm {
+                Some(p) => Column::collect(p.iter().map(move |&r| cell(col[r as usize]))),
+                None => Column::collect(col.iter().map(move |&c| cell(c))),
+            }
         }
-        let to_cell = |c: WCell| match c {
-            WCell::Abs(ivl) => Cell::Abs(ivl),
-            WCell::Rel { anchor, delta } => Cell::Rel { anchor, delta },
-        };
+        let mut columns: Vec<Column> = Vec::with_capacity(self.prim_arity + self.sec_arity);
+        for col in &self.prim {
+            columns.push(gather(col, &perm, Cell::Abs));
+        }
         for col in &self.sec {
-            columns.push(match &perm {
-                Some(p) => p.iter().map(|&r| to_cell(col[r as usize])).collect(),
-                None => col.iter().map(|&c| to_cell(c)).collect(),
-            });
+            columns.push(gather(col, &perm, |c| match c {
+                WCell::Abs(ivl) => Cell::Abs(ivl),
+                WCell::Rel { anchor, delta } => Cell::Rel { anchor, delta },
+            }));
         }
         CompressedTable::from_columns(
             orientation,

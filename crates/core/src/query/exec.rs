@@ -395,9 +395,11 @@ fn emit_derelativized(
         Cell::Rel { anchor, .. } if !isect[anchor as usize].is_point() => Some(anchor),
         _ => None,
     };
-    let shared = sec().enumerate().any(|(i, cell)| {
-        wide_anchor(cell).is_some_and(|a| sec().take(i).any(|c| wide_anchor(c) == Some(a)))
-    });
+    // Two cells share an anchor only if the row has two secondaries.
+    let shared = table.secondary_arity() > 1
+        && sec().enumerate().any(|(i, cell)| {
+            wide_anchor(cell).is_some_and(|a| sec().take(i).any(|c| wide_anchor(c) == Some(a)))
+        });
     if shared {
         return emit_split(isect, &sec().collect::<Vec<_>>(), out);
     }

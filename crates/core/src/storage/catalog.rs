@@ -300,6 +300,8 @@ pub(crate) struct Log {
     /// append: the newest generation a commit record past the damage
     /// names, 0 for none (see [`super::wal::Scan`]).
     pub(crate) beyond_damage: Option<u64>,
+    /// Bytes the log held when it was read.
+    pub(crate) len: u64,
 }
 
 impl Log {
@@ -315,6 +317,7 @@ impl Log {
             ends,
             commits,
             beyond_damage: scan.beyond_damage,
+            len: scan.len,
         })
     }
 

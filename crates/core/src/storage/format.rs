@@ -33,12 +33,16 @@
 //! not on a tag per cell. The reader keeps the runs it has validated (each
 //! cost at least two input bytes, so the list is bounded by the input),
 //! settles per column what an anchor may be — nothing, in a primary column
-//! — and then runs one tight loop per run: no per-cell dispatch, the one-
-//! and two-byte varints that make up point runs read from a single
-//! bounds-checked pair, `Sym` cells counted as they are produced. What is
-//! left is writing a 24-byte [`Cell`] per cell, and that is the floor: on
-//! the reference box a decode that keeps its tables runs at the speed of
-//! pushing constant cells into fresh vectors (~3.3 ns per cell, ~7 GB/s).
+//! — and then runs one loop per run, the one- and two-byte varints that
+//! make up point runs read from a single bounds-checked pair, `Sym` cells
+//! counted by the run. The runs
+//! also give, before anything is allocated, the form the table holds the
+//! column in (see `CompressedTable`): the cells outside absolute-point runs
+//! count the column's non-points, so a column with at most a quarter of
+//! them decodes to 8 bytes per row and the list of the others, one whose
+//! runs are all absolute to 16, and any other to a 24-byte [`Cell`] per
+//! row. Writing those bytes is the floor a decode that keeps its tables
+//! cannot go under.
 //!
 //! ## Verify once
 //!
@@ -57,6 +61,7 @@
 
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
+use crate::table::column::{self, Column};
 use crate::table::{Cell, CompressedTable, Orientation};
 use dslog_codecs::crc32::crc32;
 use dslog_codecs::varint::{read_ivarint, read_uvarint, unzigzag, write_ivarint, write_uvarint};
@@ -106,12 +111,11 @@ pub fn serialize(table: &CompressedTable) -> Vec<u8> {
 
     let mut runs: Vec<TagRun> = Vec::new();
     for k in 0..arity {
-        let column = table.column(k);
         // One scan classifies every cell; the tag stream and the payload
         // are both written from its runs, as the reader consumes them.
         runs.clear();
-        for cell in column {
-            let tag = cell_tag(cell);
+        for cell in table.column(k) {
+            let tag = cell_tag(&cell);
             match runs.last_mut() {
                 Some((last, len)) if *last == tag => *len += 1,
                 _ => runs.push((tag, 1)),
@@ -128,12 +132,10 @@ pub fn serialize(table: &CompressedTable) -> Vec<u8> {
         // Payload stream with per-column delta coding.
         let mut prev_abs = 0i64;
         let mut prev_rel = 0i64;
-        let mut rest = column;
+        let mut cells = table.column(k);
         for &(tag, len) in &runs {
-            let (run, tail) = rest.split_at(len);
-            rest = tail;
             let wide = tag == TAG_ABS_IVL || tag == TAG_REL_IVL;
-            for &cell in run {
+            for cell in cells.by_ref().take(len) {
                 match cell {
                     Cell::Abs(ivl) => {
                         write_ivarint(&mut out, ivl.lo - prev_abs);
@@ -235,6 +237,80 @@ fn read_index(body: &[u8], pos: &mut usize, limit: usize, what: &'static str) ->
     }
 }
 
+/// One column's payload: where it is read from, and the delta state its
+/// cells carry from one to the next.
+struct Payload<'a> {
+    body: &'a [u8],
+    pos: usize,
+    prev_abs: i64,
+    prev_rel: i64,
+    /// `Rel` anchors must lie below this: none may in a primary column.
+    anchors: usize,
+    arity: usize,
+    /// Absolute intervals read with width 0.
+    zero_width: usize,
+}
+
+impl<'a> Payload<'a> {
+    fn new(body: &'a [u8], pos: usize, anchors: usize, arity: usize) -> Self {
+        Self {
+            body,
+            pos,
+            prev_abs: 0,
+            prev_rel: 0,
+            anchors,
+            arity,
+            zero_width: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn point(&mut self) -> Result<i64> {
+        read_delta(self.body, &mut self.pos, &mut self.prev_abs)
+    }
+
+    #[inline(always)]
+    fn interval(&mut self) -> Result<Interval> {
+        let ivl = read_interval(self.body, &mut self.pos, &mut self.prev_abs)?;
+        self.zero_width += usize::from(ivl.is_point());
+        Ok(ivl)
+    }
+
+    /// The `run` cells of a run tagged `tag`, onto `cells`.
+    #[inline(always)]
+    fn run(&mut self, tag: u8, run: usize, cells: &mut Vec<Cell>) -> Result<()> {
+        for _ in 0..run {
+            cells.push(self.cell(tag)?);
+        }
+        Ok(())
+    }
+
+    /// One cell of a run tagged `tag` (a tag the tag stream admitted).
+    #[inline(always)]
+    fn cell(&mut self, tag: u8) -> Result<Cell> {
+        const BAD_ANCHOR: &str = "rel anchor out of range";
+        let (body, pos) = (self.body, &mut self.pos);
+        Ok(match tag {
+            TAG_ABS_POINT => Cell::point(self.point()?),
+            TAG_ABS_IVL => Cell::Abs(self.interval()?),
+            TAG_REL_POINT => {
+                let anchor = read_index(body, pos, self.anchors, BAD_ANCHOR)?;
+                let delta = Interval::point(read_delta(body, pos, &mut self.prev_rel)?);
+                Cell::Rel { anchor, delta }
+            }
+            TAG_REL_IVL => {
+                let anchor = read_index(body, pos, self.anchors, BAD_ANCHOR)?;
+                let delta = read_interval(body, pos, &mut self.prev_rel)?;
+                Cell::Rel { anchor, delta }
+            }
+            // TAG_SYM: the tag stream admits nothing above it.
+            _ => Cell::Sym {
+                attr: read_index(body, pos, self.arity, "sym attr out of range")?,
+            },
+        })
+    }
+}
+
 fn decode(data: &[u8], body_crc: Option<u32>) -> Result<CompressedTable> {
     if data.len() < 6 || &data[..4] != MAGIC {
         return Err(DslogError::Corrupt("bad magic"));
@@ -288,7 +364,7 @@ fn decode(data: &[u8], body_crc: Option<u32>) -> Result<CompressedTable> {
     // bounded by the remaining input (lint:checked-alloc — no wire count
     // sizes it).
     let mut runs: Vec<TagRun> = Vec::new();
-    let mut columns: Vec<Vec<Cell>> = Vec::with_capacity(arity);
+    let mut columns: Vec<Column> = Vec::with_capacity(arity);
     let mut sym_count = 0usize;
     for k in 0..arity {
         runs.clear();
@@ -316,50 +392,73 @@ fn decode(data: &[u8], body_crc: Option<u32>) -> Result<CompressedTable> {
         // A `Rel` cell is legal only in a secondary column, anchored to a
         // primary attribute: in a primary column no anchor is in range.
         let anchors = if k < prim_arity { 0 } else { prim_arity };
-        const BAD_ANCHOR: &str = "rel anchor out of range";
-        // `n` is bounded by the byte-budget check above (lint:checked-alloc).
-        let mut column: Vec<Cell> = Vec::with_capacity(n);
-        let mut prev_abs = 0i64;
-        let mut prev_rel = 0i64;
-        for &(tag, run) in &runs {
-            match tag {
-                TAG_ABS_POINT => {
+        let mut payload = Payload::new(body, pos, anchors, arity);
+        // The runs settle the column's form before it is allocated: how
+        // many cells are not absolute points, and whether all are absolute.
+        let others: usize = (runs.iter())
+            .filter(|&&(tag, _)| tag != TAG_ABS_POINT)
+            .map(|&(_, run)| run)
+            .sum();
+        // `n` (and `others`, at most `n`) is bounded by the byte-budget
+        // check above (lint:checked-alloc).
+        let column = if 4 * others <= n {
+            let (mut values, mut list) = (Vec::with_capacity(n), Vec::with_capacity(others));
+            for &(tag, run) in &runs {
+                if tag == TAG_ABS_POINT {
                     for _ in 0..run {
-                        let lo = read_delta(body, &mut pos, &mut prev_abs)?;
-                        column.push(Cell::Abs(Interval::point(lo)));
+                        values.push(payload.point()?);
                     }
-                }
-                TAG_ABS_IVL => {
+                } else {
                     for _ in 0..run {
-                        column.push(Cell::Abs(read_interval(body, &mut pos, &mut prev_abs)?));
+                        list.push((values.len() as u32, payload.cell(tag)?));
+                        values.push(column::slot(list.len() - 1));
                     }
-                }
-                TAG_REL_POINT => {
-                    for _ in 0..run {
-                        let anchor = read_index(body, &mut pos, anchors, BAD_ANCHOR)?;
-                        let lo = read_delta(body, &mut pos, &mut prev_rel)?;
-                        let delta = Interval::point(lo);
-                        column.push(Cell::Rel { anchor, delta });
-                    }
-                }
-                TAG_REL_IVL => {
-                    for _ in 0..run {
-                        let anchor = read_index(body, &mut pos, anchors, BAD_ANCHOR)?;
-                        let delta = read_interval(body, &mut pos, &mut prev_rel)?;
-                        column.push(Cell::Rel { anchor, delta });
-                    }
-                }
-                // TAG_SYM: the tag stream admits nothing above it.
-                _ => {
-                    for _ in 0..run {
-                        let attr = read_index(body, &mut pos, arity, "sym attr out of range")?;
-                        column.push(Cell::Sym { attr });
-                    }
-                    sym_count += run;
                 }
             }
-        }
-        columns.push(column);
+            Column::Points {
+                values,
+                others: list,
+            }
+        } else if runs.iter().all(|&(tag, _)| tag <= TAG_ABS_IVL) {
+            let mut ivls = Vec::with_capacity(n);
+            for &(tag, run) in &runs {
+                if tag == TAG_ABS_POINT {
+                    for _ in 0..run {
+                        ivls.push(Interval::point(payload.point()?));
+                    }
+                } else {
+                    for _ in 0..run {
+                        ivls.push(payload.interval()?);
+                    }
+                }
+            }
+            Column::Intervals { ivls, wide: others }
+        } else {
+            let mut cells = Vec::with_capacity(n);
+            for &(tag, run) in &runs {
+                // One copy of the loop per tag, each with its tag constant.
+                match tag {
+                    TAG_ABS_POINT => payload.run(TAG_ABS_POINT, run, &mut cells)?,
+                    TAG_ABS_IVL => payload.run(TAG_ABS_IVL, run, &mut cells)?,
+                    TAG_REL_POINT => payload.run(TAG_REL_POINT, run, &mut cells)?,
+                    TAG_REL_IVL => payload.run(TAG_REL_IVL, run, &mut cells)?,
+                    _ => payload.run(TAG_SYM, run, &mut cells)?,
+                }
+            }
+            Column::Cells { cells, others }
+        };
+        pos = payload.pos;
+        sym_count += (runs.iter())
+            .filter(|&&(tag, _)| tag == TAG_SYM)
+            .map(|&(_, run)| run)
+            .sum::<usize>();
+        // A file may spell a point as a zero-width interval, which no
+        // writer does; the runs then over-count the column's other cells,
+        // so its form is taken again from the cells themselves.
+        columns.push(match payload.zero_width {
+            0 => column,
+            _ => Column::collect(column.iter()),
+        });
     }
 
     Ok(CompressedTable::from_columns(

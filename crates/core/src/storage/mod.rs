@@ -351,8 +351,9 @@ impl PreparedEdge {
     /// the bytes for its commit — and take the log record from them: their
     /// length and, as the per-edge digest, the crc32 the table file's own
     /// trailer holds. The secondary side's index waits for the first
-    /// forward hop: built here, it held 20 B per row of every table,
-    /// queried forward or not (+25 % peak RSS on `ingest_commit`).
+    /// forward hop: built here, it held 12 B per row of every table (20 B
+    /// over intervals), queried forward or not (+25 % peak RSS on
+    /// `ingest_commit` when it was 20 B over every column).
     fn new(key: EdgeName, table: CompressedTable, keep: bool) -> Self {
         let table = Arc::new(table);
         if !table.is_generalized() {

@@ -98,9 +98,13 @@
 //! retained range in it dies; until then a superseded table in it is
 //! [`VerifyReport::dead_bytes`]. Readers take no lock and write nothing: a
 //! reader racing a commit sees the writer's in-flight log append as a torn
-//! tail, the end of its log, and at worst finds a segment the commit just
-//! deleted gone (an `Io` error; open again). A second *writer* on one
-//! directory is still unsupported.
+//! tail, the end of its log. A commit beside an [`open`] may delete a
+//! segment the open's replay has just named; the open then finds `ops.log`
+//! longer than it read it and reads the directory again (a bounded number
+//! of times, then the `Io` error stands). A lazily opened handle has no
+//! such second read: once a later commit deletes a segment its generation
+//! names, its first touch of that table fails with `Io`. A second *writer*
+//! on one directory is still unsupported.
 //!
 //! ## Verify once
 //!
@@ -541,10 +545,8 @@ impl<'a> CommitSession<'a> {
         // way the tail left it: the log ends where it did, and the live
         // catalog is the checkpoint it remembers.
         let trusted = tail.filter(|tail| {
-            let log_len =
-                std::fs::metadata(dir.join(wal::OPS_LOG_FILE)).map_or(0, |meta| meta.len());
             let (generation, len, _) = tail.checkpoint;
-            log_len == tail.clean_len && peek_catalog(&dir) == Some((generation, len))
+            wal::log_len(&dir) == tail.clean_len && peek_catalog(&dir) == Some((generation, len))
         });
         let rebuilt = trusted.is_none();
         let tail = match trusted {
@@ -1183,22 +1185,42 @@ fn manager_from_parts(catalog: &Catalog, edges: EdgeMap) -> Result<StorageManage
     Ok(storage)
 }
 
+/// How many times [`open`] reads a directory whose log a commit beside it
+/// keeps moving before it gives up with the error its last read met.
+const OPEN_ATTEMPTS: usize = 32;
+
 /// Open a database directory written by [`save`] — the one storage-level
 /// entry; [`crate::api::OpenOptions::open`] is its public face.
 pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
-    // Rebuild the remembered tail: the live checkpoint, the log replayed
-    // past it, the retention window. A missing log replays nothing.
-    let names = list_dir(dir);
-    let log = Log::read(dir)?;
-    let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
-    if let OpenMode::AsOf(generation) = mode {
-        if generation != tail.replay.state.generation {
-            return open_retained(dir, &log, &tail, generation);
+    let mut attempt = 1;
+    loop {
+        // Rebuild the remembered tail: the live checkpoint, the log
+        // replayed past it, the retention window. A missing log replays
+        // nothing.
+        let names = list_dir(dir);
+        let log = Log::read(dir)?;
+        let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
+        if let OpenMode::AsOf(generation) = mode {
+            if generation != tail.replay.state.generation {
+                return open_retained(dir, &log, &tail, generation);
+            }
+        }
+        let log_len = log.len;
+        drop(log);
+        match load_catalog_edges(dir, &tail.replay.state, mode == OpenMode::Lazy) {
+            Ok(edges) => return bind(dir, tail, edges),
+            // A commit beside this open deleted a segment the replay had
+            // just named: the log it appended has moved on, so read again.
+            Err(DslogError::Io(_)) if attempt < OPEN_ATTEMPTS && wal::log_len(dir) != log_len => {
+                attempt += 1
+            }
+            Err(e) => return Err(e),
         }
     }
-    drop(log);
-    let edges = load_catalog_edges(dir, &tail.replay.state, mode == OpenMode::Lazy)?;
+}
 
+/// The manager an [`open`] of `dir` builds from its tail and loaded edges.
+fn bind(dir: &Path, tail: LogTail, edges: EdgeMap) -> Result<StorageManager> {
     // Bind the manager to this directory so the next commit into it is
     // incremental. The open writes nothing: the log's torn or unvouched
     // tail makes that commit rebuild its tail, and its append cuts it; the

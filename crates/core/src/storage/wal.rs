@@ -478,6 +478,8 @@ pub(crate) struct Scan {
     pub(crate) beyond_damage: Option<u64>,
     /// A cleanly framed record of a retired kind stopped the scan.
     retired: bool,
+    /// Bytes the log held when it was read.
+    pub(crate) len: u64,
 }
 
 /// Scan a log image front to back. Never panics: scanning stops at the
@@ -548,7 +550,10 @@ pub fn read_log(data: &[u8]) -> (Vec<OpRecord>, usize) {
 pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
     let _io = dslog_sync::io_guard("wal::read_frames");
     let scan = match std::fs::read(dir.join(OPS_LOG_FILE)) {
-        Ok(bytes) => scan_frames(&bytes),
+        Ok(bytes) => Scan {
+            len: bytes.len() as u64,
+            ..scan_frames(&bytes)
+        },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => scan_frames(&[]),
         Err(e) => return Err(DslogError::io("read ops.log", e)),
     };
@@ -556,6 +561,11 @@ pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
         return Err(RETIRED_KIND);
     }
     Ok(scan)
+}
+
+/// The length of `<dir>/ops.log` now, 0 if it is missing.
+pub(crate) fn log_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(OPS_LOG_FILE)).map_or(0, |meta| meta.len())
 }
 
 /// Read-only view of every cleanly framed record in `<dir>/ops.log`

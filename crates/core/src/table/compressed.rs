@@ -13,16 +13,20 @@
 //!
 //! ## Layout
 //!
-//! Storage is **columnar** (struct-of-arrays): one `Vec<Cell>` per
-//! attribute. The query engine probes whole primary columns (and the
-//! serializer writes column-major streams), so keeping each attribute
-//! contiguous is the cache-friendly layout; row views are materialized on
-//! demand. Each table also lazily builds and caches a [`TableIndex`] over
-//! its primary columns — see [`CompressedTable::index`] — and one over its
+//! Storage is **columnar** (struct-of-arrays): one column per attribute,
+//! in the narrowest form its cells allow (`table::column`) — 8 bytes per
+//! row when at most a quarter of the cells are not absolute points, 16
+//! when every cell is absolute, a 24-byte [`Cell`] per row otherwise. The
+//! query engine probes whole primary columns (and the serializer writes
+//! column-major streams), so keeping each attribute contiguous is the
+//! cache-friendly layout; cells and row views are materialized on demand.
+//! Each table also lazily builds and caches a [`TableIndex`] over its
+//! primary columns — see [`CompressedTable::index`] — and one over its
 //! secondary columns, which a hop against its orientation probes.
 
 use crate::error::{DslogError, Result};
 use crate::interval::Interval;
+use crate::table::column::Column;
 use crate::table::index::TableIndex;
 use crate::table::lineage::LineageTable;
 use std::sync::OnceLock;
@@ -99,8 +103,9 @@ pub struct CompressedTable {
     /// Extent (dimension size) of each attribute, primary-then-secondary
     /// order. Needed for reshaping and bounds reasoning.
     extents: Vec<i64>,
-    /// Columnar cell storage: `columns[k][i]` is row `i`'s attribute `k`.
-    columns: Vec<Vec<Cell>>,
+    /// Columnar cell storage: `columns[k].get(i)` is row `i`'s attribute
+    /// `k`.
+    columns: Vec<Column>,
     /// Number of symbolic cells, maintained incrementally so
     /// [`is_generalized`](Self::is_generalized) is O(1) on the query path.
     sym_count: usize,
@@ -158,35 +163,40 @@ impl CompressedTable {
             primary_arity,
             secondary_arity,
             extents,
-            columns: vec![Vec::new(); primary_arity + secondary_arity],
+            columns: vec![Column::default(); primary_arity + secondary_arity],
             sym_count: 0,
             index: OnceLock::new(),
             secondary_index: OnceLock::new(),
         }
     }
 
-    /// Assemble a table directly from columnar cell storage — the fast path
-    /// shared by the deserializer and the columnar compression pipeline,
-    /// both of which already hold whole columns (no per-row `Vec<Cell>`
-    /// temporaries). All columns must have equal length, and `sym_count`
-    /// must be the number of [`Cell::Sym`] cells among them: both callers
-    /// know it from building the columns (the compressor emits none), so it
-    /// is not re-counted over 24 bytes per cell here.
+    /// Assemble a table directly from whole columns — the fast path shared
+    /// by the deserializer and the columnar compression pipeline, both of
+    /// which build each column in its narrowest form before allocating it
+    /// (no per-row `Vec<Cell>` temporaries). All columns must have equal
+    /// length, and `sym_count` must be the number of [`Cell::Sym`] cells
+    /// among them: both callers know it from building the columns (the
+    /// compressor emits none), so it is not re-counted here.
     pub(crate) fn from_columns(
         orientation: Orientation,
         primary_arity: usize,
         secondary_arity: usize,
         extents: Vec<i64>,
-        columns: Vec<Vec<Cell>>,
+        columns: Vec<Column>,
         sym_count: usize,
     ) -> Self {
         assert!(primary_arity > 0 && secondary_arity > 0);
         assert_eq!(extents.len(), primary_arity + secondary_arity);
         assert_eq!(columns.len(), primary_arity + secondary_arity);
         debug_assert!(columns.iter().all(|c| c.len() == columns[0].len()));
+        debug_assert!(columns.iter().all(|c| *c == Column::collect(c.iter())));
         debug_assert_eq!(
             sym_count,
-            columns.iter().flatten().filter(|c| c.is_sym()).count()
+            columns
+                .iter()
+                .flat_map(Column::iter)
+                .filter(Cell::is_sym)
+                .count()
         );
         Self {
             orientation,
@@ -238,7 +248,7 @@ impl CompressedTable {
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.columns[0].is_empty()
+        self.n_rows() == 0
     }
 
     /// Append a row of cells (primary attributes first).
@@ -254,18 +264,17 @@ impl CompressedTable {
     /// Attribute `k`'s cell of row `i`.
     #[inline]
     pub fn cell(&self, i: usize, k: usize) -> Cell {
-        self.columns[k][i]
+        self.columns[k].get(i)
     }
 
-    /// Attribute `k`'s full column, one cell per row.
-    #[inline]
-    pub fn column(&self, k: usize) -> &[Cell] {
-        &self.columns[k]
+    /// Attribute `k`'s full column, one cell per row, by value.
+    pub fn column(&self, k: usize) -> impl ExactSizeIterator<Item = Cell> + Clone + '_ {
+        self.columns[k].iter()
     }
 
     /// Row `i` materialized as an owned cell vector (primary first).
     pub fn row(&self, i: usize) -> Vec<Cell> {
-        self.columns.iter().map(|col| col[i]).collect()
+        self.columns.iter().map(|col| col.get(i)).collect()
     }
 
     /// Iterate rows as owned cell vectors. Hot paths should prefer
@@ -274,14 +283,17 @@ impl CompressedTable {
         (0..self.n_rows()).map(|i| self.row(i))
     }
 
-    /// Apply `f` to every cell of attribute `k` (used by reshaping).
-    /// Maintains the symbolic-cell count and invalidates the index cache.
+    /// Apply `f` to every cell of attribute `k` (used by reshaping), then
+    /// narrow the column to the form its new cells allow. Maintains the
+    /// symbolic-cell count and invalidates the index cache.
     pub(crate) fn map_column(&mut self, k: usize, mut f: impl FnMut(&mut Cell)) {
-        for cell in &mut self.columns[k] {
+        let mut cells: Vec<Cell> = self.columns[k].iter().collect();
+        for cell in &mut cells {
             self.sym_count -= usize::from(cell.is_sym());
             f(cell);
             self.sym_count += usize::from(cell.is_sym());
         }
+        self.columns[k] = Column::collect(cells.iter().copied());
         self.reset_indexes();
     }
 
@@ -304,9 +316,9 @@ impl CompressedTable {
     }
 
     /// The sorted interval index over the secondary columns' absolute
-    /// extents (see [`extent`](Self::extent)): what a hop against the
-    /// stored orientation probes. Built on first use and cached like
-    /// [`index`](Self::index).
+    /// extents (see [`row_extents`](Self::row_extents)): what a hop
+    /// against the stored orientation probes. Built on first use and
+    /// cached like [`index`](Self::index).
     pub(crate) fn secondary_index(&self) -> Option<&TableIndex> {
         (self.secondary_index)
             .get_or_init(|| TableIndex::build_secondary(self))
@@ -319,18 +331,41 @@ impl CompressedTable {
         let _ = self.index();
     }
 
-    /// Every value attribute `k` takes in row `i`: the interval itself for
-    /// an absolute cell, `[a + δ.lo, b + δ.hi]` for a relative one whose
+    /// Every value row `row`'s `cell` takes: the interval itself for an
+    /// absolute cell, `[a + δ.lo, b + δ.hi]` for a relative one whose
     /// anchor spans `[a, b]`. `None` for a symbolic cell (or one anchored
     /// to a symbolic primary).
-    pub(crate) fn extent(&self, i: usize, k: usize) -> Option<Interval> {
-        match self.columns[k][i] {
+    fn extent(&self, row: usize, cell: Cell) -> Option<Interval> {
+        match cell {
             Cell::Abs(ivl) => Some(ivl),
-            Cell::Rel { anchor, delta } => match self.columns[anchor as usize][i] {
+            Cell::Rel { anchor, delta } => match self.cell(row, anchor as usize) {
                 Cell::Abs(p) => Some(p.minkowski_sum(&delta)),
                 _ => None,
             },
             Cell::Sym { .. } => None,
+        }
+    }
+
+    /// The [`extent`](Self::extent) of every row of attribute `k`, or
+    /// `None` if a row has none. The column's form is matched once, not
+    /// per row.
+    pub(crate) fn row_extents(&self, k: usize) -> Option<Vec<Interval>> {
+        match &self.columns[k] {
+            Column::Points { values, others } => {
+                let mut ivls: Vec<Interval> = values.iter().map(|&v| Interval::point(v)).collect();
+                for &(row, cell) in others {
+                    ivls[row as usize] = self.extent(row as usize, cell)?;
+                }
+                Some(ivls)
+            }
+            Column::Intervals { ivls, .. } => Some(ivls.clone()),
+            Column::Cells { cells, .. } => {
+                let mut ivls = Vec::with_capacity(cells.len());
+                for (row, &cell) in cells.iter().enumerate() {
+                    ivls.push(self.extent(row, cell)?);
+                }
+                Some(ivls)
+            }
         }
     }
 
@@ -366,12 +401,12 @@ impl CompressedTable {
         for i in 0..self.n_rows() {
             // Enumerate the Cartesian product of primary intervals.
             let prim_ivls: Vec<Interval> = (0..pa)
-                .map(|k| match self.columns[k][i] {
+                .map(|k| match self.cell(i, k) {
                     Cell::Abs(ivl) => ivl,
                     _ => unreachable!("primary cells are absolute in instantiated tables"),
                 })
                 .collect();
-            let sec: Vec<Cell> = (pa..pa + sa).map(|k| self.columns[k][i]).collect();
+            let sec: Vec<Cell> = (pa..pa + sa).map(|k| self.cell(i, k)).collect();
             for p in prim_ivls.iter().zip(primary_vals.iter_mut()) {
                 *p.1 = p.0.lo;
             }
@@ -451,6 +486,14 @@ impl std::fmt::Display for CompressedTable {
             writeln!(f, "  {}", parts.join(" | "))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl CompressedTable {
+    /// The columns as held, for the tests of their forms.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
     }
 }
 
@@ -540,7 +583,7 @@ mod tests {
     #[test]
     fn columnar_access_matches_rows() {
         let t = paper_table_ii();
-        assert_eq!(t.column(0), &[Cell::abs(1, 3)]);
+        assert_eq!(t.column(0).collect::<Vec<_>>(), [Cell::abs(1, 3)]);
         assert_eq!(t.cell(0, 2), Cell::abs(1, 2));
         assert_eq!(t.row(0).len(), 3);
     }

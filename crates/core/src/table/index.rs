@@ -10,7 +10,7 @@
 //!   by row id. The sort is core's one kernel (`crate::sort`) over each
 //!   interval's `lo` and length: a column already in order costs one
 //!   check, and a big one radix-sorts;
-//! * alongside the sorted `lo` array, a **max-hi fence** stores the running
+//! * alongside the sorted `lo` array, a **max-hi fence** gives the running
 //!   maximum of `hi` over the sorted prefix.
 //!
 //! For a query interval `[qlo, qhi]`, every candidate row satisfies
@@ -20,6 +20,15 @@
 //! fence is non-decreasing). Rows inside the window still need the exact
 //! per-row intersection check, but the window is tight for the common
 //! sorted/strided lineage layouts ProvRC produces.
+//!
+//! Where a point sits the fence is its own `lo` or an earlier interval's
+//! `hi`, so a column of points needs no fence beyond `los`, and one with a
+//! few intervals only their steps: the positions where an interval raises
+//! the running maximum of `hi` over the intervals before it. An index over
+//! a column where at most half the intervals are wider than a point keeps
+//! the steps, 16 bytes each and no more of them than such intervals: 12
+//! bytes per row (row id and `lo`) plus the steps, where a fence of its own
+//! would make it 20.
 //!
 //! A secondary attribute's interval is its absolute extent over the row:
 //! `[c, d]` for `Abs [c, d]`, and `[a_j + δ.lo, b_j + δ.hi]` for a cell
@@ -40,35 +49,62 @@ pub struct ColumnIndex {
     order: Vec<u32>,
     /// `lo` of each interval, in sorted (`order`) position.
     los: Vec<i64>,
+    fence: Fence,
+}
+
+/// The max-hi fence of a [`ColumnIndex`], whole or as the steps that
+/// raise it above `los`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Fence {
     /// Running maximum of `hi` over the sorted prefix (non-decreasing).
-    max_hi_fence: Vec<i64>,
+    Dense(Vec<i64>),
+    /// Each sorted position (ascending) whose interval, wider than a
+    /// point, ends above every wider-than-point interval before it, with
+    /// that `hi`. At position `p` the fence is the larger of `los[p]` and
+    /// the last step at or before `p`. Empty over points.
+    Steps(Vec<(u32, i64)>),
+}
+
+impl Fence {
+    /// The fence over `ivls` sorted as `order`: the steps when at most
+    /// half the intervals are wider than a point (there are no more steps
+    /// than those), else whole.
+    fn new(ivls: &[Interval], order: &[u32]) -> Fence {
+        let wide = ivls.iter().filter(|ivl| !ivl.is_point()).count();
+        if 2 * wide > ivls.len() {
+            let mut running = i64::MIN;
+            return Fence::Dense(
+                (order.iter())
+                    .map(|&row| {
+                        running = running.max(ivls[row as usize].hi);
+                        running
+                    })
+                    .collect(),
+            );
+        }
+        let mut steps = Vec::with_capacity(wide);
+        if wide > 0 {
+            for (pos, &row) in order.iter().enumerate() {
+                let ivl = ivls[row as usize];
+                if !ivl.is_point() && steps.last().is_none_or(|&(_, hi)| ivl.hi > hi) {
+                    steps.push((pos as u32, ivl.hi));
+                }
+            }
+        }
+        steps.shrink_to_fit();
+        Fence::Steps(steps)
+    }
 }
 
 impl ColumnIndex {
-    /// Build from one attribute's per-row extents. Returns `None` when any
-    /// row has none (generalized tables cannot be indexed).
-    fn build(extents: impl ExactSizeIterator<Item = Option<Interval>>) -> Option<ColumnIndex> {
-        let mut ivls = Vec::with_capacity(extents.len());
-        for ivl in extents {
-            ivls.push(ivl?);
-        }
+    /// Build from one attribute's per-row extents.
+    fn build(ivls: &[Interval]) -> ColumnIndex {
         let mut keys = KeySort::default();
-        keys.sort(ivls.len(), 1, &Extents(&ivls));
+        keys.sort(ivls.len(), 1, &Extents(ivls));
         let order: Vec<u32> = keys.rows().collect();
         let los = order.iter().map(|&row| ivls[row as usize].lo).collect();
-        let mut running = i64::MIN;
-        let max_hi_fence = order
-            .iter()
-            .map(|&row| {
-                running = running.max(ivls[row as usize].hi);
-                running
-            })
-            .collect();
-        Some(ColumnIndex {
-            order,
-            los,
-            max_hi_fence,
-        })
+        let fence = Fence::new(ivls, &order);
+        ColumnIndex { order, los, fence }
     }
 
     /// Half-open window `[start, end)` of sorted positions that can
@@ -76,7 +112,18 @@ impl ColumnIndex {
     /// positions inside still need the per-row intersection check.
     pub fn candidate_window(&self, q: &Interval) -> (usize, usize) {
         let end = self.los.partition_point(|&lo| lo <= q.hi);
-        let start = self.max_hi_fence[..end].partition_point(|&fence| fence < q.lo);
+        let start = match &self.fence {
+            Fence::Dense(fence) => fence[..end].partition_point(|&hi| hi < q.lo),
+            // The first position the fence reaches `q.lo` at is the first
+            // whose `lo` does, or an earlier step's that reaches it.
+            Fence::Steps(steps) => {
+                let start = self.los[..end].partition_point(|&lo| lo < q.lo);
+                let step = steps.partition_point(|&(_, hi)| hi < q.lo);
+                steps
+                    .get(step)
+                    .map_or(start, |&(pos, _)| start.min(pos as usize))
+            }
+        };
         (start, end)
     }
 
@@ -127,7 +174,7 @@ impl TableIndex {
 
     fn over(table: &CompressedTable, attrs: Range<usize>) -> Option<TableIndex> {
         let columns = attrs
-            .map(|k| ColumnIndex::build((0..table.n_rows()).map(|row| table.extent(row, k))))
+            .map(|k| Some(ColumnIndex::build(&table.row_extents(k)?)))
             .collect::<Option<Vec<_>>>()?;
         Some(TableIndex { columns })
     }
@@ -187,6 +234,16 @@ mod tests {
     }
 
     #[test]
+    fn point_columns_keep_no_fence() {
+        let t = table_with_primaries(&[ivl(7, 7), ivl(3, 3), ivl(5, 5), ivl(3, 3)]);
+        let idx = TableIndex::build(&t).unwrap();
+        assert_eq!(idx.columns[0].fence, Fence::Steps(Vec::new()));
+        assert_eq!(idx.probe(&[ivl(3, 5)]), &[1, 3, 2]);
+        assert_eq!(idx.probe(&[ivl(4, 4)]), &[] as &[u32]);
+        assert_eq!(idx.probe(&[ivl(6, 9)]), &[0]);
+    }
+
+    #[test]
     fn fence_keeps_long_early_interval_visible() {
         // Row 0 starts early but spans far; a late query must still see it.
         let t = table_with_primaries(&[ivl(0, 90), ivl(1, 2), ivl(3, 4), ivl(80, 85)]);
@@ -242,17 +299,59 @@ mod tests {
             .map(|(row, ivl)| (ivl.lo, ivl.hi, row as u32))
             .collect();
         keyed.sort_unstable();
-        let mut running = i64::MIN;
+        let order: Vec<u32> = keyed.iter().map(|k| k.2).collect();
         ColumnIndex {
-            order: keyed.iter().map(|k| k.2).collect(),
+            fence: Fence::new(extents, &order),
+            order,
             los: keyed.iter().map(|k| k.0).collect(),
-            max_hi_fence: keyed
-                .iter()
-                .map(|k| {
-                    running = running.max(k.1);
-                    running
-                })
-                .collect(),
+        }
+    }
+
+    #[test]
+    fn fence_steps_give_the_dense_fences_windows() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 17) % modulus
+        };
+        // Points with no, a few and many intervals among them: steps, then
+        // a dense fence once the intervals pass half the rows.
+        for wide_in in [0u64, 1000, 20, 3, 1] {
+            for n in [0usize, 1, 5, 300] {
+                let extents: Vec<Interval> = (0..n)
+                    .map(|_| {
+                        let lo = next(500) as i64;
+                        match wide_in > 0 && next(wide_in) == 0 {
+                            true => ivl(lo, lo + next(200) as i64),
+                            false => ivl(lo, lo),
+                        }
+                    })
+                    .collect();
+                let built = ColumnIndex::build(&extents);
+                let mut running = i64::MIN;
+                let dense = ColumnIndex {
+                    fence: Fence::Dense(
+                        (built.order.iter())
+                            .map(|&row| {
+                                running = running.max(extents[row as usize].hi);
+                                running
+                            })
+                            .collect(),
+                    ),
+                    ..built.clone()
+                };
+                let wide = extents.iter().filter(|e| !e.is_point()).count();
+                match &built.fence {
+                    Fence::Steps(steps) => assert!(steps.len() <= wide && 2 * wide <= n),
+                    Fence::Dense(_) => assert!(2 * wide > n),
+                }
+                for lo in -1..720 {
+                    let q = ivl(lo, lo + next(30) as i64);
+                    assert_eq!(built.candidate_window(&q), dense.candidate_window(&q));
+                }
+            }
         }
     }
 
@@ -285,7 +384,7 @@ mod tests {
                 let extents: Vec<Interval> = (0..n)
                     .map(|_| shape(next(1 << 40) as i64, next(1 << 20) as i64))
                     .collect();
-                let built = ColumnIndex::build(extents.iter().map(|&e| Some(e))).unwrap();
+                let built = ColumnIndex::build(&extents);
                 assert_eq!(built, tuple_sort_build(&extents), "{name}, n = {n}");
             }
         }

@@ -439,7 +439,7 @@ fn one_cell_runs_decode_like_merged_runs() {
     .unwrap();
     assert_eq!(split, merged);
     assert_eq!(
-        split.column(0),
+        split.column(0).collect::<Vec<_>>(),
         [Cell::point(0), Cell::point(1), Cell::point(2)]
     );
     assert_eq!(

@@ -372,7 +372,7 @@ fn mixed_abs_rel_secondary_parity() {
     }
     let (out_shape, in_shape) = ([9, 6], [2 * base as usize]);
     let fast = provrc::compress(&t, &out_shape, &in_shape, Orientation::Backward);
-    let kinds = fast.column(2).iter().map(|c| matches!(c, Cell::Rel { .. }));
+    let kinds = fast.column(2).map(|c| matches!(c, Cell::Rel { .. }));
     assert_eq!(kinds.clone().filter(|&rel| rel).count(), 6, "{fast:?}");
     assert!(kinds.clone().any(|rel| !rel), "{fast:?}");
     assert_parity_fixed(&t, &out_shape, &in_shape);

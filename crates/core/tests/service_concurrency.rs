@@ -463,6 +463,15 @@ fn opens_beside_a_committing_handle_lose_no_commit() {
         corrupt.first()
     );
     assert!(opened > 0, "no open succeeded beside the writer");
+    // An open whose replay names a segment a commit then deletes reads the
+    // moved log again, so next to no open fails.
+    let opens = opened + errors.len();
+    assert!(
+        errors.len() * 100 < opens,
+        "{} of {opens} opens failed beside the writer, first {:?}",
+        errors.len(),
+        errors.first()
+    );
 
     let last = db.bound_database().unwrap().2;
     let reopened = Dslog::options().open(&dir).unwrap();

@@ -51,6 +51,18 @@ pub(crate) fn slot(j: usize) -> i64 {
     i64::MIN + j as i64
 }
 
+/// Row `i`'s cell in a [`Column::Points`] whose slot holds `v`, a value
+/// below `slot(others.len())`: out of line, so that the points' path
+/// stays short where hop loops inline it.
+#[cold]
+#[inline(never)]
+fn other(others: &[(u32, Cell)], i: usize, v: i64) -> Cell {
+    match others.get(v.abs_diff(i64::MIN) as usize) {
+        Some(&(row, cell)) if row as usize == i => cell,
+        _ => Cell::point(v),
+    }
+}
+
 fn is_point(cell: &Cell) -> bool {
     matches!(cell, Cell::Abs(ivl) if ivl.is_point())
 }
@@ -109,10 +121,10 @@ impl Column {
         match self {
             Column::Points { values, others } => {
                 let v = values[i];
-                match others.get(v.abs_diff(i64::MIN) as usize) {
-                    Some(&(row, cell)) if row as usize == i => cell,
-                    _ => Cell::point(v),
+                if v < slot(others.len()) {
+                    return other(others, i, v);
                 }
+                Cell::point(v)
             }
             Column::Intervals { ivls, .. } => Cell::Abs(ivls[i]),
             Column::Cells { cells, .. } => cells[i],

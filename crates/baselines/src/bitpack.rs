@@ -1,7 +1,7 @@
 //! Fixed-width bit packing of unsigned integer slices.
 
-use crate::bitio::{BitReader, BitWriter};
-use crate::Result;
+use dslog_codecs::bitio::{BitReader, BitWriter};
+use dslog_codecs::Result;
 
 /// Number of bits needed to represent `v` (0 needs 0 bits).
 #[inline]

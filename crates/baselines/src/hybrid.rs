@@ -11,9 +11,9 @@
 //! Runs of ≥ 8 identical values become RLE groups; everything else is
 //! bit-packed in multiples of 8 (the tail is padded with zeros).
 
-use crate::bitio::{BitReader, BitWriter};
-use crate::varint::{read_uvarint, write_uvarint};
-use crate::{CodecError, Result};
+use dslog_codecs::bitio::{BitReader, BitWriter};
+use dslog_codecs::varint::{read_uvarint, write_uvarint};
+use dslog_codecs::{CodecError, Result};
 
 const MIN_RLE_RUN: usize = 8;
 

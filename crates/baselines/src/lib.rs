@@ -15,13 +15,25 @@
 //! stand-in: an in-memory columnar table with multi-key hash joins for the
 //! chained lineage queries, plus the batched "vectorized equality" scan
 //! used by the Array baseline (§VII.D).
+//!
+//! The column encodings the Parquet and Turbo-RC formats are built from
+//! live here too; DSLog's own format needs none of them:
+//!
+//! * [`bitpack`] — fixed-width bit packing of integer slices.
+//! * [`rle`] — plain run-length encoding of `i64` columns.
+//! * [`hybrid`] — Parquet-style RLE / bit-packing hybrid encoding.
+//! * [`dict`] — dictionary encoding of integer columns.
 
 #![forbid(unsafe_code)]
 
 pub mod array_store;
+pub mod bitpack;
+pub mod dict;
+pub mod hybrid;
 pub mod parquetlike;
 pub mod raw;
 pub mod relengine;
+pub mod rle;
 pub mod turborc;
 
 use dslog::table::LineageTable;

@@ -13,10 +13,10 @@
 //!     encoding u8 (0 plain, 1 dict) | payload_len varint | payload } }
 //! ```
 
-use crate::LineageFormat;
+use crate::{bitpack, dict, hybrid, LineageFormat};
 use dslog::table::LineageTable;
+use dslog_codecs::gzip;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use dslog_codecs::{bitpack, dict, gzip, hybrid};
 
 const MAGIC: &[u8; 4] = b"DSPQ";
 /// Parquet's default row group is large; ours is sized for the scaled-down

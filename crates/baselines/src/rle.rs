@@ -5,8 +5,8 @@
 //! to `(value, run_length)` pairs, serialized as zig-zag varints, and the
 //! resulting byte stream is typically fed into the Huffman entropy stage.
 
-use crate::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
-use crate::Result;
+use dslog_codecs::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
+use dslog_codecs::Result;
 
 /// One maximal run of a repeated value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,10 +7,10 @@
 //! the decompression overhead is exactly what makes Turbo-RC "highly
 //! unsuitable for more selective queries" in the paper's Fig. 8.
 
-use crate::LineageFormat;
+use crate::{rle, LineageFormat};
 use dslog::table::LineageTable;
+use dslog_codecs::huffman;
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
-use dslog_codecs::{huffman, rle};
 
 const MAGIC: &[u8; 4] = b"DSTR";
 

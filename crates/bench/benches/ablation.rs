@@ -34,28 +34,14 @@ fn merge_ablation(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("DSLog", |b| {
         b.iter(|| {
-            db.prov_query_opts(
-                &path,
-                &cells,
-                QueryOptions {
-                    merge: true,
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap()
+            db.prov_query_opts(&path, &cells, QueryOptions { merge: true })
+                .unwrap()
         })
     });
     group.bench_function("DSLog-NoMerge", |b| {
         b.iter(|| {
-            db.prov_query_opts(
-                &path,
-                &cells,
-                QueryOptions {
-                    merge: false,
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap()
+            db.prov_query_opts(&path, &cells, QueryOptions { merge: false })
+                .unwrap()
         })
     });
     group.finish();

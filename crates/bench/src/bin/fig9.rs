@@ -108,15 +108,8 @@ fn run_experiment(
         // DSLog-NoMerge.
         if with_extras {
             let (r2, t2) = timed(|| {
-                db.prov_query_opts(
-                    &path,
-                    &cells,
-                    QueryOptions {
-                        merge: false,
-                        ..QueryOptions::default()
-                    },
-                )
-                .unwrap()
+                db.prov_query_opts(&path, &cells, QueryOptions { merge: false })
+                    .unwrap()
             });
             assert_eq!(r2.cells.cell_set(), truth, "no-merge must agree");
             stats[col].push(t2);

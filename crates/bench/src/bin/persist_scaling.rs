@@ -21,13 +21,18 @@
 //! edges)" against the history behind it: one handle commits one tiny edge
 //! at a time, and at 10 / 100 / 1 000 committed edges the series records,
 //! over the commits that wrote no checkpoint, the commit p50, the bytes a
-//! commit writes (segment + `ops.log` growth) and the log growth alone; and
+//! commit writes (segment + `ops.log` growth), the log growth alone and
+//! the gated IOs a commit makes (counted by an `IoPolicy` that never
+//! trips); and
 //! separately the checkpoint commits so far (a commit writes the catalog
 //! once the edges committed since the last checkpoint reach its edge count:
 //! after 1, 2, 4, … edges), with their p50 and the bytes of the last one.
 //! The bin asserts a non-checkpoint commit at the last step writes at most
-//! 2x the bytes it writes at the first step, and prints the numbers the
-//! parent commit gave beside them.
+//! 2x the bytes it writes at the first step and that every non-checkpoint
+//! commit makes the same number of gated IOs, and prints the numbers the
+//! parent commit gave beside them. The commit p50 is reported, not gated:
+//! on a shared box it swings several-fold between runs of the same code,
+//! while the IO count and the bytes do not move.
 //!
 //! The **`cold_open`** object says where a cold start's time goes: the
 //! crc32 rate over the bytes of the generations axis' accreted chain and
@@ -45,11 +50,13 @@
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::storage::format;
+use dslog::storage::wal::{IoFault, IoPolicy};
 use dslog::table::LineageTable;
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_workloads::edges;
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::sync::Arc;
 
 struct Point {
     rows: usize,
@@ -486,6 +493,8 @@ struct HistoryPoint {
     log_bytes: u64,
     /// Mean growth of `ops.log` over those commits.
     log_bytes_per_commit: u64,
+    /// Gated IOs each of those commits made (every one makes the same).
+    ios_per_commit: u64,
     /// Commits up to this step that wrote a checkpoint.
     checkpoints: usize,
     /// p50 of those checkpoint commits.
@@ -522,11 +531,15 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
     let _ = std::fs::remove_dir_all(&dir);
     let log = dir.join(dslog::storage::wal::OPS_LOG_FILE);
     let log_len = || std::fs::metadata(&log).map_or(0, |m| m.len());
-    let mut db = Dslog::options().create(&dir).unwrap();
+    let ios = IoPolicy::fail_at(IoFault::WriteError, u64::MAX);
+    let mut db = Dslog::options()
+        .io_policy(Arc::clone(&ios))
+        .create(&dir)
+        .unwrap();
     let mut points = Vec::with_capacity(steps.len());
-    // (seconds, bytes written, log growth) per commit, split by whether
-    // it wrote a checkpoint.
-    let mut plain: Vec<(f64, u64, u64)> = Vec::new();
+    // (seconds, bytes written, log growth, gated IOs) per commit, split by
+    // whether it wrote a checkpoint.
+    let mut plain: Vec<(f64, u64, u64, u64)> = Vec::new();
     let mut checkpoints = Vec::new();
     for edges in 1..=steps.last().copied().unwrap_or(0) {
         let (x, y, t) = small_edge(edges);
@@ -534,7 +547,9 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
         db.define_array(&y, &[8]).unwrap();
         db.add_lineage(&x, &y, &TableCapture::new(t)).unwrap();
         let before = log_len();
+        let ios_before = ios.ios_seen();
         let (report, commit_s) = timed(|| db.commit().unwrap());
+        let commit_ios = ios.ios_seen() - ios_before;
         assert_eq!(
             (report.files_written, report.files_reused),
             (1, edges - 1),
@@ -542,10 +557,16 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
         );
         let grown = log_len() - before;
         let (generation, catalog_len) = catalog_generation(&dir);
-        let sample = (commit_s, report.bytes_written + grown, grown);
+        let sample = (commit_s, report.bytes_written + grown, grown, commit_ios);
         if generation == report.generation {
             checkpoints.push((commit_s, sample.1 + catalog_len, grown));
         } else {
+            let first = plain.first().map_or(commit_ios, |c| c.3);
+            assert_eq!(
+                commit_ios, first,
+                "the commit of edge {edges} made {commit_ios} gated IOs, the first \
+                 non-checkpoint commit {first}"
+            );
             plain.push(sample);
         }
         if steps.contains(&edges) {
@@ -558,6 +579,7 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
                 bytes_per_commit: recent.iter().map(|c| c.1).sum::<u64>() / recent.len() as u64,
                 log_bytes: log_len(),
                 log_bytes_per_commit: recent.iter().map(|c| c.2).sum::<u64>() / recent.len() as u64,
+                ios_per_commit: recent[0].3,
                 checkpoints: checkpoints.len(),
                 checkpoint_p50_s: if checkpoint_times.is_empty() {
                     0.0
@@ -754,6 +776,7 @@ fn main() {
         "bytes/commit",
         "ops.log bytes",
         "log bytes/commit",
+        "IOs/commit",
         "checkpoints",
         "checkpoint p50",
         "last checkpoint bytes",
@@ -765,6 +788,7 @@ fn main() {
             pt.bytes_per_commit.to_string(),
             pt.log_bytes.to_string(),
             pt.log_bytes_per_commit.to_string(),
+            pt.ios_per_commit.to_string(),
             pt.checkpoints.to_string(),
             secs(pt.checkpoint_p50_s),
             pt.checkpoint_bytes.to_string(),
@@ -777,6 +801,7 @@ fn main() {
             bytes.to_string(),
             log_bytes.to_string(),
             per_commit.to_string(),
+            String::new(),
             String::new(),
             String::new(),
             String::new(),
@@ -803,12 +828,13 @@ fn main() {
         history
             .iter()
             .map(|pt| format!(
-                "{{\"edges\":{},\"commit_p50_s\":{:.9},\"bytes_per_commit\":{},\"log_bytes\":{},\"log_bytes_per_commit\":{},\"checkpoints\":{},\"checkpoint_p50_s\":{:.9},\"checkpoint_bytes\":{}}}",
+                "{{\"edges\":{},\"commit_p50_s\":{:.9},\"bytes_per_commit\":{},\"log_bytes\":{},\"log_bytes_per_commit\":{},\"ios_per_commit\":{},\"checkpoints\":{},\"checkpoint_p50_s\":{:.9},\"checkpoint_bytes\":{}}}",
                 pt.edges,
                 pt.commit_p50_s,
                 pt.bytes_per_commit,
                 pt.log_bytes,
                 pt.log_bytes_per_commit,
+                pt.ios_per_commit,
                 pt.checkpoints,
                 pt.checkpoint_p50_s,
                 pt.checkpoint_bytes

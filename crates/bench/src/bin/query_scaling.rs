@@ -6,10 +6,13 @@
 //! 2. **Composite edges** — an 8-hop chain queried repeatedly: past the
 //!    hit threshold the planner materializes the joined path as one
 //!    compressed table, and a composite hit must beat re-executing the
-//!    chain ≥ 5× at full scale.
+//!    chain hop by hop through the public per-hop API (`resolve_hop`,
+//!    `QueryExec::hop`, `BoxTable::merge`) ≥ 5× at full scale.
 //! 3. **Batched queries** — 1000 queries sharing a 3-hop path with heavy
 //!    cell overlap; the deduplicated batch sweep must beat a per-query
-//!    loop ≥ 3× at full scale.
+//!    loop ≥ 3× at full scale. Both sides take the planner's route, which
+//!    the bench records (`path_order` at full scale, where the chain's
+//!    support is past the composite cap; `composite` at small scales).
 //! 4. **Where a query's time goes** — the benchmark's `pipeline_query` mix
 //!    (its 12 random numpy pipelines, both directions, 1 / 16 / 256 start
 //!    cells in rotation) replayed stage by stage: each stage is timed at
@@ -30,8 +33,8 @@
 //!
 //! Run: `cargo run -p dslog-bench --release --bin query_scaling [--scale f]`
 
-use dslog::api::{Dslog, TableCapture};
-use dslog::query::{QueryExec, QueryOptions};
+use dslog::api::{Dslog, QueryResult, TableCapture};
+use dslog::query::QueryExec;
 use dslog::table::{BoxTable, LineageTable, Orientation};
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_oracle::boxes::merge_reference;
@@ -63,10 +66,7 @@ fn measure(rows: usize, reps: usize) -> Point {
     let start = (rows / 3) as i64;
     let cells: Vec<Vec<i64>> = (start..start + 8).map(|v| vec![v]).collect();
 
-    let query = || {
-        db.prov_query_opts(&["B", "A"], &cells, QueryOptions::default())
-            .unwrap()
-    };
+    let query = || db.prov_query(&["B", "A"], &cells).unwrap();
 
     // Parity check before timing: the answer is the raw relation's.
     let expected = reference::step(
@@ -120,13 +120,6 @@ fn chain_path(hops: usize) -> Vec<String> {
     (0..=hops).map(|i| format!("S{i}")).collect()
 }
 
-fn opts(use_planner: bool) -> QueryOptions {
-    QueryOptions {
-        use_planner,
-        ..QueryOptions::default()
-    }
-}
-
 struct Versus {
     fast_p50: f64,
     slow_p50: f64,
@@ -145,8 +138,31 @@ fn versus(reps: usize, mut fast: impl FnMut(), mut slow: impl FnMut()) -> Versus
     }
 }
 
+/// `path` run in order through the public per-hop API, as
+/// `dslog_benchmark`'s query trace runs it: resolve each hop, join, merge,
+/// stop at an empty frontier.
+fn reexecute(db: &Dslog, path: &[&str], cells: &[Vec<i64>]) -> BoxTable {
+    let exec = QueryExec::default();
+    let mut frontier = BoxTable::from_cells(cells[0].len(), cells);
+    for hop in path.windows(2) {
+        if frontier.is_empty() {
+            break;
+        }
+        let (table, _) = db.storage().resolve_hop(hop[0], hop[1]).unwrap();
+        let (mut out, _) = exec.hop(&frontier, &table).unwrap();
+        out.merge();
+        frontier = out;
+    }
+    frontier
+}
+
+/// The planner's route label of a query's stats.
+fn route(result: &QueryResult) -> &'static str {
+    result.stats.plan.as_ref().unwrap().decision.label()
+}
+
 /// Experiment 2: 8-hop chain whose first hop has a small support, queried
-/// repeatedly. Composite hit vs re-executing the path.
+/// repeatedly. Composite hit vs re-executing the path hop by hop.
 fn measure_composite(n: usize, reps: usize) -> (usize, Versus) {
     const HOPS: usize = 8;
     let mut db = Dslog::new();
@@ -173,41 +189,39 @@ fn measure_composite(n: usize, reps: usize) -> (usize, Versus) {
 
     // Warm across the hit threshold: the third sighting materializes.
     for _ in 0..3 {
-        db.prov_query_opts(&path, &cells, opts(true)).unwrap();
+        db.prov_query(&path, &cells).unwrap();
     }
     assert!(
         db.storage().has_composite(&path),
         "composite never materialized"
     );
-    let hit = db.prov_query_opts(&path, &cells, opts(true)).unwrap();
-    assert_eq!(
-        hit.stats.plan.as_ref().unwrap().decision.label(),
-        "composite"
-    );
+    let hit = db.prov_query(&path, &cells).unwrap();
+    assert_eq!(route(&hit), "composite");
     assert_eq!(hit.hops, 1, "composite serve must be a single probe");
-    let reexec = db.prov_query_opts(&path, &cells, opts(false)).unwrap();
     assert_eq!(
         hit.cells.cell_set(),
-        reexec.cells.cell_set(),
+        reexecute(&db, &path, &cells).cell_set(),
         "composite parity violation"
     );
 
     let v = versus(
         reps,
         || {
-            db.prov_query_opts(&path, &cells, opts(true)).unwrap();
+            db.prov_query(&path, &cells).unwrap();
         },
         || {
-            db.prov_query_opts(&path, &cells, opts(false)).unwrap();
+            reexecute(&db, &path, &cells);
         },
     );
     (support, v)
 }
 
 /// Experiment 3: 1000 queries over a 3-hop chain, 4 cells each drawn from
-/// a 64-cell pool (heavy overlap). One batch sweep vs a per-query loop,
-/// planner off on both sides to isolate the batching win.
-fn measure_batch(n: usize, reps: usize) -> (usize, Versus) {
+/// a 64-cell pool (heavy overlap). One batch sweep vs a per-query loop.
+/// Both sides take the route the planner gives them; returns those routes
+/// (batch, loop) as measured: the chain's support is its row count, so a
+/// composite forms only below the cap (`n` ≤ 65 536).
+fn measure_batch(n: usize, reps: usize) -> (usize, Versus, [&'static str; 2]) {
     const HOPS: usize = 3;
     const QUERIES: usize = 1000;
     let mut db = Dslog::new();
@@ -220,11 +234,9 @@ fn measure_batch(n: usize, reps: usize) -> (usize, Versus) {
         .map(|q| (0..4).map(|k| vec![pool[(q * 7 + k) % 64]]).collect())
         .collect();
 
-    let batch = db
-        .prov_query_batch_opts(&path, &queries, opts(false))
-        .unwrap();
+    let batch = db.prov_query_batch(&path, &queries).unwrap();
     for (result, query) in batch.iter().zip(&queries) {
-        let single = db.prov_query_opts(&path, query, opts(false)).unwrap();
+        let single = db.prov_query(&path, query).unwrap();
         assert_eq!(
             result.cells.cell_set(),
             single.cells.cell_set(),
@@ -232,19 +244,23 @@ fn measure_batch(n: usize, reps: usize) -> (usize, Versus) {
         );
     }
 
+    let routes = [
+        route(&db.prov_query_batch(&path, &queries).unwrap()[0]),
+        route(&db.prov_query(&path, &queries[0]).unwrap()),
+    ];
+
     let v = versus(
         reps,
         || {
-            db.prov_query_batch_opts(&path, &queries, opts(false))
-                .unwrap();
+            db.prov_query_batch(&path, &queries).unwrap();
         },
         || {
             for query in &queries {
-                db.prov_query_opts(&path, query, opts(false)).unwrap();
+                db.prov_query(&path, query).unwrap();
             }
         },
     );
-    (QUERIES, v)
+    (QUERIES, v, routes)
 }
 
 /// Experiment 4's stages, in the order a query meets them.
@@ -416,7 +432,7 @@ fn main() {
     let full_scale = scale >= 1.0;
 
     let (co_support, co) = measure_composite(n, 9);
-    let (ba_queries, ba) = measure_batch(n, 5);
+    let (ba_queries, ba, [ba_route, loop_route]) = measure_batch(n, 5);
 
     let mut t2 = TextTable::new(&["experiment", "fast p50", "baseline p50", "speedup"]);
     t2.row(&[
@@ -426,7 +442,7 @@ fn main() {
         format!("{:.1}x", co.speedup),
     ]);
     t2.row(&[
-        format!("batch {ba_queries} vs loop (n={n})"),
+        format!("batch {ba_queries} vs loop (n={n}, {ba_route} vs {loop_route})"),
         secs(ba.fast_p50),
         secs(ba.slow_p50),
         format!("{:.1}x", ba.speedup),
@@ -460,7 +476,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"query_scaling\",\"scale\":{scale},\"hop\":\"backward\",\"query_cells\":8,\"reps\":{reps},\"series\":[{json_rows}],\
          \"composite\":{{\"hops\":8,\"rows\":{n},\"support\":{co_support},\"hit_p50_s\":{:.9},\"reexec_p50_s\":{:.9},\"speedup\":{:.2}}},\
-         \"batch\":{{\"queries\":{ba_queries},\"hops\":3,\"rows\":{n},\"batch_p50_s\":{:.9},\"loop_p50_s\":{:.9},\"speedup\":{:.2}}},\
+         \"batch\":{{\"queries\":{ba_queries},\"hops\":3,\"rows\":{n},\"batch_route\":\"{ba_route}\",\"loop_route\":\"{loop_route}\",\"batch_p50_s\":{:.9},\"loop_p50_s\":{:.9},\"speedup\":{:.2}}},\
          \"stages\":{{\"queries\":{st_queries},\"initial_cells\":{stage_cells},{}}}}}\n",
         co.fast_p50, co.slow_p50, co.speedup,
         ba.fast_p50, ba.slow_p50, ba.speedup,

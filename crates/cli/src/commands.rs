@@ -26,7 +26,7 @@ USAGE:
                   [--retain N]
   dslog stats     --db DIR [--lazy]
   dslog query     --db DIR --path B,A --cells \"1;2;0\" [--no-merge]
-                  [--no-planner] [--stats] [--lazy] [--as-of GEN]
+                  [--stats] [--lazy] [--as-of GEN]
   dslog export    --db DIR --edge IN,OUT [--csv FILE]
   dslog db verify DIR
   dslog db history DIR
@@ -105,10 +105,10 @@ The stream stops at the first failed command, with an error naming its
 line. CSV files are ingested with `dslog ingest --csv`.
 
 `query` serves hot multi-hop paths from composite edges and runs every
-other path in order; --no-planner runs the literal path order, with no
-composites, for ablation. --stats prints the planner decision
-and per-hop probe counts. Each edge stores one (backward) table; a
-forward hop reads that same table in reverse.
+other path in order; --no-merge skips the merge between hops, for
+ablation. --stats prints the planner decision and per-hop probe counts.
+Each edge stores one (backward) table; a forward hop reads that same
+table in reverse.
 
 Commits are incremental: only edges added since the last
 commit are written; everything else is re-referenced by the new
@@ -243,7 +243,7 @@ pub fn stats(args: &[String]) -> Result<String, String> {
 
 /// `dslog query`: forward/backward lineage along a path.
 pub fn query(args: &[String]) -> Result<String, String> {
-    let own = ["path", "cells", "no-merge", "no-planner", "stats"];
+    let own = ["path", "cells", "no-merge", "stats"];
     let opts = Opts::parse("query", &[&READER_FLAGS[..], &own].concat(), args)?;
     let db = open_db(&opts)?;
     let path_spec = opts.required("path")?;
@@ -259,7 +259,6 @@ pub fn query(args: &[String]) -> Result<String, String> {
             &cells,
             dslog::query::QueryOptions {
                 merge: !opts.switch("no-merge"),
-                use_planner: !opts.switch("no-planner"),
             },
         )
         .map_err(|e| e.to_string())?;
@@ -274,12 +273,9 @@ pub fn query(args: &[String]) -> Result<String, String> {
     )
     .unwrap();
     if opts.switch("stats") {
-        let plan = result
-            .stats
-            .plan
-            .as_ref()
-            .map_or("off", |p| p.decision.label());
-        writeln!(out, "  plan: {plan}").unwrap();
+        if let Some(plan) = &result.stats.plan {
+            writeln!(out, "  plan: {}", plan.decision.label()).unwrap();
+        }
         for (i, h) in result.stats.hops.iter().enumerate() {
             writeln!(
                 out,

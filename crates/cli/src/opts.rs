@@ -11,7 +11,7 @@ pub struct Opts {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["gzip", "no-merge", "no-planner", "stats", "lazy"];
+const SWITCHES: &[&str] = &["gzip", "no-merge", "stats", "lazy"];
 
 impl Opts {
     /// Parse the `--key value` / `--switch` arguments of `command`, which

@@ -1,14 +1,11 @@
 //! Compression codec primitives used across DSLog.
 //!
 //! This crate is a self-contained substrate implementing the byte- and
-//! bit-level encodings the DSLog paper's storage formats depend on:
+//! bit-level encodings DSLog's storage format depends on (the column
+//! encodings only the baseline formats use live in `dslog-baselines`):
 //!
 //! * [`varint`] — LEB128 unsigned varints and zig-zag signed varints.
 //! * [`bitio`] — LSB-first bit-level reader/writer.
-//! * [`bitpack`] — fixed-width bit packing of integer slices.
-//! * [`rle`] — plain run-length encoding of `i64` columns.
-//! * [`hybrid`] — Parquet-style RLE / bit-packing hybrid encoding.
-//! * [`dict`] — dictionary encoding of integer columns.
 //! * [`huffman`] — canonical, length-limited Huffman coding.
 //! * [`lz77`] — hash-chain LZ77 matcher (32 KiB window).
 //! * [`deflate`] — a DEFLATE-style block format (LZ77 + dynamic Huffman).
@@ -25,15 +22,11 @@
 #![forbid(unsafe_code)]
 
 pub mod bitio;
-pub mod bitpack;
 pub mod crc32;
 pub mod deflate;
-pub mod dict;
 pub mod gzip;
 pub mod huffman;
-pub mod hybrid;
 pub mod lz77;
-pub mod rle;
 pub mod varint;
 
 /// Errors produced while decoding any of the codec formats in this crate.

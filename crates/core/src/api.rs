@@ -161,13 +161,6 @@ impl OpenOptions {
         self
     }
 
-    /// Default query-execution options (merge step, planner — each an
-    /// ablation switch; see [`QueryOptions`]).
-    pub fn query(mut self, opts: QueryOptions) -> Self {
-        self.config.query = opts;
-        self
-    }
-
     /// Background-compaction policy, honored by
     /// [`crate::service::DslogService`] after each successful commit.
     pub fn maintenance(mut self, policy: MaintenancePolicy) -> Self {
@@ -275,8 +268,6 @@ pub struct DslogConfig {
     pub wal_actor: String,
     /// Prior generations each commit keeps on disk for `as_of` opens.
     pub wal_retention: u32,
-    /// Default query-execution options.
-    pub query: QueryOptions,
     /// Background-compaction policy.
     pub maintenance: MaintenancePolicy,
 }
@@ -295,7 +286,6 @@ pub struct Dslog {
     /// Shared by epoch clones; only `register_operation` writes it, and
     /// copies it first if an epoch shares it.
     reuse: Arc<ReuseManager>,
-    query_options: QueryOptions,
     pub(crate) maintenance: MaintenancePolicy,
     lazy: bool,
     as_of: Option<u64>,
@@ -326,7 +316,6 @@ impl Dslog {
             io_policy: s.io_policy.clone(),
             wal_actor: s.actor.clone(),
             wal_retention: s.retain,
-            query: self.query_options,
             maintenance: self.maintenance,
         }
     }
@@ -336,7 +325,6 @@ impl Dslog {
     fn apply(&mut self, c: DslogConfig) {
         let s = &mut self.storage;
         (s.actor, s.retain, s.io_policy) = (c.wal_actor, c.wal_retention, c.io_policy);
-        self.query_options = c.query;
         self.maintenance = c.maintenance;
         (self.lazy, self.as_of) = (c.lazy, c.as_of);
     }
@@ -369,9 +357,10 @@ impl Dslog {
         }
     }
 
-    /// The options `prov_query` currently runs with.
+    /// The options `prov_query` runs with: always the defaults (per-call
+    /// options go through [`prov_query_opts`](Self::prov_query_opts)).
     pub fn query_options(&self) -> QueryOptions {
-        self.query_options
+        QueryOptions::default()
     }
 
     /// Access the underlying storage manager (benchmarking, inspection).
@@ -569,7 +558,7 @@ impl Dslog {
     /// cells of the last array. A path in operation direction is a forward
     /// query; against it, a backward query; mixed paths work hop by hop.
     pub fn prov_query(&self, path: &[&str], query_cells: &[Vec<i64>]) -> Result<QueryResult> {
-        self.prov_query_opts(path, query_cells, self.query_options)
+        self.prov_query_opts(path, query_cells, QueryOptions::default())
     }
 
     /// `prov_query` with explicit options (used by the ablation benches).
@@ -582,12 +571,9 @@ impl Dslog {
         let resolved = self.storage.path(path)?;
         let arity = Self::validate_query_cells(&resolved.first, query_cells)?;
 
-        let cur = BoxTable::from_cells(arity, query_cells);
-        let (cells, stats) = if opts.use_planner {
-            crate::query::plan::execute(&self.storage, path, &resolved, cur, opts)?
-        } else {
-            crate::query::plan::path_order(path, &resolved, cur, opts)?
-        };
+        let query = BoxTable::from_cells(arity, query_cells);
+        let (cells, stats) =
+            crate::query::plan::execute(&self.storage, path, &resolved, &query, opts)?;
         let hops = stats.hops.len();
         Ok(QueryResult { cells, hops, stats })
     }
@@ -606,7 +592,7 @@ impl Dslog {
         path: &[&str],
         queries: &[Vec<Vec<i64>>],
     ) -> Result<Vec<QueryResult>> {
-        self.prov_query_batch_opts(path, queries, self.query_options)
+        self.prov_query_batch_opts(path, queries, QueryOptions::default())
     }
 
     /// [`prov_query_batch`](Self::prov_query_batch) with explicit options.
@@ -808,18 +794,14 @@ mod tests {
         let mut t = LineageTable::new(1, 1);
         t.push_row(&[0, 0]); // only Y[0] has lineage: Y[3] empties at hop 1
         db.add_lineage("X", "Y", &TableCapture::new(t)).unwrap();
-        for use_planner in [true, false] {
-            let mut opts = db.query_options();
-            opts.use_planner = use_planner;
-            assert!(matches!(
-                db.prov_query_opts(&["Y", "X", "Zz"], &[vec![3]], opts),
-                Err(DslogError::UnknownArray(_))
-            ));
-            assert!(matches!(
-                db.prov_query_batch_opts(&["Y", "X", "Zz"], &[vec![vec![3]]], opts),
-                Err(DslogError::UnknownArray(_))
-            ));
-        }
+        assert!(matches!(
+            db.prov_query(&["Y", "X", "Zz"], &[vec![3]]),
+            Err(DslogError::UnknownArray(_))
+        ));
+        assert!(matches!(
+            db.prov_query_batch(&["Y", "X", "Zz"], &[vec![vec![3]]]),
+            Err(DslogError::UnknownArray(_))
+        ));
     }
 
     #[test]
@@ -908,7 +890,7 @@ mod tests {
         ));
     }
 
-    /// Every builder method lands in `config()`: each of the ten settable
+    /// Every builder method lands in `config()`: each of the seven settable
     /// values is set away from its default and read back unchanged.
     #[test]
     fn open_options_create_open_and_config_roundtrip() {
@@ -937,10 +919,6 @@ mod tests {
             io_policy: Some(IoPolicy::fail_at(IoFault::WriteError, u64::MAX)),
             wal_actor: "builder-test".to_string(),
             wal_retention: 5,
-            query: QueryOptions {
-                merge: false,
-                use_planner: false,
-            },
             maintenance: MaintenancePolicy::every_generations(4),
         };
         let db = Dslog::options()
@@ -949,7 +927,6 @@ mod tests {
             .io_policy(want.io_policy.clone().unwrap())
             .wal_actor("builder-test")
             .wal_retention(want.wal_retention)
-            .query(want.query)
             .maintenance(want.maintenance)
             .open(&dir)
             .unwrap();
@@ -961,11 +938,6 @@ mod tests {
             ("io_policy", want.io_policy != default.io_policy),
             ("wal_actor", want.wal_actor != default.wal_actor),
             ("wal_retention", want.wal_retention != default.wal_retention),
-            ("query.merge", want.query.merge != default.query.merge),
-            (
-                "query.use_planner",
-                want.query.use_planner != default.query.use_planner,
-            ),
             ("maintenance", want.maintenance != default.maintenance),
         ] {
             assert!(differs, "{field} was left at its default");

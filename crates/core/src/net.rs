@@ -41,9 +41,9 @@
 //! The optional trailing `stats` word asks for per-query execution
 //! statistics: `"stats":{"rows_probed":n,"rows_matched":n,"plan":"...",
 //! "hops":[{"probed":n,"matched":n,"boxes":n},..]}`.
-//! `plan` is the planner decision label (`path_order` / `composite`),
-//! or `off` when the planner is disabled. Responses without the `stats`
-//! word are byte-identical to the previous protocol version.
+//! `plan` is the planner decision label: `path_order` or `composite`.
+//! Responses without the `stats` word are byte-identical to the previous
+//! protocol version.
 //!
 //! ## Admission control and backpressure
 //!
@@ -726,13 +726,15 @@ fn render_boxes(out: &mut String, result: &QueryResult) {
 
 /// The `"stats"` object for `query ... stats` / `query_batch ... stats`.
 fn render_query_stats(out: &mut String, stats: &QueryStats) {
-    let plan = stats.plan.as_ref().map_or("off", |p| p.decision.label());
+    // Every query the service runs is planned; `null` marks stats that
+    // were not.
+    let plan = stats.plan.as_ref().map(|p| JsonStr(p.decision.label()));
     let _ = write!(
         out,
         "{{\"rows_probed\":{},\"rows_matched\":{},\"plan\":{},\"hops\":",
         stats.hops.iter().map(|h| h.rows_probed).sum::<usize>(),
         stats.hops.iter().map(|h| h.rows_matched).sum::<usize>(),
-        JsonStr(plan),
+        or_null(&plan),
     );
     push_list(out, &stats.hops, |out, h| {
         let _ = write!(
@@ -830,15 +832,12 @@ fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
         out,
         "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\
          \"wal_actor\":{},\"wal_retention\":{},\
-         \"query\":{{\"merge\":{},\"use_planner\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
         or_null(&c.as_of),
         or_null(&c.gzip),
         JsonStr(&c.wal_actor),
         c.wal_retention,
-        c.query.merge,
-        c.query.use_planner,
         or_null(&c.maintenance.auto_compact_generations)
     );
 }
@@ -1087,15 +1086,11 @@ mod tests {
         // Malformed batches are rejected without killing the session.
         let resp = roundtrip(&mut reader, &mut writer, "query_batch B,A 1||2");
         assert!(resp.starts_with("{\"ok\":false"), "{resp}");
-        // `config`'s `query` object holds the remaining options only (no
-        // switch for a deleted code path), and no orientation setting is
-        // reported.
+        // `config` reports no query options (a query's options are its
+        // own, not the handle's) and no orientation setting.
         let resp = roundtrip(&mut reader, &mut writer, "stats");
         assert!(resp.contains("\"ok\":true"), "{resp}");
-        assert!(
-            resp.contains("\"query\":{\"merge\":true,\"use_planner\":true}"),
-            "{resp}"
-        );
+        assert!(!resp.contains("\"query\":{"), "{resp}");
         assert!(!resp.contains("materialize"), "{resp}");
         assert!(!resp.contains("threads"), "{resp}");
         server.stop();
@@ -1118,7 +1113,6 @@ mod tests {
             config,
             "\"config\":{\"lazy\":false,\"as_of\":null,\"gzip\":null,\
              \"wal_actor\":\"local\",\"wal_retention\":0,\
-             \"query\":{\"merge\":true,\"use_planner\":true},\
              \"auto_compact_generations\":null}}"
         );
         server.stop();

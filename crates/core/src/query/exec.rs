@@ -68,9 +68,9 @@ pub struct HopStats {
 pub struct QueryStats {
     /// One entry per executed hop, in path order.
     pub hops: Vec<HopStats>,
-    /// The planner's decision, when the planner ran
-    /// ([`crate::query::QueryOptions::use_planner`]); `None` under the
-    /// path-order ablation and for direct [`QueryExec`] use.
+    /// The planner's decision: set by every
+    /// [`crate::Dslog::prov_query`] and batch; `None` for direct
+    /// [`QueryExec`] use.
     pub plan: Option<crate::query::plan::PlanReport>,
 }
 
@@ -346,7 +346,10 @@ impl QueryExec {
 
     /// Execute a chain of θ-joins left-to-right (§V.B.3's query plan),
     /// merging between hops per [`QueryOptions::merge`] and short-circuiting
-    /// once the frontier is empty.
+    /// once the frontier is empty: the result is then an empty table over
+    /// the last hop's result attributes. This is the loop
+    /// [`crate::Dslog::prov_query`] runs, so over a path's tables it
+    /// answers the same boxes; the input is joined as given.
     ///
     /// `hops[i]`'s query side must be the space the query currently lives
     /// in; its result side becomes the next space.
@@ -355,24 +358,47 @@ impl QueryExec {
         query: &BoxTable,
         hops: &[H],
     ) -> Result<(BoxTable, QueryStats)> {
-        // The query is borrowed until a hop (or its own merge) replaces it.
-        let mut cur: Option<BoxTable> = (self.opts.merge && query.n_boxes() > 1).then(|| {
-            let mut merged = query.clone();
-            merged.merge();
-            merged
+        let out_arity = hops.last().map_or(query.arity(), |&hop| {
+            let hop: Hop<'t> = hop.into();
+            hop.table.arity() - hop.query_attrs().len()
         });
-        let mut stats = QueryStats::default();
-        for &hop in hops {
-            let (mut next, hop) = self.hop(cur.as_ref().unwrap_or(query), hop)?;
+        self.chain_with(query, hops.len(), out_arity, |k, cur| {
+            self.hop(cur, hops[k])
+        })
+    }
+
+    /// The one hop loop: every path a query runs — in order, through a
+    /// composite edge (a one-hop chain), or while a composite is
+    /// materialized — moves its frontier here. `join(k, frontier)` runs
+    /// hop `k`; it is called only while the frontier left by hop `k - 1`
+    /// is non-empty, so a hop's table is never resolved for nothing. The
+    /// input is joined as given (no merge before the first hop); each
+    /// hop's output is merged per [`QueryOptions::merge`]; an emptied
+    /// frontier ends the chain with an empty table of `out_arity`
+    /// attributes.
+    pub(crate) fn chain_with(
+        &self,
+        query: &BoxTable,
+        n_hops: usize,
+        out_arity: usize,
+        mut join: impl FnMut(usize, &BoxTable) -> Result<(BoxTable, HopStats)>,
+    ) -> Result<(BoxTable, QueryStats)> {
+        let mut stats = QueryStats {
+            hops: Vec::with_capacity(n_hops),
+            plan: None,
+        };
+        // The query is borrowed until the first hop replaces it.
+        let mut cur: Option<BoxTable> = None;
+        for k in 0..n_hops {
+            let (mut next, hop) = join(k, cur.as_ref().unwrap_or(query))?;
             stats.hops.push(hop);
             if self.opts.merge {
                 next.merge();
             }
-            let done = next.is_empty();
-            cur = Some(next);
-            if done {
-                break;
+            if next.is_empty() {
+                return Ok((BoxTable::new(out_arity), stats));
             }
+            cur = Some(next);
         }
         Ok((cur.unwrap_or_else(|| query.clone()), stats))
     }

@@ -20,25 +20,18 @@ pub mod plan;
 pub use exec::{Hop, HopStats, HopTable, QueryExec, QueryStats};
 pub use plan::{PlanDecision, PlanReport};
 
-/// Tuning knobs for query execution.
+/// Tuning knobs for query execution, chosen per call
+/// ([`crate::Dslog::prov_query_opts`]); `prov_query` and the service run
+/// with the defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Run the row-reduction merge after each hop (§V.B.3). Disabling this
     /// reproduces the paper's `DSLog-NoMerge` ablation.
     pub merge: bool,
-    /// Run the multi-hop planner ([`plan`]): serve hot paths from
-    /// materialized composite edges, and run every other path in order.
-    /// Disabling this is the planner ablation: hops run strictly in path
-    /// order, exactly as the paper describes, and no composite is built
-    /// or served.
-    pub use_planner: bool,
 }
 
 impl Default for QueryOptions {
     fn default() -> Self {
-        Self {
-            merge: true,
-            use_planner: true,
-        }
+        Self { merge: true }
     }
 }

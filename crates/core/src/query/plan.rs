@@ -19,9 +19,9 @@
 //!   caps mark oversized paths unmaterializable instead.
 //!
 //! Every decision is surfaced in [`QueryStats::plan`] as a [`PlanReport`].
-//! The whole module sits behind [`QueryOptions::use_planner`]; with it
-//! off, `path_order` reproduces the paper's strict left-to-right chain
-//! and no composite is sighted, built or served.
+//! Whichever route a query takes, its frontier moves from hop to hop in
+//! one loop, [`QueryExec::chain`]'s: a composite is a one-hop chain, path
+//! order a chain that resolves each hop as it reaches it.
 //!
 //! `execute_batch` is the planner's vectorized entry point: many queries
 //! sharing one path are deduplicated into a single set of unique frontier
@@ -71,62 +71,46 @@ impl PlanDecision {
     }
 }
 
-/// The paper's strict left-to-right chain: resolve each hop, join, merge
-/// per [`QueryOptions::merge`], stop early on an empty frontier (the
-/// result then carries the *last* array's arity). This is both the
-/// `use_planner = false` ablation and what a planned query runs when no
-/// composite edge serves its path.
+/// Plan and execute one query: serve it from the path's composite edge
+/// when [`composite_for`] returns one, else run the paper's strict
+/// left-to-right chain, resolving each hop only once the frontier reaches
+/// it. Either way the answer is the same cells, the frontier moves through
+/// [`QueryExec::chain`]'s loop, and [`QueryStats::plan`] says which ran.
 ///
 /// `resolved` is `path`'s registry entry (as in every function below); the
 /// names are only read to report a pair no edge connects.
-pub(crate) fn path_order(
-    path: &[&str],
-    resolved: &ResolvedPath,
-    mut cur: BoxTable,
-    opts: QueryOptions,
-) -> Result<(BoxTable, QueryStats)> {
-    let exec = QueryExec::new(opts);
-    let mut stats = QueryStats {
-        hops: Vec::with_capacity(resolved.n_hops()),
-        plan: None,
-    };
-    for k in 0..resolved.n_hops() {
-        let table = resolved.resolve_hop(k, path)?;
-        let (mut next, hop_stats) = exec.hop(&cur, &table)?;
-        stats.hops.push(hop_stats);
-        if opts.merge {
-            next.merge();
-        }
-        cur = next;
-        if cur.is_empty() {
-            return Ok((BoxTable::new(resolved.last.ndim()), stats));
-        }
-    }
-    Ok((cur, stats))
-}
-
-/// Plan and execute one query (the `use_planner = true` path). Returns
-/// exactly the cells [`path_order`] would, with [`QueryStats::plan`] set.
 pub(crate) fn execute(
     storage: &StorageManager,
     path: &[&str],
     resolved: &ResolvedPath,
-    cur: BoxTable,
+    query: &BoxTable,
     opts: QueryOptions,
 ) -> Result<(BoxTable, QueryStats)> {
-    if let Some(table) = composite_for(storage, path, resolved) {
-        return composite_serve(resolved.n_hops(), cur, opts, &table);
-    }
-    let (out, mut stats) = path_order(path, resolved, cur, opts)?;
-    stats.plan = Some(PlanReport {
-        decision: PlanDecision::PathOrder,
-    });
+    let exec = QueryExec::new(opts);
+    let n_hops = resolved.n_hops();
+    let (decision, run) = match composite_for(storage, path, resolved) {
+        Some(table) => (
+            PlanDecision::CompositeEdge {
+                hops_folded: n_hops,
+            },
+            exec.chain(query, &[table.as_ref()]),
+        ),
+        None => (
+            PlanDecision::PathOrder,
+            exec.chain_with(query, n_hops, resolved.last.ndim(), |k, frontier| {
+                exec.hop(frontier, &resolved.resolve_hop(k, path)?)
+            }),
+        ),
+    };
+    let (out, mut stats) = run?;
+    stats.plan = Some(PlanReport { decision });
     Ok((out, stats))
 }
 
-/// Record one sighting of `path` and return the composite table to serve
-/// it from: the registered one, or one materialized now that the path is
-/// hot. `None` runs the path in order.
+/// A query's route, for single queries and batches alike: record one
+/// sighting of `path` and return the composite table to serve it from —
+/// the registered one, or one materialized now that the path is hot.
+/// `None` runs the path in order.
 fn composite_for(
     storage: &StorageManager,
     path: &[&str],
@@ -137,27 +121,6 @@ fn composite_for(
         CompositeProbe::Materialize => try_materialize(storage, path, resolved),
         CompositeProbe::Pass => None,
     }
-}
-
-/// One probe against a materialized composite table covering the path.
-fn composite_serve(
-    hops_folded: usize,
-    cur: BoxTable,
-    opts: QueryOptions,
-    table: &CompressedTable,
-) -> Result<(BoxTable, QueryStats)> {
-    let exec = QueryExec::new(opts);
-    let (mut out, hop) = exec.hop(&cur, table)?;
-    if opts.merge {
-        out.merge();
-    }
-    let stats = QueryStats {
-        hops: vec![hop],
-        plan: Some(PlanReport {
-            decision: PlanDecision::CompositeEdge { hops_folded },
-        }),
-    };
-    Ok((out, stats))
 }
 
 /// Materialize the composite edge for `path`: join the whole chain over
@@ -227,9 +190,10 @@ fn try_materialize(
 /// one result frontier per input query (cells of the path's last array)
 /// plus the batch-wide aggregated stats.
 ///
-/// Batch planning is limited to composite-edge serving (one sighting per
-/// batch call); per-query frontiers are not merged between hops — owners
-/// differ per box, so only the final demultiplexed results merge.
+/// The batch takes its route from [`composite_for`], as a single query
+/// does (one sighting per batch call); per-query frontiers are not merged
+/// between hops — owners differ per box, so only the final demultiplexed
+/// results merge.
 pub(crate) fn execute_batch(
     storage: &StorageManager,
     path: &[&str],
@@ -256,15 +220,7 @@ pub(crate) fn execute_batch(
     }
 
     let mut stats = QueryStats::default();
-
-    // Composite serving (the only batch-level plan beyond path order).
-    let composite = if opts.use_planner {
-        composite_for(storage, path, resolved)
-    } else {
-        None
-    };
-
-    let decision = if let Some(table) = composite {
+    let decision = if let Some(table) = composite_for(storage, path, resolved) {
         if !uniq.is_empty() {
             let (next, hop) = batch_hop(&uniq, table.as_ref().into(), words)?;
             stats.hops.push(hop);
@@ -285,9 +241,7 @@ pub(crate) fn execute_batch(
         }
         PlanDecision::PathOrder
     };
-    if opts.use_planner {
-        stats.plan = Some(PlanReport { decision });
-    }
+    stats.plan = Some(PlanReport { decision });
 
     // Demultiplex: each query collects the unique boxes it owns.
     let mut results = Vec::with_capacity(nq);

@@ -50,8 +50,8 @@ impl ArgValue {
 // the storage manager keyed by the path, and served as a single probe on
 // later queries (the multi-hop analogue of §VI's "store derived lineage,
 // serve it instead of recomputing"). Ingesting into any member edge
-// invalidates the composite; `QueryOptions::use_planner = false` turns
-// composites off.
+// invalidates the composite; a path too large to materialize (the caps
+// below) runs in path order.
 
 /// Planner sightings of a path before it is materialized.
 pub(crate) const COMPOSITE_HIT_THRESHOLD: u32 = 3;

@@ -7,8 +7,9 @@
 //! whole runs of cells, so the kernel's shared-anchor split is reached with
 //! point and non-point boxes alike.
 
+use dslog::api::{Dslog, TableCapture};
 use dslog::provrc;
-use dslog::query::{QueryExec, QueryOptions};
+use dslog::query::{HopTable, QueryExec, QueryOptions};
 use dslog::table::{BoxTable, CompressedTable, LineageTable, Orientation};
 use dslog_oracle::query::reference;
 use proptest::prelude::*;
@@ -217,7 +218,7 @@ proptest! {
         let expected = reference_result(&case, &fulls, &cells);
 
         let got = run_chain(
-            QueryOptions { merge: false, ..QueryOptions::default() },
+            QueryOptions { merge: false },
             &q,
             &tables,
         );
@@ -297,4 +298,78 @@ fn indexed_path_matches_reference_on_scatter() {
     );
     let expected = reference::step(&cells.into_iter().collect(), &t, Orientation::Backward);
     assert_eq!(result.cell_set(), expected);
+}
+
+/// Each hop of `path` as the database resolves it.
+fn path_tables(db: &Dslog, path: &[&str]) -> Vec<HopTable> {
+    path.windows(2)
+        .map(|hop| db.storage().resolve_hop(hop[0], hop[1]).unwrap().0)
+        .collect()
+}
+
+/// `chain` over a path's tables returns what `prov_query_opts` returns
+/// over the same tables, box for box, and runs as many hops.
+fn assert_chain_is_prov_query(db: &Dslog, path: &[&str], cells: &[Vec<i64>]) {
+    let tables = path_tables(db, path);
+    let hops: Vec<&HopTable> = tables.iter().collect();
+    let query = BoxTable::from_cells(cells[0].len(), cells);
+    for merge in [true, false] {
+        let opts = QueryOptions { merge };
+        let (got, stats) = QueryExec::new(opts).chain(&query, &hops).unwrap();
+        let want = db.prov_query_opts(path, cells, opts).unwrap();
+        assert_eq!(got, want.cells, "merge {merge}");
+        assert_eq!(stats.hops.len(), want.hops, "merge {merge}");
+    }
+}
+
+/// `C[0] ← B[0]` only, `B[i] ← A[i, 0..2]`: querying `C[3]` empties the
+/// frontier at hop 0 of `C → B → A`, and the chain answers an empty
+/// table over `A`'s two attributes — the last hop's result — as
+/// `prov_query` does, not one over `B`'s.
+#[test]
+fn chain_emptied_early_answers_over_the_last_hops_result() {
+    let mut db = Dslog::new();
+    db.define_array("A", &[4, 2]).unwrap();
+    db.define_array("B", &[4]).unwrap();
+    db.define_array("C", &[4]).unwrap();
+    let mut ab = LineageTable::new(1, 2);
+    for i in 0..4 {
+        ab.push_row(&[i, i, 0]);
+        ab.push_row(&[i, i, 1]);
+    }
+    db.add_lineage("A", "B", &TableCapture::new(ab)).unwrap();
+    let mut bc = LineageTable::new(1, 1);
+    bc.push_row(&[0, 0]);
+    db.add_lineage("B", "C", &TableCapture::new(bc)).unwrap();
+
+    let path = ["C", "B", "A"];
+    let tables = path_tables(&db, &path);
+    let hops: Vec<&HopTable> = tables.iter().collect();
+    let (out, stats) = QueryExec::default()
+        .chain(&BoxTable::from_cells(1, &[vec![3]]), &hops)
+        .unwrap();
+    assert_eq!(stats.hops.len(), 1, "the emptied frontier ends the chain");
+    assert!(out.is_empty());
+    assert_eq!(out.arity(), 2);
+    assert_chain_is_prov_query(&db, &path, &[vec![3]]);
+}
+
+/// `B[i, j] = A[j, i]` queried with an L of three cells, which encodes
+/// to two boxes: the chain joins them as given and merges what the hop
+/// emits, as `prov_query` does, so both answer the same boxes.
+#[test]
+fn chain_with_many_input_boxes_answers_the_boxes_prov_query_does() {
+    let mut db = Dslog::new();
+    db.define_array("A", &[3, 3]).unwrap();
+    db.define_array("B", &[3, 3]).unwrap();
+    let mut t = LineageTable::new(2, 2);
+    for i in 0..3 {
+        for j in 0..3 {
+            t.push_row(&[i, j, j, i]);
+        }
+    }
+    db.add_lineage("A", "B", &TableCapture::new(t)).unwrap();
+    let cells = [vec![0, 0], vec![0, 1], vec![1, 0]];
+    assert_eq!(BoxTable::from_cells(2, &cells).n_boxes(), 2);
+    assert_chain_is_prov_query(&db, &["B", "A"], &cells);
 }

@@ -1,17 +1,17 @@
 //! Property-based parity suite for the query planner: over randomized
 //! multi-hop databases (1–5 hops, both hop orientations), the planner must
-//! be a pure access-path change. Planner-on and planner-off answer the
-//! cells the brute-force join over the raw rows answers
-//! (`dslog_oracle::query::reference`); so does a composite edge served
-//! after the hit threshold (three sightings of a path); a planned query either runs the path in order,
-//! hop for hop what the unplanned run does, or is served by a composite; a
-//! batched query answers cell-for-cell the same as a per-query loop; and
-//! ingest between queries invalidates any composite built over the
-//! replaced edge.
+//! be a pure access-path change. Planned queries answer the cells the
+//! brute-force join over the raw rows answers
+//! (`dslog_oracle::query::reference`), before and after a composite edge
+//! serves the path (three sightings materialize it); a planned query
+//! either runs the path in order, hop for hop what [`QueryExec::chain`]
+//! does over the path's tables, or is served by a composite; a batched
+//! query answers cell-for-cell the same as a per-query loop; and ingest
+//! between queries invalidates any composite built over the replaced edge.
 
 use dslog::api::{Dslog, TableCapture};
-use dslog::query::{QueryOptions, QueryStats};
-use dslog::table::{LineageTable, Orientation};
+use dslog::query::{QueryExec, QueryStats};
+use dslog::table::{BoxTable, LineageTable, Orientation};
 use dslog_oracle::query::reference;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -154,13 +154,6 @@ fn query_cells(case: &Case) -> Vec<Vec<i64>> {
         .collect()
 }
 
-fn opts(use_planner: bool) -> QueryOptions {
-    QueryOptions {
-        use_planner,
-        ..QueryOptions::default()
-    }
-}
-
 /// The oracle's answer: the raw-row join along the path, over `relations`
 /// (one per hop — `case.relations`, or that with one hop replaced).
 fn reference_answer(
@@ -193,16 +186,16 @@ fn reference_answer(
     reference::chain(&cells.iter().cloned().collect(), &hops)
 }
 
-fn run(db: &Dslog, path: &[&str], cells: &[Vec<i64>], o: QueryOptions) -> BTreeSet<Vec<i64>> {
-    db.prov_query_opts(path, cells, o).unwrap().cells.cell_set()
+fn run(db: &Dslog, path: &[&str], cells: &[Vec<i64>]) -> BTreeSet<Vec<i64>> {
+    db.prov_query(path, cells).unwrap().cells.cell_set()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Planner-off and planner-on both equal the oracle, and so does a
+    /// Planned queries equal the oracle, in path order and from a
     /// composite edge served after the hit threshold (the repeated
-    /// planner-on queries cross the threshold, materialize, then serve).
+    /// queries cross the threshold, materialize, then serve).
     #[test]
     fn planner_and_composite_hits_match_reference(case in arb_case()) {
         let (db, names) = build_db(&case);
@@ -211,16 +204,15 @@ proptest! {
         prop_assume!(!cells.is_empty());
 
         let expected = reference_answer(&case, &case.relations, &cells);
-        prop_assert_eq!(run(&db, &path, &cells, opts(false)), expected.clone());
         for _ in 0..PLANNED_RUNS {
-            prop_assert_eq!(run(&db, &path, &cells, opts(true)), expected.clone());
+            prop_assert_eq!(run(&db, &path, &cells), expected.clone());
         }
     }
 
     /// The planner's contract: every planned query either ran the path in
     /// order or was served by a composite edge, and a `path_order` plan
-    /// probed, matched and emitted per hop exactly what the unplanned run
-    /// did.
+    /// probed, matched and emitted per hop exactly what
+    /// [`QueryExec::chain`] does over the path's resolved tables.
     #[test]
     fn planned_queries_run_path_order_or_a_composite(case in arb_case()) {
         let (db, names) = build_db(&case);
@@ -235,13 +227,19 @@ proptest! {
                 .map(|h| (h.rows_probed, h.rows_matched, h.boxes_emitted))
                 .collect()
         };
-        let off = db.prov_query_opts(&path, &cells, opts(false)).unwrap().stats;
-        prop_assert!(off.plan.is_none());
+        let tables: Vec<_> = path
+            .windows(2)
+            .map(|hop| db.storage().resolve_hop(hop[0], hop[1]).unwrap().0)
+            .collect();
+        let hops: Vec<_> = tables.iter().collect();
+        let query = BoxTable::from_cells(case.arities[0], &cells);
+        let (_, chained) = QueryExec::default().chain(&query, &hops).unwrap();
+        prop_assert!(chained.plan.is_none());
         for _ in 0..PLANNED_RUNS {
-            let on = db.prov_query_opts(&path, &cells, opts(true)).unwrap().stats;
+            let on = db.prov_query(&path, &cells).unwrap().stats;
             let label = on.plan.as_ref().map(|p| p.decision.label());
             if label == Some("path_order") {
-                prop_assert_eq!(per_hop(&on), per_hop(&off));
+                prop_assert_eq!(per_hop(&on), per_hop(&chained));
             } else {
                 prop_assert_eq!(label, Some("composite"));
             }
@@ -249,7 +247,7 @@ proptest! {
     }
 
     /// A batched query answers cell-for-cell the same as a per-query
-    /// loop, with the planner on and off.
+    /// loop.
     #[test]
     fn batch_matches_per_query_loop(case in arb_case()) {
         let (db, names) = build_db(&case);
@@ -259,19 +257,16 @@ proptest! {
         let chunk = cells.len().div_ceil(3).max(1);
         let queries: Vec<Vec<Vec<i64>>> = cells.chunks(chunk).map(<[_]>::to_vec).collect();
 
-        for use_planner in [true, false] {
-            let o = opts(use_planner);
-            let batch = db.prov_query_batch_opts(&path, &queries, o).unwrap();
-            prop_assert_eq!(batch.len(), queries.len());
-            for (result, query) in batch.iter().zip(&queries) {
-                prop_assert_eq!(result.cells.cell_set(), run(&db, &path, query, o));
-            }
+        let batch = db.prov_query_batch(&path, &queries).unwrap();
+        prop_assert_eq!(batch.len(), queries.len());
+        for (result, query) in batch.iter().zip(&queries) {
+            prop_assert_eq!(result.cells.cell_set(), run(&db, &path, query));
         }
     }
 
     /// Replacing one hop's edge between queries invalidates any composite
-    /// built over it: planner-on answers match the oracle over the new
-    /// relations, never the stale materialization.
+    /// built over it: answers match the oracle over the new relations,
+    /// never the stale materialization.
     #[test]
     fn ingest_between_queries_invalidates_composites(case in arb_case()) {
         let (mut db, names) = build_db(&case);
@@ -282,7 +277,7 @@ proptest! {
         // Warm: the third sighting materializes a composite, the later
         // ones serve it.
         for _ in 0..PLANNED_RUNS {
-            run(&db, &path, &cells, opts(true));
+            run(&db, &path, &cells);
         }
         let replaced = case.seed % case.backward.len();
         ingest_hop(&mut db, &case, &names, replaced, &case.replacement);
@@ -293,7 +288,7 @@ proptest! {
         // again, and serve the composite built over the new edge.
         let expected = reference_answer(&case, &relations, &cells);
         for _ in 0..PLANNED_RUNS {
-            prop_assert_eq!(run(&db, &path, &cells, opts(true)), expected.clone());
+            prop_assert_eq!(run(&db, &path, &cells), expected.clone());
         }
     }
 }

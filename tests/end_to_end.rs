@@ -186,24 +186,10 @@ fn merge_ablation_preserves_answers() {
 
     let q: Vec<Vec<i64>> = (5..25).map(|v| vec![v]).collect();
     let merged = db
-        .prov_query_opts(
-            &["out", "in"],
-            &q,
-            QueryOptions {
-                merge: true,
-                ..QueryOptions::default()
-            },
-        )
+        .prov_query_opts(&["out", "in"], &q, QueryOptions { merge: true })
         .unwrap();
     let unmerged = db
-        .prov_query_opts(
-            &["out", "in"],
-            &q,
-            QueryOptions {
-                merge: false,
-                ..QueryOptions::default()
-            },
-        )
+        .prov_query_opts(&["out", "in"], &q, QueryOptions { merge: false })
         .unwrap();
     assert_eq!(merged.cells.cell_set(), unmerged.cells.cell_set());
     assert!(merged.cells.n_boxes() <= unmerged.cells.n_boxes());

@@ -122,10 +122,10 @@ proptest! {
         db.add_lineage("in", "out", &TableCapture::new(t)).unwrap();
         let cells = enumerate(&os);
         let merged = db
-            .prov_query_opts(&["out", "in"], &cells, QueryOptions { merge: true, ..QueryOptions::default() })
+            .prov_query_opts(&["out", "in"], &cells, QueryOptions { merge: true })
             .unwrap();
         let unmerged = db
-            .prov_query_opts(&["out", "in"], &cells, QueryOptions { merge: false, ..QueryOptions::default() })
+            .prov_query_opts(&["out", "in"], &cells, QueryOptions { merge: false })
             .unwrap();
         prop_assert_eq!(merged.cells.cell_set(), unmerged.cells.cell_set());
         prop_assert!(merged.cells.n_boxes() <= unmerged.cells.n_boxes());

@@ -17,7 +17,9 @@
 //!   `crates/core/src/par.rs`: one helper owns worker sizing, result order
 //!   and panic propagation, and a site that threads names a measured grain.
 //! - **decode-alloc** — in decode paths (`storage/format.rs`,
-//!   `storage/persist.rs`, `storage/wal.rs`, `crates/codecs`), a
+//!   `storage/persist.rs`, `storage/wal.rs`, `crates/codecs`, and the
+//!   column codecs of `crates/baselines`: `bitpack`, `dict`, `hybrid`,
+//!   `rle`), a
 //!   `with_capacity` / `vec![_; n]` whose size came from a wire read must be
 //!   bounds-checked between the read and the allocation (or carry a
 //!   `lint:checked-alloc` marker).
@@ -84,6 +86,15 @@ pub struct FileClass {
     pub env_scope: bool,
 }
 
+/// The column codecs the baseline formats are built from: decoders of
+/// their own wire format, held to decode-alloc like `crates/codecs`.
+const BASELINE_CODECS: [&str; 4] = [
+    "crates/baselines/src/bitpack.rs",
+    "crates/baselines/src/dict.rs",
+    "crates/baselines/src/hybrid.rs",
+    "crates/baselines/src/rle.rs",
+];
+
 pub fn classify(rel: &str) -> FileClass {
     FileClass {
         sync_crate: rel.starts_with("crates/sync/"),
@@ -94,7 +105,8 @@ pub fn classify(rel: &str) -> FileClass {
         decode_scope: rel == "crates/core/src/storage/format.rs"
             || rel == "crates/core/src/storage/persist.rs"
             || rel == "crates/core/src/storage/wal.rs"
-            || rel.starts_with("crates/codecs/src/"),
+            || rel.starts_with("crates/codecs/src/")
+            || BASELINE_CODECS.contains(&rel),
         env_scope: rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/"),
     }
 }

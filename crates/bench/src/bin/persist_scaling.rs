@@ -23,16 +23,26 @@
 //! over the commits that wrote no checkpoint, the commit p50, the bytes a
 //! commit writes (segment + `ops.log` growth), the log growth alone and
 //! the gated IOs a commit makes (counted by an `IoPolicy` that never
-//! trips); and
-//! separately the checkpoint commits so far (a commit writes the catalog
-//! once the edges committed since the last checkpoint reach its edge count:
-//! after 1, 2, 4, … edges), with their p50 and the bytes of the last one.
+//! trips); and separately the checkpoint commits so far — found by the
+//! log's rotation: a commit whose edges since the last checkpoint reach its
+//! edge count (after 1, 2, 4, … edges) starts a fresh `ops.log` headed by
+//! the new checkpoint — with their p50 and the bytes of the last one.
 //! The bin asserts a non-checkpoint commit at the last step writes at most
 //! 2x the bytes it writes at the first step and that every non-checkpoint
 //! commit makes the same number of gated IOs, and prints the numbers the
 //! parent commit gave beside them. The commit p50 is reported, not gated:
 //! on a shared box it swings several-fold between runs of the same code,
 //! while the IO count and the bytes do not move.
+//!
+//! The **`open_vs_history`** series holds an open to O(one checkpoint)
+//! against the history behind it: a fixed 10-edge database takes one
+//! replace commit per step, and at 10 / 100 / 1 000 / 4 000 commits the
+//! series records the `ops.log` bytes an open reads (and the most it read
+//! after any commit so far; after every commit it is asserted to be at
+//! most the log's checkpoint transaction plus one checkpoint's worth, 10,
+//! of one-table transactions) and the eager and lazy open p50s, reported
+//! beside the parent commit's (where every open decoded the whole log),
+//! not gated.
 //!
 //! The **`cold_open`** object says where a cold start's time goes: the
 //! crc32 rate over the bytes of the generations axis' accreted chain and
@@ -487,7 +497,7 @@ struct HistoryPoint {
     /// p50 of the last [`HISTORY_WINDOW`] commits up to this step that
     /// wrote no checkpoint.
     commit_p50_s: f64,
-    /// Mean bytes those commits wrote: segment, log growth and catalog.
+    /// Mean bytes those commits wrote: segment and log growth.
     bytes_per_commit: u64,
     /// Size of `ops.log` at this step.
     log_bytes: u64,
@@ -499,7 +509,7 @@ struct HistoryPoint {
     checkpoints: usize,
     /// p50 of those checkpoint commits.
     checkpoint_p50_s: f64,
-    /// Bytes the last of them wrote (the catalog included).
+    /// Bytes the last of them wrote: its segment and its fresh log.
     checkpoint_bytes: u64,
 }
 
@@ -517,13 +527,11 @@ const PARENT_HISTORY: [(usize, f64, u64, u64, u64); 3] = [
     (1000, 0.003_46, 50_504, 146_128, 148),
 ];
 
-/// The generation the live catalog of `dir` records (its header: magic,
-/// gzip flag, generation uvarint).
-fn catalog_generation(dir: &std::path::Path) -> (u64, u64) {
-    let bytes = std::fs::read(dir.join("catalog.dsl")).unwrap();
-    let mut pos = 9;
-    let generation = dslog_codecs::varint::read_uvarint(&bytes, &mut pos).unwrap();
-    (generation, bytes.len() as u64)
+/// The op id of the first record of `dir`'s live log: its checkpoint's,
+/// which changes exactly when a commit rotates the log.
+fn log_head(dir: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(dir.join(dslog::storage::wal::OPS_LOG_FILE)).unwrap();
+    dslog::storage::wal::read_log(&bytes).0[0].op_id
 }
 
 fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
@@ -546,7 +554,7 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
         db.define_array(&x, &[8]).unwrap();
         db.define_array(&y, &[8]).unwrap();
         db.add_lineage(&x, &y, &TableCapture::new(t)).unwrap();
-        let before = log_len();
+        let (before, head) = (log_len(), log_head(&dir));
         let ios_before = ios.ios_seen();
         let (report, commit_s) = timed(|| db.commit().unwrap());
         let commit_ios = ios.ios_seen() - ios_before;
@@ -555,11 +563,16 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
             (1, edges - 1),
             "one-edge commit rewrote clean files"
         );
-        let grown = log_len() - before;
-        let (generation, catalog_len) = catalog_generation(&dir);
+        // A checkpoint commit writes a whole fresh log.
+        let rotated = log_head(&dir) != head;
+        let grown = if rotated {
+            log_len()
+        } else {
+            log_len() - before
+        };
         let sample = (commit_s, report.bytes_written + grown, grown, commit_ios);
-        if generation == report.generation {
-            checkpoints.push((commit_s, sample.1 + catalog_len, grown));
+        if rotated {
+            checkpoints.push((commit_s, sample.1, grown));
         } else {
             let first = plain.first().map_or(commit_ios, |c| c.3);
             assert_eq!(
@@ -594,6 +607,96 @@ fn measure_history(steps: &[usize]) -> Vec<HistoryPoint> {
         .unwrap()
         .stale_files
         .is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+    points
+}
+
+/// One step of the `open_vs_history` series.
+struct OpenHistoryPoint {
+    /// Replace commits made so far.
+    commits: usize,
+    /// Bytes of `ops.log`: what an open reads of the log.
+    log_bytes: u64,
+    /// The most bytes `ops.log` held after any commit so far, and what the
+    /// bin asserted it stays within then: the log's checkpoint transaction
+    /// plus [`OPEN_HISTORY_EDGES`] of its largest later transaction.
+    most_log_bytes: (u64, u64),
+    open_eager_s: f64,
+    open_lazy_s: f64,
+}
+
+/// Edges of the `open_vs_history` database.
+const OPEN_HISTORY_EDGES: usize = 10;
+
+/// The same series at the parent commit (167b6c2), where every open
+/// decoded the whole log, on the 2-vCPU reference box, medians of three
+/// runs: `(commits, log_bytes, open_eager_s, open_lazy_s)`.
+const PARENT_OPEN_HISTORY: [(usize, u64, f64, f64); 4] = [
+    (10, 2_060, 0.000_145, 0.000_108),
+    (100, 10_628, 0.000_126, 0.000_106),
+    (1000, 102_303, 0.001_230, 0.001_244),
+    (4000, 411_303, 0.004_565, 0.004_432),
+];
+
+fn measure_open_history(steps: &[usize], reps: usize) -> Vec<OpenHistoryPoint> {
+    use dslog::storage::wal::{encode_record, read_log, OpKind, OPS_LOG_FILE};
+    let dir = std::env::temp_dir().join(format!("dslog-persist-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = Dslog::options().create(&dir).unwrap();
+    for k in 0..OPEN_HISTORY_EDGES {
+        let (x, y, t) = small_edge(k);
+        db.define_array(&x, &[8]).unwrap();
+        db.define_array(&y, &[8]).unwrap();
+        db.add_lineage(&x, &y, &TableCapture::new(t)).unwrap();
+    }
+    db.commit().unwrap();
+    let mut points = Vec::with_capacity(steps.len());
+    // The longest log so far, with its bound.
+    let mut most = (0, 0);
+    for commits in 1..=steps.last().copied().unwrap_or(0) {
+        let k = commits % OPEN_HISTORY_EDGES;
+        let t = small_edge(commits).2;
+        db.add_lineage(&format!("X{k}"), &format!("Y{k}"), &TableCapture::new(t))
+            .unwrap();
+        db.commit().unwrap();
+        // Checked after every commit, not only at the reported steps: the
+        // log is longest just before a commit rotates it.
+        let log = std::fs::read(dir.join(OPS_LOG_FILE)).unwrap();
+        let mut txns: Vec<u64> = vec![0];
+        for record in &read_log(&log).0 {
+            *txns.last_mut().unwrap() += encode_record(record).len() as u64;
+            if matches!(record.kind, OpKind::Commit { .. }) {
+                txns.push(0);
+            }
+        }
+        let largest = txns[1..].iter().copied().max().unwrap_or(0);
+        let bound_bytes = txns[0] + OPEN_HISTORY_EDGES as u64 * largest;
+        let log_bytes = log.len() as u64;
+        assert!(
+            log_bytes <= bound_bytes,
+            "after {commits} commits an open reads {log_bytes} log bytes, over the \
+             checkpoint transaction ({}) and {OPEN_HISTORY_EDGES} more of {largest}",
+            txns[0]
+        );
+        most = most.max((log_bytes, bound_bytes));
+        if !steps.contains(&commits) {
+            continue;
+        }
+        let mut eager = Vec::with_capacity(reps);
+        let mut lazy = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            eager.push(timed(|| Dslog::options().open(&dir).unwrap()).1);
+            lazy.push(timed(|| Dslog::options().lazy(true).open(&dir).unwrap()).1);
+        }
+        points.push(OpenHistoryPoint {
+            commits,
+            log_bytes,
+            most_log_bytes: most,
+            open_eager_s: p50(&mut eager),
+            open_lazy_s: p50(&mut lazy),
+        });
+    }
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     points
 }
@@ -850,6 +953,67 @@ fn main() {
             .join(",")
     );
 
+    // Open axis: what an open reads and costs with 10 … 4 000 commits of a
+    // 10-edge database behind it (fewer in the drift gate).
+    let open_steps: &[usize] = if scale < 0.05 {
+        &[10, 100]
+    } else {
+        &[10, 100, 1000, 4000]
+    };
+    let opens = measure_open_history(open_steps, reps);
+    let mut open_table = TextTable::new(&[
+        "commits",
+        "ops.log bytes",
+        "most so far",
+        "its bound",
+        "open eager",
+        "open lazy",
+    ]);
+    for pt in &opens {
+        open_table.row(&[
+            pt.commits.to_string(),
+            pt.log_bytes.to_string(),
+            pt.most_log_bytes.0.to_string(),
+            pt.most_log_bytes.1.to_string(),
+            secs(pt.open_eager_s),
+            secs(pt.open_lazy_s),
+        ]);
+    }
+    for (commits, log_bytes, eager, lazy) in PARENT_OPEN_HISTORY {
+        open_table.row(&[
+            format!("{commits} (parent)"),
+            log_bytes.to_string(),
+            String::new(),
+            String::new(),
+            secs(eager),
+            secs(lazy),
+        ]);
+    }
+    println!("{}", open_table.render());
+    let open_json = format!(
+        "{{\"edges\":{OPEN_HISTORY_EDGES},\"steps\":[{}],\"parent\":{{\"sha\":\"167b6c2\",\"scale\":1,\"steps\":[{}]}}}}",
+        opens
+            .iter()
+            .map(|pt| format!(
+                "{{\"commits\":{},\"log_bytes\":{},\"most_log_bytes\":{},\"most_bound_bytes\":{},\"open_eager_s\":{:.9},\"open_lazy_s\":{:.9}}}",
+                pt.commits,
+                pt.log_bytes,
+                pt.most_log_bytes.0,
+                pt.most_log_bytes.1,
+                pt.open_eager_s,
+                pt.open_lazy_s
+            ))
+            .collect::<Vec<_>>()
+            .join(","),
+        PARENT_OPEN_HISTORY
+            .iter()
+            .map(|(commits, log_bytes, eager, lazy)| format!(
+                "{{\"commits\":{commits},\"log_bytes\":{log_bytes},\"open_eager_s\":{eager:.9},\"open_lazy_s\":{lazy:.9}}}"
+            ))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+
     let generations_json = format!(
         "{{\"g\":{},\"rows\":{},\"onegen_open_query_s\":{:.9},\
          \"multi_open_query_s\":{:.9},\"compacted_open_query_s\":{:.9}}}",
@@ -860,7 +1024,7 @@ fn main() {
         gp.compacted_open_query_s
     );
     let json = format!(
-        "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json},\"cold_open\":{cold_open_json},\"commit_vs_history\":{history_json}}}\n"
+        "{{\"bench\":\"persist_scaling\",\"scale\":{scale},\"edge\":\"scatter\",\"commit_reps\":{reps},\"series\":[{json_rows}],\"generations\":{generations_json},\"cold_open\":{cold_open_json},\"commit_vs_history\":{history_json},\"open_vs_history\":{open_json}}}\n"
     );
     std::fs::write("BENCH_persist.json", &json).expect("write BENCH_persist.json");
     println!("wrote BENCH_persist.json");

@@ -9,6 +9,7 @@ use dslog::net::{self, parse_array_spec, parse_cells, NetServer, Outcome, ServeO
 use dslog::provrc;
 use dslog::service::{AutoCommitPolicy, DslogService, MaintenancePolicy};
 use dslog::storage::format as provrc_format;
+use dslog::storage::persist;
 use dslog::storage::wal::{IoFault, IoPolicy};
 use dslog::table::Orientation;
 use dslog_baselines::all_formats;
@@ -41,8 +42,8 @@ USAGE:
                   [--retries N] [--retry-ms MS]
   dslog help
 
-A database is a directory of ProvRC-compressed lineage tables plus a
-catalog. CSV relations have one row per lineage pair: output-cell indices
+A database is a directory of ProvRC-compressed lineage tables plus the
+operation log that names them. CSV relations have one row per lineage pair: output-cell indices
 first, then input-cell indices (Figure 1B of the DSLog paper).
 
 Query cells are `;`-separated, each a `,`-separated index tuple of the
@@ -51,18 +52,20 @@ array's axes.
 
 Saves are atomic and every table is crc32-checksummed. `db verify`
 walks a database and exits non-zero on any damage. `--lazy` opens in
-O(catalog), loading and verifying each edge table on first use.
+O(checkpoint), loading and verifying each edge table on first use.
 
 Every mutating operation is appended to a crc-framed operation log
 (`ops.log`). A commit's record is its commit point: it names the
 segment the commit wrote and, per new table, its edge, byte range and
-crc, so it costs what changed. The catalog is a checkpoint, rewritten
-once the edges committed since the last one reach its edge count, and
-by full saves, gzip conversions and `db compact` (whose record names
-the catalog, renamed into place as their commit point). `db history`
-prints the log (who did what, when, at which generation). `query
---as-of GEN` runs against a retained historical generation, replayed
-from the newest checkpoint at or before it (by default only files the
+crc, so it costs what changed. The log opens with a checkpoint of the
+whole state; a commit that makes the next one due (once the edges
+committed since reach its edge count), a full save, a gzip conversion
+and `db compact` start a fresh log with it, renamed into place as their
+commit point, and keep the old one as ops.g<GEN>.log. One writer at a
+time: a second one is refused while the first holds writer.lock. `db
+history` prints the logs, oldest first (who did what, when, at which
+generation). `query --as-of GEN` runs against a retained historical
+generation, replayed from the log that holds it (by default only files the
 current generation references survive a commit; `ingest`, `serve` and
 `db compact` take --retain N to keep the last N prior generations
 queryable — each commit applies the window it was given).
@@ -112,7 +115,7 @@ table in reverse.
 
 Commits are incremental: only edges added since the last
 commit are written; everything else is re-referenced by the new
-catalog generation. --auto-commit-edges N commits whenever N edges are
+generation. --auto-commit-edges N commits whenever N edges are
 pending; --auto-commit-ms MS commits on a timer. Pending edges are
 committed on shutdown even when a command fails. --gzip converts an
 existing plain database to the gzip disk format on open.
@@ -184,7 +187,7 @@ pub fn ingest(args: &[String]) -> Result<String, String> {
     let raw_bytes = table.nbytes();
 
     // Extend an existing database or start a fresh one. Fresh only when
-    // no catalog exists — an IO error on an existing database must
+    // the directory holds nothing — an IO error on an existing database must
     // propagate, not be shadowed by a new empty database whose save would
     // sweep the old snapshot's edge files.
     let options = writer_options(&opts, "cli")?;
@@ -334,7 +337,7 @@ pub fn export(args: &[String]) -> Result<String, String> {
 
 /// `dslog db <subcommand>`: database maintenance.
 ///
-/// - `dslog db verify <dir>` — walk the catalog, re-read every referenced
+/// - `dslog db verify <dir>` — replay the live log, re-read every referenced
 ///   table, and check byte length, crc32, structural decode, and
 ///   orientation agreement. Errors (non-zero exit) on any damage.
 /// - `dslog db history <dir>` — print the operation log: one line per
@@ -429,7 +432,7 @@ pub fn db(args: &[String]) -> Result<String, String> {
         }
         "compact" => {
             let opts = Opts::parse("db compact", &["retain", "crash-at-io"], &args[2..])?;
-            // A lazy open binds the manager in O(catalog) without decoding
+            // A lazy open binds the manager in O(checkpoint) without decoding
             // any table: compaction streams clean slots byte-for-byte.
             let db = writer_options(&opts, "cli")?
                 .lazy(true)
@@ -495,20 +498,20 @@ pub fn serve(args: &[String], replies: &mut dyn Write) -> Result<String, String>
 
     // Open an existing database, or initialize (and bind) an empty one so
     // commits have a target from the start. Fresh-init happens ONLY when
-    // no catalog exists: an IO error reading an existing database must
+    // the directory holds nothing: an IO error reading an existing database must
     // propagate, never be shadowed by an empty save (whose sweep would
     // delete the surviving edge files).
     let db = if database_exists(db_dir) {
         // --gzip is deliberately NOT passed to the builder here: for
         // `serve` it means "convert a plain database", not "insist the
-        // catalog already is gzip" (which the builder would validate).
+        // database already is gzip" (which the builder would validate).
         let db = options
             .lazy(lazy)
             .open(db_dir)
             .map_err(|e| format!("open {db_dir}: {e}"))?;
         // An existing plain database with an explicit --gzip is converted
         // (full re-save in the gzip format) so later commits honor the
-        // requested mode; without the flag the catalog's mode wins.
+        // requested mode; without the flag the database's mode wins.
         if gzip
             && db
                 .bound_database()
@@ -737,10 +740,14 @@ pub fn client(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Whether `db_dir` already holds a committed DSLog database (catalog
-/// present). Used to decide between opening and fresh-initializing.
+/// Whether `db_dir` holds anything but the writer lock: a database to open
+/// (or to refuse), never one to fresh-initialize over. Used to decide
+/// between opening and fresh-initializing.
 fn database_exists(db_dir: &str) -> bool {
-    std::path::Path::new(db_dir).join("catalog.dsl").exists()
+    let entries = std::fs::read_dir(db_dir).into_iter().flatten().flatten();
+    entries
+        .into_iter()
+        .any(|e| e.file_name() != persist::LOCK_FILE)
 }
 
 /// Feed a command stream to the service through the wire protocol's

@@ -287,6 +287,63 @@ mod tests {
         let _ = std::fs::remove_file(&client_script);
     }
 
+    /// One writer per directory, over the CLI and the wire. `ingest` beside
+    /// a `serve --listen` that has committed is refused with the lock's
+    /// error and changes no file; a server whose first commit comes after
+    /// another writer's is refused over the wire as stale and changes no
+    /// file either. Every commit that succeeded survives.
+    #[test]
+    fn a_second_writer_is_refused_over_the_cli_and_the_wire() {
+        let db = temp_db("one-writer");
+        let csv = write_sum_csv("one-writer");
+        let ingest = |out: &str| {
+            let args = [
+                "ingest", "--db", &db, "--in", "A:3x2", "--out", out, "--csv", &csv,
+            ];
+            run(&s(&args))
+        };
+        let client = |addr: &str, text: &str| {
+            let script = format!("{db}.client");
+            std::fs::write(&script, text).unwrap();
+            let out = run(&s(&["client", "--addr", addr, "--script", &script])).unwrap();
+            let _ = std::fs::remove_file(&script);
+            out
+        };
+        let dir = std::path::Path::new(&db);
+        ingest("B:3").unwrap();
+
+        let (server, addr) = spawn_listen(&db, &[]);
+        let out = client(&addr, "define C:3\ningest B C 0,1;1,2;2,0\ncommit\n");
+        assert!(out.contains("\"generation\":2"), "{out}");
+        let before = dir_files(dir);
+        let err = ingest("D:3").unwrap_err();
+        assert!(err.contains("locked by another writer"), "{err}");
+        assert_eq!(dir_files(dir), before, "a refused ingest wrote");
+        client(&addr, "shutdown\n");
+        server.join().unwrap().unwrap();
+
+        let (server, addr) = spawn_listen(&db, &[]);
+        ingest("D:3").unwrap();
+        let before = dir_files(dir);
+        let out = client(&addr, "define E:3\ningest B E 0,1;1,2;2,0\ncommit\n");
+        assert!(
+            out.contains("another writer committed generation 3"),
+            "{out}"
+        );
+        assert_eq!(dir_files(dir), before, "a stale commit wrote");
+        client(&addr, "shutdown\n");
+        let _ = server.join().unwrap();
+
+        for path in ["C,B,A", "D,A"] {
+            let q = run(&s(&["query", "--db", &db, "--path", path, "--cells", "1"]));
+            assert!(q.is_ok(), "{path}: {q:?}");
+        }
+        let v = run(&s(&["db", "verify", &db])).unwrap();
+        assert!(v.contains("database OK: 4 array(s), 3 edge(s)"), "{v}");
+        let _ = std::fs::remove_dir_all(&db);
+        let _ = std::fs::remove_file(&csv);
+    }
+
     #[test]
     fn serve_listen_and_client_roundtrip_over_tcp() {
         let db = temp_db("serve-net");
@@ -354,11 +411,11 @@ mod tests {
             "ingest", "--db", &db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
         ]))
         .unwrap();
-        // Corrupt the catalog: a later ingest or serve must refuse (not
-        // fresh-init an empty database whose save would sweep the old
-        // snapshot's segment).
-        let catalog = std::path::Path::new(&db).join("catalog.dsl");
-        std::fs::write(&catalog, b"garbage").unwrap();
+        // Corrupt the log, which is the database: a later ingest or serve
+        // must refuse (not fresh-init an empty database whose save would
+        // sweep the old snapshot's segment).
+        let log = std::path::Path::new(&db).join("ops.log");
+        std::fs::write(&log, b"garbage").unwrap();
         assert!(run(&s(&[
             "ingest", "--db", &db, "--in", "A:3x2", "--out", "B:3", "--csv", &csv,
         ]))
@@ -475,22 +532,34 @@ mod tests {
         catalog
     }
 
-    /// A log of one kind-6 commit record naming `catalog`, as builds whose
-    /// every commit rewrote the catalog logged it: op 1 by `cli`,
-    /// generation 0 → 1, the catalog's length and crc trailer.
-    fn kind_6_log(catalog: &[u8]) -> Vec<u8> {
+    /// A log of one commit record of retired kind `kind` naming `catalog`:
+    /// op 1 by `cli`, generation 0 → 1, the catalog's length and crc
+    /// trailer — as builds whose every commit rewrote the catalog logged it
+    /// (kind 6), or, with its segment and tables after, the build before
+    /// logs were the database (kind 7, here naming none).
+    fn older_log(kind: u8, catalog: &[u8]) -> Vec<u8> {
         use dslog_codecs::crc32::crc32;
         use dslog_codecs::varint::write_uvarint;
-        // Version 1, op 1, timestamp 0, actor "cli", generation 0 -> 1, kind 6.
-        let mut body = b"\x01\x01\x00\x03cli\x00\x01\x06".to_vec();
+        // Version 1, op 1, timestamp 0, actor "cli", generation 0 -> 1.
+        let mut body = b"\x01\x01\x00\x03cli\x00\x01".to_vec();
+        body.push(kind);
         write_uvarint(&mut body, catalog.len() as u64);
         body.extend_from_slice(&catalog[catalog.len() - 4..]);
+        if kind == 7 {
+            body.extend_from_slice(b"\x00\x01\x00");
+        }
         let mut frame = (body.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&body);
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame
     }
 
+    /// Directories in the shapes earlier builds wrote — a `catalog.dsl`
+    /// checkpoint file of one of its versions, alone or beside a log whose
+    /// commit records are of a retired kind — are refused by every reader
+    /// and writer with a typed error, and left as they are: a directory
+    /// with files but no log is no database this build reads, and a log of
+    /// a retired kind is no log it reads.
     #[test]
     fn directory_of_an_older_shape_is_refused_and_left_alone() {
         use dslog::{Dslog, DslogError};
@@ -514,61 +583,31 @@ mod tests {
         let body = u32::from_le_bytes(table[table.len() - 4..].try_into().unwrap());
         let (v2, v3) = (b"DSLGDB2\0", b"DSLGDB3\0");
         let (edge, segment) = ("edge-0-b.g1.tbl", "segment-0.g1.seg");
-        let mask = "unsupported edge orientation mask";
-        for (tag, magic, edge_mask, file, crc, kind_6, refusal) in [
-            (
-                "older-v2",
-                v2,
-                1,
-                edge,
-                whole,
-                false,
-                "unsupported catalog version",
-            ),
-            (
-                "older-edge",
-                v3,
-                1,
-                edge,
-                whole,
-                false,
-                "catalog references an illegal file name",
-            ),
-            (
-                "kind-6",
-                v3,
-                1,
-                segment,
-                body,
-                true,
-                "retired log record kind",
-            ),
-            ("forward-mask", v3, 2, segment, body, false, mask),
-            ("both-mask", v3, 3, segment, body, false, mask),
-            (
-                "residue",
-                v3,
-                1,
-                segment,
-                whole,
-                false,
-                "edge file checksum mismatch",
-            ),
+        for (tag, magic, edge_mask, file, crc, log) in [
+            ("older-v2", v2, 1, edge, whole, None),
+            ("older-edge", v3, 1, edge, whole, None),
+            ("kind-6", v3, 1, segment, body, Some(6)),
+            ("head", v3, 1, segment, body, Some(7)),
+            ("forward-mask", v3, 2, segment, body, None),
+            ("both-mask", v3, 3, segment, body, None),
+            ("residue", v3, 1, segment, whole, None),
         ] {
             let db = temp_db(tag);
             let dir = std::path::Path::new(&db);
             std::fs::create_dir_all(dir).unwrap();
             let catalog = older_catalog(magic, edge_mask, file, &table, crc);
             std::fs::write(dir.join(file), &table).unwrap();
-            if kind_6 {
-                std::fs::write(dir.join("ops.log"), kind_6_log(&catalog)).unwrap();
+            if let Some(kind) = log {
+                std::fs::write(dir.join("ops.log"), older_log(kind, &catalog)).unwrap();
             }
             std::fs::write(dir.join("catalog.dsl"), catalog).unwrap();
             let before = dir_files(dir);
 
+            let refusal = match log {
+                Some(_) => "retired log record kind",
+                None => "database files without an ops.log",
+            };
             let typed = DslogError::Corrupt(refusal);
-            // A lazy open refuses on the first query of a form only reading
-            // the table shows.
             let first_query = |db: Dslog| db.prov_query(&["B", "A"], &[vec![1]]).map(drop);
             for opened in [
                 Dslog::options().open(dir).map(drop),
@@ -842,14 +881,14 @@ mod tests {
             run(&s(&args)).unwrap();
         }
         // What a crashed process leaves: a torn log frame, an orphan
-        // segment and checkpoint, temp files.
+        // segment and retired log, temp files.
         let dir = std::path::Path::new(&db);
         let mut log = std::fs::read(dir.join("ops.log")).unwrap();
         log.extend_from_slice(b"\x30\0\0\0half a frame");
         std::fs::write(dir.join("ops.log"), log).unwrap();
         let debris = [
-            "catalog.dsl.tmp",
-            "catalog.g39.dsl",
+            "ops.g39.log",
+            "ops.log.tmp",
             "segment-0.g40.seg",
             "segment-0.g41.seg.tmp",
         ];
@@ -875,7 +914,8 @@ mod tests {
                 }
             }
         }
-        // The next commit deletes the debris and cuts the torn frame.
+        // The next commit deletes the debris and starts a fresh log: the
+        // torn frame stays behind in the retired one.
         let args = [
             "ingest", "--db", &db, "--in", "A:3x2", "--out", "D:3", "--csv", &csv,
         ];
@@ -911,13 +951,21 @@ mod tests {
         assert!(out.contains("cli ingest"), "{out}");
         assert!(out.contains("cli commit"), "{out}");
         assert!(out.contains("gen 0->1"), "{out}");
+        // The log opens with its checkpoint, one line of its own.
         assert!(
-            out.contains("4 record(s), 1 commit(s), the last to generation 1"),
+            out.lines().next().unwrap().ends_with(
+                "cli checkpoint gen 0->0: checkpoint of generation 1 (2 arrays, 1 edges)"
+            ),
             "{out}"
         );
-        // verify reports the log record count alongside the table walk.
+        assert!(
+            out.contains("5 record(s), 1 commit(s), the last to generation 1"),
+            "{out}"
+        );
+        // verify reports the live log's record count alongside the table
+        // walk.
         let v = run(&s(&["db", "verify", &db])).unwrap();
-        assert!(v.contains("4 log record(s)"), "{v}");
+        assert!(v.contains("5 log record(s)"), "{v}");
         let _ = std::fs::remove_dir_all(&db);
         let _ = std::fs::remove_file(&csv);
     }
@@ -1014,7 +1062,9 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         names.sort();
-        assert_eq!(names, ["catalog.dsl", "ops.log", "segment-0.g3.seg"]);
+        let retired = ["ops.g1.log", "ops.g2.log"];
+        let live = ["ops.log", "segment-0.g3.seg", "writer.lock"];
+        assert_eq!(names, [&retired[..], &live[..]].concat());
         // Eager and lazy opens both answer over the compacted layout.
         for extra in [&[][..], &["--lazy"][..]] {
             let mut args = s(&["query", "--db", &db, "--path", "C,B,A", "--cells", "1"]);
@@ -1022,7 +1072,7 @@ mod tests {
             let q = run(&args).unwrap();
             assert!(q.contains("hop(s)"), "{q}");
         }
-        // Verify holds every range against the catalog and finds no dead
+        // Verify holds every range against the checkpoint and finds no dead
         // space; history shows the compact record.
         let v = run(&s(&["db", "verify", &db])).unwrap();
         assert!(v.contains("database OK"), "{v}");

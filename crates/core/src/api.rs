@@ -108,7 +108,7 @@ pub struct OpenOptions {
 
 impl OpenOptions {
     /// Defer table decode + checksum to first use: the open costs
-    /// O(catalog), ideal when a large database serves queries that touch
+    /// O(checkpoint), ideal when a large database serves queries that touch
     /// few edges. Conflicts with [`as_of`](Self::as_of) — time-travel
     /// snapshots are replayed from a checkpoint and always decode eagerly.
     pub fn lazy(mut self, lazy: bool) -> Self {
@@ -130,8 +130,8 @@ impl OpenOptions {
 
     /// On-disk format: `true` selects the ProvRC-GZip table format. For
     /// [`create`](Self::create) this is the format written; for
-    /// [`open`](Self::open) it is validated against what the catalog
-    /// actually uses (omit it to accept either).
+    /// [`open`](Self::open) it is validated against what the directory's
+    /// checkpoint records (omit it to accept either).
     pub fn gzip(mut self, gzip: bool) -> Self {
         self.config.gzip = Some(gzip);
         self
@@ -409,8 +409,10 @@ impl Dslog {
     /// generation with one operation-log record, naming the new tables'
     /// ranges, whose fdatasync is the single atomic commit point. Appending
     /// one edge to a 100k-row database costs O(new edge), not O(database);
-    /// the checkpoint catalog is rewritten only once the edges committed
-    /// since the last one reach its edge count.
+    /// a checkpoint, at the head of a fresh log, is written only once the
+    /// edges committed since the last one reach its edge count. A
+    /// directory has one writer: the first commit takes its lock
+    /// ([`DslogError::DirectoryLocked`] while another handle holds it).
     ///
     /// The binding is established by [`save`](Self::save) or by opening a
     /// directory ([`OpenOptions::open`] / [`OpenOptions::create`]);

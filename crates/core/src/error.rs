@@ -55,14 +55,25 @@ pub enum DslogError {
     /// state is intact; retry after those references are gone.
     ServiceBusy(&'static str),
     /// An `as_of` open asked for a generation that was never committed, or
-    /// whose kept catalog or segments the retention sweep already
-    /// reclaimed.
+    /// whose segments the retention sweep already reclaimed.
     GenerationNotRetained(u64),
     /// An [`OpenOptions`](crate::api::OpenOptions) builder combined
     /// settings that contradict each other (e.g. `as_of` + `lazy`), or
-    /// that contradict the database directory (a `gzip` mode its catalog
-    /// does not record).
+    /// that contradict the database directory (a `gzip` mode its
+    /// checkpoint does not record).
     InvalidOptions(&'static str),
+    /// Another handle — in this process or another — holds the database
+    /// directory's writer lock (`writer.lock`): a directory has one writer.
+    DirectoryLocked,
+    /// A handle's first commit found a generation newer than the one it
+    /// opened or last committed: another writer committed in between, and
+    /// this handle's state would revert it. Nothing was written; reopen.
+    StaleGeneration {
+        /// The generation this handle is bound to.
+        bound: u64,
+        /// The newer generation the directory holds.
+        committed: u64,
+    },
 }
 
 impl std::fmt::Display for DslogError {
@@ -117,6 +128,14 @@ impl std::fmt::Display for DslogError {
                 "generation {generation} is not retained in the database directory"
             ),
             DslogError::InvalidOptions(what) => write!(f, "invalid options: {what}"),
+            DslogError::DirectoryLocked => {
+                write!(f, "database directory is locked by another writer")
+            }
+            DslogError::StaleGeneration { bound, committed } => write!(
+                f,
+                "another writer committed generation {committed} after this handle's \
+                 generation {bound}; reopen the database"
+            ),
         }
     }
 }

@@ -14,9 +14,10 @@
 //! counts; it costs a rewrite of the whole database.
 //!
 //! It replaces every range the directory's generation names, so it is a
-//! checkpoint commit: segment, catalog temp file + fdatasync, directory
-//! sync, the catalog rename as its one commit point, directory sync, log
-//! append + fdatasync, delete. It passes the same `wal::IoPolicy` gates as
+//! checkpoint commit: segment + fdatasync, a fresh log (the checkpoint, a
+//! `compact` record, the commit record) + fdatasync, the live log retired,
+//! directory sync, the fresh log's rename as its one commit point,
+//! directory sync, delete. It passes the same `wal::IoPolicy` gates as
 //! every commit (so the fault sweeps, in-process and
 //! `scripts/crash_consistency.sh` with `--crash-at-io`, kill it at each
 //! one), and streams clean lazily opened slots as verified bytes without
@@ -35,8 +36,8 @@ use std::path::Path;
 /// from it, or last committed into it) — compaction is in-place
 /// maintenance of a live database, not a save-elsewhere. Buffered
 /// operation-log records are flushed with the pass (like any commit),
-/// followed by a `compact` annotation record and the commit record naming
-/// the new checkpoint.
+/// after the new checkpoint at the head of a fresh log, followed by a
+/// `compact` annotation record and the commit record.
 ///
 /// Logical state is untouched: queries against the compacted database
 /// return exactly what they did before (pinned by the proptest parity

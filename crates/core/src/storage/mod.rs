@@ -246,6 +246,10 @@ pub(crate) struct PersistBinding {
     /// puts the advanced tail back on success, so `None` — after a failed
     /// commit — makes the next commit rebuild it from the directory.
     pub(crate) tail: Option<persist::LogTail>,
+    /// The directory's writer lock, from the handle's first commit into it
+    /// on: the binding keeps it for the handle's life, and re-binds carry
+    /// it (epoch clones share the binding).
+    pub(crate) lock: Option<Arc<std::fs::File>>,
 }
 
 /// One stored lineage edge (input array → output array): its one table,

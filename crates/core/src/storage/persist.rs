@@ -8,21 +8,22 @@
 //! ```text
 //! <dir>/
 //!   segment-0.g<g>.seg  the tables generation g wrote, back to back
-//!   ops.log             the operation log (see [`super::wal`]); a commit
-//!                       record names its segment and, per table in it,
-//!                       the edge, byte range and crc
-//!   catalog.dsl         the checkpoint (see [`super::catalog`]): arrays,
-//!                       and per edge its backward table's range
-//!   catalog.g<g>.dsl    an older checkpoint, kept while a generation of
-//!                       the retention window needs it
+//!   ops.log             the live operation log (see [`super::wal`]): a
+//!                       checkpoint record — arrays, and per edge its
+//!                       backward table's range — then the commits since
+//!   ops.g<s>.log        a retired log, whose checkpoint holds generation
+//!                       s: the audit trail, and what `as_of` replays
+//!   writer.lock         the lock every writer holds (see below)
 //! ```
 //!
-//! A generation is a checkpoint plus the commit records after it: open
-//! reads `catalog.dsl` and replays the log past it, and an `as_of` open
-//! replays from the newest checkpoint at or before the generation asked
-//! for. A directory in a form only earlier builds wrote — a log holding a
-//! commit record of a retired kind, a checkpoint naming a forward table —
-//! is refused as `Corrupt`, and nothing in it is truncated or swept.
+//! The log is the database. Open replays the live log alone: its first
+//! transaction is a checkpoint, and every later one an incremental commit.
+//! An `as_of` open, and the retention window's walk, replay the retired
+//! log that holds the generation asked for and the logs after it. A live
+//! log missing beside the database's files, or one that does not start
+//! with a checkpoint, is `Corrupt`, and so is a directory in a form only
+//! earlier builds wrote (a log holding a record of a retired kind); nothing
+//! in it is truncated or swept.
 //!
 //! ## Atomicity
 //!
@@ -32,58 +33,70 @@
 //! append + fdatasync. Three syncs; a commit that wrote no segment skips
 //! the first two. A crash before the log fdatasync leaves the previous
 //! generation (the segment is debris the next commit deletes), from it on
-//! the new one. Once the tables committed since the last checkpoint reach
-//! that one's edge count, the commit writes a new one after its commit
-//! point — amortized O(1) per table, and a replay never applies more tables
-//! than the checkpoint holds. The append that starts a log over (its first,
-//! or a full save's into another database's directory) also syncs the
-//! directory, so the log's own entry is durable before a later commit point
-//! lies in it.
+//! the new one.
 //!
-//! A full save, a gzip conversion, a compaction and a commit whose tail had
-//! to be rebuilt replace what the directory holds, so their commit point
-//! is their checkpoint's rename: segment → catalog temp file + fdatasync →
-//! directory sync → rename → directory sync → log append + fdatasync, the
-//! record naming the catalog it follows. After any commit, the files only
-//! generations leaving the retention window needed are deleted. Every write
-//! and sync passes the manager's [`wal::IoPolicy`] (the one fault
-//! injector), if one was installed.
+//! A checkpoint commit starts a fresh log instead: a full save, a gzip
+//! conversion, a compaction, a commit whose tail had to be rebuilt, and
+//! one that makes a checkpoint due — once the tables committed since the
+//! live checkpoint would reach its edge count, amortized O(1) per table,
+//! so a replay never applies more tables than the checkpoint holds. It
+//! writes segment + fdatasync → `ops.log.tmp` (the checkpoint record, the
+//! flushed operations, the commit record) + fdatasync → the live log kept
+//! as `ops.g<s>.log` (a hard link) → directory sync → rename → directory
+//! sync; the rename is its commit point. After any commit, the segments
+//! only generations leaving the retention window needed are deleted; the
+//! retired logs are kept. Every write and sync passes the manager's
+//! [`wal::IoPolicy`] (the one fault injector), if one was installed.
 //!
-//! What fails after the commit point — the checkpoint a record commit
-//! writes, or the record a checkpoint commit logs after its rename — only
-//! keeps replays long: the commit still reports success, and the manager
-//! forgets its tail, so the next commit rebuilds it and writes the
-//! checkpoint. Since the log is the only copy of what was committed after
-//! the live checkpoint, damage to it that hides such a commit, or a commit
-//! record that cannot be applied, makes [`open`], `as_of` and [`verify`]
-//! fail with [`DslogError::Corrupt`], touching nothing (see
+//! What fails after the commit point only costs what the manager
+//! remembers: the manager forgets its tail, so the next commit rebuilds it
+//! and writes a checkpoint. Since the log is the only copy of what was
+//! committed after its checkpoint, damage to it that hides such a commit,
+//! or a commit record that cannot be applied, makes [`open`], `as_of` and
+//! [`verify`] fail with [`DslogError::Corrupt`], touching nothing (see
 //! [`super::wal`]).
+//!
+//! ## One writer
+//!
+//! A handle's first commit into a directory takes an exclusive lock on
+//! `writer.lock` ([`std::fs::File::try_lock`]) and the binding holds it for
+//! the handle's life, shared by its epoch clones; a second writer — another
+//! handle in this process or another process — gets
+//! [`DslogError::DirectoryLocked`] and writes nothing. The lock dies with
+//! its process, so crash recovery does not change. Readers take no lock and
+//! write nothing: a reader racing a commit sees the writer's in-flight log
+//! append as a torn tail, the end of its log. A handle that takes the lock
+//! and finds a generation newer than the one it opened or last committed
+//! (another writer committed in between) is refused with
+//! [`DslogError::StaleGeneration`] and writes nothing: it is never rebuilt
+//! into a checkpoint of state that would revert that commit.
 //!
 //! ## The remembered tail
 //!
-//! The binding carries a `LogTail` — where the log ends, the generation the
-//! next commit takes, the committed generation (every edge's range), the
-//! live checkpoint's header, the retention window and the segments and
-//! checkpoints it needs — shared by every epoch clone, built by [`open`]
-//! through `load_tail` and advanced by each commit the way a replay of its
-//! records would be. So a commit into the bound directory reads back
-//! nothing this manager wrote. The tail is believed only while `ops.log`'s
-//! length and the live catalog's generation and length are what it
-//! remembers; otherwise — an unbound or foreign target, a failed commit, a
-//! directory changed from outside, a log an open found longer than its
-//! vouched prefix — the commit runs `load_tail` again (for the bound
-//! directory, a damaged log fails the commit) and writes a checkpoint
-//! (holding each clean range against its segment's length first, one
-//! `stat` per segment, and rewriting what does not fit from the slots).
-//! Its log append cuts the torn or unvouched tail the rebuilt tail ends
-//! before.
+//! The binding carries a `LogTail` — where the live log ends and which file
+//! it is, the generation the next commit takes, the committed generation
+//! (every edge's range), the live checkpoint's generation and size, the
+//! retention window and the segments it needs — shared by every epoch
+//! clone, built by [`open`] through `load_tail` and advanced by each commit
+//! the way a replay of its records would be. So a commit into the bound
+//! directory reads back nothing this manager wrote. The tail is believed
+//! only while `ops.log` is the file, and the length, it remembers (one
+//! `metadata`); otherwise — an unbound or foreign target, a failed commit,
+//! a log an open found longer than its vouched prefix — the commit runs
+//! `load_tail` again (for the bound directory, a damaged log fails the
+//! commit) and writes a checkpoint (holding each clean range against its
+//! segment's length first, one `stat` per segment, and rewriting what does
+//! not fit from the slots). The fresh log leaves the torn or unvouched
+//! tail in the retired one, where every reader ignores it.
 //!
 //! `load_tail` is the one place that lists the directory: the tail carries
 //! the files the listing found that no generation of the window needs
-//! (crashed-commit debris and `*.tmp` leftovers), which [`verify`] reports
-//! and the next commit deletes with the files it stopped referencing. So
-//! only a commit writes a database directory: [`open`] (eager, lazy or
-//! `as_of`), [`verify`] and [`wal::history`] read it and change nothing.
+//! (crashed-commit debris, `*.tmp` leftovers, and a retired log named for
+//! the live log's own checkpoint, which a commit that died before its
+//! rename left), which [`verify`] reports and the next commit deletes with
+//! the files it stopped referencing. So only a commit writes a database
+//! directory: [`open`] (eager, lazy or `as_of`), [`verify`] and
+//! [`wal::history`] read it and change nothing.
 //!
 //! ## Incremental commits
 //!
@@ -96,15 +109,12 @@
 //! [`compact`](super::compact::compact) is a checkpoint commit that
 //! reuses nothing. A segment is deleted whole, when the last live or
 //! retained range in it dies; until then a superseded table in it is
-//! [`VerifyReport::dead_bytes`]. Readers take no lock and write nothing: a
-//! reader racing a commit sees the writer's in-flight log append as a torn
-//! tail, the end of its log. A commit beside an [`open`] may delete a
+//! [`VerifyReport::dead_bytes`]. A commit beside an [`open`] may delete a
 //! segment the open's replay has just named; the open then finds `ops.log`
-//! longer than it read it and reads the directory again (a bounded number
-//! of times, then the `Io` error stands). A lazily opened handle has no
-//! such second read: once a later commit deletes a segment its generation
-//! names, its first touch of that table fails with `Io`. A second *writer*
-//! on one directory is still unsupported.
+//! longer, or another file, than it read and reads the directory again (a
+//! bounded number of times, then the `Io` error stands). A lazily opened
+//! handle has no such second read: once a later commit deletes a segment
+//! its generation names, its first touch of that table fails with `Io`.
 //!
 //! ## Verify once
 //!
@@ -120,9 +130,8 @@
 //! in the other orientation is `Corrupt`. The reuse predictor's tables are
 //! not persisted (§VI.C).
 
-use super::catalog::{checkpoint_at, checkpoint_name, parse_catalog, peek_catalog, read_catalog};
-use super::catalog::{Catalog, Log, Replay, CATALOG_FILE};
-use super::wal::{self, IoPolicy, OpKind, OpRecord};
+use super::catalog::{Catalog, Log, Replay};
+use super::wal::{self, Checkpoint, IoPolicy, OpKind, OpRecord};
 use super::{format, DiskTable, Edge, FileRecord, Slot, StorageManager, Stored, TableSource};
 use crate::error::{DslogError, Result};
 use crate::par;
@@ -132,6 +141,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// The lock file a writer of a database directory holds (see the module
+/// docs); it holds no data.
+pub const LOCK_FILE: &str = "writer.lock";
+
 /// The segment generation `gen` writes its tables into. The generation
 /// makes the name unique per commit, so a commit in progress can never
 /// clobber a file a committed generation still references.
@@ -139,14 +152,13 @@ fn segment_file_name(gen: u64) -> String {
     format!("segment-0.g{gen}.seg")
 }
 
-/// Extract the generation from a generation-qualified data file name —
-/// `segment-<k>.g<gen>.seg` or `catalog.g<gen>.dsl` (also matches
-/// leftover `.tmp` siblings). `None` for any other name and the live
-/// catalog.
+/// Extract the generation from a generation-qualified file name —
+/// `segment-<k>.g<gen>.seg` or a retired log `ops.g<gen>.log` (also
+/// matches leftover `.tmp` siblings). `None` for any other name.
 fn parse_generation(name: &str) -> Option<u64> {
     let rest = name
         .strip_prefix("segment-")
-        .or_else(|| name.strip_prefix("catalog"))?;
+        .or_else(|| name.strip_prefix("ops"))?;
     let gpos = rest.find(".g")?;
     let tail = &rest[gpos + 2..];
     let digits = &tail[..tail.find('.').unwrap_or(tail.len())];
@@ -167,7 +179,7 @@ pub(crate) fn list_dir(dir: &Path) -> Vec<String> {
 
 /// Flush directory metadata so preceding creates/renames/unlinks in `dir`
 /// are durable. Without this, a power loss can persist a log record or a
-/// catalog rename but not the segment it depends on. No-op error-wise on
+/// log rename but not the segment it depends on. No-op error-wise on
 /// platforms where directories cannot be opened for sync.
 pub(crate) fn sync_dir(dir: &Path, policy: Option<&IoPolicy>) -> Result<()> {
     let _io = dslog_sync::io_guard("persist::sync_dir");
@@ -199,6 +211,23 @@ fn write_synced(
     wal::policy_sync(&f, what, policy)
 }
 
+/// Take `dir`'s writer lock ([`LOCK_FILE`]), creating the file if needed;
+/// [`DslogError::DirectoryLocked`] while another handle holds it.
+fn lock_dir(dir: &Path) -> Result<Arc<std::fs::File>> {
+    let _io = dslog_sync::io_guard("persist::lock_dir");
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(false)
+        .open(dir.join(LOCK_FILE))
+        .map_err(|e| DslogError::io("open writer lock", e))?;
+    match file.try_lock() {
+        Ok(()) => Ok(Arc::new(file)),
+        Err(std::fs::TryLockError::WouldBlock) => Err(DslogError::DirectoryLocked),
+        Err(std::fs::TryLockError::Error(e)) => Err(DslogError::io("take writer lock", e)),
+    }
+}
+
 /// What one [`commit`] — or one [`compact`](super::compact::compact), which
 /// is a commit — did: generation it committed, and how much of the
 /// database it actually had to rewrite.
@@ -216,15 +245,14 @@ pub struct CommitReport {
     /// Tables left where earlier generations wrote them (clean slots);
     /// always 0 for a compaction.
     pub files_reused: usize,
-    /// Byte length of the segment written (excludes the catalog and the
-    /// log).
+    /// Byte length of the segment written (excludes the log).
     pub bytes_written: u64,
 }
 
 /// Whether a directory entry is one of ours and subject to sweeping:
-/// segments and kept checkpoints (never the live `catalog.dsl`).
+/// segments and retired logs (never the live `ops.log`).
 fn is_data_file(name: &str) -> bool {
-    name.starts_with("segment-") || name.starts_with("catalog.g")
+    name.starts_with("segment-") || name.starts_with("ops.g")
 }
 
 /// The byte length of each segment a rebuilt commit's clean slots
@@ -276,7 +304,7 @@ fn append_table(segment: &mut Vec<u8>, name: &str, gzip: bool, plain: &[u8]) -> 
 }
 
 /// What a manager remembers about the directory it is bound to, so a
-/// commit reads back nothing it wrote itself: where the log ends, the
+/// commit reads back nothing it wrote itself: where the live log ends, the
 /// committed database, and what the generations it must spare need. Lives
 /// in the persistence binding (shared by epoch clones); built from the
 /// directory by `load_tail`, advanced by every successful commit, and
@@ -284,26 +312,30 @@ fn append_table(segment: &mut Vec<u8>, name: &str, gzip: bool, plain: &[u8]) -> 
 /// the directory no longer looks the way the tail left it.
 #[derive(Debug, Default)]
 pub(crate) struct LogTail {
-    /// Byte length of the log's vouched prefix: the append position.
+    /// Byte length of the live log's vouched prefix: the append position.
     clean_len: u64,
-    /// Highest op id in that prefix (0 for an empty log).
+    /// The live log's identity (see [`wal::file_id`]).
+    log_id: u64,
+    /// Highest op id in that prefix (0 for no log).
     last_op_id: u64,
     /// Generation the next commit uses: one past every generation the
-    /// directory's file names, catalog and log carried when the tail was
-    /// built or advanced.
+    /// directory's file names and log carried when the tail was built or
+    /// advanced.
     next_gen: u64,
-    /// The live checkpoint (`catalog.dsl`): generation, byte length, edges.
-    checkpoint: (u64, u64, usize),
+    /// The live log's checkpoint: its generation and edge count.
+    checkpoint: (u64, usize),
     /// Tables committed by records since that checkpoint.
     since_checkpoint: usize,
+    /// The start generations of this database's retired logs, oldest
+    /// through newest. A retired log outside them (one a commit that died
+    /// before its rename left, or any of a database this one replaced) is
+    /// stale.
+    history: std::ops::Range<u64>,
     /// The committed database and the segments it and the window use.
     replay: Replay,
     /// The committed generations the retention window keeps, oldest first;
     /// the last is the live one.
     window: VecDeque<u64>,
-    /// Generations of the older checkpoints kept as `catalog.g<g>.dsl`,
-    /// oldest first.
-    kept: Vec<u64>,
     /// The files the listing this tail was built from held and the tail
     /// condemns, sorted: what [`verify`] reports as stale and the next
     /// commit deletes.
@@ -325,23 +357,17 @@ impl LogTail {
         }
     }
 
-    /// The newest checkpoint at or before generation `g`.
-    fn base_for(&self, g: u64) -> Option<u64> {
-        let all = self.kept.iter().chain([&self.checkpoint.0]);
-        all.copied().filter(|&c| c <= g).max()
-    }
-
     /// The single source of truth for what a sweep must leave alone —
     /// shared by every commit and [`verify`], so no caller can invent its
     /// own (weaker) sparing rule and delete a file the live generation or
     /// the retention window still needs: every segment the live generation
-    /// references or a window generation did, and every kept checkpoint.
+    /// references or a window generation did, and every retired log of
+    /// this database's history.
     fn spares(&self, name: &str) -> bool {
         let w0 = self.window.front().copied().unwrap_or(0);
         self.replay.live.contains_key(name)
             || (self.replay.dead.iter()).any(|(last, n)| n == name && *last >= w0)
-            || parse_generation(name)
-                .is_some_and(|g| name == checkpoint_name(g) && self.kept.contains(&g))
+            || wal::retired_start(name).is_some_and(|s| self.history.contains(&s))
     }
 
     /// Whether a sweep deletes `name`: `*.tmp` debris, or a data file (see
@@ -361,24 +387,15 @@ impl LogTail {
     }
 
     /// Enter committed generation `gen` into the window, trim the window
-    /// to `retain` older generations, and return the files only the
-    /// generations that left needed: segments that died before the oldest
-    /// one kept, and checkpoints older than the one it replays from.
+    /// to `retain` older generations, and return the segments only the
+    /// generations that left needed.
     fn enter(&mut self, gen: u64, retain: usize) -> Vec<String> {
         self.window.push_back(gen);
         while self.window.len() > retain + 1 {
             self.window.pop_front();
         }
         let w0 = self.window.front().copied().unwrap_or(gen);
-        let base = self.base_for(w0).unwrap_or(self.checkpoint.0);
         let mut gone: Vec<String> = Vec::new();
-        self.kept.retain(|&c| {
-            let keep = c >= base;
-            if !keep {
-                gone.push(checkpoint_name(c));
-            }
-            keep
-        });
         let live = &self.replay.live;
         self.replay.dead.retain(|(last, name)| {
             let keep = *last >= w0;
@@ -391,83 +408,86 @@ impl LogTail {
     }
 }
 
-/// Rebuild what a manager remembers of `dir` ([`LogTail`]) from the
-/// directory itself — the one routine behind [`open`], `as_of`, [`verify`]
-/// and a commit whose remembered tail is missing or stale. From the live
-/// checkpoint (parsed, with its byte length), replays the log's commits
-/// after it (one it cannot apply is `Corrupt`, see [`Replay::run`], and so
-/// is damage that hides one), rebuilds the retention window the last
-/// commit recorded — replaying from an older kept checkpoint if the window
-/// reaches back past the live one — and classifies the directory's listed
-/// `names` against it. Reads only.
-///
-/// The generation the next commit must use is one past anything present —
-/// the catalog's, every generation the log or a file name carries
-/// (leftover higher-generation debris from a crashed commit must not be
-/// reused while a concurrent reader might still stat it).
-fn load_tail(
+/// Replay `dir`'s logs from the one holding generation `from` through
+/// generation `until`: the newest retired log (among the listed `names`)
+/// starting at or before `from` — the oldest one, if none does — every
+/// later one, then the `live` log. Calls `visit` with every generation it
+/// reached.
+fn walk(
     dir: &Path,
     names: &[String],
-    log: &Log,
-    (live, catalog_len): (Catalog, u64),
-) -> Result<LogTail> {
-    let checkpoint = (live.generation, catalog_len, live.edges.len());
-    let mut gens = vec![live.generation];
-    let mut replay = Replay::new(live);
-    let (vouched, since_checkpoint) =
-        replay.run(dir, log, u64::MAX, |s| gens.push(s.generation))?;
+    live: &Log,
+    (from, until): (u64, u64),
+    mut visit: impl FnMut(&Catalog),
+) -> Result<Replay> {
+    let retired = wal::retired_starts(names, live.checkpoint.0);
+    let first = match from < live.checkpoint.0 {
+        true => retired.iter().rposition(|&s| s <= from).unwrap_or(0),
+        false => retired.len(),
+    };
+    let mut replay = Replay::default();
+    for &s in retired[first..].iter().filter(|&&s| s <= until) {
+        replay.run(&Log::retired(dir, s)?, until, &mut visit)?;
+    }
+    replay.run(live, until, &mut visit)?;
+    Ok(replay)
+}
+
+/// Rebuild what a manager remembers of `dir` ([`LogTail`]) from the
+/// directory itself — the one routine behind [`open`], `as_of`, [`verify`]
+/// and a commit whose remembered tail is missing or stale. Replays the live
+/// `log` (one transaction it cannot apply is `Corrupt`, see
+/// [`Replay::run`], and so is damage that hides one), rebuilds the
+/// retention window the last commit recorded — walking the retired logs
+/// if the window reaches back past the live checkpoint — and classifies
+/// the directory's listed `names` against it. Reads only.
+///
+/// The generation the next commit must use is one past anything present —
+/// every generation the log or a file name carries (leftover
+/// higher-generation debris from a crashed commit must not be reused while
+/// a concurrent reader might still stat it).
+fn load_tail(dir: &Path, names: &[String], log: &Log) -> Result<LogTail> {
+    let mut gens = Vec::new();
+    let mut replay = Replay::default();
+    let since_checkpoint = replay.run(log, u64::MAX, |s| gens.push(s.generation))?;
     // Damage to the log hides the commits past it: refused unless the
-    // checkpoint and the records before it already hold them.
+    // records before it already hold them.
     if log.beyond_damage > Some(replay.state.generation) {
         return Err(DslogError::Corrupt("log damaged before committed records"));
     }
-    let last_commit = vouched.checked_sub(1).map(|t| log.commits[t]);
-    let retained_from = match last_commit.map(|c| &log.records[c].kind) {
-        Some(OpKind::Commit { retained_from, .. }) => *retained_from,
-        _ => checkpoint.0,
+    let last_commit = *log.commits.last().unwrap_or(&0);
+    let start = log.checkpoint.0;
+    let retained_from = match &log.records[last_commit].kind {
+        OpKind::Commit { retained_from, .. } => *retained_from,
+        _ => start,
     };
-    let mut kept = Vec::new();
-    if retained_from < checkpoint.0 {
-        // The window reaches back past the live checkpoint: replay it from
-        // the newest kept one at or before its oldest generation (or the
-        // oldest kept one), to learn what those generations reference.
-        let mut older: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_generation(n).filter(|&g| *n == checkpoint_name(g)))
-            .filter(|&g| g < checkpoint.0)
-            .collect();
-        older.sort_unstable();
-        let start = older.iter().rev().find(|&&g| g <= retained_from);
-        if let Some(base) = start.or(older.first()).and_then(|&g| checkpoint_at(dir, g)) {
-            let mut window_gens = vec![base.generation];
-            let mut window = Replay::new(base);
-            // History only: a walk that cannot reach the live generation
-            // leaves the window to what the live checkpoint replays.
-            let walked = window.run(dir, log, replay.state.generation, |s| {
-                window_gens.push(s.generation)
-            });
-            // A checkpoint commit whose record never reached the log ends
-            // the walk one checkpoint short of the live one.
-            if window.state.generation < checkpoint.0 {
-                window.switch(checkpoint_at(dir, checkpoint.0).unwrap_or_default());
-                window_gens.push(checkpoint.0);
+    if retained_from < start {
+        // History only: a walk that cannot reach the live generation leaves
+        // the window to what the live log replays.
+        let mut window_gens = Vec::new();
+        let range = (retained_from, u64::MAX);
+        match walk(dir, names, log, range, |s| window_gens.push(s.generation)) {
+            Ok(walked) if walked.state.generation == replay.state.generation => {
+                (replay, gens) = (walked, window_gens)
             }
-            if walked.is_ok() && window.state.generation == replay.state.generation {
-                kept = older.into_iter().filter(|&g| g >= window_gens[0]).collect();
-                (replay, gens) = (window, window_gens);
-            }
+            _ => {}
         }
     }
     let w0 = retained_from.max(gens[0]);
+    let retired = wal::retired_starts(names, start);
     let tail = LogTail {
-        clean_len: last_commit.map_or(0, |c| log.ends[c] as u64),
-        last_op_id: last_commit.map_or(0, |c| log.records[c].op_id),
+        clean_len: log.ends[last_commit] as u64,
+        log_id: log.id.1,
+        last_op_id: log.records[last_commit].op_id,
         next_gen: next_generation(names, log, replay.state.generation),
-        checkpoint,
+        checkpoint: log.checkpoint,
         since_checkpoint,
+        history: match (retired.first(), retired.last()) {
+            (Some(&oldest), Some(&newest)) => oldest..newest + 1,
+            _ => 0..0,
+        },
         replay,
         window: gens.into_iter().filter(|&g| g >= w0).collect(),
-        kept,
         stale: Vec::new(),
     };
     Ok(tail.classify(names))
@@ -475,6 +495,10 @@ fn load_tail(
 
 /// A slot a commit wrote, to be marked clean once the commit point passed.
 type WrittenSlot = (Arc<Edge>, FileRecord);
+
+/// A table a record commit writes: the index of the `IngestEdge` record
+/// naming its edge, the edge, and the bytes its slot kept.
+type DirtyTable<'a> = (usize, &'a Arc<Edge>, Arc<Vec<u8>>);
 
 /// One past every generation the directory carries: in the log, in a file
 /// name, or `committed`.
@@ -486,9 +510,9 @@ fn next_generation(names: &[String], log: &Log, committed: u64) -> u64 {
 }
 
 /// A commit in flight. [`begin`](Self::begin) takes the manager's commit
-/// lock and the remembered log tail (rebuilding it from the directory when
-/// it cannot be trusted) and fixes the generation;
-/// [`commit_records`](Self::commit_records) and
+/// lock, the directory's writer lock and the remembered log tail
+/// (rebuilding it from the directory when it cannot be trusted) and fixes
+/// the generation; [`commit_records`](Self::commit_records) and
 /// [`commit_checkpoint`](Self::commit_checkpoint) are the two protocols,
 /// and [`finish`](Self::finish) what both do once their commit point
 /// passed.
@@ -499,6 +523,8 @@ struct CommitSession<'a> {
     // and each other's sweeps). The binding mutex itself is taken only
     // briefly, so binding readers (service stats) never wait on IO.
     _serialize: dslog_sync::MutexGuard<'a, ()>,
+    /// The directory's writer lock, kept by the binding once it commits.
+    lock: Arc<std::fs::File>,
     dir: PathBuf,
     gzip: bool,
     /// The target is the bound directory in its bound gzip mode.
@@ -515,8 +541,8 @@ struct CommitSession<'a> {
     tail: LogTail,
     /// The tail was rebuilt from the directory for this commit, which may
     /// therefore differ from what the manager holds (a failed commit, the
-    /// database a full save replaces, a change from outside, a log longer
-    /// than its vouched prefix): the commit writes a checkpoint.
+    /// database a full save replaces, a log longer than its vouched
+    /// prefix): the commit writes a checkpoint.
     rebuilt: bool,
     /// Generation this commit writes.
     gen: u64,
@@ -535,48 +561,60 @@ impl<'a> CommitSession<'a> {
         actor: Option<&str>,
     ) -> Result<Self> {
         let serialize = storage.commit_lock.lock();
-        let (bound, tail) = {
+        let (bound, held, tail) = {
             let mut binding = storage.binding.lock();
             let mut bound = binding.as_mut().filter(|b| b.dir == dir);
             let tail = bound.as_mut().and_then(|b| b.tail.take());
-            (bound.map(|b| b.gzip), tail)
+            let held = bound.as_ref().and_then(|b| b.lock.clone());
+            (bound.map(|b| (b.gzip, b.generation)), held, tail)
         };
-        // The remembered tail stands while the directory still looks the
-        // way the tail left it: the log ends where it did, and the live
-        // catalog is the checkpoint it remembers.
-        let trusted = tail.filter(|tail| {
-            let (generation, len, _) = tail.checkpoint;
-            wal::log_len(&dir) == tail.clean_len && peek_catalog(&dir) == Some((generation, len))
-        });
+        let lock = match &held {
+            Some(lock) => Arc::clone(lock),
+            None => lock_dir(&dir)?,
+        };
+        // The remembered tail stands while the live log is still the file,
+        // and the length, the tail left it at.
+        let trusted = tail.filter(|tail| wal::log_id(&dir) == Some((tail.clean_len, tail.log_id)));
         let rebuilt = trusted.is_none();
-        let tail = match trusted {
-            Some(tail) => tail,
-            None => {
+        let tail = match (trusted, bound) {
+            (Some(tail), _) => tail,
+            // The bound database's log holds the generations committed
+            // since its checkpoint: damage to it errs, and the directory
+            // stays as it is.
+            (None, Some(_)) => {
                 let names = list_dir(&dir);
-                let log = Log::read(&dir);
-                match (bound, read_catalog(&dir.join(CATALOG_FILE))) {
-                    // The bound database's log holds the generations
-                    // committed since its checkpoint: damage to it errs,
-                    // and the directory stays as it is.
-                    (Some(_), Ok(live)) => load_tail(&dir, &names, &log?, live)?,
-                    // An unbound or foreign target (or one whose checkpoint
-                    // is gone) starts a fresh log and retains nothing:
-                    // whatever history the directory holds describes the
-                    // database being replaced, not this manager — its data
-                    // files are all stale. Its generations stay below the
-                    // new one all the same.
-                    _ => {
-                        let log = log.unwrap_or_default();
-                        let committed = peek_catalog(&dir).map_or(0, |c| c.0);
-                        let tail = LogTail {
-                            next_gen: next_generation(&names, &log, committed),
-                            ..LogTail::default()
-                        };
-                        tail.classify(&names)
-                    }
-                }
+                load_tail(&dir, &names, &Log::live(&dir, &names)?)?
+            }
+            // An unbound or foreign target starts a fresh log and retains
+            // nothing: whatever the directory holds describes the database
+            // being replaced, not this manager — its data files and logs
+            // are all stale. Its generations stay below the new one all the
+            // same.
+            (None, None) => {
+                let names = list_dir(&dir);
+                let log = Log::live(&dir, &names).unwrap_or_default();
+                let tail = LogTail {
+                    next_gen: next_generation(&names, &log, 0),
+                    ..LogTail::default()
+                };
+                tail.classify(&names)
             }
         };
+        // A handle that takes the lock only now must not commit over a
+        // generation another writer committed since it last saw the
+        // directory; with the lock held, every newer one is its own.
+        if let Some((_, seen)) = bound.filter(|_| held.is_none()) {
+            let committed = tail.replay.state.generation;
+            if committed > seen {
+                return Err(DslogError::StaleGeneration {
+                    bound: seen,
+                    committed,
+                });
+            }
+            if let Some(binding) = storage.binding.lock().as_mut() {
+                binding.lock = Some(Arc::clone(&lock));
+            }
+        }
         let visible = |op: &wal::PendingOp| match &op.kind {
             OpKind::DefineArray { name, .. } => storage.array(name).is_ok(),
             OpKind::IngestEdge {
@@ -597,8 +635,9 @@ impl<'a> CommitSession<'a> {
         Ok(CommitSession {
             storage,
             _serialize: serialize,
-            incremental: bound == Some(gzip),
-            conversion: bound.is_some_and(|g| g != gzip),
+            lock,
+            incremental: bound.map(|b| b.0) == Some(gzip),
+            conversion: bound.is_some_and(|b| b.0 != gzip),
             dir,
             gzip,
             pending,
@@ -610,11 +649,16 @@ impl<'a> CommitSession<'a> {
         })
     }
 
-    /// The records this commit appends: the flushed operations, the
-    /// conversion marker if the gzip mode flipped in place, the caller's
-    /// annotation, then the commit record `commit`. Op ids continue past
-    /// the tail.
-    fn records(&self, annotation: Option<OpKind>, commit: OpKind) -> Vec<OpRecord> {
+    /// The records this commit logs: a checkpoint commit's `checkpoint`
+    /// first, then the flushed operations, the conversion marker if the
+    /// gzip mode flipped in place, the caller's annotation, then the commit
+    /// record `commit`. Op ids continue past the tail.
+    fn records(
+        &self,
+        checkpoint: Option<Catalog>,
+        annotation: Option<OpKind>,
+        commit: OpKind,
+    ) -> Vec<OpRecord> {
         let prior = self.tail.replay.state.generation;
         let mut op_id = self.tail.last_op_id;
         let mut record = |timestamp_ms, actor: &str, gen_after, kind| {
@@ -628,9 +672,13 @@ impl<'a> CommitSession<'a> {
                 kind,
             }
         };
-        let mut records: Vec<OpRecord> = (self.pending.iter())
-            .map(|p| record(p.timestamp_ms, &p.actor, prior, p.kind.clone()))
+        let head = checkpoint.map(|c| OpKind::Checkpoint(Checkpoint(c)));
+        let mut records: Vec<OpRecord> = (head.into_iter())
+            .map(|kind| record(wal::now_ms(), &self.actor, prior, kind))
             .collect();
+        for p in &self.pending {
+            records.push(record(p.timestamp_ms, &p.actor, prior, p.kind.clone()));
+        }
         let conversion = self
             .conversion
             .then_some(OpKind::ConvertGzip { gzip: self.gzip });
@@ -641,44 +689,23 @@ impl<'a> CommitSession<'a> {
         records
     }
 
-    /// Append `records` to the log and fdatasync it. The flushed
-    /// operations leave the buffer once the append lands — should anything
-    /// after fail, a retry must not log them a second time. A log started
-    /// over (created, or cut to nothing under a full save) has its
-    /// directory entry synced too: a later commit point lies in it.
-    fn log(&mut self, records: &[OpRecord]) -> Result<()> {
-        let policy = self.storage.io_policy.as_deref();
-        let started = self.tail.clean_len == 0;
-        self.tail.clean_len = wal::append(&self.dir, self.tail.clean_len, records, policy)?;
-        self.tail.last_op_id = records.last().map_or(self.tail.last_op_id, |r| r.op_id);
-        self.storage.wal.lock().drain(..self.pending.len());
-        if started {
-            sync_dir(&self.dir, policy)?;
-        }
-        Ok(())
-    }
-
-    /// Mark the slots this commit wrote clean, once its commit point
-    /// passed (repointing lazy sources at their new ranges), so a retry
-    /// after a later failure does not write them a second time.
+    /// Mark the slots this commit wrote clean and drop the flushed
+    /// operations from the buffer, once its commit point passed (repointing
+    /// lazy sources at their new ranges), so a retry after a later failure
+    /// neither writes nor logs them a second time.
     fn publish(&self, written: Vec<WrittenSlot>) {
+        self.storage.wal.lock().drain(..self.pending.len());
         for (edge, record) in written {
             edge.publish_committed(record, &self.dir, self.gzip);
         }
     }
 
-    /// The incremental commit, O(changed): the edges the flushed
-    /// `IngestEdge` records name — each once, and only while dirty — go
-    /// into one segment with the bytes their slots kept; the log record
-    /// naming them is the commit point. A checkpoint follows once due.
-    fn commit_records(mut self) -> Result<CommitReport> {
-        let (storage, gzip, gen) = (self.storage, self.gzip, self.gen);
-        let policy = storage.io_policy.as_deref();
-        let name = segment_file_name(gen);
-        let mut segment = Vec::new();
-        let mut tables = Vec::new();
-        let mut written: Vec<WrittenSlot> = Vec::new();
+    /// The tables a record commit writes: per edge the flushed `IngestEdge`
+    /// records name — each once, and only while its slot is dirty — the
+    /// index of that record and the bytes the slot kept.
+    fn dirty_named(&self) -> Vec<DirtyTable<'a>> {
         let mut seen = HashSet::new();
+        let mut dirty = Vec::new();
         for (ingest, op) in self.pending.iter().enumerate() {
             let OpKind::IngestEdge {
                 in_array,
@@ -691,12 +718,25 @@ impl<'a> CommitSession<'a> {
             if !seen.insert((in_array, out_array)) {
                 continue;
             }
-            let Some(edge) = storage.edge(in_array, out_array) else {
-                continue;
-            };
-            let Some(bytes) = edge.dirty_bytes() else {
-                continue;
-            };
+            let edge = self.storage.edge(in_array, out_array);
+            if let Some((edge, bytes)) = edge.and_then(|e| Some((e, e.dirty_bytes()?))) {
+                dirty.push((ingest, edge, bytes));
+            }
+        }
+        dirty
+    }
+
+    /// The incremental commit, O(changed): the `dirty` tables go into one
+    /// segment with the bytes their slots kept; the log record naming them
+    /// is the commit point.
+    fn commit_records(mut self, dirty: Vec<DirtyTable>) -> Result<CommitReport> {
+        let (storage, gzip, gen) = (self.storage, self.gzip, self.gen);
+        let policy = storage.io_policy.as_deref();
+        let name = segment_file_name(gen);
+        let mut segment = Vec::new();
+        let mut tables = Vec::new();
+        let mut written: Vec<WrittenSlot> = Vec::new();
+        for (ingest, edge, bytes) in dirty {
             let r = append_table(&mut segment, &name, gzip, &bytes);
             tables.push((ingest as u64, r.offset, r.len, r.crc, r.raw_len));
             written.push((Arc::clone(edge), r));
@@ -709,8 +749,6 @@ impl<'a> CommitSession<'a> {
             sync_dir(&self.dir, policy)?;
         }
         let commit = OpKind::Commit {
-            catalog_len: 0,
-            catalog_crc: 0,
             segment: if segment.is_empty() {
                 String::new()
             } else {
@@ -719,16 +757,17 @@ impl<'a> CommitSession<'a> {
             tables,
             retained_from: self.retained_from,
         };
-        let records = self.records(None, commit);
-        self.log(&records)?;
+        let records = self.records(None, None, commit);
+        self.tail.clean_len = wal::append(&self.dir, self.tail.clean_len, &records, policy)?;
         let files_written = written.len();
         self.publish(written);
 
         // Past the commit point: the generation is durable, whatever
-        // follows. A failure to advance the tail or write the checkpoint
-        // only leaves the tail unknown (see `forget`).
+        // follows. A failure to advance the tail only leaves it unknown
+        // (see `forget`).
         let edges = match self.advance(&records) {
-            Ok(edges) => {
+            Ok(()) => {
+                let edges = self.tail.replay.state.edges.len();
                 self.finish();
                 edges
             }
@@ -746,30 +785,24 @@ impl<'a> CommitSession<'a> {
         })
     }
 
-    /// Advance the tail past a record commit the way a replay of its
-    /// `records` does, and write a checkpoint once the tables committed
-    /// since the last one reach its edge count. Returns the committed
-    /// generation's edge count.
-    fn advance(&mut self, records: &[OpRecord]) -> Result<usize> {
+    /// Advance the tail past this commit's `records`, logged, the way a
+    /// replay of them does.
+    fn advance(&mut self, records: &[OpRecord]) -> Result<()> {
         let tables = self.tail.replay.step(records)?;
-        self.tail.since_checkpoint = self.tail.since_checkpoint.saturating_add(tables);
-        let edges = self.tail.replay.state.edges.len();
-        if self.tail.since_checkpoint >= self.tail.checkpoint.2.max(1) {
-            let bytes = self.tail.replay.state.to_bytes();
-            self.write_checkpoint(&bytes, edges)?;
-            self.tail.replay.switch(parse_catalog(&bytes)?);
-        }
-        Ok(edges)
+        self.tail.last_op_id = records.last().map_or(self.tail.last_op_id, |r| r.op_id);
+        self.tail.since_checkpoint += tables;
+        Ok(())
     }
 
     /// The checkpoint commit: every edge planned — clean slots reused
     /// unless `fold` (a compaction) or the target is another database,
-    /// held against their segments when the tail was rebuilt — the new
-    /// catalog written and renamed into place as the commit point, then
-    /// logged.
+    /// held against their segments when the tail was rebuilt — and a fresh
+    /// log holding the checkpoint, the flushed operations and the commit
+    /// record renamed into place as the commit point (see [`rotate`](Self::rotate)).
     fn commit_checkpoint(mut self, fold: bool) -> Result<CommitReport> {
         let (storage, gzip, gen) = (self.storage, self.gzip, self.gen);
         let policy = storage.io_policy.as_deref();
+        let trusted = !self.rebuilt;
         let mut segments = (self.incremental && !fold).then(|| SegmentLens {
             dir: &self.dir,
             lens: HashMap::new(),
@@ -796,10 +829,14 @@ impl<'a> CommitSession<'a> {
         for (key, edge) in storage.sorted_edges() {
             let (source, stored) = edge.snapshot();
             let record = match stored {
-                // Tamper guard, one `stat` per referenced segment: the
-                // recorded file must still exist and hold this range;
-                // anything else is rewritten from the slot.
-                Stored::Committed(record) if segments.as_mut().is_some_and(|s| s.hold(&record)) => {
+                // Tamper guard of a rebuilt tail, one `stat` per referenced
+                // segment: the recorded file must still exist and hold this
+                // range; anything else is rewritten from the slot.
+                Stored::Committed(record)
+                    if segments
+                        .as_mut()
+                        .is_some_and(|s| trusted || s.hold(&record)) =>
+                {
                     files_reused += 1;
                     record
                 }
@@ -823,7 +860,6 @@ impl<'a> CommitSession<'a> {
         if !segment.is_empty() {
             write_synced(&self.dir.join(&name), &segment, "write segment", policy)?;
         }
-        let bytes = catalog.to_bytes();
         let report = CommitReport {
             generation: gen,
             incremental: self.incremental,
@@ -837,50 +873,62 @@ impl<'a> CommitSession<'a> {
             bytes: report.bytes_written,
         });
         let commit = OpKind::Commit {
-            catalog_len: bytes.len() as u64,
-            catalog_crc: wal::trailer_crc(&bytes),
             segment: String::new(),
             tables: Vec::new(),
             retained_from: self.retained_from,
         };
-        let records = self.records(annotation, commit);
-        self.write_checkpoint(&bytes, catalog.edges.len())?;
+        let edges = catalog.edges.len();
+        let records = self.records(Some(catalog), annotation, commit);
+        self.rotate(&records, edges)?;
         self.publish(written);
-        self.tail.replay.switch(catalog);
-        // Past the commit point. Without its record the generation still
-        // stands: a replay reaches it through the checkpoint itself.
-        match self.log(&records) {
+        // Past the commit point: the rename stands. Its directory sync
+        // makes it durable; if that fails, the commit reports the error
+        // and the manager forgets its tail.
+        let synced = sync_dir(&self.dir, policy);
+        match synced.clone().and_then(|()| self.advance(&records)) {
             Ok(()) => self.finish(),
             Err(_) => self.forget(),
         }
-        Ok(report)
+        synced.map(|()| report)
     }
 
-    /// Write `bytes` as the checkpoint of this commit's generation (`edges`
-    /// edges): temp file + fdatasync, the old live checkpoint kept under its
-    /// generation if the window still reaches back past the new one (a hard
-    /// link, so the bytes are the ones already fdatasynced; where links are
-    /// unsupported, a copy), directory sync, rename, directory sync. The
-    /// rename is the commit point of a checkpoint commit.
-    fn write_checkpoint(&mut self, bytes: &[u8], edges: usize) -> Result<()> {
+    /// Write `records` — a checkpoint transaction — as a fresh log and
+    /// rename it over `ops.log`, the commit point: temp file + fdatasync,
+    /// the live log kept as `ops.g<s>.log` under the generation its
+    /// checkpoint holds (a hard link, so the bytes are the ones already
+    /// synced; where links are unsupported, a copy), directory sync,
+    /// rename. A directory another database wrote keeps none of its logs.
+    fn rotate(&mut self, records: &[OpRecord], edges: usize) -> Result<()> {
         let policy = self.storage.io_policy.as_deref();
         let dir = self.dir.as_path();
-        let tmp = dir.join(format!("{CATALOG_FILE}.tmp"));
-        write_synced(&tmp, bytes, "write catalog", policy)?;
-        let (live, live_len, _) = self.tail.checkpoint;
-        if self.retained_from < self.gen && live_len > 0 {
-            let (from, to) = (dir.join(CATALOG_FILE), dir.join(checkpoint_name(live)));
+        let bytes = records
+            .iter()
+            .map(wal::encode_record)
+            .collect::<Vec<_>>()
+            .concat();
+        let tmp = dir.join(format!("{}.tmp", wal::OPS_LOG_FILE));
+        write_synced(&tmp, &bytes, "write ops.log", policy)?;
+        if self.tail.clean_len > 0 {
+            let start = self.tail.checkpoint.0;
+            let from = dir.join(wal::OPS_LOG_FILE);
+            let to = dir.join(wal::retired_name(start));
             let _ = std::fs::remove_file(&to);
             std::fs::hard_link(&from, &to)
                 .or_else(|_| std::fs::copy(&from, &to).map(drop))
-                .map_err(|e| DslogError::io("keep superseded catalog", e))?;
-            self.tail.kept.push(live);
+                .map_err(|e| DslogError::io("retire ops.log", e))?;
+            let oldest = match self.tail.history.is_empty() {
+                true => start,
+                false => self.tail.history.start,
+            };
+            self.tail.history = oldest..start + 1;
         }
         sync_dir(dir, policy)?;
-        std::fs::rename(&tmp, dir.join(CATALOG_FILE))
-            .map_err(|e| DslogError::io("write catalog", e))?;
-        sync_dir(dir, policy)?;
-        self.tail.checkpoint = (self.gen, bytes.len() as u64, edges);
+        std::fs::rename(&tmp, dir.join(wal::OPS_LOG_FILE))
+            .map_err(|e| DslogError::io("rename ops.log", e))?;
+        // Unknown (0), the identity makes the next commit rebuild its tail.
+        self.tail.log_id = wal::log_id(dir).map_or(0, |(_, id)| id);
+        self.tail.clean_len = bytes.len() as u64;
+        self.tail.checkpoint = (self.gen, edges);
         self.tail.since_checkpoint = 0;
         Ok(())
     }
@@ -903,12 +951,11 @@ impl<'a> CommitSession<'a> {
         self.bind(Some(tail));
     }
 
-    /// After the commit point, a step that only keeps replays short failed
-    /// (a checkpoint write, or the record a checkpoint commit logs after
-    /// its rename): the generation stands, and the commit reports success.
-    /// The manager stays bound but forgets the tail, so the next commit
-    /// rebuilds it from the directory, writes a checkpoint and deletes what
-    /// this one left.
+    /// After the commit point, a step that only keeps the tail failed (it
+    /// could not be advanced, or the rename's directory sync failed): the
+    /// generation stands. The manager stays bound but forgets the tail, so
+    /// the next commit rebuilds it from the directory, writes a checkpoint
+    /// and deletes what this one left.
     fn forget(self) {
         self.bind(None);
     }
@@ -919,6 +966,7 @@ impl<'a> CommitSession<'a> {
             gzip: self.gzip,
             generation: self.gen,
             tail,
+            lock: Some(self.lock),
         });
     }
 }
@@ -935,10 +983,11 @@ impl<'a> CommitSession<'a> {
 /// manager to it.
 ///
 /// The write is atomic either way (see the module docs): one commit point
-/// — the log record, or the checkpoint rename of a full save — and stale
-/// files swept afterwards. Committing into a directory that holds an older
-/// snapshot — even one with a different edge set or `gzip` flag — is safe
-/// and replaces it completely.
+/// — the log record, or the fresh log's rename — and stale files swept
+/// afterwards. Committing into a directory that holds an older snapshot —
+/// even one with a different edge set or `gzip` flag — is safe and
+/// replaces it completely. A directory another handle writes to is
+/// refused ([`DslogError::DirectoryLocked`]).
 pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CommitReport> {
     commit_generation(storage, dir, gzip, None, false)
 }
@@ -968,10 +1017,13 @@ pub(crate) fn commit_generation(
         return Err(DslogError::NotBound);
     }
     if session.incremental && !session.rebuilt && !fold {
-        session.commit_records()
-    } else {
-        session.commit_checkpoint(fold)
+        let dirty = session.dirty_named();
+        let tail = &session.tail;
+        if tail.since_checkpoint + dirty.len() < tail.checkpoint.1.max(1) {
+            return session.commit_records(dirty);
+        }
     }
+    session.commit_checkpoint(fold)
 }
 
 /// Persist a storage manager into `dir`: [`commit`] with the report
@@ -1194,24 +1246,24 @@ const OPEN_ATTEMPTS: usize = 32;
 pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
     let mut attempt = 1;
     loop {
-        // Rebuild the remembered tail: the live checkpoint, the log
-        // replayed past it, the retention window. A missing log replays
-        // nothing.
+        // Rebuild the remembered tail: the live log replayed, the retention
+        // window.
         let names = list_dir(dir);
-        let log = Log::read(dir)?;
-        let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
+        let log = Log::live(dir, &names)?;
+        let tail = load_tail(dir, &names, &log)?;
         if let OpenMode::AsOf(generation) = mode {
             if generation != tail.replay.state.generation {
-                return open_retained(dir, &log, &tail, generation);
+                return open_retained(dir, &names, &log, &tail, generation);
             }
         }
-        let log_len = log.len;
+        let read = log.id;
         drop(log);
         match load_catalog_edges(dir, &tail.replay.state, mode == OpenMode::Lazy) {
             Ok(edges) => return bind(dir, tail, edges),
             // A commit beside this open deleted a segment the replay had
-            // just named: the log it appended has moved on, so read again.
-            Err(DslogError::Io(_)) if attempt < OPEN_ATTEMPTS && wal::log_len(dir) != log_len => {
+            // just named: the log it appended to or rotated in has moved
+            // on, so read again.
+            Err(DslogError::Io(_)) if attempt < OPEN_ATTEMPTS && wal::log_id(dir) != Some(read) => {
                 attempt += 1
             }
             Err(e) => return Err(e),
@@ -1222,32 +1274,34 @@ pub fn open(dir: &Path, mode: OpenMode) -> Result<StorageManager> {
 /// The manager an [`open`] of `dir` builds from its tail and loaded edges.
 fn bind(dir: &Path, tail: LogTail, edges: EdgeMap) -> Result<StorageManager> {
     // Bind the manager to this directory so the next commit into it is
-    // incremental. The open writes nothing: the log's torn or unvouched
-    // tail makes that commit rebuild its tail, and its append cuts it; the
-    // stale files the tail carries go with that commit.
+    // incremental. The open writes nothing and takes no lock: the log's
+    // torn or unvouched tail makes that commit rebuild its tail and start a
+    // fresh log; the stale files the tail carries go with that commit.
     let storage = manager_from_parts(&tail.replay.state, edges)?;
     *storage.binding.lock() = Some(super::PersistBinding {
         dir: dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()),
         gzip: tail.replay.state.gzip,
         generation: tail.replay.state.generation,
         tail: Some(tail),
+        lock: None,
     });
     Ok(storage)
 }
 
 /// The [`OpenMode::AsOf`] open of a superseded generation: replayed from
-/// the newest checkpoint at or before it.
-fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Result<StorageManager> {
+/// the log that holds it.
+fn open_retained(
+    dir: &Path,
+    names: &[String],
+    log: &Log,
+    tail: &LogTail,
+    generation: u64,
+) -> Result<StorageManager> {
     let not_retained = || DslogError::GenerationNotRetained(generation);
     if !tail.window.contains(&generation) {
         return Err(not_retained());
     }
-    let base = (tail.base_for(generation))
-        .and_then(|c| checkpoint_at(dir, c))
-        .ok_or_else(not_retained)?;
-    let mut replay = Replay::new(base);
-    replay.run(dir, log, generation, |_| ())?;
-    let state = replay.state;
+    let state = walk(dir, names, log, (generation, generation), |_| ())?.state;
     // Fail up front (and precisely) if a commit already reclaimed any of
     // the generation's files, instead of erroring mid-load.
     if state.generation != generation || state.edges.values().any(|f| !dir.join(&f.name).is_file())
@@ -1262,9 +1316,9 @@ fn open_retained(dir: &Path, log: &Log, tail: &LogTail, generation: u64) -> Resu
     manager_from_parts(&state, edges)
 }
 
-/// What [`verify`] found in a healthy database directory. The checkpoint
-/// is always the one format this build reads and writes (`DSLGDB3`); any
-/// other is an error, not a report.
+/// What [`verify`] found in a healthy database directory. The log is
+/// always the one format this build reads and writes; any other is an
+/// error, not a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Whether tables use the gzip disk format.
@@ -1275,16 +1329,15 @@ pub struct VerifyReport {
     pub n_edges: usize,
     /// Tables read, checksum-verified, and structurally decoded.
     pub files_verified: usize,
-    /// Data files (`segment-*`, `catalog.g*`) and `*.tmp` files present
+    /// Data files (`segment-*`, `ops.g*.log`) and `*.tmp` files present
     /// but needed by no generation of the retention window (debris from a
     /// crashed commit — harmless, deleted by the next commit), sorted.
     pub stale_files: Vec<String>,
-    /// Cleanly framed records in the operation log (0 for a directory
-    /// without one).
+    /// Cleanly framed records in the live operation log.
     pub log_records: usize,
-    /// Data files on disk that the live generation does not reference but
-    /// a retained generation needs (a kept `catalog.g<gen>.dsl` included)
-    /// — history an `as_of` open can resolve, not debris.
+    /// Segments on disk that the live generation does not reference but a
+    /// retained generation needs — history an `as_of` open can resolve,
+    /// not debris.
     pub retained_files: usize,
     /// Bytes of the segments the live and retained generations reference
     /// that none of their ranges covers: superseded tables whose segment a
@@ -1304,8 +1357,8 @@ pub struct VerifyReport {
 /// for the next commit.
 pub fn verify(dir: &Path) -> Result<VerifyReport> {
     let names = list_dir(dir);
-    let log = Log::read(dir)?;
-    let tail = load_tail(dir, &names, &log, read_catalog(&dir.join(CATALOG_FILE))?)?;
+    let log = Log::live(dir, &names)?;
+    let tail = load_tail(dir, &names, &log)?;
     let live = &tail.replay.state;
 
     let jobs: Vec<(usize, &FileRecord)> = live.edges.values().enumerate().collect();
@@ -1316,7 +1369,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     // classification is the tail's, the one a commit deletes by).
     let referenced: HashSet<&str> = live.edges.values().map(|f| &f.name[..]).collect();
     let retained_files = (names.iter())
-        .filter(|n| is_data_file(n) && tail.spares(n) && !referenced.contains(&n[..]))
+        .filter(|n| n.starts_with("segment-") && tail.spares(n) && !referenced.contains(&n[..]))
         .count();
 
     // Dead space: what the segments of the window's generations hold
@@ -1324,21 +1377,12 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
     // re-referenced across generations counts once).
     let w0 = tail.window.front().copied().unwrap_or(live.generation);
     let mut ranges: HashSet<(String, u64, u64)> = HashSet::new();
-    let add = |state: &Catalog, ranges: &mut HashSet<(String, u64, u64)>| {
+    walk(dir, &names, &log, (w0, live.generation), |state| {
         if state.generation >= w0 {
-            ranges.extend(
-                state
-                    .edges
-                    .values()
-                    .map(|r| (r.name.clone(), r.offset, r.len)),
-            );
+            let live = state.edges.values();
+            ranges.extend(live.map(|r| (r.name.clone(), r.offset, r.len)));
         }
-    };
-    if let Some(base) = tail.base_for(w0).and_then(|c| checkpoint_at(dir, c)) {
-        let mut replay = Replay::new(base);
-        add(&replay.state, &mut ranges);
-        replay.run(dir, &log, live.generation, |s| add(s, &mut ranges))?;
-    }
+    })?;
     let files: HashSet<&str> = ranges.iter().map(|(name, _, _)| &name[..]).collect();
     let file_bytes: u64 = files
         .iter()
@@ -1360,11 +1404,8 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::catalog::CATALOG_MAGIC_V3;
-    use super::super::wire::write_string;
     use super::*;
     use crate::table::LineageTable;
-    use dslog_codecs::varint::write_uvarint;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dslog-persist-{tag}-{}", std::process::id()));
@@ -1400,14 +1441,15 @@ mod tests {
         s
     }
 
-    /// The live generation: the checkpoint and the log replayed past it.
+    /// The live log.
+    fn live_log(dir: &Path) -> Log {
+        Log::live(dir, &list_dir(dir)).unwrap()
+    }
+
+    /// The live generation: the live log replayed.
     fn live_state(dir: &Path) -> Catalog {
-        let log = Log::read(dir).unwrap();
-        let live = read_catalog(&dir.join(CATALOG_FILE)).unwrap();
-        load_tail(dir, &list_dir(dir), &log, live)
-            .unwrap()
-            .replay
-            .state
+        let tail = load_tail(dir, &list_dir(dir), &live_log(dir));
+        tail.unwrap().replay.state
     }
 
     /// The live generation's table records, in edge order.
@@ -1425,11 +1467,11 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
     }
 
-    /// The data files (everything but the live catalog and the log) in
+    /// The data files (everything but the logs and the writer lock) in
     /// `dir`, sorted.
     fn data_files(dir: &Path) -> Vec<String> {
         let mut names = list_dir(dir);
-        names.retain(|n| n != CATALOG_FILE && n != wal::OPS_LOG_FILE);
+        names.retain(|n| n != LOCK_FILE && !n.starts_with("ops.") || n.ends_with(".tmp"));
         names.sort();
         names
     }
@@ -1565,24 +1607,28 @@ mod tests {
         assert!(matches!(err, DslogError::Io(_)));
     }
 
+    /// The catalog is the checkpoint that opens the log: a log cut before
+    /// that checkpoint's commit, or one whose checkpoint frame is damaged,
+    /// has no committed state to open.
     #[test]
     fn corrupt_catalog_is_rejected() {
         let dir = temp_dir("corrupt");
         let s = sample_manager();
         save(&s, &dir, false).unwrap();
+        let headless = DslogError::Corrupt("log does not start with a checkpoint");
 
-        // Truncate the catalog.
-        let path = dir.join(CATALOG_FILE);
+        // Cut the log inside its first transaction.
+        let path = dir.join(wal::OPS_LOG_FILE);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(open(&dir).is_err());
-        assert!(verify(&dir).is_err());
+        assert_eq!(open(&dir).map(drop).unwrap_err(), headless);
+        assert_eq!(verify(&dir).map(drop).unwrap_err(), headless);
 
-        // Bad magic.
+        // A damaged checkpoint frame.
         let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
+        bad[8] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(open(&dir), Err(DslogError::Corrupt(_))));
+        assert_eq!(open(&dir).map(drop).unwrap_err(), headless);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1635,6 +1681,7 @@ mod tests {
         t.push_row(&[0, 1]);
         t.push_row(&[1, 0]);
         small.ingest_lineage("X", "Y", &t).unwrap();
+        drop(s);
         save(&small, &dir, false).unwrap();
 
         let reopened = open(&dir).unwrap();
@@ -1668,16 +1715,15 @@ mod tests {
     #[test]
     fn crash_between_edge_write_and_catalog_commit_keeps_old_snapshot() {
         let dir = temp_dir("crash");
-        let s = sample_manager();
-        save(&s, &dir, false).unwrap();
+        save(&sample_manager(), &dir, false).unwrap();
 
         // Simulate saves that died after writing a new-generation segment
-        // (or its temp file) and a catalog temp file, but before the
-        // catalog rename (the commit point): the debris must not affect
-        // the live snapshot.
+        // (or its temp file) and a fresh log's temp file, but before its
+        // rename (the commit point): the debris must not affect the live
+        // snapshot.
         std::fs::write(dir.join("segment-0.g99.seg"), b"partial garbage").unwrap();
         std::fs::write(dir.join("segment-0.g98.seg.tmp"), b"more garbage").unwrap();
-        std::fs::write(dir.join("catalog.dsl.tmp"), b"uncommitted catalog").unwrap();
+        std::fs::write(dir.join("ops.log.tmp"), b"uncommitted log").unwrap();
 
         // `verify` (read-only) reports the debris without touching it.
         let report = verify(&dir).unwrap();
@@ -1702,6 +1748,7 @@ mod tests {
         std::fs::write(dir.join("segment-0.g77.seg"), b"junk again").unwrap();
         commit(&reopened, &dir, false).unwrap();
         assert_eq!(verify(&dir).unwrap().stale_files, ["segment-0.g77.seg"]);
+        drop(reopened);
         commit(&open(&dir).unwrap(), &dir, false).unwrap();
         assert!(verify(&dir).unwrap().stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1726,32 +1773,45 @@ mod tests {
             format!("../{outside_name}"),
             format!("segment-x/../../{outside_name}"),
         ] {
-            // Hand-build an otherwise-valid catalog (correct crc trailer)
-            // whose table reference tries to traverse out of the dir.
-            let mut catalog = Vec::new();
-            catalog.extend_from_slice(CATALOG_MAGIC_V3);
-            catalog.push(0); // plain
-            write_uvarint(&mut catalog, 1); // generation
-            write_uvarint(&mut catalog, 2); // arrays
+            // Hand-build an otherwise-valid log (correct frame crcs) whose
+            // checkpoint's table reference tries to traverse out of the dir.
+            let mut catalog = Catalog {
+                generation: 1,
+                ..Catalog::default()
+            };
             for (name, shape) in [("A", vec![3usize, 2]), ("B", vec![3])] {
-                write_string(&mut catalog, name);
-                write_uvarint(&mut catalog, shape.len() as u64);
-                for d in shape {
-                    write_uvarint(&mut catalog, d as u64);
-                }
+                catalog
+                    .arrays
+                    .insert(name.into(), super::super::ArrayMeta { shape });
             }
-            write_uvarint(&mut catalog, 1); // one edge
-            write_string(&mut catalog, "A");
-            write_string(&mut catalog, "B");
-            catalog.push(1); // backward only
-            write_string(&mut catalog, &evil);
-            write_uvarint(&mut catalog, bytes.len() as u64);
-            catalog.extend_from_slice(&crc32(&bytes).to_le_bytes());
-            write_uvarint(&mut catalog, bytes.len() as u64);
-            write_uvarint(&mut catalog, 0); // offset
-            let trailer = crc32(&catalog);
-            catalog.extend_from_slice(&trailer.to_le_bytes());
-            std::fs::write(dir.join(CATALOG_FILE), &catalog).unwrap();
+            let record = FileRecord {
+                name: evil.clone(),
+                len: bytes.len() as u64,
+                crc: wal::trailer_crc(&bytes),
+                raw_len: bytes.len() as u64,
+                offset: 0,
+            };
+            catalog.edges.insert(("A".into(), "B".into()), record);
+            let commit = OpKind::Commit {
+                segment: String::new(),
+                tables: Vec::new(),
+                retained_from: 1,
+            };
+            let kinds = [OpKind::Checkpoint(Checkpoint(catalog)), commit];
+            let log: Vec<u8> = (1..)
+                .zip(kinds)
+                .flat_map(|(op_id, kind)| {
+                    wal::encode_record(&OpRecord {
+                        op_id,
+                        timestamp_ms: 0,
+                        actor: "test".into(),
+                        gen_before: 0,
+                        gen_after: op_id - 1,
+                        kind,
+                    })
+                })
+                .collect();
+            std::fs::write(dir.join(wal::OPS_LOG_FILE), &log).unwrap();
 
             for result in [
                 open(&dir).map(drop),
@@ -1859,9 +1919,9 @@ mod tests {
         for tag in 0..9 {
             add_small_edge(&mut s, tag);
             let report = commit(&s, &dir, false).unwrap();
-            let (catalog, _) = read_catalog(&dir.join(CATALOG_FILE)).unwrap();
-            if catalog.generation == report.generation {
-                checkpoints.push(catalog.edges.len());
+            let (start, edges) = live_log(&dir).checkpoint;
+            if start == report.generation {
+                checkpoints.push(edges);
             }
         }
         // Each checkpoint once the edges committed since the last reach
@@ -1872,65 +1932,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The checkpoint that falls due is a commit of its own kind: its fresh
+    /// log's rename is the commit point, and the directory sync after it
+    /// the one step past that point. When that sync fails, the commit says
+    /// so, but the generation stands; the handle forgets its tail, and its
+    /// next commit rebuilds it and writes another checkpoint.
     #[test]
     fn a_checkpoint_that_fails_after_the_commit_point_costs_only_the_checkpoint() {
         let dir = temp_dir("checkpoint-fails");
         let mut s = StorageManager::new();
         commit(&s, &dir, false).unwrap();
-        let policy = wal::IoPolicy::fail_at(wal::IoFault::DiskFull, u64::MAX);
-        s.io_policy = Some(Arc::clone(&policy));
-        // The first edge makes a checkpoint due. Segment write and sync,
-        // directory sync, log append and sync — the commit point — then
-        // the checkpoint's temp file, which fails.
-        add_small_edge(&mut s, 0);
-        policy.rearm(6);
-        let report = commit(&s, &dir, false).unwrap();
-        assert_eq!(policy.ios_seen(), 6);
-        assert_eq!((report.files_written, report.files_reused), (1, 0));
-        let live = |dir: &Path| read_catalog(&dir.join(CATALOG_FILE)).unwrap().0;
-        assert!(live(&dir).generation < report.generation);
-        let reopened = open(&dir).unwrap();
-        assert_eq!(
-            reopened.binding.lock().as_ref().unwrap().generation,
-            report.generation
-        );
-        assert_eq!(reopened.n_edges(), 1);
-        drop(reopened);
-
-        // The handle forgot its tail: the next commit rebuilds it from the
-        // directory and writes the checkpoint.
-        add_small_edge(&mut s, 1);
-        let next = commit(&s, &dir, false).unwrap();
-        assert_eq!(live(&dir).generation, next.generation);
-        assert_eq!(open(&dir).unwrap().n_edges(), 2);
-        assert!(verify(&dir).unwrap().stale_files.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_record_commit_that_starts_the_log_syncs_its_directory_entry() {
-        let dir = temp_dir("log-entry");
-        commit(&sample_manager(), &dir, false).unwrap();
-        std::fs::remove_file(dir.join(wal::OPS_LOG_FILE)).unwrap();
-        let mut s = open(&dir).unwrap();
         let policy = wal::IoPolicy::fail_at(wal::IoFault::SyncError, u64::MAX);
         s.io_policy = Some(Arc::clone(&policy));
-        // Segment write and sync, directory sync, log append and sync —
-        // and the directory again, for the entry of the log the append
-        // created: the commit point is not durable without it.
+        // The first edge makes a checkpoint due: segment write and sync, the
+        // fresh log's write and sync, directory sync, rename — the commit
+        // point — then the directory sync that fails.
         add_small_edge(&mut s, 0);
         policy.rearm(6);
         let err = commit(&s, &dir, false).unwrap_err();
         assert!(err.to_string().contains("sync database dir"), "{err}");
         assert_eq!(policy.ios_seen(), 6);
+        let generation = live_log(&dir).checkpoint.0;
+        let reopened = open(&dir).unwrap();
+        assert_eq!(
+            reopened.binding.lock().as_ref().unwrap().generation,
+            generation
+        );
+        assert_eq!(reopened.n_edges(), 1);
+        drop(reopened);
+
+        add_small_edge(&mut s, 1);
+        let next = commit(&s, &dir, false).unwrap();
+        assert_eq!(live_log(&dir).checkpoint.0, next.generation);
+        assert_eq!(open(&dir).unwrap().n_edges(), 2);
+        assert!(verify(&dir).unwrap().stale_files.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The log is the database: one deleted beside the segments is not an
+    /// empty history. Every reader refuses the directory and leaves it as
+    /// it is, and so does the next commit of a handle bound to it.
+    #[test]
+    fn a_missing_log_beside_segments_is_corrupt() {
+        let dir = temp_dir("log-missing");
+        let s = sample_manager();
+        commit(&s, &dir, false).unwrap();
+        std::fs::remove_file(dir.join(wal::OPS_LOG_FILE)).unwrap();
+        let before = data_files(&dir);
+        let missing = DslogError::Corrupt("database files without an ops.log");
+        let results = [
+            open(&dir).map(drop),
+            open_lazy(&dir).map(drop),
+            super::open(&dir, OpenMode::AsOf(1)).map(drop),
+            verify(&dir).map(drop),
+            wal::history(&dir).map(drop),
+            commit(&s, &dir, false).map(drop),
+        ];
+        for result in results {
+            assert_eq!(result, Err(missing.clone()));
+        }
+        assert_eq!(data_files(&dir), before);
+        // An empty directory holds no database at all.
+        let empty = temp_dir("log-none");
+        std::fs::create_dir_all(&empty).unwrap();
+        assert!(matches!(open(&empty), Err(DslogError::Io(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&empty).unwrap();
     }
 
     #[test]
     fn forward_query_leaves_commit_nothing_to_write() {
         let dir = temp_dir("inc-forward");
-        let s = sample_manager();
-        commit(&s, &dir, false).unwrap();
+        commit(&sample_manager(), &dir, false).unwrap();
         // A forward hop reads the stored backward table in reverse: it
         // dirties nothing, so the next commit reuses both tables.
         let reopened = open(&dir).unwrap();
@@ -2114,9 +2187,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `as_of` replays a generation from the log that holds it, across the
+    /// rotations after it: here three commits (two of them checkpoints),
+    /// a compaction whose directory sync after its rename failed — the
+    /// generation stands, though the compaction said it failed — and a
+    /// commit of another handle on top.
     #[test]
-    fn replay_crosses_a_checkpoint_whose_record_never_reached_the_log() {
-        let dir = temp_dir("lost-record");
+    fn as_of_crosses_a_rotation_whose_last_sync_failed() {
+        let dir = temp_dir("lost-sync");
         let mut s = StorageManager::new();
         s.retain = 8;
         let mut seen = Vec::new();
@@ -2125,27 +2203,17 @@ mod tests {
             let generation = commit(&s, &dir, false).unwrap().generation;
             seen.push((generation, contents(&s)));
         }
-        // The compaction renames its checkpoint into place, then its log
-        // append fails (as a crash there would leave it): the generation
-        // is committed — the compaction says so — its record is not in
-        // the log.
-        let policy = wal::IoPolicy::fail_at(wal::IoFault::WriteError, u64::MAX);
+        let policy = wal::IoPolicy::fail_at(wal::IoFault::SyncError, u64::MAX);
         s.io_policy = Some(Arc::clone(&policy));
-        policy.rearm(7);
-        let compacted = super::super::compact::compact(&s, &dir, false).unwrap();
-        let compacted = compacted.generation;
-        assert_eq!(
-            read_catalog(&dir.join(CATALOG_FILE)).unwrap().0.generation,
-            compacted
-        );
-        let logged = wal::history(&dir).unwrap().last().unwrap().gen_after;
-        assert!(logged < compacted, "{logged} {compacted}");
+        policy.rearm(6);
+        assert!(super::super::compact::compact(&s, &dir, false).is_err());
+        let compacted = live_log(&dir).checkpoint.0;
+        assert!(compacted > seen[2].0, "{compacted}");
         seen.push((compacted, contents(&s)));
         drop(s);
 
         // A new handle commits on top: its record starts from the
-        // compaction's generation, which a walk from an older checkpoint
-        // must reach through that checkpoint, not the record before it.
+        // compaction's generation.
         let mut s = open(&dir).unwrap();
         s.retain = 8;
         add_small_edge(&mut s, 3);
@@ -2167,14 +2235,14 @@ mod tests {
     fn the_first_commit_after_an_open_sweeps_crash_debris() {
         for lazy in [false, true] {
             let dir = temp_dir(if lazy { "osweep-lazy" } else { "osweep" });
-            let s = sample_manager();
-            save(&s, &dir, false).unwrap();
-            // An orphan segment, an orphan retained catalog, temp files.
+            save(&sample_manager(), &dir, false).unwrap();
+            // An orphan segment, a retired log named past the live one's
+            // checkpoint, temp files.
             let mut debris = [
                 "segment-0.g42.seg",
                 "segment-0.g43.seg.tmp",
-                "catalog.g41.dsl",
-                "catalog.dsl.tmp",
+                "ops.g41.log",
+                "ops.log.tmp",
             ];
             for name in debris {
                 std::fs::write(dir.join(name), b"junk").unwrap();
@@ -2197,6 +2265,28 @@ mod tests {
             assert!(verify(&dir).unwrap().stale_files.is_empty());
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A commit that died between retiring the live log (its hard link)
+    /// and renaming the fresh one into place leaves a retired log named for
+    /// the live log's own checkpoint: debris, not history. The history
+    /// skips it, `verify` reports it, and the next commit deletes it.
+    #[test]
+    fn a_retired_log_named_for_the_live_checkpoint_is_debris() {
+        let dir = temp_dir("retired-debris");
+        commit(&sample_manager(), &dir, false).unwrap();
+        let live = live_log(&dir);
+        let debris = wal::retired_name(live.checkpoint.0);
+        std::fs::hard_link(dir.join(wal::OPS_LOG_FILE), dir.join(&debris)).unwrap();
+        assert_eq!(wal::history(&dir).unwrap(), live.records);
+        assert_eq!(
+            verify(&dir).unwrap().stale_files,
+            std::slice::from_ref(&debris)
+        );
+        commit(&open(&dir).unwrap(), &dir, false).unwrap();
+        assert!(!dir.join(&debris).exists());
+        assert!(verify(&dir).unwrap().stale_files.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -14,21 +14,20 @@
 //!         gen_before:uvarint  gen_after:uvarint  kind:u8  payload
 //! ```
 //!
-//! The log is the commit point of an incremental commit (see
-//! [`super::persist`]): the fdatasync of its `Commit` record makes the
-//! generation durable. That record is O(changed), not O(database): it names
-//! the segment the commit wrote and, per table in it, the byte range, the
-//! crc and which `IngestEdge` record of the same append names the edge.
-//! Replaying the commits after a checkpoint (the catalog a compaction,
-//! full save or gzip conversion renamed into place, or one a
-//! commit wrote once enough tables had been committed since the last) is
-//! how open and `as_of` rebuild a generation; `Catalog::apply`
-//! (`storage/catalog.rs`) is the one reader that gives records their
-//! meaning. A commit whose commit point was its catalog rename instead
-//! names that catalog by byte length and crc32 trailer. Commit records of
-//! the kinds earlier formats wrote — kind 4, which embedded a whole
-//! catalog, and kind 6, which named a catalog every commit rewrote — are
-//! refused: a log holding one is `Corrupt`.
+//! The log is the database (see [`super::persist`]). Its first record is a
+//! [`OpKind::Checkpoint`] — the gzip flag, the generation, the arrays, and
+//! per edge its backward table's range and crc — and the transaction it
+//! opens ends in that generation's `Commit`. Every later transaction is an
+//! incremental commit, closed by a `Commit` record that names the segment
+//! it wrote and, per table in it, the byte range, the crc and which
+//! `IngestEdge` record of the same append names the edge; that record's
+//! fdatasync is the commit point. A checkpoint commit renames a fresh log
+//! into place instead and keeps the old one as `ops.g<s>.log`, `s` the
+//! generation its checkpoint holds: the retired logs, in order, are the
+//! audit trail [`history`] reads. `Catalog::apply` (`storage/catalog.rs`)
+//! is the one reader that gives records their meaning. Records of the
+//! kinds earlier formats wrote — 4 (an embedded catalog), 6 and 7 (a
+//! commit naming a separate checkpoint file) — are refused as `Corrupt`.
 //!
 //! ## Recovery rules
 //!
@@ -38,19 +37,18 @@
 //! from that point on is a torn tail: an append that never completed.
 //! Records after the last clean `Commit` are the unvouched tail: work whose
 //! commit point was never reached. Both are ignored by every reader and
-//! cut by the next commit's append, never replayed, so hostile or partial
-//! bytes never panic and never resurrect an operation no commit vouches
-//! for. A reader beside a live writer sees the writer's in-flight append
-//! the same way: as a torn tail, the end of the log.
+//! never replayed (the next commit retires the log with them), so hostile
+//! or partial bytes never panic and never resurrect an operation no commit
+//! vouches for. A reader beside a live writer sees the writer's in-flight
+//! append the same way: as a torn tail, the end of the log.
 //!
 //! A bad frame that a clean one follows is damage, not a torn append. The
-//! log is the only copy of the generations committed since the live
-//! checkpoint: if a commit record past the damage is newer than what the
-//! records before it replay to, open, `verify` and `as_of` refuse the
-//! directory as `Corrupt` and leave it as it is; damage followed only by
-//! what the checkpoint already holds costs history, and the next commit
-//! cuts it like a torn tail. A clean commit record that cannot be applied is `Corrupt` too (see
-//! [`super::persist`]).
+//! log is the only copy of the generations committed since its checkpoint:
+//! if a commit record past the damage is newer than what the records before
+//! it replay to, open, `verify` and `as_of` refuse the directory as
+//! `Corrupt` and leave it as it is; damage followed only by what the records
+//! before it already hold costs history. A clean commit record that cannot
+//! be applied is `Corrupt` too (see [`super::persist`]).
 //!
 //! ## Fault injection
 //!
@@ -62,6 +60,7 @@
 //! — which is what `scripts/crash_consistency.sh` sweeps across process
 //! boundaries through the CLI's `--crash-at-io N`.
 
+use super::catalog::Catalog;
 use super::wire::{read_string, read_u32_le, write_string};
 use crate::error::{DslogError, Result};
 use dslog_codecs::crc32::crc32;
@@ -71,8 +70,33 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// File name of the operation log inside a database directory.
+/// File name of the live operation log inside a database directory.
 pub const OPS_LOG_FILE: &str = "ops.log";
+
+/// The name a log takes once a checkpoint commit retires it: `start` is
+/// the generation its checkpoint holds.
+pub(crate) fn retired_name(start: u64) -> String {
+    format!("ops.g{start}.log")
+}
+
+/// The start generation a retired log's name carries.
+pub(crate) fn retired_start(name: &str) -> Option<u64> {
+    name.strip_prefix("ops.g")?
+        .strip_suffix(".log")?
+        .parse()
+        .ok()
+}
+
+/// The start generations of the retired logs among `names` that lie below
+/// `start` (the live log's), oldest first. One whose name carries the live
+/// log's start or a later one is crash debris, not history.
+pub(crate) fn retired_starts(names: &[String], start: u64) -> Vec<u64> {
+    let mut starts: Vec<u64> = (names.iter())
+        .filter_map(|n| retired_start(n).filter(|&s| s < start))
+        .collect();
+    starts.sort_unstable();
+    starts
+}
 
 const RECORD_VERSION: u8 = 1;
 
@@ -115,13 +139,6 @@ pub enum OpKind {
     },
     /// A commit made generation `gen_after` durable.
     Commit {
-        /// Byte length of the catalog whose rename was this commit's commit
-        /// point (a full save, compaction, gzip conversion or a commit on a
-        /// rebuilt tail); 0 when this record is the commit point.
-        catalog_len: u64,
-        /// That catalog's crc32 trailer (the crc32 of everything before
-        /// it); 0 when this record is the commit point.
-        catalog_crc: u32,
         /// The segment this commit wrote (`""`: none) — where the tables
         /// below lie.
         segment: String,
@@ -137,17 +154,28 @@ pub enum OpKind {
         retained_from: u64,
     },
     /// A compaction rewrote every stored table into a new generation's
-    /// segment. Logical state is unchanged — the paired `Commit` record
-    /// carries the new catalog — so replay treats this as an annotation.
+    /// segment. Logical state is unchanged — the checkpoint that opens its
+    /// transaction holds the new ranges — so replay treats this as an
+    /// annotation.
     Compact {
         /// Number of segment files written (1; 0 for an empty database).
         segments: u64,
-        /// Number of data files the superseded catalog referenced.
+        /// Number of data files the superseded generation referenced.
         folded: u64,
         /// Bytes written into the segment (compressed sizes).
         bytes: u64,
     },
+    /// The whole committed state of one generation: the first record of
+    /// every log, written by a checkpoint commit (a full save, a gzip
+    /// conversion, a compaction, a commit on a rebuilt tail, or one that
+    /// made a checkpoint due).
+    Checkpoint(Checkpoint),
 }
+
+/// The payload of [`OpKind::Checkpoint`]: a generation's gzip flag, arrays
+/// and per-edge table ranges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checkpoint(pub(crate) Catalog);
 
 impl OpKind {
     /// Short stable name of the variant, for history listings.
@@ -159,6 +187,7 @@ impl OpKind {
             OpKind::ConvertGzip { .. } => "convert",
             OpKind::Commit { .. } => "commit",
             OpKind::Compact { .. } => "compact",
+            OpKind::Checkpoint(_) => "checkpoint",
         }
     }
 
@@ -179,27 +208,21 @@ impl OpKind {
             OpKind::ConvertGzip { gzip } => {
                 format!("convert to {}", if *gzip { "gzip" } else { "plain" })
             }
+            OpKind::Commit { tables, .. } if tables.is_empty() => "commit (no tables)".to_string(),
             OpKind::Commit {
-                catalog_len: 0,
-                tables,
-                ..
-            } if tables.is_empty() => "commit (no tables)".to_string(),
-            OpKind::Commit {
-                catalog_len: 0,
-                segment,
-                tables,
-                ..
+                segment, tables, ..
             } => format!("commit ({} tables into {segment})", tables.len()),
-            OpKind::Commit {
-                catalog_len,
-                catalog_crc,
-                ..
-            } => format!("commit ({catalog_len} catalog bytes, crc {catalog_crc:08x})"),
             OpKind::Compact {
                 segments,
                 folded,
                 bytes,
             } => format!("compact ({segments} segments, {folded} files folded, {bytes} bytes)"),
+            OpKind::Checkpoint(Checkpoint(c)) => format!(
+                "checkpoint of generation {} ({} arrays, {} edges)",
+                c.generation,
+                c.arrays.len(),
+                c.edges.len()
+            ),
         }
     }
 }
@@ -238,7 +261,7 @@ pub(crate) fn now_ms() -> u64 {
 // Encode / decode
 // ---------------------------------------------------------------------------
 
-/// The crc32 trailer a serialized table or catalog ends in: the checksum
+/// The crc32 trailer a serialized table ends in: the checksum
 /// of everything before it (0 for bytes too short to hold one).
 pub(crate) fn trailer_crc(bytes: &[u8]) -> u32 {
     bytes
@@ -292,17 +315,13 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
             body.push(u8::from(*gzip));
         }
         OpKind::Commit {
-            catalog_len,
-            catalog_crc,
             segment,
             tables,
             retained_from,
         } => {
-            // Kinds 4 (a whole embedded catalog) and 6 (a catalog's length
-            // and crc only) are retired.
-            body.push(7);
-            write_uvarint(&mut body, *catalog_len);
-            body.extend_from_slice(&catalog_crc.to_le_bytes());
+            // Kinds 4 (a whole embedded catalog), 6 (a catalog's length and
+            // crc only) and 7 (those beside the tables) are retired.
+            body.push(8);
             write_string(&mut body, segment);
             write_uvarint(&mut body, *retained_from);
             write_uvarint(&mut body, tables.len() as u64);
@@ -323,6 +342,10 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
             write_uvarint(&mut body, *segments);
             write_uvarint(&mut body, *folded);
             write_uvarint(&mut body, *bytes);
+        }
+        OpKind::Checkpoint(Checkpoint(catalog)) => {
+            body.push(9);
+            catalog.write_body(&mut body);
         }
     }
     let mut frame = Vec::with_capacity(body.len() + 8);
@@ -396,7 +419,7 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
             pos += 1;
             OpKind::ConvertGzip { gzip: flag != 0 }
         }
-        4 | 6 => return Err(RETIRED_KIND),
+        4 | 6 | 7 => return Err(RETIRED_KIND),
         5 => {
             let segments = read_uvarint(data, &mut pos)?;
             let folded = read_uvarint(data, &mut pos)?;
@@ -407,9 +430,7 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
                 bytes,
             }
         }
-        7 => {
-            let catalog_len = read_uvarint(data, &mut pos)?;
-            let catalog_crc = read_u32_le(data, &mut pos)?;
+        8 => {
             let segment = read_string(data, &mut pos)?;
             let retained_from = read_uvarint(data, &mut pos)?;
             let n = read_uvarint(data, &mut pos)? as usize;
@@ -429,13 +450,12 @@ pub fn decode_body(data: &[u8]) -> Result<OpRecord> {
                 ));
             }
             OpKind::Commit {
-                catalog_len,
-                catalog_crc,
                 segment,
                 tables,
                 retained_from,
             }
         }
+        9 => OpKind::Checkpoint(Checkpoint(Catalog::read_body(data, &mut pos)?)),
         _ => return Err(DslogError::Corrupt("unknown log record kind")),
     };
     if pos != data.len() {
@@ -480,6 +500,8 @@ pub(crate) struct Scan {
     retired: bool,
     /// Bytes the log held when it was read.
     pub(crate) len: u64,
+    /// The identity of the file read (see [`file_id`]).
+    pub(crate) id: u64,
 }
 
 /// Scan a log image front to back. Never panics: scanning stops at the
@@ -545,17 +567,19 @@ pub fn read_log(data: &[u8]) -> (Vec<OpRecord>, usize) {
 // Log file IO
 // ---------------------------------------------------------------------------
 
-/// The scan of `<dir>/ops.log` (see [`Scan`]). A missing log reads as
-/// empty, and a log holding a record of a retired kind is `Corrupt`.
-pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
+/// The scan of the log file at `path` (see [`Scan`]); a log holding a
+/// record of a retired kind is `Corrupt`.
+pub(crate) fn read_frames(path: &Path) -> Result<Scan> {
+    use std::io::Read as _;
     let _io = dslog_sync::io_guard("wal::read_frames");
-    let scan = match std::fs::read(dir.join(OPS_LOG_FILE)) {
-        Ok(bytes) => Scan {
-            len: bytes.len() as u64,
-            ..scan_frames(&bytes)
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => scan_frames(&[]),
-        Err(e) => return Err(DslogError::io("read ops.log", e)),
+    let mut bytes = Vec::new();
+    let opened = std::fs::File::open(path)
+        .and_then(|mut f| f.read_to_end(&mut bytes).and_then(|_| f.metadata()));
+    let meta = opened.map_err(|e| DslogError::io("read ops.log", e))?;
+    let scan = Scan {
+        id: file_id(&meta).1,
+        len: bytes.len() as u64,
+        ..scan_frames(&bytes)
     };
     if scan.retired {
         return Err(RETIRED_KIND);
@@ -563,20 +587,63 @@ pub(crate) fn read_frames(dir: &Path) -> Result<Scan> {
     Ok(scan)
 }
 
-/// The length of `<dir>/ops.log` now, 0 if it is missing.
-pub(crate) fn log_len(dir: &Path) -> u64 {
-    std::fs::metadata(dir.join(OPS_LOG_FILE)).map_or(0, |meta| meta.len())
+/// The scan of `dir`'s live log; `names` is the directory's listing. The
+/// log is the database: one missing beside any other file but the writer
+/// lock is `Corrupt`, not an empty history.
+pub(crate) fn read_live(dir: &Path, names: &[String]) -> Result<Scan> {
+    let ours = |n: &String| n == OPS_LOG_FILE || n == super::persist::LOCK_FILE;
+    if !names.iter().any(|n| n == OPS_LOG_FILE) && !names.iter().all(ours) {
+        return Err(DslogError::Corrupt("database files without an ops.log"));
+    }
+    read_frames(&dir.join(OPS_LOG_FILE))
 }
 
-/// Read-only view of every cleanly framed record in `<dir>/ops.log`
-/// (including the unvouched tail — history shows what was attempted). A
-/// missing log is an empty history.
+/// A log file's length and identity (its inode, 0 where the platform has
+/// none): a log renamed into place differs from the one before it even at
+/// the same length.
+pub(crate) fn file_id(meta: &std::fs::Metadata) -> (u64, u64) {
+    #[cfg(unix)]
+    let id = std::os::unix::fs::MetadataExt::ino(meta);
+    #[cfg(not(unix))]
+    let id = 0;
+    (meta.len(), id)
+}
+
+/// The length and identity of `<dir>/ops.log` now (`None`: missing).
+pub(crate) fn log_id(dir: &Path) -> Option<(u64, u64)> {
+    std::fs::metadata(dir.join(OPS_LOG_FILE))
+        .ok()
+        .map(|m| file_id(&m))
+}
+
+/// Read-only view of every operation `dir`'s logs record, oldest first:
+/// each retired log's records up to its last commit (the records after it
+/// were never committed), then every cleanly framed record of the live log
+/// (including its unvouched tail — history shows what was attempted). Op
+/// ids increase strictly across the logs, and each checkpoint is listed
+/// once, at the head of its log.
 pub fn history(dir: &Path) -> Result<Vec<OpRecord>> {
-    Ok(read_frames(dir)?
-        .frames
-        .into_iter()
-        .map(|(rec, _)| rec)
-        .collect())
+    let names = super::persist::list_dir(dir);
+    let live = read_live(dir, &names)?.frames;
+    let start = match live.first() {
+        Some((
+            OpRecord {
+                kind: OpKind::Checkpoint(Checkpoint(c)),
+                ..
+            },
+            _,
+        )) => c.generation,
+        _ => u64::MAX,
+    };
+    let mut records = Vec::new();
+    for s in retired_starts(&names, start) {
+        let mut frames = read_frames(&dir.join(retired_name(s)))?.frames;
+        let commit = |(r, _): &(OpRecord, usize)| matches!(r.kind, OpKind::Commit { .. });
+        frames.truncate(frames.iter().rposition(commit).map_or(0, |i| i + 1));
+        records.extend(frames.into_iter().map(|(rec, _)| rec));
+    }
+    records.extend(live.into_iter().map(|(rec, _)| rec));
+    Ok(records)
 }
 
 /// Append `records` at `clean_len` in one write, then fdatasync; returns
@@ -641,7 +708,7 @@ pub enum IoFault {
 }
 
 /// The fault injector of the durability tests: trips exactly one gated IO
-/// along the commit path (segment write, log appends, catalog write,
+/// along the commit path (segment write, log appends, the fresh log's write,
 /// file and directory syncs) with the configured [`IoFault`].
 ///
 /// Installed once, through [`crate::api::OpenOptions::io_policy`]; it
@@ -760,9 +827,33 @@ mod tests {
     use super::*;
 
     fn sample_records() -> Vec<OpRecord> {
+        let mut checkpoint = Catalog {
+            gzip: true,
+            generation: 1,
+            ..Catalog::default()
+        };
+        let shape = crate::storage::ArrayMeta { shape: vec![3, 2] };
+        checkpoint.arrays.insert("A".into(), shape.clone());
+        checkpoint.arrays.insert("B".into(), shape);
+        let table = crate::storage::FileRecord {
+            name: "segment-0.g1.seg".into(),
+            len: 42,
+            crc: 0xdead_beef,
+            raw_len: 40,
+            offset: 7,
+        };
+        checkpoint.edges.insert(("A".into(), "B".into()), table);
         vec![
             OpRecord {
                 op_id: 1,
+                timestamp_ms: 1_700_000_000_000,
+                actor: "cli".into(),
+                gen_before: 0,
+                gen_after: 0,
+                kind: OpKind::Checkpoint(Checkpoint(checkpoint)),
+            },
+            OpRecord {
+                op_id: 2,
                 timestamp_ms: 1_700_000_000_000,
                 actor: "cli".into(),
                 gen_before: 0,
@@ -773,7 +864,7 @@ mod tests {
                 },
             },
             OpRecord {
-                op_id: 2,
+                op_id: 3,
                 timestamp_ms: 1_700_000_000_001,
                 actor: "cli".into(),
                 gen_before: 0,
@@ -786,7 +877,7 @@ mod tests {
                 },
             },
             OpRecord {
-                op_id: 3,
+                op_id: 4,
                 timestamp_ms: 1_700_000_000_002,
                 actor: "srv".into(),
                 gen_before: 0,
@@ -796,7 +887,7 @@ mod tests {
                 },
             },
             OpRecord {
-                op_id: 4,
+                op_id: 5,
                 timestamp_ms: 1_700_000_000_003,
                 actor: "srv".into(),
                 gen_before: 0,
@@ -804,14 +895,12 @@ mod tests {
                 kind: OpKind::ConvertGzip { gzip: true },
             },
             OpRecord {
-                op_id: 5,
+                op_id: 6,
                 timestamp_ms: 1_700_000_000_004,
                 actor: "srv".into(),
                 gen_before: 0,
                 gen_after: 1,
                 kind: OpKind::Commit {
-                    catalog_len: 0,
-                    catalog_crc: 0,
                     segment: "segment-0.g1.seg".into(),
                     tables: vec![(1, 0, 42, 0xdead_beef, 42)],
                     retained_from: 1,
@@ -849,12 +938,12 @@ mod tests {
             image.extend_from_slice(&encode_record(r));
         }
         let full = image.len();
-        let last = encode_record(&recs[4]);
-        // Every proper prefix of the last frame parses to exactly 4 records.
+        let last = encode_record(&recs[5]);
+        // Every proper prefix of the last frame parses to exactly 5 records.
         let boundary = full - last.len();
         for cut in boundary..full {
             let (parsed, clean) = read_log(&image[..cut]);
-            assert_eq!(parsed.len(), 4, "cut at {cut}");
+            assert_eq!(parsed.len(), 5, "cut at {cut}");
             assert_eq!(clean, boundary, "cut at {cut}");
         }
     }

@@ -142,7 +142,8 @@ impl Instance {
     }
 
     /// Whatever is in the directory besides the one on-disk shape: the
-    /// catalog, kept catalogs, one segment per generation, and the log.
+    /// writer lock, the retired logs, the live log, and one segment per
+    /// generation.
     fn foreign_files(&self) -> Vec<String> {
         let of_a_generation = |name: &str, prefix: &str, suffix: &str| {
             let generation = name
@@ -154,9 +155,9 @@ impl Instance {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .filter(|n| {
-                n != "catalog.dsl"
+                n != "writer.lock"
                     && n != "ops.log"
-                    && !of_a_generation(n, "catalog.g", ".dsl")
+                    && !of_a_generation(n, "ops.g", ".log")
                     && !of_a_generation(n, "segment-0.g", ".seg")
             })
             .collect()

@@ -38,7 +38,7 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
         proptest::collection::vec(arb_name(), 2..5).prop_map(|path| OpKind::Composite { path }),
         any::<bool>().prop_map(|gzip| OpKind::ConvertGzip { gzip }),
         (
-            (any::<u64>(), any::<u32>(), arb_name(), any::<u64>()),
+            (arb_name(), any::<u64>()),
             proptest::collection::vec(
                 (
                     any::<u64>(),
@@ -50,16 +50,58 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
                 0..3
             ),
         )
-            .prop_map(
-                |((catalog_len, catalog_crc, segment, retained_from), tables)| OpKind::Commit {
-                    catalog_len,
-                    catalog_crc,
-                    segment,
-                    tables,
-                    retained_from,
-                }
-            ),
+            .prop_map(|((segment, retained_from), tables)| OpKind::Commit {
+                segment,
+                tables,
+                retained_from,
+            }),
+        arb_checkpoint(),
     ]
+}
+
+/// A checkpoint record's kind, built the one way a test can build it: from
+/// payload bytes the decoder accepts (its payload type is the store's
+/// own). The gzip flag, the generation, the arrays with their shapes, and
+/// per edge two of those arrays, a segment name and a table's range.
+fn arb_checkpoint() -> impl Strategy<Value = OpKind> {
+    use dslog_codecs::varint::write_uvarint;
+    use proptest::sample::Index;
+    let arrays = proptest::collection::vec(
+        (arb_name(), proptest::collection::vec(1u64..64, 1..4)),
+        1..4,
+    );
+    let range = (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>());
+    let edges =
+        proptest::collection::vec(((any::<Index>(), any::<Index>()), arb_name(), range), 0..4);
+    ((any::<bool>(), any::<u64>()), arrays, edges).prop_map(
+        |((gzip, generation), arrays, edges)| {
+            let string = |out: &mut Vec<u8>, s: &str| {
+                write_uvarint(out, s.len() as u64);
+                out.extend_from_slice(s.as_bytes());
+            };
+            // Record version 1, op 1, timestamp 0, no actor, generations 0 and
+            // 0, kind 9; then the payload.
+            let mut body = vec![1u8, 1, 0, 0, 0, 0, 9, u8::from(gzip)];
+            write_uvarint(&mut body, generation);
+            write_uvarint(&mut body, arrays.len() as u64);
+            for (name, shape) in &arrays {
+                string(&mut body, name);
+                write_uvarint(&mut body, shape.len() as u64);
+                shape.iter().for_each(|&d| write_uvarint(&mut body, d));
+            }
+            write_uvarint(&mut body, edges.len() as u64);
+            for ((input, output), segment, (len, crc, raw_len, offset)) in &edges {
+                string(&mut body, &arrays[input.index(arrays.len())].0);
+                string(&mut body, &arrays[output.index(arrays.len())].0);
+                string(&mut body, &format!("segment-{segment}"));
+                write_uvarint(&mut body, *len);
+                body.extend_from_slice(&crc.to_le_bytes());
+                write_uvarint(&mut body, *raw_len);
+                write_uvarint(&mut body, *offset);
+            }
+            wal::decode_body(&body).unwrap().kind
+        },
+    )
 }
 
 /// Everything but the op_id, which must stay monotonic within one log.
@@ -98,8 +140,9 @@ fn build_log(parts: Vec<RecordParts>) -> (Vec<OpRecord>, Vec<u8>) {
     (records, log)
 }
 
-/// A commit record of a kind earlier formats wrote, both retired: kind 6
-/// named a catalog every commit rewrote by its length and crc; kind 4
+/// A commit record of a kind earlier formats wrote, all retired: kind 6
+/// named a catalog every commit rewrote by its length and crc, kind 7 the
+/// checkpoint file beside the log the same way (its tables after); kind 4
 /// embedded the whole catalog.
 fn legacy_commit_frame(kind: u8, op_id: u64, generation: u64, catalog: &[u8]) -> Vec<u8> {
     use dslog_codecs::varint::write_uvarint;
@@ -126,8 +169,8 @@ fn legacy_commit_frame(kind: u8, op_id: u64, generation: u64, catalog: &[u8]) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A cleanly framed commit record of a retired kind (4 or 6) ends the
-    /// clean prefix — behind today's records or leading the log — and a
+    /// A cleanly framed commit record of a retired kind (4, 6 or 7) ends
+    /// the clean prefix — behind today's records or leading the log — and a
     /// reader of the directory refuses the log as `Corrupt`.
     #[test]
     fn kinds_4_and_6_are_refused(
@@ -137,7 +180,7 @@ proptest! {
         let (records, log) = build_log(parts);
         let dir = std::env::temp_dir().join(format!("dslog-wal-retired-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for kind in [4u8, 6] {
+        for kind in [4u8, 6, 7] {
             let op_id = records.len() as u64 + 1;
             let mut behind = log.clone();
             behind.extend_from_slice(&legacy_commit_frame(kind, op_id, op_id, &catalog));

@@ -1,7 +1,7 @@
 //! Fault-injected durability tests for the operation log.
 //!
 //! The contract under test: a commit killed at ANY gated IO — log append,
-//! log fsync, table write, catalog write, catalog rename, directory sync —
+//! log fsync, segment write, a fresh log's write and sync, directory sync —
 //! leaves the store openable and verify-clean, with the visible state
 //! equal to exactly the pre-op or the post-op snapshot, never a torn
 //! mixture. And an `as_of` open resolves every retained generation to the
@@ -21,6 +21,7 @@ use dslog::service::{AutoCommitPolicy, DslogService, IngestJob, MaintenancePolic
 use dslog::storage::wal::{self, IoFault, IoPolicy, OpKind, OpRecord};
 use dslog::storage::{format, persist};
 use dslog::table::LineageTable;
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -514,8 +515,12 @@ fn actor_travels_with_the_operation() {
     // compaction the second threshold commit made due.
     let mut own_commits = ["alice", "auto-commit", "auto-commit", "alice"].into_iter();
     let mut compacting = false;
-    for record in &records {
+    for (i, record) in records.iter().enumerate() {
+        // A checkpoint is logged by whoever logs the commit that closes it.
+        let closing = |r: &&OpRecord| matches!(r.kind, OpKind::Commit { .. });
+        let closed_by = records[i..].iter().find(closing).unwrap();
         let expected = match &record.kind {
+            OpKind::Checkpoint(_) => closed_by.actor.as_str(),
             OpKind::DefineArray { .. } | OpKind::IngestEdge { .. } => "alice",
             OpKind::Compact { .. } => "maintenance",
             OpKind::Commit { .. } if compacting => "maintenance",
@@ -537,7 +542,9 @@ fn actor_travels_with_the_operation() {
 }
 
 /// Garbage appended to the log is ignored by an open, which leaves it
-/// where it is, and cut by the next commit's append; the store keeps
+/// where it is, and cut from the live log by the next commit, which has to
+/// rebuild its tail and so starts a fresh log: the old one, torn bytes and
+/// all, is retired, where every reader ignores them. The store keeps
 /// committing cleanly afterwards.
 #[test]
 fn torn_log_tail_is_cut_by_the_next_commit() {
@@ -561,22 +568,23 @@ fn torn_log_tail_is_cut_by_the_next_commit() {
     assert_eq!(std::fs::read(&log_path).unwrap(), torn);
     persist::verify(&dir).unwrap();
 
-    // And the append position is sound: the next commit lands right after
-    // the clean prefix, cutting the torn bytes.
+    // The next commit starts a fresh log after the clean prefix's records:
+    // its checkpoint, then the commit's own records.
     re.define_array("D", &[6]).unwrap();
     re.add_lineage("C", "D", &TableCapture::new(chain_table()))
         .unwrap();
     re.commit().unwrap();
     let log = std::fs::read(&log_path).unwrap();
-    assert_eq!(&log[..clean.len()], &clean[..]);
     assert_eq!(wal::read_log(&log).1, log.len());
+    let retired = dir.join(format!("ops.g{}.log", SEED_GENERATIONS + 1));
+    assert_eq!(std::fs::read(retired).unwrap(), torn);
     let after = wal::history(&dir).unwrap();
     assert_eq!(&after[..before.len()], &before[..]);
     let kinds: Vec<&str> = after[before.len()..]
         .iter()
         .map(|r| r.kind.name())
         .collect();
-    assert_eq!(kinds, ["define", "ingest", "commit"]);
+    assert_eq!(kinds, ["checkpoint", "define", "ingest", "commit"]);
     drop(re);
     let reopened = Dslog::options().open(&dir).unwrap();
     assert_eq!(reopened.bound_database().unwrap().2, SEED_GENERATIONS + 2);
@@ -586,11 +594,12 @@ fn torn_log_tail_is_cut_by_the_next_commit() {
 
 /// Every reader leaves a directory a crashed process left dirty byte for
 /// byte as it was — a torn log frame after an unvouched `IngestEdge`
-/// record, an orphan segment and checkpoint, `*.tmp` files: an eager open,
-/// a lazy open and its first query, `as_of` of the live and of a retained
-/// generation, `verify` and the history. The first commit of a handle
-/// opened on it then deletes the debris and appends its records right
-/// after the log's clean prefix.
+/// record, an orphan segment and retired log, `*.tmp` files: an eager
+/// open, a lazy open and its first query, `as_of` of the live and of a
+/// retained generation, `verify` and the history. The first commit of a
+/// handle opened on it then deletes the debris and starts a fresh log,
+/// whose op ids follow the old log's last committed one; the old log is
+/// retired as it was, and the history lists its committed records only.
 #[test]
 fn readers_leave_a_dirty_directory_alone() {
     let dir = temp_dir("dirty");
@@ -629,9 +638,9 @@ fn readers_leave_a_dirty_directory_alone() {
     std::fs::write(&log_path, &dirty).unwrap();
     let mut debris = [
         "segment-0.g90.seg",
-        "catalog.g89.dsl",
+        "ops.g89.log",
         "segment-0.g91.seg.tmp",
-        "catalog.dsl.tmp",
+        "ops.log.tmp",
     ];
     for name in debris {
         std::fs::write(dir.join(name), b"debris").unwrap();
@@ -669,14 +678,23 @@ fn readers_leave_a_dirty_directory_alone() {
         assert!(!dir.join(name).exists(), "{name} survived the commit");
     }
     let log = std::fs::read(&log_path).unwrap();
-    assert_eq!(&log[..clean.len()], &clean[..]);
-    let (appended, appended_len) = wal::read_log(&log[clean.len()..]);
-    assert_eq!(appended_len, log.len() - clean.len());
+    let (appended, appended_len) = wal::read_log(&log);
+    assert_eq!(appended_len, log.len());
     let kinds: Vec<&str> = appended.iter().map(|r| r.kind.name()).collect();
-    assert_eq!(kinds, ["define", "define", "ingest", "commit"]);
+    assert_eq!(
+        kinds,
+        ["checkpoint", "define", "define", "ingest", "commit"]
+    );
     assert_eq!(appended[0].op_id, last_op + 1);
     let generation = db.bound_database().unwrap().2;
-    assert_eq!(appended[3].gen_after, generation);
+    assert_eq!(appended[4].gen_after, generation);
+    let retired = (std::fs::read_dir(&dir).unwrap().flatten())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("ops.g"))
+        .any(|e| std::fs::read(e.path()).unwrap() == dirty);
+    assert!(retired, "the dirty log was not retired as it was");
+    let mut history = committed.clone();
+    history.extend(appended);
+    assert_eq!(wal::history(&dir).unwrap(), history);
     drop(db);
     let reopened = Dslog::options().open(&dir).unwrap();
     assert_eq!(reopened.bound_database().unwrap().2, generation);
@@ -709,9 +727,9 @@ fn log_len(dir: &Path) -> u64 {
 /// one-edge commits by one handle, the 200th performs the same gated IOs
 /// and grows the log by the same bytes as the 3rd (neither is due for a
 /// checkpoint: those come after 1, 2, 4, … 128 committed edges), and the
-/// directory holds nothing but the checkpoint, the log and the live tables
-/// — with and without retention, since the window's generations replay
-/// from the live checkpoint.
+/// directory holds nothing but the live log, one retired log per
+/// checkpoint before it, the writer lock and the live tables — with and
+/// without retention.
 #[test]
 fn commit_cost_is_independent_of_history() {
     const COMMITS: usize = 200;
@@ -727,7 +745,10 @@ fn commit_cost_is_independent_of_history() {
         for k in 0..COMMITS {
             let before = (probe.ios_seen(), log_len(&dir));
             commit_link(&mut db, k);
-            cost.push((probe.ios_seen() - before.0, log_len(&dir) - before.1));
+            // A checkpoint commit starts the log over: its growth is not
+            // counted.
+            let grown = log_len(&dir).saturating_sub(before.1);
+            cost.push((probe.ios_seen() - before.0, grown));
         }
         let ((ios_early, log_early), (ios_late, log_late)) = (cost[2], cost[COMMITS - 1]);
         assert_eq!(
@@ -746,15 +767,31 @@ fn commit_cost_is_independent_of_history() {
         assert_eq!(report.files_verified, COMMITS);
         assert!(report.stale_files.is_empty(), "{:?}", report.stale_files);
         // One segment per commit (every one still holds a live table), the
-        // checkpoint and the log.
+        // logs and the lock.
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
         let first = live + 1 - COMMITS as u64;
+        // Each checkpoint's generation is its transaction's commit's.
+        let mut checkpoints: Vec<u64> = Vec::new();
+        let mut opened = false;
+        for record in wal::history(&dir).unwrap() {
+            match record.kind {
+                OpKind::Checkpoint(_) => opened = true,
+                OpKind::Commit { .. } if opened => {
+                    checkpoints.push(record.gen_after);
+                    opened = false;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(checkpoints.len(), 9, "the create, then 1, 2, 4 … 128 edges");
+        let retired = checkpoints[..8].iter().map(|g| format!("ops.g{g}.log"));
         let mut expected: Vec<String> = ((first..=live).map(|g| format!("segment-0.g{g}.seg")))
-            .chain(["catalog.dsl".to_string(), wal::OPS_LOG_FILE.to_string()])
+            .chain(retired)
+            .chain([persist::LOCK_FILE, wal::OPS_LOG_FILE].map(String::from))
             .collect();
         expected.sort();
         assert_eq!(names, expected, "retain={retain}");
@@ -762,14 +799,17 @@ fn commit_cost_is_independent_of_history() {
     }
 }
 
-/// The remembered tail cannot lie: when the log or the catalog changes
-/// behind a handle's back between two of its commits, the next commit
-/// notices, rebuilds the tail from the directory, and carries on — the
-/// log stays one clean, monotonic sequence ending in that commit, and the
-/// store verifies with every edge of the handle in it.
+/// The remembered tail cannot lie: when the log changes behind a handle's
+/// back between two of its commits — cut mid-frame, or garbage appended —
+/// the next commit notices, rebuilds the tail from the directory, and
+/// carries on: the history stays one clean, monotonic sequence ending in
+/// the commit after, and the store verifies with every edge of the handle
+/// in it. A deleted log is no such case: the log is the database, so the
+/// commit is refused as `Corrupt` and writes nothing. And another handle
+/// cannot change the directory at all while this one holds its lock.
 #[test]
 fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
-    for tamper in ["truncate", "garbage", "delete", "newer-catalog"] {
+    for tamper in ["truncate", "garbage", "delete", "second-writer"] {
         let dir = temp_dir(&format!("lie-{tamper}"));
         let mut db = Dslog::options().wal_retention(2).create(&dir).unwrap();
         for k in 0..3 {
@@ -787,15 +827,25 @@ fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
                 longer.extend_from_slice(b"\x2a\0\0\0not a frame at all");
                 std::fs::write(&log_path, longer).unwrap();
             }
-            "delete" => std::fs::remove_file(&log_path).unwrap(),
-            // Another handle compacts on top — a checkpoint commit, which
-            // sweeps the segments the handle's tables lie in — then the log
-            // is put back: the catalog alone is newer than the tail
-            // remembers.
+            "delete" => {
+                std::fs::remove_file(&log_path).unwrap();
+                let image = dir_image(&dir);
+                let err = db.commit().unwrap_err();
+                assert_eq!(
+                    err,
+                    dslog::DslogError::Corrupt("database files without an ops.log")
+                );
+                assert_eq!(dir_image(&dir), image, "{tamper}");
+                std::fs::remove_dir_all(&dir).unwrap();
+                continue;
+            }
             _ => {
                 let other = Dslog::options().open(&dir).unwrap();
-                other.compact().unwrap();
-                std::fs::write(&log_path, &log).unwrap();
+                let image = dir_image(&dir);
+                for refused in [other.compact(), other.commit()] {
+                    assert_eq!(refused, Err(dslog::DslogError::DirectoryLocked));
+                }
+                assert_eq!(dir_image(&dir), image, "{tamper}");
             }
         }
 
@@ -803,10 +853,7 @@ fn tampered_directory_makes_the_next_commit_rebuild_its_tail() {
         // …and the commit after that runs on the rebuilt tail.
         commit_link(&mut db, 4);
         let after = db.bound_database().unwrap().2;
-        assert!(
-            after >= before + 2 + u64::from(tamper == "newer-catalog"),
-            "{tamper}: {before} -> {after}"
-        );
+        assert!(after >= before + 2, "{tamper}: {before} -> {after}");
 
         let records = wal::history(&dir).unwrap();
         assert!(
@@ -861,7 +908,7 @@ fn a_log_with_an_embedded_catalog_commit_is_refused() {
     let log_path = dir.join(wal::OPS_LOG_FILE);
     let mut log = std::fs::read(&log_path).unwrap();
     let last_op = wal::history(&dir).unwrap().last().unwrap().op_id;
-    let catalog = std::fs::read(dir.join("catalog.dsl")).unwrap();
+    let catalog = b"DSLGDB3\0 an embedded catalog".to_vec();
     let mut body = vec![1u8]; // record version
     for v in [last_op + 1, 1_700_000_000_000] {
         dslog_codecs::varint::write_uvarint(&mut body, v);
@@ -901,12 +948,12 @@ fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// The log is the only copy of the generations committed since the live
+/// The log is the only copy of the generations committed since its
 /// checkpoint, so damage that hides one is refused, not cut away as a torn
 /// tail: one flipped byte in a record that clean records of a newer commit
 /// follow, a clean commit record whose table names no `IngestEdge` record
-/// of its append, and one that starts from a generation no checkpoint
-/// holds. Open, a lazy open, `as_of` and `verify` all say `Corrupt`, and
+/// of its append, and one that starts from another generation than the
+/// records before it replay to. Open, a lazy open, `as_of` and `verify` all say `Corrupt`, and
 /// so does the next commit of a handle bound to the directory once it has
 /// to rebuild its tail; the log and every segment stay as they were.
 #[test]
@@ -918,18 +965,17 @@ fn damage_to_committed_records_is_refused() {
             .io_policy(policy.clone())
             .create(&dir)
             .unwrap();
-        // Checkpoints follow the first two links; the third lives in the
-        // log alone.
+        // The first two links are checkpoint commits; the third is a record
+        // commit after the live log's checkpoint.
         for k in 0..3 {
             commit_link(&mut db, k);
         }
         let generation = db.bound_database().unwrap().2;
-        let checkpoint = std::fs::read(dir.join("catalog.dsl")).unwrap();
         assert!(dslog::storage::persist::verify(&dir).is_ok());
 
         let log_path = dir.join(wal::OPS_LOG_FILE);
         let mut log = std::fs::read(&log_path).unwrap();
-        let records = wal::history(&dir).unwrap();
+        let records = wal::read_log(&log).0;
         let last = records.last().unwrap();
         let commit = |gen_before: u64, tables: Vec<(u64, u64, u64, u32, u64)>| {
             wal::encode_record(&wal::OpRecord {
@@ -939,8 +985,6 @@ fn damage_to_committed_records_is_refused() {
                 gen_before,
                 gen_after: generation + 1,
                 kind: OpKind::Commit {
-                    catalog_len: 0,
-                    catalog_crc: 0,
                     segment: format!("segment-0.g{}.seg", generation + 1),
                     tables,
                     retained_from: generation + 1,
@@ -994,11 +1038,128 @@ fn damage_to_committed_records_is_refused() {
         );
         drop(db);
         assert_eq!(dir_image(&dir), before, "{damage}: the directory changed");
-        assert_eq!(
-            std::fs::read(dir.join("catalog.dsl")).unwrap(),
-            checkpoint,
-            "{damage}"
-        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// One step of a random session on a bound database of four edges
+/// `A{k} -> B{k}`: replace an edge with a shift, commit, compact, or
+/// convert the directory to the other gzip mode (a full rewrite).
+#[derive(Debug, Clone)]
+enum Step {
+    Ingest(usize, i64),
+    Commit,
+    Compact,
+    Convert,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..4, 0i64..6).prop_map(|(k, shift)| Step::Ingest(k, shift)),
+        Just(Step::Commit),
+        Just(Step::Compact),
+        Just(Step::Convert),
+    ]
+}
+
+/// `B{k}` cell `i` derives from `A{k}` cell `(i + shift) % 6`.
+fn shifted(shift: i64) -> LineageTable {
+    let mut t = LineageTable::new(1, 1);
+    (0..6).for_each(|i| t.push_row(&[i, (i + shift) % 6]));
+    t
+}
+
+/// Every edge's shift as `db` answers it (`None`: no such edge).
+fn shifts(db: &Dslog) -> Vec<Option<i64>> {
+    (0..4)
+        .map(|k| {
+            let path = [format!("B{k}"), format!("A{k}")];
+            let got = db.prov_query(&[&path[0], &path[1]], &[vec![0]]).ok()?;
+            got.cells.cell_set().into_iter().next().map(|cell| cell[0])
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random sessions of ingests, commits, compactions and gzip
+    /// conversions, under a retention of 0–3 generations, rotate the log
+    /// at least twice. An `as_of` open of every generation the window keeps
+    /// answers what a replay of the session from genesis says that
+    /// generation held, and every older one is not retained. The history
+    /// across the retired logs and the live one lists every operation once
+    /// and each log's checkpoint once, under strictly increasing op ids.
+    #[test]
+    fn as_of_across_rotations_equals_a_replay_from_genesis(
+        retain in 0u32..4,
+        steps in proptest::collection::vec(arb_step(), 4..24),
+    ) {
+        let dir = temp_dir(&format!("rotations-{retain}"));
+        let mut db = Dslog::options().wal_retention(retain).create(&dir).unwrap();
+        for k in 0..4 {
+            db.define_array(&format!("A{k}"), &[6]).unwrap();
+            db.define_array(&format!("B{k}"), &[6]).unwrap();
+        }
+        // The first edge makes a checkpoint due, and the session ends in a
+        // compaction: two rotations at least.
+        let session = [&[Step::Ingest(0, 1), Step::Commit][..], &steps, &[Step::Compact]].concat();
+        let mut gzip = false;
+        let mut held = vec![None; 4];
+        let mut generations = vec![(db.bound_database().unwrap().2, held.clone())];
+        let (mut ingests, mut commits, mut compactions, mut conversions) = (0, 1, 0, 0);
+        for step in &session {
+            let committed = match step {
+                Step::Ingest(k, shift) => {
+                    let capture = TableCapture::new(shifted(*shift));
+                    db.add_lineage(&format!("A{k}"), &format!("B{k}"), &capture).unwrap();
+                    held[*k] = Some(*shift);
+                    ingests += 1;
+                    continue;
+                }
+                Step::Commit => db.commit().map(|r| r.generation),
+                Step::Compact => {
+                    compactions += 1;
+                    db.compact().map(|r| r.generation)
+                }
+                Step::Convert => {
+                    gzip = !gzip;
+                    conversions += 1;
+                    db.save(&dir, gzip).map(|()| db.bound_database().unwrap().2)
+                }
+            };
+            commits += 1;
+            generations.push((committed.unwrap(), held.clone()));
+        }
+        let live = generations.last().unwrap().0;
+        prop_assert_eq!(shifts(&Dslog::options().open(&dir).unwrap()), held.clone());
+        drop(db);
+
+        let kept = generations.len() - 1 - (retain as usize).min(generations.len() - 1);
+        for (i, (generation, held)) in generations.iter().enumerate() {
+            let as_of = Dslog::options().as_of(*generation).open(&dir);
+            if i >= kept {
+                prop_assert_eq!(&shifts(&as_of.unwrap()), held, "as of {}", generation);
+            } else {
+                prop_assert_eq!(as_of.map(drop), Err(dslog::DslogError::GenerationNotRetained(*generation)));
+            }
+        }
+
+        let history = wal::history(&dir).unwrap();
+        prop_assert!(history.windows(2).all(|w| w[0].op_id < w[1].op_id));
+        let count = |name: &str| history.iter().filter(|r| r.kind.name() == name).count();
+        let logs = std::fs::read_dir(&dir).unwrap().flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("ops."))
+            .count();
+        prop_assert!(logs >= 3, "{} logs", logs);
+        prop_assert_eq!(count("checkpoint"), logs);
+        prop_assert_eq!(count("define"), 8);
+        prop_assert_eq!(count("ingest"), ingests);
+        prop_assert_eq!(count("commit"), commits);
+        prop_assert_eq!(count("compact"), compactions);
+        prop_assert_eq!(count("convert"), conversions);
+        prop_assert_eq!(history.last().unwrap().gen_after, live);
+        persist::verify(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -2,19 +2,24 @@
 # Crash-consistency gate: kill `dslog ingest`, `dslog db compact` and
 # `dslog serve` at EVERY gated IO of a commit in turn and require, after
 # each kill, that the surviving database verifies, answers queries, and
-# accepts the retried operation — plain and gzip. The reader commands
-# run after each kill (`db verify`, `db history`, `query`) must leave
-# every byte of the database as the kill left it: only a commit writes.
+# accepts the retried operation — plain and gzip. Every commit the sweeps
+# kill rotates the log: the ingest after a one-edge database's first makes
+# a checkpoint due, and so does the served auto-commit; a compaction and a
+# gzip conversion (an ingest that flips the directory's mode) always
+# start a fresh log. The reader commands run after each kill (`db
+# verify`, `db history`, `query`) must leave every byte of the database
+# as the kill left it: only a commit writes.
 #
 # The kill is deterministic, not timing-based: the hidden `--crash-at-io N`
 # flag installs an IoPolicy that makes the process exit(86) at the N-th
-# gated IO of its commit (the segment write, the log append, the
-# checkpoint write, every file and directory sync) — after writing half
-# the bytes when that IO is a write, so recovery faces a genuinely torn
-# file or log frame. Each sweep walks N = 1, 2, … until the command runs
-# out of IOs to die at and exits 0; kills before the log fdatasync of an
-# incremental commit (the catalog rename of a compaction, which replaces
-# every range) must leave the old snapshot, kills from it on the new one.
+# gated IO of its commit (the segment write, the fresh log's write, the
+# log append, every file and directory sync) — after writing half the
+# bytes when that IO is a write, so recovery faces a genuinely torn file
+# or log frame. Each sweep walks N = 1, 2, … until the command runs out of
+# IOs to die at and exits 0; kills before the commit point (the log
+# fdatasync of an incremental commit, the fresh log's rename of a
+# checkpoint commit) must leave the old snapshot, kills after it the new
+# one.
 #
 # Usage: scripts/crash_consistency.sh [path-to-dslog-binary]
 set -euo pipefail
@@ -131,10 +136,10 @@ for mode in plain gzip; do
 
     # Compaction sweep: one three-generation database, `db compact` killed
     # at IO n, then n + 1, … on whatever the previous kill left — the
-    # accreted segments before the checkpoint rename, the compacted one
-    # after it. The completed compaction must verify stale-free, leave nothing
-    # but the one on-disk shape, and still take an incremental commit on
-    # top.
+    # accreted segments before the fresh log's rename, the compacted one
+    # after it. The completed compaction must verify stale-free, leave
+    # nothing but the one on-disk shape, and still take an incremental
+    # commit on top.
     echo "== compact crash sweep ($mode) =="
     db="$WORK/db-compact-$mode"
     "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
@@ -158,9 +163,12 @@ for mode in plain gzip; do
         n=$((n + 1))
     done
     "$BIN" db verify "$db"
-    # Exactly the one on-disk shape: the catalog, the log, one segment.
-    shape=$(ls "$db" | sed 's/^segment-0\.g[0-9]*\.seg$/segment-0.g*.seg/' | LC_ALL=C sort | tr '\n' ' ')
-    if [ "$shape" != "catalog.dsl ops.log segment-0.g*.seg " ]; then
+    # Exactly the one on-disk shape: the retired logs, the live log, one
+    # segment, the writer lock.
+    shape=$(ls "$db" | sed -e 's/^segment-0\.g[0-9]*\.seg$/segment-0.g*.seg/' \
+        -e 's/^ops\.g[0-9]*\.log$/ops.g*.log/' | LC_ALL=C sort -u | tr '\n' ' ')
+    segments=$(ls "$db" | grep -c '^segment-')
+    if [ "$shape" != "ops.g*.log ops.log segment-0.g*.seg writer.lock " ] || [ "$segments" != 1 ]; then
         ls "$db"
         echo "FAIL: completed compaction left $shape" >&2
         exit 1
@@ -170,6 +178,41 @@ for mode in plain gzip; do
     "$BIN" ingest --db "$db" --in D:3 --out E:3 --csv "$WORK/cd.csv" "${flags[@]}"
     "$BIN" db verify "$db" > /dev/null
     "$BIN" query --db "$db" --path E,D,C,B,A --cells 1 > /dev/null
+
+    # Conversion sweep: a fresh two-generation database per kill point;
+    # an ingest in the other gzip mode rewrites every table into it, and
+    # dies at IO n. The surviving snapshot must verify, show its history
+    # and answer queries, and the retried conversion must land.
+    echo "== gzip conversion crash sweep ($mode) =="
+    other=(--gzip)
+    [ "$mode" = gzip ] && other=()
+    n=1
+    seen_new=0
+    while :; do
+        if [ "$n" -gt "$MAX_IOS" ]; then
+            echo "FAIL: conversion still crashing after $MAX_IOS injection points" >&2
+            exit 1
+        fi
+        db="$WORK/db-convert-$mode-$n"
+        "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
+        "$BIN" ingest --db "$db" --in B:3 --out C:3 --csv "$WORK/bc.csv" "${flags[@]}"
+        if crashed "$BIN" ingest --db "$db" --in C:3 --out D:3 --csv "$WORK/cd.csv" \
+            "${other[@]}" --crash-at-io "$n"; then
+            echo "   conversion completed past $((n - 1)) kill point(s)"
+            require_new_seen conversion
+            break
+        fi
+        image=$(db_image "$db")
+        "$BIN" db verify "$db" > /dev/null
+        check_generation "$db" D,C
+        "$BIN" db history "$db" > /dev/null
+        "$BIN" query --db "$db" --path C,B,A --cells 1 > /dev/null
+        require_unchanged "$db" "$image"
+        "$BIN" ingest --db "$db" --in C:3 --out D:3 --csv "$WORK/cd.csv" "${other[@]}"
+        verify_clean "$db"
+        "$BIN" query --db "$db" --path D,C,B,A --cells 1 > /dev/null
+        n=$((n + 1))
+    done
 done
 
 # Network serving sweep: `dslog serve --listen` with auto-commit after

@@ -17,7 +17,8 @@
 //!   `crates/core/src/par.rs`: one helper owns worker sizing, result order
 //!   and panic propagation, and a site that threads names a measured grain.
 //! - **decode-alloc** — in decode paths (`storage/format.rs`,
-//!   `storage/persist.rs`, `storage/wal.rs`, `crates/codecs`, and the
+//!   `storage/persist.rs`, `storage/wal.rs`, `storage/catalog.rs` — the
+//!   checkpoint record's decoder — `storage/compact.rs`, `crates/codecs`, and the
 //!   column codecs of `crates/baselines`: `bitpack`, `dict`, `hybrid`,
 //!   `rle`), a
 //!   `with_capacity` / `vec![_; n]` whose size came from a wire read must be
@@ -105,6 +106,8 @@ pub fn classify(rel: &str) -> FileClass {
         decode_scope: rel == "crates/core/src/storage/format.rs"
             || rel == "crates/core/src/storage/persist.rs"
             || rel == "crates/core/src/storage/wal.rs"
+            || rel == "crates/core/src/storage/catalog.rs"
+            || rel == "crates/core/src/storage/compact.rs"
             || rel.starts_with("crates/codecs/src/")
             || BASELINE_CODECS.contains(&rel),
         env_scope: rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/"),
@@ -859,6 +862,18 @@ mod tests {
         for rel in ["crates/core/src/par.rs", "crates/bench/src/bin/x.rs"] {
             assert_eq!(scan_source(rel, src, classify(rel)), [], "{rel}");
         }
+    }
+
+    /// Every file the README names as a decoder is in the decode-alloc
+    /// scope: the table format, the log and its checkpoint record, the
+    /// compaction pass, and the persistence layer that reads them.
+    #[test]
+    fn decode_scope_covers_every_storage_decoder() {
+        for file in ["format", "persist", "wal", "catalog", "compact"] {
+            let rel = format!("crates/core/src/storage/{file}.rs");
+            assert!(classify(&rel).decode_scope, "{rel}");
+        }
+        assert!(!classify("crates/core/src/storage/shards.rs").decode_scope);
     }
 
     #[test]

@@ -155,7 +155,9 @@ fn handles_taking_turns_lose_no_commit() {
 /// its own handle and its own two edges, dropping the handle (and so the
 /// lock) every fifth commit and after every refusal. Refusals are the
 /// lock's or the stale generation's, and change nothing; every commit that
-/// returned `Ok` survives.
+/// returned `Ok` survives: the window keeps every generation, and each one
+/// an `Ok` commit made holds, per edge, the newest `Ok` shift at or before
+/// it — so no commit was ever reverted by another's, not only in the end.
 #[test]
 fn two_threads_committing_lose_no_commit() {
     let dir = temp_dir("threads");
@@ -168,7 +170,9 @@ fn two_threads_committing_lose_no_commit() {
                     let mut landed = Vec::new();
                     let mut db = None;
                     for turn in 0..200i64 {
-                        let handle = db.get_or_insert_with(|| Dslog::options().open(dir).unwrap());
+                        let handle = db.get_or_insert_with(|| {
+                            Dslog::options().wal_retention(1000).open(dir).unwrap()
+                        });
                         let edges = [(2 * who, turn % CELLS), (2 * who + 1, (turn + 3) % CELLS)];
                         for &(k, shift) in &edges {
                             stage(handle, k, shift);
@@ -193,14 +197,26 @@ fn two_threads_committing_lose_no_commit() {
         let landed: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
         landed
     });
-    let mut promised = Promised::default();
-    for (generation, edges) in landed.iter().flatten() {
-        promised.landed(*generation, edges);
-    }
+    let mut commits: Vec<_> = landed.iter().flatten().collect();
     assert!(
         landed.iter().all(|l| !l.is_empty()),
         "a thread never committed"
     );
+    commits.sort_by_key(|(generation, _)| *generation);
+    let mut promised = Promised::default();
+    for (generation, edges) in commits {
+        promised.landed(*generation, edges);
+        let db = Dslog::options().as_of(*generation).open(&dir).unwrap();
+        for (k, (_, shift)) in &promised.shifts {
+            let path = [format!("B{k}"), format!("A{k}")];
+            let got = db.prov_query(&[&path[0], &path[1]], &[vec![0]]).unwrap();
+            assert_eq!(
+                got.cells.cell_set(),
+                [vec![*shift]].into(),
+                "edge {k} as of {generation}"
+            );
+        }
+    }
     promised.hold(&dir);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -187,7 +187,7 @@ pub fn ingest(args: &[String]) -> Result<String, String> {
     let raw_bytes = table.nbytes();
 
     // Extend an existing database or start a fresh one. Fresh only when
-    // the directory holds nothing — an IO error on an existing database must
+    // the directory holds no database — an IO error on an existing one must
     // propagate, not be shadowed by a new empty database whose save would
     // sweep the old snapshot's edge files.
     let options = writer_options(&opts, "cli")?;
@@ -498,7 +498,7 @@ pub fn serve(args: &[String], replies: &mut dyn Write) -> Result<String, String>
 
     // Open an existing database, or initialize (and bind) an empty one so
     // commits have a target from the start. Fresh-init happens ONLY when
-    // the directory holds nothing: an IO error reading an existing database must
+    // the directory holds no database: an IO error reading an existing one must
     // propagate, never be shadowed by an empty save (whose sweep would
     // delete the surviving edge files).
     let db = if database_exists(db_dir) {
@@ -740,14 +740,18 @@ pub fn client(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Whether `db_dir` holds anything but the writer lock: a database to open
-/// (or to refuse), never one to fresh-initialize over. Used to decide
-/// between opening and fresh-initializing.
+/// Whether `db_dir` holds a database to open (or to refuse), never one to
+/// fresh-initialize over: anything but what a first commit killed before
+/// its commit point leaves — the writer lock, `*.tmp` files and its
+/// segment — which the fresh database's first commit sweeps instead. Used
+/// to decide between opening and fresh-initializing.
 fn database_exists(db_dir: &str) -> bool {
+    let debris =
+        |n: &str| n == persist::LOCK_FILE || n.ends_with(".tmp") || n.starts_with("segment-");
     let entries = std::fs::read_dir(db_dir).into_iter().flatten().flatten();
     entries
         .into_iter()
-        .any(|e| e.file_name() != persist::LOCK_FILE)
+        .any(|e| !e.file_name().to_str().is_some_and(debris))
 }
 
 /// Feed a command stream to the service through the wire protocol's

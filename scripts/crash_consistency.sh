@@ -3,7 +3,8 @@
 # `dslog serve` at EVERY gated IO of a commit in turn and require, after
 # each kill, that the surviving database verifies, answers queries, and
 # accepts the retried operation — plain and gzip. Every commit the sweeps
-# kill rotates the log: the ingest after a one-edge database's first makes
+# kill rotates the log: the first ingest into an empty directory starts
+# it, the ingest after a one-edge database's first makes
 # a checkpoint due, and so does the served auto-commit; a compaction and a
 # gzip conversion (an ingest that flips the directory's mode) always
 # start a fresh log. The reader commands run after each kill (`db
@@ -99,6 +100,30 @@ verify_clean() {
 for mode in plain gzip; do
     flags=()
     [ "$mode" = gzip ] && flags=(--gzip)
+
+    # First-ingest sweep: the first commit into an empty directory, killed
+    # at IO n. Before its commit point the kill leaves no database, only
+    # debris (the writer lock, the segment, a temp log) that the retried
+    # ingest must take for an empty directory and sweep; from it on, the
+    # database the retry extends.
+    echo "== first ingest crash sweep ($mode) =="
+    n=1
+    while :; do
+        if [ "$n" -gt "$MAX_IOS" ]; then
+            echo "FAIL: first ingest still crashing after $MAX_IOS injection points" >&2
+            exit 1
+        fi
+        db="$WORK/db-first-$mode-$n"
+        if crashed "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" \
+            "${flags[@]}" --crash-at-io "$n"; then
+            echo "   first ingest completed past $((n - 1)) kill point(s)"
+            break
+        fi
+        "$BIN" ingest --db "$db" --in A:3x2 --out B:3 --csv "$WORK/ab.csv" "${flags[@]}"
+        verify_clean "$db"
+        "$BIN" query --db "$db" --path B,A --cells 1 > /dev/null
+        n=$((n + 1))
+    done
 
     # Ingest sweep: a fresh one-generation database per kill point; the
     # second ingest dies at IO n. The surviving snapshot must verify

@@ -319,8 +319,8 @@ pub fn encode_record(rec: &OpRecord) -> Vec<u8> {
             tables,
             retained_from,
         } => {
-            // Kinds 4 (a whole embedded catalog), 6 (a catalog's length and
-            // crc only) and 7 (those beside the tables) are retired.
+            // Kinds 4 (a whole embedded catalog), 6 (a catalog file's length
+            // and crc) and 7 (those, beside the tables) are retired.
             body.push(8);
             write_string(&mut body, segment);
             write_uvarint(&mut body, *retained_from);
